@@ -300,7 +300,6 @@ def cmd_bench_sched(args) -> int:
         benches=benches,
         repeat=args.repeat,
         progress=lambda name: print(f"timing {name}...", file=sys.stderr),
-        jobs=args.jobs,
     )
     print(report.render())
     if not _write_json_report(args.out, report, _results_dir(args), "sched"):
@@ -818,13 +817,6 @@ def main(argv=None) -> int:
         metavar="X",
         help="exit nonzero if the batched engine's aggregate gain over "
         "the per-machine compiled engine is below X",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the batched lane's scheduling pass over N processes",
     )
     p.add_argument(
         "--results-dir", default=None, metavar="DIR", help=results_help

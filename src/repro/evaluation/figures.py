@@ -71,10 +71,7 @@ class Figure9Result:
         )
 
 
-def figure9(
-    runner: Optional[EvaluationRunner] = None,
-    jobs: Optional[int] = None,
-) -> Figure9Result:
+def figure9(runner: Optional[EvaluationRunner] = None) -> Figure9Result:
     runner = runner or default_runner()
     speedups: Dict[str, Dict[int, float]] = {}
     for bench in runner.benches():
@@ -82,7 +79,7 @@ def figure9(
         assert run.output_matches, f"{bench}: parallel output diverged"
         swept = [c for c in (2, 4, 6) if c != runner.machine.cores]
         values = run.speedups_at(
-            [runner.machine.with_cores(c) for c in swept], jobs=jobs
+            [runner.machine.with_cores(c) for c in swept]
         )
         per_core = dict(zip(swept, values))
         if runner.machine.cores in (2, 4, 6):
@@ -311,7 +308,6 @@ class PrefetchStudyResult:
 
 def prefetching_study(
     runner: Optional[EvaluationRunner] = None,
-    jobs: Optional[int] = None,
 ) -> PrefetchStudyResult:
     runner = runner or default_runner()
     speedups: Dict[str, Dict[str, float]] = {}
@@ -324,8 +320,7 @@ def prefetching_study(
     for bench in runner.benches():
         run = runner.helix_run(bench)
         values = run.speedups_at(
-            [runner.machine.with_prefetch(mode) for mode in mode_map.values()],
-            jobs=jobs,
+            [runner.machine.with_prefetch(mode) for mode in mode_map.values()]
         )
         speedups[bench] = dict(zip(mode_map, values))
     return PrefetchStudyResult(speedups=speedups)
@@ -564,7 +559,6 @@ class LatencySweepResult:
 def latency_sweep(
     runner: Optional[EvaluationRunner] = None,
     latencies: Sequence[int] = (4, 16, 32, 64, 110, 220),
-    jobs: Optional[int] = None,
 ) -> LatencySweepResult:
     import dataclasses as _dc
 
@@ -583,7 +577,7 @@ def latency_sweep(
     speedups: Dict[int, Dict[str, float]] = {l: {} for l in latencies}
     for bench in runner.benches():
         run = runner.helix_run(bench)
-        values = run.speedups_at(machines, jobs=jobs)
+        values = run.speedups_at(machines)
         for latency, value in zip(latencies, values):
             speedups[latency][bench] = value
     return LatencySweepResult(speedups=speedups)

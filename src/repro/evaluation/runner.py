@@ -188,32 +188,25 @@ class PipelineRun:
         """Speedup under another machine, from recorded traces."""
         return self.speedups_at([machine])[0]
 
-    def speedups_at(
-        self,
-        machines: Sequence[MachineConfig],
-        jobs: Optional[int] = None,
-    ) -> List[float]:
+    def speedups_at(self, machines: Sequence[MachineConfig]) -> List[float]:
         """Speedups under several machines in one batched replay.
 
         The figure sweeps (core counts, prefetch modes, latencies) go
         through here so every stored trace is scheduled once per sweep,
-        not twice per swept machine; ``jobs`` shards the scheduling
-        pass across a process pool for big grids."""
+        not twice per swept machine."""
         return [
             1.0 if replayed.cycles <= 0
             else self.sequential.cycles / replayed.cycles
-            for replayed in self.executor.replay_many(machines, jobs=jobs)
+            for replayed in self.executor.replay_many(machines)
         ]
 
     def replay(self, machine: MachineConfig) -> ParallelRunResult:
         return self.executor.replay(machine)
 
     def replay_many(
-        self,
-        machines: Sequence[MachineConfig],
-        jobs: Optional[int] = None,
+        self, machines: Sequence[MachineConfig]
     ) -> List[ParallelRunResult]:
-        return self.executor.replay_many(machines, jobs=jobs)
+        return self.executor.replay_many(machines)
 
 
 class EvaluationRunner:
@@ -479,9 +472,6 @@ class EvaluationRunner:
             )
             payload = self._load(bench, "pipeline", disk_key)
             if payload is not None:
-                # ``from_dict`` reads both the versioned compact format
-                # and the legacy per-iteration dicts of older caches;
-                # legacy payloads also predate the stored ``load_count``.
                 parallel = executor.restore_run(
                     ExecutionResult.from_dict(payload["result"]),
                     [
@@ -495,7 +485,7 @@ class EvaluationRunner:
                             for s in payload["loop_stats"]
                         )
                     },
-                    load_count=payload.get("load_count"),
+                    load_count=payload["load_count"],
                 )
                 outcome = "disk"
             else:

@@ -36,6 +36,7 @@ from repro.runtime.parallel import (
     ParallelExecutor,
     ParallelRunResult,
     _accumulate,
+    schedule_invocation,
 )
 from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.sched import ScheduleResult, schedule_invocation_reference
@@ -146,14 +147,32 @@ def _reset_compiled_state(executor: ParallelExecutor) -> None:
         trace._program = None
 
 
+def _compiled_columns(
+    executor: ParallelExecutor, machines: Sequence[MachineConfig]
+) -> Dict[str, List[ScheduleResult]]:
+    """The compiled lane's schedule columns, keyed by machine
+    fingerprint: :func:`schedule_invocation` once per trace x machine,
+    independent of the executor's batched ``replay_many`` path."""
+    grid = {machine.fingerprint(): machine for machine in machines}
+    info_by_id = {info.loop_id: info for info in executor.infos}
+    columns: Dict[str, List[ScheduleResult]] = {fp: [] for fp in grid}
+    for trace in executor.traces:
+        info = info_by_id[trace.loop_id]
+        for fingerprint, machine in grid.items():
+            columns[fingerprint].append(
+                schedule_invocation(trace, info, machine)
+            )
+    return columns
+
+
 @dataclass
 class SweepTiming:
     """Timed sweep-replay comparison of all engines on one benchmark.
 
     Three lanes: the reference per-event interpreter, the per-machine
     compiled engine (``schedule_invocation`` per trace per machine) and
-    the batched engine (cohort-vectorized ``schedule_many``, the
-    ``replay_many`` default).
+    the batched engine (cohort-vectorized ``schedule_many``, what
+    ``replay_many`` runs).
     """
 
     name: str
@@ -302,20 +321,9 @@ def _check_equivalence(
     per-machine compiled engine recomputes them independently, and both
     must match the reference interpreter field for field."""
     compiled_runs = executor.replay_many(machines)
-    batched_columns = {
-        machine.fingerprint(): list(
-            executor._schedules[machine.fingerprint()]
-        )
-        for machine in machines
-    }
-    _reset_compiled_state(executor)
-    executor._ensure_schedules(machines, batched=False)
-    for machine in machines:
-        fingerprint = machine.fingerprint()
-        if (
-            executor._schedules[fingerprint]
-            != batched_columns[fingerprint]
-        ):  # pragma: no cover - engine bug
+    compiled_columns = _compiled_columns(executor, machines)
+    for fingerprint, column in compiled_columns.items():
+        if executor._schedules[fingerprint] != column:  # pragma: no cover
             raise AssertionError(
                 f"batched/per-machine schedule divergence on {name!r} "
                 f"under {fingerprint}"
@@ -353,14 +361,12 @@ def run_sched_bench(
     repeat: int = 1,
     machine: Optional[MachineConfig] = None,
     progress: Optional[Callable[[str], None]] = None,
-    jobs: Optional[int] = None,
 ) -> SchedBenchReport:
     """Time sweep replay with all three engines on ``benches``.
 
     Uses the shared evaluation runner (honouring ``REPRO_EVAL_CACHE``)
     to obtain recorded traces; raises :class:`AssertionError` if the
-    engines ever disagree on any schedule field.  ``jobs`` shards the
-    batched lane's scheduling pass across a process pool.
+    engines ever disagree on any schedule field.
     """
     from repro.evaluation.runner import default_runner
 
@@ -393,8 +399,8 @@ def run_sched_bench(
         for _ in range(repeat):
             _reset_compiled_state(executor)
             start = time.perf_counter()
-            executor._ensure_schedules(
-                [executor.machine, *machines], batched=False
+            executor._schedules.update(
+                _compiled_columns(executor, [executor.machine, *machines])
             )
             executor.replay_many(machines)
             compiled_best = min(compiled_best, time.perf_counter() - start)
@@ -403,7 +409,7 @@ def run_sched_bench(
         for _ in range(repeat):
             _reset_compiled_state(executor)
             start = time.perf_counter()
-            executor.replay_many(machines, jobs=jobs)
+            executor.replay_many(machines)
             batched_best = min(batched_best, time.perf_counter() - start)
 
         report.programs.append(

@@ -322,7 +322,7 @@ def timeline_block(
     per_core = core_totals(segments, machine.cores)
     return {
         "cores": machine.cores,
-        "total_cycles": executor.cycles if machine is executor.machine
+        "total_cycles": executor.cycles if machine == executor.machine
         else None,
         "per_core": [
             {"core": i, **per_core[i]} for i in range(machine.cores)

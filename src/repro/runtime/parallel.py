@@ -39,7 +39,8 @@ Recorded traces are packed into
 scheduled by the compiled engine
 (:func:`~repro.runtime.sched.schedule_compact`); multi-machine sweeps
 should go through :meth:`ParallelExecutor.replay_many`, which fills all
-missing schedules in one pass over the traces and memoizes per-machine
+missing schedules in one in-process pass over the traces
+(:func:`~repro.runtime.sched.schedule_many`) and memoizes per-machine
 schedule columns (keyed by
 :meth:`~repro.runtime.machine.MachineConfig.fingerprint`) so the
 baseline machine is never rescheduled per swept point.
@@ -47,7 +48,6 @@ baseline machine is never rescheduled per swept point.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -55,7 +55,6 @@ from repro.analysis.loopnest import LoopId
 from repro.core.communication import is_producer_mark, xfer_words
 from repro.core.loopinfo import ParallelizedLoop
 from repro.ir import BasicBlock, Instruction, Module, Opcode
-from repro.obs.metrics import REGISTRY
 from repro.obs.tracer import get_tracer
 from repro.runtime.interpreter import (
     ExecutionResult,
@@ -92,54 +91,6 @@ __all__ = [
     "schedule_invocation_reference",
 ]
 
-#: Minimum traces per shard before sharded replay pays for process
-#: startup and trace pickling; below this the batched engine runs
-#: inline regardless of ``jobs``.
-_SHARD_MIN_TRACES = 128
-
-
-@dataclass(frozen=True)
-class _LoopTiming:
-    """Pickle-light stand-in for :class:`ParallelizedLoop`.
-
-    The schedulers read exactly two fields of the loop record
-    (``counted`` and ``helper_order``); sharded replay ships this shim
-    to worker processes instead of the full record, which drags block
-    sets and dependence lists along.
-    """
-
-    loop_id: LoopId
-    counted: bool
-    helper_order: Tuple[int, ...] = ()
-
-
-def _schedule_shard(
-    traces: List[CompactInvocationTrace],
-    loops: List[_LoopTiming],
-    machines: List[MachineConfig],
-) -> Tuple[List[List[ScheduleResult]], List[dict], dict]:
-    """Worker entry point of sharded replay: schedule one trace chunk
-    under every machine through the batched engine.
-
-    Returns the per-trace schedule columns plus serialized spans and the
-    registry-counter delta, shipped home exactly like the suite's bench
-    workers (the merged Perfetto trace shows one track per worker pid).
-    """
-    from repro.obs.metrics import metrics_delta
-    from repro.obs.tracer import tracing
-
-    before = REGISTRY.snapshot()
-    with tracing() as tracer:
-        with tracer.span(
-            "sched.shard",
-            cat="sched",
-            traces=len(traces),
-            machines=len(machines),
-        ):
-            columns = schedule_many(traces, loops, machines)
-    spans = [event.as_dict() for event in tracer.finished()]
-    return columns, spans, metrics_delta(before, REGISTRY.snapshot())
-
 #: Either trace representation; the executor stores the compact form.
 AnyTrace = Union[CompactInvocationTrace, InvocationTrace]
 
@@ -151,10 +102,10 @@ def schedule_invocation(
 ) -> ScheduleResult:
     """Reconstruct the parallel schedule of one invocation.
 
-    Accepts either trace representation; legacy traces are packed on the
-    fly (callers scheduling the same trace repeatedly should pack once
-    via :func:`repro.runtime.trace.as_compact` to reuse the compiled
-    program).
+    Accepts either trace representation; per-iteration traces are
+    packed on the fly (callers scheduling the same trace repeatedly
+    should pack once via :func:`repro.runtime.trace.as_compact` to reuse
+    the compiled program).
     """
     return schedule_compact(as_compact(trace), loop, machine)
 
@@ -400,17 +351,14 @@ class ParallelExecutor(Interpreter):
         result: ExecutionResult,
         traces: Sequence[AnyTrace],
         loop_stats: Dict[LoopId, LoopRunStats],
-        load_count: Optional[int] = None,
+        load_count: int,
     ) -> ParallelRunResult:
         """Adopt a previously recorded run (e.g. loaded from the
         evaluation disk cache) as if :meth:`execute` had just produced
         it, so :meth:`replay` works without re-interpreting the program.
 
         ``load_count`` is the executed run's total
-        :attr:`~repro.runtime.interpreter.Interpreter.load_count`; when
-        absent (legacy cache payloads) it is approximated by the loads
-        recorded inside invocations, which misses loads executed outside
-        parallelized loops.
+        :attr:`~repro.runtime.interpreter.Interpreter.load_count`.
 
         The caller is responsible for passing traces recorded from an
         identical module under an identical cost model.
@@ -421,8 +369,6 @@ class ParallelExecutor(Interpreter):
         self.traces = [as_compact(trace) for trace in traces]
         self.loop_stats = dict(loop_stats)
         self._schedules.clear()
-        if load_count is None:
-            load_count = sum(trace.loads for trace in self.traces)
         self.load_count = load_count
         return ParallelRunResult(
             result=result,
@@ -431,23 +377,15 @@ class ParallelExecutor(Interpreter):
             traces=list(self.traces),
         )
 
-    def _ensure_schedules(
-        self,
-        machines: Sequence[MachineConfig],
-        batched: bool = True,
-        jobs: Optional[int] = None,
-    ) -> None:
+    def _ensure_schedules(self, machines: Sequence[MachineConfig]) -> None:
         """Fill the schedule memo for every machine missing from it.
 
         A machine whose cached column merely lags behind
         :attr:`traces` is *extended* from where it stopped instead of
-        recomputed from scratch.  With ``batched`` (the default) every
-        missing column is filled in one pass over the traces by the
-        batched engine (:func:`~repro.runtime.sched.schedule_many`,
-        which vectorizes shape-identical trace cohorts and walks each
-        remaining trace once for all machines); the per-trace path is
-        kept for the benchmark's engine comparison.  ``jobs`` shards
-        the trace list across a process pool for big grids.
+        recomputed from scratch.  Every missing column is filled in one
+        pass over the traces by :func:`~repro.runtime.sched.schedule_many`
+        (shape-identical trace cohorts vectorized, the remaining traces
+        scheduled per machine by the scalar engine).
         """
         total = len(self.traces)
         seen: set = set()
@@ -471,88 +409,22 @@ class ParallelExecutor(Interpreter):
             cat="sched",
             machines=len(missing),
             traces=total,
-            batched=batched,
-            jobs=jobs or 1,
         ):
-            if batched:
-                # One pass from the earliest lagging offset; machines
-                # that already cover a prefix keep it and only append
-                # their missing rows.
-                start = min(done for _fp, _m, done in missing)
-                tail = self.traces[start:]
-                loops = [info_by_id[t.loop_id] for t in tail]
-                grid = [machine for _fp, machine, _d in missing]
-                columns = self._schedule_columns(tail, loops, grid, jobs)
-                for ki, (fp, _machine, done) in enumerate(missing):
-                    col = self._schedules.setdefault(fp, [])
-                    for ti in range(done - start, len(tail)):
-                        col.append(columns[ti][ki])
-            else:
-                by_start: Dict[int, List[Tuple[str, MachineConfig]]] = {}
-                for fp, machine, done in missing:
-                    by_start.setdefault(done, []).append((fp, machine))
-                for done, group in by_start.items():
-                    cols: Dict[str, List[ScheduleResult]] = {
-                        fp: [] for fp, _m in group
-                    }
-                    for trace in self.traces[done:]:
-                        info = info_by_id[trace.loop_id]
-                        for fp, machine in group:
-                            cols[fp].append(
-                                schedule_invocation(trace, info, machine)
-                            )
-                    for fp, _m in group:
-                        self._schedules.setdefault(fp, []).extend(cols[fp])
-
-    def _schedule_columns(
-        self,
-        traces: Sequence[CompactInvocationTrace],
-        loops: Sequence[ParallelizedLoop],
-        machines: Sequence[MachineConfig],
-        jobs: Optional[int],
-    ) -> List[List[ScheduleResult]]:
-        """Batched schedule columns for ``traces``, sharded over a
-        process pool when ``jobs`` and the trace count warrant it."""
-        if (
-            jobs is None
-            or jobs <= 1
-            or len(traces) < max(_SHARD_MIN_TRACES, 2 * jobs)
-        ):
-            return schedule_many(traces, loops, machines)
-        timings = [
-            _LoopTiming(
-                loop_id=loop.loop_id,
-                counted=loop.counted,
-                helper_order=tuple(loop.helper_order),
-            )
-            for loop in loops
-        ]
-        chunk = (len(traces) + jobs - 1) // jobs
-        grid = list(machines)
-        tracer = get_tracer()
-        columns: List[List[ScheduleResult]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _schedule_shard,
-                    list(traces[lo : lo + chunk]),
-                    timings[lo : lo + chunk],
-                    grid,
-                )
-                for lo in range(0, len(traces), chunk)
-            ]
-            for future in futures:
-                cols, spans, metrics = future.result()
-                columns.extend(cols)
-                if spans and getattr(tracer, "enabled", False):
-                    tracer.absorb(spans)
-                REGISTRY.merge(metrics)
-        return columns
+            # One pass from the earliest lagging offset; machines that
+            # already cover a prefix keep it and only append their
+            # missing rows.
+            start = min(done for _fp, _m, done in missing)
+            tail = self.traces[start:]
+            loops = [info_by_id[t.loop_id] for t in tail]
+            grid = [machine for _fp, machine, _d in missing]
+            columns = schedule_many(tail, loops, grid)
+            for ki, (fp, _machine, done) in enumerate(missing):
+                col = self._schedules.setdefault(fp, [])
+                for ti in range(done - start, len(tail)):
+                    col.append(columns[ti][ki])
 
     def replay_many(
-        self,
-        machines: Sequence[MachineConfig],
-        jobs: Optional[int] = None,
+        self, machines: Sequence[MachineConfig]
     ) -> List[ParallelRunResult]:
         """Recompute the timing under each machine in one batched pass.
 
@@ -560,8 +432,7 @@ class ParallelExecutor(Interpreter):
         every missing schedule column in one batched pass over the
         stored traces; the baseline machine's schedules are reused from
         the memo (seeded during execution) instead of being recomputed
-        per swept machine.  ``jobs`` shards the scheduling pass across
-        a process pool for big grids.
+        per swept machine.
 
         The output list and trace list are identical and never mutated
         across the sweep, so all returned results share one instance of
@@ -572,7 +443,7 @@ class ParallelExecutor(Interpreter):
         with get_tracer().span(
             "exec.replay_many", cat="exec", machines=len(machines)
         ):
-            self._ensure_schedules([self.machine, *machines], jobs=jobs)
+            self._ensure_schedules([self.machine, *machines])
             baseline = self._schedules[self.machine.fingerprint()]
             shared_output = list(self.output)
             shared_traces: List[AnyTrace] = list(self.traces)

@@ -17,25 +17,23 @@ the walk entirely:
   predecessor's signal time can never exceed the successor's clock on
   one core), so the signal timetable is never materialized.
 
-:func:`schedule_compact_many` is the batched variant behind machine-grid
-sweeps: it walks the opcode stream **once** while advancing every swept
-machine's per-core integer clocks in lockstep (flat ``array('q')`` clock
-and signal-timetable columns, per-machine latency/barrier constants
-hoisted into parallel columns, prefetch agendas resolved to signal-op
-indices once per trace).  Machines a fast path covers -- the counted
-DOALL closed form, deduplicated by core count, or the single-core
-no-prefetch walk -- are peeled out before the lockstep walk.  Its
-columns are field-exact with per-machine :func:`schedule_compact`.
+:func:`schedule_many` is the batched entry point behind machine-grid
+sweeps.  It groups traces by shape (:func:`trace_signature`); cohorts of
+at least :data:`_MIN_COHORT` shape-identical traces run through the
+numpy-vectorized :func:`_schedule_cohort` walk (one opcode pass per
+machine advances the whole cohort, and only the representative trace is
+compiled), and the stragglers are scheduled per machine by
+:func:`schedule_compact`, with which every column is field-exact.
 
 :func:`schedule_invocation_reference` is the original per-event
 interpreter over the raw :class:`~repro.runtime.trace.InvocationTrace`.
 It is kept as the differential oracle -- ``tests/test_sched_differential``
 and ``repro bench-sched`` enforce field-exact :class:`ScheduleResult`
-equality between the two engines -- and is still written for clarity,
+equality between the engines -- and is still written for clarity,
 not speed (its only performance fixes are hoisting the producer-set
 rebuild and the usually-redundant interval sort out of the hot loop).
 
-Both engines implement the same model (see
+All engines implement the same model (see
 :mod:`repro.runtime.parallel` for the methodology): per-core clocks with
 round-robin iteration assignment, pull-based signal completion
 ``max(t, ts) + L``, helper-thread prefetch agendas, data forwarding
@@ -45,7 +43,6 @@ barriers on non-TSO machines.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -384,8 +381,8 @@ def _resolve_agendas(
 ) -> Tuple[List[int], List[int], List[Tuple[int, ...]], List[Tuple[int, ...]]]:
     """Resolve both helper-thread agenda flavours to signal-op indices.
 
-    Machine-independent: done once per trace and shared by every helper
-    machine in a :func:`schedule_compact_many` call.  For each iteration
+    Machine-independent: done once per cohort and shared by every helper
+    machine in a :func:`_schedule_cohort` call.  For each iteration
     the deduplicated agenda (``MATCHED``: the iteration's wait deps;
     ``HELIX``: the loop's static helper order; both prefixed with the
     control signal on non-counted loops) is reduced to the entries whose
@@ -444,358 +441,8 @@ def _resolve_agendas(
     return mt_pos, hx_pos, mt_entries, hx_entries
 
 
-def schedule_compact_many(
-    trace: CompactInvocationTrace,
-    loop: ParallelizedLoop,
-    machines: Sequence[MachineConfig],
-) -> List[ScheduleResult]:
-    """Schedule one invocation under every machine in a single walk.
-
-    Returns one :class:`ScheduleResult` per machine, field-exact with
-    ``[schedule_compact(trace, loop, m) for m in machines]`` (and hence
-    with :func:`schedule_invocation_reference`).  The opcode stream is
-    traversed once; per-machine state lives in parallel columns:
-
-    * flat ``array('q')`` per-core clock and helper-clock columns, one
-      contiguous block per machine;
-    * a per-machine per-op signal timetable written at ``OP_SIGNAL`` and
-      read back through the program's ``src`` column at
-      ``OP_WAIT_SYNC`` -- no per-iteration dependence dicts;
-    * prefetch agendas resolved once per trace to signal-op indices
-      (:func:`_resolve_agendas`) and replayed per machine into a small
-      positional buffer.
-
-    Machines a closed form covers never enter the walk: zero-iteration
-    invocations and counted DOALLs are solved directly (the DOALL busy
-    term is deduplicated by core count), and single-core no-prefetch
-    machines take :func:`schedule_compact`'s single-clock fast path.
-    """
-    count = len(machines)
-    if count == 0:
-        return []
-    seq = trace.end_cycles - trace.start_cycles
-    prog = trace.program
-    n = len(prog.spans)
-    if n == 0:
-        # Zero-iteration invocation: costs its sequential span under
-        # every machine (fresh objects -- results are mutable).
-        return [
-            ScheduleResult(parallel_cycles=seq, sequential_cycles=seq)
-            for _ in range(count)
-        ]
-    counted = loop.counted
-    results: List[Optional[ScheduleResult]] = [None] * count
-
-    if counted and prog.active_ops == 0:
-        # Counted DOALL: closed form for every machine; the busy term
-        # (max per-core span sum) depends only on the core count, so
-        # sweeps that vary latencies or prefetch modes at a fixed core
-        # count price the spans once.
-        spans = prog.spans
-        span_total = prog.span_total
-        busy_by_cores: Dict[int, int] = {}
-        for mi, machine in enumerate(machines):
-            cores = machine.cores
-            busy = busy_by_cores.get(cores)
-            if busy is None:
-                busy = max(
-                    sum(spans[c::cores]) for c in range(min(cores, n))
-                )
-                busy_by_cores[cores] = busy
-            conf = machine.config_cycles_per_thread * max(cores - 1, 1)
-            stats = ScheduleResult(
-                parallel_cycles=conf
-                + busy
-                + machine.signal_latency
-                + cores
-                - 1,
-                sequential_cycles=seq,
-                signals=prog.signals,
-                waits=prog.waits,
-                transfer_words=prog.transfer_words,
-            )
-            stats.compute_cycles = span_total
-            results[mi] = stats
-        return results
-
-    # Peel machines the single-clock fast path solves without a signal
-    # timetable; everything else joins the lockstep walk.
-    lock: List[int] = []
-    for mi, machine in enumerate(machines):
-        if (
-            machine.cores == 1
-            and machine.effective_prefetch_mode is PrefetchMode.NONE
-        ):
-            results[mi] = schedule_compact(trace, loop, machine)
-        else:
-            lock.append(mi)
-    if len(lock) == 1:
-        mi = lock[0]
-        results[mi] = schedule_compact(trace, loop, machines[mi])
-        return results
-    if not lock:
-        return results
-
-    op_, a1_, a2_, at_ = prog.op, prog.a1, prog.a2, prog.at
-    src_, pre_, off, tail = prog.src, prog.pre, prog.off, prog.tail
-    it_start, it_end = trace.it_start, trace.it_end
-    has_next = prog.has_next
-    slot_count = prog.slot_count
-    nops = len(op_)
-
-    m = len(lock)
-    # Hoisted per-machine latency/cost columns (index k over ``lock``).
-    cores_ = [0] * m
-    lat = [0] * m
-    fastlat = [0] * m
-    xfr = [0] * m
-    bar = [0] * m
-    base = [0] * m
-    # Prefetch-mode classes: the arrival math differs per class, so the
-    # per-event inner loops run straight-line over one class at a time.
-    none_k: List[int] = []
-    ideal_k: List[int] = []
-    helper_k: List[int] = []
-    use_helix = [False] * m
-    clk = array("q")  # per-core clocks, machine blocks at base[k]
-    hclk = array("q")  # helper-thread clocks, same layout
-    zeros = bytes(8 * nops)
-    evt: List[array] = []  # per-op signal timetable per machine
-    slots: List[array] = []  # open segment slots per machine
-    pfbuf: List[List[int]] = []  # positional prefetch times per machine
-    prev_next: List[int] = [0] * m
-    cur_next: List[int] = [0] * m
-    tarr = [0] * m  # current iteration's thread clock per machine
-    stall = [0] * m
-    seg = [0] * m
-    sigc = [0] * m
-    maxend = [0] * m
-    curcore = [0] * m
-    ivl: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-    srt = [False] * m
-
-    need_helper = False
-    for k, mi in enumerate(lock):
-        machine = machines[mi]
-        c = machine.cores
-        cores_[k] = c
-        lat[k] = machine.signal_latency
-        fastlat[k] = machine.prefetched_signal_latency
-        xfr[k] = machine.word_transfer_cycles
-        bar[k] = (
-            0 if machine.total_store_ordering else machine.barrier_cycles
-        )
-        base[k] = len(clk)
-        conf = machine.config_cycles_per_thread * max(c - 1, 1)
-        clk.extend([conf] * c)
-        hclk.extend([0] * c)
-        evt.append(array("q", zeros))
-        slots.append(array("q", [0] * slot_count))
-        mode = machine.effective_prefetch_mode
-        if mode is PrefetchMode.NONE:
-            none_k.append(k)
-        elif mode is PrefetchMode.IDEAL:
-            ideal_k.append(k)
-        else:
-            helper_k.append(k)
-            use_helix[k] = mode is PrefetchMode.HELIX
-            need_helper = True
-
-    mt_pos: List[int] = []
-    hx_pos: List[int] = []
-    mt_entries: List[Tuple[int, ...]] = []
-    hx_entries: List[Tuple[int, ...]] = []
-    if need_helper:
-        mt_pos, hx_pos, mt_entries, hx_entries = _resolve_agendas(
-            prog, tuple(loop.helper_order), counted
-        )
-        max_entries = 0
-        for entries in mt_entries:
-            if len(entries) > max_entries:
-                max_entries = len(entries)
-        for entries in hx_entries:
-            if len(entries) > max_entries:
-                max_entries = len(entries)
-        pfbuf = [[0] * max_entries for _ in range(m)]
-
-    rng = range
-    for i in rng(n):
-        need_ctrl = i > 0 and not counted
-        if need_ctrl:
-            assert has_next[i - 1], "iteration without start signal"
-
-        # Helper-thread prefetch agendas for this iteration.
-        if helper_k and i > 0:
-            for k in helper_k:
-                entries = hx_entries[i] if use_helix[k] else mt_entries[i]
-                if not entries:
-                    continue
-                hb = base[k] + i % cores_[k]
-                cursor = hclk[hb]
-                buf = pfbuf[k]
-                ek = evt[k]
-                latk = lat[k]
-                pn = prev_next[k]
-                pos = 0
-                for source in entries:
-                    ts = pn if source == -2 else ek[source]
-                    cursor = (cursor if cursor > ts else ts) + latk
-                    buf[pos] = cursor
-                    pos += 1
-                hclk[hb] = cursor
-
-        # Iteration starts: counted loops derive iteration numbers
-        # locally; others wait on the predecessor's control signal.
-        for k in rng(m):
-            core = i % cores_[k]
-            curcore[k] = core
-            t = clk[base[k] + core]
-            tarr[k] = t
-        if need_ctrl:
-            for k in none_k:
-                t = tarr[k]
-                ts = prev_next[k]
-                done = (t if t > ts else ts) + lat[k]
-                sigc[k] += done - t
-                tarr[k] = done
-            for k in ideal_k:
-                t = tarr[k]
-                ts = prev_next[k]
-                done = (t if t > ts else ts) + fastlat[k]
-                sigc[k] += done - t
-                tarr[k] = done
-            for k in helper_k:
-                t = tarr[k]
-                ts = prev_next[k]
-                pull = (t if t > ts else ts) + lat[k]
-                # The control entry always leads the resolved agenda.
-                alt = t + fastlat[k]
-                done = pfbuf[k][0]
-                if done > alt:
-                    alt = done
-                done = pull if pull < alt else alt
-                sigc[k] += done - t
-                tarr[k] = done
-
-        last = it_start[i]
-        for j in rng(off[i], off[i + 1]):
-            atj = at_[j]
-            d = atj - last
-            last = atj
-            o = op_[j]
-            pj = pre_[j]
-            if o == OP_WAIT_SYNC:
-                bb = pj + 1
-                sj = src_[j]
-                a2j = a2_[j]
-                for k in none_k:
-                    t = tarr[k] + d + bb * bar[k]
-                    ts = evt[k][sj]
-                    arrival = (t if t > ts else ts) + lat[k]
-                    if arrival > t:
-                        stall[k] += arrival - t
-                        t = arrival
-                    slots[k][a2j] = t
-                    tarr[k] = t
-                for k in ideal_k:
-                    t = tarr[k] + d + bb * bar[k]
-                    ts = evt[k][sj]
-                    arrival = (t if t > ts else ts) + fastlat[k]
-                    if arrival > t:
-                        stall[k] += arrival - t
-                        t = arrival
-                    slots[k][a2j] = t
-                    tarr[k] = t
-                if helper_k:
-                    mp = mt_pos[j]
-                    hp = hx_pos[j]
-                    for k in helper_k:
-                        t = tarr[k] + d + bb * bar[k]
-                        ts = evt[k][sj]
-                        arrival = (t if t > ts else ts) + lat[k]
-                        pos = hp if use_helix[k] else mp
-                        if pos >= 0:
-                            alt = t + fastlat[k]
-                            done = pfbuf[k][pos]
-                            if done > alt:
-                                alt = done
-                            if alt < arrival:
-                                arrival = alt
-                        if arrival > t:
-                            stall[k] += arrival - t
-                            t = arrival
-                        slots[k][a2j] = t
-                        tarr[k] = t
-            elif o == OP_WAIT:
-                bb = pj + 1
-                a2j = a2_[j]
-                for k in rng(m):
-                    t = tarr[k] + d + bb * bar[k]
-                    slots[k][a2j] = t
-                    tarr[k] = t
-            elif o == OP_SIGNAL:
-                bb = pj + 1
-                a2j = a2_[j]
-                if a2j >= 0:
-                    for k in rng(m):
-                        t = tarr[k] + d + bb * bar[k]
-                        evt[k][j] = t
-                        opened = slots[k][a2j]
-                        iv = ivl[k]
-                        if iv and opened < iv[-1][0]:
-                            srt[k] = True
-                        iv.append((opened, t))
-                        tarr[k] = t
-                else:
-                    for k in rng(m):
-                        t = tarr[k] + d + bb * bar[k]
-                        evt[k][j] = t
-                        tarr[k] = t
-            elif o == OP_XFER:
-                w = a1_[j]
-                for k in rng(m):
-                    tarr[k] += d + pj * bar[k] + w * xfr[k]
-            else:  # OP_NEXT
-                for k in rng(m):
-                    t = tarr[k] + d + pj * bar[k]
-                    cur_next[k] = t
-                    tarr[k] = t
-
-        for k in rng(m):
-            t = tarr[k] + (it_end[i] - last) + tail[i] * bar[k]
-            clk[base[k] + curcore[k]] = t
-            if t > maxend[k]:
-                maxend[k] = t
-            iv = ivl[k]
-            if iv:
-                seg[k] += _merge_segments(iv, srt[k])
-                iv.clear()
-                srt[k] = False
-            prev_next[k] = cur_next[k]
-
-    signals = prog.signals if counted else prog.signals + prog.next_iters
-    span_total = prog.span_total
-    barrier_events = prog.barrier_events
-    transfer_words = prog.transfer_words
-    for k, mi in enumerate(lock):
-        stats = ScheduleResult(
-            parallel_cycles=maxend[k] + lat[k] + cores_[k] - 1,
-            sequential_cycles=seq,
-            signals=signals,
-            waits=prog.waits,
-            transfer_words=transfer_words,
-        )
-        stats.wait_stall_cycles = stall[k]
-        stats.segment_cycles = seg[k]
-        stats.signal_cycles = sigc[k]
-        stats.compute_cycles = span_total + bar[k] * barrier_events
-        stats.transfer_cycles = transfer_words * xfr[k]
-        results[mi] = stats
-    return results
-
-
 #: Minimum cohort size worth the numpy dispatch overhead; smaller
-#: groups take the per-trace lockstep engine instead.
+#: groups take the scalar engine per machine instead.
 _MIN_COHORT = 4
 
 
@@ -1118,8 +765,8 @@ def schedule_many(
     :func:`schedule_compact`.  Traces are grouped into cohorts of
     identical shape (:func:`trace_signature`); cohorts of at least
     :data:`_MIN_COHORT` members run through the numpy-vectorized
-    :func:`_schedule_cohort` walk, the stragglers through the per-trace
-    lockstep engine :func:`schedule_compact_many`.
+    :func:`_schedule_cohort` walk, the stragglers through
+    :func:`schedule_compact` once per machine.
     """
     results: List[Optional[List[ScheduleResult]]] = [None] * len(traces)
     if not traces:
@@ -1131,9 +778,10 @@ def schedule_many(
     for members in groups.values():
         if len(members) < _MIN_COHORT:
             for idx in members:
-                results[idx] = schedule_compact_many(
-                    traces[idx], loops[idx], machines
-                )
+                results[idx] = [
+                    schedule_compact(traces[idx], loops[idx], machine)
+                    for machine in machines
+                ]
         else:
             cols = _schedule_cohort(
                 [traces[idx] for idx in members],

@@ -29,11 +29,15 @@ even though none of that depends on the machine.  This module therefore
 
 :func:`repro.runtime.sched.schedule_compact` consumes the program; the
 per-machine loop then touches only integers and small dicts of signal
-times.
+times.  :func:`repro.runtime.sched.schedule_many` compiles only one
+program per cohort of shape-identical traces and gathers the other
+members' timestamps through the program's ``raw`` column.
 
 Serialization is versioned (:data:`TRACE_FORMAT_VERSION`);
-:meth:`CompactInvocationTrace.from_dict` transparently accepts the
-legacy per-iteration dict format that older evaluation caches stored.
+:meth:`CompactInvocationTrace.from_dict` rejects every other version.
+The per-iteration :class:`InvocationTrace` is the record-time form (the
+executor appends events to it) and the reference scheduler's input; it
+is never serialized.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from repro.obs.metrics import REGISTRY
 CTRL_DEP = -1
 
 #: Serialized compact-trace format generation.  Bump when the on-disk
-#: shape changes; loading an unknown future version raises.
+#: shape changes; loading any other version raises.
 TRACE_FORMAT_VERSION = 2
 
 #: Raw event kind codes (the packed ``ev_kind`` column).
@@ -78,27 +82,6 @@ class IterationTrace:
     #: Words carried per dependence (for 'x' events).
     words: Dict[int, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """JSON-stable representation (tuples become lists, int keys
-        become strings; :meth:`from_dict` restores both)."""
-        return {
-            "start_cycles": self.start_cycles,
-            "end_cycles": self.end_cycles,
-            "events": [list(event) for event in self.events],
-            "words": {str(dep): words for dep, words in self.words.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IterationTrace":
-        return cls(
-            start_cycles=data["start_cycles"],
-            end_cycles=data["end_cycles"],
-            events=[
-                (kind, int(dep), int(at)) for kind, dep, at in data["events"]
-            ],
-            words={int(dep): int(n) for dep, n in data["words"].items()},
-        )
-
 
 @dataclass
 class InvocationTrace:
@@ -113,27 +96,6 @@ class InvocationTrace:
     @property
     def iteration_count(self) -> int:
         return len(self.iterations)
-
-    def to_dict(self) -> dict:
-        return {
-            "loop_id": list(self.loop_id),
-            "start_cycles": self.start_cycles,
-            "end_cycles": self.end_cycles,
-            "loads": self.loads,
-            "iterations": [it.to_dict() for it in self.iterations],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InvocationTrace":
-        return cls(
-            loop_id=tuple(data["loop_id"]),
-            start_cycles=data["start_cycles"],
-            end_cycles=data["end_cycles"],
-            loads=data["loads"],
-            iterations=[
-                IterationTrace.from_dict(it) for it in data["iterations"]
-            ],
-        )
 
 
 @dataclass
@@ -230,16 +192,6 @@ class CompactInvocationTrace:
         default=None, init=False, repr=False, compare=False
     )
 
-    def __getstate__(self) -> dict:
-        # The compiled program is cheap to rebuild and heavy to pickle;
-        # sharded replay ships bare columns and workers recompile.
-        state = self.__dict__.copy()
-        state["_program"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     @property
     def iteration_count(self) -> int:
         return len(self.it_start)
@@ -285,7 +237,7 @@ class CompactInvocationTrace:
         )
 
     def to_invocation_trace(self) -> InvocationTrace:
-        """Reconstruct the legacy per-iteration representation exactly."""
+        """Reconstruct the per-iteration representation exactly."""
         iterations = []
         codes = _CODE_TO_KIND
         for i in range(len(self.it_start)):
@@ -333,19 +285,13 @@ class CompactInvocationTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompactInvocationTrace":
-        """Load a serialized trace.
-
-        Accepts both the versioned compact format and the legacy
-        per-iteration dict format (no ``format`` key) that older
-        evaluation caches stored; unknown future versions raise.
-        """
+        """Load a serialized trace; any other format version (or a
+        payload without one) raises :class:`ValueError`."""
         version = data.get("format")
-        if version is None:
-            return cls.from_trace(InvocationTrace.from_dict(data))
         if version != TRACE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported compact-trace format {version!r} "
-                f"(this build reads {TRACE_FORMAT_VERSION} and legacy dicts)"
+                f"(this build reads {TRACE_FORMAT_VERSION})"
             )
         return cls(
             loop_id=tuple(data["loop_id"]),
@@ -519,7 +465,7 @@ class CompactInvocationTrace:
 
 
 def as_compact(trace) -> CompactInvocationTrace:
-    """Normalize a trace (legacy or compact) to the compact form."""
+    """Normalize a trace (per-iteration or compact) to the compact form."""
     if isinstance(trace, CompactInvocationTrace):
         return trace
     return CompactInvocationTrace.from_trace(trace)

@@ -130,12 +130,11 @@ class TestSerialization:
             assert restored == compact
             assert restored.to_invocation_trace() == trace
 
-    def test_legacy_dict_still_loads(self):
-        trace = _tricky_trace()
-        legacy_payload = json.loads(json.dumps(trace.to_dict()))
-        assert "format" not in legacy_payload
-        restored = CompactInvocationTrace.from_dict(legacy_payload)
-        assert restored == CompactInvocationTrace.from_trace(trace)
+    def test_formatless_payload_rejected(self):
+        payload = CompactInvocationTrace.from_trace(_tricky_trace()).to_dict()
+        del payload["format"]
+        with pytest.raises(ValueError, match="unsupported compact-trace"):
+            CompactInvocationTrace.from_dict(payload)
 
     def test_unknown_format_rejected(self):
         payload = CompactInvocationTrace.from_trace(_tricky_trace()).to_dict()

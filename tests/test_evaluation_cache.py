@@ -31,7 +31,6 @@ from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import (
     CompactInvocationTrace,
-    IterationTrace,
     LoopRunStats,
     ParallelExecutor,
     schedule_invocation,
@@ -101,18 +100,6 @@ def _executed_tiny(cores=4):
 
 
 class TestTraceSerialization:
-    def test_iteration_trace_roundtrip(self):
-        trace = IterationTrace(
-            start_cycles=10,
-            end_cycles=90,
-            events=[("w", 0, 12), ("s", 0, 40), ("n", -1, 44)],
-            words={3: 2},
-        )
-        restored = IterationTrace.from_dict(
-            json.loads(json.dumps(trace.to_dict()))
-        )
-        assert restored == trace
-
     def test_recorded_traces_roundtrip_to_identical_schedules(self):
         executor, result, _, infos, machine = _executed_tiny()
         info_by_id = {info.loop_id: info for info in infos}
@@ -122,14 +109,6 @@ class TestTraceSerialization:
                 json.loads(json.dumps(trace.to_dict()))
             )
             assert restored == trace
-            # Legacy payload: the same trace in the old per-iteration
-            # dict format must still load to an equal compact trace.
-            legacy = CompactInvocationTrace.from_dict(
-                json.loads(
-                    json.dumps(trace.to_invocation_trace().to_dict())
-                )
-            )
-            assert legacy == trace
             for probe in (machine, machine.with_cores(2)):
                 assert schedule_invocation(
                     restored, info_by_id[trace.loop_id], probe
@@ -166,16 +145,6 @@ class TestTraceSerialization:
             replayed = clone.replay(probe)
             assert replayed.cycles == direct.cycles
             assert replayed.loop_stats == direct.loop_stats
-
-    def test_restore_run_defaults_load_count_to_trace_loads(self):
-        executor, result, transformed, infos, machine = _executed_tiny()
-        clone = ParallelExecutor(transformed, infos, machine)
-        clone.restore_run(
-            result.result,
-            list(result.traces),
-            dict(result.loop_stats),
-        )
-        assert clone.load_count == sum(t.loads for t in result.traces)
 
     def test_loop_run_stats_roundtrip(self):
         stats = LoopRunStats(

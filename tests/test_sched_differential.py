@@ -2,12 +2,14 @@
 
 The compiled engine (:func:`schedule_compact` over packed traces) must be
 field-exact with :func:`schedule_invocation_reference` for every trace
-and machine, and batched replay must be indistinguishable from both the
-legacy replay formulation and a fresh execution under the target
-machine.
+and machine, :func:`schedule_many` must be field-exact with both under
+every cohort/straggler routing, and batched replay must be
+indistinguishable from both the reference replay formulation and a
+fresh execution under the target machine.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,16 +23,17 @@ from repro.runtime import run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import ParallelExecutor, schedule_invocation
 from repro.runtime.sched import (
-    schedule_compact_many,
     schedule_invocation_reference,
     schedule_many,
+    trace_signature,
 )
 from repro.runtime.trace import CompactInvocationTrace, InvocationTrace
 
 #: Program shapes covering the scheduler's behaviours: counted DOALL
 #: (fast path), cross-iteration data dependences (waits/signals/segment
-#: intervals and transfers), non-counted loops (control signals), and
-#: zero-iteration invocations.
+#: intervals and transfers), non-counted loops (control signals),
+#: zero-iteration invocations, and a mix of one shape-identical trace
+#: cohort with odd-shaped stragglers (``cohort_mix``).
 SOURCES = {
     "doall": """
         int out;
@@ -75,6 +78,18 @@ SOURCES = {
         void main() {
             kernel(5, 1); kernel(6, 2); kernel(7, 3);
             kernel(8, 4); kernel(9, 5); kernel(10, 6);
+            print(acc);
+        }
+    """,
+    "cohort_mix": """
+        int acc;
+        void kernel(int n, int seed) {
+            int i;
+            for (i = 0; i < n; i++) { acc = (acc + i * seed) % 9973; }
+        }
+        void main() {
+            kernel(6, 1); kernel(6, 2); kernel(9, 3); kernel(6, 4);
+            kernel(6, 5); kernel(4, 6); kernel(6, 7);
             print(acc);
         }
     """,
@@ -161,84 +176,71 @@ def test_schedules_field_exact_across_machines(name):
             )
 
 
-@pytest.mark.parametrize("name", sorted(SOURCES))
-def test_schedule_compact_many_field_exact_across_machines(name):
-    """The lockstep multi-machine engine must match per-machine
-    ``schedule_compact`` and the reference interpreter field for field
-    over the full differential grid (acceptance criterion)."""
-    _, infos, executor, result = _prepare(name)
-    info_by_id = {info.loop_id: info for info in infos}
-    for trace in result.traces:
-        info = info_by_id[trace.loop_id]
-        column = schedule_compact_many(trace, info, MACHINES)
-        assert len(column) == len(MACHINES)
-        legacy = trace.to_invocation_trace()
-        for machine, got in zip(MACHINES, column):
-            assert got == schedule_invocation(trace, info, machine)
-            assert got == schedule_invocation_reference(legacy, info, machine)
+#: ``schedule_many`` routings by the cohort threshold that forces them.
+#: The all-cohort routing keeps the bare source name as its test id.
+ROUTINGS = {"": 1, "-default": None, "-scalar": 1 << 30}
+
+#: Machine grids: the full differential grid plus the degenerate ones
+#: (no machine, one machine, a repeated fingerprint).
+GRIDS = [MACHINES, [], MACHINES[:1], [MACHINES[5], MACHINES[9], MACHINES[5]]]
 
 
-def test_schedule_compact_many_degenerate_grids():
-    _, infos, executor, _ = _prepare("multi_invocation")
-    info_by_id = {info.loop_id: info for info in infos}
-    trace = executor.traces[0]
-    info = info_by_id[trace.loop_id]
-    assert schedule_compact_many(trace, info, []) == []
-    single = schedule_compact_many(trace, info, [MACHINES[0]])
-    assert single == [schedule_invocation(trace, info, MACHINES[0])]
-    # Zero-iteration invocations cost their sequential span everywhere,
-    # as fresh (mutable) result objects.
-    empty = CompactInvocationTrace.from_trace(
-        InvocationTrace(loop_id=trace.loop_id, start_cycles=5, end_cycles=42)
-    )
-    column = schedule_compact_many(empty, info_by_id[empty.loop_id], MACHINES)
-    assert len(column) == len(MACHINES)
-    assert len({id(r) for r in column}) == len(column)
-    for got in column:
-        assert got.parallel_cycles == got.sequential_cycles
-
-
-@pytest.mark.parametrize("name", sorted(SOURCES))
-def test_cohort_engine_matches_per_trace_engines(name, monkeypatch):
-    """``schedule_many``'s numpy cohort walk (forced on by dropping the
-    cohort threshold to 1) must be field-exact with per-machine
-    ``schedule_compact`` for every trace and machine."""
+@pytest.mark.parametrize(
+    "name,min_cohort",
+    [
+        pytest.param(name, min_cohort, id=name + suffix)
+        for name in sorted(SOURCES)
+        for suffix, min_cohort in ROUTINGS.items()
+    ],
+)
+def test_cohort_engine_matches_per_trace_engines(
+    name, min_cohort, monkeypatch
+):
+    """``schedule_many`` must be field-exact with per-machine
+    ``schedule_compact`` and the reference interpreter for every trace
+    and machine, whichever engine a trace is routed to: the numpy cohort
+    walk for everything (threshold 1), the scalar engine for everything
+    (huge threshold), or the default mix of the two."""
     import repro.runtime.sched as sched_mod
 
-    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
+    if min_cohort is not None:
+        monkeypatch.setattr(sched_mod, "_MIN_COHORT", min_cohort)
     _, infos, executor, _ = _prepare(name)
     info_by_id = {info.loop_id: info for info in infos}
     traces = list(executor.traces)
-    loops = [info_by_id[t.loop_id] for t in traces]
-    columns = schedule_many(traces, loops, MACHINES)
-    assert len(columns) == len(traces)
-    for trace, info, column in zip(traces, loops, columns):
-        for machine, got in zip(MACHINES, column):
-            assert got == schedule_invocation(trace, info, machine)
-
-
-def test_replay_many_sharded_equals_inline(monkeypatch):
-    """``jobs`` sharding must not change a single schedule field."""
-    import repro.runtime.parallel as parallel_mod
-
-    transformed, infos, _, _ = _prepare("repeat_kernel")
-    inline = ParallelExecutor(transformed, infos, BASE)
-    inline.execute()
-    sharded = ParallelExecutor(transformed, infos, BASE)
-    sharded.execute()
-    monkeypatch.setattr(parallel_mod, "_SHARD_MIN_TRACES", 1)
-    probes = MACHINES[:6]
-    inline_runs = inline.replay_many(probes)
-    sharded_runs = sharded.replay_many(probes, jobs=2)
-    for one, two in zip(inline_runs, sharded_runs):
-        assert one.result.cycles == two.result.cycles
-        assert one.result.output == two.result.output
-        assert one.loop_stats == two.loop_stats
-    for probe in probes:
-        assert (
-            inline._schedules[probe.fingerprint()]
-            == sharded._schedules[probe.fingerprint()]
+    # Every source also schedules a zero-iteration invocation.
+    traces.append(
+        CompactInvocationTrace.from_trace(
+            InvocationTrace(
+                loop_id=traces[0].loop_id, start_cycles=5, end_cycles=42
+            )
         )
+    )
+    loops = [info_by_id[t.loop_id] for t in traces]
+    if name == "cohort_mix" and min_cohort is None:
+        sizes = Counter(trace_signature(t) for t in traces).values()
+        assert (
+            max(sizes) >= sched_mod._MIN_COHORT > min(sizes)
+        ), "default routing must exercise both engines"
+    references = [t.to_invocation_trace() for t in traces]
+    for grid in GRIDS:
+        columns = schedule_many(traces, loops, grid)
+        assert [len(column) for column in columns] == [len(grid)] * len(
+            traces
+        )
+        # Results are mutable: every cell is its own object, also under
+        # a repeated fingerprint.
+        cells = [got for column in columns for got in column]
+        assert len({id(got) for got in cells}) == len(cells)
+        for trace, reference, info, column in zip(
+            traces, references, loops, columns
+        ):
+            for machine, got in zip(grid, column):
+                assert got == schedule_invocation(trace, info, machine)
+                assert got == schedule_invocation_reference(
+                    reference, info, machine
+                )
+    assert schedule_many([], [], MACHINES) == []
 
 
 def test_lagging_schedule_column_extends_incrementally(monkeypatch):

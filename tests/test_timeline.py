@@ -8,6 +8,8 @@ must never overlap, and the busy+idle accounting must close to
 ``parallel_cycles * cores``.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.obs.export import chrome_trace, validate_chrome_trace
@@ -122,6 +124,12 @@ def test_timeline_block_aggregates(name):
     replay = timeline_block(executor, MACHINES[0])
     assert replay["cores"] == MACHINES[0].cores
     assert replay["total_cycles"] is None
+
+    # An equal but distinct MachineConfig (what callers that build their
+    # machine from CLI/JSON arguments pass) is the executing machine.
+    twin = dataclasses.replace(executor.machine)
+    assert twin is not executor.machine
+    assert timeline_block(executor, twin) == block
 
 
 def test_timeline_events_are_valid_chrome_events():
