@@ -293,6 +293,16 @@ def run_suite(
         for outcome in report.benches:
             stats.merge(outcome.stages)
         stats.merge(runner.stats.as_dict())
+        # Simulated-time accounting: every figure-9 pipeline is warm in
+        # the parent's memo by now, so this only walks stored traces.
+        # It is a stage of the suite like the others, so it gets a row.
+        from repro.obs.timeline import timeline_block
+
+        for bench in runner.benches():
+            run = runner.helix_run(bench)
+            began = time.perf_counter()
+            report.timeline[bench] = timeline_block(run.executor)
+            stats.record("timeline", "compute", time.perf_counter() - began)
         report.stages = stats.as_dict()
         prefix = "analysis:"
         report.analyses = {
@@ -309,13 +319,6 @@ def run_suite(
         }
         if cache is not None:
             report.cache_traffic = cache.traffic()
-        # Simulated-time accounting: every figure-9 pipeline is warm in
-        # the parent's memo by now, so this only walks stored traces.
-        from repro.obs.timeline import timeline_block
-
-        for bench in runner.benches():
-            run = runner.helix_run(bench)
-            report.timeline[bench] = timeline_block(run.executor)
         # Interpreter counters this run accumulated (worker deltas were
         # merged into the parent registry above, so one delta covers
         # both inline and parallel execution).

@@ -58,6 +58,9 @@ from repro.runtime.profiler import ProfileData, profile_module
 from repro.service.jobs import NULL_OBSERVER, EvaluationObserver
 
 #: Pipeline stages, in execution order (keys of :class:`StageStats`).
+#: ``timeline`` is the suite's per-benchmark simulated-time accounting
+#: (:func:`repro.obs.timeline.timeline_block`), recorded by
+#: :func:`~repro.evaluation.parallel_runner.run_suite`.
 STAGES = (
     "compile",
     "profile",
@@ -65,6 +68,7 @@ STAGES = (
     "selection",
     "transform",
     "execute",
+    "timeline",
 )
 
 

@@ -9,14 +9,32 @@ configuration and wind-down collection.  This makes the paper's
 per-segment overhead attribution (HELIX Table 2 / Figures 8-9) directly
 visible per machine configuration.
 
-The walk re-derives the placement from the compiled
-:class:`~repro.runtime.trace.TraceProgram` with the same model as
+There is one placement walk (:func:`_place`, run-level driver
+:func:`_walk_run`) and it has two consumers.  :func:`timeline_block`
+(the ``timeline`` block of every ``suite --report``) only wants per-core
+category totals, so the walk adds every interval it places to a
+per-core total and builds no per-segment object at all;
+:func:`run_timeline` (``repro trace --sim-timeline``) hands the same
+walk a list and gets each interval as a :class:`Segment`, already in
+absolute cycles.  The timing model is written once, in ``_place``.
+
+The walk re-derives the placement with the same model as
 :func:`~repro.runtime.sched.schedule_compact` (general path only; the
-scheduler's fast paths are timing-equivalent shortcuts).  The segment
-totals therefore match the :class:`~repro.runtime.sched.ScheduleResult`
+scheduler's fast paths are timing-equivalent shortcuts).  Like
+:func:`~repro.runtime.sched.schedule_many` it groups traces by loop and
+:func:`~repro.runtime.sched.trace_signature` and reads one compiled
+:class:`~repro.runtime.trace.TraceProgram` per group -- compilation
+looks at event kinds, dependences, slicing and word counts, never at
+timestamps, so a program's structural columns hold for every trace of
+its shape and each trace's own timestamps are gathered from its raw
+``ev_at`` column through the program's ``raw`` index.  Accounting a
+replayed run therefore compiles nothing the scheduler had not compiled.
+
+The totals match the :class:`~repro.runtime.sched.ScheduleResult`
 aggregates *exactly* -- ``tests/test_timeline.py`` asserts this on the
 full sched-differential machine grid, together with per-core
-non-overlap and the ``parallel_cycles * cores`` accounting.
+non-overlap, the ``parallel_cycles * cores`` accounting and the
+equality of the two consumers.
 
 Timestamps are simulated cycles exported as trace microseconds, so
 Perfetto's time axis reads directly in kilocycles/megacycles.
@@ -34,13 +52,16 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.loopinfo import ParallelizedLoop
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.sched import trace_signature
 from repro.runtime.trace import (
     CTRL_DEP,
+    OP_NEXT,
     OP_SIGNAL,
     OP_WAIT,
     OP_WAIT_SYNC,
     OP_XFER,
     CompactInvocationTrace,
+    TraceProgram,
 )
 
 #: Segment categories, in display order.  ``config``/``collect`` are the
@@ -72,24 +93,30 @@ class Segment:
         return self.end - self.start
 
 
-def invocation_segments(
+def _place(
+    prog: TraceProgram,
     trace: CompactInvocationTrace,
     loop: ParallelizedLoop,
     machine: MachineConfig,
-) -> List[Segment]:
-    """Per-core segments of one invocation, in invocation-local time.
+    base: int,
+    totals: List[Dict[str, int]],
+    segments: Optional[List[Segment]],
+) -> int:
+    """Place one invocation on the cores: the timing model, once.
 
-    Time zero is the start of thread configuration; the last segment
-    ends at ``ScheduleResult.parallel_cycles``.  Zero-iteration
-    invocations yield no segments (the caller shows their sequential
-    span on the main core).
+    ``prog`` is the compiled program of *any* trace with ``trace``'s
+    shape (:func:`~repro.runtime.sched.trace_signature`); only its
+    shape-determined columns are read, and ``trace``'s own timestamps
+    come from its raw ``ev_at`` column through ``prog.raw``.
+
+    Every occupied interval is added to ``totals[core][category]``;
+    when ``segments`` is a list it is also appended there as a
+    :class:`Segment` shifted by ``base``.  Returns the invocation's
+    parallel length (``ScheduleResult.parallel_cycles``); time zero is
+    the start of thread configuration.  The trace must have iterations.
     """
-    prog = trace.program
-    n = len(prog.spans)
-    segments: List[Segment] = []
-    if n == 0:
-        return segments
-
+    it_start, it_end = trace.it_start, trace.it_end
+    n = len(it_start)
     cores = machine.cores
     latency = machine.signal_latency
     fast = machine.prefetched_signal_latency
@@ -99,10 +126,13 @@ def invocation_segments(
     conf = machine.config_cycles_per_thread * max(cores - 1, 1)
     wind_down = latency + cores - 1
     barrier = 0 if machine.total_store_ordering else machine.barrier_cycles
+    emit = segments is not None
 
     if conf:
         for core in range(cores):
-            segments.append(Segment(core, "config", 0, conf))
+            totals[core]["config"] += conf
+            if emit:
+                segments.append(Segment(core, "config", base, base + conf))
 
     mode_none = mode is PrefetchMode.NONE
     mode_ideal = mode is PrefetchMode.IDEAL
@@ -114,9 +144,9 @@ def invocation_segments(
         helix_agenda = tuple(loop.helper_order)
         ctrl_helix_agenda = (CTRL_DEP,) + helix_agenda
 
-    op_, a1_, a2_, at_ = prog.op, prog.a1, prog.a2, prog.at
+    op_, a1_, a2_ = prog.op, prog.a1, prog.a2
     pre_, off, tail = prog.pre, prog.off, prog.tail
-    it_start, it_end = trace.it_start, trace.it_end
+    at_ = list(map(trace.ev_at.__getitem__, prog.raw))
     slots = [0] * prog.slot_count
     core_free = [conf] * cores
     helper_free = [0] * cores
@@ -126,9 +156,12 @@ def invocation_segments(
 
     for i in range(n):
         core = i % cores
+        row = totals[core]
 
+        # Helper-thread prefetch agenda; a counted loop whose predecessor
+        # signalled nothing has nothing to prefetch.
         pf: Optional[Dict[int, int]] = None
-        if do_helper and i > 0:
+        if do_helper and i > 0 and (prev_sig or not counted):
             pf = {}
             if counted:
                 agenda = helix_agenda if helix else prog.agendas[i]
@@ -169,20 +202,30 @@ def invocation_segments(
                         alt = done
                     t = pull if pull < alt else alt
             if t > started:
-                segments.append(Segment(core, "signal", started, t))
+                row["signal"] += t - started
+                if emit:
+                    segments.append(
+                        Segment(core, "signal", base + started, base + t)
+                    )
 
         cur_sig: Dict[int, int] = {}
         cur_next: Optional[int] = None
+        # ``pos`` is where the open compute stretch began; a stall or a
+        # transfer closes it, and so does the end of the iteration.
         pos = t
+        computed = stalled = moved = 0
         last = it_start[i]
 
         for j in range(off[i], off[i + 1]):
-            t += at_[j] - last
-            last = at_[j]
+            at = at_[j]
+            t += at - last
+            last = at
             if barrier:
                 t += pre_[j] * barrier
             o = op_[j]
-            if o == OP_WAIT_SYNC:
+            if o == OP_NEXT:
+                cur_next = t
+            elif o == OP_WAIT_SYNC:
                 t += barrier
                 ts = prev_sig[a1_[j]]
                 if mode_none:
@@ -200,9 +243,16 @@ def invocation_segments(
                             alt = done
                         arrival = pull if pull < alt else alt
                 if arrival > t:
-                    if t > pos:
-                        segments.append(Segment(core, "compute", pos, t))
-                    segments.append(Segment(core, "stall", t, arrival))
+                    computed += t - pos
+                    stalled += arrival - t
+                    if emit:
+                        if t > pos:
+                            segments.append(
+                                Segment(core, "compute", base + pos, base + t)
+                            )
+                        segments.append(
+                            Segment(core, "stall", base + t, base + arrival)
+                        )
                     t = arrival
                     pos = t
                 slots[a2_[j]] = t
@@ -212,22 +262,32 @@ def invocation_segments(
             elif o == OP_SIGNAL:
                 t += barrier
                 cur_sig[a1_[j]] = t
-            elif o == OP_XFER:
+            else:  # OP_XFER
                 cost = a1_[j] * transfer
                 if cost:
-                    if t > pos:
-                        segments.append(Segment(core, "compute", pos, t))
-                    segments.append(Segment(core, "transfer", t, t + cost))
+                    computed += t - pos
+                    moved += cost
+                    if emit:
+                        if t > pos:
+                            segments.append(
+                                Segment(core, "compute", base + pos, base + t)
+                            )
+                        segments.append(
+                            Segment(core, "transfer", base + t, base + t + cost)
+                        )
                     t += cost
                     pos = t
-            else:  # OP_NEXT
-                cur_next = t
 
         t += it_end[i] - last
         if barrier:
             t += tail[i] * barrier
-        if t > pos:
-            segments.append(Segment(core, "compute", pos, t))
+        row["compute"] += computed + t - pos
+        if stalled:
+            row["stall"] += stalled
+        if moved:
+            row["transfer"] += moved
+        if emit and t > pos:
+            segments.append(Segment(core, "compute", base + pos, base + t))
         core_free[core] = t
         if t > max_end:
             max_end = t
@@ -236,7 +296,95 @@ def invocation_segments(
 
     # Main thread collects the exit variable and stops parallel threads.
     if wind_down:
-        segments.append(Segment(0, "collect", max_end, max_end + wind_down))
+        totals[0]["collect"] += wind_down
+        if emit:
+            segments.append(
+                Segment(
+                    0, "collect", base + max_end, base + max_end + wind_down
+                )
+            )
+    return max_end + wind_down
+
+
+def _empty_totals(cores: int) -> List[Dict[str, int]]:
+    return [{category: 0 for category in CATEGORIES} for _ in range(cores)]
+
+
+def _walk_run(
+    executor: ParallelExecutor,
+    machine: MachineConfig,
+    segments: Optional[List[Segment]],
+) -> Tuple[List[Dict[str, int]], int]:
+    """Walk the whole run under ``machine``, in absolute simulated cycles.
+
+    Returns the per-core category totals and the run's total cycles
+    under ``machine``; ``segments``, when a list, receives every
+    interval as well (see :func:`_place`).  Gaps between invocations are
+    the main thread's sequential execution, whose length is
+    machine-independent, so they are carried over from the recorded
+    (executed-machine) timeline.
+
+    Traces are grouped like :func:`~repro.runtime.sched.schedule_many`
+    groups them, by loop and :func:`~repro.runtime.sched.trace_signature`,
+    and each group is placed through the program of its first member --
+    the one the cohort scheduler compiled -- so accounting compiles at
+    most one program per shape.
+    """
+    totals = _empty_totals(machine.cores)
+    info_by_id = {info.loop_id: info for info in executor.infos}
+    programs: Dict[Tuple, TraceProgram] = {}
+    cursor = 0
+
+    def sequential(length: int) -> None:
+        """Main-thread execution outside the parallelized loops."""
+        nonlocal cursor
+        if length:
+            totals[0]["sequential"] += length
+            if segments is not None:
+                segments.append(
+                    Segment(0, "sequential", cursor, cursor + length)
+                )
+            cursor += length
+
+    exec_end = 0  # end of the previous invocation in *executed* time
+    for trace, exec_sched in zip(executor.traces, executor.schedules()):
+        sequential(trace.start_cycles - exec_end)
+        if trace.iteration_count == 0:
+            # The loop body never ran; the invocation is its sequential
+            # span on the main core, under every machine.
+            sequential(trace.end_cycles - trace.start_cycles)
+        else:
+            key = (trace.loop_id,) + trace_signature(trace)
+            prog = programs.get(key)
+            if prog is None:
+                prog = programs[key] = trace.program
+            cursor += _place(
+                prog, trace, info_by_id[trace.loop_id], machine,
+                cursor, totals, segments,
+            )
+        exec_end = trace.start_cycles + exec_sched.parallel_cycles
+    sequential(executor.cycles - exec_end)
+    return totals, cursor
+
+
+def invocation_segments(
+    trace: CompactInvocationTrace,
+    loop: ParallelizedLoop,
+    machine: MachineConfig,
+) -> List[Segment]:
+    """Per-core segments of one invocation, in invocation-local time.
+
+    Time zero is the start of thread configuration; the last segment
+    ends at ``ScheduleResult.parallel_cycles``.  Zero-iteration
+    invocations yield no segments (the caller shows their sequential
+    span on the main core).
+    """
+    segments: List[Segment] = []
+    if trace.iteration_count:
+        _place(
+            trace.program, trace, loop, machine,
+            0, _empty_totals(machine.cores), segments,
+        )
     return segments
 
 
@@ -247,57 +395,10 @@ def run_timeline(
     """The whole run's per-core segments, in absolute simulated cycles.
 
     ``machine`` replays the recorded traces under a different
-    configuration (like :meth:`ParallelExecutor.replay`); gaps between
-    invocations are the main thread's sequential execution, whose length
-    is machine-independent, so they are carried over from the recorded
-    (executed-machine) timeline.
+    configuration (like :meth:`ParallelExecutor.replay`).
     """
-    if machine is None:
-        machine = executor.machine
-    exec_col = executor.schedules()
-    replay_col = executor.schedules(machine)
-    info_by_id = {info.loop_id: info for info in executor.infos}
-
     segments: List[Segment] = []
-    cursor = 0
-    exec_end = 0  # end of the previous invocation in *executed* time
-    for trace, exec_sched, replay_sched in zip(
-        executor.traces, exec_col, replay_col
-    ):
-        gap = trace.start_cycles - exec_end
-        if gap:
-            segments.append(Segment(0, "sequential", cursor, cursor + gap))
-        base = cursor + gap
-        if trace.iteration_count == 0:
-            # The loop body never ran; the invocation is its sequential
-            # span on the main core.
-            if replay_sched.parallel_cycles:
-                segments.append(
-                    Segment(
-                        0,
-                        "sequential",
-                        base,
-                        base + replay_sched.parallel_cycles,
-                    )
-                )
-        else:
-            for seg in invocation_segments(
-                trace, info_by_id[trace.loop_id], machine
-            ):
-                segments.append(
-                    Segment(
-                        seg.core,
-                        seg.category,
-                        base + seg.start,
-                        base + seg.end,
-                    )
-                )
-        cursor = base + replay_sched.parallel_cycles
-        exec_end = trace.start_cycles + exec_sched.parallel_cycles
-
-    tail = executor.cycles - exec_end
-    if tail:
-        segments.append(Segment(0, "sequential", cursor, cursor + tail))
+    _walk_run(executor, machine or executor.machine, segments)
     return segments
 
 
@@ -305,7 +406,7 @@ def core_totals(
     segments: List[Segment], cores: int
 ) -> List[Dict[str, int]]:
     """Per-core cycle totals by category (every category always keyed)."""
-    totals = [{category: 0 for category in CATEGORIES} for _ in range(cores)]
+    totals = _empty_totals(cores)
     for seg in segments:
         totals[seg.core][seg.category] += seg.end - seg.start
     return totals
@@ -315,20 +416,20 @@ def timeline_block(
     executor: ParallelExecutor,
     machine: Optional[MachineConfig] = None,
 ) -> Dict[str, object]:
-    """The JSON ``timeline`` block: per-core and total cycle buckets."""
-    if machine is None:
-        machine = executor.machine
-    segments = run_timeline(executor, machine)
-    per_core = core_totals(segments, machine.cores)
+    """The JSON ``timeline`` block: per-core and total cycle buckets.
+
+    Accumulated in the walk itself; no :class:`Segment` is built.
+    ``total_cycles`` is the run's length under ``machine``
+    (``executor.replay(machine).cycles``).
+    """
+    machine = machine or executor.machine
+    per_core, total_cycles = _walk_run(executor, machine, None)
     return {
         "cores": machine.cores,
-        "total_cycles": executor.cycles if machine == executor.machine
-        else None,
-        "per_core": [
-            {"core": i, **per_core[i]} for i in range(machine.cores)
-        ],
+        "total_cycles": total_cycles,
+        "per_core": [{"core": i, **row} for i, row in enumerate(per_core)],
         "totals": {
-            category: sum(c[category] for c in per_core)
+            category: sum(row[category] for row in per_core)
             for category in CATEGORIES
         },
     }

@@ -461,7 +461,10 @@ def trace_signature(trace: CompactInvocationTrace) -> Tuple:
         trace.ev_kind.tobytes(),
         trace.ev_dep.tobytes(),
         trace.ev_off.tobytes(),
-        tuple(tuple(sorted(per.items())) for per in trace.words),
+        # Most iterations transfer nothing; their key needs no sort.
+        tuple(
+            [tuple(sorted(per.items())) if per else () for per in trace.words]
+        ),
     )
 
 

@@ -125,7 +125,8 @@ class TraceProgram:
     #: deps, per-iteration slicing, word counts), never on timestamps,
     #: so traces with identical shapes share one program structure and
     #: this column gathers their per-trace ``at`` values from the raw
-    #: ``ev_at`` column (the cohort scheduler's zero-compile path).
+    #: ``ev_at`` column (the cohort scheduler's zero-compile path, and
+    #: the simulated-time accounting of :mod:`repro.obs.timeline`).
     raw: array
     #: Absolute trace cycles of the event.
     at: array

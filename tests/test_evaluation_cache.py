@@ -60,6 +60,27 @@ void main() {
 }
 """
 
+#: Eight invocations of one DOALL loop: one shape group, selected for
+#: parallelization (the pair above is too small to be), so a warm replay
+#: schedules it as a cohort through a single compiled program.
+TINY_COHORT = """
+int out[32];
+void kernel(int seed) {
+    int i;
+    for (i = 0; i < 32; i++) {
+        int k = 0;
+        int f = 0;
+        while (k < 40) { f = f + (k ^ i) * seed; k++; }
+        out[i] = f;
+    }
+}
+void main() {
+    int r;
+    for (r = 1; r < 9; r++) { kernel(r); }
+    print(out[3]); print(out[31]);
+}
+"""
+
 
 def _register(name: str, source: str) -> str:
     bench_suite.BENCHMARKS[name] = bench_suite.BenchmarkSpec(
@@ -427,12 +448,77 @@ class TestParallelSuite:
                 block["totals"]["compute"] + block["totals"]["sequential"]
                 > 0
             )
+        # ... and its own cost is a stage row beside the pipeline's.
+        timeline = payload["stages"]["timeline"]
+        assert timeline["computes"] == timeline["requests"] == len(tiny_pair)
+        assert timeline["wall_seconds"] > 0
+        assert list(report.stages)[:7] == [
+            "compile", "profile", "sequential", "selection", "transform",
+            "execute", "timeline",
+        ]
+        assert "timeline" in format_stage_stats(report.stages)
         # Interpreter counter block: sequential references run on the
         # superblock tier, so formation/codegen totals accumulate.
         interp = payload["interp"]
         assert interp["interp.backend.superblock"] >= len(tiny_pair)
         assert interp["interp.superblock.formed"] > 0
         assert interp["interp.codegen.functions"] > 0
+
+    def test_warm_timeline_compiles_per_shape_and_builds_no_segment(
+        self, tiny_pair, tmp_path, monkeypatch
+    ):
+        """On a warm cache the accounting loop of ``run_suite`` compiles
+        at most one trace program per (loop, shape) group and never
+        materializes a ``Segment``."""
+        import repro.obs.timeline as timeline_mod
+        from repro.obs import REGISTRY
+        from repro.runtime.sched import trace_signature
+
+        def compiled() -> float:
+            return REGISTRY.snapshot()["counters"].get(
+                "sched.programs_compiled", 0
+            )
+
+        real = timeline_mod.timeline_block
+        by_timeline = groups = traces = 0
+
+        def counting(executor, machine=None):
+            nonlocal by_timeline, groups, traces
+            before = compiled()
+            block = real(executor, machine)
+            by_timeline += compiled() - before
+            traces += len(executor.traces)
+            groups += len(
+                {(t.loop_id,) + trace_signature(t) for t in executor.traces}
+            )
+            return block
+
+        def no_segment(self, *args, **kwargs):
+            raise AssertionError("timeline_block built a Segment")
+
+        benches = tiny_pair + [_register("tinycohort", TINY_COHORT)]
+        try:
+            suite = dict(
+                machine=MachineConfig(cores=4),
+                jobs=1,
+                cache_dir=str(tmp_path / "cache"),
+                benches=benches,
+            )
+            _, cold, _ = run_suite(**suite)
+            monkeypatch.setattr(timeline_mod, "timeline_block", counting)
+            monkeypatch.setattr(timeline_mod.Segment, "__init__", no_segment)
+            before = compiled()
+            _, warm, _ = run_suite(**suite)
+            by_suite = compiled() - before
+        finally:
+            del bench_suite.BENCHMARKS["tinycohort"]
+        assert warm.stages["execute"]["disk_hits"] == len(benches)
+        assert warm.timeline == cold.timeline
+        # The cohort bench makes the bound bite: eight traces, one group,
+        # and the scheduler's replay compiled just the one program.
+        assert traces == 8 and groups == 1
+        assert by_timeline <= groups
+        assert by_suite == groups
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

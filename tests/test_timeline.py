@@ -5,13 +5,16 @@ the scheduler's placement, so on the full sched-differential grid
 (every source shape x every machine) their category totals must equal
 the :class:`ScheduleResult` aggregates *exactly*, segments on one core
 must never overlap, and the busy+idle accounting must close to
-``parallel_cycles * cores``.
+``parallel_cycles * cores``.  The walk has two consumers -- the
+segment list of ``run_timeline`` and the accumulated ``timeline_block``
+-- and they must agree with each other on the same grid.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.frontend import compile_source
 from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.timeline import (
     CATEGORIES,
@@ -21,7 +24,11 @@ from repro.obs.timeline import (
     timeline_block,
     timeline_events,
 )
-from tests.test_sched_differential import MACHINES, SOURCES, _prepare
+from repro.runtime.interpreter import ExecutionResult
+from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.sched import trace_signature
+from repro.runtime.trace import CompactInvocationTrace, InvocationTrace
+from tests.test_sched_differential import BASE, MACHINES, SOURCES, _prepare
 
 
 def _assert_no_overlap(segments):
@@ -123,13 +130,98 @@ def test_timeline_block_aggregates(name):
 
     replay = timeline_block(executor, MACHINES[0])
     assert replay["cores"] == MACHINES[0].cores
-    assert replay["total_cycles"] is None
+    assert replay["total_cycles"] == executor.replay(MACHINES[0]).cycles
 
     # An equal but distinct MachineConfig (what callers that build their
     # machine from CLI/JSON arguments pass) is the executing machine.
     twin = dataclasses.replace(executor.machine)
     assert twin is not executor.machine
     assert timeline_block(executor, twin) == block
+
+
+def _assert_consumers_agree(executor, machine):
+    """``timeline_block`` (totals accumulated in the walk) against
+    ``run_timeline`` (segments from the same walk) and the scheduler."""
+    block = timeline_block(executor, machine)
+    rows = core_totals(run_timeline(executor, machine), machine.cores)
+    assert block["per_core"] == [
+        {"core": core, **row} for core, row in enumerate(rows)
+    ]
+    schedules = executor.schedules(machine)
+    totals = block["totals"]
+    assert totals["compute"] == sum(s.compute_cycles for s in schedules)
+    assert totals["stall"] == sum(s.wait_stall_cycles for s in schedules)
+    assert totals["signal"] == sum(s.signal_cycles for s in schedules)
+    assert totals["transfer"] == sum(s.transfer_cycles for s in schedules)
+    assert block["total_cycles"] == executor.replay(machine).cycles
+    return block
+
+
+def _restored_with_empty_invocation(name):
+    """The run of ``name`` as a warm cache restores it -- traces loaded
+    from their serialized form, nothing compiled or scheduled yet --
+    followed by one zero-iteration invocation and a sequential tail."""
+    transformed, infos, executor, result = _prepare(name)
+    start = executor.cycles + 3
+    empty = CompactInvocationTrace.from_trace(
+        InvocationTrace(
+            loop_id=executor.traces[0].loop_id,
+            start_cycles=start,
+            end_cycles=start + 37,
+        )
+    )
+    assert empty.iteration_count == 0
+    restored = ParallelExecutor(transformed, infos, BASE)
+    restored.restore_run(
+        ExecutionResult(
+            output=result.result.output,
+            cycles=start + 37 + 5,
+            instructions=result.result.instructions,
+        ),
+        [
+            CompactInvocationTrace.from_dict(trace.to_dict())
+            for trace in executor.traces
+        ]
+        + [empty],
+        executor.loop_stats,
+        executor.load_count,
+    )
+    return restored
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_block_equals_segment_totals_on_the_grid(name):
+    executor = _restored_with_empty_invocation(name)
+    for machine in MACHINES:
+        _assert_consumers_agree(executor, machine)
+    if name == "cohort_mix":
+        # The cohort scheduler compiled one program for the whole shape
+        # group and the walk placed every member through it, reading
+        # the members' own (distinct) timestamps through its ``raw``
+        # index; the schedules compared against above came from the
+        # numpy engine, the segments of the first test from per-trace
+        # programs.
+        groups = {}
+        for trace in executor.traces:
+            groups.setdefault(trace_signature(trace), []).append(trace)
+        cohort = max(groups.values(), key=len)
+        assert len({tuple(trace.ev_at) for trace in cohort}) > 1
+        assert [trace._program is not None for trace in cohort] == (
+            [True] + [False] * (len(cohort) - 1)
+        )
+
+
+def test_block_of_a_run_without_traces():
+    module = compile_source("void main() { print(7); }")
+    executor = ParallelExecutor(module, [], BASE)
+    executor.execute()
+    assert executor.traces == []
+    for machine in (BASE, MACHINES[0], MACHINES[-1]):
+        block = _assert_consumers_agree(executor, machine)
+        expected = dict.fromkeys(CATEGORIES, 0)
+        expected["sequential"] = executor.cycles
+        assert block["totals"] == expected
+        assert block["per_core"][0] == {"core": 0, **expected}
 
 
 def test_timeline_events_are_valid_chrome_events():
