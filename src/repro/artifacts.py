@@ -9,15 +9,19 @@ schedule-column memo dict.  The :class:`ArtifactStore` absorbs both
 behind one keyed API:
 
 * **Stage artifacts** (modules, profiles, sequential results, executed
-  pipelines) are addressed by :meth:`stage_key` -- *byte-identical* to
-  the fingerprints the runner used to compute privately, so caches
-  written before the refactor stay warm after it -- and persisted
-  through an optional :class:`~repro.evaluation.cache.EvaluationCache`.
+  pipelines, ``run`` job answers) are addressed by
+  :meth:`ArtifactStore.key`, which hashes what :data:`KEY_INPUTS`
+  declares for the kind -- exactly what the producing stage reads --
+  and persisted through an optional
+  :class:`~repro.evaluation.cache.EvaluationCache`.  A profile or a
+  sequential baseline is keyed on the cost model alone, so every core
+  count, latency and prefetch mode of a bench shares one of each.
 * **Schedule columns** (per-machine :class:`ScheduleResult` lists,
   aligned with an executor's recorded traces) live in
   :class:`ScheduleMemo` namespaces handed out by
-  :meth:`schedule_memo`; the store keeps a registry of them so one
-  :meth:`counters` call describes every memoized column in the process.
+  :meth:`schedule_memo`; the store keeps a weak registry of them so
+  one :meth:`counters` call describes every live memoized column in the
+  process.
 * **Generated interpreter code** (the superblock tiers' source +
   bytecode manifests, kind ``"codegen"``) is content-addressed by
   :func:`repro.runtime.codegen.artifact_key` -- function IR + hook
@@ -37,13 +41,56 @@ processes.
 from __future__ import annotations
 
 import threading
+import weakref
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.bench import benchmark_fingerprint
 
 if TYPE_CHECKING:  # imported lazily at runtime: evaluation imports us
     from repro.evaluation.cache import EvaluationCache
+
+
+#: What the key of each stage-artifact kind hashes on top of the code
+#: version: the stage's inputs map to the benchmark source scales and
+#: the components that go into the key.  A key hashes exactly what the
+#: producing stage reads.  The interpreter and the profiler read nothing
+#: of a :class:`~repro.runtime.machine.MachineConfig` but its cost model
+#: (core count, latencies and prefetch mode only enter where traces are
+#: scheduled), so ``profile`` and ``sequential`` are shared by every
+#: machine shape; selection, Steps 1-9 and the recording run read the
+#: whole machine, so ``pipeline`` and ``run`` hash all of it.  ``config``
+#: is a :func:`~repro.evaluation.cache.pipeline_fingerprint`.
+KEY_INPUTS: Dict[str, Callable[..., Tuple[Tuple[str, ...], dict]]] = {
+    "module": lambda scale: ((scale,), {}),
+    "profile": lambda machine: (
+        ("train",), {"cost_model": machine.cost_model}
+    ),
+    "sequential": lambda machine: (
+        ("ref",), {"cost_model": machine.cost_model}
+    ),
+    "pipeline": lambda machine, config, loops: (
+        ("train", "ref"),
+        {
+            "machine": machine,
+            "config": config,
+            "loops": [list(loop) for loop in loops],
+        },
+    ),
+    "run": lambda machine, config: (
+        ("train", "ref"), {"machine": machine, "config": config}
+    ),
+}
 
 
 class ScheduleMemo(Dict[str, List[Any]]):
@@ -86,7 +133,12 @@ class ArtifactStore:
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
         self._stores: Dict[str, int] = {}
-        self._memos: List[ScheduleMemo] = []
+        #: Handed-out schedule memos, held weakly: a memo lives as long
+        #: as its executor, not as long as the store (a daemon's store
+        #: outlives every job's executors).
+        self._memos: "weakref.WeakValueDictionary[int, ScheduleMemo]" = (
+            weakref.WeakValueDictionary()
+        )
 
     # -- stage artifacts ---------------------------------------------------
 
@@ -96,9 +148,8 @@ class ArtifactStore:
         """Key of one stage artifact: code version + benchmark sources
         at the scales the stage consumed + stage-specific components.
 
-        This is exactly the fingerprint formula of the pre-refactor
-        ``EvaluationRunner._disk_key``, so existing cache directories
-        stay warm (enforced by the parity tests).
+        The formula under :meth:`key`, which supplies ``scales`` and
+        ``extra`` per artifact kind.
         """
         from repro.evaluation.cache import code_version, fingerprint
 
@@ -113,6 +164,12 @@ class ArtifactStore:
                 **extra,
             }
         )
+
+    def key(self, kind: str, bench: str, **inputs: Any) -> str:
+        """Key of ``bench``'s artifact of ``kind``, from the stage
+        inputs :data:`KEY_INPUTS` declares for that kind."""
+        scales, components = KEY_INPUTS[kind](**inputs)
+        return self.stage_key(bench, scales, {"kind": kind, **components})
 
     def load(self, kind: str, key: str) -> Optional[dict]:
         """The stored payload, or ``None`` on a miss (no cache attached
@@ -143,7 +200,7 @@ class ArtifactStore:
         """A fresh schedule-column namespace (one per executor)."""
         memo = ScheduleMemo()
         with self._lock:
-            self._memos.append(memo)
+            self._memos[id(memo)] = memo
         return memo
 
     # -- accounting --------------------------------------------------------
@@ -160,15 +217,14 @@ class ArtifactStore:
         ``artifacts`` mirrors the per-kind hit/miss/store tallies (the
         store's own view; the attached cache keeps its own identical
         disk-traffic counters), ``schedules`` aggregates the occupancy
-        of every handed-out schedule memo.
+        of every handed-out schedule memo that is still alive.
         """
         with self._lock:
             kinds = set(self._hits) | set(self._misses) | set(self._stores)
-            machines = sum(len(memo) for memo in self._memos)
+            memos = list(self._memos.values())
+            machines = sum(len(memo) for memo in memos)
             columns = sum(
-                len(column)
-                for memo in self._memos
-                for column in memo.values()
+                len(column) for memo in memos for column in memo.values()
             )
             return {
                 "artifacts": {
@@ -180,7 +236,7 @@ class ArtifactStore:
                     for kind in sorted(kinds)
                 },
                 "schedules": {
-                    "memos": len(self._memos),
+                    "memos": len(memos),
                     "machines": machines,
                     "columns": columns,
                 },

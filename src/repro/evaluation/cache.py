@@ -9,13 +9,25 @@ interpretation stages) are fully deterministic functions of
 * the :class:`~repro.runtime.machine.MachineConfig` (cost model included),
 * the version of this package's own source code.
 
-This module hashes exactly those inputs into cache keys and stores the
-stage outputs as JSON files, one directory per artifact kind::
+Stage outputs are stored as JSON files, one directory per artifact
+kind.  A key hashes exactly what the stage that produced the artifact
+reads -- never more, or configurations that cannot change the artifact
+would recompute it -- on top of the code version and the benchmark
+sources at the scales the stage consumed
+(:data:`repro.artifacts.KEY_INPUTS` declares the inputs per kind)::
 
     <root>/module/<key>.json       {"ir": <printed IR>}
+        one scale's source
     <root>/profile/<key>.json      ProfileData.to_dict()
+        train source + cost model (all the profiler reads of a machine)
     <root>/sequential/<key>.json   ExecutionResult.to_dict()
+        ref source + cost model (all the interpreter reads of a machine)
     <root>/pipeline/<key>.json     {result, loop_stats, traces}
+        both sources + whole machine + pipeline configuration + loops
+    <root>/run/<key>.json          the ``run`` job answer (eight fields)
+        both sources + whole machine + pipeline configuration
+    <root>/codegen/<key>.json      generated interpreter code
+        function IR + hook flags (:func:`repro.runtime.codegen.artifact_key`)
 
 Any change to a hashed input -- editing a benchmark, flipping an option,
 retuning the cost model, or touching any ``repro`` source file -- changes
@@ -41,7 +53,7 @@ from typing import Any, Dict, Optional, Sequence
 from repro.analysis.loopnest import LoopId
 from repro.core.loopinfo import HelixOptions
 from repro.obs.metrics import REGISTRY
-from repro.runtime.machine import MachineConfig, PrefetchMode
+from repro.runtime.machine import PrefetchMode
 
 #: Cache payload schema generation, folded into :func:`code_version`.
 #: Bump on incompatible payload-shape changes that a pure source hash
@@ -99,17 +111,6 @@ def fingerprint(components: Any) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:32]
 
 
-def machine_fingerprint(machine: MachineConfig) -> str:
-    """Hash of everything timing-relevant in a machine description."""
-    return fingerprint(machine)
-
-
-def options_fingerprint(options: HelixOptions) -> str:
-    """Hash covering *all* transformation options (not a curated subset,
-    so new knobs can never silently alias cache entries)."""
-    return fingerprint(options)
-
-
 def pipeline_fingerprint(
     options: HelixOptions,
     prefetch: PrefetchMode,
@@ -121,6 +122,8 @@ def pipeline_fingerprint(
 
     Used both as the in-memory memo key (alongside the user's string
     ``cache_key``, which only namespaces it) and inside disk keys.
+    Covers *all* transformation options (``asdict``, not a curated
+    subset), so a new knob can never silently alias cache entries.
     """
     return json.dumps(
         _jsonable(
@@ -158,15 +161,12 @@ class EvaluationCache:
     def load(self, kind: str, key: str) -> Optional[dict]:
         """The stored payload, or ``None`` on a miss (including corrupt
         or half-written files, which are treated as absent)."""
-        path = self._path(kind, key)
         try:
-            text = path.read_text()
-        except OSError:
-            self._miss(kind)
-            return None
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
+            payload = json.loads(self._path(kind, key).read_bytes())
+        except (OSError, ValueError):
+            # ValueError: not JSON, or not even UTF-8.
+            payload = None
+        if not isinstance(payload, dict):
             self._miss(kind)
             return None
         self.hits[kind] = self.hits.get(kind, 0) + 1
@@ -186,7 +186,9 @@ class EvaluationCache:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                # ``dumps`` runs the C encoder in one shot; ``json.dump``
+                # would walk the payload in Python, ~5x slower on traces.
+                handle.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -12,7 +12,10 @@ three interpretation stages (profile, sequential run, parallel execution)
 and the compiled modules also persist across processes: a warm cache
 turns a multi-minute suite run into seconds of JSON loading plus the
 cheap pure-compute stages (selection, transformation), which are always
-re-derived rather than stored.
+re-derived rather than stored.  The answer of a ``run`` job
+(:meth:`EvaluationRunner.run_result`) is a stage of its own on top of
+those: eight fields, none of which needs a trace, so a repeat reads
+them back and enters no other stage.
 
 Every stage records per-stage wall-clock and hit counters in
 :attr:`EvaluationRunner.stats`; ``python -m repro suite --stats`` renders
@@ -24,7 +27,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.loopnest import LoopId
 from repro.analysis.manager import AnalysisManager
@@ -60,7 +63,9 @@ from repro.service.jobs import NULL_OBSERVER, EvaluationObserver
 #: Pipeline stages, in execution order (keys of :class:`StageStats`).
 #: ``timeline`` is the suite's per-benchmark simulated-time accounting
 #: (:func:`repro.obs.timeline.timeline_block`), recorded by
-#: :func:`~repro.evaluation.parallel_runner.run_suite`.
+#: :func:`~repro.evaluation.parallel_runner.run_suite`; ``run`` is the
+#: ``run`` job's answer (:meth:`EvaluationRunner.run_result`), whose
+#: compute nests the stages before it.
 STAGES = (
     "compile",
     "profile",
@@ -69,6 +74,21 @@ STAGES = (
     "transform",
     "execute",
     "timeline",
+    "run",
+)
+
+#: Fields of a ``run`` answer (the ``run`` artifact's whole payload).
+RUN_FIELDS = frozenset(
+    (
+        "bench",
+        "cores",
+        "speedup",
+        "cycles",
+        "sequential_cycles",
+        "output",
+        "output_matches",
+        "chosen",
+    )
 )
 
 
@@ -239,8 +259,8 @@ class EvaluationRunner:
         #: orchestrator points it at a job-bound observer per attempt.
         self.observer: EvaluationObserver = observer or NULL_OBSERVER
         #: Interpreter backend for every interpretation stage ("auto",
-        #: "decoded" or "tree"); cache keys are backend-independent
-        #: because both backends produce identical results.
+        #: "superblock", "decoded" or "tree"); cache keys are backend-
+        #: independent because every backend produces identical results.
         self.interp_backend = interp_backend
         self.stats = StageStats()
         #: Versioned analysis cache shared by every selection and
@@ -284,9 +304,7 @@ class EvaluationRunner:
         with get_tracer().span(
             "stage.compile", cat="stage", bench=bench, scale=scale
         ) as sp:
-            disk_key = self.artifacts.stage_key(
-                bench, (scale,), {"kind": "module"}
-            )
+            disk_key = self.artifacts.key("module", bench, scale=scale)
             payload = self._load(bench, "module", disk_key)
             if payload is not None:
                 module = parse_module(payload["ir"])
@@ -311,8 +329,8 @@ class EvaluationRunner:
         train = self.module(bench, "train")
         start = time.perf_counter()
         with get_tracer().span("stage.profile", cat="stage", bench=bench) as sp:
-            disk_key = self.artifacts.stage_key(
-                bench, ("train",), {"kind": "profile", "machine": self.machine}
+            disk_key = self.artifacts.key(
+                "profile", bench, machine=self.machine
             )
             payload = self._load(bench, "profile", disk_key)
             if payload is not None:
@@ -341,8 +359,8 @@ class EvaluationRunner:
         with get_tracer().span(
             "stage.sequential", cat="stage", bench=bench
         ) as sp:
-            disk_key = self.artifacts.stage_key(
-                bench, ("ref",), {"kind": "sequential", "machine": self.machine}
+            disk_key = self.artifacts.key(
+                "sequential", bench, machine=self.machine
             )
             payload = self._load(bench, "sequential", disk_key)
             if payload is not None:
@@ -464,15 +482,12 @@ class EvaluationRunner:
         with get_tracer().span(
             "stage.execute", cat="stage", bench=bench
         ) as sp:
-            disk_key = self.artifacts.stage_key(
+            disk_key = self.artifacts.key(
+                "pipeline",
                 bench,
-                ("train", "ref"),
-                {
-                    "kind": "pipeline",
-                    "machine": self.machine,
-                    "config": config_fp,
-                    "loops": [list(l) for l in loop_ids],
-                },
+                machine=self.machine,
+                config=config_fp,
+                loops=loop_ids,
             )
             payload = self._load(bench, "pipeline", disk_key)
             if payload is not None:
@@ -529,6 +544,62 @@ class EvaluationRunner:
     def helix_run(self, bench: str) -> PipelineRun:
         """The default full-HELIX configuration of one benchmark."""
         return self.pipeline(bench, cache_key="helix")
+
+    def run_result(
+        self, bench: str, checkpoint: Callable[[], None] = lambda: None
+    ) -> dict:
+        """The answer of a ``run`` job: :meth:`helix_run` of ``bench``
+        on this runner's machine, reduced to :data:`RUN_FIELDS`.
+
+        A stage like the others: the answer is looked up in the store
+        first, and a hit returns it without entering any other stage (no
+        module is parsed, nothing selected or transformed, no trace
+        decoded).  Otherwise the pipeline runs stage by stage, calling
+        ``checkpoint`` between stages (the orchestrator's cancellation
+        point), and the answer is stored.  An entry that is not an
+        answer to this request counts as absent and is overwritten.
+        """
+        start = time.perf_counter()
+        with get_tracer().span("stage.run", cat="stage", bench=bench) as sp:
+            disk_key = self.artifacts.key(
+                "run",
+                bench,
+                machine=self.machine,
+                config=pipeline_fingerprint(
+                    HelixOptions(), PrefetchMode.HELIX, None, False, None
+                ),
+            )
+            result = self._load(bench, "run", disk_key)
+            if (
+                result is not None
+                and result.keys() == RUN_FIELDS
+                and result["bench"] == bench
+                and result["cores"] == self.machine.cores
+            ):
+                outcome = "disk"
+            else:
+                self.module(bench, "train")
+                checkpoint()
+                self.profile(bench)
+                checkpoint()
+                self.sequential(bench)
+                checkpoint()
+                run = self.helix_run(bench)
+                result = {
+                    "bench": bench,
+                    "cores": self.machine.cores,
+                    "speedup": run.speedup,
+                    "cycles": run.parallel.cycles,
+                    "sequential_cycles": run.sequential.cycles,
+                    "output": list(run.parallel.result.output),
+                    "output_matches": run.output_matches,
+                    "chosen": [list(loop) for loop in run.chosen],
+                }
+                self._store(bench, "run", disk_key, result)
+                outcome = "compute"
+            sp.set(outcome=outcome)
+        self._record(bench, "run", outcome, time.perf_counter() - start)
+        return result
 
     def benches(self) -> List[str]:
         return benchmark_names()

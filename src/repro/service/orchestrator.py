@@ -5,15 +5,18 @@ threads, each of which executes jobs through per-job
 :class:`~repro.evaluation.runner.EvaluationRunner` instances -- all
 runners share one :class:`~repro.artifacts.ArtifactStore`, so artifacts
 computed for one client warm every later request exactly like the
-process-parallel suite runner's shared disk cache.  That includes the
-interpreters' generated superblock code (kind ``"codegen"``,
-content-addressed on function IR + hook flags, machine shape
-deliberately excluded): a job resubmitted at a different core count
-recomputes its stage artifacts but instantiates every function's
-stored source/bytecode instead of re-deriving it.  Because every stage
-artifact is an exact recorded object (never a timing), results are
-byte-identical to the one-shot CLI regardless of which worker computed
-them or in what order.
+process-parallel suite runner's shared disk cache.  Every key hashes
+exactly what its stage reads (:data:`repro.artifacts.KEY_INPUTS`), so a
+job resubmitted at a different core count re-records only: the profile
+and the sequential baseline (keyed on the cost model) and the
+interpreters' generated superblock code (kind ``"codegen"``, keyed on
+function IR + hook flags) are read back, and only selection, Steps 1-9
+and the recording run, which do read the core count, happen again.  A
+``run`` job repeated on the same machine reads its stored answer (kind
+``"run"``) and enters no other stage.  Because every stage artifact is
+an exact recorded object (never a timing), results are byte-identical
+to the one-shot CLI regardless of which worker computed them or in what
+order.
 
 Execution discipline:
 
@@ -232,6 +235,7 @@ class Orchestrator:
             if job.state is JobState.QUEUED:
                 job.transition(JobState.CANCELLED)
                 observer = self._observer_for(job)
+                self._job_observers.pop(job.id, None)
             else:
                 return True  # running: cooperative
         observer.job_finished(job)
@@ -401,6 +405,10 @@ class Orchestrator:
                 with self._lock:
                     job.result = result
                     job.transition(JobState.DONE)
+            # Terminal: the registration goes, or every finished job
+            # would pin its connection's observer for the daemon's life.
+            with self._lock:
+                self._job_observers.pop(job.id, None)
             observer.job_finished(job)
 
     def _attempt(self, handler: Handler, ctx: JobContext, job: Job) -> dict:
@@ -509,26 +517,10 @@ class Orchestrator:
         return result
 
     def _handle_run(self, ctx: JobContext, spec: RunJob) -> dict:
-        runner = ctx.runner(spec.cores)
-        # Stage-by-stage with checkpoints, so cancellation lands between
-        # stages instead of only at the end.
-        runner.module(spec.bench, "train")
-        ctx.check()
-        runner.profile(spec.bench)
-        ctx.check()
-        runner.sequential(spec.bench)
-        ctx.check()
-        run = runner.helix_run(spec.bench)
-        return {
-            "bench": spec.bench,
-            "cores": spec.cores,
-            "speedup": run.speedup,
-            "cycles": run.parallel.cycles,
-            "sequential_cycles": run.sequential.cycles,
-            "output": list(run.parallel.result.output),
-            "output_matches": run.output_matches,
-            "chosen": [list(loop) for loop in run.chosen],
-        }
+        # The ``run`` stage: a stored answer, or the pipeline stage by
+        # stage with a checkpoint between stages, so cancellation lands
+        # there instead of only at the end.
+        return ctx.runner(spec.cores).run_result(spec.bench, ctx.check)
 
     def _handle_suite(self, ctx: JobContext, spec: SuiteJob) -> dict:
         from repro.evaluation.parallel_runner import run_suite

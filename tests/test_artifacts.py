@@ -128,6 +128,27 @@ def test_schedule_memo_accounting():
     assert schedules == {"memos": 2, "machines": 3, "columns": 4}
 
 
+def test_schedule_memo_leaves_the_count_with_its_executor():
+    """The store tracks memos weakly: a daemon's store outlives every
+    job's executors and must not keep their schedule columns alive."""
+    import gc
+
+    from repro.evaluation.runner import EvaluationRunner
+
+    store = ArtifactStore()
+    kept = store.schedule_memo()
+    kept["machine-a"] = [object()]
+    runner = EvaluationRunner(artifacts=store)
+    runner.helix_run("mcf")
+    live = store.counters()["schedules"]
+    assert live["memos"] == 2 and live["columns"] > 1
+    del runner
+    gc.collect()
+    assert store.counters()["schedules"] == {
+        "memos": 1, "machines": 1, "columns": 1,
+    }
+
+
 def test_executor_schedules_live_in_store_memo():
     """The runner's executors memoize schedule columns inside a
     store-registered namespace, so store counters see them."""

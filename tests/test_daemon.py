@@ -332,15 +332,20 @@ def test_job_metrics_are_per_job_deltas(obs_daemon, tiny_bench):
     cold_counters = cold["metrics"]["counters"]
     warm_counters = warm["metrics"]["counters"]
     # The cold attempt compiles and executes from scratch; the warm
-    # resubmission is served from the artifact store.  Each terminal
-    # event must carry only its own attempt's delta: pre-isolation,
-    # job.metrics was a shared-registry snapshot, which would have
-    # replayed the cold job's computes in the warm job too.
+    # resubmission reads its stored answer and enters no other stage.
+    # Each terminal event must carry only its own attempt's delta:
+    # pre-isolation, job.metrics was a shared-registry snapshot, which
+    # would have replayed the cold job's computes in the warm job too.
     assert cold_counters.get("stage.execute.computes", 0) >= 1
+    assert cold_counters.get("stage.run.computes", 0) == 1
     assert cold_counters.get("interp.codegen.functions", 0) >= 1
-    assert warm_counters.get("stage.execute.computes", 0) == 0
     assert warm_counters.get("interp.codegen.functions", 0) == 0
-    assert warm_counters.get("stage.execute.disk_hits", 0) >= 1
+    assert warm_counters.get("stage.run.disk_hits", 0) == 1
+    assert warm_counters.get("evalcache.hits.run", 0) == 1
+    assert not [
+        name for name in warm_counters
+        if name.startswith("stage.") and name.endswith(".computes")
+    ]
     cold_store_misses = sum(
         v for k, v in cold_counters.items()
         if k.startswith("evalcache.misses.")

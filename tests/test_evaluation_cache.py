@@ -5,11 +5,13 @@ full pipeline (compile, profile, select, transform, execute) runs in
 milliseconds rather than the seconds a real suite benchmark takes.
 """
 
+import dataclasses
 import json
 import multiprocessing
 
 import pytest
 
+from repro.artifacts import ArtifactStore
 from repro.bench import benchmark_fingerprint
 from repro.bench import suite as bench_suite
 from repro.core.loopinfo import HelixOptions
@@ -17,8 +19,6 @@ from repro.evaluation.cache import (
     EvaluationCache,
     code_version,
     fingerprint,
-    machine_fingerprint,
-    options_fingerprint,
     pipeline_fingerprint,
 )
 from repro.evaluation.parallel_runner import run_suite
@@ -28,7 +28,7 @@ from repro.frontend import compile_source
 from repro.analysis.loops import find_loops
 from repro.core import parallelize_module
 from repro.runtime.interpreter import ExecutionResult
-from repro.runtime.machine import MachineConfig, PrefetchMode
+from repro.runtime.machine import CostModel, MachineConfig, PrefetchMode
 from repro.runtime.parallel import (
     CompactInvocationTrace,
     LoopRunStats,
@@ -215,31 +215,110 @@ class TestTraceSerialization:
 # ------------------------------------------------------------------ hashing
 
 
+def _stage_keys(bench, machine=None, options=None):
+    """The real per-kind keys of one (bench, machine, options) request."""
+    store = ArtifactStore()
+    machine = machine or MachineConfig(cores=4)
+    config = pipeline_fingerprint(
+        options or HelixOptions(), PrefetchMode.HELIX, None, False, None
+    )
+    return {
+        "profile": store.key("profile", bench, machine=machine),
+        "sequential": store.key("sequential", bench, machine=machine),
+        "pipeline": store.key(
+            "pipeline", bench, machine=machine, config=config,
+            loops=[("main", "for.header")],
+        ),
+        "run": store.key("run", bench, machine=machine, config=config),
+    }
+
+
+def _changed(instance, fld):
+    """``instance`` with one dataclass field moved off its value."""
+    value = getattr(instance, fld.name)
+    if isinstance(value, bool):
+        value = not value
+    elif isinstance(value, int):
+        value = value + 1
+    elif isinstance(value, CostModel):
+        value = CostModel(float_extra=value.float_extra + 1)
+    elif isinstance(value, PrefetchMode):
+        value = PrefetchMode.NONE
+    else:  # a new field type: teach this helper about it
+        raise AssertionError(f"no changed value for field {fld.name!r}")
+    return dataclasses.replace(instance, **{fld.name: value})
+
+
 class TestFingerprints:
     def test_fingerprint_is_stable_and_sensitive(self):
         base = {"a": 1, "b": [1, 2]}
         assert fingerprint(base) == fingerprint({"b": [1, 2], "a": 1})
         assert fingerprint(base) != fingerprint({"a": 1, "b": [2, 1]})
 
-    def test_options_fingerprint_covers_every_field(self):
-        base = options_fingerprint(HelixOptions())
-        import dataclasses
-
+    def test_options_fingerprint_covers_every_field(self, tiny_bench):
+        base = _stage_keys(tiny_bench)
         for fld in dataclasses.fields(HelixOptions):
-            if fld.type == "bool" or isinstance(fld.default, bool):
-                changed = HelixOptions(**{fld.name: not fld.default})
-            else:
-                changed = HelixOptions(**{fld.name: fld.default + 1})
-            assert options_fingerprint(changed) != base, fld.name
+            keys = _stage_keys(
+                tiny_bench, options=_changed(HelixOptions(), fld)
+            )
+            # Transformation options: the two kinds downstream of
+            # Steps 1-9 see every one, the two upstream none.
+            for kind in ("pipeline", "run"):
+                assert keys[kind] != base[kind], (kind, fld.name)
+            for kind in ("profile", "sequential"):
+                assert keys[kind] == base[kind], (kind, fld.name)
 
-    def test_machine_fingerprint_sees_cost_model(self):
-        base = MachineConfig(cores=4)
-        assert machine_fingerprint(base) == machine_fingerprint(
-            MachineConfig(cores=4)
+    def test_machine_fingerprint_sees_cost_model(self, tiny_bench):
+        machine = MachineConfig(cores=4)
+        base = _stage_keys(tiny_bench, machine)
+        assert _stage_keys(tiny_bench, MachineConfig(cores=4)) == base
+        for fld in dataclasses.fields(MachineConfig):
+            keys = _stage_keys(tiny_bench, _changed(machine, fld))
+            for kind in ("pipeline", "run"):
+                assert keys[kind] != base[kind], (kind, fld.name)
+            # The interpreter and the profiler read the cost model and
+            # nothing else of a machine: cores, prefetch mode and every
+            # latency leave their artifacts' keys alone.
+            for kind in ("profile", "sequential"):
+                assert (keys[kind] != base[kind]) == (
+                    fld.name == "cost_model"
+                ), (kind, fld.name)
+
+    def test_keys_see_source_text_and_code_version(self, monkeypatch):
+        import repro.evaluation.cache as cache_mod
+
+        # Source hashes are memoized per (bench, scale): a private memo,
+        # emptied whenever the bench's text changes under its name.
+        monkeypatch.setattr(bench_suite, "_fingerprints", {})
+
+        def keys_with(source):
+            bench_suite._fingerprints.clear()
+            monkeypatch.setitem(
+                bench_suite.BENCHMARKS,
+                "tinykeys",
+                bench_suite.BenchmarkSpec(
+                    "tinykeys", "synthetic test benchmark", source, 1.0,
+                    "test",
+                ),
+            )
+            return _stage_keys("tinykeys")
+
+        base = keys_with(lambda scale: TINY)
+        edited = keys_with(lambda scale: TINY2)
+        assert all(edited[kind] != base[kind] for kind in base)
+        # A stage's key hashes the scales it consumed: a train-only
+        # edit leaves the sequential baseline's key alone.
+        train_edit = keys_with(
+            lambda scale: TINY if scale == "ref" else TINY2
         )
-        assert machine_fingerprint(base) != machine_fingerprint(
-            MachineConfig(cores=4, signal_latency=220)
-        )
+        assert train_edit["sequential"] == base["sequential"]
+        for kind in ("profile", "pipeline", "run"):
+            assert train_edit[kind] != base[kind], kind
+
+        assert keys_with(lambda scale: TINY) == base
+        monkeypatch.setattr(cache_mod, "_code_version", "0" * 16)
+        bumped = _stage_keys("tinykeys")
+        assert all(bumped[kind] != base[kind] for kind in base)
 
     def test_pipeline_fingerprint_distinguishes_configs(self):
         fp = pipeline_fingerprint(HelixOptions(), PrefetchMode.HELIX, None,
@@ -285,8 +364,25 @@ class TestEvaluationCache:
         cache = EvaluationCache(tmp_path)
         cache.store("profile", "k", {"x": 1})
         path = cache._path("profile", "k")
-        path.write_text("{not json")
-        assert cache.load("profile", "k") is None
+        corruptions = (
+            b"{not json",  # truncated write
+            b'{"x": "\xff\xfe"}',  # not UTF-8
+            b"[1, 2]",  # JSON, but no payload object
+        )
+        for blob in corruptions:
+            path.write_bytes(blob)
+            assert cache.load("profile", "k") is None, blob
+        assert cache.traffic()["profile"]["misses"] == len(corruptions)
+        # A miss is recomputed and overwritten like any other.
+        cache.store("profile", "k", {"x": 2})
+        assert cache.load("profile", "k") == {"x": 2}
+
+    def test_store_is_compact_json(self, tmp_path):
+        cache = EvaluationCache(tmp_path)
+        cache.store("profile", "k", {"a": [1, 2], "b": {"c": 3}})
+        assert cache._path("profile", "k").read_text() == (
+            '{"a":[1,2],"b":{"c":3}}'
+        )
 
 
 # -------------------------------------------------------- runner integration
@@ -319,15 +415,28 @@ class TestRunnerCacheIntegration:
         EvaluationRunner(
             MachineConfig(cores=4), cache=EvaluationCache(tmp_path)
         ).helix_run(tiny_bench)
+        # A latency changes what the recording run sees and nothing the
+        # interpreter or the profiler reads: only ``execute`` recomputes.
         other = EvaluationRunner(
             MachineConfig(cores=4, signal_latency=220),
             cache=EvaluationCache(tmp_path),
         )
         other.helix_run(tiny_bench)
+        assert other.stats.stages["execute"].computes == 1
+        for stage in ("profile", "sequential"):
+            assert other.stats.stages[stage].computes == 0, stage
+            assert other.stats.stages[stage].disk_hits == 1, stage
+        # A cost-model change is seen by all three interpretation stages.
+        retuned = EvaluationRunner(
+            MachineConfig(cores=4, cost_model=CostModel(float_extra=3)),
+            cache=EvaluationCache(tmp_path),
+        )
+        retuned.helix_run(tiny_bench)
         for stage in ("profile", "sequential", "execute"):
-            assert other.stats.stages[stage].computes == 1, stage
+            assert retuned.stats.stages[stage].computes == 1, stage
         # Modules don't depend on the machine: still served from disk.
-        assert other.stats.stages["compile"].disk_hits >= 1
+        for runner in (other, retuned):
+            assert runner.stats.stages["compile"].disk_hits >= 1
 
     def test_runner_without_cache_unchanged(self, tiny_bench):
         runner = EvaluationRunner(MachineConfig(cores=4))

@@ -1,5 +1,6 @@
 """Tests for the application-layer job orchestrator."""
 
+import json
 import threading
 import time
 from dataclasses import dataclass
@@ -272,6 +273,194 @@ def test_run_job_via_real_pipeline(tmp_path, tiny_bench):
         assert sum(row["hits"] for row in counters.values()) > 0
     finally:
         orch.shutdown()
+
+
+def _stage_outcomes(observer, job):
+    """``{stage: [outcome, ...]}`` of one job's ``stage_completed``
+    events, memory hits left out."""
+    outcomes = {}
+    for event in observer.for_job(job.id):
+        if event.kind == "stage_completed":
+            if event.args["outcome"] != "memory":
+                outcomes.setdefault(event.args["stage"], []).append(
+                    event.args["outcome"]
+                )
+    return outcomes
+
+
+def _run(orch, spec, **kwargs):
+    job = orch.submit(spec, **kwargs)
+    orch.wait(job, timeout=120)
+    assert job.state is JobState.DONE, job.error
+    return job
+
+
+def test_repeat_run_job_reads_its_answer_and_nothing_else(
+    tmp_path, tiny_bench
+):
+    from repro.obs import chrome_trace, validate_chrome_trace
+    from repro.obs.tracer import SpanEvent
+
+    observer = RecordingObserver()
+    orch = Orchestrator(
+        cache=tmp_path / "cache", workers=1, observer=observer
+    )
+    try:
+        first = _run(orch, RunJob(tiny_bench, cores=4))
+        assert _stage_outcomes(observer, first)["run"] == ["compute"]
+        repeat = _run(orch, RunJob(tiny_bench, cores=4))
+        assert json.dumps(repeat.result, sort_keys=True) == json.dumps(
+            first.result, sort_keys=True
+        )
+        # The answer needs no module, selection, transformation or
+        # trace: the stored ``run`` artifact is the only thing read.
+        assert _stage_outcomes(observer, repeat) == {"run": ["disk"]}
+        assert check_event_ordering(observer.for_job(repeat.id)) == []
+        counters = repeat.metrics["counters"]
+        assert counters["evalcache.hits.run"] == 1
+        assert not any(k.startswith("evalcache.misses.") for k in counters)
+
+        # A traced repeat still has something to show: its one stage.
+        traced = _run(orch, RunJob(tiny_bench, cores=4), trace=True)
+        assert traced.result == first.result
+        names = [span["name"] for span in traced.spans]
+        assert names == ["stage.run"]
+        assert traced.spans[0]["args"]["outcome"] == "disk"
+        payload = chrome_trace(
+            [SpanEvent.from_dict(span) for span in traced.spans]
+        )
+        assert validate_chrome_trace(payload) == []
+    finally:
+        orch.shutdown()
+
+
+def test_other_core_count_re_records_only(tmp_path, tiny_bench):
+    """What the interpreter and the profiler produce does not depend on
+    the core count: a second core count of a bench reads both back and
+    only records again."""
+    observer = RecordingObserver()
+    orch = Orchestrator(
+        cache=tmp_path / "cache", workers=1, observer=observer
+    )
+    fresh = Orchestrator(cache=tmp_path / "fresh", workers=1)
+    try:
+        six = _run(orch, RunJob(tiny_bench, cores=6))
+        cold = _stage_outcomes(observer, six)
+        for stage in ("profile", "sequential", "execute", "run"):
+            assert cold[stage] == ["compute"], stage
+        two = _run(orch, RunJob(tiny_bench, cores=2))
+        warm = _stage_outcomes(observer, two)
+        assert warm["profile"] == ["disk"]
+        assert warm["sequential"] == ["disk"]
+        assert warm["execute"] == ["compute"]
+        assert warm["run"] == ["compute"]
+        alone = _run(fresh, RunJob(tiny_bench, cores=2))
+        assert json.dumps(two.result, sort_keys=True) == json.dumps(
+            alone.result, sort_keys=True
+        )
+    finally:
+        orch.shutdown()
+        fresh.shutdown()
+
+
+def test_corrupt_run_entry_is_recomputed(tmp_path, tiny_bench):
+    orch = Orchestrator(cache=tmp_path / "cache", workers=1)
+    try:
+        first = _run(orch, RunJob(tiny_bench, cores=4))
+        (entry,) = (tmp_path / "cache" / "run").glob("*.json")
+        good = entry.read_bytes()
+        answer = json.loads(good)
+        corruptions = (
+            b"\xff\xfe not utf-8",
+            b"[1, 2]",
+            json.dumps({"speedup": 2.0}).encode(),  # fields missing
+            json.dumps(dict(answer, bench="other")).encode(),
+            json.dumps(dict(answer, cores=2)).encode(),
+        )
+        for blob in corruptions:
+            entry.write_bytes(blob)
+            job = _run(orch, RunJob(tiny_bench, cores=4))
+            assert job.result == first.result, blob
+            assert job.metrics["counters"]["stage.run.computes"] == 1, blob
+            # ... and the entry was overwritten with the answer.
+            assert entry.read_bytes() == good, blob
+    finally:
+        orch.shutdown()
+
+
+def test_cancel_between_stages_of_run_job(tmp_path, tiny_bench):
+    """The run stage's checkpoints sit between the pipeline stages: a
+    cancel that lands during one stops the job before the next, stores
+    no answer, and leaves a later job to finish the work."""
+
+    class CancelAfterCompile(RecordingObserver):
+        def stage_completed(self, job, bench, stage, outcome, seconds):
+            super().stage_completed(job, bench, stage, outcome, seconds)
+            if stage == "compile" and job is victim_holder.get("job"):
+                job.request_cancel()
+
+    victim_holder = {}
+    observer = CancelAfterCompile()
+    orch = Orchestrator(
+        cache=tmp_path / "cache", workers=1, observer=observer
+    )
+    gate = threading.Event()
+    orch.handlers[FakeSpec] = lambda ctx, spec: gate.wait(20) or {}
+    try:
+        blocker = orch.submit(FakeSpec("hold"))
+        victim = orch.submit(RunJob(tiny_bench, cores=4))
+        victim_holder["job"] = victim
+        gate.set()
+        orch.wait(blocker, timeout=10)
+        orch.wait(victim, timeout=120)
+        assert victim.state is JobState.CANCELLED
+        assert victim.result is None
+        stages = _stage_outcomes(observer, victim)
+        assert set(stages) == {"compile"}
+        assert check_event_ordering(observer.for_job(victim.id)) == []
+        assert not list((tmp_path / "cache" / "run").glob("*.json"))
+
+        again = _run(orch, RunJob(tiny_bench, cores=4))
+        assert again.result["output_matches"] is True
+        assert _stage_outcomes(observer, again)["run"] == ["compute"]
+    finally:
+        gate.set()
+        orch.shutdown()
+
+
+def test_finished_jobs_release_their_observers():
+    """A per-job observer (the daemon's connection stream) is dropped
+    when the job reaches a terminal state, whichever one."""
+    gate = threading.Event()
+
+    def handler(ctx, spec):
+        if spec.tag == "hold":
+            gate.wait(20)
+        if spec.tag == "boom":
+            raise ValueError("broken input")
+        return {}
+
+    orch, _ = make_orchestrator(handler, workers=1)
+    streams = [RecordingObserver() for _ in range(5)]
+    try:
+        hold = orch.submit(FakeSpec("hold"), observer=streams[0])
+        queued = orch.submit(FakeSpec("victim"), observer=streams[1])
+        assert len(orch._job_observers) == 2
+        assert orch.cancel(queued.id) is True
+        assert list(orch._job_observers) == [hold.id]
+        gate.set()
+        rest = [
+            orch.submit(FakeSpec(tag), observer=stream)
+            for tag, stream in zip(("ok", "boom", "ok"), streams[2:])
+        ]
+        for job in [hold] + rest:
+            orch.wait(job, timeout=10)
+    finally:
+        gate.set()
+        orch.shutdown()  # joins the workers: every terminal event is out
+    assert orch._job_observers == {}
+    for job, stream in zip([hold, queued] + rest, streams):
+        assert stream.kinds(job.id)[-1] == "job_finished"
 
 
 def test_concurrent_jobs_get_disjoint_metric_deltas():
