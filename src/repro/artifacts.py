@@ -25,12 +25,12 @@ behind one keyed API:
 * **Generated interpreter code** (the superblock tiers' source +
   bytecode manifests, kind ``"codegen"``) is content-addressed by
   :func:`repro.runtime.codegen.artifact_key` -- function IR + hook
-  flags + codegen version, *excluding* machine shape -- so warm suite
-  re-runs and ``repro serve`` resubmissions (even at different core
-  counts) skip decode+codegen, and ``suite --jobs`` workers shard cold
-  compiles through the shared cache directory.  The runtime layer sees
-  the store duck-typed (``load``/``store``), keeping it free of
-  evaluation imports.
+  flags + watched blocks + codegen version, *excluding* machine shape
+  -- so warm suite re-runs and ``repro serve`` resubmissions (even at
+  different core counts) skip decode+codegen, and ``suite --jobs``
+  workers shard cold compiles through the shared cache directory.  The
+  runtime layer sees the store duck-typed (``load``/``store``), keeping
+  it free of evaluation imports.
 
 One store is shared by every runner of an orchestrator (and by all the
 daemon's worker threads): artifacts travel between them by key, exactly

@@ -14,12 +14,13 @@ Each compiled backend is timed in two lanes, like ``bench-sched``:
 * **warm** -- repeated runs on one interpreter whose per-function
   caches are hot, measuring steady-state execution only.
 
-A fourth group, the **hooked lane**, measures *instrumented* (profiled-
-run) throughput: an interpreter with ``count_loads`` on and an
-``on_block_entry`` override — the observation points the profiler and
-:class:`~repro.runtime.parallel.ParallelExecutor` rely on — timed on
-the decoded hooked variant versus the hooked superblock tier
-(cold + warm).  ``hooked_speedup`` is warm hooked-superblock over
+A fourth group, the **hooked lane**, measures *instrumented*
+throughput at its worst case: an interpreter with ``count_loads`` on
+and an ``on_block_entry`` override that declares no watched blocks, so
+the hook fires at every block boundary (the profiler and
+:class:`~repro.runtime.parallel.ParallelExecutor` declare theirs and
+are called at a fraction of them) — timed on the decoded hooked
+variant versus the hooked superblock tier (cold + warm).  ``hooked_speedup`` is warm hooked-superblock over
 hooked-decoded; CI gates its geomean with ``--min-hooked-speedup``.
 The two hooked runs must agree on result fields, ``load_count`` *and*
 the number of hook invocations, or the run aborts.
@@ -314,11 +315,10 @@ def _time_warm(
 class _HookBearingInterpreter(Interpreter):
     """Minimal instrumented interpreter for the hooked lane.
 
-    Counts block entries through ``on_block_entry`` and loads through
-    ``count_loads`` -- the observation points the profiler and the
-    parallel executor depend on -- with negligible Python work per
-    event, so the measured ratio reflects tier overhead rather than
-    harness weight.  ``backend="decoded"`` selects the decoded hooked
+    Counts block entries through ``on_block_entry`` -- all of them: it
+    declares no ``watched_blocks`` -- and loads through ``count_loads``,
+    with negligible Python work per event, so the measured ratio
+    reflects tier overhead rather than harness weight.  ``backend="decoded"`` selects the decoded hooked
     variant; ``backend="superblock"`` the hooked superblock tier.
     """
 

@@ -14,6 +14,13 @@ summarised with one snapshot:
   formation totals and per-instruction fallback activations from
   :mod:`repro.runtime.codegen` (a fallback means a budget could expire
   inside a fused region, so the region re-ran on the decoded tier).
+* ``interp.superblock.hooked`` -- hooked-tier functions made available
+  (compiled or replayed from the artifact cache), and beside it
+  ``interp.codegen.{hook_sites,hook_sites_elided}`` -- the block
+  boundaries those functions compiled with / without their
+  ``on_block_entry`` call: how much of an instrumented run is observed
+  (everything unless the interpreter declares ``watched_blocks``).
+  Counted per function, never per activation.
 * ``interp.codegen.{functions,specialized_ops}`` -- code-generated
   function bodies and the fused/specialized instruction count
   (compare+branch fusions, address+memory pairs, folded constants).

@@ -32,18 +32,31 @@ effects`` loop per block.  This module removes those too:
 * **Hooked tier** -- ``compile_superblocks(..., hooked=True)`` emits a
   hook-aware variant for instrumented runs (the profiler and
   :class:`~repro.runtime.parallel.ParallelExecutor`):
-  ``on_block_entry`` is called at every fused-block boundary with the
-  same arguments, order and exact ``cycles`` as the decoded hooked
-  variant, WAIT/SIGNAL/NEXT_ITER route through ``exec_sync`` and XFER
-  through ``exec_xfer`` at segment boundaries, and ``count_loads``
-  becomes a static per-segment ``load_count`` increment.  Because a
-  hook may *rewrite* ``interp.cycles`` (the parallel executor replaces
-  serial with scheduled-parallel time at loop exits), generated code
-  only ever charges through the interpreter attribute and never caches
-  cycle state in locals across a hook call.  Hooks receive the tier-2
-  :class:`~repro.runtime.precompile.DecodedFrame` and must not inspect
-  register state (true of every in-tree consumer); listener-bearing
-  interpreters still demote to the decoded hooked variant.
+  WAIT/SIGNAL/NEXT_ITER route through ``exec_sync`` and XFER through
+  ``exec_xfer`` at segment boundaries, ``count_loads`` becomes a static
+  per-segment ``load_count`` increment, and ``on_block_entry`` is
+  called -- with the same arguments, order and exact ``cycles`` as the
+  decoded hooked variant -- at the block boundaries whose *target* the
+  interpreter watches.  ``Interpreter.watched_blocks(func)`` declares
+  that set: ``None`` (the default) is every block, a frozenset leaves
+  the hook call and the segment close only where the observer acts,
+  and every other boundary fuses exactly as in the uninstrumented
+  tier, which is simply the emitter with an empty watched set
+  (:meth:`_ChainEmitter.observed` is the one predicate).  The
+  declaration binds generated code only: the tree walker, the decoded
+  tier and the budget fallback below announce every entry, so a
+  declaring hook keeps treating undeclared blocks as no-ops.  An
+  observer that still needs every entry *counted* sets
+  ``count_unwatched``: unobserved boundaries then bump a per-block
+  cell of ``interp.unwatched_entries``, statically, like loads.
+  Because a hook may *rewrite* ``interp.cycles`` (the parallel executor
+  replaces serial with scheduled-parallel time at loop exits),
+  generated code only ever charges through the interpreter attribute
+  and never caches cycle state in locals across a hook call.  Hooks
+  receive the tier-2 :class:`~repro.runtime.precompile.DecodedFrame`
+  and must not inspect register state (true of every in-tree
+  consumer); listener-bearing interpreters still demote to the decoded
+  hooked variant.
 * **Exactness fallback** -- output, cycle and instruction counts,
   ``RuntimeFault`` messages and ``ExecutionLimitExceeded`` behavior are
   bit-identical to the tree-walker.  Each dispatch arm only runs when
@@ -70,11 +83,12 @@ effects`` loop per block.  This module removes those too:
 key, payload)`` -- in practice :class:`repro.artifacts.ArtifactStore`),
 generated source and bytecode are content-addressed under the
 ``"codegen"`` kind and keyed by :data:`CODEGEN_VERSION`, the function's
-printed IR, the hook flags, the module's global-region sizes and
-function set, the cost-model parameters and the function's
-block-profile projection -- everything the emitted source can embed as
-a literal.  A warm hit re-binds the stored namespace manifest against
-the live interpreter and skips formation, rendering *and* ``compile()``
+printed IR, the hook flags and the watched block set, the module's
+global-region sizes and function set, the cost-model parameters and
+the function's block-profile projection -- everything the emitted
+source can embed as a literal or decide an emission on.  A warm hit
+re-binds the stored namespace manifest against the live interpreter
+and skips formation, rendering *and* ``compile()``
 (bytecode is reused when the Python ``cache_tag`` matches, else the
 cached source is recompiled).  ``repro serve`` job resubmissions and
 warm suite re-runs therefore skip decode+codegen entirely, and
@@ -89,12 +103,17 @@ divergence from the walker, as in tier 2: after a non-limit
 ``RuntimeFault`` aborts a run mid-segment, the dead interpreter's
 counters (including ``load_count``) may include instructions from the
 faulting segment that never executed (no result object is produced on
-a fault).
+a fault).  (And when the instruction limit fires on a LOADG/LOADP
+itself, the walker has already counted that load; tiers 2 and 3 have
+not.)
 
 Counters (:mod:`repro.obs.metrics`): ``interp.superblock.formed``,
 ``interp.superblock.blocks_fused``, ``interp.codegen.specialized_ops``,
 ``interp.codegen.functions`` at compile time,
-``interp.superblock.hooked`` per hooked-tier function made available,
+``interp.superblock.hooked`` per hooked-tier function made available
+and, with it, ``interp.codegen.hook_sites`` /
+``interp.codegen.hook_sites_elided`` for the block boundaries that
+function compiled with / without their ``on_block_entry`` call,
 ``interp.codegen.cache.hit`` / ``interp.codegen.cache.miss`` per
 artifact-cache probe, and ``interp.superblock.fallbacks`` per
 exactness-fallback activation.
@@ -108,7 +127,15 @@ import json
 import marshal
 import re
 import sys
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.ir import Function, Instruction, Opcode
 from repro.ir.operands import Const, Symbol, VReg
@@ -141,7 +168,7 @@ MAX_CHAIN_BLOCKS = 64
 #: Version of the generated-code layout and namespace manifest.  Bump on
 #: ANY change to emitted source shape, bind kinds or driver protocol:
 #: it is the only guard between old cached artifacts and new code.
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 #: Artifact-store kind for cached generated code.
 CODEGEN_KIND = "codegen"
@@ -288,6 +315,36 @@ def form_superblocks(
 # -- compiled artifacts -------------------------------------------------------
 
 
+class _HookSpec(NamedTuple):
+    """What one compile observes: the normalized form of the hook flags
+    that the artifact key, the emitter and the fallback decode share."""
+
+    #: Sync/xfer ops route through ``exec_sync`` / ``exec_xfer``.
+    hooked: bool
+    count_loads: bool
+    #: Blocks whose entry calls ``on_block_entry`` (and closes the
+    #: running segment): ``None`` is every block, the empty set -- all
+    #: the uninstrumented tier ever has -- none.
+    watched: Optional[FrozenSet[str]]
+    #: Unwatched entries bump ``interp.unwatched_entries`` cells.
+    count_unwatched: bool
+
+
+def _hook_spec(interp, func: Function, hooked: bool,
+               count_loads: bool) -> _HookSpec:
+    """Normalize the caller's flags and ask ``interp`` what it watches
+    in ``func`` (nothing is observed, or counted, without ``hooked``)."""
+    if not hooked:
+        return _HookSpec(False, False, frozenset(), False)
+    watched = interp.watched_blocks(func)
+    return _HookSpec(
+        True,
+        bool(count_loads),
+        watched,
+        watched is not None and bool(interp.count_unwatched),
+    )
+
+
 class Superblock:
     """Metadata of one compiled chain (one dispatch arm of the merged
     generated function)."""
@@ -348,7 +405,7 @@ class SuperblockFunction:
 
     __slots__ = (
         "func", "nslots", "param_slots", "entry", "blocks", "run",
-        "heads", "lazy", "source", "hooked", "count_loads",
+        "heads", "lazy", "source", "hooked", "count_loads", "hook_sites",
     )
 
     def __init__(
@@ -364,6 +421,7 @@ class SuperblockFunction:
         source: str,
         hooked: bool = False,
         count_loads: bool = False,
+        hook_sites: Tuple[int, int] = (0, 0),
     ) -> None:
         self.func = func
         self.nslots = nslots
@@ -380,6 +438,9 @@ class SuperblockFunction:
         self.source = source
         self.hooked = hooked
         self.count_loads = count_loads
+        #: Block boundaries that (call ``on_block_entry``, fuse without
+        #: calling it).
+        self.hook_sites = hook_sites
 
 
 def _base_namespace(interp, func: Function, lazy: _LazyDecode) -> Dict[str, object]:
@@ -403,6 +464,12 @@ def _base_namespace(interp, func: Function, lazy: _LazyDecode) -> Dict[str, obje
         "__fb": func.blocks,
         "__FN": func.name,
     }
+
+
+def _entry_cell(interp, func: Function, name: str) -> List[int]:
+    """The one-element entry counter of block ``name``, created on
+    first use and zeroed in place by every ``Interpreter.run``."""
+    return interp.unwatched_entries.setdefault((func.name, name), [0])
 
 
 # -- code generation ----------------------------------------------------------
@@ -429,17 +496,16 @@ def _dispatch_split(weights: List[int], lo: int, hi: int) -> int:
 class _FunctionCodegen:
     """Generates and compiles the superblock source for one function."""
 
-    def __init__(
-        self,
-        interp,
-        func: Function,
-        hooked: bool = False,
-        count_loads: bool = False,
-    ) -> None:
+    def __init__(self, interp, func: Function, hook_spec: _HookSpec) -> None:
         self.interp = interp
         self.func = func
-        self.hooked = hooked
-        self.count_loads = hooked and count_loads
+        self.hook_spec = hook_spec
+        self.hooked = hook_spec.hooked
+        self.count_loads = hook_spec.count_loads
+        #: Boundaries emitted with / without their ``on_block_entry``
+        #: call.
+        self.hook_sites = 0
+        self.hook_sites_elided = 0
         self.slot_map = allocate_slots(func)
         self.cost_model = interp.cost_model
         self.specialized = 0
@@ -449,7 +515,7 @@ class _FunctionCodegen:
         #: the write subset every budget handoff flushes.
         self.touched_slots: Tuple[int, ...] = ()
         self.write_slots: Tuple[int, ...] = ()
-        self.lazy = _LazyDecode(interp, func, hooked, self.count_loads)
+        self.lazy = _LazyDecode(interp, func, self.hooked, self.count_loads)
         self.ns: Dict[str, object] = _base_namespace(interp, func, self.lazy)
         self._binds: Dict[Tuple[str, int], str] = {}
         #: Ordered reconstruction manifest: (name, kind, payload) per
@@ -553,16 +619,6 @@ class _FunctionCodegen:
                     break
         self.touched_slots = tuple(touched)
         self.write_slots = tuple(writes)
-        head = [
-            "def __sb(frame, __limit, st):",
-            "    __i = __I",
-        ]
-        if self.hooked:
-            head.append("    __obe = __i.on_block_entry")
-        head.append("    s = frame.slots")
-        for slot in self.touched_slots:
-            head.append(f"    r{slot} = s[{slot}]")
-        head.append("    while True:")
         weights = [
             (profile.get((func.name, chain[0]), 0) + 1) if profile else 1
             for chain in chains
@@ -583,7 +639,18 @@ class _FunctionCodegen:
             lines.extend(emit_range(mid, hi, base + "    "))
             return lines
 
-        source = "\n".join(head + emit_range(0, len(chains), " " * 8)) + "\n"
+        arms = emit_range(0, len(chains), " " * 8)
+        head = [
+            "def __sb(frame, __limit, st):",
+            "    __i = __I",
+        ]
+        if self.hook_sites:
+            head.append("    __obe = __i.on_block_entry")
+        head.append("    s = frame.slots")
+        for slot in self.touched_slots:
+            head.append(f"    r{slot} = s[{slot}]")
+        head.append("    while True:")
+        source = "\n".join(head + arms) + "\n"
         code = compile(source, f"<superblocks:{func.name}>", "exec")
         exec(code, self.ns)
         REGISTRY.inc("interp.superblock.formed", len(chains))
@@ -609,6 +676,7 @@ class _FunctionCodegen:
             source,
             self.hooked,
             self.count_loads,
+            (self.hook_sites, self.hook_sites_elided),
         )
 
     def artifact(self, sfunc: SuperblockFunction) -> dict:
@@ -635,6 +703,7 @@ class _FunctionCodegen:
             "param_slots": list(sfunc.param_slots),
             "binds": [list(spec) for spec in self.bind_specs],
             "source": sfunc.source,
+            "hook_sites": list(sfunc.hook_sites),
             "cache_tag": _CACHE_TAG,
             "bytecode": bytecode,
         }
@@ -687,13 +756,13 @@ class _ChainEmitter:
     :func:`finish_decoded` (or :func:`finish_hooked`) when the limit
     could expire before the chain ends.
 
-    In hooked mode, segments additionally close at every fused-block
-    boundary (so ``on_block_entry`` observes exact counters, in the
-    decoded hooked variant's exact call order) and at every sync/xfer
-    opcode (charged through the op before ``exec_sync``/``exec_xfer``
-    runs, matching tier 2's segment-final placement), and each closed
-    segment statically bumps ``load_count`` by its LOADG/LOADP count
-    when the interpreter counts loads.
+    Segments additionally close at every boundary whose target is
+    :meth:`observed` (so ``on_block_entry`` reads exact counters, in
+    the decoded hooked variant's exact call order) and, in hooked mode,
+    at every sync/xfer opcode (charged through the op before
+    ``exec_sync``/``exec_xfer`` runs, matching tier 2's segment-final
+    placement), and each closed segment statically bumps ``load_count``
+    by its LOADG/LOADP count when the interpreter counts loads.
     """
 
     def __init__(
@@ -711,6 +780,7 @@ class _ChainEmitter:
         self.blocks = g.func.blocks
         self.hooked = g.hooked
         self.count_loads = g.count_loads
+        self.watched = g.hook_spec.watched
         self.fin = "__fh" if g.hooked else "__fin"
         # Prescan: linear instruction total and loop shape.
         total = 0
@@ -780,8 +850,20 @@ class _ChainEmitter:
         """Bound BasicBlock object (hook-call argument)."""
         return self.g.bind("bb", self.blocks[name], ("bb", name))
 
-    def emit_hook(self, prev_name: str, next_name: str, extra: str = "") -> None:
-        """``on_block_entry`` at a fused boundary.
+    def observed(self, target: str) -> bool:
+        """The one boundary predicate: does entering ``target`` call
+        ``on_block_entry``?  An observed boundary closes the running
+        segment first, so the hook reads exact counters; every other
+        boundary fuses -- always, in the uninstrumented tier, whose
+        watched set is empty."""
+        watched = self.watched
+        return watched is None or target in watched
+
+    def emit_entry(self, prev_name: str, target: str, extra: str = "") -> None:
+        """Announce the entry of ``target`` from ``prev_name``: the
+        ``on_block_entry`` call when :meth:`observed`, else the static
+        entry-count bump when the interpreter counts unwatched entries,
+        else nothing.
 
         ``__obe`` is bound from the interpreter attribute once per
         activation (so instance-level overrides installed before the
@@ -791,11 +873,29 @@ class _ChainEmitter:
         observed at the next activation, exactly like a mid-activation
         backend switch.
         """
-        self.emit(
-            f"__obe(frame, {self.bb(prev_name)}, "
-            f"{self.bb(next_name)})",
-            extra,
-        )
+        g = self.g
+        if self.observed(target):
+            g.hook_sites += 1
+            line = (
+                f"__obe(frame, {self.bb(prev_name)}, {self.bb(target)})"
+            )
+        else:
+            g.hook_sites_elided += 1
+            if not g.hook_spec.count_unwatched:
+                return
+            cell = g.bind(
+                "bc", _entry_cell(g.interp, g.func, target), ("bc", target)
+            )
+            line = f"{cell}[0] += 1"
+        if self.seg_count:
+            # An unobserved fused fallthrough leaves the segment open:
+            # the bump keeps program order with the buffered ops, behind
+            # the segment's post-CALL budget check, so an activation
+            # that diverts there never counts a block the fallback is
+            # about to announce.
+            self.buf.append(line)
+        else:
+            self.emit(line, extra)
 
     # -- operand access ------------------------------------------------------
 
@@ -947,18 +1047,14 @@ class _ChainEmitter:
         out = self.lines
         ind = self.indent + extra
         if self.loop_form and target == self.chain[0]:
-            # Back edge: announce the head re-entry (hooked), then the
+            # Back edge: announce the head re-entry (if observed), then the
             # next iteration re-charges the full linear body, so
             # re-check it; over budget -> return this arm's index so
             # the driver falls back (finish_hooked does not re-announce
             # the current block, so the hook order stays exact).
             # Registers stay in their locals across the iteration: only
             # the over-budget return leaves the function and flushes.
-            if self.hooked:
-                out.append(
-                    f"{ind}__obe(frame, {self.bb(cur_name)}, "
-                    f"{self.bb(target)})"
-                )
+            self.emit_entry(cur_name, target, extra)
             out.append(f"{ind}__n = __i.instructions")
             out.append(f"{ind}if __n + {self.total} > __limit:")
             for slot in self.g.write_slots:
@@ -971,11 +1067,7 @@ class _ChainEmitter:
             # func.blocks[name] lookup (which fires before any hook).
             out.append(f"{ind}__fb[{target!r}]")
             return
-        if self.hooked:
-            out.append(
-                f"{ind}__obe(frame, {self.bb(cur_name)}, "
-                f"{self.bb(target)})"
-            )
+        self.emit_entry(cur_name, target, extra)
         # Chain transition: locals carry over, no flush -- just move
         # the dispatch loop to the target arm.  `continue` targets the
         # dispatch loop directly; loop-form arms `break` out of their
@@ -1342,13 +1434,13 @@ class _ChainEmitter:
         if op is Opcode.BR:
             target = instr.targets[0]
             if target == next_name:
-                if self.hooked:
-                    # Fused boundary: the hook must observe counters
-                    # through this BR, so the segment closes here.
+                # Fused fallthrough: the charge folds into the running
+                # segment and no control flow is emitted at all, unless
+                # the target is observed -- its hook must see counters
+                # through this BR, so the segment closes here.
+                if self.observed(target):
                     self.close_segment()
-                    self.emit_hook(cur_name, target)
-                # Fast fused fallthrough: the charge folds into the
-                # running segment; no control flow is emitted at all.
+                self.emit_entry(cur_name, target)
                 return
             self.close_segment()
             self.exit_lines(target, "", cur_name)
@@ -1365,8 +1457,8 @@ class _ChainEmitter:
             self.g.specialized += 1
             if taken != next_name:
                 self.exit_lines(taken, "", cur_name)
-            elif self.hooked:
-                self.emit_hook(cur_name, taken)
+            else:
+                self.emit_entry(cur_name, taken)
             return
         else:
             expr = self.read(cond_op)
@@ -1376,13 +1468,11 @@ class _ChainEmitter:
         if t0 == next_name:
             self.emit(f"if not ({cond}):")
             self.exit_lines(t1, "    ", cur_name)
-            if self.hooked:
-                self.emit_hook(cur_name, t0)
+            self.emit_entry(cur_name, t0)
         elif t1 == next_name:
             self.emit(f"if {cond}:")
             self.exit_lines(t0, "    ", cur_name)
-            if self.hooked:
-                self.emit_hook(cur_name, t1)
+            self.emit_entry(cur_name, t1)
         else:
             self.emit(f"if {cond}:")
             self.exit_lines(t0, "    ", cur_name)
@@ -1478,6 +1568,8 @@ def _resolve_bind(interp, func: Function, vregs, kind, spec):
     """Rebuild one namespace binding from its artifact recipe."""
     if kind == "c" or kind == "nm":
         return spec
+    if kind == "bc":
+        return _entry_cell(interp, func, spec)
     if kind == "vr":
         return vregs[spec]
     if kind == "st":
@@ -1501,7 +1593,7 @@ def _resolve_bind(interp, func: Function, vregs, kind, spec):
 
 
 def _instantiate(
-    interp, func: Function, hooked: bool, count_loads: bool, payload: dict
+    interp, func: Function, hook_spec: _HookSpec, payload: dict
 ) -> Optional[SuperblockFunction]:
     """Replay a cached compile against a live interpreter, or None when
     the payload does not fit this function/interpreter (caller falls
@@ -1509,8 +1601,8 @@ def _instantiate(
     if (
         payload.get("codegen") != CODEGEN_VERSION
         or payload.get("function") != func.name
-        or bool(payload.get("hooked")) != bool(hooked)
-        or bool(payload.get("count_loads")) != bool(hooked and count_loads)
+        or bool(payload.get("hooked")) != hook_spec.hooked
+        or bool(payload.get("count_loads")) != hook_spec.count_loads
     ):
         return None
     chains = [list(chain) for chain in payload["chains"]]
@@ -1524,7 +1616,7 @@ def _instantiate(
         or list(payload["param_slots"]) != list(param_slots)
     ):
         return None
-    lazy = _LazyDecode(interp, func, hooked, hooked and count_loads)
+    lazy = _LazyDecode(interp, func, hook_spec.hooked, hook_spec.count_loads)
     ns = _base_namespace(interp, func, lazy)
     sblocks: Dict[str, Superblock] = {}
     for chain, max_instructions in zip(chains, payload["max_instructions"]):
@@ -1558,8 +1650,9 @@ def _instantiate(
         tuple(chain[0] for chain in chains),
         lazy,
         source,
-        hooked,
-        hooked and count_loads,
+        hook_spec.hooked,
+        hook_spec.count_loads,
+        tuple(payload["hook_sites"]),
     )
 
 
@@ -1569,13 +1662,21 @@ def artifact_key(interp, func: Function, hooked: bool,
 
     Covers everything the emitted source can embed as a literal: the
     codegen layout version, the function's printed IR (opcodes,
-    operands, local sizes), the hook flags, the module's global-region
+    operands, local sizes), the hook flags and the watched block set
+    the interpreter declares for the function (which boundaries call
+    the hook, which count, which fuse), the module's global-region
     sizes and known-function set, the cost model (cycle charges are
     literals in the source) and the block-profile projection for this
     function (chain formation is trace guided).  Machine fields the
     source never sees -- core counts, latencies -- are deliberately
     excluded, so jobs differing only in those share warm codegen.
     """
+    return _artifact_key(
+        interp, func, _hook_spec(interp, func, hooked, count_loads)
+    )
+
+
+def _artifact_key(interp, func: Function, hook_spec: _HookSpec) -> str:
     from repro.ir.printer import function_to_str
 
     cost_model = interp.cost_model
@@ -1591,8 +1692,12 @@ def artifact_key(interp, func: Function, hooked: bool,
     spec = {
         "codegen": CODEGEN_VERSION,
         "ir": function_to_str(func),
-        "hooked": bool(hooked),
-        "count_loads": bool(hooked and count_loads),
+        "hooked": hook_spec.hooked,
+        "count_loads": hook_spec.count_loads,
+        "watched": (
+            None if hook_spec.watched is None else sorted(hook_spec.watched)
+        ),
+        "count_unwatched": hook_spec.count_unwatched,
         "globals": sorted(
             (name, len(init))
             for name, init in interp.module.global_inits.items()
@@ -1620,37 +1725,43 @@ def compile_superblocks(
 ) -> SuperblockFunction:
     """Form, generate and compile all superblocks of ``func``.
 
-    With ``hooked=True`` the generated chains call ``on_block_entry`` /
-    ``exec_sync`` / ``exec_xfer`` at the decoded hooked variant's exact
-    observation points (and statically count loads when ``count_loads``
-    is set).  When the interpreter carries a ``codegen_cache``, the
-    compile is content-addressed: a warm hit replays the stored source
-    and namespace manifest and skips formation, rendering and (when the
+    With ``hooked=True`` the generated chains call ``exec_sync`` /
+    ``exec_xfer`` at the decoded hooked variant's exact observation
+    points and ``on_block_entry`` at the entries of the blocks
+    ``interp.watched_blocks(func)`` declares -- every block by default
+    -- (and statically count loads when ``count_loads`` is set, and
+    unwatched entries when ``interp.count_unwatched`` is).  When the
+    interpreter carries a ``codegen_cache``, the compile is
+    content-addressed: a warm hit replays the stored source and
+    namespace manifest and skips formation, rendering and (when the
     Python version matches) ``compile()`` entirely.
     """
+    hook_spec = _hook_spec(interp, func, hooked, count_loads)
     cache = getattr(interp, "codegen_cache", None)
-    key = None
+    sfunc = None
     if cache is not None:
-        key = artifact_key(interp, func, hooked, count_loads)
+        key = _artifact_key(interp, func, hook_spec)
         payload = cache.load(CODEGEN_KIND, key)
-        sfunc = None
         if payload is not None:
             try:
-                sfunc = _instantiate(interp, func, hooked, count_loads, payload)
+                sfunc = _instantiate(interp, func, hook_spec, payload)
             except Exception:
                 sfunc = None
-        if sfunc is not None:
-            REGISTRY.inc("interp.codegen.cache.hit")
-            if hooked:
-                REGISTRY.inc("interp.superblock.hooked")
-            return sfunc
-        REGISTRY.inc("interp.codegen.cache.miss")
-    gen = _FunctionCodegen(interp, func, hooked, count_loads)
-    sfunc = gen.build()
+        REGISTRY.inc(
+            "interp.codegen.cache.miss"
+            if sfunc is None
+            else "interp.codegen.cache.hit"
+        )
+    if sfunc is None:
+        gen = _FunctionCodegen(interp, func, hook_spec)
+        sfunc = gen.build()
+        if cache is not None:
+            cache.store(CODEGEN_KIND, key, gen.artifact(sfunc))
     if hooked:
+        emitted, elided = sfunc.hook_sites
         REGISTRY.inc("interp.superblock.hooked")
-    if cache is not None:
-        cache.store(CODEGEN_KIND, key, gen.artifact(sfunc))
+        REGISTRY.inc("interp.codegen.hook_sites", emitted)
+        REGISTRY.inc("interp.codegen.hook_sites_elided", elided)
     return sfunc
 
 

@@ -31,16 +31,27 @@ by :meth:`Interpreter.call_function`):
   per-instruction closure calls entirely.
 
 Selection is automatic and always bit-identical to the tree-walker:
-uninstrumented runs use the superblock backend, listener/hook users
-(profiler, parallel executor) the decoded backend's hooked variant, and
-subclasses that override ``exec_instr``-level methods fall back to the
-tree-walker.
+uninstrumented runs use the superblock backend, hook users (profiler,
+parallel executor) its hooked tier -- which calls ``on_block_entry``
+at every block entry, or only at the ones
+:meth:`Interpreter.watched_blocks` declares --, listener users the
+decoded backend's hooked variant, and subclasses that override
+``exec_instr``-level methods fall back to the tree-walker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.ir.operands import Const, Operand, Symbol, VReg
@@ -264,6 +275,15 @@ class Interpreter:
         #: parallel executor prices data forwarding from this).
         self.count_loads = False
         self.load_count = 0
+        #: Count the block entries a declared :meth:`watched_blocks` set
+        #: keeps from :meth:`on_block_entry` into
+        #: :attr:`unwatched_entries`: ``(function, block)`` -> a
+        #: one-element cell the generated code bumps in place.  Only the
+        #: generated tier elides hook calls, so only it ever counts here;
+        #: an observer that needs every entry adds these to the entries
+        #: its hook saw (the profiler does).
+        self.count_unwatched = False
+        self.unwatched_entries: Dict[Tuple[str, str], List[int]] = {}
         self.backend = backend
         self.block_profile = dict(block_profile) if block_profile else None
         #: Optional content-addressed store for generated superblock
@@ -296,8 +316,11 @@ class Interpreter:
         self._decoded: Dict[Tuple[str, int, bool, bool], object] = {}
         #: (name, version) -> SuperblockFunction (uninstrumented tier).
         self._superblocks: Dict[Tuple[str, int], object] = {}
-        #: (name, version, counting loads) -> hooked SuperblockFunction.
-        self._hooked_superblocks: Dict[Tuple[str, int, bool], object] = {}
+        #: (name, version, counting loads, counting unwatched entries)
+        #: -> hooked SuperblockFunction.
+        self._hooked_superblocks: Dict[
+            Tuple[str, int, bool, bool], object
+        ] = {}
         # Imported here (not at module top) to break the import cycle;
         # by construction time repro.runtime is fully initialized.
         from repro.runtime import codegen, precompile
@@ -338,6 +361,10 @@ class Interpreter:
         self.output = []
         self.cycles = 0
         self.instructions = 0
+        self.load_count = 0
+        # In place: generated code holds the cells themselves.
+        for cell in self.unwatched_entries.values():
+            cell[0] = 0
         # A prior run that faulted mid-call left call_depth raised; reset
         # so re-running the same instance never trips the limit early.
         self.call_depth = 0
@@ -478,12 +505,14 @@ class Interpreter:
 
     def _call_hooked_super(self, func: Function, args: Sequence) -> object:
         """Hooked superblock activation: fused chains that call
-        ``on_block_entry`` / ``exec_sync`` / ``exec_xfer`` at the
-        decoded hooked variant's exact observation points, with
-        ``count_loads`` compiled to static per-segment increments."""
+        ``exec_sync`` / ``exec_xfer`` at the decoded hooked variant's
+        exact observation points and ``on_block_entry`` at the block
+        entries :meth:`watched_blocks` declares (every one by default),
+        with ``count_loads`` compiled to static per-segment
+        increments."""
         codegen = self._codegen
         count_loads = self.count_loads
-        key = (func.name, func.version, count_loads)
+        key = (func.name, func.version, count_loads, self.count_unwatched)
         sfunc = self._hooked_superblocks.get(key)
         if sfunc is None:
             sfunc = codegen.compile_superblocks(
@@ -499,7 +528,9 @@ class Interpreter:
     def on_block_entry(
         self, frame: Frame, prev: Optional[BasicBlock], block: BasicBlock
     ) -> None:
-        """Hook called on every block entry (including function entry)."""
+        """Hook called on every block entry (including function entry),
+        or -- from generated code only -- on the entries
+        :meth:`watched_blocks` declares."""
         if self.block_listener is not None:
             self.block_listener(
                 frame.func.name,
@@ -507,6 +538,24 @@ class Interpreter:
                 block.name,
                 self.cycles,
             )
+
+    def watched_blocks(self, func: Function) -> Optional[FrozenSet[str]]:
+        """The blocks of ``func`` whose entry :meth:`on_block_entry` acts
+        on, or ``None`` (the default) for every block.
+
+        An override promises that leaving out the call for any *other*
+        block -- apart from the activation entry, which is always
+        announced -- changes nothing the observer reports, so the
+        hooked superblock tier fuses those boundaries as the
+        uninstrumented tier does: no hook call, no segment close
+        (:attr:`count_unwatched` keeps their entry counts).  The
+        promise is one-sided: the tree walker, the decoded tier and the
+        budget fallback still announce every entry, so the hook must
+        keep handling undeclared blocks as it would without the
+        declaration.  Asked once per compiled function; the answer must
+        not change over the interpreter's lifetime.
+        """
+        return None
 
     def exec_block(self, frame: Frame, block: BasicBlock) -> Tuple[str, object]:
         """Execute one block; returns ('ret', value) or ('jump', name)."""

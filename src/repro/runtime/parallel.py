@@ -44,17 +44,29 @@ missing schedules in one in-process pass over the traces
 schedule columns (keyed by
 :meth:`~repro.runtime.machine.MachineConfig.fingerprint`) so the
 baseline machine is never rescheduled per swept point.
+
+The recording run observes little of what it interprets.  Its
+``on_block_entry`` acts on three kinds of block only -- the parallel
+preheader (an invocation begins), the parallel header (an iteration
+begins) and the exit stubs (the invocation ends) of each parallelized
+loop -- and returns at its first test everywhere else, so the executor
+declares exactly those through
+:meth:`~repro.runtime.interpreter.Interpreter.watched_blocks`, computed
+from ``infos`` per function.  Generated code then calls the hook there
+and fuses every other block boundary as an uninstrumented run would;
+the tree walker, the decoded tier and the budget fallback still call it
+everywhere, which the early returns make harmless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.loopnest import LoopId
 from repro.core.communication import is_producer_mark, xfer_words
 from repro.core.loopinfo import ParallelizedLoop
-from repro.ir import BasicBlock, Instruction, Module, Opcode
+from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.obs.tracer import get_tracer
 from repro.runtime.interpreter import (
     ExecutionResult,
@@ -206,15 +218,23 @@ class ParallelExecutor(Interpreter):
         # Memory reads are priced by the data-forwarding model; every
         # backend counts them when this is set.  Under "auto" the
         # *hooked superblock* tier is selected: fused chains observe
-        # block boundaries and sync/xfer ops at the decoded hooked
-        # variant's exact points, and compile load counting to static
-        # per-segment increments.
+        # sync/xfer ops at the decoded hooked variant's exact points
+        # and block entries where :meth:`watched_blocks` says the hook
+        # acts, and compile load counting to static per-segment
+        # increments.
         self.count_loads = True
         self.infos = list(infos)
         self.record_traces = record_traces
         self._by_preheader: Dict[Tuple[str, str], ParallelizedLoop] = {}
+        watched: Dict[str, Set[str]] = {}
         for info in self.infos:
             self._by_preheader[(info.func_name, info.par_preheader)] = info
+            watched.setdefault(info.func_name, set()).update(
+                (info.par_preheader, info.par_header), info.exit_stubs
+            )
+        self._watched = {
+            name: frozenset(blocks) for name, blocks in watched.items()
+        }
         self._inv: Optional[InvocationTrace] = None
         self._inv_info: Optional[ParallelizedLoop] = None
         self._inv_frame: Optional[Frame] = None
@@ -235,6 +255,13 @@ class ParallelExecutor(Interpreter):
         )
 
     # -- interpreter hooks -------------------------------------------------
+
+    def watched_blocks(self, func: Function) -> FrozenSet[str]:
+        """The only entries :meth:`on_block_entry` gets past its early
+        returns on: the parallel preheader, parallel header and exit
+        stubs of each parallelized loop of ``func`` (a few percent of
+        a recording run's block entries)."""
+        return self._watched.get(func.name, frozenset())
 
     def on_block_entry(
         self, frame: Frame, prev: Optional[BasicBlock], block: BasicBlock
@@ -328,7 +355,6 @@ class ParallelExecutor(Interpreter):
         self._inv_frame = None
         self._iter = None
         self._loads_at_start = 0
-        self.load_count = 0
         self.loop_stats = {}
         self.traces = []
         self._schedules.clear()

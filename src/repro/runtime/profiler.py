@@ -12,13 +12,31 @@ needs:
 * average inclusive cycles per function call (to price CALL instructions
   inside loops);
 * the dynamic loop nesting graph (profiled subgraph of the static one).
+
+All but the block counts hang off a stack of active loops, and that
+stack changes at three kinds of event only: a loop header is entered,
+the target of an edge leaving a loop is entered, a call begins or
+returns.  The profiling interpreter declares those blocks
+(:meth:`~repro.runtime.interpreter.Interpreter.watched_blocks`, from
+the :class:`~repro.analysis.loopnest.StaticLoopNestGraph`), so
+generated code calls its hook there and nowhere else.  Cycle
+attribution is deferred, not dropped: ``_sync`` adds the cycles since
+the previous event to every loop on the stack, and between two events
+the stack is constant, so the one late sync adds the same integers to
+the same loops as the per-block syncs it replaces.  The block counts
+come from static counters the generated code bumps at the boundaries
+that no longer call the hook, added to the hook's own counts after the
+run.  Tree, decoded and budget-fallback execution still call the hook
+at every block; the profile is identical either way (the differential
+tests assert it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.analysis.cfg import CFGView
 from repro.analysis.loopnest import (
     DynamicLoopNestGraph,
     LoopId,
@@ -26,7 +44,7 @@ from repro.analysis.loopnest import (
     build_static_loop_nest_graph,
 )
 from repro.analysis.loops import Loop
-from repro.ir import Instruction, Module, Opcode
+from repro.ir import Function, Instruction, Module, Opcode
 from repro.ir.types import Type
 from repro.runtime.interpreter import ExecutionResult, Interpreter
 from repro.runtime.machine import MachineConfig
@@ -251,12 +269,29 @@ class _ProfilingInterpreter(Interpreter):
     Overriding :meth:`on_block_entry` (rather than installing a
     ``block_listener``) routes profiling runs onto the *hooked
     superblock* tier under ``backend="auto"``: fused chains invoke the
-    hook at every block boundary with exact cycle counts, so the
+    hook with exact cycle counts at the :meth:`watched_blocks`, so the
     collected profile is bit-identical to a listener-based tree or
     decoded run (the differential tests assert this) at codegen speed.
     """
 
     harness: "_ProfilingHarness"
+
+    def watched_blocks(self, func: Function) -> FrozenSet[str]:
+        """Every block whose entry can change the harness's loop stack:
+        loop headers (push, or count an iteration) and targets of edges
+        that leave a loop (pop).  At any other entry ``on_block`` only
+        counts the block and syncs cycles; generated code counts those
+        statically (``count_unwatched``) and the next watched entry or
+        call event syncs their cycles onto the same, unchanged stack.
+        """
+        forest = self.harness.nest.forests.get(func.name)
+        if forest is None:
+            return frozenset()
+        cfg = CFGView(func)
+        watched = set(forest.by_header)
+        for loop in forest:
+            watched.update(target for _src, target in loop.exit_edges(cfg))
+        return frozenset(watched)
 
     def on_block_entry(self, frame, prev, block) -> None:
         self.harness.on_block(
@@ -285,11 +320,12 @@ def profile_module(
     """Run ``module`` once under instrumentation and return the profile.
 
     The hook overrides select the hooked superblock tier under
-    ``backend="auto"`` (fused chains announce every block boundary with
-    exact counters); the collected profile is identical under
-    ``backend="tree"`` and ``backend="decoded"`` (the differential
-    tests assert this).  ``codegen_cache`` optionally reuses generated
-    code across jobs (see :mod:`repro.runtime.codegen`).
+    ``backend="auto"`` (fused chains announce the block entries that
+    can change the loop stack, with exact counters, and count the
+    rest); the collected profile is identical under ``backend="tree"``
+    and ``backend="decoded"`` (the differential tests assert this).
+    ``codegen_cache`` optionally reuses generated code across jobs (see
+    :mod:`repro.runtime.codegen`).
     """
     machine = machine or MachineConfig()
     nest = nest or build_static_loop_nest_graph(module)
@@ -300,10 +336,15 @@ def profile_module(
         backend=backend,
         codegen_cache=codegen_cache,
     )
+    interp.count_unwatched = True
     data = ProfileData(module=module, result=None)  # type: ignore[arg-type]
     harness = _ProfilingHarness(nest, data)
     interp.harness = harness
     result = interp.run()
     harness._sync(interp.cycles)
+    counts = data.block_counts
+    for key, (entries,) in interp.unwatched_entries.items():
+        if entries:
+            counts[key] = counts.get(key, 0) + entries
     data.result = result
     return data

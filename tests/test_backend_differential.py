@@ -16,11 +16,18 @@ import pytest
 from repro.bench import benchmark_names, compile_benchmark
 from repro.core.parallelizer import parallelize_module
 from repro.core.selection import SelectionConfig, choose_loops
+from repro.analysis.loopnest import build_static_loop_nest_graph
 from repro.frontend import compile_source
+from repro.ir.parser import parse_module
 from repro.runtime import Interpreter, run_module
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
-from repro.runtime.profiler import profile_module
+from repro.runtime.profiler import (
+    ProfileData,
+    _ProfilingHarness,
+    _ProfilingInterpreter,
+    profile_module,
+)
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -88,6 +95,106 @@ def test_example_sequential_identity(filename, backend):
 @pytest.mark.parametrize("filename", EXAMPLE_FILES)
 def test_example_profile_identity(filename, backend):
     _assert_profile_identity(_example_module(filename), backend)
+
+
+#: Control flow the MiniC frontend never emits, for the profiler's
+#: watched set (loop headers plus targets of loop-leaving edges): ``done``
+#: is reached from inside the nested loop, leaving two loops on one
+#: edge; ``join`` is the break target of both inner loops; ``rec``
+#: recurses from the outer loop's body, so one loop is active in several
+#: activations at once.  ``walk(9)`` takes every edge.
+IRREGULAR_CFG = """
+module program
+
+func int walk(int %n.0) {
+entry0:
+  %t1 = mov 0
+  %t2 = mov 0
+  br -> outer
+outer:
+  %t3 = lt %t1, %n.0
+  cbr %t3 -> obody, done
+obody:
+  %t4 = mov 0
+  br -> inner
+inner:
+  %t5 = lt %t4, 4
+  cbr %t5 -> ibody, second
+ibody:
+  %t6 = add %t1, %t4
+  %t7 = add %t2, %t6
+  %t2 = mov %t7
+  %t8 = eq %t6, 11
+  cbr %t8 -> done, icheck
+icheck:
+  %t9 = eq %t4, %t1
+  cbr %t9 -> join, istep
+istep:
+  %t10 = add %t4, 1
+  %t4 = mov %t10
+  br -> inner
+second:
+  %t11 = mov 0
+  br -> jhead
+jhead:
+  %t12 = lt %t11, 3
+  cbr %t12 -> jbody, join
+jbody:
+  %t13 = add %t11, 4
+  %t14 = eq %t13, %t1
+  cbr %t14 -> join, jstep
+jstep:
+  %t15 = add %t11, 1
+  %t11 = mov %t15
+  br -> jhead
+join:
+  %t16 = eq %t1, 0
+  cbr %t16 -> rec, ostep
+rec:
+  %t17 = sub %n.0, 1
+  %t18 = call @walk %t17
+  %t19 = add %t2, %t18
+  %t2 = mov %t19
+  br -> ostep
+ostep:
+  %t20 = add %t1, 1
+  %t1 = mov %t20
+  br -> outer
+done:
+  ret %t2
+}
+
+func void main() {
+entry0:
+  %t0 = call @walk 9
+  print %t0
+  ret
+}
+"""
+
+
+@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+def test_irregular_cfg_profile_identity(backend):
+    module = parse_module(IRREGULAR_CFG)
+    _assert_profile_identity(module, backend)
+    profile = profile_module(module, backend=backend)
+    walk = module.functions["walk"]
+    assert all(profile.block_count("walk", name) for name in walk.blocks)
+    assert profile.func_activations["walk"] == 10
+
+
+def test_irregular_cfg_watched_set():
+    module = parse_module(IRREGULAR_CFG)
+    interp = _ProfilingInterpreter(module)
+    interp.harness = _ProfilingHarness(
+        build_static_loop_nest_graph(module),
+        ProfileData(module=module, result=None),
+    )
+    assert interp.watched_blocks(module.functions["walk"]) == {
+        "outer", "inner", "jhead",      # headers
+        "done", "second", "join",       # targets of loop-leaving edges
+    }
+    assert interp.watched_blocks(module.functions["main"]) == frozenset()
 
 
 class _HookRecorder(Interpreter):

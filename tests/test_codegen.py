@@ -546,6 +546,19 @@ class TestHookedEquivalence:
 
         assert loads("auto") == loads("tree")
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_count_loads_restarts_with_every_run(self, backend):
+        module = compile_source(self.SRC)
+        tree = Interpreter(module, backend="tree")
+        tree.count_loads = True
+        tree.run()
+        interp = Interpreter(module, backend=backend)
+        interp.count_loads = True
+        interp.run()
+        first = interp.load_count
+        interp.run()
+        assert first == interp.load_count == tree.load_count == 16
+
     def test_on_block_entry_sequence_matches_tree(self):
         module = compile_source(self.SRC)
 

@@ -12,12 +12,15 @@ corrupt payloads.
 
 import pytest
 
+from repro.analysis.loops import find_loops
 from repro.artifacts import ArtifactStore
+from repro.core.parallelizer import parallelize_module
 from repro.frontend import compile_source
 from repro.obs.metrics import REGISTRY, metrics_delta
 from repro.runtime import Interpreter, run_module
 from repro.runtime.codegen import CODEGEN_KIND, artifact_key
 from repro.runtime.machine import MachineConfig
+from repro.runtime.parallel import ParallelExecutor
 
 SRC = """
 int f(int n) { return n * 2 + 1; }
@@ -136,6 +139,93 @@ class TestKeying:
         assert artifact_key(plain, func, False, False) != artifact_key(
             guided, func, False, False
         )
+
+
+class TestWatchedBlocksKeying:
+    """The watched set an interpreter declares is part of what the
+    generated source embeds (which boundaries call the hook), so it is
+    part of the key: executors over one module with different ``infos``
+    must not share hooked code, the same ``infos`` on another machine
+    shape must."""
+
+    SRC = """
+    int a;
+    int b;
+    void main() {
+        int i;
+        int j;
+        for (i = 0; i < 9; i++) { a = (a + i * 3) % 101; }
+        for (j = 0; j < 7; j++) { b = (b + j * 5) % 103; }
+        print(a + b);
+    }
+    """
+
+    @pytest.fixture
+    def transformed(self):
+        module = compile_source(self.SRC)
+        loop_ids = [loop.id for loop in find_loops(module.functions["main"])]
+        assert len(loop_ids) == 2
+        return parallelize_module(module, loop_ids, MachineConfig(cores=4))
+
+    @staticmethod
+    def _record(module, infos, store, cores=4, backend="auto"):
+        executor = ParallelExecutor(
+            module, infos, MachineConfig(cores=cores), backend=backend,
+            codegen_cache=store,
+        )
+        outcome = executor.execute()
+        return executor, (
+            outcome.result.to_dict(),
+            [trace.to_dict() for trace in outcome.traces],
+            executor.load_count,
+        )
+
+    def test_different_infos_do_not_share_hooked_code(
+        self, transformed, store
+    ):
+        module, infos = transformed
+        main = module.functions["main"]
+        both, both_report = self._record(module, infos, store)
+        counters = _delta(
+            lambda: self._record(module, infos[:1], store)
+        )
+        first, first_report = self._record(module, infos[:1], store)
+        assert artifact_key(both, main, True, True) != artifact_key(
+            first, main, True, True
+        )
+        # The second executor found nothing of the first's to reuse ...
+        assert counters["interp.codegen.cache.miss"] == 1
+        assert "interp.codegen.cache.hit" not in counters
+        # ... and each records exactly what the tree walker records.
+        assert both_report == self._record(
+            module, infos, None, backend="tree"
+        )[1]
+        assert first_report == self._record(
+            module, infos[:1], None, backend="tree"
+        )[1]
+        assert len(first_report[1]) == 1 < len(both_report[1])
+
+    def test_same_infos_at_another_core_count_hit(self, transformed, store):
+        module, infos = transformed
+        self._record(module, infos, store, cores=4)
+        counters = _delta(
+            lambda: self._record(module, infos, store, cores=2)
+        )
+        assert counters["interp.codegen.cache.hit"] == 1
+        assert "interp.codegen.cache.miss" not in counters
+
+    def test_key_covers_unwatched_counting(self, transformed):
+        module, infos = transformed
+        main = module.functions["main"]
+        executor = ParallelExecutor(module, infos, MachineConfig(cores=4))
+        plain = artifact_key(executor, main, True, True)
+        executor.count_unwatched = True
+        assert artifact_key(executor, main, True, True) != plain
+        # Nothing is unwatched when every block is: the flag is inert.
+        interp = Interpreter(module)
+        plain = artifact_key(interp, main, True, False)
+        interp.count_unwatched = True
+        assert artifact_key(interp, main, True, False) == plain
 
 
 class TestCorruptPayload:

@@ -1,0 +1,422 @@
+"""Watched block sets: instrumented runs observe only where they act.
+
+An interpreter may declare, per function, the blocks whose entry its
+``on_block_entry`` acts on (``Interpreter.watched_blocks``); the hooked
+superblock tier then calls the hook only there and fuses every other
+boundary.  The contract is one-sided -- the tree walker, the decoded
+tier and the budget fallback keep announcing every entry -- so these
+tests pin the generated tier against the tree walker: which calls are
+made, that nothing the observers report changes, and that an activation
+shared between generated code and the fallback counts every block
+exactly once.
+"""
+
+import pytest
+
+from repro.analysis.loops import find_loops
+from repro.artifacts import ArtifactStore
+from repro.bench import compile_benchmark
+from repro.core.loopinfo import HelixOptions
+from repro.core.parallelizer import parallelize_module
+from repro.core.selection import SelectionConfig, choose_loops
+from repro.frontend import compile_source
+from repro.ir.parser import parse_module
+from repro.obs.metrics import REGISTRY, metrics_delta
+from repro.runtime import Interpreter
+from repro.runtime import codegen as codegen_mod
+from repro.runtime import profiler as profiler_mod
+from repro.runtime.interpreter import ExecutionLimitExceeded
+from repro.runtime.machine import MachineConfig
+from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.profiler import profile_module
+from tests.test_sched_differential import BASE, SOURCES, _prepare
+
+#: Suite benches given the (expensive) call-by-call comparison.
+BENCHES = ("equake", "art")
+
+_pipelines = {}
+
+
+def _pipeline(name):
+    """(original module, transformed module, infos, machine)."""
+    cached = _pipelines.get(name)
+    if cached is None:
+        if name in SOURCES:
+            transformed, infos, _executor, _result = _prepare(name)
+            cached = (compile_source(SOURCES[name]), transformed, infos, BASE)
+        else:
+            machine = MachineConfig(cores=6)
+            module = compile_benchmark(name, "train")
+            selection = choose_loops(
+                module,
+                profile_module(module, machine),
+                SelectionConfig(machine=machine, cores=6),
+            )
+            transformed, infos = parallelize_module(
+                module, selection.chosen, machine
+            )
+            cached = (module, transformed, infos, machine)
+        _pipelines[name] = cached
+    return cached
+
+
+def _parallelize_without_inlining(module):
+    """Every top-level loop parallelized, calls in their bodies kept."""
+    loop_ids = [
+        loop.id
+        for func in module.functions.values()
+        for loop in find_loops(func)
+        if loop.parent is None
+    ]
+    return parallelize_module(
+        module, loop_ids, BASE, HelixOptions(enable_inlining=False)
+    )
+
+
+class _RecordingExecutor(ParallelExecutor):
+    """Logs every ``on_block_entry`` call before acting on it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def on_block_entry(self, frame, prev, block):
+        self.calls.append(
+            (frame.func.name, prev.name if prev else None, block.name)
+        )
+        super().on_block_entry(frame, prev, block)
+
+
+def _watched_only(interp, calls):
+    """``calls`` filtered to what a declaring interpreter's generated
+    code announces: activation entries and watched blocks."""
+    functions = interp.module.functions
+    watched = {
+        name: interp.watched_blocks(func) for name, func in functions.items()
+    }
+    return [
+        call for call in calls
+        if call[1] is None or call[2] in watched[call[0]]
+    ]
+
+
+def _executor_report(executor, result):
+    return (
+        result.result.to_dict(),
+        {k: s.to_dict() for k, s in result.loop_stats.items()},
+        [trace.to_dict() for trace in result.traces],
+        executor.load_count,
+    )
+
+
+@pytest.mark.parametrize("name", ("cohort_mix", "multi_invocation") + BENCHES)
+def test_recording_run_calls_the_hook_only_where_it_acts(name):
+    _module, transformed, infos, machine = _pipeline(name)
+    auto = _RecordingExecutor(transformed, infos, machine)
+    tree = _RecordingExecutor(transformed, infos, machine, backend="tree")
+    assert _executor_report(auto, auto.execute()) == _executor_report(
+        tree, tree.execute()
+    )
+    assert auto.traces
+    assert auto.calls == _watched_only(auto, tree.calls)
+    # A few percent of the boundaries, not a reordering of all of them.
+    assert len(auto.calls) < len(tree.calls) / 2
+
+
+def test_parallelized_loop_under_an_active_invocation_is_ignored():
+    """Parallelize main's loop *and* the loop of the kernel it calls
+    (inlining off, so the calls survive).  Seven kernel activations run
+    under main's active invocation and must leave no trace of their
+    own, exactly as under the tree walker; only the final
+    ``kernel(0, 99)``, called outside main's loop, records kernel's
+    loop."""
+    module = compile_source(SOURCES["multi_invocation"])
+    transformed, infos = _parallelize_without_inlining(module)
+    by_func = {info.func_name: info for info in infos}
+    assert set(by_func) == {"main", "kernel"}
+    auto = _RecordingExecutor(transformed, infos, BASE)
+    tree = _RecordingExecutor(transformed, infos, BASE, backend="tree")
+    assert _executor_report(auto, auto.execute()) == _executor_report(
+        tree, tree.execute()
+    )
+    assert auto.calls == _watched_only(auto, tree.calls)
+    activations = [c for c in auto.calls if c[0] == "kernel" and c[1] is None]
+    assert len(activations) == 8
+    assert [t.loop_id for t in auto.traces] == [
+        by_func["main"].loop_id, by_func["kernel"].loop_id
+    ]
+
+
+def test_function_with_nothing_watched_has_no_hook_call():
+    _module, transformed, infos, machine = _pipeline("cohort_mix")
+    assert {info.func_name for info in infos} == {"kernel"}
+    executor = ParallelExecutor(transformed, infos, machine)
+    executor.execute()
+    sources = {
+        key[0]: sfunc.source
+        for key, sfunc in executor._hooked_superblocks.items()
+    }
+    assert "__obe(" in sources["kernel"]
+    assert "__obe" not in sources["main"]
+    assert executor.watched_blocks(transformed.functions["main"]) == frozenset()
+
+
+@pytest.mark.parametrize("name", ("cohort_mix", "reduction") + BENCHES)
+def test_profile_run_calls_the_hook_only_where_it_acts(name, monkeypatch):
+    module = _pipeline(name)[0]
+    calls = []
+    interps = []
+    inner = profiler_mod._ProfilingInterpreter.on_block_entry
+
+    def recording(self, frame, prev, block):
+        if not interps or interps[-1] is not self:
+            interps.append(self)
+            calls.append([])
+        calls[-1].append(
+            (frame.func.name, prev.name if prev else None, block.name)
+        )
+        inner(self, frame, prev, block)
+
+    monkeypatch.setattr(
+        profiler_mod._ProfilingInterpreter, "on_block_entry", recording
+    )
+    auto = profile_module(module)
+    tree = profile_module(module, backend="tree")
+    assert auto.to_dict() == tree.to_dict()
+    auto_calls, tree_calls = calls
+    assert len(tree_calls) == sum(tree.block_counts.values())
+    assert auto_calls == _watched_only(interps[0], tree_calls)
+    assert len(auto_calls) < len(tree_calls)
+
+
+def test_profile_of_a_loop_free_function_has_no_hook_call(monkeypatch):
+    module = compile_source(
+        """
+        int f(int n) { if (n > 2) { return n * 2; } return n + 1; }
+        void main() { int i; for (i = 0; i < 5; i++) { print(f(i)); } }
+        """
+    )
+    seen = []
+    init = profiler_mod._ProfilingInterpreter.__init__
+
+    def keep(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.append(self)
+
+    monkeypatch.setattr(profiler_mod._ProfilingInterpreter, "__init__", keep)
+    data = profile_module(module)
+    (interp,) = seen
+    sources = {
+        key[0]: sfunc.source
+        for key, sfunc in interp._hooked_superblocks.items()
+    }
+    assert "__obe" not in sources["f"]
+    assert "__obe(" in sources["main"]
+    # f's blocks are counted statically, and exactly.
+    assert data.to_dict() == profile_module(module, backend="tree").to_dict()
+    assert data.block_count("f", module.functions["f"].entry.name) == 5
+
+
+def _delta(run):
+    before = REGISTRY.snapshot()
+    run()
+    return metrics_delta(before, REGISTRY.snapshot())["counters"]
+
+
+def test_hook_site_counters_say_how_much_was_observed(tmp_path):
+    """``interp.codegen.hook_sites`` / ``hook_sites_elided`` count the
+    boundaries compiled with and without their hook call, per hooked
+    function made available -- also from the artifact cache."""
+    _module, transformed, infos, machine = _pipeline("cohort_mix")
+
+    class Everywhere(Interpreter):
+        def on_block_entry(self, frame, prev, block):
+            pass
+
+    every = _delta(Everywhere(transformed).run)
+    assert every["interp.codegen.hook_sites"] > 0
+    assert "interp.codegen.hook_sites_elided" not in every
+
+    store = ArtifactStore(tmp_path / "cache")
+
+    def record():
+        ParallelExecutor(
+            transformed, infos, machine, codegen_cache=store
+        ).run()
+
+    cold = _delta(record)
+    assert (
+        cold["interp.codegen.hook_sites"]
+        + cold["interp.codegen.hook_sites_elided"]
+        == every["interp.codegen.hook_sites"]
+    )
+    assert (
+        cold["interp.codegen.hook_sites_elided"]
+        > cold["interp.codegen.hook_sites"]
+        > 0
+    )
+    warm = _delta(record)
+    assert "interp.codegen.functions" not in warm
+    for name in ("hook_sites", "hook_sites_elided"):
+        assert warm[f"interp.codegen.{name}"] == cold[f"interp.codegen.{name}"]
+
+    plain = _delta(Interpreter(transformed).run)
+    assert not any("hook_sites" in name for name in plain)
+
+
+# ------------------------------------------------------------- budget edge
+
+#: Hand-written so the block shapes are known.  ``body`` returns from a
+#: CALL and falls through (``br``, sole predecessor) into ``mid``, which
+#: nobody watches; ``heavy`` is fused behind ``mid`` but skipped on the
+#: last iteration.  The conservative post-CALL check -- budget for the
+#: whole linear remainder of the chain, ``heavy`` included -- therefore
+#: fails in runs that have the budget to complete, and the fallback
+#: resumes *before* the ``body -> mid`` boundary the generated segment
+#: would have counted.
+BUDGET_IR = """
+module program
+global int @acc[1]
+
+func int bump(int %v.0) {
+entry0:
+  %t1 = mod %v.0, 3
+  %t2 = eq %t1, 0
+  cbr %t2 -> three, other
+three:
+  %t3 = add %v.0, 2
+  ret %t3
+other:
+  %t4 = add %v.0, 1
+  ret %t4
+}
+
+func void main() {
+entry0:
+  %t0 = mov 0
+  br -> head
+head:
+  %t1 = lt %t0, 12
+  cbr %t1 -> body, done
+body:
+  %t2 = call @bump %t0
+  br -> mid
+mid:
+  %t3 = loadg @acc, 0
+  %t4 = add %t3, %t2
+  storeg @acc, 0, %t4
+  %t5 = mod %t0, 4
+  %t6 = eq %t5, 1
+  cbr %t6 -> heavy, step
+heavy:
+  %t7 = loadg @acc, 0
+  %t8 = call @bump %t7
+  %t9 = mul %t8, 3
+  %t10 = add %t9, 1
+  %t11 = mod %t10, 977
+  %t12 = mul %t11, 5
+  %t13 = add %t12, 2
+  %t14 = mod %t13, 991
+  %t15 = mul %t14, 7
+  %t16 = add %t15, 3
+  %t17 = mod %t16, 997
+  storeg @acc, 0, %t17
+  br -> step
+step:
+  %t18 = add %t0, 1
+  %t0 = mov %t18
+  br -> head
+done:
+  %t19 = loadg @acc, 0
+  print %t19
+  ret
+}
+"""
+
+
+def _limited_profile(module, backend, limit):
+    try:
+        return profile_module(
+            module, max_instructions=limit, backend=backend
+        ).to_dict()
+    except ExecutionLimitExceeded as exc:
+        return str(exc)
+
+
+def _limited_recording(transformed, infos, backend, limit):
+    executor = ParallelExecutor(
+        transformed, infos, BASE, backend=backend, max_instructions=limit
+    )
+    try:
+        outcome = executor.run().to_dict()
+        loads = executor.load_count
+    except ExecutionLimitExceeded as exc:
+        outcome = str(exc)
+        # Dead interpreter: when the limit fires on a load itself the
+        # walker has counted it and both compiled tiers have not (so on
+        # the parent commit too); every other counter is exact.
+        loads = None
+    return (
+        outcome,
+        list(executor.output),
+        executor.instructions,
+        executor.cycles,
+        loads,
+        {k: s.to_dict() for k, s in executor.loop_stats.items()},
+        [trace.to_dict() for trace in executor.traces],
+    )
+
+
+def test_budget_edge_shares_activations_with_the_fallback(monkeypatch):
+    """Sweep ``max_instructions`` across the program's exact instruction
+    count.  Below it the limit fires at the walker's instruction; at and
+    above it the run completes, but for a while the post-CALL check
+    still hands activations to ``finish_hooked`` mid-way -- which
+    announces every later block -- and nothing may be counted twice or
+    missed."""
+    diverted = []
+    finish_hooked = codegen_mod.finish_hooked
+
+    def spy(interp, frame, dblock, seg_index=0, limit=None):
+        diverted.append(seg_index)
+        finish_hooked(interp, frame, dblock, seg_index, limit)
+
+    monkeypatch.setattr(codegen_mod, "finish_hooked", spy)
+    module = parse_module(BUDGET_IR)
+    transformed, infos = _parallelize_without_inlining(module)
+    assert infos
+
+    def sweep(run, exact):
+        """Fallback anchors (segment indices) of the completed runs."""
+        anchors = []
+        for limit in range(exact - 30, exact + 30):
+            tree = run("tree", limit)
+            del diverted[:]
+            before = REGISTRY.snapshot()
+            assert run("auto", limit) == tree, limit
+            counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
+            assert counters.get("interp.superblock.fallbacks", 0) == len(
+                diverted
+            )
+            if limit >= exact:
+                anchors.extend(diverted)
+        return anchors
+
+    exact = profile_module(module, backend="tree").result.instructions
+    anchors = sweep(
+        lambda backend, limit: _limited_profile(module, backend, limit),
+        exact,
+    )
+    # Some run completed on the fallback from a CALL return.
+    assert any(anchors)
+
+    exact = ParallelExecutor(
+        transformed, infos, BASE, backend="tree"
+    ).run().instructions
+    anchors = sweep(
+        lambda backend, limit: _limited_recording(
+            transformed, infos, backend, limit
+        ),
+        exact,
+    )
+    assert any(anchors)
