@@ -1,21 +1,18 @@
 """Unified, content-addressed artifact store for the evaluation stack.
 
-Before the service refactor the pipeline's cached artifacts lived behind
-two private APIs: :class:`EvaluationRunner` kept ``_disk_key`` /
-``_disk_load`` / ``_disk_store`` helpers beside
-:mod:`repro.evaluation.cache`, and every
-:class:`~repro.runtime.parallel.ParallelExecutor` grew its own
-schedule-column memo dict.  The :class:`ArtifactStore` absorbs both
+The :class:`ArtifactStore` keeps everything the evaluation caches
 behind one keyed API:
 
-* **Stage artifacts** (modules, profiles, sequential results, executed
-  pipelines, ``run`` job answers) are addressed by
+* **Stage artifacts** (modules, profiles, sequential results,
+  recordings, ``run`` job answers) are addressed by
   :meth:`ArtifactStore.key`, which hashes what :data:`KEY_INPUTS`
   declares for the kind -- exactly what the producing stage reads --
   and persisted through an optional
   :class:`~repro.evaluation.cache.EvaluationCache`.  A profile or a
   sequential baseline is keyed on the cost model alone, so every core
-  count, latency and prefetch mode of a bench shares one of each.
+  count, latency and prefetch mode of a bench shares one of each; a
+  recording is keyed on the transformed IR it ran, so does every
+  request whose transformation ends in the same module.
 * **Schedule columns** (per-machine :class:`ScheduleResult` lists,
   aligned with an executor's recorded traces) live in
   :class:`ScheduleMemo` namespaces handed out by
@@ -56,6 +53,7 @@ from typing import (
 )
 
 from repro.bench import benchmark_fingerprint
+from repro.ir.printer import module_to_str
 
 if TYPE_CHECKING:  # imported lazily at runtime: evaluation imports us
     from repro.evaluation.cache import EvaluationCache
@@ -68,9 +66,13 @@ if TYPE_CHECKING:  # imported lazily at runtime: evaluation imports us
 #: of a :class:`~repro.runtime.machine.MachineConfig` but its cost model
 #: (core count, latencies and prefetch mode only enter where traces are
 #: scheduled), so ``profile`` and ``sequential`` are shared by every
-#: machine shape; selection, Steps 1-9 and the recording run read the
-#: whole machine, so ``pipeline`` and ``run`` hash all of it.  ``config``
-#: is a :func:`~repro.evaluation.cache.pipeline_fingerprint`.
+#: machine shape.  The recording run is an interpreter too: it reads the
+#: transformed module, the cost model and, of each loop record, the
+#: blocks where an invocation begins, iterates and ends, so ``recording``
+#: hashes the printed module and those fields -- no source, nothing else
+#: of the machine or of the request that led to the module.  Selection
+#: and Steps 1-9 read the whole machine, so ``run`` hashes all of it;
+#: ``config`` is a :func:`~repro.evaluation.cache.pipeline_fingerprint`.
 KEY_INPUTS: Dict[str, Callable[..., Tuple[Tuple[str, ...], dict]]] = {
     "module": lambda scale: ((scale,), {}),
     "profile": lambda machine: (
@@ -79,12 +81,16 @@ KEY_INPUTS: Dict[str, Callable[..., Tuple[Tuple[str, ...], dict]]] = {
     "sequential": lambda machine: (
         ("ref",), {"cost_model": machine.cost_model}
     ),
-    "pipeline": lambda machine, config, loops: (
-        ("train", "ref"),
+    "recording": lambda module, machine, infos: (
+        (),
         {
-            "machine": machine,
-            "config": config,
-            "loops": [list(loop) for loop in loops],
+            "ir": module_to_str(module),
+            "cost_model": machine.cost_model,
+            "loops": [
+                [list(i.loop_id), i.func_name, i.par_preheader,
+                 i.par_header, sorted(i.exit_stubs)]
+                for i in infos
+            ],
         },
     ),
     "run": lambda machine, config: (

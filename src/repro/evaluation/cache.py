@@ -6,7 +6,8 @@ interpretation stages) are fully deterministic functions of
 
 * the benchmark source text (per input scale),
 * the :class:`~repro.core.loopinfo.HelixOptions` of the transformation,
-* the :class:`~repro.runtime.machine.MachineConfig` (cost model included),
+* the :class:`~repro.runtime.machine.MachineConfig` (of which the
+  interpretation stages read the cost model only),
 * the version of this package's own source code.
 
 Stage outputs are stored as JSON files, one directory per artifact
@@ -22,8 +23,10 @@ sources at the scales the stage consumed
         train source + cost model (all the profiler reads of a machine)
     <root>/sequential/<key>.json   ExecutionResult.to_dict()
         ref source + cost model (all the interpreter reads of a machine)
-    <root>/pipeline/<key>.json     {result, loop_stats, traces}
-        both sources + whole machine + pipeline configuration + loops
+    <root>/recording/<key>.json    {result, traces, load_count}
+        printed transformed module + cost model + the blocks of each
+        loop record the recording run watches (no source, no machine
+        shape, no configuration: whatever ends in that module shares it)
     <root>/run/<key>.json          the ``run`` job answer (eight fields)
         both sources + whole machine + pipeline configuration
     <root>/codegen/<key>.json      generated interpreter code
@@ -59,7 +62,7 @@ from repro.runtime.machine import PrefetchMode
 #: Cache payload schema generation, folded into :func:`code_version`.
 #: Bump on incompatible payload-shape changes that a pure source hash
 #: would not capture (e.g. readers in other processes interpreting the
-#: same bytes differently).  2: pipeline traces are serialized in the
+#: same bytes differently).  2: recorded traces are serialized in the
 #: versioned compact format and carry the run's ``load_count``.
 CACHE_SCHEMA_VERSION = 2
 

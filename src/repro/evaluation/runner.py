@@ -1,14 +1,17 @@
 """Cached benchmark pipelines for the evaluation.
 
 Running one benchmark end-to-end means: compile train+ref, profile the
-train build, select loops, transform the ref build, execute it on the
-simulated machine.  Several figures share most of that work, so the runner
-memoizes each stage in memory; timing for different core counts or
-prefetch modes is recomputed from recorded traces
-(:meth:`ParallelExecutor.replay`) without re-interpreting the program.
+train build, select loops, transform the ref build, record its run and
+time the recording on the simulated machine.  Several figures share most
+of that work, so the runner memoizes each stage in memory; timing for
+different core counts or prefetch modes is recomputed from recorded
+traces (:meth:`ParallelExecutor.replay`) without re-interpreting the
+program.  The recording is memoized (and stored) under the hash of the
+IR it ran, so configurations whose selection and transformation end in
+the same module share one recording run and only schedule it apart.
 
 With a :class:`~repro.evaluation.cache.EvaluationCache` attached, the
-three interpretation stages (profile, sequential run, parallel execution)
+three interpretation stages (profile, sequential run, recording run)
 and the compiled modules also persist across processes: a warm cache
 turns a multi-minute suite run into seconds of JSON loading plus the
 cheap pure-compute stages (selection, transformation), which are always
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.loopnest import LoopId
@@ -51,12 +54,8 @@ from repro.obs import REGISTRY, get_tracer
 from repro.ir.printer import module_to_str
 from repro.runtime.interpreter import ExecutionResult, run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
-from repro.runtime.parallel import (
-    LoopRunStats,
-    ParallelExecutor,
-    ParallelRunResult,
-)
-from repro.runtime.trace import TRACE_FORMAT_VERSION, CompactInvocationTrace
+from repro.runtime.parallel import ParallelExecutor, ParallelRunResult
+from repro.runtime.trace import CompactInvocationTrace
 from repro.runtime.profiler import ProfileData, profile_module
 from repro.service.jobs import NULL_OBSERVER, EvaluationObserver
 
@@ -76,6 +75,10 @@ STAGES = (
     "timeline",
     "run",
 )
+
+#: A recording run: its sequential-clock result, traces and load count
+#: (the arguments of :meth:`ParallelExecutor.restore_run`).
+_Recording = Tuple[ExecutionResult, List[CompactInvocationTrace], int]
 
 #: Fields of a ``run`` answer (the ``run`` artifact's whole payload).
 RUN_FIELDS = frozenset(
@@ -273,6 +276,8 @@ class EvaluationRunner:
         self._sequential: Dict[str, ExecutionResult] = {}
         self._selections: Dict[Tuple, LoopSelection] = {}
         self._pipelines: Dict[Tuple, PipelineRun] = {}
+        #: Recording runs by ``recording`` artifact key.
+        self._recordings: Dict[str, _Recording] = {}
 
     # -- cache plumbing --------------------------------------------------------
 
@@ -482,49 +487,36 @@ class EvaluationRunner:
         with get_tracer().span(
             "stage.execute", cat="stage", bench=bench
         ) as sp:
-            disk_key = self.artifacts.key(
-                "pipeline",
+            recording_key = self.artifacts.key(
+                "recording",
                 bench,
+                module=transformed,
                 machine=self.machine,
-                config=config_fp,
-                loops=loop_ids,
+                infos=infos,
             )
-            payload = self._load(bench, "pipeline", disk_key)
-            if payload is not None:
-                parallel = executor.restore_run(
-                    ExecutionResult.from_dict(payload["result"]),
-                    [
-                        CompactInvocationTrace.from_dict(t)
-                        for t in payload["traces"]
-                    ],
-                    {
-                        stats.loop_id: stats
-                        for stats in (
-                            LoopRunStats.from_dict(s)
-                            for s in payload["loop_stats"]
-                        )
-                    },
-                    load_count=payload["load_count"],
-                )
+            recording = self._recordings.get(recording_key)
+            outcome = "memory"
+            if recording is None:
+                recording = self._stored_recording(bench, recording_key)
                 outcome = "disk"
+            if recording is not None:
+                parallel = executor.restore_run(*recording)
             else:
                 parallel = executor.execute()
+                recorded = replace(parallel.result, cycles=executor.cycles)
+                recording = (recorded, executor.traces, executor.load_count)
                 self._store(
                     bench,
-                    "pipeline",
-                    disk_key,
+                    "recording",
+                    recording_key,
                     {
-                        "result": parallel.result.to_dict(),
-                        "loop_stats": [
-                            s.to_dict()
-                            for _, s in sorted(parallel.loop_stats.items())
-                        ],
-                        "trace_format": TRACE_FORMAT_VERSION,
-                        "traces": [t.to_dict() for t in parallel.traces],
+                        "result": recorded.to_dict(),
+                        "traces": [t.to_dict() for t in executor.traces],
                         "load_count": executor.load_count,
                     },
                 )
                 outcome = "compute"
+            self._recordings[recording_key] = recording
             sp.set(outcome=outcome)
         self._record(bench, "execute", outcome, time.perf_counter() - start)
 
@@ -540,6 +532,25 @@ class EvaluationRunner:
         )
         self._pipelines[key] = run
         return run
+
+    def _stored_recording(self, bench: str, key: str) -> Optional[_Recording]:
+        """The stored recording under ``key``; an entry that is not one
+        this build reads (fields missing, another trace format) counts
+        as absent and is overwritten by the recomputation."""
+        payload = self._load(bench, "recording", key)
+        if payload is None:
+            return None
+        try:
+            return (
+                ExecutionResult.from_dict(payload["result"]),
+                [
+                    CompactInvocationTrace.from_dict(trace)
+                    for trace in payload["traces"]
+                ],
+                payload["load_count"],
+            )
+        except (KeyError, TypeError, ValueError):
+            return None
 
     def helix_run(self, bench: str) -> PipelineRun:
         """The default full-HELIX configuration of one benchmark."""

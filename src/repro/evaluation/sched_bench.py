@@ -2,20 +2,19 @@
 
 Times multi-machine sweep replay -- the read path behind Figures 9-13,
 the prefetching study and the latency sweep -- with the compiled
-scheduling engine (compact traces + memoized baseline +
+scheduling engine (compact traces +
 :meth:`~repro.runtime.parallel.ParallelExecutor.replay_many`) against
-the original per-event reference engine, which rescheduled the baseline
-machine alongside every swept machine
-(:func:`~repro.runtime.sched.schedule_invocation_reference` twice per
+the original per-event reference engine
+(:func:`~repro.runtime.sched.schedule_invocation_reference` once per
 trace per machine).
 
 Every timed pair is also a differential check: per machine, the two
 engines must produce field-exact :class:`ScheduleResult` columns,
 identical adjusted cycle counts and identical
 :class:`~repro.runtime.parallel.LoopRunStats`, or the run aborts.  The
-compiled side is timed cold -- its per-trace program compilation and the
-baseline schedules are recomputed inside the timed region -- so the
-reported speedup includes every cost the new representation adds.
+compiled side is timed cold -- its per-trace program compilation is
+redone inside the timed region -- so the reported speedup includes
+every cost the new representation adds.
 
 The JSON report (``BENCH_sched.json`` by convention) accumulates the
 repo's perf trajectory across PRs: CI uploads one per commit.
@@ -105,10 +104,10 @@ def reference_replay(
     machine: MachineConfig,
     legacy_traces: Optional[Sequence[InvocationTrace]] = None,
 ) -> Tuple[ParallelRunResult, List[ScheduleResult]]:
-    """Replay one machine exactly like the pre-compiled engine did:
-    reference-schedule every trace under both the executing machine and
-    ``machine``.  Returns the run result plus the per-trace schedule
-    column for field-exact comparison."""
+    """Replay one machine with the per-event reference engine: every
+    trace's sequential span in the recorded run replaced by its
+    reference schedule under ``machine``.  Returns the run result plus
+    the per-trace schedule column for field-exact comparison."""
     if legacy_traces is None:
         legacy_traces = [t.to_invocation_trace() for t in executor.traces]
     info_by_id = {info.loop_id: info for info in executor.infos}
@@ -117,9 +116,8 @@ def reference_replay(
     schedules: List[ScheduleResult] = []
     for trace in legacy_traces:
         info = info_by_id[trace.loop_id]
-        old = schedule_invocation_reference(trace, info, executor.machine)
         new = schedule_invocation_reference(trace, info, machine)
-        adjusted += new.parallel_cycles - old.parallel_cycles
+        adjusted += new.parallel_cycles - new.sequential_cycles
         stats = loop_stats.setdefault(
             trace.loop_id, LoopRunStats(loop_id=trace.loop_id)
         )
@@ -141,7 +139,7 @@ def reference_replay(
 
 def _reset_compiled_state(executor: ParallelExecutor) -> None:
     """Drop every compiled artifact so the next ``replay_many`` is cold:
-    trace programs recompile and the baseline schedules recompute."""
+    trace programs recompile and every column is rescheduled."""
     executor._schedules = {}
     for trace in executor.traces:
         trace._program = None
@@ -400,7 +398,7 @@ def run_sched_bench(
             _reset_compiled_state(executor)
             start = time.perf_counter()
             executor._schedules.update(
-                _compiled_columns(executor, [executor.machine, *machines])
+                _compiled_columns(executor, machines)
             )
             executor.replay_many(machines)
             compiled_best = min(compiled_best, time.perf_counter() - start)

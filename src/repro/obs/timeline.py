@@ -320,9 +320,9 @@ def _walk_run(
     Returns the per-core category totals and the run's total cycles
     under ``machine``; ``segments``, when a list, receives every
     interval as well (see :func:`_place`).  Gaps between invocations are
-    the main thread's sequential execution, whose length is
-    machine-independent, so they are carried over from the recorded
-    (executed-machine) timeline.
+    the main thread's sequential execution, read off the recording's
+    sequential clock: from one trace's ``end_cycles`` to the next one's
+    ``start_cycles``.
 
     Traces are grouped like :func:`~repro.runtime.sched.schedule_many`
     groups them, by loop and :func:`~repro.runtime.sched.trace_signature`,
@@ -346,9 +346,9 @@ def _walk_run(
                 )
             cursor += length
 
-    exec_end = 0  # end of the previous invocation in *executed* time
-    for trace, exec_sched in zip(executor.traces, executor.schedules()):
-        sequential(trace.start_cycles - exec_end)
+    recorded_end = 0  # end of the previous invocation, recorded clock
+    for trace in executor.traces:
+        sequential(trace.start_cycles - recorded_end)
         if trace.iteration_count == 0:
             # The loop body never ran; the invocation is its sequential
             # span on the main core, under every machine.
@@ -362,8 +362,8 @@ def _walk_run(
                 prog, trace, info_by_id[trace.loop_id], machine,
                 cursor, totals, segments,
             )
-        exec_end = trace.start_cycles + exec_sched.parallel_cycles
-    sequential(executor.cycles - exec_end)
+        recorded_end = trace.end_cycles
+    sequential(executor.cycles - recorded_end)
     return totals, cursor
 
 

@@ -49,10 +49,10 @@ effects`` loop per block.  This module removes those too:
   observer that still needs every entry *counted* sets
   ``count_unwatched``: unobserved boundaries then bump a per-block
   cell of ``interp.unwatched_entries``, statically, like loads.
-  Because a hook may *rewrite* ``interp.cycles`` (the parallel executor
-  replaces serial with scheduled-parallel time at loop exits),
-  generated code only ever charges through the interpreter attribute
-  and never caches cycle state in locals across a hook call.  Hooks
+  Because a hook reads ``interp.cycles`` (the parallel executor stamps
+  its traces with it) and may rewrite it, generated code only ever
+  charges through the interpreter attribute and never caches cycle
+  state in locals across a hook call.  Hooks
   receive the tier-2 :class:`~repro.runtime.precompile.DecodedFrame`
   and must not inspect register state (true of every in-tree
   consumer); listener-bearing interpreters still demote to the decoded

@@ -31,19 +31,22 @@ Per iteration the replay carries:
   a dependence carries (its ``xfer`` producer mark executed), the consumer
   pays the word-transfer cost ``M``.
 
-Traces can be recorded and *replayed* against other machine
-configurations (core count, prefetch mode, latencies) without re-running
-the program -- the functional trace does not depend on the machine.
-Recorded traces are packed into
-:class:`~repro.runtime.trace.CompactInvocationTrace` at record time and
-scheduled by the compiled engine
-(:func:`~repro.runtime.sched.schedule_compact`); multi-machine sweeps
-should go through :meth:`ParallelExecutor.replay_many`, which fills all
-missing schedules in one in-process pass over the traces
-(:func:`~repro.runtime.sched.schedule_many`) and memoizes per-machine
-schedule columns (keyed by
-:meth:`~repro.runtime.machine.MachineConfig.fingerprint`) so the
-baseline machine is never rescheduled per swept point.
+The recording run keeps the interpreter's own sequential clock and
+never rewrites it; as an invocation ends its trace, stamped in that
+clock, is packed into a
+:class:`~repro.runtime.trace.CompactInvocationTrace`, and that is all
+that happens at record time.  The recording -- output, sequential total,
+traces -- is therefore a function of the transformed IR, the cost model
+and the input, and of no machine.  Time under a machine ``m`` is filled
+in after the run by one :func:`~repro.runtime.sched.schedule_many` pass
+(one compiled program per trace shape): an invocation of ``seq_i``
+recorded cycles takes ``par_i(m)`` there, so the run takes
+``seq_total - sum(seq_i - par_i(m))``, and the :class:`LoopRunStats`
+are summed from the same column.  :meth:`ParallelExecutor.execute`,
+:meth:`~ParallelExecutor.replay_many` and
+:meth:`~ParallelExecutor.restore_run` all read their numbers that way,
+the executing machine being just the first one asked for; columns are
+memoized per :meth:`~repro.runtime.machine.MachineConfig.fingerprint`.
 
 The recording run observes little of what it interprets.  Its
 ``on_block_entry`` acts on three kinds of block only -- the parallel
@@ -166,12 +169,6 @@ class LoopRunStats:
             "segment_cycles": self.segment_cycles,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LoopRunStats":
-        data = dict(data)
-        data["loop_id"] = tuple(data["loop_id"])
-        return cls(**data)
-
 
 @dataclass
 class ParallelRunResult:
@@ -192,7 +189,7 @@ class ParallelRunResult:
 
 
 class ParallelExecutor(Interpreter):
-    """Interprets a HELIX-transformed module, reconstructing parallel time.
+    """Records a HELIX-transformed module's run and times it on machines.
 
     ``infos`` are the :class:`ParallelizedLoop` records produced by
     :func:`repro.core.parallelize_module` for this module.
@@ -240,12 +237,11 @@ class ParallelExecutor(Interpreter):
         self._inv_frame: Optional[Frame] = None
         self._iter: Optional[IterationTrace] = None
         self._loads_at_start = 0
-        self.loop_stats: Dict[LoopId, LoopRunStats] = {}
+        #: The recorded invocations, in the run's sequential clock.
         self.traces: List[CompactInvocationTrace] = []
         #: Memoized per-machine schedule columns, aligned with
-        #: :attr:`traces`, keyed by machine fingerprint.  The executing
-        #: machine's column is seeded during :meth:`run`, so replays
-        #: never reschedule the baseline.  An
+        #: :attr:`traces`, keyed by machine fingerprint and filled on
+        #: demand (the executing machine's by :meth:`execute`).  An
         #: :class:`~repro.artifacts.ArtifactStore` may inject a tracked
         #: namespace here (``schedule_memo``) so column occupancy shows
         #: up in the store's unified accounting; standalone executors
@@ -319,7 +315,6 @@ class ParallelExecutor(Interpreter):
 
     def _end_invocation(self) -> None:
         trace = self._inv
-        info = self._inv_info
         if self._iter is not None:
             self._iter.end_cycles = self.cycles
         trace.end_cycles = self.cycles
@@ -328,80 +323,58 @@ class ParallelExecutor(Interpreter):
         self._inv_info = None
         self._inv_frame = None
         self._iter = None
-
-        # Pack at record time; replays only ever see the compact form.
-        compact = CompactInvocationTrace.from_trace(trace)
-        schedule = schedule_compact(compact, info, self.machine)
-        # Replace the sequential span with the parallel schedule length.
-        self.cycles = trace.start_cycles + schedule.parallel_cycles
-
-        stats = self.loop_stats.get(info.loop_id)
-        if stats is None:
-            stats = LoopRunStats(loop_id=info.loop_id)
-            self.loop_stats[info.loop_id] = stats
-        _accumulate(stats, compact, schedule)
-        if self.record_traces:
-            self.traces.append(compact)
-            # Seed the baseline schedule column while we are at it.
-            self._schedules.setdefault(
-                self.machine.fingerprint(), []
-            ).append(schedule)
+        # Pack at record time; schedulers only ever see the compact form.
+        self.traces.append(CompactInvocationTrace.from_trace(trace))
 
     # -- public API -------------------------------------------------------------
 
     def run(self, entry: str = "main", args: Sequence = ()) -> ExecutionResult:
+        """The recording run: interpret the program in its sequential
+        clock and fill :attr:`traces`.  Nothing here reads the machine
+        beyond its cost model."""
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
         self._iter = None
         self._loads_at_start = 0
-        self.loop_stats = {}
         self.traces = []
         self._schedules.clear()
         return super().run(entry, args)
 
     def execute(self) -> ParallelRunResult:
-        """Run the program and package the results."""
+        """Run the program and time it on the executing machine."""
         with get_tracer().span("exec.parallel", cat="exec") as sp:
-            result = self.run()
-            sp.set(invocations=len(self.traces), cycles=result.cycles)
-        return ParallelRunResult(
-            result=result,
-            machine=self.machine,
-            loop_stats=dict(self.loop_stats),
-            traces=list(self.traces),
-        )
+            recorded = self.run()
+            timed = self._timed([self.machine], recorded.return_value)[0]
+            sp.set(invocations=len(self.traces), cycles=timed.cycles)
+        if not self.record_traces:
+            self.traces = []
+            self._schedules.clear()
+        return timed
 
     def restore_run(
         self,
         result: ExecutionResult,
         traces: Sequence[AnyTrace],
-        loop_stats: Dict[LoopId, LoopRunStats],
         load_count: int,
     ) -> ParallelRunResult:
-        """Adopt a previously recorded run (e.g. loaded from the
-        evaluation disk cache) as if :meth:`execute` had just produced
-        it, so :meth:`replay` works without re-interpreting the program.
+        """Adopt a recorded run (loaded from the evaluation disk cache,
+        or another executor's) as if :meth:`execute` had just produced
+        it, without re-interpreting the program.
 
-        ``load_count`` is the executed run's total
-        :attr:`~repro.runtime.interpreter.Interpreter.load_count`.
-
-        The caller is responsible for passing traces recorded from an
+        ``result`` is the recording run's own :class:`ExecutionResult`
+        (sequential clock) and ``load_count`` its total
+        :attr:`~repro.runtime.interpreter.Interpreter.load_count`.  The
+        caller is responsible for passing traces recorded from an
         identical module under an identical cost model.
         """
         self.output = list(result.output)
         self.cycles = result.cycles
         self.instructions = result.instructions
         self.traces = [as_compact(trace) for trace in traces]
-        self.loop_stats = dict(loop_stats)
         self._schedules.clear()
         self.load_count = load_count
-        return ParallelRunResult(
-            result=result,
-            machine=self.machine,
-            loop_stats=dict(self.loop_stats),
-            traces=list(self.traces),
-        )
+        return self._timed([self.machine], result.return_value)[0]
 
     def _ensure_schedules(self, machines: Sequence[MachineConfig]) -> None:
         """Fill the schedule memo for every machine missing from it.
@@ -449,6 +422,45 @@ class ParallelExecutor(Interpreter):
                 for ti in range(done - start, len(tail)):
                     col.append(columns[ti][ki])
 
+    def _timed(
+        self, machines: Sequence[MachineConfig], return_value: object = None
+    ) -> List[ParallelRunResult]:
+        """The recorded run under each machine: every invocation's
+        sequential span replaced by its scheduled length.  All results
+        share one output list and one trace list (never mutated)."""
+        self._ensure_schedules(machines)
+        shared_output = list(self.output)
+        shared_traces: List[AnyTrace] = (
+            list(self.traces) if self.record_traces else []
+        )
+        results: List[ParallelRunResult] = []
+        for machine in machines:
+            cycles = self.cycles
+            loop_stats: Dict[LoopId, LoopRunStats] = {}
+            for trace, schedule in zip(
+                self.traces, self._schedules[machine.fingerprint()]
+            ):
+                cycles += schedule.parallel_cycles - schedule.sequential_cycles
+                stats = loop_stats.get(trace.loop_id)
+                if stats is None:
+                    stats = LoopRunStats(loop_id=trace.loop_id)
+                    loop_stats[trace.loop_id] = stats
+                _accumulate(stats, trace, schedule)
+            results.append(
+                ParallelRunResult(
+                    result=ExecutionResult(
+                        output=shared_output,
+                        cycles=cycles,
+                        instructions=self.instructions,
+                        return_value=return_value,
+                    ),
+                    machine=machine,
+                    loop_stats=loop_stats,
+                    traces=shared_traces,
+                )
+            )
+        return results
+
     def replay_many(
         self, machines: Sequence[MachineConfig]
     ) -> List[ParallelRunResult]:
@@ -456,48 +468,14 @@ class ParallelExecutor(Interpreter):
 
         Equivalent to ``[self.replay(m) for m in machines]`` but fills
         every missing schedule column in one batched pass over the
-        stored traces; the baseline machine's schedules are reused from
-        the memo (seeded during execution) instead of being recomputed
-        per swept machine.
-
-        The output list and trace list are identical and never mutated
-        across the sweep, so all returned results share one instance of
-        each rather than copying them once per machine.
+        stored traces.
         """
         if not self.record_traces:
             raise RuntimeFault("executor was created with record_traces=False")
         with get_tracer().span(
             "exec.replay_many", cat="exec", machines=len(machines)
         ):
-            self._ensure_schedules([self.machine, *machines])
-            baseline = self._schedules[self.machine.fingerprint()]
-            shared_output = list(self.output)
-            shared_traces: List[AnyTrace] = list(self.traces)
-            results: List[ParallelRunResult] = []
-            for machine in machines:
-                news = self._schedules[machine.fingerprint()]
-                adjusted = self.cycles
-                loop_stats: Dict[LoopId, LoopRunStats] = {}
-                for trace, old, new in zip(self.traces, baseline, news):
-                    adjusted += new.parallel_cycles - old.parallel_cycles
-                    stats = loop_stats.setdefault(
-                        trace.loop_id, LoopRunStats(loop_id=trace.loop_id)
-                    )
-                    _accumulate(stats, trace, new)
-                result = ExecutionResult(
-                    output=shared_output,
-                    cycles=adjusted,
-                    instructions=self.instructions,
-                )
-                results.append(
-                    ParallelRunResult(
-                        result=result,
-                        machine=machine,
-                        loop_stats=loop_stats,
-                        traces=shared_traces,
-                    )
-                )
-        return results
+            return self._timed(machines)
 
     def schedules(
         self, machine: Optional[MachineConfig] = None
@@ -505,9 +483,7 @@ class ParallelExecutor(Interpreter):
         """The per-invocation schedule column for ``machine`` (default:
         the executing machine), aligned with :attr:`traces`.
 
-        Memoized by machine fingerprint like :meth:`replay_many`; the
-        executing machine's column was seeded during :meth:`run`, so
-        asking for it never reschedules anything.
+        Memoized by machine fingerprint like :meth:`replay_many`.
         """
         if machine is None:
             machine = self.machine

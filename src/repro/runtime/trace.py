@@ -3,9 +3,9 @@
 The parallel executor records one :class:`InvocationTrace` per dynamic
 invocation of a parallelized loop: per-iteration event streams of
 ``wait``/``signal``/``next_iter``/``xfer`` executions stamped with
-interpreter cycles.  Those traces are machine-independent, so every
-figure of the evaluation replays them under swept
-:class:`~repro.runtime.machine.MachineConfig`\\ s.
+interpreter cycles, the run's own sequential clock.  Those traces are
+machine-independent, so every figure of the evaluation schedules them
+under swept :class:`~repro.runtime.machine.MachineConfig`\\ s.
 
 Replaying from the raw event lists is wasteful: every machine pays the
 per-event string dispatch, the duplicate-wait/duplicate-signal
@@ -53,8 +53,9 @@ from repro.obs.metrics import REGISTRY
 CTRL_DEP = -1
 
 #: Serialized compact-trace format generation.  Bump when the on-disk
-#: shape changes; loading any other version raises.
-TRACE_FORMAT_VERSION = 2
+#: shape changes; loading any other version raises.  3: iteration and
+#: event stamps are offsets from the invocation's ``start_cycles``.
+TRACE_FORMAT_VERSION = 3
 
 #: Raw event kind codes (the packed ``ev_kind`` column).
 KIND_WAIT, KIND_SIGNAL, KIND_NEXT, KIND_XFER, KIND_PRODUCE = range(5)
@@ -265,19 +266,22 @@ class CompactInvocationTrace:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Versioned JSON-stable representation (the disk-cache form)."""
+        """Versioned JSON-stable representation (the disk-cache form);
+        stamps inside the invocation are offsets from ``start_cycles``,
+        small wherever in the recorded clock the invocation sits."""
+        base = self.start_cycles
         return {
             "format": TRACE_FORMAT_VERSION,
             "loop_id": list(self.loop_id),
-            "start_cycles": self.start_cycles,
+            "start_cycles": base,
             "end_cycles": self.end_cycles,
             "loads": self.loads,
-            "iter_start": list(self.it_start),
-            "iter_end": list(self.it_end),
+            "iter_start": [at - base for at in self.it_start],
+            "iter_end": [at - base for at in self.it_end],
             "ev_off": list(self.ev_off),
             "ev_kind": list(self.ev_kind),
             "ev_dep": list(self.ev_dep),
-            "ev_at": list(self.ev_at),
+            "ev_at": [at - base for at in self.ev_at],
             "words": [
                 {str(dep): n for dep, n in per_iter.items()}
                 for per_iter in self.words
@@ -294,17 +298,18 @@ class CompactInvocationTrace:
                 f"unsupported compact-trace format {version!r} "
                 f"(this build reads {TRACE_FORMAT_VERSION})"
             )
+        base = data["start_cycles"]
         return cls(
             loop_id=tuple(data["loop_id"]),
-            start_cycles=data["start_cycles"],
+            start_cycles=base,
             end_cycles=data["end_cycles"],
             loads=data["loads"],
-            it_start=array("q", data["iter_start"]),
-            it_end=array("q", data["iter_end"]),
+            it_start=array("q", [base + at for at in data["iter_start"]]),
+            it_end=array("q", [base + at for at in data["iter_end"]]),
             ev_off=array("q", data["ev_off"]),
             ev_kind=array("q", data["ev_kind"]),
             ev_dep=array("q", data["ev_dep"]),
-            ev_at=array("q", data["ev_at"]),
+            ev_at=array("q", [base + at for at in data["ev_at"]]),
             words=tuple(
                 {int(dep): int(n) for dep, n in per_iter.items()}
                 for per_iter in data["words"]

@@ -31,7 +31,7 @@ the server-side ``"job"`` id).  Events::
     {"event": "job_started",     "job": "j3", "op": "run", "retries": 0}
     {"event": "stage_completed", "job": "j3", "bench": "mcf",
      "stage": "compile", "outcome": "compute", "seconds": 0.41}
-    {"event": "artifact_stored", "job": "j3", "kind": "pipeline",
+    {"event": "artifact_stored", "job": "j3", "kind": "recording",
      "key": "ab12...", "outcome": "store"}
     {"event": "job_finished",    "job": "j3", "state": "done",
      "retries": 0, "result": {...}, "metrics": {...}}

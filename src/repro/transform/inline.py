@@ -10,7 +10,6 @@ functions.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional
 
 from repro.analysis.callgraph import CallGraph, build_callgraph
@@ -22,8 +21,6 @@ from repro.ir import (
     Opcode,
 )
 from repro.ir.operands import Operand, Symbol, VReg
-
-_inline_counter = itertools.count(1)
 
 
 class InlineError(Exception):
@@ -75,7 +72,13 @@ def inline_call(
     if site_block is None:
         raise InlineError("call instruction is not in the caller")
 
-    tag = f"inl{next(_inline_counter)}"
+    # First tag the caller has not used: clone names depend on the
+    # caller alone, not on what the process inlined before.
+    taken = [*caller.blocks, *caller.locals]
+    number = 1
+    while any(name.startswith(f"inl{number}_") for name in taken):
+        number += 1
+    tag = f"inl{number}"
 
     # Split the call block: [before call] -> callee entry ... -> cont.
     index = next(

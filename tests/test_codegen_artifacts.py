@@ -140,6 +140,30 @@ class TestKeying:
             guided, func, False, False
         )
 
+    def test_key_of_a_transformed_bench_repeats_within_a_process(self):
+        """vortex's transformation inlines into ``main``; the clones'
+        names used to count up across the whole process, so the second
+        transformation of one process printed other block names, keyed
+        other codegen artifacts and could share no recording."""
+        from repro.evaluation.runner import EvaluationRunner
+        from repro.ir.printer import module_to_str
+
+        machine = MachineConfig(cores=6)
+        runner = EvaluationRunner(machine)
+        module = runner.module("vortex", "ref")
+        chosen = runner.selection("vortex").chosen
+
+        def transformed_main():
+            transformed, infos = parallelize_module(module, chosen, machine)
+            assert sum(info.inlined_calls for info in infos) > 0
+            executor = ParallelExecutor(transformed, infos, machine)
+            key = artifact_key(
+                executor, transformed.functions["main"], True, True
+            )
+            return module_to_str(transformed), key
+
+        assert transformed_main() == transformed_main()
+
 
 class TestWatchedBlocksKeying:
     """The watched set an interpreter declares is part of what the

@@ -130,6 +130,56 @@ class TestSerialization:
             assert restored == compact
             assert restored.to_invocation_trace() == trace
 
+    def test_stamps_are_serialized_as_offsets(self):
+        """Iteration bounds and event stamps are written relative to
+        the invocation's ``start_cycles``, so where in the run's clock
+        an invocation sits costs no digits."""
+        trace = _tricky_trace()
+        payload = CompactInvocationTrace.from_trace(trace).to_dict()
+        assert payload["start_cycles"] == 100
+        assert payload["end_cycles"] == 700
+        assert payload["iter_start"] == [0, 200]
+        assert payload["iter_end"] == [200, 600]
+        assert payload["ev_at"][:3] == [10, 15, 40]
+        assert max(payload["ev_at"]) == 400
+        # The same invocation a billion cycles later: only its two
+        # absolute stamps move.
+        shift = 10**9
+        later = CompactInvocationTrace.from_trace(
+            InvocationTrace(
+                loop_id=trace.loop_id,
+                start_cycles=trace.start_cycles + shift,
+                end_cycles=trace.end_cycles + shift,
+                loads=trace.loads,
+                iterations=[
+                    IterationTrace(
+                        start_cycles=it.start_cycles + shift,
+                        end_cycles=it.end_cycles + shift,
+                        events=[(k, d, at + shift) for k, d, at in it.events],
+                        words=dict(it.words),
+                    )
+                    for it in trace.iterations
+                ],
+            )
+        )
+        moved = later.to_dict()
+        assert {k for k in moved if moved[k] != payload[k]} == {
+            "start_cycles", "end_cycles",
+        }
+        assert CompactInvocationTrace.from_dict(
+            json.loads(json.dumps(moved))
+        ) == later
+
+    def test_previous_format_rejected(self):
+        """Format 2 carried absolute stamps under the same field names;
+        reading it as offsets would shift every event, so it is refused
+        like any other version."""
+        payload = CompactInvocationTrace.from_trace(_tricky_trace()).to_dict()
+        assert TRACE_FORMAT_VERSION == 3
+        payload["format"] = 2
+        with pytest.raises(ValueError, match="unsupported compact-trace"):
+            CompactInvocationTrace.from_dict(payload)
+
     def test_formatless_payload_rejected(self):
         payload = CompactInvocationTrace.from_trace(_tricky_trace()).to_dict()
         del payload["format"]

@@ -29,9 +29,10 @@ from repro.analysis.loops import find_loops
 from repro.core import parallelize_module
 from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.machine import CostModel, MachineConfig, PrefetchMode
+from repro.ir.parser import parse_module
+from repro.ir.printer import module_to_str
 from repro.runtime.parallel import (
     CompactInvocationTrace,
-    LoopRunStats,
     ParallelExecutor,
     schedule_invocation,
 )
@@ -81,6 +82,12 @@ void main() {
 }
 """
 
+#: The same with a cross-iteration dependence, so the loop synchronizes
+#: and its time depends on the prefetch mode.
+TINY_SYNC = TINY_COHORT.replace(
+    "int out[32];", "int out[32];\nint acc;"
+).replace("out[i] = f;", "out[i] = f; acc = (acc + f) % 9973;")
+
 
 def _register(name: str, source: str) -> str:
     bench_suite.BENCHMARKS[name] = bench_suite.BenchmarkSpec(
@@ -92,6 +99,20 @@ def _register(name: str, source: str) -> str:
 @pytest.fixture()
 def tiny_bench():
     name = _register("tinytest", TINY)
+    yield name
+    del bench_suite.BENCHMARKS[name]
+
+
+@pytest.fixture()
+def tiny_cohort():
+    name = _register("tinycohort", TINY_COHORT)
+    yield name
+    del bench_suite.BENCHMARKS[name]
+
+
+@pytest.fixture()
+def tiny_sync():
+    name = _register("tinysync", TINY_SYNC)
     yield name
     del bench_suite.BENCHMARKS[name]
 
@@ -140,21 +161,17 @@ class TestTraceSerialization:
     def test_restored_executor_replays_identically(self):
         executor, result, transformed, infos, machine = _executed_tiny()
         clone = ParallelExecutor(transformed, infos, machine)
+        # The recording: the run in its own sequential clock.
+        recorded = dataclasses.replace(result.result, cycles=executor.cycles)
+        assert recorded.cycles != result.cycles
         restored = clone.restore_run(
             ExecutionResult.from_dict(
-                json.loads(json.dumps(result.result.to_dict()))
+                json.loads(json.dumps(recorded.to_dict()))
             ),
             [
                 CompactInvocationTrace.from_dict(t.to_dict())
                 for t in result.traces
             ],
-            {
-                stats.loop_id: stats
-                for stats in (
-                    LoopRunStats.from_dict(s.to_dict())
-                    for s in result.loop_stats.values()
-                )
-            },
             load_count=executor.load_count,
         )
         assert restored.cycles == result.cycles
@@ -166,24 +183,6 @@ class TestTraceSerialization:
             replayed = clone.replay(probe)
             assert replayed.cycles == direct.cycles
             assert replayed.loop_stats == direct.loop_stats
-
-    def test_loop_run_stats_roundtrip(self):
-        stats = LoopRunStats(
-            loop_id=("main", "for.header"),
-            invocations=2,
-            iterations=10,
-            sequential_cycles=1000,
-            parallel_cycles=400,
-            signals=5,
-            waits=5,
-            wait_stall_cycles=44,
-            transfer_words=3,
-            loads=20,
-            segment_cycles=120,
-        )
-        assert LoopRunStats.from_dict(
-            json.loads(json.dumps(stats.to_dict()))
-        ) == stats
 
     def test_execution_result_roundtrip(self):
         result = ExecutionResult(
@@ -225,12 +224,21 @@ def _stage_keys(bench, machine=None, options=None):
     return {
         "profile": store.key("profile", bench, machine=machine),
         "sequential": store.key("sequential", bench, machine=machine),
-        "pipeline": store.key(
-            "pipeline", bench, machine=machine, config=config,
-            loops=[("main", "for.header")],
-        ),
         "run": store.key("run", bench, machine=machine, config=config),
     }
+
+
+def _recording_key(machine=None, module=None, infos=None, bench="tinytest"):
+    """The ``recording`` key of the transformed TINY (or of what the
+    caller changed about it)."""
+    _, _, transformed, tiny_infos, tiny_machine = _executed_tiny()
+    return ArtifactStore().key(
+        "recording",
+        bench,
+        module=module or transformed,
+        machine=machine or tiny_machine,
+        infos=tiny_infos if infos is None else infos,
+    )
 
 
 def _changed(instance, fld):
@@ -261,10 +269,10 @@ class TestFingerprints:
             keys = _stage_keys(
                 tiny_bench, options=_changed(HelixOptions(), fld)
             )
-            # Transformation options: the two kinds downstream of
-            # Steps 1-9 see every one, the two upstream none.
-            for kind in ("pipeline", "run"):
-                assert keys[kind] != base[kind], (kind, fld.name)
+            # Transformation options: the answer downstream of Steps
+            # 1-9 sees every one, the two kinds upstream none (and a
+            # recording only through the module they lead to).
+            assert keys["run"] != base["run"], fld.name
             for kind in ("profile", "sequential"):
                 assert keys[kind] == base[kind], (kind, fld.name)
 
@@ -272,17 +280,57 @@ class TestFingerprints:
         machine = MachineConfig(cores=4)
         base = _stage_keys(tiny_bench, machine)
         assert _stage_keys(tiny_bench, MachineConfig(cores=4)) == base
+        base["recording"] = _recording_key(machine)
         for fld in dataclasses.fields(MachineConfig):
-            keys = _stage_keys(tiny_bench, _changed(machine, fld))
-            for kind in ("pipeline", "run"):
-                assert keys[kind] != base[kind], (kind, fld.name)
-            # The interpreter and the profiler read the cost model and
-            # nothing else of a machine: cores, prefetch mode and every
-            # latency leave their artifacts' keys alone.
-            for kind in ("profile", "sequential"):
+            changed = _changed(machine, fld)
+            keys = _stage_keys(tiny_bench, changed)
+            assert keys["run"] != base["run"], fld.name
+            # The interpreter, the profiler and the recording run read
+            # the cost model and nothing else of a machine: cores,
+            # prefetch mode and every latency leave their artifacts'
+            # keys alone.
+            keys["recording"] = _recording_key(changed)
+            for kind in ("profile", "sequential", "recording"):
                 assert (keys[kind] != base[kind]) == (
                     fld.name == "cost_model"
                 ), (kind, fld.name)
+
+    def test_recording_key_sees_the_module_and_the_watched_blocks(self):
+        """A recording is keyed on what the recording run reads: the
+        printed transformed module and, per loop, where an invocation
+        begins, iterates and ends -- not the bench sources, the request
+        or any other field of the loop records."""
+        _, _, transformed, infos, machine = _executed_tiny()
+        base = _recording_key()
+        assert _recording_key() == base
+        assert _recording_key(bench="other") != base
+
+        (info,) = infos
+        for change in (
+            {"exit_stubs": {**info.exit_stubs, "elsewhere": "exit"}},
+            {"exit_stubs": {}},
+            {"par_header": info.par_latch},
+            {"par_preheader": info.guard_block},
+            {"func_name": "other"},
+            {"loop_id": ("other", info.loop_id[1])},
+        ):
+            changed = dataclasses.replace(info, **change)
+            assert _recording_key(infos=[changed]) != base, change
+        assert _recording_key(infos=[]) != base
+        for change in (
+            {"counted": not info.counted},
+            {"helper_order": [99]},
+            {"seq_header": "other"},
+            {"options": HelixOptions(enable_helper_threads=False)},
+        ):
+            changed = dataclasses.replace(info, **change)
+            assert _recording_key(infos=[changed]) == base, change
+
+        edited = parse_module(module_to_str(transformed))
+        assert _recording_key(module=edited) == base
+        main = edited.functions["main"]
+        main.blocks[info.par_header].name = "renamed"
+        assert _recording_key(module=edited) != base
 
     def test_keys_see_source_text_and_code_version(self, monkeypatch):
         import repro.evaluation.cache as cache_mod
@@ -312,13 +360,15 @@ class TestFingerprints:
             lambda scale: TINY if scale == "ref" else TINY2
         )
         assert train_edit["sequential"] == base["sequential"]
-        for kind in ("profile", "pipeline", "run"):
+        for kind in ("profile", "run"):
             assert train_edit[kind] != base[kind], kind
 
         assert keys_with(lambda scale: TINY) == base
+        recording = _recording_key()
         monkeypatch.setattr(cache_mod, "_code_version", "0" * 16)
         bumped = _stage_keys("tinykeys")
         assert all(bumped[kind] != base[kind] for kind in base)
+        assert _recording_key() != recording
 
     def test_pipeline_fingerprint_distinguishes_configs(self):
         fp = pipeline_fingerprint(HelixOptions(), PrefetchMode.HELIX, None,
@@ -415,15 +465,15 @@ class TestRunnerCacheIntegration:
         EvaluationRunner(
             MachineConfig(cores=4), cache=EvaluationCache(tmp_path)
         ).helix_run(tiny_bench)
-        # A latency changes what the recording run sees and nothing the
-        # interpreter or the profiler reads: only ``execute`` recomputes.
+        # A latency changes how traces are scheduled and nothing an
+        # interpreter reads, the recording run included: all three
+        # interpretation stages are read back.
         other = EvaluationRunner(
             MachineConfig(cores=4, signal_latency=220),
             cache=EvaluationCache(tmp_path),
         )
         other.helix_run(tiny_bench)
-        assert other.stats.stages["execute"].computes == 1
-        for stage in ("profile", "sequential"):
+        for stage in ("profile", "sequential", "execute"):
             assert other.stats.stages[stage].computes == 0, stage
             assert other.stats.stages[stage].disk_hits == 1, stage
         # A cost-model change is seen by all three interpretation stages.
@@ -437,6 +487,105 @@ class TestRunnerCacheIntegration:
         # Modules don't depend on the machine: still served from disk.
         for runner in (other, retuned):
             assert runner.stats.stages["compile"].disk_hits >= 1
+
+    def test_same_module_shares_one_recording_in_memory(
+        self, tiny_sync, monkeypatch
+    ):
+        """Configurations of one runner whose transformation ends in the
+        same module record once: the memo is keyed like the store."""
+        recorded = []
+        real = ParallelExecutor.run
+
+        def spy(self, *args, **kwargs):
+            recorded.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelExecutor, "run", spy)
+        runner = EvaluationRunner(MachineConfig(cores=4))
+        helix = runner.helix_run(tiny_sync)
+        assert helix.chosen and helix.parallel.traces
+        ideal = runner.pipeline(tiny_sync, prefetch=PrefetchMode.IDEAL)
+        assert ideal is not helix
+        assert module_to_str(ideal.transformed) == module_to_str(
+            helix.transformed
+        )
+        assert len(recorded) == 1
+        tally = runner.stats.stages["execute"]
+        assert (tally.computes, tally.memory_hits) == (1, 1)
+        # ... and the shared recording is timed on each one's machine,
+        # as a runner of its own would have.
+        alone = EvaluationRunner(MachineConfig(cores=4)).pipeline(
+            tiny_sync, prefetch=PrefetchMode.IDEAL
+        )
+        assert len(recorded) == 2
+        assert ideal.parallel.machine == alone.parallel.machine
+        assert ideal.parallel.cycles == alone.parallel.cycles
+        assert ideal.parallel.loop_stats == alone.parallel.loop_stats
+        assert ideal.parallel.cycles < helix.parallel.cycles
+        probe = MachineConfig(cores=2)
+        assert ideal.speedup_at(probe) == alone.speedup_at(probe)
+        # A different module is a different recording.
+        runner.pipeline(tiny_sync, loop_ids=[])
+        assert len(recorded) == 3
+
+    def test_a_different_selection_records_again(self, tmp_path):
+        """art selects one loop fewer at 6 cores than at 2 or 4: the
+        two smaller machines share a recording, the largest has its
+        own."""
+        runs = {}
+        for cores in (2, 6, 4):
+            runner = EvaluationRunner(
+                MachineConfig(cores=cores), cache=EvaluationCache(tmp_path)
+            )
+            runs[cores] = (runner.helix_run("art"), runner.stats)
+        assert runs[4][0].chosen == runs[2][0].chosen
+        assert len(runs[6][0].chosen) < len(runs[2][0].chosen)
+        for cores, outcome in ((2, "computes"), (6, "computes"),
+                               (4, "disk_hits")):
+            tally = runs[cores][1].stages["execute"]
+            assert getattr(tally, outcome) == tally.requests == 1, cores
+        assert len(list((tmp_path / "recording").glob("*.json"))) == 2
+
+    def test_unreadable_recording_entry_is_recomputed(
+        self, tiny_cohort, tmp_path
+    ):
+        machine = MachineConfig(cores=4)
+
+        def helix_run():
+            runner = EvaluationRunner(
+                machine, cache=EvaluationCache(tmp_path)
+            )
+            return runner.helix_run(tiny_cohort), runner.stats
+
+        cold, _ = helix_run()
+        (entry,) = (tmp_path / "recording").glob("*.json")
+        good = entry.read_bytes()
+        payload = json.loads(good)
+        assert sorted(payload) == ["load_count", "result", "traces"]
+        assert payload["result"]["cycles"] == cold.executor.cycles
+        _, stats = helix_run()
+        assert stats.stages["execute"].disk_hits == 1
+        corruptions = (
+            b"\xff\xfe not utf-8",
+            b"[1, 2]",
+            json.dumps({"result": payload["result"]}).encode(),
+            # The previous trace format (absolute stamps).
+            json.dumps(
+                dict(
+                    payload,
+                    traces=[dict(t, format=2) for t in payload["traces"]],
+                )
+            ).encode(),
+            json.dumps(dict(payload, traces=[{"format": 3}])).encode(),
+            json.dumps(dict(payload, result=[1])).encode(),
+        )
+        for blob in corruptions:
+            entry.write_bytes(blob)
+            run, stats = helix_run()
+            assert stats.stages["execute"].computes == 1, blob
+            assert run.parallel.cycles == cold.parallel.cycles, blob
+            # ... and the entry was overwritten with the recording.
+            assert entry.read_bytes() == good, blob
 
     def test_runner_without_cache_unchanged(self, tiny_bench):
         runner = EvaluationRunner(MachineConfig(cores=4))

@@ -39,7 +39,7 @@ WELL_FORMED = {
         "stage": "compile", "outcome": "compute", "seconds": 0.5,
     },
     "artifact_stored": {
-        "event": "artifact_stored", "job": "j1", "kind": "pipeline",
+        "event": "artifact_stored", "job": "j1", "kind": "recording",
         "key": "ab12", "outcome": "store",
     },
     "job_finished": {

@@ -334,28 +334,54 @@ def test_repeat_run_job_reads_its_answer_and_nothing_else(
         orch.shutdown()
 
 
-def test_other_core_count_re_records_only(tmp_path, tiny_bench):
-    """What the interpreter and the profiler produce does not depend on
-    the core count: a second core count of a bench reads both back and
-    only records again."""
+def test_other_core_count_shares_the_recording(tmp_path, monkeypatch):
+    """What the interpreter, the profiler and the recording run produce
+    does not depend on the core count: a second core count of a bench
+    whose selection ends in the same module reads all three back,
+    interprets nothing, and only selects, transforms and schedules."""
+    from repro.bench import suite as bench_suite
+    from repro.runtime.parallel import ParallelExecutor
+    from tests.test_evaluation_cache import TINY_COHORT
+
+    bench = "tinyshared"
+    monkeypatch.setitem(
+        bench_suite.BENCHMARKS,
+        bench,
+        bench_suite.BenchmarkSpec(
+            bench, "synthetic bench with a selected loop",
+            lambda scale: TINY_COHORT, 1.0, "test",
+        ),
+    )
+    recording_runs = []
+    real = ParallelExecutor.run
+
+    def spy(self, *args, **kwargs):
+        recording_runs.append(self.machine.cores)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParallelExecutor, "run", spy)
     observer = RecordingObserver()
     orch = Orchestrator(
         cache=tmp_path / "cache", workers=1, observer=observer
     )
     fresh = Orchestrator(cache=tmp_path / "fresh", workers=1)
     try:
-        six = _run(orch, RunJob(tiny_bench, cores=6))
+        six = _run(orch, RunJob(bench, cores=6))
+        assert six.result["chosen"]
         cold = _stage_outcomes(observer, six)
         for stage in ("profile", "sequential", "execute", "run"):
             assert cold[stage] == ["compute"], stage
-        two = _run(orch, RunJob(tiny_bench, cores=2))
-        warm = _stage_outcomes(observer, two)
-        assert warm["profile"] == ["disk"]
-        assert warm["sequential"] == ["disk"]
-        assert warm["execute"] == ["compute"]
+        assert recording_runs == [6]
+        four = _run(orch, RunJob(bench, cores=4))
+        warm = _stage_outcomes(observer, four)
+        for stage in ("profile", "sequential", "execute"):
+            assert warm[stage] == ["disk"], stage
         assert warm["run"] == ["compute"]
-        alone = _run(fresh, RunJob(tiny_bench, cores=2))
-        assert json.dumps(two.result, sort_keys=True) == json.dumps(
+        assert recording_runs == [6]
+        assert four.result["cycles"] != six.result["cycles"]
+        alone = _run(fresh, RunJob(bench, cores=4))
+        assert recording_runs == [6, 4]
+        assert json.dumps(four.result, sort_keys=True) == json.dumps(
             alone.result, sort_keys=True
         )
     finally:

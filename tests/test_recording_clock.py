@@ -1,0 +1,185 @@
+"""Differential tests of the machine-neutral recording clock.
+
+A recording run keeps the interpreter's own sequential clock; time
+under a machine is ``seq_total - sum(seq_i - par_i(machine))``, filled
+in after the run.  Before, every invocation was scheduled on the
+executing machine as it ended and the clock was rewritten to that
+machine's time.  The numbers must not have moved:
+``tests/data/recording_cycles.json`` holds, for every suite bench
+(executed at 6 cores) and every ``test_sched_differential`` source
+(executed at 4), the cycles and a digest of the loop statistics of the
+execution and of a replay under each machine of the differential grid,
+**generated on the commit before the clock changed**
+(``python -m tests.test_recording_clock`` prints the table of the tree
+it runs in).
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.bench import benchmark_names
+from repro.evaluation.runner import EvaluationRunner
+from repro.frontend import compile_source
+from repro.analysis.loops import find_loops
+from repro.core import parallelize_module
+from repro.runtime import run_module
+from repro.runtime.machine import MachineConfig
+from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.sched import schedule_invocation_reference
+from tests.test_sched_differential import BASE, MACHINES, SOURCES, _prepare
+
+TABLE_PATH = Path(__file__).parent / "data" / "recording_cycles.json"
+
+
+def _digest(loop_stats):
+    blob = json.dumps(
+        [stats.to_dict() for _, stats in sorted(loop_stats.items())],
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _row(executed, executor):
+    return {
+        "execute": [executed.cycles, _digest(executed.loop_stats)],
+        "traces": len(executor.traces),
+        "grid": [
+            [replayed.cycles, _digest(replayed.loop_stats)]
+            for replayed in executor.replay_many(MACHINES)
+        ],
+    }
+
+
+def _bench_row(run):
+    return {
+        **_row(run.parallel, run.executor),
+        "sequential": run.sequential.cycles,
+    }
+
+
+@pytest.fixture(scope="module")
+def table():
+    return json.loads(TABLE_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def runner():
+    return EvaluationRunner(MachineConfig(cores=6))
+
+
+def _assert_recorded_in_the_sequential_clock(executor, executed):
+    """Traces tile the recorded clock in order, and the run under the
+    executing machine is the recorded total with every invocation's
+    sequential span swapped for its scheduled length."""
+    end = 0
+    for trace in executor.traces:
+        assert end <= trace.start_cycles <= trace.end_cycles
+        end = trace.end_cycles
+    assert end <= executor.cycles
+    column = executor.schedules()
+    assert [s.sequential_cycles for s in column] == [
+        t.end_cycles - t.start_cycles for t in executor.traces
+    ]
+    assert executed.cycles == executor.cycles - sum(
+        s.sequential_cycles - s.parallel_cycles for s in column
+    )
+
+
+def _assert_field_exact_with_the_reference(executor):
+    info_by_id = {info.loop_id: info for info in executor.infos}
+    references = [t.to_invocation_trace() for t in executor.traces]
+    for machine in MACHINES:
+        column = executor.schedules(machine)
+        assert len(column) == len(references)
+        for reference, got in zip(references, column):
+            assert got == schedule_invocation_reference(
+                reference, info_by_id[reference.loop_id], machine
+            ), machine.fingerprint()
+
+
+@pytest.mark.parametrize("bench", benchmark_names())
+def test_bench_numbers_equal_the_previous_clocks(bench, runner, table):
+    run = runner.helix_run(bench)
+    assert _bench_row(run) == table["benches"][bench]
+    _assert_recorded_in_the_sequential_clock(run.executor, run.parallel)
+    _assert_field_exact_with_the_reference(run.executor)
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_source_numbers_equal_the_previous_clocks(name, table):
+    """The differential sources: same numbers, and the recorded clock
+    is the one an uninstrumented run of the transformed module keeps."""
+    transformed, _, executor, executed = _prepare(name)
+    assert _row(executed, executor) == table["sources"][name]
+    _assert_recorded_in_the_sequential_clock(executor, executed)
+    plain = run_module(transformed, BASE)
+    assert executor.cycles == plain.cycles
+    assert executor.instructions == plain.instructions
+
+
+def test_zero_iteration_invocation_costs_its_sequential_span():
+    """An invocation whose body never ran is scheduled as long as it
+    was recorded, so under every machine it adds what it added to the
+    recording."""
+    from tests.test_timeline import _restored_with_empty_invocation
+
+    _, _, executor, _ = _prepare("multi_invocation")
+    restored = _restored_with_empty_invocation("multi_invocation")
+    assert restored.traces[-1].iteration_count == 0
+    _assert_field_exact_with_the_reference(restored)
+    added = restored.cycles - executor.cycles
+    assert added > 0
+    for before, after in zip(
+        executor.replay_many(MACHINES), restored.replay_many(MACHINES)
+    ):
+        assert after.cycles == before.cycles + added
+        assert after.loop_stats != before.loop_stats
+
+
+def test_a_run_whose_loops_never_execute_is_its_recording():
+    source = """
+    int acc;
+    int n;
+    void main() {
+        int i;
+        if (n > 0) {
+            for (i = 0; i < n; i++) { acc = acc + i; }
+        }
+        print(acc);
+    }
+    """
+    module = compile_source(source)
+    loop_ids = [l.id for l in find_loops(module.functions["main"])]
+    transformed, infos = parallelize_module(module, loop_ids, BASE)
+    assert infos
+    executor = ParallelExecutor(transformed, infos, BASE)
+    executed = executor.execute()
+    assert executor.traces == []
+    assert executed.cycles == executor.cycles
+    assert executed.cycles == run_module(transformed, BASE).cycles
+    for replayed in executor.replay_many(MACHINES):
+        assert replayed.cycles == executor.cycles
+        assert replayed.loop_stats == {}
+
+
+if __name__ == "__main__":
+    _runner = EvaluationRunner(MachineConfig(cores=6))
+    print(
+        json.dumps(
+            {
+                "benches": {
+                    bench: _bench_row(_runner.helix_run(bench))
+                    for bench in benchmark_names()
+                },
+                "sources": {
+                    name: _row(_prepare(name)[3], _prepare(name)[2])
+                    for name in sorted(SOURCES)
+                },
+            },
+            indent=1,
+            sort_keys=True,
+        )
+    )

@@ -275,7 +275,8 @@ def test_scheduling_work_across_run_replay_cycles(monkeypatch):
     """Regression for the memo lifecycle: across run -> replay_many ->
     run -> replay_many, each sweep schedules every trace exactly once
     per missing machine set -- re-running resets the memo (new traces)
-    and the second sweep never reschedules the fresh baseline column."""
+    and the second sweep never reschedules the executing machine's
+    fresh column."""
     import repro.runtime.parallel as parallel_mod
 
     transformed, infos, _, _ = _prepare("reduction")
@@ -326,7 +327,8 @@ def test_baseline_schedule_memoized_across_replays(monkeypatch):
     transformed, infos, _, _ = _prepare("reduction")
     executor = ParallelExecutor(transformed, infos, BASE)
     executor.execute()
-    # The executing machine's schedule column is seeded during the run.
+    # ``execute`` times the recording on the executing machine, whose
+    # column is then memoized like any other.
     baseline = executor._schedules.get(BASE.fingerprint())
     assert baseline is not None
     assert len(baseline) == len(executor.traces)

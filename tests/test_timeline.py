@@ -90,10 +90,10 @@ def test_invocation_segments_match_schedule_breakdown(name):
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_run_timeline_covers_the_whole_run(name):
-    _, _, executor, _ = _prepare(name)
+    _, _, executor, executed = _prepare(name)
     segments = run_timeline(executor)
     _assert_no_overlap(segments)
-    assert max(seg.end for seg in segments) == executor.cycles
+    assert max(seg.end for seg in segments) == executed.cycles
     assert min(seg.start for seg in segments) == 0
 
     # Bucket totals over the whole run equal the per-invocation schedule
@@ -115,10 +115,10 @@ def test_run_timeline_covers_the_whole_run(name):
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_timeline_block_aggregates(name):
-    _, _, executor, _ = _prepare(name)
+    _, _, executor, executed = _prepare(name)
     block = timeline_block(executor)
     assert block["cores"] == executor.machine.cores
-    assert block["total_cycles"] == executor.cycles
+    assert block["total_cycles"] == executed.cycles
     assert len(block["per_core"]) == executor.machine.cores
     for category in CATEGORIES:
         assert block["totals"][category] == sum(
@@ -183,7 +183,6 @@ def _restored_with_empty_invocation(name):
             for trace in executor.traces
         ]
         + [empty],
-        executor.loop_stats,
         executor.load_count,
     )
     return restored
@@ -209,6 +208,29 @@ def test_block_equals_segment_totals_on_the_grid(name):
         assert [trace._program is not None for trace in cohort] == (
             [True] + [False] * (len(cohort) - 1)
         )
+
+
+def test_walk_reads_gaps_off_the_recording_not_off_a_column():
+    """The walk takes the sequential gaps from the traces' own stamps
+    in the recorded clock: it asks for no schedule column, the
+    executing machine's included, and its totals still equal the
+    scheduler's aggregates."""
+    executor = _restored_with_empty_invocation("cohort_mix")
+    machine = MACHINES[-1]
+    assert machine != executor.machine
+    executor._schedules.clear()
+    block = timeline_block(executor, machine)
+    segments = run_timeline(executor, machine)
+    assert not executor._schedules
+    gaps = executor.cycles - sum(
+        t.end_cycles - t.start_cycles
+        for t in executor.traces
+        if t.iteration_count
+    )
+    assert block["totals"]["sequential"] == gaps
+    assert max(seg.end for seg in segments) == block["total_cycles"]
+    assert _assert_consumers_agree(executor, machine) == block
+    assert set(executor._schedules) == {machine.fingerprint()}
 
 
 def test_block_of_a_run_without_traces():

@@ -101,6 +101,44 @@ class TestInlining:
         assert run_module(module).output == ["9"]
         assert any("buf" in name for name in func.locals)
 
+    def test_clone_names_depend_on_the_caller_alone(self):
+        """Clones are tagged with the first ``inl<n>`` the caller has
+        not used, whatever the process inlined before: the same input
+        prints the same IR every time."""
+        from repro.ir.printer import module_to_str
+
+        source = """
+        int f(int x) { int buf[2]; buf[0] = x; return buf[0] + 1; }
+        int g(int x) { return f(x) * 2; }
+        void main() { print(f(1) + f(2)); print(g(3)); }
+        """
+
+        def inlined():
+            module = compile_source(source)
+            main, g = module.functions["main"], module.functions["g"]
+            inline_call(module, main, first_call(main))
+            inline_call(module, g, first_call(g))
+            inline_call(module, main, first_call(main))
+            verify_module(module)
+            return module
+
+        first = inlined()
+        main, g = first.functions["main"], first.functions["g"]
+        # Per caller, from one: the count does not run across functions.
+        assert {n.split("_")[0] for n in main.blocks if "_" in n} == {
+            "inl1", "inl2",
+        }
+        assert set(main.locals) == {"inl1_buf", "inl2_buf"}
+        assert "inl1_cont" in g.blocks and "inl2_cont" not in g.blocks
+        assert module_to_str(inlined()) == module_to_str(first)
+        assert run_module(first).output == ["5", "8"]
+        # A callee that was itself inlined into keeps its tags inside
+        # the caller's: no clash with the caller's own ``inl1``.
+        inline_call(first, main, first_call(main))
+        verify_module(first)
+        assert "inl3_inl1_cont" in main.blocks
+        assert run_module(first).output == ["5", "8"]
+
     def test_can_inline_rejects_recursion(self):
         source = """
         int rec(int n) { if (n > 0) { return rec(n - 1); } return 0; }

@@ -362,7 +362,11 @@ def _limited_recording(transformed, infos, backend, limit):
         executor.instructions,
         executor.cycles,
         loads,
-        {k: s.to_dict() for k, s in executor.loop_stats.items()},
+        # Timed from whatever was recorded, also when the run died.
+        {
+            k: s.to_dict()
+            for k, s in executor.replay(BASE).loop_stats.items()
+        },
         [trace.to_dict() for trace in executor.traces],
     )
 
