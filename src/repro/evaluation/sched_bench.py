@@ -34,11 +34,14 @@ from repro.runtime.parallel import (
     LoopRunStats,
     ParallelExecutor,
     ParallelRunResult,
-    _accumulate,
     schedule_invocation,
 )
 from repro.runtime.interpreter import ExecutionResult
-from repro.runtime.sched import ScheduleResult, schedule_invocation_reference
+from repro.runtime.sched import (
+    ScheduleColumns,
+    ScheduleResult,
+    schedule_invocation_reference,
+)
 from repro.runtime.trace import InvocationTrace
 
 #: Benchmarks used by ``--quick`` (CI smoke).
@@ -121,7 +124,16 @@ def reference_replay(
         stats = loop_stats.setdefault(
             trace.loop_id, LoopRunStats(loop_id=trace.loop_id)
         )
-        _accumulate(stats, trace, new)
+        stats.invocations += 1
+        stats.iterations += trace.iteration_count
+        stats.sequential_cycles += new.sequential_cycles
+        stats.parallel_cycles += new.parallel_cycles
+        stats.signals += new.signals
+        stats.waits += new.waits
+        stats.wait_stall_cycles += new.wait_stall_cycles
+        stats.transfer_words += new.transfer_words
+        stats.loads += trace.loads
+        stats.segment_cycles += new.segment_cycles
         schedules.append(new)
     result = ExecutionResult(
         output=list(executor.output),
@@ -139,10 +151,13 @@ def reference_replay(
 
 def _reset_compiled_state(executor: ParallelExecutor) -> None:
     """Drop every compiled artifact so the next ``replay_many`` is cold:
-    trace programs recompile and every column is rescheduled."""
-    executor._schedules = {}
+    traces are regrouped, their programs recompile and every column is
+    rescheduled."""
     for trace in executor.traces:
         trace._program = None
+        trace._signature = None
+    executor._schedules.clear()
+    executor._grouping = None
 
 
 def _compiled_columns(
@@ -169,7 +184,7 @@ class SweepTiming:
 
     Three lanes: the reference per-event interpreter, the per-machine
     compiled engine (``schedule_invocation`` per trace per machine) and
-    the batched engine (cohort-vectorized ``schedule_many``, what
+    the batched engine (the vectorized ``schedule_many``, what
     ``replay_many`` runs).
     """
 
@@ -320,8 +335,11 @@ def _check_equivalence(
     must match the reference interpreter field for field."""
     compiled_runs = executor.replay_many(machines)
     compiled_columns = _compiled_columns(executor, machines)
-    for fingerprint, column in compiled_columns.items():
-        if executor._schedules[fingerprint] != column:  # pragma: no cover
+    for machine in machines:
+        fingerprint = machine.fingerprint()
+        if (
+            executor.schedules(machine) != compiled_columns[fingerprint]
+        ):  # pragma: no cover - engine bug
             raise AssertionError(
                 f"batched/per-machine schedule divergence on {name!r} "
                 f"under {fingerprint}"
@@ -330,7 +348,7 @@ def _check_equivalence(
         reference, ref_schedules = reference_replay(
             executor, machine, legacy_traces
         )
-        new_schedules = executor._schedules[machine.fingerprint()]
+        new_schedules = executor.schedules(machine)
         if new_schedules != ref_schedules:  # pragma: no cover - engine bug
             for idx, (new, ref) in enumerate(
                 zip(new_schedules, ref_schedules)
@@ -397,9 +415,12 @@ def run_sched_bench(
         for _ in range(repeat):
             _reset_compiled_state(executor)
             start = time.perf_counter()
-            executor._schedules.update(
-                _compiled_columns(executor, machines)
-            )
+            for fingerprint, column in _compiled_columns(
+                executor, machines
+            ).items():
+                executor._schedules[fingerprint] = (
+                    ScheduleColumns.from_results(column)
+                )
             executor.replay_many(machines)
             compiled_best = min(compiled_best, time.perf_counter() - start)
 

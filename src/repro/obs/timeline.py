@@ -20,15 +20,20 @@ absolute cycles.  The timing model is written once, in ``_place``.
 
 The walk re-derives the placement with the same model as
 :func:`~repro.runtime.sched.schedule_compact` (general path only; the
-scheduler's fast paths are timing-equivalent shortcuts).  Like
-:func:`~repro.runtime.sched.schedule_many` it groups traces by loop and
-:func:`~repro.runtime.sched.trace_signature` and reads one compiled
-:class:`~repro.runtime.trace.TraceProgram` per group -- compilation
-looks at event kinds, dependences, slicing and word counts, never at
-timestamps, so a program's structural columns hold for every trace of
-its shape and each trace's own timestamps are gathered from its raw
-``ev_at`` column through the program's ``raw`` index.  Accounting a
-replayed run therefore compiles nothing the scheduler had not compiled.
+scheduler's fast paths are timing-equivalent shortcuts).  It works from
+the grouping :func:`~repro.runtime.sched.schedule_many` works from,
+which the executor keeps per trace list: traces by loop and shape, and
+within a shape by distinct invocation.  One compiled
+:class:`~repro.runtime.trace.TraceProgram` is read per shape --
+compilation looks at event kinds, dependences, slicing and word counts,
+never at timestamps, so a program's structural columns hold for every
+trace of its shape and each trace's own timestamps are gathered from its
+raw ``ev_at`` column through the program's ``raw`` index -- so
+accounting a replayed run compiles nothing the scheduler had not
+compiled.  When only totals are wanted, one member of each distinct
+invocation is placed and its intervals are counted once per occurrence
+(equal offsets give equal per-core buckets); the segment list places
+every trace.
 
 The totals match the :class:`~repro.runtime.sched.ScheduleResult`
 aggregates *exactly* -- ``tests/test_timeline.py`` asserts this on the
@@ -46,13 +51,13 @@ import it explicitly as ``repro.obs.timeline``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.loopinfo import ParallelizedLoop
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import ParallelExecutor
-from repro.runtime.sched import trace_signature
 from repro.runtime.trace import (
     CTRL_DEP,
     OP_NEXT,
@@ -101,6 +106,7 @@ def _place(
     base: int,
     totals: List[Dict[str, int]],
     segments: Optional[List[Segment]],
+    times: int = 1,
 ) -> int:
     """Place one invocation on the cores: the timing model, once.
 
@@ -109,9 +115,11 @@ def _place(
     shape-determined columns are read, and ``trace``'s own timestamps
     come from its raw ``ev_at`` column through ``prog.raw``.
 
-    Every occupied interval is added to ``totals[core][category]``;
-    when ``segments`` is a list it is also appended there as a
-    :class:`Segment` shifted by ``base``.  Returns the invocation's
+    Every occupied interval is added to ``totals[core][category]``,
+    ``times`` times over (the occurrences of this invocation in the run,
+    which all place alike); when ``segments`` is a list it is also
+    appended there, once, as a :class:`Segment` shifted by ``base``.
+    Returns the invocation's
     parallel length (``ScheduleResult.parallel_cycles``); time zero is
     the start of thread configuration.  The trace must have iterations.
     """
@@ -130,7 +138,7 @@ def _place(
 
     if conf:
         for core in range(cores):
-            totals[core]["config"] += conf
+            totals[core]["config"] += conf * times
             if emit:
                 segments.append(Segment(core, "config", base, base + conf))
 
@@ -202,7 +210,7 @@ def _place(
                         alt = done
                     t = pull if pull < alt else alt
             if t > started:
-                row["signal"] += t - started
+                row["signal"] += (t - started) * times
                 if emit:
                     segments.append(
                         Segment(core, "signal", base + started, base + t)
@@ -281,11 +289,11 @@ def _place(
         t += it_end[i] - last
         if barrier:
             t += tail[i] * barrier
-        row["compute"] += computed + t - pos
+        row["compute"] += (computed + t - pos) * times
         if stalled:
-            row["stall"] += stalled
+            row["stall"] += stalled * times
         if moved:
-            row["transfer"] += moved
+            row["transfer"] += moved * times
         if emit and t > pos:
             segments.append(Segment(core, "compute", base + pos, base + t))
         core_free[core] = t
@@ -296,7 +304,7 @@ def _place(
 
     # Main thread collects the exit variable and stops parallel threads.
     if wind_down:
-        totals[0]["collect"] += wind_down
+        totals[0]["collect"] += wind_down * times
         if emit:
             segments.append(
                 Segment(
@@ -324,15 +332,28 @@ def _walk_run(
     sequential clock: from one trace's ``end_cycles`` to the next one's
     ``start_cycles``.
 
-    Traces are grouped like :func:`~repro.runtime.sched.schedule_many`
-    groups them, by loop and :func:`~repro.runtime.sched.trace_signature`,
-    and each group is placed through the program of its first member --
-    the one the cohort scheduler compiled -- so accounting compiles at
-    most one program per shape.
+    Traces are grouped as :func:`~repro.runtime.sched.schedule_many`
+    groups them (the executor keeps the grouping), and every trace is
+    placed through the program of its shape's first member -- the one
+    the scheduler compiled -- so accounting compiles at most one
+    program per shape.  Without ``segments`` only the totals are
+    wanted, and invocations that ran alike place alike: one member of
+    each distinct invocation is placed, its intervals counted once per
+    occurrence, and its length reused by the others.
     """
     totals = _empty_totals(machine.cores)
     info_by_id = {info.loop_id: info for info in executor.infos}
-    programs: Dict[Tuple, TraceProgram] = {}
+    traces = executor.traces
+    shapes, first, index = executor.invocation_groups()
+    compiled = {
+        distinct: traces[first[members[0]]]
+        for members in shapes
+        for distinct in members
+    }
+    index = index.tolist()
+    totals_only = segments is None
+    occurrences = Counter(index)
+    lengths: Dict[int, int] = {}
     cursor = 0
 
     def sequential(length: int) -> None:
@@ -347,21 +368,24 @@ def _walk_run(
             cursor += length
 
     recorded_end = 0  # end of the previous invocation, recorded clock
-    for trace in executor.traces:
+    for trace, distinct in zip(traces, index):
         sequential(trace.start_cycles - recorded_end)
         if trace.iteration_count == 0:
             # The loop body never ran; the invocation is its sequential
             # span on the main core, under every machine.
             sequential(trace.end_cycles - trace.start_cycles)
         else:
-            key = (trace.loop_id,) + trace_signature(trace)
-            prog = programs.get(key)
-            if prog is None:
-                prog = programs[key] = trace.program
-            cursor += _place(
-                prog, trace, info_by_id[trace.loop_id], machine,
-                cursor, totals, segments,
-            )
+            length = lengths.get(distinct)
+            if length is None:
+                length = _place(
+                    compiled[distinct].program, trace,
+                    info_by_id[trace.loop_id], machine,
+                    cursor, totals, segments,
+                    occurrences[distinct] if totals_only else 1,
+                )
+                if totals_only:
+                    lengths[distinct] = length
+            cursor += length
         recorded_end = trace.end_cycles
     sequential(executor.cycles - recorded_end)
     return totals, cursor

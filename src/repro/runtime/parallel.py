@@ -39,14 +39,23 @@ that happens at record time.  The recording -- output, sequential total,
 traces -- is therefore a function of the transformed IR, the cost model
 and the input, and of no machine.  Time under a machine ``m`` is filled
 in after the run by one :func:`~repro.runtime.sched.schedule_many` pass
-(one compiled program per trace shape): an invocation of ``seq_i``
-recorded cycles takes ``par_i(m)`` there, so the run takes
-``seq_total - sum(seq_i - par_i(m))``, and the :class:`LoopRunStats`
-are summed from the same column.  :meth:`ParallelExecutor.execute`,
+(one compiled program per trace shape, one walk per distinct
+invocation): an invocation of ``seq_i`` recorded cycles takes
+``par_i(m)`` there, so the run takes ``seq_total - sum(seq_i -
+par_i(m))``, and the :class:`LoopRunStats` are summed from the same
+column.  :meth:`ParallelExecutor.execute`,
 :meth:`~ParallelExecutor.replay_many` and
 :meth:`~ParallelExecutor.restore_run` all read their numbers that way,
-the executing machine being just the first one asked for; columns are
-memoized per :meth:`~repro.runtime.machine.MachineConfig.fingerprint`.
+the executing machine being just the first one asked for.  Columns stay
+arrays end to end: the memo holds one
+:class:`~repro.runtime.sched.ScheduleColumns` per
+:meth:`~repro.runtime.machine.MachineConfig.fingerprint`, whole or
+absent, cycles and loop statistics are array sums over a per-loop index
+of the trace list, and :class:`ScheduleResult` objects exist only for
+callers of :meth:`~ParallelExecutor.schedules`.  What depends on the
+trace list alone -- the distinct-invocation grouping and the per-loop
+index -- is computed once per list and dropped when :attr:`traces` is
+reassigned.
 
 The recording run observes little of what it interprets.  Its
 ``on_block_entry`` acts on three kinds of block only -- the parallel
@@ -79,6 +88,7 @@ from repro.runtime.interpreter import (
 )
 from repro.runtime.machine import MachineConfig
 from repro.runtime.sched import (
+    ScheduleColumns,
     ScheduleResult,
     schedule_compact,
     schedule_invocation_reference,
@@ -203,7 +213,7 @@ class ParallelExecutor(Interpreter):
         record_traces: bool = True,
         max_instructions: Optional[int] = 500_000_000,
         backend: str = "auto",
-        schedule_memo: Optional[Dict[str, List[ScheduleResult]]] = None,
+        schedule_memo: Optional[Dict[str, ScheduleColumns]] = None,
         block_profile: Optional[Dict[Tuple[str, str], int]] = None,
         codegen_cache=None,
     ) -> None:
@@ -237,18 +247,34 @@ class ParallelExecutor(Interpreter):
         self._inv_frame: Optional[Frame] = None
         self._iter: Optional[IterationTrace] = None
         self._loads_at_start = 0
-        #: The recorded invocations, in the run's sequential clock.
-        self.traces: List[CompactInvocationTrace] = []
-        #: Memoized per-machine schedule columns, aligned with
-        #: :attr:`traces`, keyed by machine fingerprint and filled on
-        #: demand (the executing machine's by :meth:`execute`).  An
+        #: Memoized per-machine schedule columns
+        #: (:class:`~repro.runtime.sched.ScheduleColumns` of one machine,
+        #: as long as :attr:`traces`), keyed by machine fingerprint and
+        #: filled on demand (the executing machine's by
+        #: :meth:`execute`); a column is whole or absent.  An
         #: :class:`~repro.artifacts.ArtifactStore` may inject a tracked
         #: namespace here (``schedule_memo``) so column occupancy shows
         #: up in the store's unified accounting; standalone executors
         #: default to a private dict with identical semantics.
-        self._schedules: Dict[str, List[ScheduleResult]] = (
+        self._schedules: Dict[str, ScheduleColumns] = (
             schedule_memo if schedule_memo is not None else {}
         )
+        self.traces = []
+
+    @property
+    def traces(self) -> List[CompactInvocationTrace]:
+        """The recorded invocations, in the run's sequential clock."""
+        return self._traces
+
+    @traces.setter
+    def traces(self, traces: List[CompactInvocationTrace]) -> None:
+        # Everything derived from a trace list goes with it: the
+        # schedule columns, the distinct-invocation grouping and the
+        # per-loop index of ``_timed``.
+        self._traces = traces
+        self._schedules.clear()
+        self._grouping = None
+        self._by_loop = None
 
     # -- interpreter hooks -------------------------------------------------
 
@@ -338,7 +364,6 @@ class ParallelExecutor(Interpreter):
         self._iter = None
         self._loads_at_start = 0
         self.traces = []
-        self._schedules.clear()
         return super().run(entry, args)
 
     def execute(self) -> ParallelRunResult:
@@ -349,7 +374,6 @@ class ParallelExecutor(Interpreter):
             sp.set(invocations=len(self.traces), cycles=timed.cycles)
         if not self.record_traces:
             self.traces = []
-            self._schedules.clear()
         return timed
 
     def restore_run(
@@ -372,85 +396,112 @@ class ParallelExecutor(Interpreter):
         self.cycles = result.cycles
         self.instructions = result.instructions
         self.traces = [as_compact(trace) for trace in traces]
-        self._schedules.clear()
         self.load_count = load_count
         return self._timed([self.machine], result.return_value)[0]
 
-    def _ensure_schedules(self, machines: Sequence[MachineConfig]) -> None:
-        """Fill the schedule memo for every machine missing from it.
+    def _loops(self) -> List[ParallelizedLoop]:
+        info_by_id = {info.loop_id: info for info in self.infos}
+        return [info_by_id[trace.loop_id] for trace in self.traces]
 
-        A machine whose cached column merely lags behind
-        :attr:`traces` is *extended* from where it stopped instead of
-        recomputed from scratch.  Every missing column is filled in one
-        pass over the traces by :func:`~repro.runtime.sched.schedule_many`
-        (shape-identical trace cohorts vectorized, the remaining traces
-        scheduled per machine by the scalar engine).
-        """
-        total = len(self.traces)
-        seen: set = set()
-        missing: List[Tuple[str, MachineConfig, int]] = []
+    def invocation_groups(self):
+        """The distinct-invocation grouping of :attr:`traces` (see
+        :func:`~repro.runtime.sched.schedule_many`), computed once per
+        trace list whoever asks first: a scheduling pass or the
+        simulated-time accounting of :mod:`repro.obs.timeline`."""
+        if self._grouping is None:
+            self._grouping = schedule_many(
+                self.traces, self._loops(), ()
+            ).grouping
+        return self._grouping
+
+    def _ensure_schedules(self, machines: Sequence[MachineConfig]) -> None:
+        """Fill the schedule memo for every machine missing from it, in
+        one :func:`~repro.runtime.sched.schedule_many` pass over the
+        traces.  Every requested machine owns a column afterwards, even
+        the empty one of a run whose loops never executed."""
+        missing: Dict[str, MachineConfig] = {}
         for machine in machines:
             fingerprint = machine.fingerprint()
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            # Every requested machine owns a column afterwards, even the
-            # empty one of a run whose loops never executed.
-            column = self._schedules.setdefault(fingerprint, [])
-            done = len(column)
-            if done < total:
-                missing.append((fingerprint, machine, done))
+            if fingerprint not in self._schedules:
+                missing.setdefault(fingerprint, machine)
         if not missing:
             return
-        info_by_id = {info.loop_id: info for info in self.infos}
         with get_tracer().span(
             "sched.schedule",
             cat="sched",
             machines=len(missing),
-            traces=total,
+            traces=len(self.traces),
         ):
-            # One pass from the earliest lagging offset; machines that
-            # already cover a prefix keep it and only append their
-            # missing rows.
-            start = min(done for _fp, _m, done in missing)
-            tail = self.traces[start:]
-            loops = [info_by_id[t.loop_id] for t in tail]
-            grid = [machine for _fp, machine, _d in missing]
-            columns = schedule_many(tail, loops, grid)
-            for ki, (fp, _machine, done) in enumerate(missing):
-                col = self._schedules.setdefault(fp, [])
-                for ti in range(done - start, len(tail)):
-                    col.append(columns[ti][ki])
+            columns = schedule_many(
+                self.traces,
+                self._loops(),
+                list(missing.values()),
+                self._grouping,
+            )
+            self._grouping = columns.grouping
+            for mi, fingerprint in enumerate(missing):
+                self._schedules[fingerprint] = columns.column(mi)
 
     def _timed(
         self, machines: Sequence[MachineConfig], return_value: object = None
     ) -> List[ParallelRunResult]:
         """The recorded run under each machine: every invocation's
-        sequential span replaced by its scheduled length.  All results
+        sequential span replaced by its scheduled length.  Cycles and
+        :class:`LoopRunStats` are array sums of the machine's schedule
+        column over a per-loop index of the trace list.  All results
         share one output list and one trace list (never mutated)."""
+        import numpy as np
+
         self._ensure_schedules(machines)
+        traces = self.traces
+        if self._by_loop is None:
+            # Loops in order of first invocation, the 0/1 membership of
+            # every trace in them, and what no machine changes.
+            loop_ids = list(dict.fromkeys(t.loop_id for t in traces))
+            position = {loop_id: k for k, loop_id in enumerate(loop_ids)}
+            member = np.zeros((len(traces), len(loop_ids)), dtype=np.int64)
+            member[
+                np.arange(len(traces)),
+                [position[t.loop_id] for t in traces],
+            ] = 1
+            fixed = np.array(
+                [[1, t.iteration_count, t.loads] for t in traces],
+                dtype=np.int64,
+            ).reshape(len(traces), 3)
+            self._by_loop = (loop_ids, member, (fixed.T @ member).tolist())
+        loop_ids, member, (invocations, iterations, loads) = self._by_loop
+        summed = [
+            name
+            for name in ScheduleColumns.FIELDS
+            if name in LoopRunStats.__dataclass_fields__
+        ]
         shared_output = list(self.output)
         shared_traces: List[AnyTrace] = (
-            list(self.traces) if self.record_traces else []
+            list(traces) if self.record_traces else []
         )
         results: List[ParallelRunResult] = []
         for machine in machines:
-            cycles = self.cycles
-            loop_stats: Dict[LoopId, LoopRunStats] = {}
-            for trace, schedule in zip(
-                self.traces, self._schedules[machine.fingerprint()]
-            ):
-                cycles += schedule.parallel_cycles - schedule.sequential_cycles
-                stats = loop_stats.get(trace.loop_id)
-                if stats is None:
-                    stats = LoopRunStats(loop_id=trace.loop_id)
-                    loop_stats[trace.loop_id] = stats
-                _accumulate(stats, trace, schedule)
+            column = self._schedules[machine.fingerprint()]
+            sums = dict(
+                zip(ScheduleColumns.FIELDS, (column.data @ member).tolist())
+            )
+            loop_stats = {
+                loop_id: LoopRunStats(
+                    loop_id=loop_id,
+                    invocations=invocations[k],
+                    iterations=iterations[k],
+                    loads=loads[k],
+                    **{name: sums[name][k] for name in summed},
+                )
+                for k, loop_id in enumerate(loop_ids)
+            }
             results.append(
                 ParallelRunResult(
                     result=ExecutionResult(
                         output=shared_output,
-                        cycles=cycles,
+                        cycles=self.cycles
+                        + sum(sums["parallel_cycles"])
+                        - sum(sums["sequential_cycles"]),
                         instructions=self.instructions,
                         return_value=return_value,
                     ),
@@ -483,12 +534,14 @@ class ParallelExecutor(Interpreter):
         """The per-invocation schedule column for ``machine`` (default:
         the executing machine), aligned with :attr:`traces`.
 
-        Memoized by machine fingerprint like :meth:`replay_many`.
+        Memoized by machine fingerprint like :meth:`replay_many`; the
+        :class:`ScheduleResult` objects are built from the memoized
+        arrays on each call.
         """
         if machine is None:
             machine = self.machine
         self._ensure_schedules([machine])
-        return self._schedules[machine.fingerprint()]
+        return self._schedules[machine.fingerprint()].results()
 
     def replay(self, machine: MachineConfig) -> ParallelRunResult:
         """Recompute the timing under a different machine from the stored
@@ -499,21 +552,6 @@ class ParallelExecutor(Interpreter):
         model must stay the same.
         """
         return self.replay_many([machine])[0]
-
-
-def _accumulate(
-    stats: LoopRunStats, trace: AnyTrace, schedule: ScheduleResult
-) -> None:
-    stats.invocations += 1
-    stats.iterations += trace.iteration_count
-    stats.sequential_cycles += schedule.sequential_cycles
-    stats.parallel_cycles += schedule.parallel_cycles
-    stats.signals += schedule.signals
-    stats.waits += schedule.waits
-    stats.wait_stall_cycles += schedule.wait_stall_cycles
-    stats.transfer_words += schedule.transfer_words
-    stats.loads += trace.loads
-    stats.segment_cycles += schedule.segment_cycles
 
 
 def run_parallel(

@@ -18,12 +18,21 @@ the walk entirely:
   one core), so the signal timetable is never materialized.
 
 :func:`schedule_many` is the batched entry point behind machine-grid
-sweeps.  It groups traces by shape (:func:`trace_signature`); cohorts of
-at least :data:`_MIN_COHORT` shape-identical traces run through the
-numpy-vectorized :func:`_schedule_cohort` walk (one opcode pass per
-machine advances the whole cohort, and only the representative trace is
-compiled), and the stragglers are scheduled per machine by
+sweeps and behind every executor's timing.  It groups traces by shape
+(:func:`trace_signature`) and, within a shape, into *distinct
+invocations* (equal stamp columns: stamps are offsets from the start of
+the invocation), schedules each distinct invocation once and fans the
+result out by index.  A shape whose ``distinct members x machines``
+reach :data:`_MIN_COHORT` runs through the numpy-vectorized
+:func:`_schedule_cohort` walk, whose vector axis is that product: one
+opcode pass advances every member under every machine of a prefetch-mode
+class, only the representative trace is compiled, and axes wider than
+:data:`_MAX_WIDTH` are walked in chunks.  Smaller shapes -- a few traces
+under one to three machines -- are scheduled per member and machine by
 :func:`schedule_compact`, with which every column is field-exact.
+Results are columnar (:class:`ScheduleColumns`: one int64 array per
+:class:`ScheduleResult` field); the objects are built only for callers
+that ask for them.
 
 :func:`schedule_invocation_reference` is the original per-event
 interpreter over the raw :class:`~repro.runtime.trace.InvocationTrace`.
@@ -43,6 +52,7 @@ barriers on non-TSO machines.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -441,111 +451,194 @@ def _resolve_agendas(
     return mt_pos, hx_pos, mt_entries, hx_entries
 
 
-#: Minimum cohort size worth the numpy dispatch overhead; smaller
-#: groups take the scalar engine per machine instead.
-_MIN_COHORT = 4
+#: Fewest columns (distinct members x machines) of one shape worth the
+#: numpy dispatch overhead; smaller groups take the scalar engine per
+#: member and machine instead.
+_MIN_COHORT = 12
+
+#: Most columns one pass of the vector walk carries.  Wider axes are
+#: walked in chunks of this many columns so that the signal timetable
+#: and the segment slots of a chunk stay cache-resident: the 1,231
+#: distinct invocations of gzip's largest shape under an 80-machine
+#: grid sweep in 0.17 s at 2-4k columns a chunk, 0.20-0.24 s at 8k and
+#: 0.22-0.27 s in one piece.
+_MAX_WIDTH = 4096
 
 
-def trace_signature(trace: CompactInvocationTrace) -> Tuple:
-    """Shape key of a trace: everything compilation depends on.
+class ScheduleColumns:
+    """:class:`ScheduleResult` fields of many invocations, as arrays.
+
+    ``data`` is one int64 array whose first axis runs over
+    :attr:`FIELDS` (the dataclass's own field order) and whose last
+    axis runs over invocations: ``(field, machine, invocation)`` as
+    :func:`schedule_many` returns it, ``(field, invocation)`` for the
+    one machine :meth:`column` selects (what the executor memoizes per
+    machine fingerprint).  Each field also reads as an attribute
+    (``columns.parallel_cycles``); :meth:`results` builds the
+    :class:`ScheduleResult` objects for whoever asks.  ``grouping`` is
+    the distinct-invocation index :func:`schedule_many` worked from,
+    kept by callers that schedule the same traces again.
+    """
+
+    FIELDS = tuple(ScheduleResult.__dataclass_fields__)
+
+    def __init__(self, data, grouping=None) -> None:
+        self.data = data
+        self.grouping = grouping
+
+    def __len__(self) -> int:
+        """The number of invocations."""
+        return self.data.shape[-1]
+
+    def __getattr__(self, name: str):
+        try:
+            return self.data[self.FIELDS.index(name)]
+        except ValueError:
+            raise AttributeError(name) from None
+
+    @classmethod
+    def from_results(
+        cls, results: Sequence[ScheduleResult]
+    ) -> "ScheduleColumns":
+        """One machine's column from per-invocation results."""
+        import numpy as np
+
+        return cls(
+            np.array(
+                [[getattr(r, name) for r in results] for name in cls.FIELDS],
+                dtype=np.int64,
+            )
+        )
+
+    def column(self, mi: int) -> "ScheduleColumns":
+        """The column of the ``mi``-th machine asked for."""
+        return ScheduleColumns(self.data[:, mi])
+
+    def results(self) -> List[ScheduleResult]:
+        """One machine's column as :class:`ScheduleResult` objects."""
+        return [ScheduleResult(*row) for row in self.data.T.tolist()]
+
+
+def trace_signature(trace: CompactInvocationTrace) -> bytes:
+    """Shape key of a trace: a digest of everything compilation depends on.
 
     :meth:`CompactInvocationTrace._compile` inspects only the event
     *kinds*, *dependences*, per-iteration slicing and ``xfer`` word
     counts -- never timestamps -- so two traces with equal signatures
     compile to structurally identical :class:`TraceProgram`\\ s whose
     ``at`` columns differ only in values.  :func:`schedule_many` groups
-    traces by this key and schedules each cohort through one vectorized
-    walk over a single representative program.
+    traces by this key and schedules each shape through one vectorized
+    walk over a single representative program.  Computed once per trace
+    and cached on it, which is why it is a 16-byte digest and not the
+    columns themselves.
     """
-    return (
-        trace.ev_kind.tobytes(),
-        trace.ev_dep.tobytes(),
-        trace.ev_off.tobytes(),
-        # Most iterations transfer nothing; their key needs no sort.
-        tuple(
-            [tuple(sorted(per.items())) if per else () for per in trace.words]
-        ),
-    )
+    signature = trace._signature
+    if signature is None:
+        digest = hashlib.blake2b(digest_size=16)
+        for column in (trace.ev_off, trace.ev_kind, trace.ev_dep):
+            digest.update(len(column).to_bytes(8, "little"))
+            digest.update(column)
+        # Most iterations transfer nothing.
+        digest.update(
+            repr(
+                [
+                    (i, sorted(per.items()))
+                    for i, per in enumerate(trace.words)
+                    if per
+                ]
+            ).encode()
+        )
+        signature = trace._signature = digest.digest()
+    return signature
 
 
 def _schedule_cohort(
     traces: List[CompactInvocationTrace],
     loop: ParallelizedLoop,
-    machines: Sequence[MachineConfig],
-) -> List[List[ScheduleResult]]:
-    """Schedule a cohort of shape-identical traces under every machine.
+    grid,
+):
+    """Schedule shape-identical traces under every machine in one walk.
 
-    The cohort dimension is vectorized with numpy: per-core clocks,
-    signal timetables and segment slots become width-``C`` integer
-    vectors (``C`` = cohort size) and every opcode advances all traces
-    at once, so the per-op interpretive overhead is paid once per
-    machine instead of once per trace per machine.  Only the
-    representative trace is compiled; the others' ``at`` values are
-    gathered from their raw event columns through the program's ``raw``
-    index (see :func:`trace_signature` for why that is sound).
+    The vector axis is ``machines x traces``: per-core clocks, signal
+    timetables and segment slots are integer vectors with one column
+    per (machine, trace) pair and every opcode advances all of them at
+    once, so the per-op interpretive overhead is paid once per shape
+    instead of once per trace per machine.  Every machine field enters
+    the walk as a value (``max``/``min``/``+`` only) and is broadcast
+    as a per-column vector against the per-trace time deltas; only two
+    things change the walk's structure.  The prefetch mode picks the
+    agenda, so machines are walked in up to three classes (``NONE`` and
+    ``IDEAL`` share one walk, differing in what a completed wait costs;
+    ``HELIX`` and ``MATCHED`` take one each).  The core count picks the
+    clock row of iteration ``i`` (``i % cores``), which is a row
+    gather/scatter on the ``(max cores, width)`` clock arrays, and a
+    plain row when the columns of a walk agree on it.  Axes wider than
+    :data:`_MAX_WIDTH` are walked in chunks.
 
-    Returns ``out[c][mi]``, field-exact with
+    Only the representative trace is compiled; the others' ``at``
+    values are gathered from their raw event columns through the
+    program's ``raw`` index (see :func:`trace_signature` for why that
+    is sound).
+
+    ``grid`` holds the machines as :func:`schedule_many` tabulates
+    them, one row per quantity the walk reads.  Returns the
+    :class:`ScheduleColumns` ``data`` block of the cohort,
+    ``data[f, mi, c]`` being field-exact with
     ``schedule_compact(traces[c], loop, machines[mi])``.
     """
     import numpy as np
 
+    cores_v, lat_v, _fast, _wait, xfr_v, bar_v, conf_v, mode_v = grid
+    # The main thread collects the exit variable and stops the parallel
+    # threads once the last iteration retires.
+    wind_v = lat_v + cores_v - 1
     prog = traces[0].program
     cohort = len(traces)
-    count = len(machines)
     n = len(prog.spans)
     counted = loop.counted
-    seqs = [tr.end_cycles - tr.start_cycles for tr in traces]
+    data = np.zeros(
+        (len(ScheduleColumns.FIELDS), grid.shape[1], cohort), dtype=np.int64
+    )
+    col = dict(zip(ScheduleColumns.FIELDS, data))
+    seqs = np.array(
+        [tr.end_cycles - tr.start_cycles for tr in traces], dtype=np.int64
+    )
+    col["sequential_cycles"][:] = seqs
     if n == 0:
-        return [
-            [
-                ScheduleResult(parallel_cycles=s, sequential_cycles=s)
-                for _ in range(count)
-            ]
-            for s in seqs
-        ]
+        col["parallel_cycles"][:] = seqs
+        return data
 
-    it_s = np.empty((cohort, n), dtype=np.int64)
-    it_e = np.empty((cohort, n), dtype=np.int64)
-    for c, tr in enumerate(traces):
-        it_s[c] = np.frombuffer(tr.it_start, dtype=np.int64)
-        it_e[c] = np.frombuffer(tr.it_end, dtype=np.int64)
+    def stacked(name: str) -> "np.ndarray":
+        return np.array(
+            [np.frombuffer(getattr(tr, name), dtype=np.int64) for tr in traces]
+        )
+
+    it_s, it_e = stacked("it_start"), stacked("it_end")
     sp = it_e - it_s  # per-iteration spans, (cohort, n)
-    span_total = sp.sum(axis=1)
 
-    waits = prog.waits
-    transfer_words = prog.transfer_words
-    barrier_events = prog.barrier_events
-    out: List[List[Optional[ScheduleResult]]] = [
-        [None] * count for _ in range(cohort)
-    ]
+    col["signals"][:] = (
+        prog.signals if counted else prog.signals + prog.next_iters
+    )
+    col["waits"][:] = prog.waits
+    col["transfer_words"][:] = prog.transfer_words
+    col["compute_cycles"][:] = (
+        sp.sum(axis=1) + prog.barrier_events * bar_v[:, None]
+    )
+    col["transfer_cycles"][:] = prog.transfer_words * xfr_v[:, None]
 
     if counted and prog.active_ops == 0:
         # Counted DOALL: the closed form vectorizes directly; the busy
         # vector depends only on the core count, so it is shared across
         # latency/prefetch sweeps exactly like the scalar engine's.
-        busy_by_cores: Dict[int, "np.ndarray"] = {}
-        totals = span_total.tolist()
-        for mi, machine in enumerate(machines):
-            cores = machine.cores
-            busy = busy_by_cores.get(cores)
-            if busy is None:
-                busy = sp[:, 0::cores].sum(axis=1)
-                for c0 in range(1, min(cores, n)):
-                    np.maximum(busy, sp[:, c0::cores].sum(axis=1), out=busy)
-                busy_by_cores[cores] = busy
-            conf = machine.config_cycles_per_thread * max(cores - 1, 1)
-            par = (busy + (conf + machine.signal_latency + cores - 1)).tolist()
-            for c in range(cohort):
-                stats = ScheduleResult(
-                    parallel_cycles=par[c],
-                    sequential_cycles=seqs[c],
-                    signals=prog.signals,
-                    waits=waits,
-                    transfer_words=transfer_words,
-                )
-                stats.compute_cycles = totals[c]
-                out[c][mi] = stats
-        return out  # type: ignore[return-value]
+        for cores in set(cores_v.tolist()):
+            busy = sp[:, 0::cores].sum(axis=1)
+            for c0 in range(1, min(cores, n)):
+                np.maximum(busy, sp[:, c0::cores].sum(axis=1), out=busy)
+            at_cores = cores_v == cores
+            col["parallel_cycles"][at_cores] = (
+                busy + (conf_v + wind_v)[at_cores, None]
+            )
+        return data
 
     op_, a1_, a2_, src_ = prog.op, prog.a1, prog.a2, prog.src
     pre_, off, tail_ = prog.pre, prog.off, prog.tail
@@ -556,12 +649,9 @@ def _schedule_cohort(
     # cohort-wide vector: dt[j] = at[j] - at[j-1] within an iteration,
     # at[j] - it_start[i] for its first op; et[i] closes the iteration.
     et = np.empty((n, cohort), dtype=np.int64)
-    dt = None
+    dt = np.empty((nops, cohort), dtype=np.int64)
     if nops:
-        ev_at = np.empty((cohort, len(traces[0].ev_at)), dtype=np.int64)
-        for c, tr in enumerate(traces):
-            ev_at[c] = np.frombuffer(tr.ev_at, dtype=np.int64)
-        at = ev_at[:, np.frombuffer(prog.raw, dtype=np.int64)]
+        at = stacked("ev_at")[:, np.frombuffer(prog.raw, dtype=np.int64)]
         d = np.empty_like(at)
         d[:, 1:] = at[:, 1:] - at[:, :-1]
         for i in range(n):
@@ -571,229 +661,261 @@ def _schedule_cohort(
                 et[i] = it_e[:, i] - at[:, hi - 1]
             else:
                 et[i] = sp[:, i]
-        dt = np.ascontiguousarray(d.T)
+        dt[:] = d.T
     else:
         et[:] = sp.T
 
-    mt_pos: List[int] = []
-    hx_pos: List[int] = []
-    mt_entries: List[Tuple[int, ...]] = []
-    hx_entries: List[Tuple[int, ...]] = []
-    if any(
-        m.effective_prefetch_mode
-        in (PrefetchMode.HELIX, PrefetchMode.MATCHED)
-        for m in machines
-    ):
-        mt_pos, hx_pos, mt_entries, hx_entries = _resolve_agendas(
-            prog, tuple(loop.helper_order), counted
-        )
+    # Machines by what changes the walk's structure: the agenda flavour.
+    modes = list(PrefetchMode)
+    agendas = None
+    for code in np.unique(mode_v).tolist():
+        do_helper = modes[code] is not PrefetchMode.NONE
+        if do_helper:
+            if agendas is None:
+                agendas = _resolve_agendas(
+                    prog, tuple(loop.helper_order), counted
+                )
+            mt_pos, hx_pos, mt_entries, hx_entries = agendas
+            pf_pos, pf_entries = (
+                (hx_pos, hx_entries)
+                if modes[code] is PrefetchMode.HELIX
+                else (mt_pos, mt_entries)
+            )
+        of_class = np.nonzero(mode_v == code)[0]
+        axis = len(of_class) * cohort
+        for lo in range(0, axis, _MAX_WIDTH):
+            columns = np.arange(lo, min(lo + _MAX_WIDTH, axis))
+            mi_, c_ = of_class[columns // cohort], columns % cohort
+            width = len(columns)
+            cores, lat, fast, wait, xfr, bar, conf, _ = grid[:, mi_]
+            any_bar = bool(bar.any())
+            dtw, etw = dt[:, c_], et[:, c_]
 
-    signals = prog.signals if counted else prog.signals + prog.next_iters
-    for mi, machine in enumerate(machines):
-        cores = machine.cores
-        lat = machine.signal_latency
-        fast = machine.prefetched_signal_latency
-        xfr = machine.word_transfer_cycles
-        bar = 0 if machine.total_store_ordering else machine.barrier_cycles
-        conf = machine.config_cycles_per_thread * max(cores - 1, 1)
-        mode = machine.effective_prefetch_mode
-        mode_none = mode is PrefetchMode.NONE
-        mode_ideal = mode is PrefetchMode.IDEAL
-        helix = mode is PrefetchMode.HELIX
-        do_helper = helix or mode is PrefetchMode.MATCHED
+            top = int(cores.max())
+            one_count = top == int(cores.min())
+            lanes = np.arange(width)
+            clk = np.empty((top, width), dtype=np.int64)
+            clk[:] = conf
+            hclk = np.zeros_like(clk) if do_helper else None
+            evt = np.zeros((nops, width), dtype=np.int64)
+            slots_t = np.zeros((prog.slot_count, width), dtype=np.int64)
+            stall = np.zeros(width, dtype=np.int64)
+            seg = np.zeros(width, dtype=np.int64)
+            sigc = np.zeros(width, dtype=np.int64)
+            prev_next = None
+            cur_next = None
 
-        clk = np.full((cores, cohort), conf, dtype=np.int64)
-        hclk = np.zeros((cores, cohort), dtype=np.int64) if do_helper else None
-        evt = np.zeros((nops, cohort), dtype=np.int64)
-        slots_t = np.zeros((prog.slot_count, cohort), dtype=np.int64)
-        stall = np.zeros(cohort, dtype=np.int64)
-        seg = np.zeros(cohort, dtype=np.int64)
-        sigc = np.zeros(cohort, dtype=np.int64)
-        maxend = np.zeros(cohort, dtype=np.int64)
-        prev_next = None
-        cur_next = None
+            for i in range(n):
+                # Iteration i's clock row, per column: indexing with it
+                # gathers on read and scatters on write.
+                core = i % top if one_count else (i % cores, lanes)
+                need_ctrl = i > 0 and not counted
+                if need_ctrl:
+                    assert has_next[i - 1], "iteration without start signal"
 
-        for i in range(n):
-            core = i % cores
-            need_ctrl = i > 0 and not counted
-            if need_ctrl:
-                assert has_next[i - 1], "iteration without start signal"
-
-            pfv = None
-            if do_helper and i > 0:
-                entries = hx_entries[i] if helix else mt_entries[i]
-                if entries:
+                pfv = None
+                if do_helper and i > 0 and pf_entries[i]:
                     cursor = hclk[core]
                     pfv = []
-                    for source in entries:
-                        ts = (
-                            prev_next
-                            if source == _CTRL_SRC
-                            else evt[source]
-                        )
+                    for source in pf_entries[i]:
+                        ts = prev_next if source == _CTRL_SRC else evt[source]
                         cursor = np.maximum(cursor, ts) + lat
                         pfv.append(cursor)
                     hclk[core] = cursor
 
-            t = clk[core]
-            if need_ctrl:
-                ts = prev_next
-                started = t
-                if mode_none:
-                    t = np.maximum(t, ts) + lat
-                elif mode_ideal:
-                    t = np.maximum(t, ts) + fast
-                else:
-                    # The control entry always leads the resolved agenda.
-                    pull = np.maximum(t, ts) + lat
-                    t = np.minimum(pull, np.maximum(t + fast, pfv[0]))
-                sigc += t - started
-
-            ivl = []
-            for j in range(off[i], off[i + 1]):
-                o = op_[j]
-                pj = pre_[j]
-                if o == OP_WAIT_SYNC:
-                    t = t + dt[j]
-                    if bar:
-                        t += (pj + 1) * bar
-                    ts = evt[src_[j]]
-                    if mode_none:
-                        arrival = np.maximum(t, ts) + lat
-                    elif mode_ideal:
-                        arrival = np.maximum(t, ts) + fast
+                t = clk[core]
+                if need_ctrl:
+                    started = t
+                    t = np.maximum(t, prev_next)
+                    if do_helper:
+                        # The control entry always leads the agenda.
+                        t = np.minimum(
+                            t + lat, np.maximum(started + fast, pfv[0])
+                        )
                     else:
-                        arrival = np.maximum(t, ts) + lat
-                        pos = hx_pos[j] if helix else mt_pos[j]
-                        if pos >= 0:
-                            np.minimum(
-                                arrival,
-                                np.maximum(t + fast, pfv[pos]),
-                                out=arrival,
-                            )
-                    stall += arrival - t
-                    t = arrival
-                    slots_t[a2_[j]] = t
-                elif o == OP_WAIT:
-                    t = t + dt[j]
-                    if bar:
-                        t += (pj + 1) * bar
-                    slots_t[a2_[j]] = t
-                elif o == OP_SIGNAL:
-                    t = t + dt[j]
-                    if bar:
-                        t += (pj + 1) * bar
-                    evt[j] = t
-                    slot = a2_[j]
-                    if slot >= 0:
-                        ivl.append((slots_t[slot], t))
-                elif o == OP_XFER:
-                    t = t + dt[j]
-                    extra = pj * bar + a1_[j] * xfr
-                    if extra:
-                        t += extra
-                else:  # OP_NEXT
-                    t = t + dt[j]
-                    if bar:
-                        t += pj * bar
-                    cur_next = t
+                        t = t + wait
+                    sigc += t - started
 
-            t = t + et[i]
-            if bar:
-                t += tail_[i] * bar
-            clk[core] = t
-            np.maximum(maxend, t, out=maxend)
-            if ivl:
-                if len(ivl) == 1:
-                    seg += ivl[0][1] - ivl[0][0]
-                else:
-                    # Merge in append order for everyone, then redo the
-                    # rare members whose openings were out of order with
-                    # the scalar sort-and-merge.
-                    violated = None
-                    prev_open = ivl[0][0]
-                    for s_, _e in ivl[1:]:
-                        v = s_ < prev_open
-                        violated = v if violated is None else violated | v
-                        prev_open = s_
-                    ms, me = ivl[0]
-                    busy = np.zeros(cohort, dtype=np.int64)
-                    for s_, e_ in ivl[1:]:
-                        ov = s_ <= me
-                        busy = np.where(ov, busy, busy + (me - ms))
-                        ms = np.where(ov, ms, s_)
-                        me = np.where(ov, np.maximum(me, e_), e_)
-                    closed = busy + (me - ms)
-                    if violated.any():
-                        for c in np.nonzero(violated)[0]:
-                            pairs = sorted(
-                                (int(s_[c]), int(e_[c])) for s_, e_ in ivl
-                            )
-                            closed[c] = _merge_segments(pairs, False)
-                    seg += closed
-            prev_next = cur_next
+                ivl = []
+                for j in range(off[i], off[i + 1]):
+                    o = op_[j]
+                    pj = pre_[j]
+                    t = t + dtw[j]
+                    if o == OP_WAIT_SYNC:
+                        if any_bar:
+                            t += (pj + 1) * bar
+                        arrival = np.maximum(t, evt[src_[j]])
+                        if do_helper:
+                            arrival += lat
+                            pos = pf_pos[j]
+                            if pos >= 0:
+                                np.minimum(
+                                    arrival,
+                                    np.maximum(t + fast, pfv[pos]),
+                                    out=arrival,
+                                )
+                        else:
+                            arrival += wait
+                        stall += arrival - t
+                        t = arrival
+                        slots_t[a2_[j]] = t
+                    elif o == OP_WAIT:
+                        if any_bar:
+                            t += (pj + 1) * bar
+                        slots_t[a2_[j]] = t
+                    elif o == OP_SIGNAL:
+                        if any_bar:
+                            t += (pj + 1) * bar
+                        evt[j] = t
+                        slot = a2_[j]
+                        if slot >= 0:
+                            ivl.append((slots_t[slot], t))
+                    elif o == OP_XFER:
+                        t += a1_[j] * xfr
+                        if any_bar and pj:
+                            t += pj * bar
+                    else:  # OP_NEXT
+                        if any_bar and pj:
+                            t += pj * bar
+                        cur_next = t
 
-        par = (maxend + (lat + cores - 1)).tolist()
-        stall_l = stall.tolist()
-        seg_l = seg.tolist()
-        sigc_l = sigc.tolist()
-        comp_l = (span_total + bar * barrier_events).tolist()
-        transfer_cycles = transfer_words * xfr
-        for c in range(cohort):
-            stats = ScheduleResult(
-                parallel_cycles=par[c],
-                sequential_cycles=seqs[c],
-                signals=signals,
-                waits=waits,
-                transfer_words=transfer_words,
-            )
-            stats.wait_stall_cycles = stall_l[c]
-            stats.segment_cycles = seg_l[c]
-            stats.signal_cycles = sigc_l[c]
-            stats.compute_cycles = comp_l[c]
-            stats.transfer_cycles = transfer_cycles
-            out[c][mi] = stats
-    return out  # type: ignore[return-value]
+                t = t + etw[i]
+                if any_bar and tail_[i]:
+                    t += tail_[i] * bar
+                clk[core] = t
+                if ivl:
+                    if len(ivl) == 1:
+                        seg += ivl[0][1] - ivl[0][0]
+                    else:
+                        # Merge in append order for everyone, then redo
+                        # the rare columns whose openings were out of
+                        # order with the scalar sort-and-merge.
+                        violated = None
+                        prev_open = ivl[0][0]
+                        for s_, _e in ivl[1:]:
+                            v = s_ < prev_open
+                            violated = v if violated is None else violated | v
+                            prev_open = s_
+                        ms, me = ivl[0]
+                        busy = np.zeros(width, dtype=np.int64)
+                        for s_, e_ in ivl[1:]:
+                            ov = s_ <= me
+                            busy = np.where(ov, busy, busy + (me - ms))
+                            ms = np.where(ov, ms, s_)
+                            me = np.where(ov, np.maximum(me, e_), e_)
+                        closed = busy + (me - ms)
+                        if violated.any():
+                            for c in np.nonzero(violated)[0]:
+                                pairs = sorted(
+                                    (int(s_[c]), int(e_[c])) for s_, e_ in ivl
+                                )
+                                closed[c] = _merge_segments(pairs, False)
+                        seg += closed
+                prev_next = cur_next
+
+            # Clocks only advance and start at ``conf``, which no end
+            # precedes: the last end is the greatest entry of any row.
+            col["parallel_cycles"][mi_, c_] = clk.max(axis=0) + wind_v[mi_]
+            col["wait_stall_cycles"][mi_, c_] = stall
+            col["segment_cycles"][mi_, c_] = seg
+            col["signal_cycles"][mi_, c_] = sigc
+    return data
 
 
 def schedule_many(
     traces: Sequence[CompactInvocationTrace],
     loops: Sequence[ParallelizedLoop],
     machines: Sequence[MachineConfig],
-) -> List[List[ScheduleResult]]:
+    grouping=None,
+) -> ScheduleColumns:
     """Schedule many invocations under many machines in one pass.
 
     ``loops[i]`` is the parallelized-loop info of ``traces[i]``.
-    Returns ``columns[i][mi]``, field-exact with per-trace
-    :func:`schedule_compact`.  Traces are grouped into cohorts of
-    identical shape (:func:`trace_signature`); cohorts of at least
-    :data:`_MIN_COHORT` members run through the numpy-vectorized
-    :func:`_schedule_cohort` walk, the stragglers through
-    :func:`schedule_compact` once per machine.
+    Returns the :class:`ScheduleColumns` of ``(field, machine, trace)``,
+    field-exact with per-trace :func:`schedule_compact`.
+
+    Traces are grouped by loop and shape (:func:`trace_signature`) and,
+    within a shape, by the bytes of their stamp columns: stamps are
+    offsets from the start of the invocation, so invocations that ran
+    alike anywhere in the recorded clock are one *distinct* invocation,
+    scheduled once and fanned out by index.  A shape whose ``distinct
+    members x machines`` reach :data:`_MIN_COHORT` runs through the
+    vectorized :func:`_schedule_cohort` walk, a smaller one through
+    :func:`schedule_compact` per member and machine.
+
+    The grouping depends on the traces only.  It is returned as
+    ``.grouping`` of the result -- ``(shapes, first, index)``: the
+    distinct invocations of each shape, the first trace of each
+    distinct invocation, and the distinct invocation of each trace --
+    and a caller scheduling the same traces under further machines
+    hands it back as ``grouping``.
     """
-    results: List[Optional[List[ScheduleResult]]] = [None] * len(traces)
-    if not traces:
-        return []
-    groups: Dict[Tuple, List[int]] = {}
-    for idx, (trace, loop) in enumerate(zip(traces, loops)):
-        key = (id(loop),) + trace_signature(trace)
-        groups.setdefault(key, []).append(idx)
-    for members in groups.values():
-        if len(members) < _MIN_COHORT:
-            for idx in members:
-                results[idx] = [
-                    schedule_compact(traces[idx], loops[idx], machine)
-                    for machine in machines
-                ]
-        else:
-            cols = _schedule_cohort(
-                [traces[idx] for idx in members],
-                loops[members[0]],
-                machines,
+    import numpy as np
+
+    if grouping is None:
+        by_shape: Dict[Tuple, Dict[Tuple, int]] = {}
+        first: List[int] = []
+        index: List[int] = []
+        for idx, (trace, loop) in enumerate(zip(traces, loops)):
+            members = by_shape.setdefault(
+                (id(loop), trace_signature(trace)), {}
             )
-            for c, idx in enumerate(members):
-                results[idx] = cols[c]
-    return results  # type: ignore[return-value]
+            stamps = (
+                trace.end_cycles - trace.start_cycles,
+                trace.it_start.tobytes(),
+                trace.it_end.tobytes(),
+                trace.ev_at.tobytes(),
+            )
+            distinct = members.get(stamps)
+            if distinct is None:
+                distinct = members[stamps] = len(first)
+                first.append(idx)
+            index.append(distinct)
+        grouping = (
+            [list(members.values()) for members in by_shape.values()],
+            first,
+            np.array(index, dtype=np.int64),
+        )
+    shapes, first, index = grouping
+    data = np.zeros(
+        (len(ScheduleColumns.FIELDS), len(machines), len(first)),
+        dtype=np.int64,
+    )
+    if not machines:
+        return ScheduleColumns(data[:, :, index], grouping)
+    # The machines as the vector walk reads them: every field a value,
+    # and last the agenda flavour, the one thing that selects code
+    # (without a helper thread there is no agenda, and ``IDEAL`` is
+    # ``NONE`` with cheaper waits).
+    modes = list(PrefetchMode)
+    rows = []
+    for m in machines:
+        mode = m.effective_prefetch_mode
+        ideal = mode is PrefetchMode.IDEAL
+        rows.append(
+            (
+                m.cores,
+                m.signal_latency,
+                m.prefetched_signal_latency,
+                m.prefetched_signal_latency if ideal else m.signal_latency,
+                m.word_transfer_cycles,
+                0 if m.total_store_ordering else m.barrier_cycles,
+                m.config_cycles_per_thread * max(m.cores - 1, 1),
+                modes.index(PrefetchMode.NONE if ideal else mode),
+            )
+        )
+    grid = np.array(rows, dtype=np.int64).T
+    for members in shapes:
+        cohort = [traces[first[distinct]] for distinct in members]
+        loop = loops[first[members[0]]]
+        if len(members) * len(machines) < _MIN_COHORT:
+            for mi, machine in enumerate(machines):
+                data[:, mi, members] = ScheduleColumns.from_results(
+                    [schedule_compact(tr, loop, machine) for tr in cohort]
+                ).data
+        else:
+            data[:, :, members] = _schedule_cohort(cohort, loop, grid)
+    return ScheduleColumns(data[:, :, index], grouping)
 
 
 def schedule_invocation_reference(

@@ -30,8 +30,13 @@ even though none of that depends on the machine.  This module therefore
 :func:`repro.runtime.sched.schedule_compact` consumes the program; the
 per-machine loop then touches only integers and small dicts of signal
 times.  :func:`repro.runtime.sched.schedule_many` compiles only one
-program per cohort of shape-identical traces and gathers the other
-members' timestamps through the program's ``raw`` column.
+program per shape and gathers the other members' timestamps through the
+program's ``raw`` column.
+
+Stamps inside an invocation (``it_start``/``it_end``/``ev_at``) are
+offsets from its ``start_cycles`` from :meth:`from_trace` on, in memory
+as on disk, so serialization copies the columns and invocations that
+ran alike at different points of the run hold equal columns.
 
 Serialization is versioned (:data:`TRACE_FORMAT_VERSION`);
 :meth:`CompactInvocationTrace.from_dict` rejects every other version.
@@ -126,10 +131,10 @@ class TraceProgram:
     #: deps, per-iteration slicing, word counts), never on timestamps,
     #: so traces with identical shapes share one program structure and
     #: this column gathers their per-trace ``at`` values from the raw
-    #: ``ev_at`` column (the cohort scheduler's zero-compile path, and
+    #: ``ev_at`` column (the batched scheduler's zero-compile path, and
     #: the simulated-time accounting of :mod:`repro.obs.timeline`).
     raw: array
-    #: Absolute trace cycles of the event.
+    #: Cycles from the start of the invocation to the event.
     at: array
     #: Elided barrier-bearing events (duplicate waits/signals) between
     #: the previous kept event and this one; each costs one barrier on
@@ -174,8 +179,13 @@ class CompactInvocationTrace:
     iteration concatenated into flat ``array('q')`` columns, sliced per
     iteration by ``ev_off``; the representation is lossless
     (:meth:`to_invocation_trace` reconstructs the original exactly).
-    The derived :class:`TraceProgram` is built lazily and never
-    serialized.
+    ``it_start``/``it_end``/``ev_at`` are offsets from ``start_cycles``,
+    in memory as on disk: every consumer reads differences only, and two
+    invocations that ran alike at different points of the recorded clock
+    hold byte-identical columns (what
+    :func:`~repro.runtime.sched.schedule_many` keys distinct invocations
+    on).  The derived :class:`TraceProgram` and the shape signature are
+    built lazily and never serialized.
     """
 
     loop_id: LoopId
@@ -191,6 +201,10 @@ class CompactInvocationTrace:
     #: Per-iteration word counts of 'x' events (dep -> words).
     words: Tuple[Dict[int, int], ...]
     _program: Optional[TraceProgram] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: :func:`repro.runtime.sched.trace_signature`, cached by it.
+    _signature: Optional[bytes] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -215,13 +229,14 @@ class CompactInvocationTrace:
         ev_at = array("q")
         words: List[Dict[int, int]] = []
         kind_codes = _KIND_TO_CODE
+        base = trace.start_cycles
         for iteration in trace.iterations:
-            it_start.append(iteration.start_cycles)
-            it_end.append(iteration.end_cycles)
+            it_start.append(iteration.start_cycles - base)
+            it_end.append(iteration.end_cycles - base)
             for kind, dep, at in iteration.events:
                 ev_kind.append(kind_codes[kind])
                 ev_dep.append(dep)
-                ev_at.append(at)
+                ev_at.append(at - base)
             ev_off.append(len(ev_kind))
             words.append(dict(iteration.words))
         return cls(
@@ -242,14 +257,19 @@ class CompactInvocationTrace:
         """Reconstruct the per-iteration representation exactly."""
         iterations = []
         codes = _CODE_TO_KIND
+        base = self.start_cycles
         for i in range(len(self.it_start)):
             lo, hi = self.ev_off[i], self.ev_off[i + 1]
             iterations.append(
                 IterationTrace(
-                    start_cycles=self.it_start[i],
-                    end_cycles=self.it_end[i],
+                    start_cycles=base + self.it_start[i],
+                    end_cycles=base + self.it_end[i],
                     events=[
-                        (codes[self.ev_kind[j]], self.ev_dep[j], self.ev_at[j])
+                        (
+                            codes[self.ev_kind[j]],
+                            self.ev_dep[j],
+                            base + self.ev_at[j],
+                        )
                         for j in range(lo, hi)
                     ],
                     words=dict(self.words[i]),
@@ -266,22 +286,22 @@ class CompactInvocationTrace:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Versioned JSON-stable representation (the disk-cache form);
-        stamps inside the invocation are offsets from ``start_cycles``,
-        small wherever in the recorded clock the invocation sits."""
-        base = self.start_cycles
+        """Versioned JSON-stable representation (the disk-cache form):
+        the columns as they are held, stamps inside the invocation
+        being offsets from ``start_cycles``, small wherever in the
+        recorded clock the invocation sits."""
         return {
             "format": TRACE_FORMAT_VERSION,
             "loop_id": list(self.loop_id),
-            "start_cycles": base,
+            "start_cycles": self.start_cycles,
             "end_cycles": self.end_cycles,
             "loads": self.loads,
-            "iter_start": [at - base for at in self.it_start],
-            "iter_end": [at - base for at in self.it_end],
+            "iter_start": list(self.it_start),
+            "iter_end": list(self.it_end),
             "ev_off": list(self.ev_off),
             "ev_kind": list(self.ev_kind),
             "ev_dep": list(self.ev_dep),
-            "ev_at": [at - base for at in self.ev_at],
+            "ev_at": list(self.ev_at),
             "words": [
                 {str(dep): n for dep, n in per_iter.items()}
                 for per_iter in self.words
@@ -298,18 +318,17 @@ class CompactInvocationTrace:
                 f"unsupported compact-trace format {version!r} "
                 f"(this build reads {TRACE_FORMAT_VERSION})"
             )
-        base = data["start_cycles"]
         return cls(
             loop_id=tuple(data["loop_id"]),
-            start_cycles=base,
+            start_cycles=data["start_cycles"],
             end_cycles=data["end_cycles"],
             loads=data["loads"],
-            it_start=array("q", [base + at for at in data["iter_start"]]),
-            it_end=array("q", [base + at for at in data["iter_end"]]),
+            it_start=array("q", data["iter_start"]),
+            it_end=array("q", data["iter_end"]),
             ev_off=array("q", data["ev_off"]),
             ev_kind=array("q", data["ev_kind"]),
             ev_dep=array("q", data["ev_dep"]),
-            ev_at=array("q", [base + at for at in data["ev_at"]]),
+            ev_at=array("q", data["ev_at"]),
             words=tuple(
                 {int(dep): int(n) for dep, n in per_iter.items()}
                 for per_iter in data["words"]

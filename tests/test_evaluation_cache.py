@@ -747,7 +747,7 @@ class TestParallelSuite:
             by_timeline += compiled() - before
             traces += len(executor.traces)
             groups += len(
-                {(t.loop_id,) + trace_signature(t) for t in executor.traces}
+                {(t.loop_id, trace_signature(t)) for t in executor.traces}
             )
             return block
 

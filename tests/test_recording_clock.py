@@ -108,6 +108,26 @@ def test_bench_numbers_equal_the_previous_clocks(bench, runner, table):
     _assert_field_exact_with_the_reference(run.executor)
 
 
+@pytest.mark.parametrize("bench", benchmark_names())
+def test_timeline_block_equals_the_per_trace_walk(bench, runner):
+    """The report's accounting places one member of each distinct
+    invocation and counts it once per occurrence; the segment walk
+    places every trace.  Same per-core buckets, same total."""
+    from repro.obs.timeline import core_totals, run_timeline, timeline_block
+
+    executor = runner.helix_run(bench).executor
+    _, first, index = executor.invocation_groups()
+    assert len(index) == len(executor.traces) >= len(first)
+    for cores in (2, 4, 6):
+        machine = runner.machine.with_cores(cores)
+        block = timeline_block(executor, machine)
+        rows = core_totals(run_timeline(executor, machine), cores)
+        assert block["per_core"] == [
+            {"core": core, **row} for core, row in enumerate(rows)
+        ]
+        assert block["total_cycles"] == executor.replay(machine).cycles
+
+
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_source_numbers_equal_the_previous_clocks(name, table):
     """The differential sources: same numbers, and the recorded clock

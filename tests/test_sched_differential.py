@@ -3,13 +3,14 @@
 The compiled engine (:func:`schedule_compact` over packed traces) must be
 field-exact with :func:`schedule_invocation_reference` for every trace
 and machine, :func:`schedule_many` must be field-exact with both under
-every cohort/straggler routing, and batched replay must be
-indistinguishable from both the reference replay formulation and a
-fresh execution under the target machine.
+every vector/scalar routing and every cut of its vector axis, and
+batched replay must be indistinguishable from both the reference replay
+formulation and a fresh execution under the target machine.
 """
 
 import dataclasses
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,15 @@ from repro.runtime import run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import ParallelExecutor, schedule_invocation
 from repro.runtime.sched import (
+    ScheduleColumns,
     schedule_invocation_reference,
     schedule_many,
-    trace_signature,
 )
-from repro.runtime.trace import CompactInvocationTrace, InvocationTrace
+from repro.runtime.trace import (
+    CompactInvocationTrace,
+    InvocationTrace,
+    IterationTrace,
+)
 
 #: Program shapes covering the scheduler's behaviours: counted DOALL
 #: (fast path), cross-iteration data dependences (waits/signals/segment
@@ -176,100 +181,307 @@ def test_schedules_field_exact_across_machines(name):
             )
 
 
-#: ``schedule_many`` routings by the cohort threshold that forces them.
-#: The all-cohort routing keeps the bare source name as its test id.
-ROUTINGS = {"": 1, "-default": None, "-scalar": 1 << 30}
+#: One grid for one ``schedule_many`` call: the differential grid (core
+#: counts 1-6, every prefetch mode, SMT off, non-TSO) plus core counts up
+#: to 8, helper modes without TSO and without SMT, and a fingerprint
+#: asked for twice.
+MIXED_GRID = MACHINES + [
+    MachineConfig(cores=8, prefetch_mode=PrefetchMode.MATCHED),
+    MachineConfig(
+        cores=7,
+        prefetch_mode=PrefetchMode.IDEAL,
+        total_store_ordering=False,
+        barrier_cycles=7,
+    ),
+    MachineConfig(cores=5, prefetch_mode=PrefetchMode.MATCHED, smt=False),
+    MachineConfig(
+        cores=4, prefetch_mode=PrefetchMode.HELIX, total_store_ordering=False
+    ),
+    MachineConfig(
+        cores=8,
+        prefetch_mode=PrefetchMode.NONE,
+        signal_latency=32,
+        word_transfer_cycles=8,
+        config_cycles_per_thread=11,
+    ),
+    MACHINES[5],
+]
 
-#: Machine grids: the full differential grid plus the degenerate ones
-#: (no machine, one machine, a repeated fingerprint).
-GRIDS = [MACHINES, [], MACHINES[:1], [MACHINES[5], MACHINES[9], MACHINES[5]]]
+#: Machine grids: the mixed grid plus the degenerate ones (no machine,
+#: one machine, a repeated fingerprint).
+GRIDS = [
+    MIXED_GRID,
+    [],
+    MIXED_GRID[:1],
+    [MACHINES[5], MACHINES[9], MACHINES[5]],
+]
+
+#: ``schedule_many`` routings by the internal constants that force them:
+#: (``_MIN_COHORT``, ``_MAX_WIDTH``), ``None`` leaving the default.  The
+#: all-vector routing keeps the bare source name as its test id; the
+#: chunked ones cap a walk at 1-3 columns, so every shape is walked in
+#: pieces that begin and end in the middle of the machine grid.
+ROUTINGS = {
+    "": (1, None),
+    "-default": (None, None),
+    "-scalar": (1 << 30, None),
+    "-chunk1": (1, 1),
+    "-chunk2": (1, 2),
+    "-chunk3": (1, 3),
+}
+
+
+def _retimed(trace, shift=0, stretch=1, loads=None):
+    """``trace`` moved ``shift`` cycles along the recorded clock, its
+    offsets from the start of the invocation multiplied by ``stretch``:
+    the same shape, and with ``stretch`` 1 the same invocation."""
+    original = trace.to_invocation_trace()
+    base = original.start_cycles
+
+    def at(stamp):
+        return base + shift + (stamp - base) * stretch
+
+    return CompactInvocationTrace.from_trace(
+        InvocationTrace(
+            loop_id=original.loop_id,
+            start_cycles=at(original.start_cycles),
+            end_cycles=at(original.end_cycles),
+            loads=original.loads if loads is None else loads,
+            iterations=[
+                IterationTrace(
+                    start_cycles=at(it.start_cycles),
+                    end_cycles=at(it.end_cycles),
+                    events=[(k, dep, at(t)) for k, dep, t in it.events],
+                    words=dict(it.words),
+                )
+                for it in original.iterations
+            ],
+        )
+    )
+
+
+_expected = {}
+
+
+def _differential_case(name):
+    """The trace list every routing schedules, with what the scalar
+    engine and the reference say of each trace under each machine of
+    the mixed grid: the recorded traces, a zero-iteration invocation,
+    every recorded invocation once more later in the clock with other
+    loads (the same distinct invocation) and once stretched (the same
+    shape, other stamps)."""
+    cached = _expected.get(name)
+    if cached is None:
+        _, infos, executor, _ = _prepare(name)
+        info_by_id = {info.loop_id: info for info in infos}
+        recorded = list(executor.traces)
+        traces = recorded + [
+            CompactInvocationTrace.from_trace(
+                InvocationTrace(
+                    loop_id=recorded[0].loop_id, start_cycles=5, end_cycles=42
+                )
+            )
+        ]
+        traces += [_retimed(t, shift=977, loads=t.loads + 3) for t in recorded]
+        traces += [_retimed(t, stretch=3) for t in recorded]
+        loops = [info_by_id[t.loop_id] for t in traces]
+        expected = {}
+        for machine in MIXED_GRID:
+            column = [
+                schedule_invocation(trace, info, machine)
+                for trace, info in zip(traces, loops)
+            ]
+            assert column == [
+                schedule_invocation_reference(
+                    trace.to_invocation_trace(), info, machine
+                )
+                for trace, info in zip(traces, loops)
+            ], machine.fingerprint()
+            expected[machine.fingerprint()] = column
+        cached = _expected[name] = (traces, loops, expected)
+    return cached
 
 
 @pytest.mark.parametrize(
-    "name,min_cohort",
+    "name,routing",
     [
-        pytest.param(name, min_cohort, id=name + suffix)
+        pytest.param(name, routing, id=name + suffix)
         for name in sorted(SOURCES)
-        for suffix, min_cohort in ROUTINGS.items()
+        for suffix, routing in ROUTINGS.items()
     ],
 )
-def test_cohort_engine_matches_per_trace_engines(
-    name, min_cohort, monkeypatch
-):
+def test_cohort_engine_matches_per_trace_engines(name, routing, monkeypatch):
     """``schedule_many`` must be field-exact with per-machine
     ``schedule_compact`` and the reference interpreter for every trace
-    and machine, whichever engine a trace is routed to: the numpy cohort
-    walk for everything (threshold 1), the scalar engine for everything
-    (huge threshold), or the default mix of the two."""
+    and machine, whichever engine a shape is routed to and however its
+    vector axis is cut: the vector walk for everything (threshold 1),
+    in one piece or in chunks of one to three columns, the scalar engine
+    for everything (huge threshold), or the default mix of the two."""
     import repro.runtime.sched as sched_mod
 
+    min_cohort, max_width = routing
     if min_cohort is not None:
         monkeypatch.setattr(sched_mod, "_MIN_COHORT", min_cohort)
-    _, infos, executor, _ = _prepare(name)
-    info_by_id = {info.loop_id: info for info in infos}
-    traces = list(executor.traces)
-    # Every source also schedules a zero-iteration invocation.
-    traces.append(
+    if max_width is not None:
+        monkeypatch.setattr(sched_mod, "_MAX_WIDTH", max_width)
+    calls = Counter()
+    for engine in ("_schedule_cohort", "schedule_compact"):
+
+        def counting(*args, _engine=engine, _real=getattr(sched_mod, engine)):
+            calls[_engine] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sched_mod, engine, counting)
+
+    traces, loops, expected = _differential_case(name)
+    grouping = None
+    for grid in GRIDS:
+        columns = schedule_many(traces, loops, grid, grouping)
+        assert len(columns) == len(traces)
+        assert columns.data.shape == (
+            len(ScheduleColumns.FIELDS), len(grid), len(traces)
+        )
+        for mi, machine in enumerate(grid):
+            column = columns.column(mi)
+            assert len(column) == len(traces)
+            assert column.results() == expected[machine.fingerprint()]
+            assert column.parallel_cycles.tolist() == [
+                result.parallel_cycles
+                for result in expected[machine.fingerprint()]
+            ]
+        # The grouping depends on the traces alone; later grids reuse it.
+        assert grouping is None or columns.grouping is grouping
+        grouping = columns.grouping
+    shapes, first, index = grouping
+    # Each recorded invocation and its later occurrence are one distinct
+    # invocation, its stretched copy another of the same shape.
+    recorded = (len(traces) - 1) // 3
+    assert len(index) == len(traces) and len(first) <= 2 * recorded + 1
+    assert sum(len(members) for members in shapes) == len(first)
+    assert len(shapes) < len(first)
+    if min_cohort == 1:
+        assert calls["_schedule_cohort"] and not calls["schedule_compact"]
+    elif min_cohort is not None:
+        assert calls["schedule_compact"] and not calls["_schedule_cohort"]
+    else:
+        # The default routing walks a shape under the mixed grid and
+        # leaves it to the scalar engine under one machine.
+        assert calls["_schedule_cohort"] and calls["schedule_compact"]
+    assert len(schedule_many([], [], MIXED_GRID)) == 0
+
+
+def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
+    monkeypatch,
+):
+    """The same invocation later in the recorded clock, with different
+    ``loads``, is one distinct invocation: one walk schedules both,
+    their schedules are equal, and ``LoopRunStats`` still counts every
+    trace (``loads`` per trace, not per distinct invocation)."""
+    import repro.runtime.sched as sched_mod
+
+    transformed, infos, executor, _ = _prepare("reduction")
+    (trace,) = executor.traces
+    later = _retimed(trace, shift=12345, loads=trace.loads + 40)
+    assert later != trace and later.ev_at == trace.ev_at
+    walked = []
+    real = sched_mod._schedule_cohort
+
+    def counting(traces, loop, grid):
+        walked.append(len(traces))
+        return real(traces, loop, grid)
+
+    monkeypatch.setattr(sched_mod, "_schedule_cohort", counting)
+    restored = ParallelExecutor(transformed, infos, BASE)
+    restored.restore_run(
+        dataclasses.replace(executor.run(), cycles=later.end_cycles + 9),
+        [trace, later],
+        executor.load_count,
+    )
+    walked.clear()
+    once = executor.replay_many(MACHINES)
+    twice = restored.replay_many(MACHINES)
+    assert walked == [1, 1]  # one distinct invocation on either executor
+    shapes, first, index = restored.invocation_groups()
+    assert (shapes, first, index.tolist()) == ([[0]], [0], [0, 0])
+    for machine, single, double in zip(MACHINES, once, twice):
+        first_cell, second_cell = restored.schedules(machine)
+        assert first_cell == second_cell == executor.schedules(machine)[0]
+        (one,) = single.loop_stats.values()
+        (two,) = double.loop_stats.values()
+        assert two.invocations == 2 and two.iterations == 2 * one.iterations
+        assert two.parallel_cycles == 2 * one.parallel_cycles
+        assert two.loads == trace.loads + later.loads == 2 * one.loads + 40
+
+
+def test_out_of_order_intervals_are_fixed_up_off_the_first_column():
+    """Two waits open at the same cycle and close in reverse order: on
+    a TSO machine the openings tie and the append-order merge is right,
+    on a non-TSO machine each wait pays a barrier, the second opens
+    later and the walk must redo the sort-and-merge -- for the columns
+    of that machine only, which are not the first of the walk."""
+    from tests.test_parallel_executor import iteration, make_loop_info
+
+    loop = make_loop_info(counted=True)
+    traces = [
         CompactInvocationTrace.from_trace(
             InvocationTrace(
-                loop_id=traces[0].loop_id, start_cycles=5, end_cycles=42
+                loop_id=loop.loop_id,
+                start_cycles=start,
+                end_cycles=start + 2 * span,
+                iterations=[
+                    iteration(
+                        start + i * span,
+                        [
+                            ("w", 1, start + i * span + 10),
+                            ("w", 2, start + i * span + 10),
+                            ("s", 2, start + i * span + 20),
+                            ("s", 1, start + i * span + gap),
+                        ],
+                        start + (i + 1) * span,
+                    )
+                    for i in range(2)
+                ],
             )
         )
-    )
-    loops = [info_by_id[t.loop_id] for t in traces]
-    if name == "cohort_mix" and min_cohort is None:
-        sizes = Counter(trace_signature(t) for t in traces).values()
-        assert (
-            max(sizes) >= sched_mod._MIN_COHORT > min(sizes)
-        ), "default routing must exercise both engines"
-    references = [t.to_invocation_trace() for t in traces]
-    for grid in GRIDS:
-        columns = schedule_many(traces, loops, grid)
-        assert [len(column) for column in columns] == [len(grid)] * len(
-            traces
-        )
-        # Results are mutable: every cell is its own object, also under
-        # a repeated fingerprint.
-        cells = [got for column in columns for got in column]
-        assert len({id(got) for got in cells}) == len(cells)
-        for trace, reference, info, column in zip(
-            traces, references, loops, columns
-        ):
-            for machine, got in zip(grid, column):
-                assert got == schedule_invocation(trace, info, machine)
-                assert got == schedule_invocation_reference(
-                    reference, info, machine
-                )
-    assert schedule_many([], [], MACHINES) == []
+        for start, span, gap in ((0, 50, 30), (400, 50, 30), (900, 70, 45))
+    ]
+    grid = [
+        MachineConfig(cores=2, prefetch_mode=PrefetchMode.NONE),
+        MachineConfig(
+            cores=3, prefetch_mode=PrefetchMode.IDEAL,
+            total_store_ordering=False,
+        ),
+        MachineConfig(cores=2, prefetch_mode=PrefetchMode.IDEAL),
+        MachineConfig(
+            cores=2, prefetch_mode=PrefetchMode.NONE,
+            total_store_ordering=False, barrier_cycles=3,
+        ),
+    ]
+    import repro.runtime.sched as sched_mod
 
+    sorts = []
+    real = sched_mod._merge_segments
 
-def test_lagging_schedule_column_extends_incrementally(monkeypatch):
-    """A cached column that is merely shorter than the trace list is
-    extended in place, not recomputed from scratch."""
-    import repro.runtime.parallel as parallel_mod
+    def counting(intervals, needs_sort):
+        sorts.append(list(intervals))
+        return real(intervals, needs_sort)
 
-    transformed, infos, _, _ = _prepare("repeat_kernel")
-    executor = ParallelExecutor(transformed, infos, BASE)
-    executor.execute()
-    probe = BASE.with_cores(2)
-    executor.replay(probe)
-    full = list(executor._schedules[probe.fingerprint()])
-    assert len(full) == len(executor.traces) > 3
-
-    # Truncate the cached column as if traces had been appended since.
-    executor._schedules[probe.fingerprint()] = full[:-3]
-    scheduled = []
-    real = parallel_mod.schedule_many
-
-    def counting(traces, loops, machines):
-        scheduled.append(len(traces))
-        return real(traces, loops, machines)
-
-    monkeypatch.setattr(parallel_mod, "schedule_many", counting)
-    executor.replay(probe)
-    assert scheduled == [3]  # only the missing suffix is scheduled
-    assert executor._schedules[probe.fingerprint()] == full
-
+    with mock.patch.object(sched_mod, "_MIN_COHORT", 1), mock.patch.object(
+        sched_mod, "_merge_segments", counting
+    ):
+        columns = schedule_many(traces, [loop] * len(traces), grid)
+    # Two distinct invocations.  In the first iteration only the columns
+    # of the two non-TSO machines are redone; in the second the first
+    # wait stalls on every machine, so every column is.
+    assert len(columns.grouping[1]) == 2
+    assert len(sorts) == 2 * 2 + 2 * 4
+    for mi, machine in enumerate(grid):
+        assert columns.column(mi).results() == [
+            schedule_invocation_reference(
+                trace.to_invocation_trace(), loop, machine
+            )
+            for trace in traces
+        ]
 
 def test_scheduling_work_across_run_replay_cycles(monkeypatch):
     """Regression for the memo lifecycle: across run -> replay_many ->
@@ -285,9 +497,9 @@ def test_scheduling_work_across_run_replay_cycles(monkeypatch):
     scheduled = []
     real = parallel_mod.schedule_many
 
-    def counting(traces, loops, machines):
+    def counting(traces, loops, machines, grouping=None):
         scheduled.append((len(traces), [m.fingerprint() for m in machines]))
-        return real(traces, loops, machines)
+        return real(traces, loops, machines, grouping)
 
     monkeypatch.setattr(parallel_mod, "schedule_many", counting)
     for _ in range(2):
@@ -338,9 +550,9 @@ def test_baseline_schedule_memoized_across_replays(monkeypatch):
     calls = []
     real = parallel_mod.schedule_many
 
-    def counting(traces, loops, machines):
+    def counting(traces, loops, machines, grouping=None):
         calls.append([m.fingerprint() for m in machines])
-        return real(traces, loops, machines)
+        return real(traces, loops, machines, grouping)
 
     monkeypatch.setattr(parallel_mod, "schedule_many", counting)
     probe = BASE.with_cores(2)
@@ -419,3 +631,45 @@ def test_compiled_engine_matches_reference_engine(name, cores, mode, barrier):
         ) == schedule_invocation_reference(
             trace.to_invocation_trace(), info, machine
         )
+
+
+_machines = st.builds(
+    MachineConfig,
+    cores=st.integers(min_value=1, max_value=8),
+    smt=st.booleans(),
+    signal_latency=st.integers(min_value=4, max_value=220),
+    prefetched_signal_latency=st.integers(min_value=0, max_value=4),
+    word_transfer_cycles=st.integers(min_value=0, max_value=220),
+    config_cycles_per_thread=st.integers(min_value=0, max_value=90),
+    total_store_ordering=st.booleans(),
+    barrier_cycles=st.integers(min_value=0, max_value=25),
+    prefetch_mode=st.sampled_from(list(PrefetchMode)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SOURCES)),
+    grid=st.lists(_machines, max_size=7),
+    max_width=st.sampled_from([2, 5, 8192]),
+)
+def test_vector_walk_matches_the_engines_on_random_grids(
+    name, grid, max_width
+):
+    """Property form of the batched differential: any machine grid, the
+    walk cut anywhere, every cell equal to the scalar engine's and the
+    reference's."""
+    import repro.runtime.sched as sched_mod
+
+    traces, loops, _ = _differential_case(name)
+    with mock.patch.object(sched_mod, "_MIN_COHORT", 1), mock.patch.object(
+        sched_mod, "_MAX_WIDTH", max_width
+    ):
+        columns = schedule_many(traces, loops, grid)
+    for mi, machine in enumerate(grid):
+        got = columns.column(mi).results()
+        for trace, info, cell in zip(traces, loops, got):
+            assert cell == schedule_invocation(trace, info, machine)
+            assert cell == schedule_invocation_reference(
+                trace.to_invocation_trace(), info, machine
+            )

@@ -194,17 +194,20 @@ def test_block_equals_segment_totals_on_the_grid(name):
     for machine in MACHINES:
         _assert_consumers_agree(executor, machine)
     if name == "cohort_mix":
-        # The cohort scheduler compiled one program for the whole shape
-        # group and the walk placed every member through it, reading
-        # the members' own (distinct) timestamps through its ``raw``
-        # index; the schedules compared against above came from the
-        # numpy engine, the segments of the first test from per-trace
-        # programs.
+        # The scheduler compiled one program for the whole shape group
+        # and the walk placed every member through it, reading the
+        # member's own timestamps through its ``raw`` index; the
+        # schedules compared against above came from the batched engine,
+        # the segments of the first test from per-trace programs.  The
+        # members ran alike at different points of the recorded clock
+        # (stamps are offsets from the start of the invocation), so the
+        # block placed one of them for all.
         groups = {}
         for trace in executor.traces:
             groups.setdefault(trace_signature(trace), []).append(trace)
         cohort = max(groups.values(), key=len)
-        assert len({tuple(trace.ev_at) for trace in cohort}) > 1
+        assert len({trace.start_cycles for trace in cohort}) == len(cohort) > 1
+        assert len({tuple(trace.ev_at) for trace in cohort}) == 1
         assert [trace._program is not None for trace in cohort] == (
             [True] + [False] * (len(cohort) - 1)
         )
