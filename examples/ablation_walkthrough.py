@@ -17,7 +17,7 @@ def run(label, machine, options=None):
     ref = compile_benchmark("twolf", "ref")
     train = compile_benchmark("twolf", "train")
     result = parallelize_and_run(
-        ref, machine, options=options, train_module=train, record_traces=True
+        ref, machine, options=options, train_module=train
     )
     assert result.output_matches
     signals = sum(s.signals for s in result.loop_stats().values())

@@ -130,7 +130,6 @@ def parallelize_and_run(
     selection_config: Optional[SelectionConfig] = None,
     loop_ids: Optional[Sequence[LoopId]] = None,
     train_module: Optional[Module] = None,
-    record_traces: bool = True,
     manager: Optional[AnalysisManager] = None,
 ) -> HelixResult:
     """Full pipeline plus simulation of both versions."""
@@ -145,10 +144,7 @@ def parallelize_and_run(
     )
     result.sequential = run_module(module, result.machine)
     executor = ParallelExecutor(
-        result.transformed,
-        result.infos,
-        result.machine,
-        record_traces=record_traces,
+        result.transformed, result.infos, result.machine
     )
     result.parallel = executor.execute()
     result.executor = executor

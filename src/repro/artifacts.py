@@ -22,7 +22,7 @@ behind one keyed API:
 * **Generated interpreter code** (the superblock tiers' source +
   bytecode manifests, kind ``"codegen"``) is content-addressed by
   :func:`repro.runtime.codegen.artifact_key` -- function IR + hook
-  flags + watched blocks + codegen version, *excluding* machine shape
+  flags + watched edges + codegen version, *excluding* machine shape
   -- so warm suite re-runs and ``repro serve`` resubmissions (even at
   different core counts) skip decode+codegen, and ``suite --jobs``
   workers shard cold compiles through the shared cache directory.  The

@@ -30,7 +30,7 @@ sources at the scales the stage consumed
     <root>/run/<key>.json          the ``run`` job answer (eight fields)
         both sources + whole machine + pipeline configuration
     <root>/codegen/<key>.json      generated interpreter code
-        function IR + hook flags + watched blocks
+        function IR + hook flags + watched edges
         (:func:`repro.runtime.codegen.artifact_key`)
 
 Any change to a hashed input -- editing a benchmark, flipping an option,

@@ -16,7 +16,7 @@ Each compiled backend is timed in two lanes, like ``bench-sched``:
 
 A fourth group, the **hooked lane**, measures *instrumented*
 throughput at its worst case: an interpreter with ``count_loads`` on
-and an ``on_block_entry`` override that declares no watched blocks, so
+and an ``on_block_entry`` override that declares no watched edges, so
 the hook fires at every block boundary (the profiler and
 :class:`~repro.runtime.parallel.ParallelExecutor` declare theirs and
 are called at a fraction of them) — timed on the decoded hooked
@@ -316,7 +316,7 @@ class _HookBearingInterpreter(Interpreter):
     """Minimal instrumented interpreter for the hooked lane.
 
     Counts block entries through ``on_block_entry`` -- all of them: it
-    declares no ``watched_blocks`` -- and loads through ``count_loads``,
+    declares no ``watched_edges`` -- and loads through ``count_loads``,
     with negligible Python work per event, so the measured ratio
     reflects tier overhead rather than harness weight.  ``backend="decoded"`` selects the decoded hooked
     variant; ``backend="superblock"`` the hooked superblock tier.

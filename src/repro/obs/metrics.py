@@ -19,7 +19,7 @@ summarised with one snapshot:
   ``interp.codegen.{hook_sites,hook_sites_elided}`` -- the block
   boundaries those functions compiled with / without their
   ``on_block_entry`` call: how much of an instrumented run is observed
-  (everything unless the interpreter declares ``watched_blocks``).
+  (everything unless the interpreter declares ``watched_edges``).
   Counted per function, never per activation.
 * ``interp.codegen.{functions,specialized_ops}`` -- code-generated
   function bodies and the fused/specialized instruction count

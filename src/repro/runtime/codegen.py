@@ -36,16 +36,17 @@ effects`` loop per block.  This module removes those too:
   ``exec_xfer`` at segment boundaries, ``count_loads`` becomes a static
   per-segment ``load_count`` increment, and ``on_block_entry`` is
   called -- with the same arguments, order and exact ``cycles`` as the
-  decoded hooked variant -- at the block boundaries whose *target* the
-  interpreter watches.  ``Interpreter.watched_blocks(func)`` declares
-  that set: ``None`` (the default) is every block, a frozenset leaves
-  the hook call and the segment close only where the observer acts,
-  and every other boundary fuses exactly as in the uninstrumented
-  tier, which is simply the emitter with an empty watched set
-  (:meth:`_ChainEmitter.observed` is the one predicate).  The
-  declaration binds generated code only: the tree walker, the decoded
-  tier and the budget fallback below announce every entry, so a
-  declaring hook keeps treating undeclared blocks as no-ops.  An
+  decoded hooked variant -- on the block-to-block edges the
+  interpreter watches.  ``Interpreter.watched_edges(func)`` declares
+  that set: ``None`` (the default) is every edge, a frozenset of
+  ``(prev, target)`` pairs leaves the hook call and the segment close
+  only where the observer acts, and every other boundary fuses exactly
+  as in the uninstrumented tier, which is simply the emitter with an
+  empty watched set (:meth:`_ChainEmitter.observed` is the one
+  predicate).  The declaration binds generated code only: the tree
+  walker, the decoded tier and the budget fallback below announce
+  every entry, so a declaring hook keeps treating undeclared edges as
+  no-ops.  An
   observer that still needs every entry *counted* sets
   ``count_unwatched``: unobserved boundaries then bump a per-block
   cell of ``interp.unwatched_entries``, statically, like loads.
@@ -61,16 +62,19 @@ effects`` loop per block.  This module removes those too:
   ``RuntimeFault`` messages and ``ExecutionLimitExceeded`` behavior are
   bit-identical to the tree-walker.  Each dispatch arm only runs when
   the instruction budget covers its chain's whole linear body (checked
-  on arm entry; loop-shaped chains re-check on every back edge),
-  otherwise the generated function flushes the register locals back to
-  the slot file and returns the arm index for the driver to resume
-  tier-2 from that chain's head.  After every CALL (which consumes
-  budget in the callee) the generated code re-checks in place, and
-  when the budget could expire inside the fused region it flushes and
-  resumes tier-2 execution via
+  on arm entry; loop-shaped chains re-check on every back edge), and
+  after every CALL (which consumes budget in the callee) the generated
+  code re-checks the rest of the chain in place.  A failed check is
+  one statement, ``raise __OB(block, segment)``: the dispatch loop
+  runs inside a ``try`` (free until something is raised) whose single
+  handler writes the register locals back to the slot file -- the one
+  write-back of the function, whatever the number of checks -- and
+  returns the ``(block name, segment index)`` anchor, at which the
+  driver resumes tier-2 via
   :func:`repro.runtime.precompile.finish_decoded` (or
-  :func:`~repro.runtime.precompile.finish_hooked` in the hooked tier)
-  at the aligned segment boundary -- tier-2 segments split after every
+  :func:`~repro.runtime.precompile.finish_hooked` in the hooked tier):
+  the chain's head for the entry and back-edge checks, the aligned
+  segment boundary after a CALL -- tier-2 segments split after every
   CALL, plus every sync/xfer opcode in the hooked variant, so the
   anchors line up -- whose per-instruction slow path fires the limit at
   precisely the same dynamic instruction as the walker.  The tier-2
@@ -83,10 +87,12 @@ effects`` loop per block.  This module removes those too:
 key, payload)`` -- in practice :class:`repro.artifacts.ArtifactStore`),
 generated source and bytecode are content-addressed under the
 ``"codegen"`` kind and keyed by :data:`CODEGEN_VERSION`, the function's
-printed IR, the hook flags and the watched block set, the module's
+printed IR, the hook flags and the watched edge set, the module's
 global-region sizes and function set, the cost-model parameters and
 the function's block-profile projection -- everything the emitted
-source can embed as a literal or decide an emission on.  A warm hit
+source can embed as a literal or decide an emission on.  The payload
+marshals the code object the build executed (one ``compile()`` per
+miss).  A warm hit
 re-binds the stored namespace manifest against the live interpreter
 and skips formation, rendering *and* ``compile()``
 (bytecode is reused when the Python ``cache_tag`` matches, else the
@@ -103,9 +109,7 @@ divergence from the walker, as in tier 2: after a non-limit
 ``RuntimeFault`` aborts a run mid-segment, the dead interpreter's
 counters (including ``load_count``) may include instructions from the
 faulting segment that never executed (no result object is produced on
-a fault).  (And when the instruction limit fires on a LOADG/LOADP
-itself, the walker has already counted that load; tiers 2 and 3 have
-not.)
+a fault).
 
 Counters (:mod:`repro.obs.metrics`): ``interp.superblock.formed``,
 ``interp.superblock.blocks_fused``, ``interp.codegen.specialized_ops``,
@@ -168,7 +172,7 @@ MAX_CHAIN_BLOCKS = 64
 #: Version of the generated-code layout and namespace manifest.  Bump on
 #: ANY change to emitted source shape, bind kinds or driver protocol:
 #: it is the only guard between old cached artifacts and new code.
-CODEGEN_VERSION = 4
+CODEGEN_VERSION = 5
 
 #: Artifact-store kind for cached generated code.
 CODEGEN_KIND = "codegen"
@@ -322,10 +326,10 @@ class _HookSpec(NamedTuple):
     #: Sync/xfer ops route through ``exec_sync`` / ``exec_xfer``.
     hooked: bool
     count_loads: bool
-    #: Blocks whose entry calls ``on_block_entry`` (and closes the
-    #: running segment): ``None`` is every block, the empty set -- all
-    #: the uninstrumented tier ever has -- none.
-    watched: Optional[FrozenSet[str]]
+    #: ``(prev, target)`` edges whose traversal calls ``on_block_entry``
+    #: (and closes the running segment): ``None`` is every edge, the
+    #: empty set -- all the uninstrumented tier ever has -- none.
+    watched: Optional[FrozenSet[Tuple[str, str]]]
     #: Unwatched entries bump ``interp.unwatched_entries`` cells.
     count_unwatched: bool
 
@@ -336,7 +340,7 @@ def _hook_spec(interp, func: Function, hooked: bool,
     in ``func`` (nothing is observed, or counted, without ``hooked``)."""
     if not hooked:
         return _HookSpec(False, False, frozenset(), False)
-    watched = interp.watched_blocks(func)
+    watched = interp.watched_edges(func)
     return _HookSpec(
         True,
         bool(count_loads),
@@ -399,13 +403,14 @@ class SuperblockFunction:
     dispatch loop whose arm ``k`` is chain ``k``'s body, with registers
     held in function-wide locals across chain transitions.  ``run(frame,
     limit, 0)`` executes a whole activation and returns ``None`` on RET,
-    or the arm index whose entry budget check failed -- the driver then
-    resumes tier-2 at ``heads[index]`` for the exactness fallback.
+    or the ``(block name, segment index)`` anchor of the budget check
+    that failed -- the driver then resumes tier-2 there for the
+    exactness fallback.
     """
 
     __slots__ = (
         "func", "nslots", "param_slots", "entry", "blocks", "run",
-        "heads", "lazy", "source", "hooked", "count_loads", "hook_sites",
+        "lazy", "source", "hooked", "count_loads", "hook_sites",
     )
 
     def __init__(
@@ -416,7 +421,6 @@ class SuperblockFunction:
         entry: Superblock,
         blocks: Dict[str, Superblock],
         run,
-        heads: Tuple[str, ...],
         lazy: _LazyDecode,
         source: str,
         hooked: bool = False,
@@ -428,10 +432,8 @@ class SuperblockFunction:
         self.param_slots = param_slots
         self.entry = entry
         self.blocks = blocks
-        #: ``run(frame, limit, state)`` -> None (RET) | over-budget arm index.
+        #: ``run(frame, limit, state)`` -> None (RET) | over-budget anchor.
         self.run = run
-        #: Chain head block name per dispatch arm index.
-        self.heads = heads
         #: Lazily-decoded tier-2 fallback blocks (see :class:`_LazyDecode`).
         self.lazy = lazy
         #: Generated Python source, kept for tests and debugging.
@@ -443,7 +445,13 @@ class SuperblockFunction:
         self.hook_sites = hook_sites
 
 
-def _base_namespace(interp, func: Function, lazy: _LazyDecode) -> Dict[str, object]:
+class _OverBudget(Exception):
+    """Raised by generated code, and caught by its own function, when
+    the instruction budget may expire before the next check; ``args`` is
+    the ``(block name, segment index)`` anchor tier-2 resumes at."""
+
+
+def _base_namespace(interp, func: Function) -> Dict[str, object]:
     """Globals of the generated module: runtime objects pre-bound under
     stable dunder names (identical for fresh builds and warm artifact
     instantiations)."""
@@ -457,10 +465,7 @@ def _base_namespace(interp, func: Function, lazy: _LazyDecode) -> Dict[str, obje
         "__div": _arith_div,
         "__mod": _arith_mod,
         "__call": interp.call_function,
-        "__fin": finish_decoded,
-        "__fh": finish_hooked,
-        "__inc": REGISTRY.inc,
-        "__db": lazy,
+        "__OB": _OverBudget,
         "__fb": func.blocks,
         "__FN": func.name,
     }
@@ -510,13 +515,16 @@ class _FunctionCodegen:
         self.cost_model = interp.cost_model
         self.specialized = 0
         self.chains: List[List[str]] = []
+        #: The compiled module of the generated source: what
+        #: :meth:`build` executes and :meth:`artifact` marshals.
+        self.code = None
         #: Function-wide slot sets (filled by :meth:`build` before any
         #: chain is emitted): every slot the body reads or writes, and
         #: the write subset every budget handoff flushes.
         self.touched_slots: Tuple[int, ...] = ()
         self.write_slots: Tuple[int, ...] = ()
         self.lazy = _LazyDecode(interp, func, self.hooked, self.count_loads)
-        self.ns: Dict[str, object] = _base_namespace(interp, func, self.lazy)
+        self.ns: Dict[str, object] = _base_namespace(interp, func)
         self._binds: Dict[Tuple[str, int], str] = {}
         #: Ordered reconstruction manifest: (name, kind, payload) per
         #: bound object, enough to re-bind against a fresh interpreter
@@ -629,8 +637,7 @@ class _FunctionCodegen:
             # leaves hold exactly one arm and need no equality test.
             if hi - lo == 1:
                 return _ChainEmitter(
-                    self, chains[lo], lo, sblocks[chains[lo][0]],
-                    sb_index, base,
+                    self, chains[lo], sblocks[chains[lo][0]], sb_index, base
                 ).render()
             mid = _dispatch_split(weights, lo, hi)
             lines = [f"{base}if st < {mid}:"]
@@ -639,7 +646,7 @@ class _FunctionCodegen:
             lines.extend(emit_range(mid, hi, base + "    "))
             return lines
 
-        arms = emit_range(0, len(chains), " " * 8)
+        arms = emit_range(0, len(chains), " " * 12)
         head = [
             "def __sb(frame, __limit, st):",
             "    __i = __I",
@@ -649,10 +656,18 @@ class _FunctionCodegen:
         head.append("    s = frame.slots")
         for slot in self.touched_slots:
             head.append(f"    r{slot} = s[{slot}]")
-        head.append("    while True:")
-        source = "\n".join(head + arms) + "\n"
-        code = compile(source, f"<superblocks:{func.name}>", "exec")
-        exec(code, self.ns)
+        head.append("    try:")
+        head.append("        while True:")
+        # The one register write-back: every over-budget exit raises
+        # to here, and the anchor it carries is what the driver resumes
+        # tier-2 at.
+        tail = ["    except __OB as __x:"]
+        for slot in self.write_slots:
+            tail.append(f"        s[{slot}] = r{slot}")
+        tail.append("        return __x.args")
+        source = "\n".join(head + arms + tail) + "\n"
+        self.code = compile(source, f"<superblocks:{func.name}>", "exec")
+        exec(self.code, self.ns)
         REGISTRY.inc("interp.superblock.formed", len(chains))
         REGISTRY.inc(
             "interp.superblock.blocks_fused",
@@ -671,7 +686,6 @@ class _FunctionCodegen:
             sblocks[func.entry.name],
             sblocks,
             self.ns["__sb"],
-            tuple(chain[0] for chain in chains),
             self.lazy,
             source,
             self.hooked,
@@ -682,11 +696,10 @@ class _FunctionCodegen:
     def artifact(self, sfunc: SuperblockFunction) -> dict:
         """Serializable payload replaying this compile on a fresh
         interpreter (see :func:`_instantiate`)."""
-        code = compile(
-            sfunc.source, f"<superblocks:{self.func.name}>", "exec"
-        )
         try:
-            bytecode = base64.b64encode(marshal.dumps(code)).decode("ascii")
+            bytecode = base64.b64encode(
+                marshal.dumps(self.code)
+            ).decode("ascii")
         except Exception:  # pragma: no cover - marshal refuses nothing here
             bytecode = None
         return {
@@ -724,26 +737,31 @@ class _ChainEmitter:
             __i = __I
             s = frame.slots
             r3 = s[3]; ...                      # function-wide prelude
-            while True:
-                if st < 1:                       # dispatch tree
-                    __n = __i.instructions       # arm 0 (entry chain)
-                    if __n + N0 > __limit:
-                        s[..] = r..              # flush write set
-                        return 0                 # -> driver falls back
-                    <charge segment>; <ops>; ...
-                    st = 2                       # side exit to chain 2
-                    continue                     # back to dispatch
-                else:
-                    if st < 2: ...
+            try:
+                while True:
+                    if st < 1:                   # dispatch tree
+                        __n = __i.instructions   # arm 0 (entry chain)
+                        if __n + N0 > __limit:
+                            raise __OB('entry0', 0)
+                        <charge segment>; <ops>; ...
+                        st = 2                   # side exit to chain 2
+                        continue                 # back to dispatch
+                    else:
+                        if st < 2: ...
+            except __OB as __x:
+                s[..] = r..                      # the one write-back
+                return __x.args                  # -> driver falls back
 
     Locals are authoritative across chain transitions: a transition is
     just ``st = k`` plus a jump back to the dispatch loop, with no
     flush and no reload.  The slot file is only written when control
     leaves the generated function with the frame still live -- an arm's
     over-budget entry check, a loop back edge's budget re-check, or a
-    post-CALL fallback -- and then the *full* function write set is
-    flushed (prelude initialization makes every member assignable no
-    matter which path executed).  The walker's undefined-register check
+    post-CALL re-check -- and every one of those raises to the single
+    handler, which flushes the *full* function write set (prelude
+    initialization makes every member assignable no matter which path
+    executed) and returns the anchor tier-2 resumes at.  The walker's
+    undefined-register check
     stays at each arm's first read site, against the prelude-loaded
     local.  Loop-form arms (terminator targets the chain head) wrap
     their body in an inner ``while True:``; the back edge is
@@ -752,11 +770,11 @@ class _ChainEmitter:
 
     Charges are emitted *before* each segment's operations, exactly
     like tier 2's fast path; a segment that follows a CALL first
-    re-checks the remaining linear budget and diverts to
-    :func:`finish_decoded` (or :func:`finish_hooked`) when the limit
-    could expire before the chain ends.
+    re-checks the remaining linear budget and raises, anchored at its
+    own aligned tier-2 segment, when the limit could expire before the
+    chain ends.
 
-    Segments additionally close at every boundary whose target is
+    Segments additionally close at every boundary that is
     :meth:`observed` (so ``on_block_entry`` reads exact counters, in
     the decoded hooked variant's exact call order) and, in hooked mode,
     at every sync/xfer opcode (charged through the op before
@@ -766,12 +784,10 @@ class _ChainEmitter:
     """
 
     def __init__(
-        self, g: _FunctionCodegen, chain, index, sb, sb_index,
-        base: str = " " * 8,
+        self, g: _FunctionCodegen, chain, sb, sb_index, base: str
     ) -> None:
         self.g = g
         self.chain = chain
-        self.index = index
         self.sb = sb
         #: Chain head -> dispatch arm index, for side-exit transitions.
         self.sb_index = sb_index
@@ -781,7 +797,6 @@ class _ChainEmitter:
         self.hooked = g.hooked
         self.count_loads = g.count_loads
         self.watched = g.hook_spec.watched
-        self.fin = "__fh" if g.hooked else "__fin"
         # Prescan: linear instruction total and loop shape.
         total = 0
         loop_form = False
@@ -850,14 +865,14 @@ class _ChainEmitter:
         """Bound BasicBlock object (hook-call argument)."""
         return self.g.bind("bb", self.blocks[name], ("bb", name))
 
-    def observed(self, target: str) -> bool:
-        """The one boundary predicate: does entering ``target`` call
-        ``on_block_entry``?  An observed boundary closes the running
-        segment first, so the hook reads exact counters; every other
-        boundary fuses -- always, in the uninstrumented tier, whose
-        watched set is empty."""
+    def observed(self, prev: str, target: str) -> bool:
+        """The one boundary predicate: does entering ``target`` from
+        ``prev`` call ``on_block_entry``?  An observed boundary closes
+        the running segment first, so the hook reads exact counters;
+        every other boundary fuses -- always, in the uninstrumented
+        tier, whose watched set is empty."""
         watched = self.watched
-        return watched is None or target in watched
+        return watched is None or (prev, target) in watched
 
     def emit_entry(self, prev_name: str, target: str, extra: str = "") -> None:
         """Announce the entry of ``target`` from ``prev_name``: the
@@ -874,7 +889,7 @@ class _ChainEmitter:
         backend switch.
         """
         g = self.g
-        if self.observed(target):
+        if self.observed(prev_name, target):
             g.hook_sites += 1
             line = (
                 f"__obe(frame, {self.bb(prev_name)}, {self.bb(target)})"
@@ -992,11 +1007,11 @@ class _ChainEmitter:
 
         When a CALL preceded this segment (``pending_check``), the
         charge is guarded by a conservative remaining-budget test: if
-        the rest of the chain's linear body might not fit, flush the
-        function's write set and resume tier-2 at the aligned segment
-        index of the call's block (resolved lazily through ``__db`` --
-        the fallback blocks are only decoded if an activation actually
-        diverts).
+        the rest of the chain's linear body might not fit, raise to the
+        function's write-back, anchored at the aligned segment index of
+        the call's block (the driver resolves it through the lazy
+        decode, so the fallback blocks are only decoded if an
+        activation actually diverts).
         """
         out = self.lines
         ind = self.indent
@@ -1008,14 +1023,7 @@ class _ChainEmitter:
             remaining = self.total - self.charged
             out.append(f"{ind}__n = __i.instructions")
             out.append(f"{ind}if __n + {remaining} > __limit:")
-            for slot in self.g.write_slots:
-                out.append(f"{ind}    s[{slot}] = r{slot}")
-            out.append(f"{ind}    __inc('interp.superblock.fallbacks')")
-            out.append(
-                f"{ind}    {self.fin}(__i, frame, __db({bname!r}), "
-                f"{seg_index}, __limit)"
-            )
-            out.append(f"{ind}    return None")
+            out.append(f"{ind}    raise __OB({bname!r}, {seg_index})")
             out.append(f"{ind}__i.instructions = __n + {count}")
             if cycles:
                 out.append(f"{ind}__i.cycles += {cycles}")
@@ -1049,17 +1057,15 @@ class _ChainEmitter:
         if self.loop_form and target == self.chain[0]:
             # Back edge: announce the head re-entry (if observed), then the
             # next iteration re-charges the full linear body, so
-            # re-check it; over budget -> return this arm's index so
-            # the driver falls back (finish_hooked does not re-announce
-            # the current block, so the hook order stays exact).
-            # Registers stay in their locals across the iteration: only
-            # the over-budget return leaves the function and flushes.
+            # re-check it; over budget -> raise, anchored at the head,
+            # so the driver falls back (finish_hooked does not
+            # re-announce the current block, so the hook order stays
+            # exact).  Registers stay in their locals across the
+            # iteration: only the over-budget exit flushes them.
             self.emit_entry(cur_name, target, extra)
             out.append(f"{ind}__n = __i.instructions")
             out.append(f"{ind}if __n + {self.total} > __limit:")
-            for slot in self.g.write_slots:
-                out.append(f"{ind}    s[{slot}] = r{slot}")
-            out.append(f"{ind}    return {self.index}")
+            out.append(f"{ind}    raise __OB({target!r}, 0)")
             out.append(f"{ind}continue")
             return
         if target not in self.blocks:
@@ -1438,7 +1444,7 @@ class _ChainEmitter:
                 # segment and no control flow is emitted at all, unless
                 # the target is observed -- its hook must see counters
                 # through this BR, so the segment closes here.
-                if self.observed(target):
+                if self.observed(cur_name, target):
                     self.close_segment()
                 self.emit_entry(cur_name, target)
                 return
@@ -1491,10 +1497,8 @@ class _ChainEmitter:
         head = [
             f"{base}__n = __i.instructions",
             f"{base}if __n + {self.total} > __limit:",
+            f"{base}    raise __OB({self.chain[0]!r}, 0)",
         ]
-        for slot in g.write_slots:
-            head.append(f"{base}    s[{slot}] = r{slot}")
-        head.append(f"{base}    return {self.index}")
         if self.loop_form:
             head.append(f"{base}while True:")
         self.entry_n_live = True
@@ -1617,7 +1621,7 @@ def _instantiate(
     ):
         return None
     lazy = _LazyDecode(interp, func, hook_spec.hooked, hook_spec.count_loads)
-    ns = _base_namespace(interp, func, lazy)
+    ns = _base_namespace(interp, func)
     sblocks: Dict[str, Superblock] = {}
     for chain, max_instructions in zip(chains, payload["max_instructions"]):
         sb = Superblock()
@@ -1647,7 +1651,6 @@ def _instantiate(
         sblocks[func.entry.name],
         sblocks,
         ns["__sb"],
-        tuple(chain[0] for chain in chains),
         lazy,
         source,
         hook_spec.hooked,
@@ -1662,7 +1665,7 @@ def artifact_key(interp, func: Function, hooked: bool,
 
     Covers everything the emitted source can embed as a literal: the
     codegen layout version, the function's printed IR (opcodes,
-    operands, local sizes), the hook flags and the watched block set
+    operands, local sizes), the hook flags and the watched edges
     the interpreter declares for the function (which boundaries call
     the hook, which count, which fuse), the module's global-region
     sizes and known-function set, the cost model (cycle charges are
@@ -1695,7 +1698,9 @@ def _artifact_key(interp, func: Function, hook_spec: _HookSpec) -> str:
         "hooked": hook_spec.hooked,
         "count_loads": hook_spec.count_loads,
         "watched": (
-            None if hook_spec.watched is None else sorted(hook_spec.watched)
+            None
+            if hook_spec.watched is None
+            else sorted(map(list, hook_spec.watched))
         ),
         "count_unwatched": hook_spec.count_unwatched,
         "globals": sorted(
@@ -1727,8 +1732,8 @@ def compile_superblocks(
 
     With ``hooked=True`` the generated chains call ``exec_sync`` /
     ``exec_xfer`` at the decoded hooked variant's exact observation
-    points and ``on_block_entry`` at the entries of the blocks
-    ``interp.watched_blocks(func)`` declares -- every block by default
+    points and ``on_block_entry`` on the edges
+    ``interp.watched_edges(func)`` declares -- every edge by default
     -- (and statically count loads when ``count_loads`` is set, and
     unwatched entries when ``interp.count_unwatched`` is).  When the
     interpreter carries a ``codegen_cache``, the compile is
@@ -1769,22 +1774,22 @@ def execute_superblocks(interp, sfunc: SuperblockFunction, frame) -> object:
     """Run one activation over compiled superblocks to its RET.
 
     The whole activation -- chain dispatch included -- runs inside the
-    single generated function; a chain is only entered when the
-    remaining instruction budget covers its entire linear body (each
-    dispatch arm checks on entry), otherwise ``run`` flushes the
-    register locals and returns the arm index, and the activation
-    finishes on tier-2's exact per-instruction path from that chain's
-    head, so ``ExecutionLimitExceeded`` fires at precisely the same
+    single generated function; a chain is only entered, iterated or
+    continued past a CALL while the remaining instruction budget covers
+    the rest of its linear body, otherwise ``run`` writes the register
+    locals back and returns the anchor of the failed check, and the
+    activation finishes on tier-2's exact per-instruction path from
+    there, so ``ExecutionLimitExceeded`` fires at precisely the same
     dynamic instruction as the tree-walker.
     """
     limit = interp.max_instructions
     if limit is None:
         limit = _INF
-    st = sfunc.run(frame, limit, 0)
-    if st is None:
-        return frame.ret
-    REGISTRY.inc("interp.superblock.fallbacks")
-    finish_decoded(interp, frame, sfunc.lazy(sfunc.heads[st]), 0, limit)
+    anchor = sfunc.run(frame, limit, 0)
+    if anchor is not None:
+        REGISTRY.inc("interp.superblock.fallbacks")
+        name, seg_index = anchor
+        finish_decoded(interp, frame, sfunc.lazy(name), seg_index, limit)
     return frame.ret
 
 
@@ -1803,9 +1808,9 @@ def execute_hooked_superblocks(
     if limit is None:
         limit = _INF
     interp.on_block_entry(frame, None, sfunc.func.entry)
-    st = sfunc.run(frame, limit, 0)
-    if st is None:
-        return frame.ret
-    REGISTRY.inc("interp.superblock.fallbacks")
-    finish_hooked(interp, frame, sfunc.lazy(sfunc.heads[st]), 0, limit)
+    anchor = sfunc.run(frame, limit, 0)
+    if anchor is not None:
+        REGISTRY.inc("interp.superblock.fallbacks")
+        name, seg_index = anchor
+        finish_hooked(interp, frame, sfunc.lazy(name), seg_index, limit)
     return frame.ret

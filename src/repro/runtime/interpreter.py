@@ -33,8 +33,8 @@ by :meth:`Interpreter.call_function`):
 Selection is automatic and always bit-identical to the tree-walker:
 uninstrumented runs use the superblock backend, hook users (profiler,
 parallel executor) its hooked tier -- which calls ``on_block_entry``
-at every block entry, or only at the ones
-:meth:`Interpreter.watched_blocks` declares --, listener users the
+on every block-to-block edge, or only on the ones
+:meth:`Interpreter.watched_edges` declares --, listener users the
 decoded backend's hooked variant, and subclasses that override
 ``exec_instr``-level methods fall back to the tree-walker.
 """
@@ -275,7 +275,7 @@ class Interpreter:
         #: parallel executor prices data forwarding from this).
         self.count_loads = False
         self.load_count = 0
-        #: Count the block entries a declared :meth:`watched_blocks` set
+        #: Count the block entries a declared :meth:`watched_edges` set
         #: keeps from :meth:`on_block_entry` into
         #: :attr:`unwatched_entries`: ``(function, block)`` -> a
         #: one-element cell the generated code bumps in place.  Only the
@@ -506,8 +506,8 @@ class Interpreter:
     def _call_hooked_super(self, func: Function, args: Sequence) -> object:
         """Hooked superblock activation: fused chains that call
         ``exec_sync`` / ``exec_xfer`` at the decoded hooked variant's
-        exact observation points and ``on_block_entry`` at the block
-        entries :meth:`watched_blocks` declares (every one by default),
+        exact observation points and ``on_block_entry`` on the edges
+        :meth:`watched_edges` declares (every one by default),
         with ``count_loads`` compiled to static per-segment
         increments."""
         codegen = self._codegen
@@ -528,9 +528,9 @@ class Interpreter:
     def on_block_entry(
         self, frame: Frame, prev: Optional[BasicBlock], block: BasicBlock
     ) -> None:
-        """Hook called on every block entry (including function entry),
-        or -- from generated code only -- on the entries
-        :meth:`watched_blocks` declares."""
+        """Hook called on every block entry (including function entry,
+        with ``prev`` None), or -- from generated code only -- on the
+        edges :meth:`watched_edges` declares."""
         if self.block_listener is not None:
             self.block_listener(
                 frame.func.name,
@@ -539,21 +539,25 @@ class Interpreter:
                 self.cycles,
             )
 
-    def watched_blocks(self, func: Function) -> Optional[FrozenSet[str]]:
-        """The blocks of ``func`` whose entry :meth:`on_block_entry` acts
-        on, or ``None`` (the default) for every block.
+    def watched_edges(
+        self, func: Function
+    ) -> Optional[FrozenSet[Tuple[str, str]]]:
+        """The ``(prev, target)`` block edges of ``func`` whose traversal
+        :meth:`on_block_entry` acts on, or ``None`` (the default) for
+        every edge.
 
-        An override promises that leaving out the call for any *other*
-        block -- apart from the activation entry, which is always
+        An override promises that leaving out the call on any *other*
+        edge -- the activation entry, which has no ``prev``, is always
         announced -- changes nothing the observer reports, so the
         hooked superblock tier fuses those boundaries as the
         uninstrumented tier does: no hook call, no segment close
-        (:attr:`count_unwatched` keeps their entry counts).  The
-        promise is one-sided: the tree walker, the decoded tier and the
-        budget fallback still announce every entry, so the hook must
-        keep handling undeclared blocks as it would without the
-        declaration.  Asked once per compiled function; the answer must
-        not change over the interpreter's lifetime.
+        (:attr:`count_unwatched` keeps the entry counts of their
+        targets).  The promise is one-sided: the tree walker, the
+        decoded tier and the budget fallback still announce every
+        entry, so the hook must keep handling undeclared edges as it
+        would without the declaration.  Asked once per compiled
+        function; the answer must not change over the interpreter's
+        lifetime.
         """
         return None
 
@@ -615,9 +619,9 @@ class Interpreter:
         :meth:`exec_sync` / :meth:`exec_xfer`), preserving all subclass
         hook points.
         """
+        self.charge(instr)
         if self.count_loads and instr.reads_memory:
             self.load_count += 1
-        self.charge(instr)
         handler = _EXEC_HANDLERS.get(instr.opcode)
         if handler is None:  # pragma: no cover - verifier rejects these
             raise RuntimeFault(f"cannot execute opcode {instr.opcode}")

@@ -32,10 +32,12 @@ Per iteration the replay carries:
   pays the word-transfer cost ``M``.
 
 The recording run keeps the interpreter's own sequential clock and
-never rewrites it; as an invocation ends its trace, stamped in that
-clock, is packed into a
-:class:`~repro.runtime.trace.CompactInvocationTrace`, and that is all
-that happens at record time.  The recording -- output, sequential total,
+never rewrites it.  An invocation is a
+:class:`~repro.runtime.trace.CompactInvocationTrace` from its first
+event: the hooks append kind codes, dependence ids and stamps relative
+to its ``start_cycles`` straight into its columns, the end of the
+invocation only closes them, and that is all that happens at record
+time.  The recording -- output, sequential total,
 traces -- is therefore a function of the transformed IR, the cost model
 and the input, and of no machine.  Time under a machine ``m`` is filled
 in after the run by one :func:`~repro.runtime.sched.schedule_many` pass
@@ -62,8 +64,8 @@ The recording run observes little of what it interprets.  Its
 preheader (an invocation begins), the parallel header (an iteration
 begins) and the exit stubs (the invocation ends) of each parallelized
 loop -- and returns at its first test everywhere else, so the executor
-declares exactly those through
-:meth:`~repro.runtime.interpreter.Interpreter.watched_blocks`, computed
+declares every edge into those through
+:meth:`~repro.runtime.interpreter.Interpreter.watched_edges`, computed
 from ``infos`` per function.  Generated code then calls the hook there
 and fuses every other block boundary as an uninstrumented run would;
 the tree walker, the decoded tier and the budget fallback still call it
@@ -84,7 +86,6 @@ from repro.runtime.interpreter import (
     ExecutionResult,
     Frame,
     Interpreter,
-    RuntimeFault,
 )
 from repro.runtime.machine import MachineConfig
 from repro.runtime.sched import (
@@ -96,6 +97,11 @@ from repro.runtime.sched import (
 )
 from repro.runtime.trace import (
     CTRL_DEP,
+    KIND_NEXT,
+    KIND_PRODUCE,
+    KIND_SIGNAL,
+    KIND_WAIT,
+    KIND_XFER,
     CompactInvocationTrace,
     InvocationTrace,
     IterationTrace,
@@ -210,7 +216,6 @@ class ParallelExecutor(Interpreter):
         module: Module,
         infos: Sequence[ParallelizedLoop],
         machine: Optional[MachineConfig] = None,
-        record_traces: bool = True,
         max_instructions: Optional[int] = 500_000_000,
         backend: str = "auto",
         schedule_memo: Optional[Dict[str, ScheduleColumns]] = None,
@@ -226,26 +231,34 @@ class ParallelExecutor(Interpreter):
         # backend counts them when this is set.  Under "auto" the
         # *hooked superblock* tier is selected: fused chains observe
         # sync/xfer ops at the decoded hooked variant's exact points
-        # and block entries where :meth:`watched_blocks` says the hook
-        # acts, and compile load counting to static per-segment
+        # and block entries on the edges :meth:`watched_edges` says the
+        # hook acts on, and compile load counting to static per-segment
         # increments.
         self.count_loads = True
         self.infos = list(infos)
-        self.record_traces = record_traces
         self._by_preheader: Dict[Tuple[str, str], ParallelizedLoop] = {}
-        watched: Dict[str, Set[str]] = {}
+        acted_on: Dict[str, Set[str]] = {}
         for info in self.infos:
             self._by_preheader[(info.func_name, info.par_preheader)] = info
-            watched.setdefault(info.func_name, set()).update(
+            acted_on.setdefault(info.func_name, set()).update(
                 (info.par_preheader, info.par_header), info.exit_stubs
             )
         self._watched = {
-            name: frozenset(blocks) for name, blocks in watched.items()
+            name: frozenset(
+                (prev, target)
+                for prev, block in module.functions[name].blocks.items()
+                for target in block.successor_names()
+                if target in blocks
+            )
+            for name, blocks in acted_on.items()
         }
-        self._inv: Optional[InvocationTrace] = None
+        #: The open invocation, its columns growing as the run goes.
+        self._inv: Optional[CompactInvocationTrace] = None
         self._inv_info: Optional[ParallelizedLoop] = None
         self._inv_frame: Optional[Frame] = None
-        self._iter: Optional[IterationTrace] = None
+        #: Word counts of the 'x' events of each iteration of the open
+        #: invocation, the open one last; empty while none is open.
+        self._words: List[Dict[int, int]] = []
         self._loads_at_start = 0
         #: Memoized per-machine schedule columns
         #: (:class:`~repro.runtime.sched.ScheduleColumns` of one machine,
@@ -278,11 +291,11 @@ class ParallelExecutor(Interpreter):
 
     # -- interpreter hooks -------------------------------------------------
 
-    def watched_blocks(self, func: Function) -> FrozenSet[str]:
-        """The only entries :meth:`on_block_entry` gets past its early
-        returns on: the parallel preheader, parallel header and exit
-        stubs of each parallelized loop of ``func`` (a few percent of
-        a recording run's block entries)."""
+    def watched_edges(self, func: Function) -> FrozenSet[Tuple[str, str]]:
+        """Every edge into the only blocks :meth:`on_block_entry` gets
+        past its early returns on: the parallel preheader, parallel
+        header and exit stubs of each parallelized loop of ``func`` (a
+        few percent of a recording run's block entries)."""
         return self._watched.get(func.name, frozenset())
 
     def on_block_entry(
@@ -303,54 +316,66 @@ class ParallelExecutor(Interpreter):
             self._end_invocation()
 
     def exec_sync(self, frame: Frame, instr: Instruction) -> None:
-        if self._iter is None or frame is not self._inv_frame:
+        if not self._words or frame is not self._inv_frame:
             return
-        if instr.opcode is Opcode.WAIT:
-            self._iter.events.append(("w", instr.dep_id, self.cycles))
-        elif instr.opcode is Opcode.SIGNAL:
-            self._iter.events.append(("s", instr.dep_id, self.cycles))
+        # One event of the open iteration, straight into the columns.
+        inv = self._inv
+        opcode = instr.opcode
+        if opcode is Opcode.WAIT:
+            inv.ev_kind.append(KIND_WAIT)
+            inv.ev_dep.append(instr.dep_id)
+        elif opcode is Opcode.SIGNAL:
+            inv.ev_kind.append(KIND_SIGNAL)
+            inv.ev_dep.append(instr.dep_id)
         else:  # NEXT_ITER
-            self._iter.events.append(("n", CTRL_DEP, self.cycles))
+            inv.ev_kind.append(KIND_NEXT)
+            inv.ev_dep.append(CTRL_DEP)
+        inv.ev_at.append(self.cycles - inv.start_cycles)
 
     def exec_xfer(self, frame: Frame, instr: Instruction) -> None:
-        if self._iter is None or frame is not self._inv_frame:
+        if not self._words or frame is not self._inv_frame:
             return
+        inv = self._inv
         dep = instr.dep_id
         if is_producer_mark(instr):
-            self._iter.events.append(("p", dep, self.cycles))
+            inv.ev_kind.append(KIND_PRODUCE)
         else:
-            self._iter.events.append(("x", dep, self.cycles))
-            self._iter.words[dep] = xfer_words(instr)
+            inv.ev_kind.append(KIND_XFER)
+            self._words[-1][dep] = xfer_words(instr)
+        inv.ev_dep.append(dep)
+        inv.ev_at.append(self.cycles - inv.start_cycles)
 
     # -- invocation lifecycle -------------------------------------------------
 
     def _begin_invocation(self, info: ParallelizedLoop, frame: Frame) -> None:
-        self._inv = InvocationTrace(
-            loop_id=info.loop_id, start_cycles=self.cycles
-        )
+        self._inv = CompactInvocationTrace.begin(info.loop_id, self.cycles)
         self._inv_info = info
         self._inv_frame = frame
-        self._iter = None
         self._loads_at_start = self.load_count
 
+    def _close_iteration(self) -> None:
+        inv = self._inv
+        if self._words:
+            inv.it_end.append(self.cycles - inv.start_cycles)
+            inv.ev_off.append(len(inv.ev_kind))
+
     def _begin_iteration(self) -> None:
-        if self._iter is not None:
-            self._iter.end_cycles = self.cycles
-        self._iter = IterationTrace(start_cycles=self.cycles)
-        self._inv.iterations.append(self._iter)
+        self._close_iteration()
+        inv = self._inv
+        inv.it_start.append(self.cycles - inv.start_cycles)
+        self._words.append({})
 
     def _end_invocation(self) -> None:
+        self._close_iteration()
         trace = self._inv
-        if self._iter is not None:
-            self._iter.end_cycles = self.cycles
         trace.end_cycles = self.cycles
         trace.loads = self.load_count - self._loads_at_start
+        trace.words = tuple(self._words)
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
-        self._iter = None
-        # Pack at record time; schedulers only ever see the compact form.
-        self.traces.append(CompactInvocationTrace.from_trace(trace))
+        self._words = []
+        self.traces.append(trace)
 
     # -- public API -------------------------------------------------------------
 
@@ -361,7 +386,7 @@ class ParallelExecutor(Interpreter):
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
-        self._iter = None
+        self._words = []
         self._loads_at_start = 0
         self.traces = []
         return super().run(entry, args)
@@ -372,8 +397,6 @@ class ParallelExecutor(Interpreter):
             recorded = self.run()
             timed = self._timed([self.machine], recorded.return_value)[0]
             sp.set(invocations=len(self.traces), cycles=timed.cycles)
-        if not self.record_traces:
-            self.traces = []
         return timed
 
     def restore_run(
@@ -476,9 +499,7 @@ class ParallelExecutor(Interpreter):
             if name in LoopRunStats.__dataclass_fields__
         ]
         shared_output = list(self.output)
-        shared_traces: List[AnyTrace] = (
-            list(traces) if self.record_traces else []
-        )
+        shared_traces: List[AnyTrace] = list(traces)
         results: List[ParallelRunResult] = []
         for machine in machines:
             column = self._schedules[machine.fingerprint()]
@@ -521,8 +542,6 @@ class ParallelExecutor(Interpreter):
         every missing schedule column in one batched pass over the
         stored traces.
         """
-        if not self.record_traces:
-            raise RuntimeFault("executor was created with record_traces=False")
         with get_tracer().span(
             "exec.replay_many", cat="exec", machines=len(machines)
         ):
@@ -558,14 +577,13 @@ def run_parallel(
     module: Module,
     infos: Sequence[ParallelizedLoop],
     machine: Optional[MachineConfig] = None,
-    record_traces: bool = True,
     backend: str = "auto",
     block_profile: Optional[Dict[Tuple[str, str], int]] = None,
     codegen_cache=None,
 ) -> ParallelRunResult:
     """Convenience wrapper: execute a transformed module."""
     executor = ParallelExecutor(
-        module, infos, machine, record_traces=record_traces, backend=backend,
+        module, infos, machine, backend=backend,
         block_profile=block_profile, codegen_cache=codegen_cache,
     )
     return executor.execute()

@@ -14,21 +14,28 @@ needs:
 * the dynamic loop nesting graph (profiled subgraph of the static one).
 
 All but the block counts hang off a stack of active loops, and that
-stack changes at three kinds of event only: a loop header is entered,
-the target of an edge leaving a loop is entered, a call begins or
-returns.  The profiling interpreter declares those blocks
-(:meth:`~repro.runtime.interpreter.Interpreter.watched_blocks`, from
+stack changes at two kinds of event only: an edge that enters a loop
+from outside it or leaves one is taken, or a call returns out of loops
+it left active.  The profiling interpreter declares those edges
+(:meth:`~repro.runtime.interpreter.Interpreter.watched_edges`, from
 the :class:`~repro.analysis.loopnest.StaticLoopNestGraph`), so
-generated code calls its hook there and nowhere else.  Cycle
-attribution is deferred, not dropped: ``_sync`` adds the cycles since
-the previous event to every loop on the stack, and between two events
-the stack is constant, so the one late sync adds the same integers to
-the same loops as the per-block syncs it replaces.  The block counts
-come from static counters the generated code bumps at the boundaries
-that no longer call the hook, added to the hook's own counts after the
-run.  Tree, decoded and budget-fallback execution still call the hook
-at every block; the profile is identical either way (the differential
-tests assert it).
+generated code calls its hook there and nowhere else: a back edge that
+leaves no loop -- most header entries of any run -- costs a static
+counter bump.  Attribution is O(1) per event and exact.  A stack entry
+remembers the clock at its push and adds ``exit clock - entry clock``
+to its loop's ``total_cycles`` at its pop, the sum of the deltas a
+walk over the stack would have added event by event; ``self_cycles``
+goes to the innermost entry alone, for the interval since the stack
+last changed, and between two changes the innermost loop is constant,
+so the one late addition equals the per-block additions it replaces.
+``iterations`` is not counted by the hook: every entry of a header
+begins an iteration, so it is the header's block count, read after the
+run.  The block counts are the hook's own plus the static counters the
+generated code bumps at the boundaries that do not call it.  Tree,
+decoded and budget-fallback execution still call the hook at every
+block, which it tolerates (an undeclared edge pops nothing and pushes
+nothing); the profile is identical either way (the differential tests
+assert it).
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from repro.analysis.loopnest import (
     build_static_loop_nest_graph,
 )
 from repro.analysis.loops import Loop
-from repro.ir import Function, Instruction, Module, Opcode
+from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.ir.types import Type
 from repro.runtime.interpreter import ExecutionResult, Interpreter
 from repro.runtime.machine import MachineConfig
@@ -168,144 +175,124 @@ class ProfileData:
         )
 
 
-class _ProfilingHarness:
-    """Wires interpreter hooks to the profile accumulators."""
-
-    def __init__(self, nest: StaticLoopNestGraph, data: ProfileData) -> None:
-        self.nest = nest
-        self.data = data
-        #: Stack of (activation id, Loop) for every active loop, across
-        #: function activations.
-        self.loop_stack: List[Tuple[int, Loop]] = []
-        self.activation_stack: List[int] = [0]
-        self.next_activation = 1
-        self.last_cycles = 0
-        #: func name -> (active count, cycles at first entry).
-        self.recursion: Dict[str, Tuple[int, int]] = {}
-
-    # -- time attribution --------------------------------------------------
-
-    def _sync(self, cycles: int) -> None:
-        delta = cycles - self.last_cycles
-        if delta and self.loop_stack:
-            for _aid, loop in self.loop_stack:
-                self._profile(loop).total_cycles += delta
-            self._profile(self.loop_stack[-1][1]).self_cycles += delta
-        self.last_cycles = cycles
-
-    def _profile(self, loop: Loop) -> LoopProfile:
-        profile = self.data.loops.get(loop.id)
-        if profile is None:
-            profile = LoopProfile(loop.id)
-            self.data.loops[loop.id] = profile
-        return profile
-
-    # -- listeners ------------------------------------------------------------
-
-    def on_block(
-        self, func_name: str, prev: Optional[str], block: str, cycles: int
-    ) -> None:
-        self._sync(cycles)
-        key = (func_name, block)
-        self.data.block_counts[key] = self.data.block_counts.get(key, 0) + 1
-
-        forest = self.nest.forests.get(func_name)
-        if forest is None:
-            return
-        activation = self.activation_stack[-1]
-
-        # Pop loops of this activation that no longer contain the block.
-        while self.loop_stack:
-            aid, top = self.loop_stack[-1]
-            if aid != activation or block in top.blocks:
-                break
-            self.loop_stack.pop()
-
-        loop = forest.by_header.get(block)
-        if loop is None:
-            return
-        if self.loop_stack:
-            aid, top = self.loop_stack[-1]
-            if aid == activation and top is loop:
-                # Back edge: a new iteration of the active loop.
-                self._profile(loop).iterations += 1
-                return
-        parent = self.loop_stack[-1][1].id if self.loop_stack else None
-        self.loop_stack.append((activation, loop))
-        profile = self._profile(loop)
-        profile.invocations += 1
-        profile.iterations += 1
-        self.data.dynamic_nesting.record(parent, loop.id)
-
-    def on_call(self, func_name: str, entering: bool, cycles: int) -> None:
-        self._sync(cycles)
-        if entering:
-            self.activation_stack.append(self.next_activation)
-            self.next_activation += 1
-            count, first = self.recursion.get(func_name, (0, 0))
-            if count == 0:
-                first = cycles
-            self.recursion[func_name] = (count + 1, first)
-            self.data.func_activations[func_name] = (
-                self.data.func_activations.get(func_name, 0) + 1
-            )
-        else:
-            activation = self.activation_stack.pop()
-            while self.loop_stack and self.loop_stack[-1][0] == activation:
-                self.loop_stack.pop()
-            count, first = self.recursion[func_name]
-            if count == 1:
-                self.data.func_inclusive_cycles[func_name] = (
-                    self.data.func_inclusive_cycles.get(func_name, 0)
-                    + cycles
-                    - first
-                )
-            self.recursion[func_name] = (count - 1, first)
-
-
 class _ProfilingInterpreter(Interpreter):
-    """Interpreter whose hook overrides feed the profiling harness.
+    """Interpreter whose hook overrides accumulate a :class:`ProfileData`.
 
     Overriding :meth:`on_block_entry` (rather than installing a
     ``block_listener``) routes profiling runs onto the *hooked
     superblock* tier under ``backend="auto"``: fused chains invoke the
-    hook with exact cycle counts at the :meth:`watched_blocks`, so the
-    collected profile is bit-identical to a listener-based tree or
-    decoded run (the differential tests assert this) at codegen speed.
+    hook with exact cycle counts on the :meth:`watched_edges`, so the
+    collected profile is bit-identical to a tree or decoded run (the
+    differential tests assert this) at codegen speed.
     """
 
-    harness: "_ProfilingHarness"
+    def __init__(
+        self, module: Module, nest: StaticLoopNestGraph, data: ProfileData,
+        machine: Optional[MachineConfig] = None, **kwargs
+    ) -> None:
+        super().__init__(module, machine, **kwargs)
+        self.count_unwatched = True
+        self.nest = nest
+        self.data = data
+        #: Header block (of the interpreted module) -> its loop.
+        self._headers: Dict[BasicBlock, Loop] = {
+            module.functions[name].blocks[header]: loop
+            for name, forest in nest.forests.items()
+            for header, loop in forest.by_header.items()
+        }
+        #: (loop, its profile, cycles when entered) for every active
+        #: loop, across function activations.
+        self._active: List[Tuple[Loop, LoopProfile, int]] = []
+        #: Depth of ``_active`` when the running activation began: the
+        #: loops above it are that activation's own.
+        self._base = 0
+        #: Start of the interval not yet added to any ``self_cycles``.
+        self._last_cycles = 0
+        #: Block -> times the hook announced it.
+        self._announced: Dict[BasicBlock, int] = {}
+        #: func name -> (active count, cycles at outermost entry).
+        self._recursion: Dict[str, Tuple[int, int]] = {}
 
-    def watched_blocks(self, func: Function) -> FrozenSet[str]:
-        """Every block whose entry can change the harness's loop stack:
-        loop headers (push, or count an iteration) and targets of edges
-        that leave a loop (pop).  At any other entry ``on_block`` only
-        counts the block and syncs cycles; generated code counts those
-        statically (``count_unwatched``) and the next watched entry or
-        call event syncs their cycles onto the same, unchanged stack.
+    def watched_edges(self, func: Function) -> FrozenSet[Tuple[str, str]]:
+        """Every edge that can change the stack of active loops: those
+        entering a loop from outside it (push) and those leaving one
+        (pop).  On any other edge the hook only counts the target;
+        generated code counts those statically (``count_unwatched``),
+        back edges into a header included.
         """
-        forest = self.harness.nest.forests.get(func.name)
+        forest = self.nest.forests.get(func.name)
         if forest is None:
             return frozenset()
         cfg = CFGView(func)
-        watched = set(forest.by_header)
+        edges = set()
         for loop in forest:
-            watched.update(target for _src, target in loop.exit_edges(cfg))
-        return frozenset(watched)
+            edges.update(loop.exit_edges(cfg))
+            edges.update(
+                (prev, loop.header)
+                for prev in cfg.preds[loop.header]
+                if prev not in loop.blocks
+            )
+        return frozenset(edges)
 
     def on_block_entry(self, frame, prev, block) -> None:
-        self.harness.on_block(
-            frame.func.name,
-            prev.name if prev is not None else None,
-            block.name,
-            self.cycles,
+        announced = self._announced
+        announced[block] = announced.get(block, 0) + 1
+        active = self._active
+        base = self._base
+        name = block.name
+        # Leave the loops of this activation that do not contain the block.
+        while len(active) > base and name not in active[-1][0].blocks:
+            self._leave()
+        loop = self._headers.get(block)
+        if loop is None or (len(active) > base and active[-1][0] is loop):
+            # Not a header, or a back edge (which only the tiers that
+            # announce every entry ever report).
+            return
+        cycles = self._mark()
+        profile = self.data.loops.get(loop.id)
+        if profile is None:
+            profile = self.data.loops[loop.id] = LoopProfile(loop.id)
+        profile.invocations += 1
+        self.data.dynamic_nesting.record(
+            active[-1][0].id if active else None, loop.id
         )
+        active.append((loop, profile, cycles))
+
+    def _mark(self) -> int:
+        """Close the interval since the last change of the innermost
+        active loop and add it to that loop's ``self_cycles``."""
+        cycles = self.cycles
+        if self._active:
+            self._active[-1][1].self_cycles += cycles - self._last_cycles
+        self._last_cycles = cycles
+        return cycles
+
+    def _leave(self) -> None:
+        cycles = self._mark()
+        _loop, profile, entered = self._active.pop()
+        profile.total_cycles += cycles - entered
 
     def call_function(self, func, args):
-        harness = self.harness
-        harness.on_call(func.name, True, self.cycles)
+        name = func.name
+        data = self.data
+        data.func_activations[name] = data.func_activations.get(name, 0) + 1
+        count, first = self._recursion.get(name, (0, 0))
+        if count == 0:
+            first = self.cycles
+        self._recursion[name] = (count + 1, first)
+        active = self._active
+        caller_base = self._base
+        self._base = depth = len(active)
         value = super().call_function(func, args)
-        harness.on_call(func.name, False, self.cycles)
+        # Loops the activation returned out of.
+        while len(active) > depth:
+            self._leave()
+        self._base = caller_base
+        if count == 0:
+            data.func_inclusive_cycles[name] = (
+                data.func_inclusive_cycles.get(name, 0) + self.cycles - first
+            )
+        self._recursion[name] = (count, first)
         return value
 
 
@@ -320,31 +307,35 @@ def profile_module(
     """Run ``module`` once under instrumentation and return the profile.
 
     The hook overrides select the hooked superblock tier under
-    ``backend="auto"`` (fused chains announce the block entries that
-    can change the loop stack, with exact counters, and count the
+    ``backend="auto"`` (fused chains announce the edges that enter or
+    leave a loop, with exact counters, and count the targets of the
     rest); the collected profile is identical under ``backend="tree"``
     and ``backend="decoded"`` (the differential tests assert this).
     ``codegen_cache`` optionally reuses generated code across jobs (see
     :mod:`repro.runtime.codegen`).
     """
-    machine = machine or MachineConfig()
     nest = nest or build_static_loop_nest_graph(module)
+    data = ProfileData(module=module, result=None)  # type: ignore[arg-type]
     interp = _ProfilingInterpreter(
         module,
+        nest,
+        data,
         machine,
         max_instructions=max_instructions,
         backend=backend,
         codegen_cache=codegen_cache,
     )
-    interp.count_unwatched = True
-    data = ProfileData(module=module, result=None)  # type: ignore[arg-type]
-    harness = _ProfilingHarness(nest, data)
-    interp.harness = harness
-    result = interp.run()
-    harness._sync(interp.cycles)
+    data.result = interp.run()
     counts = data.block_counts
-    for key, (entries,) in interp.unwatched_entries.items():
-        if entries:
-            counts[key] = counts.get(key, 0) + entries
-    data.result = result
+    for func in module.functions.values():
+        for name, block in func.blocks.items():
+            key = (func.name, name)
+            (unwatched,) = interp.unwatched_entries.get(key, (0,))
+            entries = interp._announced.get(block, 0) + unwatched
+            if entries:
+                counts[key] = entries
+    # Every entry of a header begins an iteration, and a loop's id is
+    # its header's key.
+    for loop_id, profile in data.loops.items():
+        profile.iterations = counts[loop_id]
     return data

@@ -1,21 +1,23 @@
 """Recorded invocation traces and their compact ("compiled") form.
 
-The parallel executor records one :class:`InvocationTrace` per dynamic
-invocation of a parallelized loop: per-iteration event streams of
+The parallel executor records one trace per dynamic invocation of a
+parallelized loop: per-iteration event streams of
 ``wait``/``signal``/``next_iter``/``xfer`` executions stamped with
 interpreter cycles, the run's own sequential clock.  Those traces are
 machine-independent, so every figure of the evaluation schedules them
 under swept :class:`~repro.runtime.machine.MachineConfig`\\ s.
 
-Replaying from the raw event lists is wasteful: every machine pays the
-per-event string dispatch, the duplicate-wait/duplicate-signal
-filtering, the producer-set rebuilds and the word-count lookups again,
-even though none of that depends on the machine.  This module therefore
-*compiles* a trace once into a :class:`CompactInvocationTrace`:
+Replaying from per-iteration event lists (:class:`InvocationTrace`) is
+wasteful: every machine pays the per-event string dispatch, the
+duplicate-wait/duplicate-signal filtering, the producer-set rebuilds
+and the word-count lookups again, even though none of that depends on
+the machine.  The recorded form is therefore a
+:class:`CompactInvocationTrace`, *compiled* once:
 
-* the raw events are packed into flat ``array('q')`` kind/dep/at
-  columns with per-iteration slices (lossless -- the original trace can
-  be reconstructed exactly, and this is the serialized form);
+* the raw events sit in flat ``array('q')`` kind/dep/at columns with
+  per-iteration slices, which the executor appends to as the run goes
+  (:meth:`CompactInvocationTrace.begin`; lossless -- the per-iteration
+  form can be reconstructed exactly, and this is the serialized form);
 * a derived :class:`TraceProgram` resolves everything the scheduler can
   know without a machine: duplicate waits/signals collapse to barrier
   counts, producer marks and non-forwarded consumer marks disappear,
@@ -34,15 +36,16 @@ program per shape and gathers the other members' timestamps through the
 program's ``raw`` column.
 
 Stamps inside an invocation (``it_start``/``it_end``/``ev_at``) are
-offsets from its ``start_cycles`` from :meth:`from_trace` on, in memory
-as on disk, so serialization copies the columns and invocations that
+offsets from its ``start_cycles`` from the moment they are recorded, in
+memory as on disk, so serialization copies the columns and invocations that
 ran alike at different points of the run hold equal columns.
 
 Serialization is versioned (:data:`TRACE_FORMAT_VERSION`);
 :meth:`CompactInvocationTrace.from_dict` rejects every other version.
-The per-iteration :class:`InvocationTrace` is the record-time form (the
-executor appends events to it) and the reference scheduler's input; it
-is never serialized.
+The per-iteration :class:`InvocationTrace` is the reference scheduler's
+input, built by :meth:`CompactInvocationTrace.to_invocation_trace`
+(and packed back by :meth:`~CompactInvocationTrace.from_trace`); it is
+never recorded into and never serialized.
 """
 
 from __future__ import annotations
@@ -219,39 +222,45 @@ class CompactInvocationTrace:
     # -- conversions -------------------------------------------------------
 
     @classmethod
+    def begin(
+        cls, loop_id: LoopId, start_cycles: int
+    ) -> "CompactInvocationTrace":
+        """An invocation that has just begun: empty columns for the
+        recorder to append to, ``end_cycles`` / ``loads`` / ``words``
+        left for it to fill in when the invocation ends."""
+        return cls(
+            loop_id=loop_id,
+            start_cycles=start_cycles,
+            end_cycles=start_cycles,
+            loads=0,
+            it_start=array("q"),
+            it_end=array("q"),
+            ev_off=array("q", [0]),
+            ev_kind=array("q"),
+            ev_dep=array("q"),
+            ev_at=array("q"),
+            words=(),
+        )
+
+    @classmethod
     def from_trace(cls, trace: InvocationTrace) -> "CompactInvocationTrace":
-        """Pack a recorded invocation into columns (record-time step)."""
-        it_start = array("q")
-        it_end = array("q")
-        ev_off = array("q", [0])
-        ev_kind = array("q")
-        ev_dep = array("q")
-        ev_at = array("q")
-        words: List[Dict[int, int]] = []
-        kind_codes = _KIND_TO_CODE
+        """Pack a per-iteration trace into columns."""
         base = trace.start_cycles
+        packed = cls.begin(trace.loop_id, base)
+        packed.end_cycles = trace.end_cycles
+        packed.loads = trace.loads
+        kind_codes = _KIND_TO_CODE
+        ev_kind, ev_dep, ev_at = packed.ev_kind, packed.ev_dep, packed.ev_at
         for iteration in trace.iterations:
-            it_start.append(iteration.start_cycles - base)
-            it_end.append(iteration.end_cycles - base)
+            packed.it_start.append(iteration.start_cycles - base)
+            packed.it_end.append(iteration.end_cycles - base)
             for kind, dep, at in iteration.events:
                 ev_kind.append(kind_codes[kind])
                 ev_dep.append(dep)
                 ev_at.append(at - base)
-            ev_off.append(len(ev_kind))
-            words.append(dict(iteration.words))
-        return cls(
-            loop_id=trace.loop_id,
-            start_cycles=trace.start_cycles,
-            end_cycles=trace.end_cycles,
-            loads=trace.loads,
-            it_start=it_start,
-            it_end=it_end,
-            ev_off=ev_off,
-            ev_kind=ev_kind,
-            ev_dep=ev_dep,
-            ev_at=ev_at,
-            words=tuple(words),
-        )
+            packed.ev_off.append(len(ev_kind))
+        packed.words = tuple(dict(it.words) for it in trace.iterations)
+        return packed
 
     def to_invocation_trace(self) -> InvocationTrace:
         """Reconstruct the per-iteration representation exactly."""

@@ -24,7 +24,6 @@ from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.profiler import (
     ProfileData,
-    _ProfilingHarness,
     _ProfilingInterpreter,
     profile_module,
 )
@@ -98,7 +97,7 @@ def test_example_profile_identity(filename, backend):
 
 
 #: Control flow the MiniC frontend never emits, for the profiler's
-#: watched set (loop headers plus targets of loop-leaving edges): ``done``
+#: watched set (edges entering a loop from outside or leaving one): ``done``
 #: is reached from inside the nested loop, leaving two loops on one
 #: edge; ``join`` is the break target of both inner loops; ``rec``
 #: recurses from the outer loop's body, so one loop is active in several
@@ -185,16 +184,21 @@ def test_irregular_cfg_profile_identity(backend):
 
 def test_irregular_cfg_watched_set():
     module = parse_module(IRREGULAR_CFG)
-    interp = _ProfilingInterpreter(module)
-    interp.harness = _ProfilingHarness(
+    interp = _ProfilingInterpreter(
+        module,
         build_static_loop_nest_graph(module),
         ProfileData(module=module, result=None),
     )
-    assert interp.watched_blocks(module.functions["walk"]) == {
-        "outer", "inner", "jhead",      # headers
-        "done", "second", "join",       # targets of loop-leaving edges
+    assert interp.watched_edges(module.functions["walk"]) == {
+        # into a loop from outside it
+        ("entry0", "outer"), ("obody", "inner"), ("second", "jhead"),
+        # out of one loop, or (ibody -> done) of two on one edge
+        ("outer", "done"), ("ibody", "done"), ("inner", "second"),
+        ("icheck", "join"), ("jhead", "join"), ("jbody", "join"),
     }
-    assert interp.watched_blocks(module.functions["main"]) == frozenset()
+    # The back edges (istep -> inner, jstep -> jhead, ostep -> outer)
+    # leave no loop and are not declared.
+    assert interp.watched_edges(module.functions["main"]) == frozenset()
 
 
 class _HookRecorder(Interpreter):

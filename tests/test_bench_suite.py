@@ -25,7 +25,7 @@ def helix_train_run(name):
     if name not in _pipeline_cache:
         module = compile_benchmark(name, "train")
         _pipeline_cache[name] = parallelize_and_run(
-            module, MachineConfig(cores=6), record_traces=False
+            module, MachineConfig(cores=6)
         )
     return _pipeline_cache[name]
 

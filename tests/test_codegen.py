@@ -9,6 +9,8 @@ compare+branch specializations, and the ``interp.superblock.*`` /
 ``interp.codegen.*`` observability counters.
 """
 
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,46 @@ class TestGeneratedCode:
         sfunc = interp._superblocks[("main", func.version)]
         assert "def __sb" in sfunc.source
         assert sfunc.entry.max_instructions > 0
+
+    @pytest.mark.parametrize("hooked", (False, True))
+    def test_registers_are_written_back_in_one_place(self, hooked):
+        """Every over-budget exit (arm entry, loop-form back edge, after
+        a CALL) raises to the function's single write-back, so no
+        ``s[k] = rk`` statement is emitted twice however many exits a
+        function has."""
+        module = compile_source(
+            """
+            int acc;
+            int step(int v) {
+                if (v % 3 == 0) { return v + 2; }
+                return v + 1;
+            }
+            void main() {
+                int i;
+                int j;
+                for (i = 0; i < 6; i++) {
+                    acc = acc + step(i);
+                    for (j = 0; j < 3; j++) {
+                        acc = (acc * 5 + step(j)) % 977;
+                    }
+                }
+                print(acc);
+            }
+            """
+        )
+        interp = Interpreter(module, backend="superblock")
+        interp.count_loads = hooked
+        interp.run()
+        compiled = interp._hooked_superblocks if hooked else interp._superblocks
+        assert {key[0] for key in compiled} == {"main", "step"}
+        for sfunc in compiled.values():
+            source = sfunc.source
+            write_backs = re.findall(r"^ *s\[\d+\] = r\d+$", source, re.M)
+            assert write_backs, source
+            assert len(write_backs) == len(set(write_backs))
+            # ... while the exits themselves are many.
+            assert source.count("raise __OB(") > 1
+            assert source.count("except __OB") == 1
 
     def test_superblock_cache_reused_across_runs(self):
         module = compile_source(

@@ -49,6 +49,37 @@ def _codegen_row(store):
 
 
 class TestColdAndWarm:
+    def test_a_miss_compiles_once_and_a_hit_not_at_all(
+        self, store, monkeypatch
+    ):
+        """The code object a build executes is the one its artifact
+        marshals: ``compile`` runs once per miss, never for a hit."""
+        import builtins
+
+        compiled = []
+        real_compile = builtins.compile
+
+        def spy(source, filename, *args, **kwargs):
+            if str(filename).startswith("<superblocks:"):
+                compiled.append(filename)
+            return real_compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", spy)
+        for hooked in (False, True):
+            del compiled[:]
+            interp = Interpreter(compile_source(SRC), codegen_cache=store)
+            interp.count_loads = hooked
+            counters = _delta(interp.run)
+            assert counters["interp.codegen.cache.miss"] == 2
+            assert sorted(compiled) == [
+                "<superblocks:f>", "<superblocks:main>"
+            ]
+        del compiled[:]
+        warm = Interpreter(compile_source(SRC), codegen_cache=store)
+        counters = _delta(warm.run)
+        assert counters["interp.codegen.cache.hit"] == 2
+        assert not compiled
+
     def test_cold_run_misses_then_stores(self, store):
         module = compile_source(SRC)
         interp = Interpreter(module, backend="superblock", codegen_cache=store)
@@ -166,8 +197,8 @@ class TestKeying:
 
 
 class TestWatchedBlocksKeying:
-    """The watched set an interpreter declares is part of what the
-    generated source embeds (which boundaries call the hook), so it is
+    """The watched edges an interpreter declares are part of what the
+    generated source embeds (which boundaries call the hook), so they are
     part of the key: executors over one module with different ``infos``
     must not share hooked code, the same ``infos`` on another machine
     shape must."""
@@ -238,6 +269,31 @@ class TestWatchedBlocksKeying:
         assert counters["interp.codegen.cache.hit"] == 1
         assert "interp.codegen.cache.miss" not in counters
 
+    def test_key_hashes_the_edges_not_only_their_targets(self, transformed):
+        module, _infos = transformed
+        main = module.functions["main"]
+        preds = {}
+        for name, block in main.blocks.items():
+            for target in block.successor_names():
+                preds.setdefault(target, []).append(name)
+        target, (first, second, *_rest) = next(
+            (t, p) for t, p in preds.items() if len(p) > 1
+        )
+
+        class Declaring(Interpreter):
+            edges = frozenset()
+
+            def watched_edges(self, func):
+                return self.edges
+
+        interp = Declaring(module)
+        keys = set()
+        for edges in ([], [(first, target)], [(second, target)],
+                      [(first, target), (second, target)]):
+            interp.edges = frozenset(edges)
+            keys.add(artifact_key(interp, main, True, False))
+        assert len(keys) == 4
+
     def test_key_covers_unwatched_counting(self, transformed):
         module, infos = transformed
         main = module.functions["main"]
@@ -245,7 +301,7 @@ class TestWatchedBlocksKeying:
         plain = artifact_key(executor, main, True, True)
         executor.count_unwatched = True
         assert artifact_key(executor, main, True, True) != plain
-        # Nothing is unwatched when every block is: the flag is inert.
+        # Nothing is unwatched when every edge is: the flag is inert.
         interp = Interpreter(module)
         plain = artifact_key(interp, main, True, False)
         interp.count_unwatched = True

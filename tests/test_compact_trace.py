@@ -223,3 +223,29 @@ class TestExecutorIntegration:
                 json.loads(json.dumps(trace.to_dict()))
             )
             assert restored == trace
+
+    def test_recording_appends_straight_into_the_columns(self, monkeypatch):
+        """The recording run fills the columns as it goes: nothing is
+        packed when an invocation ends, and what it leaves is exactly
+        what packing the per-iteration form (the reference scheduler's
+        input) would have made."""
+        from tests.test_sched_differential import BASE, _prepare
+
+        transformed, infos, _executor, _result = _prepare("cohort_mix")
+        packed = []
+        from_trace = CompactInvocationTrace.from_trace.__func__
+
+        def spy(cls, trace):
+            packed.append(trace)
+            return from_trace(cls, trace)
+
+        monkeypatch.setattr(
+            CompactInvocationTrace, "from_trace", classmethod(spy)
+        )
+        executor = ParallelExecutor(transformed, infos, BASE)
+        executor.run()
+        assert len(executor.traces) > 1 and not packed
+        for trace in executor.traces:
+            assert trace.event_count and any(trace.words)
+            assert as_compact(trace.to_invocation_trace()) == trace
+        assert len(packed) == len(executor.traces)

@@ -154,17 +154,6 @@ class TestReplay:
         assert cycles[PrefetchMode.IDEAL] <= cycles[PrefetchMode.HELIX]
         assert cycles[PrefetchMode.HELIX] <= cycles[PrefetchMode.NONE]
 
-    def test_replay_requires_traces(self):
-        module, transformed, infos, machine = transform(DOALL)
-        executor = ParallelExecutor(
-            transformed, infos, machine, record_traces=False
-        )
-        executor.execute()
-        from repro.runtime.interpreter import RuntimeFault
-
-        with pytest.raises(RuntimeFault):
-            executor.replay(machine)
-
     def test_replay_many_duplicate_and_baseline_machines(self):
         """A sweep list may repeat machines and include the baseline
         itself; every entry stays field-exact with a solo ``replay``."""

@@ -234,7 +234,6 @@ class TestParallelizationCorrectness:
             module,
             MachineConfig(cores=cores),
             loop_ids=loop_ids,
-            record_traces=False,
         )
         assert result.parallel.result.output == baseline.output
 

@@ -1,7 +1,7 @@
-"""Watched block sets: instrumented runs observe only where they act.
+"""Watched edges: instrumented runs observe only where they act.
 
-An interpreter may declare, per function, the blocks whose entry its
-``on_block_entry`` acts on (``Interpreter.watched_blocks``); the hooked
+An interpreter may declare, per function, the block-to-block edges its
+``on_block_entry`` acts on (``Interpreter.watched_edges``); the hooked
 superblock tier then calls the hook only there and fuses every other
 boundary.  The contract is one-sided -- the tree walker, the decoded
 tier and the budget fallback keep announcing every entry -- so these
@@ -29,6 +29,7 @@ from repro.runtime.interpreter import ExecutionLimitExceeded
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.profiler import profile_module
+from tests.test_backend_differential import IRREGULAR_CFG
 from tests.test_sched_differential import BASE, SOURCES, _prepare
 
 #: Suite benches given the (expensive) call-by-call comparison.
@@ -89,14 +90,14 @@ class _RecordingExecutor(ParallelExecutor):
 
 def _watched_only(interp, calls):
     """``calls`` filtered to what a declaring interpreter's generated
-    code announces: activation entries and watched blocks."""
+    code announces: activation entries and watched edges."""
     functions = interp.module.functions
     watched = {
-        name: interp.watched_blocks(func) for name, func in functions.items()
+        name: interp.watched_edges(func) for name, func in functions.items()
     }
     return [
         call for call in calls
-        if call[1] is None or call[2] in watched[call[0]]
+        if call[1] is None or call[1:] in watched[call[0]]
     ]
 
 
@@ -158,12 +159,17 @@ def test_function_with_nothing_watched_has_no_hook_call():
     }
     assert "__obe(" in sources["kernel"]
     assert "__obe" not in sources["main"]
-    assert executor.watched_blocks(transformed.functions["main"]) == frozenset()
+    assert executor.watched_edges(transformed.functions["main"]) == frozenset()
 
 
-@pytest.mark.parametrize("name", ("cohort_mix", "reduction") + BENCHES)
+@pytest.mark.parametrize(
+    "name", tuple(sorted(SOURCES)) + ("irregular_cfg",) + BENCHES
+)
 def test_profile_run_calls_the_hook_only_where_it_acts(name, monkeypatch):
-    module = _pipeline(name)[0]
+    if name == "irregular_cfg":
+        module = parse_module(IRREGULAR_CFG)
+    else:
+        module = _pipeline(name)[0]
     calls = []
     interps = []
     inner = profiler_mod._ProfilingInterpreter.on_block_entry
@@ -187,6 +193,28 @@ def test_profile_run_calls_the_hook_only_where_it_acts(name, monkeypatch):
     assert len(tree_calls) == sum(tree.block_counts.values())
     assert auto_calls == _watched_only(interps[0], tree_calls)
     assert len(auto_calls) < len(tree_calls)
+    # The call-count pin: one call per activation, per edge taken into a
+    # loop from outside it and per edge taken out of one -- and none for
+    # a back edge that leaves no loop, however often it is taken.
+    nest = interps[0].nest
+
+    def crossings(func, prev, target):
+        return [
+            loop for loop in nest.forests[func]
+            if (prev in loop.blocks) != (target in loop.blocks)
+        ]
+
+    assert len(auto_calls) == sum(
+        1 for func, prev, target in tree_calls
+        if prev is None or crossings(func, prev, target)
+    )
+    back_edges = [
+        call for call in tree_calls
+        if call[1] is not None
+        and call[2] in nest.forests[call[0]].by_header
+        and not crossings(*call)
+    ]
+    assert back_edges and not set(back_edges) & set(auto_calls)
 
 
 def test_profile_of_a_loop_free_function_has_no_hook_call(monkeypatch):
@@ -349,19 +377,16 @@ def _limited_recording(transformed, infos, backend, limit):
     )
     try:
         outcome = executor.run().to_dict()
-        loads = executor.load_count
     except ExecutionLimitExceeded as exc:
         outcome = str(exc)
-        # Dead interpreter: when the limit fires on a load itself the
-        # walker has counted it and both compiled tiers have not (so on
-        # the parent commit too); every other counter is exact.
-        loads = None
     return (
         outcome,
         list(executor.output),
         executor.instructions,
         executor.cycles,
-        loads,
+        # Also of a dead interpreter: a load the limit fired on is
+        # counted by no tier.
+        executor.load_count,
         # Timed from whatever was recorded, also when the run died.
         {
             k: s.to_dict()
