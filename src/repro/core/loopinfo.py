@@ -3,13 +3,17 @@
 The transformation produces real IR (guard block, cloned parallel version,
 ``wait``/``signal``/``next_iter`` pseudo-ops, forwarding marks) *plus* a
 :class:`ParallelizedLoop` record; the parallel executor drives its timing
-reconstruction off this record.
+reconstruction off this record.  The record also remembers which block
+of the input module every block the transformation created stands for
+(:attr:`ParallelizedLoop.origin`), so whatever was measured on the
+input -- the training run's block-entry counts -- still describes the
+output without measuring again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.dependence import DataDependence
 from repro.analysis.loopnest import LoopId
@@ -76,6 +80,14 @@ class ParallelizedLoop:
     body_blocks: Set[str] = field(default_factory=set)
     #: Exit stub block -> successor outside the loop (Step 9 exit paths).
     exit_stubs: Dict[str, str] = field(default_factory=dict)
+    #: Where each block this loop's transformation created came from:
+    #: block of ``func_name`` -> ``(function, block)`` of the *input*
+    #: module (a parallel-version clone maps to the block it copies, an
+    #: inlined block to the callee's, the guard, the preheader and the
+    #: exit stubs to the loop's preheader).  Not printed IR: a dynamic
+    #: profile of the input module is carried onto the transformed one
+    #: through it (see :class:`repro.runtime.parallel.ParallelExecutor`).
+    origin: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     deps: List[DepSync] = field(default_factory=list)
     #: Counted loop (Step 3): the prologue is pure bookkeeping over
     #: induction/invariant values, so each core derives its own iteration

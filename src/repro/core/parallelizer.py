@@ -117,8 +117,20 @@ class HelixParallelizer:
         #: same block names no matter how many ran earlier in the
         #: process (byte-identical, reproducible output).
         self._version_counter = itertools.count(1)
+        #: ``(function, block)`` of every block created so far -> the
+        #: ``(function, block)`` of the input module it stands for.
+        self._origin: Dict[Tuple[str, str], Tuple[str, str]] = {}
         if ACTIVE_FLAG not in module.globals:
             module.add_global(ACTIVE_FLAG, Type.INT, 1, synthetic=True)
+
+    def _created(
+        self, func_name: str, block: str, source: Tuple[str, str]
+    ) -> None:
+        """Note that new ``block`` of ``func_name`` copies, continues or
+        fronts ``source``, traced back to the input module when
+        ``source`` was itself created (an inlined body cloned into the
+        parallel version, a second loop over the first one's blocks)."""
+        self._origin[(func_name, block)] = self._origin.get(source, source)
 
     # -- Step 5 (first half): dependence-driven inlining ---------------------
 
@@ -179,7 +191,9 @@ class HelixParallelizer:
                     break
             if call_endpoint is None:
                 break
-            inline_call(self.module, func, call_endpoint)
+            created = inline_call(self.module, func, call_endpoint)
+            for block, source in created.items():
+                self._created(func.name, block, source)
             inlined += 1
         return inlined
 
@@ -268,6 +282,7 @@ class HelixParallelizer:
             nx_block.append(Instruction(Opcode.BR, targets=(dst,)))
             func.add_block(nx_block)
             func.blocks[src].retarget(dst, nx_block.name)
+            self._created(func.name, nx_block.name, (func.name, dst))
             info.par_blocks.add(nx_block.name)
             info.body_blocks.add(nx_block.name)
 
@@ -287,6 +302,7 @@ class HelixParallelizer:
         if func is None:
             raise HelixError(f"no function {func_name!r}")
 
+        created_before = len(self._origin)
         inlined = 0
         if self.options.enable_inlining:
             with tracer.span("helix.step5.inline", cat="helix") as span:
@@ -302,12 +318,20 @@ class HelixParallelizer:
         # the clone block-for-block).
         with tracer.span("helix.step1.normalize", cat="helix"):
             norm = normalize_loop(func, loop)
+        for block, source in norm.created.items():
+            self._created(func_name, block, (func_name, source))
 
         # Step 9: versioning.
         with tracer.span("helix.step9.version", cat="helix"):
             name_map, guard_name, par_pre, stubs = self._version_loop(
                 func, norm
             )
+        for name, clone in name_map.items():
+            self._created(func_name, clone, (func_name, name))
+        # What fronts and leaves the loop runs once per invocation, like
+        # the preheader.
+        for block in (guard_name, par_pre, *stubs):
+            self._created(func_name, block, (func_name, norm.preheader))
 
         info = ParallelizedLoop(
             loop_id=loop_id,
@@ -389,6 +413,13 @@ class HelixParallelizer:
         info.par_instruction_count = sum(
             len(func.blocks[name].instructions) for name in info.par_blocks
         )
+        # Everything created since this loop's Step 5 is in ``func``.
+        info.origin = {
+            block: source
+            for (_, block), source in itertools.islice(
+                self._origin.items(), created_before, None
+            )
+        }
         return info
 
 

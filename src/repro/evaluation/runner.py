@@ -473,9 +473,10 @@ class EvaluationRunner:
 
         # Same opportunistic hot-path hint the sequential stage uses:
         # an already-collected profile steers superblock chain formation
-        # in the parallel-execute interpreter too (the transformed
-        # module keeps the original block names outside the HELIX
-        # stubs, so train-build counts still mark the hot arms).
+        # and arm order in the recording run too.  Most of what that
+        # run enters are blocks the transformation created; the
+        # executor weighs each from the block it came from
+        # (``ParallelizedLoop.origin``).
         profile = self._profiles.get(bench)
         executor = ParallelExecutor(
             transformed, infos, machine, backend=self.interp_backend,

@@ -21,6 +21,11 @@ summarised with one snapshot:
   ``on_block_entry`` call: how much of an instrumented run is observed
   (everything unless the interpreter declares ``watched_edges``).
   Counted per function, never per activation.
+* ``interp.codegen.{undef_checks,undef_checks_elided}`` -- per generated
+  function of either tier, the first reads of a register in a dispatch
+  arm that kept / lost the walker's undefined-register test (lost:
+  every path to the read assigns the register).  A verified module
+  reads 0 kept.
 * ``interp.codegen.{functions,specialized_ops}`` -- code-generated
   function bodies and the fused/specialized instruction count
   (compare+branch fusions, address+memory pairs, folded constants).

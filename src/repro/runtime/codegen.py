@@ -28,7 +28,12 @@ effects`` loop per block.  This module removes those too:
   tree-walker's exact 64-bit wrap semantics), compare+CBR pairs and
   LEA/PTRADD + LOADP/STOREP pairs are fused, and cycle/instruction
   accounting is charged once per segment instead of once per
-  instruction.
+  instruction -- into function locals (``__ic``, ``__cy``, ``__lc``
+  when loads are counted), so a segment costs two or three local
+  additions whatever its length.  The walker's undefined-register test
+  is emitted only at a first read that some path reaches without an
+  assignment (:func:`_must_defined`, a forward must-define pass over
+  :mod:`repro.analysis.dataflow`): in verified code that is nowhere.
 * **Hooked tier** -- ``compile_superblocks(..., hooked=True)`` emits a
   hook-aware variant for instrumented runs (the profiler and
   :class:`~repro.runtime.parallel.ParallelExecutor`):
@@ -51,9 +56,23 @@ effects`` loop per block.  This module removes those too:
   ``count_unwatched``: unobserved boundaries then bump a per-block
   cell of ``interp.unwatched_entries``, statically, like loads.
   Because a hook reads ``interp.cycles`` (the parallel executor stamps
-  its traces with it) and may rewrite it, generated code only ever
-  charges through the interpreter attribute and never caches cycle
-  state in locals across a hook call.  Hooks
+  its traces with it) and may rewrite it, the clock locals are written
+  back to the interpreter before, and reloaded after, every call that
+  leaves the function with the activation still live:
+  ``on_block_entry``, ``exec_sync``, ``exec_xfer`` and every IR
+  ``CALL`` (the callee charges through the interpreter).  They are
+  written back once more wherever the activation ends: before
+  ``return``, in the over-budget handler, and before a ``RuntimeFault``
+  the function raises itself.  An exception *arriving* from a callee or
+  a hook passes through with nothing written: whoever raised it wrote
+  its own clock last, and the caller's locals are older.  The one
+  observer for which locals buy nothing is the one that declares
+  nothing (``watched_edges`` is ``None``): it is called at every block
+  boundary, every segment ends in a call that must find the clock on
+  the interpreter, and a write-back plus a reload per block costs more
+  than charging the attributes did.  For it the same emitter names the
+  attributes where it would name the locals and the two moving lines
+  are ``pass``.  Hooks
   receive the tier-2 :class:`~repro.runtime.precompile.DecodedFrame`
   and must not inspect register state (true of every in-tree
   consumer); listener-bearing interpreters still demote to the decoded
@@ -109,7 +128,9 @@ divergence from the walker, as in tier 2: after a non-limit
 ``RuntimeFault`` aborts a run mid-segment, the dead interpreter's
 counters (including ``load_count``) may include instructions from the
 faulting segment that never executed (no result object is produced on
-a fault).
+a fault); after an exception that is no ``RuntimeFault`` at all (the
+``TypeError`` of ill-typed arithmetic, the ``KeyError`` of an unknown
+callee or block) they stand at the activation's last write-back.
 
 Counters (:mod:`repro.obs.metrics`): ``interp.superblock.formed``,
 ``interp.superblock.blocks_fused``, ``interp.codegen.specialized_ops``,
@@ -118,6 +139,9 @@ Counters (:mod:`repro.obs.metrics`): ``interp.superblock.formed``,
 and, with it, ``interp.codegen.hook_sites`` /
 ``interp.codegen.hook_sites_elided`` for the block boundaries that
 function compiled with / without their ``on_block_entry`` call,
+``interp.codegen.undef_checks`` / ``interp.codegen.undef_checks_elided``
+per function for the first reads that kept / lost the
+undefined-register test,
 ``interp.codegen.cache.hit`` / ``interp.codegen.cache.miss`` per
 artifact-cache probe, and ``interp.superblock.fallbacks`` per
 exactness-fallback activation.
@@ -141,6 +165,8 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.cfg import CFGView
+from repro.analysis.dataflow import DataflowProblem, solve_dataflow
 from repro.ir import Function, Instruction, Opcode
 from repro.ir.operands import Const, Symbol, VReg
 from repro.ir.types import Type
@@ -172,7 +198,7 @@ MAX_CHAIN_BLOCKS = 64
 #: Version of the generated-code layout and namespace manifest.  Bump on
 #: ANY change to emitted source shape, bind kinds or driver protocol:
 #: it is the only guard between old cached artifacts and new code.
-CODEGEN_VERSION = 5
+CODEGEN_VERSION = 6
 
 #: Artifact-store kind for cached generated code.
 CODEGEN_KIND = "codegen"
@@ -316,6 +342,39 @@ def form_superblocks(
     return chains
 
 
+def _must_defined(
+    func: Function, slot_map: Dict[int, int]
+) -> Dict[str, FrozenSet[int]]:
+    """Per reachable block, the slots every path from the activation
+    entry has assigned before the block's first instruction (the
+    parameters are assigned by the driver).  A read of such a slot can
+    never see the undefined marker, so the emitter drops the walker's
+    undefined-register test there.  A function the verifier would
+    reject (a dangling target, instructions behind a terminator) gets
+    no answer and keeps every test."""
+    blocks = func.blocks
+    defs: Dict[str, FrozenSet[int]] = {}
+    for name, block in blocks.items():
+        term = block.terminator
+        if term is None or term is not _first_terminator(block) or any(
+            target not in blocks for target in block.successor_names()
+        ):
+            return {}
+        defs[name] = frozenset(
+            slot_map[instr.dest.uid]
+            for instr in block.instructions
+            if instr.dest is not None
+        )
+    problem = DataflowProblem(
+        "forward",
+        "intersection",
+        transfer=lambda name, fact: fact | defs[name],
+        boundary=frozenset(slot_map[param.uid] for param in func.params),
+        universe=frozenset(slot_map.values()),
+    )
+    return solve_dataflow(CFGView(func), problem).inputs
+
+
 # -- compiled artifacts -------------------------------------------------------
 
 
@@ -411,6 +470,7 @@ class SuperblockFunction:
     __slots__ = (
         "func", "nslots", "param_slots", "entry", "blocks", "run",
         "lazy", "source", "hooked", "count_loads", "hook_sites",
+        "undef_checks",
     )
 
     def __init__(
@@ -426,6 +486,7 @@ class SuperblockFunction:
         hooked: bool = False,
         count_loads: bool = False,
         hook_sites: Tuple[int, int] = (0, 0),
+        undef_checks: Tuple[int, int] = (0, 0),
     ) -> None:
         self.func = func
         self.nslots = nslots
@@ -443,6 +504,9 @@ class SuperblockFunction:
         #: Block boundaries that (call ``on_block_entry``, fuse without
         #: calling it).
         self.hook_sites = hook_sites
+        #: First reads of a register in an arm that (keep the walker's
+        #: undefined-register test, are proven defined on every path).
+        self.undef_checks = undef_checks
 
 
 class _OverBudget(Exception):
@@ -511,7 +575,36 @@ class _FunctionCodegen:
         #: call.
         self.hook_sites = 0
         self.hook_sites_elided = 0
+        #: First reads emitted with / without their undefined-register
+        #: test.
+        self.undef_checks = 0
+        self.undef_checks_elided = 0
         self.slot_map = allocate_slots(func)
+        self.defined_at = _must_defined(func, self.slot_map)
+        # Where the activation's clock lives: what a charge names
+        # (``ic`` / ``cy`` / ``lc``) and the two lines that move it to
+        # the interpreter and back wherever someone else may read or
+        # write it.
+        if hook_spec.watched is None:
+            # The observer is called at every block boundary, so every
+            # segment ends in a call that must find the clock on the
+            # interpreter and a local would carry nothing anywhere:
+            # charge the attributes, and there is nothing to move.
+            self.ic, self.cy, self.lc = (
+                "__i.instructions", "__i.cycles", "__i.load_count"
+            )
+            self.write_back = self.reload = "pass"
+        else:
+            self.ic, self.cy, self.lc = "__ic", "__cy", "__lc"
+            clock = [("instructions", self.ic), ("cycles", self.cy)]
+            if self.count_loads:
+                clock.append(("load_count", self.lc))
+            self.write_back = "; ".join(
+                f"__i.{attr} = {local}" for attr, local in clock
+            )
+            self.reload = "; ".join(
+                f"{local} = __i.{attr}" for attr, local in clock
+            )
         self.cost_model = interp.cost_model
         self.specialized = 0
         self.chains: List[List[str]] = []
@@ -585,11 +678,12 @@ class _FunctionCodegen:
     def build(self) -> SuperblockFunction:
         func = self.func
         chains = form_superblocks(func, self.interp.block_profile)
-        # Dispatch arms are scanned linearly (`if st == 0: ... elif`),
-        # so order them by measured head entry count, hottest first --
-        # the expected scan depth of a transition becomes the expected
-        # rank of its target, ~1-3 for loopy profiles.  The entry chain
-        # stays at arm 0 (the driver starts every activation there).
+        # Arms are the leaves of a weighted binary tree of `st < mid`
+        # tests (`_dispatch_split` below), so order them by measured
+        # head entry count, hottest first: a split that balances entry
+        # mass then leaves the hot arms behind few tests.  The entry
+        # chain stays at arm 0 (the driver starts every activation
+        # there).
         profile = self.interp.block_profile
         if profile and len(chains) > 2:
             fname = func.name
@@ -650,6 +744,7 @@ class _FunctionCodegen:
         head = [
             "def __sb(frame, __limit, st):",
             "    __i = __I",
+            "    " + self.reload,
         ]
         if self.hook_sites:
             head.append("    __obe = __i.on_block_entry")
@@ -659,11 +754,12 @@ class _FunctionCodegen:
         head.append("    try:")
         head.append("        while True:")
         # The one register write-back: every over-budget exit raises
-        # to here, and the anchor it carries is what the driver resumes
-        # tier-2 at.
+        # to here with the clock locals current, and the anchor it
+        # carries is what the driver resumes tier-2 at.
         tail = ["    except __OB as __x:"]
         for slot in self.write_slots:
             tail.append(f"        s[{slot}] = r{slot}")
+        tail.append("        " + self.write_back)
         tail.append("        return __x.args")
         source = "\n".join(head + arms + tail) + "\n"
         self.code = compile(source, f"<superblocks:{func.name}>", "exec")
@@ -691,6 +787,7 @@ class _FunctionCodegen:
             self.hooked,
             self.count_loads,
             (self.hook_sites, self.hook_sites_elided),
+            (self.undef_checks, self.undef_checks_elided),
         )
 
     def artifact(self, sfunc: SuperblockFunction) -> dict:
@@ -717,6 +814,7 @@ class _FunctionCodegen:
             "binds": [list(spec) for spec in self.bind_specs],
             "source": sfunc.source,
             "hook_sites": list(sfunc.hook_sites),
+            "undef_checks": list(sfunc.undef_checks),
             "cache_tag": _CACHE_TAG,
             "bytecode": bytecode,
         }
@@ -735,13 +833,13 @@ class _ChainEmitter:
 
         def __sb(frame, __limit, st):
             __i = __I
+            __ic = __i.instructions; __cy = __i.cycles   # the clock
             s = frame.slots
             r3 = s[3]; ...                      # function-wide prelude
             try:
                 while True:
                     if st < 1:                   # dispatch tree
-                        __n = __i.instructions   # arm 0 (entry chain)
-                        if __n + N0 > __limit:
+                        if __ic + N0 > __limit:  # arm 0 (entry chain)
                             raise __OB('entry0', 0)
                         <charge segment>; <ops>; ...
                         st = 2                   # side exit to chain 2
@@ -750,6 +848,7 @@ class _ChainEmitter:
                         if st < 2: ...
             except __OB as __x:
                 s[..] = r..                      # the one write-back
+                __i.instructions = __ic; __i.cycles = __cy
                 return __x.args                  # -> driver falls back
 
     Locals are authoritative across chain transitions: a transition is
@@ -761,9 +860,10 @@ class _ChainEmitter:
     handler, which flushes the *full* function write set (prelude
     initialization makes every member assignable no matter which path
     executed) and returns the anchor tier-2 resumes at.  The walker's
-    undefined-register check
-    stays at each arm's first read site, against the prelude-loaded
-    local.  Loop-form arms (terminator targets the chain head) wrap
+    undefined-register check stays at an arm's first read site, against
+    the prelude-loaded local, when the register is not assigned on
+    every path into the block (:func:`_must_defined`).  Loop-form arms
+    (terminator targets the chain head) wrap
     their body in an inner ``while True:``; the back edge is
     ``continue`` on that inner loop, side exits ``break`` out of it and
     fall back to the dispatch loop.
@@ -823,13 +923,12 @@ class _ChainEmitter:
         self.charged = 0
         self.pending_check: Optional[Tuple[str, int]] = None
         self.pending_cond: Optional[str] = None
-        #: True while the arm-entry ``__n = __i.instructions`` read is
-        #: still current, so the chain's first segment can charge with
-        #: ``= __n + k`` instead of a second attribute read (every path
-        #: to that charge -- arm entry and each back edge -- refreshes
-        #: ``__n`` right after any hook that could mutate the counter).
-        self.entry_n_live = False
+        #: Slots this arm has assigned or tested so far, and the slots
+        #: every path into the block being emitted has assigned
+        #: (:func:`_must_defined`): a read outside both keeps the
+        #: walker's undefined-register test.
         self.defined: set = set()
+        self.proven: FrozenSet[int] = frozenset()
         self.local_regions: Dict[str, str] = {}
         self._tmp = 0
 
@@ -841,6 +940,15 @@ class _ChainEmitter:
 
     def emit(self, line: str, extra: str = "") -> None:
         self.lines.append(self.indent + extra + line)
+
+    def emit_call_out(self, call: str, extra: str = "") -> None:
+        """Emit, at a closed segment, a call that leaves the function
+        with the activation live: the callee reads the exact clock and
+        may rewrite it, so the locals go out before and come back
+        after."""
+        self.emit(self.g.write_back, extra)
+        self.emit(call, extra)
+        self.emit(self.g.reload, extra)
 
     def flush_buf(self) -> None:
         ind = self.indent
@@ -883,7 +991,8 @@ class _ChainEmitter:
         ``__obe`` is bound from the interpreter attribute once per
         activation (so instance-level overrides installed before the
         run stay honored), and hooks may mutate any interpreter
-        *counter* freely -- the next charge re-reads them -- but
+        *counter* freely -- the call sits between a write-back and a
+        reload of the clock locals -- but
         rebinding the hook attribute itself mid-activation is only
         observed at the next activation, exactly like a mid-activation
         backend switch.
@@ -891,17 +1000,18 @@ class _ChainEmitter:
         g = self.g
         if self.observed(prev_name, target):
             g.hook_sites += 1
-            line = (
-                f"__obe(frame, {self.bb(prev_name)}, {self.bb(target)})"
+            self.emit_call_out(
+                f"__obe(frame, {self.bb(prev_name)}, {self.bb(target)})",
+                extra,
             )
-        else:
-            g.hook_sites_elided += 1
-            if not g.hook_spec.count_unwatched:
-                return
-            cell = g.bind(
-                "bc", _entry_cell(g.interp, g.func, target), ("bc", target)
-            )
-            line = f"{cell}[0] += 1"
+            return
+        g.hook_sites_elided += 1
+        if not g.hook_spec.count_unwatched:
+            return
+        cell = g.bind(
+            "bc", _entry_cell(g.interp, g.func, target), ("bc", target)
+        )
+        line = f"{cell}[0] += 1"
         if self.seg_count:
             # An unobserved fused fallthrough leaves the segment open:
             # the bump keeps program order with the buffered ops, behind
@@ -922,13 +1032,19 @@ class _ChainEmitter:
             slot = g.slot_map[operand.uid]
             name = f"r{slot}"
             if slot not in self.defined:
-                # The prelude materialized every slot; only the
-                # walker's undefined-register check stays at the arm's
-                # first read site.
+                # The prelude materialized every slot; the walker's
+                # undefined-register check stays at the arm's first
+                # read site, and only where some path reaches it
+                # without an assignment.
                 self.defined.add(slot)
-                reg = g.bind("vr", operand, ("vr", operand.uid))
-                self.buf.append(f"if {name} is __U:")
-                self.buf.append(f"    __undef({reg}, __FN)")
+                if slot in self.proven:
+                    g.undef_checks_elided += 1
+                else:
+                    g.undef_checks += 1
+                    reg = g.bind("vr", operand, ("vr", operand.uid))
+                    self.buf.append(f"if {name} is __U:")
+                    self.buf.append(f"    {g.write_back}")
+                    self.buf.append(f"    __undef({reg}, __FN)")
             return name
         return self.sym_pointer(operand)
 
@@ -940,8 +1056,10 @@ class _ChainEmitter:
             if store is not None:
                 g.specialized += 1
                 return g.pointer_for(store, 0, sym.name)
+            # Unknown global: ``region_of`` faults, like the walker.
             sname = g.bind("sym", sym, ("sym", sym.name))
             name = self.tmp()
+            self.buf.append(g.write_back)
             self.buf.append(
                 f"{name} = __Ptr(__i.region_of({sname}, frame), 0, "
                 f"{sym.name!r})"
@@ -975,6 +1093,7 @@ class _ChainEmitter:
                 return g.bind("st", store, ("st", sym.name)), len(store)
             sname = g.bind("sym", sym, ("sym", sym.name))
             name = self.tmp()
+            self.buf.append(g.write_back)
             self.buf.append(f"{name} = __i.region_of({sname}, frame)")
             return name, None
         return self.local_store(sym), sym.size
@@ -989,16 +1108,25 @@ class _ChainEmitter:
         """Emit the walker's bounds check + fault message."""
         if size is not None:
             self.buf.append(f"if {index} < 0 or {index} >= {size}:")
-            self.buf.append(
-                f'    raise __RF(f"{kind} out of bounds: '
-                f'{name_frag}[{{{index}}}] (size {size})")'
+            self.fault(
+                f'f"{kind} out of bounds: '
+                f'{name_frag}[{{{index}}}] (size {size})"',
+                "    ",
             )
         else:
             self.buf.append(f"if {index} < 0 or {index} >= len({store}):")
-            self.buf.append(
-                f'    raise __RF(f"{kind} out of bounds: '
-                f'{name_frag}[{{{index}}}] (size {{len({store})}})")'
+            self.fault(
+                f'f"{kind} out of bounds: '
+                f'{name_frag}[{{{index}}}] (size {{len({store})}})"',
+                "    ",
             )
+
+    def fault(self, message: str, extra: str = "") -> None:
+        """Buffer a ``RuntimeFault`` of the function's own: the clock
+        goes back to the interpreter first, since nothing below the
+        raise will."""
+        self.buf.append(extra + self.g.write_back)
+        self.buf.append(f"{extra}raise __RF({message})")
 
     # -- segment charging ----------------------------------------------------
 
@@ -1013,6 +1141,7 @@ class _ChainEmitter:
         decode, so the fallback blocks are only decoded if an
         activation actually diverts).
         """
+        g = self.g
         out = self.lines
         ind = self.indent
         count, cycles = self.seg_count, self.seg_cycles
@@ -1021,24 +1150,15 @@ class _ChainEmitter:
         if check is not None and count:
             bname, seg_index = check
             remaining = self.total - self.charged
-            out.append(f"{ind}__n = __i.instructions")
-            out.append(f"{ind}if __n + {remaining} > __limit:")
+            out.append(f"{ind}if {g.ic} + {remaining} > __limit:")
             out.append(f"{ind}    raise __OB({bname!r}, {seg_index})")
-            out.append(f"{ind}__i.instructions = __n + {count}")
-            if cycles:
-                out.append(f"{ind}__i.cycles += {cycles}")
             self.pending_check = None
-        else:
-            if count:
-                if self.entry_n_live:
-                    out.append(f"{ind}__i.instructions = __n + {count}")
-                else:
-                    out.append(f"{ind}__i.instructions += {count}")
-            if cycles:
-                out.append(f"{ind}__i.cycles += {cycles}")
-        self.entry_n_live = False
+        if count:
+            out.append(f"{ind}{g.ic} += {count}")
+        if cycles:
+            out.append(f"{ind}{g.cy} += {cycles}")
         if loads:
-            out.append(f"{ind}__i.load_count += {loads}")
+            out.append(f"{ind}{g.lc} += {loads}")
         out.extend(ind + line for line in self.buf)
         self.buf = []
         self.charged += count
@@ -1063,8 +1183,7 @@ class _ChainEmitter:
             # exact).  Registers stay in their locals across the
             # iteration: only the over-budget exit flushes them.
             self.emit_entry(cur_name, target, extra)
-            out.append(f"{ind}__n = __i.instructions")
-            out.append(f"{ind}if __n + {self.total} > __limit:")
+            out.append(f"{ind}if {self.g.ic} + {self.total} > __limit:")
             out.append(f"{ind}    raise __OB({target!r}, 0)")
             out.append(f"{ind}continue")
             return
@@ -1194,18 +1313,25 @@ class _ChainEmitter:
                     # fast path dynamically; zero, negative, float and
                     # bool operands all take the walker's helper with
                     # identical faults.
+                    # The helper's zero-divisor fault is the one
+                    # fault of this function raised below it, so the
+                    # clock goes back before the call that will raise.
                     bn = self.as_name(b)
                     buf.append(
-                        f"{dest} = ({a} {py} {bn} if {a} >= 0 "
-                        f"else -(-{a} {py} {bn})) "
                         f"if type({a}) is int and type({bn}) is int "
-                        f"and {bn} > 0 else {fn}({a}, {bn})"
+                        f"and {bn} > 0:"
                     )
+                    buf.append(
+                        f"    {dest} = {a} {py} {bn} if {a} >= 0 "
+                        f"else -(-{a} {py} {bn})"
+                    )
+                    buf.append("else:")
+                    buf.append(f"    if {bn} == 0:")
+                    buf.append(f"        {g.write_back}")
+                    buf.append(f"    {dest} = {fn}({a}, {bn})")
             else:  # SHL / SHR
                 buf.append(f"if {b} < 0 or {b} > 63:")
-                buf.append(
-                    f'    raise __RF(f"shift amount {{{b}}} out of range")'
-                )
+                self.fault(f'f"shift amount {{{b}}} out of range"', "    ")
                 if op is Opcode.SHL:
                     t = self.tmp()
                     buf.append(f"{t} = {a} << {b}")
@@ -1274,7 +1400,7 @@ class _ChainEmitter:
             delta = self.read(instr.args[1])
             p = self.as_name(ptr)
             buf.append(f"if not isinstance({p}, __Ptr):")
-            buf.append(f'    raise __RF(f"PTRADD on non-pointer {{{p}!r}}")')
+            self.fault(f'f"PTRADD on non-pointer {{{p}!r}}"', "    ")
             buf.append(
                 f"{self.wreg(instr.dest)} = "
                 f"__Ptr({p}.store, {p}.base + {delta}, {p}.region)"
@@ -1301,7 +1427,7 @@ class _ChainEmitter:
                         f"{kind} out of bounds: {sym.name}[{idx_op.value}] "
                         f"(size {size})"
                     )
-                    buf.append(f"raise __RF({msg!r})")
+                    self.fault(repr(msg))
                     return 1
             else:
                 self.bounds(kind, g.fstr_name(sym.name), index, region, size)
@@ -1320,9 +1446,7 @@ class _ChainEmitter:
             value = self.read(instr.args[2]) if op is Opcode.STOREP else None
             p = self.as_name(ptr)
             buf.append(f"if not isinstance({p}, __Ptr):")
-            buf.append(
-                f'    raise __RF(f"{opname} on non-pointer {{{p}!r}}")'
-            )
+            self.fault(f'f"{opname} on non-pointer {{{p}!r}}"', "    ")
             slot = self.tmp()
             buf.append(f"{slot} = {p}.base + {index}")
             store = self.tmp()
@@ -1348,10 +1472,15 @@ class _ChainEmitter:
                     f"__call(__i.module.functions[{instr.callee!r}], "
                     f"[{arglist}])"
                 )
+            # The callee charges through the interpreter: hand it the
+            # clock and take it back (a callee that raises has written
+            # its own, so nothing is written on the way out).
+            buf.append(g.write_back)
             if instr.dest is not None:
                 buf.append(f"{self.wreg(instr.dest)} = {call}")
             else:
                 buf.append(call)
+            buf.append(g.reload)
             return 1
 
         if op is Opcode.PRINT:
@@ -1369,7 +1498,7 @@ class _ChainEmitter:
 
         # Verifier-rejected shapes: fault at execution, like the walker.
         self.charge_op(instr)  # pragma: no cover - defensive
-        buf.append(f"raise __RF({f'cannot execute opcode {op}'!r})")
+        self.fault(repr(f"cannot execute opcode {op}"))
         return 1
 
     def emit_pair(self, first: Instruction, second: Instruction) -> None:
@@ -1403,7 +1532,7 @@ class _ChainEmitter:
         delta = self.read(first.args[1])
         p = self.as_name(ptr)
         buf.append(f"if not isinstance({p}, __Ptr):")
-        buf.append(f'    raise __RF(f"PTRADD on non-pointer {{{p}!r}}")')
+        self.fault(f'f"PTRADD on non-pointer {{{p}!r}}"', "    ")
         index = self.read(second.args[1])
         value = (
             self.read(second.args[2])
@@ -1434,7 +1563,8 @@ class _ChainEmitter:
                 expr = self.read(instr.args[0])
                 self.flush_buf()
                 self.emit(f"frame.ret = {expr}")
-            # Slots die with the frame on RET: no flush needed.
+            # Slots die with the frame on RET: only the clock goes back.
+            self.emit(self.g.write_back)
             self.emit("return None")
             return
         if op is Opcode.BR:
@@ -1495,15 +1625,16 @@ class _ChainEmitter:
         # via a transition, locals are the only current copy of the
         # registers).
         head = [
-            f"{base}__n = __i.instructions",
-            f"{base}if __n + {self.total} > __limit:",
+            f"{base}if {g.ic} + {self.total} > __limit:",
             f"{base}    raise __OB({self.chain[0]!r}, 0)",
         ]
         if self.loop_form:
             head.append(f"{base}while True:")
-        self.entry_n_live = True
         for pos, name in enumerate(self.chain):
             block = self.blocks[name]
+            # Interior blocks have one predecessor, the fused edge, so
+            # what is proven for the chain so far stays proven.
+            self.proven |= g.defined_at.get(name, frozenset())
             next_name = self.chain[pos + 1] if pos + 1 < len(self.chain) else None
             # Segment index within this block's aligned tier-2 decode:
             # tier-2 splits after every CALL, plus every sync/xfer op in
@@ -1532,7 +1663,7 @@ class _ChainEmitter:
                         else "exec_sync"
                     )
                     ins = g.bind("ins", instr, ("ins", [name, i]))
-                    self.emit(f"__i.{meth}(frame, {ins})")
+                    self.emit_call_out(f"__i.{meth}(frame, {ins})")
                     i += 1
                     continue
                 consumed = self.emit_op(instr, nxt)
@@ -1545,7 +1676,7 @@ class _ChainEmitter:
                 i += consumed
             if not terminated:
                 msg = f"block {name} fell through without terminator"
-                self.buf.append(f"raise __RF({msg!r})")
+                self.fault(repr(msg))
                 self.close_segment()
         return head + self.lines
 
@@ -1656,6 +1787,7 @@ def _instantiate(
         hook_spec.hooked,
         hook_spec.count_loads,
         tuple(payload["hook_sites"]),
+        tuple(payload["undef_checks"]),
     )
 
 
@@ -1762,6 +1894,9 @@ def compile_superblocks(
         sfunc = gen.build()
         if cache is not None:
             cache.store(CODEGEN_KIND, key, gen.artifact(sfunc))
+    emitted, elided = sfunc.undef_checks
+    REGISTRY.inc("interp.codegen.undef_checks", emitted)
+    REGISTRY.inc("interp.codegen.undef_checks_elided", elided)
     if hooked:
         emitted, elided = sfunc.hook_sites
         REGISTRY.inc("interp.superblock.hooked")

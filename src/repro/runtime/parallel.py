@@ -70,6 +70,18 @@ from ``infos`` per function.  Generated code then calls the hook there
 and fuses every other block boundary as an uninstrumented run would;
 the tree walker, the decoded tier and the budget fallback still call it
 everywhere, which the early returns make harmless.
+
+Most of what a recording run enters did not exist when the profile it
+is handed was measured: the parallel version, the inlined bodies and
+the ``next_iter`` splits are created by the transformation, and a
+training-run profile of the input module has no count for them.  Each
+:class:`~repro.core.loopinfo.ParallelizedLoop` says which input block
+every created block stands for (``origin``), so the executor extends
+``block_profile`` with the origin's count before the interpreter sees
+it, and chain formation and the dispatch tree treat the parallel
+version as being as hot as the loop it copies.  Every caller gets that
+by passing the profile it has; the counts are a layout hint and reach
+nothing a run reports.
 """
 
 from __future__ import annotations
@@ -222,6 +234,18 @@ class ParallelExecutor(Interpreter):
         block_profile: Optional[Dict[Tuple[str, str], int]] = None,
         codegen_cache=None,
     ) -> None:
+        if block_profile:
+            # The profile was measured on the input module; a block the
+            # transformation created runs as often as the one it came
+            # from.
+            block_profile = dict(block_profile)
+            for info in infos:
+                for block, source in info.origin.items():
+                    count = block_profile.get(source)
+                    if count is not None:
+                        block_profile.setdefault(
+                            (info.func_name, block), count
+                        )
         super().__init__(
             module, machine, max_instructions=max_instructions,
             backend=backend, block_profile=block_profile,

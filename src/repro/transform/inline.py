@@ -10,7 +10,7 @@ functions.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.callgraph import CallGraph, build_callgraph
 from repro.ir import (
@@ -51,8 +51,10 @@ def can_inline(
 
 def inline_call(
     module: Module, caller: Function, call: Instruction
-) -> Dict[str, str]:
-    """Inline ``call`` into ``caller``; returns cloned-block name mapping.
+) -> Dict[str, Tuple[str, str]]:
+    """Inline ``call`` into ``caller``; returns, for every block it
+    created, the ``(function, block)`` it stands for: the callee's block
+    a clone copies, the call's own block for the continuation.
 
     The callee body is cloned with fresh registers and block names; its
     local arrays become (uniquely renamed) locals of the caller.  ``RET v``
@@ -154,4 +156,6 @@ def inline_call(
     # Block registrations above already bumped the version; one more bump
     # covers the in-place split of the call site's instruction list.
     caller.bump_version()
-    return block_map
+    origin = {clone: (callee.name, name) for name, clone in block_map.items()}
+    origin[cont_block.name] = (caller.name, site_block.name)
+    return origin

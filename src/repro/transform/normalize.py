@@ -19,7 +19,7 @@ iteration).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.cfg import CFGView
 from repro.analysis.loops import Loop
@@ -41,6 +41,10 @@ class NormalizedLoop:
     crossing_edges: List[Tuple[str, str]] = field(default_factory=list)
     #: Exit edges (block inside -> first block outside).
     exit_edges: List[Tuple[str, str]] = field(default_factory=list)
+    #: Blocks normalization had to create -> the block that was there
+    #: before and runs about as often (an outside predecessor for a new
+    #: preheader, the header for a unified latch).
+    created: Dict[str, str] = field(default_factory=dict)
 
 
 def _ensure_preheader(func: Function, loop: Loop, cfg: CFGView) -> Tuple[str, CFGView]:
@@ -115,8 +119,14 @@ def _loop_post_dominators(
 def normalize_loop(func: Function, loop: Loop) -> NormalizedLoop:
     """Normalize ``loop`` in place and return the region description."""
     cfg = CFGView(func)
+    existing = set(func.blocks)
     preheader, cfg = _ensure_preheader(func, loop, cfg)
     latch, cfg = _ensure_single_latch(func, loop, cfg)
+    created: Dict[str, str] = {}
+    if preheader not in existing:
+        created[preheader] = next(iter(cfg.preds[preheader]), loop.header)
+    if latch not in existing:
+        created[latch] = loop.header
 
     post_dominated = _loop_post_dominators(func, loop.blocks, loop.header, latch, cfg)
     body = set(post_dominated)
@@ -147,4 +157,5 @@ def normalize_loop(func: Function, loop: Loop) -> NormalizedLoop:
         body_blocks=body,
         crossing_edges=crossing,
         exit_edges=exits,
+        created=created,
     )
