@@ -23,7 +23,7 @@ sources at the scales the stage consumed
         train source + cost model (all the profiler reads of a machine)
     <root>/sequential/<key>.json   ExecutionResult.to_dict()
         ref source + cost model (all the interpreter reads of a machine)
-    <root>/recording/<key>.json    {result, traces, load_count}
+    <root>/recording/<key>.json    {result, pack_traces(traces), load_count}
         printed transformed module + cost model + the blocks of each
         loop record the recording run watches (no source, no machine
         shape, no configuration: whatever ends in that module shares it)

@@ -55,7 +55,11 @@ from repro.ir.printer import module_to_str
 from repro.runtime.interpreter import ExecutionResult, run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import ParallelExecutor, ParallelRunResult
-from repro.runtime.trace import CompactInvocationTrace
+from repro.runtime.trace import (
+    CompactInvocationTrace,
+    pack_traces,
+    unpack_traces,
+)
 from repro.runtime.profiler import ProfileData, profile_module
 from repro.service.jobs import NULL_OBSERVER, EvaluationObserver
 
@@ -512,7 +516,7 @@ class EvaluationRunner:
                     recording_key,
                     {
                         "result": recorded.to_dict(),
-                        "traces": [t.to_dict() for t in executor.traces],
+                        "traces": pack_traces(executor.traces),
                         "load_count": executor.load_count,
                     },
                 )
@@ -536,18 +540,16 @@ class EvaluationRunner:
 
     def _stored_recording(self, bench: str, key: str) -> Optional[_Recording]:
         """The stored recording under ``key``; an entry that is not one
-        this build reads (fields missing, another trace format) counts
-        as absent and is overwritten by the recomputation."""
+        this build reads (fields missing, another trace format, columns
+        that do not decode to what their header rows declare) counts as
+        absent and is overwritten by the recomputation."""
         payload = self._load(bench, "recording", key)
         if payload is None:
             return None
         try:
             return (
                 ExecutionResult.from_dict(payload["result"]),
-                [
-                    CompactInvocationTrace.from_dict(trace)
-                    for trace in payload["traces"]
-                ],
+                unpack_traces(payload["traces"]),
                 payload["load_count"],
             )
         except (KeyError, TypeError, ValueError):

@@ -280,9 +280,9 @@ class ParallelExecutor(Interpreter):
         self._inv: Optional[CompactInvocationTrace] = None
         self._inv_info: Optional[ParallelizedLoop] = None
         self._inv_frame: Optional[Frame] = None
-        #: Word counts of the 'x' events of each iteration of the open
-        #: invocation, the open one last; empty while none is open.
-        self._words: List[Dict[int, int]] = []
+        #: The frame whose sync/xfer events are recorded: the open
+        #: invocation's once its first iteration has begun, else None.
+        self._event_frame: Optional[Frame] = None
         self._loads_at_start = 0
         #: Memoized per-machine schedule columns
         #: (:class:`~repro.runtime.sched.ScheduleColumns` of one machine,
@@ -340,7 +340,7 @@ class ParallelExecutor(Interpreter):
             self._end_invocation()
 
     def exec_sync(self, frame: Frame, instr: Instruction) -> None:
-        if not self._words or frame is not self._inv_frame:
+        if frame is not self._event_frame:
             return
         # One event of the open iteration, straight into the columns.
         inv = self._inv
@@ -355,18 +355,19 @@ class ParallelExecutor(Interpreter):
             inv.ev_kind.append(KIND_NEXT)
             inv.ev_dep.append(CTRL_DEP)
         inv.ev_at.append(self.cycles - inv.start_cycles)
+        inv.ev_words.append(0)
 
     def exec_xfer(self, frame: Frame, instr: Instruction) -> None:
-        if not self._words or frame is not self._inv_frame:
+        if frame is not self._event_frame:
             return
         inv = self._inv
-        dep = instr.dep_id
         if is_producer_mark(instr):
             inv.ev_kind.append(KIND_PRODUCE)
+            inv.ev_words.append(0)
         else:
             inv.ev_kind.append(KIND_XFER)
-            self._words[-1][dep] = xfer_words(instr)
-        inv.ev_dep.append(dep)
+            inv.ev_words.append(xfer_words(instr))
+        inv.ev_dep.append(instr.dep_id)
         inv.ev_at.append(self.cycles - inv.start_cycles)
 
     # -- invocation lifecycle -------------------------------------------------
@@ -379,7 +380,7 @@ class ParallelExecutor(Interpreter):
 
     def _close_iteration(self) -> None:
         inv = self._inv
-        if self._words:
+        if self._event_frame is not None:
             inv.it_end.append(self.cycles - inv.start_cycles)
             inv.ev_off.append(len(inv.ev_kind))
 
@@ -387,18 +388,17 @@ class ParallelExecutor(Interpreter):
         self._close_iteration()
         inv = self._inv
         inv.it_start.append(self.cycles - inv.start_cycles)
-        self._words.append({})
+        self._event_frame = self._inv_frame
 
     def _end_invocation(self) -> None:
         self._close_iteration()
         trace = self._inv
         trace.end_cycles = self.cycles
         trace.loads = self.load_count - self._loads_at_start
-        trace.words = tuple(self._words)
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
-        self._words = []
+        self._event_frame = None
         self.traces.append(trace)
 
     # -- public API -------------------------------------------------------------
@@ -410,7 +410,7 @@ class ParallelExecutor(Interpreter):
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
-        self._words = []
+        self._event_frame = None
         self._loads_at_start = 0
         self.traces = []
         return super().run(entry, args)

@@ -535,19 +535,11 @@ def trace_signature(trace: CompactInvocationTrace) -> bytes:
     signature = trace._signature
     if signature is None:
         digest = hashlib.blake2b(digest_size=16)
-        for column in (trace.ev_off, trace.ev_kind, trace.ev_dep):
+        for column in (
+            trace.ev_off, trace.ev_kind, trace.ev_dep, trace.ev_words
+        ):
             digest.update(len(column).to_bytes(8, "little"))
             digest.update(column)
-        # Most iterations transfer nothing.
-        digest.update(
-            repr(
-                [
-                    (i, sorted(per.items()))
-                    for i, per in enumerate(trace.words)
-                    if per
-                ]
-            ).encode()
-        )
         signature = trace._signature = digest.digest()
     return signature
 

@@ -14,10 +14,10 @@ and the word-count lookups again, even though none of that depends on
 the machine.  The recorded form is therefore a
 :class:`CompactInvocationTrace`, *compiled* once:
 
-* the raw events sit in flat ``array('q')`` kind/dep/at columns with
-  per-iteration slices, which the executor appends to as the run goes
-  (:meth:`CompactInvocationTrace.begin`; lossless -- the per-iteration
-  form can be reconstructed exactly, and this is the serialized form);
+* the raw events sit in flat ``array('q')`` kind/dep/at/words columns
+  with per-iteration slices, which the executor appends to as the run
+  goes (:meth:`CompactInvocationTrace.begin`; the per-iteration form
+  can be reconstructed from them, and they are what is stored);
 * a derived :class:`TraceProgram` resolves everything the scheduler can
   know without a machine: duplicate waits/signals collapse to barrier
   counts, producer marks and non-forwarded consumer marks disappear,
@@ -37,22 +37,31 @@ program's ``raw`` column.
 
 Stamps inside an invocation (``it_start``/``it_end``/``ev_at``) are
 offsets from its ``start_cycles`` from the moment they are recorded, in
-memory as on disk, so serialization copies the columns and invocations that
-ran alike at different points of the run hold equal columns.
+memory as on disk, so invocations that ran alike at different points of
+the run hold equal columns.  Word counts are a column too: ``ev_words``
+is aligned with the events, 0 except at ``x`` events, and the count an
+iteration transfers for a dependence is the last one written in it.
 
-Serialization is versioned (:data:`TRACE_FORMAT_VERSION`);
-:meth:`CompactInvocationTrace.from_dict` rejects every other version.
-The per-iteration :class:`InvocationTrace` is the reference scheduler's
-input, built by :meth:`CompactInvocationTrace.to_invocation_trace`
-(and packed back by :meth:`~CompactInvocationTrace.from_trace`); it is
-never recorded into and never serialized.
+A recording is stored as one block (:func:`pack_traces` /
+:func:`unpack_traces`): a header row per invocation, and every column
+of every invocation concatenated, each at the narrowest integer width
+that holds it, compressed once.  The block is versioned
+(:data:`TRACE_FORMAT_VERSION`); any other version, and any block whose
+lengths or offsets disagree with its header rows, raises
+:class:`ValueError`.  The per-iteration :class:`InvocationTrace` is the
+reference scheduler's input, built by
+:meth:`CompactInvocationTrace.to_invocation_trace` (and packed back by
+:meth:`~CompactInvocationTrace.from_trace`); it is never recorded into
+and never stored.
 """
 
 from __future__ import annotations
 
+import base64
+import zlib
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.loopnest import LoopId
 from repro.obs.metrics import REGISTRY
@@ -60,10 +69,16 @@ from repro.obs.metrics import REGISTRY
 #: Synthetic dependence id of the control signal (IterationFlag).
 CTRL_DEP = -1
 
-#: Serialized compact-trace format generation.  Bump when the on-disk
-#: shape changes; loading any other version raises.  3: iteration and
-#: event stamps are offsets from the invocation's ``start_cycles``.
-TRACE_FORMAT_VERSION = 3
+#: Stored recording format generation.  Bump when the on-disk shape
+#: changes; loading any other version raises.  3: iteration and event
+#: stamps are offsets from the invocation's ``start_cycles``.  4: one
+#: compressed column block per recording, word counts an event column.
+TRACE_FORMAT_VERSION = 4
+
+#: The columns of a stored recording, in block order.
+_COLUMNS = (
+    "it_start", "it_end", "ev_off", "ev_kind", "ev_dep", "ev_at", "ev_words",
+)
 
 #: Raw event kind codes (the packed ``ev_kind`` column).
 KIND_WAIT, KIND_SIGNAL, KIND_NEXT, KIND_XFER, KIND_PRODUCE = range(5)
@@ -176,19 +191,18 @@ class TraceProgram:
 
 @dataclass
 class CompactInvocationTrace:
-    """Column-packed invocation trace (the serialized trace form).
+    """Column-packed invocation trace (the recorded and stored form).
 
-    ``ev_kind``/``ev_dep``/``ev_at`` are the raw events of every
-    iteration concatenated into flat ``array('q')`` columns, sliced per
-    iteration by ``ev_off``; the representation is lossless
-    (:meth:`to_invocation_trace` reconstructs the original exactly).
-    ``it_start``/``it_end``/``ev_at`` are offsets from ``start_cycles``,
-    in memory as on disk: every consumer reads differences only, and two
-    invocations that ran alike at different points of the recorded clock
-    hold byte-identical columns (what
-    :func:`~repro.runtime.sched.schedule_many` keys distinct invocations
-    on).  The derived :class:`TraceProgram` and the shape signature are
-    built lazily and never serialized.
+    ``ev_kind``/``ev_dep``/``ev_at``/``ev_words`` are the raw events of
+    every iteration concatenated into flat ``array('q')`` columns, sliced
+    per iteration by ``ev_off`` (:meth:`to_invocation_trace` rebuilds
+    the per-iteration form).  ``it_start``/``it_end``/``ev_at`` are
+    offsets from ``start_cycles``, in memory as on disk: every consumer
+    reads differences only, and two invocations that ran alike at
+    different points of the recorded clock hold byte-identical columns
+    (what :func:`~repro.runtime.sched.schedule_many` keys distinct
+    invocations on).  The derived :class:`TraceProgram` and the shape
+    signature are built lazily and never stored.
     """
 
     loop_id: LoopId
@@ -201,8 +215,8 @@ class CompactInvocationTrace:
     ev_kind: array
     ev_dep: array
     ev_at: array
-    #: Per-iteration word counts of 'x' events (dep -> words).
-    words: Tuple[Dict[int, int], ...]
+    #: Words an 'x' event carries, 0 at every other event.
+    ev_words: array
     _program: Optional[TraceProgram] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -226,8 +240,8 @@ class CompactInvocationTrace:
         cls, loop_id: LoopId, start_cycles: int
     ) -> "CompactInvocationTrace":
         """An invocation that has just begun: empty columns for the
-        recorder to append to, ``end_cycles`` / ``loads`` / ``words``
-        left for it to fill in when the invocation ends."""
+        recorder to append to, ``end_cycles`` / ``loads`` left for it to
+        fill in when the invocation ends."""
         return cls(
             loop_id=loop_id,
             start_cycles=start_cycles,
@@ -239,49 +253,56 @@ class CompactInvocationTrace:
             ev_kind=array("q"),
             ev_dep=array("q"),
             ev_at=array("q"),
-            words=(),
+            ev_words=array("q"),
         )
 
     @classmethod
     def from_trace(cls, trace: InvocationTrace) -> "CompactInvocationTrace":
-        """Pack a per-iteration trace into columns."""
+        """Pack a per-iteration trace into columns.  Every ``x`` event
+        carries its iteration's count for the dependence (1 when the
+        iteration has none, the count the reference scheduler reads)."""
         base = trace.start_cycles
         packed = cls.begin(trace.loop_id, base)
         packed.end_cycles = trace.end_cycles
         packed.loads = trace.loads
         kind_codes = _KIND_TO_CODE
         ev_kind, ev_dep, ev_at = packed.ev_kind, packed.ev_dep, packed.ev_at
+        ev_words = packed.ev_words
         for iteration in trace.iterations:
             packed.it_start.append(iteration.start_cycles - base)
             packed.it_end.append(iteration.end_cycles - base)
+            words = iteration.words
             for kind, dep, at in iteration.events:
                 ev_kind.append(kind_codes[kind])
                 ev_dep.append(dep)
                 ev_at.append(at - base)
+                ev_words.append(words.get(dep, 1) if kind == "x" else 0)
             packed.ev_off.append(len(ev_kind))
-        packed.words = tuple(dict(it.words) for it in trace.iterations)
         return packed
 
     def to_invocation_trace(self) -> InvocationTrace:
-        """Reconstruct the per-iteration representation exactly."""
+        """Reconstruct the per-iteration representation; an iteration's
+        ``words`` hold the last count each dependence's ``x`` events
+        wrote."""
         iterations = []
         codes = _CODE_TO_KIND
         base = self.start_cycles
+        kinds, deps, words = self.ev_kind, self.ev_dep, self.ev_words
         for i in range(len(self.it_start)):
-            lo, hi = self.ev_off[i], self.ev_off[i + 1]
+            span = range(self.ev_off[i], self.ev_off[i + 1])
             iterations.append(
                 IterationTrace(
                     start_cycles=base + self.it_start[i],
                     end_cycles=base + self.it_end[i],
                     events=[
-                        (
-                            codes[self.ev_kind[j]],
-                            self.ev_dep[j],
-                            base + self.ev_at[j],
-                        )
-                        for j in range(lo, hi)
+                        (codes[kinds[j]], deps[j], base + self.ev_at[j])
+                        for j in span
                     ],
-                    words=dict(self.words[i]),
+                    words={
+                        deps[j]: words[j]
+                        for j in span
+                        if kinds[j] == KIND_XFER
+                    },
                 )
             )
         return InvocationTrace(
@@ -290,58 +311,6 @@ class CompactInvocationTrace:
             end_cycles=self.end_cycles,
             iterations=iterations,
             loads=self.loads,
-        )
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Versioned JSON-stable representation (the disk-cache form):
-        the columns as they are held, stamps inside the invocation
-        being offsets from ``start_cycles``, small wherever in the
-        recorded clock the invocation sits."""
-        return {
-            "format": TRACE_FORMAT_VERSION,
-            "loop_id": list(self.loop_id),
-            "start_cycles": self.start_cycles,
-            "end_cycles": self.end_cycles,
-            "loads": self.loads,
-            "iter_start": list(self.it_start),
-            "iter_end": list(self.it_end),
-            "ev_off": list(self.ev_off),
-            "ev_kind": list(self.ev_kind),
-            "ev_dep": list(self.ev_dep),
-            "ev_at": list(self.ev_at),
-            "words": [
-                {str(dep): n for dep, n in per_iter.items()}
-                for per_iter in self.words
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompactInvocationTrace":
-        """Load a serialized trace; any other format version (or a
-        payload without one) raises :class:`ValueError`."""
-        version = data.get("format")
-        if version != TRACE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported compact-trace format {version!r} "
-                f"(this build reads {TRACE_FORMAT_VERSION})"
-            )
-        return cls(
-            loop_id=tuple(data["loop_id"]),
-            start_cycles=data["start_cycles"],
-            end_cycles=data["end_cycles"],
-            loads=data["loads"],
-            it_start=array("q", data["iter_start"]),
-            it_end=array("q", data["iter_end"]),
-            ev_off=array("q", data["ev_off"]),
-            ev_kind=array("q", data["ev_kind"]),
-            ev_dep=array("q", data["ev_dep"]),
-            ev_at=array("q", data["ev_at"]),
-            words=tuple(
-                {int(dep): int(n) for dep, n in per_iter.items()}
-                for per_iter in data["words"]
-            ),
         )
 
     # -- compilation -------------------------------------------------------
@@ -370,6 +339,7 @@ class CompactInvocationTrace:
         has_next: List[bool] = []
 
         kinds, deps, ats = self.ev_kind, self.ev_dep, self.ev_at
+        ev_words = self.ev_words
         ev_off = self.ev_off
         waits = signals = next_iters = transfer_total = active = 0
         raw_signals = span_total = 0
@@ -379,10 +349,13 @@ class CompactInvocationTrace:
         prev_produced: frozenset = frozenset()
 
         for i in range(len(self.it_start)):
-            words = self.words[i]
+            # dep -> the last count the iteration's 'x' events wrote,
+            # and the flat index of the OP_XFER that moves it (the first
+            # forwarded event; its count is filled in below).
+            words: Dict[int, int] = {}
+            transferred: Dict[int, int] = {}
             waited: set = set()
             cur_sig: Dict[int, int] = {}
-            transferred: set = set()
             produced: set = set()
             agenda: List[int] = []
             agenda_seen: set = set()
@@ -445,12 +418,11 @@ class CompactInvocationTrace:
                     pre.append(pending)
                     pending = 0
                 elif kind == KIND_XFER:
+                    words[dep] = ev_words[j]
                     if dep in prev_produced and dep not in transferred:
-                        transferred.add(dep)
-                        n_words = words.get(dep, 1)
-                        transfer_total += n_words
+                        transferred[dep] = len(op)
                         op.append(OP_XFER)
-                        a1.append(n_words)
+                        a1.append(0)
                         a2.append(-1)
                         src.append(-1)
                         raw_ix.append(j)
@@ -462,6 +434,9 @@ class CompactInvocationTrace:
                 else:  # KIND_PRODUCE
                     produced.add(dep)
 
+            for dep, ix in transferred.items():
+                a1[ix] = words[dep]
+                transfer_total += words[dep]
             off.append(len(op))
             tail.append(pending)
             span = self.it_end[i] - self.it_start[i]
@@ -503,3 +478,157 @@ def as_compact(trace) -> CompactInvocationTrace:
     if isinstance(trace, CompactInvocationTrace):
         return trace
     return CompactInvocationTrace.from_trace(trace)
+
+
+# -- storage -----------------------------------------------------------------
+
+
+def _narrowest(values) -> int:
+    """Bytes per item of the narrowest signed integer holding ``values``."""
+    if not len(values):
+        return 1
+    lo, hi = int(values.min()), int(values.max())
+    for width in (1, 2, 4):
+        bound = 1 << (8 * width - 1)
+        if -bound <= lo and hi < bound:
+            return width
+    return 8
+
+
+def pack_traces(traces: Sequence[CompactInvocationTrace]) -> dict:
+    """A recording's traces as one JSON-ready block.
+
+    ``invocations`` holds one header row per trace -- index into
+    ``loops``, ``start_cycles``, ``end_cycles``, ``loads``, iteration
+    count, event count -- and ``columns`` every :data:`_COLUMNS` column
+    of every trace, concatenated in that order, each at its ``widths``
+    bytes per item (little-endian), zlib-compressed once and
+    base64-encoded.
+    """
+    import numpy as np
+
+    loops: Dict[LoopId, int] = {}
+    rows = [
+        [
+            loops.setdefault(trace.loop_id, len(loops)),
+            trace.start_cycles,
+            trace.end_cycles,
+            trace.loads,
+            len(trace.it_start),
+            len(trace.ev_kind),
+        ]
+        for trace in traces
+    ]
+    widths = {}
+    block = []
+    for name in _COLUMNS:
+        values = np.frombuffer(
+            b"".join(getattr(trace, name) for trace in traces), dtype=np.int64
+        )
+        widths[name] = _narrowest(values)
+        block.append(values.astype(f"<i{widths[name]}").tobytes())
+    return {
+        "format": TRACE_FORMAT_VERSION,
+        "loops": [list(loop) for loop in loops],
+        "invocations": rows,
+        "widths": widths,
+        "columns": base64.b64encode(zlib.compress(b"".join(block))).decode(),
+    }
+
+
+def unpack_traces(payload) -> List[CompactInvocationTrace]:
+    """The traces :func:`pack_traces` stored, equal to the ones it was
+    given.  A payload in any other format, or whose columns do not
+    decode to exactly the lengths and per-trace event offsets its header
+    rows declare, raises :class:`ValueError` (or :class:`TypeError` /
+    :class:`KeyError` where a field is of the wrong type or missing):
+    nothing that loads can fail later inside a scheduler."""
+    import numpy as np
+
+    version = payload.get("format") if isinstance(payload, dict) else None
+    if version != TRACE_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported recording format {version!r} "
+            f"(this build reads {TRACE_FORMAT_VERSION})"
+        )
+    loops = payload["loops"]
+    if not all(
+        isinstance(loop, list) and len(loop) == 2
+        and all(isinstance(part, str) for part in loop)
+        for loop in loops
+    ):
+        raise ValueError("malformed recording: loop ids")
+    rows = payload["invocations"]
+    try:
+        header = np.array(rows, dtype=np.int64).reshape(len(rows), 6)
+    except OverflowError:
+        raise ValueError("malformed recording: header rows") from None
+    index, _start, _end, _loads, iters, events = header.T
+    if len(header) and (
+        index.min() < 0 or index.max() >= len(loops)
+        or iters.min() < 0 or events.min() < 0
+    ):
+        raise ValueError("malformed recording: header rows")
+    widths = [payload["widths"][name] for name in _COLUMNS]
+    if any(
+        type(width) is not int or width not in (1, 2, 4, 8)
+        for width in widths
+    ):
+        raise ValueError("malformed recording: column widths")
+    try:
+        block = zlib.decompress(
+            base64.b64decode(payload["columns"], validate=True)
+        )
+    except zlib.error as exc:
+        raise ValueError(f"unreadable recording columns: {exc}") from None
+    # Where each trace's slice of a column ends, per kind of column.
+    per_iteration = [0, *np.cumsum(iters).tolist()]
+    per_offset = [0, *np.cumsum(iters + 1).tolist()]
+    per_event = [0, *np.cumsum(events).tolist()]
+    bounds = (per_iteration, per_iteration, per_offset) + (per_event,) * 4
+    if len(block) != sum(b[-1] * w for b, w in zip(bounds, widths)):
+        raise ValueError("recording columns disagree with its header rows")
+    # One column at a time: widened, checked and cut into the traces'
+    # arrays before the next, so no second whole copy of the recording
+    # is ever held beside them.
+    sliced = []
+    pos = 0
+    for name, width, bound in zip(_COLUMNS, widths, bounds):
+        values = np.frombuffer(
+            block, dtype=f"<i{width}", count=bound[-1], offset=pos
+        ).astype(np.int64)
+        pos += bound[-1] * width
+        if name == "ev_off" and len(header):
+            # Each trace's offsets run from 0 to its event count without
+            # stepping back: shifted by the events of the traces before
+            # it, the concatenation is one non-decreasing column.
+            first = np.array(per_offset[:-1])
+            if (
+                values[first].any()
+                or (values[first + iters] != events).any()
+                or (np.diff(values + np.repeat(per_event[:-1], iters + 1))
+                    < 0).any()
+            ):
+                raise ValueError(
+                    "recording event offsets disagree with its header"
+                )
+        if name == "ev_kind" and len(values) and (
+            values.min() < 0 or values.max() > KIND_PRODUCE
+        ):
+            raise ValueError("malformed recording: event kinds")
+        column = array("q", values.tobytes())
+        sliced.append([column[lo:hi] for lo, hi in zip(bound, bound[1:])])
+
+    loops = [tuple(loop) for loop in loops]
+    return [
+        CompactInvocationTrace(
+            loop_id=loops[loop],
+            start_cycles=start,
+            end_cycles=end,
+            loads=loads,
+            **dict(zip(_COLUMNS, columns)),
+        )
+        for (loop, start, end, loads, _, _), *columns in zip(
+            header.tolist(), *sliced
+        )
+    ]

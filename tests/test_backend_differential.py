@@ -276,7 +276,7 @@ def test_parallel_executor_identity(bench, backend):
 
 
 def _trace_bytes(trace):
-    """Every serialized field of one compact trace, columns as bytes."""
+    """Every stored field of one compact trace, columns as bytes."""
     return (
         trace.loop_id,
         trace.start_cycles,
@@ -288,7 +288,7 @@ def _trace_bytes(trace):
         trace.ev_kind.tobytes(),
         trace.ev_dep.tobytes(),
         trace.ev_at.tobytes(),
-        trace.words,
+        trace.ev_words.tobytes(),
     )
 
 

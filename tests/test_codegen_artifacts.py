@@ -231,7 +231,7 @@ class TestWatchedBlocksKeying:
         outcome = executor.execute()
         return executor, (
             outcome.result.to_dict(),
-            [trace.to_dict() for trace in outcome.traces],
+            list(outcome.traces),
             executor.load_count,
         )
 

@@ -171,7 +171,7 @@ def test_recording_run_reads_the_walkers_clock(name):
             event for event in spy.log
             if event[0][0] != "entry" or event[0][1:] in announced
         ]
-        runs.append((final, log, [t.to_dict() for t in spy.traces]))
+        runs.append((final, log, list(spy.traces)))
     assert runs[0] == runs[1]
     assert {point[0] for point, *_ in runs[0][1]} >= {"entry", "sync", "call"}
 

@@ -1,21 +1,30 @@
-"""Unit tests of the compact trace representation and its serialization."""
+"""Unit tests of the compact trace representation and its stored form."""
 
 import json
 
 import pytest
 
 from repro.analysis.loops import find_loops
+from repro.bench import benchmark_names
 from repro.core import parallelize_module
 from repro.frontend import compile_source
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.sched import (
+    schedule_compact,
+    schedule_invocation_reference,
+    trace_signature,
+)
 from repro.runtime.trace import (
     CTRL_DEP,
+    KIND_XFER,
     TRACE_FORMAT_VERSION,
     CompactInvocationTrace,
     InvocationTrace,
     IterationTrace,
     as_compact,
+    pack_traces,
+    unpack_traces,
 )
 
 
@@ -72,6 +81,9 @@ def _zero_iteration_trace() -> InvocationTrace:
 
 class TestPacking:
     def test_pack_is_lossless(self):
+        """Lossless for traces whose every ``words`` key has an ``x``
+        event in its iteration: only those counts are kept (at the
+        ``x`` events), and an ``x`` event without one reads back as 1."""
         for trace in (_tricky_trace(), _zero_iteration_trace()):
             compact = CompactInvocationTrace.from_trace(trace)
             assert compact.to_invocation_trace() == trace
@@ -120,30 +132,82 @@ class TestPacking:
         assert prog.transfer_words == 0
 
 
+def _wide_trace() -> InvocationTrace:
+    """A column at every width: stamps past 2**31, iteration bounds
+    past 2**15, a dependence id past a byte beside ``CTRL_DEP``."""
+    far = 2**31 + 7
+    return InvocationTrace(
+        loop_id=("main", "while.header"),
+        start_cycles=5,
+        end_cycles=far + 15,
+        loads=3,
+        iterations=[
+            IterationTrace(
+                start_cycles=5,
+                end_cycles=40_005,
+                events=[("w", 300, 15), ("n", CTRL_DEP, 25), ("s", 300, 35)],
+            ),
+            IterationTrace(
+                start_cycles=40_005,
+                end_cycles=far + 15,
+                events=[
+                    ("w", 300, 40_015),
+                    ("x", 4, far),
+                    ("n", CTRL_DEP, far + 10),
+                ],
+                words={4: 2},
+            ),
+        ],
+    )
+
+
+def _stored(traces):
+    """``traces`` written and read back the way the store does it."""
+    return unpack_traces(json.loads(json.dumps(pack_traces(traces))))
+
+
 class TestSerialization:
     def test_versioned_roundtrip_through_json(self):
-        for trace in (_tricky_trace(), _zero_iteration_trace()):
-            compact = CompactInvocationTrace.from_trace(trace)
-            payload = json.loads(json.dumps(compact.to_dict()))
-            assert payload["format"] == TRACE_FORMAT_VERSION
-            restored = CompactInvocationTrace.from_dict(payload)
-            assert restored == compact
-            assert restored.to_invocation_trace() == trace
+        traces = [
+            CompactInvocationTrace.from_trace(trace)
+            for trace in (_tricky_trace(), _zero_iteration_trace(),
+                          _wide_trace())
+        ]
+        assert pack_traces(traces)["format"] == TRACE_FORMAT_VERSION == 4
+        restored = _stored(traces)
+        assert restored == traces
+        assert [t.to_invocation_trace() for t in restored] == [
+            _tricky_trace(), _zero_iteration_trace(), _wide_trace()
+        ]
+        for trace in restored:
+            for column in (trace.it_start, trace.ev_at, trace.ev_words):
+                assert column.typecode == "q"
+
+    def test_empty_recording(self):
+        payload = pack_traces([])
+        assert payload["invocations"] == [] and payload["loops"] == []
+        assert _stored([]) == []
+
+    def test_every_width_is_used_and_read_back(self):
+        trace = CompactInvocationTrace.from_trace(_wide_trace())
+        payload = pack_traces([trace])
+        assert payload["widths"] == {
+            "it_start": 4, "it_end": 8, "ev_off": 1, "ev_kind": 1,
+            "ev_dep": 2, "ev_at": 8, "ev_words": 1,
+        }
+        (restored,) = _stored([trace])
+        assert restored == trace
+        assert list(restored.ev_dep) == [300, CTRL_DEP, 300, 300, 4, CTRL_DEP]
+        assert restored.ev_at[-1] == 2**31 + 12  # far + 10, less start_cycles
 
     def test_stamps_are_serialized_as_offsets(self):
-        """Iteration bounds and event stamps are written relative to
-        the invocation's ``start_cycles``, so where in the run's clock
-        an invocation sits costs no digits."""
+        """Iteration bounds and event stamps are stored relative to the
+        invocation's ``start_cycles``: the same invocation a billion
+        cycles later changes its header row and not one column byte."""
         trace = _tricky_trace()
-        payload = CompactInvocationTrace.from_trace(trace).to_dict()
-        assert payload["start_cycles"] == 100
-        assert payload["end_cycles"] == 700
-        assert payload["iter_start"] == [0, 200]
-        assert payload["iter_end"] == [200, 600]
-        assert payload["ev_at"][:3] == [10, 15, 40]
-        assert max(payload["ev_at"]) == 400
-        # The same invocation a billion cycles later: only its two
-        # absolute stamps move.
+        compact = CompactInvocationTrace.from_trace(trace)
+        assert list(compact.it_start) == [0, 200]
+        assert list(compact.ev_at[:3]) == [10, 15, 40]
         shift = 10**9
         later = CompactInvocationTrace.from_trace(
             InvocationTrace(
@@ -162,43 +226,101 @@ class TestSerialization:
                 ],
             )
         )
-        moved = later.to_dict()
-        assert {k for k in moved if moved[k] != payload[k]} == {
-            "start_cycles", "end_cycles",
-        }
-        assert CompactInvocationTrace.from_dict(
-            json.loads(json.dumps(moved))
-        ) == later
+        payload, moved = pack_traces([compact]), pack_traces([later])
+        assert {k for k in moved if moved[k] != payload[k]} == {"invocations"}
+        assert payload["invocations"] == [[0, 100, 700, 9, 2, 15]]
+        assert moved["invocations"] == [[0, 100 + shift, 700 + shift, 9, 2, 15]]
+        assert _stored([compact, later]) == [compact, later]
+
+    def test_loops_are_a_table(self):
+        a = CompactInvocationTrace.from_trace(_tricky_trace())
+        b = CompactInvocationTrace.from_trace(_zero_iteration_trace())
+        payload = pack_traces([a, b, a])
+        assert payload["loops"] == [["main", "for.header"],
+                                    ["main", "while.header"]]
+        assert [row[0] for row in payload["invocations"]] == [0, 1, 0]
+        assert _stored([a, b, a]) == [a, b, a]
 
     def test_previous_format_rejected(self):
-        """Format 2 carried absolute stamps under the same field names;
-        reading it as offsets would shift every event, so it is refused
-        like any other version."""
-        payload = CompactInvocationTrace.from_trace(_tricky_trace()).to_dict()
-        assert TRACE_FORMAT_VERSION == 3
-        payload["format"] = 2
-        with pytest.raises(ValueError, match="unsupported compact-trace"):
-            CompactInvocationTrace.from_dict(payload)
+        """Format 3 stored one JSON object per trace (format 2 carried
+        absolute stamps under the same field names); neither is read,
+        alone or in a list, nor a block claiming an older version."""
+        per_trace = {"format": 3, "loop_id": ["main", "for.header"]}
+        payload = pack_traces([CompactInvocationTrace.from_trace(_tricky_trace())])
+        for bad in ([per_trace], per_trace, dict(payload, format=3)):
+            with pytest.raises(ValueError, match="unsupported recording"):
+                unpack_traces(bad)
 
     def test_formatless_payload_rejected(self):
-        payload = CompactInvocationTrace.from_trace(_tricky_trace()).to_dict()
+        payload = pack_traces([CompactInvocationTrace.from_trace(_tricky_trace())])
         del payload["format"]
-        with pytest.raises(ValueError, match="unsupported compact-trace"):
-            CompactInvocationTrace.from_dict(payload)
+        with pytest.raises(ValueError, match="unsupported recording"):
+            unpack_traces(payload)
 
     def test_unknown_format_rejected(self):
-        payload = CompactInvocationTrace.from_trace(_tricky_trace()).to_dict()
+        payload = pack_traces([CompactInvocationTrace.from_trace(_tricky_trace())])
         payload["format"] = TRACE_FORMAT_VERSION + 1
-        with pytest.raises(ValueError, match="unsupported compact-trace"):
-            CompactInvocationTrace.from_dict(payload)
+        with pytest.raises(ValueError, match="unsupported recording"):
+            unpack_traces(payload)
 
     def test_serialized_form_omits_compiled_program(self):
         compact = CompactInvocationTrace.from_trace(_tricky_trace())
         compact.program  # force compilation
-        payload = compact.to_dict()
-        assert "program" not in payload
+        payload = pack_traces([compact])
+        assert "program" not in json.dumps(payload)
         # Equality ignores the lazily cached program.
-        assert CompactInvocationTrace.from_dict(payload) == compact
+        assert _stored([compact]) == [compact]
+
+
+class TestWordCounts:
+    def test_last_count_of_an_iteration_wins(self):
+        """Two ``x`` events of one dependence in one iteration carrying
+        different counts: the transfer happens at the first and moves
+        the last count written, in the compiled program as in the
+        reference scheduler's per-iteration dict."""
+        from tests.test_parallel_executor import make_loop_info
+
+        compact = CompactInvocationTrace.from_trace(_tricky_trace())
+        xfers = [
+            j for j in range(compact.ev_off[1], compact.ev_off[2])
+            if compact.ev_kind[j] == KIND_XFER
+        ]
+        assert len(xfers) == 2
+        compact.ev_words[xfers[0]] = 3
+        compact.ev_words[xfers[1]] = 7
+        reference = compact.to_invocation_trace()
+        assert reference.iterations[1].words == {5: 7}
+        assert compact.program.transfer_words == 7
+        for counted in (True, False):
+            loop = make_loop_info(counted=counted)
+            for machine in (MachineConfig(cores=2), MachineConfig(cores=4)):
+                got = schedule_compact(compact, loop, machine)
+                assert got == schedule_invocation_reference(
+                    reference, loop, machine
+                )
+                assert got.transfer_words == 7
+
+    def test_signature_sees_word_counts_and_not_stamps(self):
+        base = CompactInvocationTrace.from_trace(_tricky_trace())
+        stretched = CompactInvocationTrace.from_trace(_tricky_trace())
+        stretched.ev_at[0] += 1
+        stretched.end_cycles += 50
+        assert trace_signature(base) == trace_signature(stretched)
+        heavier = CompactInvocationTrace.from_trace(_tricky_trace())
+        assert heavier.ev_kind[7] == KIND_XFER  # not forwarded: no transfer
+        heavier.ev_words[7] = 3
+        assert trace_signature(heavier) != trace_signature(base)
+
+
+@pytest.mark.parametrize("bench", benchmark_names())
+def test_every_bench_recording_is_read_back_equal(bench, suite_runner):
+    traces = suite_runner.helix_run(bench).executor.traces
+    assert traces
+    restored = _stored(traces)
+    assert restored == traces
+    assert [t.to_invocation_trace() for t in restored] == [
+        t.to_invocation_trace() for t in traces
+    ]
 
 
 class TestExecutorIntegration:
@@ -219,10 +341,7 @@ class TestExecutorIntegration:
         assert result.traces
         for trace in result.traces:
             assert isinstance(trace, CompactInvocationTrace)
-            restored = CompactInvocationTrace.from_dict(
-                json.loads(json.dumps(trace.to_dict()))
-            )
-            assert restored == trace
+        assert _stored(result.traces) == result.traces
 
     def test_recording_appends_straight_into_the_columns(self, monkeypatch):
         """The recording run fills the columns as it goes: nothing is
@@ -246,6 +365,6 @@ class TestExecutorIntegration:
         executor.run()
         assert len(executor.traces) > 1 and not packed
         for trace in executor.traces:
-            assert trace.event_count and any(trace.words)
+            assert trace.event_count and any(trace.ev_words)
             assert as_compact(trace.to_invocation_trace()) == trace
         assert len(packed) == len(executor.traces)

@@ -5,6 +5,7 @@ full pipeline (compile, profile, select, transform, execute) runs in
 milliseconds rather than the seconds a real suite benchmark takes.
 """
 
+import base64
 import dataclasses
 import json
 import multiprocessing
@@ -31,12 +32,9 @@ from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.machine import CostModel, MachineConfig, PrefetchMode
 from repro.ir.parser import parse_module
 from repro.ir.printer import module_to_str
-from repro.runtime.parallel import (
-    CompactInvocationTrace,
-    ParallelExecutor,
-    schedule_invocation,
-)
+from repro.runtime.parallel import ParallelExecutor, schedule_invocation
 from repro.runtime.profiler import ProfileData, profile_module
+from repro.runtime.trace import pack_traces, unpack_traces
 
 TINY = """
 int total;
@@ -146,11 +144,11 @@ class TestTraceSerialization:
         executor, result, _, infos, machine = _executed_tiny()
         info_by_id = {info.loop_id: info for info in infos}
         assert result.traces, "tiny benchmark must record traces"
-        for trace in result.traces:
-            restored = CompactInvocationTrace.from_dict(
-                json.loads(json.dumps(trace.to_dict()))
-            )
-            assert restored == trace
+        stored = unpack_traces(
+            json.loads(json.dumps(pack_traces(result.traces)))
+        )
+        assert stored == result.traces
+        for trace, restored in zip(result.traces, stored):
             for probe in (machine, machine.with_cores(2)):
                 assert schedule_invocation(
                     restored, info_by_id[trace.loop_id], probe
@@ -168,10 +166,7 @@ class TestTraceSerialization:
             ExecutionResult.from_dict(
                 json.loads(json.dumps(recorded.to_dict()))
             ),
-            [
-                CompactInvocationTrace.from_dict(t.to_dict())
-                for t in result.traces
-            ],
+            unpack_traces(pack_traces(result.traces)),
             load_count=executor.load_count,
         )
         assert restored.cycles == result.cycles
@@ -565,19 +560,55 @@ class TestRunnerCacheIntegration:
         assert payload["result"]["cycles"] == cold.executor.cycles
         _, stats = helix_run()
         assert stats.stages["execute"].disk_hits == 1
+        block = payload["traces"]
+        columns = base64.b64decode(block["columns"])
+
+        def traces(**fields):
+            """The entry with fields of its column block replaced."""
+            return json.dumps(
+                dict(payload, traces=dict(block, **fields))
+            ).encode()
+
+        def repacked(mutate):
+            """The entry packed again after ``mutate`` edited its traces
+            (packing checks nothing, unpacking everything)."""
+            restored = unpack_traces(block)
+            mutate(restored)
+            return json.dumps(
+                dict(payload, traces=pack_traces(restored))
+            ).encode()
+
+        def unordered(restored):
+            trace = next(t for t in restored if t.iteration_count > 1)
+            trace.ev_off[1] = trace.ev_off[-1] + 1
+
+        def short(restored):
+            restored[0].ev_off[-1] -= 1
+
+        first, *rest = block["invocations"]
         corruptions = (
             b"\xff\xfe not utf-8",
             b"[1, 2]",
             json.dumps({"result": payload["result"]}).encode(),
-            # The previous trace format (absolute stamps).
-            json.dumps(
-                dict(
-                    payload,
-                    traces=[dict(t, format=2) for t in payload["traces"]],
-                )
-            ).encode(),
-            json.dumps(dict(payload, traces=[{"format": 3}])).encode(),
             json.dumps(dict(payload, result=[1])).encode(),
+            # The previous format: one JSON object per trace.
+            json.dumps(
+                dict(payload, traces=[{"format": 3, "loop_id": ["a", "b"]}])
+            ).encode(),
+            traces(format=3),
+            traces(columns="not base64!"),
+            # A truncated zlib stream.
+            traces(
+                columns=base64.b64encode(columns[: len(columns) // 2]).decode()
+            ),
+            # Column lengths that disagree with the header rows.
+            traces(invocations=[first[:4] + [first[4] + 1, first[5]]] + rest),
+            traces(invocations=rest),
+            traces(widths=dict(block["widths"], ev_at=3)),
+            traces(invocations=[first[:1] + [2**70] + first[2:]] + rest),
+            # Per-trace event offsets that step back, or stop short.
+            repacked(unordered),
+            repacked(short),
         )
         for blob in corruptions:
             entry.write_bytes(blob)

@@ -124,9 +124,7 @@ class TestSpeedups:
         assert second.result.output == first.result.output
         assert second.result.cycles == first.result.cycles
         assert second.loop_stats == first.loop_stats
-        assert len(second.traces) == len(first.traces)
-        for a, b in zip(first.traces, second.traces):
-            assert a.to_dict() == b.to_dict()
+        assert second.traces == first.traces
 
 
 class TestReplay:

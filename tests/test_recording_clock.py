@@ -66,8 +66,8 @@ def table():
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return EvaluationRunner(MachineConfig(cores=6))
+def runner(suite_runner):
+    return suite_runner
 
 
 def _assert_recorded_in_the_sequential_clock(executor, executed):

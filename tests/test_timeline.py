@@ -27,7 +27,12 @@ from repro.obs.timeline import (
 from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.sched import trace_signature
-from repro.runtime.trace import CompactInvocationTrace, InvocationTrace
+from repro.runtime.trace import (
+    CompactInvocationTrace,
+    InvocationTrace,
+    pack_traces,
+    unpack_traces,
+)
 from tests.test_sched_differential import BASE, MACHINES, SOURCES, _prepare
 
 
@@ -178,11 +183,7 @@ def _restored_with_empty_invocation(name):
             cycles=start + 37 + 5,
             instructions=result.result.instructions,
         ),
-        [
-            CompactInvocationTrace.from_dict(trace.to_dict())
-            for trace in executor.traces
-        ]
-        + [empty],
+        unpack_traces(pack_traces(executor.traces)) + [empty],
         executor.load_count,
     )
     return restored

@@ -105,7 +105,7 @@ def _executor_report(executor, result):
     return (
         result.result.to_dict(),
         {k: s.to_dict() for k, s in result.loop_stats.items()},
-        [trace.to_dict() for trace in result.traces],
+        list(result.traces),
         executor.load_count,
     )
 
@@ -392,7 +392,7 @@ def _limited_recording(transformed, infos, backend, limit):
             k: s.to_dict()
             for k, s in executor.replay(BASE).loop_stats.items()
         },
-        [trace.to_dict() for trace in executor.traces],
+        list(executor.traces),
     )
 
 
