@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-import networkx as nx
-
+from repro.analysis.digraph import DiGraph
 from repro.ir import Instruction, Module, Opcode
 
 
@@ -21,7 +20,7 @@ class CallGraph:
     """Call edges plus per-edge call sites."""
 
     module: Module
-    graph: "nx.DiGraph"
+    graph: DiGraph
     call_sites: Dict[Tuple[str, str], List[Instruction]] = field(
         default_factory=dict
     )
@@ -37,20 +36,16 @@ class CallGraph:
         return sorted(self.graph.predecessors(func_name))
 
     def transitive_callees(self, func_name: str) -> Set[str]:
-        """All functions reachable from ``func_name`` (excluding itself
-        unless recursive)."""
+        """All functions reachable from ``func_name`` through calls,
+        never ``func_name`` itself."""
         if func_name not in self.graph:
             return set()
-        reachable = nx.descendants(self.graph, func_name)
-        return set(reachable)
+        return self.graph.descendants(func_name)
 
     def is_recursive(self, func_name: str) -> bool:
-        """Whether ``func_name`` can (transitively) call itself."""
-        if func_name not in self.graph:
-            return False
-        if self.graph.has_edge(func_name, func_name):
-            return True
-        return func_name in self.transitive_callees(func_name)
+        """Whether ``func_name`` calls itself.  Only a direct self-call
+        counts: mutual recursion reads as not recursive."""
+        return self.graph.has_edge(func_name, func_name)
 
     def functions_called_from(self, instructions: List[Instruction]) -> Set[str]:
         """Functions transitively callable from the given instructions."""
@@ -66,7 +61,7 @@ class CallGraph:
 
 def build_callgraph(module: Module) -> CallGraph:
     """Construct the call graph of ``module``."""
-    graph = nx.DiGraph()
+    graph = DiGraph()
     call_sites: Dict[Tuple[str, str], List[Instruction]] = {}
     for func in module.functions.values():
         graph.add_node(func.name)

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.analysis.callgraph import CallGraph, build_callgraph
+from repro.analysis.digraph import DiGraph
 from repro.analysis.loops import Loop, LoopForest, find_loops
 from repro.ir import Module, Opcode
 
@@ -31,7 +30,7 @@ class StaticLoopNestGraph:
     """The static nesting graph plus loop lookups."""
 
     module: Module
-    graph: "nx.DiGraph"
+    graph: DiGraph
     forests: Dict[str, LoopForest]
     loops: Dict[LoopId, Loop]
 
@@ -78,7 +77,7 @@ def build_static_loop_nest_graph(
         for loop in forest:
             loops[loop.id] = loop
 
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for loop_id in loops:
         graph.add_node(loop_id)
 
@@ -133,7 +132,7 @@ class DynamicLoopNestGraph:
     activation of ``B`` started while ``A`` was the innermost active loop.
     """
 
-    graph: "nx.DiGraph" = field(default_factory=nx.DiGraph)
+    graph: DiGraph = field(default_factory=DiGraph)
 
     def record(self, parent: Optional[LoopId], child: LoopId) -> None:
         self.graph.add_node(child)

@@ -524,12 +524,10 @@ def _fixed_level_selection(
     # Drop loops dynamically nested under another chosen loop (a node can
     # sit at the same minimum level as an ancestor through a second
     # parent); counting both would double-book their time.
-    import networkx as nx
-
     chosen_set = set(chosen)
     deduped = []
     for loop_id in sorted(chosen_set):
-        ancestors = nx.ancestors(graph.graph, loop_id)
+        ancestors = graph.graph.ancestors(loop_id)
         if not (ancestors & chosen_set):
             deduped.append(loop_id)
     return _filter_statically_nested(module, deduped, manager=manager)

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.analysis.cfg import CFGView
+from repro.analysis.digraph import DiGraph
 from repro.analysis.loops import Loop
 from repro.core.loopinfo import DepSync
 from repro.ir import Function, Instruction, Opcode
@@ -110,9 +109,9 @@ def _instr_block(func: Function, loop: Loop, instr: Instruction) -> str:
 
 def build_redundance_graph(
     func: Function, loop: Loop, cfg: CFGView, syncs: Sequence[DepSync]
-) -> "nx.DiGraph":
+) -> DiGraph:
     """Edges ``d_j -> d_i`` meaning ``d_i`` is redundant due to ``d_j``."""
-    graph = nx.DiGraph()
+    graph = DiGraph()
     active = [s for s in syncs if s.synchronized]
     for sync in active:
         graph.add_node(sync.dep.index)
@@ -150,15 +149,9 @@ def build_redundance_graph(
     return graph
 
 
-def apply_theorem1(graph: "nx.DiGraph") -> Set[int]:
+def apply_theorem1(graph: DiGraph) -> Set[int]:
     """N_to-synch: one representative per source SCC of the graph."""
-    condensation = nx.condensation(graph)
-    keep: Set[int] = set()
-    for scc_id in condensation.nodes:
-        if condensation.in_degree(scc_id) == 0:
-            members = sorted(condensation.nodes[scc_id]["members"])
-            keep.add(members[0])
-    return keep
+    return {min(component) for component in graph.source_components()}
 
 
 def _remove_instrs(func: Function, loop: Loop, instrs: Sequence[Instruction]) -> int:
@@ -249,7 +242,7 @@ def optimize_signals(
                     sync.covered_by = pred
                     break
             else:
-                ancestors = nx.ancestors(graph, sync.dep.index) & keep
+                ancestors = graph.ancestors(sync.dep.index) & keep
                 sync.covered_by = min(ancestors) if ancestors else None
             sync.synchronized = False
             dropped_waits += _remove_instrs(func, loop, sync.wait_instrs)

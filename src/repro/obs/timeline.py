@@ -9,37 +9,34 @@ configuration and wind-down collection.  This makes the paper's
 per-segment overhead attribution (HELIX Table 2 / Figures 8-9) directly
 visible per machine configuration.
 
-There is one placement walk (:func:`_place`, run-level driver
-:func:`_walk_run`) and it has two consumers.  :func:`timeline_block`
-(the ``timeline`` block of every ``suite --report``) only wants per-core
-category totals, so the walk adds every interval it places to a
-per-core total and builds no per-segment object at all;
-:func:`run_timeline` (``repro trace --sim-timeline``) hands the same
-walk a list and gets each interval as a :class:`Segment`, already in
-absolute cycles.  The timing model is written once, in ``_place``.
+Two consumers, two sources.  :func:`timeline_block` (the ``timeline``
+block of every ``suite --report``) wants per-core category totals only,
+and reads them off the schedule walk that times the run: each
+:class:`~repro.runtime.sched.ScheduleColumns` carries the per-core
+``compute`` / ``stall`` / ``signal`` / ``transfer`` cycles its walk
+accumulated, so the block takes the executor's memoized column of the
+machine (scheduling it first if it is missing) and adds thread
+configuration, wind-down collection and the main thread's sequential
+time in closed form.  It places nothing.
 
-The walk re-derives the placement with the same model as
-:func:`~repro.runtime.sched.schedule_compact` (general path only; the
-scheduler's fast paths are timing-equivalent shortcuts).  It works from
-the grouping :func:`~repro.runtime.sched.schedule_many` works from,
-which the executor keeps per trace list: traces by loop and shape, and
-within a shape by distinct invocation.  One compiled
-:class:`~repro.runtime.trace.TraceProgram` is read per shape --
-compilation looks at event kinds, dependences, slicing and word counts,
-never at timestamps, so a program's structural columns hold for every
-trace of its shape and each trace's own timestamps are gathered from its
-raw ``ev_at`` column through the program's ``raw`` index -- so
-accounting a replayed run compiles nothing the scheduler had not
-compiled.  When only totals are wanted, one member of each distinct
-invocation is placed and its intervals are counted once per occurrence
-(equal offsets give equal per-core buckets); the segment list places
-every trace.
+:func:`run_timeline` (``repro trace --sim-timeline``) and
+:func:`invocation_segments` want every interval, and get them from a
+placement walk, :func:`_place`, that re-derives the schedule with the
+same model as :func:`~repro.runtime.sched.schedule_compact` (general
+path only; the scheduler's fast paths are timing-equivalent shortcuts)
+and emits each interval as a :class:`Segment` in absolute cycles.  It
+works from the grouping :func:`~repro.runtime.sched.schedule_many`
+works from, which the executor keeps per trace list, and places every
+trace through the program of its shape's first trace -- the one the
+scheduler compiles -- so it compiles at most one program per shape.
 
-The totals match the :class:`~repro.runtime.sched.ScheduleResult`
-aggregates *exactly* -- ``tests/test_timeline.py`` asserts this on the
-full sched-differential machine grid, together with per-core
-non-overlap, the ``parallel_cycles * cores`` accounting and the
-equality of the two consumers.
+The segment walk is the oracle of both the scheduler and the block:
+``tests/test_timeline.py`` asserts, on the full sched-differential
+machine grid, that its totals match the
+:class:`~repro.runtime.sched.ScheduleResult` aggregates *exactly*, that
+segments on one core never overlap and close to ``parallel_cycles *
+cores``, and that :func:`timeline_block` equals its per-core totals on
+every engine path of the scheduler.
 
 Timestamps are simulated cycles exported as trace microseconds, so
 Perfetto's time axis reads directly in kilocycles/megacycles.
@@ -51,20 +48,19 @@ import it explicitly as ``repro.obs.timeline``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.loopinfo import ParallelizedLoop
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.sched import CORE_FIELDS
 from repro.runtime.trace import (
     CTRL_DEP,
     OP_NEXT,
     OP_SIGNAL,
     OP_WAIT,
     OP_WAIT_SYNC,
-    OP_XFER,
     CompactInvocationTrace,
     TraceProgram,
 )
@@ -104,24 +100,18 @@ def _place(
     loop: ParallelizedLoop,
     machine: MachineConfig,
     base: int,
-    totals: List[Dict[str, int]],
-    segments: Optional[List[Segment]],
-    times: int = 1,
+    segments: List[Segment],
 ) -> int:
-    """Place one invocation on the cores: the timing model, once.
+    """Place one invocation on the cores, appending every interval it
+    occupies to ``segments`` as a :class:`Segment` shifted by ``base``.
 
-    ``prog`` is the compiled program of *any* trace with ``trace``'s
-    shape (:func:`~repro.runtime.sched.trace_signature`); only its
-    shape-determined columns are read, and ``trace``'s own timestamps
-    come from its raw ``ev_at`` column through ``prog.raw``.
-
-    Every occupied interval is added to ``totals[core][category]``,
-    ``times`` times over (the occurrences of this invocation in the run,
-    which all place alike); when ``segments`` is a list it is also
-    appended there, once, as a :class:`Segment` shifted by ``base``.
-    Returns the invocation's
-    parallel length (``ScheduleResult.parallel_cycles``); time zero is
-    the start of thread configuration.  The trace must have iterations.
+    ``prog`` is the program of ``trace``'s shape
+    (:func:`~repro.runtime.sched.trace_signature`); ``trace``'s own
+    timestamps come from its raw ``ev_at`` column through ``prog.raw``
+    (:meth:`~repro.runtime.trace.TraceProgram.stamps`).
+    Returns the invocation's parallel length
+    (``ScheduleResult.parallel_cycles``); time zero is the start of
+    thread configuration.  The trace must have iterations.
     """
     it_start, it_end = trace.it_start, trace.it_end
     n = len(it_start)
@@ -134,13 +124,10 @@ def _place(
     conf = machine.config_cycles_per_thread * max(cores - 1, 1)
     wind_down = latency + cores - 1
     barrier = 0 if machine.total_store_ordering else machine.barrier_cycles
-    emit = segments is not None
 
     if conf:
         for core in range(cores):
-            totals[core]["config"] += conf * times
-            if emit:
-                segments.append(Segment(core, "config", base, base + conf))
+            segments.append(Segment(core, "config", base, base + conf))
 
     mode_none = mode is PrefetchMode.NONE
     mode_ideal = mode is PrefetchMode.IDEAL
@@ -152,10 +139,9 @@ def _place(
         helix_agenda = tuple(loop.helper_order)
         ctrl_helix_agenda = (CTRL_DEP,) + helix_agenda
 
-    op_, a1_, a2_ = prog.op, prog.a1, prog.a2
+    op_, a1_ = prog.op, prog.a1
     pre_, off, tail = prog.pre, prog.off, prog.tail
-    at_ = list(map(trace.ev_at.__getitem__, prog.raw))
-    slots = [0] * prog.slot_count
+    at_ = prog.stamps(trace)
     core_free = [conf] * cores
     helper_free = [0] * cores
     prev_sig: Dict[int, int] = {}
@@ -164,7 +150,6 @@ def _place(
 
     for i in range(n):
         core = i % cores
-        row = totals[core]
 
         # Helper-thread prefetch agenda; a counted loop whose predecessor
         # signalled nothing has nothing to prefetch.
@@ -210,18 +195,15 @@ def _place(
                         alt = done
                     t = pull if pull < alt else alt
             if t > started:
-                row["signal"] += (t - started) * times
-                if emit:
-                    segments.append(
-                        Segment(core, "signal", base + started, base + t)
-                    )
+                segments.append(
+                    Segment(core, "signal", base + started, base + t)
+                )
 
         cur_sig: Dict[int, int] = {}
         cur_next: Optional[int] = None
         # ``pos`` is where the open compute stretch began; a stall or a
         # transfer closes it, and so does the end of the iteration.
         pos = t
-        computed = stalled = moved = 0
         last = it_start[i]
 
         for j in range(off[i], off[i + 1]):
@@ -251,50 +233,37 @@ def _place(
                             alt = done
                         arrival = pull if pull < alt else alt
                 if arrival > t:
-                    computed += t - pos
-                    stalled += arrival - t
-                    if emit:
-                        if t > pos:
-                            segments.append(
-                                Segment(core, "compute", base + pos, base + t)
-                            )
+                    if t > pos:
                         segments.append(
-                            Segment(core, "stall", base + t, base + arrival)
+                            Segment(core, "compute", base + pos, base + t)
                         )
+                    segments.append(
+                        Segment(core, "stall", base + t, base + arrival)
+                    )
                     t = arrival
                     pos = t
-                slots[a2_[j]] = t
             elif o == OP_WAIT:
                 t += barrier
-                slots[a2_[j]] = t
             elif o == OP_SIGNAL:
                 t += barrier
                 cur_sig[a1_[j]] = t
             else:  # OP_XFER
                 cost = a1_[j] * transfer
                 if cost:
-                    computed += t - pos
-                    moved += cost
-                    if emit:
-                        if t > pos:
-                            segments.append(
-                                Segment(core, "compute", base + pos, base + t)
-                            )
+                    if t > pos:
                         segments.append(
-                            Segment(core, "transfer", base + t, base + t + cost)
+                            Segment(core, "compute", base + pos, base + t)
                         )
+                    segments.append(
+                        Segment(core, "transfer", base + t, base + t + cost)
+                    )
                     t += cost
                     pos = t
 
         t += it_end[i] - last
         if barrier:
             t += tail[i] * barrier
-        row["compute"] += (computed + t - pos) * times
-        if stalled:
-            row["stall"] += stalled * times
-        if moved:
-            row["transfer"] += moved * times
-        if emit and t > pos:
+        if t > pos:
             segments.append(Segment(core, "compute", base + pos, base + t))
         core_free[core] = t
         if t > max_end:
@@ -304,91 +273,10 @@ def _place(
 
     # Main thread collects the exit variable and stops parallel threads.
     if wind_down:
-        totals[0]["collect"] += wind_down * times
-        if emit:
-            segments.append(
-                Segment(
-                    0, "collect", base + max_end, base + max_end + wind_down
-                )
-            )
+        segments.append(
+            Segment(0, "collect", base + max_end, base + max_end + wind_down)
+        )
     return max_end + wind_down
-
-
-def _empty_totals(cores: int) -> List[Dict[str, int]]:
-    return [{category: 0 for category in CATEGORIES} for _ in range(cores)]
-
-
-def _walk_run(
-    executor: ParallelExecutor,
-    machine: MachineConfig,
-    segments: Optional[List[Segment]],
-) -> Tuple[List[Dict[str, int]], int]:
-    """Walk the whole run under ``machine``, in absolute simulated cycles.
-
-    Returns the per-core category totals and the run's total cycles
-    under ``machine``; ``segments``, when a list, receives every
-    interval as well (see :func:`_place`).  Gaps between invocations are
-    the main thread's sequential execution, read off the recording's
-    sequential clock: from one trace's ``end_cycles`` to the next one's
-    ``start_cycles``.
-
-    Traces are grouped as :func:`~repro.runtime.sched.schedule_many`
-    groups them (the executor keeps the grouping), and every trace is
-    placed through the program of its shape's first member -- the one
-    the scheduler compiled -- so accounting compiles at most one
-    program per shape.  Without ``segments`` only the totals are
-    wanted, and invocations that ran alike place alike: one member of
-    each distinct invocation is placed, its intervals counted once per
-    occurrence, and its length reused by the others.
-    """
-    totals = _empty_totals(machine.cores)
-    info_by_id = {info.loop_id: info for info in executor.infos}
-    traces = executor.traces
-    shapes, first, index = executor.invocation_groups()
-    compiled = {
-        distinct: traces[first[members[0]]]
-        for members in shapes
-        for distinct in members
-    }
-    index = index.tolist()
-    totals_only = segments is None
-    occurrences = Counter(index)
-    lengths: Dict[int, int] = {}
-    cursor = 0
-
-    def sequential(length: int) -> None:
-        """Main-thread execution outside the parallelized loops."""
-        nonlocal cursor
-        if length:
-            totals[0]["sequential"] += length
-            if segments is not None:
-                segments.append(
-                    Segment(0, "sequential", cursor, cursor + length)
-                )
-            cursor += length
-
-    recorded_end = 0  # end of the previous invocation, recorded clock
-    for trace, distinct in zip(traces, index):
-        sequential(trace.start_cycles - recorded_end)
-        if trace.iteration_count == 0:
-            # The loop body never ran; the invocation is its sequential
-            # span on the main core, under every machine.
-            sequential(trace.end_cycles - trace.start_cycles)
-        else:
-            length = lengths.get(distinct)
-            if length is None:
-                length = _place(
-                    compiled[distinct].program, trace,
-                    info_by_id[trace.loop_id], machine,
-                    cursor, totals, segments,
-                    occurrences[distinct] if totals_only else 1,
-                )
-                if totals_only:
-                    lengths[distinct] = length
-            cursor += length
-        recorded_end = trace.end_cycles
-    sequential(executor.cycles - recorded_end)
-    return totals, cursor
 
 
 def invocation_segments(
@@ -405,10 +293,7 @@ def invocation_segments(
     """
     segments: List[Segment] = []
     if trace.iteration_count:
-        _place(
-            trace.program, trace, loop, machine,
-            0, _empty_totals(machine.cores), segments,
-        )
+        _place(trace.program, trace, loop, machine, 0, segments)
     return segments
 
 
@@ -419,10 +304,44 @@ def run_timeline(
     """The whole run's per-core segments, in absolute simulated cycles.
 
     ``machine`` replays the recorded traces under a different
-    configuration (like :meth:`ParallelExecutor.replay`).
+    configuration (like :meth:`ParallelExecutor.replay`).  Gaps between
+    invocations are the main thread's sequential execution, read off
+    the recording's sequential clock: from one trace's ``end_cycles`` to
+    the next one's ``start_cycles``.  Asks for no schedule column.
     """
+    machine = machine or executor.machine
+    info_by_id = {info.loop_id: info for info in executor.infos}
+    traces = executor.traces
+    shapes, first, index = executor.invocation_groups()
+    compiled = {
+        distinct: traces[first[members[0]]]
+        for members in shapes
+        for distinct in members
+    }
     segments: List[Segment] = []
-    _walk_run(executor, machine or executor.machine, segments)
+    cursor = 0
+
+    def sequential(length: int) -> None:
+        """Main-thread execution outside the parallelized loops."""
+        nonlocal cursor
+        if length:
+            segments.append(Segment(0, "sequential", cursor, cursor + length))
+            cursor += length
+
+    recorded_end = 0  # end of the previous invocation, recorded clock
+    for trace, distinct in zip(traces, index.tolist()):
+        sequential(trace.start_cycles - recorded_end)
+        if trace.iteration_count == 0:
+            # The loop body never ran; the invocation is its sequential
+            # span on the main core, under every machine.
+            sequential(trace.end_cycles - trace.start_cycles)
+        else:
+            cursor += _place(
+                compiled[distinct].program, trace,
+                info_by_id[trace.loop_id], machine, cursor, segments,
+            )
+        recorded_end = trace.end_cycles
+    sequential(executor.cycles - recorded_end)
     return segments
 
 
@@ -430,7 +349,7 @@ def core_totals(
     segments: List[Segment], cores: int
 ) -> List[Dict[str, int]]:
     """Per-core cycle totals by category (every category always keyed)."""
-    totals = _empty_totals(cores)
+    totals = [dict.fromkeys(CATEGORIES, 0) for _ in range(cores)]
     for seg in segments:
         totals[seg.core][seg.category] += seg.end - seg.start
     return totals
@@ -442,15 +361,37 @@ def timeline_block(
 ) -> Dict[str, object]:
     """The JSON ``timeline`` block: per-core and total cycle buckets.
 
-    Accumulated in the walk itself; no :class:`Segment` is built.
-    ``total_cycles`` is the run's length under ``machine``
-    (``executor.replay(machine).cycles``).
+    ``compute`` / ``stall`` / ``signal`` / ``transfer`` per core are the
+    accounting of the executor's schedule column of ``machine``
+    (scheduled first if the memo lacks it).  The rest is closed form:
+    every invocation that ran an iteration configures a thread on every
+    core and is collected on core 0, and the recorded clock outside
+    those invocations is core 0's ``sequential`` time.  ``total_cycles``
+    is the run's length under ``machine``
+    (``executor.replay(machine).cycles``).  Builds no :class:`Segment`.
     """
     machine = machine or executor.machine
-    per_core, total_cycles = _walk_run(executor, machine, None)
+    cores = machine.cores
+    columns = executor.schedule_columns(machine)
+    spans = [
+        t.end_cycles - t.start_cycles
+        for t in executor.traces
+        if t.iteration_count
+    ]
+    conf = machine.config_cycles_per_thread * max(cores - 1, 1)
+    per_core = [dict.fromkeys(CATEGORIES, 0) for _ in range(cores)]
+    for name, row in zip(CORE_FIELDS, columns.per_core[:, :cores].tolist()):
+        for totals, cycles in zip(per_core, row):
+            totals[name] = cycles
+    for totals in per_core:
+        totals["config"] = conf * len(spans)
+    per_core[0]["collect"] = (machine.signal_latency + cores - 1) * len(spans)
+    per_core[0]["sequential"] = executor.cycles - sum(spans)
     return {
-        "cores": machine.cores,
-        "total_cycles": total_cycles,
+        "cores": cores,
+        "total_cycles": executor.cycles
+        + int(columns.parallel_cycles.sum())
+        - int(columns.sequential_cycles.sum()),
         "per_core": [{"core": i, **row} for i, row in enumerate(per_core)],
         "totals": {
             category: sum(row[category] for row in per_core)

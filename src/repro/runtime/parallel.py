@@ -53,8 +53,10 @@ arrays end to end: the memo holds one
 :class:`~repro.runtime.sched.ScheduleColumns` per
 :meth:`~repro.runtime.machine.MachineConfig.fingerprint`, whole or
 absent, cycles and loop statistics are array sums over a per-loop index
-of the trace list, and :class:`ScheduleResult` objects exist only for
-callers of :meth:`~ParallelExecutor.schedules`.  What depends on the
+of the trace list, each column carries the walk's per-core accounting
+(what :func:`repro.obs.timeline.timeline_block` reports), and
+:class:`ScheduleResult` objects exist only for callers of
+:meth:`~ParallelExecutor.schedules`.  What depends on the
 trace list alone -- the distinct-invocation grouping and the per-loop
 index -- is computed once per list and dropped when :attr:`traces` is
 reassigned.
@@ -454,7 +456,7 @@ class ParallelExecutor(Interpreter):
         """The distinct-invocation grouping of :attr:`traces` (see
         :func:`~repro.runtime.sched.schedule_many`), computed once per
         trace list whoever asks first: a scheduling pass or the
-        simulated-time accounting of :mod:`repro.obs.timeline`."""
+        simulated-time segment walk of :mod:`repro.obs.timeline`."""
         if self._grouping is None:
             self._grouping = schedule_many(
                 self.traces, self._loops(), ()
@@ -571,20 +573,24 @@ class ParallelExecutor(Interpreter):
         ):
             return self._timed(machines)
 
-    def schedules(
+    def schedule_columns(
         self, machine: Optional[MachineConfig] = None
-    ) -> List[ScheduleResult]:
-        """The per-invocation schedule column for ``machine`` (default:
-        the executing machine), aligned with :attr:`traces`.
-
-        Memoized by machine fingerprint like :meth:`replay_many`; the
-        :class:`ScheduleResult` objects are built from the memoized
-        arrays on each call.
-        """
+    ) -> ScheduleColumns:
+        """The schedule column of ``machine`` (default: the executing
+        machine), aligned with :attr:`traces`, with its per-core
+        accounting; memoized by machine fingerprint like
+        :meth:`replay_many`, and scheduled first if missing."""
         if machine is None:
             machine = self.machine
         self._ensure_schedules([machine])
-        return self._schedules[machine.fingerprint()].results()
+        return self._schedules[machine.fingerprint()]
+
+    def schedules(
+        self, machine: Optional[MachineConfig] = None
+    ) -> List[ScheduleResult]:
+        """:meth:`schedule_columns` as :class:`ScheduleResult` objects,
+        built from the memoized arrays on each call."""
+        return self.schedule_columns(machine).results()
 
     def replay(self, machine: MachineConfig) -> ParallelRunResult:
         """Recompute the timing under a different machine from the stored

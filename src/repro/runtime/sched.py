@@ -1,8 +1,9 @@
 """Invocation schedulers: the compiled engine and its reference twin.
 
 :func:`schedule_compact` is the production scheduler.  It consumes the
-:class:`~repro.runtime.trace.TraceProgram` compiled once per trace and
-reconstructs the parallel schedule of one invocation under a
+:class:`~repro.runtime.trace.TraceProgram` of the trace's shape and the
+trace's own stamps, and reconstructs the parallel schedule of one
+invocation under a
 :class:`~repro.runtime.machine.MachineConfig`.  Because duplicate
 filtering, producer sets, word counts and wait/signal pairing were
 resolved at pack time, the per-machine walk touches only integers plus
@@ -11,7 +12,7 @@ the walk entirely:
 
 * **counted DOALL** (counted loop, no waits/signals/transfers at all):
   the finish time is ``conf + max per-core span sum``, computed by
-  slicing the precomputed span column;
+  slicing the trace's iteration stamps;
 * **single core, no prefetching**: every stalling wait completes
   exactly ``signal_latency`` after the thread reaches it (the
   predecessor's signal time can never exceed the successor's clock on
@@ -26,13 +27,23 @@ result out by index.  A shape whose ``distinct members x machines``
 reach :data:`_MIN_COHORT` runs through the numpy-vectorized
 :func:`_schedule_cohort` walk, whose vector axis is that product: one
 opcode pass advances every member under every machine of a prefetch-mode
-class, only the representative trace is compiled, and axes wider than
-:data:`_MAX_WIDTH` are walked in chunks.  Smaller shapes -- a few traces
-under one to three machines -- are scheduled per member and machine by
-:func:`schedule_compact`, with which every column is field-exact.
-Results are columnar (:class:`ScheduleColumns`: one int64 array per
-:class:`ScheduleResult` field); the objects are built only for callers
-that ask for them.
+class, and axes wider than :data:`_MAX_WIDTH` are walked in chunks.
+Smaller shapes -- a few traces under one to three machines -- are
+scheduled per member and machine by :func:`schedule_compact`, with which
+every column is field-exact.  Either way a shape's first trace is
+compiled and its program handed to the others.  Results are columnar
+(:class:`ScheduleColumns`: one int64 array per :class:`ScheduleResult`
+field); the objects are built only for callers that ask for them.
+
+Both engines also account the time per core as they walk: what each
+core of each machine spent computing, stalled, waiting for the control
+signal and forwarding data over the whole trace list
+(:attr:`ScheduleColumns.per_core`, the report's ``timeline`` block).
+Each core's clock runs from thread configuration through exactly those
+four, so one of them is always what is left of the clock: compute in
+the scalar engine, which keeps stalls per core; stall in the cohort
+walk, which has compute and forwarding in closed form per core
+count.
 
 :func:`schedule_invocation_reference` is the original per-event
 interpreter over the raw :class:`~repro.runtime.trace.InvocationTrace`.
@@ -54,6 +65,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.loopinfo import ParallelizedLoop
@@ -110,6 +123,13 @@ class ScheduleResult:
         }
 
 
+#: The per-core buckets of the schedulers' accounting
+#: (:attr:`ScheduleColumns.per_core`): the four
+#: :meth:`ScheduleResult.overhead_breakdown` buckets, under the names of
+#: the simulated-time timeline's categories.
+CORE_FIELDS = ("compute", "stall", "signal", "transfer")
+
+
 def _merge_segments(
     intervals: List[Tuple[int, int]], needs_sort: bool
 ) -> int:
@@ -132,21 +152,28 @@ def schedule_compact(
     trace: CompactInvocationTrace,
     loop: ParallelizedLoop,
     machine: MachineConfig,
+    per_core: Optional[List[List[int]]] = None,
+    times: int = 1,
 ) -> ScheduleResult:
     """Reconstruct the parallel schedule of one invocation (compiled).
 
     Field-exact with :func:`schedule_invocation_reference` on the
-    equivalent :class:`InvocationTrace`.
+    equivalent :class:`InvocationTrace`.  ``per_core``, when given, holds
+    one list per :data:`CORE_FIELDS` bucket, ``machine.cores`` long, and
+    the invocation's cycles in each bucket are added to it by the core
+    that spent them, ``times`` over (the batched scheduler passes the
+    occurrences of a distinct invocation).
     """
     seq = trace.end_cycles - trace.start_cycles
-    prog = trace.program
-    n = len(prog.spans)
+    it_start, it_end = trace.it_start, trace.it_end
+    n = len(it_start)
     if n == 0:
         # Zero-iteration invocation: the loop body never ran, so no
         # threads were configured and nothing needs collecting -- the
         # invocation costs exactly its sequential span.
         return ScheduleResult(parallel_cycles=seq, sequential_cycles=seq)
 
+    prog = trace.program
     cores = machine.cores
     latency = machine.signal_latency
     counted = loop.counted
@@ -154,6 +181,10 @@ def schedule_compact(
     # The main thread collects the exit variable and stops the parallel
     # threads once the last iteration retires.
     wind_down = latency + cores - 1
+    transfer = machine.word_transfer_cycles
+    # Section 2.3: without total store ordering every synchronizing load
+    # and store needs a memory barrier.
+    barrier = 0 if machine.total_store_ordering else machine.barrier_cycles
 
     signals = prog.signals if counted else prog.signals + prog.next_iters
     stats = ScheduleResult(
@@ -170,29 +201,28 @@ def schedule_compact(
     # counted loop ignores next_iter for timing, so every core just runs
     # its round-robin share of the spans back to back.
     if counted and prog.active_ops == 0:
-        spans = prog.spans
-        busy = max(sum(spans[c::cores]) for c in range(min(cores, n)))
-        stats.parallel_cycles = conf + busy + wind_down
-        stats.compute_cycles = prog.span_total  # barrier_events == 0 here
+        spans = [
+            sum(it_end[c::cores]) - sum(it_start[c::cores])
+            for c in range(min(cores, n))
+        ]
+        stats.parallel_cycles = conf + max(spans) + wind_down
+        stats.compute_cycles = sum(spans)
+        if per_core is not None:
+            computes = per_core[0]
+            for c, span in enumerate(spans):
+                computes[c] += span * times
         return stats
 
+    stats.transfer_cycles = prog.transfer_words * transfer
     fast = machine.prefetched_signal_latency
     mode = machine.effective_prefetch_mode
-    transfer = machine.word_transfer_cycles
-    # Section 2.3: without total store ordering every synchronizing load
-    # and store needs a memory barrier.
-    barrier = 0 if machine.total_store_ordering else machine.barrier_cycles
 
-    op_, a1_, a2_, at_ = prog.op, prog.a1, prog.a2, prog.at
+    op_, a1_, a2_ = prog.op, prog.a1, prog.a2
+    at_ = prog.stamps(trace)
     pre_, off, tail = prog.pre, prog.off, prog.tail
-    it_start, it_end = trace.it_start, trace.it_end
     has_next = prog.has_next
     slots = [0] * prog.slot_count
-    stall = 0
     seg = 0
-    sig = 0
-    stats.compute_cycles = prog.span_total + barrier * prog.barrier_events
-    stats.transfer_cycles = prog.transfer_words * transfer
 
     # Fast path: one core, no prefetching.  Iterations run back to back
     # on a single clock, so any predecessor signal time is <= the
@@ -200,6 +230,7 @@ def schedule_compact(
     # exactly ``latency`` later and the signal timetable is never needed.
     if cores == 1 and mode is PrefetchMode.NONE:
         t = conf
+        stall = 0
         # On one clock the predecessor's control signal is always in the
         # past, so every iteration start costs exactly one pull latency.
         if not counted and n > 1:
@@ -244,6 +275,15 @@ def schedule_compact(
         stats.parallel_cycles = t + wind_down
         stats.wait_stall_cycles = stall
         stats.segment_cycles = seg
+        # The clock ran from ``conf`` through the signal waits, compute,
+        # stalls and transfers of every iteration.
+        stats.compute_cycles = (
+            t - conf - stall - stats.signal_cycles - stats.transfer_cycles
+        )
+        if per_core is not None:
+            breakdown = stats.overhead_breakdown().values()
+            for into, cycles in zip(per_core, breakdown):
+                into[0] += cycles * times
         return stats
 
     # General walk.
@@ -259,6 +299,11 @@ def schedule_compact(
 
     core_free = [conf] * cores
     helper_free = [0] * cores
+    # Per core: cycles stalled, waiting for the control signal and
+    # forwarding data.  What else a core's clock advanced is compute.
+    stalls = [0] * cores
+    sigs = [0] * cores
+    moves = [0] * cores
     prev_sig: Dict[int, int] = {}
     prev_next: Optional[int] = None
     max_end = 0
@@ -311,7 +356,7 @@ def schedule_compact(
                     if done > alt:
                         alt = done
                     t = pull if pull < alt else alt
-            sig += t - started
+            sigs[core] += t - started
 
         cur_sig: Dict[int, int] = {}
         cur_next: Optional[int] = None
@@ -343,7 +388,7 @@ def schedule_compact(
                             alt = done
                         arrival = pull if pull < alt else alt
                 if arrival > t:
-                    stall += arrival - t
+                    stalls[core] += arrival - t
                     t = arrival
                 slots[a2_[j]] = t
             elif o == OP_WAIT:
@@ -359,6 +404,7 @@ def schedule_compact(
                         needs_sort = True
                     intervals.append((opened, t))
             elif o == OP_XFER:
+                moves[core] += a1_[j] * transfer
                 t += a1_[j] * transfer
             else:  # OP_NEXT
                 cur_next = t
@@ -375,9 +421,23 @@ def schedule_compact(
         prev_next = cur_next
 
     stats.parallel_cycles = max_end + wind_down
-    stats.wait_stall_cycles = stall
+    stats.wait_stall_cycles = sum(stalls)
     stats.segment_cycles = seg
-    stats.signal_cycles = sig
+    stats.signal_cycles = sum(sigs)
+    # A core's clock ran from ``conf`` through exactly its iterations'
+    # signal waits, compute, stalls and transfers.
+    computes = [
+        free - conf - stalled - signalled - moved
+        for free, stalled, signalled, moved in zip(
+            core_free, stalls, sigs, moves
+        )
+    ]
+    stats.compute_cycles = sum(computes)
+    if per_core is not None:
+        for into, cycles in zip(per_core, (computes, stalls, sigs, moves)):
+            for c, value in enumerate(cycles):
+                if value:
+                    into[c] += value * times
     return stats
 
 
@@ -403,7 +463,7 @@ def _resolve_agendas(
     never prefetched its dependence.
     """
     op_, a1_, off = prog.op, prog.a1, prog.off
-    n = len(prog.spans)
+    n = prog.iterations
     mt_pos = [-1] * len(op_)
     hx_pos = [-1] * len(op_)
     mt_entries: List[Tuple[int, ...]] = [()] * n
@@ -465,6 +525,10 @@ _MIN_COHORT = 12
 _MAX_WIDTH = 4096
 
 
+#: A :class:`ScheduleResult`'s fields as a tuple, in dataclass order.
+_FIELDS_OF = attrgetter(*ScheduleResult.__dataclass_fields__)
+
+
 class ScheduleColumns:
     """:class:`ScheduleResult` fields of many invocations, as arrays.
 
@@ -478,13 +542,22 @@ class ScheduleColumns:
     :class:`ScheduleResult` objects for whoever asks.  ``grouping`` is
     the distinct-invocation index :func:`schedule_many` worked from,
     kept by callers that schedule the same traces again.
+
+    ``per_core`` is the per-core accounting of the same walk: an int64
+    array ``(bucket, machine, core)`` over :data:`CORE_FIELDS`, or
+    ``(bucket, core)`` in one machine's column, holding the cycles each
+    core spent in each bucket over the whole trace list, every trace
+    counted (distinct invocations once per occurrence).  Summed over the
+    cores it is the sum of the bucket's field; cores past a machine's
+    count read 0.  Columns built :meth:`from_results` have none.
     """
 
     FIELDS = tuple(ScheduleResult.__dataclass_fields__)
 
-    def __init__(self, data, grouping=None) -> None:
+    def __init__(self, data, grouping=None, per_core=None) -> None:
         self.data = data
         self.grouping = grouping
+        self.per_core = per_core
 
     def __len__(self) -> int:
         """The number of invocations."""
@@ -503,16 +576,15 @@ class ScheduleColumns:
         """One machine's column from per-invocation results."""
         import numpy as np
 
-        return cls(
-            np.array(
-                [[getattr(r, name) for r in results] for name in cls.FIELDS],
-                dtype=np.int64,
-            )
-        )
+        rows = np.array(list(map(_FIELDS_OF, results)), dtype=np.int64)
+        return cls(rows.reshape(len(results), len(cls.FIELDS)).T)
 
     def column(self, mi: int) -> "ScheduleColumns":
         """The column of the ``mi``-th machine asked for."""
-        return ScheduleColumns(self.data[:, mi])
+        return ScheduleColumns(
+            self.data[:, mi],
+            per_core=None if self.per_core is None else self.per_core[:, mi],
+        )
 
     def results(self) -> List[ScheduleResult]:
         """One machine's column as :class:`ScheduleResult` objects."""
@@ -525,10 +597,11 @@ def trace_signature(trace: CompactInvocationTrace) -> bytes:
     :meth:`CompactInvocationTrace._compile` inspects only the event
     *kinds*, *dependences*, per-iteration slicing and ``xfer`` word
     counts -- never timestamps -- so two traces with equal signatures
-    compile to structurally identical :class:`TraceProgram`\\ s whose
-    ``at`` columns differ only in values.  :func:`schedule_many` groups
-    traces by this key and schedules each shape through one vectorized
-    walk over a single representative program.  Computed once per trace
+    compile to the same :class:`TraceProgram`: a program is one per
+    shape.  :func:`schedule_many` groups traces by this key, compiles
+    each shape's first trace, hands that program to the others, and
+    schedules the shape in one vectorized walk or one scalar walk per
+    member, each reading its trace's own stamps.  Computed once per trace
     and cached on it, which is why it is a 16-byte digest and not the
     columns themselves.
     """
@@ -544,10 +617,29 @@ def trace_signature(trace: CompactInvocationTrace) -> bytes:
     return signature
 
 
+@lru_cache(maxsize=256)
+def _iteration_cores(iterations: int, counts: Tuple[int, ...], top: int):
+    """Which core runs each iteration, as an int64 one-hot matrix:
+    row ``k * top + c`` selects the iterations core ``c`` runs when the
+    machine has ``counts[k]`` cores (iteration ``i`` on core
+    ``i % cores``; rows past a core count select nothing)."""
+    import numpy as np
+
+    of_core = np.arange(iterations) % np.array(counts)[:, None, None]
+    onehot = (
+        (of_core == np.arange(top)[:, None])
+        .reshape(len(counts) * top, iterations)
+        .astype(np.int64)
+    )
+    onehot.flags.writeable = False  # shared by every caller
+    return onehot
+
+
 def _schedule_cohort(
     traces: List[CompactInvocationTrace],
     loop: ParallelizedLoop,
     grid,
+    weights,
 ):
     """Schedule shape-identical traces under every machine in one walk.
 
@@ -567,16 +659,26 @@ def _schedule_cohort(
     plain row when the columns of a walk agree on it.  Axes wider than
     :data:`_MAX_WIDTH` are walked in chunks.
 
-    Only the representative trace is compiled; the others' ``at``
-    values are gathered from their raw event columns through the
+    Only the representative trace's program is read; every trace's own
+    stamps are gathered from its raw event columns through the
     program's ``raw`` index (see :func:`trace_signature` for why that
     is sound).
+
+    The per-core accounting weights each trace by ``weights`` (its
+    occurrences in the run) and sums the columns of each machine.  What
+    a core computes and forwards is a closed form per core count: its
+    iterations' spans, barriers and words.  What else its clock
+    advanced is control-signal wait -- kept per iteration for a
+    non-counted loop and reduced to the core that ran it -- and stall.
+    The clocks of every chunk are columns of one array, so this is read
+    off once per shape, not per chunk.
 
     ``grid`` holds the machines as :func:`schedule_many` tabulates
     them, one row per quantity the walk reads.  Returns the
     :class:`ScheduleColumns` ``data`` block of the cohort,
     ``data[f, mi, c]`` being field-exact with
-    ``schedule_compact(traces[c], loop, machines[mi])``.
+    ``schedule_compact(traces[c], loop, machines[mi])``, and the
+    cohort's ``per_core`` block ``(bucket, machine, core)``.
     """
     import numpy as np
 
@@ -586,10 +688,13 @@ def _schedule_cohort(
     wind_v = lat_v + cores_v - 1
     prog = traces[0].program
     cohort = len(traces)
-    n = len(prog.spans)
+    n = prog.iterations
     counted = loop.counted
     data = np.zeros(
         (len(ScheduleColumns.FIELDS), grid.shape[1], cohort), dtype=np.int64
+    )
+    per_core = np.zeros(
+        (len(CORE_FIELDS), grid.shape[1], int(cores_v.max())), dtype=np.int64
     )
     col = dict(zip(ScheduleColumns.FIELDS, data))
     seqs = np.array(
@@ -598,7 +703,7 @@ def _schedule_cohort(
     col["sequential_cycles"][:] = seqs
     if n == 0:
         col["parallel_cycles"][:] = seqs
-        return data
+        return data, per_core
 
     def stacked(name: str) -> "np.ndarray":
         return np.array(
@@ -618,19 +723,36 @@ def _schedule_cohort(
     )
     col["transfer_cycles"][:] = prog.transfer_words * xfr_v[:, None]
 
+    # What a core computes and forwards depends on the core count only:
+    # its iterations' spans, one barrier per recorded wait and signal,
+    # and the words its iterations receive.  Counted DOALL is then a
+    # closed form too: the busiest core's spans, shared across
+    # latency/prefetch sweeps exactly like the scalar engine's.
+    top_all = per_core.shape[2]
+    counts, of_count = np.unique(cores_v, return_inverse=True)
+    by_core = (
+        _iteration_cores(n, tuple(counts.tolist()), top_all)
+        @ np.column_stack(
+            [
+                sp.T,
+                np.frombuffer(prog.barriers, dtype=np.int64),
+                np.frombuffer(prog.words, dtype=np.int64),
+            ]
+        )
+    ).reshape(len(counts), top_all, cohort + 2)  # per core count
+    spans = by_core[:, :, :cohort]
+    occurrences = int(weights.sum())
+    per_core[0] = (spans @ weights)[of_count] + bar_v[:, None] * (
+        by_core[of_count, :, cohort] * occurrences
+    )
+    per_core[3] = xfr_v[:, None] * (
+        by_core[of_count, :, cohort + 1] * occurrences
+    )
     if counted and prog.active_ops == 0:
-        # Counted DOALL: the closed form vectorizes directly; the busy
-        # vector depends only on the core count, so it is shared across
-        # latency/prefetch sweeps exactly like the scalar engine's.
-        for cores in set(cores_v.tolist()):
-            busy = sp[:, 0::cores].sum(axis=1)
-            for c0 in range(1, min(cores, n)):
-                np.maximum(busy, sp[:, c0::cores].sum(axis=1), out=busy)
-            at_cores = cores_v == cores
-            col["parallel_cycles"][at_cores] = (
-                busy + (conf_v + wind_v)[at_cores, None]
-            )
-        return data
+        col["parallel_cycles"][:] = (
+            spans.max(axis=1)[of_count] + (conf_v + wind_v)[:, None]
+        )
+        return data, per_core
 
     op_, a1_, a2_, src_ = prog.op, prog.a1, prog.a2, prog.src
     pre_, off, tail_ = prog.pre, prog.off, prog.tail
@@ -657,6 +779,13 @@ def _schedule_cohort(
     else:
         et[:] = sp.T
 
+    # Every column's clock per core, and for a non-counted loop the
+    # control-signal waits of the iterations each core ran: columns in
+    # walk order, one block of ``cohort`` per machine in ``walked``.
+    clocks = np.empty((top_all, grid.shape[1] * cohort), dtype=np.int64)
+    signals = None if counted else np.zeros_like(clocks)
+    walked = []
+
     # Machines by what changes the walk's structure: the agenda flavour.
     modes = list(PrefetchMode)
     agendas = None
@@ -673,7 +802,12 @@ def _schedule_cohort(
                 if modes[code] is PrefetchMode.HELIX
                 else (mt_pos, mt_entries)
             )
+        # Machines of one core count take adjacent columns, so most
+        # chunks of a wide axis read plain clock rows.
         of_class = np.nonzero(mode_v == code)[0]
+        of_class = of_class[np.argsort(cores_v[of_class], kind="stable")]
+        base = len(walked) * cohort
+        walked += of_class.tolist()
         axis = len(of_class) * cohort
         for lo in range(0, axis, _MAX_WIDTH):
             columns = np.arange(lo, min(lo + _MAX_WIDTH, axis))
@@ -686,14 +820,16 @@ def _schedule_cohort(
             top = int(cores.max())
             one_count = top == int(cores.min())
             lanes = np.arange(width)
-            clk = np.empty((top, width), dtype=np.int64)
-            clk[:] = conf
+            chunk = slice(base + lo, base + lo + width)
+            clocks[:, chunk] = conf
+            clk = clocks[:top, chunk]
             hclk = np.zeros_like(clk) if do_helper else None
             evt = np.zeros((nops, width), dtype=np.int64)
             slots_t = np.zeros((prog.slot_count, width), dtype=np.int64)
             stall = np.zeros(width, dtype=np.int64)
+            # Each iteration's control-signal wait.
+            signalled = np.zeros((0 if counted else n, width), dtype=np.int64)
             seg = np.zeros(width, dtype=np.int64)
-            sigc = np.zeros(width, dtype=np.int64)
             prev_next = None
             cur_next = None
 
@@ -726,7 +862,7 @@ def _schedule_cohort(
                         )
                     else:
                         t = t + wait
-                    sigc += t - started
+                    signalled[i] = t - started
 
                 ivl = []
                 for j in range(off[i], off[i + 1]):
@@ -808,10 +944,31 @@ def _schedule_cohort(
             # Clocks only advance and start at ``conf``, which no end
             # precedes: the last end is the greatest entry of any row.
             col["parallel_cycles"][mi_, c_] = clk.max(axis=0) + wind_v[mi_]
-            col["wait_stall_cycles"][mi_, c_] = stall
             col["segment_cycles"][mi_, c_] = seg
-            col["signal_cycles"][mi_, c_] = sigc
-    return data
+            col["wait_stall_cycles"][mi_, c_] = stall
+            if not counted:
+                col["signal_cycles"][mi_, c_] = signalled.sum(axis=0)
+                # Each iteration's wait, on the core that ran it: one
+                # slice per core count of the chunk.
+                cuts = [0, *(np.flatnonzero(np.diff(cores)) + 1).tolist()]
+                for a, b in zip(cuts, cuts[1:] + [width]):
+                    count = int(cores[a])
+                    signals[:, chunk][:, a:b] = (
+                        _iteration_cores(n, (count,), top_all)
+                        @ signalled[:, a:b]
+                    )
+
+    # Per machine, weighted by occurrence: every clock ran from ``conf``
+    # through exactly its iterations' signal waits, compute, stalls and
+    # transfers.
+    walked = np.array(walked)
+    shape = (top_all, len(walked), cohort)
+    advanced = (clocks.reshape(shape) - conf_v[walked, None]) @ weights
+    per_core[1, walked] = advanced.T
+    if signals is not None:
+        per_core[2, walked] = (signals.reshape(shape) @ weights).T
+    per_core[1] -= per_core[0] + per_core[2] + per_core[3]
+    return data, per_core
 
 
 def schedule_many(
@@ -833,7 +990,11 @@ def schedule_many(
     scheduled once and fanned out by index.  A shape whose ``distinct
     members x machines`` reach :data:`_MIN_COHORT` runs through the
     vectorized :func:`_schedule_cohort` walk, a smaller one through
-    :func:`schedule_compact` per member and machine.
+    :func:`schedule_compact` per member and machine.  Either way only
+    the shape's first trace is compiled; the other members are handed
+    its program.  Both engines also fill the result's ``per_core``
+    accounting as they walk, each distinct invocation weighted by its
+    occurrences.
 
     The grouping depends on the traces only.  It is returned as
     ``.grouping`` of the result -- ``(shapes, first, index)``: the
@@ -873,8 +1034,17 @@ def schedule_many(
         (len(ScheduleColumns.FIELDS), len(machines), len(first)),
         dtype=np.int64,
     )
+    per_core = np.zeros(
+        (
+            len(CORE_FIELDS),
+            len(machines),
+            max((m.cores for m in machines), default=1),
+        ),
+        dtype=np.int64,
+    )
     if not machines:
-        return ScheduleColumns(data[:, :, index], grouping)
+        return ScheduleColumns(data[:, :, index], grouping, per_core)
+    occurrences = np.bincount(index, minlength=len(first))
     # The machines as the vector walk reads them: every field a value,
     # and last the agenda flavour, the one thing that selects code
     # (without a helper thread there is no agenda, and ``IDEAL`` is
@@ -897,17 +1067,32 @@ def schedule_many(
             )
         )
     grid = np.array(rows, dtype=np.int64).T
+    # The scalar engine's per-core accounting, per machine.
+    scalar = [[[0] * m.cores for _ in CORE_FIELDS] for m in machines]
     for members in shapes:
         cohort = [traces[first[distinct]] for distinct in members]
         loop = loops[first[members[0]]]
+        weights = occurrences[members]
+        program = cohort[0].program
+        for trace in cohort[1:]:
+            trace._program = program
         if len(members) * len(machines) < _MIN_COHORT:
+            occurring = weights.tolist()
             for mi, machine in enumerate(machines):
                 data[:, mi, members] = ScheduleColumns.from_results(
-                    [schedule_compact(tr, loop, machine) for tr in cohort]
+                    [
+                        schedule_compact(tr, loop, machine, scalar[mi], times)
+                        for tr, times in zip(cohort, occurring)
+                    ]
                 ).data
         else:
-            data[:, :, members] = _schedule_cohort(cohort, loop, grid)
-    return ScheduleColumns(data[:, :, index], grouping)
+            data[:, :, members], shape_per_core = _schedule_cohort(
+                cohort, loop, grid, weights
+            )
+            per_core += shape_per_core
+    for mi, machine in enumerate(machines):
+        per_core[:, mi, : machine.cores] += scalar[mi]
+    return ScheduleColumns(data[:, :, index], grouping, per_core)
 
 
 def schedule_invocation_reference(

@@ -31,9 +31,10 @@ the machine.  The recorded form is therefore a
 
 :func:`repro.runtime.sched.schedule_compact` consumes the program; the
 per-machine loop then touches only integers and small dicts of signal
-times.  :func:`repro.runtime.sched.schedule_many` compiles only one
-program per shape and gathers the other members' timestamps through the
-program's ``raw`` column.
+times.  A program holds no timestamp, so it is one per *shape*:
+:func:`repro.runtime.sched.schedule_many` compiles the first trace of
+each shape, hands its program to the others, and every scheduler reads
+a trace's own stamps through the program's ``raw`` column.
 
 Stamps inside an invocation (``it_start``/``it_end``/``ev_at``) are
 offsets from its ``start_cycles`` from the moment they are recorded, in
@@ -61,7 +62,8 @@ import base64
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.loopnest import LoopId
 from repro.obs.metrics import REGISTRY
@@ -124,10 +126,17 @@ class InvocationTrace:
 
 @dataclass
 class TraceProgram:
-    """Machine-independent compiled form of one invocation trace.
+    """Machine-independent compiled form of one trace *shape*.
 
-    Built once per trace by :meth:`CompactInvocationTrace.program`; the
-    compiled scheduler replays it once per machine.
+    Compilation reads only the event kinds, dependences, per-iteration
+    slicing and word counts of a trace, never a timestamp, so every
+    field here holds for every trace of the shape
+    (:func:`~repro.runtime.sched.trace_signature`).  Schedulers take a
+    trace's own stamps from its raw columns: ``ev_at`` through
+    :attr:`raw`, iteration spans from ``it_start`` / ``it_end``.
+    :func:`~repro.runtime.sched.schedule_many` compiles the first trace
+    of each shape and hands the program to the others
+    (:attr:`CompactInvocationTrace.program`).
     """
 
     #: Flat compiled event columns (parallel arrays, ``off`` slices them
@@ -144,16 +153,9 @@ class TraceProgram:
     #: read the predecessor's signal time from a per-op timetable column
     #: instead of rebuilding a dependence dict per iteration.
     src: array
-    #: Index of each kept op's source event in the raw ``ev_*`` columns.
-    #: Compilation decisions depend only on the event *shape* (kinds,
-    #: deps, per-iteration slicing, word counts), never on timestamps,
-    #: so traces with identical shapes share one program structure and
-    #: this column gathers their per-trace ``at`` values from the raw
-    #: ``ev_at`` column (the batched scheduler's zero-compile path, and
-    #: the simulated-time accounting of :mod:`repro.obs.timeline`).
+    #: Index of each kept op's source event in the raw ``ev_*`` columns:
+    #: what gathers a trace's own op stamps from its ``ev_at``.
     raw: array
-    #: Cycles from the start of the invocation to the event.
-    at: array
     #: Elided barrier-bearing events (duplicate waits/signals) between
     #: the previous kept event and this one; each costs one barrier on
     #: non-TSO machines.
@@ -163,8 +165,12 @@ class TraceProgram:
     #: Elided barrier-bearing events after the last kept event of each
     #: iteration.
     tail: array
-    #: Per-iteration sequential spans (``end - start``).
-    spans: array
+    #: Per iteration: the raw barrier-bearing events (every recorded
+    #: wait and signal, duplicates included) and the words forwarded.
+    #: With the trace's spans they fix what the iteration's core spends
+    #: computing and forwarding on any machine.
+    barriers: array
+    words: array
     #: Maximum segment slots used by any iteration.
     slot_count: int
     #: Per-iteration deduped wait agendas (all ``'w'`` deps in first-
@@ -180,13 +186,30 @@ class TraceProgram:
     #: Compiled ops excluding OP_NEXT: zero means the trace is a pure
     #: counted-DOALL candidate (no waits, signals or transfers at all).
     active_ops: int
-    #: Sum of all iteration spans (total sequential body cycles).
-    span_total: int
-    #: Raw barrier-bearing events (every recorded wait and signal,
-    #: duplicates included): each costs one barrier on non-TSO machines,
-    #: so ``span_total + barrier * barrier_events`` is the exact busy
-    #: compute time of the invocation on any machine.
+    #: ``sum(barriers)``: each costs one barrier on non-TSO machines, so
+    #: a trace's span total plus ``barrier * barrier_events`` is the
+    #: exact busy compute time of the invocation on any machine.
     barrier_events: int
+    #: ``itemgetter`` over :attr:`raw` (which takes two or more indices
+    #: to return a tuple).
+    _gather: Optional[Callable] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if len(self.raw) > 1:
+            self._gather = itemgetter(*self.raw)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.tail)
+
+    def stamps(self, trace: "CompactInvocationTrace") -> Sequence[int]:
+        """``trace``'s stamp of each op: its ``ev_at`` through
+        :attr:`raw`."""
+        if self._gather is None:
+            return [trace.ev_at[j] for j in self.raw]
+        return self._gather(trace.ev_at)
 
 
 @dataclass
@@ -201,8 +224,8 @@ class CompactInvocationTrace:
     reads differences only, and two invocations that ran alike at
     different points of the recorded clock hold byte-identical columns
     (what :func:`~repro.runtime.sched.schedule_many` keys distinct
-    invocations on).  The derived :class:`TraceProgram` and the shape
-    signature are built lazily and never stored.
+    invocations on).  The :class:`TraceProgram` of the trace's shape and
+    the shape signature are built lazily and never stored.
     """
 
     loop_id: LoopId
@@ -317,7 +340,9 @@ class CompactInvocationTrace:
 
     @property
     def program(self) -> TraceProgram:
-        """The compiled program (built once, cached on the trace)."""
+        """The program of this trace's shape: compiled from the trace on
+        first use unless a scheduler has handed it the program of an
+        earlier trace of the same shape, and cached on the trace."""
         if self._program is None:
             self._program = self._compile()
         return self._program
@@ -330,19 +355,19 @@ class CompactInvocationTrace:
         a2 = array("q")
         src = array("q")
         raw_ix = array("q")
-        at_out = array("q")
         pre = array("q")
         off = array("q", [0])
         tail = array("q")
-        spans = array("q")
+        barriers = array("q")
+        moved = array("q")
         agendas: List[Tuple[int, ...]] = []
         has_next: List[bool] = []
 
-        kinds, deps, ats = self.ev_kind, self.ev_dep, self.ev_at
+        kinds, deps = self.ev_kind, self.ev_dep
         ev_words = self.ev_words
         ev_off = self.ev_off
         waits = signals = next_iters = transfer_total = active = 0
-        raw_signals = span_total = 0
+        raw_signals = 0
         slot_count = 0
         #: dep -> flat op index of the iteration's kept OP_SIGNAL.
         prev_sig: Dict[int, int] = {}
@@ -363,6 +388,7 @@ class CompactInvocationTrace:
             nslot = 0
             seen_next = False
             pending = 0
+            barriers_before = waits + raw_signals
 
             for j in range(ev_off[i], ev_off[i + 1]):
                 kind = kinds[j]
@@ -383,7 +409,6 @@ class CompactInvocationTrace:
                     a2.append(nslot)
                     src.append(source)
                     raw_ix.append(j)
-                    at_out.append(ats[j])
                     pre.append(pending)
                     pending = 0
                     nslot += 1
@@ -400,7 +425,6 @@ class CompactInvocationTrace:
                     a2.append(open_slot.pop(dep, -1))
                     src.append(-1)
                     raw_ix.append(j)
-                    at_out.append(ats[j])
                     pre.append(pending)
                     pending = 0
                     active += 1
@@ -414,7 +438,6 @@ class CompactInvocationTrace:
                     a2.append(-1)
                     src.append(-1)
                     raw_ix.append(j)
-                    at_out.append(ats[j])
                     pre.append(pending)
                     pending = 0
                 elif kind == KIND_XFER:
@@ -426,7 +449,6 @@ class CompactInvocationTrace:
                         a2.append(-1)
                         src.append(-1)
                         raw_ix.append(j)
-                        at_out.append(ats[j])
                         pre.append(pending)
                         pending = 0
                         active += 1
@@ -434,14 +456,15 @@ class CompactInvocationTrace:
                 else:  # KIND_PRODUCE
                     produced.add(dep)
 
+            forwarded = 0
             for dep, ix in transferred.items():
                 a1[ix] = words[dep]
-                transfer_total += words[dep]
+                forwarded += words[dep]
+            transfer_total += forwarded
             off.append(len(op))
             tail.append(pending)
-            span = self.it_end[i] - self.it_start[i]
-            spans.append(span)
-            span_total += span
+            barriers.append(waits + raw_signals - barriers_before)
+            moved.append(forwarded)
             agendas.append(tuple(agenda))
             has_next.append(seen_next)
             if nslot > slot_count:
@@ -455,11 +478,11 @@ class CompactInvocationTrace:
             a2=a2,
             src=src,
             raw=raw_ix,
-            at=at_out,
             pre=pre,
             off=off,
             tail=tail,
-            spans=spans,
+            barriers=barriers,
+            words=moved,
             slot_count=slot_count,
             agendas=tuple(agendas),
             has_next=tuple(has_next),
@@ -468,7 +491,6 @@ class CompactInvocationTrace:
             next_iters=next_iters,
             transfer_words=transfer_total,
             active_ops=active,
-            span_total=span_total,
             barrier_events=waits + raw_signals,
         )
 

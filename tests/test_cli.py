@@ -200,3 +200,32 @@ def test_run_trace_flag(program_file, tmp_path, capsys):
     assert "frontend.lower" in names
     # The scoped tracer was uninstalled on the way out.
     assert get_tracer() is NULL_TRACER
+
+
+def test_import_loads_neither_networkx_nor_numpy():
+    """Every ``repro`` command pays for the modules ``import repro.cli``
+    loads: graphs are the in-repo ``DiGraph`` and numpy is imported
+    where arrays are built, so a fresh interpreter has neither."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; "
+            "print(sorted({'networkx', 'numpy'} & set(sys.modules)))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    assert loaded == "[]"

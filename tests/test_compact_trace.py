@@ -108,8 +108,16 @@ class TestPacking:
         assert prog.has_next == (True, True)
         # MATCHED agendas: ordered-unique wait deps of each iteration.
         assert prog.agendas == ((3,), (3, 7))
-        # Per-iteration sequential spans.
-        assert list(prog.spans) == [200, 400]
+        # Raw waits and signals, each a barrier on non-TSO machines.
+        assert prog.barrier_events == 8
+        assert prog.iterations == 2
+        # A program is one per shape: it keeps no stamp or span, and
+        # reads each trace's stamps through ``raw``.
+        assert not hasattr(prog, "at") and not hasattr(prog, "spans")
+        compact = CompactInvocationTrace.from_trace(_tricky_trace())
+        assert list(prog.stamps(compact)) == [
+            10, 80, 100, 220, 230, 260, 300, 320, 400,
+        ]
         assert prog.active_ops > 0
 
     def test_doall_program_has_no_active_ops(self):

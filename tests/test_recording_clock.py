@@ -110,9 +110,10 @@ def test_bench_numbers_equal_the_previous_clocks(bench, runner, table):
 
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_timeline_block_equals_the_per_trace_walk(bench, runner):
-    """The report's accounting places one member of each distinct
-    invocation and counts it once per occurrence; the segment walk
-    places every trace.  Same per-core buckets, same total."""
+    """The report's accounting is read off the per-core columns of the
+    schedule walk, which times each distinct invocation once and counts
+    it once per occurrence; the segment walk places every trace.  Same
+    per-core buckets, same total."""
     from repro.obs.timeline import core_totals, run_timeline, timeline_block
 
     executor = runner.helix_run(bench).executor
@@ -126,6 +127,43 @@ def test_timeline_block_equals_the_per_trace_walk(bench, runner):
             {"core": core, **row} for core, row in enumerate(rows)
         ]
         assert block["total_cycles"] == executor.replay(machine).cycles
+
+
+def test_a_restored_suite_compiles_one_program_per_shape(runner):
+    """Restoring each bench's recording from its stored form compiles the
+    first trace of every shape of ``invocation_groups()`` and nothing
+    else: 253 programs for the suite's 4,319 traces."""
+    from repro.obs import REGISTRY
+    from repro.runtime.interpreter import ExecutionResult
+    from repro.runtime.trace import pack_traces, unpack_traces
+
+    def compiled():
+        return REGISTRY.snapshot()["counters"].get(
+            "sched.programs_compiled", 0
+        )
+
+    shapes = traces = 0
+    for bench in benchmark_names():
+        recorded = runner.helix_run(bench).executor
+        stored = unpack_traces(pack_traces(recorded.traces))
+        restored = ParallelExecutor(
+            recorded.module, recorded.infos, recorded.machine
+        )
+        before = compiled()
+        restored.restore_run(
+            ExecutionResult(
+                output=recorded.output,
+                cycles=recorded.cycles,
+                instructions=recorded.instructions,
+            ),
+            stored,
+            recorded.load_count,
+        )
+        groups, _, _ = restored.invocation_groups()
+        assert compiled() - before == len(groups), bench
+        shapes += len(groups)
+        traces += len(stored)
+    assert (shapes, traces) == (253, 4319)
 
 
 @pytest.mark.parametrize("name", sorted(SOURCES))

@@ -386,9 +386,9 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     walked = []
     real = sched_mod._schedule_cohort
 
-    def counting(traces, loop, grid):
-        walked.append(len(traces))
-        return real(traces, loop, grid)
+    def counting(traces, loop, grid, weights):
+        walked.append((len(traces), weights.tolist()))
+        return real(traces, loop, grid, weights)
 
     monkeypatch.setattr(sched_mod, "_schedule_cohort", counting)
     restored = ParallelExecutor(transformed, infos, BASE)
@@ -400,7 +400,9 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     walked.clear()
     once = executor.replay_many(MACHINES)
     twice = restored.replay_many(MACHINES)
-    assert walked == [1, 1]  # one distinct invocation on either executor
+    # One distinct invocation on either executor, occurring twice in the
+    # second run.
+    assert walked == [(1, [1]), (1, [2])]
     shapes, first, index = restored.invocation_groups()
     assert (shapes, first, index.tolist()) == ([[0]], [0], [0, 0])
     for machine, single, double in zip(MACHINES, once, twice):
@@ -411,6 +413,10 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
         assert two.invocations == 2 and two.iterations == 2 * one.iterations
         assert two.parallel_cycles == 2 * one.parallel_cycles
         assert two.loads == trace.loads + later.loads == 2 * one.loads + 40
+        assert (
+            restored.schedule_columns(machine).per_core
+            == 2 * executor.schedule_columns(machine).per_core
+        ).all()
 
 
 def test_out_of_order_intervals_are_fixed_up_off_the_first_column():

@@ -1,9 +1,8 @@
 """Tests for Step 6: signal minimization and Theorem 1."""
 
-import networkx as nx
-
 from repro.analysis.cfg import CFGView
 from repro.analysis.dependence import DependenceAnalysis
+from repro.analysis.digraph import DiGraph
 from repro.analysis.loops import find_loops
 from repro.core.segments import insert_synchronization
 from repro.core.signals import (
@@ -43,7 +42,7 @@ void main() {
 
 class TestTheorem1:
     def test_keep_sources_and_one_per_cycle(self):
-        graph = nx.DiGraph()
+        graph = DiGraph()
         # d0 covers d1, and d2/d3 form a cycle.
         graph.add_edge(0, 1)
         graph.add_edge(2, 3)
@@ -54,12 +53,12 @@ class TestTheorem1:
         assert len(keep & {2, 3}) == 1
 
     def test_isolated_nodes_kept(self):
-        graph = nx.DiGraph()
+        graph = DiGraph()
         graph.add_node(5)
         assert apply_theorem1(graph) == {5}
 
     def test_chain_keeps_only_root(self):
-        graph = nx.DiGraph()
+        graph = DiGraph()
         graph.add_edge(0, 1)
         graph.add_edge(1, 2)
         assert apply_theorem1(graph) == {0}
@@ -73,7 +72,7 @@ class TestRedundanceGraph:
         graph = build_redundance_graph(func, loop, cfg, syncs)
         # The three accumulators share one region; at least two of them
         # must be redundant due to another.
-        assert graph.number_of_edges() >= 2
+        assert len(graph.edges) >= 2
 
 
 class TestOptimizeSignals:

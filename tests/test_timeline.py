@@ -5,9 +5,10 @@ the scheduler's placement, so on the full sched-differential grid
 (every source shape x every machine) their category totals must equal
 the :class:`ScheduleResult` aggregates *exactly*, segments on one core
 must never overlap, and the busy+idle accounting must close to
-``parallel_cycles * cores``.  The walk has two consumers -- the
-segment list of ``run_timeline`` and the accumulated ``timeline_block``
--- and they must agree with each other on the same grid.
+``parallel_cycles * cores``.  The segment walk is then the oracle of
+``timeline_block``, which reads the per-core accounting the scheduler
+left on its columns: the two must agree per core on every engine path
+of the scheduler.
 """
 
 import dataclasses
@@ -33,7 +34,13 @@ from repro.runtime.trace import (
     pack_traces,
     unpack_traces,
 )
-from tests.test_sched_differential import BASE, MACHINES, SOURCES, _prepare
+from tests.test_sched_differential import (
+    BASE,
+    MACHINES,
+    MIXED_GRID,
+    SOURCES,
+    _prepare,
+)
 
 
 def _assert_no_overlap(segments):
@@ -145,8 +152,9 @@ def test_timeline_block_aggregates(name):
 
 
 def _assert_consumers_agree(executor, machine):
-    """``timeline_block`` (totals accumulated in the walk) against
-    ``run_timeline`` (segments from the same walk) and the scheduler."""
+    """``timeline_block`` (the scheduler's per-core accounting) against
+    ``run_timeline`` (segments placed one by one) and the scheduler's
+    aggregates."""
     block = timeline_block(executor, machine)
     rows = core_totals(run_timeline(executor, machine), machine.cores)
     assert block["per_core"] == [
@@ -196,13 +204,12 @@ def test_block_equals_segment_totals_on_the_grid(name):
         _assert_consumers_agree(executor, machine)
     if name == "cohort_mix":
         # The scheduler compiled one program for the whole shape group
-        # and the walk placed every member through it, reading the
-        # member's own timestamps through its ``raw`` index; the
-        # schedules compared against above came from the batched engine,
-        # the segments of the first test from per-trace programs.  The
+        # and the segment walk placed every member through it, reading
+        # the member's own timestamps through its ``raw`` index.  The
         # members ran alike at different points of the recorded clock
         # (stamps are offsets from the start of the invocation), so the
-        # block placed one of them for all.
+        # scheduler walked one of them and the block counted it once per
+        # occurrence.
         groups = {}
         for trace in executor.traces:
             groups.setdefault(trace_signature(trace), []).append(trace)
@@ -214,18 +221,33 @@ def test_block_equals_segment_totals_on_the_grid(name):
         )
 
 
-def test_walk_reads_gaps_off_the_recording_not_off_a_column():
-    """The walk takes the sequential gaps from the traces' own stamps
-    in the recorded clock: it asks for no schedule column, the
-    executing machine's included, and its totals still equal the
-    scheduler's aggregates."""
+def test_walk_reads_gaps_off_the_recording_not_off_a_column(monkeypatch):
+    """The segment walk takes the sequential gaps from the traces' own
+    stamps in the recorded clock and asks for no schedule column, the
+    executing machine's included.  The block reads the column of its
+    machine, scheduling it once when the memo lacks it and never
+    again."""
+    import repro.runtime.parallel as parallel_mod
+
     executor = _restored_with_empty_invocation("cohort_mix")
     machine = MACHINES[-1]
     assert machine != executor.machine
     executor._schedules.clear()
-    block = timeline_block(executor, machine)
     segments = run_timeline(executor, machine)
     assert not executor._schedules
+
+    scheduled = []
+    real = parallel_mod.schedule_many
+
+    def counting(traces, loops, machines, grouping=None):
+        scheduled.append([m.fingerprint() for m in machines])
+        return real(traces, loops, machines, grouping)
+
+    monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+    block = timeline_block(executor, machine)
+    assert scheduled == [[machine.fingerprint()]]
+    assert timeline_block(executor, machine) == block
+    assert len(scheduled) == 1
     gaps = executor.cycles - sum(
         t.end_cycles - t.start_cycles
         for t in executor.traces
@@ -235,6 +257,79 @@ def test_walk_reads_gaps_off_the_recording_not_off_a_column():
     assert max(seg.end for seg in segments) == block["total_cycles"]
     assert _assert_consumers_agree(executor, machine) == block
     assert set(executor._schedules) == {machine.fingerprint()}
+
+
+#: Routings of ``schedule_many`` by the internal constants that force
+#: them (``_MIN_COHORT``, ``_MAX_WIDTH``; ``None`` keeps the default):
+#: the scalar engine for every shape, the vector walk for every shape in
+#: one piece, and the vector walk cut every three columns, so every
+#: shape's axis is wider than a chunk and chunks begin and end inside a
+#: machine's columns and between core counts.
+ENGINES = {
+    "scalar": (1 << 30, None),
+    "vector": (1, None),
+    "vector-chunked": (1, 3),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_block_equals_segment_totals_on_every_engine_path(
+    name, engine, monkeypatch
+):
+    """The per-core accounting is filled in by whichever engine walked a
+    shape -- the scalar engine with its counted-DOALL and one-core
+    fast paths, or the cohort walk's chunk reduction -- and must equal
+    the segment walk's per-core totals for every machine of the mixed
+    grid, scheduled in one ``schedule_many`` call: core counts 1 to 8,
+    all four prefetch modes, non-TSO barriers, with each distinct
+    invocation weighted by its occurrences."""
+    import repro.runtime.parallel as parallel_mod
+    import repro.runtime.sched as sched_mod
+
+    min_cohort, max_width = ENGINES[engine]
+    monkeypatch.setattr(sched_mod, "_MIN_COHORT", min_cohort)
+    if max_width is not None:
+        monkeypatch.setattr(sched_mod, "_MAX_WIDTH", max_width)
+    executor = _restored_with_empty_invocation(name)
+    calls = []
+    real = parallel_mod.schedule_many
+
+    def counting(traces, loops, machines, grouping=None):
+        calls.append(len(machines))
+        return real(traces, loops, machines, grouping)
+
+    monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+    missing = {m.fingerprint() for m in MIXED_GRID} - set(executor._schedules)
+    executor.replay_many(MIXED_GRID)
+    assert calls == [len(missing)]
+    assert {m.cores for m in MIXED_GRID} == set(range(1, 9))
+    for machine in MIXED_GRID:
+        _assert_consumers_agree(executor, machine)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_a_restore_compiles_one_program_per_shape(name):
+    """Restoring a run compiles the first trace of each shape and hands
+    its program to the others; the report's accounting and the segment
+    walk compile nothing more."""
+    from repro.obs import REGISTRY
+
+    def compiled():
+        return REGISTRY.snapshot()["counters"].get(
+            "sched.programs_compiled", 0
+        )
+
+    _prepare(name)
+    before = compiled()
+    executor = _restored_with_empty_invocation(name)
+    shapes, _, _ = executor.invocation_groups()
+    assert compiled() - before == len(shapes)
+    for machine in (executor.machine, MACHINES[0], MACHINES[-1]):
+        timeline_block(executor, machine)
+        run_timeline(executor, machine)
+    assert compiled() - before == len(shapes)
 
 
 def test_block_of_a_run_without_traces():
