@@ -43,9 +43,15 @@ class CallGraph:
         return self.graph.descendants(func_name)
 
     def is_recursive(self, func_name: str) -> bool:
-        """Whether ``func_name`` calls itself.  Only a direct self-call
-        counts: mutual recursion reads as not recursive."""
-        return self.graph.has_edge(func_name, func_name)
+        """Whether ``func_name`` can call itself: directly, or through
+        any chain of callees (mutual recursion)."""
+        if func_name not in self.graph:
+            return False
+        callers = self.graph.ancestors(func_name)
+        return any(
+            callee == func_name or callee in callers
+            for callee in self.graph.successors(func_name)
+        )
 
     def functions_called_from(self, instructions: List[Instruction]) -> Set[str]:
         """Functions transitively callable from the given instructions."""

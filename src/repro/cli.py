@@ -9,14 +9,11 @@ Commands:
   hit/miss/invalidation table.
 * ``ir FILE.mc``             -- dump the compiled IR.
 * ``bench NAME``             -- run one of the 13 suite benchmarks.
-* ``bench-interp``           -- time the tree-walking, pre-decoded and
-  superblock code-generated interpreter backends (cold and warm lanes,
-  plus an instrumented *hooked* lane) and write ``BENCH_interp.json``;
-  ``--quick`` restricts to a small CI-friendly subset, ``--min-speedup
-  X`` fails the run if any program's speedup drops below ``X``,
-  ``--min-geomean-speedup X`` gates the aggregate and
-  ``--min-hooked-speedup X`` gates the hooked lane's geomean over the
-  hooked decoded variant.
+* ``bench-interp``           -- time the tree-walking and superblock
+  code-generated interpreter tiers (cold and warm lanes) and write
+  ``BENCH_interp.json``; ``--quick`` restricts to a small CI-friendly
+  subset, ``--min-speedup X`` fails the run if any program's speedup
+  drops below ``X`` and ``--min-geomean-speedup X`` gates the aggregate.
 * ``bench-passes``           -- time cold benchmark pipelines with the
   versioned analysis cache against recompute-every-request and write
   ``BENCH_passes.json``.
@@ -266,12 +263,6 @@ def cmd_bench_interp(args) -> int:
         return 1
     if not _gate(
         report.geomean_speedup, args.min_geomean_speedup, "geomean speedup"
-    ):
-        return 1
-    if not _gate(
-        report.hooked_geomean_speedup,
-        args.min_hooked_speedup,
-        "hooked geomean speedup",
     ):
         return 1
     return 0
@@ -688,7 +679,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "bench-interp",
-        help="time tree vs decoded vs superblock interpreter backends",
+        help="time the tree walker vs the superblock interpreter tier",
     )
     p.add_argument(
         "--quick",
@@ -733,14 +724,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="X",
         help="exit nonzero if the geomean superblock speedup is below X",
-    )
-    p.add_argument(
-        "--min-hooked-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit nonzero if the geomean hooked-superblock speedup over "
-        "the hooked decoded variant is below X",
     )
     p.add_argument(
         "--results-dir", default=None, metavar="DIR", help=results_help

@@ -251,7 +251,6 @@ class EvaluationRunner:
         self,
         machine: Optional[MachineConfig] = None,
         cache: Optional[EvaluationCache] = None,
-        interp_backend: str = "auto",
         artifacts: Optional[ArtifactStore] = None,
         observer: Optional[EvaluationObserver] = None,
     ) -> None:
@@ -265,10 +264,6 @@ class EvaluationRunner:
         #: artifact traffic stream through it.  Rebindable -- the
         #: orchestrator points it at a job-bound observer per attempt.
         self.observer: EvaluationObserver = observer or NULL_OBSERVER
-        #: Interpreter backend for every interpretation stage ("auto",
-        #: "superblock", "decoded" or "tree"); cache keys are backend-
-        #: independent because every backend produces identical results.
-        self.interp_backend = interp_backend
         self.stats = StageStats()
         #: Versioned analysis cache shared by every selection and
         #: transformation this runner performs; its per-analysis
@@ -347,10 +342,7 @@ class EvaluationRunner:
                 outcome = "disk"
             else:
                 data = profile_module(
-                    train,
-                    self.machine,
-                    backend=self.interp_backend,
-                    codegen_cache=self.artifacts,
+                    train, self.machine, codegen_cache=self.artifacts
                 )
                 self._store(bench, "profile", disk_key, data.to_dict())
                 outcome = "compute"
@@ -385,7 +377,6 @@ class EvaluationRunner:
                 result = run_module(
                     ref,
                     self.machine,
-                    backend=self.interp_backend,
                     block_profile=profile.block_counts if profile else None,
                     codegen_cache=self.artifacts,
                 )
@@ -483,7 +474,7 @@ class EvaluationRunner:
         # (``ParallelizedLoop.origin``).
         profile = self._profiles.get(bench)
         executor = ParallelExecutor(
-            transformed, infos, machine, backend=self.interp_backend,
+            transformed, infos, machine,
             schedule_memo=self.artifacts.schedule_memo(),
             block_profile=profile.block_counts if profile else None,
             codegen_cache=self.artifacts,

@@ -8,12 +8,12 @@ summarised with one snapshot:
   from :class:`repro.evaluation.runner.StageStats`.
 * ``analysis.<name>.{hits,misses,invalidations}`` -- mirrored from
   :class:`repro.analysis.manager.AnalysisManager`.
-* ``interp.backend.{tree,hooked,decoded,superblock}`` -- interpreter
+* ``interp.backend.{tree,superblock,hooked_superblock}`` -- interpreter
   backend selections, counted once per ``run()``.
 * ``interp.superblock.{formed,blocks_fused,fallbacks}`` -- superblock
-  formation totals and per-instruction fallback activations from
+  formation totals and fallback activations from
   :mod:`repro.runtime.codegen` (a fallback means a budget could expire
-  inside a fused region, so the region re-ran on the decoded tier).
+  inside a fused region, so the tree walker finished the activation).
 * ``interp.superblock.hooked`` -- hooked-tier functions made available
   (compiled or replayed from the artifact cache), and beside it
   ``interp.codegen.{hook_sites,hook_sites_elided}`` -- the block

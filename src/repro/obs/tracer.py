@@ -12,8 +12,8 @@ and pay nothing measurable when tracing is off: :func:`get_tracer`
 returns the shared :data:`NULL_TRACER` whose ``span`` hands back one
 reusable no-op context manager (no allocation, no clock read).  The
 ``bench-sched`` harness guards this with a measured per-span budget and
-the hot loops (decoded interpreter, ``schedule_compact`` and the cohort
-walk behind ``schedule_many``) carry no tracer calls at all -- enforced
+the hot loops (``schedule_compact`` and the cohort walk behind
+``schedule_many``) carry no tracer calls at all -- enforced
 structurally by ``tests/test_obs.py``.
 
 A recording :class:`Tracer` stamps spans with a monotonic clock

@@ -1,10 +1,14 @@
-"""Superblock-fused, code-generated interpreter backend (tier 3).
+"""Superblock-fused, code-generated interpreter backend.
 
-The decoded backend (:mod:`repro.runtime.precompile`, tier 2) removed
-per-instruction dispatch and operand classification, but still pays one
-Python closure call per dynamic instruction plus a ``for eff in
-effects`` loop per block.  This module removes those too:
+The tree walker (:class:`~repro.runtime.interpreter.Interpreter`) pays,
+on every dynamic instruction, for opcode dispatch, operand
+classification, a register ``dict`` and a cost-model lookup.  None of
+that depends on runtime values, so this module hoists all of it into
+Python source generated once per function:
 
+* **Slot allocation** -- every VReg of the function gets a dense index
+  (:func:`allocate_slots`) into the activation's slot list
+  (:class:`SlotFrame`), which the generated code holds in locals.
 * **Superblock formation** -- basic blocks are grouped into maximal
   single-entry chains (superblocks).  A successor is fused into the
   chain when it is the sole target of the chain's current terminator
@@ -21,7 +25,7 @@ effects`` loop per block.  This module removes those too:
   ``Interpreter``): an integer-state dispatch loop whose arms are the
   chains, so a chain transition is an in-function jump (``st = k``)
   rather than a call back through a Python driver.  Registers are
-  promoted to function-wide Python locals over the tier-2 slot file --
+  promoted to function-wide Python locals over the slot file --
   materialized once per activation and carried across chain
   transitions without flush or reload -- constants are folded into the
   source, arithmetic and compare handlers are inlined (with the
@@ -41,17 +45,16 @@ effects`` loop per block.  This module removes those too:
   ``exec_xfer`` at segment boundaries, ``count_loads`` becomes a static
   per-segment ``load_count`` increment, and ``on_block_entry`` is
   called -- with the same arguments, order and exact ``cycles`` as the
-  decoded hooked variant -- on the block-to-block edges the
-  interpreter watches.  ``Interpreter.watched_edges(func)`` declares
-  that set: ``None`` (the default) is every edge, a frozenset of
-  ``(prev, target)`` pairs leaves the hook call and the segment close
-  only where the observer acts, and every other boundary fuses exactly
-  as in the uninstrumented tier, which is simply the emitter with an
-  empty watched set (:meth:`_ChainEmitter.observed` is the one
-  predicate).  The declaration binds generated code only: the tree
-  walker, the decoded tier and the budget fallback below announce
-  every entry, so a declaring hook keeps treating undeclared edges as
-  no-ops.  An
+  tree walker -- on the block-to-block edges the interpreter watches.
+  ``Interpreter.watched_edges(func)`` declares that set: ``None`` (the
+  default) is every edge, a frozenset of ``(prev, target)`` pairs
+  leaves the hook call and the segment close only where the observer
+  acts, and every other boundary fuses exactly as in the
+  uninstrumented tier, which is simply the emitter with an empty
+  watched set (:meth:`_ChainEmitter.observed` is the one predicate).
+  The declaration binds generated code only: the tree walker, which
+  also runs the budget fallback below, announces every entry, so a
+  declaring hook keeps treating undeclared edges as no-ops.  An
   observer that still needs every entry *counted* sets
   ``count_unwatched``: unobserved boundaries then bump a per-block
   cell of ``interp.unwatched_entries``, statically, like loads.
@@ -65,18 +68,10 @@ effects`` loop per block.  This module removes those too:
   ``return``, in the over-budget handler, and before a ``RuntimeFault``
   the function raises itself.  An exception *arriving* from a callee or
   a hook passes through with nothing written: whoever raised it wrote
-  its own clock last, and the caller's locals are older.  The one
-  observer for which locals buy nothing is the one that declares
-  nothing (``watched_edges`` is ``None``): it is called at every block
-  boundary, every segment ends in a call that must find the clock on
-  the interpreter, and a write-back plus a reload per block costs more
-  than charging the attributes did.  For it the same emitter names the
-  attributes where it would name the locals and the two moving lines
-  are ``pass``.  Hooks
-  receive the tier-2 :class:`~repro.runtime.precompile.DecodedFrame`
-  and must not inspect register state (true of every in-tree
-  consumer); listener-bearing interpreters still demote to the decoded
-  hooked variant.
+  its own clock last, and the caller's locals are older.  Hooks
+  receive the activation's :class:`SlotFrame` and must not inspect
+  register state (true of every in-tree consumer); listener-bearing
+  interpreters run on the tree walker.
 * **Exactness fallback** -- output, cycle and instruction counts,
   ``RuntimeFault`` messages and ``ExecutionLimitExceeded`` behavior are
   bit-identical to the tree-walker.  Each dispatch arm only runs when
@@ -84,22 +79,19 @@ effects`` loop per block.  This module removes those too:
   on arm entry; loop-shaped chains re-check on every back edge), and
   after every CALL (which consumes budget in the callee) the generated
   code re-checks the rest of the chain in place.  A failed check is
-  one statement, ``raise __OB(block, segment)``: the dispatch loop
+  one statement, ``raise __OB(block, index)``: the dispatch loop
   runs inside a ``try`` (free until something is raised) whose single
   handler writes the register locals back to the slot file -- the one
   write-back of the function, whatever the number of checks -- and
-  returns the ``(block name, segment index)`` anchor, at which the
-  driver resumes tier-2 via
-  :func:`repro.runtime.precompile.finish_decoded` (or
-  :func:`~repro.runtime.precompile.finish_hooked` in the hooked tier):
-  the chain's head for the entry and back-edge checks, the aligned
-  segment boundary after a CALL -- tier-2 segments split after every
-  CALL, plus every sync/xfer opcode in the hooked variant, so the
-  anchors line up -- whose per-instruction slow path fires the limit at
-  precisely the same dynamic instruction as the walker.  The tier-2
-  fallback blocks are decoded *lazily*, on the first activation that
-  actually falls back, so a cold tier-3 compile never pays for a
-  decode.
+  returns the ``(block name, instruction index)`` anchor: 0, the
+  chain's head, for the entry and back-edge checks, the instruction
+  after the CALL for a post-call check.  :func:`execute_superblocks`
+  copies the defined slots into ``frame.regs`` once and the tree walker
+  finishes the activation from the anchor on the same frame object
+  (observers such as :class:`~repro.runtime.parallel.ParallelExecutor`
+  recognize an activation by its frame), charging instruction by
+  instruction, so the limit fires at precisely the walker's dynamic
+  instruction.
 
 **Artifact caching**: when the owning interpreter carries a
 ``codegen_cache`` (any object with ``load(kind, key)`` / ``store(kind,
@@ -116,15 +108,15 @@ re-binds the stored namespace manifest against the live interpreter
 and skips formation, rendering *and* ``compile()``
 (bytecode is reused when the Python ``cache_tag`` matches, else the
 cached source is recompiled).  ``repro serve`` job resubmissions and
-warm suite re-runs therefore skip decode+codegen entirely, and
+warm suite re-runs therefore skip codegen entirely, and
 ``suite --jobs N`` shards cold compiles across workers through the
 shared store.
 
-Assumptions baked into the generated source (shared with tier 2):
-global regions are reset *in place* (their backing lists -- and hence
-their lengths -- are stable across runs), so bounds checks against
-known globals embed the region size as a literal.  The only tolerated
-divergence from the walker, as in tier 2: after a non-limit
+Assumptions baked into the generated source: global regions are reset
+*in place* (their backing lists -- and hence their lengths -- are
+stable across runs), so bounds checks against known globals embed the
+region size as a literal.  The only tolerated divergence from the
+walker: after a non-limit
 ``RuntimeFault`` aborts a run mid-segment, the dead interpreter's
 counters (including ``load_count``) may include instructions from the
 faulting segment that never executed (no result object is produced on
@@ -173,21 +165,12 @@ from repro.ir.types import Type
 from repro.obs.metrics import REGISTRY
 from repro.runtime.interpreter import (
     _BINARY_HANDLERS,
+    _UNARY_HANDLERS,
     Pointer,
     RuntimeFault,
     _arith_div,
     _arith_mod,
     format_value,
-)
-from repro.runtime.precompile import (
-    _UNDEF,
-    _ftoi,
-    _neg,
-    _not,
-    _undef,
-    allocate_slots,
-    finish_decoded,
-    finish_hooked,
 )
 
 _INF = float("inf")
@@ -198,7 +181,7 @@ MAX_CHAIN_BLOCKS = 64
 #: Version of the generated-code layout and namespace manifest.  Bump on
 #: ANY change to emitted source shape, bind kinds or driver protocol:
 #: it is the only guard between old cached artifacts and new code.
-CODEGEN_VERSION = 6
+CODEGEN_VERSION = 7
 
 #: Artifact-store kind for cached generated code.
 CODEGEN_KIND = "codegen"
@@ -223,14 +206,74 @@ _CMP_OPS = {
 }
 _ARITH_OPS = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
 _BIT_OPS = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
-_UNARY_FOLDS = {
-    Opcode.NEG: _neg,
-    Opcode.NOT: _not,
-    Opcode.ITOF: float,
-    Opcode.FTOI: _ftoi,
-}
 _SYNC_OPS = (Opcode.WAIT, Opcode.SIGNAL, Opcode.NEXT_ITER, Opcode.XFER)
 _LOAD_OPS = (Opcode.LOADG, Opcode.LOADP)
+
+
+class _Undefined:
+    """Sentinel filling unwritten register slots."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return "<undef>"
+
+
+_UNDEF = _Undefined()
+
+
+def _undef(operand: VReg, func_name: str) -> None:
+    """Raise the tree-walker's undefined-register fault."""
+    raise RuntimeFault(f"use of undefined register {operand} in {func_name}")
+
+
+class SlotFrame:
+    """One activation of generated code: slot file + local arrays.
+
+    ``regs`` is the tree walker's register file; it exists only once
+    the activation falls back to the walker, filled from ``slots``.
+    """
+
+    __slots__ = ("func", "slots", "local_mem", "ret", "regs")
+
+    def __init__(self, func: Function, nslots: int) -> None:
+        self.func = func
+        self.slots: List[object] = [_UNDEF] * nslots
+        self.local_mem: Dict[str, List] = {}
+        self.ret: object = None
+
+    def local_region(self, symbol: Symbol) -> List:
+        store = self.local_mem.get(symbol.name)
+        if store is None:
+            zero = 0.0 if symbol.elem_type is Type.FLOAT else 0
+            store = [zero] * symbol.size
+            self.local_mem[symbol.name] = store
+        return store
+
+
+def allocate_slots(func: Function) -> Dict[int, int]:
+    """Deterministic VReg uid -> dense frame-slot index map for ``func``.
+
+    Parameters first, then destinations and arguments in block order,
+    so the map can be recomputed from the IR alone when a cached codegen
+    artifact is instantiated.
+    """
+    slot_map: Dict[int, int] = {}
+
+    def slot(reg: VReg) -> None:
+        if reg.uid not in slot_map:
+            slot_map[reg.uid] = len(slot_map)
+
+    for param in func.params:
+        slot(param)
+    for block in func.blocks.values():
+        for instr in block.instructions:
+            if instr.dest is not None:
+                slot(instr.dest)
+            for arg in instr.args:
+                if isinstance(arg, VReg):
+                    slot(arg)
+    return slot_map
 
 
 def _wrap(expr: str) -> str:
@@ -380,7 +423,7 @@ def _must_defined(
 
 class _HookSpec(NamedTuple):
     """What one compile observes: the normalized form of the hook flags
-    that the artifact key, the emitter and the fallback decode share."""
+    that the artifact key and the emitter share."""
 
     #: Sync/xfer ops route through ``exec_sync`` / ``exec_xfer``.
     hooked: bool
@@ -425,36 +468,6 @@ class Superblock:
         return f"<superblock {'+'.join(self.chain)}>"
 
 
-class _LazyDecode:
-    """Tier-2 fallback blocks for one compiled function, decoded only on
-    the first activation that actually needs the exactness fallback --
-    so a cold tier-3 compile (or a warm artifact hit) never decodes.
-
-    Callable: ``lazy(block_name) -> DecodedBlock`` of the variant whose
-    segment boundaries align with the generated code's anchors (fast
-    for the uninstrumented tier, hooked with the pinned ``count_loads``
-    flag for the hooked tier).
-    """
-
-    __slots__ = ("interp", "func", "hooked", "count_loads", "dfunc")
-
-    def __init__(self, interp, func: Function, hooked: bool,
-                 count_loads: bool) -> None:
-        self.interp = interp
-        self.func = func
-        self.hooked = hooked
-        self.count_loads = count_loads
-        self.dfunc = None
-
-    def __call__(self, name: str):
-        dfunc = self.dfunc
-        if dfunc is None:
-            dfunc = self.dfunc = self.interp._decoded_for(
-                self.func, self.hooked, self.count_loads
-            )
-        return dfunc.blocks[name]
-
-
 class SuperblockFunction:
     """All superblocks of one function, compiled against one interpreter.
 
@@ -462,26 +475,25 @@ class SuperblockFunction:
     dispatch loop whose arm ``k`` is chain ``k``'s body, with registers
     held in function-wide locals across chain transitions.  ``run(frame,
     limit, 0)`` executes a whole activation and returns ``None`` on RET,
-    or the ``(block name, segment index)`` anchor of the budget check
-    that failed -- the driver then resumes tier-2 there for the
-    exactness fallback.
+    or the ``(block name, instruction index)`` anchor of the budget
+    check that failed -- :func:`execute_superblocks` then finishes the
+    activation on the
+    tree walker from there.
     """
 
     __slots__ = (
-        "func", "nslots", "param_slots", "entry", "blocks", "run",
-        "lazy", "source", "hooked", "count_loads", "hook_sites",
+        "func", "slot_map", "nslots", "param_slots", "entry", "blocks",
+        "run", "source", "hooked", "count_loads", "hook_sites",
         "undef_checks",
     )
 
     def __init__(
         self,
         func: Function,
-        nslots: int,
-        param_slots: Tuple[int, ...],
+        slot_map: Dict[int, int],
         entry: Superblock,
         blocks: Dict[str, Superblock],
         run,
-        lazy: _LazyDecode,
         source: str,
         hooked: bool = False,
         count_loads: bool = False,
@@ -489,14 +501,14 @@ class SuperblockFunction:
         undef_checks: Tuple[int, int] = (0, 0),
     ) -> None:
         self.func = func
-        self.nslots = nslots
-        self.param_slots = param_slots
+        #: VReg uid -> slot index (:func:`allocate_slots`).
+        self.slot_map = slot_map
+        self.nslots = len(slot_map)
+        self.param_slots = tuple(slot_map[param.uid] for param in func.params)
         self.entry = entry
         self.blocks = blocks
         #: ``run(frame, limit, state)`` -> None (RET) | over-budget anchor.
         self.run = run
-        #: Lazily-decoded tier-2 fallback blocks (see :class:`_LazyDecode`).
-        self.lazy = lazy
         #: Generated Python source, kept for tests and debugging.
         self.source = source
         self.hooked = hooked
@@ -512,7 +524,8 @@ class SuperblockFunction:
 class _OverBudget(Exception):
     """Raised by generated code, and caught by its own function, when
     the instruction budget may expire before the next check; ``args`` is
-    the ``(block name, segment index)`` anchor tier-2 resumes at."""
+    the ``(block name, instruction index)`` anchor the walker resumes
+    at."""
 
 
 def _base_namespace(interp, func: Function) -> Dict[str, object]:
@@ -581,30 +594,18 @@ class _FunctionCodegen:
         self.undef_checks_elided = 0
         self.slot_map = allocate_slots(func)
         self.defined_at = _must_defined(func, self.slot_map)
-        # Where the activation's clock lives: what a charge names
-        # (``ic`` / ``cy`` / ``lc``) and the two lines that move it to
-        # the interpreter and back wherever someone else may read or
-        # write it.
-        if hook_spec.watched is None:
-            # The observer is called at every block boundary, so every
-            # segment ends in a call that must find the clock on the
-            # interpreter and a local would carry nothing anywhere:
-            # charge the attributes, and there is nothing to move.
-            self.ic, self.cy, self.lc = (
-                "__i.instructions", "__i.cycles", "__i.load_count"
-            )
-            self.write_back = self.reload = "pass"
-        else:
-            self.ic, self.cy, self.lc = "__ic", "__cy", "__lc"
-            clock = [("instructions", self.ic), ("cycles", self.cy)]
-            if self.count_loads:
-                clock.append(("load_count", self.lc))
-            self.write_back = "; ".join(
-                f"__i.{attr} = {local}" for attr, local in clock
-            )
-            self.reload = "; ".join(
-                f"{local} = __i.{attr}" for attr, local in clock
-            )
+        # The activation's clock lives in the locals ``__ic`` / ``__cy``
+        # (/ ``__lc``); these two lines move it to the interpreter and
+        # back wherever someone else may read or write it.
+        clock = [("instructions", "__ic"), ("cycles", "__cy")]
+        if self.count_loads:
+            clock.append(("load_count", "__lc"))
+        self.write_back = "; ".join(
+            f"__i.{attr} = {local}" for attr, local in clock
+        )
+        self.reload = "; ".join(
+            f"{local} = __i.{attr}" for attr, local in clock
+        )
         self.cost_model = interp.cost_model
         self.specialized = 0
         self.chains: List[List[str]] = []
@@ -616,7 +617,6 @@ class _FunctionCodegen:
         #: the write subset every budget handoff flushes.
         self.touched_slots: Tuple[int, ...] = ()
         self.write_slots: Tuple[int, ...] = ()
-        self.lazy = _LazyDecode(interp, func, self.hooked, self.count_loads)
         self.ns: Dict[str, object] = _base_namespace(interp, func)
         self._binds: Dict[Tuple[str, int], str] = {}
         #: Ordered reconstruction manifest: (name, kind, payload) per
@@ -755,7 +755,7 @@ class _FunctionCodegen:
         head.append("        while True:")
         # The one register write-back: every over-budget exit raises
         # to here with the clock locals current, and the anchor it
-        # carries is what the driver resumes tier-2 at.
+        # carries is where the walker resumes.
         tail = ["    except __OB as __x:"]
         for slot in self.write_slots:
             tail.append(f"        s[{slot}] = r{slot}")
@@ -772,17 +772,12 @@ class _FunctionCodegen:
         if self.specialized:
             REGISTRY.inc("interp.codegen.specialized_ops", self.specialized)
         REGISTRY.inc("interp.codegen.functions")
-        param_slots = tuple(
-            self.slot_map[param.uid] for param in func.params
-        )
         return SuperblockFunction(
             func,
-            len(self.slot_map),
-            param_slots,
+            self.slot_map,
             sblocks[func.entry.name],
             sblocks,
             self.ns["__sb"],
-            self.lazy,
             source,
             self.hooked,
             self.count_loads,
@@ -849,7 +844,7 @@ class _ChainEmitter:
             except __OB as __x:
                 s[..] = r..                      # the one write-back
                 __i.instructions = __ic; __i.cycles = __cy
-                return __x.args                  # -> driver falls back
+                return __x.args                  # -> the walker finishes
 
     Locals are authoritative across chain transitions: a transition is
     just ``st = k`` plus a jump back to the dispatch loop, with no
@@ -859,7 +854,7 @@ class _ChainEmitter:
     post-CALL re-check -- and every one of those raises to the single
     handler, which flushes the *full* function write set (prelude
     initialization makes every member assignable no matter which path
-    executed) and returns the anchor tier-2 resumes at.  The walker's
+    executed) and returns the anchor the walker resumes at.  The walker's
     undefined-register check stays at an arm's first read site, against
     the prelude-loaded local, when the register is not assigned on
     every path into the block (:func:`_must_defined`).  Loop-form arms
@@ -868,19 +863,19 @@ class _ChainEmitter:
     ``continue`` on that inner loop, side exits ``break`` out of it and
     fall back to the dispatch loop.
 
-    Charges are emitted *before* each segment's operations, exactly
-    like tier 2's fast path; a segment that follows a CALL first
-    re-checks the remaining linear budget and raises, anchored at its
-    own aligned tier-2 segment, when the limit could expire before the
-    chain ends.
+    Charges are emitted *before* each segment's operations; a segment
+    that follows a CALL first re-checks the remaining linear budget and
+    raises, anchored at the instruction after the CALL, when the limit
+    could expire before the chain ends.
 
     Segments additionally close at every boundary that is
     :meth:`observed` (so ``on_block_entry`` reads exact counters, in
-    the decoded hooked variant's exact call order) and, in hooked mode,
-    at every sync/xfer opcode (charged through the op before
-    ``exec_sync``/``exec_xfer`` runs, matching tier 2's segment-final
-    placement), and each closed segment statically bumps ``load_count``
-    by its LOADG/LOADP count when the interpreter counts loads.
+    the walker's exact call order) and, in hooked mode, at every
+    sync/xfer opcode (charged through the op before
+    ``exec_sync``/``exec_xfer`` runs, as the walker charges an
+    instruction before executing it), and each closed segment
+    statically bumps ``load_count`` by its LOADG/LOADP count when the
+    interpreter counts loads.
     """
 
     def __init__(
@@ -1136,29 +1131,26 @@ class _ChainEmitter:
         When a CALL preceded this segment (``pending_check``), the
         charge is guarded by a conservative remaining-budget test: if
         the rest of the chain's linear body might not fit, raise to the
-        function's write-back, anchored at the aligned segment index of
-        the call's block (the driver resolves it through the lazy
-        decode, so the fallback blocks are only decoded if an
-        activation actually diverts).
+        function's write-back, anchored at the instruction after the
+        CALL in the call's block.
         """
-        g = self.g
         out = self.lines
         ind = self.indent
         count, cycles = self.seg_count, self.seg_cycles
         loads = self.seg_loads
         check = self.pending_check
         if check is not None and count:
-            bname, seg_index = check
+            bname, index = check
             remaining = self.total - self.charged
-            out.append(f"{ind}if {g.ic} + {remaining} > __limit:")
-            out.append(f"{ind}    raise __OB({bname!r}, {seg_index})")
+            out.append(f"{ind}if __ic + {remaining} > __limit:")
+            out.append(f"{ind}    raise __OB({bname!r}, {index})")
             self.pending_check = None
         if count:
-            out.append(f"{ind}{g.ic} += {count}")
+            out.append(f"{ind}__ic += {count}")
         if cycles:
-            out.append(f"{ind}{g.cy} += {cycles}")
+            out.append(f"{ind}__cy += {cycles}")
         if loads:
-            out.append(f"{ind}{g.lc} += {loads}")
+            out.append(f"{ind}__lc += {loads}")
         out.extend(ind + line for line in self.buf)
         self.buf = []
         self.charged += count
@@ -1178,12 +1170,12 @@ class _ChainEmitter:
             # Back edge: announce the head re-entry (if observed), then the
             # next iteration re-charges the full linear body, so
             # re-check it; over budget -> raise, anchored at the head,
-            # so the driver falls back (finish_hooked does not
-            # re-announce the current block, so the hook order stays
-            # exact).  Registers stay in their locals across the
+            # so the walker finishes the activation (it does not
+            # re-announce the block it resumes in, so the hook order
+            # stays exact).  Registers stay in their locals across the
             # iteration: only the over-budget exit flushes them.
             self.emit_entry(cur_name, target, extra)
-            out.append(f"{ind}if {self.g.ic} + {self.total} > __limit:")
+            out.append(f"{ind}if __ic + {self.total} > __limit:")
             out.append(f"{ind}    raise __OB({target!r}, 0)")
             out.append(f"{ind}continue")
             return
@@ -1343,7 +1335,7 @@ class _ChainEmitter:
                     buf.append(f"{dest} = {a} >> {b}")
             return 1
 
-        fold = _UNARY_FOLDS.get(op)
+        fold = _UNARY_HANDLERS.get(op)
         if fold is not None:
             self.charge_op(instr)
             a_op = instr.args[0]
@@ -1619,13 +1611,12 @@ class _ChainEmitter:
     def render(self) -> List[str]:
         g = self.g
         base = self.base
-        # Arm entry: the budget check the old per-chain driver used to
-        # run before every chain call -- the whole linear body must fit
-        # or the driver resumes on tier-2 (flush first: when entered
-        # via a transition, locals are the only current copy of the
-        # registers).
+        # Arm entry: the whole linear body must fit the budget or the
+        # walker finishes the activation from the chain head (flush
+        # first: when entered via a transition, locals are the only
+        # current copy of the registers).
         head = [
-            f"{base}if {g.ic} + {self.total} > __limit:",
+            f"{base}if __ic + {self.total} > __limit:",
             f"{base}    raise __OB({self.chain[0]!r}, 0)",
         ]
         if self.loop_form:
@@ -1636,11 +1627,6 @@ class _ChainEmitter:
             # what is proven for the chain so far stays proven.
             self.proven |= g.defined_at.get(name, frozenset())
             next_name = self.chain[pos + 1] if pos + 1 < len(self.chain) else None
-            # Segment index within this block's aligned tier-2 decode:
-            # tier-2 splits after every CALL, plus every sync/xfer op in
-            # the hooked variant; counting both keeps fallback anchors
-            # aligned with the variant finish_* resumes on.
-            splits = 0
             instructions = block.instructions
             terminated = False
             i = 0
@@ -1652,10 +1638,9 @@ class _ChainEmitter:
                     break
                 nxt = instructions[i + 1] if i + 1 < len(instructions) else None
                 if self.hooked and instr.opcode in _SYNC_OPS:
-                    # Segment-final in tier 2: charge through the op,
-                    # then run the hook with exact counters.
+                    # Charge through the op, then run the hook with
+                    # exact counters.
                     self.charge_op(instr)
-                    splits += 1
                     self.close_segment()
                     meth = (
                         "exec_xfer"
@@ -1668,11 +1653,9 @@ class _ChainEmitter:
                     continue
                 consumed = self.emit_op(instr, nxt)
                 if instr.opcode is Opcode.CALL:
-                    # Tier-2 segments split after every CALL; anchoring
-                    # the budget re-check here keeps both backends'
-                    # resume points aligned.
-                    splits += 1
-                    self.close_segment(new_check=(name, splits))
+                    # The callee consumed budget: re-check before the
+                    # next charge, resuming after the CALL if short.
+                    self.close_segment(new_check=(name, i + 1))
                 i += consumed
             if not terminated:
                 msg = f"block {name} fell through without terminator"
@@ -1745,13 +1728,10 @@ def _instantiate(
     if sorted(flat) != sorted(func.blocks):
         return None
     slot_map = allocate_slots(func)
-    param_slots = tuple(slot_map[param.uid] for param in func.params)
-    if (
-        payload["nslots"] != len(slot_map)
-        or list(payload["param_slots"]) != list(param_slots)
-    ):
+    if payload["nslots"] != len(slot_map) or payload["param_slots"] != [
+        slot_map[param.uid] for param in func.params
+    ]:
         return None
-    lazy = _LazyDecode(interp, func, hook_spec.hooked, hook_spec.count_loads)
     ns = _base_namespace(interp, func)
     sblocks: Dict[str, Superblock] = {}
     for chain, max_instructions in zip(chains, payload["max_instructions"]):
@@ -1777,12 +1757,10 @@ def _instantiate(
     exec(code, ns)
     return SuperblockFunction(
         func,
-        len(slot_map),
-        param_slots,
+        slot_map,
         sblocks[func.entry.name],
         sblocks,
         ns["__sb"],
-        lazy,
         source,
         hook_spec.hooked,
         hook_spec.count_loads,
@@ -1863,8 +1841,8 @@ def compile_superblocks(
     """Form, generate and compile all superblocks of ``func``.
 
     With ``hooked=True`` the generated chains call ``exec_sync`` /
-    ``exec_xfer`` at the decoded hooked variant's exact observation
-    points and ``on_block_entry`` on the edges
+    ``exec_xfer`` at the tree walker's observation points and
+    ``on_block_entry`` on the edges
     ``interp.watched_edges(func)`` declares -- every edge by default
     -- (and statically count loads when ``count_loads`` is set, and
     unwatched entries when ``interp.count_unwatched`` is).  When the
@@ -1905,47 +1883,38 @@ def compile_superblocks(
     return sfunc
 
 
-def execute_superblocks(interp, sfunc: SuperblockFunction, frame) -> object:
-    """Run one activation over compiled superblocks to its RET.
+def execute_superblocks(interp, sfunc: SuperblockFunction, args) -> object:
+    """Run one activation of ``sfunc`` on ``args`` and return its value.
 
-    The whole activation -- chain dispatch included -- runs inside the
-    single generated function; a chain is only entered, iterated or
-    continued past a CALL while the remaining instruction budget covers
-    the rest of its linear body, otherwise ``run`` writes the register
-    locals back and returns the anchor of the failed check, and the
-    activation finishes on tier-2's exact per-instruction path from
-    there, so ``ExecutionLimitExceeded`` fires at precisely the same
-    dynamic instruction as the tree-walker.
+    In the hooked tier the activation-entry ``on_block_entry(frame,
+    None, entry)`` is made here; every later boundary hook lives
+    inside the generated code.  The whole activation -- chain dispatch
+    included -- runs inside the single generated function; a chain is
+    only entered, iterated or continued past a CALL while the remaining
+    instruction budget covers the rest of its linear body, otherwise
+    ``run`` writes the register locals back and returns the anchor of
+    the failed check.  The tree walker then finishes the activation from
+    there, on the same frame and without re-announcing the block it
+    resumes in, so ``ExecutionLimitExceeded`` fires at precisely the
+    walker's dynamic instruction.
     """
+    frame = SlotFrame(sfunc.func, sfunc.nslots)
+    slots = frame.slots
+    for slot, value in zip(sfunc.param_slots, args):
+        slots[slot] = value
     limit = interp.max_instructions
     if limit is None:
         limit = _INF
+    if sfunc.hooked:
+        interp.on_block_entry(frame, None, sfunc.func.entry)
     anchor = sfunc.run(frame, limit, 0)
-    if anchor is not None:
-        REGISTRY.inc("interp.superblock.fallbacks")
-        name, seg_index = anchor
-        finish_decoded(interp, frame, sfunc.lazy(name), seg_index, limit)
-    return frame.ret
-
-
-def execute_hooked_superblocks(
-    interp, sfunc: SuperblockFunction, frame
-) -> object:
-    """Run one hooked activation over compiled superblocks to its RET.
-
-    The activation-entry ``on_block_entry(frame, None, entry)`` is the
-    driver's job (matching the decoded hooked variant); every later
-    boundary hook lives inside the generated code, so a budget
-    fallback resumes through :func:`finish_hooked` without re-announcing
-    the block the chains already entered.
-    """
-    limit = interp.max_instructions
-    if limit is None:
-        limit = _INF
-    interp.on_block_entry(frame, None, sfunc.func.entry)
-    anchor = sfunc.run(frame, limit, 0)
-    if anchor is not None:
-        REGISTRY.inc("interp.superblock.fallbacks")
-        name, seg_index = anchor
-        finish_hooked(interp, frame, sfunc.lazy(name), seg_index, limit)
-    return frame.ret
+    if anchor is None:
+        return frame.ret
+    REGISTRY.inc("interp.superblock.fallbacks")
+    name, index = anchor
+    frame.regs = {
+        uid: slots[slot]
+        for uid, slot in sfunc.slot_map.items()
+        if slots[slot] is not _UNDEF
+    }
+    return interp._walk(frame, sfunc.func.blocks[name], index)

@@ -17,26 +17,26 @@ Integer semantics are C-like: 64-bit two's-complement wrap-around,
 truncating division.  This keeps benchmark programs (hash functions, RNGs)
 deterministic and portable.
 
-Three execution backends share these semantics (selected per activation
-by :meth:`Interpreter.call_function`):
+Two execution tiers share these semantics (selected per activation by
+:meth:`Interpreter.call_function`):
 
-* the **tree-walker** in this module -- simple, hookable everywhere, and
-  the reference for subclasses that override the core execution methods;
-* the **pre-decoded backend** (:mod:`repro.runtime.precompile`) -- each
-  function is lowered once to slot-allocated, closure-compiled blocks and
-  runs several times faster;
+* the **tree-walker** in this module -- simple, hookable everywhere, the
+  oracle every other tier is checked against, and the tier that
+  finishes any activation the generated code hands back;
 * the **superblock backend** (:mod:`repro.runtime.codegen`) -- basic
-  blocks are fused into single-entry superblocks and each superblock is
-  code-generated into one compiled Python function, removing the
-  per-instruction closure calls entirely.
+  blocks are fused into single-entry superblocks and all superblocks of
+  a function are code-generated into one compiled Python function.
 
 Selection is automatic and always bit-identical to the tree-walker:
 uninstrumented runs use the superblock backend, hook users (profiler,
 parallel executor) its hooked tier -- which calls ``on_block_entry``
 on every block-to-block edge, or only on the ones
-:meth:`Interpreter.watched_edges` declares --, listener users the
-decoded backend's hooked variant, and subclasses that override
-``exec_instr``-level methods fall back to the tree-walker.
+:meth:`Interpreter.watched_edges` declares --, while listener users and
+subclasses that override ``exec_instr``-level methods run on the
+tree-walker.  When the instruction budget could expire inside a fused
+region, generated code hands its activation, frame and all, to the
+walker at the instruction it stopped before (:meth:`Interpreter._walk`),
+so the limit fires exactly where the walker alone would fire it.
 """
 
 from __future__ import annotations
@@ -186,26 +186,23 @@ def format_value(value) -> str:
     return str(value)
 
 
-#: Overriding any of these (class- or instance-level) disables the decoded
-#: backend: its closures fuse exactly this logic, so a replacement must run
-#: on the tree-walker to take effect.
+#: Overriding any of these (class- or instance-level) disables the
+#: generated tier: its code fuses exactly this logic, so a replacement
+#: must run on the tree-walker to take effect.
 _TREE_FORCING = frozenset(
     {"exec_block", "exec_instr", "eval_operand", "eval_terminator", "charge"}
 )
 
-#: Overriding any of these selects the decoded backend's *hooked* variant,
-#: which calls them at the same points as the tree-walker.
+#: Overriding any of these selects the generated tier's *hooked*
+#: variant, which calls them at the same points as the tree-walker.
 _HOOK_FORCING = frozenset({"on_block_entry", "exec_sync", "exec_xfer"})
 
 #: Backend modes resolved per activation.
-_BACKEND_TREE, _BACKEND_HOOKED, _BACKEND_FAST, _BACKEND_SUPER = 0, 1, 2, 3
-_BACKEND_HOOKED_SUPER = 4
+_BACKEND_TREE, _BACKEND_SUPER, _BACKEND_HOOKED_SUPER = 0, 1, 2
 
 #: Registry counter names, indexed by backend mode.
 _BACKEND_COUNTERS = (
     "interp.backend.tree",
-    "interp.backend.hooked",
-    "interp.backend.decoded",
     "interp.backend.superblock",
     "interp.backend.hooked_superblock",
 )
@@ -219,14 +216,12 @@ class Interpreter:
     :meth:`eval_operand` to execute individual instructions.
 
     ``backend`` selects the execution engine: ``"auto"`` (default) uses
-    the fastest backend that is bit-identical to the tree-walker (the
-    superblock backend for uninstrumented runs, its *hooked* tier for
-    hook/``count_loads`` users, the decoded hooked variant for
-    listener-bearing runs) and falls back otherwise, ``"tree"`` always
-    tree-walks, while ``"decoded"`` and ``"superblock"`` pin the fast
-    path to one engine family and assert that it is usable (raising
-    ``ValueError`` for subclasses that override core execution
-    methods).
+    the superblock backend for uninstrumented runs and its *hooked* tier
+    for hook/``count_loads`` users, and tree-walks listener-bearing runs
+    and subclasses that override core execution methods; ``"tree"``
+    always tree-walks, while ``"superblock"`` asserts that the generated
+    tier is usable (raising ``ValueError`` for subclasses that override
+    core execution methods).
 
     ``block_profile`` optionally supplies dynamic block-entry counts
     keyed ``(function name, block name)`` (the shape of
@@ -239,7 +234,7 @@ class Interpreter:
     with ``load(kind, key)`` / ``store(kind, key, payload)``, in
     practice :class:`repro.artifacts.ArtifactStore`); the superblock
     tiers content-address their generated code through it so warm runs
-    skip decode+codegen (see :mod:`repro.runtime.codegen`).
+    skip codegen (see :mod:`repro.runtime.codegen`).
     """
 
     def __init__(
@@ -251,7 +246,7 @@ class Interpreter:
         block_profile: Optional[Mapping[Tuple[str, str], int]] = None,
         codegen_cache=None,
     ) -> None:
-        if backend not in ("auto", "superblock", "decoded", "tree"):
+        if backend not in ("auto", "superblock", "tree"):
             raise ValueError(f"unknown interpreter backend {backend!r}")
         self.module = module
         self.machine = machine or MachineConfig()
@@ -297,7 +292,7 @@ class Interpreter:
             if getattr(cls, name) is not getattr(Interpreter, name)
         )
         core_overridden = bool(core_overrides)
-        if backend in ("decoded", "superblock") and core_overridden:
+        if backend == "superblock" and core_overridden:
             raise ValueError(
                 f"{cls.__name__} overrides core execution methods "
                 f"({', '.join(core_overrides)}); the {backend} backend "
@@ -308,12 +303,9 @@ class Interpreter:
             getattr(cls, name) is not getattr(Interpreter, name)
             for name in _HOOK_FORCING
         )
-        # All per-function compiled caches key on ``Function.version``
-        # alongside the name: IR mutation bumps the version, so a
-        # post-mutation activation can never execute stale decoded or
-        # generated code.
-        #: (name, version, hooked, counting loads) -> DecodedFunction.
-        self._decoded: Dict[Tuple[str, int, bool, bool], object] = {}
+        # Both compiled caches key on ``Function.version`` alongside the
+        # name: IR mutation bumps the version, so a post-mutation
+        # activation can never execute stale generated code.
         #: (name, version) -> SuperblockFunction (uninstrumented tier).
         self._superblocks: Dict[Tuple[str, int], object] = {}
         #: (name, version, counting loads, counting unwatched entries)
@@ -323,9 +315,8 @@ class Interpreter:
         ] = {}
         # Imported here (not at module top) to break the import cycle;
         # by construction time repro.runtime is fully initialized.
-        from repro.runtime import codegen, precompile
+        from repro.runtime import codegen
 
-        self._precompile = precompile
         self._codegen = codegen
         self.reset_memory()
 
@@ -335,8 +326,8 @@ class Interpreter:
         """(Re)initialize global memory from module initializers.
 
         Regions are reset *in place* so their backing lists stay stable
-        across runs -- the decoded backend resolves global symbols to
-        these lists at decode time.
+        across runs -- generated code binds global symbols to these
+        lists at compile time.
         """
         memory = self.memory
         for name, init in self.module.global_inits.items():
@@ -389,26 +380,23 @@ class Interpreter:
         hash lookups) rather than a ``keys() &`` intersection, which
         allocates a fresh set per call.
         """
-        if self._force_tree or not _TREE_FORCING.isdisjoint(self.__dict__):
-            return _BACKEND_TREE
-        if self.block_listener is not None or self.call_listener is not None:
+        if (
+            self._force_tree
+            or not _TREE_FORCING.isdisjoint(self.__dict__)
             # Listeners observe *every* block entry and call edge;
-            # fused chains cannot honor that, so demote to the decoded
-            # hooked variant.
-            return _BACKEND_HOOKED
+            # fused chains cannot honor that.
+            or self.block_listener is not None
+            or self.call_listener is not None
+        ):
+            return _BACKEND_TREE
         if (
             self._class_hooked
             or self.count_loads
             or not _HOOK_FORCING.isdisjoint(self.__dict__)
         ):
             # Hook overrides and load counting run on the hooked
-            # superblock tier (same observation points, fused chains),
-            # unless pinned to the decoded engine.
-            if self.backend == "decoded":
-                return _BACKEND_HOOKED
+            # superblock tier (same observation points, fused chains).
             return _BACKEND_HOOKED_SUPER
-        if self.backend == "decoded":
-            return _BACKEND_FAST
         return _BACKEND_SUPER
 
     def call_function(self, func: Function, args: Sequence) -> object:
@@ -428,10 +416,8 @@ class Interpreter:
             value = self._call_super(func, args)
         elif mode == _BACKEND_HOOKED_SUPER:
             value = self._call_hooked_super(func, args)
-        elif mode == _BACKEND_TREE:
-            value = self._call_tree(func, args)
         else:
-            value = self._call_decoded(func, args, mode == _BACKEND_HOOKED)
+            value = self._call_tree(func, args)
         if self.call_listener is not None:
             self.call_listener(func.name, False, self.cycles)
         self.call_depth -= 1
@@ -442,74 +428,45 @@ class Interpreter:
         frame = Frame(func)
         for param, value in zip(func.params, args):
             frame.regs[param.uid] = value
-        block = func.entry
-        self.on_block_entry(frame, None, block)
-        value = None
-        while True:
-            outcome = self.exec_block(frame, block)
-            if outcome[0] == "ret":
-                value = outcome[1]
-                break
+        self.on_block_entry(frame, None, func.entry)
+        return self._walk(frame, func.entry)
+
+    def _walk(self, frame, block: BasicBlock, index: int = 0) -> object:
+        """Tree-walk ``frame``'s activation to its RET, starting at
+        instruction ``index`` of ``block``, and return its value.
+
+        ``block``'s entry has already been announced; every later one
+        goes through :meth:`on_block_entry`.  :meth:`_call_tree` starts
+        here at the entry block; generated code that cannot cover the
+        rest of a chain from the instruction budget hands its activation
+        over here, on the same frame object, with ``frame.regs`` filled
+        from its slots (see :mod:`repro.runtime.codegen`).
+        """
+        func = frame.func
+        outcome = self.exec_block(frame, block, index)
+        while outcome[0] == "jump":
             next_block = func.blocks[outcome[1]]
             self.on_block_entry(frame, block, next_block)
             block = next_block
-        return value
-
-    def _decoded_for(self, func: Function, hooked: bool,
-                     count_loads: bool = False):
-        """The (cached) decoded form of ``func`` for one hook variant.
-
-        Also the resolver behind the superblock tiers' lazy fallback
-        decode: a generated function that never diverts to tier-2 never
-        triggers a decode at all.
-        """
-        key = (func.name, func.version, hooked, hooked and count_loads)
-        dfunc = self._decoded.get(key)
-        if dfunc is None:
-            dfunc = self._precompile.decode_function(
-                self, func, hooked, hooked and count_loads
-            )
-            self._decoded[key] = dfunc
-        return dfunc
-
-    def _call_decoded(
-        self, func: Function, args: Sequence, hooked: bool
-    ) -> object:
-        """Pre-decoded activation; decodes ``func`` on first use."""
-        precompile = self._precompile
-        dfunc = self._decoded_for(func, hooked, self.count_loads)
-        frame = precompile.DecodedFrame(func, dfunc.nslots)
-        slots = frame.slots
-        for slot, value in zip(dfunc.param_slots, args):
-            slots[slot] = value
-        return precompile.execute_decoded(self, dfunc, frame, hooked)
+            outcome = self.exec_block(frame, block)
+        return outcome[1]
 
     def _call_super(self, func: Function, args: Sequence) -> object:
-        """Superblock code-generated activation; compiles on first use.
-
-        The tier-2 fallback blocks decode lazily inside the compiled
-        function, so a cold compile (or warm artifact hit) is
-        decode-free.
-        """
+        """Superblock code-generated activation; compiles on first use."""
         codegen = self._codegen
         key = (func.name, func.version)
         sfunc = self._superblocks.get(key)
         if sfunc is None:
             sfunc = codegen.compile_superblocks(self, func)
             self._superblocks[key] = sfunc
-        frame = self._precompile.DecodedFrame(func, sfunc.nslots)
-        slots = frame.slots
-        for slot, value in zip(sfunc.param_slots, args):
-            slots[slot] = value
-        return codegen.execute_superblocks(self, sfunc, frame)
+        return codegen.execute_superblocks(self, sfunc, args)
 
     def _call_hooked_super(self, func: Function, args: Sequence) -> object:
         """Hooked superblock activation: fused chains that call
-        ``exec_sync`` / ``exec_xfer`` at the decoded hooked variant's
-        exact observation points and ``on_block_entry`` on the edges
-        :meth:`watched_edges` declares (every one by default),
-        with ``count_loads`` compiled to static per-segment
-        increments."""
+        ``exec_sync`` / ``exec_xfer`` at the tree-walker's observation
+        points and ``on_block_entry`` on the edges :meth:`watched_edges`
+        declares (every one by default), with ``count_loads`` compiled
+        to static per-segment increments."""
         codegen = self._codegen
         count_loads = self.count_loads
         key = (func.name, func.version, count_loads, self.count_unwatched)
@@ -519,11 +476,7 @@ class Interpreter:
                 self, func, hooked=True, count_loads=count_loads
             )
             self._hooked_superblocks[key] = sfunc
-        frame = self._precompile.DecodedFrame(func, sfunc.nslots)
-        slots = frame.slots
-        for slot, value in zip(sfunc.param_slots, args):
-            slots[slot] = value
-        return codegen.execute_hooked_superblocks(self, sfunc, frame)
+        return codegen.execute_superblocks(self, sfunc, args)
 
     def on_block_entry(
         self, frame: Frame, prev: Optional[BasicBlock], block: BasicBlock
@@ -552,18 +505,22 @@ class Interpreter:
         hooked superblock tier fuses those boundaries as the
         uninstrumented tier does: no hook call, no segment close
         (:attr:`count_unwatched` keeps the entry counts of their
-        targets).  The promise is one-sided: the tree walker, the
-        decoded tier and the budget fallback still announce every
-        entry, so the hook must keep handling undeclared edges as it
-        would without the declaration.  Asked once per compiled
-        function; the answer must not change over the interpreter's
-        lifetime.
+        targets).  The promise is one-sided: the tree walker, which
+        also finishes any activation the budget check hands back,
+        announces every entry, so the hook must keep handling
+        undeclared edges as it would without the declaration.  Asked
+        once per compiled function; the answer must not change over the
+        interpreter's lifetime.
         """
         return None
 
-    def exec_block(self, frame: Frame, block: BasicBlock) -> Tuple[str, object]:
-        """Execute one block; returns ('ret', value) or ('jump', name)."""
-        for instr in block.instructions:
+    def exec_block(
+        self, frame: Frame, block: BasicBlock, start: int = 0
+    ) -> Tuple[str, object]:
+        """Execute one block from its instruction ``start`` on; returns
+        ('ret', value) or ('jump', name)."""
+        instructions = block.instructions
+        for instr in instructions[start:] if start else instructions:
             if instr.is_terminator:
                 return self.eval_terminator(frame, instr)
             self.exec_instr(frame, instr)
@@ -717,24 +674,25 @@ def _make_exec_binary(handler):
     return run
 
 
-def _exec_neg(interp, frame, instr):
-    a = interp.eval_operand(instr.args[0], frame)
-    frame.regs[instr.dest.uid] = wrap_int(-a) if isinstance(a, int) else -a
+def _neg(a):
+    return wrap_int(-a) if isinstance(a, int) else -a
 
 
-def _exec_not(interp, frame, instr):
-    a = interp.eval_operand(instr.args[0], frame)
-    frame.regs[instr.dest.uid] = 1 if a == 0 else 0
+def _not(a):
+    return 1 if a == 0 else 0
 
 
-def _exec_itof(interp, frame, instr):
-    frame.regs[instr.dest.uid] = float(interp.eval_operand(instr.args[0], frame))
+def _ftoi(a):
+    return wrap_int(int(a))
 
 
-def _exec_ftoi(interp, frame, instr):
-    frame.regs[instr.dest.uid] = wrap_int(
-        int(interp.eval_operand(instr.args[0], frame))
-    )
+def _make_exec_unary(handler):
+    def run(interp, frame, instr):
+        frame.regs[instr.dest.uid] = handler(
+            interp.eval_operand(instr.args[0], frame)
+        )
+
+    return run
 
 
 def _exec_lea(interp, frame, instr):
@@ -818,10 +776,6 @@ def _exec_xfer_op(interp, frame, instr):
 
 _EXEC_HANDLERS: Dict[Opcode, Callable] = {
     Opcode.MOV: _exec_mov,
-    Opcode.NEG: _exec_neg,
-    Opcode.NOT: _exec_not,
-    Opcode.ITOF: _exec_itof,
-    Opcode.FTOI: _exec_ftoi,
     Opcode.LEA: _exec_lea,
     Opcode.PTRADD: _exec_ptradd,
     Opcode.LOADG: _exec_loadg,
@@ -837,6 +791,17 @@ _EXEC_HANDLERS: Dict[Opcode, Callable] = {
 }
 _EXEC_HANDLERS.update(
     {op: _make_exec_binary(h) for op, h in _BINARY_HANDLERS.items()}
+)
+
+#: Unary opcodes and the value function both tiers apply.
+_UNARY_HANDLERS = {
+    Opcode.NEG: _neg,
+    Opcode.NOT: _not,
+    Opcode.ITOF: float,
+    Opcode.FTOI: _ftoi,
+}
+_EXEC_HANDLERS.update(
+    {op: _make_exec_unary(h) for op, h in _UNARY_HANDLERS.items()}
 )
 
 

@@ -70,8 +70,10 @@ declares every edge into those through
 :meth:`~repro.runtime.interpreter.Interpreter.watched_edges`, computed
 from ``infos`` per function.  Generated code then calls the hook there
 and fuses every other block boundary as an uninstrumented run would;
-the tree walker, the decoded tier and the budget fallback still call it
-everywhere, which the early returns make harmless.
+the tree walker, which also finishes any activation the budget check
+hands back, still calls it everywhere, which the early returns make
+harmless.  That hand-back keeps the frame object, so the ``frame is``
+tests below still recognize the invocation's activation.
 
 Most of what a recording run enters did not exist when the profile it
 is handed was measured: the parallel version, the inlined bodies and
@@ -256,10 +258,9 @@ class ParallelExecutor(Interpreter):
         # Memory reads are priced by the data-forwarding model; every
         # backend counts them when this is set.  Under "auto" the
         # *hooked superblock* tier is selected: fused chains observe
-        # sync/xfer ops at the decoded hooked variant's exact points
-        # and block entries on the edges :meth:`watched_edges` says the
-        # hook acts on, and compile load counting to static per-segment
-        # increments.
+        # sync/xfer ops at the tree walker's points and block entries
+        # on the edges :meth:`watched_edges` says the hook acts on, and
+        # compile load counting to static per-segment increments.
         self.count_loads = True
         self.infos = list(infos)
         self._by_preheader: Dict[Tuple[str, str], ParallelizedLoop] = {}

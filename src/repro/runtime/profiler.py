@@ -31,11 +31,11 @@ so the one late addition equals the per-block additions it replaces.
 ``iterations`` is not counted by the hook: every entry of a header
 begins an iteration, so it is the header's block count, read after the
 run.  The block counts are the hook's own plus the static counters the
-generated code bumps at the boundaries that do not call it.  Tree,
-decoded and budget-fallback execution still call the hook at every
-block, which it tolerates (an undeclared edge pops nothing and pushes
-nothing); the profile is identical either way (the differential tests
-assert it).
+generated code bumps at the boundaries that do not call it.  The tree
+walker -- also where an over-budget activation finishes -- still calls
+the hook at every block, which it tolerates (an undeclared edge pops
+nothing and pushes nothing); the profile is identical either way (the
+differential tests assert it).
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ class _ProfilingInterpreter(Interpreter):
     ``block_listener``) routes profiling runs onto the *hooked
     superblock* tier under ``backend="auto"``: fused chains invoke the
     hook with exact cycle counts on the :meth:`watched_edges`, so the
-    collected profile is bit-identical to a tree or decoded run (the
-    differential tests assert this) at codegen speed.
+    collected profile is bit-identical to a tree run (the differential
+    tests assert this) at codegen speed.
     """
 
     def __init__(
@@ -310,7 +310,7 @@ def profile_module(
     ``backend="auto"`` (fused chains announce the edges that enter or
     leave a loop, with exact counters, and count the targets of the
     rest); the collected profile is identical under ``backend="tree"``
-    and ``backend="decoded"`` (the differential tests assert this).
+    (the differential tests assert this).
     ``codegen_cache`` optionally reuses generated code across jobs (see
     :mod:`repro.runtime.codegen`).
     """

@@ -104,7 +104,6 @@ class JobContext:
     #: request shows up as store hits and results never depend on which
     #: worker thread served the job.
     runners: Dict[int, Any] = field(default_factory=dict)
-    interp_backend: str = "auto"
 
     @property
     def cancelled(self) -> bool:
@@ -124,7 +123,6 @@ class JobContext:
             runner = EvaluationRunner(
                 MachineConfig(cores=cores),
                 artifacts=self.artifacts,
-                interp_backend=self.interp_backend,
             )
             self.runners[cores] = runner
         # Rebind progress onto this attempt's job-bound observer.
@@ -146,7 +144,6 @@ class Orchestrator:
         observer: Optional[EvaluationObserver] = None,
         default_timeout: Optional[float] = None,
         max_retries: int = 1,
-        interp_backend: str = "auto",
     ) -> None:
         self.artifacts = (
             artifacts if artifacts is not None else ArtifactStore(cache)
@@ -154,7 +151,6 @@ class Orchestrator:
         self.observer: EvaluationObserver = observer or NULL_OBSERVER
         self.default_timeout = default_timeout
         self.max_retries = max_retries
-        self.interp_backend = interp_backend
         self.handlers: Dict[Type[Any], Handler] = {
             CompileJob: self._handle_compile,
             RunJob: self._handle_run,
@@ -362,7 +358,6 @@ class Orchestrator:
                 job=job,
                 observer=bound,
                 artifacts=self.artifacts,
-                interp_backend=self.interp_backend,
             )
             handler = self.handlers[type(job.spec)]
             try:
@@ -562,7 +557,6 @@ class Orchestrator:
                     MachineConfig(cores=spec.cores),
                     artifacts=self.artifacts,
                     observer=ctx.observer,
-                    interp_backend=self.interp_backend,
                 )
                 run = runner.helix_run(spec.bench)
             events = tracer.finished()

@@ -1,14 +1,30 @@
-"""Differential identity: compiled backends vs tree-walker, whole corpus.
+"""Differential identity: generated code vs tree-walker, whole corpus.
 
-The acceptance bar for both compiled backends — the pre-decoded closure
-tier and the superblock code-generated tier — is *bit-identical*
-observable behavior: output, cycles, instructions and return value must
-match the tree-walker on every program in ``examples/`` and the
-benchmark suite, with and without profiler instrumentation, and through
-the parallel executor.  These tests enforce exactly that.
+The acceptance bar for the superblock code-generated tier is
+*bit-identical* observable behavior: output, cycles, instructions and
+return value must match the tree-walker on every program in
+``examples/`` and the benchmark suite, with and without profiler
+instrumentation, and through the parallel executor.
+
+Every comparison also runs in a ``fallback`` lane, one instruction short
+of the budget the run needs: the last chain of ``main`` can no longer
+fit it, so the generated code hands its activation to the tree walker,
+which must fire the limit on the run's last instruction with the
+output, cycles, loads and traces of the complete run already in place.
+
+Recording every bench on the walker is slow, so the recorded traces of
+the whole suite are pinned by ``tests/data/recording_traces.json`` (one
+digest per bench over every column of every trace, generated by
+``python -m tests.test_backend_differential BACKEND`` on the commit
+that still had a second compiled tier, and equal there under it, the
+generated tier and the walker); the walker itself records
+:data:`EXECUTOR_BENCHES` only.
 """
 
+import hashlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +35,8 @@ from repro.core.selection import SelectionConfig, choose_loops
 from repro.analysis.loopnest import build_static_loop_nest_graph
 from repro.frontend import compile_source
 from repro.ir.parser import parse_module
-from repro.runtime import Interpreter, run_module
+from repro.obs.metrics import REGISTRY, metrics_delta
+from repro.runtime import ExecutionLimitExceeded, Interpreter, run_module
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.profiler import (
@@ -29,6 +46,7 @@ from repro.runtime.profiler import (
 )
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+TRACES_PATH = Path(__file__).parent / "data" / "recording_traces.json"
 
 #: Examples that expose their MiniC program as a module-level SOURCE.
 EXAMPLE_FILES = ("quickstart.py", "inspect_transformation.py")
@@ -37,7 +55,10 @@ EXAMPLE_FILES = ("quickstart.py", "inspect_transformation.py")
 EXECUTOR_BENCHES = ("equake", "mcf")
 
 #: The compiled backends, each checked against the tree oracle.
-COMPILED_BACKENDS = ("decoded", "superblock")
+COMPILED_BACKENDS = ("superblock",)
+
+#: The compiled backends, then the budget fallback (see the docstring).
+LANES = COMPILED_BACKENDS + ("fallback",)
 
 _modules = {}
 
@@ -60,37 +81,94 @@ def _example_module(filename):
     return module
 
 
-def _assert_sequential_identity(module, backend):
-    tree = run_module(module, backend="tree")
-    compiled = run_module(module, backend=backend)
-    assert tree.to_dict() == compiled.to_dict()
+_tree_runs = {}
 
 
-def _assert_profile_identity(module, backend):
-    tree = profile_module(module, backend="tree")
-    compiled = profile_module(module, backend=backend)
-    assert tree.to_dict() == compiled.to_dict()
+def _tree_run(kind, module, run):
+    """``run()`` on the walker, once per module and kind (the entry
+    keeps the module alive, so its id is never reused)."""
+    key = (kind, id(module))
+    if key not in _tree_runs:
+        _tree_runs[key] = (module, run())
+    return _tree_runs[key][1]
 
 
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+def _assert_falls_back_at_the_end(interp, tree, load_count=0):
+    """``interp`` holds a budget one short of the walker's ``tree`` run:
+    the generated code must hand the tail to the walker, which fires the
+    limit on the last instruction with everything else already done."""
+    limit = tree.instructions - 1
+    assert interp.max_instructions == limit
+    before = REGISTRY.snapshot()
+    with pytest.raises(ExecutionLimitExceeded) as excinfo:
+        interp.run()
+    counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
+    assert counters.get("interp.superblock.fallbacks", 0) > 0
+    assert (
+        str(excinfo.value),
+        interp.output,
+        interp.instructions,
+        interp.cycles,
+        interp.load_count,
+    ) == (
+        f"exceeded {limit} instructions",
+        tree.output,
+        tree.instructions,
+        tree.cycles,
+        load_count,
+    )
+
+
+def _assert_sequential_identity(module, lane):
+    tree = _tree_run(
+        "sequential", module, lambda: run_module(module, backend="tree")
+    )
+    if lane == "fallback":
+        _assert_falls_back_at_the_end(
+            Interpreter(module, max_instructions=tree.instructions - 1), tree
+        )
+    else:
+        assert run_module(module, backend=lane).to_dict() == tree.to_dict()
+
+
+def _assert_profile_identity(module, lane):
+    """Returns the walker's profile of ``module``."""
+    tree = _tree_run(
+        "profile", module, lambda: profile_module(module, backend="tree")
+    )
+    if lane == "fallback":
+        interp = _ProfilingInterpreter(
+            module,
+            build_static_loop_nest_graph(module),
+            ProfileData(module=module, result=None),
+            max_instructions=tree.result.instructions - 1,
+        )
+        _assert_falls_back_at_the_end(interp, tree.result)
+    else:
+        compiled = profile_module(module, backend=lane)
+        assert compiled.to_dict() == tree.to_dict()
+    return tree
+
+
+@pytest.mark.parametrize("backend", LANES)
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_benchmark_sequential_identity(bench, backend):
     _assert_sequential_identity(_bench_module(bench), backend)
 
 
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", LANES)
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_benchmark_profile_identity(bench, backend):
     _assert_profile_identity(_bench_module(bench), backend)
 
 
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", LANES)
 @pytest.mark.parametrize("filename", EXAMPLE_FILES)
 def test_example_sequential_identity(filename, backend):
     _assert_sequential_identity(_example_module(filename), backend)
 
 
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", LANES)
 @pytest.mark.parametrize("filename", EXAMPLE_FILES)
 def test_example_profile_identity(filename, backend):
     _assert_profile_identity(_example_module(filename), backend)
@@ -172,11 +250,12 @@ entry0:
 """
 
 
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
+@pytest.mark.parametrize("backend", LANES)
 def test_irregular_cfg_profile_identity(backend):
-    module = parse_module(IRREGULAR_CFG)
-    _assert_profile_identity(module, backend)
-    profile = profile_module(module, backend=backend)
+    module = _modules.get("irregular_cfg")
+    if module is None:
+        module = _modules["irregular_cfg"] = parse_module(IRREGULAR_CFG)
+    profile = _assert_profile_identity(module, backend)
     walk = module.functions["walk"]
     assert all(profile.block_count("walk", name) for name in walk.blocks)
     assert profile.func_activations["walk"] == 10
@@ -237,42 +316,14 @@ def _hooked_run(module, backend):
 
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_benchmark_hooked_instrumentation_identity(bench):
-    """Hooked superblock tier vs hooked decoded variant vs tree walker.
+    """Hooked superblock tier vs tree walker.
 
-    All three must agree on the run result *and* on the instrumentation
-    they produced: total loads counted and the exact ``on_block_entry``
-    call sequence (prev/block arguments in order).
+    Both must agree on the run result *and* on the instrumentation they
+    produced: total loads counted and the exact ``on_block_entry`` call
+    sequence (prev/block arguments in order).
     """
     module = _bench_module(bench)
-    tree = _hooked_run(module, "tree")
-    assert _hooked_run(module, "decoded") == tree
-    assert _hooked_run(module, "superblock") == tree
-
-
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-@pytest.mark.parametrize("bench", EXECUTOR_BENCHES)
-def test_parallel_executor_identity(bench, backend):
-    machine = MachineConfig(cores=6)
-    module = _bench_module(bench)
-    profile = profile_module(module, machine)
-    selection = choose_loops(
-        module, profile, SelectionConfig(machine=machine, cores=6)
-    )
-    transformed, infos = parallelize_module(
-        module, selection.chosen, machine
-    )
-    tree = ParallelExecutor(
-        transformed, infos, machine, backend="tree"
-    ).execute()
-    compiled = ParallelExecutor(
-        transformed, infos, machine, backend=backend
-    ).execute()
-    assert tree.result.to_dict() == compiled.result.to_dict()
-    assert tree.cycles == compiled.cycles
-    assert {k: s.to_dict() for k, s in tree.loop_stats.items()} == {
-        k: s.to_dict() for k, s in compiled.loop_stats.items()
-    }
-    assert len(tree.traces) == len(compiled.traces)
+    assert _hooked_run(module, "superblock") == _hooked_run(module, "tree")
 
 
 def _trace_bytes(trace):
@@ -309,26 +360,85 @@ def _parallel_setup(bench, machine):
     return entry
 
 
-@pytest.mark.parametrize("bench", benchmark_names())
-def test_parallel_executor_recorded_traces_identity(bench):
-    """Both compiled tiers record byte-identical invocation traces.
-
-    The executor's record path runs on the hooked engines (it observes
-    block entries and sync/transfer instructions), so this pins the
-    hooked superblock tier to the decoded hooked variant across the
-    whole corpus: results, cycles and every column of every recorded
-    trace must match exactly.
-    """
+@pytest.mark.parametrize("backend", LANES)
+@pytest.mark.parametrize("bench", EXECUTOR_BENCHES)
+def test_parallel_executor_identity(bench, backend):
     machine = MachineConfig(cores=6)
     transformed, infos = _parallel_setup(bench, machine)
-    outcomes = {}
-    for backend in COMPILED_BACKENDS:
-        outcomes[backend] = ParallelExecutor(
-            transformed, infos, machine, backend=backend
-        ).execute()
-    decoded, superblock = outcomes["decoded"], outcomes["superblock"]
-    assert decoded.result.to_dict() == superblock.result.to_dict()
-    assert decoded.cycles == superblock.cycles
-    assert len(decoded.traces) == len(superblock.traces)
-    for left, right in zip(decoded.traces, superblock.traces):
-        assert _trace_bytes(left) == _trace_bytes(right)
+
+    def executor(backend, limit=500_000_000):
+        return ParallelExecutor(
+            transformed, infos, machine, backend=backend,
+            max_instructions=limit,
+        )
+
+    def record():
+        walker = executor("tree")
+        return walker, walker.execute()
+
+    walker, tree = _tree_run("executor", transformed, record)
+    if backend == "fallback":
+        compiled = executor("auto", walker.instructions - 1)
+        _assert_falls_back_at_the_end(compiled, walker, walker.load_count)
+        traces = compiled.traces
+    else:
+        compiled = executor(backend).execute()
+        assert tree.result.to_dict() == compiled.result.to_dict()
+        assert tree.cycles == compiled.cycles
+        assert {k: s.to_dict() for k, s in tree.loop_stats.items()} == {
+            k: s.to_dict() for k, s in compiled.loop_stats.items()
+        }
+        traces = compiled.traces
+    assert tree.traces
+    assert list(map(_trace_bytes, tree.traces)) == list(
+        map(_trace_bytes, traces)
+    )
+
+
+def _recording_row(bench, backend):
+    """``recording_traces.json``'s row of ``bench`` recorded at 6 cores
+    under ``backend``."""
+    machine = MachineConfig(cores=6)
+    transformed, infos = _parallel_setup(bench, machine)
+    run = ParallelExecutor(
+        transformed, infos, machine, backend=backend
+    ).execute()
+    digest = hashlib.sha256()
+    for trace in run.traces:
+        digest.update(repr(_trace_bytes(trace)).encode())
+    return {
+        "cycles": run.cycles,
+        "result": run.result.to_dict(),
+        "sha256": digest.hexdigest(),
+        "traces": len(run.traces),
+    }
+
+
+@pytest.fixture(scope="module")
+def recording_traces():
+    return json.loads(TRACES_PATH.read_text())
+
+
+@pytest.mark.parametrize("bench", benchmark_names())
+def test_parallel_executor_recorded_traces_identity(bench, recording_traces):
+    """The generated tier records byte-identical invocation traces.
+
+    The executor's record path runs on the hooked tier (it observes
+    block entries and sync/transfer instructions), so this pins that
+    tier across the whole corpus: results, cycles and every column of
+    every recorded trace must match the committed table.
+    """
+    assert _recording_row(bench, "auto") == recording_traces[bench]
+
+
+if __name__ == "__main__":
+    print(
+        json.dumps(
+            {
+                bench: _recording_row(bench, sys.argv[1])
+                for bench in benchmark_names()
+            },
+            indent=1,
+            sort_keys=True,
+        )
+    )

@@ -4,7 +4,9 @@ from repro.analysis.callgraph import build_callgraph
 from repro.analysis.pointer import andersen_pointer_analysis, loc_key
 from repro.frontend import compile_source
 from repro.ir import Opcode
+from repro.ir.parser import parse_module
 from repro.ir.types import Type
+from repro.transform.inline import can_inline
 
 
 class TestCallGraph:
@@ -33,6 +35,56 @@ class TestCallGraph:
         graph = build_callgraph(module)
         assert graph.is_recursive("rec")
         assert not graph.is_recursive("a")
+
+    def test_mutual_recursion_is_recursion(self):
+        """``a -> b -> a``: both functions reach themselves, so Step 5
+        inlines no call into the cycle -- neither of its own call sites,
+        nor ``main``'s call of ``a`` -- while ``main``, outside it, is
+        not recursive."""
+        module = parse_module(
+            """
+module program
+
+func int a(int %n.0) {
+entry0:
+  %t1 = lt %n.0, 1
+  cbr %t1 -> done, more
+done:
+  ret 0
+more:
+  %t2 = sub %n.0, 1
+  %t3 = call @b %t2
+  ret %t3
+}
+
+func int b(int %m.0) {
+entry0:
+  %t4 = call @a %m.0
+  %t5 = add %t4, 1
+  ret %t5
+}
+
+func void main() {
+entry0:
+  %t0 = call @a 3
+  print %t0
+  ret
+}
+"""
+        )
+        graph = build_callgraph(module)
+        assert graph.is_recursive("a")
+        assert graph.is_recursive("b")
+        assert not graph.is_recursive("main")
+        calls = {
+            (func.name, instr.callee): instr
+            for func in module.functions.values()
+            for instr in func.instructions()
+            if instr.opcode is Opcode.CALL
+        }
+        assert not can_inline(module, calls["a", "b"])
+        assert not can_inline(module, calls["b", "a"])
+        assert not can_inline(module, calls["main", "a"])
 
     def test_call_sites_recorded(self):
         module = compile_source(self.SOURCE)

@@ -119,7 +119,7 @@ def test_bench_interp_report(monkeypatch, tmp_path, capsys):
     assert program["name"] == "tinyinterp"
     assert program["instructions"] > 0
     assert program["tree_seconds"] > 0
-    assert program["decoded_seconds"] > 0
+    assert program["superblock_cold_seconds"] > 0
     assert report["summary"]["geomean_speedup"] == pytest.approx(
         program["speedup"]
     )

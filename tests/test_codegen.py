@@ -1,9 +1,10 @@
 """Unit and property tests for the superblock code-generated backend.
 
 ``test_backend_differential`` proves whole-corpus identity; these tests
-pin down the tier-3 mechanics in isolation: superblock formation (chain
-shapes, profile-guided hot-arm choice, the chain-length bound),
-fault/limit parity on adversarial programs including mid-superblock
+pin down the generated tier's mechanics in isolation: superblock
+formation (chain shapes, profile-guided hot-arm choice, the chain-length
+bound), slot allocation, fault/limit parity on adversarial programs
+including mid-superblock
 expiry, backend selection and validation, the fused address+memory and
 compare+branch specializations, and the ``interp.superblock.*`` /
 ``interp.codegen.*`` observability counters.
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.frontend import compile_source
-from repro.ir import Function, IRBuilder, Module, Opcode
-from repro.ir.operands import Const
+from repro.ir import Function, Instruction, IRBuilder, Module, Opcode
+from repro.ir.operands import Const, VReg
 from repro.ir.types import Type
 from repro.obs.metrics import REGISTRY, metrics_delta
 from repro.runtime import (
@@ -26,14 +27,18 @@ from repro.runtime import (
     RuntimeFault,
     run_module,
 )
-from repro.runtime.codegen import MAX_CHAIN_BLOCKS, form_superblocks
+from repro.runtime.codegen import (
+    MAX_CHAIN_BLOCKS,
+    allocate_slots,
+    form_superblocks,
+)
 from repro.runtime.interpreter import (
-    _BACKEND_HOOKED,
     _BACKEND_HOOKED_SUPER,
     _BACKEND_SUPER,
+    _BACKEND_TREE,
 )
 
-BACKENDS = ("tree", "decoded", "superblock")
+BACKENDS = ("tree", "superblock")
 
 LOOP_SRC = """
 void main() {
@@ -177,6 +182,36 @@ class TestFormation:
         assert sorted(flat) == sorted(func.blocks)
 
 
+# ---------------------------------------------------------- slot allocation
+
+
+class TestSlotAllocation:
+    def test_registers_get_dense_distinct_slots(self):
+        func = _loop_module.functions["main"]
+        uids = {
+            reg.uid
+            for block in func.blocks.values()
+            for instr in block.instructions
+            for reg in (instr.dest, *instr.args)
+            if isinstance(reg, VReg)
+        }
+        slot_map = allocate_slots(func)
+        assert set(slot_map) == uids
+        assert sorted(slot_map.values()) == list(range(len(uids)))
+
+    def test_param_slots_receive_arguments(self):
+        module = compile_source(
+            "int add3(int a, int b, int c) { return a + b + c; }\n"
+            "void main() { print(add3(1, 2, 3)); }"
+        )
+        interp = Interpreter(module, backend="superblock")
+        assert interp.run().output == ["6"]
+        func = module.functions["add3"]
+        sfunc = interp._superblocks[("add3", func.version)]
+        assert sfunc.param_slots == (0, 1, 2)
+        assert sfunc.nslots == len(allocate_slots(func))
+
+
 # ------------------------------------------------------------- generated code
 
 
@@ -240,6 +275,20 @@ class TestGeneratedCode:
         assert interp.run().output == ["1"]  # memory reset between runs
         assert interp._superblocks == cached  # no recompilation
 
+    def test_hooked_and_uninstrumented_variants_cached_separately(self):
+        interp = Interpreter(_loop_module, max_instructions=50)
+        with pytest.raises(ExecutionLimitExceeded):
+            interp.run()
+        interp.count_loads = True
+        with pytest.raises(ExecutionLimitExceeded):
+            interp.run()
+        assert [sfunc.hooked for sfunc in interp._superblocks.values()] == [
+            False
+        ]
+        assert [
+            sfunc.hooked for sfunc in interp._hooked_superblocks.values()
+        ] == [True]
+
     def test_fused_pointer_pairs_behave_identically(self):
         module = compile_source(
             """
@@ -255,8 +304,7 @@ class TestGeneratedCode:
             """
         )
         oracle = run_module(module, backend="tree").to_dict()
-        for backend in ("decoded", "superblock"):
-            assert run_module(module, backend=backend).to_dict() == oracle
+        assert run_module(module, backend="superblock").to_dict() == oracle
 
     def test_recursion_identity(self):
         module = compile_source(
@@ -269,8 +317,7 @@ class TestGeneratedCode:
             """
         )
         oracle = run_module(module, backend="tree").to_dict()
-        for backend in ("decoded", "superblock"):
-            assert run_module(module, backend=backend).to_dict() == oracle
+        assert run_module(module, backend="superblock").to_dict() == oracle
 
     def test_zero_iteration_loops(self):
         module = compile_source(
@@ -286,8 +333,7 @@ class TestGeneratedCode:
         )
         oracle = run_module(module, backend="tree").to_dict()
         assert oracle["output"] == ["42"]
-        for backend in ("decoded", "superblock"):
-            assert run_module(module, backend=backend).to_dict() == oracle
+        assert run_module(module, backend="superblock").to_dict() == oracle
 
 
 # ------------------------------------------------------------- fault parity
@@ -316,9 +362,37 @@ class TestFaultParity:
     )
     def test_fault_messages_and_output_identical(self, body, decls):
         module = compile_source(f"{decls}\nvoid main() {{ {body} }}")
+        assert _fault(module, "superblock") == _fault(module, "tree")
+
+    def test_undefined_register_message(self):
+        module = Module()
+        func = Function("main", Type.INT)
+        module.add_function(func)
+        b = IRBuilder(func)
+        b.start_block("entry")
+        ghost = VReg(uid=999, type=Type.INT, name="ghost")
+        b.emit(
+            Instruction(
+                Opcode.ADD,
+                dest=VReg(uid=1000, type=Type.INT),
+                args=(ghost, Const.int(1)),
+            )
+        )
+        b.ret(Const.int(0))
         tree = _fault(module, "tree")
-        for backend in ("decoded", "superblock"):
-            assert _fault(module, backend) == tree
+        assert "undefined register" in tree[0]
+        assert _fault(module, "superblock") == tree
+
+    def test_unterminated_block_message(self):
+        module = Module()
+        func = Function("main")
+        module.add_function(func)
+        b = IRBuilder(func)
+        b.start_block("entry")
+        b.mov(Const.int(1))  # no terminator follows
+        tree = _fault(module, "tree")
+        assert "without terminator" in tree[0]
+        assert _fault(module, "superblock") == tree
 
     def test_fault_mid_superblock_after_partial_output(self):
         # The fused region has already printed when the fault fires;
@@ -335,8 +409,7 @@ class TestFaultParity:
         )
         tree = _fault(module, "tree")
         assert tree[1] == ["0", "1", "2"]
-        for backend in ("decoded", "superblock"):
-            assert _fault(module, backend) == tree
+        assert _fault(module, "superblock") == tree
 
     @settings(max_examples=20, deadline=None)
     @given(idx=st.integers(min_value=-6, max_value=12))
@@ -353,12 +426,9 @@ class TestFaultParity:
         )
         if 0 <= idx < 8:
             oracle = run_module(module, backend="tree").to_dict()
-            for backend in ("decoded", "superblock"):
-                assert run_module(module, backend=backend).to_dict() == oracle
+            assert run_module(module, backend="superblock").to_dict() == oracle
         else:
-            tree = _fault(module, "tree")
-            for backend in ("decoded", "superblock"):
-                assert _fault(module, backend) == tree
+            assert _fault(module, "superblock") == _fault(module, "tree")
 
 
 class _HookedRecorder(Interpreter):
@@ -401,9 +471,9 @@ class TestHookedFaultParity:
     )
     def test_hooked_fault_matrix(self, body, decls):
         module = compile_source(f"{decls}\nvoid main() {{ {body} }}")
-        tree = _hooked_fault(module, "tree")
-        assert _hooked_fault(module, "decoded") == tree
-        assert _hooked_fault(module, "superblock") == tree
+        assert _hooked_fault(module, "superblock") == _hooked_fault(
+            module, "tree"
+        )
 
     def test_hooked_fault_mid_superblock_after_partial_output(self):
         module = compile_source(
@@ -420,7 +490,6 @@ class TestHookedFaultParity:
         assert tree[1] == ["0", "0", "0"]
         # Three in-bounds loads plus the faulting attempt are counted.
         assert tree[2] == 4
-        assert _hooked_fault(module, "decoded") == tree
         assert _hooked_fault(module, "superblock") == tree
 
     @settings(max_examples=15, deadline=None)
@@ -430,11 +499,10 @@ class TestHookedFaultParity:
             _loop_module, "tree", exc=ExecutionLimitExceeded,
             max_instructions=limit,
         )
-        for backend in ("decoded", "superblock"):
-            assert _hooked_fault(
-                _loop_module, backend, exc=ExecutionLimitExceeded,
-                max_instructions=limit,
-            ) == tree
+        assert _hooked_fault(
+            _loop_module, "superblock", exc=ExecutionLimitExceeded,
+            max_instructions=limit,
+        ) == tree
 
 
 # ------------------------------------------------------------- limit parity
@@ -452,8 +520,7 @@ class TestLimitParity:
     @given(limit=st.integers(min_value=1, max_value=600))
     def test_limit_fires_at_identical_instruction(self, limit):
         tree = _run_limited(_loop_module, "tree", limit)
-        for backend in ("decoded", "superblock"):
-            assert _run_limited(_loop_module, backend, limit) == tree
+        assert _run_limited(_loop_module, "superblock", limit) == tree
 
     @settings(max_examples=15, deadline=None)
     @given(limit=st.integers(min_value=1, max_value=400))
@@ -468,8 +535,7 @@ class TestLimitParity:
             """
         )
         tree = _run_limited(module, "tree", limit)
-        for backend in ("decoded", "superblock"):
-            assert _run_limited(module, backend, limit) == tree
+        assert _run_limited(module, "superblock", limit) == tree
 
     def test_exact_budget_completes_on_all_backends(self):
         module = compile_source(
@@ -529,29 +595,64 @@ class TestVersionKeyedCaches:
         generations = {key[:2] for key in interp._hooked_superblocks}
         assert {("main", old_version), ("main", func.version)} <= generations
 
-    def test_decoded_tier_recompiles_after_bump(self):
-        module = compile_source(self.SRC)
-        interp = Interpreter(module, backend="decoded")
-        assert interp.run().output == ["7"]
-        old_version = module.functions["main"].version
-        func = self._mutate_const(module, 10)
-        assert interp.run().output == ["14"]
-        generations = {key[:2] for key in interp._decoded}
-        assert {("main", old_version), ("main", func.version)} <= generations
-
 
 # -------------------------------------------------------- backend selection
 
 
 class TestBackendSelection:
+    def test_plain_interpreter_uses_superblock_path(self):
+        interp = Interpreter(_loop_module)
+        assert interp._backend_mode() == _BACKEND_SUPER
+
     def test_superblock_backend_is_pinnable(self):
         interp = Interpreter(_loop_module, backend="superblock")
         assert interp._backend_mode() == _BACKEND_SUPER
 
+    def test_backend_tree_forces_walker(self):
+        interp = Interpreter(_loop_module, backend="tree")
+        assert interp._backend_mode() == _BACKEND_TREE
+
     def test_listeners_demote_to_hooked_variant(self):
+        # Even a pinned generated tier hands listener-bearing runs to the
+        # walker, whose every block and call is a hook point.
         interp = Interpreter(_loop_module, backend="superblock")
         interp.block_listener = lambda f, p, b, c: None
-        assert interp._backend_mode() == _BACKEND_HOOKED
+        assert interp._backend_mode() == _BACKEND_TREE
+        interp.block_listener = None
+        assert interp._backend_mode() == _BACKEND_SUPER
+        interp.call_listener = lambda n, e, c: None
+        assert interp._backend_mode() == _BACKEND_TREE
+
+    def test_count_loads_selects_hooked_superblock_tier(self):
+        interp = Interpreter(_loop_module)
+        interp.count_loads = True
+        assert interp._backend_mode() == _BACKEND_HOOKED_SUPER
+
+    def test_hook_override_subclass_selects_hooked_superblock(self):
+        class Hooked(Interpreter):
+            def on_block_entry(self, frame, prev, block):
+                pass
+
+        interp = Hooked(_loop_module)
+        assert interp._backend_mode() == _BACKEND_HOOKED_SUPER
+
+    def test_instance_hook_monkeypatch_selects_hooked_superblock(self):
+        interp = Interpreter(_loop_module)
+        interp.exec_sync = lambda frame, instr: None
+        assert interp._backend_mode() == _BACKEND_HOOKED_SUPER
+
+    def test_core_override_subclass_falls_back_to_tree(self):
+        class Tracing(Interpreter):
+            def exec_instr(self, frame, instr):
+                return super().exec_instr(frame, instr)
+
+        interp = Tracing(_loop_module)
+        assert interp._backend_mode() == _BACKEND_TREE
+
+    def test_instance_core_monkeypatch_falls_back_to_tree(self):
+        interp = Interpreter(_loop_module)
+        interp.exec_instr = lambda frame, instr: None
+        assert interp._backend_mode() == _BACKEND_TREE
 
     def test_superblock_backend_rejects_core_overrides(self):
         class Tracing(Interpreter):

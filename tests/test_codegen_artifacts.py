@@ -103,9 +103,8 @@ class TestColdAndWarm:
         counters = _delta(lambda: warm.run())
         assert counters["interp.codegen.cache.hit"] == 2
         assert "interp.codegen.cache.miss" not in counters
-        # The warm path rebuilds nothing: no codegen, no decode.
+        # The warm path rebuilds nothing: no codegen.
         assert "interp.codegen.functions" not in counters
-        assert warm._decoded == {}
         assert warm.run().to_dict() == oracle.to_dict()
         # The replayed source is the stored source, byte for byte.
         for key, sfunc in warm._superblocks.items():

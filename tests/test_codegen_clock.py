@@ -68,8 +68,9 @@ class _ClockSpy:
 
 
 class _SpyInterpreter(_ClockSpy, Interpreter):
-    """Declares nothing, so it is called at every block boundary and
-    generated code leaves the clock on the interpreter."""
+    """Declares nothing, so it is called at every block boundary: every
+    block is a segment of its own, and the clock still moves out and
+    back around each call."""
 
     def __init__(self, module, backend):
         super().__init__(module, backend=backend)
@@ -86,8 +87,8 @@ def _every_edge(func):
 
 
 class _DeclaringSpy(_SpyInterpreter):
-    """Declares every edge: called at the same boundaries, but by code
-    that keeps its clock in locals and moves it around each call."""
+    """Declares every edge: called at the same boundaries, by code
+    compiled from the declared set instead of the default."""
 
     def watched_edges(self, func):
         return _every_edge(func)
@@ -115,7 +116,8 @@ _MOVES = (
 
 def _charges_the_interpreter(interp):
     """Whether a generated line other than those two names one of the
-    interpreter's clock attributes."""
+    interpreter's clock attributes (no function does: every one keeps
+    its clock in locals)."""
     return any(
         re.search(r"__i\.(instructions|cycles|load_count)", line)
         for sfunc in interp._hooked_superblocks.values()
@@ -127,8 +129,8 @@ def _charges_the_interpreter(interp):
 @pytest.mark.parametrize("name", sorted(SOURCES) + ["irregular_cfg"])
 def test_every_observation_point_reads_the_walkers_clock(name):
     """No boundary is left out, so the logs are equal entry for entry,
-    calls and block entries interleaved, wherever the generated code
-    keeps its clock."""
+    calls and block entries interleaved, whether the observer declares
+    its edges or not."""
     if name == "irregular_cfg":
         module = parse_module(IRREGULAR_CFG)
     else:
@@ -141,9 +143,7 @@ def test_every_observation_point_reads_the_walkers_clock(name):
     ):
         runs.append((_final(spy, spy.run()), spy.log))
         if spy.backend == "auto":
-            assert _charges_the_interpreter(spy) != isinstance(
-                spy, _DeclaringSpy
-            )
+            assert not _charges_the_interpreter(spy)
     assert runs[0] == runs[1] == runs[2]
     points = {point[0] for point, *_ in runs[0][1]}
     assert points >= {"entry", "call"}
@@ -187,7 +187,7 @@ def test_a_hook_that_moves_the_clock_is_honoured():
             self.syncs += 1
             self.cycles += 1000
 
-    class SkewedInLocals(Skewed):
+    class SkewedDeclaring(Skewed):
         def watched_edges(self, func):
             return frozenset()
 
@@ -195,7 +195,7 @@ def test_a_hook_that_moves_the_clock_is_honoured():
     plain = Interpreter(transformed).run()
     totals = set()
     for cls, backend in (
-        (SkewedInLocals, "auto"), (Skewed, "auto"), (Skewed, "tree")
+        (SkewedDeclaring, "auto"), (Skewed, "auto"), (Skewed, "tree")
     ):
         interp = cls(transformed, backend=backend)
         result = interp.run()
@@ -247,8 +247,8 @@ FAULTS = {
 }
 
 class _CountingLoads(Interpreter):
-    """Hooked tier, nothing declared: the clock stays on the
-    interpreter and every block is a segment of its own."""
+    """Hooked tier, nothing declared: every block is a segment of its
+    own."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -256,8 +256,8 @@ class _CountingLoads(Interpreter):
 
 
 class _CountingAndDeclaring(_CountingLoads):
-    """Hooked tier, no edge watched: the clock in locals, segments
-    fused as in the uninstrumented tier."""
+    """Hooked tier, no edge watched: segments fused as in the
+    uninstrumented tier."""
 
     def watched_edges(self, func):
         return frozenset()
@@ -268,7 +268,8 @@ class _CountingAndDeclaring(_CountingLoads):
 #: segment still charged through the interpreter attribute (the parent
 #: of the change that moved the clock into locals).  A faulting segment
 #: is charged whole, so these run a little ahead of the walker; the
-#: limit fires on the fallback tier, at the walker's instruction.
+#: limit fires on the walker the activation falls back to, at its own
+#: instruction.
 DEAD_CLOCKS = {
     ("oob_load", Interpreter): (
         "load out of bounds: a[8] (size 8)", 112, 94, 0),

@@ -118,8 +118,8 @@ class TestIntSemantics:
     def test_backends_agree_on_integer_edge_cases(self, expr):
         module = compile_source(f"void main() {{ {expr} }}")
         tree = run_module(module, backend="tree")
-        decoded = run_module(module, backend="decoded")
-        assert tree.to_dict() == decoded.to_dict()
+        generated = run_module(module, backend="superblock")
+        assert tree.to_dict() == generated.to_dict()
 
 
 class TestFaults:
@@ -254,6 +254,33 @@ class TestHooks:
         assert events.count(("f", False)) == 2
         assert events[0] == ("main", True)
         assert events[-1] == ("main", False)
+
+    def test_listener_runs_match_the_walker(self):
+        module = compile_source(
+            "int total;\n"
+            "int f(int i) { return i * 2; }\n"
+            "void main() { int i; for (i = 0; i < 50; i++) "
+            "{ total = total + f(i); } print(total); }"
+        )
+
+        def collect(backend):
+            events = []
+            interp = Interpreter(module, backend=backend)
+            interp.block_listener = lambda f, p, b, c: events.append(
+                (f, p, b, c)
+            )
+            interp.call_listener = lambda n, e, c: events.append((n, e, c))
+            return interp.run().to_dict(), events
+
+        assert collect("auto") == collect("tree")
+
+
+class TestBackendValidation:
+    @pytest.mark.parametrize("backend", ("jit", "decoded"))
+    def test_unknown_backend_rejected(self, backend):
+        module = compile_source("void main() { print(1); }")
+        with pytest.raises(ValueError, match="unknown interpreter backend"):
+            Interpreter(module, backend=backend)
 
 
 class TestFormatting:

@@ -174,13 +174,11 @@ class TestNullTracer:
 
     def test_scheduler_hot_paths_carry_no_tracing(self):
         # The per-event loops must stay pure: no span or counter calls.
-        import repro.runtime.precompile as precompile
         import repro.runtime.sched as sched
 
-        for module in (sched, precompile):
-            source = inspect.getsource(module)
-            assert "get_tracer" not in source, module.__name__
-            assert "REGISTRY" not in source, module.__name__
+        source = inspect.getsource(sched)
+        assert "get_tracer" not in source
+        assert "REGISTRY" not in source
 
 
 # ------------------------------------------------------------------ metrics

@@ -31,11 +31,11 @@ def interp_report(**overrides):
         "repeat": 2,
         "programs": [
             {"name": "mcf", "speedup": 10.0, "tree_seconds": 2.0,
-             "decoded_speedup": 4.0},
+             "cold_speedup": 4.0},
             {"name": "gzip", "speedup": 12.0, "tree_seconds": 1.0,
-             "decoded_speedup": 5.0},
+             "cold_speedup": 5.0},
             {"name": "equake", "speedup": 8.0, "tree_seconds": 1.5,
-             "decoded_speedup": 3.0},
+             "cold_speedup": 3.0},
         ],
         "summary": {"geomean_speedup": 9.86, "aggregate_speedup": 10.1,
                     "min_speedup": 8.0},

@@ -3,12 +3,12 @@
 An interpreter may declare, per function, the block-to-block edges its
 ``on_block_entry`` acts on (``Interpreter.watched_edges``); the hooked
 superblock tier then calls the hook only there and fuses every other
-boundary.  The contract is one-sided -- the tree walker, the decoded
-tier and the budget fallback keep announcing every entry -- so these
-tests pin the generated tier against the tree walker: which calls are
-made, that nothing the observers report changes, and that an activation
-shared between generated code and the fallback counts every block
-exactly once.
+boundary.  The contract is one-sided -- the tree walker, which also
+finishes any activation the budget check hands back, keeps announcing
+every entry -- so these tests pin the generated tier against the tree
+walker: which calls are made, that nothing the observers report
+changes, and that an activation shared between generated code and the
+walker counts every block exactly once.
 """
 
 import pytest
@@ -23,7 +23,6 @@ from repro.frontend import compile_source
 from repro.ir.parser import parse_module
 from repro.obs.metrics import REGISTRY, metrics_delta
 from repro.runtime import Interpreter
-from repro.runtime import codegen as codegen_mod
 from repro.runtime import profiler as profiler_mod
 from repro.runtime.interpreter import ExecutionLimitExceeded
 from repro.runtime.machine import MachineConfig
@@ -400,23 +399,23 @@ def test_budget_edge_shares_activations_with_the_fallback(monkeypatch):
     """Sweep ``max_instructions`` across the program's exact instruction
     count.  Below it the limit fires at the walker's instruction; at and
     above it the run completes, but for a while the post-CALL check
-    still hands activations to ``finish_hooked`` mid-way -- which
-    announces every later block -- and nothing may be counted twice or
-    missed."""
+    still hands activations to the walker mid-block -- which announces
+    every later block, and must record into the same frame the
+    generated code did -- and nothing may be counted twice or missed."""
     diverted = []
-    finish_hooked = codegen_mod.finish_hooked
+    walk = Interpreter._walk
 
-    def spy(interp, frame, dblock, seg_index=0, limit=None):
-        diverted.append(seg_index)
-        finish_hooked(interp, frame, dblock, seg_index, limit)
+    def spy(interp, frame, block, index=0):
+        diverted.append(index)
+        return walk(interp, frame, block, index)
 
-    monkeypatch.setattr(codegen_mod, "finish_hooked", spy)
+    monkeypatch.setattr(Interpreter, "_walk", spy)
     module = parse_module(BUDGET_IR)
     transformed, infos = _parallelize_without_inlining(module)
     assert infos
 
     def sweep(run, exact):
-        """Fallback anchors (segment indices) of the completed runs."""
+        """Fallback anchors (instruction indices) of the completed runs."""
         anchors = []
         for limit in range(exact - 30, exact + 30):
             tree = run("tree", limit)
