@@ -133,7 +133,6 @@ def reference_replay(
         stats.wait_stall_cycles += new.wait_stall_cycles
         stats.transfer_words += new.transfer_words
         stats.loads += trace.loads
-        stats.segment_cycles += new.segment_cycles
         schedules.append(new)
     result = ExecutionResult(
         output=list(executor.output),
@@ -157,7 +156,7 @@ def _reset_compiled_state(executor: ParallelExecutor) -> None:
         trace._program = None
         trace._signature = None
     executor._schedules.clear()
-    executor._grouping = None
+    executor.grouping = None
 
 
 def _compiled_columns(

@@ -19,20 +19,17 @@ machine (scheduling it first if it is missing) and adds thread
 configuration, wind-down collection and the main thread's sequential
 time in closed form.  It places nothing.
 
-:func:`run_timeline` (``repro trace --sim-timeline``) and
-:func:`invocation_segments` want every interval, and get them from a
-placement walk, :func:`_place`, that re-derives the schedule with the
-same model as :func:`~repro.runtime.sched.schedule_compact` (general
-path only; the scheduler's fast paths are timing-equivalent shortcuts)
-and emits each interval as a :class:`Segment` in absolute cycles.  It
-works from the grouping :func:`~repro.runtime.sched.schedule_many`
-works from, which the executor keeps per trace list, and places every
-trace through the program of its shape's first trace -- the one the
-scheduler compiles -- so it compiles at most one program per shape.
+:func:`run_timeline` (``repro trace --sim-timeline``) wants every
+interval, and gets them from the reference scheduler,
+:func:`~repro.runtime.sched.schedule_invocation_reference`, which
+reports each interval it places as it walks an invocation; this module
+shifts them into the run's absolute cycles as :class:`Segment`\\ s and
+fills the gaps between invocations with the main thread's sequential
+time.  It walks no schedule of its own and compiles no trace program.
 
-The segment walk is the oracle of both the scheduler and the block:
-``tests/test_timeline.py`` asserts, on the full sched-differential
-machine grid, that its totals match the
+The reference is the oracle of both the compiled schedulers and the
+block: ``tests/test_timeline.py`` asserts, on the full sched-differential
+machine grid, that its segments' totals match the
 :class:`~repro.runtime.sched.ScheduleResult` aggregates *exactly*, that
 segments on one core never overlap and close to ``parallel_cycles *
 cores``, and that :func:`timeline_block` equals its per-core totals on
@@ -49,21 +46,11 @@ import it explicitly as ``repro.obs.timeline``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.loopinfo import ParallelizedLoop
-from repro.runtime.machine import MachineConfig, PrefetchMode
+from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
-from repro.runtime.sched import CORE_FIELDS
-from repro.runtime.trace import (
-    CTRL_DEP,
-    OP_NEXT,
-    OP_SIGNAL,
-    OP_WAIT,
-    OP_WAIT_SYNC,
-    CompactInvocationTrace,
-    TraceProgram,
-)
+from repro.runtime.sched import CORE_FIELDS, schedule_invocation_reference
 
 #: Segment categories, in display order.  ``config``/``collect`` are the
 #: per-invocation thread setup and wind-down costs, ``sequential`` is
@@ -94,209 +81,6 @@ class Segment:
         return self.end - self.start
 
 
-def _place(
-    prog: TraceProgram,
-    trace: CompactInvocationTrace,
-    loop: ParallelizedLoop,
-    machine: MachineConfig,
-    base: int,
-    segments: List[Segment],
-) -> int:
-    """Place one invocation on the cores, appending every interval it
-    occupies to ``segments`` as a :class:`Segment` shifted by ``base``.
-
-    ``prog`` is the program of ``trace``'s shape
-    (:func:`~repro.runtime.sched.trace_signature`); ``trace``'s own
-    timestamps come from its raw ``ev_at`` column through ``prog.raw``
-    (:meth:`~repro.runtime.trace.TraceProgram.stamps`).
-    Returns the invocation's parallel length
-    (``ScheduleResult.parallel_cycles``); time zero is the start of
-    thread configuration.  The trace must have iterations.
-    """
-    it_start, it_end = trace.it_start, trace.it_end
-    n = len(it_start)
-    cores = machine.cores
-    latency = machine.signal_latency
-    fast = machine.prefetched_signal_latency
-    mode = machine.effective_prefetch_mode
-    transfer = machine.word_transfer_cycles
-    counted = loop.counted
-    conf = machine.config_cycles_per_thread * max(cores - 1, 1)
-    wind_down = latency + cores - 1
-    barrier = 0 if machine.total_store_ordering else machine.barrier_cycles
-
-    if conf:
-        for core in range(cores):
-            segments.append(Segment(core, "config", base, base + conf))
-
-    mode_none = mode is PrefetchMode.NONE
-    mode_ideal = mode is PrefetchMode.IDEAL
-    helix = mode is PrefetchMode.HELIX
-    do_helper = helix or mode is PrefetchMode.MATCHED
-    helix_agenda: Tuple[int, ...] = ()
-    ctrl_helix_agenda: Tuple[int, ...] = ()
-    if helix:
-        helix_agenda = tuple(loop.helper_order)
-        ctrl_helix_agenda = (CTRL_DEP,) + helix_agenda
-
-    op_, a1_ = prog.op, prog.a1
-    pre_, off, tail = prog.pre, prog.off, prog.tail
-    at_ = prog.stamps(trace)
-    core_free = [conf] * cores
-    helper_free = [0] * cores
-    prev_sig: Dict[int, int] = {}
-    prev_next: Optional[int] = None
-    max_end = 0
-
-    for i in range(n):
-        core = i % cores
-
-        # Helper-thread prefetch agenda; a counted loop whose predecessor
-        # signalled nothing has nothing to prefetch.
-        pf: Optional[Dict[int, int]] = None
-        if do_helper and i > 0 and (prev_sig or not counted):
-            pf = {}
-            if counted:
-                agenda = helix_agenda if helix else prog.agendas[i]
-            else:
-                agenda = (
-                    ctrl_helix_agenda
-                    if helix
-                    else (CTRL_DEP,) + prog.agendas[i]
-                )
-            cursor = helper_free[core]
-            for dep in agenda:
-                if dep in pf:
-                    continue
-                ts = prev_next if dep == CTRL_DEP else prev_sig.get(dep)
-                if ts is None:
-                    continue
-                cursor = (cursor if cursor > ts else ts) + latency
-                pf[dep] = cursor
-            helper_free[core] = cursor
-
-        t = core_free[core]
-        if i > 0 and not counted:
-            assert prev_next is not None, "iteration without start signal"
-            ts = prev_next
-            started = t
-            if mode_none:
-                t = (t if t > ts else ts) + latency
-            elif mode_ideal:
-                t = (t if t > ts else ts) + fast
-            else:
-                pull = (t if t > ts else ts) + latency
-                done = pf.get(CTRL_DEP) if pf is not None else None
-                if done is None:
-                    t = pull
-                else:
-                    alt = t + fast
-                    if done > alt:
-                        alt = done
-                    t = pull if pull < alt else alt
-            if t > started:
-                segments.append(
-                    Segment(core, "signal", base + started, base + t)
-                )
-
-        cur_sig: Dict[int, int] = {}
-        cur_next: Optional[int] = None
-        # ``pos`` is where the open compute stretch began; a stall or a
-        # transfer closes it, and so does the end of the iteration.
-        pos = t
-        last = it_start[i]
-
-        for j in range(off[i], off[i + 1]):
-            at = at_[j]
-            t += at - last
-            last = at
-            if barrier:
-                t += pre_[j] * barrier
-            o = op_[j]
-            if o == OP_NEXT:
-                cur_next = t
-            elif o == OP_WAIT_SYNC:
-                t += barrier
-                ts = prev_sig[a1_[j]]
-                if mode_none:
-                    arrival = (t if t > ts else ts) + latency
-                elif mode_ideal:
-                    arrival = (t if t > ts else ts) + fast
-                else:
-                    pull = (t if t > ts else ts) + latency
-                    done = pf.get(a1_[j]) if pf is not None else None
-                    if done is None:
-                        arrival = pull
-                    else:
-                        alt = t + fast
-                        if done > alt:
-                            alt = done
-                        arrival = pull if pull < alt else alt
-                if arrival > t:
-                    if t > pos:
-                        segments.append(
-                            Segment(core, "compute", base + pos, base + t)
-                        )
-                    segments.append(
-                        Segment(core, "stall", base + t, base + arrival)
-                    )
-                    t = arrival
-                    pos = t
-            elif o == OP_WAIT:
-                t += barrier
-            elif o == OP_SIGNAL:
-                t += barrier
-                cur_sig[a1_[j]] = t
-            else:  # OP_XFER
-                cost = a1_[j] * transfer
-                if cost:
-                    if t > pos:
-                        segments.append(
-                            Segment(core, "compute", base + pos, base + t)
-                        )
-                    segments.append(
-                        Segment(core, "transfer", base + t, base + t + cost)
-                    )
-                    t += cost
-                    pos = t
-
-        t += it_end[i] - last
-        if barrier:
-            t += tail[i] * barrier
-        if t > pos:
-            segments.append(Segment(core, "compute", base + pos, base + t))
-        core_free[core] = t
-        if t > max_end:
-            max_end = t
-        prev_sig = cur_sig
-        prev_next = cur_next
-
-    # Main thread collects the exit variable and stops parallel threads.
-    if wind_down:
-        segments.append(
-            Segment(0, "collect", base + max_end, base + max_end + wind_down)
-        )
-    return max_end + wind_down
-
-
-def invocation_segments(
-    trace: CompactInvocationTrace,
-    loop: ParallelizedLoop,
-    machine: MachineConfig,
-) -> List[Segment]:
-    """Per-core segments of one invocation, in invocation-local time.
-
-    Time zero is the start of thread configuration; the last segment
-    ends at ``ScheduleResult.parallel_cycles``.  Zero-iteration
-    invocations yield no segments (the caller shows their sequential
-    span on the main core).
-    """
-    segments: List[Segment] = []
-    if trace.iteration_count:
-        _place(trace.program, trace, loop, machine, 0, segments)
-    return segments
-
-
 def run_timeline(
     executor: ParallelExecutor,
     machine: Optional[MachineConfig] = None,
@@ -304,20 +88,14 @@ def run_timeline(
     """The whole run's per-core segments, in absolute simulated cycles.
 
     ``machine`` replays the recorded traces under a different
-    configuration (like :meth:`ParallelExecutor.replay`).  Gaps between
+    configuration (like :meth:`ParallelExecutor.replay`).  Each
+    invocation is placed by the reference scheduler; gaps between
     invocations are the main thread's sequential execution, read off
     the recording's sequential clock: from one trace's ``end_cycles`` to
     the next one's ``start_cycles``.  Asks for no schedule column.
     """
     machine = machine or executor.machine
     info_by_id = {info.loop_id: info for info in executor.infos}
-    traces = executor.traces
-    shapes, first, index = executor.invocation_groups()
-    compiled = {
-        distinct: traces[first[members[0]]]
-        for members in shapes
-        for distinct in members
-    }
     segments: List[Segment] = []
     cursor = 0
 
@@ -328,18 +106,23 @@ def run_timeline(
             segments.append(Segment(0, "sequential", cursor, cursor + length))
             cursor += length
 
+    def place(core: int, category: str, start: int, end: int) -> None:
+        segments.append(Segment(core, category, cursor + start, cursor + end))
+
     recorded_end = 0  # end of the previous invocation, recorded clock
-    for trace, distinct in zip(traces, index.tolist()):
+    for trace in executor.traces:
         sequential(trace.start_cycles - recorded_end)
         if trace.iteration_count == 0:
             # The loop body never ran; the invocation is its sequential
             # span on the main core, under every machine.
             sequential(trace.end_cycles - trace.start_cycles)
         else:
-            cursor += _place(
-                compiled[distinct].program, trace,
-                info_by_id[trace.loop_id], machine, cursor, segments,
-            )
+            cursor += schedule_invocation_reference(
+                trace.to_invocation_trace(),
+                info_by_id[trace.loop_id],
+                machine,
+                place,
+            ).parallel_cycles
         recorded_end = trace.end_cycles
     sequential(executor.cycles - recorded_end)
     return segments

@@ -57,9 +57,13 @@ of the trace list, each column carries the walk's per-core accounting
 (what :func:`repro.obs.timeline.timeline_block` reports), and
 :class:`ScheduleResult` objects exist only for callers of
 :meth:`~ParallelExecutor.schedules`.  What depends on the
-trace list alone -- the distinct-invocation grouping and the per-loop
-index -- is computed once per list and dropped when :attr:`traces` is
-reassigned.
+trace list alone -- the distinct-invocation grouping
+(:attr:`ParallelExecutor.grouping`) and the per-loop index -- is
+computed by the first scheduling pass over a list and dropped when
+:attr:`traces` is reassigned.  The interval-by-interval timeline of
+``repro trace --sim-timeline`` reads no column: it is the reference
+scheduler's walk of every trace
+(:func:`repro.obs.timeline.run_timeline`).
 
 The recording run observes little of what it interprets.  Its
 ``on_block_entry`` acts on three kinds of block only -- the parallel
@@ -171,7 +175,6 @@ class LoopRunStats:
     wait_stall_cycles: int = 0
     transfer_words: int = 0
     loads: int = 0
-    segment_cycles: int = 0
 
     @property
     def loop_speedup(self) -> float:
@@ -198,7 +201,6 @@ class LoopRunStats:
             "wait_stall_cycles": self.wait_stall_cycles,
             "transfer_words": self.transfer_words,
             "loads": self.loads,
-            "segment_cycles": self.segment_cycles,
         }
 
 
@@ -313,7 +315,10 @@ class ParallelExecutor(Interpreter):
         # per-loop index of ``_timed``.
         self._traces = traces
         self._schedules.clear()
-        self._grouping = None
+        #: The distinct-invocation grouping of :attr:`traces` (see
+        #: :func:`~repro.runtime.sched.schedule_many`), kept from the
+        #: first scheduling pass over them for the later ones.
+        self.grouping = None
         self._by_loop = None
 
     # -- interpreter hooks -------------------------------------------------
@@ -453,17 +458,6 @@ class ParallelExecutor(Interpreter):
         info_by_id = {info.loop_id: info for info in self.infos}
         return [info_by_id[trace.loop_id] for trace in self.traces]
 
-    def invocation_groups(self):
-        """The distinct-invocation grouping of :attr:`traces` (see
-        :func:`~repro.runtime.sched.schedule_many`), computed once per
-        trace list whoever asks first: a scheduling pass or the
-        simulated-time segment walk of :mod:`repro.obs.timeline`."""
-        if self._grouping is None:
-            self._grouping = schedule_many(
-                self.traces, self._loops(), ()
-            ).grouping
-        return self._grouping
-
     def _ensure_schedules(self, machines: Sequence[MachineConfig]) -> None:
         """Fill the schedule memo for every machine missing from it, in
         one :func:`~repro.runtime.sched.schedule_many` pass over the
@@ -486,9 +480,9 @@ class ParallelExecutor(Interpreter):
                 self.traces,
                 self._loops(),
                 list(missing.values()),
-                self._grouping,
+                self.grouping,
             )
-            self._grouping = columns.grouping
+            self.grouping = columns.grouping
             for mi, fingerprint in enumerate(missing):
                 self._schedules[fingerprint] = columns.column(mi)
 

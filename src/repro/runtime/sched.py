@@ -1,22 +1,16 @@
-"""Invocation schedulers: the compiled engine and its reference twin.
+"""Invocation schedulers: two compiled engines and their reference.
 
-:func:`schedule_compact` is the production scheduler.  It consumes the
-:class:`~repro.runtime.trace.TraceProgram` of the trace's shape and the
-trace's own stamps, and reconstructs the parallel schedule of one
-invocation under a
+:func:`schedule_compact` is the scalar production scheduler.  It
+consumes the :class:`~repro.runtime.trace.TraceProgram` of the trace's
+shape and the trace's own stamps, and reconstructs the parallel
+schedule of one invocation under a
 :class:`~repro.runtime.machine.MachineConfig`.  Because duplicate
 filtering, producer sets, word counts and wait/signal pairing were
 resolved at pack time, the per-machine walk touches only integers plus
-the previous iteration's signal timetable, and two common shapes skip
-the walk entirely:
-
-* **counted DOALL** (counted loop, no waits/signals/transfers at all):
-  the finish time is ``conf + max per-core span sum``, computed by
-  slicing the trace's iteration stamps;
-* **single core, no prefetching**: every stalling wait completes
-  exactly ``signal_latency`` after the thread reaches it (the
-  predecessor's signal time can never exceed the successor's clock on
-  one core), so the signal timetable is never materialized.
+the previous iteration's signal timetable, and a **counted DOALL**
+shape (counted loop, no waits/signals/transfers at all) skips the walk
+entirely: the finish time is ``conf + max per-core span sum``, computed
+by slicing the trace's iteration stamps.
 
 :func:`schedule_many` is the batched entry point behind machine-grid
 sweeps and behind every executor's timing.  It groups traces by shape
@@ -47,11 +41,14 @@ count.
 
 :func:`schedule_invocation_reference` is the original per-event
 interpreter over the raw :class:`~repro.runtime.trace.InvocationTrace`.
-It is kept as the differential oracle -- ``tests/test_sched_differential``
-and ``repro bench-sched`` enforce field-exact :class:`ScheduleResult`
-equality between the engines -- and is still written for clarity,
-not speed (its only performance fixes are hoisting the producer-set
-rebuild and the usually-redundant interval sort out of the hot loop).
+It is the differential oracle -- ``tests/test_sched_differential`` and
+``repro bench-sched`` enforce field-exact :class:`ScheduleResult`
+equality between the engines -- and the simulated timeline's
+placement: asked to, it reports every interval a core spends
+configuring, computing, stalled, waiting for the control signal,
+forwarding data or collecting as it walks
+(:func:`repro.obs.timeline.run_timeline`).  It is written for clarity,
+not speed.
 
 All engines implement the same model (see
 :mod:`repro.runtime.parallel` for the methodology): per-core clocks with
@@ -67,7 +64,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.loopinfo import ParallelizedLoop
 from repro.runtime.machine import MachineConfig, PrefetchMode
@@ -93,7 +90,6 @@ class ScheduleResult:
     waits: int = 0
     wait_stall_cycles: int = 0
     transfer_words: int = 0
-    segment_cycles: int = 0
     #: Busy compute cycles across all cores: every iteration's
     #: sequential span plus the memory-barrier cost of each recorded
     #: wait/signal (zero on TSO machines).
@@ -112,8 +108,9 @@ class ScheduleResult:
         The four buckets are disjoint: together with the per-thread
         configuration cost, the wind-down collection and per-core idle
         time they account exactly for ``parallel_cycles * cores`` (the
-        simulated-time timeline exporter places every bucket on its
-        core; ``tests/test_timeline.py`` asserts the accounting).
+        reference scheduler places every bucket on its core for the
+        simulated-time timeline; ``tests/test_timeline.py`` asserts the
+        accounting).
         """
         return {
             "compute": self.compute_cycles,
@@ -128,24 +125,6 @@ class ScheduleResult:
 #: :meth:`ScheduleResult.overhead_breakdown` buckets, under the names of
 #: the simulated-time timeline's categories.
 CORE_FIELDS = ("compute", "stall", "signal", "transfer")
-
-
-def _merge_segments(
-    intervals: List[Tuple[int, int]], needs_sort: bool
-) -> int:
-    """Total busy time of the merged wait->signal intervals."""
-    if needs_sort:
-        intervals.sort()
-    merged_start, merged_end = intervals[0]
-    total = 0
-    for start, end in intervals[1:]:
-        if start <= merged_end:
-            if end > merged_end:
-                merged_end = end
-        else:
-            total += merged_end - merged_start
-            merged_start, merged_end = start, end
-    return total + (merged_end - merged_start)
 
 
 def schedule_compact(
@@ -217,76 +196,10 @@ def schedule_compact(
     fast = machine.prefetched_signal_latency
     mode = machine.effective_prefetch_mode
 
-    op_, a1_, a2_ = prog.op, prog.a1, prog.a2
+    op_, a1_ = prog.op, prog.a1
     at_ = prog.stamps(trace)
     pre_, off, tail = prog.pre, prog.off, prog.tail
-    has_next = prog.has_next
-    slots = [0] * prog.slot_count
-    seg = 0
 
-    # Fast path: one core, no prefetching.  Iterations run back to back
-    # on a single clock, so any predecessor signal time is <= the
-    # current clock: every stalling wait (and the control wait) completes
-    # exactly ``latency`` later and the signal timetable is never needed.
-    if cores == 1 and mode is PrefetchMode.NONE:
-        t = conf
-        stall = 0
-        # On one clock the predecessor's control signal is always in the
-        # past, so every iteration start costs exactly one pull latency.
-        if not counted and n > 1:
-            stats.signal_cycles = latency * (n - 1)
-        for i in range(n):
-            if i and not counted:
-                assert has_next[i - 1], "iteration without start signal"
-                t += latency
-            last = it_start[i]
-            intervals: List[Tuple[int, int]] = []
-            needs_sort = False
-            for j in range(off[i], off[i + 1]):
-                t += at_[j] - last
-                last = at_[j]
-                if barrier:
-                    t += pre_[j] * barrier
-                o = op_[j]
-                if o == OP_WAIT_SYNC:
-                    t += barrier + latency
-                    stall += latency
-                    slots[a2_[j]] = t
-                elif o == OP_WAIT:
-                    t += barrier
-                    slots[a2_[j]] = t
-                elif o == OP_SIGNAL:
-                    t += barrier
-                    slot = a2_[j]
-                    if slot >= 0:
-                        opened = slots[slot]
-                        if intervals and opened < intervals[-1][0]:
-                            needs_sort = True
-                        intervals.append((opened, t))
-                elif o == OP_XFER:
-                    t += a1_[j] * transfer
-                # OP_NEXT: the successor's control wait resolves to
-                # ``t + latency`` regardless of the exact signal time.
-            t += it_end[i] - last
-            if barrier:
-                t += tail[i] * barrier
-            if intervals:
-                seg += _merge_segments(intervals, needs_sort)
-        stats.parallel_cycles = t + wind_down
-        stats.wait_stall_cycles = stall
-        stats.segment_cycles = seg
-        # The clock ran from ``conf`` through the signal waits, compute,
-        # stalls and transfers of every iteration.
-        stats.compute_cycles = (
-            t - conf - stall - stats.signal_cycles - stats.transfer_cycles
-        )
-        if per_core is not None:
-            breakdown = stats.overhead_breakdown().values()
-            for into, cycles in zip(per_core, breakdown):
-                into[0] += cycles * times
-        return stats
-
-    # General walk.
     mode_none = mode is PrefetchMode.NONE
     mode_ideal = mode is PrefetchMode.IDEAL
     helix = mode is PrefetchMode.HELIX
@@ -360,8 +273,6 @@ def schedule_compact(
 
         cur_sig: Dict[int, int] = {}
         cur_next: Optional[int] = None
-        intervals = []
-        needs_sort = False
         last = it_start[i]
 
         for j in range(off[i], off[i + 1]):
@@ -390,19 +301,11 @@ def schedule_compact(
                 if arrival > t:
                     stalls[core] += arrival - t
                     t = arrival
-                slots[a2_[j]] = t
             elif o == OP_WAIT:
                 t += barrier
-                slots[a2_[j]] = t
             elif o == OP_SIGNAL:
                 t += barrier
                 cur_sig[a1_[j]] = t
-                slot = a2_[j]
-                if slot >= 0:
-                    opened = slots[slot]
-                    if intervals and opened < intervals[-1][0]:
-                        needs_sort = True
-                    intervals.append((opened, t))
             elif o == OP_XFER:
                 moves[core] += a1_[j] * transfer
                 t += a1_[j] * transfer
@@ -415,14 +318,11 @@ def schedule_compact(
         core_free[core] = t
         if t > max_end:
             max_end = t
-        if intervals:
-            seg += _merge_segments(intervals, needs_sort)
         prev_sig = cur_sig
         prev_next = cur_next
 
     stats.parallel_cycles = max_end + wind_down
     stats.wait_stall_cycles = sum(stalls)
-    stats.segment_cycles = seg
     stats.signal_cycles = sum(sigs)
     # A core's clock ran from ``conf`` through exactly its iterations'
     # signal waits, compute, stalls and transfers.
@@ -518,7 +418,7 @@ _MIN_COHORT = 12
 
 #: Most columns one pass of the vector walk carries.  Wider axes are
 #: walked in chunks of this many columns so that the signal timetable
-#: and the segment slots of a chunk stay cache-resident: the 1,231
+#: of a chunk stays cache-resident: the 1,231
 #: distinct invocations of gzip's largest shape under an 80-machine
 #: grid sweep in 0.17 s at 2-4k columns a chunk, 0.20-0.24 s at 8k and
 #: 0.22-0.27 s in one piece.
@@ -643,9 +543,9 @@ def _schedule_cohort(
 ):
     """Schedule shape-identical traces under every machine in one walk.
 
-    The vector axis is ``machines x traces``: per-core clocks, signal
-    timetables and segment slots are integer vectors with one column
-    per (machine, trace) pair and every opcode advances all of them at
+    The vector axis is ``machines x traces``: per-core clocks and signal
+    timetables are integer vectors with one column per (machine,
+    trace) pair and every opcode advances all of them at
     once, so the per-op interpretive overhead is paid once per shape
     instead of once per trace per machine.  Every machine field enters
     the walk as a value (``max``/``min``/``+`` only) and is broadcast
@@ -754,7 +654,7 @@ def _schedule_cohort(
         )
         return data, per_core
 
-    op_, a1_, a2_, src_ = prog.op, prog.a1, prog.a2, prog.src
+    op_, a1_, src_ = prog.op, prog.a1, prog.src
     pre_, off, tail_ = prog.pre, prog.off, prog.tail
     has_next = prog.has_next
     nops = len(op_)
@@ -825,11 +725,9 @@ def _schedule_cohort(
             clk = clocks[:top, chunk]
             hclk = np.zeros_like(clk) if do_helper else None
             evt = np.zeros((nops, width), dtype=np.int64)
-            slots_t = np.zeros((prog.slot_count, width), dtype=np.int64)
             stall = np.zeros(width, dtype=np.int64)
             # Each iteration's control-signal wait.
             signalled = np.zeros((0 if counted else n, width), dtype=np.int64)
-            seg = np.zeros(width, dtype=np.int64)
             prev_next = None
             cur_next = None
 
@@ -864,7 +762,6 @@ def _schedule_cohort(
                         t = t + wait
                     signalled[i] = t - started
 
-                ivl = []
                 for j in range(off[i], off[i + 1]):
                     o = op_[j]
                     pj = pre_[j]
@@ -886,18 +783,13 @@ def _schedule_cohort(
                             arrival += wait
                         stall += arrival - t
                         t = arrival
-                        slots_t[a2_[j]] = t
                     elif o == OP_WAIT:
                         if any_bar:
                             t += (pj + 1) * bar
-                        slots_t[a2_[j]] = t
                     elif o == OP_SIGNAL:
                         if any_bar:
                             t += (pj + 1) * bar
                         evt[j] = t
-                        slot = a2_[j]
-                        if slot >= 0:
-                            ivl.append((slots_t[slot], t))
                     elif o == OP_XFER:
                         t += a1_[j] * xfr
                         if any_bar and pj:
@@ -911,40 +803,11 @@ def _schedule_cohort(
                 if any_bar and tail_[i]:
                     t += tail_[i] * bar
                 clk[core] = t
-                if ivl:
-                    if len(ivl) == 1:
-                        seg += ivl[0][1] - ivl[0][0]
-                    else:
-                        # Merge in append order for everyone, then redo
-                        # the rare columns whose openings were out of
-                        # order with the scalar sort-and-merge.
-                        violated = None
-                        prev_open = ivl[0][0]
-                        for s_, _e in ivl[1:]:
-                            v = s_ < prev_open
-                            violated = v if violated is None else violated | v
-                            prev_open = s_
-                        ms, me = ivl[0]
-                        busy = np.zeros(width, dtype=np.int64)
-                        for s_, e_ in ivl[1:]:
-                            ov = s_ <= me
-                            busy = np.where(ov, busy, busy + (me - ms))
-                            ms = np.where(ov, ms, s_)
-                            me = np.where(ov, np.maximum(me, e_), e_)
-                        closed = busy + (me - ms)
-                        if violated.any():
-                            for c in np.nonzero(violated)[0]:
-                                pairs = sorted(
-                                    (int(s_[c]), int(e_[c])) for s_, e_ in ivl
-                                )
-                                closed[c] = _merge_segments(pairs, False)
-                        seg += closed
                 prev_next = cur_next
 
             # Clocks only advance and start at ``conf``, which no end
             # precedes: the last end is the greatest entry of any row.
             col["parallel_cycles"][mi_, c_] = clk.max(axis=0) + wind_v[mi_]
-            col["segment_cycles"][mi_, c_] = seg
             col["wait_stall_cycles"][mi_, c_] = stall
             if not counted:
                 col["signal_cycles"][mi_, c_] = signalled.sum(axis=0)
@@ -1099,11 +962,20 @@ def schedule_invocation_reference(
     trace: InvocationTrace,
     loop: ParallelizedLoop,
     machine: MachineConfig,
+    emit: Optional[Callable[[int, str, int, int], None]] = None,
 ) -> ScheduleResult:
     """Reconstruct the parallel schedule of one invocation.
 
     The original per-event interpreter over the raw trace, kept as the
-    differential oracle for :func:`schedule_compact`.
+    differential oracle for the compiled engines.  ``emit``, when given,
+    is called as ``emit(core, category, start, end)`` for every interval
+    the invocation occupies a core, in the order the walk meets them and
+    in cycles from the start of thread configuration: ``config`` on
+    every core, then per iteration its ``signal`` wait and its
+    ``compute`` stretches, split wherever a ``stall`` or a ``transfer``
+    interrupts them, and last ``collect`` on core 0, which ends at
+    ``parallel_cycles``.  Intervals of no length are not emitted, and a
+    zero-iteration invocation emits nothing.
     """
     cores = machine.cores
     latency = machine.signal_latency
@@ -1115,12 +987,12 @@ def schedule_invocation_reference(
     # and store needs a memory barrier.
     barrier = 0 if machine.total_store_ordering else machine.barrier_cycles
 
-    core_free = [float(conf)] * cores
-    helper_free = [0.0] * cores
-    prev_sig: Dict[int, float] = {}
+    core_free = [conf] * cores
+    helper_free = [0] * cores
+    prev_sig: Dict[int, int] = {}
     prev_produced: Set[int] = set()
-    prev_next_time: Optional[float] = None
-    iteration_ends: List[float] = []
+    prev_next_time: Optional[int] = None
+    iteration_ends: List[int] = []
     barrier_events = 0
     span_total = 0
 
@@ -1129,10 +1001,14 @@ def schedule_invocation_reference(
         sequential_cycles=trace.end_cycles - trace.start_cycles,
     )
 
-    def pull_complete(t: float, ts: float) -> float:
+    def occupy(core: int, category: str, start: int, end: int) -> None:
+        if emit is not None and end > start:
+            emit(core, category, start, end)
+
+    def pull_complete(t: int, ts: int) -> int:
         return max(t, ts) + latency
 
-    def wait_complete(t: float, ts: float, prefetch_done: Optional[float]) -> float:
+    def wait_complete(t: int, ts: int, prefetch_done: Optional[int]) -> int:
         if mode is PrefetchMode.NONE:
             return pull_complete(t, ts)
         if mode is PrefetchMode.IDEAL:
@@ -1141,11 +1017,15 @@ def schedule_invocation_reference(
             return pull_complete(t, ts)
         return min(pull_complete(t, ts), max(t + fast, prefetch_done))
 
+    if trace.iterations:
+        for core in range(cores):
+            occupy(core, "config", 0, conf)
+
     for i, iteration in enumerate(trace.iterations):
         core = i % cores
 
         # Helper-thread prefetch agenda for this iteration.
-        prefetch_done: Dict[int, float] = {}
+        prefetch_done: Dict[int, int] = {}
         if mode in (PrefetchMode.HELIX, PrefetchMode.MATCHED) and i > 0:
             ctrl_agenda = [] if loop.counted else [CTRL_DEP]
             if mode is PrefetchMode.HELIX:
@@ -1174,19 +1054,17 @@ def schedule_invocation_reference(
             assert prev_next_time is not None, "iteration without start signal"
             started = t
             t = wait_complete(t, prev_next_time, prefetch_done.get(CTRL_DEP))
-            stats.signal_cycles += int(t - started)
+            stats.signal_cycles += t - started
+            occupy(core, "signal", started, t)
 
-        cur_sig: Dict[int, float] = {}
-        cur_next: Optional[float] = None
+        cur_sig: Dict[int, int] = {}
+        cur_next: Optional[int] = None
         cur_produced: Set[int] = set()
         waited: Set[int] = set()
         transferred: Set[int] = set()
-        segment_opens: Dict[int, float] = {}
-        segment_intervals: List[Tuple[float, float]] = []
-        # Events are appended in cycle order, so wait->signal intervals
-        # usually open in increasing order too; sort only when a nested
-        # pairing actually violated it.
-        intervals_sorted = True
+        # Where the open compute stretch began: a stall or a transfer
+        # closes it, and so does the end of the iteration.
+        opened = t
         last = iteration.start_cycles
 
         for kind, dep, at in iteration.events:
@@ -1199,32 +1077,21 @@ def schedule_invocation_reference(
                 if dep in waited or dep in cur_sig:
                     continue
                 waited.add(dep)
-                if i == 0:
-                    segment_opens[dep] = t
-                    continue
                 ts = prev_sig.get(dep)
                 if ts is None:
-                    segment_opens[dep] = t
                     continue
                 arrival = wait_complete(t, ts, prefetch_done.get(dep))
                 if arrival > t:
-                    stats.wait_stall_cycles += int(arrival - t)
-                    t = arrival
-                segment_opens[dep] = t
+                    stats.wait_stall_cycles += arrival - t
+                    occupy(core, "compute", opened, t)
+                    occupy(core, "stall", t, arrival)
+                    t = opened = arrival
             elif kind == "s":
                 barrier_events += 1
                 t += barrier
                 if dep not in cur_sig:
                     cur_sig[dep] = t
                     stats.signals += 1
-                    opened = segment_opens.pop(dep, None)
-                    if opened is not None:
-                        if (
-                            segment_intervals
-                            and opened < segment_intervals[-1][0]
-                        ):
-                            intervals_sorted = False
-                        segment_intervals.append((opened, t))
             elif kind == "n":
                 if cur_next is None:
                     cur_next = t
@@ -1234,28 +1101,20 @@ def schedule_invocation_reference(
                 if dep in prev_produced and dep not in transferred:
                     transferred.add(dep)
                     words = iteration.words.get(dep, 1)
-                    t += words * transfer
                     stats.transfer_words += words
+                    moved = t + words * transfer
+                    if moved > t:
+                        occupy(core, "compute", opened, t)
+                        occupy(core, "transfer", t, moved)
+                        t = opened = moved
             else:  # 'p' producer marks only feed the next iteration's set.
                 cur_produced.add(dep)
 
         t += iteration.end_cycles - last
+        occupy(core, "compute", opened, t)
         span_total += iteration.end_cycles - iteration.start_cycles
         core_free[core] = t
         iteration_ends.append(t)
-
-        # Merge segment intervals for the busy-time statistic.
-        if segment_intervals:
-            if not intervals_sorted:
-                segment_intervals.sort()
-            merged_start, merged_end = segment_intervals[0]
-            for start, end in segment_intervals[1:]:
-                if start <= merged_end:
-                    merged_end = max(merged_end, end)
-                else:
-                    stats.segment_cycles += int(merged_end - merged_start)
-                    merged_start, merged_end = start, end
-            stats.segment_cycles += int(merged_end - merged_start)
 
         prev_sig = cur_sig
         prev_next_time = cur_next
@@ -1273,6 +1132,6 @@ def schedule_invocation_reference(
 
     # Main thread collects the exit variable and stops parallel threads.
     finish = max(iteration_ends)
-    finish += latency + max(cores - 1, 0)
-    stats.parallel_cycles = int(finish)
+    stats.parallel_cycles = finish + latency + max(cores - 1, 0)
+    occupy(0, "collect", finish, stats.parallel_cycles)
     return stats

@@ -23,8 +23,8 @@ the machine.  The recorded form is therefore a
   counts, producer marks and non-forwarded consumer marks disappear,
   transferable ``xfer`` events carry their word counts inline, waits
   are split into *can-stall* (predecessor signalled the dependence) and
-  *cannot-stall* variants, wait/signal pairs are pre-matched into
-  segment slots, and the per-iteration deduped wait agendas for
+  *cannot-stall* variants, each can-stall wait points at the signal it
+  synchronizes with, and the per-iteration deduped wait agendas for
   ``MATCHED`` prefetching are precomputed.  The aggregate ``waits``,
   ``signals`` and ``transfer_words`` statistics are machine-independent
   and precomputed outright.
@@ -142,11 +142,8 @@ class TraceProgram:
     #: Flat compiled event columns (parallel arrays, ``off`` slices them
     #: per iteration).
     op: array
-    #: Operand 1: dependence id (waits/signals), word count (xfers).
+    #: Operand: dependence id (waits/signals), word count (xfers).
     a1: array
-    #: Operand 2: segment slot (waits; signals carry the slot of the
-    #: wait they close, or -1 when the dependence was never waited on).
-    a2: array
     #: Synchronization source: for ``OP_WAIT_SYNC`` the flat op index of
     #: the previous iteration's matching ``OP_SIGNAL`` (pack-time
     #: guarantee: present), -1 for every other opcode.  Lets schedulers
@@ -171,8 +168,6 @@ class TraceProgram:
     #: computing and forwarding on any machine.
     barriers: array
     words: array
-    #: Maximum segment slots used by any iteration.
-    slot_count: int
     #: Per-iteration deduped wait agendas (all ``'w'`` deps in first-
     #: occurrence order) for ``MATCHED`` prefetching.
     agendas: Tuple[Tuple[int, ...], ...]
@@ -352,7 +347,6 @@ class CompactInvocationTrace:
         REGISTRY.inc("sched.programs_compiled")
         op = array("q")
         a1 = array("q")
-        a2 = array("q")
         src = array("q")
         raw_ix = array("q")
         pre = array("q")
@@ -368,7 +362,6 @@ class CompactInvocationTrace:
         ev_off = self.ev_off
         waits = signals = next_iters = transfer_total = active = 0
         raw_signals = 0
-        slot_count = 0
         #: dep -> flat op index of the iteration's kept OP_SIGNAL.
         prev_sig: Dict[int, int] = {}
         prev_produced: frozenset = frozenset()
@@ -384,8 +377,6 @@ class CompactInvocationTrace:
             produced: set = set()
             agenda: List[int] = []
             agenda_seen: set = set()
-            open_slot: Dict[int, int] = {}
-            nslot = 0
             seen_next = False
             pending = 0
             barriers_before = waits + raw_signals
@@ -402,16 +393,13 @@ class CompactInvocationTrace:
                         pending += 1  # barrier-only duplicate
                         continue
                     waited.add(dep)
-                    open_slot[dep] = nslot
                     source = prev_sig.get(dep, -1) if i > 0 else -1
                     op.append(OP_WAIT_SYNC if source >= 0 else OP_WAIT)
                     a1.append(dep)
-                    a2.append(nslot)
                     src.append(source)
                     raw_ix.append(j)
                     pre.append(pending)
                     pending = 0
-                    nslot += 1
                     active += 1
                 elif kind == KIND_SIGNAL:
                     raw_signals += 1
@@ -422,7 +410,6 @@ class CompactInvocationTrace:
                     signals += 1
                     op.append(OP_SIGNAL)
                     a1.append(dep)
-                    a2.append(open_slot.pop(dep, -1))
                     src.append(-1)
                     raw_ix.append(j)
                     pre.append(pending)
@@ -435,7 +422,6 @@ class CompactInvocationTrace:
                     next_iters += 1
                     op.append(OP_NEXT)
                     a1.append(0)
-                    a2.append(-1)
                     src.append(-1)
                     raw_ix.append(j)
                     pre.append(pending)
@@ -446,7 +432,6 @@ class CompactInvocationTrace:
                         transferred[dep] = len(op)
                         op.append(OP_XFER)
                         a1.append(0)
-                        a2.append(-1)
                         src.append(-1)
                         raw_ix.append(j)
                         pre.append(pending)
@@ -467,15 +452,12 @@ class CompactInvocationTrace:
             moved.append(forwarded)
             agendas.append(tuple(agenda))
             has_next.append(seen_next)
-            if nslot > slot_count:
-                slot_count = nslot
             prev_sig = cur_sig
             prev_produced = frozenset(produced)
 
         return TraceProgram(
             op=op,
             a1=a1,
-            a2=a2,
             src=src,
             raw=raw_ix,
             pre=pre,
@@ -483,7 +465,6 @@ class CompactInvocationTrace:
             tail=tail,
             barriers=barriers,
             words=moved,
-            slot_count=slot_count,
             agendas=tuple(agendas),
             has_next=tuple(has_next),
             waits=waits,

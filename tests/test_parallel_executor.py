@@ -366,18 +366,6 @@ class TestScheduleInvocation:
         assert run(PrefetchMode.IDEAL) <= run(PrefetchMode.HELIX)
         assert run(PrefetchMode.HELIX) <= run(PrefetchMode.NONE)
 
-    def test_segment_cycles_measured(self):
-        it0 = iteration(0, [("w", 0, 10), ("s", 0, 60)], 100)
-        it1 = iteration(100, [("w", 0, 110), ("s", 0, 160)], 200)
-        trace = InvocationTrace(
-            loop_id=("f", "L"), start_cycles=0, end_cycles=200,
-            iterations=[it0, it1],
-        )
-        result = schedule_invocation(
-            trace, make_loop_info(counted=True), self.machine()
-        )
-        assert result.segment_cycles >= 100  # two ~50-cycle segments
-
 
 class TestMemoryConsistency:
     def test_weak_ordering_costs_barriers(self):

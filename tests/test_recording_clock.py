@@ -12,6 +12,14 @@ execution and of a replay under each machine of the differential grid,
 **generated on the commit before the clock changed**
 (``python -m tests.test_recording_clock`` prints the table of the tree
 it runs in).
+
+The digests hash :meth:`LoopRunStats.to_dict`, so they moved once
+since, when the unread ``segment_cycles`` statistic left the loop
+statistics.  That table was recomputed on the commit before the
+removal, with only the ``segment_cycles`` key dropped from
+``to_dict()``, by the command above; the committed table equals that
+output byte for byte, and its cycle counts and trace counts equal the
+earlier table's.
 """
 
 import hashlib
@@ -112,12 +120,12 @@ def test_bench_numbers_equal_the_previous_clocks(bench, runner, table):
 def test_timeline_block_equals_the_per_trace_walk(bench, runner):
     """The report's accounting is read off the per-core columns of the
     schedule walk, which times each distinct invocation once and counts
-    it once per occurrence; the segment walk places every trace.  Same
-    per-core buckets, same total."""
+    it once per occurrence; the reference scheduler places every trace
+    for the timeline.  Same per-core buckets, same total."""
     from repro.obs.timeline import core_totals, run_timeline, timeline_block
 
     executor = runner.helix_run(bench).executor
-    _, first, index = executor.invocation_groups()
+    _, first, index = executor.grouping
     assert len(index) == len(executor.traces) >= len(first)
     for cores in (2, 4, 6):
         machine = runner.machine.with_cores(cores)
@@ -131,7 +139,7 @@ def test_timeline_block_equals_the_per_trace_walk(bench, runner):
 
 def test_a_restored_suite_compiles_one_program_per_shape(runner):
     """Restoring each bench's recording from its stored form compiles the
-    first trace of every shape of ``invocation_groups()`` and nothing
+    first trace of every shape of its ``grouping`` and nothing
     else: 253 programs for the suite's 4,319 traces."""
     from repro.obs import REGISTRY
     from repro.runtime.interpreter import ExecutionResult
@@ -159,7 +167,7 @@ def test_a_restored_suite_compiles_one_program_per_shape(runner):
             stored,
             recorded.load_count,
         )
-        groups, _, _ = restored.invocation_groups()
+        groups, _, _ = restored.grouping
         assert compiled() - before == len(groups), bench
         shapes += len(groups)
         traces += len(stored)

@@ -35,8 +35,8 @@ from repro.runtime.trace import (
 )
 
 #: Program shapes covering the scheduler's behaviours: counted DOALL
-#: (fast path), cross-iteration data dependences (waits/signals/segment
-#: intervals and transfers), non-counted loops (control signals),
+#: (fast path), cross-iteration data dependences (waits, signals and
+#: transfers), non-counted loops (control signals),
 #: zero-iteration invocations, and a mix of one shape-identical trace
 #: cohort with odd-shaped stragglers (``cohort_mix``).
 SOURCES = {
@@ -403,7 +403,7 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     # One distinct invocation on either executor, occurring twice in the
     # second run.
     assert walked == [(1, [1]), (1, [2])]
-    shapes, first, index = restored.invocation_groups()
+    shapes, first, index = restored.grouping
     assert (shapes, first, index.tolist()) == ([[0]], [0], [0, 0])
     for machine, single, double in zip(MACHINES, once, twice):
         first_cell, second_cell = restored.schedules(machine)
@@ -420,11 +420,11 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
 
 
 def test_out_of_order_intervals_are_fixed_up_off_the_first_column():
-    """Two waits open at the same cycle and close in reverse order: on
-    a TSO machine the openings tie and the append-order merge is right,
-    on a non-TSO machine each wait pays a barrier, the second opens
-    later and the walk must redo the sort-and-merge -- for the columns
-    of that machine only, which are not the first of the walk."""
+    """Two waits open at the same cycle and their signals close them in
+    reverse order; on a non-TSO machine each wait pays a barrier, so the
+    second opens later.  Walked as one cohort under machines of either
+    kind, with the non-TSO ones not first, every column is the
+    reference's."""
     from tests.test_parallel_executor import iteration, make_loop_info
 
     loop = make_loop_info(counted=True)
@@ -465,22 +465,10 @@ def test_out_of_order_intervals_are_fixed_up_off_the_first_column():
     ]
     import repro.runtime.sched as sched_mod
 
-    sorts = []
-    real = sched_mod._merge_segments
-
-    def counting(intervals, needs_sort):
-        sorts.append(list(intervals))
-        return real(intervals, needs_sort)
-
-    with mock.patch.object(sched_mod, "_MIN_COHORT", 1), mock.patch.object(
-        sched_mod, "_merge_segments", counting
-    ):
+    with mock.patch.object(sched_mod, "_MIN_COHORT", 1):
         columns = schedule_many(traces, [loop] * len(traces), grid)
-    # Two distinct invocations.  In the first iteration only the columns
-    # of the two non-TSO machines are redone; in the second the first
-    # wait stalls on every machine, so every column is.
+    # Two distinct invocations, walked together.
     assert len(columns.grouping[1]) == 2
-    assert len(sorts) == 2 * 2 + 2 * 4
     for mi, machine in enumerate(grid):
         assert columns.column(mi).results() == [
             schedule_invocation_reference(

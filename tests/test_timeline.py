@@ -1,17 +1,19 @@
 """Differential tests: simulated-time timeline vs the trace scheduler.
 
-The per-core segments exported by :mod:`repro.obs.timeline` re-derive
-the scheduler's placement, so on the full sched-differential grid
+The per-core segments exported by :mod:`repro.obs.timeline` are the
+reference scheduler's placement, so on the full sched-differential grid
 (every source shape x every machine) their category totals must equal
-the :class:`ScheduleResult` aggregates *exactly*, segments on one core
-must never overlap, and the busy+idle accounting must close to
-``parallel_cycles * cores``.  The segment walk is then the oracle of
-``timeline_block``, which reads the per-core accounting the scheduler
-left on its columns: the two must agree per core on every engine path
-of the scheduler.
+the :class:`ScheduleResult` aggregates of the compiled engines
+*exactly*, segments on one core must never overlap, and the busy+idle
+accounting must close to ``parallel_cycles * cores``.  The reference's
+placement is then the oracle of ``timeline_block``, which reads the
+per-core accounting the scheduler left on its columns: the two must
+agree per core on every engine path of the scheduler.
 """
 
 import dataclasses
+import inspect
+import re
 
 import pytest
 
@@ -19,15 +21,15 @@ from repro.frontend import compile_source
 from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.timeline import (
     CATEGORIES,
+    Segment,
     core_totals,
-    invocation_segments,
     run_timeline,
     timeline_block,
     timeline_events,
 )
 from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.parallel import ParallelExecutor
-from repro.runtime.sched import trace_signature
+from repro.runtime.sched import schedule_invocation_reference, trace_signature
 from repro.runtime.trace import (
     CompactInvocationTrace,
     InvocationTrace,
@@ -54,6 +56,19 @@ def _assert_no_overlap(segments):
             assert a.end <= b.start, f"overlap: {a} vs {b}"
 
 
+def _reference_segments(trace, loop, machine):
+    """The reference scheduler's schedule of one invocation and the
+    intervals it placed, as segments in invocation-local time."""
+    segments = []
+    result = schedule_invocation_reference(
+        trace.to_invocation_trace(),
+        loop,
+        machine,
+        lambda *interval: segments.append(Segment(*interval)),
+    )
+    return result, segments
+
+
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_invocation_segments_match_schedule_breakdown(name):
     _, _, executor, _ = _prepare(name)
@@ -61,9 +76,10 @@ def test_invocation_segments_match_schedule_breakdown(name):
     for machine in MACHINES:
         schedules = executor.schedules(machine)
         for trace, sched in zip(executor.traces, schedules):
-            segments = invocation_segments(
+            reference, segments = _reference_segments(
                 trace, info_by_id[trace.loop_id], machine
             )
+            assert reference == sched
             if trace.iteration_count == 0:
                 assert segments == []
                 continue
@@ -204,12 +220,10 @@ def test_block_equals_segment_totals_on_the_grid(name):
         _assert_consumers_agree(executor, machine)
     if name == "cohort_mix":
         # The scheduler compiled one program for the whole shape group
-        # and the segment walk placed every member through it, reading
-        # the member's own timestamps through its ``raw`` index.  The
-        # members ran alike at different points of the recorded clock
-        # (stamps are offsets from the start of the invocation), so the
-        # scheduler walked one of them and the block counted it once per
-        # occurrence.
+        # and the timeline compiled none.  The members ran alike at
+        # different points of the recorded clock (stamps are offsets
+        # from the start of the invocation), so the scheduler walked one
+        # of them and the block counted it once per occurrence.
         groups = {}
         for trace in executor.traces:
             groups.setdefault(trace_signature(trace), []).append(trace)
@@ -222,7 +236,7 @@ def test_block_equals_segment_totals_on_the_grid(name):
 
 
 def test_walk_reads_gaps_off_the_recording_not_off_a_column(monkeypatch):
-    """The segment walk takes the sequential gaps from the traces' own
+    """The timeline takes the sequential gaps from the traces' own
     stamps in the recorded clock and asks for no schedule column, the
     executing machine's included.  The block reads the column of its
     machine, scheduling it once when the memo lacks it and never
@@ -278,9 +292,9 @@ def test_block_equals_segment_totals_on_every_engine_path(
     name, engine, monkeypatch
 ):
     """The per-core accounting is filled in by whichever engine walked a
-    shape -- the scalar engine with its counted-DOALL and one-core
-    fast paths, or the cohort walk's chunk reduction -- and must equal
-    the segment walk's per-core totals for every machine of the mixed
+    shape -- the scalar engine, its general walk or its counted-DOALL
+    fast path, or the cohort walk's chunk reduction -- and must equal
+    the reference placement's per-core totals for every machine of the mixed
     grid, scheduled in one ``schedule_many`` call: core counts 1 to 8,
     all four prefetch modes, non-TSO barriers, with each distinct
     invocation weighted by its occurrences."""
@@ -312,8 +326,8 @@ def test_block_equals_segment_totals_on_every_engine_path(
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_a_restore_compiles_one_program_per_shape(name):
     """Restoring a run compiles the first trace of each shape and hands
-    its program to the others; the report's accounting and the segment
-    walk compile nothing more."""
+    its program to the others; the report's accounting and the timeline
+    compile nothing more."""
     from repro.obs import REGISTRY
 
     def compiled():
@@ -324,7 +338,7 @@ def test_a_restore_compiles_one_program_per_shape(name):
     _prepare(name)
     before = compiled()
     executor = _restored_with_empty_invocation(name)
-    shapes, _, _ = executor.invocation_groups()
+    shapes, _, _ = executor.grouping
     assert compiled() - before == len(shapes)
     for machine in (executor.machine, MACHINES[0], MACHINES[-1]):
         timeline_block(executor, machine)
@@ -355,3 +369,14 @@ def test_timeline_events_are_valid_chrome_events():
     assert tracks <= set(range(executor.machine.cores))
     names = {e["name"] for e in events if e["ph"] == "M"}
     assert "process_name" in names and "thread_name" in names
+
+
+def test_the_timeline_walks_no_compiled_program():
+    # The placement is the reference scheduler's: the timeline module
+    # must not grow a walk of its own over compiled trace programs.
+    import repro.obs.timeline as timeline
+
+    source = inspect.getsource(timeline)
+    assert not re.search(r"\bOP_[A-Z_]+\b", source)
+    assert "TraceProgram" not in source
+    assert not [name for name in vars(timeline) if name.startswith("OP_")]
