@@ -47,7 +47,6 @@ from repro.analysis.manager import (
     Analysis,
     AnalysisCounter,
     AnalysisManager,
-    UncachedAnalysisManager,
 )
 
 __all__ = [
@@ -83,5 +82,4 @@ __all__ = [
     "Analysis",
     "AnalysisCounter",
     "AnalysisManager",
-    "UncachedAnalysisManager",
 ]

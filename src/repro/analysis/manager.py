@@ -260,18 +260,3 @@ class AnalysisManager:
         REGISTRY.inc(f"analysis.{name}.invalidations")
         if self.stats is not None:
             self.stats.invalidate(f"analysis:{name}")
-
-
-class UncachedAnalysisManager(AnalysisManager):
-    """Recomputes every request -- the pre-manager behavior.
-
-    Used as the legacy reference side of the migration differential tests
-    and as the "before" configuration of the pass benchmark
-    (``repro bench-passes``).
-    """
-
-    def get(self, analysis: Analysis, target: Any, *args: Any) -> Any:
-        start = time.perf_counter()
-        result = analysis.compute(self, target, *args)
-        self._count_miss(analysis.name, time.perf_counter() - start)
-        return result

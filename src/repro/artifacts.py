@@ -1,44 +1,60 @@
-"""Unified, content-addressed artifact store for the evaluation stack.
+"""The content-addressed artifact store of the evaluation stack.
 
-The :class:`ArtifactStore` keeps everything the evaluation caches
-behind one keyed API:
+One class, :class:`ArtifactStore`, is the disk cache, its keys and its
+traffic tally:
 
-* **Stage artifacts** (modules, profiles, sequential results,
-  recordings, ``run`` job answers) are addressed by
-  :meth:`ArtifactStore.key`, which hashes what :data:`KEY_INPUTS`
-  declares for the kind -- exactly what the producing stage reads --
-  and persisted through an optional
-  :class:`~repro.evaluation.cache.EvaluationCache`.  A profile or a
+* **Keys.**  :meth:`ArtifactStore.key` hashes what :data:`KEY_INPUTS`
+  declares for an artifact kind -- exactly what the producing stage
+  reads -- on top of the code version (:func:`code_version`) and the
+  benchmark sources at the scales the stage consumed.  A profile or a
   sequential baseline is keyed on the cost model alone, so every core
   count, latency and prefetch mode of a bench shares one of each; a
-  recording is keyed on the transformed IR it ran, so does every
-  request whose transformation ends in the same module.
-* **Schedule columns** (per-machine :class:`ScheduleResult` lists,
-  aligned with an executor's recorded traces) live in
-  :class:`ScheduleMemo` namespaces handed out by
-  :meth:`schedule_memo`; the store keeps a weak registry of them so
-  one :meth:`counters` call describes every live memoized column in the
-  process.
-* **Generated interpreter code** (the superblock tiers' source +
-  bytecode manifests, kind ``"codegen"``) is content-addressed by
-  :func:`repro.runtime.codegen.artifact_key` -- function IR + hook
-  flags + watched edges + codegen version, *excluding* machine shape
-  -- so warm suite re-runs and ``repro serve`` resubmissions (even at
-  different core counts) skip decode+codegen, and ``suite --jobs``
-  workers shard cold compiles through the shared cache directory.  The
-  runtime layer sees the store duck-typed (``load``/``store``), keeping
-  it free of evaluation imports.
+  recording is keyed on the transformed IR it ran, and so is shared by
+  every request whose transformation ends in the same module.
+* **Disk.**  Artifacts are JSON files, one directory per kind::
 
-One store is shared by every runner of an orchestrator (and by all the
-daemon's worker threads): artifacts travel between them by key, exactly
-as the process-parallel suite runner already moves them between worker
-processes.
+      <root>/module/<key>.json       {"ir": <printed IR>}
+      <root>/profile/<key>.json      ProfileData.to_dict()
+      <root>/sequential/<key>.json   ExecutionResult.to_dict()
+      <root>/recording/<key>.json    {result, pack_traces(traces), load_count}
+      <root>/run/<key>.json          the ``run`` job answer (eight fields)
+      <root>/codegen/<key>.json      generated interpreter code
+
+  ``codegen`` entries are keyed by
+  :func:`repro.runtime.codegen.artifact_key` (function IR, hook flags,
+  watched edges, codegen version; no machine shape); the runtime layer
+  sees the store duck-typed (``load`` / ``store``), keeping it free of
+  evaluation imports.  Writes go through a temporary file and
+  :func:`os.replace`, so processes and threads sharing one directory
+  (``suite --jobs``, the daemon's workers) never read a half-written
+  entry; an unreadable entry is a miss and is overwritten by the
+  recomputation.  Stale entries are never read, because any change to a
+  hashed input changes the key; they are left behind (the directory is
+  append-only and safe to delete wholesale).
+* **Tally.**  Every load and store is counted per kind (hits, misses,
+  stores) in one table, read by :meth:`ArtifactStore.traffic` and
+  mirrored into the metrics registry as ``evalcache.<what>.<kind>``.
+  :meth:`ArtifactStore.counters` adds the occupancy of the schedule
+  memos the store handed out (:class:`ScheduleMemo`, one per executor,
+  held weakly).
+
+A store without a root keeps nothing on disk: its loads miss and its
+stores are dropped, and its schedule memos still work.  One store is
+shared by every runner of an orchestrator (and by all the daemon's
+worker threads): artifacts travel between them by key, as they travel
+between the suite runner's worker processes through the directory.
 """
 
 from __future__ import annotations
 
+import enum
+import hashlib
+import json
+import os
+import tempfile
 import threading
 import weakref
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -54,9 +70,98 @@ from typing import (
 
 from repro.bench import benchmark_fingerprint
 from repro.ir.printer import module_to_str
+from repro.obs.metrics import REGISTRY
 
-if TYPE_CHECKING:  # imported lazily at runtime: evaluation imports us
-    from repro.evaluation.cache import EvaluationCache
+if TYPE_CHECKING:
+    from repro.analysis.loopnest import LoopId
+    from repro.core.loopinfo import HelixOptions
+    from repro.runtime.machine import PrefetchMode
+
+
+#: Payload schema generation, folded into :func:`code_version`.  Bump on
+#: incompatible payload-shape changes that a pure source hash would not
+#: capture (e.g. readers in other processes interpreting the same bytes
+#: differently).  2: recorded traces are serialized in the versioned
+#: compact format and carry the run's ``load_count``.
+CACHE_SCHEMA_VERSION = 2
+
+_code_version: Optional[str] = None
+
+
+def code_version() -> str:
+    """Fingerprint of the ``repro`` package sources (and the payload
+    schema generation).
+
+    Hashed into every key: any edit to the simulator, the
+    transformation, or the benchmarks' build machinery invalidates all
+    previously stored artifacts.
+    """
+    global _code_version
+    if _code_version is None:
+        import repro
+
+        root = Path(repro.__file__).resolve().parent
+        digest = hashlib.sha256()
+        digest.update(f"schema:{CACHE_SCHEMA_VERSION}".encode())
+        digest.update(b"\0")
+        for path in sorted(root.rglob("*.py")):
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+        _code_version = digest.hexdigest()[:16]
+    return _code_version
+
+
+def _jsonable(obj: Any) -> Any:
+    """Canonical JSON-compatible form of key components (deterministic)."""
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(asdict(obj))
+    if isinstance(obj, dict):
+        return {str(_jsonable(k)): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"unhashable cache-key component: {obj!r}")
+
+
+def fingerprint(components: Any) -> str:
+    """Stable content hash of an arbitrary nest of key components."""
+    canon = json.dumps(_jsonable(components), sort_keys=True)
+    return hashlib.sha256(canon.encode()).hexdigest()[:32]
+
+
+def pipeline_fingerprint(
+    options: "HelixOptions",
+    prefetch: "PrefetchMode",
+    signal_cost: Optional[float],
+    unoptimized_signals: bool,
+    loop_ids: Optional[Sequence["LoopId"]],
+) -> str:
+    """Canonical identity of one pipeline configuration request.
+
+    Used both as the in-memory memo key (alongside the user's string
+    ``cache_key``, which only namespaces it) and inside ``run`` keys.
+    Covers *all* transformation options (``asdict``, not a curated
+    subset), so a new knob can never silently alias stored entries.
+    """
+    return json.dumps(
+        _jsonable(
+            {
+                "options": asdict(options),
+                "prefetch": prefetch,
+                "signal_cost": signal_cost,
+                "unoptimized_signals": unoptimized_signals,
+                "loop_ids": (
+                    None if loop_ids is None else [list(l) for l in loop_ids]
+                ),
+            }
+        ),
+        sort_keys=True,
+    )
 
 
 #: What the key of each stage-artifact kind hashes on top of the code
@@ -72,7 +177,7 @@ if TYPE_CHECKING:  # imported lazily at runtime: evaluation imports us
 #: hashes the printed module and those fields -- no source, nothing else
 #: of the machine or of the request that led to the module.  Selection
 #: and Steps 1-9 read the whole machine, so ``run`` hashes all of it;
-#: ``config`` is a :func:`~repro.evaluation.cache.pipeline_fingerprint`.
+#: ``config`` is a :func:`pipeline_fingerprint`.
 KEY_INPUTS: Dict[str, Callable[..., Tuple[Tuple[str, ...], dict]]] = {
     "module": lambda scale: ((scale,), {}),
     "profile": lambda machine: (
@@ -102,43 +207,27 @@ KEY_INPUTS: Dict[str, Callable[..., Tuple[Tuple[str, ...], dict]]] = {
 class ScheduleMemo(Dict[str, List[Any]]):
     """One executor's schedule-column namespace.
 
-    A plain dict of machine fingerprint -> list of
-    :class:`~repro.runtime.sched.ScheduleResult` columns (aligned with
-    the owning executor's trace list), as
-    :class:`~repro.runtime.parallel.ParallelExecutor` has always kept --
-    but handed out and tracked by an :class:`ArtifactStore` so schedule
-    memoization shows up in the same accounting as disk artifacts.
+    A dict of machine fingerprint -> schedule columns (aligned with the
+    owning executor's trace list), handed out and tracked by an
+    :class:`ArtifactStore` so schedule memoization shows up in the same
+    accounting as stored artifacts.  A subclass only because a plain
+    dict cannot be weakly referenced.
     """
-
-    def occupancy(self) -> Dict[str, int]:
-        return {
-            "machines": len(self),
-            "columns": sum(len(column) for column in self.values()),
-        }
 
 
 class ArtifactStore:
-    """Content-addressed artifact store unifying disk + schedule memos.
+    """Content-addressed artifact store: disk layer, keys and tally.
 
-    ``cache`` may be an :class:`EvaluationCache`, a directory path, or
-    ``None`` (memory-only: stage loads always miss, schedule memos still
-    work).  The store is safe to share across threads: the disk layer
-    already uses atomic writes, and the counters are lock-protected.
+    ``root`` is the directory artifacts persist under, or ``None`` for a
+    store that keeps nothing on disk.  The store is safe to share across
+    threads and, through its directory, across processes.
     """
 
-    def __init__(
-        self,
-        cache: Union["EvaluationCache", str, Path, None] = None,
-    ) -> None:
-        if isinstance(cache, (str, Path)):
-            from repro.evaluation.cache import EvaluationCache
-
-            cache = EvaluationCache(cache)
-        self.cache: Optional["EvaluationCache"] = cache
+    def __init__(self, root: Union[str, Path, None] = None) -> None:
+        self.root: Optional[Path] = None if root is None else Path(root)
         self._lock = threading.Lock()
-        self._hits: Dict[str, int] = {}
-        self._misses: Dict[str, int] = {}
-        self._stores: Dict[str, int] = {}
+        #: kind -> {"hits", "misses", "stores"}.
+        self._traffic: Dict[str, Dict[str, int]] = {}
         #: Handed-out schedule memos, held weakly: a memo lives as long
         #: as its executor, not as long as the store (a daemon's store
         #: outlives every job's executors).
@@ -146,7 +235,7 @@ class ArtifactStore:
             weakref.WeakValueDictionary()
         )
 
-    # -- stage artifacts ---------------------------------------------------
+    # -- keys ----------------------------------------------------------------
 
     def stage_key(
         self, bench: str, scales: Sequence[str], extra: dict
@@ -157,8 +246,6 @@ class ArtifactStore:
         The formula under :meth:`key`, which supplies ``scales`` and
         ``extra`` per artifact kind.
         """
-        from repro.evaluation.cache import code_version, fingerprint
-
         return fingerprint(
             {
                 "code": code_version(),
@@ -177,30 +264,53 @@ class ArtifactStore:
         scales, components = KEY_INPUTS[kind](**inputs)
         return self.stage_key(bench, scales, {"kind": kind, **components})
 
+    # -- disk ----------------------------------------------------------------
+
+    def _path(self, kind: str, key: str) -> Path:
+        return self.root / kind / f"{key}.json"
+
     def load(self, kind: str, key: str) -> Optional[dict]:
-        """The stored payload, or ``None`` on a miss (no cache attached
-        counts as a miss)."""
+        """The stored payload, or ``None`` on a miss (no root, no entry,
+        or a corrupt or half-written one)."""
         payload = None
-        if self.cache is not None:
-            payload = self.cache.load(kind, key)
-        with self._lock:
-            if payload is None:
-                self._misses[kind] = self._misses.get(kind, 0) + 1
-            else:
-                self._hits[kind] = self._hits.get(kind, 0) + 1
+        if self.root is not None:
+            try:
+                payload = json.loads(self._path(kind, key).read_bytes())
+            except (OSError, ValueError):
+                # ValueError: not JSON, or not even UTF-8.
+                pass
+        if not isinstance(payload, dict):
+            self._count(kind, "misses")
+            return None
+        self._count(kind, "hits")
         return payload
 
     def store(self, kind: str, key: str, payload: dict) -> bool:
-        """Persist one artifact; returns whether it was written (False
-        when the store is memory-only)."""
-        if self.cache is None:
+        """Atomically persist one artifact (last writer wins); returns
+        whether it was written (False for a store without a root)."""
+        if self.root is None:
             return False
-        self.cache.store(kind, key, payload)
-        with self._lock:
-            self._stores[kind] = self._stores.get(kind, 0) + 1
+        path = self._path(kind, key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=str(path.parent), prefix=".tmp-", suffix=".json"
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                # ``dumps`` runs the C encoder in one shot; ``json.dump``
+                # would walk the payload in Python, ~5x slower on traces.
+                handle.write(json.dumps(payload, separators=(",", ":")))
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        self._count(kind, "stores")
         return True
 
-    # -- schedule columns --------------------------------------------------
+    # -- schedule columns ----------------------------------------------------
 
     def schedule_memo(self) -> ScheduleMemo:
         """A fresh schedule-column namespace (one per executor)."""
@@ -209,41 +319,36 @@ class ArtifactStore:
             self._memos[id(memo)] = memo
         return memo
 
-    # -- accounting --------------------------------------------------------
+    # -- accounting ----------------------------------------------------------
 
-    @property
-    def warm_hits(self) -> int:
-        """Total stage-artifact loads served from the store."""
+    def _count(self, kind: str, what: str) -> None:
         with self._lock:
-            return sum(self._hits.values())
+            row = self._traffic.setdefault(
+                kind, {"hits": 0, "misses": 0, "stores": 0}
+            )
+            row[what] += 1
+        REGISTRY.inc(f"evalcache.{what}.{kind}")
+
+    def traffic(self) -> Dict[str, Dict[str, int]]:
+        """Per-kind hit/miss/store counts (sorted by kind)."""
+        with self._lock:
+            return {
+                kind: dict(row) for kind, row in sorted(self._traffic.items())
+            }
 
     def counters(self) -> Dict[str, Any]:
-        """One snapshot of everything this store has served.
-
-        ``artifacts`` mirrors the per-kind hit/miss/store tallies (the
-        store's own view; the attached cache keeps its own identical
-        disk-traffic counters), ``schedules`` aggregates the occupancy
-        of every handed-out schedule memo that is still alive.
-        """
+        """One snapshot of everything this store has served: the
+        per-kind ``artifacts`` traffic and the occupancy of every
+        handed-out schedule memo that is still alive."""
         with self._lock:
-            kinds = set(self._hits) | set(self._misses) | set(self._stores)
             memos = list(self._memos.values())
-            machines = sum(len(memo) for memo in memos)
-            columns = sum(
-                len(column) for memo in memos for column in memo.values()
-            )
-            return {
-                "artifacts": {
-                    kind: {
-                        "hits": self._hits.get(kind, 0),
-                        "misses": self._misses.get(kind, 0),
-                        "stores": self._stores.get(kind, 0),
-                    }
-                    for kind in sorted(kinds)
-                },
-                "schedules": {
-                    "memos": len(memos),
-                    "machines": machines,
-                    "columns": columns,
-                },
-            }
+        return {
+            "artifacts": self.traffic(),
+            "schedules": {
+                "memos": len(memos),
+                "machines": sum(len(memo) for memo in memos),
+                "columns": sum(
+                    len(column) for memo in memos for column in memo.values()
+                ),
+            },
+        }

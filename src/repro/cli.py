@@ -14,9 +14,6 @@ Commands:
   ``BENCH_interp.json``; ``--quick`` restricts to a small CI-friendly
   subset, ``--min-speedup X`` fails the run if any program's speedup
   drops below ``X`` and ``--min-geomean-speedup X`` gates the aggregate.
-* ``bench-passes``           -- time cold benchmark pipelines with the
-  versioned analysis cache against recompute-every-request and write
-  ``BENCH_passes.json``.
 * ``bench-sched``            -- time multi-machine sweep replay with the
   compiled trace scheduler against the reference per-event engine and
   write ``BENCH_sched.json``; every timed pair is also a field-exact
@@ -266,19 +263,6 @@ def cmd_bench_interp(args) -> int:
     ):
         return 1
     return 0
-
-
-def cmd_bench_passes(args) -> int:
-    from repro.evaluation.pass_bench import run_pass_bench
-
-    report = run_pass_bench(
-        benches=args.benches,
-        repeat=args.repeat,
-        progress=lambda name: print(f"timing {name}...", file=sys.stderr),
-    )
-    print(report.render())
-    ok = _write_json_report(args.out, report, _results_dir(args), "passes")
-    return 0 if ok else 1
 
 
 def cmd_bench_sched(args) -> int:
@@ -731,34 +715,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_bench_interp)
 
     p = sub.add_parser(
-        "bench-passes",
-        help="time cold pipelines: versioned analysis cache vs recompute",
-    )
-    p.add_argument(
-        "--benches",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="explicit benchmark names (default: representative subset)",
-    )
-    p.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="timing runs per side; minimum is reported",
-    )
-    p.add_argument(
-        "--out",
-        default="BENCH_passes.json",
-        metavar="PATH",
-        help="JSON report path (empty string disables)",
-    )
-    p.add_argument(
-        "--results-dir", default=None, metavar="DIR", help=results_help
-    )
-    p.set_defaults(func=cmd_bench_passes)
-
-    p = sub.add_parser(
         "bench-sched",
         help="time compiled vs reference trace schedulers on sweep replay",
     )
@@ -855,7 +811,7 @@ def main(argv=None) -> int:
                    help="candidate run ref or report file")
     p.add_argument(
         "--kind",
-        choices=("interp", "sched", "passes", "suite"),
+        choices=("interp", "sched", "suite"),
         default=None,
         help="report kind (inferred from the payload when omitted)",
     )

@@ -3,11 +3,10 @@
 * :mod:`repro.evaluation.runner` -- cached benchmark pipelines (compile,
   profile, select, transform, execute, replay) with per-stage
   observability counters.
-* :mod:`repro.evaluation.cache` -- content-addressed disk cache that
-  persists interpretation artifacts across processes and runs.
 * :mod:`repro.evaluation.parallel_runner` -- fans independent benchmark
   pipelines out over worker processes and merges them back through the
-  shared disk cache.  Interrupted runs raise
+  shared artifact directory (:mod:`repro.artifacts`).  Interrupted runs
+  raise
   :class:`~repro.evaluation.parallel_runner.SuiteInterrupted` carrying
   the partial report.
 * :mod:`repro.evaluation.figures` -- one driver per experiment:
@@ -19,7 +18,6 @@
 * :mod:`repro.evaluation.reporting` -- ASCII tables and statistics.
 """
 
-from repro.evaluation.cache import EvaluationCache, code_version
 from repro.evaluation.runner import (
     EvaluationRunner,
     StageStats,
@@ -33,10 +31,8 @@ from repro.evaluation.reporting import (
 from repro.evaluation import figures
 
 __all__ = [
-    "EvaluationCache",
     "EvaluationRunner",
     "StageStats",
-    "code_version",
     "default_runner",
     "figures",
     "format_stage_stats",

@@ -3,8 +3,9 @@
 The per-benchmark pipelines are independent until the figures aggregate
 them, so the suite fans out over a :class:`ProcessPoolExecutor`: each
 worker runs one benchmark's compile -> profile -> select -> transform ->
-execute chain against a *shared* :class:`EvaluationCache` directory and
-persists every interpretation artifact there.  The parent then replays
+execute chain against a *shared* artifact directory
+(:class:`~repro.artifacts.ArtifactStore`) and persists every
+interpretation artifact there.  The parent then replays
 the same stage requests through its own :class:`EvaluationRunner`; they
 all hit the freshly written disk entries, which merges the workers'
 results into the parent's in-memory caches without pickling live
@@ -38,8 +39,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.artifacts import code_version
 from repro.evaluation import figures
-from repro.evaluation.cache import EvaluationCache, code_version
 from repro.evaluation.runner import EvaluationRunner, StageStats
 from repro.obs import REGISTRY, get_tracer, metrics_delta, tracing
 from repro.runtime.machine import MachineConfig
@@ -154,7 +155,7 @@ def _run_bench(
     start = time.perf_counter()
     spans: List[dict] = []
     metrics_before = REGISTRY.snapshot()
-    runner = EvaluationRunner(machine, cache=EvaluationCache(cache_root))
+    runner = EvaluationRunner(machine, cache=cache_root)
     if trace:
         with tracing() as tracer:
             run = runner.helix_run(bench)
@@ -225,8 +226,9 @@ def run_suite(
         cache_root = scratch.name
 
     try:
-        cache = EvaluationCache(cache_root) if cache_root else None
-        runner = EvaluationRunner(machine, cache=cache, observer=observer)
+        runner = EvaluationRunner(
+            machine, cache=cache_root or None, observer=observer
+        )
         if benches is not None:
             bench_list = list(benches)
             runner.benches = lambda: bench_list  # type: ignore[method-assign]
@@ -317,8 +319,8 @@ def run_suite(
         report.geomeans = {
             str(cores): fig9.geomean(cores) for cores in fig9.core_counts
         }
-        if cache is not None:
-            report.cache_traffic = cache.traffic()
+        if runner.artifacts.root is not None:
+            report.cache_traffic = runner.artifacts.traffic()
         # Interpreter counters this run accumulated (worker deltas were
         # merged into the parent registry above, so one delta covers
         # both inline and parallel execution).

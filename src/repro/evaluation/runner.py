@@ -10,7 +10,7 @@ program.  The recording is memoized (and stored) under the hash of the
 IR it ran, so configurations whose selection and transformation end in
 the same module share one recording run and only schedule it apart.
 
-With a :class:`~repro.evaluation.cache.EvaluationCache` attached, the
+With an :class:`~repro.artifacts.ArtifactStore` on a directory, the
 three interpretation stages (profile, sequential run, recording run)
 and the compiled modules also persist across processes: a warm cache
 turns a multi-minute suite run into seconds of JSON loading plus the
@@ -30,11 +30,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.loopnest import LoopId
 from repro.analysis.manager import AnalysisManager
-from repro.artifacts import ArtifactStore
+from repro.artifacts import ArtifactStore, pipeline_fingerprint
 from repro.bench import benchmark_names, compile_benchmark
 from repro.core.loopinfo import HelixOptions, ParallelizedLoop
 from repro.core.parallelizer import parallelize_module
@@ -43,10 +44,6 @@ from repro.core.selection import (
     SelectionConfig,
     choose_loops,
     fixed_level_selection,
-)
-from repro.evaluation.cache import (
-    EvaluationCache,
-    pipeline_fingerprint,
 )
 from repro.ir import Module
 from repro.ir.parser import parse_module
@@ -243,23 +240,25 @@ class PipelineRun:
 class EvaluationRunner:
     """Memoizing driver for all experiments.
 
-    ``cache`` (optional) adds a persistent layer under the in-memory
-    memos; see :mod:`repro.evaluation.cache` for the key contents.
+    ``cache`` is the :class:`~repro.artifacts.ArtifactStore` under the
+    in-memory memos (shared with other runners), or a directory to open
+    one on, or ``None`` for a store that keeps nothing on disk; see
+    :mod:`repro.artifacts` for the key contents.
     """
 
     def __init__(
         self,
         machine: Optional[MachineConfig] = None,
-        cache: Optional[EvaluationCache] = None,
-        artifacts: Optional[ArtifactStore] = None,
+        cache: Union[ArtifactStore, str, Path, None] = None,
         observer: Optional[EvaluationObserver] = None,
     ) -> None:
         self.machine = machine or MachineConfig(cores=6)
-        #: Unified artifact store: stage artifacts (optionally disk-
-        #: persisted) plus schedule-column memos.  ``cache`` is kept as
-        #: a convenience alias of ``artifacts.cache``.
-        self.artifacts = artifacts if artifacts is not None else ArtifactStore(cache)
-        self.cache = self.artifacts.cache
+        #: Stage artifacts (on disk when the store has a root) plus
+        #: schedule-column memos; ``cache`` names the same store.
+        self.artifacts = (
+            cache if isinstance(cache, ArtifactStore) else ArtifactStore(cache)
+        )
+        self.cache = self.artifacts
         #: Progress sink (the domain protocol): stage completions and
         #: artifact traffic stream through it.  Rebindable -- the
         #: orchestrator points it at a job-bound observer per attempt.
@@ -621,7 +620,7 @@ def default_runner() -> EvaluationRunner:
     """
     global _default
     if _default is None:
-        root = os.environ.get("REPRO_EVAL_CACHE")
-        cache = EvaluationCache(root) if root else None
-        _default = EvaluationRunner(cache=cache)
+        _default = EvaluationRunner(
+            cache=os.environ.get("REPRO_EVAL_CACHE") or None
+        )
     return _default

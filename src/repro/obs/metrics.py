@@ -29,8 +29,9 @@ summarised with one snapshot:
 * ``interp.codegen.{functions,specialized_ops}`` -- code-generated
   function bodies and the fused/specialized instruction count
   (compare+branch fusions, address+memory pairs, folded constants).
-* ``evalcache.{hits,misses,stores}.<stage>`` -- disk cache traffic from
-  :class:`repro.evaluation.cache.EvaluationCache`.
+* ``evalcache.{hits,misses,stores}.<kind>`` -- artifact traffic of
+  :class:`repro.artifacts.ArtifactStore` (the same tally as its
+  ``traffic()``).
 
 Stdlib-only on purpose: the runtime layer imports this module directly
 (never :mod:`repro.obs`, whose exporter pulls in more machinery), so

@@ -11,7 +11,7 @@ wall-clock time of recording -- under a **content-addressed run ID**
 Recording the same measurement twice yields the same ID, so the store
 deduplicates instead of growing; the CLI's shared report writer
 (``_write_json_report``) records every ``bench-interp`` /
-``bench-sched`` / ``bench-passes`` / ``suite --report`` run here.
+``bench-sched`` / ``suite --report`` run here.
 
 On top of the records sits the regression engine:
 
@@ -44,9 +44,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 #: Schema generation of stored run records.
 RESULTS_SCHEMA_VERSION = 1
-
-#: The report kinds the CLI records (custom kinds are allowed too).
-KNOWN_KINDS = ("interp", "sched", "passes", "suite")
 
 
 def _canonical(payload: Any) -> str:
@@ -84,8 +81,6 @@ def infer_kind(report: Mapping[str, Any]) -> str:
             return "interp"
         if "batched_speedup" in first or "reference_seconds" in first:
             return "sched"
-        if "uncached_seconds" in first:
-            return "passes"
     if "geomeans" in report and "speedups" in report:
         return "suite"
     raise ValueError("cannot infer report kind; pass --kind explicitly")
@@ -262,7 +257,7 @@ class ResultsStore:
 
 
 def _lazy_code_version() -> str:
-    from repro.evaluation.cache import code_version
+    from repro.artifacts import code_version
 
     return code_version()
 

@@ -122,7 +122,7 @@ class JobContext:
 
             runner = EvaluationRunner(
                 MachineConfig(cores=cores),
-                artifacts=self.artifacts,
+                cache=self.artifacts,
             )
             self.runners[cores] = runner
         # Rebind progress onto this attempt's job-bound observer.
@@ -139,14 +139,15 @@ class Orchestrator:
     def __init__(
         self,
         cache: Any = None,
-        artifacts: Optional[ArtifactStore] = None,
         workers: int = 2,
         observer: Optional[EvaluationObserver] = None,
         default_timeout: Optional[float] = None,
         max_retries: int = 1,
     ) -> None:
+        #: The store every job's runners share: ``cache`` itself, or one
+        #: opened on the directory ``cache`` names (``None``: no disk).
         self.artifacts = (
-            artifacts if artifacts is not None else ArtifactStore(cache)
+            cache if isinstance(cache, ArtifactStore) else ArtifactStore(cache)
         )
         self.observer: EvaluationObserver = observer or NULL_OBSERVER
         self.default_timeout = default_timeout
@@ -520,16 +521,12 @@ class Orchestrator:
     def _handle_suite(self, ctx: JobContext, spec: SuiteJob) -> dict:
         from repro.evaluation.parallel_runner import run_suite
 
-        cache_root = (
-            str(self.artifacts.cache.root)
-            if self.artifacts.cache is not None
-            else None
-        )
+        root = self.artifacts.root
         try:
             fig9, report, _runner = run_suite(
                 machine=MachineConfig(cores=spec.cores),
                 jobs=spec.jobs,
-                cache_dir=cache_root,
+                cache_dir=None if root is None else str(root),
                 benches=list(spec.benches) if spec.benches else None,
                 observer=ctx.observer,
             )
@@ -555,7 +552,7 @@ class Orchestrator:
             with tracing() as tracer:
                 runner = EvaluationRunner(
                     MachineConfig(cores=spec.cores),
-                    artifacts=self.artifacts,
+                    cache=self.artifacts,
                     observer=ctx.observer,
                 )
                 run = runner.helix_run(spec.bench)

@@ -13,6 +13,7 @@ Three layers of guarantees:
 """
 
 import json
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from repro import MachineConfig, compile_minic
 from repro.analysis.cfg import CFGView
 from repro.analysis.loops import find_loops
-from repro.analysis.manager import AnalysisManager, UncachedAnalysisManager
+from repro.analysis.manager import AnalysisManager
 from repro.api import parallelize, parallelize_and_run
 from repro.ir import BasicBlock, Instruction, Opcode
 from repro.ir.module import clone_module
@@ -63,6 +64,17 @@ void main() {
 
 def compile_program(source=PROGRAM):
     return compile_minic(source, name="managed")
+
+
+class UncachedAnalysisManager(AnalysisManager):
+    """Recomputes every request: the pre-manager behavior, kept here as
+    the reference side of the differential tests."""
+
+    def get(self, analysis, target, *args):
+        start = time.perf_counter()
+        result = analysis.compute(self, target, *args)
+        self._count_miss(analysis.name, time.perf_counter() - start)
+        return result
 
 
 # ---------------------------------------------------------------- versions
@@ -377,21 +389,3 @@ class TestObservability:
         dep = report["analyses"]["dependence"]
         assert dep["computes"] >= 1
         assert "invalidations" in dep
-
-    def test_bench_passes_report(self, tiny_bench, tmp_path, capsys):
-        from repro.cli import main
-
-        out_path = tmp_path / "BENCH_passes.json"
-        argv = [
-            "bench-passes", "--benches", "tinymgr",
-            "--repeat", "2", "--out", str(out_path),
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "tinymgr" in out and "speedup" in out
-        report = json.loads(out_path.read_text())
-        assert report["repeat"] == 2
-        (program,) = report["programs"]
-        assert program["name"] == "tinymgr"
-        assert program["uncached_seconds"] > 0
-        assert program["analyses"]

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.artifacts import ArtifactStore, ScheduleMemo
+from repro.artifacts import (
+    ArtifactStore,
+    ScheduleMemo,
+    code_version,
+    fingerprint,
+)
 from repro.bench import benchmark_fingerprint
-from repro.evaluation.cache import EvaluationCache, code_version, fingerprint
+from repro.obs import REGISTRY
 
 PROGRAM = """
 int total;
@@ -56,14 +61,14 @@ def test_stage_key_matches_pre_refactor_formula(tiny_bench):
 
 def test_memory_only_store():
     store = ArtifactStore()
-    assert store.cache is None
+    assert store.root is None
     assert store.load("module", "k") is None
     assert store.store("module", "k", {"x": 1}) is False
     counters = store.counters()
     assert counters["artifacts"]["module"] == {
         "hits": 0, "misses": 1, "stores": 0,
     }
-    assert store.warm_hits == 0
+    assert counters["artifacts"] == store.traffic()
 
 
 def test_disk_roundtrip_and_counters(tmp_path):
@@ -73,17 +78,62 @@ def test_disk_roundtrip_and_counters(tmp_path):
     assert store.load("profile", "key1") == {"v": 42}  # hit
     counters = store.counters()["artifacts"]["profile"]
     assert counters == {"hits": 1, "misses": 1, "stores": 1}
-    assert store.warm_hits == 1
 
 
-def test_store_accepts_cache_instance(tmp_path):
-    cache = EvaluationCache(tmp_path / "cache")
-    store = ArtifactStore(cache)
-    assert store.cache is cache
+def test_the_registry_mirrors_the_one_tally(tmp_path):
+    """Every count the store keeps reaches the metrics registry as
+    ``evalcache.<what>.<kind>``, and nothing else does."""
+    with REGISTRY.isolated() as registry:
+        store = ArtifactStore(tmp_path / "cache")
+        store.load("profile", "a")
+        store.store("profile", "a", {"v": 1})
+        store.load("profile", "a")
+        store.load("codegen", "b")
+        counters = registry.snapshot()["counters"]
+    mirrored = {
+        name: value for name, value in counters.items()
+        if name.startswith("evalcache.")
+    }
+    assert mirrored == {
+        f"evalcache.{what}.{kind}": count
+        for kind, row in store.traffic().items()
+        for what, count in row.items()
+        if count
+    }
+    assert store.traffic() == {
+        "codegen": {"hits": 0, "misses": 1, "stores": 0},
+        "profile": {"hits": 1, "misses": 1, "stores": 1},
+    }
+
+
+def test_stores_on_one_directory_share_artifacts(tmp_path):
+    store = ArtifactStore(tmp_path / "cache")
     store.store("module", "k", {"a": 1})
     # Same directory through a second store: the artifact is shared.
-    other = ArtifactStore(EvaluationCache(tmp_path / "cache"))
+    other = ArtifactStore(str(tmp_path / "cache"))
     assert other.load("module", "k") == {"a": 1}
+    assert other.traffic() == {"module": {"hits": 1, "misses": 0, "stores": 0}}
+
+
+def test_the_old_import_path_names_the_store():
+    """The end-to-end harness under ``benchmarks/e2e`` imports the disk
+    layer and the code version from ``repro.evaluation.cache``, and
+    subclasses the former to time loads and stores."""
+    from repro.evaluation import cache
+
+    assert cache.EvaluationCache is ArtifactStore
+    assert cache.code_version is code_version
+
+
+def test_a_runner_opens_a_store_on_a_directory(tmp_path):
+    from repro.evaluation.runner import EvaluationRunner
+
+    runner = EvaluationRunner(cache=tmp_path / "cache")
+    assert runner.cache is runner.artifacts
+    assert runner.artifacts.root == tmp_path / "cache"
+    shared = ArtifactStore(tmp_path / "cache")
+    assert EvaluationRunner(cache=shared).artifacts is shared
+    assert EvaluationRunner().artifacts.root is None
 
 
 def test_runner_hits_pre_refactor_warm_cache(tmp_path, tiny_bench):
@@ -95,13 +145,13 @@ def test_runner_hits_pre_refactor_warm_cache(tmp_path, tiny_bench):
     cache_dir = tmp_path / "cache"
     machine = MachineConfig(cores=4)
 
-    cold = EvaluationRunner(machine, cache=EvaluationCache(cache_dir))
+    cold = EvaluationRunner(machine, cache=cache_dir)
     cold_run = cold.helix_run(tiny_bench)
     cold_counters = cold.artifacts.counters()["artifacts"]
     assert all(row["hits"] == 0 for row in cold_counters.values())
     assert sum(row["stores"] for row in cold_counters.values()) > 0
 
-    warm = EvaluationRunner(machine, cache=EvaluationCache(cache_dir))
+    warm = EvaluationRunner(machine, cache=cache_dir)
     warm_run = warm.helix_run(tiny_bench)
     warm_counters = warm.artifacts.counters()["artifacts"]
     assert sum(row["hits"] for row in warm_counters.values()) > 0
@@ -121,7 +171,9 @@ def test_schedule_memo_accounting():
     assert isinstance(memo, ScheduleMemo)
     memo["machine-a"] = [object(), object()]
     memo["machine-b"] = [object()]
-    assert memo.occupancy() == {"machines": 2, "columns": 3}
+    assert store.counters()["schedules"] == {
+        "memos": 1, "machines": 2, "columns": 3,
+    }
     other = store.schedule_memo()
     other["machine-a"] = [object()]
     schedules = store.counters()["schedules"]
@@ -138,7 +190,7 @@ def test_schedule_memo_leaves_the_count_with_its_executor():
     store = ArtifactStore()
     kept = store.schedule_memo()
     kept["machine-a"] = [object()]
-    runner = EvaluationRunner(artifacts=store)
+    runner = EvaluationRunner(cache=store)
     runner.helix_run("mcf")
     live = store.counters()["schedules"]
     assert live["memos"] == 2 and live["columns"] > 1

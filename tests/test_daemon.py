@@ -81,13 +81,10 @@ def daemon(tmp_path, tiny_bench):
 
 def one_shot_run(bench, cores, cache_dir):
     """The one-shot CLI equivalent of a daemon ``run`` job."""
-    from repro.evaluation.cache import EvaluationCache
     from repro.evaluation.runner import EvaluationRunner
     from repro.runtime.machine import MachineConfig
 
-    runner = EvaluationRunner(
-        MachineConfig(cores=cores), cache=EvaluationCache(cache_dir)
-    )
+    runner = EvaluationRunner(MachineConfig(cores=cores), cache=cache_dir)
     run = runner.helix_run(bench)
     return {
         "bench": bench,

@@ -12,16 +12,15 @@ import multiprocessing
 
 import pytest
 
-from repro.artifacts import ArtifactStore
-from repro.bench import benchmark_fingerprint
-from repro.bench import suite as bench_suite
-from repro.core.loopinfo import HelixOptions
-from repro.evaluation.cache import (
-    EvaluationCache,
+from repro.artifacts import (
+    ArtifactStore,
     code_version,
     fingerprint,
     pipeline_fingerprint,
 )
+from repro.bench import benchmark_fingerprint
+from repro.bench import suite as bench_suite
+from repro.core.loopinfo import HelixOptions
 from repro.evaluation.parallel_runner import run_suite
 from repro.evaluation.reporting import format_stage_stats
 from repro.evaluation.runner import EvaluationRunner, StageStats
@@ -328,7 +327,7 @@ class TestFingerprints:
         assert _recording_key(module=edited) != base
 
     def test_keys_see_source_text_and_code_version(self, monkeypatch):
-        import repro.evaluation.cache as cache_mod
+        import repro.artifacts as artifacts_mod
 
         # Source hashes are memoized per (bench, scale): a private memo,
         # emptied whenever the bench's text changes under its name.
@@ -360,7 +359,7 @@ class TestFingerprints:
 
         assert keys_with(lambda scale: TINY) == base
         recording = _recording_key()
-        monkeypatch.setattr(cache_mod, "_code_version", "0" * 16)
+        monkeypatch.setattr(artifacts_mod, "_code_version", "0" * 16)
         bumped = _stage_keys("tinykeys")
         assert all(bumped[kind] != base[kind] for kind in base)
         assert _recording_key() != recording
@@ -397,7 +396,7 @@ class TestFingerprints:
 
 class TestEvaluationCache:
     def test_store_load(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         assert cache.load("module", "k1") is None
         cache.store("module", "k1", {"ir": "func"})
         assert cache.load("module", "k1") == {"ir": "func"}
@@ -406,7 +405,7 @@ class TestEvaluationCache:
         }
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cache.store("profile", "k", {"x": 1})
         path = cache._path("profile", "k")
         corruptions = (
@@ -423,7 +422,7 @@ class TestEvaluationCache:
         assert cache.load("profile", "k") == {"x": 2}
 
     def test_store_is_compact_json(self, tmp_path):
-        cache = EvaluationCache(tmp_path)
+        cache = ArtifactStore(tmp_path)
         cache.store("profile", "k", {"a": [1, 2], "b": {"c": 3}})
         assert cache._path("profile", "k").read_text() == (
             '{"a":[1,2],"b":{"c":3}}'
@@ -436,12 +435,12 @@ class TestEvaluationCache:
 class TestRunnerCacheIntegration:
     def test_warm_cache_skips_interpretation(self, tiny_bench, tmp_path):
         machine = MachineConfig(cores=4)
-        cold = EvaluationRunner(machine, cache=EvaluationCache(tmp_path))
+        cold = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
         run_cold = cold.helix_run(tiny_bench)
         for stage in ("compile", "profile", "sequential", "execute"):
             assert cold.stats.stages[stage].computes >= 1, stage
 
-        warm = EvaluationRunner(machine, cache=EvaluationCache(tmp_path))
+        warm = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
         run_warm = warm.helix_run(tiny_bench)
         for stage in ("compile", "profile", "sequential", "execute"):
             tally = warm.stats.stages[stage]
@@ -458,14 +457,14 @@ class TestRunnerCacheIntegration:
 
     def test_machine_change_invalidates_entries(self, tiny_bench, tmp_path):
         EvaluationRunner(
-            MachineConfig(cores=4), cache=EvaluationCache(tmp_path)
+            MachineConfig(cores=4), cache=ArtifactStore(tmp_path)
         ).helix_run(tiny_bench)
         # A latency changes how traces are scheduled and nothing an
         # interpreter reads, the recording run included: all three
         # interpretation stages are read back.
         other = EvaluationRunner(
             MachineConfig(cores=4, signal_latency=220),
-            cache=EvaluationCache(tmp_path),
+            cache=ArtifactStore(tmp_path),
         )
         other.helix_run(tiny_bench)
         for stage in ("profile", "sequential", "execute"):
@@ -474,7 +473,7 @@ class TestRunnerCacheIntegration:
         # A cost-model change is seen by all three interpretation stages.
         retuned = EvaluationRunner(
             MachineConfig(cores=4, cost_model=CostModel(float_extra=3)),
-            cache=EvaluationCache(tmp_path),
+            cache=ArtifactStore(tmp_path),
         )
         retuned.helix_run(tiny_bench)
         for stage in ("profile", "sequential", "execute"):
@@ -530,7 +529,7 @@ class TestRunnerCacheIntegration:
         runs = {}
         for cores in (2, 6, 4):
             runner = EvaluationRunner(
-                MachineConfig(cores=cores), cache=EvaluationCache(tmp_path)
+                MachineConfig(cores=cores), cache=ArtifactStore(tmp_path)
             )
             runs[cores] = (runner.helix_run("art"), runner.stats)
         assert runs[4][0].chosen == runs[2][0].chosen
@@ -548,7 +547,7 @@ class TestRunnerCacheIntegration:
 
         def helix_run():
             runner = EvaluationRunner(
-                machine, cache=EvaluationCache(tmp_path)
+                machine, cache=ArtifactStore(tmp_path)
             )
             return runner.helix_run(tiny_cohort), runner.stats
 

@@ -146,9 +146,9 @@ class TestKindsAndMetrics:
             {"programs": [{"name": "x", "speedup": 1.0,
                            "batched_speedup": 1.1}]}
         ) == "sched"
-        assert infer_kind(
-            {"programs": [{"name": "x", "uncached_seconds": 1.0}]}
-        ) == "passes"
+        # No command writes pass-pipeline reports any more.
+        with pytest.raises(ValueError):
+            infer_kind({"programs": [{"name": "x", "uncached_seconds": 1.0}]})
         assert infer_kind(
             {"geomeans": {"6": 2.0}, "speedups": {"mcf": {"6": 2.1}}}
         ) == "suite"
