@@ -78,14 +78,3 @@ def compute_liveness(func: Function, cfg: CFGView = None) -> LivenessInfo:
     result = solve_dataflow(cfg, problem)
     # For backward problems the solver's "inputs" are facts at block exit.
     return LivenessInfo(live_in=result.outputs, live_out=result.inputs, regs=regs)
-
-
-def live_across_edge(
-    liveness: LivenessInfo, src: str, dst: str, func: Function
-) -> FrozenSet[int]:
-    """Registers live along the edge ``src -> dst``.
-
-    Approximated as live-in of ``dst`` (exact for our purposes: the HELIX
-    passes only query loop back edges and loop exit edges).
-    """
-    return liveness.live_at_entry(dst)

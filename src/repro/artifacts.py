@@ -18,13 +18,10 @@ traffic tally:
       <root>/sequential/<key>.json   ExecutionResult.to_dict()
       <root>/recording/<key>.json    {result, pack_traces(traces), load_count}
       <root>/run/<key>.json          the ``run`` job answer (eight fields)
-      <root>/codegen/<key>.json      generated interpreter code
 
-  ``codegen`` entries are keyed by
-  :func:`repro.runtime.codegen.artifact_key` (function IR, hook flags,
-  watched edges, codegen version; no machine shape); the runtime layer
-  sees the store duck-typed (``load`` / ``store``), keeping it free of
-  evaluation imports.  Writes go through a temporary file and
+  Every entry is keyed by :meth:`ArtifactStore.key`; generated
+  interpreter code is not an artifact (each interpreter compiles its
+  own).  Writes go through a temporary file and
   :func:`os.replace`, so processes and threads sharing one directory
   (``suite --jobs``, the daemon's workers) never read a half-written
   entry; an unreadable entry is a miss and is overwritten by the

@@ -212,33 +212,3 @@ def segment_span_blocks(
                 reached.add(succ)
                 work.append(succ)
     return frozenset(reached & region)
-
-
-def estimate_segment_instructions(
-    func: Function, loop: Loop, dep: DataDependence, region: FrozenSet[str]
-) -> Set[int]:
-    """Approximate post-scheduling segment contents (for the model's P_i).
-
-    Within each region block: the endpoints plus their intra-block backward
-    operand slices (the instructions Step 5 cannot move out of the
-    segment).  Used by loop selection, which runs before any IR mutation.
-    """
-    endpoint_uids = {i.uid for i in dep.endpoints()}
-    result: Set[int] = set()
-    for name in region:
-        block = func.blocks[name]
-        needed: Set[int] = set()
-        reg_needed: Set[int] = set()
-        for instr in reversed(block.instructions):
-            is_endpoint = instr.uid in endpoint_uids
-            feeds = (
-                instr.dest is not None and instr.dest.uid in reg_needed
-            )
-            if is_endpoint or feeds:
-                needed.add(instr.uid)
-                if instr.dest is not None:
-                    reg_needed.discard(instr.dest.uid)
-                for reg in instr.uses():
-                    reg_needed.add(reg.uid)
-        result |= needed
-    return result

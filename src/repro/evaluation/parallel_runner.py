@@ -9,16 +9,10 @@ interpretation artifact there.  The parent then replays
 the same stage requests through its own :class:`EvaluationRunner`; they
 all hit the freshly written disk entries, which merges the workers'
 results into the parent's in-memory caches without pickling live
-modules or executors across processes.
-
-Cold superblock codegen shards the same way for free: each worker's
-interpreters content-address their generated code (kind ``"codegen"``)
-into the shared store as they compile their own benchmark's functions,
-so the parent and every later run -- warm suite re-runs, ``repro
-serve`` jobs on the same cache -- instantiate the stored source or
-bytecode instead of re-deriving it (the ``interp.codegen.cache.*``
-counters in the report's ``interp`` block account for this, worker
-deltas included).
+modules or executors across processes.  Generated interpreter code is
+not an artifact: each worker's interpreters compile their own
+benchmark's functions, and the parent, which reads every stage result
+back from disk, compiles none.
 
 Determinism: all stage artifacts are exact (recorded traces, not
 timings), so ``--jobs N`` produces byte-identical figure output to a

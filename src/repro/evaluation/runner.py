@@ -340,9 +340,7 @@ class EvaluationRunner:
                 data = ProfileData.from_dict(payload, train)
                 outcome = "disk"
             else:
-                data = profile_module(
-                    train, self.machine, codegen_cache=self.artifacts
-                )
+                data = profile_module(train, self.machine)
                 self._store(bench, "profile", disk_key, data.to_dict())
                 outcome = "compute"
             sp.set(outcome=outcome)
@@ -377,7 +375,6 @@ class EvaluationRunner:
                     ref,
                     self.machine,
                     block_profile=profile.block_counts if profile else None,
-                    codegen_cache=self.artifacts,
                 )
                 self._store(bench, "sequential", disk_key, result.to_dict())
                 outcome = "compute"
@@ -476,7 +473,6 @@ class EvaluationRunner:
             transformed, infos, machine,
             schedule_memo=self.artifacts.schedule_memo(),
             block_profile=profile.block_counts if profile else None,
-            codegen_cache=self.artifacts,
         )
         start = time.perf_counter()
         with get_tracer().span(

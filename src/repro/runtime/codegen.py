@@ -93,25 +93,6 @@ Python source generated once per function:
   instruction, so the limit fires at precisely the walker's dynamic
   instruction.
 
-**Artifact caching**: when the owning interpreter carries a
-``codegen_cache`` (any object with ``load(kind, key)`` / ``store(kind,
-key, payload)`` -- in practice :class:`repro.artifacts.ArtifactStore`),
-generated source and bytecode are content-addressed under the
-``"codegen"`` kind and keyed by :data:`CODEGEN_VERSION`, the function's
-printed IR, the hook flags and the watched edge set, the module's
-global-region sizes and function set, the cost-model parameters and
-the function's block-profile projection -- everything the emitted
-source can embed as a literal or decide an emission on.  The payload
-marshals the code object the build executed (one ``compile()`` per
-miss).  A warm hit
-re-binds the stored namespace manifest against the live interpreter
-and skips formation, rendering *and* ``compile()``
-(bytecode is reused when the Python ``cache_tag`` matches, else the
-cached source is recompiled).  ``repro serve`` job resubmissions and
-warm suite re-runs therefore skip codegen entirely, and
-``suite --jobs N`` shards cold compiles across workers through the
-shared store.
-
 Assumptions baked into the generated source: global regions are reset
 *in place* (their backing lists -- and hence their lengths -- are
 stable across runs), so bounds checks against known globals embed the
@@ -127,32 +108,24 @@ callee or block) they stand at the activation's last write-back.
 Counters (:mod:`repro.obs.metrics`): ``interp.superblock.formed``,
 ``interp.superblock.blocks_fused``, ``interp.codegen.specialized_ops``,
 ``interp.codegen.functions`` at compile time,
-``interp.superblock.hooked`` per hooked-tier function made available
+``interp.superblock.hooked`` per hooked-tier function compiled
 and, with it, ``interp.codegen.hook_sites`` /
 ``interp.codegen.hook_sites_elided`` for the block boundaries that
 function compiled with / without their ``on_block_entry`` call,
 ``interp.codegen.undef_checks`` / ``interp.codegen.undef_checks_elided``
 per function for the first reads that kept / lost the
-undefined-register test,
-``interp.codegen.cache.hit`` / ``interp.codegen.cache.miss`` per
-artifact-cache probe, and ``interp.superblock.fallbacks`` per
+undefined-register test, and ``interp.superblock.fallbacks`` per
 exactness-fallback activation.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
-import marshal
 import re
-import sys
 from typing import (
     Dict,
     FrozenSet,
     List,
     Mapping,
-    NamedTuple,
     Optional,
     Tuple,
 )
@@ -177,16 +150,6 @@ _INF = float("inf")
 
 #: Upper bound on blocks fused into one superblock (bounds source size).
 MAX_CHAIN_BLOCKS = 64
-
-#: Version of the generated-code layout and namespace manifest.  Bump on
-#: ANY change to emitted source shape, bind kinds or driver protocol:
-#: it is the only guard between old cached artifacts and new code.
-CODEGEN_VERSION = 7
-
-#: Artifact-store kind for cached generated code.
-CODEGEN_KIND = "codegen"
-
-_CACHE_TAG = sys.implementation.cache_tag
 
 # 64-bit two's complement wrap, inlined: 2**63 and 2**64 - 1.
 _O = "9223372036854775808"
@@ -254,9 +217,7 @@ class SlotFrame:
 def allocate_slots(func: Function) -> Dict[int, int]:
     """Deterministic VReg uid -> dense frame-slot index map for ``func``.
 
-    Parameters first, then destinations and arguments in block order,
-    so the map can be recomputed from the IR alone when a cached codegen
-    artifact is instantiated.
+    Parameters first, then destinations and arguments in block order.
     """
     slot_map: Dict[int, int] = {}
 
@@ -418,37 +379,7 @@ def _must_defined(
     return solve_dataflow(CFGView(func), problem).inputs
 
 
-# -- compiled artifacts -------------------------------------------------------
-
-
-class _HookSpec(NamedTuple):
-    """What one compile observes: the normalized form of the hook flags
-    that the artifact key and the emitter share."""
-
-    #: Sync/xfer ops route through ``exec_sync`` / ``exec_xfer``.
-    hooked: bool
-    count_loads: bool
-    #: ``(prev, target)`` edges whose traversal calls ``on_block_entry``
-    #: (and closes the running segment): ``None`` is every edge, the
-    #: empty set -- all the uninstrumented tier ever has -- none.
-    watched: Optional[FrozenSet[Tuple[str, str]]]
-    #: Unwatched entries bump ``interp.unwatched_entries`` cells.
-    count_unwatched: bool
-
-
-def _hook_spec(interp, func: Function, hooked: bool,
-               count_loads: bool) -> _HookSpec:
-    """Normalize the caller's flags and ask ``interp`` what it watches
-    in ``func`` (nothing is observed, or counted, without ``hooked``)."""
-    if not hooked:
-        return _HookSpec(False, False, frozenset(), False)
-    watched = interp.watched_edges(func)
-    return _HookSpec(
-        True,
-        bool(count_loads),
-        watched,
-        watched is not None and bool(interp.count_unwatched),
-    )
+# -- compiled functions -------------------------------------------------------
 
 
 class Superblock:
@@ -483,8 +414,7 @@ class SuperblockFunction:
 
     __slots__ = (
         "func", "slot_map", "nslots", "param_slots", "entry", "blocks",
-        "run", "source", "hooked", "count_loads", "hook_sites",
-        "undef_checks",
+        "run", "source", "hooked",
     )
 
     def __init__(
@@ -496,9 +426,6 @@ class SuperblockFunction:
         run,
         source: str,
         hooked: bool = False,
-        count_loads: bool = False,
-        hook_sites: Tuple[int, int] = (0, 0),
-        undef_checks: Tuple[int, int] = (0, 0),
     ) -> None:
         self.func = func
         #: VReg uid -> slot index (:func:`allocate_slots`).
@@ -512,13 +439,6 @@ class SuperblockFunction:
         #: Generated Python source, kept for tests and debugging.
         self.source = source
         self.hooked = hooked
-        self.count_loads = count_loads
-        #: Block boundaries that (call ``on_block_entry``, fuse without
-        #: calling it).
-        self.hook_sites = hook_sites
-        #: First reads of a register in an arm that (keep the walker's
-        #: undefined-register test, are proven defined on every path).
-        self.undef_checks = undef_checks
 
 
 class _OverBudget(Exception):
@@ -526,32 +446,6 @@ class _OverBudget(Exception):
     the instruction budget may expire before the next check; ``args`` is
     the ``(block name, instruction index)`` anchor the walker resumes
     at."""
-
-
-def _base_namespace(interp, func: Function) -> Dict[str, object]:
-    """Globals of the generated module: runtime objects pre-bound under
-    stable dunder names (identical for fresh builds and warm artifact
-    instantiations)."""
-    return {
-        "__I": interp,
-        "__U": _UNDEF,
-        "__undef": _undef,
-        "__RF": RuntimeFault,
-        "__Ptr": Pointer,
-        "__fmt": format_value,
-        "__div": _arith_div,
-        "__mod": _arith_mod,
-        "__call": interp.call_function,
-        "__OB": _OverBudget,
-        "__fb": func.blocks,
-        "__FN": func.name,
-    }
-
-
-def _entry_cell(interp, func: Function, name: str) -> List[int]:
-    """The one-element entry counter of block ``name``, created on
-    first use and zeroed in place by every ``Interpreter.run``."""
-    return interp.unwatched_entries.setdefault((func.name, name), [0])
 
 
 # -- code generation ----------------------------------------------------------
@@ -578,12 +472,27 @@ def _dispatch_split(weights: List[int], lo: int, hi: int) -> int:
 class _FunctionCodegen:
     """Generates and compiles the superblock source for one function."""
 
-    def __init__(self, interp, func: Function, hook_spec: _HookSpec) -> None:
+    def __init__(
+        self, interp, func: Function, hooked: bool, count_loads: bool
+    ) -> None:
         self.interp = interp
         self.func = func
-        self.hook_spec = hook_spec
-        self.hooked = hook_spec.hooked
-        self.count_loads = hook_spec.count_loads
+        #: Sync/xfer ops route through ``exec_sync`` / ``exec_xfer``;
+        #: nothing is observed, or counted, without it.
+        self.hooked = hooked
+        self.count_loads = hooked and bool(count_loads)
+        #: ``(prev, target)`` edges whose traversal calls
+        #: ``on_block_entry`` (and closes the running segment): ``None``
+        #: is every edge, the empty set -- all the uninstrumented tier
+        #: ever has -- none.
+        self.watched: Optional[FrozenSet[Tuple[str, str]]] = (
+            interp.watched_edges(func) if hooked else frozenset()
+        )
+        #: Unwatched entries bump ``interp.unwatched_entries`` cells.
+        self.count_unwatched = (
+            hooked and self.watched is not None
+            and bool(interp.count_unwatched)
+        )
         #: Boundaries emitted with / without their ``on_block_entry``
         #: call.
         self.hook_sites = 0
@@ -608,21 +517,28 @@ class _FunctionCodegen:
         )
         self.cost_model = interp.cost_model
         self.specialized = 0
-        self.chains: List[List[str]] = []
-        #: The compiled module of the generated source: what
-        #: :meth:`build` executes and :meth:`artifact` marshals.
-        self.code = None
         #: Function-wide slot sets (filled by :meth:`build` before any
         #: chain is emitted): every slot the body reads or writes, and
         #: the write subset every budget handoff flushes.
         self.touched_slots: Tuple[int, ...] = ()
         self.write_slots: Tuple[int, ...] = ()
-        self.ns: Dict[str, object] = _base_namespace(interp, func)
+        #: Globals of the generated module: runtime objects pre-bound
+        #: under stable dunder names, then whatever :meth:`bind` adds.
+        self.ns: Dict[str, object] = {
+            "__I": interp,
+            "__U": _UNDEF,
+            "__undef": _undef,
+            "__RF": RuntimeFault,
+            "__Ptr": Pointer,
+            "__fmt": format_value,
+            "__div": _arith_div,
+            "__mod": _arith_mod,
+            "__call": interp.call_function,
+            "__OB": _OverBudget,
+            "__fb": func.blocks,
+            "__FN": func.name,
+        }
         self._binds: Dict[Tuple[str, int], str] = {}
-        #: Ordered reconstruction manifest: (name, kind, payload) per
-        #: bound object, enough to re-bind against a fresh interpreter
-        #: when this compile is replayed from the artifact cache.
-        self.bind_specs: List[Tuple[str, str, object]] = []
         self._ptr_cache: Dict[Tuple[int, object, str], str] = {}
         #: VReg uid -> number of argument occurrences function-wide.
         self.uses: Dict[int, int] = {}
@@ -632,20 +548,14 @@ class _FunctionCodegen:
                     if isinstance(arg, VReg):
                         self.uses[arg.uid] = self.uses.get(arg.uid, 0) + 1
 
-    def bind(self, prefix: str, obj, spec: Tuple[str, object]) -> str:
-        """Expose ``obj`` to the generated code under a memoized name.
-
-        ``spec`` is the JSON-able ``(kind, payload)`` recipe that
-        :func:`_resolve_bind` uses to rebuild the same object against a
-        fresh interpreter on a warm artifact hit.
-        """
+    def bind(self, prefix: str, obj) -> str:
+        """Expose ``obj`` to the generated code under a memoized name."""
         key = (prefix, id(obj))
         name = self._binds.get(key)
         if name is None:
             name = f"__{prefix}{len(self._binds)}"
             self._binds[key] = name
             self.ns[name] = obj
-            self.bind_specs.append((name, spec[0], spec[1]))
         return name
 
     def pointer_for(self, store: List, base, name: str) -> str:
@@ -653,9 +563,7 @@ class _FunctionCodegen:
         key = (id(store), base, name)
         bound = self._ptr_cache.get(key)
         if bound is None:
-            bound = self.bind(
-                "ptr", Pointer(store, base, name), ("ptr", [name, base])
-            )
+            bound = self.bind("ptr", Pointer(store, base, name))
             self._ptr_cache[key] = bound
         return bound
 
@@ -667,13 +575,13 @@ class _FunctionCodegen:
         lit = _literal(operand.value)
         if lit is not None:
             return lit
-        return self.bind("c", operand.value, ("c", operand.value))
+        return self.bind("c", operand.value)
 
     def fstr_name(self, name: str) -> str:
         """Fragment rendering ``name`` inside a generated f-string."""
         if _SAFE_NAME_RE.match(name):
             return name
-        return "{" + self.bind("nm", name, ("nm", name)) + "}"
+        return "{" + self.bind("nm", name) + "}"
 
     def build(self) -> SuperblockFunction:
         func = self.func
@@ -691,7 +599,6 @@ class _FunctionCodegen:
                 chains[1:],
                 key=lambda chain: -profile.get((fname, chain[0]), 0),
             )
-        self.chains = chains
         sblocks: Dict[str, Superblock] = {}
         sb_index: Dict[str, int] = {}
         for i, chain in enumerate(chains):
@@ -762,8 +669,7 @@ class _FunctionCodegen:
         tail.append("        " + self.write_back)
         tail.append("        return __x.args")
         source = "\n".join(head + arms + tail) + "\n"
-        self.code = compile(source, f"<superblocks:{func.name}>", "exec")
-        exec(self.code, self.ns)
+        exec(compile(source, f"<superblocks:{func.name}>", "exec"), self.ns)
         REGISTRY.inc("interp.superblock.formed", len(chains))
         REGISTRY.inc(
             "interp.superblock.blocks_fused",
@@ -772,6 +678,16 @@ class _FunctionCodegen:
         if self.specialized:
             REGISTRY.inc("interp.codegen.specialized_ops", self.specialized)
         REGISTRY.inc("interp.codegen.functions")
+        REGISTRY.inc("interp.codegen.undef_checks", self.undef_checks)
+        REGISTRY.inc(
+            "interp.codegen.undef_checks_elided", self.undef_checks_elided
+        )
+        if self.hooked:
+            REGISTRY.inc("interp.superblock.hooked")
+            REGISTRY.inc("interp.codegen.hook_sites", self.hook_sites)
+            REGISTRY.inc(
+                "interp.codegen.hook_sites_elided", self.hook_sites_elided
+            )
         return SuperblockFunction(
             func,
             self.slot_map,
@@ -780,39 +696,7 @@ class _FunctionCodegen:
             self.ns["__sb"],
             source,
             self.hooked,
-            self.count_loads,
-            (self.hook_sites, self.hook_sites_elided),
-            (self.undef_checks, self.undef_checks_elided),
         )
-
-    def artifact(self, sfunc: SuperblockFunction) -> dict:
-        """Serializable payload replaying this compile on a fresh
-        interpreter (see :func:`_instantiate`)."""
-        try:
-            bytecode = base64.b64encode(
-                marshal.dumps(self.code)
-            ).decode("ascii")
-        except Exception:  # pragma: no cover - marshal refuses nothing here
-            bytecode = None
-        return {
-            "codegen": CODEGEN_VERSION,
-            "function": self.func.name,
-            "hooked": self.hooked,
-            "count_loads": self.count_loads,
-            "chains": [list(chain) for chain in self.chains],
-            "max_instructions": [
-                sfunc.blocks[chain[0]].max_instructions
-                for chain in self.chains
-            ],
-            "nslots": sfunc.nslots,
-            "param_slots": list(sfunc.param_slots),
-            "binds": [list(spec) for spec in self.bind_specs],
-            "source": sfunc.source,
-            "hook_sites": list(sfunc.hook_sites),
-            "undef_checks": list(sfunc.undef_checks),
-            "cache_tag": _CACHE_TAG,
-            "bytecode": bytecode,
-        }
 
 
 class _ChainEmitter:
@@ -891,7 +775,7 @@ class _ChainEmitter:
         self.blocks = g.func.blocks
         self.hooked = g.hooked
         self.count_loads = g.count_loads
-        self.watched = g.hook_spec.watched
+        self.watched = g.watched
         # Prescan: linear instruction total and loop shape.
         total = 0
         loop_form = False
@@ -966,7 +850,7 @@ class _ChainEmitter:
 
     def bb(self, name: str) -> str:
         """Bound BasicBlock object (hook-call argument)."""
-        return self.g.bind("bb", self.blocks[name], ("bb", name))
+        return self.g.bind("bb", self.blocks[name])
 
     def observed(self, prev: str, target: str) -> bool:
         """The one boundary predicate: does entering ``target`` from
@@ -1001,10 +885,11 @@ class _ChainEmitter:
             )
             return
         g.hook_sites_elided += 1
-        if not g.hook_spec.count_unwatched:
+        if not g.count_unwatched:
             return
         cell = g.bind(
-            "bc", _entry_cell(g.interp, g.func, target), ("bc", target)
+            "bc",
+            g.interp.unwatched_entries.setdefault((g.func.name, target), [0]),
         )
         line = f"{cell}[0] += 1"
         if self.seg_count:
@@ -1036,7 +921,7 @@ class _ChainEmitter:
                     g.undef_checks_elided += 1
                 else:
                     g.undef_checks += 1
-                    reg = g.bind("vr", operand, ("vr", operand.uid))
+                    reg = g.bind("vr", operand)
                     self.buf.append(f"if {name} is __U:")
                     self.buf.append(f"    {g.write_back}")
                     self.buf.append(f"    __undef({reg}, __FN)")
@@ -1052,7 +937,7 @@ class _ChainEmitter:
                 g.specialized += 1
                 return g.pointer_for(store, 0, sym.name)
             # Unknown global: ``region_of`` faults, like the walker.
-            sname = g.bind("sym", sym, ("sym", sym.name))
+            sname = g.bind("sym", sym)
             name = self.tmp()
             self.buf.append(g.write_back)
             self.buf.append(
@@ -1068,7 +953,7 @@ class _ChainEmitter:
     def local_store(self, sym: Symbol) -> str:
         name = self.local_regions.get(sym.name)
         if name is None:
-            sname = self.g.bind("sym", sym, ("sym", sym.name))
+            sname = self.g.bind("sym", sym)
             name = f"__lm{len(self.local_regions)}"
             self.local_regions[sym.name] = name
             self.buf.append(f"{name} = frame.local_region({sname})")
@@ -1085,8 +970,8 @@ class _ChainEmitter:
         if sym.is_global:
             store = g.interp.memory.get(sym.name)
             if store is not None:
-                return g.bind("st", store, ("st", sym.name)), len(store)
-            sname = g.bind("sym", sym, ("sym", sym.name))
+                return g.bind("st", store), len(store)
+            sname = g.bind("sym", sym)
             name = self.tmp()
             self.buf.append(g.write_back)
             self.buf.append(f"{name} = __i.region_of({sname}, frame)")
@@ -1456,7 +1341,7 @@ class _ChainEmitter:
             callee = g.interp.module.functions.get(instr.callee)
             arglist = ", ".join(args)
             if callee is not None:
-                fn = g.bind("fn", callee, ("fn", instr.callee))
+                fn = g.bind("fn", callee)
                 call = f"__call({fn}, [{arglist}])"
             else:
                 # Unknown callee: KeyError at execution, like the walker.
@@ -1647,7 +1532,7 @@ class _ChainEmitter:
                         if instr.opcode is Opcode.XFER
                         else "exec_sync"
                     )
-                    ins = g.bind("ins", instr, ("ins", [name, i]))
+                    ins = g.bind("ins", instr)
                     self.emit_call_out(f"__i.{meth}(frame, {ins})")
                     i += 1
                     continue
@@ -1662,171 +1547,6 @@ class _ChainEmitter:
                 self.fault(repr(msg))
                 self.close_segment()
         return head + self.lines
-
-
-# -- artifact instantiation ---------------------------------------------------
-
-
-def _vreg_map(func: Function) -> Dict[int, VReg]:
-    """uid -> VReg over everything the function mentions."""
-    vregs: Dict[int, VReg] = {}
-    for param in func.params:
-        vregs[param.uid] = param
-    for block in func.blocks.values():
-        for instr in block.instructions:
-            if instr.dest is not None:
-                vregs[instr.dest.uid] = instr.dest
-            for arg in instr.args:
-                if isinstance(arg, VReg):
-                    vregs[arg.uid] = arg
-    return vregs
-
-
-def _resolve_bind(interp, func: Function, vregs, kind, spec):
-    """Rebuild one namespace binding from its artifact recipe."""
-    if kind == "c" or kind == "nm":
-        return spec
-    if kind == "bc":
-        return _entry_cell(interp, func, spec)
-    if kind == "vr":
-        return vregs[spec]
-    if kind == "st":
-        return interp.memory[spec]
-    if kind == "ptr":
-        name, base = spec
-        return Pointer(interp.memory[name], base, name)
-    if kind == "fn":
-        return interp.module.functions[spec]
-    if kind == "bb":
-        return func.blocks[spec]
-    if kind == "ins":
-        bname, index = spec
-        return func.blocks[bname].instructions[index]
-    if kind == "sym":
-        sym = interp.module.globals.get(spec)
-        if sym is None:
-            sym = func.locals[spec]
-        return sym
-    raise KeyError(f"unknown bind kind {kind!r}")
-
-
-def _instantiate(
-    interp, func: Function, hook_spec: _HookSpec, payload: dict
-) -> Optional[SuperblockFunction]:
-    """Replay a cached compile against a live interpreter, or None when
-    the payload does not fit this function/interpreter (caller falls
-    back to a fresh build)."""
-    if (
-        payload.get("codegen") != CODEGEN_VERSION
-        or payload.get("function") != func.name
-        or bool(payload.get("hooked")) != hook_spec.hooked
-        or bool(payload.get("count_loads")) != hook_spec.count_loads
-    ):
-        return None
-    chains = [list(chain) for chain in payload["chains"]]
-    flat = [name for chain in chains for name in chain]
-    if sorted(flat) != sorted(func.blocks):
-        return None
-    slot_map = allocate_slots(func)
-    if payload["nslots"] != len(slot_map) or payload["param_slots"] != [
-        slot_map[param.uid] for param in func.params
-    ]:
-        return None
-    ns = _base_namespace(interp, func)
-    sblocks: Dict[str, Superblock] = {}
-    for chain, max_instructions in zip(chains, payload["max_instructions"]):
-        sb = Superblock()
-        sb.head = chain[0]
-        sb.chain = tuple(chain)
-        sb.max_instructions = max_instructions
-        sblocks[chain[0]] = sb
-    vregs: Optional[Dict[int, VReg]] = None
-    for name, kind, spec in payload["binds"]:
-        if kind == "vr" and vregs is None:
-            vregs = _vreg_map(func)
-        ns[name] = _resolve_bind(interp, func, vregs, kind, spec)
-    source = payload["source"]
-    code = None
-    if payload.get("cache_tag") == _CACHE_TAG and payload.get("bytecode"):
-        try:
-            code = marshal.loads(base64.b64decode(payload["bytecode"]))
-        except Exception:
-            code = None
-    if code is None:
-        code = compile(source, f"<superblocks:{func.name}>", "exec")
-    exec(code, ns)
-    return SuperblockFunction(
-        func,
-        slot_map,
-        sblocks[func.entry.name],
-        sblocks,
-        ns["__sb"],
-        source,
-        hook_spec.hooked,
-        hook_spec.count_loads,
-        tuple(payload["hook_sites"]),
-        tuple(payload["undef_checks"]),
-    )
-
-
-def artifact_key(interp, func: Function, hooked: bool,
-                 count_loads: bool) -> str:
-    """Content address of one function's generated code.
-
-    Covers everything the emitted source can embed as a literal: the
-    codegen layout version, the function's printed IR (opcodes,
-    operands, local sizes), the hook flags and the watched edges
-    the interpreter declares for the function (which boundaries call
-    the hook, which count, which fuse), the module's global-region
-    sizes and known-function set, the cost model (cycle charges are
-    literals in the source) and the block-profile projection for this
-    function (chain formation is trace guided).  Machine fields the
-    source never sees -- core counts, latencies -- are deliberately
-    excluded, so jobs differing only in those share warm codegen.
-    """
-    return _artifact_key(
-        interp, func, _hook_spec(interp, func, hooked, count_loads)
-    )
-
-
-def _artifact_key(interp, func: Function, hook_spec: _HookSpec) -> str:
-    from repro.ir.printer import function_to_str
-
-    cost_model = interp.cost_model
-    profile = interp.block_profile
-    projection = None
-    if profile:
-        fname = func.name
-        projection = sorted(
-            (block, count)
-            for (owner, block), count in profile.items()
-            if owner == fname
-        )
-    spec = {
-        "codegen": CODEGEN_VERSION,
-        "ir": function_to_str(func),
-        "hooked": hook_spec.hooked,
-        "count_loads": hook_spec.count_loads,
-        "watched": (
-            None
-            if hook_spec.watched is None
-            else sorted(map(list, hook_spec.watched))
-        ),
-        "count_unwatched": hook_spec.count_unwatched,
-        "globals": sorted(
-            (name, len(init))
-            for name, init in interp.module.global_inits.items()
-        ),
-        "functions": sorted(interp.module.functions),
-        "costs": sorted(
-            (opcode.value, cycles)
-            for opcode, cycles in cost_model.costs.items()
-        ),
-        "float_extra": cost_model.float_extra,
-        "profile": projection,
-    }
-    blob = json.dumps(spec, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 # -- entry points -------------------------------------------------------------
@@ -1845,42 +1565,9 @@ def compile_superblocks(
     ``on_block_entry`` on the edges
     ``interp.watched_edges(func)`` declares -- every edge by default
     -- (and statically count loads when ``count_loads`` is set, and
-    unwatched entries when ``interp.count_unwatched`` is).  When the
-    interpreter carries a ``codegen_cache``, the compile is
-    content-addressed: a warm hit replays the stored source and
-    namespace manifest and skips formation, rendering and (when the
-    Python version matches) ``compile()`` entirely.
+    unwatched entries when ``interp.count_unwatched`` is).
     """
-    hook_spec = _hook_spec(interp, func, hooked, count_loads)
-    cache = getattr(interp, "codegen_cache", None)
-    sfunc = None
-    if cache is not None:
-        key = _artifact_key(interp, func, hook_spec)
-        payload = cache.load(CODEGEN_KIND, key)
-        if payload is not None:
-            try:
-                sfunc = _instantiate(interp, func, hook_spec, payload)
-            except Exception:
-                sfunc = None
-        REGISTRY.inc(
-            "interp.codegen.cache.miss"
-            if sfunc is None
-            else "interp.codegen.cache.hit"
-        )
-    if sfunc is None:
-        gen = _FunctionCodegen(interp, func, hook_spec)
-        sfunc = gen.build()
-        if cache is not None:
-            cache.store(CODEGEN_KIND, key, gen.artifact(sfunc))
-    emitted, elided = sfunc.undef_checks
-    REGISTRY.inc("interp.codegen.undef_checks", emitted)
-    REGISTRY.inc("interp.codegen.undef_checks_elided", elided)
-    if hooked:
-        emitted, elided = sfunc.hook_sites
-        REGISTRY.inc("interp.superblock.hooked")
-        REGISTRY.inc("interp.codegen.hook_sites", emitted)
-        REGISTRY.inc("interp.codegen.hook_sites_elided", elided)
-    return sfunc
+    return _FunctionCodegen(interp, func, hooked, count_loads).build()
 
 
 def execute_superblocks(interp, sfunc: SuperblockFunction, args) -> object:

@@ -229,12 +229,6 @@ class Interpreter:
     superblock backend uses them for trace-guided chain formation --
     hot blocks seed chains first and hot CBR arms are fused.  Purely a
     performance hint -- never affects semantics.
-
-    ``codegen_cache`` optionally supplies an artifact store (any object
-    with ``load(kind, key)`` / ``store(kind, key, payload)``, in
-    practice :class:`repro.artifacts.ArtifactStore`); the superblock
-    tiers content-address their generated code through it so warm runs
-    skip codegen (see :mod:`repro.runtime.codegen`).
     """
 
     def __init__(
@@ -244,7 +238,6 @@ class Interpreter:
         max_instructions: Optional[int] = 500_000_000,
         backend: str = "auto",
         block_profile: Optional[Mapping[Tuple[str, str], int]] = None,
-        codegen_cache=None,
     ) -> None:
         if backend not in ("auto", "superblock", "tree"):
             raise ValueError(f"unknown interpreter backend {backend!r}")
@@ -281,10 +274,6 @@ class Interpreter:
         self.unwatched_entries: Dict[Tuple[str, str], List[int]] = {}
         self.backend = backend
         self.block_profile = dict(block_profile) if block_profile else None
-        #: Optional content-addressed store for generated superblock
-        #: code; duck-typed so the runtime layer never imports the
-        #: evaluation layer (see repro.artifacts.ArtifactStore).
-        self.codegen_cache = codegen_cache
         cls = type(self)
         core_overrides = sorted(
             name
@@ -812,7 +801,6 @@ def run_module(
     max_instructions: Optional[int] = 500_000_000,
     backend: str = "auto",
     block_profile: Optional[Mapping[Tuple[str, str], int]] = None,
-    codegen_cache=None,
 ) -> ExecutionResult:
     """Convenience: interpret ``module`` sequentially and return the result."""
     interp = Interpreter(
@@ -821,6 +809,5 @@ def run_module(
         max_instructions=max_instructions,
         backend=backend,
         block_profile=block_profile,
-        codegen_cache=codegen_cache,
     )
     return interp.run(entry)

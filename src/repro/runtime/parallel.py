@@ -238,7 +238,6 @@ class ParallelExecutor(Interpreter):
         backend: str = "auto",
         schedule_memo: Optional[Dict[str, ScheduleColumns]] = None,
         block_profile: Optional[Dict[Tuple[str, str], int]] = None,
-        codegen_cache=None,
     ) -> None:
         if block_profile:
             # The profile was measured on the input module; a block the
@@ -255,7 +254,6 @@ class ParallelExecutor(Interpreter):
         super().__init__(
             module, machine, max_instructions=max_instructions,
             backend=backend, block_profile=block_profile,
-            codegen_cache=codegen_cache,
         )
         # Memory reads are priced by the data-forwarding model; every
         # backend counts them when this is set.  Under "auto" the
@@ -604,11 +602,10 @@ def run_parallel(
     machine: Optional[MachineConfig] = None,
     backend: str = "auto",
     block_profile: Optional[Dict[Tuple[str, str], int]] = None,
-    codegen_cache=None,
 ) -> ParallelRunResult:
     """Convenience wrapper: execute a transformed module."""
     executor = ParallelExecutor(
         module, infos, machine, backend=backend,
-        block_profile=block_profile, codegen_cache=codegen_cache,
+        block_profile=block_profile,
     )
     return executor.execute()

@@ -302,7 +302,6 @@ def profile_module(
     nest: Optional[StaticLoopNestGraph] = None,
     max_instructions: Optional[int] = 500_000_000,
     backend: str = "auto",
-    codegen_cache=None,
 ) -> ProfileData:
     """Run ``module`` once under instrumentation and return the profile.
 
@@ -311,8 +310,6 @@ def profile_module(
     leave a loop, with exact counters, and count the targets of the
     rest); the collected profile is identical under ``backend="tree"``
     (the differential tests assert this).
-    ``codegen_cache`` optionally reuses generated code across jobs (see
-    :mod:`repro.runtime.codegen`).
     """
     nest = nest or build_static_loop_nest_graph(module)
     data = ProfileData(module=module, result=None)  # type: ignore[arg-type]
@@ -323,7 +320,6 @@ def profile_module(
         machine,
         max_instructions=max_instructions,
         backend=backend,
-        codegen_cache=codegen_cache,
     )
     data.result = interp.run()
     counts = data.block_counts

@@ -8,10 +8,9 @@ computed for one client warm every later request exactly like the
 process-parallel suite runner's shared disk cache.  Every key hashes
 exactly what its stage reads (:data:`repro.artifacts.KEY_INPUTS`), so a
 job resubmitted at a different core count re-records only: the profile
-and the sequential baseline (keyed on the cost model) and the
-interpreters' generated superblock code (kind ``"codegen"``, keyed on
-function IR + hook flags) are read back, and only selection, Steps 1-9
-and the recording run, which do read the core count, happen again.  A
+and the sequential baseline (keyed on the cost model) are read back,
+and only selection, Steps 1-9 and the recording run, which do read the
+core count, happen again.  A
 ``run`` job repeated on the same machine reads its stored answer (kind
 ``"run"``) and enters no other stage.  Because every stage artifact is
 an exact recorded object (never a timing), results are byte-identical

@@ -88,7 +88,7 @@ def test_the_registry_mirrors_the_one_tally(tmp_path):
         store.load("profile", "a")
         store.store("profile", "a", {"v": 1})
         store.load("profile", "a")
-        store.load("codegen", "b")
+        store.load("recording", "b")
         counters = registry.snapshot()["counters"]
     mirrored = {
         name: value for name, value in counters.items()
@@ -101,8 +101,8 @@ def test_the_registry_mirrors_the_one_tally(tmp_path):
         if count
     }
     assert store.traffic() == {
-        "codegen": {"hits": 0, "misses": 1, "stores": 0},
         "profile": {"hits": 1, "misses": 1, "stores": 1},
+        "recording": {"hits": 0, "misses": 1, "stores": 0},
     }
 
 

@@ -13,6 +13,7 @@ import multiprocessing
 import pytest
 
 from repro.artifacts import (
+    KEY_INPUTS,
     ArtifactStore,
     code_version,
     fingerprint,
@@ -751,6 +752,23 @@ class TestParallelSuite:
         assert interp["interp.backend.superblock"] >= len(tiny_pair)
         assert interp["interp.superblock.formed"] > 0
         assert interp["interp.codegen.functions"] > 0
+
+    def test_every_stored_kind_is_a_keyed_kind(self, tiny_pair, tmp_path):
+        """A cold suite stores, and probes, only the kinds
+        :data:`KEY_INPUTS` declares: every artifact key comes from
+        ``ArtifactStore.key``, and generated code is not an artifact."""
+        cache_dir = tmp_path / "cache"
+        _, _, runner = run_suite(
+            machine=MachineConfig(cores=4),
+            jobs=1,
+            cache_dir=str(cache_dir),
+            benches=tiny_pair,
+        )
+        on_disk = {path.name for path in cache_dir.iterdir() if path.is_dir()}
+        probed = set(runner.artifacts.traffic())
+        assert {"module", "profile", "sequential", "recording"} <= on_disk
+        assert on_disk <= set(KEY_INPUTS)
+        assert probed <= set(KEY_INPUTS)
 
     def test_warm_timeline_compiles_per_shape_and_builds_no_segment(
         self, tiny_pair, tmp_path, monkeypatch

@@ -14,7 +14,6 @@ walker counts every block exactly once.
 import pytest
 
 from repro.analysis.loops import find_loops
-from repro.artifacts import ArtifactStore
 from repro.bench import compile_benchmark
 from repro.core.loopinfo import HelixOptions
 from repro.core.parallelizer import parallelize_module
@@ -250,10 +249,11 @@ def _delta(run):
     return metrics_delta(before, REGISTRY.snapshot())["counters"]
 
 
-def test_hook_site_counters_say_how_much_was_observed(tmp_path):
+def test_hook_site_counters_say_how_much_was_observed():
     """``interp.codegen.hook_sites`` / ``hook_sites_elided`` count the
     boundaries compiled with and without their hook call, per hooked
-    function made available -- also from the artifact cache."""
+    function compiled -- again by every executor, which generates its
+    own code."""
     _module, transformed, infos, machine = _pipeline("cohort_mix")
 
     class Everywhere(Interpreter):
@@ -264,12 +264,8 @@ def test_hook_site_counters_say_how_much_was_observed(tmp_path):
     assert every["interp.codegen.hook_sites"] > 0
     assert "interp.codegen.hook_sites_elided" not in every
 
-    store = ArtifactStore(tmp_path / "cache")
-
     def record():
-        ParallelExecutor(
-            transformed, infos, machine, codegen_cache=store
-        ).run()
+        ParallelExecutor(transformed, infos, machine).run()
 
     cold = _delta(record)
     assert (
@@ -282,10 +278,9 @@ def test_hook_site_counters_say_how_much_was_observed(tmp_path):
         > cold["interp.codegen.hook_sites"]
         > 0
     )
-    warm = _delta(record)
-    assert "interp.codegen.functions" not in warm
-    for name in ("hook_sites", "hook_sites_elided"):
-        assert warm[f"interp.codegen.{name}"] == cold[f"interp.codegen.{name}"]
+    again = _delta(record)
+    for name in ("functions", "hook_sites", "hook_sites_elided"):
+        assert again[f"interp.codegen.{name}"] == cold[f"interp.codegen.{name}"]
 
     plain = _delta(Interpreter(transformed).run)
     assert not any("hook_sites" in name for name in plain)
