@@ -9,15 +9,6 @@ Commands:
   hit/miss/invalidation table.
 * ``ir FILE.mc``             -- dump the compiled IR.
 * ``bench NAME``             -- run one of the 13 suite benchmarks.
-* ``bench-interp``           -- time the tree-walking and superblock
-  code-generated interpreter tiers (cold and warm lanes) and write
-  ``BENCH_interp.json``; ``--quick`` restricts to a small CI-friendly
-  subset, ``--min-speedup X`` fails the run if any program's speedup
-  drops below ``X`` and ``--min-geomean-speedup X`` gates the aggregate.
-* ``bench-sched``            -- time multi-machine sweep replay with the
-  compiled trace scheduler against the reference per-event engine and
-  write ``BENCH_sched.json``; every timed pair is also a field-exact
-  differential check.
 * ``suite``                  -- Figure 9 over the whole suite; supports
   ``--jobs N`` (process-parallel pipelines), ``--cache-dir PATH``
   (persistent artifact cache), ``--stats`` (per-stage wall-clock and
@@ -28,10 +19,10 @@ Commands:
   tracer and export Chrome trace-event JSON (loadable in
   ui.perfetto.dev or about:tracing); ``--sim-timeline`` adds one
   simulated-time track per core.
-* ``bench-diff BASE HEAD``   -- regression-diff two recorded runs from
-  the versioned results store (or raw report files); exits nonzero
-  when any ratio metric drops by more than its tolerance.  Every
-  ``bench-*`` / ``suite --report`` invocation records its run into the
+* ``bench-diff BASE HEAD``   -- regression-diff two recorded suite runs
+  from the versioned results store (or raw report files); exits nonzero
+  when any speedup drops by more than its tolerance.  Every
+  ``suite --report`` invocation records its run into the
   store (``--results-dir`` / ``$REPRO_RESULTS_DIR`` /
   ``.repro-results``), so history accumulates by default;
   ``bench-diff --list`` shows it.
@@ -69,14 +60,37 @@ def _load(path: str):
 
 
 def _parse_machine(spec: str) -> MachineConfig:
-    """``CORES[:PREFETCH]`` -> a machine, e.g. ``4`` or ``8:matched``."""
+    """``CORES[:PREFETCH]`` -> a machine, e.g. ``4`` or ``8:matched``.
+
+    An argparse ``type=``: a bad spec is a usage error (exit 2).
+    """
     from repro.runtime.machine import PrefetchMode
 
     cores, _, mode = spec.partition(":")
-    machine = MachineConfig(cores=int(cores))
-    if mode:
-        machine = machine.with_prefetch(PrefetchMode(mode.lower()))
+    try:
+        machine = MachineConfig(cores=int(cores))
+        if mode:
+            machine = machine.with_prefetch(PrefetchMode(mode.lower()))
+    except ValueError:
+        modes = ", ".join(m.value for m in PrefetchMode)
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} is not CORES[:PREFETCH] with CORES >= 1 and "
+            f"PREFETCH one of {modes}"
+        ) from None
     return machine
+
+
+def _cores(text: str) -> int:
+    """A ``--cores`` count (argparse ``type=``): a positive integer."""
+    try:
+        cores = int(text)
+    except ValueError:
+        cores = 0
+    if cores < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive core count"
+        )
+    return cores
 
 
 #: Default results-store location (see :func:`_results_dir`).
@@ -97,10 +111,10 @@ def _results_dir(args) -> str:
     return value
 
 
-def _write_json_report(path, report, results_dir=None, kind=None) -> bool:
-    """Shared writer for the ``BENCH_*`` / suite JSON reports.
+def _write_json_report(path, report, results_dir=None) -> bool:
+    """Writer for the suite's JSON report.
 
-    Every report object exposes ``to_json``; an empty/None path
+    The report object exposes ``to_json``; an empty/None path
     disables writing.  Returns False (after printing why) when the
     write failed, so callers can turn it into a nonzero exit.
 
@@ -108,7 +122,7 @@ def _write_json_report(path, report, results_dir=None, kind=None) -> bool:
     into the versioned :class:`~repro.obs.results.ResultsStore` there
     (content-addressed run id + metrics/environment provenance), which
     is what ``repro bench-diff`` compares.  Recording failures warn but
-    never fail the bench -- the report file is the primary artifact.
+    never fail the run -- the report file is the primary artifact.
     """
     if path:
         try:
@@ -118,13 +132,10 @@ def _write_json_report(path, report, results_dir=None, kind=None) -> bool:
             return False
         print(f"report written to {path}", file=sys.stderr)
     if results_dir:
-        from repro.obs.results import ResultsStore, infer_kind
+        from repro.obs.results import ResultsStore
 
         try:
-            payload = report.as_dict()
-            record = ResultsStore(results_dir).record(
-                kind or infer_kind(payload), payload
-            )
+            record = ResultsStore(results_dir).record("suite", report)
         except (OSError, ValueError) as exc:
             print(
                 f"warning: results store not updated: {exc}",
@@ -137,17 +148,6 @@ def _write_json_report(path, report, results_dir=None, kind=None) -> bool:
                 file=sys.stderr,
             )
     return True
-
-
-def _gate(value, minimum, label) -> bool:
-    """One ``--min-*`` exit gate; False when ``value`` is below it."""
-    if minimum is None or value >= minimum:
-        return True
-    print(
-        f"error: {label} {value:.2f}x below required {minimum:.2f}x",
-        file=sys.stderr,
-    )
-    return False
 
 
 def _traced(args, fn) -> int:
@@ -241,68 +241,19 @@ def cmd_bench(args) -> int:
     return 0 if result.output_matches else 1
 
 
-def cmd_bench_interp(args) -> int:
-    from repro.evaluation.interp_bench import QUICK_BENCHES, run_interp_bench
-
-    benches = args.benches
-    if not benches:
-        benches = list(QUICK_BENCHES) if args.quick else None
-    report = run_interp_bench(
-        benches=benches,
-        scale=args.scale,
-        repeat=args.repeat,
-        progress=lambda name: print(f"timing {name}...", file=sys.stderr),
-    )
-    print(report.render())
-    if not _write_json_report(args.out, report, _results_dir(args), "interp"):
-        return 1
-    if not _gate(report.min_speedup, args.min_speedup, "min speedup"):
-        return 1
-    if not _gate(
-        report.geomean_speedup, args.min_geomean_speedup, "geomean speedup"
-    ):
-        return 1
-    return 0
-
-
-def cmd_bench_sched(args) -> int:
-    from repro.evaluation.sched_bench import QUICK_BENCHES, run_sched_bench
-
-    benches = args.benches
-    if not benches:
-        benches = list(QUICK_BENCHES) if args.quick else None
-    report = run_sched_bench(
-        benches=benches,
-        repeat=args.repeat,
-        progress=lambda name: print(f"timing {name}...", file=sys.stderr),
-    )
-    print(report.render())
-    if not _write_json_report(args.out, report, _results_dir(args), "sched"):
-        return 1
-    if not _gate(report.min_speedup, args.min_speedup, "min speedup"):
-        return 1
-    if not _gate(
-        report.aggregate_batched_speedup,
-        args.min_batched_speedup,
-        "aggregate batched speedup",
-    ):
-        return 1
-    return 0
-
-
-def _resolve_run(store, ref, kind):
+def _resolve_run(store, ref):
     """A ``bench-diff`` operand: a run ref in the store, or a JSON file.
 
-    File operands may be raw ``BENCH_*.json`` reports or serialized
+    File operands may be raw ``suite --report`` files or serialized
     :class:`RunRecord` payloads; store operands are run-id prefixes,
-    ``latest``, or ``latest~N``.
+    ``latest``, or ``latest~N`` over the store's suite runs.
     """
     import json
 
     path = Path(ref)
     if path.is_file():
         return json.loads(path.read_text())
-    return store.load(ref, kind)
+    return store.load(ref, "suite")
 
 
 def cmd_bench_diff(args) -> int:
@@ -311,7 +262,7 @@ def cmd_bench_diff(args) -> int:
     results_dir = _results_dir(args) or DEFAULT_RESULTS_DIR
     store = ResultsStore(results_dir)
     if args.list:
-        runs = store.load_runs(args.kind)
+        runs = store.load_runs("suite")
         print(format_history(runs))
         for problem in store.problems:
             print(f"warning: skipped {problem}", file=sys.stderr)
@@ -340,14 +291,13 @@ def cmd_bench_diff(args) -> int:
             )
             return 2
     try:
-        base = _resolve_run(store, args.base, args.kind)
-        head = _resolve_run(store, args.head, args.kind)
+        base = _resolve_run(store, args.base)
+        head = _resolve_run(store, args.head)
         result = diff(
             base,
             head,
             tolerances=tolerances,
             default_tolerance=args.default_tolerance,
-            kind=args.kind,
         )
     except (KeyError, ValueError, OSError) as exc:
         message = exc.args[0] if exc.args else exc
@@ -486,9 +436,7 @@ def _cmd_suite(args) -> int:
         # the conventional SIGINT exit status.
         print("suite interrupted", file=sys.stderr)
         if args.report:
-            _write_json_report(
-                args.report, exc.report, _results_dir(args), "suite"
-            )
+            _write_json_report(args.report, exc.report, _results_dir(args))
         return 130
     print(fig9.render())
     if args.stats:
@@ -515,9 +463,7 @@ def _cmd_suite(args) -> int:
             ),
             file=sys.stderr,
         )
-        if not _write_json_report(
-            args.report, report, _results_dir(args), "suite"
-        ):
+        if not _write_json_report(args.report, report, _results_dir(args)):
             return 1
     return 0
 
@@ -578,7 +524,6 @@ def cmd_trace(args) -> int:
         write_chrome_trace,
     )
 
-    replay_machine = _parse_machine(args.machine) if args.machine else None
     with tracing() as tracer:
         runner = EvaluationRunner()
         run = runner.helix_run(args.bench)
@@ -587,8 +532,8 @@ def cmd_trace(args) -> int:
     if args.sim_timeline:
         from repro.obs.timeline import run_timeline, timeline_events
 
-        segments = run_timeline(run.executor, machine=replay_machine)
-        sim_machine = replay_machine or run.executor.machine
+        segments = run_timeline(run.executor, machine=args.machine)
+        sim_machine = args.machine or run.executor.machine
         # Simulated time gets its own trace "process" so Perfetto keeps
         # its cycle clock apart from the wall-clock spans.
         extra_events = timeline_events(segments, sim_machine, pid=0)
@@ -639,7 +584,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("parallelize", help="HELIX-parallelize and simulate")
     p.add_argument("file")
-    p.add_argument("--cores", type=int, default=6)
+    p.add_argument("--cores", type=_cores, default=6)
     p.set_defaults(func=cmd_parallelize)
 
     p = sub.add_parser(
@@ -647,7 +592,7 @@ def main(argv=None) -> int:
         help="profile, select and transform without executing",
     )
     p.add_argument("file")
-    p.add_argument("--cores", type=int, default=6)
+    p.add_argument("--cores", type=_cores, default=6)
     p.add_argument(
         "--pass-stats",
         action="store_true",
@@ -658,112 +603,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="run a suite benchmark")
     p.add_argument("name")
-    p.add_argument("--cores", type=int, default=6)
+    p.add_argument("--cores", type=_cores, default=6)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser(
-        "bench-interp",
-        help="time the tree walker vs the superblock interpreter tier",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="small representative subset (CI smoke)",
-    )
-    p.add_argument(
-        "--benches",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="explicit benchmark names (overrides --quick)",
-    )
-    p.add_argument(
-        "--scale",
-        choices=("train", "ref"),
-        default="train",
-        help="benchmark input scale (default train)",
-    )
-    p.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="timing runs per backend; minimum is reported",
-    )
-    p.add_argument(
-        "--out",
-        default="BENCH_interp.json",
-        metavar="PATH",
-        help="JSON report path (empty string disables)",
-    )
-    p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit nonzero if any program speedup is below X",
-    )
-    p.add_argument(
-        "--min-geomean-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit nonzero if the geomean superblock speedup is below X",
-    )
-    p.add_argument(
-        "--results-dir", default=None, metavar="DIR", help=results_help
-    )
-    p.set_defaults(func=cmd_bench_interp)
-
-    p = sub.add_parser(
-        "bench-sched",
-        help="time compiled vs reference trace schedulers on sweep replay",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="small representative subset (CI smoke)",
-    )
-    p.add_argument(
-        "--benches",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="explicit benchmark names (overrides --quick)",
-    )
-    p.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="timing runs per engine; minimum is reported",
-    )
-    p.add_argument(
-        "--out",
-        default="BENCH_sched.json",
-        metavar="PATH",
-        help="JSON report path (empty string disables)",
-    )
-    p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit nonzero if any benchmark's sweep speedup is below X",
-    )
-    p.add_argument(
-        "--min-batched-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit nonzero if the batched engine's aggregate gain over "
-        "the per-machine compiled engine is below X",
-    )
-    p.add_argument(
-        "--results-dir", default=None, metavar="DIR", help=results_help
-    )
-    p.set_defaults(func=cmd_bench_sched)
-
     p = sub.add_parser("suite", help="Figure 9 across the whole suite")
-    p.add_argument("--cores", type=int, default=6)
+    p.add_argument("--cores", type=_cores, default=6)
     p.add_argument(
         "--jobs",
         type=int,
@@ -796,10 +640,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "bench-diff",
-        help="regression-diff two recorded bench/suite runs",
+        help="regression-diff two recorded suite runs",
         description=(
-            "Compare two runs recorded in the results store (or raw "
-            "report/record JSON files).  BASE and HEAD are run-id "
+            "Compare two suite runs recorded in the results store (or "
+            "raw report/record JSON files).  BASE and HEAD are run-id "
             "prefixes, 'latest', 'latest~N', or file paths.  Exits 1 "
             "when any metric drops by more than its tolerance, 2 on "
             "usage/lookup errors."
@@ -810,12 +654,6 @@ def main(argv=None) -> int:
     p.add_argument("head", nargs="?", default=None,
                    help="candidate run ref or report file")
     p.add_argument(
-        "--kind",
-        choices=("interp", "sched", "suite"),
-        default=None,
-        help="report kind (inferred from the payload when omitted)",
-    )
-    p.add_argument(
         "--results-dir", default=None, metavar="DIR", help=results_help
     )
     p.add_argument(
@@ -824,7 +662,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="PATTERN=FRACTION",
         help="per-metric allowed relative drop, fnmatch pattern "
-        "(e.g. 'summary.*=0.2'); repeatable, most specific wins",
+        "(e.g. 'speedups.mcf.*=0.2'); repeatable, most specific wins",
     )
     p.add_argument(
         "--default-tolerance",
@@ -971,6 +809,7 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--machine",
+        type=_parse_machine,
         default=None,
         metavar="CORES[:PREFETCH]",
         help="replay machine for the simulated timeline "

@@ -17,7 +17,7 @@ Two complementary primitives, both off by default and free when off:
 On top of these sit two reporting surfaces:
 
 * :class:`ResultsStore` (:mod:`repro.obs.results`) -- a versioned,
-  content-addressed store of bench/suite run records with a
+  content-addressed store of suite run records with a
   :func:`diff` regression engine (``repro bench-diff``).
 * :func:`prometheus_text` (:mod:`repro.obs.prom`) -- Prometheus
   text-format exposition of registry snapshots and daemon status
@@ -53,7 +53,6 @@ from repro.obs.results import (
     RunRecord,
     diff,
     format_history,
-    infer_kind,
     run_metrics,
 )
 
@@ -83,6 +82,5 @@ __all__ = [
     "RunRecord",
     "diff",
     "format_history",
-    "infer_kind",
     "run_metrics",
 ]

@@ -1,6 +1,6 @@
 """Versioned results store with cross-run regression diffing.
 
-Every bench/suite invocation evaporates into a ``BENCH_*.json`` file
+Every ``repro suite --report`` run evaporates into one JSON file
 unless something keeps durable, comparable history.  The
 :class:`ResultsStore` is that history: one directory of immutable
 :class:`RunRecord` JSON files, each persisting a run's report payload
@@ -9,19 +9,19 @@ snapshot, the suite environment block, the code version and the
 wall-clock time of recording -- under a **content-addressed run ID**
 (the SHA-256 of the canonical record payload, excluding the clock).
 Recording the same measurement twice yields the same ID, so the store
-deduplicates instead of growing; the CLI's shared report writer
-(``_write_json_report``) records every ``bench-interp`` /
-``bench-sched`` / ``suite --report`` run here.
+deduplicates instead of growing; the CLI's report writer
+(``_write_json_report``) records every ``suite --report`` run here
+under the kind ``suite``.
 
 On top of the records sits the regression engine:
 
-* :func:`run_metrics` flattens a report into comparable *ratio* metrics
-  (per-program speedups, geomeans) -- wall-clock seconds are
+* :func:`run_metrics` flattens a suite report into comparable *ratio*
+  metrics (per-bench speedups, geomeans) -- wall-clock seconds are
   deliberately excluded, since they do not compare across hosts.
 * :func:`diff` compares two runs of the same kind.  When the two runs
-  cover different program sets (a ``--quick`` CI lane against a
-  committed full-suite baseline), incomparable whole-set aggregates are
-  dropped and geomeans are **recomputed over the shared programs** on
+  cover different bench sets (a suite job over a few ``benches``
+  against a full-suite run), incomparable whole-set geomeans are
+  dropped and geomeans are **recomputed over the shared benches** on
   both sides, so the comparison stays apples-to-apples.
 * A metric has *regressed* when its relative drop exceeds its
   tolerance (``--tolerance PATTERN=FRACTION`` in the ``repro
@@ -36,6 +36,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
@@ -70,20 +72,6 @@ def compute_run_id(kind: str, report: Mapping[str, Any], code_version: str,
         ).encode()
     )
     return digest.hexdigest()[:16]
-
-
-def infer_kind(report: Mapping[str, Any]) -> str:
-    """Guess which bench family produced a raw report dict."""
-    programs = report.get("programs")
-    if isinstance(programs, list) and programs:
-        first = programs[0]
-        if "tree_seconds" in first:
-            return "interp"
-        if "batched_speedup" in first or "reference_seconds" in first:
-            return "sched"
-    if "geomeans" in report and "speedups" in report:
-        return "suite"
-    raise ValueError("cannot infer report kind; pass --kind explicitly")
 
 
 @dataclass
@@ -129,10 +117,10 @@ class RunRecord:
 class ResultsStore:
     """A directory of immutable run records, one JSON file per run.
 
-    Layout: ``root/<kind>/<run_id>.json``.  Writes are atomic
-    (temp file + rename) so concurrent bench processes sharing a store
-    never tear each other's records; identical payloads land on the
-    same path and simply overwrite with identical bytes.
+    Layout: ``root/<kind>/<run_id>.json``.  Writes are atomic (a
+    temp file of the writer's own + rename) so concurrent processes
+    sharing a store never tear each other's records; identical payloads
+    land on the same path and simply overwrite with identical bytes.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -185,9 +173,22 @@ class ResultsStore:
         )
         path = self._path(record)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record.as_dict(), indent=2, sort_keys=True))
-        tmp.replace(path)
+        # Not ``*.json``, so ``load_runs`` never reads a write in flight.
+        fd, tmp = tempfile.mkstemp(
+            dir=str(path.parent), prefix=f".{record.run_id}-", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(
+                    json.dumps(record.as_dict(), indent=2, sort_keys=True)
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         return record
 
     def _path(self, record: RunRecord) -> Path:
@@ -228,14 +229,18 @@ class ResultsStore:
         """Resolve ``ref`` to one record.
 
         ``ref`` is a run-ID prefix, ``latest``, or ``latest~N`` (the
-        N-th most recent run).  Raises :class:`KeyError` when nothing
-        (or more than one record) matches.
+        N-th most recent run, ``N >= 0``).  Raises :class:`KeyError`
+        when nothing (or more than one record) matches, or ``N`` is not
+        a non-negative integer.
         """
         runs = self.load_runs(kind)
         if ref == "latest" or ref.startswith("latest~"):
-            back = 0
-            if "~" in ref:
-                back = int(ref.split("~", 1)[1])
+            offset = ref[len("latest~"):] if "~" in ref else "0"
+            if not offset.isdigit():
+                raise KeyError(
+                    f"bad run ref {ref!r}: want latest~N with N >= 0"
+                )
+            back = int(offset)
             if back >= len(runs):
                 raise KeyError(
                     f"store has only {len(runs)} run(s); {ref!r} out of range"
@@ -268,57 +273,33 @@ def _lazy_code_version() -> str:
 def _flatten(prefix: str, value: Any, out: Dict[str, float]) -> None:
     if isinstance(value, Mapping):
         for key in value:
-            _flatten(f"{prefix}.{key}" if prefix else str(key),
-                     value[key], out)
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, Mapping) and "name" in item:
-                _flatten(f"{prefix}.{item['name']}", item, out)
+            _flatten(f"{prefix}.{key}", value[key], out)
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if math.isfinite(value):
             out[prefix] = float(value)
 
 
-def _is_ratio_metric(path: str) -> bool:
-    """Keep only host-comparable *ratio* metrics (drop raw timings)."""
-    leaf = path.rsplit(".", 1)[-1]
-    if "seconds" in leaf or leaf in ("instructions", "repeat", "name"):
-        return False
-    if "speedup" in leaf or leaf.startswith("geomean"):
-        return True
-    head = path.split(".", 1)[0]
-    # Suite reports: speedups.<bench>.<cores> and geomeans.<cores>.
-    return head in ("speedups", "geomeans")
-
-
 def run_metrics(report: Mapping[str, Any]) -> Dict[str, float]:
-    """Flatten a report into its comparable ratio metrics.
+    """Flatten a suite report into its comparable ratio metrics.
 
-    Paths are dotted: ``programs.mcf.speedup``,
-    ``summary.geomean_speedup``, ``speedups.mcf.6``, ``geomeans.6``.
+    Paths are dotted: ``speedups.mcf.6`` (bench, core count) and
+    ``geomeans.6``; wall-clock seconds and every other block of the
+    report are left out.
     """
     flat: Dict[str, float] = {}
-    _flatten("", dict(report), flat)
-    return {path: value for path, value in flat.items()
-            if _is_ratio_metric(path)}
+    for head in ("speedups", "geomeans"):
+        _flatten(head, report.get(head, {}), flat)
+    return flat
 
 
 def _item_paths(metrics: Mapping[str, float]) -> Dict[str, Dict[str, float]]:
-    """Group per-item metric paths: trailing metric -> {item: value}.
-
-    ``programs.<name>.<metric>`` and ``speedups.<bench>.<cores>`` rows
-    are per-item; everything else (``summary.*``, ``geomeans.*``) is a
-    whole-set aggregate.
-    """
+    """Group the per-bench rows by core count: ``cores=<N>`` ->
+    {bench: speedup}.  ``geomeans.*`` are whole-set aggregates."""
     groups: Dict[str, Dict[str, float]] = {}
     for path, value in metrics.items():
         parts = path.split(".")
-        if len(parts) == 3 and parts[0] in ("programs", "speedups"):
-            if parts[0] == "programs":
-                key = parts[2]           # metric name, e.g. "speedup"
-            else:
-                key = f"cores={parts[2]}"  # suite: group by core count
-            groups.setdefault(key, {})[parts[1]] = value
+        if len(parts) == 3 and parts[0] == "speedups":
+            groups.setdefault(f"cores={parts[2]}", {})[parts[1]] = value
     return groups
 
 
@@ -416,14 +397,14 @@ class RunDiff:
 ReportLike = Union[RunRecord, Mapping[str, Any]]
 
 
-def _coerce(run: ReportLike, kind: Optional[str]) -> Tuple[str, str, dict]:
-    """Normalize a record / raw report into ``(kind, label, report)``."""
+def _coerce(run: ReportLike) -> Tuple[str, str, dict]:
+    """Normalize a record / raw suite report into ``(kind, label, report)``."""
     if isinstance(run, RunRecord):
         return run.kind, run.run_id, run.report
     data = dict(run)
     if "report" in data and "run_id" in data:  # serialized RunRecord
         return data["kind"], data["run_id"], dict(data["report"])
-    return (kind or infer_kind(data)), "report", data
+    return "suite", "report", data
 
 
 def tolerance_for(
@@ -448,18 +429,17 @@ def diff(
     head: ReportLike,
     tolerances: Optional[Mapping[str, float]] = None,
     default_tolerance: float = 0.05,
-    kind: Optional[str] = None,
 ) -> RunDiff:
     """Compare two runs; higher is better for every extracted metric.
 
-    When the two runs cover different program/bench sets, whole-set
-    aggregates (``summary.*``, top-level ``geomeans.*``) are dropped as
-    incomparable and replaced by geomeans recomputed over the *shared*
-    items on both sides (``geomean.<metric> (shared)`` entries), so a
-    quick-lane run diffs cleanly against a full-suite baseline.
+    When the two runs cover different bench sets, the whole-set
+    ``geomeans.*`` are dropped as incomparable and replaced by geomeans
+    recomputed over the *shared* benches on both sides
+    (``geomean.cores=<N> (shared)`` entries), so a run over a few
+    benches diffs cleanly against a full-suite run.
     """
-    base_kind, base_id, base_report = _coerce(base, kind)
-    head_kind, head_id, head_report = _coerce(head, kind)
+    base_kind, base_id, base_report = _coerce(base)
+    head_kind, head_id, head_report = _coerce(head)
     if base_kind != head_kind:
         raise ValueError(
             f"cannot diff across kinds: {base_kind!r} vs {head_kind!r}"
@@ -479,13 +459,12 @@ def diff(
 
     if not same_sets:
         # Whole-set aggregates are incomparable across different
-        # program sets; keep only per-item rows...
-        def per_item(path: str) -> bool:
-            return path.split(".", 1)[0] in ("programs", "speedups")
-
-        base_metrics = {p: v for p, v in base_metrics.items() if per_item(p)}
-        head_metrics = {p: v for p, v in head_metrics.items() if per_item(p)}
-        # ...and synthesize shared-set geomeans for each metric group.
+        # bench sets; keep only per-bench rows...
+        base_metrics = {p: v for p, v in base_metrics.items()
+                        if p.startswith("speedups.")}
+        head_metrics = {p: v for p, v in head_metrics.items()
+                        if p.startswith("speedups.")}
+        # ...and synthesize shared-set geomeans for each core count.
         for group in sorted(set(base_items) & set(head_items)):
             shared = sorted(set(base_items[group]) & set(head_items[group]))
             if len(shared) < 2:
@@ -526,12 +505,8 @@ def diff(
 def _headline(record: RunRecord) -> Tuple[str, Optional[float]]:
     """The one number that summarizes a run in history listings."""
     metrics = run_metrics(record.report)
-    for path in (
-        "summary.geomean_speedup",
-        "geomeans.6",
-    ):
-        if path in metrics:
-            return path, metrics[path]
+    if "geomeans.6" in metrics:
+        return "geomeans.6", metrics["geomeans.6"]
     geomeans = sorted(
         (p, v) for p, v in metrics.items() if p.startswith("geomeans.")
     )

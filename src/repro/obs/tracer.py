@@ -10,8 +10,9 @@ Instrumentation sites write::
 
 and pay nothing measurable when tracing is off: :func:`get_tracer`
 returns the shared :data:`NULL_TRACER` whose ``span`` hands back one
-reusable no-op context manager (no allocation, no clock read).  The
-``bench-sched`` harness guards this with a measured per-span budget and
+reusable no-op context manager (no allocation, no clock read).
+``tests/test_obs.py`` guards this with a per-span budget, the
+end-to-end ledger records the cost (``obs.null_span_ns``), and
 the hot loops (``schedule_compact`` and the cohort walk behind
 ``schedule_many``) carry no tracer calls at all -- enforced
 structurally by ``tests/test_obs.py``.

@@ -41,12 +41,12 @@ count.
 
 :func:`schedule_invocation_reference` is the original per-event
 interpreter over the raw :class:`~repro.runtime.trace.InvocationTrace`.
-It is the differential oracle -- ``tests/test_sched_differential`` and
-``repro bench-sched`` enforce field-exact :class:`ScheduleResult`
-equality between the engines -- and the simulated timeline's
-placement: asked to, it reports every interval a core spends
-configuring, computing, stalled, waiting for the control signal,
-forwarding data or collecting as it walks
+It is the differential oracle -- ``tests/test_sched_differential``
+enforces field-exact :class:`ScheduleResult` equality between the
+engines, and keeps the scalar engine at least 1.1x faster than it --
+and the simulated timeline's placement: asked to, it reports every
+interval a core spends configuring, computing, stalled, waiting for the
+control signal, forwarding data or collecting as it walks
 (:func:`repro.obs.timeline.run_timeline`).  It is written for clarity,
 not speed.
 

@@ -1,11 +1,23 @@
-"""Shared test utilities: quick CFG and program construction."""
+"""Shared test utilities: quick CFG and program construction, and the
+reference-engine replay the scheduler tests compare against."""
 
-from typing import Dict, List, Sequence, Tuple
+import dataclasses
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.loopnest import LoopId
 from repro.frontend import compile_source
 from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.ir.operands import Const
 from repro.ir.types import Type
+from repro.runtime.interpreter import ExecutionResult
+from repro.runtime.machine import MachineConfig, PrefetchMode
+from repro.runtime.parallel import (
+    LoopRunStats,
+    ParallelExecutor,
+    ParallelRunResult,
+)
+from repro.runtime.sched import ScheduleResult, schedule_invocation_reference
+from repro.runtime.trace import InvocationTrace
 
 
 def build_cfg(edges: Dict[str, Sequence[str]], entry: str = "A") -> Function:
@@ -55,3 +67,73 @@ def compile_and_find_loop(source: str, func_name: str, header_contains: str):
         f"no loop with header containing {header_contains!r}; "
         f"headers: {[l.header for l in forest]}"
     )
+
+
+def sweep_machines(base: MachineConfig) -> List[MachineConfig]:
+    """A machine sweep around ``base``: a superset of what one full
+    evaluation round (core counts, prefetch modes, latency sweep, TSO
+    and SMT toggles) replays against, without ``base`` itself."""
+    machines: List[MachineConfig] = []
+    for cores in (1, 2, 4):
+        if cores != base.cores:
+            machines.append(base.with_cores(cores))
+    for mode in (PrefetchMode.NONE, PrefetchMode.MATCHED, PrefetchMode.IDEAL):
+        machines.append(base.with_prefetch(mode))
+    for latency in (4, 32, 220):
+        machines.append(
+            dataclasses.replace(
+                base,
+                signal_latency=max(latency, 4),
+                word_transfer_cycles=max(latency, 4),
+                prefetched_signal_latency=min(4, max(latency, 1)),
+            )
+        )
+    machines.append(dataclasses.replace(base, total_store_ordering=False))
+    machines.append(dataclasses.replace(base, smt=False))
+    return machines
+
+
+def reference_replay(
+    executor: ParallelExecutor,
+    machine: MachineConfig,
+    legacy_traces: Optional[Sequence[InvocationTrace]] = None,
+) -> Tuple[ParallelRunResult, List[ScheduleResult]]:
+    """Replay one machine with the per-event reference engine: every
+    trace's sequential span in the recorded run replaced by its
+    reference schedule under ``machine``.  Returns the run result plus
+    the per-trace schedule column for field-exact comparison."""
+    if legacy_traces is None:
+        legacy_traces = [t.to_invocation_trace() for t in executor.traces]
+    info_by_id = {info.loop_id: info for info in executor.infos}
+    adjusted = executor.cycles
+    loop_stats: Dict[LoopId, LoopRunStats] = {}
+    schedules: List[ScheduleResult] = []
+    for trace in legacy_traces:
+        info = info_by_id[trace.loop_id]
+        new = schedule_invocation_reference(trace, info, machine)
+        adjusted += new.parallel_cycles - new.sequential_cycles
+        stats = loop_stats.setdefault(
+            trace.loop_id, LoopRunStats(loop_id=trace.loop_id)
+        )
+        stats.invocations += 1
+        stats.iterations += trace.iteration_count
+        stats.sequential_cycles += new.sequential_cycles
+        stats.parallel_cycles += new.parallel_cycles
+        stats.signals += new.signals
+        stats.waits += new.waits
+        stats.wait_stall_cycles += new.wait_stall_cycles
+        stats.transfer_words += new.transfer_words
+        stats.loads += trace.loads
+        schedules.append(new)
+    result = ExecutionResult(
+        output=list(executor.output),
+        cycles=adjusted,
+        instructions=executor.instructions,
+    )
+    run = ParallelRunResult(
+        result=result,
+        machine=machine,
+        loop_stats=loop_stats,
+        traces=list(legacy_traces),
+    )
+    return run, schedules

@@ -128,7 +128,17 @@ def _assert_sequential_identity(module, lane):
             Interpreter(module, max_instructions=tree.instructions - 1), tree
         )
     else:
-        assert run_module(module, backend=lane).to_dict() == tree.to_dict()
+        before = REGISTRY.snapshot()
+        result = run_module(module, backend=lane)
+        counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
+        assert result.to_dict() == tree.to_dict()
+        # The whole run stayed in generated code: one selection of the
+        # tier, none of the walker, and no activation handed to it.
+        assert (
+            counters.get("interp.backend.superblock", 0),
+            counters.get("interp.backend.tree", 0),
+            counters.get("interp.superblock.fallbacks", 0),
+        ) == (1, 0, 0)
 
 
 def _assert_profile_identity(module, lane):

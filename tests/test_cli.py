@@ -57,6 +57,25 @@ def test_missing_command_rejected():
         main([])
 
 
+@pytest.mark.parametrize("spec", ["4:bogus", "x", "0", "0:matched", ""])
+def test_bad_machine_is_a_usage_error(spec, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "mcf", "--machine", spec])
+    assert excinfo.value.code == 2
+    assert f"argument --machine: {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["suite", "bench", "compile"])
+@pytest.mark.parametrize("cores", ["0", "-1", "six"])
+def test_bad_core_count_is_a_usage_error(command, cores, program_file,
+                                         capsys):
+    target = {"suite": [], "bench": ["mcf"], "compile": [program_file]}
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *target[command], "--cores", cores])
+    assert excinfo.value.code == 2
+    assert f"argument --cores: {cores!r}" in capsys.readouterr().err
+
+
 def test_suite_cache_stats_report(monkeypatch, tmp_path, capsys):
     import json
 
@@ -92,55 +111,6 @@ def test_suite_cache_stats_report(monkeypatch, tmp_path, capsys):
     assert warm["stages"]["execute"]["disk_hits"] == 1
     assert warm["wall_seconds"] < cold["wall_seconds"] * 1.5
 
-
-def test_bench_interp_report(monkeypatch, tmp_path, capsys):
-    import json
-
-    from repro.bench import suite as bench_suite
-
-    spec = bench_suite.BenchmarkSpec(
-        "tinyinterp", "synthetic interp bench", lambda scale: PROGRAM, 1.0,
-        "test",
-    )
-    monkeypatch.setitem(bench_suite.BENCHMARKS, "tinyinterp", spec)
-
-    out_path = tmp_path / "BENCH_interp.json"
-    argv = [
-        "bench-interp", "--benches", "tinyinterp",
-        "--repeat", "2", "--out", str(out_path),
-    ]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "tinyinterp" in out
-    assert "speedup" in out
-    report = json.loads(out_path.read_text())
-    assert report["repeat"] == 2
-    (program,) = report["programs"]
-    assert program["name"] == "tinyinterp"
-    assert program["instructions"] > 0
-    assert program["tree_seconds"] > 0
-    assert program["superblock_cold_seconds"] > 0
-    assert report["summary"]["geomean_speedup"] == pytest.approx(
-        program["speedup"]
-    )
-
-
-def test_bench_interp_min_speedup_gate(monkeypatch, tmp_path, capsys):
-    from repro.bench import suite as bench_suite
-
-    spec = bench_suite.BenchmarkSpec(
-        "tinyinterp", "synthetic interp bench", lambda scale: PROGRAM, 1.0,
-        "test",
-    )
-    monkeypatch.setitem(bench_suite.BENCHMARKS, "tinyinterp", spec)
-
-    # An impossible threshold must fail the run (this is the CI gate).
-    argv = [
-        "bench-interp", "--benches", "tinyinterp",
-        "--out", "", "--min-speedup", "1000000",
-    ]
-    assert main(argv) == 1
-    assert "below required" in capsys.readouterr().err
 
 def test_trace_command_writes_valid_perfetto_json(
     monkeypatch, tmp_path, capsys

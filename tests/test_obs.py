@@ -164,14 +164,6 @@ class TestNullTracer:
         elapsed = time.perf_counter() - start
         assert elapsed / spans < 10e-6
 
-    def test_bench_sched_probe_reports_per_span_cost(self):
-        from repro.evaluation.sched_bench import null_tracer_probe
-
-        probe = null_tracer_probe(spans=2_000)
-        assert probe["spans"] == 2_000
-        assert probe["seconds"] >= 0
-        assert 0 <= probe["ns_per_span"] < 10_000
-
     def test_scheduler_hot_paths_carry_no_tracing(self):
         # The per-event loops must stay pure: no span or counter calls.
         import repro.runtime.sched as sched
