@@ -23,22 +23,13 @@ SCHEDULING_SENSITIVE = ["mesa", "twolf", "vpr", "parser", "ammp", "vortex"]
 INLINE_SENSITIVE = ["vortex", "twolf", "mcf"]
 
 
-def run_config(runner, bench, label, options):
-    return runner.pipeline(
-        bench, options=options, cache_key=f"design-ablation:{label}"
-    )
-
-
 def test_step5_scheduling_ablation(benchmark, runner, report):
     def experiment():
         rows = []
         for bench in SCHEDULING_SENSITIVE:
             full = runner.helix_run(bench)
-            unscheduled = run_config(
-                runner,
-                bench,
-                "no-sched",
-                HelixOptions(enable_segment_scheduling=False),
+            unscheduled = runner.pipeline(
+                bench, options=HelixOptions(enable_segment_scheduling=False)
             )
             assert unscheduled.output_matches
             rows.append([bench, unscheduled.speedup, full.speedup])
@@ -65,11 +56,8 @@ def test_inlining_ablation(benchmark, runner, report):
         rows = []
         for bench in INLINE_SENSITIVE:
             full = runner.helix_run(bench)
-            uninlined = run_config(
-                runner,
-                bench,
-                "no-inline",
-                HelixOptions(enable_inlining=False),
+            uninlined = runner.pipeline(
+                bench, options=HelixOptions(enable_inlining=False)
             )
             assert uninlined.output_matches
             rows.append([bench, uninlined.speedup, full.speedup])

@@ -140,8 +140,7 @@ def pipeline_fingerprint(
 ) -> str:
     """Canonical identity of one pipeline configuration request.
 
-    Used both as the in-memory memo key (alongside the user's string
-    ``cache_key``, which only namespaces it) and inside ``run`` keys.
+    Used both as the in-memory memo key and inside ``run`` keys.
     Covers *all* transformation options (``asdict``, not a curated
     subset), so a new knob can never silently alias stored entries.
     """

@@ -262,7 +262,6 @@ def figure10(runner: Optional[EvaluationRunner] = None) -> Figure10Result:
                 bench,
                 options=options,
                 prefetch=prefetch,
-                cache_key=f"fig10:{label}",
                 **sel_kwargs,
             )
             assert run.output_matches, f"{bench}/{label}: output diverged"
@@ -483,14 +482,10 @@ def figure12(runner: Optional[EvaluationRunner] = None) -> Figure12Result:
     under: Dict[str, float] = {}
     over: Dict[str, float] = {}
     for bench in runner.benches():
-        run_under = runner.pipeline(
-            bench, signal_cost=0.0, cache_key="fig12:under"
-        )
+        run_under = runner.pipeline(bench, signal_cost=0.0)
         assert run_under.output_matches
         under[bench] = run_under.speedup
-        run_over = runner.pipeline(
-            bench, signal_cost=110.0, cache_key="fig12:over"
-        )
+        run_over = runner.pipeline(bench, signal_cost=110.0)
         assert run_over.output_matches
         over[bench] = run_over.speedup
     return Figure12Result(underestimated=under, overestimated=over)

@@ -31,7 +31,16 @@ import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.analysis.loopnest import LoopId
 from repro.analysis.manager import AnalysisManager
@@ -80,6 +89,25 @@ STAGES = (
 #: A recording run: its sequential-clock result, traces and load count
 #: (the arguments of :meth:`ParallelExecutor.restore_run`).
 _Recording = Tuple[ExecutionResult, List[CompactInvocationTrace], int]
+
+_T = TypeVar("_T")
+
+
+def _decode_module(payload: dict) -> Module:
+    ir = payload["ir"]
+    if not isinstance(ir, str):
+        raise TypeError("stored IR is not text")
+    return parse_module(ir)
+
+
+def _decode_recording(payload: dict) -> _Recording:
+    """A stored recording (:func:`unpack_traces` checks the traces)."""
+    return (
+        ExecutionResult.from_dict(payload["result"]),
+        unpack_traces(payload["traces"]),
+        payload["load_count"],
+    )
+
 
 #: Fields of a ``run`` answer (the ``run`` artifact's whole payload).
 RUN_FIELDS = frozenset(
@@ -279,13 +307,25 @@ class EvaluationRunner:
 
     # -- cache plumbing --------------------------------------------------------
 
-    def _load(self, bench: str, kind: str, key: str) -> Optional[dict]:
+    def _load(
+        self, kind: str, key: str, decode: Callable[[dict], _T]
+    ) -> Optional[_T]:
+        """The entry of ``kind`` under ``key``, decoded, or ``None`` on a
+        miss.  An entry that does not decode (``decode`` raises
+        ``KeyError``, ``TypeError`` or ``ValueError``: fields missing or
+        mistyped, IR that does not parse, traces in another format) is a
+        miss too, so the stage recomputes and overwrites it."""
         payload = self.artifacts.load(kind, key)
-        if payload is not None:
-            self.observer.artifact_stored(None, kind, key, "hit")
-        return payload
+        if payload is None:
+            return None
+        try:
+            value = decode(payload)
+        except (KeyError, TypeError, ValueError):
+            return None
+        self.observer.artifact_stored(None, kind, key, "hit")
+        return value
 
-    def _store(self, bench: str, kind: str, key: str, payload: dict) -> None:
+    def _store(self, kind: str, key: str, payload: dict) -> None:
         if self.artifacts.store(kind, key, payload):
             self.observer.artifact_stored(None, kind, key, "store")
 
@@ -308,15 +348,12 @@ class EvaluationRunner:
             "stage.compile", cat="stage", bench=bench, scale=scale
         ) as sp:
             disk_key = self.artifacts.key("module", bench, scale=scale)
-            payload = self._load(bench, "module", disk_key)
-            if payload is not None:
-                module = parse_module(payload["ir"])
+            module = self._load("module", disk_key, _decode_module)
+            if module is not None:
                 outcome = "disk"
             else:
                 module = compile_benchmark(bench, scale)
-                self._store(
-                    bench, "module", disk_key, {"ir": module_to_str(module)}
-                )
+                self._store("module", disk_key, {"ir": module_to_str(module)})
                 outcome = "compute"
             sp.set(outcome=outcome)
         self._modules[key] = module
@@ -335,13 +372,16 @@ class EvaluationRunner:
             disk_key = self.artifacts.key(
                 "profile", bench, machine=self.machine
             )
-            payload = self._load(bench, "profile", disk_key)
-            if payload is not None:
-                data = ProfileData.from_dict(payload, train)
+            data = self._load(
+                "profile",
+                disk_key,
+                lambda payload: ProfileData.from_dict(payload, train),
+            )
+            if data is not None:
                 outcome = "disk"
             else:
                 data = profile_module(train, self.machine)
-                self._store(bench, "profile", disk_key, data.to_dict())
+                self._store("profile", disk_key, data.to_dict())
                 outcome = "compute"
             sp.set(outcome=outcome)
         self._profiles[bench] = data
@@ -360,9 +400,10 @@ class EvaluationRunner:
             disk_key = self.artifacts.key(
                 "sequential", bench, machine=self.machine
             )
-            payload = self._load(bench, "sequential", disk_key)
-            if payload is not None:
-                result = ExecutionResult.from_dict(payload)
+            result = self._load(
+                "sequential", disk_key, ExecutionResult.from_dict
+            )
+            if result is not None:
                 outcome = "disk"
             else:
                 # Opportunistic hot-path hint: when the profile stage
@@ -376,7 +417,7 @@ class EvaluationRunner:
                     self.machine,
                     block_profile=profile.block_counts if profile else None,
                 )
-                self._store(bench, "sequential", disk_key, result.to_dict())
+                self._store("sequential", disk_key, result.to_dict())
                 outcome = "compute"
             sp.set(outcome=outcome)
         self._sequential[bench] = result
@@ -427,18 +468,16 @@ class EvaluationRunner:
         signal_cost: Optional[float] = None,
         unoptimized_signals: bool = False,
         loop_ids: Optional[Sequence[LoopId]] = None,
-        cache_key: Optional[str] = None,
     ) -> PipelineRun:
-        """Transform + execute one configuration of one benchmark."""
+        """Transform + execute one configuration of one benchmark,
+        memoized on the configuration's fingerprint."""
         options = options or HelixOptions()
-        # The configuration fingerprint is always part of the key: a
-        # string ``cache_key`` only namespaces it, so two calls sharing
-        # a label but differing in options/prefetch/selection knobs can
-        # never collide.
-        config_fp = pipeline_fingerprint(
-            options, prefetch, signal_cost, unoptimized_signals, loop_ids
+        key = (
+            bench,
+            pipeline_fingerprint(
+                options, prefetch, signal_cost, unoptimized_signals, loop_ids
+            ),
         )
-        key = (bench, config_fp, cache_key)
         if key in self._pipelines:
             self._record(bench, "execute", "memory")
             return self._pipelines[key]
@@ -488,7 +527,9 @@ class EvaluationRunner:
             recording = self._recordings.get(recording_key)
             outcome = "memory"
             if recording is None:
-                recording = self._stored_recording(bench, recording_key)
+                recording = self._load(
+                    "recording", recording_key, _decode_recording
+                )
                 outcome = "disk"
             if recording is not None:
                 parallel = executor.restore_run(*recording)
@@ -497,7 +538,6 @@ class EvaluationRunner:
                 recorded = replace(parallel.result, cycles=executor.cycles)
                 recording = (recorded, executor.traces, executor.load_count)
                 self._store(
-                    bench,
                     "recording",
                     recording_key,
                     {
@@ -524,26 +564,9 @@ class EvaluationRunner:
         self._pipelines[key] = run
         return run
 
-    def _stored_recording(self, bench: str, key: str) -> Optional[_Recording]:
-        """The stored recording under ``key``; an entry that is not one
-        this build reads (fields missing, another trace format, columns
-        that do not decode to what their header rows declare) counts as
-        absent and is overwritten by the recomputation."""
-        payload = self._load(bench, "recording", key)
-        if payload is None:
-            return None
-        try:
-            return (
-                ExecutionResult.from_dict(payload["result"]),
-                unpack_traces(payload["traces"]),
-                payload["load_count"],
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
-
     def helix_run(self, bench: str) -> PipelineRun:
         """The default full-HELIX configuration of one benchmark."""
-        return self.pipeline(bench, cache_key="helix")
+        return self.pipeline(bench)
 
     def run_result(
         self, bench: str, checkpoint: Callable[[], None] = lambda: None
@@ -569,13 +592,18 @@ class EvaluationRunner:
                     HelixOptions(), PrefetchMode.HELIX, None, False, None
                 ),
             )
-            result = self._load(bench, "run", disk_key)
-            if (
-                result is not None
-                and result.keys() == RUN_FIELDS
-                and result["bench"] == bench
-                and result["cores"] == self.machine.cores
-            ):
+
+            def answer(payload: dict) -> dict:
+                if (
+                    payload.keys() != RUN_FIELDS
+                    or payload["bench"] != bench
+                    or payload["cores"] != self.machine.cores
+                ):
+                    raise ValueError("not an answer to this request")
+                return payload
+
+            result = self._load("run", disk_key, answer)
+            if result is not None:
                 outcome = "disk"
             else:
                 self.module(bench, "train")
@@ -595,7 +623,7 @@ class EvaluationRunner:
                     "output_matches": run.output_matches,
                     "chosen": [list(loop) for loop in run.chosen],
                 }
-                self._store(bench, "run", disk_key, result)
+                self._store("run", disk_key, result)
                 outcome = "compute"
             sp.set(outcome=outcome)
         self._record(bench, "run", outcome, time.perf_counter() - start)

@@ -28,7 +28,7 @@ from repro.ir.operands import Const, Operand, Symbol, VReg
 from repro.ir.types import Type
 
 
-class IRParseError(Exception):
+class IRParseError(ValueError):
     """Malformed textual IR."""
 
 

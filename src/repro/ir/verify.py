@@ -16,7 +16,7 @@ from repro.ir.operands import Const, Symbol, VReg
 from repro.ir.types import Type
 
 
-class IRVerificationError(Exception):
+class IRVerificationError(ValueError):
     """Raised when a module or function violates a structural invariant."""
 
 

@@ -8,21 +8,20 @@ summarised with one snapshot:
   from :class:`repro.evaluation.runner.StageStats`.
 * ``analysis.<name>.{hits,misses,invalidations}`` -- mirrored from
   :class:`repro.analysis.manager.AnalysisManager`.
-* ``interp.backend.{tree,superblock,hooked_superblock}`` -- interpreter
-  backend selections, counted once per ``run()``.
+* ``interp.backend.{tree,superblock}`` -- the engine an interpreter
+  picked when it was built, counted once per ``run()``.
 * ``interp.superblock.{formed,blocks_fused,fallbacks}`` -- superblock
   formation totals and fallback activations from
   :mod:`repro.runtime.codegen` (a fallback means a budget could expire
   inside a fused region, so the tree walker finished the activation).
-* ``interp.superblock.hooked`` -- hooked-tier functions made available
-  (compiled or replayed from the artifact cache), and beside it
-  ``interp.codegen.{hook_sites,hook_sites_elided}`` -- the block
-  boundaries those functions compiled with / without their
-  ``on_block_entry`` call: how much of an instrumented run is observed
-  (everything unless the interpreter declares ``watched_edges``).
-  Counted per function, never per activation.
+* ``interp.codegen.{hook_sites,hook_sites_elided}`` -- the block
+  boundaries each function of a class that overrides
+  ``on_block_entry`` compiled with / without its hook call: how much
+  of an instrumented run is observed (everything unless the
+  interpreter declares ``watched_edges``).  Counted per function,
+  never per activation.
 * ``interp.codegen.{undef_checks,undef_checks_elided}`` -- per generated
-  function of either tier, the first reads of a register in a dispatch
+  function, the first reads of a register in a dispatch
   arm that kept / lost the walker's undefined-register test (lost:
   every path to the read assigns the register).  A verified module
   reads 0 kept.

@@ -38,20 +38,22 @@ Python source generated once per function:
   is emitted only at a first read that some path reaches without an
   assignment (:func:`_must_defined`, a forward must-define pass over
   :mod:`repro.analysis.dataflow`): in verified code that is nowhere.
-* **Hooked tier** -- ``compile_superblocks(..., hooked=True)`` emits a
-  hook-aware variant for instrumented runs (the profiler and
-  :class:`~repro.runtime.parallel.ParallelExecutor`):
-  WAIT/SIGNAL/NEXT_ITER route through ``exec_sync`` and XFER through
-  ``exec_xfer`` at segment boundaries, ``count_loads`` becomes a static
-  per-segment ``load_count`` increment, and ``on_block_entry`` is
-  called -- with the same arguments, order and exact ``cycles`` as the
-  tree walker -- on the block-to-block edges the interpreter watches.
+* **Observation** -- each function is compiled once per interpreter,
+  observing exactly what the interpreter's class declares (the
+  profiler and :class:`~repro.runtime.parallel.ParallelExecutor` are
+  the in-tree observers).  A class that overrides ``exec_sync`` or
+  ``exec_xfer`` has WAIT/SIGNAL/NEXT_ITER routed through ``exec_sync``
+  and XFER through ``exec_xfer`` at segment boundaries;
+  ``count_loads`` becomes a static per-segment ``load_count``
+  increment; and an overridden ``on_block_entry`` is called -- with
+  the same arguments, order and exact ``cycles`` as the tree walker --
+  on the block-to-block edges the interpreter watches.
   ``Interpreter.watched_edges(func)`` declares that set: ``None`` (the
   default) is every edge, a frozenset of ``(prev, target)`` pairs
   leaves the hook call and the segment close only where the observer
-  acts, and every other boundary fuses exactly as in the
-  uninstrumented tier, which is simply the emitter with an empty
-  watched set (:meth:`_ChainEmitter.observed` is the one predicate).
+  acts, and every other boundary fuses exactly as for a class that
+  observes nothing, whose watched set is empty
+  (:meth:`_ChainEmitter.observed` is the one predicate).
   The declaration binds generated code only: the tree walker, which
   also runs the budget fallback below, announces every entry, so a
   declaring hook keeps treating undeclared edges as no-ops.  An
@@ -70,8 +72,7 @@ Python source generated once per function:
   a hook passes through with nothing written: whoever raised it wrote
   its own clock last, and the caller's locals are older.  Hooks
   receive the activation's :class:`SlotFrame` and must not inspect
-  register state (true of every in-tree consumer); listener-bearing
-  interpreters run on the tree walker.
+  register state (true of every in-tree consumer).
 * **Exactness fallback** -- output, cycle and instruction counts,
   ``RuntimeFault`` messages and ``ExecutionLimitExceeded`` behavior are
   bit-identical to the tree-walker.  Each dispatch arm only runs when
@@ -107,11 +108,10 @@ callee or block) they stand at the activation's last write-back.
 
 Counters (:mod:`repro.obs.metrics`): ``interp.superblock.formed``,
 ``interp.superblock.blocks_fused``, ``interp.codegen.specialized_ops``,
-``interp.codegen.functions`` at compile time,
-``interp.superblock.hooked`` per hooked-tier function compiled
-and, with it, ``interp.codegen.hook_sites`` /
-``interp.codegen.hook_sites_elided`` for the block boundaries that
-function compiled with / without their ``on_block_entry`` call,
+``interp.codegen.functions`` at compile time, with, for a class
+that observes block entries, ``interp.codegen.hook_sites`` /
+``interp.codegen.hook_sites_elided`` for the block boundaries each
+function compiled with / without its ``on_block_entry`` call,
 ``interp.codegen.undef_checks`` / ``interp.codegen.undef_checks_elided``
 per function for the first reads that kept / lost the
 undefined-register test, and ``interp.superblock.fallbacks`` per
@@ -414,7 +414,7 @@ class SuperblockFunction:
 
     __slots__ = (
         "func", "slot_map", "nslots", "param_slots", "entry", "blocks",
-        "run", "source", "hooked",
+        "run", "source",
     )
 
     def __init__(
@@ -425,7 +425,6 @@ class SuperblockFunction:
         blocks: Dict[str, Superblock],
         run,
         source: str,
-        hooked: bool = False,
     ) -> None:
         self.func = func
         #: VReg uid -> slot index (:func:`allocate_slots`).
@@ -438,7 +437,6 @@ class SuperblockFunction:
         self.run = run
         #: Generated Python source, kept for tests and debugging.
         self.source = source
-        self.hooked = hooked
 
 
 class _OverBudget(Exception):
@@ -472,26 +470,25 @@ def _dispatch_split(weights: List[int], lo: int, hi: int) -> int:
 class _FunctionCodegen:
     """Generates and compiles the superblock source for one function."""
 
-    def __init__(
-        self, interp, func: Function, hooked: bool, count_loads: bool
-    ) -> None:
+    def __init__(self, interp, func: Function) -> None:
         self.interp = interp
         self.func = func
-        #: Sync/xfer ops route through ``exec_sync`` / ``exec_xfer``;
-        #: nothing is observed, or counted, without it.
-        self.hooked = hooked
-        self.count_loads = hooked and bool(count_loads)
+        # What to observe is read off the interpreter once, here.
+        #: Sync/xfer ops route through ``exec_sync`` / ``exec_xfer``.
+        self.observes_sync = interp._observes_sync
+        self.observes_blocks = interp._observes_blocks
+        self.count_loads = bool(interp.count_loads)
         #: ``(prev, target)`` edges whose traversal calls
         #: ``on_block_entry`` (and closes the running segment): ``None``
-        #: is every edge, the empty set -- all the uninstrumented tier
-        #: ever has -- none.
+        #: is every edge, the empty set -- all a class that does not
+        #: override the hook ever has -- none.
         self.watched: Optional[FrozenSet[Tuple[str, str]]] = (
-            interp.watched_edges(func) if hooked else frozenset()
+            interp.watched_edges(func) if self.observes_blocks
+            else frozenset()
         )
         #: Unwatched entries bump ``interp.unwatched_entries`` cells.
         self.count_unwatched = (
-            hooked and self.watched is not None
-            and bool(interp.count_unwatched)
+            self.watched is not None and bool(interp.count_unwatched)
         )
         #: Boundaries emitted with / without their ``on_block_entry``
         #: call.
@@ -682,8 +679,7 @@ class _FunctionCodegen:
         REGISTRY.inc(
             "interp.codegen.undef_checks_elided", self.undef_checks_elided
         )
-        if self.hooked:
-            REGISTRY.inc("interp.superblock.hooked")
+        if self.observes_blocks:
             REGISTRY.inc("interp.codegen.hook_sites", self.hook_sites)
             REGISTRY.inc(
                 "interp.codegen.hook_sites_elided", self.hook_sites_elided
@@ -695,7 +691,6 @@ class _FunctionCodegen:
             sblocks,
             self.ns["__sb"],
             source,
-            self.hooked,
         )
 
 
@@ -754,8 +749,8 @@ class _ChainEmitter:
 
     Segments additionally close at every boundary that is
     :meth:`observed` (so ``on_block_entry`` reads exact counters, in
-    the walker's exact call order) and, in hooked mode, at every
-    sync/xfer opcode (charged through the op before
+    the walker's exact call order) and, when the class observes sync
+    ops, at every sync/xfer opcode (charged through the op before
     ``exec_sync``/``exec_xfer`` runs, as the walker charges an
     instruction before executing it), and each closed segment
     statically bumps ``load_count`` by its LOADG/LOADP count when the
@@ -773,7 +768,7 @@ class _ChainEmitter:
         #: Indentation of this arm's leaf inside the dispatch tree.
         self.base = base
         self.blocks = g.func.blocks
-        self.hooked = g.hooked
+        self.observes_sync = g.observes_sync
         self.count_loads = g.count_loads
         self.watched = g.watched
         # Prescan: linear instruction total and loop shape.
@@ -856,8 +851,8 @@ class _ChainEmitter:
         """The one boundary predicate: does entering ``target`` from
         ``prev`` call ``on_block_entry``?  An observed boundary closes
         the running segment first, so the hook reads exact counters;
-        every other boundary fuses -- always, in the uninstrumented
-        tier, whose watched set is empty."""
+        every other boundary fuses -- always, for a class that does
+        not override the hook, whose watched set is empty."""
         watched = self.watched
         return watched is None or (prev, target) in watched
 
@@ -867,14 +862,10 @@ class _ChainEmitter:
         entry-count bump when the interpreter counts unwatched entries,
         else nothing.
 
-        ``__obe`` is bound from the interpreter attribute once per
-        activation (so instance-level overrides installed before the
-        run stay honored), and hooks may mutate any interpreter
-        *counter* freely -- the call sits between a write-back and a
-        reload of the clock locals -- but
-        rebinding the hook attribute itself mid-activation is only
-        observed at the next activation, exactly like a mid-activation
-        backend switch.
+        ``__obe`` is bound from the interpreter once per activation,
+        and hooks may mutate any interpreter *counter* freely -- the
+        call sits between a write-back and a reload of the clock
+        locals.
         """
         g = self.g
         if self.observed(prev_name, target):
@@ -1367,9 +1358,10 @@ class _ChainEmitter:
             return 1
 
         if op in _SYNC_OPS:
-            # Timing-only in the fast variant: charge, no effect.  (The
-            # hooked emitter intercepts these in render() and routes
-            # them through exec_sync/exec_xfer at a segment boundary.)
+            # Timing-only unless observed: charge, no effect.  (For a
+            # class that observes them, render() intercepts these and
+            # routes them through exec_sync/exec_xfer at a segment
+            # boundary.)
             self.charge_op(instr)
             return 1
 
@@ -1522,7 +1514,7 @@ class _ChainEmitter:
                     terminated = True
                     break
                 nxt = instructions[i + 1] if i + 1 < len(instructions) else None
-                if self.hooked and instr.opcode in _SYNC_OPS:
+                if self.observes_sync and instr.opcode in _SYNC_OPS:
                     # Charge through the op, then run the hook with
                     # exact counters.
                     self.charge_op(instr)
@@ -1552,29 +1544,24 @@ class _ChainEmitter:
 # -- entry points -------------------------------------------------------------
 
 
-def compile_superblocks(
-    interp,
-    func: Function,
-    hooked: bool = False,
-    count_loads: bool = False,
-) -> SuperblockFunction:
+def compile_superblocks(interp, func: Function) -> SuperblockFunction:
     """Form, generate and compile all superblocks of ``func``.
 
-    With ``hooked=True`` the generated chains call ``exec_sync`` /
-    ``exec_xfer`` at the tree walker's observation points and
-    ``on_block_entry`` on the edges
-    ``interp.watched_edges(func)`` declares -- every edge by default
-    -- (and statically count loads when ``count_loads`` is set, and
-    unwatched entries when ``interp.count_unwatched`` is).
+    The generated chains observe what ``interp``'s class overrides: they
+    call ``exec_sync`` / ``exec_xfer`` at the tree walker's observation
+    points, and ``on_block_entry`` on the edges
+    ``interp.watched_edges(func)`` declares -- every edge by default.
+    They statically count loads when ``interp.count_loads`` is set, and
+    unwatched entries when ``interp.count_unwatched`` is.
     """
-    return _FunctionCodegen(interp, func, hooked, count_loads).build()
+    return _FunctionCodegen(interp, func).build()
 
 
 def execute_superblocks(interp, sfunc: SuperblockFunction, args) -> object:
     """Run one activation of ``sfunc`` on ``args`` and return its value.
 
-    In the hooked tier the activation-entry ``on_block_entry(frame,
-    None, entry)`` is made here; every later boundary hook lives
+    For a class that observes block entries the activation-entry
+    ``on_block_entry(frame, None, entry)`` is made here; every later boundary hook lives
     inside the generated code.  The whole activation -- chain dispatch
     included -- runs inside the single generated function; a chain is
     only entered, iterated or continued past a CALL while the remaining
@@ -1592,7 +1579,7 @@ def execute_superblocks(interp, sfunc: SuperblockFunction, args) -> object:
     limit = interp.max_instructions
     if limit is None:
         limit = _INF
-    if sfunc.hooked:
+    if interp._observes_blocks:
         interp.on_block_entry(frame, None, sfunc.func.entry)
     anchor = sfunc.run(frame, limit, 0)
     if anchor is None:

@@ -17,8 +17,8 @@ Integer semantics are C-like: 64-bit two's-complement wrap-around,
 truncating division.  This keeps benchmark programs (hash functions, RNGs)
 deterministic and portable.
 
-Two execution tiers share these semantics (selected per activation by
-:meth:`Interpreter.call_function`):
+Two execution tiers share these semantics, and each interpreter picks
+one when it is built:
 
 * the **tree-walker** in this module -- simple, hookable everywhere, the
   oracle every other tier is checked against, and the tier that
@@ -27,16 +27,18 @@ Two execution tiers share these semantics (selected per activation by
   blocks are fused into single-entry superblocks and all superblocks of
   a function are code-generated into one compiled Python function.
 
-Selection is automatic and always bit-identical to the tree-walker:
-uninstrumented runs use the superblock backend, hook users (profiler,
-parallel executor) its hooked tier -- which calls ``on_block_entry``
-on every block-to-block edge, or only on the ones
-:meth:`Interpreter.watched_edges` declares --, while listener users and
-subclasses that override ``exec_instr``-level methods run on the
-tree-walker.  When the instruction budget could expire inside a fused
-region, generated code hands its activation, frame and all, to the
-walker at the instruction it stopped before (:meth:`Interpreter._walk`),
-so the limit fires exactly where the walker alone would fire it.
+Generated code is always bit-identical to the tree-walker and is the
+default.  An interpreter tree-walks when asked to (``backend="tree"``)
+or when its class overrides an ``exec_instr``-level method, whose logic
+generated code fuses away.  Otherwise generated code observes exactly
+what the class declares: it calls an overridden ``on_block_entry`` on
+the edges :meth:`Interpreter.watched_edges` declares, and routes sync
+and xfer ops through ``exec_sync`` / ``exec_xfer`` when the class
+overrides them.  When the instruction budget could expire inside a
+fused region, generated code hands its activation, frame and all, to
+the walker at the instruction it stopped before
+(:meth:`Interpreter._walk`), so the limit fires exactly where the
+walker alone would fire it.
 """
 
 from __future__ import annotations
@@ -171,10 +173,21 @@ class ExecutionResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionResult":
+        """Inverse of :meth:`to_dict`; raises ``KeyError`` or
+        ``TypeError`` on anything else."""
+        output = data["output"]
+        cycles, instructions = data["cycles"], data["instructions"]
+        if not (
+            isinstance(output, list)
+            and all(isinstance(line, str) for line in output)
+            and type(cycles) is int
+            and type(instructions) is int
+        ):
+            raise TypeError("not an execution result")
         return cls(
-            output=list(data["output"]),
-            cycles=data["cycles"],
-            instructions=data["instructions"],
+            output=list(output),
+            cycles=cycles,
+            instructions=instructions,
             return_value=data.get("return_value"),
         )
 
@@ -186,42 +199,34 @@ def format_value(value) -> str:
     return str(value)
 
 
-#: Overriding any of these (class- or instance-level) disables the
-#: generated tier: its code fuses exactly this logic, so a replacement
-#: must run on the tree-walker to take effect.
+#: Overriding any of these makes an interpreter tree-walk: generated
+#: code fuses exactly this logic, so a replacement must run on the
+#: tree-walker to take effect.
 _TREE_FORCING = frozenset(
     {"exec_block", "exec_instr", "eval_operand", "eval_terminator", "charge"}
 )
 
-#: Overriding any of these selects the generated tier's *hooked*
-#: variant, which calls them at the same points as the tree-walker.
-_HOOK_FORCING = frozenset({"on_block_entry", "exec_sync", "exec_xfer"})
 
-#: Backend modes resolved per activation.
-_BACKEND_TREE, _BACKEND_SUPER, _BACKEND_HOOKED_SUPER = 0, 1, 2
-
-#: Registry counter names, indexed by backend mode.
-_BACKEND_COUNTERS = (
-    "interp.backend.tree",
-    "interp.backend.superblock",
-    "interp.backend.hooked_superblock",
-)
+def _overrides(cls, name: str) -> bool:
+    """Does ``cls`` replace the base :class:`Interpreter`'s ``name``?"""
+    return getattr(cls, name) is not getattr(Interpreter, name)
 
 
 class Interpreter:
     """Executes a :class:`~repro.ir.Module` sequentially.
 
-    Subclasses (the parallel executor) may override :meth:`on_block_entry`
-    to observe control flow, and reuse :meth:`exec_instr` /
-    :meth:`eval_operand` to execute individual instructions.
+    Subclasses (the profiler, the parallel executor) observe a run by
+    overriding the hooks :meth:`on_block_entry`, :meth:`exec_sync`,
+    :meth:`exec_xfer` and :meth:`call_function`, and reuse
+    :meth:`exec_instr` / :meth:`eval_operand` to execute individual
+    instructions.
 
-    ``backend`` selects the execution engine: ``"auto"`` (default) uses
-    the superblock backend for uninstrumented runs and its *hooked* tier
-    for hook/``count_loads`` users, and tree-walks listener-bearing runs
-    and subclasses that override core execution methods; ``"tree"``
-    always tree-walks, while ``"superblock"`` asserts that the generated
-    tier is usable (raising ``ValueError`` for subclasses that override
-    core execution methods).
+    ``backend`` selects the execution engine once, here: ``"auto"``
+    (default) runs generated code unless the class overrides a core
+    execution method (:data:`_TREE_FORCING`), which tree-walks;
+    ``"tree"`` always tree-walks, while ``"superblock"`` asserts that
+    generated code is usable (raising ``ValueError`` for subclasses that
+    override core execution methods).
 
     ``block_profile`` optionally supplies dynamic block-entry counts
     keyed ``(function name, block name)`` (the shape of
@@ -254,20 +259,18 @@ class Interpreter:
         # limit comfortably under CPython's recursion limit so runaway
         # recursion surfaces as a clean RuntimeFault.
         self.max_call_depth = 200
-        #: Optional hooks; see the profiler for usage.
-        self.block_listener: Optional[
-            Callable[[str, Optional[str], str, int], None]
-        ] = None
-        self.call_listener: Optional[Callable[[str, bool, int], None]] = None
         #: Count LOADG/LOADP executions into :attr:`load_count` (the
         #: parallel executor prices data forwarding from this).
+        #: Generated code reads this flag, like :attr:`count_unwatched`,
+        #: when it compiles a function, so both are set before the
+        #: first run.
         self.count_loads = False
         self.load_count = 0
         #: Count the block entries a declared :meth:`watched_edges` set
         #: keeps from :meth:`on_block_entry` into
         #: :attr:`unwatched_entries`: ``(function, block)`` -> a
-        #: one-element cell the generated code bumps in place.  Only the
-        #: generated tier elides hook calls, so only it ever counts here;
+        #: one-element cell the generated code bumps in place.  Only
+        #: generated code elides hook calls, so only it ever counts here;
         #: an observer that needs every entry adds these to the entries
         #: its hook saw (the profiler does).
         self.count_unwatched = False
@@ -276,32 +279,29 @@ class Interpreter:
         self.block_profile = dict(block_profile) if block_profile else None
         cls = type(self)
         core_overrides = sorted(
-            name
-            for name in _TREE_FORCING
-            if getattr(cls, name) is not getattr(Interpreter, name)
+            name for name in _TREE_FORCING if _overrides(cls, name)
         )
-        core_overridden = bool(core_overrides)
-        if backend == "superblock" and core_overridden:
+        if backend == "superblock" and core_overrides:
             raise ValueError(
                 f"{cls.__name__} overrides core execution methods "
                 f"({', '.join(core_overrides)}); the {backend} backend "
                 "cannot honor them"
             )
-        self._force_tree = backend == "tree" or core_overridden
-        self._class_hooked = any(
-            getattr(cls, name) is not getattr(Interpreter, name)
-            for name in _HOOK_FORCING
+        #: The engine of every activation, fixed for the interpreter's
+        #: lifetime: the tree walker, or generated code.  (A flag, not a
+        #: stored bound method, which would make every interpreter a
+        #: reference cycle that only the cyclic collector frees.)
+        self._tree = backend == "tree" or bool(core_overrides)
+        #: What generated code observes, read off the class: block
+        #: entries, and sync/xfer ops.
+        self._observes_blocks = _overrides(cls, "on_block_entry")
+        self._observes_sync = _overrides(cls, "exec_sync") or _overrides(
+            cls, "exec_xfer"
         )
-        # Both compiled caches key on ``Function.version`` alongside the
-        # name: IR mutation bumps the version, so a post-mutation
-        # activation can never execute stale generated code.
-        #: (name, version) -> SuperblockFunction (uninstrumented tier).
+        #: (name, version) -> SuperblockFunction.  ``Function.version``
+        #: is part of the key: IR mutation bumps it, so a post-mutation
+        #: activation can never execute stale generated code.
         self._superblocks: Dict[Tuple[str, int], object] = {}
-        #: (name, version, counting loads, counting unwatched entries)
-        #: -> hooked SuperblockFunction.
-        self._hooked_superblocks: Dict[
-            Tuple[str, int, bool, bool], object
-        ] = {}
         # Imported here (not at module top) to break the import cycle;
         # by construction time repro.runtime is fully initialized.
         from repro.runtime import codegen
@@ -349,9 +349,9 @@ class Interpreter:
         # so re-running the same instance never trips the limit early.
         self.call_depth = 0
         self.reset_memory()
-        # Count the backend this run selects, once per run -- never per
-        # activation, which is the hot path.
-        REGISTRY.inc(_BACKEND_COUNTERS[self._backend_mode()])
+        REGISTRY.inc(
+            "interp.backend.tree" if self._tree else "interp.backend.superblock"
+        )
         func = self.module.functions[entry]
         value = self.call_function(func, list(args))
         return ExecutionResult(
@@ -360,33 +360,6 @@ class Interpreter:
             instructions=self.instructions,
             return_value=value,
         )
-
-    def _backend_mode(self) -> int:
-        """Resolve which engine executes the next activation.
-
-        Runs once per activation, so the instance-override probes use
-        ``frozenset.isdisjoint`` against ``__dict__`` (a handful of
-        hash lookups) rather than a ``keys() &`` intersection, which
-        allocates a fresh set per call.
-        """
-        if (
-            self._force_tree
-            or not _TREE_FORCING.isdisjoint(self.__dict__)
-            # Listeners observe *every* block entry and call edge;
-            # fused chains cannot honor that.
-            or self.block_listener is not None
-            or self.call_listener is not None
-        ):
-            return _BACKEND_TREE
-        if (
-            self._class_hooked
-            or self.count_loads
-            or not _HOOK_FORCING.isdisjoint(self.__dict__)
-        ):
-            # Hook overrides and load counting run on the hooked
-            # superblock tier (same observation points, fused chains).
-            return _BACKEND_HOOKED_SUPER
-        return _BACKEND_SUPER
 
     def call_function(self, func: Function, args: Sequence) -> object:
         """Run one activation of ``func`` and return its value."""
@@ -398,17 +371,10 @@ class Interpreter:
         self.call_depth += 1
         if self.call_depth > self.max_call_depth:
             raise RuntimeFault("call depth limit exceeded")
-        if self.call_listener is not None:
-            self.call_listener(func.name, True, self.cycles)
-        mode = self._backend_mode()
-        if mode == _BACKEND_SUPER:
-            value = self._call_super(func, args)
-        elif mode == _BACKEND_HOOKED_SUPER:
-            value = self._call_hooked_super(func, args)
-        else:
+        if self._tree:
             value = self._call_tree(func, args)
-        if self.call_listener is not None:
-            self.call_listener(func.name, False, self.cycles)
+        else:
+            value = self._call_super(func, args)
         self.call_depth -= 1
         return value
 
@@ -441,7 +407,7 @@ class Interpreter:
         return outcome[1]
 
     def _call_super(self, func: Function, args: Sequence) -> object:
-        """Superblock code-generated activation; compiles on first use."""
+        """Generated-code activation; compiles ``func`` on first use."""
         codegen = self._codegen
         key = (func.name, func.version)
         sfunc = self._superblocks.get(key)
@@ -450,36 +416,13 @@ class Interpreter:
             self._superblocks[key] = sfunc
         return codegen.execute_superblocks(self, sfunc, args)
 
-    def _call_hooked_super(self, func: Function, args: Sequence) -> object:
-        """Hooked superblock activation: fused chains that call
-        ``exec_sync`` / ``exec_xfer`` at the tree-walker's observation
-        points and ``on_block_entry`` on the edges :meth:`watched_edges`
-        declares (every one by default), with ``count_loads`` compiled
-        to static per-segment increments."""
-        codegen = self._codegen
-        count_loads = self.count_loads
-        key = (func.name, func.version, count_loads, self.count_unwatched)
-        sfunc = self._hooked_superblocks.get(key)
-        if sfunc is None:
-            sfunc = codegen.compile_superblocks(
-                self, func, hooked=True, count_loads=count_loads
-            )
-            self._hooked_superblocks[key] = sfunc
-        return codegen.execute_superblocks(self, sfunc, args)
-
     def on_block_entry(
         self, frame: Frame, prev: Optional[BasicBlock], block: BasicBlock
     ) -> None:
         """Hook called on every block entry (including function entry,
         with ``prev`` None), or -- from generated code only -- on the
-        edges :meth:`watched_edges` declares."""
-        if self.block_listener is not None:
-            self.block_listener(
-                frame.func.name,
-                prev.name if prev is not None else None,
-                block.name,
-                self.cycles,
-            )
+        edges :meth:`watched_edges` declares; the base class observes
+        nothing, and generated code only calls an override."""
 
     def watched_edges(
         self, func: Function
@@ -490,9 +433,9 @@ class Interpreter:
 
         An override promises that leaving out the call on any *other*
         edge -- the activation entry, which has no ``prev``, is always
-        announced -- changes nothing the observer reports, so the
-        hooked superblock tier fuses those boundaries as the
-        uninstrumented tier does: no hook call, no segment close
+        announced -- changes nothing the observer reports, so generated
+        code fuses those boundaries as it does for a class that observes
+        nothing: no hook call, no segment close
         (:attr:`count_unwatched` keeps the entry counts of their
         targets).  The promise is one-sided: the tree walker, which
         also finishes any activation the budget check hands back,

@@ -182,13 +182,6 @@ class LoopRunStats:
             return 1.0
         return self.sequential_cycles / self.parallel_cycles
 
-    @property
-    def transfer_fraction(self) -> float:
-        """Words moved between cores / words consumed by iterations."""
-        if self.loads <= 0:
-            return 0.0
-        return self.transfer_words / self.loads
-
     def to_dict(self) -> dict:
         return {
             "loop_id": list(self.loop_id),
@@ -256,8 +249,8 @@ class ParallelExecutor(Interpreter):
             backend=backend, block_profile=block_profile,
         )
         # Memory reads are priced by the data-forwarding model; every
-        # backend counts them when this is set.  Under "auto" the
-        # *hooked superblock* tier is selected: fused chains observe
+        # backend counts them when this is set.  Generated code reads
+        # the hook overrides off this class: fused chains observe
         # sync/xfer ops at the tree walker's points and block entries
         # on the edges :meth:`watched_edges` says the hook acts on, and
         # compile load counting to static per-segment increments.

@@ -178,12 +178,11 @@ class ProfileData:
 class _ProfilingInterpreter(Interpreter):
     """Interpreter whose hook overrides accumulate a :class:`ProfileData`.
 
-    Overriding :meth:`on_block_entry` (rather than installing a
-    ``block_listener``) routes profiling runs onto the *hooked
-    superblock* tier under ``backend="auto"``: fused chains invoke the
-    hook with exact cycle counts on the :meth:`watched_edges`, so the
-    collected profile is bit-identical to a tree run (the differential
-    tests assert this) at codegen speed.
+    Under ``backend="auto"`` profiling runs on generated code, which
+    calls the overridden :meth:`on_block_entry` with exact cycle counts
+    on the :meth:`watched_edges`, so the collected profile is
+    bit-identical to a tree run (the differential tests assert this) at
+    codegen speed.
     """
 
     def __init__(
@@ -305,10 +304,9 @@ def profile_module(
 ) -> ProfileData:
     """Run ``module`` once under instrumentation and return the profile.
 
-    The hook overrides select the hooked superblock tier under
-    ``backend="auto"`` (fused chains announce the edges that enter or
-    leave a loop, with exact counters, and count the targets of the
-    rest); the collected profile is identical under ``backend="tree"``
+    Under ``backend="auto"`` the run is generated code (fused chains
+    announce the edges that enter or leave a loop, with exact counters,
+    and count the targets of the rest); the collected profile is identical under ``backend="tree"``
     (the differential tests assert this).
     """
     nest = nest or build_static_loop_nest_graph(module)

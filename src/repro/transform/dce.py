@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Set
 
-from repro.ir import Function, Module
+from repro.ir import Function
 
 
 def eliminate_dead_code(func: Function) -> int:
@@ -41,8 +41,3 @@ def eliminate_dead_code(func: Function) -> int:
     if removed:
         func.bump_version()
     return removed
-
-
-def eliminate_dead_code_module(module: Module) -> int:
-    """DCE over every function of ``module``."""
-    return sum(eliminate_dead_code(f) for f in module.functions.values())

@@ -326,7 +326,7 @@ def _hooked_run(module, backend):
 
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_benchmark_hooked_instrumentation_identity(bench):
-    """Hooked superblock tier vs tree walker.
+    """Generated code with hook overrides vs tree walker.
 
     Both must agree on the run result *and* on the instrumentation they
     produced: total loads counted and the exact ``on_block_entry`` call
@@ -433,9 +433,9 @@ def recording_traces():
 def test_parallel_executor_recorded_traces_identity(bench, recording_traces):
     """The generated tier records byte-identical invocation traces.
 
-    The executor's record path runs on the hooked tier (it observes
-    block entries and sync/transfer instructions), so this pins that
-    tier across the whole corpus: results, cycles and every column of
+    The executor's record path runs generated code that observes block
+    entries and sync/transfer instructions, so this pins that code
+    across the whole corpus: results, cycles and every column of
     every recorded trace must match the committed table.
     """
     assert _recording_row(bench, "auto") == recording_traces[bench]

@@ -32,11 +32,6 @@ from repro.runtime.codegen import (
     allocate_slots,
     form_superblocks,
 )
-from repro.runtime.interpreter import (
-    _BACKEND_HOOKED_SUPER,
-    _BACKEND_SUPER,
-    _BACKEND_TREE,
-)
 
 BACKENDS = ("tree", "superblock")
 
@@ -251,12 +246,15 @@ class TestGeneratedCode:
             }
             """
         )
-        interp = Interpreter(module, backend="superblock")
+        interp = (_Observing if hooked else Interpreter)(
+            module, backend="superblock"
+        )
         interp.count_loads = hooked
         interp.run()
-        compiled = interp._hooked_superblocks if hooked else interp._superblocks
+        compiled = interp._superblocks
         assert {key[0] for key in compiled} == {"main", "step"}
         for sfunc in compiled.values():
+            assert ("__obe(" in sfunc.source) == hooked
             source = sfunc.source
             write_backs = re.findall(r"^ *s\[\d+\] = r\d+$", source, re.M)
             assert write_backs, source
@@ -276,18 +274,25 @@ class TestGeneratedCode:
         assert interp._superblocks == cached  # no recompilation
 
     def test_hooked_and_uninstrumented_variants_cached_separately(self):
-        interp = Interpreter(_loop_module, max_instructions=50)
+        """Each interpreter caches the one variant its class and flags
+        ask for, reading ``count_loads`` when it compiles: code compiled
+        without it keeps counting nothing, and an interpreter that
+        counts from its first run compiles a counting variant of its
+        own."""
+        plain = Interpreter(_loop_module, max_instructions=50)
         with pytest.raises(ExecutionLimitExceeded):
-            interp.run()
-        interp.count_loads = True
+            plain.run()
+        plain.count_loads = True
         with pytest.raises(ExecutionLimitExceeded):
-            interp.run()
-        assert [sfunc.hooked for sfunc in interp._superblocks.values()] == [
-            False
-        ]
-        assert [
-            sfunc.hooked for sfunc in interp._hooked_superblocks.values()
-        ] == [True]
+            plain.run()
+        counting = Interpreter(_loop_module, max_instructions=50)
+        counting.count_loads = True
+        with pytest.raises(ExecutionLimitExceeded):
+            counting.run()
+        (plain_code,) = plain._superblocks.values()
+        (counting_code,) = counting._superblocks.values()
+        assert "__lc" not in plain_code.source
+        assert "__i.load_count = __lc" in counting_code.source
 
     def test_fused_pointer_pairs_behave_identically(self):
         module = compile_source(
@@ -456,9 +461,10 @@ def _hooked_fault(module, backend, exc=RuntimeFault, **kwargs):
 
 
 class TestHookedFaultParity:
-    """The hooked tiers fault exactly like the walker, instrumentation
-    included: message, partial output, loads counted so far and the
-    ``on_block_entry`` sequence up to the fault must all match."""
+    """Observing generated code faults exactly like the walker,
+    instrumentation included: message, partial output, loads counted so
+    far and the ``on_block_entry`` sequence up to the fault must all
+    match."""
 
     @pytest.mark.parametrize(
         "body,decls",
@@ -586,73 +592,103 @@ class TestVersionKeyedCaches:
 
     def test_hooked_superblock_tier_recompiles_after_bump(self):
         module = compile_source(self.SRC)
-        interp = Interpreter(module)
+        interp = _Observing(module)
         interp.count_loads = True
         assert interp.run().output == ["7"]
         old_version = module.functions["main"].version
         func = self._mutate_const(module, 10)
         assert interp.run().output == ["14"]
-        generations = {key[:2] for key in interp._hooked_superblocks}
-        assert {("main", old_version), ("main", func.version)} <= generations
+        assert {("main", old_version), ("main", func.version)} <= set(
+            interp._superblocks
+        )
 
 
 # -------------------------------------------------------- backend selection
 
 
+class _Observing(Interpreter):
+    """Observes every block entry (and nothing else)."""
+
+    def on_block_entry(self, frame, prev, block):
+        pass
+
+
+def _tiers(interp):
+    """The ``interp.backend.*`` counters one run of ``interp`` bumps
+    (the loop module runs until its budget fires)."""
+    before = REGISTRY.snapshot()
+    with pytest.raises(ExecutionLimitExceeded):
+        interp.run()
+    counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
+    return {
+        name: count for name, count in counters.items()
+        if name.startswith("interp.backend.")
+    }
+
+
+_GENERATED = {"interp.backend.superblock": 1}
+_WALKED = {"interp.backend.tree": 1}
+
+
 class TestBackendSelection:
     def test_plain_interpreter_uses_superblock_path(self):
-        interp = Interpreter(_loop_module)
-        assert interp._backend_mode() == _BACKEND_SUPER
+        interp = Interpreter(_loop_module, max_instructions=50)
+        assert _tiers(interp) == _GENERATED
 
     def test_superblock_backend_is_pinnable(self):
-        interp = Interpreter(_loop_module, backend="superblock")
-        assert interp._backend_mode() == _BACKEND_SUPER
+        interp = Interpreter(
+            _loop_module, max_instructions=50, backend="superblock"
+        )
+        assert _tiers(interp) == _GENERATED
 
     def test_backend_tree_forces_walker(self):
-        interp = Interpreter(_loop_module, backend="tree")
-        assert interp._backend_mode() == _BACKEND_TREE
-
-    def test_listeners_demote_to_hooked_variant(self):
-        # Even a pinned generated tier hands listener-bearing runs to the
-        # walker, whose every block and call is a hook point.
-        interp = Interpreter(_loop_module, backend="superblock")
-        interp.block_listener = lambda f, p, b, c: None
-        assert interp._backend_mode() == _BACKEND_TREE
-        interp.block_listener = None
-        assert interp._backend_mode() == _BACKEND_SUPER
-        interp.call_listener = lambda n, e, c: None
-        assert interp._backend_mode() == _BACKEND_TREE
+        interp = Interpreter(_loop_module, max_instructions=50, backend="tree")
+        assert _tiers(interp) == _WALKED
 
     def test_count_loads_selects_hooked_superblock_tier(self):
-        interp = Interpreter(_loop_module)
+        """Counting loads runs generated code that counts them."""
+        interp = Interpreter(_loop_module, max_instructions=50)
         interp.count_loads = True
-        assert interp._backend_mode() == _BACKEND_HOOKED_SUPER
+        assert _tiers(interp) == _GENERATED
+        (sfunc,) = interp._superblocks.values()
+        assert "__i.load_count = __lc" in sfunc.source
 
     def test_hook_override_subclass_selects_hooked_superblock(self):
-        class Hooked(Interpreter):
-            def on_block_entry(self, frame, prev, block):
-                pass
-
-        interp = Hooked(_loop_module)
-        assert interp._backend_mode() == _BACKEND_HOOKED_SUPER
-
-    def test_instance_hook_monkeypatch_selects_hooked_superblock(self):
-        interp = Interpreter(_loop_module)
-        interp.exec_sync = lambda frame, instr: None
-        assert interp._backend_mode() == _BACKEND_HOOKED_SUPER
+        """A hook override runs generated code that calls the hook."""
+        interp = _Observing(_loop_module, max_instructions=50)
+        assert _tiers(interp) == _GENERATED
+        (sfunc,) = interp._superblocks.values()
+        assert "__obe(" in sfunc.source
 
     def test_core_override_subclass_falls_back_to_tree(self):
         class Tracing(Interpreter):
             def exec_instr(self, frame, instr):
                 return super().exec_instr(frame, instr)
 
-        interp = Tracing(_loop_module)
-        assert interp._backend_mode() == _BACKEND_TREE
+        interp = Tracing(_loop_module, max_instructions=50)
+        assert _tiers(interp) == _WALKED
 
-    def test_instance_core_monkeypatch_falls_back_to_tree(self):
-        interp = Interpreter(_loop_module)
-        interp.exec_instr = lambda frame, instr: None
-        assert interp._backend_mode() == _BACKEND_TREE
+    def test_tier_is_read_off_the_class_once(self):
+        """The tier is fixed when the interpreter is built: a method
+        assigned to the instance afterwards is not a class override and
+        changes neither the tier nor the compiled code."""
+
+        def unreachable(*args):
+            raise AssertionError("an instance attribute is not an override")
+
+        module = compile_source(
+            "void main() { int i; for (i = 0; i < 5; i++) { print(i); } }"
+        )
+        interp = Interpreter(module)
+        interp.exec_instr = unreachable
+        interp.on_block_entry = unreachable
+        before = REGISTRY.snapshot()
+        assert interp.run().output == ["0", "1", "2", "3", "4"]
+        counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
+        assert counters["interp.backend.superblock"] == 1
+        assert "interp.backend.tree" not in counters
+        (sfunc,) = interp._superblocks.values()
+        assert "__obe" not in sfunc.source
 
     def test_superblock_backend_rejects_core_overrides(self):
         class Tracing(Interpreter):
@@ -716,9 +752,12 @@ class TestHookedEquivalence:
                 )
 
         auto = Entries(module)
-        assert auto._backend_mode() == _BACKEND_HOOKED_SUPER
+        before = REGISTRY.snapshot()
+        result = auto.run()
+        counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
+        assert counters["interp.backend.superblock"] == 1
         tree = Entries(module, backend="tree")
-        assert auto.run().to_dict() == tree.run().to_dict()
+        assert result.to_dict() == tree.run().to_dict()
         assert auto.entries == tree.entries
 
 

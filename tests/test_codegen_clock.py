@@ -120,7 +120,7 @@ def _charges_the_interpreter(interp):
     its clock in locals)."""
     return any(
         re.search(r"__i\.(instructions|cycles|load_count)", line)
-        for sfunc in interp._hooked_superblocks.values()
+        for sfunc in interp._superblocks.values()
         for line in sfunc.source.splitlines()
         if line.strip() not in _MOVES
     )
@@ -247,17 +247,20 @@ FAULTS = {
 }
 
 class _CountingLoads(Interpreter):
-    """Hooked tier, nothing declared: every block is a segment of its
-    own."""
+    """Observes block entries, nothing declared: every block is a
+    segment of its own."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.count_loads = True
 
+    def on_block_entry(self, frame, prev, block):
+        pass
+
 
 class _CountingAndDeclaring(_CountingLoads):
-    """Hooked tier, no edge watched: segments fused as in the
-    uninstrumented tier."""
+    """Observes block entries but watches no edge: segments fused as for
+    a class that observes nothing."""
 
     def watched_edges(self, func):
         return frozenset()
@@ -470,7 +473,7 @@ def test_created_blocks_are_weighed_from_their_origin(name):
     # Entries per block of this very program, from a counting run.
     entered = profile_module(transformed, machine).block_counts
     tests = entries = 0
-    for (func_name, *_), sfunc in executor._hooked_superblocks.items():
+    for (func_name, *_), sfunc in executor._superblocks.items():
         for head, depth in _dispatch_depths(sfunc.source).items():
             count = entered.get((func_name, head), 0)
             tests += depth * count

@@ -618,6 +618,61 @@ class TestRunnerCacheIntegration:
             # ... and the entry was overwritten with the recording.
             assert entry.read_bytes() == good, blob
 
+    @pytest.mark.parametrize(
+        "kind,stage", [
+            ("module", "compile"),
+            ("profile", "profile"),
+            ("sequential", "sequential"),
+        ],
+    )
+    def test_undecodable_stage_entry_is_recomputed(
+        self, kind, stage, tiny_bench, tmp_path
+    ):
+        """An entry that is JSON but not its stage's payload -- fields
+        missing or mistyped, IR that does not parse -- is a miss like an
+        absent one: the stage recomputes and overwrites it, and a fresh
+        runner reads the rewritten entry back from disk."""
+        machine = MachineConfig(cores=4)
+
+        def baseline():
+            runner = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
+            runner.profile(tiny_bench)
+            result = runner.sequential(tiny_bench)
+            return result, runner.stats.stages[stage]
+
+        cold, _ = baseline()
+        entries = sorted((tmp_path / kind).glob("*.json"))
+        good = [entry.read_bytes() for entry in entries]
+        payload = json.loads(good[0])
+        corruptions = {
+            "module": [
+                {"ir": 5},
+                {"ir": ["module tinytest"]},
+                {"ir": "not ir"},
+                {"ir": ""},
+            ],
+            "profile": [
+                dict(payload, loops=5),
+                dict(payload, result=[1]),
+                dict(payload, block_counts=[[1]]),
+                dict(payload, dynamic_nesting=[]),
+            ],
+            "sequential": [
+                dict(payload, output=5),
+                dict(payload, output=[1]),
+                dict(payload, cycles="many"),
+            ],
+        }[kind]
+        for blob in [{}] + corruptions:
+            for entry in entries:
+                entry.write_text(json.dumps(blob))
+            result, tally = baseline()
+            assert result == cold, blob
+            assert tally.computes == len(entries), blob
+            assert [entry.read_bytes() for entry in entries] == good, blob
+        _, tally = baseline()
+        assert (tally.computes, tally.disk_hits) == (0, len(entries))
+
     def test_runner_without_cache_unchanged(self, tiny_bench):
         runner = EvaluationRunner(MachineConfig(cores=4))
         first = runner.helix_run(tiny_bench)
@@ -628,26 +683,20 @@ class TestRunnerCacheIntegration:
     def test_cache_key_does_not_shadow_options(self, tiny_bench):
         # Regression: a string cache_key used to *replace* the config in
         # the memo key, so differing configurations sharing a label
-        # returned the first result computed.
+        # returned the first result computed.  The memo key is now the
+        # configuration's fingerprint alone.
         runner = EvaluationRunner(MachineConfig(cores=4))
-        helix = runner.pipeline(
-            tiny_bench, prefetch=PrefetchMode.HELIX, cache_key="label"
-        )
-        nopf = runner.pipeline(
-            tiny_bench, prefetch=PrefetchMode.NONE, cache_key="label"
-        )
+        helix = runner.pipeline(tiny_bench, prefetch=PrefetchMode.HELIX)
+        nopf = runner.pipeline(tiny_bench, prefetch=PrefetchMode.NONE)
         assert nopf is not helix
         assert nopf.parallel.machine.prefetch_mode is PrefetchMode.NONE
         noopt = runner.pipeline(
             tiny_bench,
             options=HelixOptions(enable_signal_optimization=False),
-            cache_key="label",
         )
         assert noopt is not helix
-        # Identical config + label still memoizes.
-        again = runner.pipeline(
-            tiny_bench, prefetch=PrefetchMode.HELIX, cache_key="label"
-        )
+        # An identical config still memoizes.
+        again = runner.pipeline(tiny_bench, prefetch=PrefetchMode.HELIX)
         assert again is helix
 
 

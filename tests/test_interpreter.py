@@ -6,6 +6,7 @@ from repro.frontend import compile_source
 from repro.ir import Function, Instruction, IRBuilder, Module, Opcode
 from repro.ir.operands import Const, VReg
 from repro.ir.types import Type
+from repro.obs.metrics import REGISTRY, metrics_delta
 from repro.runtime import (
     ExecutionLimitExceeded,
     Interpreter,
@@ -227,15 +228,44 @@ class TestAccounting:
         assert interp.run().output == ["1"]
 
 
+class _Observer(Interpreter):
+    """Observes a run the one way there is, by overriding the hooks:
+    every block entry and every call's entry and exit, each with the
+    clock it saw."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.blocks = []
+        self.calls = []
+        self.events = []
+
+    def on_block_entry(self, frame, prev, block):
+        event = (
+            frame.func.name,
+            prev.name if prev is not None else None,
+            block.name,
+            self.cycles,
+        )
+        self.blocks.append(event[:3])
+        self.events.append(event)
+
+    def call_function(self, func, args):
+        self.calls.append((func.name, True))
+        self.events.append((func.name, True, self.cycles))
+        value = super().call_function(func, args)
+        self.calls.append((func.name, False))
+        self.events.append((func.name, False, self.cycles))
+        return value
+
+
 class TestHooks:
     def test_block_listener_sees_entry(self):
         module = compile_source(
             "void main() { int i; for (i = 0; i < 3; i++) { } }"
         )
-        events = []
-        interp = Interpreter(module)
-        interp.block_listener = lambda f, p, b, c: events.append((f, p, b))
+        interp = _Observer(module)
         interp.run()
+        events = interp.blocks
         assert events[0][1] is None  # function entry has no predecessor
         headers = [e for e in events if e[2].startswith("for")]
         assert len(headers) == 4  # 3 iterations + final exit test
@@ -244,18 +274,17 @@ class TestHooks:
         module = compile_source(
             "int f() { return 1; } void main() { print(f() + f()); }"
         )
-        events = []
-        interp = Interpreter(module)
-        interp.call_listener = lambda name, entering, c: events.append(
-            (name, entering)
-        )
+        interp = _Observer(module)
         interp.run()
+        events = interp.calls
         assert events.count(("f", True)) == 2
         assert events.count(("f", False)) == 2
         assert events[0] == ("main", True)
         assert events[-1] == ("main", False)
 
     def test_listener_runs_match_the_walker(self):
+        """Generated code calls the overridden hooks with the walker's
+        arguments, in the walker's order, at the walker's cycles."""
         module = compile_source(
             "int total;\n"
             "int f(int i) { return i * 2; }\n"
@@ -264,15 +293,22 @@ class TestHooks:
         )
 
         def collect(backend):
-            events = []
-            interp = Interpreter(module, backend=backend)
-            interp.block_listener = lambda f, p, b, c: events.append(
-                (f, p, b, c)
-            )
-            interp.call_listener = lambda n, e, c: events.append((n, e, c))
-            return interp.run().to_dict(), events
+            interp = _Observer(module, backend=backend)
+            before = REGISTRY.snapshot()
+            result = interp.run().to_dict()
+            counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
+            tiers = {
+                name: count for name, count in counters.items()
+                if name.startswith("interp.backend.")
+            }
+            return result, interp.events, tiers
 
-        assert collect("auto") == collect("tree")
+        generated, generated_events, generated_tiers = collect("auto")
+        walked, walked_events, walked_tiers = collect("tree")
+        assert generated_tiers == {"interp.backend.superblock": 1}
+        assert walked_tiers == {"interp.backend.tree": 1}
+        assert len(generated_events) > 200
+        assert (generated, generated_events) == (walked, walked_events)
 
 
 class TestBackendValidation:

@@ -4,8 +4,8 @@ Whole-program identity with the tree walker lives in
 ``test_backend_differential`` and the generated tier's own mechanics in
 ``test_codegen``; these tests pin down, on small constructed programs,
 what a run compiled ahead of execution must share with the walker: fault
-text, the instruction at which the budget fires, which path listeners
-select, and the per-run state an interpreter resets or keeps.
+text, the instruction at which the budget fires, and the per-run state
+an interpreter resets or keeps.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.runtime import (
     RuntimeFault,
     run_module,
 )
-from repro.runtime.interpreter import _BACKEND_SUPER, _BACKEND_TREE
 
 COUNT_SRC = """
 int total;
@@ -33,19 +32,6 @@ def _fault_message(module, backend, **kwargs):
     with pytest.raises(RuntimeFault) as excinfo:
         run_module(module, backend=backend, **kwargs)
     return str(excinfo.value)
-
-
-class TestBackendSelection:
-    def test_listeners_select_hooked_variant(self):
-        # Listener-bearing runs take the walker, the one tier that
-        # reports every block and call event.
-        interp = Interpreter(compile_source(COUNT_SRC))
-        interp.block_listener = lambda f, p, b, c: None
-        assert interp._backend_mode() == _BACKEND_TREE
-        interp.block_listener = None
-        assert interp._backend_mode() == _BACKEND_SUPER
-        interp.call_listener = lambda n, e, c: None
-        assert interp._backend_mode() == _BACKEND_TREE
 
 
 class TestFaultParity:

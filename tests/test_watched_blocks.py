@@ -1,9 +1,8 @@
 """Watched edges: instrumented runs observe only where they act.
 
 An interpreter may declare, per function, the block-to-block edges its
-``on_block_entry`` acts on (``Interpreter.watched_edges``); the hooked
-superblock tier then calls the hook only there and fuses every other
-boundary.  The contract is one-sided -- the tree walker, which also
+``on_block_entry`` acts on (``Interpreter.watched_edges``); generated
+code then calls the hook only there and fuses every other boundary.  The contract is one-sided -- the tree walker, which also
 finishes any activation the budget check hands back, keeps announcing
 every entry -- so these tests pin the generated tier against the tree
 walker: which calls are made, that nothing the observers report
@@ -153,7 +152,7 @@ def test_function_with_nothing_watched_has_no_hook_call():
     executor.execute()
     sources = {
         key[0]: sfunc.source
-        for key, sfunc in executor._hooked_superblocks.items()
+        for key, sfunc in executor._superblocks.items()
     }
     assert "__obe(" in sources["kernel"]
     assert "__obe" not in sources["main"]
@@ -234,7 +233,7 @@ def test_profile_of_a_loop_free_function_has_no_hook_call(monkeypatch):
     (interp,) = seen
     sources = {
         key[0]: sfunc.source
-        for key, sfunc in interp._hooked_superblocks.items()
+        for key, sfunc in interp._superblocks.items()
     }
     assert "__obe" not in sources["f"]
     assert "__obe(" in sources["main"]
@@ -251,8 +250,8 @@ def _delta(run):
 
 def test_hook_site_counters_say_how_much_was_observed():
     """``interp.codegen.hook_sites`` / ``hook_sites_elided`` count the
-    boundaries compiled with and without their hook call, per hooked
-    function compiled -- again by every executor, which generates its
+    boundaries compiled with and without their hook call, per function
+    an observing class compiles -- again by every executor, which generates its
     own code."""
     _module, transformed, infos, machine = _pipeline("cohort_mix")
 
