@@ -13,15 +13,19 @@ traffic tally:
   every request whose transformation ends in the same module.
 * **Disk.**  Artifacts are JSON files, one directory per kind::
 
-      <root>/module/<key>.json       {"ir": <printed IR>}
       <root>/profile/<key>.json      ProfileData.to_dict()
       <root>/sequential/<key>.json   ExecutionResult.to_dict()
+      <root>/plan/<key>.json         {chosen, loops, recording}
       <root>/recording/<key>.json    {result, pack_traces(traces), load_count}
       <root>/run/<key>.json          the ``run`` job answer (eight fields)
 
-  Every entry is keyed by :meth:`ArtifactStore.key`; generated
-  interpreter code is not an artifact (each interpreter compiles its
-  own).  Writes go through a temporary file and
+  Every entry is keyed by :meth:`ArtifactStore.key`.  A ``plan`` is
+  what selection and Steps 1-9 decided for one pipeline configuration:
+  the chosen loops, the :class:`~repro.core.loopinfo.LoopRecord` of
+  each parallelized loop and the key of the recording of the module
+  they produced.  Modules are not artifacts (compiling from source is
+  a few milliseconds), and neither is generated interpreter code (each
+  interpreter compiles its own).  Writes go through a temporary file and
   :func:`os.replace`, so processes and threads sharing one directory
   (``suite --jobs``, the daemon's workers) never read a half-written
   entry; an unreadable entry is a miss and is overwritten by the
@@ -39,7 +43,11 @@ A store without a root keeps nothing on disk: its loads miss and its
 stores are dropped, and its schedule memos still work.  One store is
 shared by every runner of an orchestrator (and by all the daemon's
 worker threads): artifacts travel between them by key, as they travel
-between the suite runner's worker processes through the directory.
+between the suite runner's worker processes through the directory.  So
+do compiled benchmark modules, in memory only
+(:attr:`ArtifactStore.modules`): each build is compiled once per store
+(about 2 MB for the suite's 26 builds) and read-only from then on
+(Steps 1-9 transform a clone).
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ from repro.obs.metrics import REGISTRY
 if TYPE_CHECKING:
     from repro.analysis.loopnest import LoopId
     from repro.core.loopinfo import HelixOptions
+    from repro.ir import Module
     from repro.runtime.machine import PrefetchMode
 
 
@@ -140,7 +149,8 @@ def pipeline_fingerprint(
 ) -> str:
     """Canonical identity of one pipeline configuration request.
 
-    Used both as the in-memory memo key and inside ``run`` keys.
+    Used both as the in-memory memo key and inside ``plan`` and ``run``
+    keys.
     Covers *all* transformation options (``asdict``, not a curated
     subset), so a new knob can never silently alias stored entries.
     """
@@ -172,10 +182,13 @@ def pipeline_fingerprint(
 #: blocks where an invocation begins, iterates and ends, so ``recording``
 #: hashes the printed module and those fields -- no source, nothing else
 #: of the machine or of the request that led to the module.  Selection
-#: and Steps 1-9 read the whole machine, so ``run`` hashes all of it;
-#: ``config`` is a :func:`pipeline_fingerprint`.
+#: and Steps 1-9 read the whole machine, so ``plan`` and ``run`` hash all
+#: of it; ``config`` is a :func:`pipeline_fingerprint`.  Selection reads
+#: the ref build and the profile, so ``plan`` hashes the ref source and
+#: ``profile``, a digest of the profile's content (``None`` for a
+#: request that names its loops and selects nothing), the way
+#: ``recording`` hashes the module it ran.
 KEY_INPUTS: Dict[str, Callable[..., Tuple[Tuple[str, ...], dict]]] = {
-    "module": lambda scale: ((scale,), {}),
     "profile": lambda machine: (
         ("train",), {"cost_model": machine.cost_model}
     ),
@@ -193,6 +206,9 @@ KEY_INPUTS: Dict[str, Callable[..., Tuple[Tuple[str, ...], dict]]] = {
                 for i in infos
             ],
         },
+    ),
+    "plan": lambda machine, config, profile: (
+        ("ref",), {"machine": machine, "config": config, "profile": profile}
     ),
     "run": lambda machine, config: (
         ("train", "ref"), {"machine": machine, "config": config}
@@ -230,6 +246,9 @@ class ArtifactStore:
         self._memos: "weakref.WeakValueDictionary[int, ScheduleMemo]" = (
             weakref.WeakValueDictionary()
         )
+        #: ``(bench, scale)`` -> the benchmark compiled from source, for
+        #: every runner on this store.
+        self.modules: Dict[Tuple[str, str], "Module"] = {}
 
     # -- keys ----------------------------------------------------------------
 

@@ -7,13 +7,14 @@ reconstruction off this record.  The record also remembers which block
 of the input module every block the transformation created stands for
 (:attr:`ParallelizedLoop.origin`), so whatever was measured on the
 input -- the training run's block-entry counts -- still describes the
-output without measuring again.
+output without measuring again.  A :class:`LoopRecord` is the part of
+the record that timing a recorded run reads, small enough to store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.analysis.dependence import DataDependence
 from repro.analysis.loopnest import LoopId
@@ -127,3 +128,79 @@ class ParallelizedLoop:
     def code_size_bytes(self, bytes_per_instruction: int = 4) -> int:
         """Rough machine-code footprint of one iteration thread."""
         return self.par_instruction_count * bytes_per_instruction
+
+
+@dataclass(frozen=True)
+class LoopRecord:
+    """What timing a recorded run reads of one parallelized loop.
+
+    The recording run reads where an invocation begins, iterates and
+    ends; the scheduler reads whether the loop is counted and its helper
+    order.  A ``plan`` artifact stores these records, so a stored
+    recording is timed without the transformed module; a
+    :class:`ParallelizedLoop` answers the same fields.
+    """
+
+    loop_id: LoopId
+    func_name: str
+    par_preheader: str
+    par_header: str
+    #: The exit stub blocks, sorted.
+    exit_stubs: Tuple[str, ...]
+    counted: bool
+    helper_order: Tuple[int, ...]
+
+    @classmethod
+    def of(cls, info: ParallelizedLoop) -> "LoopRecord":
+        return cls(
+            loop_id=info.loop_id,
+            func_name=info.func_name,
+            par_preheader=info.par_preheader,
+            par_header=info.par_header,
+            exit_stubs=tuple(sorted(info.exit_stubs)),
+            counted=info.counted,
+            helper_order=tuple(info.helper_order),
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "loop_id": list(self.loop_id),
+            "func_name": self.func_name,
+            "par_preheader": self.par_preheader,
+            "par_header": self.par_header,
+            "exit_stubs": list(self.exit_stubs),
+            "counted": self.counted,
+            "helper_order": list(self.helper_order),
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LoopRecord":
+        """Raises ``KeyError`` or ``TypeError`` on a mistyped record."""
+        loop_id, stubs, order = (
+            data["loop_id"], data["exit_stubs"], data["helper_order"]
+        )
+        names = [data["func_name"], data["par_preheader"], data["par_header"]]
+        if not (
+            isinstance(loop_id, list)
+            and len(loop_id) == 2
+            and isinstance(stubs, list)
+            and isinstance(order, list)
+            and all(isinstance(name, str) for name in loop_id + stubs + names)
+            and all(type(index) is int for index in order)
+            and isinstance(data["counted"], bool)
+        ):
+            raise TypeError("mistyped loop record")
+        return cls(
+            loop_id=tuple(loop_id),
+            func_name=data["func_name"],
+            par_preheader=data["par_preheader"],
+            par_header=data["par_header"],
+            exit_stubs=tuple(stubs),
+            counted=data["counted"],
+            helper_order=tuple(order),
+        )
+
+
+#: What timing a recorded run reads a loop from: the transformation's
+#: own record, or the part of it a ``plan`` artifact stores.
+LoopInfo = Union[ParallelizedLoop, LoopRecord]

@@ -5,17 +5,23 @@ train build, select loops, transform the ref build, record its run and
 time the recording on the simulated machine.  Several figures share most
 of that work, so the runner memoizes each stage in memory; timing for
 different core counts or prefetch modes is recomputed from recorded
-traces (:meth:`ParallelExecutor.replay`) without re-interpreting the
+traces (:meth:`RecordedRun.replay`) without re-interpreting the
 program.  The recording is memoized (and stored) under the hash of the
 IR it ran, so configurations whose selection and transformation end in
 the same module share one recording run and only schedule it apart.
 
 With an :class:`~repro.artifacts.ArtifactStore` on a directory, the
 three interpretation stages (profile, sequential run, recording run)
-and the compiled modules also persist across processes: a warm cache
-turns a multi-minute suite run into seconds of JSON loading plus the
-cheap pure-compute stages (selection, transformation), which are always
-re-derived rather than stored.  The answer of a ``run`` job
+persist across processes, and so does what selection and Steps 1-9
+decided for each pipeline configuration: its ``plan`` (the chosen
+loops, what timing reads of each parallelized loop, and the key of the
+recording).  A warm pipeline reads the profile, the plan, the
+sequential baseline and the recording, then schedules; it compiles,
+selects and transforms nothing.  The transformed module, its loop
+infos and the selection are rebuilt on request
+(:attr:`PipelineRun.transformed`), and a plan whose recording is gone
+is recomputed from scratch.  Each stage looks in the store before it
+compiles the module it would need.  The answer of a ``run`` job
 (:meth:`EvaluationRunner.run_result`) is a stage of its own on top of
 those: eight fields, none of which needs a trace, so a repeat reads
 them back and enters no other stage.
@@ -29,7 +35,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import (
     Callable,
@@ -44,9 +52,14 @@ from typing import (
 
 from repro.analysis.loopnest import LoopId
 from repro.analysis.manager import AnalysisManager
-from repro.artifacts import ArtifactStore, pipeline_fingerprint
+from repro.artifacts import ArtifactStore, fingerprint, pipeline_fingerprint
 from repro.bench import benchmark_names, compile_benchmark
-from repro.core.loopinfo import HelixOptions, ParallelizedLoop
+from repro.core.loopinfo import (
+    HelixOptions,
+    LoopInfo,
+    LoopRecord,
+    ParallelizedLoop,
+)
 from repro.core.parallelizer import parallelize_module
 from repro.core.selection import (
     LoopSelection,
@@ -55,12 +68,14 @@ from repro.core.selection import (
     fixed_level_selection,
 )
 from repro.ir import Module
-from repro.ir.parser import parse_module
 from repro.obs import REGISTRY, get_tracer
-from repro.ir.printer import module_to_str
 from repro.runtime.interpreter import ExecutionResult, run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
-from repro.runtime.parallel import ParallelExecutor, ParallelRunResult
+from repro.runtime.parallel import (
+    ParallelExecutor,
+    ParallelRunResult,
+    RecordedRun,
+)
 from repro.runtime.trace import (
     CompactInvocationTrace,
     pack_traces,
@@ -87,17 +102,27 @@ STAGES = (
 )
 
 #: A recording run: its sequential-clock result, traces and load count
-#: (the arguments of :meth:`ParallelExecutor.restore_run`).
+#: (the arguments of :meth:`RecordedRun.restore_run`).
 _Recording = Tuple[ExecutionResult, List[CompactInvocationTrace], int]
+
+#: A pipeline's plan: the chosen loops, the record of each parallelized
+#: loop, and the ``recording`` key of the module they produced.
+_Plan = Tuple[List[LoopId], List[LoopRecord], str]
 
 _T = TypeVar("_T")
 
 
-def _decode_module(payload: dict) -> Module:
-    ir = payload["ir"]
-    if not isinstance(ir, str):
-        raise TypeError("stored IR is not text")
-    return parse_module(ir)
+def _decode_plan(payload: dict) -> _Plan:
+    chosen, recording = payload["chosen"], payload["recording"]
+    if not isinstance(recording, str) or not all(
+        isinstance(loop, list)
+        and len(loop) == 2
+        and all(isinstance(name, str) for name in loop)
+        for loop in chosen
+    ):
+        raise TypeError("mistyped plan")
+    loops = [LoopRecord.from_dict(loop) for loop in payload["loops"]]
+    return [tuple(loop) for loop in chosen], loops, recording
 
 
 def _decode_recording(payload: dict) -> _Recording:
@@ -219,16 +244,43 @@ class StageStats:
 
 @dataclass
 class PipelineRun:
-    """A transformed benchmark plus its executed results."""
+    """A transformed benchmark plus its executed results.
+
+    ``executor`` times the recorded run on other machines.  The
+    selection, the transformed module and its loop infos are built the
+    first time they are read: a warm pipeline was restored from its
+    plan without any of them.
+    """
 
     bench: str
-    selection: Optional[LoopSelection]
     chosen: List[LoopId]
-    transformed: Module
-    infos: List[ParallelizedLoop]
-    executor: ParallelExecutor
+    executor: RecordedRun
     parallel: ParallelRunResult
     sequential: ExecutionResult
+    #: The selection (``None`` for a request that named its loops).
+    _select: Callable[[], Optional[LoopSelection]] = field(
+        repr=False, compare=False
+    )
+    #: Steps 1-9 on :attr:`chosen`: the transformed module and its infos.
+    _transform: Callable[[], Tuple[Module, List[ParallelizedLoop]]] = field(
+        repr=False, compare=False
+    )
+
+    @cached_property
+    def selection(self) -> Optional[LoopSelection]:
+        return self._select()
+
+    @cached_property
+    def _transformation(self) -> Tuple[Module, List[ParallelizedLoop]]:
+        return self._transform()
+
+    @property
+    def transformed(self) -> Module:
+        return self._transformation[0]
+
+    @property
+    def infos(self) -> List[ParallelizedLoop]:
+        return self._transformation[1]
 
     @property
     def speedup(self) -> float:
@@ -297,8 +349,8 @@ class EvaluationRunner:
         #: hit/miss/invalidation counters mirror into ``stats`` under
         #: ``analysis:<name>`` keys.
         self.analysis = AnalysisManager(stats=self.stats)
-        self._modules: Dict[Tuple[str, str], Module] = {}
         self._profiles: Dict[str, ProfileData] = {}
+        self._profile_digests: Dict[str, str] = {}
         self._sequential: Dict[str, ExecutionResult] = {}
         self._selections: Dict[Tuple, LoopSelection] = {}
         self._pipelines: Dict[Tuple, PipelineRun] = {}
@@ -339,48 +391,43 @@ class EvaluationRunner:
     # -- stages ----------------------------------------------------------------
 
     def module(self, bench: str, scale: str) -> Module:
+        """``bench`` compiled from source at ``scale``, once per store
+        (:attr:`ArtifactStore.modules`)."""
         key = (bench, scale)
-        if key in self._modules:
+        module = self.artifacts.modules.get(key)
+        if module is not None:
             self._record(bench, "compile", "memory")
-            return self._modules[key]
+            return module
         start = time.perf_counter()
         with get_tracer().span(
-            "stage.compile", cat="stage", bench=bench, scale=scale
-        ) as sp:
-            disk_key = self.artifacts.key("module", bench, scale=scale)
-            module = self._load("module", disk_key, _decode_module)
-            if module is not None:
-                outcome = "disk"
-            else:
-                module = compile_benchmark(bench, scale)
-                self._store("module", disk_key, {"ir": module_to_str(module)})
-                outcome = "compute"
-            sp.set(outcome=outcome)
-        self._modules[key] = module
-        self._record(bench, "compile", outcome, time.perf_counter() - start)
+            "stage.compile", cat="stage", bench=bench, scale=scale,
+            outcome="compute",
+        ):
+            module = compile_benchmark(bench, scale)
+        module = self.artifacts.modules.setdefault(key, module)
+        self._record(bench, "compile", "compute", time.perf_counter() - start)
         return module
 
     def profile(self, bench: str) -> ProfileData:
         """Training-input profile (on the train build, so the ref build
-        stays the untouched sequential baseline)."""
+        stays the untouched sequential baseline).  The train build is
+        compiled only when the profile is not stored; a computed
+        profile's time includes compiling it."""
         if bench in self._profiles:
             self._record(bench, "profile", "memory")
             return self._profiles[bench]
-        train = self.module(bench, "train")
         start = time.perf_counter()
         with get_tracer().span("stage.profile", cat="stage", bench=bench) as sp:
             disk_key = self.artifacts.key(
                 "profile", bench, machine=self.machine
             )
-            data = self._load(
-                "profile",
-                disk_key,
-                lambda payload: ProfileData.from_dict(payload, train),
-            )
+            data = self._load("profile", disk_key, ProfileData.from_dict)
             if data is not None:
                 outcome = "disk"
             else:
-                data = profile_module(train, self.machine)
+                data = profile_module(
+                    self.module(bench, "train"), self.machine
+                )
                 self._store("profile", disk_key, data.to_dict())
                 outcome = "compute"
             sp.set(outcome=outcome)
@@ -388,11 +435,20 @@ class EvaluationRunner:
         self._record(bench, "profile", outcome, time.perf_counter() - start)
         return data
 
+    def profile_digest(self, bench: str) -> str:
+        """Content hash of ``bench``'s profile (a ``plan`` key input)."""
+        digest = self._profile_digests.get(bench)
+        if digest is None:
+            digest = fingerprint(self.profile(bench).to_dict())
+            self._profile_digests[bench] = digest
+        return digest
+
     def sequential(self, bench: str) -> ExecutionResult:
+        """The ref build's sequential run; like :meth:`profile`, it
+        compiles its module only when the result is not stored."""
         if bench in self._sequential:
             self._record(bench, "sequential", "memory")
             return self._sequential[bench]
-        ref = self.module(bench, "ref")
         start = time.perf_counter()
         with get_tracer().span(
             "stage.sequential", cat="stage", bench=bench
@@ -413,7 +469,7 @@ class EvaluationRunner:
                 # is bit-identical either way.
                 profile = self._profiles.get(bench)
                 result = run_module(
-                    ref,
+                    self.module(bench, "ref"),
                     self.machine,
                     block_profile=profile.block_counts if profile else None,
                 )
@@ -460,70 +516,40 @@ class EvaluationRunner:
             manager=self.analysis,
         )
 
-    def pipeline(
+    def _transform(
         self,
         bench: str,
-        options: Optional[HelixOptions] = None,
-        prefetch: PrefetchMode = PrefetchMode.HELIX,
-        signal_cost: Optional[float] = None,
-        unoptimized_signals: bool = False,
-        loop_ids: Optional[Sequence[LoopId]] = None,
-    ) -> PipelineRun:
-        """Transform + execute one configuration of one benchmark,
-        memoized on the configuration's fingerprint."""
-        options = options or HelixOptions()
-        key = (
-            bench,
-            pipeline_fingerprint(
-                options, prefetch, signal_cost, unoptimized_signals, loop_ids
-            ),
-        )
-        if key in self._pipelines:
-            self._record(bench, "execute", "memory")
-            return self._pipelines[key]
-
-        selection = None
-        if loop_ids is None:
-            selection = self.selection(
-                bench,
-                signal_cost=signal_cost,
-                unoptimized_signals=unoptimized_signals,
-            )
-            loop_ids = selection.chosen
-        machine = self.machine.with_prefetch(prefetch)
+        loop_ids: Sequence[LoopId],
+        machine: MachineConfig,
+        options: HelixOptions,
+    ) -> Tuple[Module, List[ParallelizedLoop]]:
+        """Steps 1-9 on the ref build's ``loop_ids``."""
         module = self.module(bench, "ref")
-        sequential = self.sequential(bench)
-
         start = time.perf_counter()
         with get_tracer().span("stage.transform", cat="stage", bench=bench):
             transformed, infos = parallelize_module(
                 module, loop_ids, machine, options, manager=self.analysis
             )
         self._record(bench, "transform", "compute", time.perf_counter() - start)
+        return transformed, infos
 
-        # Same opportunistic hot-path hint the sequential stage uses:
-        # an already-collected profile steers superblock chain formation
-        # and arm order in the recording run too.  Most of what that
-        # run enters are blocks the transformation created; the
-        # executor weighs each from the block it came from
-        # (``ParallelizedLoop.origin``).
-        profile = self._profiles.get(bench)
-        executor = ParallelExecutor(
-            transformed, infos, machine,
-            schedule_memo=self.artifacts.schedule_memo(),
-            block_profile=profile.block_counts if profile else None,
-        )
+    def _execute(
+        self,
+        bench: str,
+        machine: MachineConfig,
+        recording_key: str,
+        loops: Sequence[LoopInfo],
+        transformed: Optional[Module] = None,
+    ) -> Optional[Tuple[RecordedRun, ParallelRunResult]]:
+        """The ``execute`` stage: the recording under ``recording_key``
+        (memoized, stored, or recorded by interpreting ``transformed``),
+        timed on ``machine``.  Without ``transformed`` a recording that
+        is neither memoized nor stored is ``None``, and no stage is
+        counted: the caller transforms and asks again."""
         start = time.perf_counter()
         with get_tracer().span(
             "stage.execute", cat="stage", bench=bench
         ) as sp:
-            recording_key = self.artifacts.key(
-                "recording",
-                bench,
-                module=transformed,
-                machine=self.machine,
-                infos=infos,
-            )
             recording = self._recordings.get(recording_key)
             outcome = "memory"
             if recording is None:
@@ -532,8 +558,27 @@ class EvaluationRunner:
                 )
                 outcome = "disk"
             if recording is not None:
+                executor = RecordedRun(
+                    loops, machine,
+                    schedule_memo=self.artifacts.schedule_memo(),
+                )
                 parallel = executor.restore_run(*recording)
+            elif transformed is None:
+                sp.set(outcome="missing")
+                return None
             else:
+                # Same opportunistic hot-path hint the sequential stage
+                # uses: an already-collected profile steers superblock
+                # chain formation and arm order in the recording run
+                # too.  Most of what that run enters are blocks the
+                # transformation created; the executor weighs each from
+                # the block it came from (``ParallelizedLoop.origin``).
+                profile = self._profiles.get(bench)
+                executor = ParallelExecutor(
+                    transformed, loops, machine,
+                    schedule_memo=self.artifacts.schedule_memo(),
+                    block_profile=profile.block_counts if profile else None,
+                )
                 parallel = executor.execute()
                 recorded = replace(parallel.result, cycles=executor.cycles)
                 recording = (recorded, executor.traces, executor.load_count)
@@ -550,17 +595,112 @@ class EvaluationRunner:
             self._recordings[recording_key] = recording
             sp.set(outcome=outcome)
         self._record(bench, "execute", outcome, time.perf_counter() - start)
+        return executor, parallel
+
+    def pipeline(
+        self,
+        bench: str,
+        options: Optional[HelixOptions] = None,
+        prefetch: PrefetchMode = PrefetchMode.HELIX,
+        signal_cost: Optional[float] = None,
+        unoptimized_signals: bool = False,
+        loop_ids: Optional[Sequence[LoopId]] = None,
+    ) -> PipelineRun:
+        """Select, transform and execute one configuration of one
+        benchmark, memoized on the configuration's fingerprint.
+
+        A stored plan stands in for selection and Steps 1-9: with it
+        and its recording on disk, nothing is compiled, selected or
+        transformed.  A plan whose recording is missing or unreadable
+        is recomputed, and both are stored again."""
+        options = options or HelixOptions()
+        config = pipeline_fingerprint(
+            options, prefetch, signal_cost, unoptimized_signals, loop_ids
+        )
+        key = (bench, config)
+        if key in self._pipelines:
+            self._record(bench, "execute", "memory")
+            return self._pipelines[key]
+
+        # What the run builds on request goes through this runner,
+        # held weakly: the runner memoizes the run, and a strong
+        # reference back would make it a cycle that keeps every
+        # recording it holds alive until the cyclic collector runs.
+        owner = weakref.ref(self)
+
+        def runner() -> "EvaluationRunner":
+            alive = owner()
+            if alive is None:
+                raise RuntimeError(
+                    f"{bench}: the runner that made this run is gone"
+                )
+            return alive
+
+        def select() -> Optional[LoopSelection]:
+            if loop_ids is not None:
+                return None
+            return runner().selection(
+                bench,
+                signal_cost=signal_cost,
+                unoptimized_signals=unoptimized_signals,
+            )
+
+        machine = self.machine.with_prefetch(prefetch)
+        plan_key = self.artifacts.key(
+            "plan",
+            bench,
+            machine=self.machine,
+            config=config,
+            profile=None if loop_ids is not None
+            else self.profile_digest(bench),
+        )
+        plan = self._load("plan", plan_key, _decode_plan)
+        sequential = self.sequential(bench)
+
+        executed = transformation = None
+        if plan is not None:
+            chosen, records, recording_key = plan
+            executed = self._execute(bench, machine, recording_key, records)
+        if executed is None:
+            selection = select()
+            chosen = selection.chosen if selection is not None else loop_ids
+            transformation = self._transform(bench, chosen, machine, options)
+            transformed, infos = transformation
+            recording_key = self.artifacts.key(
+                "recording",
+                bench,
+                module=transformed,
+                machine=self.machine,
+                infos=infos,
+            )
+            self._store(
+                "plan",
+                plan_key,
+                {
+                    "chosen": [list(loop) for loop in chosen],
+                    "loops": [LoopRecord.of(info).to_dict() for info in infos],
+                    "recording": recording_key,
+                },
+            )
+            executed = self._execute(
+                bench, machine, recording_key, infos, transformed
+            )
+        executor, parallel = executed
 
         run = PipelineRun(
             bench=bench,
-            selection=selection,
-            chosen=list(loop_ids),
-            transformed=transformed,
-            infos=infos,
+            chosen=list(chosen),
             executor=executor,
             parallel=parallel,
             sequential=sequential,
+            _select=select,
+            _transform=lambda: runner()._transform(
+                bench, chosen, machine, options
+            ),
         )
+        if transformation is not None:
+            # Built on the way here: prime the fields built on request.
+            run.selection, run._transformation = selection, transformation
         self._pipelines[key] = run
         return run
 
@@ -576,7 +716,7 @@ class EvaluationRunner:
 
         A stage like the others: the answer is looked up in the store
         first, and a hit returns it without entering any other stage (no
-        module is parsed, nothing selected or transformed, no trace
+        module is compiled, nothing selected or transformed, no trace
         decoded).  Otherwise the pipeline runs stage by stage, calling
         ``checkpoint`` between stages (the orchestrator's cancellation
         point), and the answer is stored.  An entry that is not an
@@ -606,8 +746,6 @@ class EvaluationRunner:
             if result is not None:
                 outcome = "disk"
             else:
-                self.module(bench, "train")
-                checkpoint()
                 self.profile(bench)
                 checkpoint()
                 self.sequential(bench)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.runtime.machine import MachineConfig
-from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.parallel import RecordedRun
 from repro.runtime.sched import CORE_FIELDS, schedule_invocation_reference
 
 #: Segment categories, in display order.  ``config``/``collect`` are the
@@ -82,13 +82,13 @@ class Segment:
 
 
 def run_timeline(
-    executor: ParallelExecutor,
+    executor: RecordedRun,
     machine: Optional[MachineConfig] = None,
 ) -> List[Segment]:
     """The whole run's per-core segments, in absolute simulated cycles.
 
     ``machine`` replays the recorded traces under a different
-    configuration (like :meth:`ParallelExecutor.replay`).  Each
+    configuration (like :meth:`RecordedRun.replay`).  Each
     invocation is placed by the reference scheduler; gaps between
     invocations are the main thread's sequential execution, read off
     the recording's sequential clock: from one trace's ``end_cycles`` to
@@ -139,7 +139,7 @@ def core_totals(
 
 
 def timeline_block(
-    executor: ParallelExecutor,
+    executor: RecordedRun,
     machine: Optional[MachineConfig] = None,
 ) -> Dict[str, object]:
     """The JSON ``timeline`` block: per-core and total cycle buckets.

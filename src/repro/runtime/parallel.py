@@ -45,10 +45,12 @@ in after the run by one :func:`~repro.runtime.sched.schedule_many` pass
 invocation): an invocation of ``seq_i`` recorded cycles takes
 ``par_i(m)`` there, so the run takes ``seq_total - sum(seq_i -
 par_i(m))``, and the :class:`LoopRunStats` are summed from the same
-column.  :meth:`ParallelExecutor.execute`,
-:meth:`~ParallelExecutor.replay_many` and
-:meth:`~ParallelExecutor.restore_run` all read their numbers that way,
-the executing machine being just the first one asked for.  Columns stay
+column.  That half is :class:`RecordedRun`, which needs no module, only
+the loop records: :meth:`ParallelExecutor.execute` (the recording
+interpreter is a :class:`RecordedRun` too),
+:meth:`~RecordedRun.replay_many` and :meth:`~RecordedRun.restore_run`
+of a stored recording all read their numbers that way, the executing
+machine being just the first one asked for.  Columns stay
 arrays end to end: the memo holds one
 :class:`~repro.runtime.sched.ScheduleColumns` per
 :meth:`~repro.runtime.machine.MachineConfig.fingerprint`, whole or
@@ -56,9 +58,9 @@ absent, cycles and loop statistics are array sums over a per-loop index
 of the trace list, each column carries the walk's per-core accounting
 (what :func:`repro.obs.timeline.timeline_block` reports), and
 :class:`ScheduleResult` objects exist only for callers of
-:meth:`~ParallelExecutor.schedules`.  What depends on the
+:meth:`~RecordedRun.schedules`.  What depends on the
 trace list alone -- the distinct-invocation grouping
-(:attr:`ParallelExecutor.grouping`) and the per-loop index -- is
+(:attr:`RecordedRun.grouping`) and the per-loop index -- is
 computed by the first scheduling pass over a list and dropped when
 :attr:`traces` is reassigned.  The interval-by-interval timeline of
 ``repro trace --sim-timeline`` reads no column: it is the reference
@@ -99,7 +101,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.loopnest import LoopId
 from repro.core.communication import is_producer_mark, xfer_words
-from repro.core.loopinfo import ParallelizedLoop
+from repro.core.loopinfo import LoopInfo, ParallelizedLoop
 from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.obs.tracer import get_tracer
 from repro.runtime.interpreter import (
@@ -136,6 +138,7 @@ __all__ = [
     "LoopRunStats",
     "ParallelExecutor",
     "ParallelRunResult",
+    "RecordedRun",
     "ScheduleResult",
     "run_parallel",
     "schedule_invocation",
@@ -148,7 +151,7 @@ AnyTrace = Union[CompactInvocationTrace, InvocationTrace]
 
 def schedule_invocation(
     trace: AnyTrace,
-    loop: ParallelizedLoop,
+    loop: LoopInfo,
     machine: MachineConfig,
 ) -> ScheduleResult:
     """Reconstruct the parallel schedule of one invocation.
@@ -215,80 +218,40 @@ class ParallelRunResult:
         return self.result.output
 
 
-class ParallelExecutor(Interpreter):
-    """Records a HELIX-transformed module's run and times it on machines.
+class RecordedRun:
+    """The timing half of a parallel execution: a recorded run, timed
+    under any machine.
 
-    ``infos`` are the :class:`ParallelizedLoop` records produced by
-    :func:`repro.core.parallelize_module` for this module.
+    Holds what a recording run leaves behind -- output, the sequential
+    clock, instruction and load counts, traces -- and the loop records
+    the traces were recorded against (``infos``: of each, the timing
+    reads ``loop_id`` and the scheduler ``counted`` and
+    ``helper_order``, so a :class:`~repro.core.loopinfo.LoopRecord`
+    serves as well as a :class:`ParallelizedLoop`).  No module is needed:
+    :meth:`restore_run` adopts a stored recording, and
+    :class:`ParallelExecutor` is the interpreter that records one.
     """
 
     def __init__(
         self,
-        module: Module,
-        infos: Sequence[ParallelizedLoop],
+        infos: Sequence[LoopInfo],
         machine: Optional[MachineConfig] = None,
-        max_instructions: Optional[int] = 500_000_000,
-        backend: str = "auto",
         schedule_memo: Optional[Dict[str, ScheduleColumns]] = None,
-        block_profile: Optional[Dict[Tuple[str, str], int]] = None,
     ) -> None:
-        if block_profile:
-            # The profile was measured on the input module; a block the
-            # transformation created runs as often as the one it came
-            # from.
-            block_profile = dict(block_profile)
-            for info in infos:
-                for block, source in info.origin.items():
-                    count = block_profile.get(source)
-                    if count is not None:
-                        block_profile.setdefault(
-                            (info.func_name, block), count
-                        )
-        super().__init__(
-            module, machine, max_instructions=max_instructions,
-            backend=backend, block_profile=block_profile,
-        )
-        # Memory reads are priced by the data-forwarding model; every
-        # backend counts them when this is set.  Generated code reads
-        # the hook overrides off this class: fused chains observe
-        # sync/xfer ops at the tree walker's points and block entries
-        # on the edges :meth:`watched_edges` says the hook acts on, and
-        # compile load counting to static per-segment increments.
-        self.count_loads = True
+        self.machine = machine or MachineConfig()
         self.infos = list(infos)
-        self._by_preheader: Dict[Tuple[str, str], ParallelizedLoop] = {}
-        acted_on: Dict[str, Set[str]] = {}
-        for info in self.infos:
-            self._by_preheader[(info.func_name, info.par_preheader)] = info
-            acted_on.setdefault(info.func_name, set()).update(
-                (info.par_preheader, info.par_header), info.exit_stubs
-            )
-        self._watched = {
-            name: frozenset(
-                (prev, target)
-                for prev, block in module.functions[name].blocks.items()
-                for target in block.successor_names()
-                if target in blocks
-            )
-            for name, blocks in acted_on.items()
-        }
-        #: The open invocation, its columns growing as the run goes.
-        self._inv: Optional[CompactInvocationTrace] = None
-        self._inv_info: Optional[ParallelizedLoop] = None
-        self._inv_frame: Optional[Frame] = None
-        #: The frame whose sync/xfer events are recorded: the open
-        #: invocation's once its first iteration has begun, else None.
-        self._event_frame: Optional[Frame] = None
-        self._loads_at_start = 0
+        self.output: List[str] = []
+        self.cycles = 0
+        self.instructions = 0
+        self.load_count = 0
         #: Memoized per-machine schedule columns
         #: (:class:`~repro.runtime.sched.ScheduleColumns` of one machine,
         #: as long as :attr:`traces`), keyed by machine fingerprint and
-        #: filled on demand (the executing machine's by
-        #: :meth:`execute`); a column is whole or absent.  An
+        #: filled on demand; a column is whole or absent.  An
         #: :class:`~repro.artifacts.ArtifactStore` may inject a tracked
         #: namespace here (``schedule_memo``) so column occupancy shows
-        #: up in the store's unified accounting; standalone executors
-        #: default to a private dict with identical semantics.
+        #: up in the store's unified accounting; standalone runs default
+        #: to a private dict with identical semantics.
         self._schedules: Dict[str, ScheduleColumns] = (
             schedule_memo if schedule_memo is not None else {}
         )
@@ -312,116 +275,6 @@ class ParallelExecutor(Interpreter):
         self.grouping = None
         self._by_loop = None
 
-    # -- interpreter hooks -------------------------------------------------
-
-    def watched_edges(self, func: Function) -> FrozenSet[Tuple[str, str]]:
-        """Every edge into the only blocks :meth:`on_block_entry` gets
-        past its early returns on: the parallel preheader, parallel
-        header and exit stubs of each parallelized loop of ``func`` (a
-        few percent of a recording run's block entries)."""
-        return self._watched.get(func.name, frozenset())
-
-    def on_block_entry(
-        self, frame: Frame, prev: Optional[BasicBlock], block: BasicBlock
-    ) -> None:
-        super().on_block_entry(frame, prev, block)
-        if self._inv is None:
-            info = self._by_preheader.get((frame.func.name, block.name))
-            if info is not None:
-                self._begin_invocation(info, frame)
-            return
-        if frame is not self._inv_frame:
-            return
-        info = self._inv_info
-        if block.name == info.par_header:
-            self._begin_iteration()
-        elif block.name in info.exit_stubs:
-            self._end_invocation()
-
-    def exec_sync(self, frame: Frame, instr: Instruction) -> None:
-        if frame is not self._event_frame:
-            return
-        # One event of the open iteration, straight into the columns.
-        inv = self._inv
-        opcode = instr.opcode
-        if opcode is Opcode.WAIT:
-            inv.ev_kind.append(KIND_WAIT)
-            inv.ev_dep.append(instr.dep_id)
-        elif opcode is Opcode.SIGNAL:
-            inv.ev_kind.append(KIND_SIGNAL)
-            inv.ev_dep.append(instr.dep_id)
-        else:  # NEXT_ITER
-            inv.ev_kind.append(KIND_NEXT)
-            inv.ev_dep.append(CTRL_DEP)
-        inv.ev_at.append(self.cycles - inv.start_cycles)
-        inv.ev_words.append(0)
-
-    def exec_xfer(self, frame: Frame, instr: Instruction) -> None:
-        if frame is not self._event_frame:
-            return
-        inv = self._inv
-        if is_producer_mark(instr):
-            inv.ev_kind.append(KIND_PRODUCE)
-            inv.ev_words.append(0)
-        else:
-            inv.ev_kind.append(KIND_XFER)
-            inv.ev_words.append(xfer_words(instr))
-        inv.ev_dep.append(instr.dep_id)
-        inv.ev_at.append(self.cycles - inv.start_cycles)
-
-    # -- invocation lifecycle -------------------------------------------------
-
-    def _begin_invocation(self, info: ParallelizedLoop, frame: Frame) -> None:
-        self._inv = CompactInvocationTrace.begin(info.loop_id, self.cycles)
-        self._inv_info = info
-        self._inv_frame = frame
-        self._loads_at_start = self.load_count
-
-    def _close_iteration(self) -> None:
-        inv = self._inv
-        if self._event_frame is not None:
-            inv.it_end.append(self.cycles - inv.start_cycles)
-            inv.ev_off.append(len(inv.ev_kind))
-
-    def _begin_iteration(self) -> None:
-        self._close_iteration()
-        inv = self._inv
-        inv.it_start.append(self.cycles - inv.start_cycles)
-        self._event_frame = self._inv_frame
-
-    def _end_invocation(self) -> None:
-        self._close_iteration()
-        trace = self._inv
-        trace.end_cycles = self.cycles
-        trace.loads = self.load_count - self._loads_at_start
-        self._inv = None
-        self._inv_info = None
-        self._inv_frame = None
-        self._event_frame = None
-        self.traces.append(trace)
-
-    # -- public API -------------------------------------------------------------
-
-    def run(self, entry: str = "main", args: Sequence = ()) -> ExecutionResult:
-        """The recording run: interpret the program in its sequential
-        clock and fill :attr:`traces`.  Nothing here reads the machine
-        beyond its cost model."""
-        self._inv = None
-        self._inv_info = None
-        self._inv_frame = None
-        self._event_frame = None
-        self._loads_at_start = 0
-        self.traces = []
-        return super().run(entry, args)
-
-    def execute(self) -> ParallelRunResult:
-        """Run the program and time it on the executing machine."""
-        with get_tracer().span("exec.parallel", cat="exec") as sp:
-            recorded = self.run()
-            timed = self._timed([self.machine], recorded.return_value)[0]
-            sp.set(invocations=len(self.traces), cycles=timed.cycles)
-        return timed
-
     def restore_run(
         self,
         result: ExecutionResult,
@@ -429,8 +282,8 @@ class ParallelExecutor(Interpreter):
         load_count: int,
     ) -> ParallelRunResult:
         """Adopt a recorded run (loaded from the evaluation disk cache,
-        or another executor's) as if :meth:`execute` had just produced
-        it, without re-interpreting the program.
+        or another executor's) and time it on :attr:`machine`, as
+        :meth:`ParallelExecutor.execute` times the run it records.
 
         ``result`` is the recording run's own :class:`ExecutionResult`
         (sequential clock) and ``load_count`` its total
@@ -445,7 +298,7 @@ class ParallelExecutor(Interpreter):
         self.load_count = load_count
         return self._timed([self.machine], result.return_value)[0]
 
-    def _loops(self) -> List[ParallelizedLoop]:
+    def _loops(self) -> List[LoopInfo]:
         info_by_id = {info.loop_id: info for info in self.infos}
         return [info_by_id[trace.loop_id] for trace in self.traces]
 
@@ -587,6 +440,184 @@ class ParallelExecutor(Interpreter):
         model must stay the same.
         """
         return self.replay_many([machine])[0]
+
+
+class ParallelExecutor(RecordedRun, Interpreter):
+    """Records a HELIX-transformed module's run and times it on machines.
+
+    ``infos`` are the :class:`ParallelizedLoop` records produced by
+    :func:`repro.core.parallelize_module` for this module.  The timing
+    is :class:`RecordedRun`'s, the same a stored recording gets.
+    """
+
+    def __init__(
+        self,
+        module: Module,
+        infos: Sequence[ParallelizedLoop],
+        machine: Optional[MachineConfig] = None,
+        max_instructions: Optional[int] = 500_000_000,
+        backend: str = "auto",
+        schedule_memo: Optional[Dict[str, ScheduleColumns]] = None,
+        block_profile: Optional[Dict[Tuple[str, str], int]] = None,
+    ) -> None:
+        if block_profile:
+            # The profile was measured on the input module; a block the
+            # transformation created runs as often as the one it came
+            # from.
+            block_profile = dict(block_profile)
+            for info in infos:
+                for block, source in info.origin.items():
+                    count = block_profile.get(source)
+                    if count is not None:
+                        block_profile.setdefault(
+                            (info.func_name, block), count
+                        )
+        Interpreter.__init__(
+            self, module, machine, max_instructions=max_instructions,
+            backend=backend, block_profile=block_profile,
+        )
+        RecordedRun.__init__(self, infos, self.machine, schedule_memo)
+        # Memory reads are priced by the data-forwarding model; every
+        # backend counts them when this is set.  Generated code reads
+        # the hook overrides off this class: fused chains observe
+        # sync/xfer ops at the tree walker's points and block entries
+        # on the edges :meth:`watched_edges` says the hook acts on, and
+        # compile load counting to static per-segment increments.
+        self.count_loads = True
+        self._by_preheader: Dict[Tuple[str, str], ParallelizedLoop] = {}
+        acted_on: Dict[str, Set[str]] = {}
+        for info in self.infos:
+            self._by_preheader[(info.func_name, info.par_preheader)] = info
+            acted_on.setdefault(info.func_name, set()).update(
+                (info.par_preheader, info.par_header), info.exit_stubs
+            )
+        self._watched = {
+            name: frozenset(
+                (prev, target)
+                for prev, block in module.functions[name].blocks.items()
+                for target in block.successor_names()
+                if target in blocks
+            )
+            for name, blocks in acted_on.items()
+        }
+        #: The open invocation, its columns growing as the run goes.
+        self._inv: Optional[CompactInvocationTrace] = None
+        self._inv_info: Optional[ParallelizedLoop] = None
+        self._inv_frame: Optional[Frame] = None
+        #: The frame whose sync/xfer events are recorded: the open
+        #: invocation's once its first iteration has begun, else None.
+        self._event_frame: Optional[Frame] = None
+        self._loads_at_start = 0
+
+    # -- interpreter hooks -------------------------------------------------
+
+    def watched_edges(self, func: Function) -> FrozenSet[Tuple[str, str]]:
+        """Every edge into the only blocks :meth:`on_block_entry` gets
+        past its early returns on: the parallel preheader, parallel
+        header and exit stubs of each parallelized loop of ``func`` (a
+        few percent of a recording run's block entries)."""
+        return self._watched.get(func.name, frozenset())
+
+    def on_block_entry(
+        self, frame: Frame, prev: Optional[BasicBlock], block: BasicBlock
+    ) -> None:
+        super().on_block_entry(frame, prev, block)
+        if self._inv is None:
+            info = self._by_preheader.get((frame.func.name, block.name))
+            if info is not None:
+                self._begin_invocation(info, frame)
+            return
+        if frame is not self._inv_frame:
+            return
+        info = self._inv_info
+        if block.name == info.par_header:
+            self._begin_iteration()
+        elif block.name in info.exit_stubs:
+            self._end_invocation()
+
+    def exec_sync(self, frame: Frame, instr: Instruction) -> None:
+        if frame is not self._event_frame:
+            return
+        # One event of the open iteration, straight into the columns.
+        inv = self._inv
+        opcode = instr.opcode
+        if opcode is Opcode.WAIT:
+            inv.ev_kind.append(KIND_WAIT)
+            inv.ev_dep.append(instr.dep_id)
+        elif opcode is Opcode.SIGNAL:
+            inv.ev_kind.append(KIND_SIGNAL)
+            inv.ev_dep.append(instr.dep_id)
+        else:  # NEXT_ITER
+            inv.ev_kind.append(KIND_NEXT)
+            inv.ev_dep.append(CTRL_DEP)
+        inv.ev_at.append(self.cycles - inv.start_cycles)
+        inv.ev_words.append(0)
+
+    def exec_xfer(self, frame: Frame, instr: Instruction) -> None:
+        if frame is not self._event_frame:
+            return
+        inv = self._inv
+        if is_producer_mark(instr):
+            inv.ev_kind.append(KIND_PRODUCE)
+            inv.ev_words.append(0)
+        else:
+            inv.ev_kind.append(KIND_XFER)
+            inv.ev_words.append(xfer_words(instr))
+        inv.ev_dep.append(instr.dep_id)
+        inv.ev_at.append(self.cycles - inv.start_cycles)
+
+    # -- invocation lifecycle -------------------------------------------------
+
+    def _begin_invocation(self, info: ParallelizedLoop, frame: Frame) -> None:
+        self._inv = CompactInvocationTrace.begin(info.loop_id, self.cycles)
+        self._inv_info = info
+        self._inv_frame = frame
+        self._loads_at_start = self.load_count
+
+    def _close_iteration(self) -> None:
+        inv = self._inv
+        if self._event_frame is not None:
+            inv.it_end.append(self.cycles - inv.start_cycles)
+            inv.ev_off.append(len(inv.ev_kind))
+
+    def _begin_iteration(self) -> None:
+        self._close_iteration()
+        inv = self._inv
+        inv.it_start.append(self.cycles - inv.start_cycles)
+        self._event_frame = self._inv_frame
+
+    def _end_invocation(self) -> None:
+        self._close_iteration()
+        trace = self._inv
+        trace.end_cycles = self.cycles
+        trace.loads = self.load_count - self._loads_at_start
+        self._inv = None
+        self._inv_info = None
+        self._inv_frame = None
+        self._event_frame = None
+        self.traces.append(trace)
+
+    # -- public API -------------------------------------------------------------
+
+    def run(self, entry: str = "main", args: Sequence = ()) -> ExecutionResult:
+        """The recording run: interpret the program in its sequential
+        clock and fill :attr:`traces`.  Nothing here reads the machine
+        beyond its cost model."""
+        self._inv = None
+        self._inv_info = None
+        self._inv_frame = None
+        self._event_frame = None
+        self._loads_at_start = 0
+        self.traces = []
+        return super().run(entry, args)
+
+    def execute(self) -> ParallelRunResult:
+        """Run the program and time it on the executing machine."""
+        with get_tracer().span("exec.parallel", cat="exec") as sp:
+            recorded = self.run()
+            timed = self._timed([self.machine], recorded.return_value)[0]
+            sp.set(invocations=len(self.traces), cycles=timed.cycles)
+        return timed
 
 
 def run_parallel(

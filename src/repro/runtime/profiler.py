@@ -96,7 +96,6 @@ class LoopProfile:
 class ProfileData:
     """Everything collected by one profiling run."""
 
-    module: Module
     result: ExecutionResult
     loops: Dict[LoopId, LoopProfile] = field(default_factory=dict)
     block_counts: Dict[Tuple[str, str], int] = field(default_factory=dict)
@@ -138,12 +137,7 @@ class ProfileData:
         return machine.cost_model.cycles(instr.opcode, is_float)
 
     def to_dict(self) -> dict:
-        """JSON-stable representation, *excluding* the profiled module.
-
-        The module is large and reproducible from the benchmark source;
-        :meth:`from_dict` takes it back as an argument so a disk cache
-        only needs to store the dynamic statistics.
-        """
+        """JSON-stable representation (:meth:`from_dict` reads it back)."""
         return {
             "result": self.result.to_dict(),
             "loops": [p.to_dict() for _, p in sorted(self.loops.items())],
@@ -157,10 +151,9 @@ class ProfileData:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, module: Module) -> "ProfileData":
+    def from_dict(cls, data: dict) -> "ProfileData":
         loops = [LoopProfile.from_dict(p) for p in data["loops"]]
         return cls(
-            module=module,
             result=ExecutionResult.from_dict(data["result"]),
             loops={p.loop_id: p for p in loops},
             block_counts={
@@ -310,7 +303,7 @@ def profile_module(
     (the differential tests assert this).
     """
     nest = nest or build_static_loop_nest_graph(module)
-    data = ProfileData(module=module, result=None)  # type: ignore[arg-type]
+    data = ProfileData(result=None)  # type: ignore[arg-type]
     interp = _ProfilingInterpreter(
         module,
         nest,

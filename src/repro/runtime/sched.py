@@ -66,7 +66,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.loopinfo import ParallelizedLoop
+from repro.core.loopinfo import LoopInfo
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.trace import (
     CTRL_DEP,
@@ -129,7 +129,7 @@ CORE_FIELDS = ("compute", "stall", "signal", "transfer")
 
 def schedule_compact(
     trace: CompactInvocationTrace,
-    loop: ParallelizedLoop,
+    loop: LoopInfo,
     machine: MachineConfig,
     per_core: Optional[List[List[int]]] = None,
     times: int = 1,
@@ -537,7 +537,7 @@ def _iteration_cores(iterations: int, counts: Tuple[int, ...], top: int):
 
 def _schedule_cohort(
     traces: List[CompactInvocationTrace],
-    loop: ParallelizedLoop,
+    loop: LoopInfo,
     grid,
     weights,
 ):
@@ -836,7 +836,7 @@ def _schedule_cohort(
 
 def schedule_many(
     traces: Sequence[CompactInvocationTrace],
-    loops: Sequence[ParallelizedLoop],
+    loops: Sequence[LoopInfo],
     machines: Sequence[MachineConfig],
     grouping=None,
 ) -> ScheduleColumns:
@@ -960,7 +960,7 @@ def schedule_many(
 
 def schedule_invocation_reference(
     trace: InvocationTrace,
-    loop: ParallelizedLoop,
+    loop: LoopInfo,
     machine: MachineConfig,
     emit: Optional[Callable[[int, str, int, int], None]] = None,
 ) -> ScheduleResult:

@@ -546,8 +546,12 @@ class Orchestrator:
 
         ctx.check()
         with _TRACE_LOCK:
-            # A fresh runner (cold memos, warm disk) so the capture
-            # contains the full stage-span taxonomy.
+            # A fresh runner (cold memos, warm disk) so the capture has
+            # a span for every stage the request enters.  Against a warm
+            # disk those are the profile, sequential and execute reads:
+            # the stored plan stands in for selection and Steps 1-9, so
+            # there are no selection or transform spans (``repro
+            # trace``, which runs without a cache, still has them).
             with tracing() as tracer:
                 runner = EvaluationRunner(
                     MachineConfig(cores=spec.cores),

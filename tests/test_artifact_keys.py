@@ -3,19 +3,20 @@
 A key hashes the code version, so any edit to the package moves every
 key; what must not move is the formula.  ``tests/data/artifact_keys.json``
 holds, with the code version pinned to ``"0" * 16``, each suite bench's
-keys of every stage kind: ``module`` at both scales, ``profile`` and
-``sequential``, ``run`` at 2, 4 and 6 cores, and the ``recording`` of the
-6-core transformation.  The table was **generated while the disk cache
-and its key helpers lived in a module of their own**
-(``repro.evaluation.cache``: ``EvaluationCache``, ``fingerprint``,
-``pipeline_fingerprint``, ``code_version``), by running
+keys of every stage kind: ``profile`` and ``sequential``, ``plan`` and
+``run`` at 2, 4 and 6 cores, and the ``recording`` of the 6-core
+transformation.  The table was **generated while the disk cache and its
+key helpers lived in a module of their own** (``repro.evaluation.cache``:
+``EvaluationCache``, ``fingerprint``, ``pipeline_fingerprint``,
+``code_version``), by running
 
     PYTHONPATH=src python -m tests.test_artifact_keys \\
         > tests/data/artifact_keys.json
 
 in a checkout of that tree with this file copied in and :data:`PIN`
 pointed at ``repro.evaluation.cache``.  Every key must still come out
-the same.
+the same.  The ``plan`` rows were added later, when that kind replaced
+the ``module`` kind, whose rows were removed; no other row moved.
 """
 
 import json
@@ -49,12 +50,15 @@ def _keys(runner, bench, run):
         HelixOptions(), PrefetchMode.HELIX, None, False, None
     )
     return {
-        "module": {
-            scale: store.key("module", bench, scale=scale)
-            for scale in ("train", "ref")
-        },
         "profile": store.key("profile", bench, machine=machine),
         "sequential": store.key("sequential", bench, machine=machine),
+        "plan": {
+            str(cores): store.key(
+                "plan", bench, machine=machine.with_cores(cores),
+                config=config, profile=runner.profile_digest(bench),
+            )
+            for cores in RUN_CORES
+        },
         "run": {
             str(cores): store.key(
                 "run", bench, machine=machine.with_cores(cores), config=config

@@ -62,10 +62,10 @@ def test_stage_key_matches_pre_refactor_formula(tiny_bench):
 def test_memory_only_store():
     store = ArtifactStore()
     assert store.root is None
-    assert store.load("module", "k") is None
-    assert store.store("module", "k", {"x": 1}) is False
+    assert store.load("plan", "k") is None
+    assert store.store("plan", "k", {"x": 1}) is False
     counters = store.counters()
-    assert counters["artifacts"]["module"] == {
+    assert counters["artifacts"]["plan"] == {
         "hits": 0, "misses": 1, "stores": 0,
     }
     assert counters["artifacts"] == store.traffic()
@@ -108,11 +108,11 @@ def test_the_registry_mirrors_the_one_tally(tmp_path):
 
 def test_stores_on_one_directory_share_artifacts(tmp_path):
     store = ArtifactStore(tmp_path / "cache")
-    store.store("module", "k", {"a": 1})
+    store.store("plan", "k", {"a": 1})
     # Same directory through a second store: the artifact is shared.
     other = ArtifactStore(str(tmp_path / "cache"))
-    assert other.load("module", "k") == {"a": 1}
-    assert other.traffic() == {"module": {"hits": 1, "misses": 0, "stores": 0}}
+    assert other.load("plan", "k") == {"a": 1}
+    assert other.traffic() == {"plan": {"hits": 1, "misses": 0, "stores": 0}}
 
 
 def test_the_old_import_path_names_the_store():

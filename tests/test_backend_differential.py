@@ -150,7 +150,7 @@ def _assert_profile_identity(module, lane):
         interp = _ProfilingInterpreter(
             module,
             build_static_loop_nest_graph(module),
-            ProfileData(module=module, result=None),
+            ProfileData(result=None),
             max_instructions=tree.result.instructions - 1,
         )
         _assert_falls_back_at_the_end(interp, tree.result)
@@ -276,7 +276,7 @@ def test_irregular_cfg_watched_set():
     interp = _ProfilingInterpreter(
         module,
         build_static_loop_nest_graph(module),
-        ProfileData(module=module, result=None),
+        ProfileData(result=None),
     )
     assert interp.watched_edges(module.functions["walk"]) == {
         # into a loop from outside it

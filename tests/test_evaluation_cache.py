@@ -192,7 +192,7 @@ class TestTraceSerialization:
         machine = MachineConfig(cores=4)
         profile = profile_module(module, machine)
         restored = ProfileData.from_dict(
-            json.loads(json.dumps(profile.to_dict())), module
+            json.loads(json.dumps(profile.to_dict()))
         )
         assert restored.loops == profile.loops
         assert restored.block_counts == profile.block_counts
@@ -203,14 +203,14 @@ class TestTraceSerialization:
         assert sorted(restored.dynamic_nesting.graph.edges) == sorted(
             profile.dynamic_nesting.graph.edges
         )
-        assert restored.module is module
 
 
 # ------------------------------------------------------------------ hashing
 
 
 def _stage_keys(bench, machine=None, options=None):
-    """The real per-kind keys of one (bench, machine, options) request."""
+    """The real per-kind keys of one (bench, machine, options) request
+    (the ``plan`` under a fixed profile digest)."""
     store = ArtifactStore()
     machine = machine or MachineConfig(cores=4)
     config = pipeline_fingerprint(
@@ -219,6 +219,9 @@ def _stage_keys(bench, machine=None, options=None):
     return {
         "profile": store.key("profile", bench, machine=machine),
         "sequential": store.key("sequential", bench, machine=machine),
+        "plan": store.key(
+            "plan", bench, machine=machine, config=config, profile="digest"
+        ),
         "run": store.key("run", bench, machine=machine, config=config),
     }
 
@@ -264,10 +267,12 @@ class TestFingerprints:
             keys = _stage_keys(
                 tiny_bench, options=_changed(HelixOptions(), fld)
             )
-            # Transformation options: the answer downstream of Steps
-            # 1-9 sees every one, the two kinds upstream none (and a
-            # recording only through the module they lead to).
-            assert keys["run"] != base["run"], fld.name
+            # Transformation options: the plan and the answer
+            # downstream of Steps 1-9 see every one, the two kinds
+            # upstream none (and a recording only through the module
+            # they lead to).
+            for kind in ("plan", "run"):
+                assert keys[kind] != base[kind], (kind, fld.name)
             for kind in ("profile", "sequential"):
                 assert keys[kind] == base[kind], (kind, fld.name)
 
@@ -279,7 +284,8 @@ class TestFingerprints:
         for fld in dataclasses.fields(MachineConfig):
             changed = _changed(machine, fld)
             keys = _stage_keys(tiny_bench, changed)
-            assert keys["run"] != base["run"], fld.name
+            for kind in ("plan", "run"):
+                assert keys[kind] != base[kind], (kind, fld.name)
             # The interpreter, the profiler and the recording run read
             # the cost model and nothing else of a machine: cores,
             # prefetch mode and every latency leave their artifacts'
@@ -357,6 +363,9 @@ class TestFingerprints:
         assert train_edit["sequential"] == base["sequential"]
         for kind in ("profile", "run"):
             assert train_edit[kind] != base[kind], kind
+        # The plan reads the train build only through the profile, and
+        # sees an edit there through the profile's digest.
+        assert train_edit["plan"] == base["plan"]
 
         assert keys_with(lambda scale: TINY) == base
         recording = _recording_key()
@@ -398,10 +407,10 @@ class TestFingerprints:
 class TestEvaluationCache:
     def test_store_load(self, tmp_path):
         cache = ArtifactStore(tmp_path)
-        assert cache.load("module", "k1") is None
-        cache.store("module", "k1", {"ir": "func"})
-        assert cache.load("module", "k1") == {"ir": "func"}
-        assert cache.traffic()["module"] == {
+        assert cache.load("plan", "k1") is None
+        cache.store("plan", "k1", {"recording": "k2"})
+        assert cache.load("plan", "k1") == {"recording": "k2"}
+        assert cache.traffic()["plan"] == {
             "hits": 1, "misses": 1, "stores": 1
         }
 
@@ -443,10 +452,14 @@ class TestRunnerCacheIntegration:
 
         warm = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
         run_warm = warm.helix_run(tiny_bench)
-        for stage in ("compile", "profile", "sequential", "execute"):
+        # The plan stands in for selection and Steps 1-9, and no stage
+        # compiles the module it would have read.
+        for stage in ("compile", "selection", "transform"):
+            assert stage not in warm.stats.stages, stage
+        for stage in ("profile", "sequential", "execute"):
             tally = warm.stats.stages[stage]
-            assert tally.computes == 0, stage
-            assert tally.disk_hits >= 1, stage
+            assert (tally.computes, tally.disk_hits) == (0, 1), stage
+        assert warm.artifacts.traffic()["plan"]["hits"] == 1
 
         assert run_warm.speedup == run_cold.speedup
         assert run_warm.parallel.cycles == run_cold.parallel.cycles
@@ -455,6 +468,159 @@ class TestRunnerCacheIntegration:
         # The restored executor replays other machines identically.
         probe = machine.with_cores(2)
         assert run_warm.speedup_at(probe) == run_cold.speedup_at(probe)
+
+    def test_warm_run_answers_like_the_cold_one(self, tiny_sync, tmp_path):
+        """Everything a figure reads of a run restored from its plan
+        equals the cold run's: speedups at every Figure 9 core count,
+        the timeline block, and -- built on request -- the selection,
+        the transformed module and its loop infos."""
+        from repro.obs.timeline import timeline_block
+
+        def infos(run):
+            return [
+                {
+                    **{
+                        fld.name: getattr(info, fld.name)
+                        for fld in dataclasses.fields(info)
+                        if fld.name != "deps"
+                    },
+                    "deps": [
+                        (d.index, d.synchronized, d.covered_by, d.merged,
+                         sorted(d.region))
+                        for d in info.deps
+                    ],
+                }
+                for info in run.infos
+            ]
+
+        machine = MachineConfig(cores=6)
+        cores = [machine.with_cores(c) for c in (2, 4, 6)]
+        runs = []
+        for _ in range(2):
+            runner = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
+            run = runner.helix_run(tiny_sync)
+            runs.append(
+                (run, runner, run.speedups_at(cores), timeline_block(
+                    run.executor
+                ))
+            )
+        (cold, _, *cold_answers), (warm, runner, *warm_answers) = runs
+        assert cold.chosen and cold.parallel.loop_stats
+        assert warm_answers == cold_answers
+        assert "transform" not in runner.stats.stages
+        assert module_to_str(warm.transformed) == module_to_str(
+            cold.transformed
+        )
+        assert infos(warm) == infos(cold)
+        assert warm.selection.chosen == cold.selection.chosen == warm.chosen
+        assert runner.stats.stages["transform"].computes == 1
+        assert runner.stats.stages["selection"].computes == 1
+
+    def test_a_run_does_not_keep_its_runner_alive(self, tiny_bench, tmp_path):
+        """A run reaches its runner weakly: a runner memoizes its runs,
+        so a strong reference back would be a cycle holding every
+        recording of a finished daemon job until the cyclic collector
+        runs."""
+        import gc
+        import weakref
+
+        machine = MachineConfig(cores=4)
+        EvaluationRunner(machine, cache=ArtifactStore(tmp_path)).helix_run(
+            tiny_bench
+        )
+        gc.disable()
+        try:
+            runner = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
+            run = runner.helix_run(tiny_bench)
+            owner = weakref.ref(runner)
+            del runner
+            assert owner() is None
+        finally:
+            gc.enable()
+        with pytest.raises(RuntimeError, match="runner .* is gone"):
+            run.transformed
+
+    def test_plan_without_its_recording_is_recomputed(
+        self, tiny_sync, tmp_path
+    ):
+        """A plan is only half an answer: when its recording is missing
+        or does not decode, the pipeline selects, transforms and records
+        again, and stores the recording it made."""
+        machine = MachineConfig(cores=4)
+
+        def helix_run():
+            runner = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
+            return runner.helix_run(tiny_sync), runner
+
+        cold, _ = helix_run()
+        (entry,) = (tmp_path / "recording").glob("*.json")
+        (plan,) = (tmp_path / "plan").glob("*.json")
+        good, good_plan = entry.read_bytes(), plan.read_bytes()
+        for damage in (entry.unlink, lambda: entry.write_bytes(b"[1, 2]")):
+            damage()
+            run, runner = helix_run()
+            assert runner.artifacts.traffic()["plan"]["hits"] == 1
+            for stage in ("selection", "transform", "execute"):
+                tally = runner.stats.stages[stage]
+                assert (tally.computes, tally.requests) == (1, 1), stage
+            assert run.parallel.cycles == cold.parallel.cycles
+            assert entry.read_bytes() == good
+            assert plan.read_bytes() == good_plan
+
+    def test_undecodable_plan_is_a_miss(self, tiny_sync, tmp_path):
+        """A plan entry that is JSON but not a plan is recomputed and
+        overwritten; the recording it names is still read from disk."""
+        machine = MachineConfig(cores=4)
+
+        def helix_run():
+            runner = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
+            return runner.helix_run(tiny_sync), runner.stats.stages
+
+        cold, _ = helix_run()
+        (entry,) = (tmp_path / "plan").glob("*.json")
+        good = entry.read_bytes()
+        payload = json.loads(good)
+        (loop,) = payload["loops"]
+        corruptions = [
+            {},
+            dict(payload, recording=5),
+            dict(payload, chosen=5),
+            dict(payload, chosen=["ab"]),
+            dict(payload, chosen=[["main"]]),
+            dict(payload, loops=[1]),
+            dict(payload, loops=[dict(loop, loop_id="ab")]),
+            dict(payload, loops=[dict(loop, counted="yes")]),
+            dict(payload, loops=[dict(loop, exit_stubs=[1])]),
+            dict(payload, loops=[dict(loop, helper_order=[True])]),
+            {k: v for k, v in payload.items() if k != "loops"},
+        ]
+        for blob in corruptions:
+            entry.write_text(json.dumps(blob))
+            run, stages = helix_run()
+            assert stages["transform"].computes == 1, blob
+            assert stages["execute"].disk_hits == 1, blob
+            assert run.parallel.cycles == cold.parallel.cycles, blob
+            assert entry.read_bytes() == good, blob
+        _, stages = helix_run()
+        assert "transform" not in stages
+
+    def test_named_loops_get_a_plan_of_their_own(self, tiny_sync, tmp_path):
+        """A pipeline that names its loops has its own plan, keyed
+        without the profile it does not read."""
+        machine = MachineConfig(cores=4)
+        cold = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
+        chosen = cold.helix_run(tiny_sync).chosen
+        named = cold.pipeline(tiny_sync, loop_ids=[])
+        assert chosen and named.chosen == []
+        assert len(list((tmp_path / "plan").glob("*.json"))) == 2
+
+        warm = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
+        run = warm.pipeline(tiny_sync, loop_ids=[])
+        assert run.chosen == [] and run.selection is None
+        assert run.parallel.cycles == named.parallel.cycles
+        for stage in ("profile", "selection", "transform"):
+            assert stage not in warm.stats.stages, stage
+        assert warm.stats.stages["execute"].disk_hits == 1
 
     def test_machine_change_invalidates_entries(self, tiny_bench, tmp_path):
         EvaluationRunner(
@@ -479,9 +645,11 @@ class TestRunnerCacheIntegration:
         retuned.helix_run(tiny_bench)
         for stage in ("profile", "sequential", "execute"):
             assert retuned.stats.stages[stage].computes == 1, stage
-        # Modules don't depend on the machine: still served from disk.
+        # Selection and Steps 1-9 read the whole machine: each runs
+        # again under a new plan.
         for runner in (other, retuned):
-            assert runner.stats.stages["compile"].disk_hits >= 1
+            assert runner.stats.stages["transform"].computes == 1
+        assert len(list((tmp_path / "plan").glob("*.json"))) == 3
 
     def test_same_module_shares_one_recording_in_memory(
         self, tiny_sync, monkeypatch
@@ -620,7 +788,6 @@ class TestRunnerCacheIntegration:
 
     @pytest.mark.parametrize(
         "kind,stage", [
-            ("module", "compile"),
             ("profile", "profile"),
             ("sequential", "sequential"),
         ],
@@ -629,9 +796,9 @@ class TestRunnerCacheIntegration:
         self, kind, stage, tiny_bench, tmp_path
     ):
         """An entry that is JSON but not its stage's payload -- fields
-        missing or mistyped, IR that does not parse -- is a miss like an
-        absent one: the stage recomputes and overwrites it, and a fresh
-        runner reads the rewritten entry back from disk."""
+        missing or mistyped -- is a miss like an absent one: the stage
+        recomputes and overwrites it, and a fresh runner reads the
+        rewritten entry back from disk."""
         machine = MachineConfig(cores=4)
 
         def baseline():
@@ -645,12 +812,6 @@ class TestRunnerCacheIntegration:
         good = [entry.read_bytes() for entry in entries]
         payload = json.loads(good[0])
         corruptions = {
-            "module": [
-                {"ir": 5},
-                {"ir": ["module tinytest"]},
-                {"ir": "not ir"},
-                {"ir": ""},
-            ],
             "profile": [
                 dict(payload, loops=5),
                 dict(payload, result=[1]),
@@ -672,6 +833,40 @@ class TestRunnerCacheIntegration:
             assert [entry.read_bytes() for entry in entries] == good, blob
         _, tally = baseline()
         assert (tally.computes, tally.disk_hits) == (0, len(entries))
+
+    def test_runners_on_one_store_share_its_compiled_modules(
+        self, tiny_bench
+    ):
+        """Compiled modules live on the store, not on a runner: runners
+        on one store, on any thread, get one module object per build,
+        and a later runner compiles nothing."""
+        import sys
+        import threading
+
+        store = ArtifactStore()
+        modules = []
+
+        def compile_ref():
+            runner = EvaluationRunner(MachineConfig(cores=4), cache=store)
+            modules.append(runner.module(tiny_bench, "ref"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=compile_ref) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(modules) == 8
+        assert all(module is modules[0] for module in modules)
+        assert store.modules == {(tiny_bench, "ref"): modules[0]}
+        later = EvaluationRunner(MachineConfig(cores=4), cache=store)
+        assert later.module(tiny_bench, "ref") is modules[0]
+        assert later.stats.stages["compile"].memory_hits == 1
 
     def test_runner_without_cache_unchanged(self, tiny_bench):
         runner = EvaluationRunner(MachineConfig(cores=4))
@@ -815,7 +1010,7 @@ class TestParallelSuite:
         )
         on_disk = {path.name for path in cache_dir.iterdir() if path.is_dir()}
         probed = set(runner.artifacts.traffic())
-        assert {"module", "profile", "sequential", "recording"} <= on_disk
+        assert {"profile", "sequential", "plan", "recording"} <= on_disk
         assert on_disk <= set(KEY_INPUTS)
         assert probed <= set(KEY_INPUTS)
 
@@ -928,5 +1123,7 @@ class TestParallelSuite:
         _, warm_report, _ = run_suite(
             machine=machine, jobs=2, cache_dir=cache_dir, benches=tiny_pair
         )
-        for stage in ("compile", "profile", "sequential", "execute"):
+        for stage in ("compile", "selection", "transform"):
+            assert stage not in warm_report.stages, stage
+        for stage in ("profile", "sequential", "execute"):
             assert warm_report.stages[stage]["computes"] == 0, stage
