@@ -362,7 +362,7 @@ def cmd_serve_status(args) -> int:
     depth = ", ".join(
         f"{state}={queue[state]}" for state in sorted(queue) if queue[state]
     )
-    print(f"queue: {depth or 'empty'}; retries: {status.get('retries', 0)}")
+    print(f"queue: {depth or 'empty'}")
     print(
         f"workers: {workers.get('alive', '?')}/"
         f"{workers.get('configured', '?')} alive"
@@ -371,7 +371,7 @@ def cmd_serve_status(args) -> int:
         bench = f" {job['bench']}" if job.get("bench") else ""
         print(
             f"  running {job['job']} ({job['op']}{bench}) "
-            f"for {job['age_seconds']:.1f}s, retries {job['retries']}"
+            f"for {job['age_seconds']:.1f}s"
         )
     counters = status.get("metrics", {}).get("counters", {})
     if counters:
@@ -485,7 +485,6 @@ def cmd_serve(args) -> int:
         cache=cache_dir,
         workers=args.workers,
         default_timeout=args.job_timeout,
-        max_retries=args.max_retries,
     )
     where = (
         f"{args.host}:{args.port}" if args.host is not None else args.socket
@@ -713,7 +712,8 @@ def main(argv=None) -> int:
         type=int,
         default=2,
         metavar="N",
-        help="concurrent job-executing worker threads (default 2)",
+        help="concurrent job-executing worker threads; every job, a "
+        "suite included, runs on the thread that takes it (default 2)",
     )
     p.add_argument(
         "--job-timeout",
@@ -721,13 +721,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="SECONDS",
         help="default per-job wall-clock budget (default unbounded)",
-    )
-    p.add_argument(
-        "--max-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="requeues per job after transient failures (default 1)",
     )
     p.add_argument(
         "--drain-timeout",

@@ -198,8 +198,7 @@ def run_suite(
 
     ``observer`` receives the parent runner's stage/artifact events
     plus one ``stage="bench"`` completion per worker benchmark -- CLI
-    progress printing and the service daemon's event streams are both
-    just observers here.
+    progress printing is just an observer here.
 
     On KeyboardInterrupt the worker pool is torn down cleanly (pending
     futures cancelled, running workers joined, nothing orphaned) and

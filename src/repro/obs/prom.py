@@ -73,8 +73,8 @@ def status_gauges(status: Mapping[str, object]) -> Dict[str, Number]:
     """Derive exposition gauges from a daemon ``status`` RPC payload.
 
     Surfaces the introspection numbers that are not registry-resident:
-    uptime, queue depth by job state, in-flight count, retries, and
-    worker liveness.
+    uptime, queue depth by job state, in-flight count, and worker
+    liveness.
     """
     gauges: Dict[str, Number] = {}
     uptime = status.get("uptime_seconds")
@@ -88,9 +88,6 @@ def status_gauges(status: Mapping[str, object]) -> Dict[str, Number]:
     in_flight = status.get("in_flight")
     if isinstance(in_flight, list):
         gauges["serve.in_flight"] = len(in_flight)
-    retries = status.get("retries")
-    if isinstance(retries, (int, float)):
-        gauges["serve.retries"] = retries
     workers = status.get("workers")
     if isinstance(workers, Mapping):
         for key, count in workers.items():

@@ -13,9 +13,8 @@ served to many concurrent clients from one warm process:
   :mod:`repro.artifacts`) -- a queue-driven orchestrator executing jobs
   through the existing :class:`~repro.evaluation.runner.EvaluationRunner`
   against a shared content-addressed
-  :class:`~repro.artifacts.ArtifactStore`, with per-job timeouts,
-  bounded retry of transient worker failures, and cooperative
-  cancellation.
+  :class:`~repro.artifacts.ArtifactStore`, one worker thread per job,
+  with per-job timeouts and cooperative cancellation.
 * **Infrastructure** (:mod:`repro.service.daemon`,
   :mod:`repro.service.client`, and ``repro serve`` in
   :mod:`repro.cli`) -- an asyncio JSON-lines protocol over a Unix or
@@ -46,7 +45,6 @@ from repro.service.orchestrator import (
     JobCancelled,
     JobTimeout,
     Orchestrator,
-    TransientJobError,
 )
 
 __all__ = [
@@ -66,5 +64,4 @@ __all__ = [
     "RunJob",
     "SuiteJob",
     "TraceJob",
-    "TransientJobError",
 ]

@@ -139,14 +139,6 @@ class ServiceClient:
                 return False
             self._pending.append(event)
 
-    def stats(self) -> Dict[str, dict]:
-        self.send({"op": "stats"})
-        while True:
-            event = self._read_wire()
-            if event.get("event") == "stats":
-                return event
-            self._pending.append(event)
-
     def status(self) -> Dict[str, dict]:
         """The daemon's live introspection payload (``status`` RPC).
 

@@ -10,16 +10,18 @@ Requests::
 
     {"op": "compile", "bench": "mcf", "cores": 6, "include_ir": false}
     {"op": "run",     "bench": "mcf", "cores": 6}
-    {"op": "suite",   "benches": ["mcf", "vpr"], "cores": 6, "jobs": 1}
+    {"op": "suite",   "benches": ["mcf", "vpr"], "cores": 6}
     {"op": "trace",   "bench": "mcf", "include_trace": false}
     {"op": "cancel",  "job": "j3"}
-    {"op": "stats"}
     {"op": "status"}
     {"op": "ping"}
 
+Every job runs on the orchestrator worker thread that takes it; unknown
+request keys are ignored.
+
 Any job request may also carry ``"trace": true``: the orchestrator then
-runs that job's attempts under a recording tracer, and (when the daemon
-was started with ``--trace-dir``) a schema-valid Perfetto trace file is
+runs that job under a recording tracer, and (when the daemon was
+started with ``--trace-dir``) a schema-valid Perfetto trace file is
 written per job as it finishes, announced by a ``trace_written`` event
 in the job log and a ``trace_path`` on the terminal event.
 
@@ -28,14 +30,14 @@ Any request may carry a client-chosen ``"id"``, echoed on the
 the server-side ``"job"`` id).  Events::
 
     {"event": "accepted",        "id": ..., "job": "j3", "op": "run"}
-    {"event": "job_started",     "job": "j3", "op": "run", "retries": 0}
+    {"event": "job_started",     "job": "j3", "op": "run"}
     {"event": "stage_completed", "job": "j3", "bench": "mcf",
      "stage": "compile", "outcome": "compute", "seconds": 0.41}
     {"event": "artifact_stored", "job": "j3", "kind": "recording",
      "key": "ab12...", "outcome": "store"}
     {"event": "job_finished",    "job": "j3", "state": "done",
-     "retries": 0, "result": {...}, "metrics": {...}}
-    {"event": "stats",  ...}   {"event": "pong"}
+     "result": {...}, "metrics": {...}}
+    {"event": "pong"}
     {"event": "status", "run": ..., "uptime_seconds": ...,
      "queue": {...}, "in_flight": [...], "workers": {...},
      "metrics": {...}, "artifacts": {...}}
@@ -78,7 +80,7 @@ from repro.service.jobs import (
 from repro.service.orchestrator import Orchestrator
 
 #: Wire schema generation of the event stream.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _OPS = {
     "compile": lambda req: CompileJob(
@@ -92,7 +94,6 @@ _OPS = {
     "suite": lambda req: SuiteJob(
         benches=tuple(req["benches"]) if req.get("benches") else None,
         cores=int(req.get("cores", 6)),
-        jobs=int(req.get("jobs", 1)),
     ),
     "trace": lambda req: TraceJob(
         bench=req["bench"],
@@ -116,11 +117,10 @@ def validate_event(event: Any) -> List[str]:
         return ["missing event kind"]
     required: Dict[str, tuple] = {
         "accepted": ("job", "op"),
-        "job_started": ("job", "op", "retries"),
+        "job_started": ("job", "op"),
         "stage_completed": ("job", "bench", "stage", "outcome", "seconds"),
         "artifact_stored": ("job", "kind", "key", "outcome"),
-        "job_finished": ("job", "state", "retries"),
-        "stats": ("jobs", "artifacts"),
+        "job_finished": ("job", "state"),
         "status": ("run", "uptime_seconds", "queue", "workers", "metrics"),
         "heartbeat": ("uptime_seconds", "queue", "workers"),
         "trace_written": ("job", "path"),
@@ -206,14 +206,7 @@ class _ConnectionObserver(EvaluationObserver):
 
     def job_started(self, job: Optional[Job]) -> None:
         assert job is not None
-        self._emit(
-            {
-                "event": "job_started",
-                "job": job.id,
-                "op": job.op,
-                "retries": job.retries,
-            }
-        )
+        self._emit({"event": "job_started", "job": job.id, "op": job.op})
 
     def stage_completed(
         self,
@@ -253,7 +246,6 @@ class _ConnectionObserver(EvaluationObserver):
             "event": "job_finished",
             "job": job.id,
             "state": job.state.value,
-            "retries": job.retries,
             "error": job.error,
             "metrics": job.metrics,
         }
@@ -374,10 +366,6 @@ class Daemon:
         req_id = request.get("id")
         if op == "ping":
             await events.put({"event": "pong", "id": req_id})
-            return
-        if op == "stats":
-            stats = self.orchestrator.stats()
-            await events.put({"event": "stats", "id": req_id, **stats})
             return
         if op == "status":
             await events.put(

@@ -14,9 +14,8 @@ CLI commands they replace:
   (``repro trace``).
 
 A :class:`Job` wraps a spec with identity and lifecycle: the state
-machine is ``queued -> running -> done | failed | cancelled``, with the
-single back-edge ``running -> queued`` used by the orchestrator to
-requeue a job after a *transient* failure (bounded by its retry budget).
+machine is ``queued -> running -> done | failed | cancelled``, and a job
+runs once.
 
 Progress flows through the :class:`EvaluationObserver` protocol.  The
 CLI's progress printer, the daemon's per-client event stream and tests'
@@ -50,15 +49,10 @@ class JobState(str, Enum):
         return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
 
 
-#: Legal state-machine edges.  ``running -> queued`` is the retry edge.
+#: Legal state-machine edges.
 _TRANSITIONS: Dict[JobState, Tuple[JobState, ...]] = {
     JobState.QUEUED: (JobState.RUNNING, JobState.CANCELLED),
-    JobState.RUNNING: (
-        JobState.DONE,
-        JobState.FAILED,
-        JobState.CANCELLED,
-        JobState.QUEUED,
-    ),
+    JobState.RUNNING: (JobState.DONE, JobState.FAILED, JobState.CANCELLED),
     JobState.DONE: (),
     JobState.FAILED: (),
     JobState.CANCELLED: (),
@@ -99,7 +93,6 @@ class SuiteJob:
 
     benches: Optional[Tuple[str, ...]] = None
     cores: int = 6
-    jobs: int = 1
 
     op = "suite"
 
@@ -127,21 +120,19 @@ class Job:
     spec: Any
     id: str = ""
     state: JobState = JobState.QUEUED
-    #: Times this job was requeued after a transient failure.
-    retries: int = 0
-    #: Upper bound on one attempt's wall-clock (None = unbounded).
+    #: Upper bound on the job's wall-clock (None = unbounded).
     timeout: Optional[float] = None
     result: Optional[dict] = None
     error: Optional[str] = None
-    #: ``repro.obs`` counter/gauge delta captured over the attempt that
-    #: finished the job (orchestrator-filled).
+    #: ``repro.obs`` counter/gauge delta captured while the job ran
+    #: (orchestrator-filled).
     metrics: Optional[dict] = None
-    #: Capture spans during this job's attempts (``trace: true`` on the
-    #: wire); the orchestrator runs traced attempts under ``tracing()``.
+    #: Capture spans while this job runs (``trace: true`` on the wire);
+    #: the orchestrator runs traced jobs under ``tracing()``.
     trace: bool = False
-    #: Serialized :class:`~repro.obs.tracer.SpanEvent` dicts recorded by
-    #: the attempt that finished the job (only when :attr:`trace`, or
-    #: always for trace-op jobs).
+    #: Serialized :class:`~repro.obs.tracer.SpanEvent` dicts recorded
+    #: while the job ran (only when :attr:`trace`, or always for
+    #: trace-op jobs).
     spans: Optional[List[dict]] = None
     #: Where the daemon wrote this job's Perfetto trace (``--trace-dir``).
     trace_path: Optional[str] = None
@@ -186,7 +177,7 @@ class Job:
         self.cancel_requested.set()
 
     def age_seconds(self, now: Optional[float] = None) -> float:
-        """Seconds since the current (or last) attempt started running.
+        """Seconds since the job started running.
 
         Falls back to time-since-submission while the job is queued.
         """
@@ -210,7 +201,6 @@ class Job:
             "id": self.id,
             "op": self.op,
             "state": self.state.value,
-            "retries": self.retries,
             "error": self.error,
             "spec": spec,
             "metrics": self.metrics,
@@ -234,7 +224,7 @@ class EvaluationObserver:
     """
 
     def job_started(self, job: Optional[Job]) -> None:
-        """``job`` entered RUNNING (fires again after each retry)."""
+        """``job`` entered RUNNING."""
 
     def stage_completed(
         self,
@@ -304,7 +294,7 @@ class BoundObserver(EvaluationObserver):
 
     The evaluation runner emits stage/artifact events with ``job=None``
     (it predates jobs and stays job-agnostic); the orchestrator wraps
-    the real observer in a bound one per attempt so those events arrive
+    the real observer in a bound one per job so those events arrive
     attributed to the right job.
     """
 
@@ -362,10 +352,7 @@ class RecordingObserver(EvaluationObserver):
             self.events.append(record)
 
     def job_started(self, job: Optional[Job]) -> None:
-        self._record(
-            "job_started", job,
-            retries=job.retries if job is not None else 0,
-        )
+        self._record("job_started", job)
 
     def stage_completed(
         self,
@@ -391,7 +378,6 @@ class RecordingObserver(EvaluationObserver):
         self._record(
             "job_finished", job,
             state=job.state.value if job is not None else None,
-            retries=job.retries if job is not None else 0,
         )
 
     def for_job(self, job_id: str) -> List[ObservedEvent]:
@@ -409,11 +395,9 @@ def check_event_ordering(events: Sequence[ObservedEvent]) -> List[str]:
 
     * the stream starts with ``job_started`` and ends with
       ``job_finished``,
-    * ``job_finished`` appears exactly once, at the end,
-    * every stage/artifact event falls between a ``job_started`` and the
-      final ``job_finished``,
-    * ``job_started`` fires once per attempt with strictly increasing
-      ``retries`` starting at 0.
+    * ``job_started`` and ``job_finished`` each appear exactly once,
+    * every stage/artifact event falls between the ``job_started`` and
+      the ``job_finished``.
     """
     problems: List[str] = []
     if not events:
@@ -426,9 +410,8 @@ def check_event_ordering(events: Sequence[ObservedEvent]) -> List[str]:
     if len(finishes) != 1:
         problems.append(f"{len(finishes)} job_finished events (expected 1)")
     starts = [e for e in events if e.kind == "job_started"]
-    retries = [e.args.get("retries", 0) for e in starts]
-    if retries != sorted(set(retries)) or (retries and retries[0] != 0):
-        problems.append(f"job_started retries not 0,1,2,...: {retries}")
+    if len(starts) != 1:
+        problems.append(f"{len(starts)} job_started events (expected 1)")
     started = False
     for event in events:
         if event.kind == "job_started":

@@ -19,16 +19,14 @@ order.
 
 Execution discipline:
 
+* **One thread per job.** Every op, ``suite`` included, runs on the
+  worker thread that took it, over :attr:`Orchestrator.artifacts`; the
+  daemon never forks, and a job runs once: nothing is retried.
 * **Timeouts.** Each attempt may be bounded (``Job.timeout``); a timed
   out attempt fails the job, and the worker abandons its runner cache
   (the overrun handler may still be mutating those runners from its
   zombie thread -- Python cannot kill it, so the worker simply stops
   sharing state with it).
-* **Bounded retry.** A handler signalling :class:`TransientJobError`
-  (worker-process death under the suite fan-out, interrupted system
-  calls, ...) requeues the job up to ``max_retries`` times; every
-  requeue increments ``job.retries``, which is surfaced in observer
-  events and the daemon's report JSON.
 * **Cancellation.** :meth:`Orchestrator.cancel` finishes a queued job
   immediately; a running job is cancelled cooperatively -- handlers
   call :meth:`JobContext.check` between pipeline stages and raise
@@ -51,7 +49,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Type
 
@@ -78,10 +75,6 @@ class JobCancelled(Exception):
 
 class JobTimeout(Exception):
     """One attempt exceeded its wall-clock budget."""
-
-
-class TransientJobError(Exception):
-    """A failure worth retrying (e.g. worker-process death)."""
 
 
 #: The process-wide tracer is ambient, so trace-capturing jobs are
@@ -141,7 +134,6 @@ class Orchestrator:
         workers: int = 2,
         observer: Optional[EvaluationObserver] = None,
         default_timeout: Optional[float] = None,
-        max_retries: int = 1,
     ) -> None:
         #: The store every job's runners share: ``cache`` itself, or one
         #: opened on the directory ``cache`` names (``None``: no disk).
@@ -150,7 +142,6 @@ class Orchestrator:
         )
         self.observer: EvaluationObserver = observer or NULL_OBSERVER
         self.default_timeout = default_timeout
-        self.max_retries = max_retries
         self.handlers: Dict[Type[Any], Handler] = {
             CompileJob: self._handle_compile,
             RunJob: self._handle_run,
@@ -184,8 +175,8 @@ class Orchestrator:
         ``observer`` (optional) receives this job's events in addition
         to the orchestrator-wide observer -- the daemon registers the
         submitting connection's stream here.  ``trace`` asks the worker
-        to run the job's attempts under a recording tracer and attach
-        the captured spans to the job (``Job.spans``).
+        to run the job under a recording tracer and attach the captured
+        spans to the job (``Job.spans``).
         """
         if type(spec) not in self.handlers:
             raise TypeError(f"no handler for job spec {type(spec).__name__}")
@@ -276,31 +267,13 @@ class Orchestrator:
             for thread in self._threads:
                 thread.join(timeout)
 
-    def stats(self) -> dict:
-        """Job accounting + unified artifact-store counters."""
-        with self._lock:
-            jobs = list(self._jobs.values())
-        states: Dict[str, int] = {}
-        for job in jobs:
-            states[job.state.value] = states.get(job.state.value, 0) + 1
-        return {
-            "jobs": {
-                "total": len(jobs),
-                "states": states,
-                "retries": sum(job.retries for job in jobs),
-            },
-            "artifacts": self.artifacts.counters(),
-        }
-
     def status(self) -> dict:
         """Runtime introspection: queue depth, in-flight jobs, workers.
 
-        Unlike :meth:`stats` (job accounting for reports), this is the
-        live operational view the daemon's ``status`` RPC exposes:
-        queue depth by state (every state present, zero or not),
-        in-flight jobs with their ages, total retries, and worker
-        liveness -- a dead worker thread shows up as ``alive <
-        configured``.
+        The view the daemon's ``status`` RPC exposes: queue depth by
+        state (every state present, zero or not), in-flight jobs with
+        their ages, worker liveness -- a dead worker thread shows up as
+        ``alive < configured`` -- and the artifact store's counters.
         """
         now = time.monotonic()
         with self._lock:
@@ -314,7 +287,6 @@ class Orchestrator:
                 "job": job.id,
                 "op": job.op,
                 "bench": getattr(job.spec, "bench", None),
-                "retries": job.retries,
                 "age_seconds": round(job.age_seconds(now), 3),
             }
             for job in jobs
@@ -324,7 +296,6 @@ class Orchestrator:
             "accepting": accepting,
             "queue": queue_depth,
             "in_flight": in_flight,
-            "retries": sum(job.retries for job in jobs),
             "workers": {
                 "configured": len(self._threads),
                 "alive": sum(
@@ -361,10 +332,7 @@ class Orchestrator:
             )
             handler = self.handlers[type(job.spec)]
             try:
-                with get_tracer().span(
-                    f"job.{job.op}", cat="job", job=job.id,
-                    retries=job.retries,
-                ):
+                with get_tracer().span(f"job.{job.op}", cat="job", job=job.id):
                     result = self._attempt(handler, ctx, job)
             except JobCancelled:
                 with self._lock:
@@ -376,22 +344,6 @@ class Orchestrator:
                 with self._lock:
                     job.error = str(exc)
                     job.transition(JobState.FAILED)
-            except TransientJobError as exc:
-                requeued = False
-                with self._lock:
-                    if (
-                        job.retries < self.max_retries
-                        and not job.cancel_requested.is_set()
-                    ):
-                        job.retries += 1
-                        job.transition(JobState.QUEUED)
-                        requeued = True
-                    else:
-                        job.error = str(exc)
-                        job.transition(JobState.FAILED)
-                if requeued:
-                    self._queue.put(job)
-                    continue  # no job_finished: the next attempt restarts
             except Exception as exc:  # noqa: BLE001 - job isolation barrier
                 with self._lock:
                     job.error = f"{type(exc).__name__}: {exc}"
@@ -486,20 +438,15 @@ class Orchestrator:
 
     def _handle_compile(self, ctx: JobContext, spec: CompileJob) -> dict:
         from repro.core.loopinfo import HelixOptions
-        from repro.core.parallelizer import parallelize_module
         from repro.ir.printer import module_to_str
 
         runner = ctx.runner(spec.cores)
-        module = runner.module(spec.bench, "ref")
+        runner.module(spec.bench, "ref")
         ctx.check()
         selection = runner.selection(spec.bench)
         ctx.check()
-        transformed, infos = parallelize_module(
-            module,
-            selection.chosen,
-            runner.machine,
-            HelixOptions(),
-            manager=runner.analysis,
+        transformed, infos = runner._transform(
+            spec.bench, selection.chosen, runner.machine, HelixOptions()
         )
         result = {
             "bench": spec.bench,
@@ -518,25 +465,29 @@ class Orchestrator:
         return ctx.runner(spec.cores).run_result(spec.bench, ctx.check)
 
     def _handle_suite(self, ctx: JobContext, spec: SuiteJob) -> dict:
-        from repro.evaluation.parallel_runner import run_suite
+        # Figure 9 on this thread, over this job's runner and so over
+        # the orchestrator's store, like every other op.
+        from repro.evaluation.figures import figure9
 
-        root = self.artifacts.root
-        try:
-            fig9, report, _runner = run_suite(
-                machine=MachineConfig(cores=spec.cores),
-                jobs=spec.jobs,
-                cache_dir=None if root is None else str(root),
-                benches=list(spec.benches) if spec.benches else None,
-                observer=ctx.observer,
-            )
-        except BrokenProcessPool as exc:
-            raise TransientJobError(f"suite worker pool died: {exc}") from exc
+        start = time.perf_counter()
+        runner = ctx.runner(spec.cores)
+        if spec.benches:
+            benches = list(spec.benches)
+            runner.benches = lambda: benches  # type: ignore[method-assign]
+        fig9 = figure9(runner)
         return {
             "cores": spec.cores,
-            "geomeans": report.geomeans,
-            "speedups": report.speedups,
-            "wall_seconds": report.wall_seconds,
-            "interrupted": report.interrupted,
+            "geomeans": {
+                str(cores): fig9.geomean(cores) for cores in fig9.core_counts
+            },
+            "speedups": {
+                bench: {str(cores): value for cores, value in row.items()}
+                for bench, row in fig9.speedups.items()
+            },
+            "wall_seconds": time.perf_counter() - start,
+            # In a worker thread a suite never stops part-way with a
+            # partial figure; the key keeps the result's wire form.
+            "interrupted": False,
             "rendered": fig9.render(),
         }
 

@@ -99,11 +99,17 @@ def one_shot_run(bench, cores, cache_dir):
 
 
 def test_ping_and_stats(daemon):
+    """``status`` is the one introspection RPC: the old ``stats`` op is
+    answered like any unknown op."""
     with ServiceClient(socket_path=daemon.socket_path) as client:
         assert client.ping() is True
-        stats = client.stats()
-        assert validate_event(stats) == []
-        assert stats["jobs"]["total"] == 0
+        status = client.status()
+        assert validate_event(status) == []
+        assert sum(status["queue"].values()) == 0
+        assert status["artifacts"]["artifacts"] == {}
+        with pytest.raises(ServiceError, match="unknown op 'stats'"):
+            client.request({"op": "stats"})
+        assert client.ping() is True
 
 
 def test_concurrent_clients_byte_identical(daemon, tiny_bench, tmp_path):
@@ -156,8 +162,7 @@ def test_resubmission_hits_warm_store(daemon, tiny_bench):
             and event["outcome"] == "hit"
         ]
         assert hits, "resubmitted job saw no warm artifact hits"
-        stats = client.stats()
-        counters = stats["artifacts"]["artifacts"]
+        counters = client.status()["artifacts"]["artifacts"]
         assert sum(row["hits"] for row in counters.values()) > 0
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.service.daemon import PROTOCOL_VERSION, validate_event
 from repro.service.jobs import ObservedEvent, check_event_ordering
 
-assert PROTOCOL_VERSION == 1
+assert PROTOCOL_VERSION == 2
 
 # -- strategy building blocks ------------------------------------------------
 
@@ -31,9 +31,7 @@ json_scalars = st.one_of(
 #: Well-formed events, per kind, with every required field present.
 WELL_FORMED = {
     "accepted": {"event": "accepted", "job": "j1", "op": "run"},
-    "job_started": {
-        "event": "job_started", "job": "j1", "op": "run", "retries": 0,
-    },
+    "job_started": {"event": "job_started", "job": "j1", "op": "run"},
     "stage_completed": {
         "event": "stage_completed", "job": "j1", "bench": "mcf",
         "stage": "compile", "outcome": "compute", "seconds": 0.5,
@@ -42,11 +40,7 @@ WELL_FORMED = {
         "event": "artifact_stored", "job": "j1", "kind": "recording",
         "key": "ab12", "outcome": "store",
     },
-    "job_finished": {
-        "event": "job_finished", "job": "j1", "state": "failed",
-        "retries": 0,
-    },
-    "stats": {"event": "stats", "jobs": {}, "artifacts": {}},
+    "job_finished": {"event": "job_finished", "job": "j1", "state": "failed"},
     "status": {
         "event": "status", "run": "r1", "uptime_seconds": 1.0,
         "queue": {}, "workers": {}, "metrics": {},
@@ -160,25 +154,13 @@ class TestValidateEventFuzz:
 # -- event-ordering fuzz -----------------------------------------------------
 
 
-def make_events(kinds, retries_seq=None):
-    events = []
-    starts = 0
-    for kind in kinds:
-        args = {}
-        if kind == "job_started":
-            if retries_seq is not None and starts < len(retries_seq):
-                args["retries"] = retries_seq[starts]
-            else:
-                args["retries"] = starts
-            starts += 1
-        events.append(ObservedEvent(kind=kind, job_id="j1", args=args))
-    return events
+def make_events(kinds):
+    return [ObservedEvent(kind=kind, job_id="j1") for kind in kinds]
 
 
 WELL_ORDERED = [
     ["job_started", "job_finished"],
     ["job_started", "stage_completed", "artifact_stored", "job_finished"],
-    ["job_started", "stage_completed", "job_started", "job_finished"],
 ]
 
 
@@ -208,13 +190,12 @@ class TestCheckEventOrdering:
         )
         assert any("job_finished events" in p for p in problems)
 
-    def test_retries_must_increase_from_zero(self):
+    def test_job_started_fires_once(self):
         bad = make_events(
-            ["job_started", "job_started", "job_finished"],
-            retries_seq=[1, 0],
+            ["job_started", "stage_completed", "job_started", "job_finished"]
         )
         problems = check_event_ordering(bad)
-        assert any("retries" in p for p in problems)
+        assert problems == ["2 job_started events (expected 1)"]
 
     @given(
         st.lists(
@@ -234,6 +215,7 @@ class TestCheckEventOrdering:
             bool(kinds)
             and kinds[0] == "job_started"
             and kinds[-1] == "job_finished"
+            and kinds.count("job_started") == 1
             and kinds.count("job_finished") == 1
         )
         if well_formed:

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import (
+    CompileJob,
     JobState,
     Orchestrator,
     RecordingObserver,
     RunJob,
-    TransientJobError,
 )
+from repro.runtime.machine import MachineConfig
 from repro.service.jobs import check_event_ordering
 
 PROGRAM = """
@@ -119,49 +120,6 @@ def test_timeout_fails_job():
         assert job.cancel_requested.is_set()
     finally:
         release.set()
-        orch.shutdown()
-
-
-def test_transient_failure_retries_then_succeeds():
-    attempts = []
-
-    def flaky(ctx, spec):
-        attempts.append(ctx.job.retries)
-        if len(attempts) == 1:
-            raise TransientJobError("worker died")
-        return {"attempt": len(attempts)}
-
-    orch, observer = make_orchestrator(flaky, max_retries=2)
-    try:
-        job = orch.submit(FakeSpec())
-        orch.wait(job, timeout=10)
-        assert job.state is JobState.DONE
-        assert job.retries == 1
-        assert job.result == {"attempt": 2}
-        events = observer.for_job(job.id)
-        starts = [e for e in events if e.kind == "job_started"]
-        assert [e.args["retries"] for e in starts] == [0, 1]
-        # Exactly one terminal notification, after the retry.
-        assert check_event_ordering(events) == []
-        finish = events[-1]
-        assert finish.args["retries"] == 1
-    finally:
-        orch.shutdown()
-
-
-def test_retry_budget_exhausted():
-    def always_flaky(ctx, spec):
-        raise TransientJobError("still dying")
-
-    orch, observer = make_orchestrator(always_flaky, max_retries=1)
-    try:
-        job = orch.submit(FakeSpec())
-        orch.wait(job, timeout=10)
-        assert job.state is JobState.FAILED
-        assert job.retries == 1
-        assert "still dying" in job.error
-        assert orch.stats()["jobs"]["retries"] == 1
-    finally:
         orch.shutdown()
 
 
@@ -269,7 +227,7 @@ def test_run_job_via_real_pipeline(tmp_path, tiny_bench):
         second = orch.submit(RunJob(tiny_bench, cores=4))
         orch.wait(second, timeout=120)
         assert second.result == first.result
-        counters = orch.stats()["artifacts"]["artifacts"]
+        counters = orch.status()["artifacts"]["artifacts"]
         assert sum(row["hits"] for row in counters.values()) > 0
     finally:
         orch.shutdown()
@@ -588,40 +546,135 @@ def test_status_reports_queue_and_workers():
 @settings(max_examples=15, deadline=None)
 @given(
     plan=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=2),  # transient failures
-            st.integers(min_value=0, max_value=3),  # stage events
-        ),
+        st.integers(min_value=0, max_value=3),  # stage events
         min_size=1,
         max_size=4,
     )
 )
 def test_event_ordering_property_through_orchestrator(plan):
     """Real orchestrator streams always satisfy the observer contract,
-    whatever mix of retries and stage activity the handlers produce."""
-    failures_left = {}
+    whatever stage activity the handlers produce."""
 
     def scripted(ctx, spec):
         index = int(spec.tag)
-        fail, stages = plan[index]
-        for count in range(stages):
+        for count in range(plan[index]):
             ctx.observer.stage_completed(
                 None, f"bench{index}", f"stage{count}", "compute", 0.0
             )
-        if failures_left[index] > 0:
-            failures_left[index] -= 1
-            raise TransientJobError("scripted failure")
         return {"index": index}
 
-    orch, observer = make_orchestrator(scripted, workers=2, max_retries=2)
+    orch, observer = make_orchestrator(scripted, workers=2)
     try:
-        jobs = []
-        for index, (fail, _) in enumerate(plan):
-            failures_left[index] = fail
-            jobs.append(orch.submit(FakeSpec(str(index))))
+        jobs = [
+            orch.submit(FakeSpec(str(index))) for index in range(len(plan))
+        ]
         for job in jobs:
             orch.wait(job, timeout=30)
             assert job.state is JobState.DONE
             assert check_event_ordering(observer.for_job(job.id)) == []
     finally:
         orch.shutdown()
+
+
+def _suite_answer(result):
+    return json.dumps(
+        {key: result[key] for key in ("geomeans", "speedups", "rendered")},
+        sort_keys=True,
+    )
+
+
+def test_suite_job_runs_in_thread_over_the_shared_store(
+    tmp_path, tiny_bench, monkeypatch
+):
+    """A suite job's traffic is the orchestrator's store's traffic, its
+    answer is the one-shot suite's, and a request that still asks for
+    worker processes runs on the worker thread all the same."""
+    import concurrent.futures
+
+    from repro.evaluation import parallel_runner
+    from repro.service.daemon import _OPS
+
+    fig9, report, _runner = parallel_runner.run_suite(
+        machine=MachineConfig(cores=4),
+        cache_dir=str(tmp_path / "oneshot"),
+        benches=[tiny_bench],
+    )
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a daemon job forked a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel_runner, "ProcessPoolExecutor", no_pool)
+    observer = RecordingObserver()
+    orch = Orchestrator(
+        cache=tmp_path / "cache", workers=1, observer=observer
+    )
+    try:
+        request = {"op": "suite", "benches": [tiny_bench], "cores": 4}
+        job = _run(orch, _OPS["suite"](request))
+        counters = orch.status()["artifacts"]["artifacts"]
+        for kind in ("profile", "sequential", "plan", "recording"):
+            assert counters[kind]["stores"] == 1, (kind, counters)
+        assert _suite_answer(job.result) == _suite_answer(
+            {
+                "geomeans": report.geomeans,
+                "speedups": report.speedups,
+                "rendered": fig9.render(),
+            }
+        )
+        assert check_event_ordering(observer.for_job(job.id)) == []
+
+        # ``jobs`` is not a key of the suite op any more: it is ignored
+        # like any unknown key, and the job never reaches a pool.
+        again = _run(orch, _OPS["suite"](dict(request, jobs=2)))
+        assert _suite_answer(again.result) == _suite_answer(job.result)
+        counters = orch.status()["artifacts"]["artifacts"]
+        assert counters["plan"]["hits"] >= 1, counters
+    finally:
+        orch.shutdown()
+
+
+def test_compile_job_goes_through_the_transform_stage(tmp_path, monkeypatch):
+    """A compile job transforms through the runner's Steps 1-9 stage, so
+    it streams a ``transform`` stage event, and answers exactly what
+    Steps 1-9 on the selected loops print."""
+    from repro.bench import suite as bench_suite
+    from repro.core.loopinfo import HelixOptions
+    from repro.core.parallelizer import parallelize_module
+    from repro.evaluation.runner import EvaluationRunner
+    from repro.ir.printer import module_to_str
+    from tests.test_evaluation_cache import TINY_COHORT
+
+    bench = "tinycompile"
+    monkeypatch.setitem(
+        bench_suite.BENCHMARKS,
+        bench,
+        bench_suite.BenchmarkSpec(
+            bench, "synthetic bench with a selected loop",
+            lambda scale: TINY_COHORT, 1.0, "test",
+        ),
+    )
+    observer = RecordingObserver()
+    orch = Orchestrator(
+        cache=tmp_path / "cache", workers=1, observer=observer
+    )
+    try:
+        job = _run(orch, CompileJob(bench, cores=4, include_ir=True))
+        assert _stage_outcomes(observer, job)["transform"] == ["compute"]
+        assert check_event_ordering(observer.for_job(job.id)) == []
+    finally:
+        orch.shutdown()
+    runner = EvaluationRunner(MachineConfig(cores=4))
+    chosen = runner.selection(bench).chosen
+    transformed, infos = parallelize_module(
+        runner.module(bench, "ref"), chosen, runner.machine, HelixOptions(),
+        manager=runner.analysis,
+    )
+    assert job.result == {
+        "bench": bench,
+        "cores": 4,
+        "chosen": [list(loop) for loop in chosen],
+        "parallelized": len(infos),
+        "ir": module_to_str(transformed),
+    }
+    assert job.result["parallelized"] >= 1

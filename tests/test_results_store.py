@@ -503,7 +503,6 @@ class TestProm:
                 "uptime_seconds": 12.5,
                 "queue": {"queued": 1, "running": 2, "done": 3},
                 "in_flight": [{"job": "j1"}, {"job": "j2"}],
-                "retries": 1,
                 "workers": {"configured": 4, "alive": 3},
                 "accepting": True,
             }
@@ -513,3 +512,4 @@ class TestProm:
         assert gauges["serve.in_flight"] == 2
         assert gauges["serve.workers.alive"] == 3
         assert gauges["serve.accepting"] == 1
+        assert "serve.retries" not in gauges
