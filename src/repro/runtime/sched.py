@@ -20,8 +20,9 @@ the invocation), schedules each distinct invocation once and fans the
 result out by index.  A shape whose ``distinct members x machines``
 reach :data:`_MIN_COHORT` runs through the numpy-vectorized
 :func:`_schedule_cohort` walk, whose vector axis is that product: one
-opcode pass advances every member under every machine of a prefetch-mode
-class, and axes wider than :data:`_MAX_WIDTH` are walked in chunks.
+opcode pass advances every member under every machine, whatever its
+prefetch mode, and axes wider than :data:`_MAX_WIDTH` are walked in
+chunks.
 Smaller shapes -- a few traces under one to three machines -- are
 scheduled per member and machine by :func:`schedule_compact`, with which
 every column is field-exact.  Either way a shape's first trace is
@@ -535,6 +536,152 @@ def _iteration_cores(iterations: int, counts: Tuple[int, ...], top: int):
     return onehot
 
 
+#: What a column without a helper thread reads as its prefetched signal
+#: latency: so late that its prefetch ``min`` never wins, and far enough
+#: below the int64 ceiling that no clock plus it overflows.
+_NEVER = 1 << 62
+
+
+def _walk_chunk(prog, counted, machines, dt, et, clk, agendas):
+    """Advance one chunk of a cohort's columns through the shape's ops.
+
+    ``machines`` is the chunk's columns of the grid, ``dt`` / ``et`` its
+    per-op and iteration-closing time deltas, ``clk`` its per-core clocks
+    ``(max cores, width)``, set to ``conf`` and advanced in place.  The
+    prefetch mode enters as values only: a column without a helper
+    thread pays its ``wait`` on a pulled signal and reads :data:`_NEVER`
+    as its prefetched latency, so its helper chain, walked alongside,
+    never wins.  ``HELIX`` and ``MATCHED`` columns each follow their own
+    agenda (``agendas``, from :func:`_resolve_agendas`); an iteration
+    whose two agendas differ walks both chains and picks per column.
+    Returns each column's stall cycles and, for a non-counted loop, each
+    iteration's control-signal wait ``(iterations, width)``.
+    """
+    import numpy as np
+
+    cores, lat, fast, wait, xfr, bar, _conf, mode = machines
+    op_, a1_, src_ = prog.op, prog.a1, prog.src
+    pre_, off, tail_ = prog.pre, prog.off, prog.tail
+    has_next = prog.has_next
+    n = prog.iterations
+    width = clk.shape[1]
+    any_bar = bool(bar.any())
+    top = clk.shape[0]
+    one_count = top == int(cores.min())
+    lanes = np.arange(width)
+    hclk = np.zeros_like(clk)
+    evt = np.zeros((len(op_), width), dtype=np.int64)
+    stall = np.zeros(width, dtype=np.int64)
+    # Each iteration's control-signal wait.
+    signalled = np.zeros((0 if counted else n, width), dtype=np.int64)
+    prev_next = None
+    cur_next = None
+
+    def chain(cursor, agenda):
+        # One helper-thread agenda walked from ``cursor``: when each
+        # entry's signal lands, per column.
+        done = []
+        for source in agenda:
+            ts = prev_next if source == _CTRL_SRC else evt[source]
+            cursor = np.maximum(cursor, ts) + lat
+            done.append(cursor)
+        return done
+
+    # The agenda every helper column reads, and for a chunk of both
+    # flavours the ``MATCHED`` one its ``MATCHED`` columns read instead.
+    modes = list(PrefetchMode)
+    is_hx = mode == modes.index(PrefetchMode.HELIX)
+    has_hx = bool(is_hx.any())
+    has_mt = bool((mode == modes.index(PrefetchMode.MATCHED)).any())
+    entries = pf_pos = mt_entries = mt_pos = None
+    if has_hx or has_mt:
+        mt_pos, hx_pos, mt_entries, hx_entries = agendas
+        entries, pf_pos = (
+            (hx_entries, hx_pos) if has_hx else (mt_entries, mt_pos)
+        )
+    both = has_hx and has_mt
+
+    for i in range(n):
+        # Iteration i's clock row, per column: indexing with it gathers
+        # on read and scatters on write.
+        core = i % top if one_count else (i % cores, lanes)
+        need_ctrl = i > 0 and not counted
+        if need_ctrl:
+            assert has_next[i - 1], "iteration without start signal"
+
+        pfv = pfm = None
+        if entries is not None and i > 0:
+            cursor = hclk[core]
+            pfv = chain(cursor, entries[i])
+            if both and mt_entries[i] != entries[i]:
+                pfm = chain(cursor, mt_entries[i])
+                hclk[core] = np.where(
+                    is_hx, pfv[-1] if pfv else cursor,
+                    pfm[-1] if pfm else cursor,
+                )
+            elif pfv:
+                hclk[core] = pfv[-1]
+
+        t = clk[core]
+        if need_ctrl:
+            started = t
+            t = np.maximum(t, prev_next) + wait
+            if pfv:
+                # The control entry leads both agendas, so both chains
+                # agree on it.
+                np.minimum(t, np.maximum(started + fast, pfv[0]), out=t)
+            signalled[i] = t - started
+
+        for j in range(off[i], off[i + 1]):
+            o = op_[j]
+            pj = pre_[j]
+            t = t + dt[j]
+            if o == OP_WAIT_SYNC:
+                if any_bar:
+                    t += (pj + 1) * bar
+                arrival = np.maximum(t, evt[src_[j]])
+                arrival += wait
+                done = None
+                if pfm is not None:
+                    hp, mp = pf_pos[j], mt_pos[j]
+                    if hp >= 0 or mp >= 0:
+                        done = np.where(
+                            is_hx,
+                            pfv[hp] if hp >= 0 else _NEVER,
+                            pfm[mp] if mp >= 0 else _NEVER,
+                        )
+                elif pfv is not None and pf_pos[j] >= 0:
+                    done = pfv[pf_pos[j]]
+                if done is not None:
+                    np.minimum(
+                        arrival, np.maximum(t + fast, done), out=arrival
+                    )
+                stall += arrival - t
+                t = arrival
+            elif o == OP_WAIT:
+                if any_bar:
+                    t += (pj + 1) * bar
+            elif o == OP_SIGNAL:
+                if any_bar:
+                    t += (pj + 1) * bar
+                evt[j] = t
+            elif o == OP_XFER:
+                t += a1_[j] * xfr
+                if any_bar and pj:
+                    t += pj * bar
+            else:  # OP_NEXT
+                if any_bar and pj:
+                    t += pj * bar
+                cur_next = t
+
+        t = t + et[i]
+        if any_bar and tail_[i]:
+            t += tail_[i] * bar
+        clk[core] = t
+        prev_next = cur_next
+    return stall, signalled
+
+
 def _schedule_cohort(
     traces: List[CompactInvocationTrace],
     loop: LoopInfo,
@@ -549,15 +696,17 @@ def _schedule_cohort(
     once, so the per-op interpretive overhead is paid once per shape
     instead of once per trace per machine.  Every machine field enters
     the walk as a value (``max``/``min``/``+`` only) and is broadcast
-    as a per-column vector against the per-trace time deltas; only two
-    things change the walk's structure.  The prefetch mode picks the
-    agenda, so machines are walked in up to three classes (``NONE`` and
-    ``IDEAL`` share one walk, differing in what a completed wait costs;
-    ``HELIX`` and ``MATCHED`` take one each).  The core count picks the
-    clock row of iteration ``i`` (``i % cores``), which is a row
-    gather/scatter on the ``(max cores, width)`` clock arrays, and a
-    plain row when the columns of a walk agree on it.  Axes wider than
-    :data:`_MAX_WIDTH` are walked in chunks.
+    as a per-column vector against the per-trace time deltas, the
+    prefetch mode included (see :func:`_walk_chunk`): every machine
+    advances in one pass per chunk of :data:`_MAX_WIDTH` columns.  Two
+    things still shape a chunk's walk.  The helper-thread agendas its
+    columns read: none, one, or where ``HELIX`` and ``MATCHED`` columns
+    share the chunk, two on the iterations whose agendas differ.  And the
+    core count, which picks the clock row of iteration ``i``
+    (``i % cores``): a row gather/scatter on the ``(max cores, width)``
+    clock arrays, and a plain row when the columns of a chunk agree on
+    it.  Columns are ordered by prefetch mode, then core count, so most
+    chunks of a wide axis read one agenda and plain rows.
 
     Only the representative trace's program is read; every trace's own
     stamps are gathered from its raw event columns through the
@@ -654,10 +803,8 @@ def _schedule_cohort(
         )
         return data, per_core
 
-    op_, a1_, src_ = prog.op, prog.a1, prog.src
-    pre_, off, tail_ = prog.pre, prog.off, prog.tail
-    has_next = prog.has_next
-    nops = len(op_)
+    off = prog.off
+    nops = len(prog.op)
 
     # Per-op time deltas, transposed so ``dt[j]`` is a contiguous
     # cohort-wide vector: dt[j] = at[j] - at[j-1] within an iteration,
@@ -681,155 +828,51 @@ def _schedule_cohort(
 
     # Every column's clock per core, and for a non-counted loop the
     # control-signal waits of the iterations each core ran: columns in
-    # walk order, one block of ``cohort`` per machine in ``walked``.
+    # walk order, one block of ``cohort`` per machine in ``order``.
     clocks = np.empty((top_all, grid.shape[1] * cohort), dtype=np.int64)
     signals = None if counted else np.zeros_like(clocks)
-    walked = []
-
-    # Machines by what changes the walk's structure: the agenda flavour.
-    modes = list(PrefetchMode)
     agendas = None
-    for code in np.unique(mode_v).tolist():
-        do_helper = modes[code] is not PrefetchMode.NONE
-        if do_helper:
-            if agendas is None:
-                agendas = _resolve_agendas(
-                    prog, tuple(loop.helper_order), counted
+    if mode_v.any():  # some machine runs a helper thread (``NONE`` is 0)
+        agendas = _resolve_agendas(prog, tuple(loop.helper_order), counted)
+
+    # Machines by agenda flavour, then core count: most chunks of a wide
+    # axis then read one agenda and plain clock rows.
+    order = np.lexsort((cores_v, mode_v))
+    axis = len(order) * cohort
+    for lo in range(0, axis, _MAX_WIDTH):
+        columns = np.arange(lo, min(lo + _MAX_WIDTH, axis))
+        mi_, c_ = order[columns // cohort], columns % cohort
+        chunk = slice(lo, lo + len(columns))
+        cores = cores_v[mi_]
+        clocks[:, chunk] = conf_v[mi_]
+        clk = clocks[: int(cores.max()), chunk]
+        stall, signalled = _walk_chunk(
+            prog, counted, grid[:, mi_], dt[:, c_], et[:, c_], clk, agendas
+        )
+
+        # Clocks only advance and start at ``conf``, which no end
+        # precedes: the last end is the greatest entry of any row.
+        col["parallel_cycles"][mi_, c_] = clk.max(axis=0) + wind_v[mi_]
+        col["wait_stall_cycles"][mi_, c_] = stall
+        if not counted:
+            col["signal_cycles"][mi_, c_] = signalled.sum(axis=0)
+            # Each iteration's wait, on the core that ran it: one
+            # product per core count of the chunk.
+            into = signals[:, chunk]
+            for count in np.unique(cores).tolist():
+                ran = cores == count
+                into[:, ran] = (
+                    _iteration_cores(n, (count,), top_all) @ signalled[:, ran]
                 )
-            mt_pos, hx_pos, mt_entries, hx_entries = agendas
-            pf_pos, pf_entries = (
-                (hx_pos, hx_entries)
-                if modes[code] is PrefetchMode.HELIX
-                else (mt_pos, mt_entries)
-            )
-        # Machines of one core count take adjacent columns, so most
-        # chunks of a wide axis read plain clock rows.
-        of_class = np.nonzero(mode_v == code)[0]
-        of_class = of_class[np.argsort(cores_v[of_class], kind="stable")]
-        base = len(walked) * cohort
-        walked += of_class.tolist()
-        axis = len(of_class) * cohort
-        for lo in range(0, axis, _MAX_WIDTH):
-            columns = np.arange(lo, min(lo + _MAX_WIDTH, axis))
-            mi_, c_ = of_class[columns // cohort], columns % cohort
-            width = len(columns)
-            cores, lat, fast, wait, xfr, bar, conf, _ = grid[:, mi_]
-            any_bar = bool(bar.any())
-            dtw, etw = dt[:, c_], et[:, c_]
-
-            top = int(cores.max())
-            one_count = top == int(cores.min())
-            lanes = np.arange(width)
-            chunk = slice(base + lo, base + lo + width)
-            clocks[:, chunk] = conf
-            clk = clocks[:top, chunk]
-            hclk = np.zeros_like(clk) if do_helper else None
-            evt = np.zeros((nops, width), dtype=np.int64)
-            stall = np.zeros(width, dtype=np.int64)
-            # Each iteration's control-signal wait.
-            signalled = np.zeros((0 if counted else n, width), dtype=np.int64)
-            prev_next = None
-            cur_next = None
-
-            for i in range(n):
-                # Iteration i's clock row, per column: indexing with it
-                # gathers on read and scatters on write.
-                core = i % top if one_count else (i % cores, lanes)
-                need_ctrl = i > 0 and not counted
-                if need_ctrl:
-                    assert has_next[i - 1], "iteration without start signal"
-
-                pfv = None
-                if do_helper and i > 0 and pf_entries[i]:
-                    cursor = hclk[core]
-                    pfv = []
-                    for source in pf_entries[i]:
-                        ts = prev_next if source == _CTRL_SRC else evt[source]
-                        cursor = np.maximum(cursor, ts) + lat
-                        pfv.append(cursor)
-                    hclk[core] = cursor
-
-                t = clk[core]
-                if need_ctrl:
-                    started = t
-                    t = np.maximum(t, prev_next)
-                    if do_helper:
-                        # The control entry always leads the agenda.
-                        t = np.minimum(
-                            t + lat, np.maximum(started + fast, pfv[0])
-                        )
-                    else:
-                        t = t + wait
-                    signalled[i] = t - started
-
-                for j in range(off[i], off[i + 1]):
-                    o = op_[j]
-                    pj = pre_[j]
-                    t = t + dtw[j]
-                    if o == OP_WAIT_SYNC:
-                        if any_bar:
-                            t += (pj + 1) * bar
-                        arrival = np.maximum(t, evt[src_[j]])
-                        if do_helper:
-                            arrival += lat
-                            pos = pf_pos[j]
-                            if pos >= 0:
-                                np.minimum(
-                                    arrival,
-                                    np.maximum(t + fast, pfv[pos]),
-                                    out=arrival,
-                                )
-                        else:
-                            arrival += wait
-                        stall += arrival - t
-                        t = arrival
-                    elif o == OP_WAIT:
-                        if any_bar:
-                            t += (pj + 1) * bar
-                    elif o == OP_SIGNAL:
-                        if any_bar:
-                            t += (pj + 1) * bar
-                        evt[j] = t
-                    elif o == OP_XFER:
-                        t += a1_[j] * xfr
-                        if any_bar and pj:
-                            t += pj * bar
-                    else:  # OP_NEXT
-                        if any_bar and pj:
-                            t += pj * bar
-                        cur_next = t
-
-                t = t + etw[i]
-                if any_bar and tail_[i]:
-                    t += tail_[i] * bar
-                clk[core] = t
-                prev_next = cur_next
-
-            # Clocks only advance and start at ``conf``, which no end
-            # precedes: the last end is the greatest entry of any row.
-            col["parallel_cycles"][mi_, c_] = clk.max(axis=0) + wind_v[mi_]
-            col["wait_stall_cycles"][mi_, c_] = stall
-            if not counted:
-                col["signal_cycles"][mi_, c_] = signalled.sum(axis=0)
-                # Each iteration's wait, on the core that ran it: one
-                # slice per core count of the chunk.
-                cuts = [0, *(np.flatnonzero(np.diff(cores)) + 1).tolist()]
-                for a, b in zip(cuts, cuts[1:] + [width]):
-                    count = int(cores[a])
-                    signals[:, chunk][:, a:b] = (
-                        _iteration_cores(n, (count,), top_all)
-                        @ signalled[:, a:b]
-                    )
 
     # Per machine, weighted by occurrence: every clock ran from ``conf``
     # through exactly its iterations' signal waits, compute, stalls and
     # transfers.
-    walked = np.array(walked)
-    shape = (top_all, len(walked), cohort)
-    advanced = (clocks.reshape(shape) - conf_v[walked, None]) @ weights
-    per_core[1, walked] = advanced.T
+    shape = (top_all, len(order), cohort)
+    advanced = (clocks.reshape(shape) - conf_v[order, None]) @ weights
+    per_core[1, order] = advanced.T
     if signals is not None:
-        per_core[2, walked] = (signals.reshape(shape) @ weights).T
+        per_core[2, order] = (signals.reshape(shape) @ weights).T
     per_core[1] -= per_core[0] + per_core[2] + per_core[3]
     return data, per_core
 
@@ -909,24 +952,26 @@ def schedule_many(
         return ScheduleColumns(data[:, :, index], grouping, per_core)
     occurrences = np.bincount(index, minlength=len(first))
     # The machines as the vector walk reads them: every field a value,
-    # and last the agenda flavour, the one thing that selects code
-    # (without a helper thread there is no agenda, and ``IDEAL`` is
-    # ``NONE`` with cheaper waits).
+    # the prefetch mode too.  A machine without a helper thread pays
+    # ``wait`` on every signal (``IDEAL`` is ``NONE`` with cheaper
+    # waits) and reads ``_NEVER`` as its prefetched latency; last comes
+    # the agenda flavour a helper thread reads.
     modes = list(PrefetchMode)
     rows = []
     for m in machines:
         mode = m.effective_prefetch_mode
-        ideal = mode is PrefetchMode.IDEAL
+        helper = mode in (PrefetchMode.HELIX, PrefetchMode.MATCHED)
+        fast = m.prefetched_signal_latency
         rows.append(
             (
                 m.cores,
                 m.signal_latency,
-                m.prefetched_signal_latency,
-                m.prefetched_signal_latency if ideal else m.signal_latency,
+                fast if helper else _NEVER,
+                fast if mode is PrefetchMode.IDEAL else m.signal_latency,
                 m.word_transfer_cycles,
                 0 if m.total_store_ordering else m.barrier_cycles,
                 m.config_cycles_per_thread * max(m.cores - 1, 1),
-                modes.index(PrefetchMode.NONE if ideal else mode),
+                modes.index(mode if helper else PrefetchMode.NONE),
             )
         )
     grid = np.array(rows, dtype=np.int64).T

@@ -24,6 +24,7 @@ from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import ParallelExecutor, schedule_invocation
 from repro.runtime.sched import (
     ScheduleColumns,
+    _resolve_agendas,
     schedule_compact,
     schedule_invocation_reference,
     schedule_many,
@@ -114,6 +115,24 @@ SOURCES = {
     """,
 }
 
+#: A loop whose iterations wait on its two dependences in an order of
+#: their own on some iterations and in the helper's static order on
+#: others, so its ``MATCHED`` and ``HELIX`` agendas differ and agree.
+#: Kept out of :data:`SOURCES`, whose clocks and timelines are pinned
+#: under ``tests/data``.
+BRANCHY = """
+    int a;
+    int b;
+    void main() {
+        int i;
+        for (i = 0; i < 24; i++) {
+            if (i % 3 == 0) { b = (b + i) % 997; }
+            a = (a + b * 3 + i) % 991;
+        }
+        print(a); print(b);
+    }
+"""
+
 #: Machines exercising every engine path: each prefetch mode at several
 #: core counts (including one core), no-SMT, non-TSO barriers, and
 #: degenerate/extreme latencies.
@@ -148,7 +167,9 @@ def _prepare(name):
     """Transform once per source; record traces under the base machine."""
     cached = _prepared.get(name)
     if cached is None:
-        module = compile_source(SOURCES[name])
+        module = compile_source(
+            BRANCHY if name == "branchy" else SOURCES[name]
+        )
         loop_ids = []
         for func in module.functions.values():
             loop_ids += [
@@ -418,6 +439,132 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
             restored.schedule_columns(machine).per_core
             == 2 * executor.schedule_columns(machine).per_core
         ).all()
+
+
+def _walked_shapes(monkeypatch, sched_mod):
+    """Spy on the vector walk: the programs of the cohorts walked, and
+    how many chunks each was walked in."""
+    cohorts, chunks = [], Counter()
+    real_cohort, real_walk = sched_mod._schedule_cohort, sched_mod._walk_chunk
+
+    def cohort(traces, loop, grid, weights):
+        cohorts.append((traces[0].program, len(traces), loop))
+        return real_cohort(traces, loop, grid, weights)
+
+    def walk(prog, *args):
+        chunks[id(prog)] += 1
+        return real_walk(prog, *args)
+
+    monkeypatch.setattr(sched_mod, "_schedule_cohort", cohort)
+    monkeypatch.setattr(sched_mod, "_walk_chunk", walk)
+    return cohorts, chunks
+
+
+@pytest.mark.parametrize("max_width", [None, 7])
+def test_a_shape_is_walked_once_per_chunk(max_width, monkeypatch):
+    """Every machine of a shape, whatever its prefetch mode, advances in
+    one pass per chunk of the vector axis: ``members x machines`` over
+    :data:`_MAX_WIDTH` passes, not one per prefetch-mode class.  The
+    one-member shapes of every program under the mixed grid (all four
+    modes), in one piece and in chunks of seven columns."""
+    import math
+
+    import repro.runtime.sched as sched_mod
+
+    executors = [
+        _prepare(name)[2] for name in [*sorted(SOURCES), "branchy"]
+    ]
+    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
+    if max_width is not None:
+        monkeypatch.setattr(sched_mod, "_MAX_WIDTH", max_width)
+    cohorts, chunks = _walked_shapes(monkeypatch, sched_mod)
+    for executor in executors:
+        schedule_many(executor.traces, executor._loops(), MIXED_GRID)
+    walked = 0
+    for prog, members, loop in cohorts:
+        assert members == 1
+        if prog.iterations == 0 or (loop.counted and prog.active_ops == 0):
+            expected = 0  # nothing to walk: a closed form
+        else:
+            expected = math.ceil(
+                members * len(MIXED_GRID) / sched_mod._MAX_WIDTH
+            )
+            walked += 1
+        assert chunks[id(prog)] == expected
+    assert walked > len(SOURCES)
+
+
+#: Every prefetch mode in one chunk: TSO and non-TSO, one helper machine
+#: without SMT, and core counts of their own, so the walk selects both
+#: clock rows and agendas per column.  On one core, a helper's own clock
+#: (the end of its last agenda), not the signal, can bound its next
+#: prefetch.
+ALL_MODES_GRID = [
+    MachineConfig(cores=cores, prefetch_mode=mode, total_store_ordering=tso)
+    for mode in PrefetchMode
+    for cores, tso in ((2, True), (3, False), (4, True))
+] + [
+    MachineConfig(cores=3, prefetch_mode=PrefetchMode.HELIX, smt=False),
+    MachineConfig(cores=1, prefetch_mode=PrefetchMode.HELIX),
+    MachineConfig(cores=1, prefetch_mode=PrefetchMode.MATCHED),
+    MachineConfig(
+        cores=5,
+        prefetch_mode=PrefetchMode.MATCHED,
+        signal_latency=220,
+        prefetched_signal_latency=0,
+        total_store_ordering=False,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "stretch", [1, 1 << 40], ids=["recorded", "stretched"]
+)
+def test_a_mixed_chunk_matches_the_engines(stretch, monkeypatch):
+    """``NONE``, ``IDEAL``, ``HELIX`` and ``MATCHED`` columns walked in one
+    chunk over a loop whose ``HELIX`` and ``MATCHED`` agendas differ on
+    some iterations (two prefetch chains, selected per column) and agree
+    on others (one chain): every cell is the scalar engine's and the
+    reference's.  Stretched so that an invocation spans about 2**40
+    cycles, the walk shows that the no-helper sentinel neither wins a
+    prefetch nor overflows."""
+    import repro.runtime.sched as sched_mod
+
+    _, infos, executor, _ = _prepare("branchy")
+    info_by_id = {info.loop_id: info for info in infos}
+    traces = [
+        _retimed(
+            trace,
+            stretch=max(1, stretch // (trace.end_cycles - trace.start_cycles)),
+        )
+        for trace in executor.traces
+    ]
+    loops = [info_by_id[trace.loop_id] for trace in traces]
+    split = []
+    for trace, loop in zip(traces, loops):
+        mt_pos, hx_pos, mt_entries, hx_entries = _resolve_agendas(
+            trace.program, tuple(loop.helper_order), loop.counted
+        )
+        differ = [mt != hx for mt, hx in zip(mt_entries[1:], hx_entries[1:])]
+        split.append(any(differ) and not all(differ) and mt_pos != hx_pos)
+    assert any(split)
+    if stretch > 1:
+        assert min(t.end_cycles - t.start_cycles for t in traces) >= 1 << 39
+
+    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
+    cohorts, chunks = _walked_shapes(monkeypatch, sched_mod)
+    columns = schedule_many(traces, loops, ALL_MODES_GRID)
+    assert cohorts and all(
+        chunks[id(prog)] == 1 for prog, _, _ in cohorts
+    )  # one chunk per shape
+    for mi, machine in enumerate(ALL_MODES_GRID):
+        for trace, loop, cell in zip(
+            traces, loops, columns.column(mi).results()
+        ):
+            assert cell == schedule_compact(trace, loop, machine)
+            assert cell == schedule_invocation_reference(
+                trace.to_invocation_trace(), loop, machine
+            ), machine.fingerprint()
 
 
 def test_out_of_order_intervals_are_fixed_up_off_the_first_column():
