@@ -45,7 +45,6 @@ from repro.analysis.loopnest import (
 )
 from repro.analysis.manager import (
     Analysis,
-    AnalysisCounter,
     AnalysisManager,
 )
 
@@ -80,6 +79,5 @@ __all__ = [
     "DynamicLoopNestGraph",
     "build_static_loop_nest_graph",
     "Analysis",
-    "AnalysisCounter",
     "AnalysisManager",
 ]

@@ -23,11 +23,13 @@ Function-level bumps propagate to the owning module (see
 dependence) are invalidated by any function edit while function-scoped
 ones (CFG, loops, liveness) survive edits to *other* functions.
 
-Observability: the manager counts hits/misses/invalidations and compute
-wall-clock per analysis (:attr:`AnalysisManager.counters`), and mirrors
-them into an attached :class:`~repro.evaluation.runner.StageStats` under
-``analysis:<name>`` stage keys so they flow through the suite's
-``--stats`` table and ``--report`` JSON.
+Observability: the manager counts hits, misses, invalidations and
+compute wall-clock per analysis straight into ``analysis:<name>`` rows
+of one :class:`~repro.obs.metrics.StageStats`
+(:attr:`AnalysisManager.stats`: an evaluation runner's own, so they flow
+through the suite's ``--stats`` table and ``--report`` JSON, or a fresh
+one), and into the registry as
+``analysis.<name>.{hits,misses,invalidations}``.
 
 Registering a new analysis means declaring one :class:`Analysis` spec:
 its name, a compute callback ``(am, target, *args) -> result`` (which may
@@ -39,7 +41,6 @@ those arguments to a hashable cache key.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 from weakref import WeakKeyDictionary
 
@@ -53,6 +54,7 @@ from repro.analysis.loops import Loop, LoopForest, find_loops
 from repro.analysis.pointer import PointsToResult, andersen_pointer_analysis
 from repro.ir import Function, Module
 from repro.obs import REGISTRY, get_tracer
+from repro.obs.metrics import StageStats
 
 
 class Analysis:
@@ -124,52 +126,25 @@ INDUCTION = Analysis(
 )
 
 
-# -- counters --------------------------------------------------------------------
-
-
-@dataclass
-class AnalysisCounter:
-    """Hit/miss/invalidation accounting of one analysis kind."""
-
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
-    wall_seconds: float = 0.0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "wall_seconds": self.wall_seconds,
-        }
-
-
 # -- the manager -----------------------------------------------------------------
 
 
 class AnalysisManager:
     """Version-checked memoization of analyses over Functions/Modules.
 
-    ``stats`` (optional) is a :class:`~repro.evaluation.runner.StageStats`
-    (or anything with its ``record``/``invalidate`` methods): hits,
-    misses and invalidations are mirrored there under ``analysis:<name>``
-    stage keys on top of the local :attr:`counters`.
+    ``stats`` is the table the manager counts into (``None``: a fresh
+    one): a hit is a ``memory_hits`` of the ``analysis:<name>`` row, a
+    miss a ``computes`` with its compute time, and a stale result an
+    ``invalidations``.
     """
 
-    def __init__(self, stats: Optional[Any] = None) -> None:
+    def __init__(self, stats: Optional[StageStats] = None) -> None:
         #: target object -> {(analysis name, *key): (version, result)}.
         #: Weak keys: caches die with the module/function they describe.
         self._cache: "WeakKeyDictionary[Any, Dict[Tuple, Tuple[int, Any]]]" = (
             WeakKeyDictionary()
         )
-        self.counters: Dict[str, AnalysisCounter] = {}
-        self.stats = stats
+        self.stats = StageStats() if stats is None else stats
 
     # -- core protocol -----------------------------------------------------------
 
@@ -198,20 +173,6 @@ class AnalysisManager:
         per_target[key] = (version, result)
         self._count_miss(analysis.name, seconds)
         return result
-
-    def counter(self, name: str) -> AnalysisCounter:
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = AnalysisCounter()
-            self.counters[name] = counter
-        return counter
-
-    def stats_dict(self) -> Dict[str, dict]:
-        """Machine-readable per-analysis counters (sorted by name)."""
-        return {
-            name: self.counters[name].as_dict()
-            for name in sorted(self.counters)
-        }
 
     # -- shorthands --------------------------------------------------------------
 
@@ -242,21 +203,15 @@ class AnalysisManager:
     # -- accounting --------------------------------------------------------------
 
     def _count_hit(self, name: str) -> None:
-        self.counter(name).hits += 1
+        self.stats.tally(f"analysis:{name}").memory_hits += 1
         REGISTRY.inc(f"analysis.{name}.hits")
-        if self.stats is not None:
-            self.stats.record(f"analysis:{name}", "memory")
 
     def _count_miss(self, name: str, seconds: float) -> None:
-        counter = self.counter(name)
-        counter.misses += 1
-        counter.wall_seconds += seconds
+        tally = self.stats.tally(f"analysis:{name}")
+        tally.computes += 1
+        tally.wall_seconds += seconds
         REGISTRY.inc(f"analysis.{name}.misses")
-        if self.stats is not None:
-            self.stats.record(f"analysis:{name}", "compute", seconds)
 
     def _count_invalidation(self, name: str) -> None:
-        self.counter(name).invalidations += 1
+        self.stats.invalidate(f"analysis:{name}")
         REGISTRY.inc(f"analysis.{name}.invalidations")
-        if self.stats is not None:
-            self.stats.invalidate(f"analysis:{name}")

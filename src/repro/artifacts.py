@@ -35,6 +35,10 @@ traffic tally:
 * **Tally.**  Every load and store is counted per kind (hits, misses,
   stores) in one table, read by :meth:`ArtifactStore.traffic` and
   mirrored into the metrics registry as ``evalcache.<what>.<kind>``.
+  It is the one count of the store's traffic across every runner and
+  job that shares it.  A hit is a payload its reader accepted: a stage
+  that cannot decode what it loaded calls :meth:`ArtifactStore.reject`,
+  and the load counts as a miss.
   :meth:`ArtifactStore.counters` adds the occupancy of the schedule
   memos the store handed out (:class:`ScheduleMemo`, one per executor,
   held weakly).
@@ -336,13 +340,19 @@ class ArtifactStore:
 
     # -- accounting ----------------------------------------------------------
 
-    def _count(self, kind: str, what: str) -> None:
+    def reject(self, kind: str) -> None:
+        """Count the last :meth:`load` of ``kind`` a miss, not a hit: its
+        reader rejected the payload (fields missing or mistyped)."""
+        self._count(kind, "hits", -1)
+        self._count(kind, "misses")
+
+    def _count(self, kind: str, what: str, delta: int = 1) -> None:
         with self._lock:
             row = self._traffic.setdefault(
                 kind, {"hits": 0, "misses": 0, "stores": 0}
             )
-            row[what] += 1
-        REGISTRY.inc(f"evalcache.{what}.{kind}")
+            row[what] += delta
+        REGISTRY.inc(f"evalcache.{what}.{kind}", delta)
 
     def traffic(self) -> Dict[str, Dict[str, int]]:
         """Per-kind hit/miss/store counts (sorted by kind)."""

@@ -221,7 +221,7 @@ def _cmd_compile(args) -> int:
     print(f"parallelized loops: {len(result.infos)}")
     if args.pass_stats:
         print()
-        print(format_analysis_stats(manager.stats_dict()))
+        print(format_analysis_stats(manager.stats.analyses()))
     return 0
 
 

@@ -35,10 +35,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.artifacts import code_version
 from repro.evaluation import figures
-from repro.evaluation.runner import EvaluationRunner, StageStats
+from repro.evaluation.runner import EvaluationRunner
 from repro.obs import REGISTRY, get_tracer, metrics_delta, tracing
+from repro.obs.metrics import StageStats
 from repro.runtime.machine import MachineConfig
-from repro.service.jobs import NULL_OBSERVER, EvaluationObserver
+from repro.service.jobs import CURRENT_JOB, NULL_OBSERVER, EvaluationObserver
 
 
 def suite_environment() -> Dict[str, object]:
@@ -254,7 +255,7 @@ def run_suite(
                 outcome = BenchOutcome(**payload)
                 report.benches.append(outcome)
                 observer.stage_completed(
-                    None, outcome.bench, "bench", "compute",
+                    CURRENT_JOB.get(), outcome.bench, "bench", "compute",
                     outcome.wall_seconds,
                 )
 
@@ -299,12 +300,7 @@ def run_suite(
             report.timeline[bench] = timeline_block(run.executor)
             stats.record("timeline", "compute", time.perf_counter() - began)
         report.stages = stats.as_dict()
-        prefix = "analysis:"
-        report.analyses = {
-            stage[len(prefix):]: data
-            for stage, data in report.stages.items()
-            if stage.startswith(prefix)
-        }
+        report.analyses = stats.analyses()
         report.speedups = {
             bench: {str(cores): speedup for cores, speedup in row.items()}
             for bench, row in fig9.speedups.items()

@@ -56,7 +56,7 @@ def format_series(name: str, mapping: Dict[str, float]) -> str:
 def format_stage_stats(stages: Dict[str, Dict[str, Union[int, float]]]) -> str:
     """Observability table for ``--stats``: one row per pipeline stage.
 
-    ``stages`` is :meth:`repro.evaluation.runner.StageStats.as_dict`
+    ``stages`` is :meth:`repro.obs.metrics.StageStats.as_dict`
     output (possibly merged across worker processes).
     """
     rows: List[List[Cell]] = []
@@ -93,26 +93,20 @@ def format_analysis_stats(
     """Observability table for the analysis manager: one row per
     registered analysis.
 
-    ``analyses`` maps analysis name to
-    :meth:`repro.analysis.manager.AnalysisCounter.as_dict` output (or the
-    equivalent ``analysis:``-prefix-stripped stage rows of a merged
-    :class:`~repro.evaluation.runner.StageStats`).
+    ``analyses`` is :meth:`repro.obs.metrics.StageStats.analyses`
+    output: a hit is a memory hit, a miss a compute.
     """
-    rows: List[List[Cell]] = []
-    for name in sorted(analyses):
-        data = analyses[name]
-        hits = int(data.get("hits", data.get("memory_hits", 0)))
-        misses = int(data.get("misses", data.get("computes", 0)))
-        rows.append(
-            [
-                name,
-                hits + misses,
-                hits,
-                misses,
-                int(data.get("invalidations", 0)),
-                float(data["wall_seconds"]),
-            ]
-        )
+    rows: List[List[Cell]] = [
+        [
+            name,
+            int(data["requests"]),
+            int(data["memory_hits"]),
+            int(data["computes"]),
+            int(data["invalidations"]),
+            float(data["wall_seconds"]),
+        ]
+        for name, data in sorted(analyses.items())
+    ]
     return format_table(
         ["analysis", "requests", "hits", "misses", "invalidated", "seconds"],
         rows,

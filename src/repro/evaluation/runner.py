@@ -26,9 +26,13 @@ compiles the module it would need.  The answer of a ``run`` job
 those: eight fields, none of which needs a trace, so a repeat reads
 them back and enters no other stage.
 
-Every stage records per-stage wall-clock and hit counters in
-:attr:`EvaluationRunner.stats`; ``python -m repro suite --stats`` renders
-them and the JSON report embeds them.
+Every stage request is reported once (:meth:`EvaluationRunner._stage`):
+one record of bench, stage, outcome and seconds, handed to each of the
+runner's sinks in order.  The first is :attr:`EvaluationRunner.stats`,
+the per-stage table that ``python -m repro suite --stats`` renders and
+the JSON report embeds; the others are observers (a daemon connection,
+the CLI's progress printer), told which job the request belongs to by
+:data:`~repro.service.jobs.CURRENT_JOB`.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
@@ -68,7 +73,8 @@ from repro.core.selection import (
     fixed_level_selection,
 )
 from repro.ir import Module
-from repro.obs import REGISTRY, get_tracer
+from repro.obs import get_tracer
+from repro.obs.metrics import StageStats
 from repro.runtime.interpreter import ExecutionResult, run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import (
@@ -82,24 +88,7 @@ from repro.runtime.trace import (
     unpack_traces,
 )
 from repro.runtime.profiler import ProfileData, profile_module
-from repro.service.jobs import NULL_OBSERVER, EvaluationObserver
-
-#: Pipeline stages, in execution order (keys of :class:`StageStats`).
-#: ``timeline`` is the suite's per-benchmark simulated-time accounting
-#: (:func:`repro.obs.timeline.timeline_block`), recorded by
-#: :func:`~repro.evaluation.parallel_runner.run_suite`; ``run`` is the
-#: ``run`` job's answer (:meth:`EvaluationRunner.run_result`), whose
-#: compute nests the stages before it.
-STAGES = (
-    "compile",
-    "profile",
-    "sequential",
-    "selection",
-    "transform",
-    "execute",
-    "timeline",
-    "run",
-)
+from repro.service.jobs import CURRENT_JOB, EvaluationObserver
 
 #: A recording run: its sequential-clock result, traces and load count
 #: (the arguments of :meth:`RecordedRun.restore_run`).
@@ -108,6 +97,10 @@ _Recording = Tuple[ExecutionResult, List[CompactInvocationTrace], int]
 #: A pipeline's plan: the chosen loops, the record of each parallelized
 #: loop, and the ``recording`` key of the module they produced.
 _Plan = Tuple[List[LoopId], List[LoopRecord], str]
+
+#: What the ``execute`` stage answers: the recording's executor and its
+#: run on the requested machine.
+_Executed = Tuple[RecordedRun, ParallelRunResult]
 
 _T = TypeVar("_T")
 
@@ -147,99 +140,6 @@ RUN_FIELDS = frozenset(
         "chosen",
     )
 )
-
-
-@dataclass
-class StageTally:
-    """Observability counters of one pipeline stage."""
-
-    #: Full recomputations (cold: the stage actually ran).
-    computes: int = 0
-    #: Served from this runner's in-memory memo.
-    memory_hits: int = 0
-    #: Reconstructed from the disk cache (no interpretation).
-    disk_hits: int = 0
-    #: Wall-clock spent in this stage (computes + disk loads; memory
-    #: hits are effectively free and charged as zero).
-    wall_seconds: float = 0.0
-    #: Cached results discarded because their subject changed (only
-    #: analysis stages report these; pipeline stages stay at zero).
-    invalidations: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.computes + self.memory_hits + self.disk_hits
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "computes": self.computes,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "wall_seconds": self.wall_seconds,
-            "invalidations": self.invalidations,
-        }
-
-
-class StageStats:
-    """Per-stage counters collected by an :class:`EvaluationRunner`."""
-
-    def __init__(self) -> None:
-        self.stages: Dict[str, StageTally] = {}
-
-    def tally(self, stage: str) -> StageTally:
-        tally = self.stages.get(stage)
-        if tally is None:
-            tally = StageTally()
-            self.stages[stage] = tally
-        return tally
-
-    def record(self, stage: str, outcome: str, seconds: float = 0.0) -> None:
-        """Count one stage request: ``outcome`` is ``compute``,
-        ``memory`` or ``disk``."""
-        tally = self.tally(stage)
-        if outcome == "compute":
-            tally.computes += 1
-            counter = "computes"
-        elif outcome == "memory":
-            tally.memory_hits += 1
-            counter = "memory_hits"
-        elif outcome == "disk":
-            tally.disk_hits += 1
-            counter = "disk_hits"
-        else:  # pragma: no cover - caller bug
-            raise ValueError(f"unknown stage outcome {outcome!r}")
-        tally.wall_seconds += seconds
-        # ``analysis:<name>`` rows already reach the registry from the
-        # AnalysisManager itself; mirroring them again would double-count.
-        if not stage.startswith("analysis:"):
-            REGISTRY.inc(f"stage.{stage}.{counter}")
-
-    def invalidate(self, stage: str) -> None:
-        """Count one cache invalidation (a stale cached result dropped
-        because the IR it described was mutated)."""
-        self.tally(stage).invalidations += 1
-
-    def merge(self, stages: Dict[str, dict]) -> None:
-        """Fold another runner's :meth:`as_dict` in (cross-process
-        aggregation for the parallel suite runner).
-
-        Every field defaults to zero so snapshots serialized by older
-        code versions -- which may lack fields added since -- merge
-        cleanly instead of raising ``KeyError``.
-        """
-        for stage, data in stages.items():
-            tally = self.tally(stage)
-            tally.computes += data.get("computes", 0)
-            tally.memory_hits += data.get("memory_hits", 0)
-            tally.disk_hits += data.get("disk_hits", 0)
-            tally.wall_seconds += data.get("wall_seconds", 0.0)
-            tally.invalidations += data.get("invalidations", 0)
-
-    def as_dict(self) -> Dict[str, dict]:
-        order = [s for s in STAGES if s in self.stages]
-        order += [s for s in sorted(self.stages) if s not in STAGES]
-        return {stage: self.stages[stage].as_dict() for stage in order}
 
 
 @dataclass
@@ -339,15 +239,17 @@ class EvaluationRunner:
             cache if isinstance(cache, ArtifactStore) else ArtifactStore(cache)
         )
         self.cache = self.artifacts
-        #: Progress sink (the domain protocol): stage completions and
-        #: artifact traffic stream through it.  Rebindable -- the
-        #: orchestrator points it at a job-bound observer per attempt.
-        self.observer: EvaluationObserver = observer or NULL_OBSERVER
+        #: Per-stage counters: the fold over this runner's stage records.
         self.stats = StageStats()
+        #: Where stage records and artifact events go, in order: the
+        #: counters first, then ``observer`` (an orchestrator appends its
+        #: job's observers).
+        self.sinks: List[Any] = [self.stats]
+        if observer is not None:
+            self.sinks.append(observer)
         #: Versioned analysis cache shared by every selection and
-        #: transformation this runner performs; its per-analysis
-        #: hit/miss/invalidation counters mirror into ``stats`` under
-        #: ``analysis:<name>`` keys.
+        #: transformation this runner performs; it counts into ``stats``
+        #: under ``analysis:<name>`` keys.
         self.analysis = AnalysisManager(stats=self.stats)
         self._profiles: Dict[str, ProfileData] = {}
         self._profile_digests: Dict[str, str] = {}
@@ -357,7 +259,42 @@ class EvaluationRunner:
         #: Recording runs by ``recording`` artifact key.
         self._recordings: Dict[str, _Recording] = {}
 
-    # -- cache plumbing --------------------------------------------------------
+    # -- reporting and cache plumbing ----------------------------------------
+
+    def _stage(
+        self,
+        bench: str,
+        stage: str,
+        run: Optional[Callable[[], Tuple[Any, Optional[str]]]] = None,
+        **args: Any,
+    ) -> Any:
+        """Answer one request of ``stage`` and report it once.
+
+        ``run`` answers it under a ``stage.<stage>`` span and returns the
+        answer with its outcome (``compute``, ``disk`` or ``memory``), or
+        with ``None`` when it has no answer, which is not reported.
+        Without ``run`` the request was a memory hit: reported, no span.
+        A report is one ``stage_completed`` on each sink, in order, for
+        the job running this thread (:data:`CURRENT_JOB`)."""
+        value, outcome, seconds = None, "memory", 0.0
+        if run is not None:
+            start = time.perf_counter()
+            with get_tracer().span(
+                f"stage.{stage}", cat="stage", bench=bench, **args
+            ) as span:
+                value, outcome = run()
+                span.set(outcome=outcome or "missing")
+            seconds = time.perf_counter() - start
+        if outcome is not None:
+            job = CURRENT_JOB.get()
+            for sink in self.sinks:
+                sink.stage_completed(job, bench, stage, outcome, seconds)
+        return value
+
+    def _artifact(self, kind: str, key: str, outcome: str) -> None:
+        job = CURRENT_JOB.get()
+        for sink in self.sinks:
+            sink.artifact_stored(job, kind, key, outcome)
 
     def _load(
         self, kind: str, key: str, decode: Callable[[dict], _T]
@@ -366,27 +303,22 @@ class EvaluationRunner:
         miss.  An entry that does not decode (``decode`` raises
         ``KeyError``, ``TypeError`` or ``ValueError``: fields missing or
         mistyped, IR that does not parse, traces in another format) is a
-        miss too, so the stage recomputes and overwrites it."""
+        miss too, in the store's tally as well, so the stage recomputes
+        and overwrites it."""
         payload = self.artifacts.load(kind, key)
         if payload is None:
             return None
         try:
             value = decode(payload)
         except (KeyError, TypeError, ValueError):
+            self.artifacts.reject(kind)
             return None
-        self.observer.artifact_stored(None, kind, key, "hit")
+        self._artifact(kind, key, "hit")
         return value
 
     def _store(self, kind: str, key: str, payload: dict) -> None:
         if self.artifacts.store(kind, key, payload):
-            self.observer.artifact_stored(None, kind, key, "store")
-
-    def _record(
-        self, bench: str, stage: str, outcome: str, seconds: float = 0.0
-    ) -> None:
-        """Tally one stage request and stream it to the observer."""
-        self.stats.record(stage, outcome, seconds)
-        self.observer.stage_completed(None, bench, stage, outcome, seconds)
+            self._artifact(kind, key, "store")
 
     # -- stages ----------------------------------------------------------------
 
@@ -396,43 +328,35 @@ class EvaluationRunner:
         key = (bench, scale)
         module = self.artifacts.modules.get(key)
         if module is not None:
-            self._record(bench, "compile", "memory")
+            self._stage(bench, "compile")
             return module
-        start = time.perf_counter()
-        with get_tracer().span(
-            "stage.compile", cat="stage", bench=bench, scale=scale,
-            outcome="compute",
-        ):
-            module = compile_benchmark(bench, scale)
-        module = self.artifacts.modules.setdefault(key, module)
-        self._record(bench, "compile", "compute", time.perf_counter() - start)
-        return module
+        module = self._stage(
+            bench, "compile",
+            lambda: (compile_benchmark(bench, scale), "compute"),
+            scale=scale,
+        )
+        return self.artifacts.modules.setdefault(key, module)
 
     def profile(self, bench: str) -> ProfileData:
         """Training-input profile (on the train build, so the ref build
         stays the untouched sequential baseline).  The train build is
         compiled only when the profile is not stored; a computed
         profile's time includes compiling it."""
-        if bench in self._profiles:
-            self._record(bench, "profile", "memory")
-            return self._profiles[bench]
-        start = time.perf_counter()
-        with get_tracer().span("stage.profile", cat="stage", bench=bench) as sp:
-            disk_key = self.artifacts.key(
-                "profile", bench, machine=self.machine
-            )
-            data = self._load("profile", disk_key, ProfileData.from_dict)
+        data = self._profiles.get(bench)
+        if data is not None:
+            self._stage(bench, "profile")
+            return data
+
+        def run() -> Tuple[ProfileData, str]:
+            key = self.artifacts.key("profile", bench, machine=self.machine)
+            data = self._load("profile", key, ProfileData.from_dict)
             if data is not None:
-                outcome = "disk"
-            else:
-                data = profile_module(
-                    self.module(bench, "train"), self.machine
-                )
-                self._store("profile", disk_key, data.to_dict())
-                outcome = "compute"
-            sp.set(outcome=outcome)
-        self._profiles[bench] = data
-        self._record(bench, "profile", outcome, time.perf_counter() - start)
+                return data, "disk"
+            data = profile_module(self.module(bench, "train"), self.machine)
+            self._store("profile", key, data.to_dict())
+            return data, "compute"
+
+        data = self._profiles[bench] = self._stage(bench, "profile", run)
         return data
 
     def profile_digest(self, bench: str) -> str:
@@ -446,38 +370,31 @@ class EvaluationRunner:
     def sequential(self, bench: str) -> ExecutionResult:
         """The ref build's sequential run; like :meth:`profile`, it
         compiles its module only when the result is not stored."""
-        if bench in self._sequential:
-            self._record(bench, "sequential", "memory")
-            return self._sequential[bench]
-        start = time.perf_counter()
-        with get_tracer().span(
-            "stage.sequential", cat="stage", bench=bench
-        ) as sp:
-            disk_key = self.artifacts.key(
-                "sequential", bench, machine=self.machine
-            )
-            result = self._load(
-                "sequential", disk_key, ExecutionResult.from_dict
-            )
+        result = self._sequential.get(bench)
+        if result is not None:
+            self._stage(bench, "sequential")
+            return result
+
+        def run() -> Tuple[ExecutionResult, str]:
+            key = self.artifacts.key("sequential", bench, machine=self.machine)
+            result = self._load("sequential", key, ExecutionResult.from_dict)
             if result is not None:
-                outcome = "disk"
-            else:
-                # Opportunistic hot-path hint: when the profile stage
-                # already ran, its block-entry counts steer superblock
-                # formation towards the hot CBR arms.  Never *forces*
-                # profiling, and never affects results -- the backend
-                # is bit-identical either way.
-                profile = self._profiles.get(bench)
-                result = run_module(
-                    self.module(bench, "ref"),
-                    self.machine,
-                    block_profile=profile.block_counts if profile else None,
-                )
-                self._store("sequential", disk_key, result.to_dict())
-                outcome = "compute"
-            sp.set(outcome=outcome)
-        self._sequential[bench] = result
-        self._record(bench, "sequential", outcome, time.perf_counter() - start)
+                return result, "disk"
+            # Opportunistic hot-path hint: when the profile stage
+            # already ran, its block-entry counts steer superblock
+            # formation towards the hot CBR arms.  Never *forces*
+            # profiling, and never affects results -- the backend
+            # is bit-identical either way.
+            profile = self._profiles.get(bench)
+            result = run_module(
+                self.module(bench, "ref"),
+                self.machine,
+                block_profile=profile.block_counts if profile else None,
+            )
+            self._store("sequential", key, result.to_dict())
+            return result, "compute"
+
+        result = self._sequential[bench] = self._stage(bench, "sequential", run)
         return result
 
     def selection(
@@ -488,24 +405,25 @@ class EvaluationRunner:
         cores: Optional[int] = None,
     ) -> LoopSelection:
         key = (bench, signal_cost, unoptimized_signals, cores)
-        if key in self._selections:
-            self._record(bench, "selection", "memory")
-            return self._selections[key]
+        selection = self._selections.get(key)
+        if selection is not None:
+            self._stage(bench, "selection")
+            return selection
         module = self.module(bench, "ref")
         profile = self.profile(bench)
-        start = time.perf_counter()
-        with get_tracer().span("stage.selection", cat="stage", bench=bench):
-            config = SelectionConfig(
-                machine=self.machine,
-                cores=cores or self.machine.cores,
-                signal_cost=signal_cost,
-                unoptimized_signals=unoptimized_signals,
-            )
-            selection = choose_loops(
-                module, profile, config, manager=self.analysis
-            )
-        self._selections[key] = selection
-        self._record(bench, "selection", "compute", time.perf_counter() - start)
+        config = SelectionConfig(
+            machine=self.machine,
+            cores=cores or self.machine.cores,
+            signal_cost=signal_cost,
+            unoptimized_signals=unoptimized_signals,
+        )
+        selection = self._selections[key] = self._stage(
+            bench, "selection",
+            lambda: (
+                choose_loops(module, profile, config, manager=self.analysis),
+                "compute",
+            ),
+        )
         return selection
 
     def fixed_level(self, bench: str, level: int) -> List[LoopId]:
@@ -525,13 +443,15 @@ class EvaluationRunner:
     ) -> Tuple[Module, List[ParallelizedLoop]]:
         """Steps 1-9 on the ref build's ``loop_ids``."""
         module = self.module(bench, "ref")
-        start = time.perf_counter()
-        with get_tracer().span("stage.transform", cat="stage", bench=bench):
-            transformed, infos = parallelize_module(
-                module, loop_ids, machine, options, manager=self.analysis
-            )
-        self._record(bench, "transform", "compute", time.perf_counter() - start)
-        return transformed, infos
+        return self._stage(
+            bench, "transform",
+            lambda: (
+                parallelize_module(
+                    module, loop_ids, machine, options, manager=self.analysis
+                ),
+                "compute",
+            ),
+        )
 
     def _execute(
         self,
@@ -540,16 +460,14 @@ class EvaluationRunner:
         recording_key: str,
         loops: Sequence[LoopInfo],
         transformed: Optional[Module] = None,
-    ) -> Optional[Tuple[RecordedRun, ParallelRunResult]]:
+    ) -> Optional[_Executed]:
         """The ``execute`` stage: the recording under ``recording_key``
         (memoized, stored, or recorded by interpreting ``transformed``),
         timed on ``machine``.  Without ``transformed`` a recording that
         is neither memoized nor stored is ``None``, and no stage is
         counted: the caller transforms and asks again."""
-        start = time.perf_counter()
-        with get_tracer().span(
-            "stage.execute", cat="stage", bench=bench
-        ) as sp:
+
+        def run() -> Tuple[Optional[_Executed], Optional[str]]:
             recording = self._recordings.get(recording_key)
             outcome = "memory"
             if recording is None:
@@ -564,8 +482,7 @@ class EvaluationRunner:
                 )
                 parallel = executor.restore_run(*recording)
             elif transformed is None:
-                sp.set(outcome="missing")
-                return None
+                return None, None
             else:
                 # Same opportunistic hot-path hint the sequential stage
                 # uses: an already-collected profile steers superblock
@@ -593,9 +510,9 @@ class EvaluationRunner:
                 )
                 outcome = "compute"
             self._recordings[recording_key] = recording
-            sp.set(outcome=outcome)
-        self._record(bench, "execute", outcome, time.perf_counter() - start)
-        return executor, parallel
+            return (executor, parallel), outcome
+
+        return self._stage(bench, "execute", run)
 
     def pipeline(
         self,
@@ -618,9 +535,10 @@ class EvaluationRunner:
             options, prefetch, signal_cost, unoptimized_signals, loop_ids
         )
         key = (bench, config)
-        if key in self._pipelines:
-            self._record(bench, "execute", "memory")
-            return self._pipelines[key]
+        run = self._pipelines.get(key)
+        if run is not None:
+            self._stage(bench, "execute")
+            return run
 
         # What the run builds on request goes through this runner,
         # held weakly: the runner memoizes the run, and a strong
@@ -722,8 +640,16 @@ class EvaluationRunner:
         point), and the answer is stored.  An entry that is not an
         answer to this request counts as absent and is overwritten.
         """
-        start = time.perf_counter()
-        with get_tracer().span("stage.run", cat="stage", bench=bench) as sp:
+        def answer(payload: dict) -> dict:
+            if (
+                payload.keys() != RUN_FIELDS
+                or payload["bench"] != bench
+                or payload["cores"] != self.machine.cores
+            ):
+                raise ValueError("not an answer to this request")
+            return payload
+
+        def run() -> Tuple[dict, str]:
             disk_key = self.artifacts.key(
                 "run",
                 bench,
@@ -732,40 +658,28 @@ class EvaluationRunner:
                     HelixOptions(), PrefetchMode.HELIX, None, False, None
                 ),
             )
-
-            def answer(payload: dict) -> dict:
-                if (
-                    payload.keys() != RUN_FIELDS
-                    or payload["bench"] != bench
-                    or payload["cores"] != self.machine.cores
-                ):
-                    raise ValueError("not an answer to this request")
-                return payload
-
             result = self._load("run", disk_key, answer)
             if result is not None:
-                outcome = "disk"
-            else:
-                self.profile(bench)
-                checkpoint()
-                self.sequential(bench)
-                checkpoint()
-                run = self.helix_run(bench)
-                result = {
-                    "bench": bench,
-                    "cores": self.machine.cores,
-                    "speedup": run.speedup,
-                    "cycles": run.parallel.cycles,
-                    "sequential_cycles": run.sequential.cycles,
-                    "output": list(run.parallel.result.output),
-                    "output_matches": run.output_matches,
-                    "chosen": [list(loop) for loop in run.chosen],
-                }
-                self._store("run", disk_key, result)
-                outcome = "compute"
-            sp.set(outcome=outcome)
-        self._record(bench, "run", outcome, time.perf_counter() - start)
-        return result
+                return result, "disk"
+            self.profile(bench)
+            checkpoint()
+            self.sequential(bench)
+            checkpoint()
+            pipeline = self.helix_run(bench)
+            result = {
+                "bench": bench,
+                "cores": self.machine.cores,
+                "speedup": pipeline.speedup,
+                "cycles": pipeline.parallel.cycles,
+                "sequential_cycles": pipeline.sequential.cycles,
+                "output": list(pipeline.parallel.result.output),
+                "output_matches": pipeline.output_matches,
+                "chosen": [list(loop) for loop in pipeline.chosen],
+            }
+            self._store("run", disk_key, result)
+            return result, "compute"
+
+        return self._stage(bench, "run", run)
 
     def benches(self) -> List[str]:
         return benchmark_names()

@@ -4,10 +4,11 @@ One :class:`Registry` (the module-level :data:`REGISTRY`) absorbs the
 pipeline's ad-hoc statistics behind a single namespace so a run can be
 summarised with one snapshot:
 
-* ``stage.<name>.{computes,memory_hits,disk_hits,seconds_ms}`` -- mirrored
-  from :class:`repro.evaluation.runner.StageStats`.
-* ``analysis.<name>.{hits,misses,invalidations}`` -- mirrored from
-  :class:`repro.analysis.manager.AnalysisManager`.
+* ``stage.<name>.{computes,memory_hits,disk_hits}`` -- mirrored by
+  :class:`StageStats` from the stage records it folds (never from its
+  ``analysis:<name>`` rows).
+* ``analysis.<name>.{hits,misses,invalidations}`` -- counted by
+  :class:`repro.analysis.manager.AnalysisManager` beside those rows.
 * ``interp.backend.{tree,superblock}`` -- the engine an interpreter
   picked when it was built, counted once per ``run()``.
 * ``interp.superblock.{formed,blocks_fused,fallbacks}`` -- superblock
@@ -41,7 +42,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -234,3 +236,144 @@ def metrics_delta(
 
 #: The process-wide registry used by all instrumentation sites.
 REGISTRY = Registry()
+
+
+#: Pipeline stages, in execution order (the first rows of
+#: :meth:`StageStats.as_dict`).  ``timeline`` is the suite's
+#: per-benchmark simulated-time accounting
+#: (:func:`repro.obs.timeline.timeline_block`), recorded by
+#: :func:`~repro.evaluation.parallel_runner.run_suite`; ``run`` is the
+#: ``run`` job's answer
+#: (:meth:`~repro.evaluation.runner.EvaluationRunner.run_result`), whose
+#: compute nests the stages before it.
+STAGES = (
+    "compile",
+    "profile",
+    "sequential",
+    "selection",
+    "transform",
+    "execute",
+    "timeline",
+    "run",
+)
+
+#: The :class:`StageTally` counter each stage outcome adds one to.
+_OUTCOME_COUNTERS = {
+    "compute": "computes",
+    "memory": "memory_hits",
+    "disk": "disk_hits",
+}
+
+
+@dataclass
+class StageTally:
+    """Observability counters of one pipeline stage."""
+
+    #: Full recomputations (cold: the stage actually ran).
+    computes: int = 0
+    #: Served from this runner's in-memory memo.
+    memory_hits: int = 0
+    #: Reconstructed from the disk cache (no interpretation).
+    disk_hits: int = 0
+    #: Wall-clock spent in this stage (computes + disk loads; memory
+    #: hits are effectively free and charged as zero).
+    wall_seconds: float = 0.0
+    #: Cached results discarded because their subject changed (only
+    #: analysis stages report these; pipeline stages stay at zero).
+    invalidations: int = 0
+
+    @property
+    def requests(self) -> int:
+        return self.computes + self.memory_hits + self.disk_hits
+
+    def as_dict(self) -> dict:
+        return {
+            "requests": self.requests,
+            "computes": self.computes,
+            "memory_hits": self.memory_hits,
+            "disk_hits": self.disk_hits,
+            "wall_seconds": self.wall_seconds,
+            "invalidations": self.invalidations,
+        }
+
+
+class StageStats:
+    """Per-stage counters: a fold over stage records.
+
+    An :class:`~repro.evaluation.runner.EvaluationRunner` lists its
+    ``stats`` first among the sinks of its stage records, so every
+    record reaches :meth:`stage_completed` and is mirrored into the
+    registry as ``stage.<stage>.<counter>``.  An
+    :class:`~repro.analysis.manager.AnalysisManager` counts its
+    requests straight into ``analysis:<name>`` rows of the table it is
+    given (memory hits, computes, invalidations); they are not stage
+    records and have registry names of their own.
+    """
+
+    def __init__(self) -> None:
+        self.stages: Dict[str, StageTally] = {}
+
+    def tally(self, stage: str) -> StageTally:
+        tally = self.stages.get(stage)
+        if tally is None:
+            tally = StageTally()
+            self.stages[stage] = tally
+        return tally
+
+    def record(self, stage: str, outcome: str, seconds: float = 0.0) -> None:
+        """Count one stage request: ``outcome`` is ``compute``,
+        ``memory`` or ``disk``."""
+        counter = _OUTCOME_COUNTERS[outcome]
+        tally = self.tally(stage)
+        setattr(tally, counter, getattr(tally, counter) + 1)
+        tally.wall_seconds += seconds
+        REGISTRY.inc(f"stage.{stage}.{counter}")
+
+    def invalidate(self, stage: str) -> None:
+        """Count one cache invalidation (a stale cached result dropped
+        because the IR it described was mutated)."""
+        self.tally(stage).invalidations += 1
+
+    # -- the sink side of the observer protocol ------------------------------
+
+    def stage_completed(
+        self, job: Any, bench: str, stage: str, outcome: str, seconds: float
+    ) -> None:
+        self.record(stage, outcome, seconds)
+
+    def artifact_stored(
+        self, job: Any, kind: str, key: str, outcome: str
+    ) -> None:
+        """Artifact traffic is the store's own tally, not a stage row."""
+
+    # -- views ---------------------------------------------------------------
+
+    def merge(self, stages: Dict[str, dict]) -> None:
+        """Fold another table's :meth:`as_dict` in (cross-process
+        aggregation for the parallel suite runner).
+
+        Every field defaults to zero so snapshots serialized by older
+        code versions -- which may lack fields added since -- merge
+        cleanly instead of raising ``KeyError``.
+        """
+        for stage, data in stages.items():
+            tally = self.tally(stage)
+            tally.computes += data.get("computes", 0)
+            tally.memory_hits += data.get("memory_hits", 0)
+            tally.disk_hits += data.get("disk_hits", 0)
+            tally.wall_seconds += data.get("wall_seconds", 0.0)
+            tally.invalidations += data.get("invalidations", 0)
+
+    def as_dict(self) -> Dict[str, dict]:
+        order = [s for s in STAGES if s in self.stages]
+        order += [s for s in sorted(self.stages) if s not in STAGES]
+        return {stage: self.stages[stage].as_dict() for stage in order}
+
+    def analyses(self) -> Dict[str, dict]:
+        """The ``analysis:<name>`` rows of :meth:`as_dict`, by name."""
+        prefix = "analysis:"
+        return {
+            stage[len(prefix):]: row
+            for stage, row in self.as_dict().items()
+            if stage.startswith(prefix)
+        }

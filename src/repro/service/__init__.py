@@ -28,9 +28,7 @@ implement the same domain protocol.
 
 from repro.service.jobs import (
     NULL_OBSERVER,
-    BoundObserver,
     CompileJob,
-    CompositeObserver,
     EvaluationObserver,
     InvalidTransition,
     Job,
@@ -49,9 +47,7 @@ from repro.service.orchestrator import (
 
 __all__ = [
     "NULL_OBSERVER",
-    "BoundObserver",
     "CompileJob",
-    "CompositeObserver",
     "EvaluationObserver",
     "InvalidTransition",
     "Job",

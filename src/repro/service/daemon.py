@@ -70,7 +70,6 @@ from repro.obs import REGISTRY, validate_chrome_trace, write_chrome_trace
 from repro.obs.tracer import SpanEvent
 from repro.service.jobs import (
     CompileJob,
-    CompositeObserver,
     EvaluationObserver,
     Job,
     RunJob,
@@ -143,9 +142,9 @@ def validate_event(event: Any) -> List[str]:
 class _TraceWriter(EvaluationObserver):
     """Writes one Perfetto trace file per traced job as it finishes.
 
-    Installed *ahead of* the per-connection observers in the
-    orchestrator's observer chain, so ``job.trace_path`` is set before
-    the terminal ``job_finished`` event is serialized to the client.
+    The first of the orchestrator's sinks, so ``job.trace_path`` is set
+    before the terminal ``job_finished`` event is serialized to the
+    client by the job's connection observer.
     """
 
     def __init__(self, daemon: "Daemon") -> None:
@@ -289,11 +288,9 @@ class Daemon:
         self._log_lock = threading.Lock()
         self._log_seq = 0
         if trace_dir is not None:
-            # Trace files are written by the orchestrator-wide observer
-            # so they exist before per-connection terminal events.
-            orchestrator.observer = CompositeObserver(
-                _TraceWriter(self), orchestrator.observer
-            )
+            # Trace files are written by the first orchestrator-wide
+            # sink so they exist before per-connection terminal events.
+            orchestrator.sinks.insert(0, _TraceWriter(self))
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None

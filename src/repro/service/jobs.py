@@ -19,10 +19,11 @@ runs once.
 
 Progress flows through the :class:`EvaluationObserver` protocol.  The
 CLI's progress printer, the daemon's per-client event stream and tests'
-recording observers are all just observers; :class:`CompositeObserver`
-fans one event out to several of them and :class:`BoundObserver` pins
-the ``job`` argument so layers that know nothing about jobs (the
-evaluation runner's stage accounting) still emit well-attributed events.
+recording observers are all just observers, and whoever emits an event
+calls each observer of a plain list in turn.  Which job an event belongs
+to is :data:`CURRENT_JOB`, set by the orchestrator on the thread that
+runs the job's handler, so layers that know nothing about jobs (the
+evaluation runner's stage reports) still emit well-attributed events.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -218,9 +220,9 @@ class EvaluationObserver:
 
     Implementations override any subset; the base class is a usable
     no-op (also exposed as :class:`NullObserver` /
-    :data:`NULL_OBSERVER`).  ``job`` may be ``None`` when the emitting
-    layer has no job context (a bare :class:`EvaluationRunner` outside
-    the service); :class:`BoundObserver` fills it in.
+    :data:`NULL_OBSERVER`).  ``job`` is :data:`CURRENT_JOB` where the
+    event was emitted: ``None`` outside the service (a bare
+    :class:`EvaluationRunner`).
     """
 
     def job_started(self, job: Optional[Job]) -> None:
@@ -234,9 +236,10 @@ class EvaluationObserver:
         outcome: str,
         seconds: float,
     ) -> None:
-        """One pipeline stage finished; ``outcome`` is ``compute``,
-        ``memory`` or ``disk`` (or ``bench`` for whole-benchmark rows
-        reported by the parallel suite runner)."""
+        """One pipeline stage request finished; ``outcome`` is
+        ``compute``, ``memory`` or ``disk``.  The parallel suite runner
+        also reports each worker's whole benchmark, as ``stage="bench"``
+        with outcome ``compute``."""
 
     def artifact_stored(
         self, job: Optional[Job], kind: str, key: str, outcome: str
@@ -255,73 +258,10 @@ class NullObserver(EvaluationObserver):
 NULL_OBSERVER = NullObserver()
 
 
-class CompositeObserver(EvaluationObserver):
-    """Fans each event out to several observers, in order."""
-
-    def __init__(self, *observers: EvaluationObserver) -> None:
-        self.observers: Tuple[EvaluationObserver, ...] = tuple(
-            obs for obs in observers if obs is not None
-        )
-
-    def job_started(self, job: Optional[Job]) -> None:
-        for obs in self.observers:
-            obs.job_started(job)
-
-    def stage_completed(
-        self,
-        job: Optional[Job],
-        bench: str,
-        stage: str,
-        outcome: str,
-        seconds: float,
-    ) -> None:
-        for obs in self.observers:
-            obs.stage_completed(job, bench, stage, outcome, seconds)
-
-    def artifact_stored(
-        self, job: Optional[Job], kind: str, key: str, outcome: str
-    ) -> None:
-        for obs in self.observers:
-            obs.artifact_stored(job, kind, key, outcome)
-
-    def job_finished(self, job: Optional[Job]) -> None:
-        for obs in self.observers:
-            obs.job_finished(job)
-
-
-class BoundObserver(EvaluationObserver):
-    """Pins the ``job`` argument of every forwarded event.
-
-    The evaluation runner emits stage/artifact events with ``job=None``
-    (it predates jobs and stays job-agnostic); the orchestrator wraps
-    the real observer in a bound one per job so those events arrive
-    attributed to the right job.
-    """
-
-    def __init__(self, observer: EvaluationObserver, job: Job) -> None:
-        self.observer = observer
-        self.job = job
-
-    def job_started(self, job: Optional[Job]) -> None:
-        self.observer.job_started(self.job)
-
-    def stage_completed(
-        self,
-        job: Optional[Job],
-        bench: str,
-        stage: str,
-        outcome: str,
-        seconds: float,
-    ) -> None:
-        self.observer.stage_completed(self.job, bench, stage, outcome, seconds)
-
-    def artifact_stored(
-        self, job: Optional[Job], kind: str, key: str, outcome: str
-    ) -> None:
-        self.observer.artifact_stored(self.job, kind, key, outcome)
-
-    def job_finished(self, job: Optional[Job]) -> None:
-        self.observer.job_finished(self.job)
+#: The job whose handler this thread is running (``None`` outside one).
+#: The orchestrator sets it on whichever thread runs the handler, and
+#: every emitter passes it as the ``job`` of the events it reports.
+CURRENT_JOB: ContextVar[Optional[Job]] = ContextVar("current_job", default=None)
 
 
 @dataclass

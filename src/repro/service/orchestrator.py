@@ -38,10 +38,13 @@ Execution discipline:
   receives the signal.
 
 Progress streams through the domain
-:class:`~repro.service.jobs.EvaluationObserver` protocol: the
-orchestrator emits ``job_started``/``job_finished``, and binds the
-per-attempt observer into each runner so stage and artifact events
-arrive attributed to the right job.
+:class:`~repro.service.jobs.EvaluationObserver` protocol, to a list of
+sinks per job: the orchestrator-wide ones (:attr:`Orchestrator.sinks`),
+then the observer the job was submitted with.  The orchestrator emits
+``job_started``/``job_finished`` to them, and each of the job's runners
+lists them after its own counters for its stage and artifact events.
+The handler runs with :data:`~repro.service.jobs.CURRENT_JOB` set to
+its job, so those events arrive attributed to it.
 """
 
 from __future__ import annotations
@@ -56,10 +59,8 @@ from repro.artifacts import ArtifactStore
 from repro.obs import REGISTRY, get_tracer, tracing
 from repro.runtime.machine import MachineConfig
 from repro.service.jobs import (
-    NULL_OBSERVER,
-    BoundObserver,
+    CURRENT_JOB,
     CompileJob,
-    CompositeObserver,
     EvaluationObserver,
     Job,
     JobState,
@@ -88,7 +89,8 @@ class JobContext:
     """What a handler gets to work with during one attempt."""
 
     job: Job
-    observer: EvaluationObserver
+    #: Where this job's events go, in order.
+    sinks: List[EvaluationObserver]
     artifacts: ArtifactStore
     #: This attempt's runner cache (keyed by core count).  Runners are
     #: per-job on purpose: cross-job warmth flows through the shared
@@ -107,7 +109,8 @@ class JobContext:
             raise JobCancelled(self.job.id)
 
     def runner(self, cores: int):
-        """This attempt's :class:`EvaluationRunner` for ``cores``."""
+        """This attempt's :class:`EvaluationRunner` for ``cores``,
+        reporting to this job's sinks after its own counters."""
         runner = self.runners.get(cores)
         if runner is None:
             from repro.evaluation.runner import EvaluationRunner
@@ -116,9 +119,8 @@ class JobContext:
                 MachineConfig(cores=cores),
                 cache=self.artifacts,
             )
+            runner.sinks += self.sinks
             self.runners[cores] = runner
-        # Rebind progress onto this attempt's job-bound observer.
-        runner.observer = self.observer
         return runner
 
 
@@ -140,7 +142,10 @@ class Orchestrator:
         self.artifacts = (
             cache if isinstance(cache, ArtifactStore) else ArtifactStore(cache)
         )
-        self.observer: EvaluationObserver = observer or NULL_OBSERVER
+        #: Sinks of every job's events, ahead of its own observer.
+        self.sinks: List[EvaluationObserver] = (
+            [] if observer is None else [observer]
+        )
         self.default_timeout = default_timeout
         self.handlers: Dict[Type[Any], Handler] = {
             CompileJob: self._handle_compile,
@@ -172,8 +177,8 @@ class Orchestrator:
     ) -> Job:
         """Queue one job; returns it immediately (state QUEUED).
 
-        ``observer`` (optional) receives this job's events in addition
-        to the orchestrator-wide observer -- the daemon registers the
+        ``observer`` (optional) receives this job's events after the
+        orchestrator-wide sinks -- the daemon registers the
         submitting connection's stream here.  ``trace`` asks the worker
         to run the job under a recording tracer and attach the captured
         spans to the job (``Job.spans``).
@@ -221,11 +226,12 @@ class Orchestrator:
             job.request_cancel()
             if job.state is JobState.QUEUED:
                 job.transition(JobState.CANCELLED)
-                observer = self._observer_for(job)
+                sinks = self._sinks_for(job)
                 self._job_observers.pop(job.id, None)
             else:
                 return True  # running: cooperative
-        observer.job_finished(job)
+        for sink in sinks:
+            sink.job_finished(job)
         return True
 
     # -- lifecycle ---------------------------------------------------------
@@ -307,11 +313,9 @@ class Orchestrator:
 
     # -- execution ---------------------------------------------------------
 
-    def _observer_for(self, job: Job) -> EvaluationObserver:
+    def _sinks_for(self, job: Job) -> List[EvaluationObserver]:
         extra = self._job_observers.get(job.id)
-        if extra is None:
-            return self.observer
-        return CompositeObserver(self.observer, extra)
+        return self.sinks if extra is None else self.sinks + [extra]
 
     def _worker(self) -> None:
         while True:
@@ -322,14 +326,10 @@ class Orchestrator:
                 if job.state is not JobState.QUEUED:
                     continue  # cancelled while queued
                 job.transition(JobState.RUNNING)
-                observer = self._observer_for(job)
-            observer.job_started(job)
-            bound = BoundObserver(observer, job)
-            ctx = JobContext(
-                job=job,
-                observer=bound,
-                artifacts=self.artifacts,
-            )
+                sinks = self._sinks_for(job)
+            for sink in sinks:
+                sink.job_started(job)
+            ctx = JobContext(job=job, sinks=sinks, artifacts=self.artifacts)
             handler = self.handlers[type(job.spec)]
             try:
                 with get_tracer().span(f"job.{job.op}", cat="job", job=job.id):
@@ -356,7 +356,8 @@ class Orchestrator:
             # would pin its connection's observer for the daemon's life.
             with self._lock:
                 self._job_observers.pop(job.id, None)
-            observer.job_finished(job)
+            for sink in sinks:
+                sink.job_finished(job)
 
     def _attempt(self, handler: Handler, ctx: JobContext, job: Job) -> dict:
         """One attempt, bounded by the job's timeout.
@@ -404,6 +405,8 @@ class Orchestrator:
         (and spans, for traced jobs) are recorded in whichever thread
         executes the handler -- the worker itself, or the disposable
         timeout thread -- because the registry scope is thread-local.
+        For the same reason :data:`CURRENT_JOB` is set here, so every
+        event the handler's runners emit names this job.
 
         A ``trace``-flagged job additionally runs under the ambient
         recording tracer (serialized by ``_TRACE_LOCK``, like the
@@ -417,6 +420,7 @@ class Orchestrator:
         traced = job.trace and not isinstance(job.spec, TraceJob)
         spans: Optional[List[dict]] = None
         with REGISTRY.isolated() as scope:
+            token = CURRENT_JOB.set(job)
             try:
                 if traced:
                     with _TRACE_LOCK:
@@ -428,6 +432,7 @@ class Orchestrator:
                 else:
                     result = handler(ctx, job.spec)
             finally:
+                CURRENT_JOB.reset(token)
                 if not job.finished.is_set():
                     job.metrics = scope.snapshot()
         if spans is not None and not job.finished.is_set():
@@ -492,24 +497,19 @@ class Orchestrator:
         }
 
     def _handle_trace(self, ctx: JobContext, spec: TraceJob) -> dict:
-        from repro.evaluation.runner import EvaluationRunner
         from repro.obs import chrome_trace
 
         ctx.check()
         with _TRACE_LOCK:
-            # A fresh runner (cold memos, warm disk) so the capture has
-            # a span for every stage the request enters.  Against a warm
-            # disk those are the profile, sequential and execute reads:
-            # the stored plan stands in for selection and Steps 1-9, so
-            # there are no selection or transform spans (``repro
-            # trace``, which runs without a cache, still has them).
+            # The job's first runner (cold memos, warm disk) so the
+            # capture has a span for every stage the request enters.
+            # Against a warm disk those are the profile, sequential and
+            # execute reads: the stored plan stands in for selection and
+            # Steps 1-9, so there are no selection or transform spans
+            # (``repro trace``, which runs without a cache, still has
+            # them).
             with tracing() as tracer:
-                runner = EvaluationRunner(
-                    MachineConfig(cores=spec.cores),
-                    cache=self.artifacts,
-                    observer=ctx.observer,
-                )
-                run = runner.helix_run(spec.bench)
+                run = ctx.runner(spec.cores).helix_run(spec.bench)
             events = tracer.finished()
         # Attach the capture to the job so the daemon's --trace-dir
         # writer can export a per-job Perfetto file.

@@ -66,6 +66,11 @@ def compile_program(source=PROGRAM):
     return compile_minic(source, name="managed")
 
 
+def tally(manager, name):
+    """The ``analysis:<name>`` row ``manager`` counts into."""
+    return manager.stats.tally(f"analysis:{name}")
+
+
 class UncachedAnalysisManager(AnalysisManager):
     """Recomputes every request: the pre-manager behavior, kept here as
     the reference side of the differential tests."""
@@ -177,8 +182,8 @@ class TestCachingContract:
         assert am.dependence(module) is am.dependence(module)
         # Dependent analyses (loops, dominators) pull the CFG through the
         # cache too, so hits accumulate -- but it computes exactly once.
-        assert am.counter("cfg").hits >= 1
-        assert am.counter("cfg").misses == 1
+        assert tally(am, "cfg").memory_hits >= 1
+        assert tally(am, "cfg").computes == 1
 
     def test_mutation_invalidates(self):
         module = compile_program()
@@ -193,8 +198,8 @@ class TestCachingContract:
             name.startswith("inv_probe") for name in after.succs
         )
         assert am.dependence(module) is not dep_before
-        assert am.counter("cfg").invalidations == 1
-        assert am.counter("dependence").invalidations == 1
+        assert tally(am, "cfg").invalidations == 1
+        assert tally(am, "dependence").invalidations == 1
 
     def test_function_scope_survives_other_function_edits(self):
         module = compile_minic(CALL_PROGRAM, name="callprog")
@@ -207,17 +212,17 @@ class TestCachingContract:
         # Function-scoped result for the untouched function survives...
         assert am.cfg(main) is main_cfg
         # ...while the module-scoped analysis recomputes.
-        assert am.counter("dependence").invalidations == 0
+        assert tally(am, "dependence").invalidations == 0
         am.dependence(module)
-        assert am.counter("dependence").invalidations == 1
+        assert tally(am, "dependence").invalidations == 1
 
     def test_uncached_manager_always_recomputes(self):
         module = compile_program()
         func = module.functions["main"]
         am = UncachedAnalysisManager()
         assert am.cfg(func) is not am.cfg(func)
-        assert am.counter("cfg").hits == 0
-        assert am.counter("cfg").misses == 2
+        assert tally(am, "cfg").memory_hits == 0
+        assert tally(am, "cfg").computes == 2
 
     @settings(
         max_examples=40,
@@ -318,10 +323,10 @@ class TestDifferential:
         result = parallelize(module, MachineConfig(cores=4), manager=manager)
         assert result.infos, "test program must parallelize a loop"
         for name in ("callgraph", "points_to"):
-            counter = manager.counter(name)
-            assert counter.misses == counter.invalidations + 2, name
+            counter = tally(manager, name)
+            assert counter.computes == counter.invalidations + 2, name
         # Function-scoped analyses are shared across many call sites.
-        assert manager.counter("cfg").hits > 0
+        assert tally(manager, "cfg").memory_hits > 0
 
     def test_helix_run_counter_law(self, tiny_bench):
         """Same law over a full helix_run through the EvaluationRunner."""
@@ -331,14 +336,12 @@ class TestDifferential:
         run = runner.helix_run(tiny_bench)
         assert run.infos
         for name in ("callgraph", "points_to"):
-            counter = runner.analysis.counter(name)
-            assert counter.misses == counter.invalidations + 2, name
-        # The mirrored StageStats rows agree with the manager's counters.
-        stages = runner.stats.as_dict()
-        row = stages["analysis:points_to"]
-        points_to = runner.analysis.counter("points_to")
-        assert row["computes"] == points_to.misses
-        assert row["invalidations"] == points_to.invalidations
+            counter = tally(runner.analysis, name)
+            assert counter.computes == counter.invalidations + 2, name
+        # The manager counts straight into the runner's own table.
+        assert runner.analysis.stats is runner.stats
+        row = runner.stats.as_dict()["analysis:points_to"]
+        assert row["computes"] == row["invalidations"] + 2
 
 
 # ---------------------------------------------------------------- surfacing

@@ -574,9 +574,10 @@ class TestRunnerCacheIntegration:
 
         def helix_run():
             runner = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
-            return runner.helix_run(tiny_sync), runner.stats.stages
+            run = runner.helix_run(tiny_sync)
+            return run, runner.stats.stages, runner.artifacts.traffic()
 
-        cold, _ = helix_run()
+        cold, _, _ = helix_run()
         (entry,) = (tmp_path / "plan").glob("*.json")
         good = entry.read_bytes()
         payload = json.loads(good)
@@ -596,12 +597,15 @@ class TestRunnerCacheIntegration:
         ]
         for blob in corruptions:
             entry.write_text(json.dumps(blob))
-            run, stages = helix_run()
+            run, stages, traffic = helix_run()
             assert stages["transform"].computes == 1, blob
             assert stages["execute"].disk_hits == 1, blob
+            # Rejected, the plan is a miss in the store's tally too.
+            plan = traffic["plan"]
+            assert (plan["hits"], plan["misses"]) == (0, 1), blob
             assert run.parallel.cycles == cold.parallel.cycles, blob
             assert entry.read_bytes() == good, blob
-        _, stages = helix_run()
+        _, stages, _ = helix_run()
         assert "transform" not in stages
 
     def test_named_loops_get_a_plan_of_their_own(self, tiny_sync, tmp_path):
@@ -805,9 +809,10 @@ class TestRunnerCacheIntegration:
             runner = EvaluationRunner(machine, cache=ArtifactStore(tmp_path))
             runner.profile(tiny_bench)
             result = runner.sequential(tiny_bench)
-            return result, runner.stats.stages[stage]
+            traffic = runner.artifacts.traffic()[kind]
+            return result, runner.stats.stages[stage], traffic
 
-        cold, _ = baseline()
+        cold, _, _ = baseline()
         entries = sorted((tmp_path / kind).glob("*.json"))
         good = [entry.read_bytes() for entry in entries]
         payload = json.loads(good[0])
@@ -827,11 +832,15 @@ class TestRunnerCacheIntegration:
         for blob in [{}] + corruptions:
             for entry in entries:
                 entry.write_text(json.dumps(blob))
-            result, tally = baseline()
+            result, tally, traffic = baseline()
             assert result == cold, blob
             assert tally.computes == len(entries), blob
+            # Rejected, each entry is a miss in the store's tally too.
+            assert (traffic["hits"], traffic["misses"]) == (
+                0, len(entries)
+            ), blob
             assert [entry.read_bytes() for entry in entries] == good, blob
-        _, tally = baseline()
+        _, tally, _ = baseline()
         assert (tally.computes, tally.disk_hits) == (0, len(entries))
 
     def test_runners_on_one_store_share_its_compiled_modules(

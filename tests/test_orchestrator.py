@@ -17,7 +17,7 @@ from repro.service import (
     RunJob,
 )
 from repro.runtime.machine import MachineConfig
-from repro.service.jobs import check_event_ordering
+from repro.service.jobs import CURRENT_JOB, check_event_ordering
 
 PROGRAM = """
 int total;
@@ -558,9 +558,11 @@ def test_event_ordering_property_through_orchestrator(plan):
     def scripted(ctx, spec):
         index = int(spec.tag)
         for count in range(plan[index]):
-            ctx.observer.stage_completed(
-                None, f"bench{index}", f"stage{count}", "compute", 0.0
-            )
+            for sink in ctx.sinks:
+                sink.stage_completed(
+                    CURRENT_JOB.get(), f"bench{index}", f"stage{count}",
+                    "compute", 0.0,
+                )
         return {"index": index}
 
     orch, observer = make_orchestrator(scripted, workers=2)
@@ -678,3 +680,132 @@ def test_compile_job_goes_through_the_transform_stage(tmp_path, monkeypatch):
         "ir": module_to_str(transformed),
     }
     assert job.result["parallelized"] >= 1
+
+
+class _Logged(RecordingObserver):
+    """A recording observer that also logs ``(name, event)`` to a list
+    it shares with other sinks, so their relative order shows."""
+
+    def __init__(self, name, log):
+        super().__init__()
+        self.name, self.log = name, log
+        self.threads = set()
+
+    def _record(self, event, job, **args):
+        super()._record(event, job, **args)
+        self.log.append((self.name, event))
+        if event in ("stage_completed", "artifact_stored"):
+            self.threads.add(threading.current_thread().name)
+
+
+def test_events_reach_every_sink_in_order(tmp_path, tiny_bench):
+    """The orchestrator-wide sinks, then the job's own observer: each
+    event of a real pipeline reaches all of them, one after the other,
+    before the next event is emitted."""
+    log = []
+    first, second, own = (_Logged(n, log) for n in ("first", "second", "own"))
+    orch = Orchestrator(cache=tmp_path / "cache", workers=1, observer=second)
+    orch.sinks.insert(0, first)  # how the daemon installs its trace writer
+    try:
+        job = _run(orch, RunJob(tiny_bench, cores=4), observer=own)
+    finally:
+        orch.shutdown()
+    assert len(log) % 3 == 0
+    assert [name for name, _ in log] == ["first", "second", "own"] * (
+        len(log) // 3
+    )
+    kinds = [kind for _, kind in log[::3]]
+    assert {"stage_completed", "artifact_stored"} <= set(kinds)
+    for sink in (first, second, own):
+        assert [event.kind for event in sink.events] == kinds
+        assert sink.kinds(job.id) == kinds
+        assert check_event_ordering(sink.events) == []
+
+
+def test_a_timed_job_names_itself_on_its_attempt_thread(tmp_path, tiny_bench):
+    """A job with a timeout runs its handler on a disposable thread:
+    every stage and artifact event its runner emits there still names
+    the job."""
+    observer = _Logged("sink", [])
+    orch = Orchestrator(
+        cache=tmp_path / "cache", workers=1, observer=observer
+    )
+    try:
+        job = _run(orch, RunJob(tiny_bench, cores=4), timeout=300)
+    finally:
+        orch.shutdown()
+    assert observer.threads == {f"attempt-{job.id}"}
+    emitted = [
+        event for event in observer.events
+        if event.kind in ("stage_completed", "artifact_stored")
+    ]
+    assert {event.kind for event in emitted} == {
+        "stage_completed", "artifact_stored",
+    }
+    assert {event.job_id for event in emitted} == {job.id}
+    assert check_event_ordering(observer.for_job(job.id)) == []
+
+
+def _fold(rows):
+    """``{stage: {outcome: count}}`` of ``(stage, outcome, count)`` rows,
+    pipeline stages only."""
+    folded = {}
+    for stage, outcome, count in rows:
+        if count and not stage.startswith("analysis:"):
+            per_stage = folded.setdefault(stage, {})
+            per_stage[outcome] = per_stage.get(outcome, 0) + count
+    return folded
+
+
+def test_the_stage_channels_agree(tmp_path, tiny_bench):
+    """One stage record, four views: the job's ``stage_completed``
+    events, its runner's counters, its ``stage.*`` metrics and the
+    ``outcome`` of each ``stage.*`` span all say the same thing, cold,
+    warm and traced."""
+    outcomes = {"computes": "compute", "memory_hits": "memory",
+                "disk_hits": "disk"}
+    observer = RecordingObserver()
+    orch = Orchestrator(
+        cache=tmp_path / "cache", workers=1, observer=observer
+    )
+    stats = {}
+
+    def run_keeping_stats(ctx, spec):
+        result = orch._handle_run(ctx, spec)
+        stats[ctx.job.id] = ctx.runner(spec.cores).stats
+        return result
+
+    orch.handlers[RunJob] = run_keeping_stats
+    try:
+        cold = _run(orch, RunJob(tiny_bench, cores=4))
+        warm = _run(orch, RunJob(tiny_bench, cores=4))
+        traced = _run(orch, RunJob(tiny_bench, cores=2), trace=True)
+    finally:
+        orch.shutdown()
+    folds = {}
+    for job in (cold, warm, traced):
+        events = folds[job.id] = _fold(
+            (event.args["stage"], event.args["outcome"], 1)
+            for event in observer.for_job(job.id)
+            if event.kind == "stage_completed"
+        )
+        table = _fold(
+            (stage, outcome, getattr(tally, counter))
+            for stage, tally in stats[job.id].stages.items()
+            for counter, outcome in outcomes.items()
+        )
+        metrics = _fold(
+            (name.split(".")[1], outcomes[name.split(".")[2]], value)
+            for name, value in job.metrics["counters"].items()
+            if name.startswith("stage.")
+        )
+        assert events == table == metrics, job.id
+    assert folds[warm.id] == {"run": {"disk": 1}}
+    stage_spans = [
+        span for span in traced.spans if span["name"].startswith("stage.")
+    ]
+    assert {"stage.selection", "stage.transform"} <= {
+        span["name"] for span in stage_spans
+    }
+    for span in stage_spans:
+        assert span["args"]["outcome"] in ("compute", "disk", "memory"), span

@@ -5,15 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.jobs import (
-    BoundObserver,
     CompileJob,
-    CompositeObserver,
     EvaluationObserver,
     InvalidTransition,
     Job,
     JobState,
     ObservedEvent,
-    RecordingObserver,
     RunJob,
     SuiteJob,
     TraceJob,
@@ -84,33 +81,6 @@ def test_spec_ops():
 
 
 # -- observers ---------------------------------------------------------------
-
-
-def test_composite_fans_out_in_order():
-    a, b = RecordingObserver(), RecordingObserver()
-    composite = CompositeObserver(a, b, None)
-    job = Job(spec=RunJob("mcf"))
-    composite.job_started(job)
-    composite.stage_completed(job, "mcf", "module", "compute", 0.1)
-    composite.artifact_stored(job, "module", "k", "store")
-    composite.job_finished(job)
-    assert [e.kind for e in a.events] == [e.kind for e in b.events] == [
-        "job_started",
-        "stage_completed",
-        "artifact_stored",
-        "job_finished",
-    ]
-
-
-def test_bound_observer_pins_job():
-    recorder = RecordingObserver()
-    job = Job(spec=RunJob("mcf"))
-    bound = BoundObserver(recorder, job)
-    # The runner emits job=None; the bound observer fills it in.
-    bound.stage_completed(None, "mcf", "profile", "memory", 0.0)
-    bound.artifact_stored(None, "profile", "k", "hit")
-    assert [e.job_id for e in recorder.events] == [job.id, job.id]
-    assert recorder.kinds(job.id) == ["stage_completed", "artifact_stored"]
 
 
 def test_base_observer_is_noop():
