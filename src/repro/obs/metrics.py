@@ -11,10 +11,8 @@ summarised with one snapshot:
   :class:`repro.analysis.manager.AnalysisManager` beside those rows.
 * ``interp.backend.{tree,superblock}`` -- the engine an interpreter
   picked when it was built, counted once per ``run()``.
-* ``interp.superblock.{formed,blocks_fused,fallbacks}`` -- superblock
-  formation totals and fallback activations from
-  :mod:`repro.runtime.codegen` (a fallback means a budget could expire
-  inside a fused region, so the tree walker finished the activation).
+* ``interp.superblock.{formed,blocks_fused}`` -- superblock formation
+  totals from :mod:`repro.runtime.codegen`.
 * ``interp.codegen.{hook_sites,hook_sites_elided}`` -- the block
   boundaries each function of a class that overrides
   ``on_block_entry`` compiled with / without its hook call: how much

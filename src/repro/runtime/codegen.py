@@ -54,9 +54,9 @@ Python source generated once per function:
   acts, and every other boundary fuses exactly as for a class that
   observes nothing, whose watched set is empty
   (:meth:`_ChainEmitter.observed` is the one predicate).
-  The declaration binds generated code only: the tree walker, which
-  also runs the budget fallback below, announces every entry, so a
-  declaring hook keeps treating undeclared edges as no-ops.  An
+  The declaration binds generated code only: the tree walker announces
+  every entry, so a declaring hook keeps treating undeclared edges as
+  no-ops.  An
   observer that still needs every entry *counted* sets
   ``count_unwatched``: unobserved boundaries then bump a per-block
   cell of ``interp.unwatched_entries``, statically, like loads.
@@ -67,32 +67,22 @@ Python source generated once per function:
   ``on_block_entry``, ``exec_sync``, ``exec_xfer`` and every IR
   ``CALL`` (the callee charges through the interpreter).  They are
   written back once more wherever the activation ends: before
-  ``return``, in the over-budget handler, and before a ``RuntimeFault``
-  the function raises itself.  An exception *arriving* from a callee or
+  ``return``, and before a ``RuntimeFault`` the function raises itself.  An exception *arriving* from a callee or
   a hook passes through with nothing written: whoever raised it wrote
   its own clock last, and the caller's locals are older.  Hooks
   receive the activation's :class:`SlotFrame` and must not inspect
   register state (true of every in-tree consumer).
-* **Exactness fallback** -- output, cycle and instruction counts,
-  ``RuntimeFault`` messages and ``ExecutionLimitExceeded`` behavior are
-  bit-identical to the tree-walker.  Each dispatch arm only runs when
-  the instruction budget covers its chain's whole linear body (checked
-  on arm entry; loop-shaped chains re-check on every back edge), and
-  after every CALL (which consumes budget in the callee) the generated
-  code re-checks the rest of the chain in place.  A failed check is
-  one statement, ``raise __OB(block, index)``: the dispatch loop
-  runs inside a ``try`` (free until something is raised) whose single
-  handler writes the register locals back to the slot file -- the one
-  write-back of the function, whatever the number of checks -- and
-  returns the ``(block name, instruction index)`` anchor: 0, the
-  chain's head, for the entry and back-edge checks, the instruction
-  after the CALL for a post-call check.  :func:`execute_superblocks`
-  copies the defined slots into ``frame.regs`` once and the tree walker
-  finishes the activation from the anchor on the same frame object
-  (observers such as :class:`~repro.runtime.parallel.ParallelExecutor`
-  recognize an activation by its frame), charging instruction by
-  instruction, so the limit fires at precisely the walker's dynamic
-  instruction.
+* **The budget is a guard** -- within the instruction budget, output,
+  cycle and instruction counts and ``RuntimeFault`` messages are
+  bit-identical to the tree-walker.  The budget itself is checked, with
+  the exact test ``__ic > __limit``, on arm entry, on every loop-form
+  back edge and right after every CALL returns; a failed check writes
+  the clock back and raises the walker's ``ExecutionLimitExceeded``.
+  Every cycle of the CFG passes an arm entry or a back edge, so a run
+  that never terminates still raises, at most one chain's linear body
+  (:attr:`Superblock.max_instructions`) past the limit;
+  :meth:`~repro.runtime.interpreter.Interpreter.run` checks once more
+  when the entry activation returns.
 
 Assumptions baked into the generated source: global regions are reset
 *in place* (their backing lists -- and hence their lengths -- are
@@ -114,8 +104,7 @@ that observes block entries, ``interp.codegen.hook_sites`` /
 function compiled with / without its ``on_block_entry`` call,
 ``interp.codegen.undef_checks`` / ``interp.codegen.undef_checks_elided``
 per function for the first reads that kept / lost the
-undefined-register test, and ``interp.superblock.fallbacks`` per
-exactness-fallback activation.
+undefined-register test.
 """
 
 from __future__ import annotations
@@ -144,6 +133,7 @@ from repro.runtime.interpreter import (
     _arith_div,
     _arith_mod,
     format_value,
+    limit_exceeded,
 )
 
 _INF = float("inf")
@@ -191,13 +181,9 @@ def _undef(operand: VReg, func_name: str) -> None:
 
 
 class SlotFrame:
-    """One activation of generated code: slot file + local arrays.
+    """One activation of generated code: slot file + local arrays."""
 
-    ``regs`` is the tree walker's register file; it exists only once
-    the activation falls back to the walker, filled from ``slots``.
-    """
-
-    __slots__ = ("func", "slots", "local_mem", "ret", "regs")
+    __slots__ = ("func", "slots", "local_mem", "ret")
 
     def __init__(self, func: Function, nslots: int) -> None:
         self.func = func
@@ -405,16 +391,12 @@ class SuperblockFunction:
     The chains share ONE generated function (``run``): an integer-state
     dispatch loop whose arm ``k`` is chain ``k``'s body, with registers
     held in function-wide locals across chain transitions.  ``run(frame,
-    limit, 0)`` executes a whole activation and returns ``None`` on RET,
-    or the ``(block name, instruction index)`` anchor of the budget
-    check that failed -- :func:`execute_superblocks` then finishes the
-    activation on the
-    tree walker from there.
+    limit, 0)`` executes a whole activation, leaving its return value in
+    ``frame.ret``.
     """
 
     __slots__ = (
-        "func", "slot_map", "nslots", "param_slots", "entry", "blocks",
-        "run", "source",
+        "func", "nslots", "param_slots", "entry", "blocks", "run", "source",
     )
 
     def __init__(
@@ -427,23 +409,16 @@ class SuperblockFunction:
         source: str,
     ) -> None:
         self.func = func
-        #: VReg uid -> slot index (:func:`allocate_slots`).
-        self.slot_map = slot_map
+        #: Size of the slot file, and the parameters' slots
+        #: (``slot_map`` is :func:`allocate_slots`'s VReg uid -> slot).
         self.nslots = len(slot_map)
         self.param_slots = tuple(slot_map[param.uid] for param in func.params)
         self.entry = entry
         self.blocks = blocks
-        #: ``run(frame, limit, state)`` -> None (RET) | over-budget anchor.
+        #: ``run(frame, limit, state)``: one activation, to its RET.
         self.run = run
         #: Generated Python source, kept for tests and debugging.
         self.source = source
-
-
-class _OverBudget(Exception):
-    """Raised by generated code, and caught by its own function, when
-    the instruction budget may expire before the next check; ``args`` is
-    the ``(block name, instruction index)`` anchor the walker resumes
-    at."""
 
 
 # -- code generation ----------------------------------------------------------
@@ -514,11 +489,9 @@ class _FunctionCodegen:
         )
         self.cost_model = interp.cost_model
         self.specialized = 0
-        #: Function-wide slot sets (filled by :meth:`build` before any
-        #: chain is emitted): every slot the body reads or writes, and
-        #: the write subset every budget handoff flushes.
+        #: Every slot the body reads or writes (filled by :meth:`build`
+        #: before any chain is emitted).
         self.touched_slots: Tuple[int, ...] = ()
-        self.write_slots: Tuple[int, ...] = ()
         #: Globals of the generated module: runtime objects pre-bound
         #: under stable dunder names, then whatever :meth:`bind` adds.
         self.ns: Dict[str, object] = {
@@ -531,7 +504,7 @@ class _FunctionCodegen:
             "__div": _arith_div,
             "__mod": _arith_mod,
             "__call": interp.call_function,
-            "__OB": _OverBudget,
+            "__XL": limit_exceeded,
             "__fb": func.blocks,
             "__FN": func.name,
         }
@@ -607,24 +580,18 @@ class _FunctionCodegen:
         # Function-wide register file: every slot the generated body can
         # touch is materialized once per activation, so locals stay
         # authoritative across chain transitions (no per-transition
-        # flush/reload) and any budget handoff can flush the full write
-        # set -- prelude initialization makes every member assignable
-        # regardless of which path executed.
+        # flush/reload).
         slot_map = self.slot_map
         touched: Dict[int, None] = {}
-        writes: Dict[int, None] = {}
         for block in func.blocks.values():
             for instr in block.instructions:
                 for reg in instr.uses():
                     touched.setdefault(slot_map[reg.uid], None)
                 if instr.dest is not None:
-                    slot = slot_map[instr.dest.uid]
-                    touched.setdefault(slot, None)
-                    writes.setdefault(slot, None)
+                    touched.setdefault(slot_map[instr.dest.uid], None)
                 if instr.is_terminator:
                     break
         self.touched_slots = tuple(touched)
-        self.write_slots = tuple(writes)
         weights = [
             (profile.get((func.name, chain[0]), 0) + 1) if profile else 1
             for chain in chains
@@ -644,7 +611,7 @@ class _FunctionCodegen:
             lines.extend(emit_range(mid, hi, base + "    "))
             return lines
 
-        arms = emit_range(0, len(chains), " " * 12)
+        arms = emit_range(0, len(chains), " " * 8)
         head = [
             "def __sb(frame, __limit, st):",
             "    __i = __I",
@@ -655,17 +622,8 @@ class _FunctionCodegen:
         head.append("    s = frame.slots")
         for slot in self.touched_slots:
             head.append(f"    r{slot} = s[{slot}]")
-        head.append("    try:")
-        head.append("        while True:")
-        # The one register write-back: every over-budget exit raises
-        # to here with the clock locals current, and the anchor it
-        # carries is where the walker resumes.
-        tail = ["    except __OB as __x:"]
-        for slot in self.write_slots:
-            tail.append(f"        s[{slot}] = r{slot}")
-        tail.append("        " + self.write_back)
-        tail.append("        return __x.args")
-        source = "\n".join(head + arms + tail) + "\n"
+        head.append("    while True:")
+        source = "\n".join(head + arms) + "\n"
         exec(compile(source, f"<superblocks:{func.name}>", "exec"), self.ns)
         REGISTRY.inc("interp.superblock.formed", len(chains))
         REGISTRY.inc(
@@ -710,42 +668,32 @@ class _ChainEmitter:
             __ic = __i.instructions; __cy = __i.cycles   # the clock
             s = frame.slots
             r3 = s[3]; ...                      # function-wide prelude
-            try:
-                while True:
-                    if st < 1:                   # dispatch tree
-                        if __ic + N0 > __limit:  # arm 0 (entry chain)
-                            raise __OB('entry0', 0)
-                        <charge segment>; <ops>; ...
-                        st = 2                   # side exit to chain 2
-                        continue                 # back to dispatch
-                    else:
-                        if st < 2: ...
-            except __OB as __x:
-                s[..] = r..                      # the one write-back
-                __i.instructions = __ic; __i.cycles = __cy
-                return __x.args                  # -> the walker finishes
+            while True:
+                if st < 1:                      # dispatch tree
+                    if __ic > __limit:          # arm 0 (entry chain)
+                        __i.instructions = __ic; __i.cycles = __cy
+                        raise __XL(__limit)
+                    <charge segment>; <ops>; ...
+                    st = 2                      # side exit to chain 2
+                    continue                    # back to dispatch
+                else:
+                    if st < 2: ...
 
     Locals are authoritative across chain transitions: a transition is
     just ``st = k`` plus a jump back to the dispatch loop, with no
-    flush and no reload.  The slot file is only written when control
-    leaves the generated function with the frame still live -- an arm's
-    over-budget entry check, a loop back edge's budget re-check, or a
-    post-CALL re-check -- and every one of those raises to the single
-    handler, which flushes the *full* function write set (prelude
-    initialization makes every member assignable no matter which path
-    executed) and returns the anchor the walker resumes at.  The walker's
-    undefined-register check stays at an arm's first read site, against
-    the prelude-loaded local, when the register is not assigned on
-    every path into the block (:func:`_must_defined`).  Loop-form arms
-    (terminator targets the chain head) wrap
-    their body in an inner ``while True:``; the back edge is
-    ``continue`` on that inner loop, side exits ``break`` out of it and
-    fall back to the dispatch loop.
+    flush and no reload, and nothing ever writes them back to the slot
+    file: an activation ends in generated code, by RET or by a fault.
+    The walker's undefined-register check stays at an arm's first read
+    site, against the prelude-loaded local, when the register is not
+    assigned on every path into the block (:func:`_must_defined`).
+    Loop-form arms (terminator targets the chain head) wrap their body
+    in an inner ``while True:``; the back edge is ``continue`` on that
+    inner loop, side exits ``break`` out of it and fall back to the
+    dispatch loop.
 
-    Charges are emitted *before* each segment's operations; a segment
-    that follows a CALL first re-checks the remaining linear budget and
-    raises, anchored at the instruction after the CALL, when the limit
-    could expire before the chain ends.
+    Charges are emitted *before* each segment's operations.  The budget
+    is checked (:meth:`over_budget`) on arm entry, on the back edge and
+    right after each CALL returns, whose callee charged the interpreter.
 
     Segments additionally close at every boundary that is
     :meth:`observed` (so ``on_block_entry`` reads exact counters, in
@@ -783,7 +731,6 @@ class _ChainEmitter:
                 total += block.instructions.index(term) + 1
                 if term.opcode is not Opcode.RET and chain[0] in term.targets:
                     loop_form = True
-        self.total = total
         self.loop_form = loop_form
         sb.max_instructions = total
         # Leaf arms carry no equality test, so the body sits at the
@@ -794,8 +741,6 @@ class _ChainEmitter:
         self.seg_count = 0
         self.seg_cycles = 0
         self.seg_loads = 0
-        self.charged = 0
-        self.pending_check: Optional[Tuple[str, int]] = None
         self.pending_cond: Optional[str] = None
         #: Slots this arm has assigned or tested so far, and the slots
         #: every path into the block being emitted has assigned
@@ -885,10 +830,8 @@ class _ChainEmitter:
         line = f"{cell}[0] += 1"
         if self.seg_count:
             # An unobserved fused fallthrough leaves the segment open:
-            # the bump keeps program order with the buffered ops, behind
-            # the segment's post-CALL budget check, so an activation
-            # that diverts there never counts a block the fallback is
-            # about to announce.
+            # the bump keeps program order with the buffered ops, so a
+            # fault among them never counts a block not yet entered.
             self.buf.append(line)
         else:
             self.emit(line, extra)
@@ -999,28 +942,24 @@ class _ChainEmitter:
         self.buf.append(extra + self.g.write_back)
         self.buf.append(f"{extra}raise __RF({message})")
 
+    def over_budget(self, ind: str) -> List[str]:
+        """The budget check, at indentation ``ind``: past the limit, the
+        function raises the walker's ``ExecutionLimitExceeded`` as it
+        raises its own faults."""
+        return [
+            f"{ind}if __ic > __limit:",
+            f"{ind}    {self.g.write_back}",
+            f"{ind}    raise __XL(__limit)",
+        ]
+
     # -- segment charging ----------------------------------------------------
 
-    def close_segment(self, new_check: Optional[Tuple[str, int]] = None) -> None:
-        """Emit the pending charge block, then the buffered op lines.
-
-        When a CALL preceded this segment (``pending_check``), the
-        charge is guarded by a conservative remaining-budget test: if
-        the rest of the chain's linear body might not fit, raise to the
-        function's write-back, anchored at the instruction after the
-        CALL in the call's block.
-        """
+    def close_segment(self) -> None:
+        """Emit the pending charge block, then the buffered op lines."""
         out = self.lines
         ind = self.indent
         count, cycles = self.seg_count, self.seg_cycles
         loads = self.seg_loads
-        check = self.pending_check
-        if check is not None and count:
-            bname, index = check
-            remaining = self.total - self.charged
-            out.append(f"{ind}if __ic + {remaining} > __limit:")
-            out.append(f"{ind}    raise __OB({bname!r}, {index})")
-            self.pending_check = None
         if count:
             out.append(f"{ind}__ic += {count}")
         if cycles:
@@ -1029,12 +968,9 @@ class _ChainEmitter:
             out.append(f"{ind}__lc += {loads}")
         out.extend(ind + line for line in self.buf)
         self.buf = []
-        self.charged += count
         self.seg_count = 0
         self.seg_cycles = 0
         self.seg_loads = 0
-        if new_check is not None:
-            self.pending_check = new_check
 
     # -- exits ---------------------------------------------------------------
 
@@ -1043,16 +979,10 @@ class _ChainEmitter:
         out = self.lines
         ind = self.indent + extra
         if self.loop_form and target == self.chain[0]:
-            # Back edge: announce the head re-entry (if observed), then the
-            # next iteration re-charges the full linear body, so
-            # re-check it; over budget -> raise, anchored at the head,
-            # so the walker finishes the activation (it does not
-            # re-announce the block it resumes in, so the hook order
-            # stays exact).  Registers stay in their locals across the
-            # iteration: only the over-budget exit flushes them.
+            # Back edge: announce the head re-entry (if observed), check
+            # the budget, iterate.  Registers stay in their locals.
             self.emit_entry(cur_name, target, extra)
-            out.append(f"{ind}if __ic + {self.total} > __limit:")
-            out.append(f"{ind}    raise __OB({target!r}, 0)")
+            out.extend(self.over_budget(ind))
             out.append(f"{ind}continue")
             return
         if target not in self.blocks:
@@ -1342,13 +1272,15 @@ class _ChainEmitter:
                 )
             # The callee charges through the interpreter: hand it the
             # clock and take it back (a callee that raises has written
-            # its own, so nothing is written on the way out).
+            # its own, so nothing is written on the way out), then check
+            # what it charged.
             buf.append(g.write_back)
             if instr.dest is not None:
                 buf.append(f"{self.wreg(instr.dest)} = {call}")
             else:
                 buf.append(call)
             buf.append(g.reload)
+            buf.extend(self.over_budget(""))
             return 1
 
         if op is Opcode.PRINT:
@@ -1488,14 +1420,7 @@ class _ChainEmitter:
     def render(self) -> List[str]:
         g = self.g
         base = self.base
-        # Arm entry: the whole linear body must fit the budget or the
-        # walker finishes the activation from the chain head (flush
-        # first: when entered via a transition, locals are the only
-        # current copy of the registers).
-        head = [
-            f"{base}if __ic + {self.total} > __limit:",
-            f"{base}    raise __OB({self.chain[0]!r}, 0)",
-        ]
+        head = self.over_budget(base)
         if self.loop_form:
             head.append(f"{base}while True:")
         for pos, name in enumerate(self.chain):
@@ -1530,9 +1455,9 @@ class _ChainEmitter:
                     continue
                 consumed = self.emit_op(instr, nxt)
                 if instr.opcode is Opcode.CALL:
-                    # The callee consumed budget: re-check before the
-                    # next charge, resuming after the CALL if short.
-                    self.close_segment(new_check=(name, i + 1))
+                    # The callee charged the interpreter: what follows
+                    # is charged after it, so it opens a new segment.
+                    self.close_segment()
                 i += consumed
             if not terminated:
                 msg = f"block {name} fell through without terminator"
@@ -1561,16 +1486,10 @@ def execute_superblocks(interp, sfunc: SuperblockFunction, args) -> object:
     """Run one activation of ``sfunc`` on ``args`` and return its value.
 
     For a class that observes block entries the activation-entry
-    ``on_block_entry(frame, None, entry)`` is made here; every later boundary hook lives
-    inside the generated code.  The whole activation -- chain dispatch
-    included -- runs inside the single generated function; a chain is
-    only entered, iterated or continued past a CALL while the remaining
-    instruction budget covers the rest of its linear body, otherwise
-    ``run`` writes the register locals back and returns the anchor of
-    the failed check.  The tree walker then finishes the activation from
-    there, on the same frame and without re-announcing the block it
-    resumes in, so ``ExecutionLimitExceeded`` fires at precisely the
-    walker's dynamic instruction.
+    ``on_block_entry(frame, None, entry)`` is made here; every later
+    boundary hook lives inside the generated code.  The whole activation
+    -- chain dispatch and budget checks included -- runs inside the
+    single generated function.
     """
     frame = SlotFrame(sfunc.func, sfunc.nslots)
     slots = frame.slots
@@ -1581,14 +1500,5 @@ def execute_superblocks(interp, sfunc: SuperblockFunction, args) -> object:
         limit = _INF
     if interp._observes_blocks:
         interp.on_block_entry(frame, None, sfunc.func.entry)
-    anchor = sfunc.run(frame, limit, 0)
-    if anchor is None:
-        return frame.ret
-    REGISTRY.inc("interp.superblock.fallbacks")
-    name, index = anchor
-    frame.regs = {
-        uid: slots[slot]
-        for uid, slot in sfunc.slot_map.items()
-        if slots[slot] is not _UNDEF
-    }
-    return interp._walk(frame, sfunc.func.blocks[name], index)
+    sfunc.run(frame, limit, 0)
+    return frame.ret

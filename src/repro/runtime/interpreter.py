@@ -20,9 +20,8 @@ deterministic and portable.
 Two execution tiers share these semantics, and each interpreter picks
 one when it is built:
 
-* the **tree-walker** in this module -- simple, hookable everywhere, the
-  oracle every other tier is checked against, and the tier that
-  finishes any activation the generated code hands back;
+* the **tree-walker** in this module -- simple, hookable everywhere, and
+  the oracle every other tier is checked against;
 * the **superblock backend** (:mod:`repro.runtime.codegen`) -- basic
   blocks are fused into single-entry superblocks and all superblocks of
   a function are code-generated into one compiled Python function.
@@ -34,11 +33,15 @@ generated code fuses away.  Otherwise generated code observes exactly
 what the class declares: it calls an overridden ``on_block_entry`` on
 the edges :meth:`Interpreter.watched_edges` declares, and routes sync
 and xfer ops through ``exec_sync`` / ``exec_xfer`` when the class
-overrides them.  When the instruction budget could expire inside a
-fused region, generated code hands its activation, frame and all, to
-the walker at the instruction it stopped before
-(:meth:`Interpreter._walk`), so the limit fires exactly where the
-walker alone would fire it.
+overrides them.
+
+The instruction budget (``max_instructions``) is a guard against
+programs that never terminate, not an observable.  A run within it is
+bit-identical on both tiers.  A run that exceeds it raises
+:class:`ExecutionLimitExceeded` with the same message on both: the
+walker at the first instruction past the limit, generated code at its
+next budget check, at most one chain's linear body later, with its
+clock written back there.
 """
 
 from __future__ import annotations
@@ -92,6 +95,16 @@ class RuntimeFault(Exception):
 
 class ExecutionLimitExceeded(RuntimeFault):
     """The instruction budget was exhausted (probable infinite loop)."""
+
+
+#: The instruction budget of an interpreter built without one.
+DEFAULT_MAX_INSTRUCTIONS = 500_000_000
+
+
+def limit_exceeded(limit: int) -> ExecutionLimitExceeded:
+    """The fault every tier raises once a run has charged more than
+    ``limit`` instructions."""
+    return ExecutionLimitExceeded(f"exceeded {limit} instructions")
 
 
 class Pointer:
@@ -240,7 +253,7 @@ class Interpreter:
         self,
         module: Module,
         machine: Optional[MachineConfig] = None,
-        max_instructions: Optional[int] = 500_000_000,
+        max_instructions: Optional[int] = DEFAULT_MAX_INSTRUCTIONS,
         backend: str = "auto",
         block_profile: Optional[Mapping[Tuple[str, str], int]] = None,
     ) -> None:
@@ -354,6 +367,11 @@ class Interpreter:
         )
         func = self.module.functions[entry]
         value = self.call_function(func, list(args))
+        # Generated code checks the budget at chain entries and after
+        # calls; this covers the entry activation's last chain.
+        limit = self.max_instructions
+        if limit is not None and self.instructions > limit:
+            raise limit_exceeded(limit)
         return ExecutionResult(
             output=list(self.output),
             cycles=self.cycles,
@@ -383,22 +401,9 @@ class Interpreter:
         frame = Frame(func)
         for param, value in zip(func.params, args):
             frame.regs[param.uid] = value
-        self.on_block_entry(frame, None, func.entry)
-        return self._walk(frame, func.entry)
-
-    def _walk(self, frame, block: BasicBlock, index: int = 0) -> object:
-        """Tree-walk ``frame``'s activation to its RET, starting at
-        instruction ``index`` of ``block``, and return its value.
-
-        ``block``'s entry has already been announced; every later one
-        goes through :meth:`on_block_entry`.  :meth:`_call_tree` starts
-        here at the entry block; generated code that cannot cover the
-        rest of a chain from the instruction budget hands its activation
-        over here, on the same frame object, with ``frame.regs`` filled
-        from its slots (see :mod:`repro.runtime.codegen`).
-        """
-        func = frame.func
-        outcome = self.exec_block(frame, block, index)
+        block = func.entry
+        self.on_block_entry(frame, None, block)
+        outcome = self.exec_block(frame, block)
         while outcome[0] == "jump":
             next_block = func.blocks[outcome[1]]
             self.on_block_entry(frame, block, next_block)
@@ -437,22 +442,17 @@ class Interpreter:
         code fuses those boundaries as it does for a class that observes
         nothing: no hook call, no segment close
         (:attr:`count_unwatched` keeps the entry counts of their
-        targets).  The promise is one-sided: the tree walker, which
-        also finishes any activation the budget check hands back,
-        announces every entry, so the hook must keep handling
-        undeclared edges as it would without the declaration.  Asked
-        once per compiled function; the answer must not change over the
+        targets).  Only generated code reads the declaration: the tree
+        walker announces every entry, so the hook must keep handling
+        undeclared edges as it would without it.  Asked once per
+        compiled function; the answer must not change over the
         interpreter's lifetime.
         """
         return None
 
-    def exec_block(
-        self, frame: Frame, block: BasicBlock, start: int = 0
-    ) -> Tuple[str, object]:
-        """Execute one block from its instruction ``start`` on; returns
-        ('ret', value) or ('jump', name)."""
-        instructions = block.instructions
-        for instr in instructions[start:] if start else instructions:
+    def exec_block(self, frame: Frame, block: BasicBlock) -> Tuple[str, object]:
+        """Execute one block; returns ('ret', value) or ('jump', name)."""
+        for instr in block.instructions:
             if instr.is_terminator:
                 return self.eval_terminator(frame, instr)
             self.exec_instr(frame, instr)
@@ -469,9 +469,7 @@ class Interpreter:
             self.max_instructions is not None
             and self.instructions > self.max_instructions
         ):
-            raise ExecutionLimitExceeded(
-                f"exceeded {self.max_instructions} instructions"
-            )
+            raise limit_exceeded(self.max_instructions)
 
     def eval_operand(self, operand: Operand, frame: Frame):
         if isinstance(operand, Const):
@@ -741,7 +739,7 @@ def run_module(
     module: Module,
     machine: Optional[MachineConfig] = None,
     entry: str = "main",
-    max_instructions: Optional[int] = 500_000_000,
+    max_instructions: Optional[int] = DEFAULT_MAX_INSTRUCTIONS,
     backend: str = "auto",
     block_profile: Optional[Mapping[Tuple[str, str], int]] = None,
 ) -> ExecutionResult:

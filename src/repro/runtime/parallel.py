@@ -76,10 +76,8 @@ declares every edge into those through
 :meth:`~repro.runtime.interpreter.Interpreter.watched_edges`, computed
 from ``infos`` per function.  Generated code then calls the hook there
 and fuses every other block boundary as an uninstrumented run would;
-the tree walker, which also finishes any activation the budget check
-hands back, still calls it everywhere, which the early returns make
-harmless.  That hand-back keeps the frame object, so the ``frame is``
-tests below still recognize the invocation's activation.
+the tree walker still calls it everywhere, which the early returns make
+harmless.
 
 Most of what a recording run enters did not exist when the profile it
 is handed was measured: the parallel version, the inlined bodies and
@@ -105,6 +103,7 @@ from repro.core.loopinfo import LoopInfo, ParallelizedLoop
 from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.obs.tracer import get_tracer
 from repro.runtime.interpreter import (
+    DEFAULT_MAX_INSTRUCTIONS,
     ExecutionResult,
     Frame,
     Interpreter,
@@ -455,7 +454,7 @@ class ParallelExecutor(RecordedRun, Interpreter):
         module: Module,
         infos: Sequence[ParallelizedLoop],
         machine: Optional[MachineConfig] = None,
-        max_instructions: Optional[int] = 500_000_000,
+        max_instructions: Optional[int] = DEFAULT_MAX_INSTRUCTIONS,
         backend: str = "auto",
         schedule_memo: Optional[Dict[str, ScheduleColumns]] = None,
         block_profile: Optional[Dict[Tuple[str, str], int]] = None,

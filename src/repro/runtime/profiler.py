@@ -32,10 +32,9 @@ so the one late addition equals the per-block additions it replaces.
 begins an iteration, so it is the header's block count, read after the
 run.  The block counts are the hook's own plus the static counters the
 generated code bumps at the boundaries that do not call it.  The tree
-walker -- also where an over-budget activation finishes -- still calls
-the hook at every block, which it tolerates (an undeclared edge pops
-nothing and pushes nothing); the profile is identical either way (the
-differential tests assert it).
+walker still calls the hook at every block, which it tolerates (an
+undeclared edge pops nothing and pushes nothing); the profile is
+identical either way (the differential tests assert it).
 """
 
 from __future__ import annotations
@@ -53,7 +52,11 @@ from repro.analysis.loopnest import (
 from repro.analysis.loops import Loop
 from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.ir.types import Type
-from repro.runtime.interpreter import ExecutionResult, Interpreter
+from repro.runtime.interpreter import (
+    DEFAULT_MAX_INSTRUCTIONS,
+    ExecutionResult,
+    Interpreter,
+)
 from repro.runtime.machine import MachineConfig
 
 
@@ -292,7 +295,7 @@ def profile_module(
     module: Module,
     machine: Optional[MachineConfig] = None,
     nest: Optional[StaticLoopNestGraph] = None,
-    max_instructions: Optional[int] = 500_000_000,
+    max_instructions: Optional[int] = DEFAULT_MAX_INSTRUCTIONS,
     backend: str = "auto",
 ) -> ProfileData:
     """Run ``module`` once under instrumentation and return the profile.

@@ -1,5 +1,6 @@
-"""Shared test utilities: quick CFG and program construction, and the
-reference-engine replay the scheduler tests compare against."""
+"""Shared test utilities: quick CFG and program construction, the
+reference-engine replay the scheduler tests compare against, and the
+rule an over-budget run of generated code must follow."""
 
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -9,7 +10,7 @@ from repro.frontend import compile_source
 from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.ir.operands import Const
 from repro.ir.types import Type
-from repro.runtime.interpreter import ExecutionResult
+from repro.runtime.interpreter import ExecutionLimitExceeded, ExecutionResult
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import (
     LoopRunStats,
@@ -137,3 +138,54 @@ def reference_replay(
         traces=list(legacy_traces),
     )
     return run, schedules
+
+
+# -- over-budget runs --------------------------------------------------------
+
+
+def longest_chain(interp) -> int:
+    """``Superblock.max_instructions`` of the longest chain ``interp``
+    compiled: how far past its budget generated code may run before a
+    check raises."""
+    return max(
+        sb.max_instructions
+        for sfunc in interp._superblocks.values()
+        for sb in sfunc.blocks.values()
+    )
+
+
+def run_limited(make, backend: str, limit: int, observe=lambda interp: None):
+    """Run ``make(backend, limit)`` (an interpreter) to its end or its
+    budget fault: ``(fault message or None, (output, cycles,
+    instructions, load_count), observe(interp), interp)``."""
+    interp = make(backend, limit)
+    try:
+        interp.run()
+        message = None
+    except ExecutionLimitExceeded as exc:
+        message = str(exc)
+    clock = (
+        list(interp.output), interp.cycles, interp.instructions,
+        interp.load_count,
+    )
+    return message, clock, observe(interp), interp
+
+
+def assert_over_budget(make, limit: int, observe=lambda interp: None) -> None:
+    """Generated code over its budget: call ``n`` its instruction count
+    when it raises.  It raises the walker's message, with
+    ``limit < n <= limit + longest_chain``; its clock is the walker's at
+    limit ``n - 1`` (whose last, unexecuted instruction is the one a
+    generated check sits behind); what ``observe`` reads is the
+    walker's at limit ``n - 1``, or at ``n`` when the check sits right
+    after an announced boundary or a returning call."""
+    message, clock, observed, interp = run_limited(make, "auto", limit, observe)
+    walker = run_limited(make, "tree", limit, observe)
+    assert walker[0] is not None and message == walker[0], (limit, message)
+    n = clock[2]
+    assert limit < n <= limit + longest_chain(interp), (limit, n)
+    before = run_limited(make, "tree", n - 1, observe)
+    assert before[0] == f"exceeded {n - 1} instructions"
+    assert clock == before[1], (limit, n)
+    if observed != before[2]:
+        assert observed == run_limited(make, "tree", n, observe)[2], (limit, n)

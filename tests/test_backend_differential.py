@@ -6,11 +6,13 @@ return value must match the tree-walker on every program in
 ``examples/`` and the benchmark suite, with and without profiler
 instrumentation, and through the parallel executor.
 
-Every comparison also runs in a ``fallback`` lane, one instruction short
-of the budget the run needs: the last chain of ``main`` can no longer
-fit it, so the generated code hands its activation to the tree walker,
-which must fire the limit on the run's last instruction with the
-output, cycles, loads and traces of the complete run already in place.
+Every comparison also runs over budget, in the ``fallback`` lane (named
+for the hand-over to the tree walker it once exercised; generated code
+now raises the limit itself): with a budget one instruction short of
+what the run needs, the generated code completes ``main`` and
+``Interpreter.run``'s final check raises the walker's fault, with the
+output, cycles, loads and traces of the complete run in place -- the
+state the walker raises in, on the run's last instruction.
 
 Recording every bench on the walker is slow, so the recorded traces of
 the whole suite are pinned by ``tests/data/recording_traces.json`` (one
@@ -37,6 +39,7 @@ from repro.frontend import compile_source
 from repro.ir.parser import parse_module
 from repro.obs.metrics import REGISTRY, metrics_delta
 from repro.runtime import ExecutionLimitExceeded, Interpreter, run_module
+from repro.runtime.interpreter import DEFAULT_MAX_INSTRUCTIONS
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.profiler import (
@@ -57,7 +60,7 @@ EXECUTOR_BENCHES = ("equake", "mcf")
 #: The compiled backends, each checked against the tree oracle.
 COMPILED_BACKENDS = ("superblock",)
 
-#: The compiled backends, then the budget fallback (see the docstring).
+#: The compiled backends, then the over-budget lane (see the docstring).
 LANES = COMPILED_BACKENDS + ("fallback",)
 
 _modules = {}
@@ -93,17 +96,14 @@ def _tree_run(kind, module, run):
     return _tree_runs[key][1]
 
 
-def _assert_falls_back_at_the_end(interp, tree, load_count=0):
+def _assert_raises_at_the_end(interp, tree, load_count=0):
     """``interp`` holds a budget one short of the walker's ``tree`` run:
-    the generated code must hand the tail to the walker, which fires the
-    limit on the last instruction with everything else already done."""
+    it must fire the limit after the last instruction with everything
+    else already done."""
     limit = tree.instructions - 1
     assert interp.max_instructions == limit
-    before = REGISTRY.snapshot()
     with pytest.raises(ExecutionLimitExceeded) as excinfo:
         interp.run()
-    counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
-    assert counters.get("interp.superblock.fallbacks", 0) > 0
     assert (
         str(excinfo.value),
         interp.output,
@@ -124,7 +124,7 @@ def _assert_sequential_identity(module, lane):
         "sequential", module, lambda: run_module(module, backend="tree")
     )
     if lane == "fallback":
-        _assert_falls_back_at_the_end(
+        _assert_raises_at_the_end(
             Interpreter(module, max_instructions=tree.instructions - 1), tree
         )
     else:
@@ -133,12 +133,11 @@ def _assert_sequential_identity(module, lane):
         counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
         assert result.to_dict() == tree.to_dict()
         # The whole run stayed in generated code: one selection of the
-        # tier, none of the walker, and no activation handed to it.
+        # tier and none of the walker.
         assert (
             counters.get("interp.backend.superblock", 0),
             counters.get("interp.backend.tree", 0),
-            counters.get("interp.superblock.fallbacks", 0),
-        ) == (1, 0, 0)
+        ) == (1, 0)
 
 
 def _assert_profile_identity(module, lane):
@@ -153,7 +152,7 @@ def _assert_profile_identity(module, lane):
             ProfileData(result=None),
             max_instructions=tree.result.instructions - 1,
         )
-        _assert_falls_back_at_the_end(interp, tree.result)
+        _assert_raises_at_the_end(interp, tree.result)
     else:
         compiled = profile_module(module, backend=lane)
         assert compiled.to_dict() == tree.to_dict()
@@ -376,7 +375,7 @@ def test_parallel_executor_identity(bench, backend):
     machine = MachineConfig(cores=6)
     transformed, infos = _parallel_setup(bench, machine)
 
-    def executor(backend, limit=500_000_000):
+    def executor(backend, limit=DEFAULT_MAX_INSTRUCTIONS):
         return ParallelExecutor(
             transformed, infos, machine, backend=backend,
             max_instructions=limit,
@@ -389,7 +388,7 @@ def test_parallel_executor_identity(bench, backend):
     walker, tree = _tree_run("executor", transformed, record)
     if backend == "fallback":
         compiled = executor("auto", walker.instructions - 1)
-        _assert_falls_back_at_the_end(compiled, walker, walker.load_count)
+        _assert_raises_at_the_end(compiled, walker, walker.load_count)
         traces = compiled.traces
     else:
         compiled = executor(backend).execute()

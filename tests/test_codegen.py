@@ -3,10 +3,10 @@
 ``test_backend_differential`` proves whole-corpus identity; these tests
 pin down the generated tier's mechanics in isolation: superblock
 formation (chain shapes, profile-guided hot-arm choice, the chain-length
-bound), slot allocation, fault/limit parity on adversarial programs
-including mid-superblock
-expiry, backend selection and validation, the fused address+memory and
-compare+branch specializations, and the ``interp.superblock.*`` /
+bound), slot allocation, fault parity on adversarial programs, the
+over-budget rule (``tests.helpers.assert_over_budget``), backend
+selection and validation, the fused address+memory and compare+branch
+specializations, and the ``interp.superblock.*`` /
 ``interp.codegen.*`` observability counters.
 """
 
@@ -32,6 +32,7 @@ from repro.runtime.codegen import (
     allocate_slots,
     form_superblocks,
 )
+from tests.helpers import assert_over_budget
 
 BACKENDS = ("tree", "superblock")
 
@@ -221,11 +222,11 @@ class TestGeneratedCode:
         assert sfunc.entry.max_instructions > 0
 
     @pytest.mark.parametrize("hooked", (False, True))
-    def test_registers_are_written_back_in_one_place(self, hooked):
-        """Every over-budget exit (arm entry, loop-form back edge, after
-        a CALL) raises to the function's single write-back, so no
-        ``s[k] = rk`` statement is emitted twice however many exits a
-        function has."""
+    def test_registers_are_never_written_back(self, hooked):
+        """An activation ends in generated code, by RET or by a fault, so
+        no register goes back to the slot file and nothing is caught:
+        every budget check (arm entry, loop-form back edge, after a
+        CALL) raises past the function like its other faults."""
         module = compile_source(
             """
             int acc;
@@ -256,12 +257,10 @@ class TestGeneratedCode:
         for sfunc in compiled.values():
             assert ("__obe(" in sfunc.source) == hooked
             source = sfunc.source
-            write_backs = re.findall(r"^ *s\[\d+\] = r\d+$", source, re.M)
-            assert write_backs, source
-            assert len(write_backs) == len(set(write_backs))
-            # ... while the exits themselves are many.
-            assert source.count("raise __OB(") > 1
-            assert source.count("except __OB") == 1
+            assert not re.search(r"^ *s\[\d+\] = ", source, re.M), source
+            assert "except" not in source and "try:" not in source
+            # ... while the budget checks are many.
+            assert source.count("raise __XL(__limit)") > 1
 
     def test_superblock_cache_reused_across_runs(self):
         module = compile_source(
@@ -448,9 +447,9 @@ class _HookedRecorder(Interpreter):
         self.entries.append((prev.name if prev else None, block.name))
 
 
-def _hooked_fault(module, backend, exc=RuntimeFault, **kwargs):
-    interp = _HookedRecorder(module, backend=backend, **kwargs)
-    with pytest.raises(exc) as excinfo:
+def _hooked_fault(module, backend):
+    interp = _HookedRecorder(module, backend=backend)
+    with pytest.raises(RuntimeFault) as excinfo:
         interp.run()
     return (
         str(excinfo.value),
@@ -464,7 +463,7 @@ class TestHookedFaultParity:
     """Observing generated code faults exactly like the walker,
     instrumentation included: message, partial output, loads counted so
     far and the ``on_block_entry`` sequence up to the fault must all
-    match."""
+    match.  The budget fault follows the over-budget rule instead."""
 
     @pytest.mark.parametrize(
         "body,decls",
@@ -501,32 +500,36 @@ class TestHookedFaultParity:
     @settings(max_examples=15, deadline=None)
     @given(limit=st.integers(min_value=1, max_value=400))
     def test_hooked_limit_fires_at_identical_instruction(self, limit):
-        tree = _hooked_fault(
-            _loop_module, "tree", exc=ExecutionLimitExceeded,
-            max_instructions=limit,
+        """Over budget, an observing run follows the over-budget rule,
+        its entry sequence being the observer state."""
+        assert_over_budget(
+            lambda backend, limit: _HookedRecorder(
+                _loop_module, backend=backend, max_instructions=limit
+            ),
+            limit,
+            lambda interp: list(interp.entries),
         )
-        assert _hooked_fault(
-            _loop_module, "superblock", exc=ExecutionLimitExceeded,
-            max_instructions=limit,
-        ) == tree
 
 
 # ------------------------------------------------------------- limit parity
 
 
-def _run_limited(module, backend, limit):
-    interp = Interpreter(module, max_instructions=limit, backend=backend)
-    with pytest.raises(ExecutionLimitExceeded) as excinfo:
-        interp.run()
-    return str(excinfo.value), list(interp.output), interp.instructions
+def _limited(module):
+    return lambda backend, limit: Interpreter(
+        module, max_instructions=limit, backend=backend
+    )
 
 
 class TestLimitParity:
+    """The walker fires the limit on the first instruction past it;
+    generated code raises the same fault at its next check, with the
+    walker's clock of one instruction earlier
+    (``tests.helpers.assert_over_budget``)."""
+
     @settings(max_examples=40, deadline=None)
     @given(limit=st.integers(min_value=1, max_value=600))
     def test_limit_fires_at_identical_instruction(self, limit):
-        tree = _run_limited(_loop_module, "tree", limit)
-        assert _run_limited(_loop_module, "superblock", limit) == tree
+        assert_over_budget(_limited(_loop_module), limit)
 
     @settings(max_examples=15, deadline=None)
     @given(limit=st.integers(min_value=1, max_value=400))
@@ -540,8 +543,7 @@ class TestLimitParity:
             }
             """
         )
-        tree = _run_limited(module, "tree", limit)
-        assert _run_limited(module, "superblock", limit) == tree
+        assert_over_budget(_limited(module), limit)
 
     def test_exact_budget_completes_on_all_backends(self):
         module = compile_source(
@@ -798,7 +800,23 @@ class TestCounters:
         assert first["interp.codegen.functions"] >= 1
         assert "interp.codegen.functions" not in again
 
-    def test_budget_expiry_counts_a_fallback(self):
+    @staticmethod
+    def _walked_blocks(monkeypatch):
+        """The blocks the tree walker executes from now on."""
+        walked = []
+        exec_block = Interpreter.exec_block
+
+        def spy(interp, frame, block, *start):
+            walked.append(block.name)
+            return exec_block(interp, frame, block, *start)
+
+        monkeypatch.setattr(Interpreter, "exec_block", spy)
+        return walked
+
+    def test_budget_expiry_stays_in_generated_code(self, monkeypatch):
+        """The generated tier raises the limit itself: the walker runs
+        nothing, and no counter of a hand-over exists."""
+        walked = self._walked_blocks(monkeypatch)
         counters = _delta(
             lambda: pytest.raises(
                 ExecutionLimitExceeded,
@@ -808,9 +826,17 @@ class TestCounters:
                 max_instructions=123,
             )
         )
-        assert counters.get("interp.superblock.fallbacks", 0) >= 1
+        assert walked == []
+        assert counters["interp.backend.superblock"] == 1
+        assert not any(
+            name.startswith("interp.backend.tree")
+            or name.startswith("interp.superblock.fallback")
+            for name in counters
+        )
 
-    def test_unlimited_run_needs_no_fallback(self):
+    def test_unlimited_run_needs_no_fallback(self, monkeypatch):
+        walked = self._walked_blocks(monkeypatch)
         module = compile_source(self.FUSION_SRC)
         counters = _delta(lambda: run_module(module, backend="superblock"))
-        assert counters.get("interp.superblock.fallbacks", 0) == 0
+        assert walked == []
+        assert counters["interp.backend.superblock"] == 1

@@ -32,6 +32,7 @@ from repro.runtime import (
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.profiler import profile_module
+from tests.helpers import assert_over_budget
 from tests.test_backend_differential import IRREGULAR_CFG
 from tests.test_sched_differential import BASE, SOURCES
 from tests.test_watched_blocks import _pipeline, _watched_only
@@ -270,9 +271,9 @@ class _CountingAndDeclaring(_CountingLoads):
 #: under each observer, as the generated tier left them while every
 #: segment still charged through the interpreter attribute (the parent
 #: of the change that moved the clock into locals).  A faulting segment
-#: is charged whole, so these run a little ahead of the walker; the
-#: limit fires on the walker the activation falls back to, at its own
-#: instruction.
+#: is charged whole, so these run a little ahead of the walker.  The
+#: ``limit`` rows are the walker's, at its own instruction; generated
+#: code raises at its next budget check, under the over-budget rule.
 DEAD_CLOCKS = {
     ("oob_load", Interpreter): (
         "load out of bounds: a[8] (size 8)", 112, 94, 0),
@@ -317,11 +318,19 @@ def _dead_clock(name, observer, backend):
 )
 def test_dead_interpreter_keeps_its_clock(name, observer):
     expected = DEAD_CLOCKS[name, observer]
-    assert _dead_clock(name, observer, "auto") == expected
     walker = _dead_clock(name, observer, "tree")
-    assert walker[0] == expected[0]
-    if name == "limit":
-        assert walker == expected
+    if name != "limit":
+        assert _dead_clock(name, observer, "auto") == expected
+        assert walker[0] == expected[0]
+        return
+    assert walker == expected
+    module = compile_source(FAULTS[name])
+    assert_over_budget(
+        lambda backend, limit: observer(
+            module, backend=backend, max_instructions=limit
+        ),
+        300,
+    )
 
 
 # ------------------------------------------- undefined-register tests kept
@@ -418,18 +427,25 @@ def test_a_function_the_verifier_would_reject_keeps_every_test():
 # ------------------------------------------ created blocks and their weight
 
 
-_ARM = re.compile(
-    r"^( +)if __ic \+ \d+ > __limit:\n +raise __OB\('([^']+)', 0\)", re.M
-)
+def _dispatch_depths(sfunc):
+    """Chain head -> number of ``st <`` tests in front of its arm.
 
-
-def _dispatch_depths(source):
-    """Chain head -> number of ``st <`` tests in front of its arm, read
-    off the indentation of the arm's entry check."""
-    depths = {}
-    for match in _ARM.finditer(source):
-        depths.setdefault(match.group(2), (len(match.group(1)) - 12) // 4)
-    return depths
+    The dispatch tree's leaves are the arms in ``sfunc.blocks`` order,
+    each opening with its budget check at the depth of its leaf: the
+    ``if __ic > __limit:`` lines right after a dispatch test (or the
+    loop) are those openers, one per arm.
+    """
+    lines = sfunc.source.splitlines()
+    openers = [
+        line for prev, line in zip(lines, lines[1:])
+        if line.strip() == "if __ic > __limit:"
+        and re.fullmatch(r" *(while True|if st < \d+|else):", prev)
+    ]
+    assert len(openers) == len(sfunc.blocks)
+    return {
+        head: (len(line) - len(line.lstrip()) - 8) // 4
+        for head, line in zip(sfunc.blocks, openers)
+    }
 
 
 @pytest.mark.parametrize("name", ("gzip", "vortex"))
@@ -474,7 +490,7 @@ def test_created_blocks_are_weighed_from_their_origin(name):
     entered = profile_module(transformed, machine).block_counts
     tests = entries = 0
     for (func_name, *_), sfunc in executor._superblocks.items():
-        for head, depth in _dispatch_depths(sfunc.source).items():
+        for head, depth in _dispatch_depths(sfunc).items():
             count = entered.get((func_name, head), 0)
             tests += depth * count
             entries += count

@@ -26,16 +26,29 @@ void main() {
 }
 """
 
-SLOW_DELAY = 1.5
+#: How long a ``slowd`` compile waits for its gate before going ahead
+#: anyway, so a test that never opens it cannot hang a worker for good.
+GATE_TIMEOUT = 60.0
 
 
 @pytest.fixture()
-def tiny_bench(monkeypatch):
+def slow_gate():
+    """Every compile of ``slowd`` waits on this event: a test holds
+    workers busy until the state it asserts is in place, then sets it.
+    Teardown always sets it (the daemon fixtures, which stop their
+    daemon first, set it before they do)."""
+    gate = threading.Event()
+    yield gate
+    gate.set()
+
+
+@pytest.fixture()
+def tiny_bench(monkeypatch, slow_gate):
     from repro.bench import suite as bench_suite
     from repro.evaluation import runner as runner_mod
 
     def slow_source(scale):
-        time.sleep(SLOW_DELAY)
+        slow_gate.wait(GATE_TIMEOUT)
         return PROGRAM
 
     spec = bench_suite.BenchmarkSpec(
@@ -55,7 +68,7 @@ def tiny_bench(monkeypatch):
 
 
 @pytest.fixture()
-def daemon(tmp_path, tiny_bench):
+def daemon(tmp_path, tiny_bench, slow_gate):
     socket_path = str(tmp_path / "repro.sock")
     log_path = str(tmp_path / "jobs.jsonl")
     orchestrator = Orchestrator(cache=tmp_path / "cache", workers=2)
@@ -74,6 +87,7 @@ def daemon(tmp_path, tiny_bench):
     thread.start()
     assert server.ready.wait(10)
     yield server
+    slow_gate.set()
     server.request_stop()
     thread.join(30)
     assert not thread.is_alive()
@@ -190,8 +204,8 @@ def test_suite_op_streams_bench_progress(daemon, tiny_bench):
         assert stages, "suite job streamed no stage events"
 
 
-def test_cancel_queued_job(daemon, tiny_bench):
-    """With both workers busy on slow jobs, a queued job can be
+def test_cancel_queued_job(daemon, tiny_bench, slow_gate):
+    """With both workers held on gated jobs, a queued job can be
     cancelled before it ever runs."""
     with ServiceClient(socket_path=daemon.socket_path) as client:
         blockers = [
@@ -204,6 +218,7 @@ def test_cancel_queued_job(daemon, tiny_bench):
         assert client.cancel(victim) is True
         finished = client.wait(victim)
         assert finished["state"] == "cancelled"
+        slow_gate.set()
         for job in blockers:
             done = client.wait(job)
             assert done["state"] == "done"
@@ -233,7 +248,7 @@ def test_job_log_written(daemon, tiny_bench):
 
 
 @pytest.fixture()
-def obs_daemon(tmp_path, tiny_bench):
+def obs_daemon(tmp_path, tiny_bench, slow_gate):
     """A daemon with the full observability plane on: per-job traces,
     fast heartbeat, job log."""
     socket_path = str(tmp_path / "obs.sock")
@@ -255,12 +270,13 @@ def obs_daemon(tmp_path, tiny_bench):
     thread.start()
     assert server.ready.wait(10)
     yield server
+    slow_gate.set()
     server.request_stop()
     thread.join(30)
     assert not thread.is_alive()
 
 
-def test_status_rpc_schema_and_queue_depth(obs_daemon, tiny_bench):
+def test_status_rpc_schema_and_queue_depth(obs_daemon, tiny_bench, slow_gate):
     with ServiceClient(socket_path=obs_daemon.socket_path) as client:
         status = client.status()
         assert validate_event(status) == []
@@ -272,7 +288,7 @@ def test_status_rpc_schema_and_queue_depth(obs_daemon, tiny_bench):
             "queued", "running", "done", "failed", "cancelled",
         }
         assert all(count == 0 for count in status["queue"].values())
-        # Saturate both workers with slow jobs plus one queued job, then
+        # Hold both workers on gated jobs plus one queued job, then
         # check the live depth gauges add up.
         jobs = [
             client.request({"op": "run", "bench": "slowd", "cores": c})
@@ -292,6 +308,7 @@ def test_status_rpc_schema_and_queue_depth(obs_daemon, tiny_bench):
             assert entry["op"] == "run"
             assert entry["bench"] == "slowd"
             assert entry["age_seconds"] >= 0
+        slow_gate.set()
         for job in jobs:
             client.wait(job)
         status = client.status()
@@ -388,7 +405,7 @@ def test_log_has_seq_run_and_heartbeats(obs_daemon, tiny_bench):
     )
 
 
-def test_graceful_drain(tmp_path, tiny_bench):
+def test_graceful_drain(tmp_path, tiny_bench, slow_gate):
     """request_stop (the SIGTERM path) finishes in-flight jobs, tears
     the workers down, and removes the socket."""
     socket_path = str(tmp_path / "drain.sock")
@@ -406,6 +423,7 @@ def test_graceful_drain(tmp_path, tiny_bench):
     client = ServiceClient(socket_path=socket_path)
     job = client.request({"op": "run", "bench": "slowd", "cores": 4})
     server.request_stop()
+    slow_gate.set()
     # The in-flight job still completes and streams its terminal event.
     finished = client.wait(job)
     assert finished["state"] == "done"

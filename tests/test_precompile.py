@@ -4,8 +4,9 @@ Whole-program identity with the tree walker lives in
 ``test_backend_differential`` and the generated tier's own mechanics in
 ``test_codegen``; these tests pin down, on small constructed programs,
 what a run compiled ahead of execution must share with the walker: fault
-text, the instruction at which the budget fires, and the per-run state
-an interpreter resets or keeps.
+text, the over-budget rule (``tests.helpers.assert_over_budget``) on
+programs that never terminate, and the per-run state an interpreter
+resets or keeps.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.runtime import (
     RuntimeFault,
     run_module,
 )
+from tests.helpers import assert_over_budget
 
 COUNT_SRC = """
 int total;
@@ -54,26 +56,84 @@ class TestFaultParity:
         )
 
 
-class TestLimitParity:
-    def _run_limited(self, module, backend, limit):
-        interp = Interpreter(module, max_instructions=limit, backend=backend)
-        with pytest.raises(ExecutionLimitExceeded) as excinfo:
-            interp.run()
-        return str(excinfo.value), list(interp.output), interp.instructions
-
-    @pytest.mark.parametrize("limit", [1, 7, 50, 123, 499])
-    def test_limit_fires_at_identical_instruction(self, limit):
-        module = compile_source(
-            """
-            void main() {
-                int i = 0;
-                while (1) { print(i); i = i + 1; }
+#: Programs that never terminate, each a different way round a cycle:
+#: a loop-form arm's back edge, two chains of which neither is loop-form
+#: (the cycle passes arm entries only), a body that is one CALL (the
+#: check after the call's return and the back edge), and a long callee
+#: followed by as long a tail: without the check after the call, the
+#: tail would run too and overshoot the limit by more than any chain.
+NON_TERMINATING = {
+    "loop_form": """
+        void main() {
+            int i = 0;
+            while (1) { print(i); i = i + 1; }
+        }
+    """,
+    "across_chains": """
+        int g;
+        void main() {
+            int i = 0;
+            while (1) {
+                if (i % 3 == 0) { g = g + 1; } else { g = g - 2; }
+                i = i + 1;
             }
-            """
-        )
-        tree = self._run_limited(module, "tree", limit)
-        generated = self._run_limited(module, "superblock", limit)
-        assert tree == generated
+        }
+    """,
+    "call_only": """
+        int g;
+        void tick() { g = g + 1; }
+        void main() {
+            while (1) { tick(); }
+        }
+    """,
+    "call_then_tail": """
+        int g;
+        void churn() {
+            g = g * 3 + 1; g = g % 1009; g = g * 5 + 2; g = g % 1013;
+            g = g * 7 + 3; g = g % 1019; g = g * 9 + 4; g = g % 1021;
+        }
+        void main() {
+            while (1) {
+                churn();
+                g = g * 3 + 5; g = g % 1031; g = g * 5 + 6; g = g % 1033;
+                g = g * 7 + 7; g = g % 1039; g = g * 9 + 8; g = g % 1049;
+            }
+        }
+    """,
+}
+
+
+def _limited(module):
+    return lambda backend, limit: Interpreter(
+        module, max_instructions=limit, backend=backend
+    )
+
+
+class TestLimitParity:
+    @pytest.mark.parametrize(
+        "shape,limit",
+        [
+            pytest.param("loop_form", limit, id=str(limit))
+            for limit in (1, 7, 50, 123, 499)
+        ]
+        + [
+            pytest.param(shape, limit, id=f"{shape}-{limit}")
+            for shape in ("across_chains", "call_only", "call_then_tail")
+            for limit in (1, 50, 499)
+        ],
+    )
+    def test_limit_fires_at_identical_instruction(self, shape, limit):
+        """The walker fires on the first instruction past the limit,
+        generated code at its next check (the over-budget rule)."""
+        module = compile_source(NON_TERMINATING[shape])
+        assert_over_budget(_limited(module), limit)
+        interp = Interpreter(module, max_instructions=limit)
+        with pytest.raises(ExecutionLimitExceeded):
+            interp.run()
+        sources = [sfunc.source for sfunc in interp._superblocks.values()]
+        # Loop-form arms nest an iteration loop inside the dispatch loop.
+        loop_form = any(source.count("while True:") > 1 for source in sources)
+        assert loop_form == (shape != "across_chains")
 
     def test_limit_parity_across_calls(self):
         module = compile_source(
@@ -87,9 +147,7 @@ class TestLimitParity:
         )
         reference = run_module(module, backend="tree")
         for limit in (5, 37, reference.instructions - 1):
-            tree = self._run_limited(module, "tree", limit)
-            generated = self._run_limited(module, "superblock", limit)
-            assert tree == generated
+            assert_over_budget(_limited(module), limit)
 
     def test_exact_budget_completes_on_both(self):
         module = compile_source(COUNT_SRC)

@@ -2,16 +2,16 @@
 
 An interpreter may declare, per function, the block-to-block edges its
 ``on_block_entry`` acts on (``Interpreter.watched_edges``); generated
-code then calls the hook only there and fuses every other boundary.  The contract is one-sided -- the tree walker, which also
-finishes any activation the budget check hands back, keeps announcing
-every entry -- so these tests pin the generated tier against the tree
-walker: which calls are made, that nothing the observers report
-changes, and that an activation shared between generated code and the
-walker counts every block exactly once.
+code then calls the hook only there and fuses every other boundary.
+The tree walker keeps announcing every entry, so these tests pin the
+generated tier against the tree walker: which calls are made, that
+nothing the observers report changes, and that a run near its budget
+stays in generated code and counts every block exactly once.
 """
 
 import pytest
 
+from repro.analysis.loopnest import build_static_loop_nest_graph
 from repro.analysis.loops import find_loops
 from repro.bench import compile_benchmark
 from repro.core.loopinfo import HelixOptions
@@ -22,10 +22,14 @@ from repro.ir.parser import parse_module
 from repro.obs.metrics import REGISTRY, metrics_delta
 from repro.runtime import Interpreter
 from repro.runtime import profiler as profiler_mod
-from repro.runtime.interpreter import ExecutionLimitExceeded
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
-from repro.runtime.profiler import profile_module
+from repro.runtime.profiler import (
+    ProfileData,
+    _ProfilingInterpreter,
+    profile_module,
+)
+from tests.helpers import assert_over_budget, run_limited
 from tests.test_backend_differential import IRREGULAR_CFG
 from tests.test_sched_differential import BASE, SOURCES, _prepare
 
@@ -290,11 +294,9 @@ def test_hook_site_counters_say_how_much_was_observed():
 #: Hand-written so the block shapes are known.  ``body`` returns from a
 #: CALL and falls through (``br``, sole predecessor) into ``mid``, which
 #: nobody watches; ``heavy`` is fused behind ``mid`` but skipped on the
-#: last iteration.  The conservative post-CALL check -- budget for the
-#: whole linear remainder of the chain, ``heavy`` included -- therefore
-#: fails in runs that have the budget to complete, and the fallback
-#: resumes *before* the ``body -> mid`` boundary the generated segment
-#: would have counted.
+#: last iteration, so a chain's linear body is longer than what most of
+#: its passes run.  A check that budgeted for the whole remainder of the
+#: chain would fail in runs that have the budget to complete.
 BUDGET_IR = """
 module program
 global int @acc[1]
@@ -355,90 +357,80 @@ done:
 """
 
 
-def _limited_profile(module, backend, limit):
-    try:
-        return profile_module(
-            module, max_instructions=limit, backend=backend
-        ).to_dict()
-    except ExecutionLimitExceeded as exc:
-        return str(exc)
-
-
-def _limited_recording(transformed, infos, backend, limit):
-    executor = ParallelExecutor(
-        transformed, infos, BASE, backend=backend, max_instructions=limit
-    )
-    try:
-        outcome = executor.run().to_dict()
-    except ExecutionLimitExceeded as exc:
-        outcome = str(exc)
+def _profile_state(interp):
+    """What a profiling run has collected so far, dead or not: the
+    profile ``profile_module`` would derive, without the iteration
+    counts it reads off the block counts afterwards."""
+    counts = {}
+    for func in interp.module.functions.values():
+        for name, block in func.blocks.items():
+            (unwatched,) = interp.unwatched_entries.get((func.name, name), (0,))
+            entries = interp._announced.get(block, 0) + unwatched
+            if entries:
+                counts[func.name, name] = entries
+    data = interp.data
     return (
-        outcome,
-        list(executor.output),
-        executor.instructions,
-        executor.cycles,
-        # Also of a dead interpreter: a load the limit fired on is
-        # counted by no tier.
-        executor.load_count,
-        # Timed from whatever was recorded, also when the run died.
-        {
-            k: s.to_dict()
-            for k, s in executor.replay(BASE).loop_stats.items()
-        },
+        counts,
+        [profile.to_dict() for _, profile in sorted(data.loops.items())],
+        data.func_inclusive_cycles,
+        data.func_activations,
+        data.dynamic_nesting.to_dict(),
+    )
+
+
+def _recording_state(executor):
+    """The traces recorded so far, and their timing."""
+    return (
+        {k: s.to_dict() for k, s in executor.replay(BASE).loop_stats.items()},
         list(executor.traces),
     )
 
 
-def test_budget_edge_shares_activations_with_the_fallback(monkeypatch):
+def test_budget_edge_never_leaves_generated_code(monkeypatch):
     """Sweep ``max_instructions`` across the program's exact instruction
-    count.  Below it the limit fires at the walker's instruction; at and
-    above it the run completes, but for a while the post-CALL check
-    still hands activations to the walker mid-block -- which announces
-    every later block, and must record into the same frame the
-    generated code did -- and nothing may be counted twice or missed."""
-    diverted = []
-    walk = Interpreter._walk
+    count, profiling and recording.  At and above it a generated-tier
+    run completes as the walker's does; below it, it raises under the
+    over-budget rule.  Either way the tree walker runs nothing of it."""
+    walked = []
+    exec_block = Interpreter.exec_block
 
-    def spy(interp, frame, block, index=0):
-        diverted.append(index)
-        return walk(interp, frame, block, index)
+    def spy(interp, frame, block, *start):
+        if interp.backend != "tree":
+            walked.append(block.name)
+        return exec_block(interp, frame, block, *start)
 
-    monkeypatch.setattr(Interpreter, "_walk", spy)
+    monkeypatch.setattr(Interpreter, "exec_block", spy)
     module = parse_module(BUDGET_IR)
     transformed, infos = _parallelize_without_inlining(module)
     assert infos
 
-    def sweep(run, exact):
-        """Fallback anchors (instruction indices) of the completed runs."""
-        anchors = []
+    def sweep(make, observe, exact):
         for limit in range(exact - 30, exact + 30):
-            tree = run("tree", limit)
-            del diverted[:]
-            before = REGISTRY.snapshot()
-            assert run("auto", limit) == tree, limit
-            counters = metrics_delta(before, REGISTRY.snapshot())["counters"]
-            assert counters.get("interp.superblock.fallbacks", 0) == len(
-                diverted
-            )
             if limit >= exact:
-                anchors.extend(diverted)
-        return anchors
+                generated = run_limited(make, "auto", limit, observe)
+                walker = run_limited(make, "tree", limit, observe)
+                assert generated[:3] == walker[:3], limit
+                assert generated[0] is None
+            else:
+                assert_over_budget(make, limit, observe)
+            assert walked == [], limit
 
-    exact = profile_module(module, backend="tree").result.instructions
-    anchors = sweep(
-        lambda backend, limit: _limited_profile(module, backend, limit),
-        exact,
-    )
-    # Some run completed on the fallback from a CALL return.
-    assert any(anchors)
-
-    exact = ParallelExecutor(
-        transformed, infos, BASE, backend="tree"
-    ).run().instructions
-    anchors = sweep(
-        lambda backend, limit: _limited_recording(
-            transformed, infos, backend, limit
+    nest = build_static_loop_nest_graph(module)
+    sweep(
+        lambda backend, limit: _ProfilingInterpreter(
+            module, nest, ProfileData(result=None),
+            max_instructions=limit, backend=backend,
         ),
-        exact,
+        _profile_state,
+        profile_module(module, backend="tree").result.instructions,
     )
-    assert any(anchors)
+    sweep(
+        lambda backend, limit: ParallelExecutor(
+            transformed, infos, BASE, backend=backend,
+            max_instructions=limit,
+        ),
+        _recording_state,
+        ParallelExecutor(
+            transformed, infos, BASE, backend="tree"
+        ).run().instructions,
+    )
