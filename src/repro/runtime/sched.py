@@ -18,17 +18,21 @@ sweeps and behind every executor's timing.  It groups traces by shape
 invocations* (equal stamp columns: stamps are offsets from the start of
 the invocation), schedules each distinct invocation once and fans the
 result out by index.  A shape whose ``distinct members x machines``
-reach :data:`_MIN_COHORT` runs through the numpy-vectorized
-:func:`_schedule_cohort` walk, whose vector axis is that product: one
-opcode pass advances every member under every machine, whatever its
-prefetch mode, and axes wider than :data:`_MAX_WIDTH` are walked in
-chunks.
-Smaller shapes -- a few traces under one to three machines -- are
-scheduled per member and machine by :func:`schedule_compact`, with which
-every column is field-exact.  Either way a shape's first trace is
-compiled and its program handed to the others.  Results are columnar
-(:class:`ScheduleColumns`: one int64 array per :class:`ScheduleResult`
-field); the objects are built only for callers that ask for them.
+reach :data:`_MIN_COHORT` goes to the numpy-vectorized walk, smaller
+shapes -- a few traces under one to three machines -- to
+:func:`schedule_compact`, per member and machine.  The walk takes a
+*pack*: every walked shape of one loop with one iteration count
+(:func:`_pack` lays their ops out on common slots, iteration ``i``
+owning as many as its longest shape has ops there).  Its vector axis is
+``(shape, machine, member)``, cut into chunks of :data:`_MAX_WIDTH`
+columns, and one pass per chunk advances every member of every shape
+under every machine, whatever its prefetch mode
+(:func:`_schedule_cohort`, :func:`_walk_chunk`).  Every column is
+field-exact with :func:`schedule_compact`.  Either way a shape's first
+trace is compiled and its program handed to the others.  Results are
+columnar (:class:`ScheduleColumns`: one int64 array per
+:class:`ScheduleResult` field); the objects are built only for callers
+that ask for them.
 
 Both engines also account the time per core as they walk: what each
 core of each machine spent computing, stalled, waiting for the control
@@ -63,7 +67,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -71,6 +76,7 @@ from repro.core.loopinfo import LoopInfo
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.trace import (
     CTRL_DEP,
+    OP_NEXT,
     OP_SIGNAL,
     OP_WAIT,
     OP_WAIT_SYNC,
@@ -349,67 +355,78 @@ _CTRL_SRC = -2
 
 def _resolve_agendas(
     prog: TraceProgram, helix_order: Tuple[int, ...], counted: bool
-) -> Tuple[List[int], List[int], List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+):
     """Resolve both helper-thread agenda flavours to signal-op indices.
 
-    Machine-independent: done once per cohort and shared by every helper
-    machine in a :func:`_schedule_cohort` call.  For each iteration
-    the deduplicated agenda (``MATCHED``: the iteration's wait deps;
-    ``HELIX``: the loop's static helper order; both prefixed with the
+    Machine-independent: done once per shape of a pack (:func:`_pack`)
+    and shared by every helper machine that walks it.  For each
+    iteration the deduplicated agenda (``MATCHED``: the iteration's wait
+    deps; ``HELIX``: the loop's static helper order; both led by the
     control signal on non-counted loops) is reduced to the entries whose
     dependence the previous iteration actually signalled, each entry
     being the flat op index of that signal (or :data:`_CTRL_SRC`).
-    Consumers are resolved to positions in the entry list: ``mt_pos[j]``
-    / ``hx_pos[j]`` give op ``j``'s prefetch slot, -1 when the helper
-    never prefetched its dependence.
+    Returns ``(entries, lengths, positions)``, flavour ``MATCHED`` first
+    on each leading axis: ``entries[f, i, p]`` is the ``p``-th entry of
+    iteration ``i`` (-1 from ``lengths[f, i]`` on), and
+    ``positions[f, j]`` the entry through which op ``j``, an
+    ``OP_WAIT_SYNC``, reads its prefetch, -1 when the helper never
+    prefetched its dependence (and at every other op).
     """
-    op_, a1_, off = prog.op, prog.a1, prog.off
+    import numpy as np
+
+    op = np.frombuffer(prog.op, dtype=np.int64)
+    a1 = np.frombuffer(prog.a1, dtype=np.int64)
     n = prog.iterations
-    mt_pos = [-1] * len(op_)
-    hx_pos = [-1] * len(op_)
-    mt_entries: List[Tuple[int, ...]] = [()] * n
-    hx_entries: List[Tuple[int, ...]] = [()] * n
-    prev_sig_op: Dict[int, int] = {}
-    for i in range(n):
-        lo, hi = off[i], off[i + 1]
-        if i > 0:
-            ment: List[int] = []
-            mpos: Dict[int, int] = {}
-            hent: List[int] = []
-            hpos: Dict[int, int] = {}
-            if not counted:
-                # The control signal is always available (every
-                # non-last iteration of a non-counted loop executed a
-                # next_iter) and always leads the agenda.
-                mpos[CTRL_DEP] = 0
-                ment.append(_CTRL_SRC)
-                hpos[CTRL_DEP] = 0
-                hent.append(_CTRL_SRC)
-            for dep in prog.agendas[i]:
-                if dep not in mpos:
-                    source = prev_sig_op.get(dep)
-                    if source is not None:
-                        mpos[dep] = len(ment)
-                        ment.append(source)
-            for dep in helix_order:
-                if dep not in hpos:
-                    source = prev_sig_op.get(dep)
-                    if source is not None:
-                        hpos[dep] = len(hent)
-                        hent.append(source)
-            mt_entries[i] = tuple(ment)
-            hx_entries[i] = tuple(hent)
-            for j in range(lo, hi):
-                if op_[j] == OP_WAIT_SYNC:
-                    dep = a1_[j]
-                    mt_pos[j] = mpos.get(dep, -1)
-                    hx_pos[j] = hpos.get(dep, -1)
-        cur: Dict[int, int] = {}
-        for j in range(lo, hi):
-            if op_[j] == OP_SIGNAL:
-                cur[a1_[j]] = j
-        prev_sig_op = cur
-    return mt_pos, hx_pos, mt_entries, hx_entries
+    it_of_op = np.repeat(np.arange(n), np.diff(prog.off))
+    sizes = np.fromiter(map(len, prog.agendas), dtype=np.int64, count=n)
+    waited = np.fromiter(
+        chain.from_iterable(prog.agendas), dtype=np.int64,
+        count=int(sizes.sum()),
+    )
+    helix = np.array(list(dict.fromkeys(helix_order)), dtype=np.int64)
+    deps = np.unique(np.concatenate([a1, waited, helix]))
+    lead = 0 if counted else 1
+
+    # Row ``i``: the signal op of each dependence in iteration ``i - 1``,
+    # what iteration ``i``'s helper can prefetch (-1: none).
+    sig = np.flatnonzero(op == OP_SIGNAL)
+    signalled = np.full((n, len(deps)), -1, dtype=np.int64)
+    sig = sig[it_of_op[sig] + 1 < n]
+    signalled[it_of_op[sig] + 1, np.searchsorted(deps, a1[sig])] = sig
+
+    # (iteration, dependence) of every agenda entry, MATCHED's in the
+    # order of each iteration's waits and HELIX's in the helper order.
+    m_it = np.repeat(np.arange(n), sizes)
+    m_dep = np.searchsorted(deps, waited)
+    h_it, h_col = np.divmod(np.arange(n * len(helix)), len(helix))
+    h_dep = np.searchsorted(deps, helix)[h_col]
+    kept = []
+    for it, dep in ((m_it, m_dep), (h_it, h_dep)):
+        source = signalled[it, dep]
+        keep = source >= 0
+        it, dep, source = it[keep], dep[keep], source[keep]
+        # An entry's position: the iteration's kept entries before it,
+        # behind the control signal.
+        count = np.bincount(it, minlength=n)
+        pos = np.arange(len(it)) - (np.cumsum(count) - count)[it] + lead
+        count[1:] += lead
+        kept.append((it, dep, source, pos, count))
+    width = max(int(count.max(initial=0)) for *_, count in kept)
+    entries = np.full((2, n, width), -1, dtype=np.int64)
+    if lead and n > 1:
+        entries[:, 1:, 0] = _CTRL_SRC
+    lengths = np.empty((2, n), dtype=np.int64)
+    positions = np.full((2, len(op)), -1, dtype=np.int64)
+    sync = np.flatnonzero(op == OP_WAIT_SYNC)
+    at = (it_of_op[sync], np.searchsorted(deps, a1[sync]))
+    by_dep = np.empty((n, len(deps)), dtype=np.int64)
+    for f, (it, dep, source, pos, count) in enumerate(kept):
+        entries[f, it, pos] = source
+        lengths[f] = count
+        by_dep.fill(-1)
+        by_dep[it, dep] = pos
+        positions[f, sync] = by_dep[at]
+    return entries, lengths, positions
 
 
 #: Fewest columns (distinct members x machines) of one shape worth the
@@ -465,10 +482,12 @@ class ScheduleColumns:
         return self.data.shape[-1]
 
     def __getattr__(self, name: str):
-        try:
-            return self.data[self.FIELDS.index(name)]
-        except ValueError:
-            raise AttributeError(name) from None
+        # Only a field name reads ``data``: any other missing name --
+        # ``data`` itself on an instance that copy or unpickle built
+        # without ``__init__``, or a dunder they probe -- is missing.
+        if name not in self.FIELDS:
+            raise AttributeError(name)
+        return self.data[self.FIELDS.index(name)]
 
     @classmethod
     def from_results(
@@ -501,8 +520,8 @@ def trace_signature(trace: CompactInvocationTrace) -> bytes:
     compile to the same :class:`TraceProgram`: a program is one per
     shape.  :func:`schedule_many` groups traces by this key, compiles
     each shape's first trace, hands that program to the others, and
-    schedules the shape in one vectorized walk or one scalar walk per
-    member, each reading its trace's own stamps.  Computed once per trace
+    schedules the shape in its loop's vectorized walk or one scalar walk
+    per member, each reading its trace's own stamps.  Computed once per trace
     and cached on it, which is why it is a 16-byte digest and not the
     columns themselves.
     """
@@ -542,192 +561,357 @@ def _iteration_cores(iterations: int, counts: Tuple[int, ...], top: int):
 _NEVER = 1 << 62
 
 
-def _walk_chunk(prog, counted, machines, dt, et, clk, agendas):
-    """Advance one chunk of a cohort's columns through the shape's ops.
+@dataclass
+class _Pack:
+    """The walked shapes of one loop that share an iteration count, laid
+    out on one set of op slots (:func:`_pack`).
 
-    ``machines`` is the chunk's columns of the grid, ``dt`` / ``et`` its
-    per-op and iteration-closing time deltas, ``clk`` its per-core clocks
-    ``(max cores, width)``, set to ``conf`` and advanced in place.  The
-    prefetch mode enters as values only: a column without a helper
-    thread pays its ``wait`` on a pulled signal and reads :data:`_NEVER`
-    as its prefetched latency, so its helper chain, walked alongside,
-    never wins.  ``HELIX`` and ``MATCHED`` columns each follow their own
-    agenda (``agendas``, from :func:`_resolve_agendas`); an iteration
-    whose two agendas differ walks both chains and picks per column.
-    Returns each column's stall cycles and, for a non-counted loop, each
+    Iteration ``i`` owns the slots ``off[i]:off[i + 1]``, as many as the
+    longest of its shapes has ops in it; a shape's ``k``-th op of the
+    iteration sits at slot ``off[i] + k`` and a shorter one pads the
+    rest.  Every table is machine-independent and shape-sized: a row per
+    slot (or iteration) and a column per member (``dt``, ``et``), per
+    shape (``s``) or per helper agenda (``2 s + f``, flavour ``f`` 0 for
+    ``MATCHED`` and 1 for ``HELIX``).  Slot entries name rows of the
+    walk's timetable, whose row ``zero`` (past the last slot) reads 0.
+    """
+
+    off: List[int]
+    zero: int
+    #: (slots, members): the op's stamp minus the previous op's, or the
+    #: iteration start's for its first op; 0 on a padding slot.
+    dt: object
+    #: (iterations, members): the iteration end minus its last op.
+    et: object
+    #: (slots, s) and (iterations, s): barriers paid at the op, and
+    #: after the iteration's last op.
+    bars: object
+    tail: object
+    #: (slots, s): words forwarded at the op.
+    words: object
+    #: (slots, s): the signal slot an ``OP_WAIT_SYNC`` reads, ``zero``
+    #: at every other op.
+    src: object
+    #: (slots,): some shape records the time at the slot (a signal, or
+    #: a non-counted loop's control signal).
+    kept: List[bool]
+    #: (iterations, s): the slot of the iteration's control signal.
+    nxt: object
+    #: (iterations * width, 2 s): the agenda entries of each iteration,
+    #: ``width`` a row; the chain's row after its last entry
+    #: (``lengths``, (iterations, 2 s)); the chain row each wait reads
+    #: its prefetch from, ``never`` where there is none (``positions``,
+    #: (slots, 2 s)).  ``None`` when no machine runs a helper thread.
+    entries: object = None
+    lengths: object = None
+    positions: object = None
+
+
+def _pack(shapes, it_s, it_e, loop: LoopInfo, helpers: bool) -> _Pack:
+    """Lay the walked shapes of one loop and iteration count out on
+    common slots (see :class:`_Pack`).  ``shapes`` are the member
+    traces of each shape, ``it_s`` / ``it_e`` their iteration stamps
+    ``(members, iterations)`` in the same order; ``helpers`` asks for
+    the agenda tables."""
+    import numpy as np
+
+    progs = [members[0].program for members in shapes]
+    n = progs[0].iterations
+    count = len(progs)
+    sizes = np.array([np.diff(p.off) for p in progs], dtype=np.int64)
+    off = np.concatenate([[0], np.cumsum(sizes.max(axis=0))])
+    zero = int(off[-1])
+    dt = np.zeros((zero, len(it_s)), dtype=np.int64)
+    et = np.empty((n, len(it_s)), dtype=np.int64)
+    bars = np.zeros((zero, count), dtype=np.int64)
+    words = np.zeros_like(bars)
+    src = np.full((zero, count), zero, dtype=np.int64)
+    kept = np.zeros(zero, dtype=bool)
+    nxt = np.full((n, count), zero, dtype=np.int64)
+    tail = np.column_stack(
+        [np.frombuffer(p.tail, dtype=np.int64) for p in progs]
+    )
+    agendas = []
+    lo = 0
+    for s, (prog, members) in enumerate(zip(progs, shapes)):
+        op = np.frombuffer(prog.op, dtype=np.int64)
+        first = np.frombuffer(prog.off, dtype=np.int64)
+        it_of_op = np.repeat(np.arange(n), sizes[s])
+        slot = off[it_of_op] + np.arange(len(op)) - first[it_of_op]
+
+        # Stamp deltas: each op from the one before it, an iteration's
+        # first op from the iteration start, its end from its last op.
+        cols = slice(lo, lo + len(members))
+        lo += len(members)
+        at = np.array(
+            [np.frombuffer(tr.ev_at, dtype=np.int64) for tr in members]
+        )[:, np.frombuffer(prog.raw, dtype=np.int64)]
+        ran = sizes[s] > 0
+        before = np.empty_like(at)
+        before[:, 1:] = at[:, :-1]
+        before[:, first[:-1][ran]] = it_s[cols, ran]
+        dt[slot, cols] = (at - before).T
+        last = it_s[cols].copy()
+        last[:, ran] = at[:, first[1:][ran] - 1]
+        et[:, cols] = (it_e[cols] - last).T
+
+        barred = (op == OP_WAIT_SYNC) | (op == OP_WAIT) | (op == OP_SIGNAL)
+        bars[slot, s] = np.frombuffer(prog.pre, dtype=np.int64) + barred
+        words[slot, s] = np.where(
+            op == OP_XFER, np.frombuffer(prog.a1, dtype=np.int64), 0
+        )
+        sync = op == OP_WAIT_SYNC
+        signals = np.frombuffer(prog.src, dtype=np.int64)[sync]
+        src[slot[sync], s] = slot[signals]
+        nexts = op == OP_NEXT
+        kept[slot[(op == OP_SIGNAL) | (nexts & (not loop.counted))]] = True
+        nxt[it_of_op[nexts], s] = slot[nexts]
+        if not loop.counted:
+            started = nxt[:-1, s] < zero
+            assert started.all(), "iteration without start signal"
+        if helpers:
+            entries, ends, positions = _resolve_agendas(
+                prog, tuple(loop.helper_order), loop.counted
+            )
+            entered = np.where(
+                entries >= 0, slot[np.maximum(entries, 0)], zero
+            )
+            if not loop.counted:
+                entered[:, 1:, 0] = nxt[:-1, s]  # the control signal leads
+            agendas.append((entered, ends, positions, slot))
+    pack = _Pack(
+        off=off.tolist(), zero=zero, dt=dt, et=et, bars=bars, tail=tail,
+        words=words, src=src, kept=kept.tolist(), nxt=nxt,
+    )
+    if helpers:
+        width = max(entered.shape[2] for entered, *_ in agendas)
+        never = width + 1
+        pack.entries = np.full((n, width, 2 * count), zero, dtype=np.int64)
+        pack.lengths = np.empty((n, 2 * count), dtype=np.int64)
+        pack.positions = np.full((zero, 2 * count), never, dtype=np.int64)
+        for s, (entered, ends, positions, slot) in enumerate(agendas):
+            g = slice(2 * s, 2 * s + 2)
+            pack.entries[:, : entered.shape[2], g] = entered.transpose(
+                1, 2, 0
+            )
+            pack.lengths[:, g] = ends.T
+            pack.positions[slot, g] = np.where(
+                positions >= 0, positions + 1, never
+            ).T
+        pack.entries = pack.entries.reshape(n * width, 2 * count)
+    return pack
+
+
+def _walk_chunk(pack, counted, machines, shape, member, clk):
+    """Advance one chunk of a pack's columns through its slots.
+
+    ``machines`` is the chunk's columns of the grid, ``shape`` /
+    ``member`` each column's shape and member in ``pack``, ``clk`` its
+    per-core clocks ``(max cores, width)``, set to ``conf`` and advanced
+    in place.  Every slot is one formula per column: the clock advances
+    by the op's stamp delta, barriers and forwarded words; a wait then
+    lands at ``max(t, signal) + wait``, or earlier, ``max(t + fast,
+    done)``, where the helper thread prefetched the signal by ``done``;
+    a signal records the clock.  A column whose op at the slot does not
+    wait reads the timetable's zero row with no ``wait`` and ``done`` at
+    :data:`_NEVER`, so the wait leaves it where it was; a column without
+    a helper thread reads :data:`_NEVER` as ``fast``, so its helper
+    chain, walked alongside, never wins.
+
+    Each table row is read once per chunk: as one row index where the
+    chunk's columns agree on it (every row of a chunk of one shape and
+    one agenda flavour), else as one flat index per column.  Returns
+    each column's stall cycles and, for a non-counted loop, each
     iteration's control-signal wait ``(iterations, width)``.
     """
     import numpy as np
 
     cores, lat, fast, wait, xfr, bar, _conf, mode = machines
-    op_, a1_, src_ = prog.op, prog.a1, prog.src
-    pre_, off, tail_ = prog.pre, prog.off, prog.tail
-    has_next = prog.has_next
-    n = prog.iterations
+    off, zero = pack.off, pack.zero
+    n = len(off) - 1
     width = clk.shape[1]
-    any_bar = bool(bar.any())
     top = clk.shape[0]
     one_count = top == int(cores.min())
     lanes = np.arange(width)
-    hclk = np.zeros_like(clk)
-    evt = np.zeros((len(op_), width), dtype=np.int64)
+
+    def rows(table, keys, present):
+        # Each row of ``table`` as the chunk reads it (``keys``: each
+        # column's, ``present``: all of them): the row index where the
+        # columns agree, else a flat index per column.
+        picked = table[:, present]
+        found = picked[:, 0].tolist()
+        mixed = np.flatnonzero((picked != picked[:, :1]).any(axis=1))
+        if len(mixed):
+            for r, flat in zip(
+                mixed.tolist(),
+                table[mixed].take(keys, axis=1) * width + lanes,
+            ):
+                found[r] = flat
+        return found
+
+    # Columns are shape-major: the chunk's shapes are consecutive.
+    shapes = np.arange(shape[0], shape[-1] + 1)
+    # The clock's advance at each slot and at each iteration's end: the
+    # stamp delta, plus the barriers and forwarded words paid there.
+    # ``take`` keeps the rows contiguous, as the walk reads them.
+    d = pack.dt.take(member, axis=1)
+    e = pack.et.take(member, axis=1)
+    moved = np.flatnonzero(pack.words[:, shapes].any(axis=1))
+    d[moved] += pack.words[moved].take(shape, axis=1) * xfr
+    if bar.any():
+        barred = np.flatnonzero(pack.bars[:, shapes].any(axis=1))
+        d[barred] += pack.bars[barred].take(shape, axis=1) * bar
+        e += pack.tail.take(shape, axis=1) * bar
+
+    # The agenda each column reads: its own flavour's, and for a column
+    # without a helper thread the flavour the chunk's helpers read.
+    modes = list(PrefetchMode)
+    is_hx = mode == modes.index(PrefetchMode.HELIX)
+    is_mt = mode == modes.index(PrefetchMode.MATCHED)
+    helpers = pack.entries is not None and bool((is_hx | is_mt).any())
+    if helpers:
+        flavours = [f for f, has in enumerate((is_mt, is_hx)) if has.any()]
+        agenda = 2 * shape + (
+            np.where(is_hx | is_mt, is_hx, flavours[0])
+            if len(flavours) == 1 else is_hx
+        )
+        keys = (2 * shapes[:, None] + flavours).ravel()
+    evt = np.zeros((zero + 1, width), dtype=np.int64)
     stall = np.zeros(width, dtype=np.int64)
     # Each iteration's control-signal wait.
     signalled = np.zeros((0 if counted else n, width), dtype=np.int64)
-    prev_next = None
-    cur_next = None
+    ndarray = np.ndarray
 
-    def chain(cursor, agenda):
-        # One helper-thread agenda walked from ``cursor``: when each
-        # entry's signal lands, per column.
-        done = []
-        for source in agenda:
-            ts = prev_next if source == _CTRL_SRC else evt[source]
-            cursor = np.maximum(cursor, ts) + lat
-            done.append(cursor)
-        return done
+    def readers(table, found):
+        # What reads each row ``rows`` found in ``table``: the row
+        # itself, a view the walk's writes show through, or for flat
+        # indices a call that gathers one entry per column.
+        take = table.reshape(-1).take
+        return [
+            table[r] if r.__class__ is int else partial(take, r)
+            for r in found
+        ]
 
-    # The agenda every helper column reads, and for a chunk of both
-    # flavours the ``MATCHED`` one its ``MATCHED`` columns read instead.
-    modes = list(PrefetchMode)
-    is_hx = mode == modes.index(PrefetchMode.HELIX)
-    has_hx = bool(is_hx.any())
-    has_mt = bool((mode == modes.index(PrefetchMode.MATCHED)).any())
-    entries = pf_pos = mt_entries = mt_pos = None
-    if has_hx or has_mt:
-        mt_pos, hx_pos, mt_entries, hx_entries = agendas
-        entries, pf_pos = (
-            (hx_entries, hx_pos) if has_hx else (mt_entries, mt_pos)
-        )
-    both = has_hx and has_mt
+    # The slots where some column waits: what each reads, what it pays
+    # (nothing in a column that does not wait) and, below, its prefetch.
+    waits = np.flatnonzero((pack.src[:, shapes] != zero).any(axis=1))
+    found = rows(pack.src[waits], shape, shapes)
+    plan = [None] * zero
+    for j, r, read in zip(waits.tolist(), found, readers(evt, found)):
+        pays = wait if r.__class__ is int else wait * (r < zero * width)
+        plan[j] = [read, pays, None]
+    if helpers:
+        span = pack.entries.shape[0] // n
+        never = span + 1
+        chain = np.empty((span + 2, width), dtype=np.int64)
+        chain[never] = _NEVER
+        links = list(chain)
+        hclk = np.zeros_like(clk)
+        entries = readers(evt, rows(pack.entries, agenda, keys))
+        reach = pack.lengths[:, keys].max(axis=1).tolist()
+        agendas = [entries[i * span : i * span + reach[i]] for i in range(n)]
+        ends = readers(chain, rows(pack.lengths, agenda, keys))
+        found = rows(pack.positions[waits], agenda, keys)
+        for j, p, done in zip(waits.tolist(), found, readers(chain, found)):
+            # No prefetch (the ``never`` row): no ``min`` to take.
+            if p.__class__ is not int or p != never:
+                plan[j][2] = done
+    if not counted:
+        nexts = readers(evt, rows(pack.nxt, shape, shapes))
+    kept = pack.kept
 
     for i in range(n):
         # Iteration i's clock row, per column: indexing with it gathers
         # on read and scatters on write.
         core = i % top if one_count else (i % cores, lanes)
-        need_ctrl = i > 0 and not counted
-        if need_ctrl:
-            assert has_next[i - 1], "iteration without start signal"
-
-        pfv = pfm = None
-        if entries is not None and i > 0:
-            cursor = hclk[core]
-            pfv = chain(cursor, entries[i])
-            if both and mt_entries[i] != entries[i]:
-                pfm = chain(cursor, mt_entries[i])
-                hclk[core] = np.where(
-                    is_hx, pfv[-1] if pfv else cursor,
-                    pfm[-1] if pfm else cursor,
+        if helpers and i > 0:
+            # The helper thread's agenda, from where it left off: the
+            # chain's row ``p`` is when its ``p``-th entry lands.
+            chain[0] = hclk[core]
+            for p, r in enumerate(agendas[i], 1):
+                np.maximum(
+                    links[p - 1],
+                    r if r.__class__ is ndarray else r(),
+                    out=links[p],
                 )
-            elif pfv:
-                hclk[core] = pfv[-1]
+                links[p] += lat
+            r = ends[i]
+            hclk[core] = r if r.__class__ is ndarray else r()
 
         t = clk[core]
-        if need_ctrl:
+        if not counted and i > 0:
             started = t
-            t = np.maximum(t, prev_next) + wait
-            if pfv:
-                # The control entry leads both agendas, so both chains
-                # agree on it.
-                np.minimum(t, np.maximum(started + fast, pfv[0]), out=t)
+            r = nexts[i - 1]
+            t = np.maximum(t, r if r.__class__ is ndarray else r())
+            t += wait
+            if helpers:
+                # The control entry leads every agenda.
+                np.minimum(t, np.maximum(started + fast, links[1]), out=t)
             signalled[i] = t - started
 
         for j in range(off[i], off[i + 1]):
-            o = op_[j]
-            pj = pre_[j]
-            t = t + dt[j]
-            if o == OP_WAIT_SYNC:
-                if any_bar:
-                    t += (pj + 1) * bar
-                arrival = np.maximum(t, evt[src_[j]])
-                arrival += wait
-                done = None
-                if pfm is not None:
-                    hp, mp = pf_pos[j], mt_pos[j]
-                    if hp >= 0 or mp >= 0:
-                        done = np.where(
-                            is_hx,
-                            pfv[hp] if hp >= 0 else _NEVER,
-                            pfm[mp] if mp >= 0 else _NEVER,
-                        )
-                elif pfv is not None and pf_pos[j] >= 0:
-                    done = pfv[pf_pos[j]]
-                if done is not None:
+            t = t + d[j]
+            step = plan[j]
+            if step is not None:
+                r, pays, p = step
+                arrival = np.maximum(t, r if r.__class__ is ndarray else r())
+                arrival += pays
+                if p is not None:
                     np.minimum(
-                        arrival, np.maximum(t + fast, done), out=arrival
+                        arrival,
+                        np.maximum(
+                            t + fast, p if p.__class__ is ndarray else p()
+                        ),
+                        out=arrival,
                     )
                 stall += arrival - t
                 t = arrival
-            elif o == OP_WAIT:
-                if any_bar:
-                    t += (pj + 1) * bar
-            elif o == OP_SIGNAL:
-                if any_bar:
-                    t += (pj + 1) * bar
+            if kept[j]:
                 evt[j] = t
-            elif o == OP_XFER:
-                t += a1_[j] * xfr
-                if any_bar and pj:
-                    t += pj * bar
-            else:  # OP_NEXT
-                if any_bar and pj:
-                    t += pj * bar
-                cur_next = t
-
-        t = t + et[i]
-        if any_bar and tail_[i]:
-            t += tail_[i] * bar
-        clk[core] = t
-        prev_next = cur_next
+        clk[core] = t + e[i]
     return stall, signalled
 
 
-def _schedule_cohort(
-    traces: List[CompactInvocationTrace],
-    loop: LoopInfo,
-    grid,
-    weights,
-):
-    """Schedule shape-identical traces under every machine in one walk.
+def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
+    """Schedule a pack -- the shapes of one loop that share an iteration
+    count -- under every machine in one walk per chunk.
 
-    The vector axis is ``machines x traces``: per-core clocks and signal
-    timetables are integer vectors with one column per (machine,
-    trace) pair and every opcode advances all of them at
-    once, so the per-op interpretive overhead is paid once per shape
-    instead of once per trace per machine.  Every machine field enters
-    the walk as a value (``max``/``min``/``+`` only) and is broadcast
-    as a per-column vector against the per-trace time deltas, the
-    prefetch mode included (see :func:`_walk_chunk`): every machine
-    advances in one pass per chunk of :data:`_MAX_WIDTH` columns.  Two
-    things still shape a chunk's walk.  The helper-thread agendas its
-    columns read: none, one, or where ``HELIX`` and ``MATCHED`` columns
-    share the chunk, two on the iterations whose agendas differ.  And the
-    core count, which picks the clock row of iteration ``i``
-    (``i % cores``): a row gather/scatter on the ``(max cores, width)``
-    clock arrays, and a plain row when the columns of a chunk agree on
-    it.  Columns are ordered by prefetch mode, then core count, so most
-    chunks of a wide axis read one agenda and plain rows.
+    ``shapes`` holds the distinct member traces of each shape and
+    ``weights`` their occurrences in the run, members in the same
+    order.  The vector axis is ``(shape, machine, member)``: per-core
+    clocks and the signal timetable are integer vectors with one column
+    per cell, and every slot of the pack (:func:`_pack`) advances all of
+    them at once, so the per-op interpretive overhead is paid once per
+    loop and iteration count instead of once per trace per machine.
+    Every machine field enters the walk as a value (``max``/``min``/``+``
+    only) and is broadcast as a per-column vector against the per-member
+    time deltas, the prefetch mode included (see :func:`_walk_chunk`):
+    the axis is walked in chunks of :data:`_MAX_WIDTH` columns.  Columns
+    are ordered by shape, then machine (by prefetch mode, then core
+    count), then member, so a wide shape fills chunks of its own, which
+    read one agenda flavour and plain clock rows.
 
-    Only the representative trace's program is read; every trace's own
+    Only each shape's first trace's program is read; every trace's own
     stamps are gathered from its raw event columns through the
     program's ``raw`` index (see :func:`trace_signature` for why that
-    is sound).
+    is sound).  A pack is walked or closed-form as a whole: a counted
+    loop's shapes without waits, signals or transfers (counted DOALL)
+    pack apart from the others.
 
-    The per-core accounting weights each trace by ``weights`` (its
-    occurrences in the run) and sums the columns of each machine.  What
-    a core computes and forwards is a closed form per core count: its
-    iterations' spans, barriers and words.  What else its clock
-    advanced is control-signal wait -- kept per iteration for a
-    non-counted loop and reduced to the core that ran it -- and stall.
-    The clocks of every chunk are columns of one array, so this is read
-    off once per shape, not per chunk.
+    The per-core accounting weights each member by its occurrences and
+    sums the columns of each machine.  What a core computes and forwards
+    is a closed form per core count: its iterations' spans, barriers and
+    words.  What else its clock advanced is control-signal wait -- kept
+    per iteration for a non-counted loop and reduced to the core that
+    ran it -- and stall.  The clocks of every chunk are columns of one
+    array, so this is read off once per shape, not per chunk.
 
     ``grid`` holds the machines as :func:`schedule_many` tabulates
     them, one row per quantity the walk reads.  Returns the
-    :class:`ScheduleColumns` ``data`` block of the cohort,
-    ``data[f, mi, c]`` being field-exact with
-    ``schedule_compact(traces[c], loop, machines[mi])``, and the
-    cohort's ``per_core`` block ``(bucket, machine, core)``.
+    :class:`ScheduleColumns` ``data`` block of the pack's members,
+    ``data[f, mi, c]`` being field-exact with ``schedule_compact(member
+    c, loop, machines[mi])``, and the pack's ``per_core`` block
+    ``(bucket, machine, core)``.
     """
     import numpy as np
 
@@ -735,9 +919,13 @@ def _schedule_cohort(
     # The main thread collects the exit variable and stops the parallel
     # threads once the last iteration retires.
     wind_v = lat_v + cores_v - 1
-    prog = traces[0].program
+    progs = [members[0].program for members in shapes]
+    sizes = np.array([len(members) for members in shapes], dtype=np.int64)
+    firsts = np.cumsum(sizes) - sizes
+    of_shape = np.repeat(np.arange(len(shapes)), sizes)
+    traces = [trace for members in shapes for trace in members]
     cohort = len(traces)
-    n = prog.iterations
+    n = progs[0].iterations
     counted = loop.counted
     data = np.zeros(
         (len(ScheduleColumns.FIELDS), grid.shape[1], cohort), dtype=np.int64
@@ -759,18 +947,28 @@ def _schedule_cohort(
             [np.frombuffer(getattr(tr, name), dtype=np.int64) for tr in traces]
         )
 
+    def each(values) -> "np.ndarray":
+        # One value per shape, for every member.
+        return np.array(values, dtype=np.int64)[of_shape]
+
+    def per_iteration(name: str) -> "np.ndarray":
+        return np.column_stack(
+            [np.frombuffer(getattr(p, name), dtype=np.int64) for p in progs]
+        )
+
     it_s, it_e = stacked("it_start"), stacked("it_end")
     sp = it_e - it_s  # per-iteration spans, (cohort, n)
 
-    col["signals"][:] = (
-        prog.signals if counted else prog.signals + prog.next_iters
+    col["signals"][:] = each(
+        [p.signals if counted else p.signals + p.next_iters for p in progs]
     )
-    col["waits"][:] = prog.waits
-    col["transfer_words"][:] = prog.transfer_words
+    col["waits"][:] = each([p.waits for p in progs])
+    col["transfer_words"][:] = each([p.transfer_words for p in progs])
     col["compute_cycles"][:] = (
-        sp.sum(axis=1) + prog.barrier_events * bar_v[:, None]
+        sp.sum(axis=1)
+        + each([p.barrier_events for p in progs]) * bar_v[:, None]
     )
-    col["transfer_cycles"][:] = prog.transfer_words * xfr_v[:, None]
+    col["transfer_cycles"][:] = col["transfer_words"] * xfr_v[:, None]
 
     # What a core computes and forwards depends on the core count only:
     # its iterations' spans, one barrier per recorded wait and signal,
@@ -778,101 +976,87 @@ def _schedule_cohort(
     # closed form too: the busiest core's spans, shared across
     # latency/prefetch sweeps exactly like the scalar engine's.
     top_all = per_core.shape[2]
+    count = len(shapes)
     counts, of_count = np.unique(cores_v, return_inverse=True)
     by_core = (
         _iteration_cores(n, tuple(counts.tolist()), top_all)
         @ np.column_stack(
-            [
-                sp.T,
-                np.frombuffer(prog.barriers, dtype=np.int64),
-                np.frombuffer(prog.words, dtype=np.int64),
-            ]
+            [sp.T, per_iteration("barriers"), per_iteration("words")]
         )
-    ).reshape(len(counts), top_all, cohort + 2)  # per core count
+    ).reshape(len(counts), top_all, cohort + 2 * count)  # per core count
     spans = by_core[:, :, :cohort]
-    occurrences = int(weights.sum())
+    occurrences = np.add.reduceat(weights, firsts)  # per shape
     per_core[0] = (spans @ weights)[of_count] + bar_v[:, None] * (
-        by_core[of_count, :, cohort] * occurrences
+        by_core[of_count, :, cohort : cohort + count] @ occurrences
     )
     per_core[3] = xfr_v[:, None] * (
-        by_core[of_count, :, cohort + 1] * occurrences
+        by_core[of_count, :, cohort + count :] @ occurrences
     )
-    if counted and prog.active_ops == 0:
+    if counted and progs[0].active_ops == 0:
         col["parallel_cycles"][:] = (
             spans.max(axis=1)[of_count] + (conf_v + wind_v)[:, None]
         )
         return data, per_core
 
-    off = prog.off
-    nops = len(prog.op)
+    # ``mode`` 0 is a machine without a helper thread.
+    pack = _pack(shapes, it_s, it_e, loop, bool(mode_v.any()))
 
-    # Per-op time deltas, transposed so ``dt[j]`` is a contiguous
-    # cohort-wide vector: dt[j] = at[j] - at[j-1] within an iteration,
-    # at[j] - it_start[i] for its first op; et[i] closes the iteration.
-    et = np.empty((n, cohort), dtype=np.int64)
-    dt = np.empty((nops, cohort), dtype=np.int64)
-    if nops:
-        at = stacked("ev_at")[:, np.frombuffer(prog.raw, dtype=np.int64)]
-        d = np.empty_like(at)
-        d[:, 1:] = at[:, 1:] - at[:, :-1]
-        for i in range(n):
-            lo, hi = off[i], off[i + 1]
-            if lo < hi:
-                d[:, lo] = at[:, lo] - it_s[:, i]
-                et[i] = it_e[:, i] - at[:, hi - 1]
-            else:
-                et[i] = sp[:, i]
-        dt[:] = d.T
-    else:
-        et[:] = sp.T
+    # The axis: per shape, its machines in ``order``, each a block of
+    # the shape's members.  Machines by agenda flavour, then core count:
+    # most chunks of a wide shape then read one agenda and plain clock
+    # rows.
+    order = np.lexsort((cores_v, mode_v))
+    blocks = len(order) * sizes
+    starts = np.cumsum(blocks) - blocks
+    axis = int(blocks.sum())
+    shape_all = np.repeat(np.arange(count), blocks)
+    k, c = np.divmod(np.arange(axis) - starts[shape_all], sizes[shape_all])
+    mi_all = order[k]
+    member_all = firsts[shape_all] + c
 
     # Every column's clock per core, and for a non-counted loop the
-    # control-signal waits of the iterations each core ran: columns in
-    # walk order, one block of ``cohort`` per machine in ``order``.
-    clocks = np.empty((top_all, grid.shape[1] * cohort), dtype=np.int64)
+    # control-signal waits of the iterations each core ran.
+    clocks = np.empty((top_all, axis), dtype=np.int64)
     signals = None if counted else np.zeros_like(clocks)
-    agendas = None
-    if mode_v.any():  # some machine runs a helper thread (``NONE`` is 0)
-        agendas = _resolve_agendas(prog, tuple(loop.helper_order), counted)
-
-    # Machines by agenda flavour, then core count: most chunks of a wide
-    # axis then read one agenda and plain clock rows.
-    order = np.lexsort((cores_v, mode_v))
-    axis = len(order) * cohort
     for lo in range(0, axis, _MAX_WIDTH):
-        columns = np.arange(lo, min(lo + _MAX_WIDTH, axis))
-        mi_, c_ = order[columns // cohort], columns % cohort
-        chunk = slice(lo, lo + len(columns))
+        chunk = slice(lo, min(lo + _MAX_WIDTH, axis))
+        mi_, m_ = mi_all[chunk], member_all[chunk]
         cores = cores_v[mi_]
         clocks[:, chunk] = conf_v[mi_]
         clk = clocks[: int(cores.max()), chunk]
         stall, signalled = _walk_chunk(
-            prog, counted, grid[:, mi_], dt[:, c_], et[:, c_], clk, agendas
+            pack, counted, grid[:, mi_], shape_all[chunk], m_, clk
         )
 
         # Clocks only advance and start at ``conf``, which no end
         # precedes: the last end is the greatest entry of any row.
-        col["parallel_cycles"][mi_, c_] = clk.max(axis=0) + wind_v[mi_]
-        col["wait_stall_cycles"][mi_, c_] = stall
+        col["parallel_cycles"][mi_, m_] = clk.max(axis=0) + wind_v[mi_]
+        col["wait_stall_cycles"][mi_, m_] = stall
         if not counted:
-            col["signal_cycles"][mi_, c_] = signalled.sum(axis=0)
+            col["signal_cycles"][mi_, m_] = signalled.sum(axis=0)
             # Each iteration's wait, on the core that ran it: one
             # product per core count of the chunk.
             into = signals[:, chunk]
-            for count in np.unique(cores).tolist():
-                ran = cores == count
+            for cores_of in np.unique(cores).tolist():
+                ran = cores == cores_of
                 into[:, ran] = (
-                    _iteration_cores(n, (count,), top_all) @ signalled[:, ran]
+                    _iteration_cores(n, (cores_of,), top_all)
+                    @ signalled[:, ran]
                 )
 
     # Per machine, weighted by occurrence: every clock ran from ``conf``
     # through exactly its iterations' signal waits, compute, stalls and
     # transfers.
-    shape = (top_all, len(order), cohort)
-    advanced = (clocks.reshape(shape) - conf_v[order, None]) @ weights
-    per_core[1, order] = advanced.T
-    if signals is not None:
-        per_core[2, order] = (signals.reshape(shape) @ weights).T
+    for start, size, first in zip(
+        starts.tolist(), sizes.tolist(), firsts.tolist()
+    ):
+        block = slice(start, start + len(order) * size)
+        shape = (top_all, len(order), size)
+        w = weights[first : first + size]
+        advanced = (clocks[:, block].reshape(shape) - conf_v[order, None]) @ w
+        per_core[1, order] += advanced.T
+        if signals is not None:
+            per_core[2, order] += (signals[:, block].reshape(shape) @ w).T
     per_core[1] -= per_core[0] + per_core[2] + per_core[3]
     return data, per_core
 
@@ -894,8 +1078,9 @@ def schedule_many(
     offsets from the start of the invocation, so invocations that ran
     alike anywhere in the recorded clock are one *distinct* invocation,
     scheduled once and fanned out by index.  A shape whose ``distinct
-    members x machines`` reach :data:`_MIN_COHORT` runs through the
-    vectorized :func:`_schedule_cohort` walk, a smaller one through
+    members x machines`` reach :data:`_MIN_COHORT` joins its loop's pack
+    for its iteration count, which the vectorized
+    :func:`_schedule_cohort` walks as one; a smaller one goes through
     :func:`schedule_compact` per member and machine.  Either way only
     the shape's first trace is compiled; the other members are handed
     its program.  Both engines also fill the result's ``per_core``
@@ -977,15 +1162,17 @@ def schedule_many(
     grid = np.array(rows, dtype=np.int64).T
     # The scalar engine's per-core accounting, per machine.
     scalar = [[[0] * m.cores for _ in CORE_FIELDS] for m in machines]
+    # The vector walk's packs: the shapes of one loop with one iteration
+    # count, walked or (counted DOALL) closed-form.
+    packs: Dict[Tuple, Tuple[LoopInfo, List[List[int]]]] = {}
     for members in shapes:
         cohort = [traces[first[distinct]] for distinct in members]
         loop = loops[first[members[0]]]
-        weights = occurrences[members]
         program = cohort[0].program
         for trace in cohort[1:]:
             trace._program = program
         if len(members) * len(machines) < _MIN_COHORT:
-            occurring = weights.tolist()
+            occurring = occurrences[members].tolist()
             for mi, machine in enumerate(machines):
                 data[:, mi, members] = ScheduleColumns.from_results(
                     [
@@ -994,10 +1181,18 @@ def schedule_many(
                     ]
                 ).data
         else:
-            data[:, :, members], shape_per_core = _schedule_cohort(
-                cohort, loop, grid, weights
-            )
-            per_core += shape_per_core
+            closed = loop.counted and program.active_ops == 0
+            key = (id(loop), program.iterations, closed)
+            packs.setdefault(key, (loop, []))[1].append(members)
+    for loop, packed in packs.values():
+        members = [distinct for shape in packed for distinct in shape]
+        data[:, :, members], pack_per_core = _schedule_cohort(
+            [[traces[first[d]] for d in shape] for shape in packed],
+            loop,
+            grid,
+            occurrences[members],
+        )
+        per_core += pack_per_core
     for mi, machine in enumerate(machines):
         per_core[:, mi, : machine.cores] += scalar[mi]
     return ScheduleColumns(data[:, :, index], grouping, per_core)

@@ -7,7 +7,8 @@ Tests that exercise the store explicitly pass ``--results-dir``.
 
 ``suite_runner`` is one 6-core evaluation runner for the session, so
 the modules that inspect every suite bench's recording record each
-bench once between them.
+bench once between them, and ``bench_placement`` places each of those
+recordings with the reference scheduler once per core count.
 """
 
 import pytest
@@ -24,3 +25,13 @@ def suite_runner():
     from repro.runtime.machine import MachineConfig
 
     return EvaluationRunner(MachineConfig(cores=6))
+
+
+@pytest.fixture(scope="session")
+def bench_placement(suite_runner):
+    """``bench_placement(bench, cores)``: the reference scheduler's
+    placement of a suite bench's recording at ``cores`` cores
+    (:func:`tests.helpers.bench_placements`), once per session."""
+    from tests.helpers import bench_placements
+
+    return bench_placements(suite_runner)

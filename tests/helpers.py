@@ -1,8 +1,11 @@
 """Shared test utilities: quick CFG and program construction, the
-reference-engine replay the scheduler tests compare against, and the
-rule an over-budget run of generated code must follow."""
+reference-engine replay the scheduler tests compare against, the
+reference placement of the suite's recordings, and the rule an
+over-budget run of generated code must follow."""
 
 import dataclasses
+import hashlib
+import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.loopnest import LoopId
@@ -51,6 +54,48 @@ def build_cfg(edges: Dict[str, Sequence[str]], entry: str = "A") -> Function:
         else:
             raise ValueError("at most two successors per block")
     return func
+
+
+def segments_digest(segments) -> str:
+    """SHA-256 over a simulated timeline's segment list, in order."""
+    blob = json.dumps(
+        [[seg.core, seg.category, seg.start, seg.end] for seg in segments]
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@dataclasses.dataclass(frozen=True)
+class Placement:
+    """What the tests read off the reference scheduler's placement of a
+    whole run (:func:`repro.obs.timeline.run_timeline`): the digest of
+    its segment list and each core's cycles per category."""
+
+    digest: str
+    core_totals: List[Dict[str, int]]
+
+
+def bench_placements(runner):
+    """``placement(bench, cores)``: the :class:`Placement` of ``bench``'s
+    recording under ``runner``'s machine at ``cores`` cores, computed
+    once per key.  Only the digest and the totals are kept: the suite's
+    segment lists at 2, 4 and 6 cores run to 1.8M segments."""
+    from repro.obs.timeline import core_totals, run_timeline
+
+    memo: Dict[Tuple[str, int], Placement] = {}
+
+    def placement(bench: str, cores: int) -> Placement:
+        key = (bench, cores)
+        if key not in memo:
+            segments = run_timeline(
+                runner.helix_run(bench).executor,
+                runner.machine.with_cores(cores),
+            )
+            memo[key] = Placement(
+                segments_digest(segments), core_totals(segments, cores)
+            )
+        return memo[key]
+
+    return placement
 
 
 def compile_and_find_loop(source: str, func_name: str, header_contains: str):

@@ -117,12 +117,16 @@ def test_bench_numbers_equal_the_previous_clocks(bench, runner, table):
 
 
 @pytest.mark.parametrize("bench", benchmark_names())
-def test_timeline_block_equals_the_per_trace_walk(bench, runner):
+def test_timeline_block_equals_the_per_trace_walk(
+    bench, runner, bench_placement
+):
     """The report's accounting is read off the per-core columns of the
     schedule walk, which times each distinct invocation once and counts
     it once per occurrence; the reference scheduler places every trace
-    for the timeline.  Same per-core buckets, same total."""
-    from repro.obs.timeline import core_totals, run_timeline, timeline_block
+    for the timeline (the session's placement, which
+    ``test_timeline_segments`` holds to its recorded digests).  Same
+    per-core buckets, same total."""
+    from repro.obs.timeline import timeline_block
 
     executor = runner.helix_run(bench).executor
     _, first, index = executor.grouping
@@ -130,7 +134,7 @@ def test_timeline_block_equals_the_per_trace_walk(bench, runner):
     for cores in (2, 4, 6):
         machine = runner.machine.with_cores(cores)
         block = timeline_block(executor, machine)
-        rows = core_totals(run_timeline(executor, machine), cores)
+        rows = bench_placement(bench, cores).core_totals
         assert block["per_core"] == [
             {"core": core, **row} for core, row in enumerate(rows)
         ]

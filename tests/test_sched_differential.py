@@ -12,11 +12,13 @@ import dataclasses
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.loops import find_loops
+from repro.bench import benchmark_names
 from repro.core import parallelize_module
 from repro.frontend import compile_source
 from repro.runtime import run_module
@@ -28,8 +30,12 @@ from repro.runtime.sched import (
     schedule_compact,
     schedule_invocation_reference,
     schedule_many,
+    trace_signature,
 )
 from repro.runtime.trace import (
+    CTRL_DEP,
+    OP_WAIT_SYNC,
+    OP_XFER,
     CompactInvocationTrace,
     InvocationTrace,
     IterationTrace,
@@ -392,6 +398,33 @@ def test_cohort_engine_matches_per_trace_engines(name, routing, monkeypatch):
     assert len(schedule_many([], [], MIXED_GRID)) == 0
 
 
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_schedule_columns_survive_copy_and_pickle(how):
+    """``ScheduleColumns`` reads its fields off ``data`` as attributes,
+    and an instance that copy or unpickle builds has no ``data`` until
+    its state is restored: the round trip keeps ``data``, ``grouping``
+    and ``per_core``, and the fields still read as attributes."""
+    import copy
+    import pickle
+
+    traces, loops, _ = _differential_case("reduction")
+    columns = schedule_many(traces, loops, MIXED_GRID)
+    clone = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda c: pickle.loads(pickle.dumps(c)),
+    }[how](columns)
+    assert (clone.data == columns.data).all()
+    assert (clone.per_core == columns.per_core).all()
+    shapes, first, index = clone.grouping
+    assert (shapes, first) == columns.grouping[:2]
+    assert (index == columns.grouping[2]).all()
+    assert (clone.parallel_cycles == columns.parallel_cycles).all()
+    assert clone.column(3).results() == columns.column(3).results()
+    with pytest.raises(AttributeError):
+        clone.no_such_field
+
+
 def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     monkeypatch,
 ):
@@ -408,9 +441,9 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     walked = []
     real = sched_mod._schedule_cohort
 
-    def counting(traces, loop, grid, weights):
-        walked.append((len(traces), weights.tolist()))
-        return real(traces, loop, grid, weights)
+    def counting(shapes, loop, grid, weights):
+        walked.append(([len(m) for m in shapes], weights.tolist()))
+        return real(shapes, loop, grid, weights)
 
     monkeypatch.setattr(sched_mod, "_schedule_cohort", counting)
     restored = ParallelExecutor(transformed, infos, BASE)
@@ -424,7 +457,7 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     twice = restored.replay_many(MACHINES)
     # One distinct invocation on either executor, occurring twice in the
     # second run.
-    assert walked == [(1, [1]), (1, [2])]
+    assert walked == [([1], [1]), ([1], [2])]
     shapes, first, index = restored.grouping
     assert (shapes, first, index.tolist()) == ([[0]], [0], [0, 0])
     for machine, single, double in zip(MACHINES, once, twice):
@@ -441,32 +474,37 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
         ).all()
 
 
-def _walked_shapes(monkeypatch, sched_mod):
-    """Spy on the vector walk: the programs of the cohorts walked, and
-    how many chunks each was walked in."""
-    cohorts, chunks = [], Counter()
+def _walked_packs(monkeypatch, sched_mod):
+    """Spy on the vector walk: every pack scheduled, as ``[programs,
+    members, loop, chunks]`` -- the program and distinct-member count of
+    each of its shapes, its loop, and how many chunks it was walked in.
+    """
+    packs = []
     real_cohort, real_walk = sched_mod._schedule_cohort, sched_mod._walk_chunk
 
-    def cohort(traces, loop, grid, weights):
-        cohorts.append((traces[0].program, len(traces), loop))
-        return real_cohort(traces, loop, grid, weights)
+    def cohort(shapes, loop, grid, weights):
+        programs = [members[0].program for members in shapes]
+        packs.append([programs, [len(m) for m in shapes], loop, 0])
+        return real_cohort(shapes, loop, grid, weights)
 
-    def walk(prog, *args):
-        chunks[id(prog)] += 1
-        return real_walk(prog, *args)
+    def walk(*args):
+        packs[-1][3] += 1
+        return real_walk(*args)
 
     monkeypatch.setattr(sched_mod, "_schedule_cohort", cohort)
     monkeypatch.setattr(sched_mod, "_walk_chunk", walk)
-    return cohorts, chunks
+    return packs
 
 
 @pytest.mark.parametrize("max_width", [None, 7])
 def test_a_shape_is_walked_once_per_chunk(max_width, monkeypatch):
-    """Every machine of a shape, whatever its prefetch mode, advances in
-    one pass per chunk of the vector axis: ``members x machines`` over
-    :data:`_MAX_WIDTH` passes, not one per prefetch-mode class.  The
-    one-member shapes of every program under the mixed grid (all four
-    modes), in one piece and in chunks of seven columns."""
+    """Every machine of a loop's shapes, whatever its prefetch mode,
+    advances in one pass per chunk of the vector axis: the pack's
+    ``members x machines`` over :data:`_MAX_WIDTH` passes, not one per
+    shape or per prefetch-mode class.  The one-member shapes of every
+    program under the mixed grid (all four modes), in one piece and in
+    chunks of seven columns.  A pack holds the shapes of one loop with
+    one iteration count, and every shape is in exactly one pack."""
     import math
 
     import repro.runtime.sched as sched_mod
@@ -477,21 +515,96 @@ def test_a_shape_is_walked_once_per_chunk(max_width, monkeypatch):
     monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
     if max_width is not None:
         monkeypatch.setattr(sched_mod, "_MAX_WIDTH", max_width)
-    cohorts, chunks = _walked_shapes(monkeypatch, sched_mod)
+    packs = _walked_packs(monkeypatch, sched_mod)
+    shapes = 0
     for executor in executors:
         schedule_many(executor.traces, executor._loops(), MIXED_GRID)
+        shapes += len(executor.grouping[0])
     walked = 0
-    for prog, members, loop in cohorts:
-        assert members == 1
-        if prog.iterations == 0 or (loop.counted and prog.active_ops == 0):
+    for programs, members, loop, chunks in packs:
+        assert set(members) == {1}
+        (n,) = {prog.iterations for prog in programs}
+        closed = [loop.counted and prog.active_ops == 0 for prog in programs]
+        assert len(set(closed)) == 1
+        if n == 0 or closed[0]:
             expected = 0  # nothing to walk: a closed form
         else:
             expected = math.ceil(
-                members * len(MIXED_GRID) / sched_mod._MAX_WIDTH
+                sum(members) * len(MIXED_GRID) / sched_mod._MAX_WIDTH
             )
             walked += 1
-        assert chunks[id(prog)] == expected
+        assert chunks == expected
+    assert sum(len(programs) for programs, *_ in packs) == shapes
+    assert len({id(p) for programs, *_ in packs for p in programs}) == shapes
     assert walked > len(SOURCES)
+
+
+#: An 80-machine sweep grid (the ledger's shape: core counts 2-6, every
+#: prefetch mode, four signal latencies each).
+SWEEP_GRID = [
+    dataclasses.replace(
+        MachineConfig(cores=cores, prefetch_mode=mode),
+        signal_latency=latency,
+        word_transfer_cycles=latency,
+    )
+    for cores in (2, 3, 4, 5, 6)
+    for mode in PrefetchMode
+    for latency in (4, 32, 110, 220)
+]
+
+
+def test_a_loop_is_walked_once_per_chunk(suite_runner, monkeypatch):
+    """mcf's ``price_arcs`` loop records 123 one-member shapes of 91
+    iterations each.  Under an 80-machine grid they are one pack, walked
+    in ``ceil(123 x 80 / _MAX_WIDTH)`` passes, not 123."""
+    import math
+
+    import repro.runtime.sched as sched_mod
+
+    executor = suite_runner.helix_run("mcf").executor
+    packs = _walked_packs(monkeypatch, sched_mod)
+    schedule_many(executor.traces, executor._loops(), SWEEP_GRID)
+    widest = max(packs, key=lambda pack: len(pack[0]))
+    programs, members, _loop, chunks = widest
+    assert len(programs) == 123 and {p.iterations for p in programs} == {91}
+    assert sum(members) == 123
+    assert chunks == math.ceil(123 * len(SWEEP_GRID) / sched_mod._MAX_WIDTH)
+    assert chunks < 4
+
+
+def test_warm_suite_routing_is_unchanged(suite_runner, monkeypatch):
+    """A warm ``repro suite`` schedules each bench's restored recording
+    on the executing 6-core machine, then on Figure 9's other two core
+    counts.  Packing changes only what the vector walk does: the scalar
+    engine still takes the same 893 (member, machine) cells as when
+    every shape was walked on its own, and the vector walk the rest."""
+    import repro.runtime.sched as sched_mod
+
+    executors = [
+        suite_runner.helix_run(bench).executor for bench in benchmark_names()
+    ]
+    calls = Counter()
+    real = sched_mod.schedule_compact
+
+    def counting(*args):
+        calls["scalar"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sched_mod, "schedule_compact", counting)
+    packs = _walked_packs(monkeypatch, sched_mod)
+    machine = suite_runner.machine
+    walked_cells = 0
+    for executor in executors:
+        for grid in (
+            [machine], [machine.with_cores(2), machine.with_cores(4)]
+        ):
+            del packs[:]
+            schedule_many(executor.traces, executor._loops(), grid)
+            for _programs, members, _loop, _chunks in packs:
+                assert all(m * len(grid) >= 12 for m in members)
+                walked_cells += sum(members) * len(grid)
+    assert calls["scalar"] == 893
+    assert walked_cells > 0
 
 
 #: Every prefetch mode in one chunk: TSO and non-TSO, one helper machine
@@ -517,6 +630,26 @@ ALL_MODES_GRID = [
 ]
 
 
+def _agendas_split(trace, loop):
+    """Whether the ``MATCHED`` and ``HELIX`` agendas of ``trace``'s shape
+    differ on some of its iterations and agree on others, and prefetch
+    some wait's signal through different entries."""
+    entries, lengths, positions = _resolve_agendas(
+        trace.program, tuple(loop.helper_order), loop.counted
+    )
+    differ = [
+        not np.array_equal(mt[:m], hx[:h])
+        for mt, hx, m, h in zip(
+            entries[0][1:], entries[1][1:], lengths[0][1:], lengths[1][1:]
+        )
+    ]
+    return (
+        any(differ)
+        and not all(differ)
+        and not np.array_equal(positions[0], positions[1])
+    )
+
+
 @pytest.mark.parametrize(
     "stretch", [1, 1 << 40], ids=["recorded", "stretched"]
 )
@@ -540,23 +673,14 @@ def test_a_mixed_chunk_matches_the_engines(stretch, monkeypatch):
         for trace in executor.traces
     ]
     loops = [info_by_id[trace.loop_id] for trace in traces]
-    split = []
-    for trace, loop in zip(traces, loops):
-        mt_pos, hx_pos, mt_entries, hx_entries = _resolve_agendas(
-            trace.program, tuple(loop.helper_order), loop.counted
-        )
-        differ = [mt != hx for mt, hx in zip(mt_entries[1:], hx_entries[1:])]
-        split.append(any(differ) and not all(differ) and mt_pos != hx_pos)
-    assert any(split)
+    assert any(map(_agendas_split, traces, loops))
     if stretch > 1:
         assert min(t.end_cycles - t.start_cycles for t in traces) >= 1 << 39
 
     monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
-    cohorts, chunks = _walked_shapes(monkeypatch, sched_mod)
+    packs = _walked_packs(monkeypatch, sched_mod)
     columns = schedule_many(traces, loops, ALL_MODES_GRID)
-    assert cohorts and all(
-        chunks[id(prog)] == 1 for prog, _, _ in cohorts
-    )  # one chunk per shape
+    assert packs and all(pack[3] == 1 for pack in packs)  # one chunk each
     for mi, machine in enumerate(ALL_MODES_GRID):
         for trace, loop, cell in zip(
             traces, loops, columns.column(mi).results()
@@ -565,6 +689,164 @@ def test_a_mixed_chunk_matches_the_engines(stretch, monkeypatch):
             assert cell == schedule_invocation_reference(
                 trace.to_invocation_trace(), loop, machine
             ), machine.fingerprint()
+
+
+#: The shapes of :func:`_mixed_pack`: each iteration waits on and signals
+#: dependences 1 and 2, signals the control signal and produces 5; the
+#: variants differ from it on some iterations only.
+PACK_VARIANTS = ("plain", "helper_order", "xfer", "duplicate", "extra_wait")
+
+
+def _mixed_pack(counted, stretch=1):
+    """One loop's invocations in five shapes of six iterations each, two
+    distinct invocations a shape, which a vector walk packs together.
+    Against the plain shape (``MATCHED`` agenda 1, 2; ``HELIX`` 2, 1)
+    one waits in the helper's order on iteration 2, so its agendas agree
+    there; one forwards data on iteration 3; one signals dependence 1
+    twice in every iteration (a barrier-only duplicate); and one waits
+    on iteration 2 for a dependence 3 that iteration 1 signalled, which
+    only ``MATCHED`` prefetches.  ``stretch`` scales every offset from
+    the start of the invocation."""
+    from tests.test_parallel_executor import iteration, make_loop_info
+
+    loop = make_loop_info(counted=counted, helper_order=(2, 1))
+
+    def events(variant, k, s, scale):
+        at = {
+            ("w", 1): 3, ("s", 1): 8, ("n", CTRL_DEP): 10,
+            ("w", 2): 12, ("s", 2): 15, ("p", 5): 16,
+        }
+        if variant == "helper_order" and k == 2:
+            at[("w", 2)] = 2
+        if variant == "xfer" and k == 3:
+            at[("x", 5)] = 9
+        if variant == "duplicate":
+            at[("s", 1, "again")] = 9
+        if variant == "extra_wait" and k == 1:
+            at[("s", 3)] = 17
+        if variant == "extra_wait" and k == 2:
+            at[("w", 3)] = 1
+        return sorted(
+            ((key[0], key[1], s + offset * scale * stretch)
+             for key, offset in at.items()),
+            key=lambda event: event[2],
+        )
+
+    traces = []
+    for v, variant in enumerate(PACK_VARIANTS):
+        for scale in (1, 2):
+            start = 1000 * (2 * v + scale)
+            span = 20 * scale * stretch
+            its = []
+            for k in range(6):
+                it = iteration(
+                    start + k * span,
+                    events(variant, k, start + k * span, scale),
+                    start + (k + 1) * span,
+                )
+                it.words = {5: 3}
+                its.append(it)
+            traces.append(
+                CompactInvocationTrace.from_trace(
+                    InvocationTrace(
+                        loop_id=loop.loop_id,
+                        start_cycles=start,
+                        end_cycles=start + 6 * span + 5,
+                        iterations=its,
+                    )
+                )
+            )
+    return loop, traces
+
+
+def _per_shape_walks(traces, loops, grid):
+    """``per_core`` of every shape of ``traces`` walked on its own."""
+    shapes = {}
+    for trace, loop in zip(traces, loops):
+        key = (id(loop), trace_signature(trace))
+        shapes.setdefault(key, ([], loop))[0].append(trace)
+    return sum(
+        schedule_many(members, [loop] * len(members), grid).per_core
+        for members, loop in shapes.values()
+    )
+
+
+@pytest.mark.parametrize(
+    "stretch", [1, 1 << 40], ids=["recorded", "stretched"]
+)
+def test_a_mixed_pack_matches_the_engines(stretch, monkeypatch):
+    """Shapes that differ per iteration -- an extra ``WAIT_SYNC``, a
+    transfer, a duplicate signal, agendas that differ and agree -- are
+    one pack, walked in chunks of seven columns that straddle the shapes,
+    under every prefetch mode, for a counted and a non-counted loop.
+    Every cell is the scalar engine's and the reference's, and the
+    pack's per-core accounting is the sum of each shape walked on its
+    own.  Stretched to ~2**40-cycle invocations, no sentinel wins or
+    overflows."""
+    import math
+
+    import repro.runtime.sched as sched_mod
+
+    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
+    monkeypatch.setattr(sched_mod, "_MAX_WIDTH", 7)
+    packs = _walked_packs(monkeypatch, sched_mod)
+    for counted in (False, True):
+        loop, traces = _mixed_pack(counted, stretch)
+        loops = [loop] * len(traces)
+        programs = [trace.program for trace in traces[::2]]
+        assert len({trace_signature(trace) for trace in traces}) == 5
+        assert [OP_XFER in prog.op for prog in programs] == [
+            variant == "xfer" for variant in PACK_VARIANTS
+        ]
+        assert sum(programs[3].pre) == 6 and sum(programs[0].pre) == 0
+        assert len({prog.op.count(OP_WAIT_SYNC) for prog in programs}) == 2
+        assert _agendas_split(traces[2], loop)
+        if stretch > 1:
+            spans = [t.end_cycles - t.start_cycles for t in traces]
+            assert min(spans) >= 1 << 40
+
+        del packs[:]
+        columns = schedule_many(traces, loops, ALL_MODES_GRID)
+        ((walked, members, _, chunks),) = packs
+        assert len(walked) == 5 and members == [2] * 5
+        assert chunks == math.ceil(10 * len(ALL_MODES_GRID) / 7)
+        for mi, machine in enumerate(ALL_MODES_GRID):
+            for trace, cell in zip(traces, columns.column(mi).results()):
+                assert cell == schedule_compact(trace, loop, machine)
+                assert cell == schedule_invocation_reference(
+                    trace.to_invocation_trace(), loop, machine
+                ), machine.fingerprint()
+        assert (
+            columns.per_core
+            == _per_shape_walks(traces, loops, ALL_MODES_GRID)
+        ).all()
+
+
+def test_mcf_pack_matches_the_engines(suite_runner, monkeypatch):
+    """mcf's recorded traces (123 one-member ``price_arcs`` shapes in one
+    pack) walked under every prefetch mode in chunks of 100 columns:
+    every cell is the scalar engine's and the reference's, and
+    ``per_core`` is the sum of each shape walked on its own."""
+    import repro.runtime.sched as sched_mod
+
+    executor = suite_runner.helix_run("mcf").executor
+    traces, loops = executor.traces, executor._loops()
+    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
+    monkeypatch.setattr(sched_mod, "_MAX_WIDTH", 100)
+    columns = schedule_many(traces, loops, ALL_MODES_GRID)
+    references = [trace.to_invocation_trace() for trace in traces]
+    for mi, machine in enumerate(ALL_MODES_GRID):
+        cells = columns.column(mi).results()
+        for trace, reference, loop, cell in zip(
+            traces, references, loops, cells
+        ):
+            assert cell == schedule_compact(trace, loop, machine)
+            assert cell == schedule_invocation_reference(
+                reference, loop, machine
+            ), machine.fingerprint()
+    assert (
+        columns.per_core == _per_shape_walks(traces, loops, ALL_MODES_GRID)
+    ).all()
 
 
 def test_out_of_order_intervals_are_fixed_up_off_the_first_column():

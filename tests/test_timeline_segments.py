@@ -17,7 +17,6 @@ in a checkout of that tree with this file copied in.  Every digest must
 still come out the same.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -25,6 +24,7 @@ import pytest
 
 from repro.bench import benchmark_names
 from repro.obs.timeline import run_timeline
+from tests.helpers import bench_placements, segments_digest
 from tests.test_sched_differential import MIXED_GRID, SOURCES
 from tests.test_timeline import _restored_with_empty_invocation
 
@@ -34,25 +34,19 @@ TABLE_PATH = Path(__file__).parent / "data" / "timeline_segments.json"
 BENCH_CORES = (2, 4, 6)
 
 
-def _digest(segments):
-    blob = json.dumps(
-        [[seg.core, seg.category, seg.start, seg.end] for seg in segments]
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _source_row(name):
     executor = _restored_with_empty_invocation(name)
-    return [_digest(run_timeline(executor, machine)) for machine in MIXED_GRID]
+    return [
+        segments_digest(run_timeline(executor, machine))
+        for machine in MIXED_GRID
+    ]
 
 
-def _bench_row(runner, bench):
-    executor = runner.helix_run(bench).executor
+def _bench_row(placement, bench):
+    """``placement``: :func:`tests.helpers.bench_placements` of a 6-core
+    runner (the session's ``bench_placement``)."""
     return {
-        str(cores): _digest(
-            run_timeline(executor, runner.machine.with_cores(cores))
-        )
-        for cores in BENCH_CORES
+        str(cores): placement(bench, cores).digest for cores in BENCH_CORES
     }
 
 
@@ -67,20 +61,20 @@ def test_source_timelines_are_the_recorded_ones(name, table):
 
 
 @pytest.mark.parametrize("bench", benchmark_names())
-def test_bench_timelines_are_the_recorded_ones(bench, suite_runner, table):
-    assert _bench_row(suite_runner, bench) == table["benches"][bench]
+def test_bench_timelines_are_the_recorded_ones(bench, bench_placement, table):
+    assert _bench_row(bench_placement, bench) == table["benches"][bench]
 
 
 if __name__ == "__main__":
     from repro.evaluation.runner import EvaluationRunner
     from repro.runtime.machine import MachineConfig
 
-    _runner = EvaluationRunner(MachineConfig(cores=6))
+    _placement = bench_placements(EvaluationRunner(MachineConfig(cores=6)))
     print(
         json.dumps(
             {
                 "benches": {
-                    bench: _bench_row(_runner, bench)
+                    bench: _bench_row(_placement, bench)
                     for bench in benchmark_names()
                 },
                 "sources": {name: _source_row(name) for name in sorted(SOURCES)},
