@@ -304,6 +304,11 @@ class ArtifactStore:
         self._count(kind, "hits")
         return payload
 
+    def has(self, kind: str, key: str) -> bool:
+        """Whether an entry is stored under ``key``.  Nothing is read or
+        decoded, so nothing is counted."""
+        return self.root is not None and self._path(kind, key).is_file()
+
     def store(self, kind: str, key: str, payload: dict) -> bool:
         """Atomically persist one artifact (last writer wins); returns
         whether it was written (False for a store without a root)."""

@@ -10,7 +10,8 @@ Commands:
 * ``ir FILE.mc``             -- dump the compiled IR.
 * ``bench NAME``             -- run one of the 13 suite benchmarks.
 * ``suite``                  -- Figure 9 over the whole suite; supports
-  ``--jobs N`` (process-parallel pipelines), ``--cache-dir PATH``
+  ``--jobs N`` (at most N worker processes for the benches the cache
+  cannot answer; default one per CPU), ``--cache-dir PATH``
   (persistent artifact cache), ``--stats`` (per-stage wall-clock and
   cache-hit counters, including per-analysis rows) and
   ``--report PATH`` (JSON record with ``analyses``, ``environment``
@@ -91,6 +92,20 @@ def _cores(text: str) -> int:
             f"{text!r} is not a positive core count"
         )
     return cores
+
+
+def _jobs(text: str) -> int:
+    """A ``--jobs`` cap (argparse ``type=``): ``0`` (one per CPU) or a
+    positive integer."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = -1
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a job count (0 = one per CPU)"
+        )
+    return jobs
 
 
 #: Default results-store location (see :func:`_results_dir`).
@@ -388,8 +403,8 @@ class _SuiteProgress:
     """Observer printing one line per finished benchmark (``--stats``).
 
     Implements the :class:`repro.service.jobs.EvaluationObserver`
-    protocol; the parallel suite runner reports whole-benchmark rows as
-    ``stage="bench"`` completions.
+    protocol; the suite runner reports each benchmark's row, wherever it
+    ran, as a ``stage="bench"`` completion.
     """
 
     def __init__(self) -> None:
@@ -413,11 +428,7 @@ class _SuiteProgress:
 
 
 def _cmd_suite(args) -> int:
-    from repro.evaluation.parallel_runner import (
-        SuiteInterrupted,
-        effective_jobs,
-        run_suite,
-    )
+    from repro.evaluation.parallel_runner import SuiteInterrupted, run_suite
     from repro.evaluation.reporting import (
         format_analysis_stats,
         format_interp_stats,
@@ -427,7 +438,7 @@ def _cmd_suite(args) -> int:
     try:
         fig9, report, _runner = run_suite(
             machine=MachineConfig(cores=args.cores),
-            jobs=effective_jobs(args.jobs),
+            jobs=args.jobs,
             cache_dir=args.cache_dir,
             observer=_SuiteProgress() if args.stats else None,
         )
@@ -609,10 +620,10 @@ def main(argv=None) -> int:
     p.add_argument("--cores", type=_cores, default=6)
     p.add_argument(
         "--jobs",
-        type=int,
-        default=1,
-        help="benchmark pipelines to run in parallel processes "
-        "(0 = one per CPU)",
+        type=_jobs,
+        default=0,
+        help="most worker processes for the benchmarks the cache cannot "
+        "answer (default 0 = one per CPU)",
     )
     p.add_argument(
         "--cache-dir",

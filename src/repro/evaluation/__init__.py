@@ -3,10 +3,11 @@
 * :mod:`repro.evaluation.runner` -- cached benchmark pipelines (compile,
   profile, select, transform, execute, replay) with per-stage
   observability counters.
-* :mod:`repro.evaluation.parallel_runner` -- fans independent benchmark
-  pipelines out over worker processes and merges them back through the
-  shared artifact directory (:mod:`repro.artifacts`).  Interrupted runs
-  raise
+* :mod:`repro.evaluation.parallel_runner` -- maps
+  :func:`~repro.evaluation.figures.figure9_row` over the suite, sending
+  the benchmarks the artifact store (:mod:`repro.artifacts`) cannot
+  answer to worker processes, which hand their rows back.  Interrupted
+  runs raise
   :class:`~repro.evaluation.parallel_runner.SuiteInterrupted` carrying
   the partial report.
 * :mod:`repro.evaluation.figures` -- one driver per experiment:

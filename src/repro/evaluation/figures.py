@@ -7,12 +7,14 @@ produces the same rows/series the paper reports.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.loopinfo import HelixOptions
 from repro.evaluation.reporting import format_table, geomean
 from repro.evaluation.runner import EvaluationRunner, default_runner
+from repro.obs.metrics import REGISTRY, metrics_delta, table_delta
 from repro.runtime.machine import PrefetchMode
 
 #: Approximate per-benchmark 6-core speedups read off the paper's
@@ -41,11 +43,41 @@ PAPER_MAX_6CORES = 4.12
 
 
 @dataclass
+class Figure9Row:
+    """One benchmark's row of Figure 9, and what making it cost.
+
+    :func:`figure9_row` makes it wherever the bench runs, in the process
+    that draws the figure or in a worker process of
+    :func:`~repro.evaluation.parallel_runner.run_suite`, and it carries
+    all the suite's report needs of the bench."""
+
+    bench: str
+    #: Core count (2, 4, 6) -> whole-program speedup.
+    speedups: Dict[int, float]
+    output_matches: bool
+    #: Per-core simulated-time totals on the runner's machine
+    #: (:meth:`EvaluationRunner.timeline`).
+    timeline: dict
+    #: What the bench added to the runner's stage table, to the metrics
+    #: registry and to the store's traffic table, each a delta
+    #: (:func:`~repro.obs.metrics.table_delta`,
+    #: :func:`~repro.obs.metrics.metrics_delta`).
+    stages: Dict[str, dict]
+    metrics: dict
+    traffic: Dict[str, Dict[str, int]]
+    wall_seconds: float
+
+
+@dataclass
 class Figure9Result:
     """Whole-program speedups for 2/4/6 cores."""
 
     speedups: Dict[str, Dict[int, float]]
     core_counts: Tuple[int, ...] = (2, 4, 6)
+
+    @classmethod
+    def of(cls, rows: Sequence[Figure9Row]) -> "Figure9Result":
+        return cls(speedups={row.bench: row.speedups for row in rows})
 
     def geomean(self, cores: int) -> float:
         return geomean([row[cores] for row in self.speedups.values()])
@@ -71,21 +103,44 @@ class Figure9Result:
         )
 
 
-def figure9(runner: Optional[EvaluationRunner] = None) -> Figure9Result:
+def figure9_row(runner: EvaluationRunner, bench: str) -> Figure9Row:
+    """``bench``'s Figure 9 row on ``runner``: the default pipeline on
+    the runner's machine, its recording replayed at the other core
+    counts, and its simulated-time accounting."""
+    start = time.perf_counter()
+    stages = runner.stats.as_dict()
+    metrics = REGISTRY.snapshot()
+    traffic = runner.artifacts.traffic()
+    run = runner.helix_run(bench)
+    assert run.output_matches, f"{bench}: parallel output diverged"
+    swept = [c for c in (2, 4, 6) if c != runner.machine.cores]
+    values = run.speedups_at([runner.machine.with_cores(c) for c in swept])
+    per_core = dict(zip(swept, values))
+    if runner.machine.cores in (2, 4, 6):
+        per_core[runner.machine.cores] = run.speedup
+    timeline = runner.timeline(run)
+    return Figure9Row(
+        bench=bench,
+        speedups=per_core,
+        output_matches=run.output_matches,
+        timeline=timeline,
+        stages=table_delta(stages, runner.stats.as_dict()),
+        metrics=metrics_delta(metrics, REGISTRY.snapshot()),
+        traffic=table_delta(traffic, runner.artifacts.traffic()),
+        wall_seconds=time.perf_counter() - start,
+    )
+
+
+def figure9(
+    runner: Optional[EvaluationRunner] = None,
+    benches: Optional[Sequence[str]] = None,
+) -> Figure9Result:
+    """Figure 9 over ``benches`` (default: the runner's suite), one
+    :func:`figure9_row` each, in this process."""
     runner = runner or default_runner()
-    speedups: Dict[str, Dict[int, float]] = {}
-    for bench in runner.benches():
-        run = runner.helix_run(bench)
-        assert run.output_matches, f"{bench}: parallel output diverged"
-        swept = [c for c in (2, 4, 6) if c != runner.machine.cores]
-        values = run.speedups_at(
-            [runner.machine.with_cores(c) for c in swept]
-        )
-        per_core = dict(zip(swept, values))
-        if runner.machine.cores in (2, 4, 6):
-            per_core[runner.machine.cores] = run.speedup
-        speedups[bench] = per_core
-    return Figure9Result(speedups=speedups)
+    return Figure9Result.of(
+        [figure9_row(runner, bench) for bench in benches or runner.benches()]
+    )
 
 
 # ---------------------------------------------------------------- Table 1

@@ -1,24 +1,28 @@
-"""Process-parallel evaluation of the benchmark suite.
+"""Evaluation of the benchmark suite, in process or on worker processes.
 
-The per-benchmark pipelines are independent until the figures aggregate
-them, so the suite fans out over a :class:`ProcessPoolExecutor`: each
-worker runs one benchmark's compile -> profile -> select -> transform ->
-execute chain against a *shared* artifact directory
-(:class:`~repro.artifacts.ArtifactStore`) and persists every
-interpretation artifact there.  The parent then replays
-the same stage requests through its own :class:`EvaluationRunner`; they
-all hit the freshly written disk entries, which merges the workers'
-results into the parent's in-memory caches without pickling live
-modules or executors across processes.  Generated interpreter code is
-not an artifact: each worker's interpreters compile their own
-benchmark's functions, and the parent, which reads every stage result
-back from disk, compiles none.
+The per-benchmark pipelines are independent until Figure 9 aggregates
+them, so the suite is one function,
+:func:`~repro.evaluation.figures.figure9_row`, mapped over the benches.
+A bench runs in a worker process of a :class:`ProcessPoolExecutor` only
+when the store cannot answer its interpretation stages: its profile or
+its sequential baseline, the entries whose keys take no interpretation
+to compute, is missing.  Every other bench runs in this process, and a
+pool starts only when it would have two workers, so a warm store forks
+nothing.  A worker runs its bench's compile -> profile -> select ->
+transform -> execute chain on a fresh runner over the suite's store,
+persists every artifact there as an in-process run would, and returns
+the bench's row: its speedups, its simulated-time accounting and what
+it cost (stage counters, metrics and store traffic, each a delta).
+The report and the figure are folds over the rows, in suite order, so
+nothing a worker computed is read back from disk.  Generated
+interpreter code is not an artifact: each process's interpreters
+compile their own benchmark's functions.
 
 Determinism: all stage artifacts are exact (recorded traces, not
-timings), so ``--jobs N`` produces byte-identical figure output to a
-sequential run -- only the wall-clock differs.  Workers that share one
-machine also share the cache directory safely (atomic writes; at worst
-two workers duplicate one computation).
+timings), so a pooled run produces byte-identical figure output, the
+same report counters and the same store entries as an in-process run
+-- only the wall-clock differs.  Workers share the store's directory
+safely (atomic writes; at worst two workers duplicate one computation).
 """
 
 from __future__ import annotations
@@ -27,16 +31,15 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.artifacts import code_version
-from repro.evaluation import figures
+from repro.evaluation.figures import Figure9Result, Figure9Row, figure9_row
 from repro.evaluation.runner import EvaluationRunner
-from repro.obs import REGISTRY, get_tracer, metrics_delta, tracing
+from repro.obs import REGISTRY, get_tracer, tracing
 from repro.obs.metrics import StageStats
 from repro.runtime.machine import MachineConfig
 from repro.service.jobs import CURRENT_JOB, NULL_OBSERVER, EvaluationObserver
@@ -59,7 +62,7 @@ def suite_environment() -> Dict[str, object]:
 
 @dataclass
 class BenchOutcome:
-    """One worker's (or inline run's) per-benchmark accounting."""
+    """One benchmark's accounting, from its :class:`Figure9Row`."""
 
     bench: str
     wall_seconds: float
@@ -95,13 +98,13 @@ class SuiteReport:
     speedups: Dict[str, Dict[str, float]] = field(default_factory=dict)
     geomeans: Dict[str, float] = field(default_factory=dict)
     benches: List[BenchOutcome] = field(default_factory=list)
-    #: Aggregated stage counters: parent runner + all workers.
+    #: Stage counters: the sum of every bench's.
     stages: Dict[str, dict] = field(default_factory=dict)
     #: Per-analysis counters (the ``analysis:``-prefixed stage rows with
     #: the prefix stripped): hit/miss/invalidation accounting of the
     #: versioned :class:`~repro.analysis.manager.AnalysisManager`.
     analyses: Dict[str, dict] = field(default_factory=dict)
-    #: Disk traffic of the parent's cache, per artifact kind.
+    #: Store traffic per artifact kind: the sum of every bench's.
     cache_traffic: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Where and on what the suite ran (:func:`suite_environment`).
     environment: Dict[str, object] = field(default_factory=dict)
@@ -109,8 +112,8 @@ class SuiteReport:
     #: busy/stall/signal/transfer cycle totals on the baseline machine
     #: (:func:`repro.obs.timeline.timeline_block`).
     timeline: Dict[str, dict] = field(default_factory=dict)
-    #: Interpreter counters accumulated over this suite run (parent +
-    #: all workers): ``interp.backend.*`` selections plus the
+    #: Interpreter counters, summed over every bench's run in whichever
+    #: process it ran: ``interp.backend.*`` selections plus the
     #: ``interp.superblock.*`` / ``interp.codegen.*`` formation and
     #: specialization statistics from :mod:`repro.runtime.codegen`.
     interp: Dict[str, float] = field(default_factory=dict)
@@ -139,35 +142,64 @@ class SuiteReport:
 
 
 def _run_bench(
-    bench: str, machine: MachineConfig, cache_root: str, trace: bool = False
-) -> dict:
-    """Worker entry point: one benchmark, results persisted to the
-    shared cache.  Returns accounting only (artifacts travel by disk).
+    bench: str,
+    machine: MachineConfig,
+    cache_dir: Optional[str],
+    trace: bool = False,
+) -> Tuple[Figure9Row, List[dict]]:
+    """Worker entry point: ``bench``'s Figure 9 row on a fresh runner
+    over the suite's store, and the spans it recorded.
 
     With ``trace`` set the worker records its spans under a local tracer
     and ships them home serialized; they keep this process's pid, so the
     merged trace shows one track per worker."""
-    start = time.perf_counter()
-    spans: List[dict] = []
-    metrics_before = REGISTRY.snapshot()
-    runner = EvaluationRunner(machine, cache=cache_root)
-    if trace:
-        with tracing() as tracer:
-            run = runner.helix_run(bench)
-        spans = [event.as_dict() for event in tracer.finished()]
-    else:
-        run = runner.helix_run(bench)
-    payload = BenchOutcome(
-        bench=bench,
-        wall_seconds=time.perf_counter() - start,
-        output_matches=run.output_matches,
-        stages=runner.stats.as_dict(),
-    ).as_dict()
-    payload["spans"] = spans
-    # Ship only the delta this benchmark caused, so a reused worker
-    # process never double-reports counts from an earlier benchmark.
-    payload["metrics"] = metrics_delta(metrics_before, REGISTRY.snapshot())
-    return payload
+    runner = EvaluationRunner(machine, cache=cache_dir)
+    if not trace:
+        return figure9_row(runner, bench), []
+    with tracing() as tracer:
+        row = figure9_row(runner, bench)
+    return row, [event.as_dict() for event in tracer.finished()]
+
+
+def _stored(runner: EvaluationRunner, bench: str) -> bool:
+    """Whether the store holds ``bench``'s profile and sequential
+    baseline: the entries whose keys take no interpretation to compute.
+    Only their existence is probed; nothing is read."""
+    store = runner.artifacts
+    return all(
+        store.has(kind, store.key(kind, bench, machine=runner.machine))
+        for kind in ("profile", "sequential")
+    )
+
+
+def _summarize(report: SuiteReport, rows: Sequence[Figure9Row]) -> None:
+    """Fill ``report`` from the rows of the benches that completed."""
+    stats = StageStats()
+    traffic: Dict[str, Dict[str, int]] = {}
+    interp: Dict[str, float] = {}
+    for row in rows:
+        stats.merge(row.stages)
+        for kind, counts in row.traffic.items():
+            total = traffic.setdefault(kind, dict.fromkeys(counts, 0))
+            for what, count in counts.items():
+                total[what] += count
+        for name, value in row.metrics["counters"].items():
+            if name.startswith("interp."):
+                interp[name] = interp.get(name, 0) + value
+        report.timeline[row.bench] = row.timeline
+    fig9 = Figure9Result.of(rows)
+    report.stages = stats.as_dict()
+    report.analyses = stats.analyses()
+    report.cache_traffic = dict(sorted(traffic.items()))
+    report.interp = interp
+    report.speedups = {
+        bench: {str(cores): speedup for cores, speedup in row.items()}
+        for bench, row in fig9.speedups.items()
+    }
+    if rows:
+        report.geomeans = {
+            str(cores): fig9.geomean(cores) for cores in fig9.core_counts
+        }
 
 
 class SuiteInterrupted(Exception):
@@ -186,19 +218,27 @@ class SuiteInterrupted(Exception):
 
 def run_suite(
     machine: Optional[MachineConfig] = None,
-    jobs: int = 1,
+    jobs: int = 0,
     cache_dir: Optional[str] = None,
     benches: Optional[Sequence[str]] = None,
     observer: Optional[EvaluationObserver] = None,
 ):
-    """Evaluate the suite, optionally in parallel and/or disk-cached.
+    """Evaluate the suite, one :func:`~repro.evaluation.figures.figure9_row`
+    per benchmark, on up to ``jobs`` worker processes (``0``: one per
+    CPU) and over the store in ``cache_dir`` (``None``: nothing kept).
+
+    A bench whose profile or sequential baseline is not stored goes to a
+    worker, and the pool starts only when at least two such benches and
+    two jobs make two workers; every other bench runs in this process.
+    So a warm store forks nothing.
 
     Returns ``(figure9, report, runner)``: the rendered-figure result,
-    the :class:`SuiteReport`, and the warm parent runner (reusable for
-    further figures against the same caches).
+    the :class:`SuiteReport`, and the runner that ran the in-process
+    benches.  It is memory-warm for those benches only; a bench that ran
+    in a worker is on disk, when there is a store.
 
-    ``observer`` receives the parent runner's stage/artifact events
-    plus one ``stage="bench"`` completion per worker benchmark -- CLI
+    ``observer`` receives the runner's stage/artifact events plus one
+    ``stage="bench"`` completion per benchmark, in suite order -- CLI
     progress printing is just an observer here.
 
     On KeyboardInterrupt the worker pool is torn down cleanly (pending
@@ -206,140 +246,100 @@ def run_suite(
     :class:`SuiteInterrupted` is raised carrying the partial report.
     """
     machine = machine or MachineConfig(cores=6)
+    jobs = effective_jobs(jobs)
     observer = observer or NULL_OBSERVER
     start = time.perf_counter()
-    metrics_start = REGISTRY.snapshot()
+    runner = EvaluationRunner(machine, cache=cache_dir, observer=observer)
+    if benches is not None:
+        bench_list = list(benches)
+        runner.benches = lambda: bench_list  # type: ignore[method-assign]
+    report = SuiteReport(
+        jobs=jobs,
+        cores=machine.cores,
+        cache_dir=cache_dir,
+        code_version=code_version(),
+        environment=suite_environment(),
+    )
+    rows: List[Figure9Row] = []
 
-    scratch = None
-    cache_root = cache_dir
-    if jobs > 1 and cache_root is None:
-        # Workers hand artifacts to the parent through the cache, so
-        # parallel mode always needs one; default to a scratch directory
-        # that vanishes with the run.
-        scratch = tempfile.TemporaryDirectory(prefix="repro-eval-cache-")
-        cache_root = scratch.name
+    def consume(row: Figure9Row) -> None:
+        rows.append(row)
+        report.benches.append(
+            BenchOutcome(
+                bench=row.bench,
+                wall_seconds=row.wall_seconds,
+                output_matches=row.output_matches,
+                stages=row.stages,
+            )
+        )
+        observer.stage_completed(
+            CURRENT_JOB.get(), row.bench, "bench", "compute",
+            row.wall_seconds,
+        )
+
+    tracer = get_tracer()
+    pool = None
+    futures: Dict[str, Future] = {}
+
+    def harvest(future: Future) -> None:
+        row, spans = future.result()
+        if spans:
+            tracer.absorb(spans)
+        REGISTRY.merge(row.metrics)
+        consume(row)
 
     try:
-        runner = EvaluationRunner(
-            machine, cache=cache_root or None, observer=observer
-        )
-        if benches is not None:
-            bench_list = list(benches)
-            runner.benches = lambda: bench_list  # type: ignore[method-assign]
-        report = SuiteReport(
-            jobs=jobs,
-            cores=machine.cores,
-            cache_dir=cache_dir,
-            code_version=code_version(),
-            environment=suite_environment(),
-        )
-
-        tracer = get_tracer()
-        if jobs > 1:
-            pool = ProcessPoolExecutor(max_workers=jobs)
-            futures = [
-                pool.submit(
-                    _run_bench, bench, machine, cache_root,
-                    tracer.enabled,
-                )
-                for bench in runner.benches()
-            ]
-
-            def consume(payload: dict) -> None:
-                spans = payload.pop("spans", [])
-                metrics = payload.pop("metrics", None)
-                if spans:
-                    tracer.absorb(spans)
-                if metrics:
-                    REGISTRY.merge(metrics)
-                outcome = BenchOutcome(**payload)
-                report.benches.append(outcome)
-                observer.stage_completed(
-                    CURRENT_JOB.get(), outcome.bench, "bench", "compute",
-                    outcome.wall_seconds,
-                )
-
-            consumed = 0
-            try:
-                # Completion order is racy; report in suite order.
-                for future in futures:
-                    consume(future.result())
-                    consumed += 1
-                pool.shutdown()
-            except BaseException:
-                # Clean teardown on interrupt (or any worker failure):
-                # cancel everything still pending, then wait so no
-                # worker process outlives this call.  Results that did
-                # complete are harvested into the partial report.
-                for future in futures:
-                    future.cancel()
+        suite = runner.benches()
+        cold = [bench for bench in suite if not _stored(runner, bench)]
+        workers = min(jobs, len(cold))
+        try:
+            if workers >= 2:
+                pool = ProcessPoolExecutor(max_workers=workers)
+                for bench in cold:
+                    futures[bench] = pool.submit(
+                        _run_bench, bench, machine, cache_dir, tracer.enabled
+                    )
+            # Rows are consumed in suite order, whatever order the
+            # workers finish in.
+            for bench in suite:
+                if bench in futures:
+                    harvest(futures[bench])
+                else:
+                    consume(figure9_row(runner, bench))
+        except BaseException:
+            # Clean teardown on interrupt (or any worker failure):
+            # cancel everything still pending, then wait so no worker
+            # process outlives this call.  Rows that did complete are
+            # harvested into the partial report.
+            if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
-                for future in futures[consumed:]:
+                for bench in suite[len(rows):]:
+                    future = futures.get(bench)
                     if (
-                        future.done()
+                        future is not None
+                        and future.done()
                         and not future.cancelled()
                         and future.exception() is None
                     ):
-                        consume(future.result())
-                raise
-
-        fig9 = figures.figure9(runner)
-
-        stats = StageStats()
-        for outcome in report.benches:
-            stats.merge(outcome.stages)
-        stats.merge(runner.stats.as_dict())
-        # Simulated-time accounting: every figure-9 pipeline is warm in
-        # the parent's memo by now, so this only walks stored traces.
-        # It is a stage of the suite like the others, so it gets a row.
-        from repro.obs.timeline import timeline_block
-
-        for bench in runner.benches():
-            run = runner.helix_run(bench)
-            began = time.perf_counter()
-            report.timeline[bench] = timeline_block(run.executor)
-            stats.record("timeline", "compute", time.perf_counter() - began)
-        report.stages = stats.as_dict()
-        report.analyses = stats.analyses()
-        report.speedups = {
-            bench: {str(cores): speedup for cores, speedup in row.items()}
-            for bench, row in fig9.speedups.items()
-        }
-        report.geomeans = {
-            str(cores): fig9.geomean(cores) for cores in fig9.core_counts
-        }
-        if runner.artifacts.root is not None:
-            report.cache_traffic = runner.artifacts.traffic()
-        # Interpreter counters this run accumulated (worker deltas were
-        # merged into the parent registry above, so one delta covers
-        # both inline and parallel execution).
-        interp_delta = metrics_delta(metrics_start, REGISTRY.snapshot())
-        report.interp = {
-            name: value
-            for name, value in interp_delta["counters"].items()
-            if name.startswith("interp.")
-        }
+                        harvest(future)
+            raise
+        if pool is not None:
+            pool.shutdown()
+        _summarize(report, rows)
         report.wall_seconds = time.perf_counter() - start
-        return fig9, report, runner
+        return Figure9Result.of(rows), report, runner
     except KeyboardInterrupt:
-        # Partial accounting still gets written: merge the stage
-        # counters of whatever completed and hand the report back on
-        # the exception (the CLI persists it before exiting 130).
-        stats = StageStats()
-        for outcome in report.benches:
-            stats.merge(outcome.stages)
-        stats.merge(runner.stats.as_dict())
-        report.stages = stats.as_dict()
+        # Partial accounting still gets written: the rows of whatever
+        # completed, handed back on the exception (the CLI persists it
+        # before exiting 130).
+        _summarize(report, rows)
         report.interrupted = True
         report.wall_seconds = time.perf_counter() - start
         raise SuiteInterrupted(report) from None
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
 
 
 def effective_jobs(requested: int) -> int:
-    """Clamp a ``--jobs`` request to something sane for this host."""
-    if requested < 1:
-        return max(1, os.cpu_count() or 1)
-    return requested
+    """A ``--jobs`` cap on worker processes: ``0`` is one per CPU."""
+    if requested < 0:
+        raise ValueError(f"jobs must be >= 0, not {requested}")
+    return requested or max(1, os.cpu_count() or 1)

@@ -626,6 +626,17 @@ class EvaluationRunner:
         """The default full-HELIX configuration of one benchmark."""
         return self.pipeline(bench)
 
+    def timeline(self, run: PipelineRun) -> dict:
+        """The ``timeline`` stage: ``run``'s per-core simulated-time
+        totals on its machine (:func:`~repro.obs.timeline.timeline_block`),
+        walked from its schedule on every request and never stored."""
+        from repro.obs.timeline import timeline_block
+
+        return self._stage(
+            run.bench, "timeline",
+            lambda: (timeline_block(run.executor), "compute"),
+        )
+
     def run_result(
         self, bench: str, checkpoint: Callable[[], None] = lambda: None
     ) -> dict:

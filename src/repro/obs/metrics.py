@@ -232,6 +232,23 @@ def metrics_delta(
     return {"counters": counters, "gauges": dict(after.get("gauges", {}))}
 
 
+def table_delta(
+    before: Mapping[str, Mapping[str, Number]],
+    after: Mapping[str, Mapping[str, Number]],
+) -> Dict[str, Dict[str, Number]]:
+    """Row-wise ``after - before`` of two tables of counters, such as
+    two :meth:`StageStats.as_dict` or ``ArtifactStore.traffic``
+    snapshots, in ``after``'s row order; a row that did not move is
+    left out."""
+    delta: Dict[str, Dict[str, Number]] = {}
+    for name, row in after.items():
+        old = before.get(name, {})
+        diff = {field: value - old.get(field, 0) for field, value in row.items()}
+        if any(diff.values()):
+            delta[name] = diff
+    return delta
+
+
 #: The process-wide registry used by all instrumentation sites.
 REGISTRY = Registry()
 
@@ -239,8 +256,8 @@ REGISTRY = Registry()
 #: Pipeline stages, in execution order (the first rows of
 #: :meth:`StageStats.as_dict`).  ``timeline`` is the suite's
 #: per-benchmark simulated-time accounting
-#: (:func:`repro.obs.timeline.timeline_block`), recorded by
-#: :func:`~repro.evaluation.parallel_runner.run_suite`; ``run`` is the
+#: (:meth:`~repro.evaluation.runner.EvaluationRunner.timeline`), asked
+#: for by :func:`~repro.evaluation.figures.figure9_row`; ``run`` is the
 #: ``run`` job's answer
 #: (:meth:`~repro.evaluation.runner.EvaluationRunner.run_result`), whose
 #: compute nests the stages before it.

@@ -470,16 +470,13 @@ class Orchestrator:
         return ctx.runner(spec.cores).run_result(spec.bench, ctx.check)
 
     def _handle_suite(self, ctx: JobContext, spec: SuiteJob) -> dict:
-        # Figure 9 on this thread, over this job's runner and so over
-        # the orchestrator's store, like every other op.
+        # Figure 9 on this thread, one ``figure9_row`` per bench over
+        # this job's runner and so over the orchestrator's store, like
+        # every other op.
         from repro.evaluation.figures import figure9
 
         start = time.perf_counter()
-        runner = ctx.runner(spec.cores)
-        if spec.benches:
-            benches = list(spec.benches)
-            runner.benches = lambda: benches  # type: ignore[method-assign]
-        fig9 = figure9(runner)
+        fig9 = figure9(ctx.runner(spec.cores), spec.benches)
         return {
             "cores": spec.cores,
             "geomeans": {

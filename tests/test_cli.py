@@ -76,6 +76,25 @@ def test_bad_core_count_is_a_usage_error(command, cores, program_file,
     assert f"argument --cores: {cores!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["-1", "two", ""])
+def test_bad_job_count_is_a_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["suite", "--jobs", jobs])
+    assert excinfo.value.code == 2
+    assert f"argument --jobs: {jobs!r}" in capsys.readouterr().err
+
+
+def test_zero_jobs_is_one_per_cpu():
+    import os
+
+    from repro.evaluation.parallel_runner import effective_jobs
+
+    assert effective_jobs(0) == max(1, os.cpu_count() or 1)
+    assert effective_jobs(3) == 3
+    with pytest.raises(ValueError):
+        effective_jobs(-1)
+
+
 def test_suite_cache_stats_report(monkeypatch, tmp_path, capsys):
     import json
 
@@ -95,9 +114,12 @@ def test_suite_cache_stats_report(monkeypatch, tmp_path, capsys):
         "--stats", "--report", str(report),
     ]
     assert main(argv) == 0
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "Figure 9" in out
     assert "Pipeline stage statistics" in out
+    # One progress line per bench, though it ran in this process.
+    assert "[1] tinycli: " in captured.err
     cold = json.loads(report.read_text())
     assert "tinycli" in cold["speedups"]
     assert cold["stages"]["execute"]["computes"] == 1

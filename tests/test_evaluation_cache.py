@@ -966,6 +966,12 @@ class TestParallelSuite:
         assert set(report.speedups) == set(tiny_pair)
         assert report.wall_seconds > 0
         assert report.stages["execute"]["computes"] == len(tiny_pair)
+        # An inline suite makes a row per bench too, in suite order.
+        assert [b.bench for b in report.benches] == list(tiny_pair)
+        for outcome in report.benches:
+            assert outcome.output_matches
+            assert outcome.wall_seconds > 0
+            assert outcome.stages["execute"]["computes"] == 1
         payload = json.loads(report.to_json())
         assert payload["geomeans"]["4"] == pytest.approx(fig9.geomean(4))
         assert payload["code_version"] == code_version()
@@ -1092,9 +1098,179 @@ class TestParallelSuite:
         assert fig_par.render() == fig_seq.render()
         assert [b.bench for b in report.benches] == list(tiny_pair)
         assert all(b.output_matches for b in report.benches)
-        # The parent merged the workers' artifacts: its own pipelines
-        # were all served from the scratch disk cache.
-        assert report.stages["execute"]["disk_hits"] >= len(tiny_pair)
+        # The workers hand their rows back: nothing is read from disk,
+        # and each bench is interpreted once per stage.
+        for stage in ("profile", "sequential", "execute"):
+            row = report.stages[stage]
+            assert row["disk_hits"] == 0, (stage, row)
+            assert row["computes"] == len(tiny_pair), (stage, row)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the test benchmark registry via fork",
+    )
+    def test_pooled_and_inline_cold_suites_agree(self, tiny_pair, tmp_path):
+        """A cold pooled suite and a cold inline one give the same
+        report counters and write the same store entries, byte for
+        byte."""
+        machine = MachineConfig(cores=4)
+        runs = {}
+        for jobs in (1, 2):
+            cache_dir = tmp_path / f"jobs{jobs}"
+            fig9, report, _ = run_suite(
+                machine=machine, jobs=jobs, cache_dir=str(cache_dir),
+                benches=tiny_pair,
+            )
+            entries = {
+                str(path.relative_to(cache_dir)): path.read_bytes()
+                for path in cache_dir.rglob("*.json")
+            }
+            runs[jobs] = fig9, report, entries
+        (fig_in, inline, in_entries), (fig_pool, pooled, pool_entries) = (
+            runs[1], runs[2]
+        )
+        assert fig_pool.render() == fig_in.render()
+        assert pooled.speedups == inline.speedups
+        assert pooled.geomeans == inline.geomeans
+        assert pooled.timeline == inline.timeline
+        assert pooled.interp == inline.interp
+        assert pooled.interp["interp.backend.superblock"] >= len(tiny_pair)
+        assert {s: r["computes"] for s, r in pooled.stages.items()} == {
+            s: r["computes"] for s, r in inline.stages.items()
+        }
+        # The report's traffic is every bench's, wherever it ran.
+        assert pooled.cache_traffic == inline.cache_traffic
+        for kind in ("profile", "sequential", "plan", "recording"):
+            assert pooled.cache_traffic[kind]["stores"] == len(tiny_pair)
+        assert pool_entries == in_entries
+
+    def test_stored_suite_starts_no_pool(
+        self, tiny_pair, tmp_path, monkeypatch
+    ):
+        """Over a fully stored cache every bench runs in this process:
+        no pool starts, whatever ``jobs`` allows, and the returned
+        runner is memory-warm."""
+        from repro.evaluation import parallel_runner
+
+        machine = MachineConfig(cores=4)
+        cache_dir = str(tmp_path / "cache")
+        run_suite(
+            machine=machine, jobs=1, cache_dir=cache_dir, benches=tiny_pair
+        )
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a warm suite started a process pool")
+
+        monkeypatch.setattr(parallel_runner, "ProcessPoolExecutor", no_pool)
+        _, warm, runner = run_suite(
+            machine=machine, jobs=2, cache_dir=cache_dir, benches=tiny_pair
+        )
+        for stage in ("profile", "sequential", "execute"):
+            assert warm.stages[stage]["computes"] == 0, stage
+            assert warm.stages[stage]["disk_hits"] == len(tiny_pair), stage
+        before = runner.stats.tally("execute").memory_hits
+        for bench in tiny_pair:
+            runner.helix_run(bench)
+        assert runner.stats.tally("execute").memory_hits == (
+            before + len(tiny_pair)
+        )
+
+    def test_one_cold_bench_is_recomputed_inline(
+        self, tiny_pair, tmp_path, monkeypatch
+    ):
+        """A bench whose profile is gone is the only cold one; one cold
+        bench makes one worker, so it runs in this process."""
+        from repro.evaluation import parallel_runner
+
+        machine = MachineConfig(cores=4)
+        cache_dir = tmp_path / "cache"
+        run_suite(
+            machine=machine, jobs=1, cache_dir=str(cache_dir),
+            benches=tiny_pair,
+        )
+        cold = tiny_pair[0]
+        key = ArtifactStore(cache_dir).key("profile", cold, machine=machine)
+        (cache_dir / "profile" / f"{key}.json").unlink()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one cold bench started a process pool")
+
+        monkeypatch.setattr(parallel_runner, "ProcessPoolExecutor", no_pool)
+        _, report, _ = run_suite(
+            machine=machine, jobs=2, cache_dir=str(cache_dir),
+            benches=tiny_pair,
+        )
+        computed = {
+            outcome.bench: {
+                stage: row["computes"]
+                for stage, row in outcome.stages.items()
+                if stage in ("profile", "sequential", "execute")
+                and row["computes"]
+            }
+            for outcome in report.benches
+        }
+        assert computed == {cold: {"profile": 1}, tiny_pair[1]: {}}
+        assert report.cache_traffic["profile"]["stores"] == 1
+
+    def test_interrupted_inline_suite_reports_completed_benches(
+        self, tiny_pair, tmp_path
+    ):
+        """An interrupt during the second bench leaves a partial report
+        that lists the first."""
+        from repro.evaluation.parallel_runner import SuiteInterrupted
+        from repro.service.jobs import NullObserver
+
+        class InterruptSecond(NullObserver):
+            def stage_completed(self, job, bench, stage, outcome, seconds):
+                if bench == tiny_pair[1]:
+                    raise KeyboardInterrupt
+
+        with pytest.raises(SuiteInterrupted) as excinfo:
+            run_suite(
+                machine=MachineConfig(cores=4),
+                jobs=1,
+                cache_dir=str(tmp_path / "cache"),
+                benches=tiny_pair,
+                observer=InterruptSecond(),
+            )
+        report = excinfo.value.report
+        assert report.interrupted
+        assert [b.bench for b in report.benches] == [tiny_pair[0]]
+        assert set(report.speedups) == set(report.timeline) == {tiny_pair[0]}
+        assert report.stages["execute"]["computes"] == 1
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the test benchmark registry via fork",
+    )
+    def test_interrupted_pooled_suite_joins_its_workers(self, tiny_pair):
+        """An interrupt while the first worker row is consumed tears the
+        pool down; the rows that completed are in the partial report,
+        in suite order, and no worker process is left."""
+        from repro.evaluation.parallel_runner import SuiteInterrupted
+        from repro.service.jobs import NullObserver
+
+        class InterruptOnce(NullObserver):
+            fired = False
+
+            def stage_completed(self, job, bench, stage, outcome, seconds):
+                if not self.fired:
+                    self.fired = True
+                    raise KeyboardInterrupt
+
+        with pytest.raises(SuiteInterrupted) as excinfo:
+            run_suite(
+                machine=MachineConfig(cores=4),
+                jobs=2,
+                benches=tiny_pair,
+                observer=InterruptOnce(),
+            )
+        report = excinfo.value.report
+        assert report.interrupted
+        benches = [b.bench for b in report.benches]
+        assert benches == list(tiny_pair)[: len(benches)]
+        assert benches[:1] == [tiny_pair[0]]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
