@@ -14,7 +14,10 @@ persists every artifact there as an in-process run would, and returns
 the bench's row: its speedups, its simulated-time accounting and what
 it cost (stage counters, metrics and store traffic, each a delta).
 The report and the figure are folds over the rows, in suite order, so
-nothing a worker computed is read back from disk.  Generated
+nothing a worker computed is read back from disk.  A worker that dies
+breaks the pool: every bench it still owed a row is then run in this
+process, over whatever the dead worker stored, so the suite still
+completes with the same figure and the same store.  Generated
 interpreter code is not an artifact: each process's interpreters
 compile their own benchmark's functions.
 
@@ -33,6 +36,7 @@ import platform
 import sys
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -237,6 +241,9 @@ def run_suite(
     benches.  It is memory-warm for those benches only; a bench that ran
     in a worker is on disk, when there is a store.
 
+    A bench whose worker died (the pool breaks, and every bench still
+    pending on it with it) is run in this process instead.
+
     ``observer`` receives the runner's stage/artifact events plus one
     ``stage="bench"`` completion per benchmark, in suite order -- CLI
     progress printing is just an observer here.
@@ -281,8 +288,15 @@ def run_suite(
     pool = None
     futures: Dict[str, Future] = {}
 
-    def harvest(future: Future) -> None:
-        row, spans = future.result()
+    def harvest(bench: str, future: Future) -> None:
+        try:
+            row, spans = future.result()
+        except BrokenProcessPool:
+            # A worker died (killed, or out of memory) and took the pool
+            # with it: this bench's row is made here instead, over what
+            # the store holds by now.
+            consume(figure9_row(runner, bench))
+            return
         if spans:
             tracer.absorb(spans)
         REGISTRY.merge(row.metrics)
@@ -303,7 +317,7 @@ def run_suite(
             # workers finish in.
             for bench in suite:
                 if bench in futures:
-                    harvest(futures[bench])
+                    harvest(bench, futures[bench])
                 else:
                     consume(figure9_row(runner, bench))
         except BaseException:
@@ -321,7 +335,7 @@ def run_suite(
                         and not future.cancelled()
                         and future.exception() is None
                     ):
-                        harvest(future)
+                        harvest(bench, future)
             raise
         if pool is not None:
             pool.shutdown()

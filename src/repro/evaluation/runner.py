@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import (
@@ -98,10 +98,6 @@ _Recording = Tuple[ExecutionResult, List[CompactInvocationTrace], int]
 #: loop, and the ``recording`` key of the module they produced.
 _Plan = Tuple[List[LoopId], List[LoopRecord], str]
 
-#: What the ``execute`` stage answers: the recording's executor and its
-#: run on the requested machine.
-_Executed = Tuple[RecordedRun, ParallelRunResult]
-
 _T = TypeVar("_T")
 
 
@@ -146,16 +142,17 @@ RUN_FIELDS = frozenset(
 class PipelineRun:
     """A transformed benchmark plus its executed results.
 
-    ``executor`` times the recorded run on other machines.  The
-    selection, the transformed module and its loop infos are built the
-    first time they are read: a warm pipeline was restored from its
-    plan without any of them.
+    ``executor`` holds the recorded run and times it on any machine.
+    The selection, the transformed module and its loop infos are built
+    the first time they are read: a warm pipeline was restored from its
+    plan without any of them.  So is :attr:`parallel`, the run timed on
+    its own machine: a caller that asks :meth:`speedups_at` for that
+    machine among others first gets every column from one pass.
     """
 
     bench: str
     chosen: List[LoopId]
     executor: RecordedRun
-    parallel: ParallelRunResult
     sequential: ExecutionResult
     #: The selection (``None`` for a request that named its loops).
     _select: Callable[[], Optional[LoopSelection]] = field(
@@ -174,6 +171,10 @@ class PipelineRun:
     def _transformation(self) -> Tuple[Module, List[ParallelizedLoop]]:
         return self._transform()
 
+    @cached_property
+    def parallel(self) -> ParallelRunResult:
+        return self.executor.replay(self.executor.machine)
+
     @property
     def transformed(self) -> Module:
         return self._transformation[0]
@@ -190,7 +191,8 @@ class PipelineRun:
 
     @property
     def output_matches(self) -> bool:
-        return self.sequential.output == self.parallel.result.output
+        # The output is the recording's, under every machine.
+        return self.sequential.output == self.executor.output
 
     def speedup_at(self, machine: MachineConfig) -> float:
         """Speedup under another machine, from recorded traces."""
@@ -460,14 +462,15 @@ class EvaluationRunner:
         recording_key: str,
         loops: Sequence[LoopInfo],
         transformed: Optional[Module] = None,
-    ) -> Optional[_Executed]:
+    ) -> Optional[RecordedRun]:
         """The ``execute`` stage: the recording under ``recording_key``
         (memoized, stored, or recorded by interpreting ``transformed``),
-        timed on ``machine``.  Without ``transformed`` a recording that
-        is neither memoized nor stored is ``None``, and no stage is
+        adopted by an executor for ``machine`` that schedules nothing
+        until a column is read.  Without ``transformed`` a recording
+        that is neither memoized nor stored is ``None``, and no stage is
         counted: the caller transforms and asks again."""
 
-        def run() -> Tuple[Optional[_Executed], Optional[str]]:
+        def run() -> Tuple[Optional[RecordedRun], Optional[str]]:
             recording = self._recordings.get(recording_key)
             outcome = "memory"
             if recording is None:
@@ -480,7 +483,7 @@ class EvaluationRunner:
                     loops, machine,
                     schedule_memo=self.artifacts.schedule_memo(),
                 )
-                parallel = executor.restore_run(*recording)
+                executor.restore_run(*recording)
             elif transformed is None:
                 return None, None
             else:
@@ -496,8 +499,7 @@ class EvaluationRunner:
                     schedule_memo=self.artifacts.schedule_memo(),
                     block_profile=profile.block_counts if profile else None,
                 )
-                parallel = executor.execute()
-                recorded = replace(parallel.result, cycles=executor.cycles)
+                recorded = executor.run()
                 recording = (recorded, executor.traces, executor.load_count)
                 self._store(
                     "recording",
@@ -510,7 +512,7 @@ class EvaluationRunner:
                 )
                 outcome = "compute"
             self._recordings[recording_key] = recording
-            return (executor, parallel), outcome
+            return executor, outcome
 
         return self._stage(bench, "execute", run)
 
@@ -575,11 +577,11 @@ class EvaluationRunner:
         plan = self._load("plan", plan_key, _decode_plan)
         sequential = self.sequential(bench)
 
-        executed = transformation = None
+        executor = transformation = None
         if plan is not None:
             chosen, records, recording_key = plan
-            executed = self._execute(bench, machine, recording_key, records)
-        if executed is None:
+            executor = self._execute(bench, machine, recording_key, records)
+        if executor is None:
             selection = select()
             chosen = selection.chosen if selection is not None else loop_ids
             transformation = self._transform(bench, chosen, machine, options)
@@ -600,16 +602,14 @@ class EvaluationRunner:
                     "recording": recording_key,
                 },
             )
-            executed = self._execute(
+            executor = self._execute(
                 bench, machine, recording_key, infos, transformed
             )
-        executor, parallel = executed
 
         run = PipelineRun(
             bench=bench,
             chosen=list(chosen),
             executor=executor,
-            parallel=parallel,
             sequential=sequential,
             _select=select,
             _transform=lambda: runner()._transform(

@@ -13,9 +13,9 @@ returns the shared :data:`NULL_TRACER` whose ``span`` hands back one
 reusable no-op context manager (no allocation, no clock read).
 ``tests/test_obs.py`` guards this with a per-span budget, the
 end-to-end ledger records the cost (``obs.null_span_ns``), and
-the hot loops (``schedule_compact`` and the cohort walk behind
-``schedule_many``) carry no tracer calls at all -- enforced
-structurally by ``tests/test_obs.py``.
+the scheduler's hot loop (the pack walk behind ``schedule_many``)
+carries no tracer calls at all -- enforced structurally by
+``tests/test_obs.py``.
 
 A recording :class:`Tracer` stamps spans with a monotonic clock
 (``time.perf_counter``), the recording process id and thread id, so

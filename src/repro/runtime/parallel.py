@@ -46,11 +46,14 @@ invocation): an invocation of ``seq_i`` recorded cycles takes
 ``par_i(m)`` there, so the run takes ``seq_total - sum(seq_i -
 par_i(m))``, and the :class:`LoopRunStats` are summed from the same
 column.  That half is :class:`RecordedRun`, which needs no module, only
-the loop records: :meth:`ParallelExecutor.execute` (the recording
-interpreter is a :class:`RecordedRun` too),
-:meth:`~RecordedRun.replay_many` and :meth:`~RecordedRun.restore_run`
-of a stored recording all read their numbers that way, the executing
-machine being just the first one asked for.  Columns stay
+the loop records.  Recording a run (:meth:`ParallelExecutor.run`; the
+recording interpreter is a :class:`RecordedRun` too) and restoring a
+stored one (:meth:`~RecordedRun.restore_run`) only adopt the traces;
+a machine's column is scheduled the first time it is read, so a
+caller that names every machine it will read up front
+(:meth:`~RecordedRun.replay_many`) gets them all from one pass, and
+:meth:`ParallelExecutor.execute` is the recording run plus its
+executing machine's column.  Columns stay
 arrays end to end: the memo holds one
 :class:`~repro.runtime.sched.ScheduleColumns` per
 :meth:`~repro.runtime.machine.MachineConfig.fingerprint`, whole or
@@ -112,7 +115,6 @@ from repro.runtime.machine import MachineConfig
 from repro.runtime.sched import (
     ScheduleColumns,
     ScheduleResult,
-    schedule_compact,
     schedule_invocation_reference,
     schedule_many,
 )
@@ -153,14 +155,16 @@ def schedule_invocation(
     loop: LoopInfo,
     machine: MachineConfig,
 ) -> ScheduleResult:
-    """Reconstruct the parallel schedule of one invocation.
+    """Reconstruct the parallel schedule of one invocation: one trace
+    and one machine through :func:`~repro.runtime.sched.schedule_many`.
 
     Accepts either trace representation; per-iteration traces are
     packed on the fly (callers scheduling the same trace repeatedly
     should pack once via :func:`repro.runtime.trace.as_compact` to reuse
     the compiled program).
     """
-    return schedule_compact(as_compact(trace), loop, machine)
+    columns = schedule_many([as_compact(trace)], [loop], [machine])
+    return columns.column(0).results()[0]
 
 
 @dataclass
@@ -243,6 +247,8 @@ class RecordedRun:
         self.cycles = 0
         self.instructions = 0
         self.load_count = 0
+        #: What the recorded run's entry function returned.
+        self.return_value: object = None
         #: Memoized per-machine schedule columns
         #: (:class:`~repro.runtime.sched.ScheduleColumns` of one machine,
         #: as long as :attr:`traces`), keyed by machine fingerprint and
@@ -279,10 +285,12 @@ class RecordedRun:
         result: ExecutionResult,
         traces: Sequence[AnyTrace],
         load_count: int,
-    ) -> ParallelRunResult:
+    ) -> None:
         """Adopt a recorded run (loaded from the evaluation disk cache,
-        or another executor's) and time it on :attr:`machine`, as
-        :meth:`ParallelExecutor.execute` times the run it records.
+        or another executor's), as :meth:`ParallelExecutor.run` adopts
+        the run it records.  Nothing is scheduled here: a machine's
+        column is, the first time :meth:`replay_many` or
+        :meth:`schedule_columns` asks for it.
 
         ``result`` is the recording run's own :class:`ExecutionResult`
         (sequential clock) and ``load_count`` its total
@@ -293,9 +301,9 @@ class RecordedRun:
         self.output = list(result.output)
         self.cycles = result.cycles
         self.instructions = result.instructions
+        self.return_value = result.return_value
         self.traces = [as_compact(trace) for trace in traces]
         self.load_count = load_count
-        return self._timed([self.machine], result.return_value)[0]
 
     def _loops(self) -> List[LoopInfo]:
         info_by_id = {info.loop_id: info for info in self.infos}
@@ -330,7 +338,7 @@ class RecordedRun:
                 self._schedules[fingerprint] = columns.column(mi)
 
     def _timed(
-        self, machines: Sequence[MachineConfig], return_value: object = None
+        self, machines: Sequence[MachineConfig]
     ) -> List[ParallelRunResult]:
         """The recorded run under each machine: every invocation's
         sequential span replaced by its scheduled length.  Cycles and
@@ -388,7 +396,7 @@ class RecordedRun:
                         + sum(sums["parallel_cycles"])
                         - sum(sums["sequential_cycles"]),
                         instructions=self.instructions,
-                        return_value=return_value,
+                        return_value=self.return_value,
                     ),
                     machine=machine,
                     loop_stats=loop_stats,
@@ -601,22 +609,23 @@ class ParallelExecutor(RecordedRun, Interpreter):
     def run(self, entry: str = "main", args: Sequence = ()) -> ExecutionResult:
         """The recording run: interpret the program in its sequential
         clock and fill :attr:`traces`.  Nothing here reads the machine
-        beyond its cost model."""
+        beyond its cost model, and nothing is scheduled."""
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
         self._event_frame = None
         self._loads_at_start = 0
         self.traces = []
-        return super().run(entry, args)
+        with get_tracer().span("exec.parallel", cat="exec") as sp:
+            recorded = super().run(entry, args)
+            sp.set(invocations=len(self.traces))
+        self.return_value = recorded.return_value
+        return recorded
 
     def execute(self) -> ParallelRunResult:
         """Run the program and time it on the executing machine."""
-        with get_tracer().span("exec.parallel", cat="exec") as sp:
-            recorded = self.run()
-            timed = self._timed([self.machine], recorded.return_value)[0]
-            sp.set(invocations=len(self.traces), cycles=timed.cycles)
-        return timed
+        self.run()
+        return self._timed([self.machine])[0]
 
 
 def run_parallel(

@@ -1,66 +1,56 @@
-"""Invocation schedulers: two compiled engines and their reference.
+"""Invocation schedulers: the production walk and its reference.
 
-:func:`schedule_compact` is the scalar production scheduler.  It
-consumes the :class:`~repro.runtime.trace.TraceProgram` of the trace's
-shape and the trace's own stamps, and reconstructs the parallel
-schedule of one invocation under a
-:class:`~repro.runtime.machine.MachineConfig`.  Because duplicate
-filtering, producer sets, word counts and wait/signal pairing were
-resolved at pack time, the per-machine walk touches only integers plus
-the previous iteration's signal timetable, and a **counted DOALL**
-shape (counted loop, no waits/signals/transfers at all) skips the walk
-entirely: the finish time is ``conf + max per-core span sum``, computed
-by slicing the trace's iteration stamps.
+:func:`schedule_many` is the one production scheduler, behind every
+executor's timing and every machine-grid sweep
+(:func:`repro.runtime.parallel.schedule_invocation` is it on one trace
+and one machine).  It groups traces by shape (:func:`trace_signature`)
+and, within a shape, into *distinct invocations* (equal stamp columns:
+stamps are offsets from the start of the invocation), schedules each
+distinct invocation once and fans the result out by index.  A shape's
+first trace is compiled to its
+:class:`~repro.runtime.trace.TraceProgram` and the program handed to
+the others: duplicate filtering, producer sets, word counts and
+wait/signal pairing are resolved once per shape, never per machine.
 
-:func:`schedule_many` is the batched entry point behind machine-grid
-sweeps and behind every executor's timing.  It groups traces by shape
-(:func:`trace_signature`) and, within a shape, into *distinct
-invocations* (equal stamp columns: stamps are offsets from the start of
-the invocation), schedules each distinct invocation once and fans the
-result out by index.  A shape whose ``distinct members x machines``
-reach :data:`_MIN_COHORT` goes to the numpy-vectorized walk, smaller
-shapes -- a few traces under one to three machines -- to
-:func:`schedule_compact`, per member and machine.  The walk takes a
-*pack*: every walked shape of one loop with one iteration count
-(:func:`_pack` lays their ops out on common slots, iteration ``i``
-owning as many as its longest shape has ops there).  Its vector axis is
-``(shape, machine, member)``, cut into chunks of :data:`_MAX_WIDTH`
-columns, and one pass per chunk advances every member of every shape
-under every machine, whatever its prefetch mode
-(:func:`_schedule_cohort`, :func:`_walk_chunk`).  Every column is
-field-exact with :func:`schedule_compact`.  Either way a shape's first
-trace is compiled and its program handed to the others.  Results are
-columnar (:class:`ScheduleColumns`: one int64 array per
-:class:`ScheduleResult` field); the objects are built only for callers
-that ask for them.
+The walk takes a *pack*: every shape of one loop with one iteration
+count (:func:`_pack` lays their ops out on common slots, iteration
+``i`` owning as many as its longest shape has ops there).  Its vector
+axis is ``(shape, machine, member)``, cut into chunks of
+:data:`_MAX_WIDTH` columns, and one pass per chunk advances every
+member of every shape under every machine, whatever its prefetch mode
+(:func:`_schedule_cohort`, :func:`_walk_chunk`).  A **counted DOALL**
+pack (counted loop, no waits/signals/transfers at all) is not walked:
+its finish time is ``conf + max per-core span sum``, a closed form per
+core count.  Results are columnar (:class:`ScheduleColumns`: one int64
+array per :class:`ScheduleResult` field); the objects are built only
+for callers that ask for them.
 
-Both engines also account the time per core as they walk: what each
-core of each machine spent computing, stalled, waiting for the control
-signal and forwarding data over the whole trace list
+The walk also accounts the time per core: what each core of each
+machine spent computing, stalled, waiting for the control signal and
+forwarding data over the whole trace list
 (:attr:`ScheduleColumns.per_core`, the report's ``timeline`` block).
 Each core's clock runs from thread configuration through exactly those
-four, so one of them is always what is left of the clock: compute in
-the scalar engine, which keeps stalls per core; stall in the cohort
-walk, which has compute and forwarding in closed form per core
-count.
+four; compute and forwarding are closed forms per core count, the
+control-signal waits are kept per iteration, and stall is what is left
+of the clock.
 
 :func:`schedule_invocation_reference` is the original per-event
 interpreter over the raw :class:`~repro.runtime.trace.InvocationTrace`.
 It is the differential oracle -- ``tests/test_sched_differential``
-enforces field-exact :class:`ScheduleResult` equality between the
-engines, and keeps the scalar engine at least 1.1x faster than it --
+enforces field-exact :class:`ScheduleResult` equality between it and
+the walk, under every machine grid and every cut of the vector axis --
 and the simulated timeline's placement: asked to, it reports every
 interval a core spends configuring, computing, stalled, waiting for the
 control signal, forwarding data or collecting as it walks
 (:func:`repro.obs.timeline.run_timeline`).  It is written for clarity,
 not speed.
 
-All engines implement the same model (see
-:mod:`repro.runtime.parallel` for the methodology): per-core clocks with
-round-robin iteration assignment, pull-based signal completion
-``max(t, ts) + L``, helper-thread prefetch agendas, data forwarding
-charged per word actually produced by the predecessor, and memory
-barriers on non-TSO machines.
+Both implement the same model (see :mod:`repro.runtime.parallel` for
+the methodology): per-core clocks with round-robin iteration
+assignment, pull-based signal completion ``max(t, ts) + L``,
+helper-thread prefetch agendas, data forwarding charged per word
+actually produced by the predecessor, and memory barriers on non-TSO
+machines.
 """
 
 from __future__ import annotations
@@ -69,7 +59,6 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
-from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.loopinfo import LoopInfo
@@ -132,220 +121,6 @@ class ScheduleResult:
 #: :meth:`ScheduleResult.overhead_breakdown` buckets, under the names of
 #: the simulated-time timeline's categories.
 CORE_FIELDS = ("compute", "stall", "signal", "transfer")
-
-
-def schedule_compact(
-    trace: CompactInvocationTrace,
-    loop: LoopInfo,
-    machine: MachineConfig,
-    per_core: Optional[List[List[int]]] = None,
-    times: int = 1,
-) -> ScheduleResult:
-    """Reconstruct the parallel schedule of one invocation (compiled).
-
-    Field-exact with :func:`schedule_invocation_reference` on the
-    equivalent :class:`InvocationTrace`.  ``per_core``, when given, holds
-    one list per :data:`CORE_FIELDS` bucket, ``machine.cores`` long, and
-    the invocation's cycles in each bucket are added to it by the core
-    that spent them, ``times`` over (the batched scheduler passes the
-    occurrences of a distinct invocation).
-    """
-    seq = trace.end_cycles - trace.start_cycles
-    it_start, it_end = trace.it_start, trace.it_end
-    n = len(it_start)
-    if n == 0:
-        # Zero-iteration invocation: the loop body never ran, so no
-        # threads were configured and nothing needs collecting -- the
-        # invocation costs exactly its sequential span.
-        return ScheduleResult(parallel_cycles=seq, sequential_cycles=seq)
-
-    prog = trace.program
-    cores = machine.cores
-    latency = machine.signal_latency
-    counted = loop.counted
-    conf = machine.config_cycles_per_thread * max(cores - 1, 1)
-    # The main thread collects the exit variable and stops the parallel
-    # threads once the last iteration retires.
-    wind_down = latency + cores - 1
-    transfer = machine.word_transfer_cycles
-    # Section 2.3: without total store ordering every synchronizing load
-    # and store needs a memory barrier.
-    barrier = 0 if machine.total_store_ordering else machine.barrier_cycles
-
-    signals = prog.signals if counted else prog.signals + prog.next_iters
-    stats = ScheduleResult(
-        parallel_cycles=0,
-        sequential_cycles=seq,
-        signals=signals,
-        waits=prog.waits,
-        transfer_words=prog.transfer_words,
-    )
-
-    # Fast path: counted DOALL.  No waits, signals or transfers exist
-    # anywhere in the trace (duplicates would imply a kept first
-    # occurrence, so there are no elided barrier events either) and a
-    # counted loop ignores next_iter for timing, so every core just runs
-    # its round-robin share of the spans back to back.
-    if counted and prog.active_ops == 0:
-        spans = [
-            sum(it_end[c::cores]) - sum(it_start[c::cores])
-            for c in range(min(cores, n))
-        ]
-        stats.parallel_cycles = conf + max(spans) + wind_down
-        stats.compute_cycles = sum(spans)
-        if per_core is not None:
-            computes = per_core[0]
-            for c, span in enumerate(spans):
-                computes[c] += span * times
-        return stats
-
-    stats.transfer_cycles = prog.transfer_words * transfer
-    fast = machine.prefetched_signal_latency
-    mode = machine.effective_prefetch_mode
-
-    op_, a1_ = prog.op, prog.a1
-    at_ = prog.stamps(trace)
-    pre_, off, tail = prog.pre, prog.off, prog.tail
-
-    mode_none = mode is PrefetchMode.NONE
-    mode_ideal = mode is PrefetchMode.IDEAL
-    helix = mode is PrefetchMode.HELIX
-    do_helper = helix or mode is PrefetchMode.MATCHED
-    helix_agenda: Tuple[int, ...] = ()
-    ctrl_helix_agenda: Tuple[int, ...] = ()
-    if helix:
-        helix_agenda = tuple(loop.helper_order)
-        ctrl_helix_agenda = (CTRL_DEP,) + helix_agenda
-
-    core_free = [conf] * cores
-    helper_free = [0] * cores
-    # Per core: cycles stalled, waiting for the control signal and
-    # forwarding data.  What else a core's clock advanced is compute.
-    stalls = [0] * cores
-    sigs = [0] * cores
-    moves = [0] * cores
-    prev_sig: Dict[int, int] = {}
-    prev_next: Optional[int] = None
-    max_end = 0
-
-    for i in range(n):
-        core = i % cores
-
-        # Helper-thread prefetch agenda for this iteration.
-        pf: Optional[Dict[int, int]] = None
-        if do_helper and i > 0:
-            pf = {}
-            if counted:
-                agenda = helix_agenda if helix else prog.agendas[i]
-            else:
-                agenda = (
-                    ctrl_helix_agenda
-                    if helix
-                    else (CTRL_DEP,) + prog.agendas[i]
-                )
-            cursor = helper_free[core]
-            for dep in agenda:
-                if dep in pf:
-                    continue
-                ts = prev_next if dep == CTRL_DEP else prev_sig.get(dep)
-                if ts is None:
-                    continue
-                cursor = (cursor if cursor > ts else ts) + latency
-                pf[dep] = cursor
-            helper_free[core] = cursor
-
-        # Iteration start: counted loops derive their iteration numbers
-        # locally (Step 3); other loops wait for the predecessor's
-        # control signal (the IterationFlag store).
-        t = core_free[core]
-        if i > 0 and not counted:
-            assert prev_next is not None, "iteration without start signal"
-            ts = prev_next
-            started = t
-            if mode_none:
-                t = (t if t > ts else ts) + latency
-            elif mode_ideal:
-                t = (t if t > ts else ts) + fast
-            else:
-                pull = (t if t > ts else ts) + latency
-                done = pf.get(CTRL_DEP) if pf is not None else None
-                if done is None:
-                    t = pull
-                else:
-                    alt = t + fast
-                    if done > alt:
-                        alt = done
-                    t = pull if pull < alt else alt
-            sigs[core] += t - started
-
-        cur_sig: Dict[int, int] = {}
-        cur_next: Optional[int] = None
-        last = it_start[i]
-
-        for j in range(off[i], off[i + 1]):
-            t += at_[j] - last
-            last = at_[j]
-            if barrier:
-                t += pre_[j] * barrier
-            o = op_[j]
-            if o == OP_WAIT_SYNC:
-                t += barrier
-                ts = prev_sig[a1_[j]]  # pack-time guarantee: present
-                if mode_none:
-                    arrival = (t if t > ts else ts) + latency
-                elif mode_ideal:
-                    arrival = (t if t > ts else ts) + fast
-                else:
-                    pull = (t if t > ts else ts) + latency
-                    done = pf.get(a1_[j]) if pf is not None else None
-                    if done is None:
-                        arrival = pull
-                    else:
-                        alt = t + fast
-                        if done > alt:
-                            alt = done
-                        arrival = pull if pull < alt else alt
-                if arrival > t:
-                    stalls[core] += arrival - t
-                    t = arrival
-            elif o == OP_WAIT:
-                t += barrier
-            elif o == OP_SIGNAL:
-                t += barrier
-                cur_sig[a1_[j]] = t
-            elif o == OP_XFER:
-                moves[core] += a1_[j] * transfer
-                t += a1_[j] * transfer
-            else:  # OP_NEXT
-                cur_next = t
-
-        t += it_end[i] - last
-        if barrier:
-            t += tail[i] * barrier
-        core_free[core] = t
-        if t > max_end:
-            max_end = t
-        prev_sig = cur_sig
-        prev_next = cur_next
-
-    stats.parallel_cycles = max_end + wind_down
-    stats.wait_stall_cycles = sum(stalls)
-    stats.signal_cycles = sum(sigs)
-    # A core's clock ran from ``conf`` through exactly its iterations'
-    # signal waits, compute, stalls and transfers.
-    computes = [
-        free - conf - stalled - signalled - moved
-        for free, stalled, signalled, moved in zip(
-            core_free, stalls, sigs, moves
-        )
-    ]
-    stats.compute_cycles = sum(computes)
-    if per_core is not None:
-        for into, cycles in zip(per_core, (computes, stalls, sigs, moves)):
-            for c, value in enumerate(cycles):
-                if value:
-                    into[c] += value * times
-    return stats
 
 
 #: Agenda-entry sentinel: prefetch the predecessor's control signal
@@ -429,11 +204,6 @@ def _resolve_agendas(
     return entries, lengths, positions
 
 
-#: Fewest columns (distinct members x machines) of one shape worth the
-#: numpy dispatch overhead; smaller groups take the scalar engine per
-#: member and machine instead.
-_MIN_COHORT = 12
-
 #: Most columns one pass of the vector walk carries.  Wider axes are
 #: walked in chunks of this many columns so that the signal timetable
 #: of a chunk stays cache-resident: the 1,231
@@ -441,10 +211,6 @@ _MIN_COHORT = 12
 #: grid sweep in 0.17 s at 2-4k columns a chunk, 0.20-0.24 s at 8k and
 #: 0.22-0.27 s in one piece.
 _MAX_WIDTH = 4096
-
-
-#: A :class:`ScheduleResult`'s fields as a tuple, in dataclass order.
-_FIELDS_OF = attrgetter(*ScheduleResult.__dataclass_fields__)
 
 
 class ScheduleColumns:
@@ -467,15 +233,15 @@ class ScheduleColumns:
     core spent in each bucket over the whole trace list, every trace
     counted (distinct invocations once per occurrence).  Summed over the
     cores it is the sum of the bucket's field; cores past a machine's
-    count read 0.  Columns built :meth:`from_results` have none.
+    count read 0.
     """
 
     FIELDS = tuple(ScheduleResult.__dataclass_fields__)
 
-    def __init__(self, data, grouping=None, per_core=None) -> None:
+    def __init__(self, data, per_core, grouping=None) -> None:
         self.data = data
-        self.grouping = grouping
         self.per_core = per_core
+        self.grouping = grouping
 
     def __len__(self) -> int:
         """The number of invocations."""
@@ -489,22 +255,9 @@ class ScheduleColumns:
             raise AttributeError(name)
         return self.data[self.FIELDS.index(name)]
 
-    @classmethod
-    def from_results(
-        cls, results: Sequence[ScheduleResult]
-    ) -> "ScheduleColumns":
-        """One machine's column from per-invocation results."""
-        import numpy as np
-
-        rows = np.array(list(map(_FIELDS_OF, results)), dtype=np.int64)
-        return cls(rows.reshape(len(results), len(cls.FIELDS)).T)
-
     def column(self, mi: int) -> "ScheduleColumns":
         """The column of the ``mi``-th machine asked for."""
-        return ScheduleColumns(
-            self.data[:, mi],
-            per_core=None if self.per_core is None else self.per_core[:, mi],
-        )
+        return ScheduleColumns(self.data[:, mi], self.per_core[:, mi])
 
     def results(self) -> List[ScheduleResult]:
         """One machine's column as :class:`ScheduleResult` objects."""
@@ -520,8 +273,8 @@ def trace_signature(trace: CompactInvocationTrace) -> bytes:
     compile to the same :class:`TraceProgram`: a program is one per
     shape.  :func:`schedule_many` groups traces by this key, compiles
     each shape's first trace, hands that program to the others, and
-    schedules the shape in its loop's vectorized walk or one scalar walk
-    per member, each reading its trace's own stamps.  Computed once per trace
+    walks the shape in its loop's pack, each member reading its own
+    stamps.  Computed once per trace
     and cached on it, which is why it is a 16-byte digest and not the
     columns themselves.
     """
@@ -909,9 +662,10 @@ def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
     ``grid`` holds the machines as :func:`schedule_many` tabulates
     them, one row per quantity the walk reads.  Returns the
     :class:`ScheduleColumns` ``data`` block of the pack's members,
-    ``data[f, mi, c]`` being field-exact with ``schedule_compact(member
-    c, loop, machines[mi])``, and the pack's ``per_core`` block
-    ``(bucket, machine, core)``.
+    ``data[f, mi, c]`` being field-exact with
+    ``schedule_invocation_reference`` of member ``c`` under the
+    ``mi``-th machine, and the pack's ``per_core`` block ``(bucket,
+    machine, core)``.
     """
     import numpy as np
 
@@ -974,7 +728,7 @@ def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
     # its iterations' spans, one barrier per recorded wait and signal,
     # and the words its iterations receive.  Counted DOALL is then a
     # closed form too: the busiest core's spans, shared across
-    # latency/prefetch sweeps exactly like the scalar engine's.
+    # latency/prefetch sweeps.
     top_all = per_core.shape[2]
     count = len(shapes)
     counts, of_count = np.unique(cores_v, return_inverse=True)
@@ -1071,21 +825,19 @@ def schedule_many(
 
     ``loops[i]`` is the parallelized-loop info of ``traces[i]``.
     Returns the :class:`ScheduleColumns` of ``(field, machine, trace)``,
-    field-exact with per-trace :func:`schedule_compact`.
+    field-exact with :func:`schedule_invocation_reference` of each trace
+    under each machine.
 
     Traces are grouped by loop and shape (:func:`trace_signature`) and,
     within a shape, by the bytes of their stamp columns: stamps are
     offsets from the start of the invocation, so invocations that ran
     alike anywhere in the recorded clock are one *distinct* invocation,
-    scheduled once and fanned out by index.  A shape whose ``distinct
-    members x machines`` reach :data:`_MIN_COHORT` joins its loop's pack
-    for its iteration count, which the vectorized
-    :func:`_schedule_cohort` walks as one; a smaller one goes through
-    :func:`schedule_compact` per member and machine.  Either way only
-    the shape's first trace is compiled; the other members are handed
-    its program.  Both engines also fill the result's ``per_core``
-    accounting as they walk, each distinct invocation weighted by its
-    occurrences.
+    scheduled once and fanned out by index.  Every shape joins its
+    loop's pack for its iteration count, which :func:`_schedule_cohort`
+    walks as one under every machine; only the shape's first trace is
+    compiled, and the other members are handed its program.  The walk
+    also fills the result's ``per_core`` accounting, each distinct
+    invocation weighted by its occurrences.
 
     The grouping depends on the traces only.  It is returned as
     ``.grouping`` of the result -- ``(shapes, first, index)``: the
@@ -1134,7 +886,7 @@ def schedule_many(
         dtype=np.int64,
     )
     if not machines:
-        return ScheduleColumns(data[:, :, index], grouping, per_core)
+        return ScheduleColumns(data[:, :, index], per_core, grouping)
     occurrences = np.bincount(index, minlength=len(first))
     # The machines as the vector walk reads them: every field a value,
     # the prefetch mode too.  A machine without a helper thread pays
@@ -1160,10 +912,8 @@ def schedule_many(
             )
         )
     grid = np.array(rows, dtype=np.int64).T
-    # The scalar engine's per-core accounting, per machine.
-    scalar = [[[0] * m.cores for _ in CORE_FIELDS] for m in machines]
-    # The vector walk's packs: the shapes of one loop with one iteration
-    # count, walked or (counted DOALL) closed-form.
+    # The packs: the shapes of one loop with one iteration count, walked
+    # or (counted DOALL) closed-form.
     packs: Dict[Tuple, Tuple[LoopInfo, List[List[int]]]] = {}
     for members in shapes:
         cohort = [traces[first[distinct]] for distinct in members]
@@ -1171,19 +921,9 @@ def schedule_many(
         program = cohort[0].program
         for trace in cohort[1:]:
             trace._program = program
-        if len(members) * len(machines) < _MIN_COHORT:
-            occurring = occurrences[members].tolist()
-            for mi, machine in enumerate(machines):
-                data[:, mi, members] = ScheduleColumns.from_results(
-                    [
-                        schedule_compact(tr, loop, machine, scalar[mi], times)
-                        for tr, times in zip(cohort, occurring)
-                    ]
-                ).data
-        else:
-            closed = loop.counted and program.active_ops == 0
-            key = (id(loop), program.iterations, closed)
-            packs.setdefault(key, (loop, []))[1].append(members)
+        closed = loop.counted and program.active_ops == 0
+        key = (id(loop), program.iterations, closed)
+        packs.setdefault(key, (loop, []))[1].append(members)
     for loop, packed in packs.values():
         members = [distinct for shape in packed for distinct in shape]
         data[:, :, members], pack_per_core = _schedule_cohort(
@@ -1193,9 +933,7 @@ def schedule_many(
             occurrences[members],
         )
         per_core += pack_per_core
-    for mi, machine in enumerate(machines):
-        per_core[:, mi, : machine.cores] += scalar[mi]
-    return ScheduleColumns(data[:, :, index], grouping, per_core)
+    return ScheduleColumns(data[:, :, index], per_core, grouping)
 
 
 def schedule_invocation_reference(
@@ -1207,7 +945,7 @@ def schedule_invocation_reference(
     """Reconstruct the parallel schedule of one invocation.
 
     The original per-event interpreter over the raw trace, kept as the
-    differential oracle for the compiled engines.  ``emit``, when given,
+    differential oracle for :func:`schedule_many`.  ``emit``, when given,
     is called as ``emit(core, category, start, end)`` for every interval
     the invocation occupies a core, in the order the walk meets them and
     in cycles from the start of thread configuration: ``config`` on

@@ -29,12 +29,12 @@ the machine.  The recorded form is therefore a
   ``signals`` and ``transfer_words`` statistics are machine-independent
   and precomputed outright.
 
-:func:`repro.runtime.sched.schedule_compact` consumes the program; the
-per-machine loop then touches only integers and small dicts of signal
-times.  A program holds no timestamp, so it is one per *shape*:
+A program holds no timestamp, so it is one per *shape*:
 :func:`repro.runtime.sched.schedule_many` compiles the first trace of
-each shape, hands its program to the others, and every scheduler reads
-a trace's own stamps through the program's ``raw`` column.
+each shape, hands its program to the others, lays the programs of a
+loop's shapes out on common op slots, and gathers each trace's own op
+stamps from its ``ev_at`` through the program's ``raw`` column; the
+walk over those slots then touches only integer arrays.
 
 Stamps inside an invocation (``it_start``/``it_end``/``ev_at``) are
 offsets from its ``start_cycles`` from the moment they are recorded, in
@@ -62,8 +62,7 @@ import base64
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.loopnest import LoopId
 from repro.obs.metrics import REGISTRY
@@ -171,8 +170,6 @@ class TraceProgram:
     #: Per-iteration deduped wait agendas (all ``'w'`` deps in first-
     #: occurrence order) for ``MATCHED`` prefetching.
     agendas: Tuple[Tuple[int, ...], ...]
-    #: Per-iteration flag: the iteration executed a ``next_iter``.
-    has_next: Tuple[bool, ...]
     #: Machine-independent aggregate statistics.
     waits: int
     signals: int
@@ -185,26 +182,10 @@ class TraceProgram:
     #: a trace's span total plus ``barrier * barrier_events`` is the
     #: exact busy compute time of the invocation on any machine.
     barrier_events: int
-    #: ``itemgetter`` over :attr:`raw` (which takes two or more indices
-    #: to return a tuple).
-    _gather: Optional[Callable] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if len(self.raw) > 1:
-            self._gather = itemgetter(*self.raw)
 
     @property
     def iterations(self) -> int:
         return len(self.tail)
-
-    def stamps(self, trace: "CompactInvocationTrace") -> Sequence[int]:
-        """``trace``'s stamp of each op: its ``ev_at`` through
-        :attr:`raw`."""
-        if self._gather is None:
-            return [trace.ev_at[j] for j in self.raw]
-        return self._gather(trace.ev_at)
 
 
 @dataclass
@@ -355,7 +336,6 @@ class CompactInvocationTrace:
         barriers = array("q")
         moved = array("q")
         agendas: List[Tuple[int, ...]] = []
-        has_next: List[bool] = []
 
         kinds, deps = self.ev_kind, self.ev_dep
         ev_words = self.ev_words
@@ -451,7 +431,6 @@ class CompactInvocationTrace:
             barriers.append(waits + raw_signals - barriers_before)
             moved.append(forwarded)
             agendas.append(tuple(agenda))
-            has_next.append(seen_next)
             prev_sig = cur_sig
             prev_produced = frozenset(produced)
 
@@ -466,7 +445,6 @@ class CompactInvocationTrace:
             barriers=barriers,
             words=moved,
             agendas=tuple(agendas),
-            has_next=tuple(has_next),
             waits=waits,
             signals=signals,
             next_iters=next_iters,

@@ -9,12 +9,8 @@ from repro.bench import benchmark_names
 from repro.core import parallelize_module
 from repro.frontend import compile_source
 from repro.runtime.machine import MachineConfig
-from repro.runtime.parallel import ParallelExecutor
-from repro.runtime.sched import (
-    schedule_compact,
-    schedule_invocation_reference,
-    trace_signature,
-)
+from repro.runtime.parallel import ParallelExecutor, schedule_invocation
+from repro.runtime.sched import schedule_invocation_reference, trace_signature
 from repro.runtime.trace import (
     CTRL_DEP,
     KIND_XFER,
@@ -105,17 +101,17 @@ class TestPacking:
         assert prog.signals == 3  # {3} in iteration 0, {3, 9} in iteration 1
         assert prog.next_iters == 2
         assert prog.transfer_words == 2  # dep 5 transferred once, 2 words
-        assert prog.has_next == (True, True)
         # MATCHED agendas: ordered-unique wait deps of each iteration.
         assert prog.agendas == ((3,), (3, 7))
         # Raw waits and signals, each a barrier on non-TSO machines.
         assert prog.barrier_events == 8
         assert prog.iterations == 2
         # A program is one per shape: it keeps no stamp or span, and
-        # reads each trace's stamps through ``raw``.
+        # the walk gathers each trace's op stamps from its ``ev_at``
+        # through ``raw``.
         assert not hasattr(prog, "at") and not hasattr(prog, "spans")
         compact = CompactInvocationTrace.from_trace(_tricky_trace())
-        assert list(prog.stamps(compact)) == [
+        assert [compact.ev_at[j] for j in prog.raw] == [
             10, 80, 100, 220, 230, 260, 300, 320, 400,
         ]
         assert prog.active_ops > 0
@@ -302,7 +298,7 @@ class TestWordCounts:
         for counted in (True, False):
             loop = make_loop_info(counted=counted)
             for machine in (MachineConfig(cores=2), MachineConfig(cores=4)):
-                got = schedule_compact(compact, loop, machine)
+                got = schedule_invocation(compact, loop, machine)
                 assert got == schedule_invocation_reference(
                     reference, loop, machine
                 )

@@ -162,13 +162,16 @@ class TestTraceSerialization:
         # The recording: the run in its own sequential clock.
         recorded = dataclasses.replace(result.result, cycles=executor.cycles)
         assert recorded.cycles != result.cycles
-        restored = clone.restore_run(
+        clone.restore_run(
             ExecutionResult.from_dict(
                 json.loads(json.dumps(recorded.to_dict()))
             ),
             unpack_traces(pack_traces(result.traces)),
             load_count=executor.load_count,
         )
+        # Restoring schedules nothing; the run is timed when read.
+        assert not clone._schedules
+        restored = clone.replay(machine)
         assert restored.cycles == result.cycles
         assert restored.loop_stats == result.loop_stats
         assert clone.load_count == executor.load_count
@@ -515,6 +518,38 @@ class TestRunnerCacheIntegration:
         assert warm.selection.chosen == cold.selection.chosen == warm.chosen
         assert runner.stats.stages["transform"].computes == 1
         assert runner.stats.stages["selection"].computes == 1
+
+    def test_a_run_answer_miss_schedules_one_machine(
+        self, tiny_sync, tmp_path, monkeypatch
+    ):
+        """A ``run`` answer that is not stored times the run on the
+        runner's machine only: one ``schedule_many`` call with one
+        machine, whether the recording was made (cold) or restored from
+        disk (another core count over the same store).  A stored answer
+        schedules nothing."""
+        import repro.runtime.parallel as parallel_mod
+
+        calls = []
+        real = parallel_mod.schedule_many
+
+        def counting(traces, loops, machines, grouping=None):
+            calls.append([m.cores for m in machines])
+            return real(traces, loops, machines, grouping)
+
+        monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+        machine = MachineConfig(cores=4)
+        for cores, restored, expected in (
+            (4, 0, [[4]]), (2, 1, [[2]]), (4, 0, [])
+        ):
+            runner = EvaluationRunner(
+                machine.with_cores(cores), cache=ArtifactStore(tmp_path)
+            )
+            calls.clear()
+            answer = runner.run_result(tiny_sync)
+            assert calls == expected, cores
+            assert answer["output_matches"]
+            execute = runner.stats.stages.get("execute")
+            assert (execute.disk_hits if execute else 0) == restored
 
     def test_a_run_does_not_keep_its_runner_alive(self, tiny_bench, tmp_path):
         """A run reaches its runner weakly: a runner memoizes its runs,
@@ -1033,8 +1068,9 @@ class TestParallelSuite:
         self, tiny_pair, tmp_path, monkeypatch
     ):
         """On a warm cache ``run_suite`` compiles one trace program per
-        (loop, shape) group, all of them while restoring; its accounting
-        loop compiles nothing and never materializes a ``Segment``."""
+        (loop, shape) group, all of them in each bench's one scheduling
+        pass; its accounting loop compiles nothing and never
+        materializes a ``Segment``."""
         import repro.obs.timeline as timeline_mod
         from repro.obs import REGISTRY
         from repro.runtime.sched import trace_signature
@@ -1084,6 +1120,90 @@ class TestParallelSuite:
         assert traces == 8 and groups == 1
         assert by_timeline == 0
         assert by_suite == groups
+
+    def test_a_warm_suite_schedules_each_bench_in_one_pass(
+        self, tiny_cohort, tiny_sync, tmp_path, monkeypatch
+    ):
+        """A warm suite schedules each bench's restored recording once:
+        one ``schedule_many`` call per bench, under Figure 9's three
+        core counts, and the bench's speedups, its run on the executing
+        machine and its timeline all read those columns."""
+        import repro.runtime.parallel as parallel_mod
+
+        benches = [tiny_cohort, tiny_sync]
+        suite = dict(
+            machine=MachineConfig(cores=6),
+            jobs=1,
+            cache_dir=str(tmp_path / "cache"),
+            benches=benches,
+        )
+        _, cold, _ = run_suite(**suite)
+        calls = []
+        real = parallel_mod.schedule_many
+
+        def counting(traces, loops, machines, grouping=None):
+            calls.append((len(traces), sorted(m.cores for m in machines)))
+            return real(traces, loops, machines, grouping)
+
+        monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+        _, warm, runner = run_suite(**suite)
+        assert warm.stages["execute"]["disk_hits"] == len(benches)
+        assert [cores for _, cores in calls] == [[2, 4, 6]] * len(benches)
+        assert all(traces for traces, _ in calls)
+        for bench in benches:
+            runner.helix_run(bench).parallel
+        assert len(calls) == len(benches)
+        assert warm.speedups == cold.speedups
+        assert warm.timeline == cold.timeline
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers run the patched row via fork",
+    )
+    def test_a_dead_worker_does_not_kill_the_suite(
+        self, tiny_pair, tiny_cohort, tmp_path, monkeypatch
+    ):
+        """A pool worker that dies breaks the pool: every bench it still
+        owed a row is run in this process instead.  The suite completes
+        with the Figure 9 text, the speedups and the store entries of an
+        undisturbed cold run.  The victim dies after its bench stored
+        everything, so the parent reads some of it back."""
+        import os
+
+        from repro.evaluation import parallel_runner
+
+        machine = MachineConfig(cores=4)
+        benches = tiny_pair + [tiny_cohort]
+
+        def cold(name):
+            cache_dir = tmp_path / name
+            fig9, report, _ = run_suite(
+                machine=machine, jobs=2, cache_dir=str(cache_dir),
+                benches=benches,
+            )
+            entries = {
+                str(path.relative_to(cache_dir)): path.read_bytes()
+                for path in cache_dir.rglob("*.json")
+            }
+            return fig9.render(), report, entries
+
+        undisturbed = cold("undisturbed")
+        parent = os.getpid()
+        real = parallel_runner.figure9_row
+
+        def dying(runner, bench):
+            row = real(runner, bench)
+            if os.getpid() != parent and bench == tiny_cohort:
+                os._exit(9)
+            return row
+
+        monkeypatch.setattr(parallel_runner, "figure9_row", dying)
+        figure, report, entries = cold("disturbed")
+        assert figure == undisturbed[0]
+        assert report.speedups == undisturbed[1].speedups
+        assert [b.bench for b in report.benches] == benches
+        assert entries == undisturbed[2]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

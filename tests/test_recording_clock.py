@@ -142,9 +142,10 @@ def test_timeline_block_equals_the_per_trace_walk(
 
 
 def test_a_restored_suite_compiles_one_program_per_shape(runner):
-    """Restoring each bench's recording from its stored form compiles the
-    first trace of every shape of its ``grouping`` and nothing
-    else: 253 programs for the suite's 4,319 traces."""
+    """Restoring each bench's recording from its stored form and timing
+    it on its machine compiles the first trace of every shape of its
+    ``grouping`` and nothing else: 253 programs for the suite's 4,319
+    traces."""
     from repro.obs import REGISTRY
     from repro.runtime.interpreter import ExecutionResult
     from repro.runtime.trace import pack_traces, unpack_traces
@@ -171,6 +172,7 @@ def test_a_restored_suite_compiles_one_program_per_shape(runner):
             stored,
             recorded.load_count,
         )
+        restored.schedule_columns()
         groups, _, _ = restored.grouping
         assert compiled() - before == len(groups), bench
         shapes += len(groups)

@@ -1,11 +1,11 @@
-"""Differential tests: compiled trace scheduler vs the reference engine.
+"""Differential tests: the production trace scheduler vs the reference.
 
-The compiled engine (:func:`schedule_compact` over packed traces) must be
-field-exact with :func:`schedule_invocation_reference` for every trace
-and machine, :func:`schedule_many` must be field-exact with both under
-every vector/scalar routing and every cut of its vector axis, and
-batched replay must be indistinguishable from both the reference replay
-formulation and a fresh execution under the target machine.
+:func:`schedule_many` (the pack walk over compiled trace programs) must
+be field-exact with :func:`schedule_invocation_reference` for every
+trace and machine, under every machine grid and every cut of its vector
+axis, and batched replay must be indistinguishable from both the
+reference replay formulation and a fresh execution under the target
+machine.
 """
 
 import dataclasses
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.loops import find_loops
-from repro.bench import benchmark_names
 from repro.core import parallelize_module
 from repro.frontend import compile_source
 from repro.runtime import run_module
@@ -27,7 +26,6 @@ from repro.runtime.parallel import ParallelExecutor, schedule_invocation
 from repro.runtime.sched import (
     ScheduleColumns,
     _resolve_agendas,
-    schedule_compact,
     schedule_invocation_reference,
     schedule_many,
     trace_signature,
@@ -244,18 +242,15 @@ GRIDS = [
     [MACHINES[5], MACHINES[9], MACHINES[5]],
 ]
 
-#: ``schedule_many`` routings by the internal constants that force them:
-#: (``_MIN_COHORT``, ``_MAX_WIDTH``), ``None`` leaving the default.  The
-#: all-vector routing keeps the bare source name as its test id; the
-#: chunked ones cap a walk at 1-3 columns, so every shape is walked in
-#: pieces that begin and end in the middle of the machine grid.
+#: Cuts of the walk's vector axis by ``_MAX_WIDTH``, ``None`` leaving
+#: the default.  The uncut walk keeps the bare source name as its test
+#: id; the chunked ones cap a walk at 1-3 columns, so every shape is
+#: walked in pieces that begin and end in the middle of the machine grid.
 ROUTINGS = {
-    "": (1, None),
-    "-default": (None, None),
-    "-scalar": (1 << 30, None),
-    "-chunk1": (1, 1),
-    "-chunk2": (1, 2),
-    "-chunk3": (1, 3),
+    "": None,
+    "-chunk1": 1,
+    "-chunk2": 2,
+    "-chunk3": 3,
 }
 
 
@@ -292,9 +287,9 @@ _expected = {}
 
 
 def _differential_case(name):
-    """The trace list every routing schedules, with what the scalar
-    engine and the reference say of each trace under each machine of
-    the mixed grid: the recorded traces, a zero-iteration invocation,
+    """The trace list every routing schedules, with what the reference
+    says of each trace under each machine of the mixed grid: the
+    recorded traces, a zero-iteration invocation,
     every recorded invocation once more later in the clock with other
     loads (the same distinct invocation) and once stretched (the same
     shape, other stamps)."""
@@ -315,17 +310,12 @@ def _differential_case(name):
         loops = [info_by_id[t.loop_id] for t in traces]
         expected = {}
         for machine in MIXED_GRID:
-            column = [
-                schedule_invocation(trace, info, machine)
-                for trace, info in zip(traces, loops)
-            ]
-            assert column == [
+            expected[machine.fingerprint()] = [
                 schedule_invocation_reference(
                     trace.to_invocation_trace(), info, machine
                 )
                 for trace, info in zip(traces, loops)
-            ], machine.fingerprint()
-            expected[machine.fingerprint()] = column
+            ]
         cached = _expected[name] = (traces, loops, expected)
     return cached
 
@@ -339,27 +329,22 @@ def _differential_case(name):
     ],
 )
 def test_cohort_engine_matches_per_trace_engines(name, routing, monkeypatch):
-    """``schedule_many`` must be field-exact with per-machine
-    ``schedule_compact`` and the reference interpreter for every trace
-    and machine, whichever engine a shape is routed to and however its
-    vector axis is cut: the vector walk for everything (threshold 1),
-    in one piece or in chunks of one to three columns, the scalar engine
-    for everything (huge threshold), or the default mix of the two."""
+    """``schedule_many`` must be field-exact with the reference
+    interpreter for every trace and machine, whatever the grid (one
+    machine included) and however its vector axis is cut: in one piece
+    or in chunks of one to three columns."""
     import repro.runtime.sched as sched_mod
 
-    min_cohort, max_width = routing
-    if min_cohort is not None:
-        monkeypatch.setattr(sched_mod, "_MIN_COHORT", min_cohort)
-    if max_width is not None:
-        monkeypatch.setattr(sched_mod, "_MAX_WIDTH", max_width)
+    if routing is not None:
+        monkeypatch.setattr(sched_mod, "_MAX_WIDTH", routing)
     calls = Counter()
-    for engine in ("_schedule_cohort", "schedule_compact"):
+    real = sched_mod._schedule_cohort
 
-        def counting(*args, _engine=engine, _real=getattr(sched_mod, engine)):
-            calls[_engine] += 1
-            return _real(*args)
+    def counting(*args):
+        calls[args[2].shape[1]] += 1  # by the number of machines
+        return real(*args)
 
-        monkeypatch.setattr(sched_mod, engine, counting)
+    monkeypatch.setattr(sched_mod, "_schedule_cohort", counting)
 
     traces, loops, expected = _differential_case(name)
     grouping = None
@@ -387,14 +372,9 @@ def test_cohort_engine_matches_per_trace_engines(name, routing, monkeypatch):
     assert len(index) == len(traces) and len(first) <= 2 * recorded + 1
     assert sum(len(members) for members in shapes) == len(first)
     assert len(shapes) < len(first)
-    if min_cohort == 1:
-        assert calls["_schedule_cohort"] and not calls["schedule_compact"]
-    elif min_cohort is not None:
-        assert calls["schedule_compact"] and not calls["_schedule_cohort"]
-    else:
-        # The default routing walks a shape under the mixed grid and
-        # leaves it to the scalar engine under one machine.
-        assert calls["_schedule_cohort"] and calls["schedule_compact"]
+    # Every grid with a machine went through the pack walk, the
+    # one-machine grid included.
+    assert set(calls) == {len(grid) for grid in GRIDS if grid}
     assert len(schedule_many([], [], MIXED_GRID)) == 0
 
 
@@ -512,7 +492,6 @@ def test_a_shape_is_walked_once_per_chunk(max_width, monkeypatch):
     executors = [
         _prepare(name)[2] for name in [*sorted(SOURCES), "branchy"]
     ]
-    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
     if max_width is not None:
         monkeypatch.setattr(sched_mod, "_MAX_WIDTH", max_width)
     packs = _walked_packs(monkeypatch, sched_mod)
@@ -572,41 +551,6 @@ def test_a_loop_is_walked_once_per_chunk(suite_runner, monkeypatch):
     assert chunks < 4
 
 
-def test_warm_suite_routing_is_unchanged(suite_runner, monkeypatch):
-    """A warm ``repro suite`` schedules each bench's restored recording
-    on the executing 6-core machine, then on Figure 9's other two core
-    counts.  Packing changes only what the vector walk does: the scalar
-    engine still takes the same 893 (member, machine) cells as when
-    every shape was walked on its own, and the vector walk the rest."""
-    import repro.runtime.sched as sched_mod
-
-    executors = [
-        suite_runner.helix_run(bench).executor for bench in benchmark_names()
-    ]
-    calls = Counter()
-    real = sched_mod.schedule_compact
-
-    def counting(*args):
-        calls["scalar"] += 1
-        return real(*args)
-
-    monkeypatch.setattr(sched_mod, "schedule_compact", counting)
-    packs = _walked_packs(monkeypatch, sched_mod)
-    machine = suite_runner.machine
-    walked_cells = 0
-    for executor in executors:
-        for grid in (
-            [machine], [machine.with_cores(2), machine.with_cores(4)]
-        ):
-            del packs[:]
-            schedule_many(executor.traces, executor._loops(), grid)
-            for _programs, members, _loop, _chunks in packs:
-                assert all(m * len(grid) >= 12 for m in members)
-                walked_cells += sum(members) * len(grid)
-    assert calls["scalar"] == 893
-    assert walked_cells > 0
-
-
 #: Every prefetch mode in one chunk: TSO and non-TSO, one helper machine
 #: without SMT, and core counts of their own, so the walk selects both
 #: clock rows and agendas per column.  On one core, a helper's own clock
@@ -657,8 +601,7 @@ def test_a_mixed_chunk_matches_the_engines(stretch, monkeypatch):
     """``NONE``, ``IDEAL``, ``HELIX`` and ``MATCHED`` columns walked in one
     chunk over a loop whose ``HELIX`` and ``MATCHED`` agendas differ on
     some iterations (two prefetch chains, selected per column) and agree
-    on others (one chain): every cell is the scalar engine's and the
-    reference's.  Stretched so that an invocation spans about 2**40
+    on others (one chain): every cell is the reference's.  Stretched so that an invocation spans about 2**40
     cycles, the walk shows that the no-helper sentinel neither wins a
     prefetch nor overflows."""
     import repro.runtime.sched as sched_mod
@@ -677,7 +620,6 @@ def test_a_mixed_chunk_matches_the_engines(stretch, monkeypatch):
     if stretch > 1:
         assert min(t.end_cycles - t.start_cycles for t in traces) >= 1 << 39
 
-    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
     packs = _walked_packs(monkeypatch, sched_mod)
     columns = schedule_many(traces, loops, ALL_MODES_GRID)
     assert packs and all(pack[3] == 1 for pack in packs)  # one chunk each
@@ -685,7 +627,6 @@ def test_a_mixed_chunk_matches_the_engines(stretch, monkeypatch):
         for trace, loop, cell in zip(
             traces, loops, columns.column(mi).results()
         ):
-            assert cell == schedule_compact(trace, loop, machine)
             assert cell == schedule_invocation_reference(
                 trace.to_invocation_trace(), loop, machine
             ), machine.fingerprint()
@@ -779,15 +720,13 @@ def test_a_mixed_pack_matches_the_engines(stretch, monkeypatch):
     transfer, a duplicate signal, agendas that differ and agree -- are
     one pack, walked in chunks of seven columns that straddle the shapes,
     under every prefetch mode, for a counted and a non-counted loop.
-    Every cell is the scalar engine's and the reference's, and the
-    pack's per-core accounting is the sum of each shape walked on its
-    own.  Stretched to ~2**40-cycle invocations, no sentinel wins or
+    Every cell is the reference's, and the pack's per-core accounting
+    is the sum of each shape walked on its own.  Stretched to ~2**40-cycle invocations, no sentinel wins or
     overflows."""
     import math
 
     import repro.runtime.sched as sched_mod
 
-    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
     monkeypatch.setattr(sched_mod, "_MAX_WIDTH", 7)
     packs = _walked_packs(monkeypatch, sched_mod)
     for counted in (False, True):
@@ -812,7 +751,6 @@ def test_a_mixed_pack_matches_the_engines(stretch, monkeypatch):
         assert chunks == math.ceil(10 * len(ALL_MODES_GRID) / 7)
         for mi, machine in enumerate(ALL_MODES_GRID):
             for trace, cell in zip(traces, columns.column(mi).results()):
-                assert cell == schedule_compact(trace, loop, machine)
                 assert cell == schedule_invocation_reference(
                     trace.to_invocation_trace(), loop, machine
                 ), machine.fingerprint()
@@ -825,22 +763,18 @@ def test_a_mixed_pack_matches_the_engines(stretch, monkeypatch):
 def test_mcf_pack_matches_the_engines(suite_runner, monkeypatch):
     """mcf's recorded traces (123 one-member ``price_arcs`` shapes in one
     pack) walked under every prefetch mode in chunks of 100 columns:
-    every cell is the scalar engine's and the reference's, and
-    ``per_core`` is the sum of each shape walked on its own."""
+    every cell is the reference's, and ``per_core`` is the sum of each
+    shape walked on its own."""
     import repro.runtime.sched as sched_mod
 
     executor = suite_runner.helix_run("mcf").executor
     traces, loops = executor.traces, executor._loops()
-    monkeypatch.setattr(sched_mod, "_MIN_COHORT", 1)
     monkeypatch.setattr(sched_mod, "_MAX_WIDTH", 100)
     columns = schedule_many(traces, loops, ALL_MODES_GRID)
     references = [trace.to_invocation_trace() for trace in traces]
     for mi, machine in enumerate(ALL_MODES_GRID):
         cells = columns.column(mi).results()
-        for trace, reference, loop, cell in zip(
-            traces, references, loops, cells
-        ):
-            assert cell == schedule_compact(trace, loop, machine)
+        for reference, loop, cell in zip(references, loops, cells):
             assert cell == schedule_invocation_reference(
                 reference, loop, machine
             ), machine.fingerprint()
@@ -893,10 +827,7 @@ def test_out_of_order_intervals_are_fixed_up_off_the_first_column():
             total_store_ordering=False, barrier_cycles=3,
         ),
     ]
-    import repro.runtime.sched as sched_mod
-
-    with mock.patch.object(sched_mod, "_MIN_COHORT", 1):
-        columns = schedule_many(traces, [loop] * len(traces), grid)
+    columns = schedule_many(traces, [loop] * len(traces), grid)
     # Two distinct invocations, walked together.
     assert len(columns.grouping[1]) == 2
     for mi, machine in enumerate(grid):
@@ -1081,63 +1012,15 @@ def test_vector_walk_matches_the_engines_on_random_grids(
     name, grid, max_width
 ):
     """Property form of the batched differential: any machine grid, the
-    walk cut anywhere, every cell equal to the scalar engine's and the
-    reference's."""
+    walk cut anywhere, every cell equal to the reference's."""
     import repro.runtime.sched as sched_mod
 
     traces, loops, _ = _differential_case(name)
-    with mock.patch.object(sched_mod, "_MIN_COHORT", 1), mock.patch.object(
-        sched_mod, "_MAX_WIDTH", max_width
-    ):
+    with mock.patch.object(sched_mod, "_MAX_WIDTH", max_width):
         columns = schedule_many(traces, loops, grid)
     for mi, machine in enumerate(grid):
         got = columns.column(mi).results()
         for trace, info, cell in zip(traces, loops, got):
-            assert cell == schedule_invocation(trace, info, machine)
             assert cell == schedule_invocation_reference(
                 trace.to_invocation_trace(), info, machine
             )
-
-
-# --------------------------------------------------------------- speed floor
-
-#: Suite benches the scalar engine is timed on: many short traces
-#: (gzip), one-member trace shapes (mcf) and a few long traces (equake,
-#: bzip2).
-SPEED_BENCHES = ("gzip", "mcf", "equake", "bzip2")
-
-
-def test_scalar_engine_outruns_the_reference(suite_runner):
-    """The scalar engine must schedule each bench's recorded traces at
-    least 1.1x faster than the reference engine it is field-exact with,
-    or it is a second copy of the model that buys nothing.  No
-    end-to-end workload can hold this floor: ``suite_warm`` schedules
-    too few invocations for a slower engine to move its wall clock.
-
-    Best of 2 per engine, one 4-core machine, programs compiled before
-    the clock starts; the ratios read 1.6-2.4x (gzip, mcf) and 14-20x
-    (equake, bzip2) on a 2-vCPU host."""
-    import time
-
-    machine = suite_runner.machine.with_cores(4)
-    ratios = {}
-    for name in SPEED_BENCHES:
-        executor = suite_runner.helix_run(name).executor
-        info_by_id = {info.loop_id: info for info in executor.infos}
-        compact = [(t, info_by_id[t.loop_id]) for t in executor.traces]
-        pairs = [(t.to_invocation_trace(), info) for t, info in compact]
-        for trace, _info in compact:
-            trace.program  # compiled outside the timed region
-        best = {}
-        for engine, schedule, work in (
-            ("reference", schedule_invocation_reference, pairs),
-            ("scalar", schedule_compact, compact),
-        ):
-            for _ in range(2):
-                start = time.perf_counter()
-                for trace, info in work:
-                    schedule(trace, info, machine)
-                elapsed = time.perf_counter() - start
-                best[engine] = min(best.get(engine, elapsed), elapsed)
-        ratios[name] = best["reference"] / best["scalar"]
-    assert min(ratios.values()) >= 1.1, ratios

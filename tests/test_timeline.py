@@ -3,12 +3,12 @@
 The per-core segments exported by :mod:`repro.obs.timeline` are the
 reference scheduler's placement, so on the full sched-differential grid
 (every source shape x every machine) their category totals must equal
-the :class:`ScheduleResult` aggregates of the compiled engines
+the :class:`ScheduleResult` aggregates of the pack walk
 *exactly*, segments on one core must never overlap, and the busy+idle
 accounting must close to ``parallel_cycles * cores``.  The reference's
 placement is then the oracle of ``timeline_block``, which reads the
 per-core accounting the scheduler left on its columns: the two must
-agree per core on every engine path of the scheduler.
+agree per core on every path of the walk.
 """
 
 import dataclasses
@@ -273,16 +273,13 @@ def test_walk_reads_gaps_off_the_recording_not_off_a_column(monkeypatch):
     assert set(executor._schedules) == {machine.fingerprint()}
 
 
-#: Routings of ``schedule_many`` by the internal constants that force
-#: them (``_MIN_COHORT``, ``_MAX_WIDTH``; ``None`` keeps the default):
-#: the scalar engine for every shape, the vector walk for every shape in
-#: one piece, and the vector walk cut every three columns, so every
-#: shape's axis is wider than a chunk and chunks begin and end inside a
-#: machine's columns and between core counts.
+#: Cuts of the walk's vector axis by ``_MAX_WIDTH`` (``None`` keeps the
+#: default): every pack in one piece, and cut every three columns, so
+#: every shape's axis is wider than a chunk and chunks begin and end
+#: inside a machine's columns and between core counts.
 ENGINES = {
-    "scalar": (1 << 30, None),
-    "vector": (1, None),
-    "vector-chunked": (1, 3),
+    "vector": None,
+    "vector-chunked": 3,
 }
 
 
@@ -291,18 +288,17 @@ ENGINES = {
 def test_block_equals_segment_totals_on_every_engine_path(
     name, engine, monkeypatch
 ):
-    """The per-core accounting is filled in by whichever engine walked a
-    shape -- the scalar engine, its general walk or its counted-DOALL
-    fast path, or the cohort walk's chunk reduction -- and must equal
-    the reference placement's per-core totals for every machine of the mixed
-    grid, scheduled in one ``schedule_many`` call: core counts 1 to 8,
-    all four prefetch modes, non-TSO barriers, with each distinct
+    """The per-core accounting is filled in by whichever path of the walk
+    met a pack -- the counted-DOALL closed form, or the chunk reduction
+    of a walked pack, in one piece or cut -- and must equal the
+    reference placement's per-core totals for every machine of the
+    mixed grid, scheduled in one ``schedule_many`` call: core counts 1
+    to 8, all four prefetch modes, non-TSO barriers, with each distinct
     invocation weighted by its occurrences."""
     import repro.runtime.parallel as parallel_mod
     import repro.runtime.sched as sched_mod
 
-    min_cohort, max_width = ENGINES[engine]
-    monkeypatch.setattr(sched_mod, "_MIN_COHORT", min_cohort)
+    max_width = ENGINES[engine]
     if max_width is not None:
         monkeypatch.setattr(sched_mod, "_MAX_WIDTH", max_width)
     executor = _restored_with_empty_invocation(name)
@@ -325,9 +321,10 @@ def test_block_equals_segment_totals_on_every_engine_path(
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_a_restore_compiles_one_program_per_shape(name):
-    """Restoring a run compiles the first trace of each shape and hands
-    its program to the others; the report's accounting and the timeline
-    compile nothing more."""
+    """Restoring a run compiles and schedules nothing; timing it on its
+    machine compiles the first trace of each shape and hands its program
+    to the others; the report's accounting and the timeline compile
+    nothing more."""
     from repro.obs import REGISTRY
 
     def compiled():
@@ -338,6 +335,9 @@ def test_a_restore_compiles_one_program_per_shape(name):
     _prepare(name)
     before = compiled()
     executor = _restored_with_empty_invocation(name)
+    assert compiled() == before and executor.grouping is None
+    assert not executor._schedules
+    executor.schedule_columns()
     shapes, _, _ = executor.grouping
     assert compiled() - before == len(shapes)
     for machine in (executor.machine, MACHINES[0], MACHINES[-1]):
