@@ -116,8 +116,7 @@ def figure9_row(runner: EvaluationRunner, bench: str) -> Figure9Row:
     assert run.output_matches, f"{bench}: parallel output diverged"
     swept = [c for c in (2, 4, 6) if c != runner.machine.cores]
     # The run's own machine is asked for with the others, so its column,
-    # which ``run.speedup`` and the timeline read, comes from the same
-    # pass.
+    # which the timeline reads too, comes from the same pass.
     *values, own = run.speedups_at(
         [runner.machine.with_cores(c) for c in swept] + [run.executor.machine]
     )

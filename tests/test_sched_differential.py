@@ -289,10 +289,10 @@ _expected = {}
 def _differential_case(name):
     """The trace list every routing schedules, with what the reference
     says of each trace under each machine of the mixed grid: the
-    recorded traces, a zero-iteration invocation,
-    every recorded invocation once more later in the clock with other
-    loads (the same distinct invocation) and once stretched (the same
-    shape, other stamps)."""
+    recorded traces, a zero-iteration invocation, every recorded
+    invocation once more later in the clock with other loads (the same
+    distinct invocation) and once stretched (the same shape, other
+    stamps)."""
     cached = _expected.get(name)
     if cached is None:
         _, infos, executor, _ = _prepare(name)
