@@ -243,11 +243,13 @@ GRIDS = [
 ]
 
 #: Cuts of the walk's vector axis by ``_MAX_WIDTH``, ``None`` leaving
-#: the default.  The uncut walk keeps the bare source name as its test
-#: id; the chunked ones cap a walk at 1-3 columns, so every shape is
-#: walked in pieces that begin and end in the middle of the machine grid.
+#: the default.  The bare source name walks the axis in one piece
+#: whatever the default is; ``-default`` runs the cut as shipped; the
+#: chunked ones cap a walk at 1-3 columns, so every shape is walked in
+#: pieces that begin and end in the middle of the machine grid.
 ROUTINGS = {
-    "": None,
+    "": 1 << 30,
+    "-default": None,
     "-chunk1": 1,
     "-chunk2": 2,
     "-chunk3": 3,
