@@ -11,7 +11,7 @@ The package is organized as the original system was:
 * :mod:`repro.ir` -- the compiler IR (ILDJIT's role).
 * :mod:`repro.frontend` -- MiniC, a C-subset frontend (GCC4CLI's role).
 * :mod:`repro.analysis` -- CFG/dataflow/pointer/dependence analyses.
-* :mod:`repro.transform` -- generic transformations (inlining, DCE, ...).
+* :mod:`repro.transform` -- inlining and loop normalization (Step 1).
 * :mod:`repro.core` -- the HELIX algorithm itself (Steps 1-9 and the
   loop-selection heuristic of Section 2.2).
 * :mod:`repro.runtime` -- interpreter, profiler, and the cycle-level chip

@@ -4,12 +4,11 @@ Everything here is a from-scratch implementation of the classical analyses
 the paper relies on:
 
 * :mod:`repro.analysis.cfg` -- CFG views, reachability, traversal orders.
-* :mod:`repro.analysis.dominators` -- dominator and post-dominator trees
-  (iterative Cooper-Harvey-Kennedy).
+* :mod:`repro.analysis.dominators` -- dominator trees (iterative
+  Cooper-Harvey-Kennedy).
 * :mod:`repro.analysis.loops` -- natural loops and the loop nesting forest.
 * :mod:`repro.analysis.dataflow` -- a generic iterative dataflow framework.
 * :mod:`repro.analysis.liveness` -- virtual-register liveness.
-* :mod:`repro.analysis.reaching` -- reaching definitions.
 * :mod:`repro.analysis.callgraph` -- the (direct) call graph.
 * :mod:`repro.analysis.pointer` -- Andersen-style interprocedural pointer
   analysis (the role of [17] in the paper).
@@ -24,11 +23,10 @@ the paper relies on:
 """
 
 from repro.analysis.cfg import CFGView, postorder, reachable_blocks, reverse_postorder
-from repro.analysis.dominators import DominatorTree, dominators, post_dominators
+from repro.analysis.dominators import DominatorTree, dominators
 from repro.analysis.loops import Loop, LoopForest, find_loops
 from repro.analysis.dataflow import DataflowProblem, solve_dataflow
 from repro.analysis.liveness import LivenessInfo, compute_liveness
-from repro.analysis.reaching import ReachingDefs, compute_reaching_defs
 from repro.analysis.callgraph import CallGraph, build_callgraph
 from repro.analysis.pointer import PointsToResult, andersen_pointer_analysis
 from repro.analysis.induction import InductionInfo, analyze_induction
@@ -55,7 +53,6 @@ __all__ = [
     "reachable_blocks",
     "DominatorTree",
     "dominators",
-    "post_dominators",
     "Loop",
     "LoopForest",
     "find_loops",
@@ -63,8 +60,6 @@ __all__ = [
     "solve_dataflow",
     "LivenessInfo",
     "compute_liveness",
-    "ReachingDefs",
-    "compute_reaching_defs",
     "CallGraph",
     "build_callgraph",
     "PointsToResult",

@@ -2,9 +2,9 @@
 
 Problems describe direction (forward/backward), meet (union/intersection),
 boundary and initial values, and per-block transfer functions over
-``frozenset`` facts.  The solver runs a worklist to a fixed point.  The
-HELIX passes instantiate it for liveness, reaching definitions, and the
-"available waits" analysis of Step 6.
+``frozenset`` facts.  The solver runs a worklist to a fixed point.
+Liveness (:mod:`repro.analysis.liveness`) and the definitely-assigned
+registers of generated code (:mod:`repro.runtime.codegen`) instantiate it.
 """
 
 from __future__ import annotations

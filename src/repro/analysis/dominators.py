@@ -1,20 +1,14 @@
-"""Dominator and post-dominator trees.
+"""Dominator trees.
 
 Implements the iterative algorithm of Cooper, Harvey and Kennedy
-("A Simple, Fast Dominance Algorithm").  Post-dominance runs the same
-algorithm on the reversed CFG with a virtual exit joining all RET blocks;
-HELIX Step 1 defines the loop prologue through post-dominance by the loop's
-back edge source.
+("A Simple, Fast Dominance Algorithm").
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.cfg import CFGView, postorder
-
-#: Name of the virtual exit node used for post-dominance.
-VIRTUAL_EXIT = "__exit__"
 
 
 class DominatorTree:
@@ -108,62 +102,3 @@ def dominators(cfg: CFGView) -> DominatorTree:
     idom = _run_chk(order, cfg.preds, cfg.entry)
     return DominatorTree(idom, cfg.entry)
 
-
-def post_dominators(cfg: CFGView) -> DominatorTree:
-    """Post-dominator tree of ``cfg``.
-
-    A virtual exit node (:data:`VIRTUAL_EXIT`) is added as the root, with an
-    edge from every RET block.  Blocks that cannot reach any exit (infinite
-    loops) are also wired to the virtual exit so the tree is total; this
-    matches the usual engineering compromise in production compilers.
-    """
-    # Build the reversed graph: successors become predecessors.
-    rsuccs: Dict[str, List[str]] = {name: [] for name in cfg.nodes()}
-    rpreds: Dict[str, List[str]] = {name: list(cfg.succs[name]) for name in cfg.nodes()}
-    for name in cfg.nodes():
-        for succ in cfg.succs[name]:
-            rsuccs[succ].append(name)
-
-    rsuccs[VIRTUAL_EXIT] = list(cfg.exits)
-    rpreds[VIRTUAL_EXIT] = []
-    for exit_block in cfg.exits:
-        rpreds[exit_block].append(VIRTUAL_EXIT)
-
-    # Find blocks that cannot reach an exit and connect them.
-    can_exit: Set[str] = set()
-    work = list(cfg.exits)
-    can_exit.update(cfg.exits)
-    rpred_map: Dict[str, List[str]] = {name: [] for name in cfg.nodes()}
-    for name in cfg.nodes():
-        for succ in cfg.succs[name]:
-            rpred_map[succ].append(name)
-    while work:
-        node = work.pop()
-        for pred in cfg.preds[node]:
-            if pred not in can_exit:
-                can_exit.add(pred)
-                work.append(pred)
-    stranded = [name for name in cfg.nodes() if name not in can_exit]
-    for name in stranded:
-        rsuccs[VIRTUAL_EXIT].append(name)
-        rpreds[name].append(VIRTUAL_EXIT)
-
-    # Postorder on the reversed graph starting from the virtual exit.
-    order: List[str] = []
-    visited: Set[str] = {VIRTUAL_EXIT}
-    stack: List[Tuple[str, int]] = [(VIRTUAL_EXIT, 0)]
-    while stack:
-        node, i = stack[-1]
-        succs = rsuccs[node]
-        if i < len(succs):
-            stack[-1] = (node, i + 1)
-            nxt = succs[i]
-            if nxt not in visited:
-                visited.add(nxt)
-                stack.append((nxt, 0))
-        else:
-            stack.pop()
-            order.append(node)
-
-    idom = _run_chk(order, rpreds, VIRTUAL_EXIT)
-    return DominatorTree(idom, VIRTUAL_EXIT)

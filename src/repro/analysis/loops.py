@@ -42,9 +42,6 @@ class Loop:
             node = node.parent
         return depth
 
-    def contains_block(self, name: str) -> bool:
-        return name in self.blocks
-
     def back_edges(self) -> List[Tuple[str, str]]:
         return [(latch, self.header) for latch in sorted(self.latches)]
 

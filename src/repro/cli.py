@@ -443,12 +443,19 @@ def _cmd_suite(args) -> int:
             observer=_SuiteProgress() if args.stats else None,
         )
     except SuiteInterrupted as exc:
-        # Persist whatever completed before the interrupt, then report
-        # the conventional SIGINT exit status.
-        print("suite interrupted", file=sys.stderr)
+        # Persist whatever completed before the run stopped, then exit
+        # with the conventional SIGINT status, or 1 when a bench failed.
+        if exc.bench is None:
+            print("suite interrupted", file=sys.stderr)
+        else:
+            cause = exc.__cause__
+            print(
+                f"suite failed: {exc.bench}: {type(cause).__name__}: {cause}",
+                file=sys.stderr,
+            )
         if args.report:
             _write_json_report(args.report, exc.report, _results_dir(args))
-        return 130
+        return 130 if exc.bench is None else 1
     print(fig9.render())
     if args.stats:
         print()

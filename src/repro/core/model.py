@@ -51,10 +51,6 @@ class LoopModelInputs:
     #: Counted loop: no per-iteration control signal (Step 3).
     counted: bool = False
 
-    @property
-    def bytes_transferred(self) -> float:
-        return self.transfer_words_per_iteration * self.iterations * 8
-
 
 @dataclass
 class SpeedupModel:

@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.analysis.cfg import CFGView
 from repro.analysis.dependence import DependenceAnalysis
-from repro.analysis.induction import analyze_induction
 from repro.analysis.loopnest import DynamicLoopNestGraph, LoopId
-from repro.analysis.loops import Loop, find_loops
+from repro.analysis.loops import Loop
 from repro.analysis.manager import AnalysisManager
 from repro.core.model import LoopModelInputs, SpeedupModel
 from repro.core.segments import (
@@ -36,6 +34,7 @@ from repro.ir import Function, Module, Opcode
 from repro.obs import get_tracer
 from repro.runtime.machine import MachineConfig
 from repro.runtime.profiler import ProfileData
+from repro.transform.normalize import loop_prologue
 
 
 @dataclass
@@ -92,36 +91,6 @@ class LoopSelection:
 # -- candidate characterization ---------------------------------------------------
 
 
-def _classify_prologue(
-    func: Function, loop: Loop, cfg: CFGView
-) -> Set[str]:
-    """Blocks that can leave the loop without passing a latch (Step 1's
-    prologue, computed without mutating the IR)."""
-    can_escape: Set[str] = set()
-    work: List[str] = []
-    for name in loop.blocks:
-        if name in loop.latches:
-            continue
-        for succ in cfg.succs[name]:
-            if succ not in loop.blocks:
-                can_escape.add(name)
-                work.append(name)
-                break
-    while work:
-        node = work.pop()
-        for pred in cfg.preds[node]:
-            if (
-                pred in loop.blocks
-                and pred not in loop.latches
-                and pred not in can_escape
-            ):
-                can_escape.add(pred)
-                work.append(pred)
-    if not can_escape:
-        can_escape = {loop.header}
-    return can_escape
-
-
 def characterize_loop(
     module: Module,
     func: Function,
@@ -134,14 +103,10 @@ def characterize_loop(
     manager: Optional[AnalysisManager] = None,
 ) -> LoopModelInputs:
     """Build the model inputs of one candidate loop."""
-    if manager is not None:
-        cfg = manager.cfg(func)
-        induction = manager.induction(func, loop)
-    else:
-        cfg = CFGView(func)
-        induction = analyze_induction(
-            func, loop, cfg, readonly_symbols=analysis.readonly_globals
-        )
+    if manager is None:
+        manager = AnalysisManager()
+    cfg = manager.cfg(func)
+    induction = manager.induction(func, loop)
     loop_profile = profile.loop(loop.id)
     deps = analysis.loop_dependences(func, loop, induction=induction)
 
@@ -177,9 +142,7 @@ def characterize_loop(
     for name in loop.blocks:
         for instr in func.blocks[name].instructions:
             instr_block[instr.uid] = name
-    forest = (
-        manager.loops(func) if manager is not None else find_loops(func, cfg)
-    )
+    forest = manager.loops(func)
 
     full_blocks: Set[str] = set()
     endpoint_cost = 0.0
@@ -227,8 +190,9 @@ def characterize_loop(
     )
 
     # Prologue time (Sequential-Control): header-side blocks not already
-    # counted as segment time.
-    prologue_blocks = _classify_prologue(func, loop, cfg)
+    # counted as segment time: Step 1's prologue, taken on the loop as it
+    # stands (its latches not yet unified).
+    prologue_blocks = loop_prologue(cfg, loop)
     prologue_cycles = sum(
         block_cycles(name) for name in prologue_blocks - full_blocks
     )
@@ -324,6 +288,8 @@ def analyze_candidates(
     manager: Optional[AnalysisManager] = None,
 ) -> Dict[LoopId, LoopModelInputs]:
     """Characterize every profiled loop."""
+    if manager is None:
+        manager = AnalysisManager()
     with get_tracer().span(
         "select.analyze_candidates", cat="selection"
     ) as span:
@@ -336,18 +302,10 @@ def _analyze_candidates(
     module: Module,
     profile: ProfileData,
     config: SelectionConfig,
-    manager: Optional[AnalysisManager] = None,
+    manager: AnalysisManager,
 ) -> Dict[LoopId, LoopModelInputs]:
-    if manager is not None:
-        analysis = manager.dependence(module)
-        forests = {
-            name: manager.loops(f) for name, f in module.functions.items()
-        }
-    else:
-        analysis = DependenceAnalysis(module)
-        forests = {
-            name: find_loops(f) for name, f in module.functions.items()
-        }
+    analysis = manager.dependence(module)
+    forests = {name: manager.loops(f) for name, f in module.functions.items()}
     levels = _dynamic_levels(profile.dynamic_nesting)
     result: Dict[LoopId, LoopModelInputs] = {}
     for loop_id in profile.dynamic_nesting.nodes():
@@ -378,18 +336,11 @@ def _analyze_candidates(
 def _filter_statically_nested(
     module: Module,
     chosen: Sequence[LoopId],
-    manager: Optional[AnalysisManager] = None,
+    manager: AnalysisManager,
 ) -> List[LoopId]:
     """Drop loops statically nested inside another chosen loop of the same
     function (the runtime flag would serialize them anyway)."""
-    if manager is not None:
-        forests = {
-            name: manager.loops(f) for name, f in module.functions.items()
-        }
-    else:
-        forests = {
-            name: find_loops(f) for name, f in module.functions.items()
-        }
+    forests = {name: manager.loops(f) for name, f in module.functions.items()}
     result: List[LoopId] = []
     for loop_id in chosen:
         func_name, header = loop_id
@@ -416,6 +367,8 @@ def choose_loops(
 ) -> LoopSelection:
     """Run the full Section 2.2 selection."""
     config = config or SelectionConfig()
+    if manager is None:
+        manager = AnalysisManager()
     with get_tracer().span("select.choose_loops", cat="selection") as span:
         selection = _choose_loops(module, profile, config, manager)
         span.set(
@@ -429,7 +382,7 @@ def _choose_loops(
     module: Module,
     profile: ProfileData,
     config: SelectionConfig,
-    manager: Optional[AnalysisManager] = None,
+    manager: AnalysisManager,
 ) -> LoopSelection:
     candidates = analyze_candidates(module, profile, config, manager=manager)
     model = SpeedupModel(
@@ -504,20 +457,20 @@ def fixed_level_selection(
     manager: Optional[AnalysisManager] = None,
 ) -> List[LoopId]:
     """All profiled loops at one nesting level (the Figure 11/13 baseline)."""
+    if manager is None:
+        manager = AnalysisManager()
     with get_tracer().span(
         "select.fixed_level", cat="selection", level=level
     ):
-        return _fixed_level_selection(module, profile, level, config, manager)
+        return _fixed_level_selection(module, profile, level, manager)
 
 
 def _fixed_level_selection(
     module: Module,
     profile: ProfileData,
     level: int,
-    config: Optional[SelectionConfig] = None,
-    manager: Optional[AnalysisManager] = None,
+    manager: AnalysisManager,
 ) -> List[LoopId]:
-    config = config or SelectionConfig()
     graph = profile.dynamic_nesting
     levels = _dynamic_levels(graph)
     chosen = [loop_id for loop_id, lvl in levels.items() if lvl == level]

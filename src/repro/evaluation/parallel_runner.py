@@ -207,17 +207,23 @@ def _summarize(report: SuiteReport, rows: Sequence[Figure9Row]) -> None:
 
 
 class SuiteInterrupted(Exception):
-    """A suite run was interrupted (SIGINT/SIGTERM) mid-flight.
+    """A suite run stopped mid-flight: interrupted (SIGINT/SIGTERM), or
+    one bench's row raised.
 
     Carries the partial :class:`SuiteReport` (completed benchmarks +
     merged stage counters, ``interrupted=True``) so callers can still
     persist what finished -- the CLI writes it to ``--report`` before
-    exiting 130.
+    exiting 130 on an interrupt and 1 on a failure.  ``bench`` names the
+    bench whose row raised (``None`` for an interrupt); that error is
+    the exception's ``__cause__``.
     """
 
-    def __init__(self, report: "SuiteReport") -> None:
-        super().__init__("suite run interrupted")
+    def __init__(self, report: "SuiteReport", bench: Optional[str] = None) -> None:
+        super().__init__(
+            "suite run interrupted" if bench is None else f"{bench} failed"
+        )
         self.report = report
+        self.bench = bench
 
 
 def run_suite(
@@ -248,9 +254,11 @@ def run_suite(
     ``stage="bench"`` completion per benchmark, in suite order -- CLI
     progress printing is just an observer here.
 
-    On KeyboardInterrupt the worker pool is torn down cleanly (pending
-    futures cancelled, running workers joined, nothing orphaned) and
-    :class:`SuiteInterrupted` is raised carrying the partial report.
+    On KeyboardInterrupt, or when a bench's row raises (its output
+    diverged, its program faulted, in a worker or here), the worker pool
+    is torn down cleanly (pending futures cancelled, running workers
+    joined, nothing orphaned) and :class:`SuiteInterrupted` is raised
+    carrying the partial report.
     """
     machine = machine or MachineConfig(cores=6)
     jobs = effective_jobs(jobs)
@@ -287,6 +295,17 @@ def run_suite(
     tracer = get_tracer()
     pool = None
     futures: Dict[str, Future] = {}
+    #: The bench whose row is being made, while one is.
+    making: Optional[str] = None
+
+    def stopped() -> SuiteReport:
+        # Partial accounting still gets written: the rows of whatever
+        # completed, handed back on the exception (the CLI persists it
+        # before exiting).
+        _summarize(report, rows)
+        report.interrupted = True
+        report.wall_seconds = time.perf_counter() - start
+        return report
 
     def harvest(bench: str, future: Future) -> None:
         try:
@@ -316,10 +335,12 @@ def run_suite(
             # Rows are consumed in suite order, whatever order the
             # workers finish in.
             for bench in suite:
+                making = bench
                 if bench in futures:
                     harvest(bench, futures[bench])
                 else:
                     consume(figure9_row(runner, bench))
+            making = None
         except BaseException:
             # Clean teardown on interrupt (or any worker failure):
             # cancel everything still pending, then wait so no worker
@@ -343,13 +364,11 @@ def run_suite(
         report.wall_seconds = time.perf_counter() - start
         return Figure9Result.of(rows), report, runner
     except KeyboardInterrupt:
-        # Partial accounting still gets written: the rows of whatever
-        # completed, handed back on the exception (the CLI persists it
-        # before exiting 130).
-        _summarize(report, rows)
-        report.interrupted = True
-        report.wall_seconds = time.perf_counter() - start
-        raise SuiteInterrupted(report) from None
+        raise SuiteInterrupted(stopped()) from None
+    except Exception as exc:
+        if making is None:
+            raise
+        raise SuiteInterrupted(stopped(), making) from exc
 
 
 def effective_jobs(requested: int) -> int:

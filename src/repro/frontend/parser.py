@@ -39,10 +39,6 @@ class Parser:
     def current(self) -> Token:
         return self.tokens[self.pos]
 
-    def peek(self, offset: int = 1) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
     def advance(self) -> Token:
         token = self.current
         if token.kind is not TokenKind.EOF:

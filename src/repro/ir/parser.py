@@ -177,10 +177,6 @@ class _FunctionParser:
             dep_id=dep_id,
         )
 
-    # Fix up `dest` captured before parsing the rest of the line.
-    def parse_assignment_dest(self, text: str) -> str:
-        return text
-
 
 def _infer_dest_type(
     opcode: Opcode, args: Tuple[Operand, ...], module: Module, callee: Optional[str]

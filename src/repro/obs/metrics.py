@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Tuple, Union
 
 Number = Union[int, float]
 
@@ -91,9 +91,6 @@ class Registry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._local = threading.local()
-
-    def _scope(self) -> Optional["Registry"]:
-        return getattr(self._local, "scope", None)
 
     # -- creation / access -------------------------------------------------
 

@@ -167,10 +167,6 @@ class ExecutionResult:
     instructions: int
     return_value: object = None
 
-    @property
-    def output_text(self) -> str:
-        return "\n".join(self.output)
-
     def to_dict(self) -> dict:
         """JSON-stable representation for the evaluation disk cache.
 

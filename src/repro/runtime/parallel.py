@@ -141,7 +141,6 @@ __all__ = [
     "ParallelRunResult",
     "RecordedRun",
     "ScheduleResult",
-    "run_parallel",
     "schedule_invocation",
     "schedule_invocation_reference",
 ]
@@ -626,18 +625,3 @@ class ParallelExecutor(RecordedRun, Interpreter):
         """Run the program and time it on the executing machine."""
         self.run()
         return self._timed([self.machine])[0]
-
-
-def run_parallel(
-    module: Module,
-    infos: Sequence[ParallelizedLoop],
-    machine: Optional[MachineConfig] = None,
-    backend: str = "auto",
-    block_profile: Optional[Dict[Tuple[str, str], int]] = None,
-) -> ParallelRunResult:
-    """Convenience wrapper: execute a transformed module."""
-    executor = ParallelExecutor(
-        module, infos, machine, backend=backend,
-        block_profile=block_profile,
-    )
-    return executor.execute()

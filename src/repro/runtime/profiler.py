@@ -73,12 +73,6 @@ class LoopProfile:
     #: Cycles while the loop was the innermost active loop.
     self_cycles: int = 0
 
-    @property
-    def iterations_per_invocation(self) -> float:
-        if self.invocations == 0:
-            return 0.0
-        return self.iterations / self.invocations
-
     def to_dict(self) -> dict:
         return {
             "loop_id": list(self.loop_id),

@@ -1,15 +1,13 @@
-"""Generic IR transformations used by (and tested independently of) HELIX.
+"""The IR transformations HELIX's Steps build on.
 
 * :mod:`repro.transform.inline` -- function inlining (the mechanism behind
   HELIX Step 5's segment shrinking).
 * :mod:`repro.transform.normalize` -- loop normalization into the
   prologue/body form of HELIX Step 1.
-* :mod:`repro.transform.dce` -- dead code elimination.
 """
 
 from repro.transform.inline import InlineError, can_inline, inline_call
 from repro.transform.normalize import NormalizedLoop, normalize_loop
-from repro.transform.dce import eliminate_dead_code
 
 __all__ = [
     "inline_call",
@@ -17,5 +15,4 @@ __all__ = [
     "InlineError",
     "normalize_loop",
     "NormalizedLoop",
-    "eliminate_dead_code",
 ]

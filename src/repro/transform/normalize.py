@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from repro.analysis.cfg import CFGView
+from repro.analysis.cfg import CFGView, reachable_within
 from repro.analysis.loops import Loop
 from repro.ir import Function, Instruction, Opcode
 
@@ -83,37 +83,20 @@ def _ensure_single_latch(
     return latch.name, CFGView(func)
 
 
-def _loop_post_dominators(
-    func: Function, loop_blocks: Set[str], header: str, latch: str, cfg: CFGView
-) -> Set[str]:
-    """Blocks of the loop post-dominated by ``latch`` *within* the loop.
+def loop_prologue(cfg: CFGView, loop: Loop) -> Set[str]:
+    """Step 1's prologue: the loop blocks from which control can leave
+    the loop without passing a latch, i.e. those no latch post-dominates
+    within the iteration.
 
-    Computed directly: a block is post-dominated by the latch iff every
-    path from it that stays in the iteration (no back edge) reaches the
-    latch rather than leaving the loop.  Equivalently: the block cannot
-    reach an exit edge without first passing through the latch.
+    An exit-free loop would have an empty prologue; its header stays in
+    the prologue so iteration hand-off still has a well-defined point.
     """
-    # Backward reachability to "escape" (an exit edge source's exiting
-    # branch) without passing through the latch.
-    can_escape: Set[str] = set()
-    work: List[str] = []
-    for name in loop_blocks:
-        if name == latch:
-            continue
-        for succ in cfg.succs[name]:
-            if succ not in loop_blocks:
-                can_escape.add(name)
-                work.append(name)
-                break
-    while work:
-        node = work.pop()
-        for pred in cfg.preds[node]:
-            if pred in loop_blocks and pred != latch and pred not in can_escape:
-                can_escape.add(pred)
-                work.append(pred)
-    return {name for name in loop_blocks if name not in can_escape and name != latch} | {
-        latch
-    }
+    exiting = [
+        name for name in loop.blocks
+        if any(succ not in loop.blocks for succ in cfg.succs[name])
+    ]
+    prologue = reachable_within(cfg, exiting, frozenset(loop.blocks - loop.latches))
+    return prologue or {loop.header}
 
 
 def normalize_loop(func: Function, loop: Loop) -> NormalizedLoop:
@@ -128,15 +111,8 @@ def normalize_loop(func: Function, loop: Loop) -> NormalizedLoop:
     if latch not in existing:
         created[latch] = loop.header
 
-    post_dominated = _loop_post_dominators(func, loop.blocks, loop.header, latch, cfg)
-    body = set(post_dominated)
-    prologue = {name for name in loop.blocks if name not in body}
-
-    # An exit-free loop would have an empty prologue; keep the header in
-    # the prologue so iteration hand-off still has a well-defined point.
-    if not prologue:
-        prologue = {loop.header}
-        body.discard(loop.header)
+    prologue = loop_prologue(cfg, loop)
+    body = loop.blocks - prologue
 
     crossing = []
     exits = []

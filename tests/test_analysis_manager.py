@@ -17,7 +17,7 @@ import time
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro import MachineConfig, compile_minic
 from repro.analysis.cfg import CFGView
@@ -28,8 +28,6 @@ from repro.ir import BasicBlock, Instruction, Opcode
 from repro.ir.module import clone_module
 from repro.ir.printer import module_to_str
 from repro.ir.types import Type
-from repro.transform.constfold import fold_constants
-from repro.transform.dce import eliminate_dead_code
 from repro.transform.inline import inline_call
 from repro.transform.normalize import normalize_loop
 
@@ -69,6 +67,18 @@ def compile_program(source=PROGRAM):
 def tally(manager, name):
     """The ``analysis:<name>`` row ``manager`` counts into."""
     return manager.stats.tally(f"analysis:{name}")
+
+
+def redirect_a_branch(func):
+    """Point the first two-way branch's second target at its first,
+    editing the block in place (no block added or removed), and declare
+    the edit through the version protocol."""
+    for block in func.blocks.values():
+        term = block.terminator
+        if term.opcode is Opcode.CBR and term.targets[0] != term.targets[1]:
+            block.retarget(term.targets[1], term.targets[0])
+            func.bump_version()
+            return
 
 
 class UncachedAnalysisManager(AnalysisManager):
@@ -136,17 +146,6 @@ class TestVersionProtocol:
         fv, mv = main.version, module.version
         inline_call(module, main, call)
         assert main.version > fv and module.version > mv
-
-    def test_passes_bump_only_on_change(self):
-        module = compile_program()
-        func = module.functions["main"]
-        # Run to a fixed point, then a no-op run must not bump.
-        while fold_constants(func) or eliminate_dead_code(func):
-            pass
-        fv = func.version
-        assert fold_constants(func) == 0
-        assert eliminate_dead_code(func) == 0
-        assert func.version == fv
 
     def test_normalize_bumps(self):
         # Two outside predecessors of the header: normalization must
@@ -230,6 +229,7 @@ class TestCachingContract:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(ops=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    @example(ops=[2, 3, 1, 2, 3])
     def test_stale_results_never_served(self, ops):
         """Under any interleaving of queries and mutations, a managed
         query always equals a fresh recomputation."""
@@ -242,8 +242,8 @@ class TestCachingContract:
                 block = func.new_block(f"h{probes}_")
                 block.append(Instruction(Opcode.RET))
                 probes += 1
-            elif op == 1:  # mutate: run a cleanup pass
-                fold_constants(func)
+            elif op == 1:  # mutate in place: fold a branch onto one target
+                redirect_a_branch(func)
             elif op == 2:  # query CFG
                 assert am.cfg(func).succs == CFGView(func).succs
             else:  # query loop forest

@@ -134,6 +134,51 @@ def test_suite_cache_stats_report(monkeypatch, tmp_path, capsys):
     assert warm["wall_seconds"] < cold["wall_seconds"] * 1.5
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failing_bench_stops_the_suite_with_a_partial_report(
+    jobs, monkeypatch, tmp_path, capsys
+):
+    """A bench whose row raises -- here its program divides by zero --
+    ends the suite with exit 1, names the bench and the error, and the
+    report keeps the benches that completed, marked interrupted."""
+    import json
+    import multiprocessing
+
+    from repro.bench import suite as bench_suite
+    from repro.evaluation import runner as runner_mod
+
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit the test benchmark registry via fork")
+    faulting = PROGRAM.replace("print(total);", "print(total / (total - total));")
+    for name, source in (("tinyok", PROGRAM), ("tinyfault", faulting)):
+        spec = bench_suite.BenchmarkSpec(
+            name, "synthetic CLI test bench", lambda scale, s=source: s, 1.0,
+            "test",
+        )
+        monkeypatch.setitem(bench_suite.BENCHMARKS, name, spec)
+    monkeypatch.setattr(
+        runner_mod, "benchmark_names", lambda: ["tinyok", "tinyfault"]
+    )
+
+    report = tmp_path / "suite.json"
+    argv = [
+        "suite", "--cores", "4", "--jobs", jobs,
+        "--cache-dir", str(tmp_path / "cache"), "--report", str(report),
+    ]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Figure 9" not in captured.out
+    assert (
+        "suite failed: tinyfault: RuntimeFault: integer division by zero"
+        in captured.err
+    )
+    partial = json.loads(report.read_text())
+    assert partial["interrupted"] is True
+    assert [b["bench"] for b in partial["benches"]] == ["tinyok"]
+    assert set(partial["speedups"]) == {"tinyok"}
+    assert multiprocessing.active_children() == []
+
+
 def test_trace_command_writes_valid_perfetto_json(
     monkeypatch, tmp_path, capsys
 ):

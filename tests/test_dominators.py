@@ -1,11 +1,7 @@
-"""Tests for dominator and post-dominator computation."""
+"""Tests for dominator computation."""
 
 from repro.analysis.cfg import CFGView
-from repro.analysis.dominators import (
-    VIRTUAL_EXIT,
-    dominators,
-    post_dominators,
-)
+from repro.analysis.dominators import dominators
 
 from tests.helpers import build_cfg
 
@@ -53,37 +49,3 @@ class TestDominators:
         func = build_cfg(graph)
         dom = dominators(CFGView(func))
         assert "Z" not in dom
-
-
-class TestPostDominators:
-    def test_exit_postdominates_all(self):
-        pdom = post_dominators(CFGView(build_cfg(DIAMOND)))
-        for node in "ABCD":
-            assert pdom.dominates("D", node)
-
-    def test_merge_point_postdominates_branch(self):
-        graph = {"A": ["B", "C"], "B": ["M"], "C": ["M"], "M": ["E"], "E": []}
-        pdom = post_dominators(CFGView(build_cfg(graph)))
-        assert pdom.dominates("M", "A")
-        assert not pdom.dominates("B", "A")
-
-    def test_virtual_exit_is_root(self):
-        graph = {"A": ["B", "C"], "B": [], "C": []}  # two exits
-        pdom = post_dominators(CFGView(build_cfg(graph)))
-        assert pdom.root == VIRTUAL_EXIT
-        assert pdom.dominates(VIRTUAL_EXIT, "A")
-        assert not pdom.dominates("B", "A")
-        assert not pdom.dominates("C", "A")
-
-    def test_loop_latch_postdominates_body(self):
-        # A -> H; H -> B | X; B -> L; L -> H; X is the exit.
-        graph = {"A": ["H"], "H": ["B", "X"], "B": ["L"], "L": ["H"], "X": []}
-        pdom = post_dominators(CFGView(build_cfg(graph)))
-        assert pdom.dominates("L", "B")
-        # H can leave via X, so L does not post-dominate H.
-        assert not pdom.dominates("L", "H")
-
-    def test_infinite_loop_wired_to_exit(self):
-        graph = {"A": ["B"], "B": ["A"]}
-        pdom = post_dominators(CFGView(build_cfg(graph)))
-        assert "A" in pdom and "B" in pdom

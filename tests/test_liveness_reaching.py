@@ -1,8 +1,6 @@
-"""Tests for liveness and reaching definitions."""
+"""Tests for liveness."""
 
-from repro.analysis.cfg import CFGView
 from repro.analysis.liveness import compute_liveness
-from repro.analysis.reaching import compute_reaching_defs
 from repro.frontend import compile_source
 
 
@@ -75,87 +73,3 @@ class TestLiveness:
         func = module.functions["f"]
         live = compute_liveness(func)
         assert func.params[0].uid in live.regs
-
-
-class TestReachingDefs:
-    def test_single_def_reaches_use(self):
-        module = compile_source(
-            """
-            void main() {
-                int x = 1;
-                print(x);
-            }
-            """
-        )
-        func = module.functions["main"]
-        reach = compute_reaching_defs(func)
-        x_uid = named_uid(func, "x")
-        entry = func.entry.name
-        instrs = func.blocks[entry].instructions
-        print_idx = next(
-            i for i, instr in enumerate(instrs) if instr.opcode.value == "print"
-        )
-        defs = reach.defs_reaching_use(entry, print_idx, x_uid)
-        assert len(defs) == 1
-
-    def test_branch_defs_both_reach_merge(self):
-        module = compile_source(
-            """
-            void main() {
-                int x = 0;
-                int c = 1;
-                if (c) { x = 1; } else { x = 2; }
-                print(x);
-            }
-            """
-        )
-        func = module.functions["main"]
-        reach = compute_reaching_defs(func)
-        x_uid = named_uid(func, "x")
-        merge = next(n for n in func.blocks if n.startswith("endif"))
-        defs = reach.reach_in[merge]
-        x_defs = [d for d in defs if d[2] == x_uid]
-        assert len(x_defs) == 2
-
-    def test_redefinition_kills(self):
-        module = compile_source(
-            """
-            void main() {
-                int x = 1;
-                x = 2;
-                print(x);
-            }
-            """
-        )
-        func = module.functions["main"]
-        reach = compute_reaching_defs(func)
-        x_uid = named_uid(func, "x")
-        entry = func.entry.name
-        instrs = func.blocks[entry].instructions
-        print_idx = next(
-            i for i, instr in enumerate(instrs) if instr.opcode.value == "print"
-        )
-        defs = reach.defs_reaching_use(entry, print_idx, x_uid)
-        assert len(defs) == 1
-        # The surviving def is the later one.
-        _block, index, _uid = defs[0]
-        assert instrs[index].args[0].value == 2
-
-    def test_loop_def_reaches_header(self):
-        module = compile_source(
-            """
-            void main() {
-                int s = 0;
-                int i;
-                for (i = 0; i < 3; i++) { s = s + 1; }
-                print(s);
-            }
-            """
-        )
-        func = module.functions["main"]
-        reach = compute_reaching_defs(func)
-        s_uid = named_uid(func, "s")
-        header = next(n for n in func.blocks if n.startswith("for"))
-        s_defs = [d for d in reach.reach_in[header] if d[2] == s_uid]
-        # Both the init and the in-loop def reach the header.
-        assert len(s_defs) == 2

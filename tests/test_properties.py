@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import MachineConfig, compile_minic, parallelize_and_run
 from repro.analysis.cfg import CFGView
-from repro.analysis.dominators import dominators, post_dominators
+from repro.analysis.dominators import dominators
 from repro.analysis.loops import find_loops
 from repro.runtime import run_module
 from repro.runtime.interpreter import c_div, c_mod, wrap_int
@@ -157,14 +157,6 @@ class TestDominatorProperties:
             for block in loop.blocks:
                 assert dom.dominates(loop.header, block)
 
-    @settings(max_examples=40, deadline=None)
-    @given(random_cfgs())
-    def test_postdominators_total(self, edges):
-        cfg = CFGView(build_cfg(edges, entry="N0"))
-        pdom = post_dominators(cfg)
-        for node in cfg.nodes():
-            assert pdom.dominates(pdom.root, node)
-
 
 # ---------------------------------------------------------------- end to end
 
@@ -253,20 +245,3 @@ class TestIRRoundTripProperty:
         baseline = run_module(module)
         reparsed = parse_module(module_to_str(module))
         assert run_module(reparsed).output == baseline.output
-
-
-class TestOptimizerProperty:
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(loop_programs())
-    def test_optimizer_preserves_behaviour(self, source):
-        """The generic optimizer never changes observable output."""
-        from repro.transform.copyprop import optimize_module
-
-        module = compile_minic(source)
-        baseline = run_module(module)
-        optimize_module(module)
-        assert run_module(module).output == baseline.output

@@ -1,4 +1,4 @@
-"""Tests for generic transforms: inlining, normalization, DCE."""
+"""Tests for the transforms HELIX builds on: inlining, normalization."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.runtime import run_module
 from repro.transform import (
     InlineError,
     can_inline,
-    eliminate_dead_code,
     inline_call,
     normalize_loop,
 )
@@ -274,62 +273,3 @@ class TestNormalization:
         normalize_loop(func, loop)
         verify_module(module)
         assert run_module(module).output == before
-
-
-class TestDCE:
-    def test_removes_unused_pure_code(self):
-        module = compile_source(
-            """
-            void main() {
-                int unused = 3 * 7;
-                int used = 2;
-                print(used);
-            }
-            """
-        )
-        func = module.functions["main"]
-        removed = eliminate_dead_code(func)
-        assert removed >= 2  # the mul and the mov into `unused`
-        verify_module(module)
-        assert run_module(module).output == ["2"]
-
-    def test_keeps_side_effects(self):
-        module = compile_source(
-            """
-            int g;
-            void main() {
-                g = 5;
-                print(1);
-            }
-            """
-        )
-        func = module.functions["main"]
-        eliminate_dead_code(func)
-        assert any(i.opcode is Opcode.STOREG for i in func.instructions())
-
-    def test_keeps_call_with_unused_result(self):
-        module = compile_source(
-            """
-            int g;
-            int f() { g = g + 1; return g; }
-            void main() { f(); print(g); }
-            """
-        )
-        func = module.functions["main"]
-        eliminate_dead_code(func)
-        assert run_module(module).output == ["1"]
-
-    def test_iterative_chains(self):
-        module = compile_source(
-            """
-            void main() {
-                int a = 1;
-                int b = a + 1;
-                int c = b + 1;
-                print(0);
-            }
-            """
-        )
-        func = module.functions["main"]
-        removed = eliminate_dead_code(func)
-        assert removed >= 3
