@@ -453,7 +453,6 @@ def fixed_level_selection(
     module: Module,
     profile: ProfileData,
     level: int,
-    config: Optional[SelectionConfig] = None,
     manager: Optional[AnalysisManager] = None,
 ) -> List[LoopId]:
     """All profiled loops at one nesting level (the Figure 11/13 baseline)."""

@@ -15,8 +15,9 @@ the bench's row: its speedups, its simulated-time accounting and what
 it cost (stage counters, metrics and store traffic, each a delta).
 The report and the figure are folds over the rows, in suite order, so
 nothing a worker computed is read back from disk.  A worker that dies
-breaks the pool: every bench it still owed a row is then run in this
-process, over whatever the dead worker stored, so the suite still
+breaks the pool: every bench it still owed a row then goes to one fresh
+pool, and only if that one breaks too is each bench left run in this
+process, over whatever the dead workers stored, so the suite still
 completes with the same figure and the same store.  Generated
 interpreter code is not an artifact: each process's interpreters
 compile their own benchmark's functions.
@@ -247,8 +248,9 @@ def run_suite(
     benches.  It is memory-warm for those benches only; a bench that ran
     in a worker is on disk, when there is a store.
 
-    A bench whose worker died (the pool breaks, and every bench still
-    pending on it with it) is run in this process instead.
+    When a worker dies, the pool breaks, and every bench still pending
+    on it with it: those benches go to one fresh pool.  Should that one
+    break too, each bench it still owed is run in this process instead.
 
     ``observer`` receives the runner's stage/artifact events plus one
     ``stage="bench"`` completion per benchmark, in suite order -- CLI
@@ -297,6 +299,16 @@ def run_suite(
     futures: Dict[str, Future] = {}
     #: The bench whose row is being made, while one is.
     making: Optional[str] = None
+    #: Whether a broken pool has been replaced (only once).
+    replaced = False
+
+    def submit(benches: Sequence[str]) -> None:
+        nonlocal pool
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(benches)))
+        for bench in benches:
+            futures[bench] = pool.submit(
+                _run_bench, bench, machine, cache_dir, tracer.enabled
+            )
 
     def stopped() -> SuiteReport:
         # Partial accounting still gets written: the rows of whatever
@@ -308,13 +320,24 @@ def run_suite(
         return report
 
     def harvest(bench: str, future: Future) -> None:
+        nonlocal replaced
         try:
             row, spans = future.result()
         except BrokenProcessPool:
             # A worker died (killed, or out of memory) and took the pool
-            # with it: this bench's row is made here instead, over what
-            # the store holds by now.
-            consume(figure9_row(runner, bench))
+            # with it.  The first time, every bench it still owed a row
+            # goes to a fresh pool; after that, this bench's row is made
+            # here, over what the store holds by now.
+            if replaced:
+                consume(figure9_row(runner, bench))
+                return
+            replaced = True
+            pool.shutdown(wait=True)
+            submit([
+                owed for owed in suite[len(rows):]
+                if owed in futures and futures[owed].exception() is not None
+            ])
+            harvest(bench, futures[bench])
             return
         if spans:
             tracer.absorb(spans)
@@ -327,11 +350,7 @@ def run_suite(
         workers = min(jobs, len(cold))
         try:
             if workers >= 2:
-                pool = ProcessPoolExecutor(max_workers=workers)
-                for bench in cold:
-                    futures[bench] = pool.submit(
-                        _run_bench, bench, machine, cache_dir, tracer.enabled
-                    )
+                submit(cold)
             # Rows are consumed in suite order, whatever order the
             # workers finish in.
             for bench in suite:

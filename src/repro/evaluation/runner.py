@@ -82,6 +82,7 @@ from repro.runtime.parallel import (
     ParallelRunResult,
     RecordedRun,
 )
+from repro.runtime.sched import Grouping
 from repro.runtime.trace import (
     CompactInvocationTrace,
     pack_traces,
@@ -90,9 +91,11 @@ from repro.runtime.trace import (
 from repro.runtime.profiler import ProfileData, profile_module
 from repro.service.jobs import CURRENT_JOB, EvaluationObserver
 
-#: A recording run: its sequential-clock result, traces and load count
-#: (the arguments of :meth:`RecordedRun.restore_run`).
-_Recording = Tuple[ExecutionResult, List[CompactInvocationTrace], int]
+#: A recording run: its sequential-clock result, traces, load count and
+#: the traces' grouping (the arguments of :meth:`RecordedRun.restore_run`).
+_Recording = Tuple[
+    ExecutionResult, List[CompactInvocationTrace], int, Grouping
+]
 
 #: A pipeline's plan: the chosen loops, the record of each parallelized
 #: loop, and the ``recording`` key of the module they produced.
@@ -116,10 +119,12 @@ def _decode_plan(payload: dict) -> _Plan:
 
 def _decode_recording(payload: dict) -> _Recording:
     """A stored recording (:func:`unpack_traces` checks the traces)."""
+    traces, grouping = unpack_traces(payload["traces"])
     return (
         ExecutionResult.from_dict(payload["result"]),
-        unpack_traces(payload["traces"]),
+        traces,
         payload["load_count"],
+        grouping,
     )
 
 
@@ -500,13 +505,18 @@ class EvaluationRunner:
                     block_profile=profile.block_counts if profile else None,
                 )
                 recorded = executor.run()
-                recording = (recorded, executor.traces, executor.load_count)
+                recording = (
+                    recorded, executor.traces, executor.load_count,
+                    executor.grouping,
+                )
                 self._store(
                     "recording",
                     recording_key,
                     {
                         "result": recorded.to_dict(),
-                        "traces": pack_traces(executor.traces),
+                        "traces": pack_traces(
+                            executor.traces, executor.grouping
+                        ),
                         "load_count": executor.load_count,
                     },
                 )

@@ -26,7 +26,6 @@ from repro.ir.instructions import (
     COMPARE_OPCODES,
     MEMORY_READ_OPCODES,
     MEMORY_WRITE_OPCODES,
-    SIDE_EFFECT_OPCODES,
     TERMINATOR_OPCODES,
     Instruction,
     Opcode,
@@ -52,7 +51,6 @@ __all__ = [
     "COMMUTATIVE_OPCODES",
     "MEMORY_READ_OPCODES",
     "MEMORY_WRITE_OPCODES",
-    "SIDE_EFFECT_OPCODES",
     "BasicBlock",
     "Function",
     "Module",

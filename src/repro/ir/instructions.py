@@ -100,24 +100,6 @@ MEMORY_READ_OPCODES = frozenset({Opcode.LOADG, Opcode.LOADP})
 #: Opcodes that write memory.
 MEMORY_WRITE_OPCODES = frozenset({Opcode.STOREG, Opcode.STOREP})
 
-#: Opcodes whose effect is not captured by their destination register alone;
-#: these anchor scheduling and must never be dead-code eliminated.
-SIDE_EFFECT_OPCODES = frozenset(
-    {
-        Opcode.STOREG,
-        Opcode.STOREP,
-        Opcode.CALL,
-        Opcode.RET,
-        Opcode.BR,
-        Opcode.CBR,
-        Opcode.PRINT,
-        Opcode.WAIT,
-        Opcode.SIGNAL,
-        Opcode.NEXT_ITER,
-        Opcode.XFER,
-    }
-)
-
 _instruction_uid_counter = itertools.count(1)
 
 
@@ -161,11 +143,6 @@ class Instruction:
     def writes_memory(self) -> bool:
         """Whether this instruction stores to a memory region."""
         return self.opcode in MEMORY_WRITE_OPCODES
-
-    @property
-    def has_side_effects(self) -> bool:
-        """Whether the instruction does more than define its dest register."""
-        return self.opcode in SIDE_EFFECT_OPCODES
 
     @property
     def is_helix_op(self) -> bool:

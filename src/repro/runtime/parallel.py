@@ -63,8 +63,9 @@ of the trace list, each column carries the walk's per-core accounting
 :class:`ScheduleResult` objects exist only for callers of
 :meth:`~RecordedRun.schedules`.  What depends on the
 trace list alone -- the distinct-invocation grouping
-(:attr:`RecordedRun.grouping`) and the per-loop index -- is
-computed by the first scheduling pass over a list and dropped when
+(:attr:`RecordedRun.grouping`, which a restored recording brings with
+it and a run just recorded shares with its stored form) and the
+per-loop index -- is computed at most once per list and dropped when
 :attr:`traces` is reassigned.  The interval-by-interval timeline of
 ``repro trace --sim-timeline`` reads no column: it is the reference
 scheduler's walk of every trace
@@ -113,8 +114,10 @@ from repro.runtime.interpreter import (
 )
 from repro.runtime.machine import MachineConfig
 from repro.runtime.sched import (
+    Grouping,
     ScheduleColumns,
     ScheduleResult,
+    group_traces,
     schedule_invocation_reference,
     schedule_many,
 )
@@ -273,17 +276,26 @@ class RecordedRun:
         # per-loop index of ``_timed``.
         self._traces = traces
         self._schedules.clear()
-        #: The distinct-invocation grouping of :attr:`traces` (see
-        #: :func:`~repro.runtime.sched.schedule_many`), kept from the
-        #: first scheduling pass over them for the later ones.
-        self.grouping = None
+        self._grouping: Optional[Grouping] = None
         self._by_loop = None
+
+    @property
+    def grouping(self) -> Grouping:
+        """The distinct-invocation grouping of :attr:`traces`
+        (:func:`~repro.runtime.sched.group_traces`): the one a restored
+        recording was stored by, else computed on first use.  Every
+        scheduling pass over the traces and the stored form of a run
+        just recorded share it."""
+        if self._grouping is None:
+            self._grouping = group_traces(self._traces)
+        return self._grouping
 
     def restore_run(
         self,
         result: ExecutionResult,
         traces: Sequence[AnyTrace],
         load_count: int,
+        grouping: Optional[Grouping] = None,
     ) -> None:
         """Adopt a recorded run (loaded from the evaluation disk cache,
         or another executor's), as :meth:`ParallelExecutor.run` adopts
@@ -293,7 +305,10 @@ class RecordedRun:
 
         ``result`` is the recording run's own :class:`ExecutionResult`
         (sequential clock) and ``load_count`` its total
-        :attr:`~repro.runtime.interpreter.Interpreter.load_count`.  The
+        :attr:`~repro.runtime.interpreter.Interpreter.load_count`;
+        ``grouping``, when given, is the traces'
+        :func:`~repro.runtime.sched.group_traces`, as
+        :func:`~repro.runtime.trace.unpack_traces` returns it.  The
         caller is responsible for passing traces recorded from an
         identical module under an identical cost model.
         """
@@ -302,6 +317,7 @@ class RecordedRun:
         self.instructions = result.instructions
         self.return_value = result.return_value
         self.traces = [as_compact(trace) for trace in traces]
+        self._grouping = grouping
         self.load_count = load_count
 
     def _loops(self) -> List[LoopInfo]:
@@ -332,7 +348,6 @@ class RecordedRun:
                 list(missing.values()),
                 self.grouping,
             )
-            self.grouping = columns.grouping
             for mi, fingerprint in enumerate(missing):
                 self._schedules[fingerprint] = columns.column(mi)
 

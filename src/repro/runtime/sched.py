@@ -3,10 +3,12 @@
 :func:`schedule_many` is the one production scheduler, behind every
 executor's timing and every machine-grid sweep
 (:func:`repro.runtime.parallel.schedule_invocation` is it on one trace
-and one machine).  It groups traces by shape (:func:`trace_signature`)
-and, within a shape, into *distinct invocations* (equal stamp columns:
-stamps are offsets from the start of the invocation), schedules each
-distinct invocation once and fans the result out by index.  A shape's
+and one machine).  It works from a grouping of the traces by shape
+(:func:`trace_signature`) and, within a shape, into *distinct
+invocations* (equal stamp columns: stamps are offsets from the start of
+the invocation) -- :func:`group_traces`, or the one a stored recording
+was written by -- schedules each distinct invocation once and fans the
+result out by index.  A shape's
 first trace is compiled to its
 :class:`~repro.runtime.trace.TraceProgram` and the program handed to
 the others: duplicate filtering, producer sets, word counts and
@@ -59,7 +61,16 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.loopinfo import LoopInfo
 from repro.runtime.machine import MachineConfig, PrefetchMode
@@ -74,6 +85,9 @@ from repro.runtime.trace import (
     InvocationTrace,
     TraceProgram,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -159,7 +173,7 @@ def _resolve_agendas(
         count=int(sizes.sum()),
     )
     helix = np.array(list(dict.fromkeys(helix_order)), dtype=np.int64)
-    deps = np.unique(np.concatenate([a1, waited, helix]))
+    deps = _distinct(np.concatenate([a1, waited, helix]))
     lead = 0 if counted else 1
 
     # Row ``i``: the signal op of each dependence in iteration ``i - 1``,
@@ -288,6 +302,67 @@ def trace_signature(trace: CompactInvocationTrace) -> bytes:
             digest.update(column)
         signature = trace._signature = digest.digest()
     return signature
+
+
+#: What :func:`group_traces` returns: ``(shapes, first, index)``.
+Grouping = Tuple[List[List[int]], List[int], "np.ndarray"]
+
+
+def group_traces(
+    traces: Sequence[CompactInvocationTrace], loop_keys=None
+) -> Grouping:
+    """The distinct-invocation grouping of ``traces``: ``(shapes,
+    first, index)``.
+
+    Traces are grouped by loop (``loop_keys``, one hashable per trace;
+    default each trace's ``loop_id``) and shape
+    (:func:`trace_signature`) and, within a shape, by their stamp
+    columns and length: stamps are offsets from the start of the
+    invocation, so invocations that ran alike anywhere in the recorded
+    clock are one *distinct* invocation.  Distinct invocations are
+    numbered in order of first occurrence; ``shapes`` lists each shape's
+    distinct invocations, shapes in order of first occurrence,
+    ``first[d]`` is the first trace of distinct invocation ``d`` and
+    ``index[i]`` (an int64 array) the distinct invocation of trace
+    ``i``.  What :func:`schedule_many` schedules by and
+    :func:`~repro.runtime.trace.pack_traces` stores by.
+    """
+    import numpy as np
+
+    if loop_keys is None:
+        loop_keys = (trace.loop_id for trace in traces)
+    by_shape: Dict[Tuple, Dict[Tuple, int]] = {}
+    first: List[int] = []
+    index: List[int] = []
+    for idx, (trace, key) in enumerate(zip(traces, loop_keys)):
+        members = by_shape.setdefault((key, trace_signature(trace)), {})
+        stamps = (
+            trace.end_cycles - trace.start_cycles,
+            trace.it_start.tobytes(),
+            trace.it_end.tobytes(),
+            trace.ev_at.tobytes(),
+        )
+        distinct = members.get(stamps)
+        if distinct is None:
+            distinct = members[stamps] = len(first)
+            first.append(idx)
+        index.append(distinct)
+    return (
+        [list(members.values()) for members in by_shape.values()],
+        first,
+        np.array(index, dtype=np.int64),
+    )
+
+
+def _distinct(values):
+    """The distinct entries of an int64 array, ascending.  (``np.unique``
+    imports ``numpy.ma`` on first use, ~10 ms of a warm process.)"""
+    import numpy as np
+
+    ordered = np.sort(values, axis=None)
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 @lru_cache(maxsize=256)
@@ -731,7 +806,8 @@ def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
     # latency/prefetch sweeps.
     top_all = per_core.shape[2]
     count = len(shapes)
-    counts, of_count = np.unique(cores_v, return_inverse=True)
+    counts = _distinct(cores_v)
+    of_count = np.searchsorted(counts, cores_v)
     by_core = (
         _iteration_cores(n, tuple(counts.tolist()), top_all)
         @ np.column_stack(
@@ -791,7 +867,7 @@ def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
             # Each iteration's wait, on the core that ran it: one
             # product per core count of the chunk.
             into = signals[:, chunk]
-            for cores_of in np.unique(cores).tolist():
+            for cores_of in _distinct(cores).tolist():
                 ran = cores == cores_of
                 into[:, ran] = (
                     _iteration_cores(n, (cores_of,), top_all)
@@ -828,50 +904,25 @@ def schedule_many(
     field-exact with :func:`schedule_invocation_reference` of each trace
     under each machine.
 
-    Traces are grouped by loop and shape (:func:`trace_signature`) and,
-    within a shape, by the bytes of their stamp columns: stamps are
-    offsets from the start of the invocation, so invocations that ran
-    alike anywhere in the recorded clock are one *distinct* invocation,
-    scheduled once and fanned out by index.  Every shape joins its
-    loop's pack for its iteration count, which :func:`_schedule_cohort`
-    walks as one under every machine; only the shape's first trace is
-    compiled, and the other members are handed its program.  The walk
-    also fills the result's ``per_core`` accounting, each distinct
-    invocation weighted by its occurrences.
+    Traces are grouped by loop object and shape into *distinct*
+    invocations (:func:`group_traces`), each scheduled once and fanned
+    out by index.  Every shape joins its loop's pack for its iteration
+    count, which :func:`_schedule_cohort` walks as one under every
+    machine; only the shape's first trace is compiled, and the other
+    members are handed its program.  The walk also fills the result's
+    ``per_core`` accounting, each distinct invocation weighted by its
+    occurrences.
 
     The grouping depends on the traces only.  It is returned as
-    ``.grouping`` of the result -- ``(shapes, first, index)``: the
-    distinct invocations of each shape, the first trace of each
-    distinct invocation, and the distinct invocation of each trace --
-    and a caller scheduling the same traces under further machines
-    hands it back as ``grouping``.
+    ``.grouping`` of the result, and a caller that has it already -- a
+    restored recording (:func:`~repro.runtime.trace.unpack_traces`), a
+    run just recorded, or an earlier pass over the same traces -- hands
+    it in as ``grouping``; only without one are the traces grouped here.
     """
     import numpy as np
 
     if grouping is None:
-        by_shape: Dict[Tuple, Dict[Tuple, int]] = {}
-        first: List[int] = []
-        index: List[int] = []
-        for idx, (trace, loop) in enumerate(zip(traces, loops)):
-            members = by_shape.setdefault(
-                (id(loop), trace_signature(trace)), {}
-            )
-            stamps = (
-                trace.end_cycles - trace.start_cycles,
-                trace.it_start.tobytes(),
-                trace.it_end.tobytes(),
-                trace.ev_at.tobytes(),
-            )
-            distinct = members.get(stamps)
-            if distinct is None:
-                distinct = members[stamps] = len(first)
-                first.append(idx)
-            index.append(distinct)
-        grouping = (
-            [list(members.values()) for members in by_shape.values()],
-            first,
-            np.array(index, dtype=np.int64),
-        )
+        grouping = group_traces(traces, map(id, loops))
     shapes, first, index = grouping
     data = np.zeros(
         (len(ScheduleColumns.FIELDS), len(machines), len(first)),

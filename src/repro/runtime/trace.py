@@ -44,12 +44,16 @@ is aligned with the events, 0 except at ``x`` events, and the count an
 iteration transfers for a dependence is the last one written in it.
 
 A recording is stored as one block (:func:`pack_traces` /
-:func:`unpack_traces`): a header row per invocation, and every column
-of every invocation concatenated, each at the narrowest integer width
-that holds it, compressed once.  The block is versioned
+:func:`unpack_traces`) laid out by the grouping the scheduler works
+from (:func:`~repro.runtime.sched.group_traces`): each shape's event
+columns once, each distinct invocation's stamp columns once, and a row
+per trace naming its distinct invocation, every column at the narrowest
+integer width that holds it, compressed once.  Restoring returns that
+grouping with the traces, so a restored recording is scheduled without
+being grouped again.  The block is versioned
 (:data:`TRACE_FORMAT_VERSION`); any other version, and any block whose
-lengths or offsets disagree with its header rows, raises
-:class:`ValueError`.  The per-iteration :class:`InvocationTrace` is the
+tables, lengths or offsets disagree, raises :class:`ValueError`.  The
+per-iteration :class:`InvocationTrace` is the
 reference scheduler's input, built by
 :meth:`CompactInvocationTrace.to_invocation_trace` (and packed back by
 :meth:`~CompactInvocationTrace.from_trace`); it is never recorded into
@@ -62,7 +66,7 @@ import base64
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.loopnest import LoopId
 from repro.obs.metrics import REGISTRY
@@ -74,12 +78,24 @@ CTRL_DEP = -1
 #: changes; loading any other version raises.  3: iteration and event
 #: stamps are offsets from the invocation's ``start_cycles``.  4: one
 #: compressed column block per recording, word counts an event column.
-TRACE_FORMAT_VERSION = 4
+#: 5: each shape's event columns and each distinct invocation's stamp
+#: columns stored once, a trace a row naming its distinct invocation.
+TRACE_FORMAT_VERSION = 5
 
-#: The columns of a stored recording, in block order.
-_COLUMNS = (
-    "it_start", "it_end", "ev_off", "ev_kind", "ev_dep", "ev_at", "ev_words",
+#: The tables of a stored recording: a row per shape (its loop and
+#: iteration count), per distinct invocation (its shape and length in
+#: cycles) and per trace (its distinct invocation, ``start_cycles`` and
+#: ``loads``).
+_TABLES = (
+    "shape_loop", "shape_iterations",
+    "distinct_shape", "distinct_cycles",
+    "trace_distinct", "trace_start", "trace_loads",
 )
+#: The columns stored once per shape, and once per distinct invocation.
+_SHAPE_COLUMNS = ("ev_off", "ev_kind", "ev_dep", "ev_words")
+_DISTINCT_COLUMNS = ("it_start", "it_end", "ev_at")
+#: Everything in a stored recording's block, in block order.
+_COLUMNS = _TABLES + _SHAPE_COLUMNS + _DISTINCT_COLUMNS
 
 #: Raw event kind codes (the packed ``ev_kind`` column).
 KIND_WAIT, KIND_SIGNAL, KIND_NEXT, KIND_XFER, KIND_PRODUCE = range(5)
@@ -199,9 +215,13 @@ class CompactInvocationTrace:
     offsets from ``start_cycles``, in memory as on disk: every consumer
     reads differences only, and two invocations that ran alike at
     different points of the recorded clock hold byte-identical columns
-    (what :func:`~repro.runtime.sched.schedule_many` keys distinct
-    invocations on).  The :class:`TraceProgram` of the trace's shape and
-    the shape signature are built lazily and never stored.
+    (what :func:`~repro.runtime.sched.group_traces` keys distinct
+    invocations on).  A restored trace shares its event columns with
+    the other traces of its shape and its stamp columns with those of
+    its distinct invocation (:func:`unpack_traces`), so only the
+    recorder appends to a trace's columns.  The :class:`TraceProgram` of
+    the trace's shape and the shape signature are built lazily and never
+    stored.
     """
 
     loop_id: LoopId
@@ -476,54 +496,84 @@ def _narrowest(values) -> int:
     return 8
 
 
-def pack_traces(traces: Sequence[CompactInvocationTrace]) -> dict:
+def pack_traces(
+    traces: Sequence[CompactInvocationTrace], grouping=None
+) -> dict:
     """A recording's traces as one JSON-ready block.
 
-    ``invocations`` holds one header row per trace -- index into
-    ``loops``, ``start_cycles``, ``end_cycles``, ``loads``, iteration
-    count, event count -- and ``columns`` every :data:`_COLUMNS` column
-    of every trace, concatenated in that order, each at its ``widths``
-    bytes per item (little-endian), zlib-compressed once and
-    base64-encoded.
+    ``grouping`` is the traces'
+    :func:`~repro.runtime.sched.group_traces` (computed here when not
+    given): each shape's event columns are stored once, each distinct
+    invocation's stamp columns once, and each trace is a row naming its
+    distinct invocation.  ``loops`` is the loop table, ``rows`` the
+    number of shapes, distinct invocations and traces, and ``columns``
+    every :data:`_COLUMNS` column -- the three tables, then the shapes'
+    and the distinct invocations' columns concatenated -- in that order,
+    each at its ``widths`` bytes per item (little-endian),
+    zlib-compressed once and base64-encoded.
     """
     import numpy as np
 
+    from repro.runtime.sched import group_traces
+
+    if grouping is None:
+        grouping = group_traces(traces)
+    shapes, first, index = grouping
+    samples = [traces[first[members[0]]] for members in shapes]
+    distinct = [traces[i] for i in first]
+    shape_of = np.empty(len(first), dtype=np.int64)
+    for s, members in enumerate(shapes):
+        shape_of[members] = s
     loops: Dict[LoopId, int] = {}
-    rows = [
-        [
-            loops.setdefault(trace.loop_id, len(loops)),
-            trace.start_cycles,
-            trace.end_cycles,
-            trace.loads,
-            len(trace.it_start),
-            len(trace.ev_kind),
-        ]
-        for trace in traces
-    ]
-    widths = {}
-    block = []
-    for name in _COLUMNS:
-        values = np.frombuffer(
-            b"".join(getattr(trace, name) for trace in traces), dtype=np.int64
-        )
-        widths[name] = _narrowest(values)
-        block.append(values.astype(f"<i{widths[name]}").tobytes())
+    columns: Dict[str, Any] = {
+        "shape_loop": [
+            loops.setdefault(trace.loop_id, len(loops)) for trace in samples
+        ],
+        "shape_iterations": [len(trace.it_start) for trace in samples],
+        "distinct_shape": shape_of,
+        "distinct_cycles": [
+            trace.end_cycles - trace.start_cycles for trace in distinct
+        ],
+        "trace_distinct": index,
+        "trace_start": [trace.start_cycles for trace in traces],
+        "trace_loads": [trace.loads for trace in traces],
+    }
+    for names, rows in ((_SHAPE_COLUMNS, samples),
+                        (_DISTINCT_COLUMNS, distinct)):
+        for name in names:
+            columns[name] = np.frombuffer(
+                b"".join(getattr(trace, name) for trace in rows),
+                dtype=np.int64,
+            )
     return {
         "format": TRACE_FORMAT_VERSION,
         "loops": [list(loop) for loop in loops],
-        "invocations": rows,
+        "rows": [len(shapes), len(first), len(traces)],
+        **_write_columns(columns),
+    }
+
+
+def _write_columns(columns: Dict[str, Any]) -> dict:
+    """The ``widths`` and ``columns`` fields of a stored recording
+    holding ``columns`` (every :data:`_COLUMNS` name, any int64-castable
+    values)."""
+    import numpy as np
+
+    widths = {}
+    block = []
+    for name in _COLUMNS:
+        values = np.asarray(columns[name], dtype=np.int64)
+        widths[name] = _narrowest(values)
+        block.append(values.astype(f"<i{widths[name]}").tobytes())
+    return {
         "widths": widths,
         "columns": base64.b64encode(zlib.compress(b"".join(block))).decode(),
     }
 
 
-def unpack_traces(payload) -> List[CompactInvocationTrace]:
-    """The traces :func:`pack_traces` stored, equal to the ones it was
-    given.  A payload in any other format, or whose columns do not
-    decode to exactly the lengths and per-trace event offsets its header
-    rows declare, raises :class:`ValueError` (or :class:`TypeError` /
-    :class:`KeyError` where a field is of the wrong type or missing):
-    nothing that loads can fail later inside a scheduler."""
+def _read_columns(payload) -> Dict[str, Any]:
+    """Every :data:`_COLUMNS` column of a stored recording, as int64
+    arrays, checked: see :func:`unpack_traces`."""
     import numpy as np
 
     version = payload.get("format") if isinstance(payload, dict) else None
@@ -539,21 +589,16 @@ def unpack_traces(payload) -> List[CompactInvocationTrace]:
         for loop in loops
     ):
         raise ValueError("malformed recording: loop ids")
-    rows = payload["invocations"]
-    try:
-        header = np.array(rows, dtype=np.int64).reshape(len(rows), 6)
-    except OverflowError:
-        raise ValueError("malformed recording: header rows") from None
-    index, _start, _end, _loads, iters, events = header.T
-    if len(header) and (
-        index.min() < 0 or index.max() >= len(loops)
-        or iters.min() < 0 or events.min() < 0
+    rows = payload["rows"]
+    if not (
+        isinstance(rows, list) and len(rows) == 3
+        and all(type(count) is int and count >= 0 for count in rows)
     ):
-        raise ValueError("malformed recording: header rows")
-    widths = [payload["widths"][name] for name in _COLUMNS]
+        raise ValueError("malformed recording: table sizes")
+    widths = {name: payload["widths"][name] for name in _COLUMNS}
     if any(
         type(width) is not int or width not in (1, 2, 4, 8)
-        for width in widths
+        for width in widths.values()
     ):
         raise ValueError("malformed recording: column widths")
     try:
@@ -562,54 +607,144 @@ def unpack_traces(payload) -> List[CompactInvocationTrace]:
         )
     except zlib.error as exc:
         raise ValueError(f"unreadable recording columns: {exc}") from None
-    # Where each trace's slice of a column ends, per kind of column.
-    per_iteration = [0, *np.cumsum(iters).tolist()]
-    per_offset = [0, *np.cumsum(iters + 1).tolist()]
-    per_event = [0, *np.cumsum(events).tolist()]
-    bounds = (per_iteration, per_iteration, per_offset) + (per_event,) * 4
-    if len(block) != sum(b[-1] * w for b, w in zip(bounds, widths)):
-        raise ValueError("recording columns disagree with its header rows")
-    # One column at a time: widened, checked and cut into the traces'
-    # arrays before the next, so no second whole copy of the recording
-    # is ever held beside them.
-    sliced = []
-    pos = 0
-    for name, width, bound in zip(_COLUMNS, widths, bounds):
-        values = np.frombuffer(
-            block, dtype=f"<i{width}", count=bound[-1], offset=pos
-        ).astype(np.int64)
-        pos += bound[-1] * width
-        if name == "ev_off" and len(header):
-            # Each trace's offsets run from 0 to its event count without
-            # stepping back: shifted by the events of the traces before
-            # it, the concatenation is one non-decreasing column.
-            first = np.array(per_offset[:-1])
-            if (
-                values[first].any()
-                or (values[first + iters] != events).any()
-                or (np.diff(values + np.repeat(per_event[:-1], iters + 1))
-                    < 0).any()
-            ):
-                raise ValueError(
-                    "recording event offsets disagree with its header"
-                )
-        if name == "ev_kind" and len(values) and (
-            values.min() < 0 or values.max() > KIND_PRODUCE
-        ):
-            raise ValueError("malformed recording: event kinds")
-        column = array("q", values.tobytes())
-        sliced.append([column[lo:hi] for lo, hi in zip(bound, bound[1:])])
 
-    loops = [tuple(loop) for loop in loops]
-    return [
-        CompactInvocationTrace(
-            loop_id=loops[loop],
-            start_cycles=start,
-            end_cycles=end,
-            loads=loads,
-            **dict(zip(_COLUMNS, columns)),
+    columns: Dict[str, Any] = {}
+    pos = 0
+
+    def read(name: str, count: int) -> None:
+        nonlocal pos
+        end = pos + count * widths[name]
+        if end > len(block):
+            raise ValueError("recording columns disagree with its tables")
+        columns[name] = np.frombuffer(
+            block, dtype=f"<i{widths[name]}", count=count, offset=pos
+        ).astype(np.int64)
+        pos = end
+
+    def within(name: str, bound: int) -> bool:
+        values = columns[name]
+        return not len(values) or (values.min() >= 0 and values.max() < bound)
+
+    shapes, distinct, traces = rows
+    for name, count in zip(_TABLES, (shapes, shapes, distinct, distinct,
+                                     traces, traces, traces)):
+        read(name, count)
+    # Every index in range, every shape and distinct invocation used (a
+    # grouping has no empty member list), and no count larger than the
+    # block could hold, so that no sum below overflows.
+    iterations = columns["shape_iterations"]
+    if not (
+        within("shape_loop", len(loops))
+        and within("shape_iterations", len(block) + 1)
+        and within("distinct_shape", shapes)
+        and within("trace_distinct", distinct)
+        and np.bincount(columns["distinct_shape"], minlength=shapes).all()
+        and np.bincount(columns["trace_distinct"], minlength=distinct).all()
+    ):
+        raise ValueError("malformed recording: tables")
+
+    # Each shape's event offsets run from 0 without stepping back; its
+    # last is its event count.
+    read("ev_off", int((iterations + 1).sum()))
+    ev_off = columns["ev_off"]
+    ends = np.cumsum(iterations + 1) - 1
+    steps = np.diff(ev_off)
+    steps[ends[:-1]] = 0  # from one shape's last offset to the next's 0
+    if ev_off[ends - iterations].any() or (steps < 0).any():
+        raise ValueError("recording event offsets disagree with its tables")
+    events = ev_off[ends]
+    if len(events) and events.max() > len(block):
+        raise ValueError("recording event offsets disagree with its tables")
+    for name in _SHAPE_COLUMNS[1:]:
+        read(name, int(events.sum()))
+    kinds = columns["ev_kind"]
+    if len(kinds) and (kinds.min() < 0 or kinds.max() > KIND_PRODUCE):
+        raise ValueError("malformed recording: event kinds")
+    of_shape = columns["distinct_shape"]
+    for name in _DISTINCT_COLUMNS:
+        lengths = events if name == "ev_at" else iterations
+        read(name, int(lengths[of_shape].sum()))
+    if pos != len(block):
+        raise ValueError("recording columns disagree with its tables")
+    return columns
+
+
+def unpack_traces(payload) -> Tuple[List[CompactInvocationTrace], tuple]:
+    """The traces :func:`pack_traces` stored, equal to the ones it was
+    given, and their grouping, equal to the one it stored them by: the
+    ``(shapes, first, index)`` of
+    :func:`~repro.runtime.sched.group_traces`, what
+    :func:`~repro.runtime.sched.schedule_many` takes instead of grouping
+    the traces again.
+
+    The traces of a shape share its ``ev_*`` event arrays and the traces
+    of a distinct invocation its ``it_start`` / ``it_end`` / ``ev_at``
+    arrays, so none of them may be mutated.  A payload in any other
+    format, or whose tables and columns disagree -- an index out of
+    range, a shape or distinct invocation nothing uses, event offsets
+    that do not run from 0 without stepping back, columns not exactly
+    as long as the tables make them, an event kind out of range --
+    raises :class:`ValueError` (or :class:`TypeError` /
+    :class:`KeyError` where a field is of the wrong type or missing):
+    nothing that loads can fail later inside a scheduler.
+    """
+    import numpy as np
+
+    columns = _read_columns(payload)
+    iterations = columns["shape_iterations"]
+    events = columns["ev_off"][np.cumsum(iterations + 1) - 1]
+    of_shape = columns["distinct_shape"]
+    # Each column is dropped as soon as it is cut into the rows' arrays.
+    cut: Dict[str, List[array]] = {}
+    for names, lengths in (
+        (_SHAPE_COLUMNS, (iterations + 1, events, events, events)),
+        (_DISTINCT_COLUMNS, (iterations[of_shape], iterations[of_shape],
+                             events[of_shape])),
+    ):
+        for name, length in zip(names, lengths):
+            column = array("q", columns.pop(name).tobytes())
+            bounds = [0, *np.cumsum(length).tolist()]
+            cut[name] = [column[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    loops = [tuple(loop) for loop in payload["loops"]]
+    shape_loop = [loops[k] for k in columns["shape_loop"].tolist()]
+    by_shape = list(zip(*(cut[name] for name in _SHAPE_COLUMNS)))
+    by_distinct = list(zip(*(cut[name] for name in _DISTINCT_COLUMNS)))
+    shape_of = of_shape.tolist()
+    cycles = columns["distinct_cycles"].tolist()
+    index = columns["trace_distinct"]
+    traces = []
+    for d, start, loads in zip(
+        index.tolist(),
+        columns["trace_start"].tolist(),
+        columns["trace_loads"].tolist(),
+    ):
+        s = shape_of[d]
+        ev_off, ev_kind, ev_dep, ev_words = by_shape[s]
+        it_start, it_end, ev_at = by_distinct[d]
+        traces.append(
+            CompactInvocationTrace(
+                loop_id=shape_loop[s],
+                start_cycles=start,
+                end_cycles=start + cycles[d],
+                loads=loads,
+                it_start=it_start,
+                it_end=it_end,
+                ev_off=ev_off,
+                ev_kind=ev_kind,
+                ev_dep=ev_dep,
+                ev_at=ev_at,
+                ev_words=ev_words,
+            )
         )
-        for (loop, start, end, loads, _, _), *columns in zip(
-            header.tolist(), *sliced
-        )
-    ]
+
+    # The grouping, in table order: each shape's distinct invocations,
+    # each distinct invocation's first trace.
+    shapes: List[List[int]] = [[] for _ in by_shape]
+    for d, s in enumerate(shape_of):
+        shapes[s].append(d)
+    first = [-1] * len(by_distinct)
+    for i, d in enumerate(index.tolist()):
+        if first[d] < 0:
+            first[d] = i
+    return traces, (shapes, first, index)

@@ -1,6 +1,8 @@
 """Unit tests of the compact trace representation and its stored form."""
 
+import base64
 import json
+import zlib
 
 import pytest
 
@@ -10,7 +12,12 @@ from repro.core import parallelize_module
 from repro.frontend import compile_source
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor, schedule_invocation
-from repro.runtime.sched import schedule_invocation_reference, trace_signature
+from repro.runtime.sched import (
+    group_traces,
+    schedule_invocation_reference,
+    schedule_many,
+    trace_signature,
+)
 from repro.runtime.trace import (
     CTRL_DEP,
     KIND_XFER,
@@ -18,6 +25,8 @@ from repro.runtime.trace import (
     CompactInvocationTrace,
     InvocationTrace,
     IterationTrace,
+    _read_columns,
+    _write_columns,
     as_compact,
     pack_traces,
     unpack_traces,
@@ -167,7 +176,16 @@ def _wide_trace() -> InvocationTrace:
 
 def _stored(traces):
     """``traces`` written and read back the way the store does it."""
-    return unpack_traces(json.loads(json.dumps(pack_traces(traces))))
+    restored, _ = unpack_traces(json.loads(json.dumps(pack_traces(traces))))
+    return restored
+
+
+def _edited(payload, **changes):
+    """``payload`` with block columns replaced (packing checks nothing,
+    unpacking everything)."""
+    columns = _read_columns(payload)
+    columns.update(changes)
+    return dict(payload, **_write_columns(columns))
 
 
 class TestSerialization:
@@ -177,7 +195,7 @@ class TestSerialization:
             for trace in (_tricky_trace(), _zero_iteration_trace(),
                           _wide_trace())
         ]
-        assert pack_traces(traces)["format"] == TRACE_FORMAT_VERSION == 4
+        assert pack_traces(traces)["format"] == TRACE_FORMAT_VERSION == 5
         restored = _stored(traces)
         assert restored == traces
         assert [t.to_invocation_trace() for t in restored] == [
@@ -189,15 +207,21 @@ class TestSerialization:
 
     def test_empty_recording(self):
         payload = pack_traces([])
-        assert payload["invocations"] == [] and payload["loops"] == []
-        assert _stored([]) == []
+        assert payload["rows"] == [0, 0, 0] and payload["loops"] == []
+        traces, (shapes, first, index) = unpack_traces(payload)
+        assert traces == shapes == first == [] and len(index) == 0
 
     def test_every_width_is_used_and_read_back(self):
         trace = CompactInvocationTrace.from_trace(_wide_trace())
         payload = pack_traces([trace])
-        assert payload["widths"] == {
+        widths = payload["widths"]
+        assert {name: widths[name] for name in (
+            "it_start", "it_end", "ev_off", "ev_kind", "ev_dep", "ev_at",
+            "ev_words", "trace_start", "distinct_cycles",
+        )} == {
             "it_start": 4, "it_end": 8, "ev_off": 1, "ev_kind": 1,
-            "ev_dep": 2, "ev_at": 8, "ev_words": 1,
+            "ev_dep": 2, "ev_at": 8, "ev_words": 1, "trace_start": 1,
+            "distinct_cycles": 8,
         }
         (restored,) = _stored([trace])
         assert restored == trace
@@ -207,7 +231,8 @@ class TestSerialization:
     def test_stamps_are_serialized_as_offsets(self):
         """Iteration bounds and event stamps are stored relative to the
         invocation's ``start_cycles``: the same invocation a billion
-        cycles later changes its header row and not one column byte."""
+        cycles later is the same distinct invocation, stored once, and
+        changes nothing but its trace row's ``trace_start``."""
         trace = _tricky_trace()
         compact = CompactInvocationTrace.from_trace(trace)
         assert list(compact.it_start) == [0, 200]
@@ -230,10 +255,15 @@ class TestSerialization:
                 ],
             )
         )
-        payload, moved = pack_traces([compact]), pack_traces([later])
-        assert {k for k in moved if moved[k] != payload[k]} == {"invocations"}
-        assert payload["invocations"] == [[0, 100, 700, 9, 2, 15]]
-        assert moved["invocations"] == [[0, 100 + shift, 700 + shift, 9, 2, 15]]
+        payload = _read_columns(pack_traces([compact]))
+        moved = _read_columns(pack_traces([later]))
+        assert [k for k in moved if (moved[k] != payload[k]).any()] == [
+            "trace_start"
+        ]
+        assert moved["trace_start"].tolist() == [100 + shift]
+        both = pack_traces([compact, later])
+        assert both["rows"] == [1, 1, 2]
+        assert _read_columns(both)["trace_start"].tolist() == [100, 100 + shift]
         assert _stored([compact, later]) == [compact, later]
 
     def test_loops_are_a_table(self):
@@ -242,8 +272,80 @@ class TestSerialization:
         payload = pack_traces([a, b, a])
         assert payload["loops"] == [["main", "for.header"],
                                     ["main", "while.header"]]
-        assert [row[0] for row in payload["invocations"]] == [0, 1, 0]
+        columns = _read_columns(payload)
+        assert columns["shape_loop"].tolist() == [0, 1]
+        assert columns["trace_distinct"].tolist() == [0, 1, 0]
         assert _stored([a, b, a]) == [a, b, a]
+
+    def test_shapes_and_distinct_invocations_are_stored_once(self):
+        """A shape's event columns and a distinct invocation's stamp
+        columns are stored once and shared by the traces restored from
+        them; the grouping comes back with the traces."""
+        base = CompactInvocationTrace.from_trace(_tricky_trace())
+        moved = CompactInvocationTrace.from_trace(_tricky_trace())
+        moved.start_cycles += 10**6
+        moved.end_cycles += 10**6
+        slower = CompactInvocationTrace.from_trace(_tricky_trace())
+        slower.ev_at[0] += 1
+        traces = [base, moved, slower, base]
+        payload = pack_traces(traces)
+        assert payload["rows"] == [1, 2, 4]
+        restored, grouping = unpack_traces(payload)
+        assert restored == traces
+        shapes, first, index = grouping
+        assert (shapes, first, index.tolist()) == ([[0, 1]], [0, 2], [0, 0, 1, 0])
+        expected = group_traces(traces)
+        assert expected[:2] == (shapes, first)
+        assert (expected[2] == index).all()
+        one, two, three, four = restored
+        for name in ("ev_off", "ev_kind", "ev_dep", "ev_words"):
+            assert getattr(one, name) is getattr(three, name)
+        for name in ("it_start", "it_end", "ev_at"):
+            assert getattr(one, name) is getattr(two, name)
+            assert getattr(one, name) is getattr(four, name)
+            assert getattr(one, name) is not getattr(three, name)
+
+    @pytest.mark.parametrize("case,reason", [
+        ("shape index out of range", "tables"),
+        ("distinct event count disagrees with its shape", "disagree"),
+        ("truncated block", "disagree"),
+        ("unused distinct invocation", "tables"),
+        ("loop index out of range", "tables"),
+        ("offsets step back", "offsets"),
+        ("event kind out of range", "kinds"),
+    ])
+    def test_malformed_tables_rejected(self, case, reason):
+        base = CompactInvocationTrace.from_trace(_tricky_trace())
+        other = CompactInvocationTrace.from_trace(_wide_trace())
+        payload = pack_traces([base, other, base])
+        columns = _read_columns(payload)
+        if case == "shape index out of range":
+            bad = _edited(payload, distinct_shape=[0, 2])
+        elif case == "distinct event count disagrees with its shape":
+            # Packing takes the one stamp too many; the block is then
+            # longer than the shape's event count makes it.
+            base.ev_at.append(base.ev_at[-1])
+            bad = pack_traces([base, other, base])
+        elif case == "truncated block":
+            block = zlib.decompress(base64.b64decode(payload["columns"]))
+            bad = dict(
+                payload,
+                columns=base64.b64encode(zlib.compress(block[:-1])).decode(),
+            )
+        elif case == "unused distinct invocation":
+            bad = _edited(payload, trace_distinct=[0, 0, 0])
+        elif case == "loop index out of range":
+            bad = _edited(payload, shape_loop=[0, 2])
+        elif case == "offsets step back":
+            ev_off = columns["ev_off"].copy()
+            ev_off[1], ev_off[2] = ev_off[2], ev_off[1]
+            bad = _edited(payload, ev_off=ev_off)
+        else:
+            kinds = columns["ev_kind"].copy()
+            kinds[0] = 5
+            bad = _edited(payload, ev_kind=kinds)
+        with pytest.raises(ValueError, match=reason):
+            unpack_traces(json.loads(json.dumps(bad)))
 
     def test_previous_format_rejected(self):
         """Format 3 stored one JSON object per trace (format 2 carried
@@ -318,13 +420,21 @@ class TestWordCounts:
 
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_every_bench_recording_is_read_back_equal(bench, suite_runner):
-    traces = suite_runner.helix_run(bench).executor.traces
+    """Traces come back equal, and with them the grouping
+    ``schedule_many`` computes from the same traces when given none."""
+    executor = suite_runner.helix_run(bench).executor
+    traces = executor.traces
     assert traces
-    restored = _stored(traces)
+    restored, (shapes, first, index) = unpack_traces(
+        json.loads(json.dumps(pack_traces(traces)))
+    )
     assert restored == traces
     assert [t.to_invocation_trace() for t in restored] == [
         t.to_invocation_trace() for t in traces
     ]
+    recomputed = schedule_many(traces, executor._loops(), []).grouping
+    assert (shapes, first) == recomputed[:2]
+    assert index.tolist() == recomputed[2].tolist()
 
 
 class TestExecutorIntegration:

@@ -9,6 +9,7 @@ import base64
 import dataclasses
 import json
 import multiprocessing
+import zlib
 
 import pytest
 
@@ -34,7 +35,12 @@ from repro.ir.parser import parse_module
 from repro.ir.printer import module_to_str
 from repro.runtime.parallel import ParallelExecutor, schedule_invocation
 from repro.runtime.profiler import ProfileData, profile_module
-from repro.runtime.trace import pack_traces, unpack_traces
+from repro.runtime.trace import (
+    _read_columns,
+    _write_columns,
+    pack_traces,
+    unpack_traces,
+)
 
 TINY = """
 int total;
@@ -144,7 +150,7 @@ class TestTraceSerialization:
         executor, result, _, infos, machine = _executed_tiny()
         info_by_id = {info.loop_id: info for info in infos}
         assert result.traces, "tiny benchmark must record traces"
-        stored = unpack_traces(
+        stored, _ = unpack_traces(
             json.loads(json.dumps(pack_traces(result.traces)))
         )
         assert stored == result.traces
@@ -162,12 +168,14 @@ class TestTraceSerialization:
         # The recording: the run in its own sequential clock.
         recorded = dataclasses.replace(result.result, cycles=executor.cycles)
         assert recorded.cycles != result.cycles
+        traces, grouping = unpack_traces(pack_traces(result.traces))
         clone.restore_run(
             ExecutionResult.from_dict(
                 json.loads(json.dumps(recorded.to_dict()))
             ),
-            unpack_traces(pack_traces(result.traces)),
+            traces,
             load_count=executor.load_count,
+            grouping=grouping,
         )
         # Restoring schedules nothing; the run is timed when read.
         assert not clone._schedules
@@ -779,11 +787,17 @@ class TestRunnerCacheIntegration:
         def repacked(mutate):
             """The entry packed again after ``mutate`` edited its traces
             (packing checks nothing, unpacking everything)."""
-            restored = unpack_traces(block)
+            restored, _ = unpack_traces(block)
             mutate(restored)
             return json.dumps(
                 dict(payload, traces=pack_traces(restored))
             ).encode()
+
+        def edited(**changes):
+            """The entry with columns of its block replaced."""
+            columns = _read_columns(block)
+            columns.update(changes)
+            return traces(**_write_columns(columns))
 
         def unordered(restored):
             trace = next(t for t in restored if t.iteration_count > 1)
@@ -792,7 +806,12 @@ class TestRunnerCacheIntegration:
         def short(restored):
             restored[0].ev_off[-1] -= 1
 
-        first, *rest = block["invocations"]
+        def stamp_too_many(restored):
+            restored[0].ev_at.append(0)
+
+        shapes, distinct, count = block["rows"]
+        iterations = _read_columns(block)["shape_iterations"]
+        raw = zlib.decompress(columns)
         corruptions = (
             b"\xff\xfe not utf-8",
             b"[1, 2]",
@@ -808,12 +827,17 @@ class TestRunnerCacheIntegration:
             traces(
                 columns=base64.b64encode(columns[: len(columns) // 2]).decode()
             ),
-            # Column lengths that disagree with the header rows.
-            traces(invocations=[first[:4] + [first[4] + 1, first[5]]] + rest),
-            traces(invocations=rest),
+            # A block cut short.
+            traces(columns=base64.b64encode(zlib.compress(raw[:-1])).decode()),
+            # Column lengths that disagree with the tables.
+            edited(shape_iterations=iterations + 1),
+            traces(rows=[shapes, distinct, count - 1]),
             traces(widths=dict(block["widths"], ev_at=3)),
-            traces(invocations=[first[:1] + [2**70] + first[2:]] + rest),
-            # Per-trace event offsets that step back, or stop short.
+            traces(rows=[shapes, distinct, 2**70]),
+            repacked(stamp_too_many),
+            # A shape index out of range.
+            edited(distinct_shape=[shapes] * distinct),
+            # Per-shape event offsets that step back, or stop short.
             repacked(unordered),
             repacked(short),
         )
@@ -1156,6 +1180,46 @@ class TestParallelSuite:
         assert warm.speedups == cold.speedups
         assert warm.timeline == cold.timeline
 
+    def test_a_warm_suite_groups_nothing(
+        self, tiny_cohort, tiny_sync, tmp_path, monkeypatch
+    ):
+        """A stored recording brings its grouping: a warm suite's restore
+        and Figure 9 scheduling sign no trace.  A cold suite signs each
+        trace once: the run just recorded is grouped for its stored form
+        and scheduled by the same grouping."""
+        import repro.runtime.sched as sched_mod
+
+        benches = [tiny_cohort, tiny_sync]
+        suite = dict(
+            machine=MachineConfig(cores=6),
+            jobs=1,
+            cache_dir=str(tmp_path / "cache"),
+            benches=benches,
+        )
+        signed = []
+        real = sched_mod.trace_signature
+
+        def counting(trace):
+            signed.append(trace)
+            return real(trace)
+
+        monkeypatch.setattr(sched_mod, "trace_signature", counting)
+        _, cold, runner = run_suite(**suite)
+        traces = [
+            trace
+            for bench in benches
+            for trace in runner.helix_run(bench).executor.traces
+        ]
+        assert sorted(map(id, signed)) == sorted(map(id, traces))
+        signed.clear()
+        _, warm, runner = run_suite(**suite)
+        assert warm.stages["execute"]["disk_hits"] == len(benches)
+        for bench in benches:
+            runner.helix_run(bench).parallel
+        assert signed == []
+        assert warm.speedups == cold.speedups
+        assert warm.timeline == cold.timeline
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="the workers run the patched row via fork",
@@ -1163,11 +1227,13 @@ class TestParallelSuite:
     def test_a_dead_worker_does_not_kill_the_suite(
         self, tiny_pair, tiny_cohort, tmp_path, monkeypatch
     ):
-        """A pool worker that dies breaks the pool: every bench it still
-        owed a row is run in this process instead.  The suite completes
-        with the Figure 9 text, the speedups and the store entries of an
-        undisturbed cold run.  The victim dies after its bench stored
-        everything, so the parent reads some of it back."""
+        """A pool worker that dies breaks the pool, and so does the
+        victim's worker in the fresh pool that replaces it: every bench
+        that one still owed a row is run in this process instead.  The
+        suite completes with the Figure 9 text, the speedups and the
+        store entries of an undisturbed cold run.  The victim dies after
+        its bench stored everything, so the parent reads some of it
+        back."""
         import os
 
         from repro.evaluation import parallel_runner
@@ -1201,6 +1267,62 @@ class TestParallelSuite:
         figure, report, entries = cold("disturbed")
         assert figure == undisturbed[0]
         assert report.speedups == undisturbed[1].speedups
+        assert [b.bench for b in report.benches] == benches
+        assert entries == undisturbed[2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers run the patched row via fork",
+    )
+    def test_a_dead_worker_is_replaced_by_a_fresh_pool(
+        self, tiny_pair, tiny_cohort, tmp_path, monkeypatch
+    ):
+        """A worker that dies once breaks its pool; the benches it still
+        owed go to one fresh pool, so every row is still made in a worker
+        process, and the Figure 9 text and the store bytes are an
+        undisturbed cold run's."""
+        import os
+
+        from repro.evaluation import parallel_runner
+
+        machine = MachineConfig(cores=4)
+        benches = tiny_pair + [tiny_cohort]
+
+        def cold(name):
+            cache_dir = tmp_path / name
+            fig9, report, _ = run_suite(
+                machine=machine, jobs=2, cache_dir=str(cache_dir),
+                benches=benches,
+            )
+            entries = {
+                str(path.relative_to(cache_dir)): path.read_bytes()
+                for path in cache_dir.rglob("*.json")
+            }
+            return fig9.render(), report, entries
+
+        undisturbed = cold("undisturbed")
+        parent = os.getpid()
+        died = tmp_path / "died"
+        made = tmp_path / "made"
+        real = parallel_runner.figure9_row
+
+        def dying_once(runner, bench):
+            if os.getpid() != parent and not died.exists():
+                died.touch()
+                os._exit(9)
+            row = real(runner, bench)
+            with open(made, "a") as log:
+                log.write(f"{bench} {os.getpid()}\n")
+            return row
+
+        monkeypatch.setattr(parallel_runner, "figure9_row", dying_once)
+        figure, report, entries = cold("disturbed")
+        assert died.exists()
+        rows = dict(line.split() for line in made.read_text().splitlines())
+        assert sorted(rows) == sorted(benches)
+        assert str(parent) not in rows.values()
+        assert figure == undisturbed[0]
         assert [b.bench for b in report.benches] == benches
         assert entries == undisturbed[2]
         assert multiprocessing.active_children() == []

@@ -4,7 +4,6 @@ from repro.ir import (
     COMMUTATIVE_OPCODES,
     MEMORY_READ_OPCODES,
     MEMORY_WRITE_OPCODES,
-    SIDE_EFFECT_OPCODES,
     TERMINATOR_OPCODES,
     Instruction,
     Opcode,
@@ -71,13 +70,6 @@ class TestClassification:
         assert Opcode.STOREG in MEMORY_WRITE_OPCODES
         assert Opcode.STOREP in MEMORY_WRITE_OPCODES
         assert Opcode.ADD not in MEMORY_READ_OPCODES
-
-    def test_side_effects_include_sync_ops(self):
-        for opcode in (Opcode.WAIT, Opcode.SIGNAL, Opcode.NEXT_ITER, Opcode.XFER):
-            assert opcode in SIDE_EFFECT_OPCODES
-
-    def test_pure_arithmetic_has_no_side_effects(self):
-        assert not make_add().has_side_effects
 
     def test_helix_ops(self):
         wait = Instruction(Opcode.WAIT, dep_id=0)

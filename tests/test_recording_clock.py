@@ -158,7 +158,7 @@ def test_a_restored_suite_compiles_one_program_per_shape(runner):
     shapes = traces = 0
     for bench in benchmark_names():
         recorded = runner.helix_run(bench).executor
-        stored = unpack_traces(pack_traces(recorded.traces))
+        stored, grouping = unpack_traces(pack_traces(recorded.traces))
         restored = ParallelExecutor(
             recorded.module, recorded.infos, recorded.machine
         )
@@ -171,9 +171,11 @@ def test_a_restored_suite_compiles_one_program_per_shape(runner):
             ),
             stored,
             recorded.load_count,
+            grouping,
         )
         restored.schedule_columns()
-        groups, _, _ = restored.grouping
+        assert restored.grouping is grouping
+        groups, _, _ = grouping
         assert compiled() - before == len(groups), bench
         shapes += len(groups)
         traces += len(stored)

@@ -1026,3 +1026,38 @@ def test_vector_walk_matches_the_engines_on_random_grids(
             assert cell == schedule_invocation_reference(
                 trace.to_invocation_trace(), info, machine
             )
+
+
+def test_scheduling_leaves_numpy_ma_unloaded():
+    """Scheduling a recording, stored and restored or just recorded,
+    under every prefetch mode and several core counts never imports
+    ``numpy.ma`` (plain ``np.unique`` does, ~10 ms of a warm process)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")])
+    )
+    script = """
+import sys
+from repro.runtime.parallel import RecordedRun
+from repro.runtime.trace import pack_traces, unpack_traces
+from tests.test_sched_differential import MACHINES, SOURCES, _prepare
+
+for name in sorted(SOURCES):
+    _, infos, executor, result = _prepare(name)
+    traces, grouping = unpack_traces(pack_traces(executor.traces))
+    restored = RecordedRun(infos)
+    restored.restore_run(result.result, traces, executor.load_count, grouping)
+    assert restored.replay_many(MACHINES) and executor.replay_many(MACHINES)
+print('numpy' in sys.modules, 'numpy.ma' in sys.modules)
+"""
+    loaded = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, cwd=root, check=True,
+    )
+    assert loaded.stdout.split() == ["True", "False"], loaded.stderr

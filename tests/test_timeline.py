@@ -207,7 +207,7 @@ def _restored_with_empty_invocation(name):
             cycles=start + 37 + 5,
             instructions=result.result.instructions,
         ),
-        unpack_traces(pack_traces(executor.traces)) + [empty],
+        unpack_traces(pack_traces(executor.traces))[0] + [empty],
         executor.load_count,
     )
     return restored
@@ -335,7 +335,7 @@ def test_a_restore_compiles_one_program_per_shape(name):
     _prepare(name)
     before = compiled()
     executor = _restored_with_empty_invocation(name)
-    assert compiled() == before and executor.grouping is None
+    assert compiled() == before and executor._grouping is None
     assert not executor._schedules
     executor.schedule_columns()
     shapes, _, _ = executor.grouping
