@@ -40,11 +40,11 @@ invocation only closes them, and that is all that happens at record
 time.  The recording -- output, sequential total,
 traces -- is therefore a function of the transformed IR, the cost model
 and the input, and of no machine.  Time under a machine ``m`` is filled
-in after the run by one :func:`~repro.runtime.sched.schedule_many` pass
-(one compiled program per trace shape, one walk per distinct
-invocation): an invocation of ``seq_i`` recorded cycles takes
-``par_i(m)`` there, so the run takes ``seq_total - sum(seq_i -
-par_i(m))``, and the :class:`LoopRunStats` are summed from the same
+in after the run by one :func:`~repro.runtime.sched.walk_many` pass
+over the run's preparation (one compiled program per trace shape, one
+walk per distinct invocation): an invocation of ``seq_i`` recorded
+cycles takes ``par_i(m)`` there, so the run takes ``seq_total -
+sum(seq_i - par_i(m))``, and the :class:`LoopRunStats` are summed from the same
 column.  That half is :class:`RecordedRun`, which needs no module, only
 the loop records.  Recording a run (:meth:`ParallelExecutor.run`; the
 recording interpreter is a :class:`RecordedRun` too) and restoring a
@@ -64,9 +64,12 @@ of the trace list, each column carries the walk's per-core accounting
 :meth:`~RecordedRun.schedules`.  What depends on the
 trace list alone -- the distinct-invocation grouping
 (:attr:`RecordedRun.grouping`, which a restored recording brings with
-it and a run just recorded shares with its stored form) and the
-per-loop index -- is computed at most once per list and dropped when
-:attr:`traces` is reassigned.  The interval-by-interval timeline of
+it and a run just recorded shares with its stored form), the
+scheduling preparation (:attr:`RecordedRun.preparation`: the compiled
+programs, packs and their walk tables, so every grid after the first
+only walks) and the per-loop index -- is computed at most once per
+list, lives as long as the run, and is dropped when :attr:`traces` is
+reassigned.  The interval-by-interval timeline of
 ``repro trace --sim-timeline`` reads no column: it is the reference
 scheduler's walk of every trace
 (:func:`repro.obs.timeline.run_timeline`).
@@ -115,11 +118,14 @@ from repro.runtime.interpreter import (
 from repro.runtime.machine import MachineConfig
 from repro.runtime.sched import (
     Grouping,
+    Preparation,
     ScheduleColumns,
     ScheduleResult,
     group_traces,
+    prepare_many,
     schedule_invocation_reference,
     schedule_many,
+    walk_many,
 )
 from repro.runtime.trace import (
     CTRL_DEP,
@@ -272,11 +278,12 @@ class RecordedRun:
     @traces.setter
     def traces(self, traces: List[CompactInvocationTrace]) -> None:
         # Everything derived from a trace list goes with it: the
-        # schedule columns, the distinct-invocation grouping and the
-        # per-loop index of ``_timed``.
+        # schedule columns, the distinct-invocation grouping, the
+        # scheduling preparation and the per-loop index of ``_timed``.
         self._traces = traces
         self._schedules.clear()
         self._grouping: Optional[Grouping] = None
+        self._preparation: Optional[Preparation] = None
         self._by_loop = None
 
     @property
@@ -289,6 +296,18 @@ class RecordedRun:
         if self._grouping is None:
             self._grouping = group_traces(self._traces)
         return self._grouping
+
+    @property
+    def preparation(self) -> Preparation:
+        """The machine-independent half of scheduling :attr:`traces`
+        (:func:`~repro.runtime.sched.prepare_many` by :attr:`grouping`):
+        made by the first scheduling pass and walked by every later one,
+        so a second grid only walks."""
+        if self._preparation is None:
+            self._preparation = prepare_many(
+                self._traces, self._loops(), self.grouping
+            )
+        return self._preparation
 
     def restore_run(
         self,
@@ -326,9 +345,10 @@ class RecordedRun:
 
     def _ensure_schedules(self, machines: Sequence[MachineConfig]) -> None:
         """Fill the schedule memo for every machine missing from it, in
-        one :func:`~repro.runtime.sched.schedule_many` pass over the
-        traces.  Every requested machine owns a column afterwards, even
-        the empty one of a run whose loops never executed."""
+        one :func:`~repro.runtime.sched.walk_many` pass over the traces'
+        :attr:`preparation`.  Every requested machine owns a column
+        afterwards, even the empty one of a run whose loops never
+        executed."""
         missing: Dict[str, MachineConfig] = {}
         for machine in machines:
             fingerprint = machine.fingerprint()
@@ -342,12 +362,7 @@ class RecordedRun:
             machines=len(missing),
             traces=len(self.traces),
         ):
-            columns = schedule_many(
-                self.traces,
-                self._loops(),
-                list(missing.values()),
-                self.grouping,
-            )
+            columns = walk_many(self.preparation, list(missing.values()))
             for mi, fingerprint in enumerate(missing):
                 self._schedules[fingerprint] = columns.column(mi)
 

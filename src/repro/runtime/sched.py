@@ -3,16 +3,22 @@
 :func:`schedule_many` is the one production scheduler, behind every
 executor's timing and every machine-grid sweep
 (:func:`repro.runtime.parallel.schedule_invocation` is it on one trace
-and one machine).  It works from a grouping of the traces by shape
-(:func:`trace_signature`) and, within a shape, into *distinct
+and one machine).  It is two steps.  :func:`prepare_many` is the
+machine-independent one: it works from a grouping of the traces by
+shape (:func:`trace_signature`) and, within a shape, into *distinct
 invocations* (equal stamp columns: stamps are offsets from the start of
 the invocation) -- :func:`group_traces`, or the one a stored recording
-was written by -- schedules each distinct invocation once and fans the
-result out by index.  A shape's
-first trace is compiled to its
+was written by.  A shape's first trace is compiled to its
 :class:`~repro.runtime.trace.TraceProgram` and the program handed to
 the others: duplicate filtering, producer sets, word counts and
 wait/signal pairing are resolved once per shape, never per machine.
+The shapes are gathered into packs, and each pack's members,
+occurrences, spans, statistics and walk tables are read off once
+(:func:`_prepare_cohort`).  :func:`walk_many` then schedules each
+distinct invocation of the :class:`Preparation` under a machine grid
+and fans the result out by index.  A caller that times one trace list
+under several grids keeps the preparation and only walks
+(:class:`~repro.runtime.parallel.RecordedRun`).
 
 The walk takes a *pack*: every shape of one loop with one iteration
 count (:func:`_pack` lays their ops out on common slots, iteration
@@ -20,7 +26,9 @@ count (:func:`_pack` lays their ops out on common slots, iteration
 axis is ``(shape, machine, member)``, cut into chunks of
 :data:`_MAX_WIDTH` columns, and one pass per chunk advances every
 member of every shape under every machine, whatever its prefetch mode
-(:func:`_schedule_cohort`, :func:`_walk_chunk`).  A **counted DOALL**
+or core count (:func:`_schedule_cohort`, :func:`_walk_chunk`); the
+clocks are a history of iteration ends, in which iteration ``i``
+starts where iteration ``i - cores`` ended.  A **counted DOALL**
 pack (counted loop, no waits/signals/transfers at all) is not walked:
 its finish time is ``conf + max per-core span sum``, a closed form per
 core count.  Results are columnar (:class:`ScheduleColumns`: one int64
@@ -147,7 +155,7 @@ def _resolve_agendas(
 ):
     """Resolve both helper-thread agenda flavours to signal-op indices.
 
-    Machine-independent: done once per shape of a pack (:func:`_pack`)
+    Machine-independent: done once per shape of a pack (:func:`_agendas`)
     and shared by every helper machine that walks it.  For each
     iteration the deduplicated agenda (``MATCHED``: the iteration's wait
     deps; ``HELIX``: the loop's static helper order; both led by the
@@ -237,9 +245,7 @@ class ScheduleColumns:
     one machine :meth:`column` selects (what the executor memoizes per
     machine fingerprint).  Each field also reads as an attribute
     (``columns.parallel_cycles``); :meth:`results` builds the
-    :class:`ScheduleResult` objects for whoever asks.  ``grouping`` is
-    the distinct-invocation index :func:`schedule_many` worked from,
-    kept by callers that schedule the same traces again.
+    :class:`ScheduleResult` objects for whoever asks.
 
     ``per_core`` is the per-core accounting of the same walk: an int64
     array ``(bucket, machine, core)`` over :data:`CORE_FIELDS`, or
@@ -252,10 +258,9 @@ class ScheduleColumns:
 
     FIELDS = tuple(ScheduleResult.__dataclass_fields__)
 
-    def __init__(self, data, per_core, grouping=None) -> None:
+    def __init__(self, data, per_core) -> None:
         self.data = data
         self.per_core = per_core
-        self.grouping = grouping
 
     def __len__(self) -> int:
         """The number of invocations."""
@@ -425,22 +430,24 @@ class _Pack:
     kept: List[bool]
     #: (iterations, s): the slot of the iteration's control signal.
     nxt: object
+    #: Per shape, the slot of each of its program's ops.
+    slots: List[object]
     #: (iterations * width, 2 s): the agenda entries of each iteration,
     #: ``width`` a row; the chain's row after its last entry
     #: (``lengths``, (iterations, 2 s)); the chain row each wait reads
     #: its prefetch from, ``never`` where there is none (``positions``,
-    #: (slots, 2 s)).  ``None`` when no machine runs a helper thread.
+    #: (slots, 2 s)).  ``None`` until a machine with a helper thread
+    #: walks the pack (:func:`_agendas`).
     entries: object = None
     lengths: object = None
     positions: object = None
 
 
-def _pack(shapes, it_s, it_e, loop: LoopInfo, helpers: bool) -> _Pack:
+def _pack(shapes, it_s, it_e, loop: LoopInfo) -> _Pack:
     """Lay the walked shapes of one loop and iteration count out on
-    common slots (see :class:`_Pack`).  ``shapes`` are the member
-    traces of each shape, ``it_s`` / ``it_e`` their iteration stamps
-    ``(members, iterations)`` in the same order; ``helpers`` asks for
-    the agenda tables."""
+    common slots (see :class:`_Pack`), agenda tables aside.  ``shapes``
+    are the member traces of each shape, ``it_s`` / ``it_e`` their
+    iteration stamps ``(members, iterations)`` in the same order."""
     import numpy as np
 
     progs = [members[0].program for members in shapes]
@@ -459,13 +466,14 @@ def _pack(shapes, it_s, it_e, loop: LoopInfo, helpers: bool) -> _Pack:
     tail = np.column_stack(
         [np.frombuffer(p.tail, dtype=np.int64) for p in progs]
     )
-    agendas = []
+    slots = []
     lo = 0
     for s, (prog, members) in enumerate(zip(progs, shapes)):
         op = np.frombuffer(prog.op, dtype=np.int64)
         first = np.frombuffer(prog.off, dtype=np.int64)
         it_of_op = np.repeat(np.arange(n), sizes[s])
         slot = off[it_of_op] + np.arange(len(op)) - first[it_of_op]
+        slots.append(slot)
 
         # Stamp deltas: each op from the one before it, an iteration's
         # first op from the iteration start, its end from its last op.
@@ -497,69 +505,84 @@ def _pack(shapes, it_s, it_e, loop: LoopInfo, helpers: bool) -> _Pack:
         if not loop.counted:
             started = nxt[:-1, s] < zero
             assert started.all(), "iteration without start signal"
-        if helpers:
-            entries, ends, positions = _resolve_agendas(
-                prog, tuple(loop.helper_order), loop.counted
-            )
-            entered = np.where(
-                entries >= 0, slot[np.maximum(entries, 0)], zero
-            )
-            if not loop.counted:
-                entered[:, 1:, 0] = nxt[:-1, s]  # the control signal leads
-            agendas.append((entered, ends, positions, slot))
-    pack = _Pack(
+    return _Pack(
         off=off.tolist(), zero=zero, dt=dt, et=et, bars=bars, tail=tail,
-        words=words, src=src, kept=kept.tolist(), nxt=nxt,
+        words=words, src=src, kept=kept.tolist(), nxt=nxt, slots=slots,
     )
-    if helpers:
-        width = max(entered.shape[2] for entered, *_ in agendas)
-        never = width + 1
-        pack.entries = np.full((n, width, 2 * count), zero, dtype=np.int64)
-        pack.lengths = np.empty((n, 2 * count), dtype=np.int64)
-        pack.positions = np.full((zero, 2 * count), never, dtype=np.int64)
-        for s, (entered, ends, positions, slot) in enumerate(agendas):
-            g = slice(2 * s, 2 * s + 2)
-            pack.entries[:, : entered.shape[2], g] = entered.transpose(
-                1, 2, 0
-            )
-            pack.lengths[:, g] = ends.T
-            pack.positions[slot, g] = np.where(
-                positions >= 0, positions + 1, never
-            ).T
-        pack.entries = pack.entries.reshape(n * width, 2 * count)
-    return pack
 
 
-def _walk_chunk(pack, counted, machines, shape, member, clk):
+def _agendas(pack, progs, loop):
+    """Fill the helper-agenda tables of ``pack`` (see :class:`_Pack`),
+    whose shapes' programs are ``progs``: done once, the first time a
+    machine with a helper thread walks the pack."""
+    import numpy as np
+
+    zero = pack.zero
+    n = len(pack.off) - 1
+    count = len(progs)
+    agendas = []
+    for s, (prog, slot) in enumerate(zip(progs, pack.slots)):
+        entries, ends, positions = _resolve_agendas(
+            prog, tuple(loop.helper_order), loop.counted
+        )
+        entered = np.where(entries >= 0, slot[np.maximum(entries, 0)], zero)
+        if not loop.counted:
+            entered[:, 1:, 0] = pack.nxt[:-1, s]  # the control signal leads
+        agendas.append((entered, ends, positions))
+    width = max(entered.shape[2] for entered, *_ in agendas)
+    never = width + 1
+    entries = np.full((n, width, 2 * count), zero, dtype=np.int64)
+    lengths = np.empty((n, 2 * count), dtype=np.int64)
+    positions = np.full((zero, 2 * count), never, dtype=np.int64)
+    for s, ((entered, ends, at), slot) in enumerate(zip(agendas, pack.slots)):
+        g = slice(2 * s, 2 * s + 2)
+        entries[:, : entered.shape[2], g] = entered.transpose(1, 2, 0)
+        lengths[:, g] = ends.T
+        positions[slot, g] = np.where(at >= 0, at + 1, never).T
+    # ``entries`` last: a pack whose ``entries`` are set is whole.
+    pack.lengths, pack.positions = lengths, positions
+    pack.entries = entries.reshape(n * width, 2 * count)
+
+
+def _walk_chunk(pack, counted, machines, shape, member):
     """Advance one chunk of a pack's columns through its slots.
 
     ``machines`` is the chunk's columns of the grid, ``shape`` /
-    ``member`` each column's shape and member in ``pack``, ``clk`` its
-    per-core clocks ``(max cores, width)``, set to ``conf`` and advanced
-    in place.  Every slot is one formula per column: the clock advances
-    by the op's stamp delta, barriers and forwarded words; a wait then
-    lands at ``max(t, signal) + wait``, or earlier, ``max(t + fast,
-    done)``, where the helper thread prefetched the signal by ``done``;
-    a signal records the clock.  A column whose op at the slot does not
-    wait reads the timetable's zero row with no ``wait`` and ``done`` at
+    ``member`` each column's shape and member in ``pack``.  Every slot
+    is one formula per column: the clock advances by the op's stamp
+    delta, barriers and forwarded words; a wait then lands at ``max(t,
+    signal) + wait``, or earlier, ``max(t + fast, done)``, where the
+    helper thread prefetched the signal by ``done``; a signal records
+    the clock.  A column whose op at the slot does not wait reads the
+    timetable's zero row with no ``wait`` and ``done`` at
     :data:`_NEVER`, so the wait leaves it where it was; a column without
     a helper thread reads :data:`_NEVER` as ``fast``, so its helper
     chain, walked alongside, never wins.
 
+    The clocks are a history of iteration ends, ``(top + iterations,
+    width)`` for ``top`` the chunk's largest core count: rows ``:top``
+    hold the starting clock (``conf``), row ``top + i`` the end of
+    iteration ``i``, and iteration ``i`` starts where iteration ``i -
+    cores`` ended on its core, at row ``top + i - cores``.  Each
+    iteration reads that row with one flat ``take`` (a plain row view
+    when the chunk has one core count) and writes its own as a plain
+    row; the helper threads' clocks are a history of the same form.
+    Each core's final clock is read off the history once, at the end.
+
     Each table row is read once per chunk: as one row index where the
     chunk's columns agree on it (every row of a chunk of one shape and
     one agenda flavour), else as one flat index per column.  Returns
-    each column's stall cycles and, for a non-counted loop, each
-    iteration's control-signal wait ``(iterations, width)``.
+    each core's final clock ``(top, width)`` (``conf`` on cores past a
+    column's count), each column's stall cycles and, for a non-counted
+    loop, each iteration's control-signal wait ``(iterations, width)``.
     """
     import numpy as np
 
-    cores, lat, fast, wait, xfr, bar, _conf, mode = machines
+    cores, lat, fast, wait, xfr, bar, conf, mode = machines
     off, zero = pack.off, pack.zero
     n = len(off) - 1
-    width = clk.shape[1]
-    top = clk.shape[0]
-    one_count = top == int(cores.min())
+    width = len(shape)
+    top = int(cores.max())
     lanes = np.arange(width)
 
     def rows(table, keys, present):
@@ -628,13 +651,23 @@ def _walk_chunk(pack, counted, machines, shape, member, clk):
     for j, r, read in zip(waits.tolist(), found, readers(evt, found)):
         pays = wait if r.__class__ is int else wait * (r < zero * width)
         plan[j] = [read, pays, None]
+
+    # The history of iteration ends, rows ``:top`` the starting clocks.
+    # Iteration ``i`` starts at row ``top + i - cores``: row ``i`` with
+    # one core count, else entry ``since`` of the history from row ``i``
+    # on, ``since`` being each column's flat index of row ``top - cores``.
+    history = np.empty((top + n, width), dtype=np.int64)
+    history[:top] = conf
+    flat = history.reshape(-1)
+    since = None if top == int(cores.min()) else (top - cores) * width + lanes
     if helpers:
         span = pack.entries.shape[0] // n
         never = span + 1
         chain = np.empty((span + 2, width), dtype=np.int64)
         chain[never] = _NEVER
         links = list(chain)
-        hclk = np.zeros_like(clk)
+        helped = np.zeros_like(history)  # every helper starts at 0
+        flat_helped = helped.reshape(-1)
         entries = readers(evt, rows(pack.entries, agenda, keys))
         reach = pack.lengths[:, keys].max(axis=1).tolist()
         agendas = [entries[i * span : i * span + reach[i]] for i in range(n)]
@@ -649,13 +682,13 @@ def _walk_chunk(pack, counted, machines, shape, member, clk):
     kept = pack.kept
 
     for i in range(n):
-        # Iteration i's clock row, per column: indexing with it gathers
-        # on read and scatters on write.
-        core = i % top if one_count else (i % cores, lanes)
         if helpers and i > 0:
             # The helper thread's agenda, from where it left off: the
             # chain's row ``p`` is when its ``p``-th entry lands.
-            chain[0] = hclk[core]
+            if since is None:
+                chain[0] = helped[i]
+            else:
+                flat_helped[i * width :].take(since, out=chain[0])
             for p, r in enumerate(agendas[i], 1):
                 np.maximum(
                     links[p - 1],
@@ -664,9 +697,9 @@ def _walk_chunk(pack, counted, machines, shape, member, clk):
                 )
                 links[p] += lat
             r = ends[i]
-            hclk[core] = r if r.__class__ is ndarray else r()
+            helped[top + i] = r if r.__class__ is ndarray else r()
 
-        t = clk[core]
+        t = history[i] if since is None else flat[i * width :].take(since)
         if not counted and i > 0:
             started = t
             r = nexts[i - 1]
@@ -696,80 +729,82 @@ def _walk_chunk(pack, counted, machines, shape, member, clk):
                 t = arrival
             if kept[j]:
                 evt[j] = t
-        clk[core] = t + e[i]
-    return stall, signalled
+        np.add(t, e[i], out=history[top + i])
+
+    # Core ``c`` ends where the last iteration it ran did, ``n - cores +
+    # (c - n) % cores`` (a starting row when that is negative: it ran
+    # none); a core past the column's count reads row 0, ``conf``.
+    core = np.arange(top)[:, None]
+    last = np.where(core < cores, top + n - cores + (core - n) % cores, 0)
+    return flat.take(last * width + lanes), stall, signalled
 
 
-def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
-    """Schedule a pack -- the shapes of one loop that share an iteration
-    count -- under every machine in one walk per chunk.
+@dataclass
+class _Cohort:
+    """The machine-independent half of one pack's schedule
+    (:func:`_prepare_cohort`): what :func:`_schedule_cohort` reads of
+    its shapes under any grid.  Members run shape-major, as in
+    :class:`_Pack`."""
+
+    loop: LoopInfo
+    #: The program of each shape.
+    progs: List[TraceProgram]
+    #: (shapes,): each shape's distinct members; (members,): each
+    #: member's occurrences in the run.
+    sizes: object
+    weights: object
+    #: Per member, the fields no machine changes: ``sequential_cycles``
+    #: and, for a pack that iterates, ``signals``, ``waits`` and
+    #: ``transfer_words``.
+    fixed: Dict[str, object]
+    #: (members,): the sum of each member's iteration spans, and its
+    #: barrier-bearing events.
+    spans: object = None
+    barrier_events: object = None
+    #: (iterations, members + 2 s): each iteration's span per member,
+    #: then its barrier-bearing events per shape and its forwarded words
+    #: per shape.
+    iters: object = None
+    #: The walk's layout; ``None`` with nothing to walk (no iteration,
+    #: or counted DOALL, a closed form).
+    pack: Optional[_Pack] = None
+
+
+def _prepare_cohort(shapes, loop: LoopInfo, weights) -> _Cohort:
+    """Prepare a pack -- the shapes of one loop that share an iteration
+    count -- for walking under any grid.
 
     ``shapes`` holds the distinct member traces of each shape and
     ``weights`` their occurrences in the run, members in the same
-    order.  The vector axis is ``(shape, machine, member)``: per-core
-    clocks and the signal timetable are integer vectors with one column
-    per cell, and every slot of the pack (:func:`_pack`) advances all of
-    them at once, so the per-op interpretive overhead is paid once per
-    loop and iteration count instead of once per trace per machine.
-    Every machine field enters the walk as a value (``max``/``min``/``+``
-    only) and is broadcast as a per-column vector against the per-member
-    time deltas, the prefetch mode included (see :func:`_walk_chunk`):
-    the axis is walked in chunks of :data:`_MAX_WIDTH` columns.  Columns
-    are ordered by shape, then machine (by prefetch mode, then core
-    count), then member, so a wide shape fills chunks of its own, which
-    read one agenda flavour and plain clock rows.
-
-    Only each shape's first trace's program is read; every trace's own
-    stamps are gathered from its raw event columns through the
-    program's ``raw`` index (see :func:`trace_signature` for why that
-    is sound).  A pack is walked or closed-form as a whole: a counted
-    loop's shapes without waits, signals or transfers (counted DOALL)
-    pack apart from the others.
-
-    The per-core accounting weights each member by its occurrences and
-    sums the columns of each machine.  What a core computes and forwards
-    is a closed form per core count: its iterations' spans, barriers and
-    words.  What else its clock advanced is control-signal wait -- kept
-    per iteration for a non-counted loop and reduced to the core that
-    ran it -- and stall.  The clocks of every chunk are columns of one
-    array, so this is read off once per shape, not per chunk.
-
-    ``grid`` holds the machines as :func:`schedule_many` tabulates
-    them, one row per quantity the walk reads.  Returns the
-    :class:`ScheduleColumns` ``data`` block of the pack's members,
-    ``data[f, mi, c]`` being field-exact with
-    ``schedule_invocation_reference`` of member ``c`` under the
-    ``mi``-th machine, and the pack's ``per_core`` block ``(bucket,
-    machine, core)``.
+    order.  Only each shape's first trace's program is read; every
+    trace's own stamps are gathered from its raw columns (see
+    :func:`trace_signature` for why that is sound).  What no machine
+    changes is read off once here: each member's fixed fields, its
+    iteration spans and their sum, each shape's per-iteration barriers
+    and words, and, unless the pack has no iteration or is counted DOALL
+    (counted loop, no waits, signals or transfers at all), its
+    :func:`_pack` tables.
     """
     import numpy as np
 
-    cores_v, lat_v, _fast, _wait, xfr_v, bar_v, conf_v, mode_v = grid
-    # The main thread collects the exit variable and stops the parallel
-    # threads once the last iteration retires.
-    wind_v = lat_v + cores_v - 1
     progs = [members[0].program for members in shapes]
     sizes = np.array([len(members) for members in shapes], dtype=np.int64)
-    firsts = np.cumsum(sizes) - sizes
     of_shape = np.repeat(np.arange(len(shapes)), sizes)
     traces = [trace for members in shapes for trace in members]
-    cohort = len(traces)
-    n = progs[0].iterations
-    counted = loop.counted
-    data = np.zeros(
-        (len(ScheduleColumns.FIELDS), grid.shape[1], cohort), dtype=np.int64
+    cohort = _Cohort(
+        loop=loop,
+        progs=progs,
+        sizes=sizes,
+        weights=weights,
+        fixed={
+            "sequential_cycles": np.array(
+                [tr.end_cycles - tr.start_cycles for tr in traces],
+                dtype=np.int64,
+            )
+        },
     )
-    per_core = np.zeros(
-        (len(CORE_FIELDS), grid.shape[1], int(cores_v.max())), dtype=np.int64
-    )
-    col = dict(zip(ScheduleColumns.FIELDS, data))
-    seqs = np.array(
-        [tr.end_cycles - tr.start_cycles for tr in traces], dtype=np.int64
-    )
-    col["sequential_cycles"][:] = seqs
-    if n == 0:
-        col["parallel_cycles"][:] = seqs
-        return data, per_core
+    if progs[0].iterations == 0:
+        return cohort
 
     def stacked(name: str) -> "np.ndarray":
         return np.array(
@@ -785,17 +820,87 @@ def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
             [np.frombuffer(getattr(p, name), dtype=np.int64) for p in progs]
         )
 
+    counted = loop.counted
     it_s, it_e = stacked("it_start"), stacked("it_end")
-    sp = it_e - it_s  # per-iteration spans, (cohort, n)
-
-    col["signals"][:] = each(
-        [p.signals if counted else p.signals + p.next_iters for p in progs]
+    sp = it_e - it_s  # per-iteration spans, (members, n)
+    cohort.fixed.update(
+        signals=each(
+            [p.signals if counted else p.signals + p.next_iters for p in progs]
+        ),
+        waits=each([p.waits for p in progs]),
+        transfer_words=each([p.transfer_words for p in progs]),
     )
-    col["waits"][:] = each([p.waits for p in progs])
-    col["transfer_words"][:] = each([p.transfer_words for p in progs])
+    cohort.spans = sp.sum(axis=1)
+    cohort.barrier_events = each([p.barrier_events for p in progs])
+    cohort.iters = np.column_stack(
+        [sp.T, per_iteration("barriers"), per_iteration("words")]
+    )
+    if not (counted and progs[0].active_ops == 0):
+        cohort.pack = _pack(shapes, it_s, it_e, loop)
+    return cohort
+
+
+def _schedule_cohort(cohort, grid):
+    """Schedule a prepared pack under every machine in one walk per
+    chunk.
+
+    The vector axis is ``(shape, machine, member)``: per-core clocks and
+    the signal timetable are integer vectors with one column per cell,
+    and every slot of the pack (:func:`_pack`) advances all of them at
+    once, so the per-op interpretive overhead is paid once per loop and
+    iteration count instead of once per trace per machine.  Every
+    machine field enters the walk as a value (``max``/``min``/``+``
+    only) and is broadcast as a per-column vector against the per-member
+    time deltas, the prefetch mode included (see :func:`_walk_chunk`):
+    the axis is walked in chunks of :data:`_MAX_WIDTH` columns.  Columns
+    are ordered by shape, then machine (by prefetch mode, then core
+    count), then member, so a wide shape fills chunks of its own, which
+    read one agenda flavour and one core count.  The pack's agenda
+    tables are built here the first time a grid holds a helper thread
+    (:func:`_agendas`), and kept.
+
+    The per-core accounting weights each member by its occurrences and
+    sums the columns of each machine.  What a core computes and forwards
+    is a closed form per core count: its iterations' spans, barriers and
+    words.  What else its clock advanced is control-signal wait -- kept
+    per iteration for a non-counted loop and reduced to the core that
+    ran it -- and stall.  Each chunk's final clocks are columns of one
+    array, so this is read off once per shape, not per chunk.
+
+    ``grid`` holds the machines as :func:`walk_many` tabulates them, one
+    row per quantity the walk reads.  Returns the
+    :class:`ScheduleColumns` ``data`` block of the pack's members,
+    ``data[f, mi, c]`` being field-exact with
+    ``schedule_invocation_reference`` of member ``c`` under the
+    ``mi``-th machine, and the pack's ``per_core`` block ``(bucket,
+    machine, core)``.
+    """
+    import numpy as np
+
+    cores_v, lat_v, _fast, _wait, xfr_v, bar_v, conf_v, mode_v = grid
+    # The main thread collects the exit variable and stops the parallel
+    # threads once the last iteration retires.
+    wind_v = lat_v + cores_v - 1
+    sizes, weights, pack = cohort.sizes, cohort.weights, cohort.pack
+    firsts = np.cumsum(sizes) - sizes
+    members = len(weights)
+    count = len(sizes)
+    n = cohort.progs[0].iterations
+    counted = cohort.loop.counted
+    data = np.zeros(
+        (len(ScheduleColumns.FIELDS), grid.shape[1], members), dtype=np.int64
+    )
+    per_core = np.zeros(
+        (len(CORE_FIELDS), grid.shape[1], int(cores_v.max())), dtype=np.int64
+    )
+    col = dict(zip(ScheduleColumns.FIELDS, data))
+    for name, values in cohort.fixed.items():
+        col[name][:] = values
+    if n == 0:
+        col["parallel_cycles"][:] = cohort.fixed["sequential_cycles"]
+        return data, per_core
     col["compute_cycles"][:] = (
-        sp.sum(axis=1)
-        + each([p.barrier_events for p in progs]) * bar_v[:, None]
+        cohort.spans + cohort.barrier_events * bar_v[:, None]
     )
     col["transfer_cycles"][:] = col["transfer_words"] * xfr_v[:, None]
 
@@ -805,36 +910,32 @@ def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
     # closed form too: the busiest core's spans, shared across
     # latency/prefetch sweeps.
     top_all = per_core.shape[2]
-    count = len(shapes)
     counts = _distinct(cores_v)
     of_count = np.searchsorted(counts, cores_v)
     by_core = (
-        _iteration_cores(n, tuple(counts.tolist()), top_all)
-        @ np.column_stack(
-            [sp.T, per_iteration("barriers"), per_iteration("words")]
-        )
-    ).reshape(len(counts), top_all, cohort + 2 * count)  # per core count
-    spans = by_core[:, :, :cohort]
+        _iteration_cores(n, tuple(counts.tolist()), top_all) @ cohort.iters
+    ).reshape(len(counts), top_all, members + 2 * count)  # per core count
+    spans = by_core[:, :, :members]
     occurrences = np.add.reduceat(weights, firsts)  # per shape
     per_core[0] = (spans @ weights)[of_count] + bar_v[:, None] * (
-        by_core[of_count, :, cohort : cohort + count] @ occurrences
+        by_core[of_count, :, members : members + count] @ occurrences
     )
     per_core[3] = xfr_v[:, None] * (
-        by_core[of_count, :, cohort + count :] @ occurrences
+        by_core[of_count, :, members + count :] @ occurrences
     )
-    if counted and progs[0].active_ops == 0:
+    if pack is None:
         col["parallel_cycles"][:] = (
             spans.max(axis=1)[of_count] + (conf_v + wind_v)[:, None]
         )
         return data, per_core
-
     # ``mode`` 0 is a machine without a helper thread.
-    pack = _pack(shapes, it_s, it_e, loop, bool(mode_v.any()))
+    if pack.entries is None and mode_v.any():
+        _agendas(pack, cohort.progs, cohort.loop)
 
     # The axis: per shape, its machines in ``order``, each a block of
     # the shape's members.  Machines by agenda flavour, then core count:
-    # most chunks of a wide shape then read one agenda and plain clock
-    # rows.
+    # most chunks of a wide shape then read one agenda and one core
+    # count.
     order = np.lexsort((cores_v, mode_v))
     blocks = len(order) * sizes
     starts = np.cumsum(blocks) - blocks
@@ -844,23 +945,23 @@ def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
     mi_all = order[k]
     member_all = firsts[shape_all] + c
 
-    # Every column's clock per core, and for a non-counted loop the
-    # control-signal waits of the iterations each core ran.
+    # Every column's final clock per core, and for a non-counted loop
+    # the control-signal waits of the iterations each core ran.
     clocks = np.empty((top_all, axis), dtype=np.int64)
     signals = None if counted else np.zeros_like(clocks)
     for lo in range(0, axis, _MAX_WIDTH):
         chunk = slice(lo, min(lo + _MAX_WIDTH, axis))
         mi_, m_ = mi_all[chunk], member_all[chunk]
         cores = cores_v[mi_]
-        clocks[:, chunk] = conf_v[mi_]
-        clk = clocks[: int(cores.max()), chunk]
-        stall, signalled = _walk_chunk(
-            pack, counted, grid[:, mi_], shape_all[chunk], m_, clk
+        ends, stall, signalled = _walk_chunk(
+            pack, counted, grid[:, mi_], shape_all[chunk], m_
         )
+        clocks[: len(ends), chunk] = ends
+        clocks[len(ends) :, chunk] = conf_v[mi_]
 
         # Clocks only advance and start at ``conf``, which no end
-        # precedes: the last end is the greatest entry of any row.
-        col["parallel_cycles"][mi_, m_] = clk.max(axis=0) + wind_v[mi_]
+        # precedes: the last end is the greatest final clock.
+        col["parallel_cycles"][mi_, m_] = ends.max(axis=0) + wind_v[mi_]
         col["wait_stall_cycles"][mi_, m_] = stall
         if not counted:
             col["signal_cycles"][mi_, m_] = signalled.sum(axis=0)
@@ -891,41 +992,91 @@ def _schedule_cohort(shapes, loop: LoopInfo, grid, weights):
     return data, per_core
 
 
-def schedule_many(
+@dataclass
+class Preparation:
+    """The machine-independent half of :func:`schedule_many` over one
+    trace list (:func:`prepare_many`), which :func:`walk_many` walks
+    under any grid.
+
+    ``packs`` holds, per pack, its distinct invocations and its
+    :class:`_Cohort`; ``index`` is the grouping's distinct invocation of
+    each trace and ``distinct`` their number.  A
+    :class:`~repro.runtime.parallel.RecordedRun` keeps one per trace
+    list, so a later grid only walks.
+    """
+
+    packs: List[Tuple[List[int], _Cohort]]
+    index: "np.ndarray"
+    distinct: int
+
+
+def prepare_many(
     traces: Sequence[CompactInvocationTrace],
     loops: Sequence[LoopInfo],
-    machines: Sequence[MachineConfig],
-    grouping=None,
-) -> ScheduleColumns:
-    """Schedule many invocations under many machines in one pass.
+    grouping: Optional[Grouping] = None,
+) -> Preparation:
+    """Prepare ``traces`` for scheduling under any machines.
 
-    ``loops[i]`` is the parallelized-loop info of ``traces[i]``.
-    Returns the :class:`ScheduleColumns` of ``(field, machine, trace)``,
-    field-exact with :func:`schedule_invocation_reference` of each trace
-    under each machine.
-
-    Traces are grouped by loop object and shape into *distinct*
-    invocations (:func:`group_traces`), each scheduled once and fanned
-    out by index.  Every shape joins its loop's pack for its iteration
-    count, which :func:`_schedule_cohort` walks as one under every
-    machine; only the shape's first trace is compiled, and the other
-    members are handed its program.  The walk also fills the result's
-    ``per_core`` accounting, each distinct invocation weighted by its
-    occurrences.
-
-    The grouping depends on the traces only.  It is returned as
-    ``.grouping`` of the result, and a caller that has it already -- a
-    restored recording (:func:`~repro.runtime.trace.unpack_traces`), a
-    run just recorded, or an earlier pass over the same traces -- hands
-    it in as ``grouping``; only without one are the traces grouped here.
+    ``loops[i]`` is the parallelized-loop info of ``traces[i]``.  Traces
+    are grouped by loop object and shape into *distinct* invocations
+    (:func:`group_traces`, unless ``grouping`` is given: a restored
+    recording, a run just recorded and an executor's earlier pass have
+    it).  Only each shape's first trace is compiled, and the other
+    members are handed its program.  Every shape joins its loop's pack
+    for its iteration count, which :func:`_prepare_cohort` prepares as
+    one; counted DOALL shapes pack apart.
     """
     import numpy as np
 
     if grouping is None:
         grouping = group_traces(traces, map(id, loops))
     shapes, first, index = grouping
+    occurrences = np.bincount(index, minlength=len(first))
+    # The packs: the shapes of one loop with one iteration count, walked
+    # or (counted DOALL) closed-form.
+    packs: Dict[Tuple, Tuple[LoopInfo, List[List[int]]]] = {}
+    for members in shapes:
+        cohort = [traces[first[distinct]] for distinct in members]
+        loop = loops[first[members[0]]]
+        program = cohort[0].program
+        for trace in cohort[1:]:
+            trace._program = program
+        closed = loop.counted and program.active_ops == 0
+        key = (id(loop), program.iterations, closed)
+        packs.setdefault(key, (loop, []))[1].append(members)
+    prepared = []
+    for loop, packed in packs.values():
+        members = [distinct for shape in packed for distinct in shape]
+        prepared.append(
+            (
+                members,
+                _prepare_cohort(
+                    [[traces[first[d]] for d in shape] for shape in packed],
+                    loop,
+                    occurrences[members],
+                ),
+            )
+        )
+    return Preparation(packs=prepared, index=index, distinct=len(first))
+
+
+def walk_many(
+    preparation: Preparation, machines: Sequence[MachineConfig]
+) -> ScheduleColumns:
+    """Schedule a prepared trace list under many machines in one pass.
+
+    Returns the :class:`ScheduleColumns` of ``(field, machine, trace)``,
+    field-exact with :func:`schedule_invocation_reference` of each trace
+    under each machine.  Each pack is walked as one under every machine
+    (:func:`_schedule_cohort`), each distinct invocation once, and
+    fanned out to its traces by index; the walk also fills the result's
+    ``per_core`` accounting, each distinct invocation weighted by its
+    occurrences.
+    """
+    import numpy as np
+
     data = np.zeros(
-        (len(ScheduleColumns.FIELDS), len(machines), len(first)),
+        (len(ScheduleColumns.FIELDS), len(machines), preparation.distinct),
         dtype=np.int64,
     )
     per_core = np.zeros(
@@ -937,8 +1088,7 @@ def schedule_many(
         dtype=np.int64,
     )
     if not machines:
-        return ScheduleColumns(data[:, :, index], per_core, grouping)
-    occurrences = np.bincount(index, minlength=len(first))
+        return ScheduleColumns(data[:, :, preparation.index], per_core)
     # The machines as the vector walk reads them: every field a value,
     # the prefetch mode too.  A machine without a helper thread pays
     # ``wait`` on every signal (``IDEAL`` is ``NONE`` with cheaper
@@ -963,28 +1113,28 @@ def schedule_many(
             )
         )
     grid = np.array(rows, dtype=np.int64).T
-    # The packs: the shapes of one loop with one iteration count, walked
-    # or (counted DOALL) closed-form.
-    packs: Dict[Tuple, Tuple[LoopInfo, List[List[int]]]] = {}
-    for members in shapes:
-        cohort = [traces[first[distinct]] for distinct in members]
-        loop = loops[first[members[0]]]
-        program = cohort[0].program
-        for trace in cohort[1:]:
-            trace._program = program
-        closed = loop.counted and program.active_ops == 0
-        key = (id(loop), program.iterations, closed)
-        packs.setdefault(key, (loop, []))[1].append(members)
-    for loop, packed in packs.values():
-        members = [distinct for shape in packed for distinct in shape]
-        data[:, :, members], pack_per_core = _schedule_cohort(
-            [[traces[first[d]] for d in shape] for shape in packed],
-            loop,
-            grid,
-            occurrences[members],
-        )
+    for members, cohort in preparation.packs:
+        data[:, :, members], pack_per_core = _schedule_cohort(cohort, grid)
         per_core += pack_per_core
-    return ScheduleColumns(data[:, :, index], per_core, grouping)
+    return ScheduleColumns(data[:, :, preparation.index], per_core)
+
+
+def schedule_many(
+    traces: Sequence[CompactInvocationTrace],
+    loops: Sequence[LoopInfo],
+    machines: Sequence[MachineConfig],
+    grouping: Optional[Grouping] = None,
+) -> ScheduleColumns:
+    """Schedule many invocations under many machines in one pass:
+    :func:`prepare_many`, then :func:`walk_many`.
+
+    ``loops[i]`` is the parallelized-loop info of ``traces[i]``, and
+    ``grouping``, when given, the traces' :func:`group_traces`.  For
+    one-shot callers; a caller that schedules the same traces under
+    several grids keeps the :class:`Preparation` and only walks
+    (:class:`~repro.runtime.parallel.RecordedRun` does).
+    """
+    return walk_many(prepare_many(traces, loops, grouping), machines)
 
 
 def schedule_invocation_reference(

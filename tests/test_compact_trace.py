@@ -15,7 +15,6 @@ from repro.runtime.parallel import ParallelExecutor, schedule_invocation
 from repro.runtime.sched import (
     group_traces,
     schedule_invocation_reference,
-    schedule_many,
     trace_signature,
 )
 from repro.runtime.trace import (
@@ -421,7 +420,8 @@ class TestWordCounts:
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_every_bench_recording_is_read_back_equal(bench, suite_runner):
     """Traces come back equal, and with them the grouping
-    ``schedule_many`` computes from the same traces when given none."""
+    ``schedule_many`` computes from the same traces when given none
+    (:func:`group_traces` by loop object)."""
     executor = suite_runner.helix_run(bench).executor
     traces = executor.traces
     assert traces
@@ -432,7 +432,7 @@ def test_every_bench_recording_is_read_back_equal(bench, suite_runner):
     assert [t.to_invocation_trace() for t in restored] == [
         t.to_invocation_trace() for t in traces
     ]
-    recomputed = schedule_many(traces, executor._loops(), []).grouping
+    recomputed = group_traces(traces, map(id, executor._loops()))
     assert (shapes, first) == recomputed[:2]
     assert index.tolist() == recomputed[2].tolist()
 

@@ -531,20 +531,20 @@ class TestRunnerCacheIntegration:
         self, tiny_sync, tmp_path, monkeypatch
     ):
         """A ``run`` answer that is not stored times the run on the
-        runner's machine only: one ``schedule_many`` call with one
+        runner's machine only: one ``walk_many`` call with one
         machine, whether the recording was made (cold) or restored from
         disk (another core count over the same store).  A stored answer
         schedules nothing."""
         import repro.runtime.parallel as parallel_mod
 
         calls = []
-        real = parallel_mod.schedule_many
+        real = parallel_mod.walk_many
 
-        def counting(traces, loops, machines, grouping=None):
+        def counting(preparation, machines):
             calls.append([m.cores for m in machines])
-            return real(traces, loops, machines, grouping)
+            return real(preparation, machines)
 
-        monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+        monkeypatch.setattr(parallel_mod, "walk_many", counting)
         machine = MachineConfig(cores=4)
         for cores, restored, expected in (
             (4, 0, [[4]]), (2, 1, [[2]]), (4, 0, [])
@@ -1149,7 +1149,7 @@ class TestParallelSuite:
         self, tiny_cohort, tiny_sync, tmp_path, monkeypatch
     ):
         """A warm suite schedules each bench's restored recording once:
-        one ``schedule_many`` call per bench, under Figure 9's three
+        one ``walk_many`` call per bench, under Figure 9's three
         core counts, and the bench's speedups, its run on the executing
         machine and its timeline all read those columns."""
         import repro.runtime.parallel as parallel_mod
@@ -1163,13 +1163,15 @@ class TestParallelSuite:
         )
         _, cold, _ = run_suite(**suite)
         calls = []
-        real = parallel_mod.schedule_many
+        real = parallel_mod.walk_many
 
-        def counting(traces, loops, machines, grouping=None):
-            calls.append((len(traces), sorted(m.cores for m in machines)))
-            return real(traces, loops, machines, grouping)
+        def counting(preparation, machines):
+            calls.append(
+                (len(preparation.index), sorted(m.cores for m in machines))
+            )
+            return real(preparation, machines)
 
-        monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+        monkeypatch.setattr(parallel_mod, "walk_many", counting)
         _, warm, runner = run_suite(**suite)
         assert warm.stages["execute"]["disk_hits"] == len(benches)
         assert [cores for _, cores in calls] == [[2, 4, 6]] * len(benches)

@@ -96,16 +96,62 @@ def _assert_recorded_in_the_sequential_clock(executor, executed):
     )
 
 
+def _invocation(trace):
+    """What the model reads of a trace: its loop, event columns and
+    stamps as offsets from the start of the invocation."""
+    return (
+        trace.loop_id,
+        trace.end_cycles - trace.start_cycles,
+        *(
+            bytes(column)
+            for column in (
+                trace.it_start, trace.it_end, trace.ev_off, trace.ev_kind,
+                trace.ev_dep, trace.ev_at, trace.ev_words,
+            )
+        ),
+    )
+
+
 def _assert_field_exact_with_the_reference(executor):
+    """Every trace's column entry under every machine is the reference
+    scheduler's.  The reference runs once per distinct invocation
+    (``executor.grouping``), on its first trace, and every trace is held
+    to its distinct invocation's result.  That is as strong as a call
+    per trace because every trace is its distinct invocation's first
+    trace over again (same loop, event columns and stamp offsets), and
+    the reference gives the same answer on each distinct invocation's
+    last trace too, under one machine of the grid (machines taking
+    turns over the distinct invocations)."""
     info_by_id = {info.loop_id: info for info in executor.infos}
-    references = [t.to_invocation_trace() for t in executor.traces]
-    for machine in MACHINES:
+    traces = executor.traces
+    _, first, index = executor.grouping
+    index = index.tolist()
+    last = {distinct: i for i, distinct in enumerate(index)}
+    for trace, distinct in zip(traces, index):
+        assert _invocation(trace) == _invocation(traces[first[distinct]])
+    references = [traces[i].to_invocation_trace() for i in first]
+    others = {
+        distinct: traces[i].to_invocation_trace()
+        for distinct, i in last.items()
+        if i != first[distinct]
+    }
+    for turn, machine in enumerate(MACHINES):
         column = executor.schedules(machine)
-        assert len(column) == len(references)
-        for reference, got in zip(references, column):
-            assert got == schedule_invocation_reference(
+        assert len(column) == len(traces)
+        expected = [
+            schedule_invocation_reference(
                 reference, info_by_id[reference.loop_id], machine
-            ), machine.fingerprint()
+            )
+            for reference in references
+        ]
+        for got, distinct in zip(column, index):
+            assert got == expected[distinct], machine.fingerprint()
+        for distinct, other in others.items():
+            if distinct % len(MACHINES) != turn:
+                continue
+            assert schedule_invocation_reference(
+                other, info_by_id[other.loop_id], machine
+            ) == expected[distinct], machine.fingerprint()
 
 
 @pytest.mark.parametrize("bench", benchmark_names())

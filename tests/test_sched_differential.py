@@ -24,8 +24,10 @@ from repro.runtime import run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import ParallelExecutor, schedule_invocation
 from repro.runtime.sched import (
+    CORE_FIELDS,
     ScheduleColumns,
     _resolve_agendas,
+    group_traces,
     schedule_invocation_reference,
     schedule_many,
     trace_signature,
@@ -342,9 +344,9 @@ def test_cohort_engine_matches_per_trace_engines(name, routing, monkeypatch):
     calls = Counter()
     real = sched_mod._schedule_cohort
 
-    def counting(*args):
-        calls[args[2].shape[1]] += 1  # by the number of machines
-        return real(*args)
+    def counting(cohort, grid):
+        calls[grid.shape[1]] += 1  # by the number of machines
+        return real(cohort, grid)
 
     monkeypatch.setattr(sched_mod, "_schedule_cohort", counting)
 
@@ -364,9 +366,9 @@ def test_cohort_engine_matches_per_trace_engines(name, routing, monkeypatch):
                 result.parallel_cycles
                 for result in expected[machine.fingerprint()]
             ]
-        # The grouping depends on the traces alone; later grids reuse it.
-        assert grouping is None or columns.grouping is grouping
-        grouping = columns.grouping
+        # The grouping depends on the traces alone; later grids are
+        # handed it.
+        grouping = group_traces(traces, map(id, loops))
     shapes, first, index = grouping
     # Each recorded invocation and its later occurrence are one distinct
     # invocation, its stretched copy another of the same shape.
@@ -384,8 +386,8 @@ def test_cohort_engine_matches_per_trace_engines(name, routing, monkeypatch):
 def test_schedule_columns_survive_copy_and_pickle(how):
     """``ScheduleColumns`` reads its fields off ``data`` as attributes,
     and an instance that copy or unpickle builds has no ``data`` until
-    its state is restored: the round trip keeps ``data``, ``grouping``
-    and ``per_core``, and the fields still read as attributes."""
+    its state is restored: the round trip keeps ``data`` and
+    ``per_core``, and the fields still read as attributes."""
     import copy
     import pickle
 
@@ -398,9 +400,6 @@ def test_schedule_columns_survive_copy_and_pickle(how):
     }[how](columns)
     assert (clone.data == columns.data).all()
     assert (clone.per_core == columns.per_core).all()
-    shapes, first, index = clone.grouping
-    assert (shapes, first) == columns.grouping[:2]
-    assert (index == columns.grouping[2]).all()
     assert (clone.parallel_cycles == columns.parallel_cycles).all()
     assert clone.column(3).results() == columns.column(3).results()
     with pytest.raises(AttributeError):
@@ -423,9 +422,9 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     walked = []
     real = sched_mod._schedule_cohort
 
-    def counting(shapes, loop, grid, weights):
-        walked.append(([len(m) for m in shapes], weights.tolist()))
-        return real(shapes, loop, grid, weights)
+    def counting(cohort, grid):
+        walked.append((cohort.sizes.tolist(), cohort.weights.tolist()))
+        return real(cohort, grid)
 
     monkeypatch.setattr(sched_mod, "_schedule_cohort", counting)
     restored = ParallelExecutor(transformed, infos, BASE)
@@ -464,10 +463,11 @@ def _walked_packs(monkeypatch, sched_mod):
     packs = []
     real_cohort, real_walk = sched_mod._schedule_cohort, sched_mod._walk_chunk
 
-    def cohort(shapes, loop, grid, weights):
-        programs = [members[0].program for members in shapes]
-        packs.append([programs, [len(m) for m in shapes], loop, 0])
-        return real_cohort(shapes, loop, grid, weights)
+    def cohort(prepared, grid):
+        packs.append(
+            [prepared.progs, prepared.sizes.tolist(), prepared.loop, 0]
+        )
+        return real_cohort(prepared, grid)
 
     def walk(*args):
         packs[-1][3] += 1
@@ -640,9 +640,10 @@ def test_a_mixed_chunk_matches_the_engines(stretch, monkeypatch):
 PACK_VARIANTS = ("plain", "helper_order", "xfer", "duplicate", "extra_wait")
 
 
-def _mixed_pack(counted, stretch=1):
-    """One loop's invocations in five shapes of six iterations each, two
-    distinct invocations a shape, which a vector walk packs together.
+def _mixed_pack(counted, stretch=1, iterations=6):
+    """One loop's invocations in five shapes of ``iterations`` (at least
+    four) iterations each, two distinct invocations a shape, which a
+    vector walk packs together.
     Against the plain shape (``MATCHED`` agenda 1, 2; ``HELIX`` 2, 1)
     one waits in the helper's order on iteration 2, so its agendas agree
     there; one forwards data on iteration 3; one signals dependence 1
@@ -681,7 +682,7 @@ def _mixed_pack(counted, stretch=1):
             start = 1000 * (2 * v + scale)
             span = 20 * scale * stretch
             its = []
-            for k in range(6):
+            for k in range(iterations):
                 it = iteration(
                     start + k * span,
                     events(variant, k, start + k * span, scale),
@@ -694,7 +695,7 @@ def _mixed_pack(counted, stretch=1):
                     InvocationTrace(
                         loop_id=loop.loop_id,
                         start_cycles=start,
-                        end_cycles=start + 6 * span + 5,
+                        end_cycles=start + iterations * span + 5,
                         iterations=its,
                     )
                 )
@@ -785,6 +786,141 @@ def test_mcf_pack_matches_the_engines(suite_runner, monkeypatch):
     ).all()
 
 
+#: Core counts 1 to 6, without and with a helper thread, two latencies
+#: each.  Machines are ordered by mode, then core count, so each core
+#: count is a block of four columns a shape (two machines, two members).
+FEW_ITERATIONS_GRID = [
+    MachineConfig(cores=cores, prefetch_mode=mode, signal_latency=latency)
+    for mode in (PrefetchMode.NONE, PrefetchMode.HELIX)
+    for cores in range(1, 7)
+    for latency in (4, 110)
+]
+
+
+@pytest.mark.parametrize("max_width", [1 << 30, 6], ids=["whole", "cut6"])
+def test_fewer_iterations_than_cores_match_the_reference(
+    max_width, monkeypatch
+):
+    """A non-counted loop of four iterations, fewer than the largest
+    core count, under core counts 1 to 6: walked in one chunk that mixes
+    every core count, and in chunks of six columns, which begin and end
+    inside a core count's block.  A core starts an iteration where its
+    previous one ended (the clock history) and ends where its last one
+    did, or at ``conf`` when it ran none; every cell and every core's
+    buckets (``per_core``) are the reference's."""
+    import math
+
+    import repro.runtime.sched as sched_mod
+
+    monkeypatch.setattr(sched_mod, "_MAX_WIDTH", max_width)
+    packs = _walked_packs(monkeypatch, sched_mod)
+    loop, traces = _mixed_pack(False, iterations=4)
+    assert {trace.iteration_count for trace in traces} == {4}
+    grid = FEW_ITERATIONS_GRID
+    columns = schedule_many(traces, [loop] * len(traces), grid)
+    ((_, members, _, chunks),) = packs
+    assert chunks == math.ceil(sum(members) * len(grid) / max_width)
+    top = max(machine.cores for machine in grid)
+    for mi, machine in enumerate(grid):
+        totals = np.zeros((len(CORE_FIELDS), top), dtype=np.int64)
+
+        def emit(core, category, start, end):
+            if category in CORE_FIELDS:
+                totals[CORE_FIELDS.index(category), core] += end - start
+
+        for trace, cell in zip(traces, columns.column(mi).results()):
+            assert cell == schedule_invocation_reference(
+                trace.to_invocation_trace(), loop, machine, emit
+            ), machine.fingerprint()
+        assert (columns.per_core[:, mi] == totals).all(), machine.fingerprint()
+
+
+def test_a_sweep_after_figure9_only_walks(suite_runner, monkeypatch):
+    """Scheduling a recording is prepared once.  Each suite bench,
+    restored from its stored form and timed on Figure 9's machines, lays
+    out every pack it walks (``_pack``) then, nine over the suite; swept
+    over an 80-machine grid afterwards, it lays out none and compiles no
+    program, and walks the nine again."""
+    import repro.runtime.sched as sched_mod
+    from repro.bench import benchmark_names
+    from repro.obs import REGISTRY
+    from repro.runtime.interpreter import ExecutionResult
+    from repro.runtime.parallel import RecordedRun
+    from repro.runtime.trace import pack_traces, unpack_traces
+
+    def compiled():
+        return REGISTRY.snapshot()["counters"].get(
+            "sched.programs_compiled", 0
+        )
+
+    laid_out = []
+    real = sched_mod._pack
+
+    def counting(shapes, *args):
+        laid_out.append(len(shapes))
+        return real(shapes, *args)
+
+    monkeypatch.setattr(sched_mod, "_pack", counting)
+    packs = _walked_packs(monkeypatch, sched_mod)
+    runs = []
+    for bench in benchmark_names():
+        recorded = suite_runner.helix_run(bench).executor
+        stored, grouping = unpack_traces(pack_traces(recorded.traces))
+        run = RecordedRun(recorded.infos, recorded.machine)
+        run.restore_run(
+            ExecutionResult(
+                output=recorded.output,
+                cycles=recorded.cycles,
+                instructions=recorded.instructions,
+            ),
+            stored,
+            recorded.load_count,
+            grouping,
+        )
+        run.replay_many(
+            [run.machine.with_cores(c) for c in (2, 4)] + [run.machine]
+        )
+        runs.append(run)
+    walked = [pack for pack in packs if pack[3]]
+    assert len(laid_out) == len(walked) == 9
+    del laid_out[:], packs[:]
+    before = compiled()
+    for run in runs:
+        run.replay_many(SWEEP_GRID)
+    assert laid_out == [] and compiled() == before
+    assert len([pack for pack in packs if pack[3]]) == len(walked)
+
+
+def test_a_new_trace_list_is_prepared_again(monkeypatch):
+    """The preparation goes with the trace list: later grids over the
+    same list walk the one the first schedule made, and once
+    ``traces`` is reassigned the next schedule prepares again."""
+    import repro.runtime.parallel as parallel_mod
+
+    transformed, infos, _, _ = _prepare("reduction")
+    executor = ParallelExecutor(transformed, infos, BASE)
+    executor.execute()
+    prepared = []
+    real = parallel_mod.prepare_many
+
+    def counting(*args):
+        prepared.append(real(*args))
+        return prepared[-1]
+
+    monkeypatch.setattr(parallel_mod, "prepare_many", counting)
+    first = executor.preparation
+    before = [run.cycles for run in executor.replay_many(MACHINES[:4])]
+    executor.replay_many(MACHINES[4:8])
+    assert prepared == [] and executor.preparation is first
+    executor.traces = list(executor.traces)
+    after = [run.cycles for run in executor.replay_many(MACHINES[:4])]
+    assert len(prepared) == 1 and prepared[0] is not first
+    assert executor.preparation is prepared[0]
+    assert after == before
+    executor.replay_many(MACHINES[8:12])
+    assert len(prepared) == 1
+
+
 def test_out_of_order_intervals_are_fixed_up_off_the_first_column():
     """Two waits open at the same cycle and their signals close them in
     reverse order; on a non-TSO machine each wait pays a barrier, so the
@@ -831,7 +967,7 @@ def test_out_of_order_intervals_are_fixed_up_off_the_first_column():
     ]
     columns = schedule_many(traces, [loop] * len(traces), grid)
     # Two distinct invocations, walked together.
-    assert len(columns.grouping[1]) == 2
+    assert len(group_traces(traces)[1]) == 2
     for mi, machine in enumerate(grid):
         assert columns.column(mi).results() == [
             schedule_invocation_reference(
@@ -852,13 +988,15 @@ def test_scheduling_work_across_run_replay_cycles(monkeypatch):
     executor = ParallelExecutor(transformed, infos, BASE)
     probes = [BASE.with_cores(2), BASE.with_cores(3)]
     scheduled = []
-    real = parallel_mod.schedule_many
+    real = parallel_mod.walk_many
 
-    def counting(traces, loops, machines, grouping=None):
-        scheduled.append((len(traces), [m.fingerprint() for m in machines]))
-        return real(traces, loops, machines, grouping)
+    def counting(preparation, machines):
+        scheduled.append(
+            (len(preparation.index), [m.fingerprint() for m in machines])
+        )
+        return real(preparation, machines)
 
-    monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+    monkeypatch.setattr(parallel_mod, "walk_many", counting)
     for _ in range(2):
         executor.execute()
         count = len(executor.traces)
@@ -905,13 +1043,13 @@ def test_baseline_schedule_memoized_across_replays(monkeypatch):
     import repro.runtime.parallel as parallel_mod
 
     calls = []
-    real = parallel_mod.schedule_many
+    real = parallel_mod.walk_many
 
-    def counting(traces, loops, machines, grouping=None):
+    def counting(preparation, machines):
         calls.append([m.fingerprint() for m in machines])
-        return real(traces, loops, machines, grouping)
+        return real(preparation, machines)
 
-    monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+    monkeypatch.setattr(parallel_mod, "walk_many", counting)
     probe = BASE.with_cores(2)
     executor.replay(probe)
     # Only the new machine's column is computed; the baseline is reused.

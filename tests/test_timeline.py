@@ -251,13 +251,13 @@ def test_walk_reads_gaps_off_the_recording_not_off_a_column(monkeypatch):
     assert not executor._schedules
 
     scheduled = []
-    real = parallel_mod.schedule_many
+    real = parallel_mod.walk_many
 
-    def counting(traces, loops, machines, grouping=None):
+    def counting(preparation, machines):
         scheduled.append([m.fingerprint() for m in machines])
-        return real(traces, loops, machines, grouping)
+        return real(preparation, machines)
 
-    monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+    monkeypatch.setattr(parallel_mod, "walk_many", counting)
     block = timeline_block(executor, machine)
     assert scheduled == [[machine.fingerprint()]]
     assert timeline_block(executor, machine) == block
@@ -292,7 +292,7 @@ def test_block_equals_segment_totals_on_every_engine_path(
     met a pack -- the counted-DOALL closed form, or the chunk reduction
     of a walked pack, in one piece or cut -- and must equal the
     reference placement's per-core totals for every machine of the
-    mixed grid, scheduled in one ``schedule_many`` call: core counts 1
+    mixed grid, scheduled in one ``walk_many`` call: core counts 1
     to 8, all four prefetch modes, non-TSO barriers, with each distinct
     invocation weighted by its occurrences."""
     import repro.runtime.parallel as parallel_mod
@@ -303,13 +303,13 @@ def test_block_equals_segment_totals_on_every_engine_path(
         monkeypatch.setattr(sched_mod, "_MAX_WIDTH", max_width)
     executor = _restored_with_empty_invocation(name)
     calls = []
-    real = parallel_mod.schedule_many
+    real = parallel_mod.walk_many
 
-    def counting(traces, loops, machines, grouping=None):
+    def counting(preparation, machines):
         calls.append(len(machines))
-        return real(traces, loops, machines, grouping)
+        return real(preparation, machines)
 
-    monkeypatch.setattr(parallel_mod, "schedule_many", counting)
+    monkeypatch.setattr(parallel_mod, "walk_many", counting)
     missing = {m.fingerprint() for m in MIXED_GRID} - set(executor._schedules)
     executor.replay_many(MIXED_GRID)
     assert calls == [len(missing)]
