@@ -15,8 +15,9 @@ output, cycles, loads and traces of the complete run in place -- the
 state the walker raises in, on the run's last instruction.
 
 Recording every bench on the walker is slow, so the recorded traces of
-the whole suite are pinned by ``tests/data/recording_traces.json`` (one
-digest per bench over every column of every trace, generated by
+the whole suite are pinned by ``tests/data/recording_traces.json`` (per
+bench, one digest over every column of every trace and one over the
+stored block :func:`~repro.runtime.trace.pack_traces` writes, generated by
 ``python -m tests.test_backend_differential BACKEND`` on the commit
 that still had a second compiled tier, and equal there under it, the
 generated tier and the walker); the walker itself records
@@ -47,6 +48,7 @@ from repro.runtime.profiler import (
     _ProfilingInterpreter,
     profile_module,
 )
+from repro.runtime.trace import pack_traces
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 TRACES_PATH = Path(__file__).parent / "data" / "recording_traces.json"
@@ -415,8 +417,10 @@ def _recording_row(bench, backend):
     digest = hashlib.sha256()
     for trace in run.traces:
         digest.update(repr(_trace_bytes(trace)).encode())
+    packed = json.dumps(pack_traces(run.traces), sort_keys=True)
     return {
         "cycles": run.cycles,
+        "packed_sha256": hashlib.sha256(packed.encode()).hexdigest(),
         "result": run.result.to_dict(),
         "sha256": digest.hexdigest(),
         "traces": len(run.traces),
