@@ -16,19 +16,18 @@ traffic tally:
       <root>/profile/<key>.json      ProfileData.to_dict()
       <root>/sequential/<key>.json   ExecutionResult.to_dict()
       <root>/plan/<key>.json         {chosen, loops, recording}
-      <root>/recording/<key>.json    {result, pack_traces(traces), load_count}
+      <root>/recording/<key>.json    {result, pack_traces(recording), load_count}
       <root>/run/<key>.json          the ``run`` job answer (eight fields)
 
   Every entry is keyed by :meth:`ArtifactStore.key`.  A ``plan`` is
   what selection and Steps 1-9 decided for one pipeline configuration:
   the chosen loops, the :class:`~repro.core.loopinfo.LoopRecord` of
   each parallelized loop and the key of the recording of the module
-  they produced.  A recording's traces are stored by their
-  distinct-invocation grouping (:func:`~repro.runtime.trace.pack_traces`,
-  format 5): each shape's event columns once, each distinct invocation's
-  stamp columns once, one row per trace, in one compressed block that
-  reads back with the grouping the scheduler takes, so a warm restore
-  groups nothing.  Modules are not artifacts (compiling from source is
+  they produced.  A :class:`~repro.runtime.trace.Recording` is stored
+  as its tables (:func:`~repro.runtime.trace.pack_traces`, format 5):
+  each shape's event columns once, each distinct invocation's stamp
+  columns once, one row per invocation, in one compressed block that
+  reads back as the same tables, so a warm restore groups nothing.  Modules are not artifacts (compiling from source is
   a few milliseconds), and neither is generated interpreter code (each
   interpreter compiles its own).  Writes go through a temporary file and
   :func:`os.replace`, so processes and threads sharing one directory

@@ -82,20 +82,13 @@ from repro.runtime.parallel import (
     ParallelRunResult,
     RecordedRun,
 )
-from repro.runtime.sched import Grouping
-from repro.runtime.trace import (
-    CompactInvocationTrace,
-    pack_traces,
-    unpack_traces,
-)
+from repro.runtime.trace import Recording, pack_traces, unpack_traces
 from repro.runtime.profiler import ProfileData, profile_module
 from repro.service.jobs import CURRENT_JOB, EvaluationObserver
 
-#: A recording run: its sequential-clock result, traces, load count and
-#: the traces' grouping (the arguments of :meth:`RecordedRun.restore_run`).
-_Recording = Tuple[
-    ExecutionResult, List[CompactInvocationTrace], int, Grouping
-]
+#: A recording run: its sequential-clock result, recording and load
+#: count (the arguments of :meth:`RecordedRun.restore_run`).
+_Recording = Tuple[ExecutionResult, Recording, int]
 
 #: A pipeline's plan: the chosen loops, the record of each parallelized
 #: loop, and the ``recording`` key of the module they produced.
@@ -118,13 +111,11 @@ def _decode_plan(payload: dict) -> _Plan:
 
 
 def _decode_recording(payload: dict) -> _Recording:
-    """A stored recording (:func:`unpack_traces` checks the traces)."""
-    traces, grouping = unpack_traces(payload["traces"])
+    """A stored recording (:func:`unpack_traces` checks its tables)."""
     return (
         ExecutionResult.from_dict(payload["result"]),
-        traces,
+        unpack_traces(payload["traces"]),
         payload["load_count"],
-        grouping,
     )
 
 
@@ -441,7 +432,7 @@ class EvaluationRunner:
             manager=self.analysis,
         )
 
-    def _transform(
+    def transform(
         self,
         bench: str,
         loop_ids: Sequence[LoopId],
@@ -506,17 +497,14 @@ class EvaluationRunner:
                 )
                 recorded = executor.run()
                 recording = (
-                    recorded, executor.traces, executor.load_count,
-                    executor.grouping,
+                    recorded, executor.recording, executor.load_count,
                 )
                 self._store(
                     "recording",
                     recording_key,
                     {
                         "result": recorded.to_dict(),
-                        "traces": pack_traces(
-                            executor.traces, executor.grouping
-                        ),
+                        "traces": pack_traces(executor.recording),
                         "load_count": executor.load_count,
                     },
                 )
@@ -594,7 +582,7 @@ class EvaluationRunner:
         if executor is None:
             selection = select()
             chosen = selection.chosen if selection is not None else loop_ids
-            transformation = self._transform(bench, chosen, machine, options)
+            transformation = self.transform(bench, chosen, machine, options)
             transformed, infos = transformation
             recording_key = self.artifacts.key(
                 "recording",
@@ -622,7 +610,7 @@ class EvaluationRunner:
             executor=executor,
             sequential=sequential,
             _select=select,
-            _transform=lambda: runner()._transform(
+            _transform=lambda: runner().transform(
                 bench, chosen, machine, options
             ),
         )

@@ -87,12 +87,12 @@ def run_timeline(
 ) -> List[Segment]:
     """The whole run's per-core segments, in absolute simulated cycles.
 
-    ``machine`` replays the recorded traces under a different
-    configuration (like :meth:`RecordedRun.replay`).  Each
-    invocation is placed by the reference scheduler; gaps between
-    invocations are the main thread's sequential execution, read off
-    the recording's sequential clock: from one trace's ``end_cycles`` to
-    the next one's ``start_cycles``.  Asks for no schedule column.
+    ``machine`` replays the recording under a different configuration
+    (like :meth:`RecordedRun.replay`).  Each invocation is placed by the
+    reference scheduler; gaps between invocations are the main thread's
+    sequential execution, read off the recording's sequential clock:
+    from one invocation's end to the next one's start.  Asks for no
+    schedule column.
     """
     machine = machine or executor.machine
     info_by_id = {info.loop_id: info for info in executor.infos}
@@ -109,21 +109,25 @@ def run_timeline(
     def place(core: int, category: str, start: int, end: int) -> None:
         segments.append(Segment(core, category, cursor + start, cursor + end))
 
+    recording = executor.recording
     recorded_end = 0  # end of the previous invocation, recorded clock
-    for trace in executor.traces:
-        sequential(trace.start_cycles - recorded_end)
-        if trace.iteration_count == 0:
+    for i, (distinct, start) in enumerate(
+        zip(recording.trace_distinct, recording.trace_start)
+    ):
+        shape = recording.distinct_shape[distinct]
+        sequential(start - recorded_end)
+        if recording.shape_iterations[shape] == 0:
             # The loop body never ran; the invocation is its sequential
             # span on the main core, under every machine.
-            sequential(trace.end_cycles - trace.start_cycles)
+            sequential(recording.distinct_cycles[distinct])
         else:
             cursor += schedule_invocation_reference(
-                trace.to_invocation_trace(),
-                info_by_id[trace.loop_id],
+                recording.invocation(i),
+                info_by_id[recording.loops[recording.shape_loop[shape]]],
                 machine,
                 place,
             ).parallel_cycles
-        recorded_end = trace.end_cycles
+        recorded_end = start + recording.distinct_cycles[distinct]
     sequential(executor.cycles - recorded_end)
     return segments
 
@@ -156,10 +160,11 @@ def timeline_block(
     machine = machine or executor.machine
     cores = machine.cores
     columns = executor.schedule_columns(machine)
+    recording = executor.recording
     spans = [
-        t.end_cycles - t.start_cycles
-        for t in executor.traces
-        if t.iteration_count
+        recording.distinct_cycles[distinct]
+        for distinct in recording.trace_distinct
+        if recording.shape_iterations[recording.distinct_shape[distinct]]
     ]
     conf = machine.config_cycles_per_thread * max(cores - 1, 1)
     per_core = [dict.fromkeys(CATEGORIES, 0) for _ in range(cores)]

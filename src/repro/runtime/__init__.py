@@ -19,7 +19,7 @@ from repro.runtime.interpreter import (
 )
 from repro.runtime.profiler import LoopProfile, ProfileData, profile_module
 from repro.runtime.parallel import ParallelExecutor, ParallelRunResult
-from repro.runtime.trace import CompactInvocationTrace, InvocationTrace
+from repro.runtime.trace import InvocationTrace, Recording
 
 __all__ = [
     "MachineConfig",
@@ -35,6 +35,6 @@ __all__ = [
     "LoopProfile",
     "ParallelExecutor",
     "ParallelRunResult",
-    "CompactInvocationTrace",
+    "Recording",
     "InvocationTrace",
 ]

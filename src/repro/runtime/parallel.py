@@ -32,47 +32,42 @@ Per iteration the replay carries:
   pays the word-transfer cost ``M``.
 
 The recording run keeps the interpreter's own sequential clock and
-never rewrites it.  An invocation is a
-:class:`~repro.runtime.trace.CompactInvocationTrace` from its first
-event: the hooks append kind codes, dependence ids and stamps relative
-to its ``start_cycles`` straight into its columns, the end of the
-invocation only closes them, and that is all that happens at record
-time.  The recording -- output, sequential total,
-traces -- is therefore a function of the transformed IR, the cost model
-and the input, and of no machine.  Time under a machine ``m`` is filled
-in after the run by one :func:`~repro.runtime.sched.walk_many` pass
-over the run's preparation (one compiled program per trace shape, one
-walk per distinct invocation): an invocation of ``seq_i`` recorded
-cycles takes ``par_i(m)`` there, so the run takes ``seq_total -
-sum(seq_i - par_i(m))``, and the :class:`LoopRunStats` are summed from the same
-column.  That half is :class:`RecordedRun`, which needs no module, only
-the loop records.  Recording a run (:meth:`ParallelExecutor.run`; the
-recording interpreter is a :class:`RecordedRun` too) and restoring a
-stored one (:meth:`~RecordedRun.restore_run`) only adopt the traces;
-a machine's column is scheduled the first time it is read, so a
-caller that names every machine it will read up front
+never rewrites it.  The hooks append an open invocation's kind codes,
+dependence ids and stamps relative to its start straight into scratch
+columns, and its end hands them to the run's
+:class:`~repro.runtime.trace.Recording`, which interns them by shape
+and distinct invocation; that is all that happens at record time.  The
+recording -- output, sequential total, invocations -- is therefore a
+function of the transformed IR, the cost model and the input, and of no
+machine.  Time under a machine ``m`` is filled in after the run by one
+:func:`~repro.runtime.sched.walk_many` pass over the run's preparation
+(one compiled program per shape, one walk per distinct invocation): an
+invocation of ``seq_i`` recorded cycles takes ``par_i(m)`` there, so
+the run takes ``seq_total - sum(seq_i - par_i(m))``, and the
+:class:`LoopRunStats` are summed from the same column.  That half is
+:class:`RecordedRun`, which needs no module, only the loop records.
+Recording a run (:meth:`ParallelExecutor.run`; the recording
+interpreter is a :class:`RecordedRun` too) and restoring a stored one
+(:meth:`~RecordedRun.restore_run`) only adopt the recording; a
+machine's column is scheduled the first time it is read, so a caller
+that names every machine it will read up front
 (:meth:`~RecordedRun.replay_many`) gets them all from one pass, and
 :meth:`ParallelExecutor.execute` is the recording run plus its
-executing machine's column.  Columns stay
-arrays end to end: the memo holds one
-:class:`~repro.runtime.sched.ScheduleColumns` per
+executing machine's column.  Columns stay arrays end to end: the memo
+holds one :class:`~repro.runtime.sched.ScheduleColumns` per
 :meth:`~repro.runtime.machine.MachineConfig.fingerprint`, whole or
 absent, cycles and loop statistics are array sums over a per-loop index
-of the trace list, each column carries the walk's per-core accounting
-(what :func:`repro.obs.timeline.timeline_block` reports), and
-:class:`ScheduleResult` objects exist only for callers of
-:meth:`~RecordedRun.schedules`.  What depends on the
-trace list alone -- the distinct-invocation grouping
-(:attr:`RecordedRun.grouping`, which a restored recording brings with
-it and a run just recorded shares with its stored form), the
-scheduling preparation (:attr:`RecordedRun.preparation`: the compiled
-programs, packs and their walk tables, so every grid after the first
-only walks) and the per-loop index -- is computed at most once per
-list, lives as long as the run, and is dropped when :attr:`traces` is
-reassigned.  The interval-by-interval timeline of
-``repro trace --sim-timeline`` reads no column: it is the reference
-scheduler's walk of every trace
-(:func:`repro.obs.timeline.run_timeline`).
+of the recording's rows, each column carries the walk's per-core
+accounting (what :func:`repro.obs.timeline.timeline_block` reports),
+and :class:`ScheduleResult` objects exist only for callers of
+:meth:`~RecordedRun.schedules`.  What depends on the recording alone --
+the scheduling preparation (:attr:`RecordedRun.preparation`: the
+compiled programs, packs and their walk tables, so every grid after the
+first only walks) and the per-loop index -- is computed at most once,
+lives as long as the run, and is dropped when :attr:`recording` is
+reassigned.  The interval-by-interval timeline of ``repro trace
+--sim-timeline`` reads no column: it is the reference scheduler's walk
+of every invocation (:func:`repro.obs.timeline.run_timeline`).
 
 The recording run observes little of what it interprets.  Its
 ``on_block_entry`` acts on three kinds of block only -- the parallel
@@ -102,7 +97,8 @@ nothing a run reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from array import array
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.loopnest import LoopId
 from repro.core.communication import is_producer_mark, xfer_words
@@ -117,62 +113,38 @@ from repro.runtime.interpreter import (
 )
 from repro.runtime.machine import MachineConfig
 from repro.runtime.sched import (
-    Grouping,
     Preparation,
     ScheduleColumns,
     ScheduleResult,
-    group_traces,
     prepare_many,
     schedule_invocation_reference,
-    schedule_many,
     walk_many,
 )
 from repro.runtime.trace import (
     CTRL_DEP,
+    INVOCATION_COLUMNS,
     KIND_NEXT,
     KIND_PRODUCE,
     KIND_SIGNAL,
     KIND_WAIT,
     KIND_XFER,
-    CompactInvocationTrace,
     InvocationTrace,
     IterationTrace,
-    as_compact,
+    Recording,
 )
 
 __all__ = [
     "CTRL_DEP",
-    "CompactInvocationTrace",
     "InvocationTrace",
     "IterationTrace",
     "LoopRunStats",
     "ParallelExecutor",
     "ParallelRunResult",
     "RecordedRun",
+    "Recording",
     "ScheduleResult",
-    "schedule_invocation",
     "schedule_invocation_reference",
 ]
-
-#: Either trace representation; the executor stores the compact form.
-AnyTrace = Union[CompactInvocationTrace, InvocationTrace]
-
-
-def schedule_invocation(
-    trace: AnyTrace,
-    loop: LoopInfo,
-    machine: MachineConfig,
-) -> ScheduleResult:
-    """Reconstruct the parallel schedule of one invocation: one trace
-    and one machine through :func:`~repro.runtime.sched.schedule_many`.
-
-    Accepts either trace representation; per-iteration traces are
-    packed on the fly (callers scheduling the same trace repeatedly
-    should pack once via :func:`repro.runtime.trace.as_compact` to reuse
-    the compiled program).
-    """
-    columns = schedule_many([as_compact(trace)], [loop], [machine])
-    return columns.column(0).results()[0]
 
 
 @dataclass
@@ -218,7 +190,8 @@ class ParallelRunResult:
     result: ExecutionResult
     machine: MachineConfig
     loop_stats: Dict[LoopId, LoopRunStats] = field(default_factory=dict)
-    traces: List[AnyTrace] = field(default_factory=list)
+    #: The recorded invocations (``len()`` of them), shared with the run.
+    traces: Recording = field(default_factory=Recording)
 
     @property
     def cycles(self) -> int:
@@ -234,8 +207,8 @@ class RecordedRun:
     under any machine.
 
     Holds what a recording run leaves behind -- output, the sequential
-    clock, instruction and load counts, traces -- and the loop records
-    the traces were recorded against (``infos``: of each, the timing
+    clock, instruction and load counts, the :class:`Recording` -- and
+    the loop records it was recorded against (``infos``: of each, the timing
     reads ``loop_id`` and the scheduler ``counted`` and
     ``helper_order``, so a :class:`~repro.core.loopinfo.LoopRecord`
     serves as well as a :class:`ParallelizedLoop`).  No module is needed:
@@ -259,7 +232,7 @@ class RecordedRun:
         self.return_value: object = None
         #: Memoized per-machine schedule columns
         #: (:class:`~repro.runtime.sched.ScheduleColumns` of one machine,
-        #: as long as :attr:`traces`), keyed by machine fingerprint and
+        #: as long as :attr:`recording`), keyed by machine fingerprint and
         #: filled on demand; a column is whole or absent.  An
         #: :class:`~repro.artifacts.ArtifactStore` may inject a tracked
         #: namespace here (``schedule_memo``) so column occupancy shows
@@ -268,53 +241,41 @@ class RecordedRun:
         self._schedules: Dict[str, ScheduleColumns] = (
             schedule_memo if schedule_memo is not None else {}
         )
-        self.traces = []
+        self.recording = Recording()
 
     @property
-    def traces(self) -> List[CompactInvocationTrace]:
+    def recording(self) -> Recording:
         """The recorded invocations, in the run's sequential clock."""
-        return self._traces
+        return self._recording
 
-    @traces.setter
-    def traces(self, traces: List[CompactInvocationTrace]) -> None:
-        # Everything derived from a trace list goes with it: the
-        # schedule columns, the distinct-invocation grouping, the
-        # scheduling preparation and the per-loop index of ``_timed``.
-        self._traces = traces
+    @recording.setter
+    def recording(self, recording: Recording) -> None:
+        # Everything derived from a recording goes with it: the schedule
+        # columns, the scheduling preparation and the per-loop index of
+        # ``_timed``.
+        self._recording = recording
         self._schedules.clear()
-        self._grouping: Optional[Grouping] = None
         self._preparation: Optional[Preparation] = None
         self._by_loop = None
 
     @property
-    def grouping(self) -> Grouping:
-        """The distinct-invocation grouping of :attr:`traces`
-        (:func:`~repro.runtime.sched.group_traces`): the one a restored
-        recording was stored by, else computed on first use.  Every
-        scheduling pass over the traces and the stored form of a run
-        just recorded share it."""
-        if self._grouping is None:
-            self._grouping = group_traces(self._traces)
-        return self._grouping
-
-    @property
     def preparation(self) -> Preparation:
-        """The machine-independent half of scheduling :attr:`traces`
-        (:func:`~repro.runtime.sched.prepare_many` by :attr:`grouping`):
-        made by the first scheduling pass and walked by every later one,
-        so a second grid only walks."""
+        """The machine-independent half of scheduling :attr:`recording`
+        (:func:`~repro.runtime.sched.prepare_many`): made by the first
+        scheduling pass and walked by every later one, so a second grid
+        only walks."""
         if self._preparation is None:
             self._preparation = prepare_many(
-                self._traces, self._loops(), self.grouping
+                self._recording,
+                {info.loop_id: info for info in self.infos},
             )
         return self._preparation
 
     def restore_run(
         self,
         result: ExecutionResult,
-        traces: Sequence[AnyTrace],
+        recording: Recording,
         load_count: int,
-        grouping: Optional[Grouping] = None,
     ) -> None:
         """Adopt a recorded run (loaded from the evaluation disk cache,
         or another executor's), as :meth:`ParallelExecutor.run` adopts
@@ -324,29 +285,21 @@ class RecordedRun:
 
         ``result`` is the recording run's own :class:`ExecutionResult`
         (sequential clock) and ``load_count`` its total
-        :attr:`~repro.runtime.interpreter.Interpreter.load_count`;
-        ``grouping``, when given, is the traces'
-        :func:`~repro.runtime.sched.group_traces`, as
-        :func:`~repro.runtime.trace.unpack_traces` returns it.  The
-        caller is responsible for passing traces recorded from an
+        :attr:`~repro.runtime.interpreter.Interpreter.load_count`.  The
+        caller is responsible for passing a recording made from an
         identical module under an identical cost model.
         """
         self.output = list(result.output)
         self.cycles = result.cycles
         self.instructions = result.instructions
         self.return_value = result.return_value
-        self.traces = [as_compact(trace) for trace in traces]
-        self._grouping = grouping
+        self.recording = recording
         self.load_count = load_count
-
-    def _loops(self) -> List[LoopInfo]:
-        info_by_id = {info.loop_id: info for info in self.infos}
-        return [info_by_id[trace.loop_id] for trace in self.traces]
 
     def _ensure_schedules(self, machines: Sequence[MachineConfig]) -> None:
         """Fill the schedule memo for every machine missing from it, in
-        one :func:`~repro.runtime.sched.walk_many` pass over the traces'
-        :attr:`preparation`.  Every requested machine owns a column
+        one :func:`~repro.runtime.sched.walk_many` pass over the
+        recording's :attr:`preparation`.  Every requested machine owns a column
         afterwards, even the empty one of a run whose loops never
         executed."""
         missing: Dict[str, MachineConfig] = {}
@@ -360,7 +313,7 @@ class RecordedRun:
             "sched.schedule",
             cat="sched",
             machines=len(missing),
-            traces=len(self.traces),
+            traces=len(self._recording),
         ):
             columns = walk_many(self.preparation, list(missing.values()))
             for mi, fingerprint in enumerate(missing):
@@ -372,35 +325,38 @@ class RecordedRun:
         """The recorded run under each machine: every invocation's
         sequential span replaced by its scheduled length.  Cycles and
         :class:`LoopRunStats` are array sums of the machine's schedule
-        column over a per-loop index of the trace list.  All results
-        share one output list and one trace list (never mutated)."""
+        column over a per-loop index of the recording's rows.  All
+        results share one output list and the recording (never
+        mutated)."""
         import numpy as np
 
         self._ensure_schedules(machines)
-        traces = self.traces
+        recording = self._recording
         if self._by_loop is None:
-            # Loops in order of first invocation, the 0/1 membership of
-            # every trace in them, and what no machine changes.
-            loop_ids = list(dict.fromkeys(t.loop_id for t in traces))
-            position = {loop_id: k for k, loop_id in enumerate(loop_ids)}
-            member = np.zeros((len(traces), len(loop_ids)), dtype=np.int64)
-            member[
-                np.arange(len(traces)),
-                [position[t.loop_id] for t in traces],
-            ] = 1
+            # The 0/1 membership of every invocation in each loop of the
+            # loop table (loops in order of first invocation), and what
+            # no machine changes.
+            shape = np.array(recording.distinct_shape, dtype=np.int64)[
+                np.array(recording.trace_distinct, dtype=np.int64)
+            ]
+            loop = np.array(recording.shape_loop, dtype=np.int64)[shape]
+            member = np.zeros((len(loop), len(recording.loops)), dtype=np.int64)
+            member[np.arange(len(loop)), loop] = 1
             fixed = np.array(
-                [[1, t.iteration_count, t.loads] for t in traces],
-                dtype=np.int64,
-            ).reshape(len(traces), 3)
-            self._by_loop = (loop_ids, member, (fixed.T @ member).tolist())
-        loop_ids, member, (invocations, iterations, loads) = self._by_loop
+                [
+                    np.ones_like(loop),
+                    np.array(recording.shape_iterations, dtype=np.int64)[shape],
+                    np.array(recording.trace_loads, dtype=np.int64),
+                ]
+            )
+            self._by_loop = (member, (fixed @ member).tolist())
+        member, (invocations, iterations, loads) = self._by_loop
         summed = [
             name
             for name in ScheduleColumns.FIELDS
             if name in LoopRunStats.__dataclass_fields__
         ]
         shared_output = list(self.output)
-        shared_traces: List[AnyTrace] = list(traces)
         results: List[ParallelRunResult] = []
         for machine in machines:
             column = self._schedules[machine.fingerprint()]
@@ -415,7 +371,7 @@ class RecordedRun:
                     loads=loads[k],
                     **{name: sums[name][k] for name in summed},
                 )
-                for k, loop_id in enumerate(loop_ids)
+                for k, loop_id in enumerate(recording.loops)
             }
             results.append(
                 ParallelRunResult(
@@ -429,7 +385,7 @@ class RecordedRun:
                     ),
                     machine=machine,
                     loop_stats=loop_stats,
-                    traces=shared_traces,
+                    traces=recording,
                 )
             )
         return results
@@ -441,7 +397,7 @@ class RecordedRun:
 
         Equivalent to ``[self.replay(m) for m in machines]`` but fills
         every missing schedule column in one batched pass over the
-        stored traces.
+        recording.
         """
         with get_tracer().span(
             "exec.replay_many", cat="exec", machines=len(machines)
@@ -452,7 +408,7 @@ class RecordedRun:
         self, machine: Optional[MachineConfig] = None
     ) -> ScheduleColumns:
         """The schedule column of ``machine`` (default: the executing
-        machine), aligned with :attr:`traces`, with its per-core
+        machine), aligned with :attr:`recording`'s rows, with its per-core
         accounting; memoized by machine fingerprint like
         :meth:`replay_many`, and scheduled first if missing."""
         if machine is None:
@@ -468,12 +424,12 @@ class RecordedRun:
         return self.schedule_columns(machine).results()
 
     def replay(self, machine: MachineConfig) -> ParallelRunResult:
-        """Recompute the timing under a different machine from the stored
-        traces, without re-interpreting the program.
+        """Recompute the timing under a different machine from the
+        recording, without re-interpreting the program.
 
         Valid for changes to core count, prefetch mode and latencies (the
-        functional trace is machine-independent); the instruction cost
-        model must stay the same.
+        recording is machine-independent); the instruction cost model
+        must stay the same.
         """
         return self.replay_many([machine])[0]
 
@@ -536,8 +492,10 @@ class ParallelExecutor(RecordedRun, Interpreter):
             )
             for name, blocks in acted_on.items()
         }
-        #: The open invocation, its columns growing as the run goes.
-        self._inv: Optional[CompactInvocationTrace] = None
+        #: The open invocation's columns (:data:`INVOCATION_COLUMNS`,
+        #: stamps from ``_inv_start``), growing as the run goes.
+        self._inv: Optional[Dict[str, array]] = None
+        self._inv_start = 0
         self._inv_info: Optional[ParallelizedLoop] = None
         self._inv_frame: Optional[Frame] = None
         #: The frame whose sync/xfer events are recorded: the open
@@ -578,34 +536,36 @@ class ParallelExecutor(RecordedRun, Interpreter):
         inv = self._inv
         opcode = instr.opcode
         if opcode is Opcode.WAIT:
-            inv.ev_kind.append(KIND_WAIT)
-            inv.ev_dep.append(instr.dep_id)
+            inv["ev_kind"].append(KIND_WAIT)
+            inv["ev_dep"].append(instr.dep_id)
         elif opcode is Opcode.SIGNAL:
-            inv.ev_kind.append(KIND_SIGNAL)
-            inv.ev_dep.append(instr.dep_id)
+            inv["ev_kind"].append(KIND_SIGNAL)
+            inv["ev_dep"].append(instr.dep_id)
         else:  # NEXT_ITER
-            inv.ev_kind.append(KIND_NEXT)
-            inv.ev_dep.append(CTRL_DEP)
-        inv.ev_at.append(self.cycles - inv.start_cycles)
-        inv.ev_words.append(0)
+            inv["ev_kind"].append(KIND_NEXT)
+            inv["ev_dep"].append(CTRL_DEP)
+        inv["ev_at"].append(self.cycles - self._inv_start)
+        inv["ev_words"].append(0)
 
     def exec_xfer(self, frame: Frame, instr: Instruction) -> None:
         if frame is not self._event_frame:
             return
         inv = self._inv
         if is_producer_mark(instr):
-            inv.ev_kind.append(KIND_PRODUCE)
-            inv.ev_words.append(0)
+            inv["ev_kind"].append(KIND_PRODUCE)
+            inv["ev_words"].append(0)
         else:
-            inv.ev_kind.append(KIND_XFER)
-            inv.ev_words.append(xfer_words(instr))
-        inv.ev_dep.append(instr.dep_id)
-        inv.ev_at.append(self.cycles - inv.start_cycles)
+            inv["ev_kind"].append(KIND_XFER)
+            inv["ev_words"].append(xfer_words(instr))
+        inv["ev_dep"].append(instr.dep_id)
+        inv["ev_at"].append(self.cycles - self._inv_start)
 
     # -- invocation lifecycle -------------------------------------------------
 
     def _begin_invocation(self, info: ParallelizedLoop, frame: Frame) -> None:
-        self._inv = CompactInvocationTrace.begin(info.loop_id, self.cycles)
+        self._inv = {name: array("q") for name in INVOCATION_COLUMNS}
+        self._inv["ev_off"].append(0)
+        self._inv_start = self.cycles
         self._inv_info = info
         self._inv_frame = frame
         self._loads_at_start = self.load_count
@@ -613,41 +573,43 @@ class ParallelExecutor(RecordedRun, Interpreter):
     def _close_iteration(self) -> None:
         inv = self._inv
         if self._event_frame is not None:
-            inv.it_end.append(self.cycles - inv.start_cycles)
-            inv.ev_off.append(len(inv.ev_kind))
+            inv["it_end"].append(self.cycles - self._inv_start)
+            inv["ev_off"].append(len(inv["ev_kind"]))
 
     def _begin_iteration(self) -> None:
         self._close_iteration()
-        inv = self._inv
-        inv.it_start.append(self.cycles - inv.start_cycles)
+        self._inv["it_start"].append(self.cycles - self._inv_start)
         self._event_frame = self._inv_frame
 
     def _end_invocation(self) -> None:
         self._close_iteration()
-        trace = self._inv
-        trace.end_cycles = self.cycles
-        trace.loads = self.load_count - self._loads_at_start
+        self.recording.add(
+            self._inv_info.loop_id,
+            self._inv_start,
+            self.cycles,
+            self.load_count - self._loads_at_start,
+            self._inv,
+        )
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
         self._event_frame = None
-        self.traces.append(trace)
 
     # -- public API -------------------------------------------------------------
 
     def run(self, entry: str = "main", args: Sequence = ()) -> ExecutionResult:
         """The recording run: interpret the program in its sequential
-        clock and fill :attr:`traces`.  Nothing here reads the machine
+        clock and fill :attr:`recording`.  Nothing here reads the machine
         beyond its cost model, and nothing is scheduled."""
         self._inv = None
         self._inv_info = None
         self._inv_frame = None
         self._event_frame = None
         self._loads_at_start = 0
-        self.traces = []
+        self.recording = Recording()
         with get_tracer().span("exec.parallel", cat="exec") as sp:
             recorded = super().run(entry, args)
-            sp.set(invocations=len(self.traces))
+            sp.set(invocations=len(self.recording))
         self.return_value = recorded.return_value
         return recorded
 

@@ -1,24 +1,21 @@
 """Invocation schedulers: the production walk and its reference.
 
 :func:`schedule_many` is the one production scheduler, behind every
-executor's timing and every machine-grid sweep
-(:func:`repro.runtime.parallel.schedule_invocation` is it on one trace
-and one machine).  It is two steps.  :func:`prepare_many` is the
-machine-independent one: it works from a grouping of the traces by
-shape (:func:`trace_signature`) and, within a shape, into *distinct
+executor's timing and every machine-grid sweep.  It is two steps.
+:func:`prepare_many` is the machine-independent one: it reads a
+:class:`~repro.runtime.trace.Recording`'s tables, in which invocations
+are already interned by shape and, within a shape, into *distinct
 invocations* (equal stamp columns: stamps are offsets from the start of
-the invocation) -- :func:`group_traces`, or the one a stored recording
-was written by.  A shape's first trace is compiled to its
-:class:`~repro.runtime.trace.TraceProgram` and the program handed to
-the others: duplicate filtering, producer sets, word counts and
-wait/signal pairing are resolved once per shape, never per machine.
-The shapes are gathered into packs, and each pack's members,
-occurrences, spans, statistics and walk tables are read off once
-(:func:`_prepare_cohort`).  :func:`walk_many` then schedules each
-distinct invocation of the :class:`Preparation` under a machine grid
-and fans the result out by index.  A caller that times one trace list
-under several grids keeps the preparation and only walks
-(:class:`~repro.runtime.parallel.RecordedRun`).
+the invocation).  Each shape's
+:class:`~repro.runtime.trace.TraceProgram` is compiled once: duplicate
+filtering, producer sets, word counts and wait/signal pairing are
+resolved once per shape, never per machine.  The shapes are gathered
+into packs, and each pack's members, occurrences, spans, statistics and
+walk tables are read off once (:func:`_prepare_cohort`).
+:func:`walk_many` then schedules each distinct invocation of the
+:class:`Preparation` under a machine grid and fans the result out by
+index.  A caller that times one recording under several grids keeps the
+preparation and only walks (:class:`~repro.runtime.parallel.RecordedRun`).
 
 The walk takes a *pack*: every shape of one loop with one iteration
 count (:func:`_pack` lays their ops out on common slots, iteration
@@ -37,7 +34,7 @@ for callers that ask for them.
 
 The walk also accounts the time per core: what each core of each
 machine spent computing, stalled, waiting for the control signal and
-forwarding data over the whole trace list
+forwarding data over the whole recording
 (:attr:`ScheduleColumns.per_core`, the report's ``timeline`` block).
 Each core's clock runs from thread configuration through exactly those
 four; compute and forwarding are closed forms per core count, the
@@ -65,7 +62,6 @@ machines.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
@@ -74,12 +70,14 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
 )
 
+from repro.analysis.loopnest import LoopId
 from repro.core.loopinfo import LoopInfo
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.trace import (
@@ -89,8 +87,8 @@ from repro.runtime.trace import (
     OP_WAIT,
     OP_WAIT_SYNC,
     OP_XFER,
-    CompactInvocationTrace,
     InvocationTrace,
+    Recording,
     TraceProgram,
 )
 
@@ -250,8 +248,8 @@ class ScheduleColumns:
     ``per_core`` is the per-core accounting of the same walk: an int64
     array ``(bucket, machine, core)`` over :data:`CORE_FIELDS`, or
     ``(bucket, core)`` in one machine's column, holding the cycles each
-    core spent in each bucket over the whole trace list, every trace
-    counted (distinct invocations once per occurrence).  Summed over the
+    core spent in each bucket over the whole recording, every
+    invocation counted (distinct invocations once per occurrence).  Summed over the
     cores it is the sum of the bucket's field; cores past a machine's
     count read 0.
     """
@@ -281,82 +279,6 @@ class ScheduleColumns:
     def results(self) -> List[ScheduleResult]:
         """One machine's column as :class:`ScheduleResult` objects."""
         return [ScheduleResult(*row) for row in self.data.T.tolist()]
-
-
-def trace_signature(trace: CompactInvocationTrace) -> bytes:
-    """Shape key of a trace: a digest of everything compilation depends on.
-
-    :meth:`CompactInvocationTrace._compile` inspects only the event
-    *kinds*, *dependences*, per-iteration slicing and ``xfer`` word
-    counts -- never timestamps -- so two traces with equal signatures
-    compile to the same :class:`TraceProgram`: a program is one per
-    shape.  :func:`schedule_many` groups traces by this key, compiles
-    each shape's first trace, hands that program to the others, and
-    walks the shape in its loop's pack, each member reading its own
-    stamps.  Computed once per trace
-    and cached on it, which is why it is a 16-byte digest and not the
-    columns themselves.
-    """
-    signature = trace._signature
-    if signature is None:
-        digest = hashlib.blake2b(digest_size=16)
-        for column in (
-            trace.ev_off, trace.ev_kind, trace.ev_dep, trace.ev_words
-        ):
-            digest.update(len(column).to_bytes(8, "little"))
-            digest.update(column)
-        signature = trace._signature = digest.digest()
-    return signature
-
-
-#: What :func:`group_traces` returns: ``(shapes, first, index)``.
-Grouping = Tuple[List[List[int]], List[int], "np.ndarray"]
-
-
-def group_traces(
-    traces: Sequence[CompactInvocationTrace], loop_keys=None
-) -> Grouping:
-    """The distinct-invocation grouping of ``traces``: ``(shapes,
-    first, index)``.
-
-    Traces are grouped by loop (``loop_keys``, one hashable per trace;
-    default each trace's ``loop_id``) and shape
-    (:func:`trace_signature`) and, within a shape, by their stamp
-    columns and length: stamps are offsets from the start of the
-    invocation, so invocations that ran alike anywhere in the recorded
-    clock are one *distinct* invocation.  Distinct invocations are
-    numbered in order of first occurrence; ``shapes`` lists each shape's
-    distinct invocations, shapes in order of first occurrence,
-    ``first[d]`` is the first trace of distinct invocation ``d`` and
-    ``index[i]`` (an int64 array) the distinct invocation of trace
-    ``i``.  What :func:`schedule_many` schedules by and
-    :func:`~repro.runtime.trace.pack_traces` stores by.
-    """
-    import numpy as np
-
-    if loop_keys is None:
-        loop_keys = (trace.loop_id for trace in traces)
-    by_shape: Dict[Tuple, Dict[Tuple, int]] = {}
-    first: List[int] = []
-    index: List[int] = []
-    for idx, (trace, key) in enumerate(zip(traces, loop_keys)):
-        members = by_shape.setdefault((key, trace_signature(trace)), {})
-        stamps = (
-            trace.end_cycles - trace.start_cycles,
-            trace.it_start.tobytes(),
-            trace.it_end.tobytes(),
-            trace.ev_at.tobytes(),
-        )
-        distinct = members.get(stamps)
-        if distinct is None:
-            distinct = members[stamps] = len(first)
-            first.append(idx)
-        index.append(distinct)
-    return (
-        [list(members.values()) for members in by_shape.values()],
-        first,
-        np.array(index, dtype=np.int64),
-    )
 
 
 def _distinct(values):
@@ -443,14 +365,14 @@ class _Pack:
     positions: object = None
 
 
-def _pack(shapes, it_s, it_e, loop: LoopInfo) -> _Pack:
+def _pack(progs, ats, it_s, it_e, loop: LoopInfo) -> _Pack:
     """Lay the walked shapes of one loop and iteration count out on
-    common slots (see :class:`_Pack`), agenda tables aside.  ``shapes``
-    are the member traces of each shape, ``it_s`` / ``it_e`` their
-    iteration stamps ``(members, iterations)`` in the same order."""
+    common slots (see :class:`_Pack`), agenda tables aside.  ``progs``
+    are the shapes' programs, ``ats`` the ``ev_at`` columns of each
+    shape's members and ``it_s`` / ``it_e`` the members' iteration
+    stamps ``(members, iterations)``, members in the same order."""
     import numpy as np
 
-    progs = [members[0].program for members in shapes]
     n = progs[0].iterations
     count = len(progs)
     sizes = np.array([np.diff(p.off) for p in progs], dtype=np.int64)
@@ -468,7 +390,7 @@ def _pack(shapes, it_s, it_e, loop: LoopInfo) -> _Pack:
     )
     slots = []
     lo = 0
-    for s, (prog, members) in enumerate(zip(progs, shapes)):
+    for s, (prog, members) in enumerate(zip(progs, ats)):
         op = np.frombuffer(prog.op, dtype=np.int64)
         first = np.frombuffer(prog.off, dtype=np.int64)
         it_of_op = np.repeat(np.arange(n), sizes[s])
@@ -480,7 +402,7 @@ def _pack(shapes, it_s, it_e, loop: LoopInfo) -> _Pack:
         cols = slice(lo, lo + len(members))
         lo += len(members)
         at = np.array(
-            [np.frombuffer(tr.ev_at, dtype=np.int64) for tr in members]
+            [np.frombuffer(ev_at, dtype=np.int64) for ev_at in members]
         )[:, np.frombuffer(prog.raw, dtype=np.int64)]
         ran = sizes[s] > 0
         before = np.empty_like(at)
@@ -770,27 +692,29 @@ class _Cohort:
     pack: Optional[_Pack] = None
 
 
-def _prepare_cohort(shapes, loop: LoopInfo, weights) -> _Cohort:
+def _prepare_cohort(
+    recording: Recording, shapes, loop: LoopInfo, weights
+) -> _Cohort:
     """Prepare a pack -- the shapes of one loop that share an iteration
     count -- for walking under any grid.
 
-    ``shapes`` holds the distinct member traces of each shape and
-    ``weights`` their occurrences in the run, members in the same
-    order.  Only each shape's first trace's program is read; every
-    trace's own stamps are gathered from its raw columns (see
-    :func:`trace_signature` for why that is sound).  What no machine
-    changes is read off once here: each member's fixed fields, its
-    iteration spans and their sum, each shape's per-iteration barriers
-    and words, and, unless the pack has no iteration or is counted DOALL
-    (counted loop, no waits, signals or transfers at all), its
-    :func:`_pack` tables.
+    ``shapes`` holds ``(shape, members)`` pairs of ``recording``: each
+    shape and its distinct invocations, whose occurrences in the run are
+    ``weights``, members in the same order.  A program holds no stamp,
+    so each shape's is read and every member's own stamps are gathered
+    from its distinct invocation's columns.  What no machine changes is
+    read off once here: each member's fixed fields, its iteration spans
+    and their sum, each shape's per-iteration barriers and words, and,
+    unless the pack has no iteration or is counted DOALL (counted loop,
+    no waits, signals or transfers at all), its :func:`_pack` tables.
     """
     import numpy as np
 
-    progs = [members[0].program for members in shapes]
-    sizes = np.array([len(members) for members in shapes], dtype=np.int64)
+    progs = [recording.program(shape) for shape, _ in shapes]
+    sizes = np.array([len(members) for _, members in shapes], dtype=np.int64)
     of_shape = np.repeat(np.arange(len(shapes)), sizes)
-    traces = [trace for members in shapes for trace in members]
+    members = [d for _, distinct in shapes for d in distinct]
+    cycles = recording.distinct_cycles
     cohort = _Cohort(
         loop=loop,
         progs=progs,
@@ -798,8 +722,7 @@ def _prepare_cohort(shapes, loop: LoopInfo, weights) -> _Cohort:
         weights=weights,
         fixed={
             "sequential_cycles": np.array(
-                [tr.end_cycles - tr.start_cycles for tr in traces],
-                dtype=np.int64,
+                [cycles[d] for d in members], dtype=np.int64
             )
         },
     )
@@ -807,8 +730,9 @@ def _prepare_cohort(shapes, loop: LoopInfo, weights) -> _Cohort:
         return cohort
 
     def stacked(name: str) -> "np.ndarray":
+        column = getattr(recording, name)
         return np.array(
-            [np.frombuffer(getattr(tr, name), dtype=np.int64) for tr in traces]
+            [np.frombuffer(column[d], dtype=np.int64) for d in members]
         )
 
     def each(values) -> "np.ndarray":
@@ -836,7 +760,8 @@ def _prepare_cohort(shapes, loop: LoopInfo, weights) -> _Cohort:
         [sp.T, per_iteration("barriers"), per_iteration("words")]
     )
     if not (counted and progs[0].active_ops == 0):
-        cohort.pack = _pack(shapes, it_s, it_e, loop)
+        ats = [[recording.ev_at[d] for d in distinct] for _, distinct in shapes]
+        cohort.pack = _pack(progs, ats, it_s, it_e, loop)
     return cohort
 
 
@@ -995,14 +920,14 @@ def _schedule_cohort(cohort, grid):
 @dataclass
 class Preparation:
     """The machine-independent half of :func:`schedule_many` over one
-    trace list (:func:`prepare_many`), which :func:`walk_many` walks
+    recording (:func:`prepare_many`), which :func:`walk_many` walks
     under any grid.
 
     ``packs`` holds, per pack, its distinct invocations and its
-    :class:`_Cohort`; ``index`` is the grouping's distinct invocation of
-    each trace and ``distinct`` their number.  A
-    :class:`~repro.runtime.parallel.RecordedRun` keeps one per trace
-    list, so a later grid only walks.
+    :class:`_Cohort`; ``index`` is the distinct invocation of each
+    invocation and ``distinct`` their number.  A
+    :class:`~repro.runtime.parallel.RecordedRun` keeps one per
+    recording, so a later grid only walks.
     """
 
     packs: List[Tuple[List[int], _Cohort]]
@@ -1011,65 +936,57 @@ class Preparation:
 
 
 def prepare_many(
-    traces: Sequence[CompactInvocationTrace],
-    loops: Sequence[LoopInfo],
-    grouping: Optional[Grouping] = None,
+    recording: Recording, loops: Mapping[LoopId, LoopInfo]
 ) -> Preparation:
-    """Prepare ``traces`` for scheduling under any machines.
+    """Prepare ``recording`` for scheduling under any machines.
 
-    ``loops[i]`` is the parallelized-loop info of ``traces[i]``.  Traces
-    are grouped by loop object and shape into *distinct* invocations
-    (:func:`group_traces`, unless ``grouping`` is given: a restored
-    recording, a run just recorded and an executor's earlier pass have
-    it).  Only each shape's first trace is compiled, and the other
-    members are handed its program.  Every shape joins its loop's pack
-    for its iteration count, which :func:`_prepare_cohort` prepares as
-    one; counted DOALL shapes pack apart.
+    ``loops`` maps each loop id of the recording to its
+    parallelized-loop info.  Every shape joins its loop's pack for its
+    iteration count, which :func:`_prepare_cohort` prepares as one;
+    counted DOALL shapes pack apart.
     """
     import numpy as np
 
-    if grouping is None:
-        grouping = group_traces(traces, map(id, loops))
-    shapes, first, index = grouping
-    occurrences = np.bincount(index, minlength=len(first))
+    index = np.array(recording.trace_distinct, dtype=np.int64)
+    distinct = len(recording.distinct_shape)
+    occurrences = np.bincount(index, minlength=distinct)
+    members: List[List[int]] = [[] for _ in recording.shape_loop]
+    for d, shape in enumerate(recording.distinct_shape):
+        members[shape].append(d)
     # The packs: the shapes of one loop with one iteration count, walked
     # or (counted DOALL) closed-form.
-    packs: Dict[Tuple, Tuple[LoopInfo, List[List[int]]]] = {}
-    for members in shapes:
-        cohort = [traces[first[distinct]] for distinct in members]
-        loop = loops[first[members[0]]]
-        program = cohort[0].program
-        for trace in cohort[1:]:
-            trace._program = program
+    packs: Dict[Tuple, Tuple[LoopInfo, List[Tuple[int, List[int]]]]] = {}
+    for shape, k in enumerate(recording.shape_loop):
+        loop = loops[recording.loops[k]]
+        program = recording.program(shape)
         closed = loop.counted and program.active_ops == 0
-        key = (id(loop), program.iterations, closed)
-        packs.setdefault(key, (loop, []))[1].append(members)
+        key = (k, program.iterations, closed)
+        packs.setdefault(key, (loop, []))[1].append((shape, members[shape]))
     prepared = []
-    for loop, packed in packs.values():
-        members = [distinct for shape in packed for distinct in shape]
+    for loop, shapes in packs.values():
+        packed = [d for _, distinct in shapes for d in distinct]
         prepared.append(
             (
-                members,
+                packed,
                 _prepare_cohort(
-                    [[traces[first[d]] for d in shape] for shape in packed],
-                    loop,
-                    occurrences[members],
+                    recording, shapes, loop, occurrences[packed]
                 ),
             )
         )
-    return Preparation(packs=prepared, index=index, distinct=len(first))
+    return Preparation(packs=prepared, index=index, distinct=distinct)
 
 
 def walk_many(
     preparation: Preparation, machines: Sequence[MachineConfig]
 ) -> ScheduleColumns:
-    """Schedule a prepared trace list under many machines in one pass.
+    """Schedule a prepared recording under many machines in one pass.
 
-    Returns the :class:`ScheduleColumns` of ``(field, machine, trace)``,
-    field-exact with :func:`schedule_invocation_reference` of each trace
-    under each machine.  Each pack is walked as one under every machine
-    (:func:`_schedule_cohort`), each distinct invocation once, and
-    fanned out to its traces by index; the walk also fills the result's
+    Returns the :class:`ScheduleColumns` of ``(field, machine,
+    invocation)``, field-exact with :func:`schedule_invocation_reference`
+    of each invocation under each machine.  Each pack is walked as one
+    under every machine (:func:`_schedule_cohort`), each distinct
+    invocation once, and fanned out to its invocations by index; the
+    walk also fills the result's
     ``per_core`` accounting, each distinct invocation weighted by its
     occurrences.
     """
@@ -1120,21 +1037,18 @@ def walk_many(
 
 
 def schedule_many(
-    traces: Sequence[CompactInvocationTrace],
-    loops: Sequence[LoopInfo],
+    recording: Recording,
+    loops: Mapping[LoopId, LoopInfo],
     machines: Sequence[MachineConfig],
-    grouping: Optional[Grouping] = None,
 ) -> ScheduleColumns:
-    """Schedule many invocations under many machines in one pass:
+    """Schedule a recording under many machines in one pass:
     :func:`prepare_many`, then :func:`walk_many`.
 
-    ``loops[i]`` is the parallelized-loop info of ``traces[i]``, and
-    ``grouping``, when given, the traces' :func:`group_traces`.  For
-    one-shot callers; a caller that schedules the same traces under
-    several grids keeps the :class:`Preparation` and only walks
+    For one-shot callers; a caller that schedules the same recording
+    under several grids keeps the :class:`Preparation` and only walks
     (:class:`~repro.runtime.parallel.RecordedRun` does).
     """
-    return walk_many(prepare_many(traces, loops, grouping), machines)
+    return walk_many(prepare_many(recording, loops), machines)
 
 
 def schedule_invocation_reference(

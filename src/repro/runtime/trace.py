@@ -1,72 +1,57 @@
-"""Recorded invocation traces and their compact ("compiled") form.
+"""A recorded run's invocations: one :class:`Recording`, its tables.
 
-The parallel executor records one trace per dynamic invocation of a
-parallelized loop: per-iteration event streams of
+The parallel executor records one *invocation* per dynamic execution of
+a parallelized loop: per-iteration event streams of
 ``wait``/``signal``/``next_iter``/``xfer`` executions stamped with
-interpreter cycles, the run's own sequential clock.  Those traces are
+interpreter cycles, the run's own sequential clock.  Those records are
 machine-independent, so every figure of the evaluation schedules them
 under swept :class:`~repro.runtime.machine.MachineConfig`\\ s.
 
-Replaying from per-iteration event lists (:class:`InvocationTrace`) is
-wasteful: every machine pays the per-event string dispatch, the
-duplicate-wait/duplicate-signal filtering, the producer-set rebuilds
-and the word-count lookups again, even though none of that depends on
-the machine.  The recorded form is therefore a
-:class:`CompactInvocationTrace`, *compiled* once:
-
-* the raw events sit in flat ``array('q')`` kind/dep/at/words columns
-  with per-iteration slices, which the executor appends to as the run
-  goes (:meth:`CompactInvocationTrace.begin`; the per-iteration form
-  can be reconstructed from them, and they are what is stored);
-* a derived :class:`TraceProgram` resolves everything the scheduler can
-  know without a machine: duplicate waits/signals collapse to barrier
-  counts, producer marks and non-forwarded consumer marks disappear,
-  transferable ``xfer`` events carry their word counts inline, waits
-  are split into *can-stall* (predecessor signalled the dependence) and
-  *cannot-stall* variants, each can-stall wait points at the signal it
-  synchronizes with, and the per-iteration deduped wait agendas for
-  ``MATCHED`` prefetching are precomputed.  The aggregate ``waits``,
-  ``signals`` and ``transfer_words`` statistics are machine-independent
-  and precomputed outright.
-
-A program holds no timestamp, so it is one per *shape*:
-:func:`repro.runtime.sched.schedule_many` compiles the first trace of
-each shape, hands its program to the others, lays the programs of a
-loop's shapes out on common op slots, and gathers each trace's own op
-stamps from its ``ev_at`` through the program's ``raw`` column; the
-walk over those slots then touches only integer arrays.
-
-Stamps inside an invocation (``it_start``/``it_end``/``ev_at``) are
-offsets from its ``start_cycles`` from the moment they are recorded, in
-memory as on disk, so invocations that ran alike at different points of
-the run hold equal columns.  Word counts are a column too: ``ev_words``
-is aligned with the events, 0 except at ``x`` events, and the count an
+A :class:`Recording` holds them as the tables they are stored as, in
+memory as on disk.  An invocation is seven ``array('q')`` columns: its
+*shape* -- per-iteration event offsets ``ev_off``, kinds ``ev_kind``,
+dependences ``ev_dep`` and word counts ``ev_words`` -- and its stamps,
+``it_start`` / ``it_end`` / ``ev_at``, offsets from its start.
+:meth:`Recording.add` interns them as they arrive: the shape's columns
+are kept once per loop and shape, the stamp columns once per *distinct
+invocation* (one shape, equal stamps and length), and the invocation
+itself is a row naming its distinct invocation, its start and its load
+count.  Invocations that ran alike anywhere in the recorded clock are
+one distinct invocation, which every scheduler times once.  Word counts
+are aligned with the events, 0 except at ``x`` events, and the count an
 iteration transfers for a dependence is the last one written in it.
 
+A shape's :class:`TraceProgram` (:meth:`Recording.program`) is compiled
+from its columns once, on first use, and resolves everything the
+scheduler can know without a machine: duplicate waits/signals collapse
+to barrier counts, producer marks and non-forwarded consumer marks
+disappear, transferable ``xfer`` events carry their word counts inline,
+waits are split into *can-stall* (predecessor signalled the dependence)
+and *cannot-stall* variants, each can-stall wait points at the signal
+it synchronizes with, and the per-iteration deduped wait agendas for
+``MATCHED`` prefetching are precomputed.  A program holds no stamp:
+:func:`repro.runtime.sched.prepare_many` gathers each distinct
+invocation's op stamps from its ``ev_at`` through the program's ``raw``
+column.
+
 A recording is stored as one block (:func:`pack_traces` /
-:func:`unpack_traces`) laid out by the grouping the scheduler works
-from (:func:`~repro.runtime.sched.group_traces`): each shape's event
-columns once, each distinct invocation's stamp columns once, and a row
-per trace naming its distinct invocation, every column at the narrowest
-integer width that holds it, compressed once.  Restoring returns that
-grouping with the traces, so a restored recording is scheduled without
-being grouped again.  The block is versioned
+:func:`unpack_traces`): its tables, every column at the narrowest
+integer width that holds it, compressed once.  The block is versioned
 (:data:`TRACE_FORMAT_VERSION`); any other version, and any block whose
 tables, lengths or offsets disagree, raises :class:`ValueError`.  The
-per-iteration :class:`InvocationTrace` is the
-reference scheduler's input, built by
-:meth:`CompactInvocationTrace.to_invocation_trace` (and packed back by
-:meth:`~CompactInvocationTrace.from_trace`); it is never recorded into
-and never stored.
+per-iteration :class:`InvocationTrace` is the reference scheduler's
+input, built on request by :meth:`Recording.invocation`; it is never
+recorded into and never stored.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.loopnest import LoopId
 from repro.obs.metrics import REGISTRY
@@ -94,14 +79,14 @@ _TABLES = (
 #: The columns stored once per shape, and once per distinct invocation.
 _SHAPE_COLUMNS = ("ev_off", "ev_kind", "ev_dep", "ev_words")
 _DISTINCT_COLUMNS = ("it_start", "it_end", "ev_at")
+#: The columns of one invocation, as :meth:`Recording.add` takes them.
+INVOCATION_COLUMNS = _SHAPE_COLUMNS + _DISTINCT_COLUMNS
 #: Everything in a stored recording's block, in block order.
-_COLUMNS = _TABLES + _SHAPE_COLUMNS + _DISTINCT_COLUMNS
+_COLUMNS = _TABLES + INVOCATION_COLUMNS
 
 #: Raw event kind codes (the packed ``ev_kind`` column).
 KIND_WAIT, KIND_SIGNAL, KIND_NEXT, KIND_XFER, KIND_PRODUCE = range(5)
 
-_KIND_TO_CODE = {"w": KIND_WAIT, "s": KIND_SIGNAL, "n": KIND_NEXT,
-                 "x": KIND_XFER, "p": KIND_PRODUCE}
 _CODE_TO_KIND = "wsnxp"
 
 #: Compiled opcodes (the :class:`TraceProgram` ``op`` column).
@@ -144,14 +129,11 @@ class TraceProgram:
     """Machine-independent compiled form of one trace *shape*.
 
     Compilation reads only the event kinds, dependences, per-iteration
-    slicing and word counts of a trace, never a timestamp, so every
-    field here holds for every trace of the shape
-    (:func:`~repro.runtime.sched.trace_signature`).  Schedulers take a
-    trace's own stamps from its raw columns: ``ev_at`` through
+    slicing and word counts of a shape, never a timestamp, so every
+    field here holds for every invocation of the shape
+    (:meth:`Recording.program`).  Schedulers take an invocation's own
+    stamps from its distinct invocation's columns: ``ev_at`` through
     :attr:`raw`, iteration spans from ``it_start`` / ``it_end``.
-    :func:`~repro.runtime.sched.schedule_many` compiles the first trace
-    of each shape and hands the program to the others
-    (:attr:`CompactInvocationTrace.program`).
     """
 
     #: Flat compiled event columns (parallel arrays, ``off`` slices them
@@ -204,117 +186,286 @@ class TraceProgram:
         return len(self.tail)
 
 
-@dataclass
-class CompactInvocationTrace:
-    """Column-packed invocation trace (the recorded and stored form).
+def _compile(ev_off, kinds, deps, ev_words) -> TraceProgram:
+    """The :class:`TraceProgram` of one shape's columns."""
+    # One registry tick per compilation, outside the event loops.
+    REGISTRY.inc("sched.programs_compiled")
+    op = array("q")
+    a1 = array("q")
+    src = array("q")
+    raw_ix = array("q")
+    pre = array("q")
+    off = array("q", [0])
+    tail = array("q")
+    barriers = array("q")
+    moved = array("q")
+    agendas: List[Tuple[int, ...]] = []
 
-    ``ev_kind``/``ev_dep``/``ev_at``/``ev_words`` are the raw events of
-    every iteration concatenated into flat ``array('q')`` columns, sliced
-    per iteration by ``ev_off`` (:meth:`to_invocation_trace` rebuilds
-    the per-iteration form).  ``it_start``/``it_end``/``ev_at`` are
-    offsets from ``start_cycles``, in memory as on disk: every consumer
-    reads differences only, and two invocations that ran alike at
-    different points of the recorded clock hold byte-identical columns
-    (what :func:`~repro.runtime.sched.group_traces` keys distinct
-    invocations on).  A restored trace shares its event columns with
-    the other traces of its shape and its stamp columns with those of
-    its distinct invocation (:func:`unpack_traces`), so only the
-    recorder appends to a trace's columns.  The :class:`TraceProgram` of
-    the trace's shape and the shape signature are built lazily and never
-    stored.
+    waits = signals = next_iters = transfer_total = active = 0
+    raw_signals = 0
+    #: dep -> flat op index of the iteration's kept OP_SIGNAL.
+    prev_sig: Dict[int, int] = {}
+    prev_produced: frozenset = frozenset()
+
+    for i in range(len(ev_off) - 1):
+        # dep -> the last count the iteration's 'x' events wrote, and
+        # the flat index of the OP_XFER that moves it (the first
+        # forwarded event; its count is filled in below).
+        words: Dict[int, int] = {}
+        transferred: Dict[int, int] = {}
+        waited: set = set()
+        cur_sig: Dict[int, int] = {}
+        produced: set = set()
+        agenda: List[int] = []
+        agenda_seen: set = set()
+        seen_next = False
+        pending = 0
+        barriers_before = waits + raw_signals
+
+        for j in range(ev_off[i], ev_off[i + 1]):
+            kind = kinds[j]
+            dep = deps[j]
+            if kind == KIND_WAIT:
+                waits += 1
+                if dep not in agenda_seen:
+                    agenda_seen.add(dep)
+                    agenda.append(dep)
+                if dep in waited or dep in cur_sig:
+                    pending += 1  # barrier-only duplicate
+                    continue
+                waited.add(dep)
+                source = prev_sig.get(dep, -1) if i > 0 else -1
+                op.append(OP_WAIT_SYNC if source >= 0 else OP_WAIT)
+                a1.append(dep)
+                src.append(source)
+                raw_ix.append(j)
+                pre.append(pending)
+                pending = 0
+                active += 1
+            elif kind == KIND_SIGNAL:
+                raw_signals += 1
+                if dep in cur_sig:
+                    pending += 1  # barrier-only duplicate
+                    continue
+                cur_sig[dep] = len(op)
+                signals += 1
+                op.append(OP_SIGNAL)
+                a1.append(dep)
+                src.append(-1)
+                raw_ix.append(j)
+                pre.append(pending)
+                pending = 0
+                active += 1
+            elif kind == KIND_NEXT:
+                if seen_next:
+                    continue  # only the first next_iter acts
+                seen_next = True
+                next_iters += 1
+                op.append(OP_NEXT)
+                a1.append(0)
+                src.append(-1)
+                raw_ix.append(j)
+                pre.append(pending)
+                pending = 0
+            elif kind == KIND_XFER:
+                words[dep] = ev_words[j]
+                if dep in prev_produced and dep not in transferred:
+                    transferred[dep] = len(op)
+                    op.append(OP_XFER)
+                    a1.append(0)
+                    src.append(-1)
+                    raw_ix.append(j)
+                    pre.append(pending)
+                    pending = 0
+                    active += 1
+                # non-forwarded consumer marks have no effect
+            else:  # KIND_PRODUCE
+                produced.add(dep)
+
+        forwarded = 0
+        for dep, ix in transferred.items():
+            a1[ix] = words[dep]
+            forwarded += words[dep]
+        transfer_total += forwarded
+        off.append(len(op))
+        tail.append(pending)
+        barriers.append(waits + raw_signals - barriers_before)
+        moved.append(forwarded)
+        agendas.append(tuple(agenda))
+        prev_sig = cur_sig
+        prev_produced = frozenset(produced)
+
+    return TraceProgram(
+        op=op,
+        a1=a1,
+        src=src,
+        raw=raw_ix,
+        pre=pre,
+        off=off,
+        tail=tail,
+        barriers=barriers,
+        words=moved,
+        agendas=tuple(agendas),
+        waits=waits,
+        signals=signals,
+        next_iters=next_iters,
+        transfer_words=transfer_total,
+        active_ops=active,
+        barrier_events=waits + raw_signals,
+    )
+
+
+def _digest(columns) -> bytes:
+    """What :meth:`Recording.add` interns ``columns`` (arrays) by: a
+    16-byte digest of their lengths and contents."""
+    digest = hashlib.blake2b(digest_size=16)
+    for column in columns:
+        digest.update(len(column).to_bytes(8, "little"))
+        digest.update(column)
+    return digest.digest()
+
+
+class Recording:
+    """A recorded run's invocations, as the tables they are stored as.
+
+    ``loops`` is the loop table.  Per shape: its loop (``shape_loop``,
+    an index into ``loops``), its iteration count
+    (``shape_iterations``) and its event columns ``ev_off`` /
+    ``ev_kind`` / ``ev_dep`` / ``ev_words`` (``ev_kind[s]`` is shape
+    ``s``'s).  Per distinct invocation: its shape (``distinct_shape``),
+    its length in cycles (``distinct_cycles``) and its stamp columns
+    ``it_start`` / ``it_end`` / ``ev_at``, offsets from its start.  Per
+    invocation, in recording order, a row: its distinct invocation
+    (``trace_distinct``), ``trace_start`` and ``trace_loads``.  Shapes,
+    distinct invocations and loops are numbered in order of first
+    occurrence, and ``len()`` is the number of invocations.
+
+    Rows enter through :meth:`add` (or are read back whole by
+    :func:`unpack_traces`), and no column is mutated afterwards: shapes
+    share their columns with every invocation of theirs.
     """
 
-    loop_id: LoopId
-    start_cycles: int
-    end_cycles: int
-    loads: int
-    it_start: array
-    it_end: array
-    ev_off: array
-    ev_kind: array
-    ev_dep: array
-    ev_at: array
-    #: Words an 'x' event carries, 0 at every other event.
-    ev_words: array
-    _program: Optional[TraceProgram] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: :func:`repro.runtime.sched.trace_signature`, cached by it.
-    _signature: Optional[bytes] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self) -> None:
+        self.loops: List[LoopId] = []
+        self.shape_loop: List[int] = []
+        self.shape_iterations: List[int] = []
+        self.ev_off: List[array] = []
+        self.ev_kind: List[array] = []
+        self.ev_dep: List[array] = []
+        self.ev_words: List[array] = []
+        self.distinct_shape: List[int] = []
+        self.distinct_cycles: List[int] = []
+        self.it_start: List[array] = []
+        self.it_end: List[array] = []
+        self.ev_at: List[array] = []
+        self.trace_distinct = array("q")
+        self.trace_start = array("q")
+        self.trace_loads = array("q")
+        self._programs: List[Optional[TraceProgram]] = []
+        #: What :meth:`add` interns by (:meth:`_index`), built on first use.
+        self._interned: Optional[Tuple[dict, dict, dict]] = None
 
-    @property
-    def iteration_count(self) -> int:
-        return len(self.it_start)
+    def __len__(self) -> int:
+        return len(self.trace_distinct)
 
-    @property
-    def event_count(self) -> int:
-        return len(self.ev_kind)
-
-    # -- conversions -------------------------------------------------------
-
-    @classmethod
-    def begin(
-        cls, loop_id: LoopId, start_cycles: int
-    ) -> "CompactInvocationTrace":
-        """An invocation that has just begun: empty columns for the
-        recorder to append to, ``end_cycles`` / ``loads`` left for it to
-        fill in when the invocation ends."""
-        return cls(
-            loop_id=loop_id,
-            start_cycles=start_cycles,
-            end_cycles=start_cycles,
-            loads=0,
-            it_start=array("q"),
-            it_end=array("q"),
-            ev_off=array("q", [0]),
-            ev_kind=array("q"),
-            ev_dep=array("q"),
-            ev_at=array("q"),
-            ev_words=array("q"),
+    def add(
+        self,
+        loop_id: LoopId,
+        start: int,
+        end: int,
+        loads: int,
+        columns: Mapping[str, array],
+    ) -> None:
+        """Append the invocation of ``loop_id`` that ran from ``start``
+        to ``end`` and made ``loads`` loads.  ``columns`` holds its
+        :data:`INVOCATION_COLUMNS`, stamps as offsets from ``start``;
+        the recording keeps the arrays of a shape or distinct invocation
+        it has not seen, so the caller hands over arrays it will not
+        append to again."""
+        loop_of, shape_of, distinct_of = self._index()
+        loop = loop_of.setdefault(loop_id, len(self.loops))
+        if loop == len(self.loops):
+            self.loops.append(loop_id)
+        shape_key = (loop, _digest(columns[n] for n in _SHAPE_COLUMNS))
+        shape = shape_of.setdefault(shape_key, len(self.shape_loop))
+        if shape == len(self.shape_loop):
+            self.shape_loop.append(loop)
+            self.shape_iterations.append(len(columns["ev_off"]) - 1)
+            for name in _SHAPE_COLUMNS:
+                getattr(self, name).append(columns[name])
+            self._programs.append(None)
+        cycles = end - start
+        distinct_key = (
+            shape, cycles, _digest(columns[n] for n in _DISTINCT_COLUMNS)
         )
+        distinct = distinct_of.setdefault(
+            distinct_key, len(self.distinct_shape)
+        )
+        if distinct == len(self.distinct_shape):
+            self.distinct_shape.append(shape)
+            self.distinct_cycles.append(cycles)
+            for name in _DISTINCT_COLUMNS:
+                getattr(self, name).append(columns[name])
+        self.trace_distinct.append(distinct)
+        self.trace_start.append(start)
+        self.trace_loads.append(loads)
 
-    @classmethod
-    def from_trace(cls, trace: InvocationTrace) -> "CompactInvocationTrace":
-        """Pack a per-iteration trace into columns.  Every ``x`` event
-        carries its iteration's count for the dependence (1 when the
-        iteration has none, the count the reference scheduler reads)."""
-        base = trace.start_cycles
-        packed = cls.begin(trace.loop_id, base)
-        packed.end_cycles = trace.end_cycles
-        packed.loads = trace.loads
-        kind_codes = _KIND_TO_CODE
-        ev_kind, ev_dep, ev_at = packed.ev_kind, packed.ev_dep, packed.ev_at
-        ev_words = packed.ev_words
-        for iteration in trace.iterations:
-            packed.it_start.append(iteration.start_cycles - base)
-            packed.it_end.append(iteration.end_cycles - base)
-            words = iteration.words
-            for kind, dep, at in iteration.events:
-                ev_kind.append(kind_codes[kind])
-                ev_dep.append(dep)
-                ev_at.append(at - base)
-                ev_words.append(words.get(dep, 1) if kind == "x" else 0)
-            packed.ev_off.append(len(ev_kind))
-        return packed
+    def _index(self) -> Tuple[dict, dict, dict]:
+        """Each loop's, shape's and distinct invocation's number, by
+        loop id, by ``(loop, digest of its columns)`` and by ``(shape,
+        length, digest of its columns)``."""
+        if self._interned is None:
+            self._interned = (
+                {loop_id: k for k, loop_id in enumerate(self.loops)},
+                {
+                    (loop, _digest(getattr(self, n)[s] for n in _SHAPE_COLUMNS)): s
+                    for s, loop in enumerate(self.shape_loop)
+                },
+                {
+                    (
+                        shape,
+                        self.distinct_cycles[d],
+                        _digest(getattr(self, n)[d] for n in _DISTINCT_COLUMNS),
+                    ): d
+                    for d, shape in enumerate(self.distinct_shape)
+                },
+            )
+        return self._interned
 
-    def to_invocation_trace(self) -> InvocationTrace:
-        """Reconstruct the per-iteration representation; an iteration's
-        ``words`` hold the last count each dependence's ``x`` events
-        wrote."""
-        iterations = []
+    def program(self, shape: int) -> TraceProgram:
+        """The :class:`TraceProgram` of ``shape``, compiled from its
+        columns on first use."""
+        program = self._programs[shape]
+        if program is None:
+            program = self._programs[shape] = _compile(
+                *(getattr(self, name)[shape] for name in _SHAPE_COLUMNS)
+            )
+        return program
+
+    def invocation(self, i: int) -> InvocationTrace:
+        """The ``i``-th invocation in the per-iteration form the
+        reference scheduler reads, stamps in the recorded clock; an
+        iteration's ``words`` hold the last count each dependence's
+        ``x`` events wrote."""
+        distinct = self.trace_distinct[i]
+        shape = self.distinct_shape[distinct]
+        base = self.trace_start[i]
+        ev_off, kinds, deps, words = (
+            getattr(self, name)[shape] for name in _SHAPE_COLUMNS
+        )
+        it_start, it_end, ev_at = (
+            getattr(self, name)[distinct] for name in _DISTINCT_COLUMNS
+        )
         codes = _CODE_TO_KIND
-        base = self.start_cycles
-        kinds, deps, words = self.ev_kind, self.ev_dep, self.ev_words
-        for i in range(len(self.it_start)):
-            span = range(self.ev_off[i], self.ev_off[i + 1])
+        iterations = []
+        for k in range(len(it_start)):
+            span = range(ev_off[k], ev_off[k + 1])
             iterations.append(
                 IterationTrace(
-                    start_cycles=base + self.it_start[i],
-                    end_cycles=base + self.it_end[i],
+                    start_cycles=base + it_start[k],
+                    end_cycles=base + it_end[k],
                     events=[
-                        (codes[kinds[j]], deps[j], base + self.ev_at[j])
+                        (codes[kinds[j]], deps[j], base + ev_at[j])
                         for j in span
                     ],
                     words={
@@ -325,160 +476,12 @@ class CompactInvocationTrace:
                 )
             )
         return InvocationTrace(
-            loop_id=self.loop_id,
-            start_cycles=self.start_cycles,
-            end_cycles=self.end_cycles,
+            loop_id=self.loops[self.shape_loop[shape]],
+            start_cycles=base,
+            end_cycles=base + self.distinct_cycles[distinct],
             iterations=iterations,
-            loads=self.loads,
+            loads=self.trace_loads[i],
         )
-
-    # -- compilation -------------------------------------------------------
-
-    @property
-    def program(self) -> TraceProgram:
-        """The program of this trace's shape: compiled from the trace on
-        first use unless a scheduler has handed it the program of an
-        earlier trace of the same shape, and cached on the trace."""
-        if self._program is None:
-            self._program = self._compile()
-        return self._program
-
-    def _compile(self) -> TraceProgram:
-        # One registry tick per compilation, outside the event loops.
-        REGISTRY.inc("sched.programs_compiled")
-        op = array("q")
-        a1 = array("q")
-        src = array("q")
-        raw_ix = array("q")
-        pre = array("q")
-        off = array("q", [0])
-        tail = array("q")
-        barriers = array("q")
-        moved = array("q")
-        agendas: List[Tuple[int, ...]] = []
-
-        kinds, deps = self.ev_kind, self.ev_dep
-        ev_words = self.ev_words
-        ev_off = self.ev_off
-        waits = signals = next_iters = transfer_total = active = 0
-        raw_signals = 0
-        #: dep -> flat op index of the iteration's kept OP_SIGNAL.
-        prev_sig: Dict[int, int] = {}
-        prev_produced: frozenset = frozenset()
-
-        for i in range(len(self.it_start)):
-            # dep -> the last count the iteration's 'x' events wrote,
-            # and the flat index of the OP_XFER that moves it (the first
-            # forwarded event; its count is filled in below).
-            words: Dict[int, int] = {}
-            transferred: Dict[int, int] = {}
-            waited: set = set()
-            cur_sig: Dict[int, int] = {}
-            produced: set = set()
-            agenda: List[int] = []
-            agenda_seen: set = set()
-            seen_next = False
-            pending = 0
-            barriers_before = waits + raw_signals
-
-            for j in range(ev_off[i], ev_off[i + 1]):
-                kind = kinds[j]
-                dep = deps[j]
-                if kind == KIND_WAIT:
-                    waits += 1
-                    if dep not in agenda_seen:
-                        agenda_seen.add(dep)
-                        agenda.append(dep)
-                    if dep in waited or dep in cur_sig:
-                        pending += 1  # barrier-only duplicate
-                        continue
-                    waited.add(dep)
-                    source = prev_sig.get(dep, -1) if i > 0 else -1
-                    op.append(OP_WAIT_SYNC if source >= 0 else OP_WAIT)
-                    a1.append(dep)
-                    src.append(source)
-                    raw_ix.append(j)
-                    pre.append(pending)
-                    pending = 0
-                    active += 1
-                elif kind == KIND_SIGNAL:
-                    raw_signals += 1
-                    if dep in cur_sig:
-                        pending += 1  # barrier-only duplicate
-                        continue
-                    cur_sig[dep] = len(op)
-                    signals += 1
-                    op.append(OP_SIGNAL)
-                    a1.append(dep)
-                    src.append(-1)
-                    raw_ix.append(j)
-                    pre.append(pending)
-                    pending = 0
-                    active += 1
-                elif kind == KIND_NEXT:
-                    if seen_next:
-                        continue  # only the first next_iter acts
-                    seen_next = True
-                    next_iters += 1
-                    op.append(OP_NEXT)
-                    a1.append(0)
-                    src.append(-1)
-                    raw_ix.append(j)
-                    pre.append(pending)
-                    pending = 0
-                elif kind == KIND_XFER:
-                    words[dep] = ev_words[j]
-                    if dep in prev_produced and dep not in transferred:
-                        transferred[dep] = len(op)
-                        op.append(OP_XFER)
-                        a1.append(0)
-                        src.append(-1)
-                        raw_ix.append(j)
-                        pre.append(pending)
-                        pending = 0
-                        active += 1
-                    # non-forwarded consumer marks have no effect
-                else:  # KIND_PRODUCE
-                    produced.add(dep)
-
-            forwarded = 0
-            for dep, ix in transferred.items():
-                a1[ix] = words[dep]
-                forwarded += words[dep]
-            transfer_total += forwarded
-            off.append(len(op))
-            tail.append(pending)
-            barriers.append(waits + raw_signals - barriers_before)
-            moved.append(forwarded)
-            agendas.append(tuple(agenda))
-            prev_sig = cur_sig
-            prev_produced = frozenset(produced)
-
-        return TraceProgram(
-            op=op,
-            a1=a1,
-            src=src,
-            raw=raw_ix,
-            pre=pre,
-            off=off,
-            tail=tail,
-            barriers=barriers,
-            words=moved,
-            agendas=tuple(agendas),
-            waits=waits,
-            signals=signals,
-            next_iters=next_iters,
-            transfer_words=transfer_total,
-            active_ops=active,
-            barrier_events=waits + raw_signals,
-        )
-
-
-def as_compact(trace) -> CompactInvocationTrace:
-    """Normalize a trace (per-iteration or compact) to the compact form."""
-    if isinstance(trace, CompactInvocationTrace):
-        return trace
-    return CompactInvocationTrace.from_trace(trace)
 
 
 # -- storage -----------------------------------------------------------------
@@ -496,59 +499,31 @@ def _narrowest(values) -> int:
     return 8
 
 
-def pack_traces(
-    traces: Sequence[CompactInvocationTrace], grouping=None
-) -> dict:
-    """A recording's traces as one JSON-ready block.
+def pack_traces(recording: Recording) -> dict:
+    """A recording as one JSON-ready block.
 
-    ``grouping`` is the traces'
-    :func:`~repro.runtime.sched.group_traces` (computed here when not
-    given): each shape's event columns are stored once, each distinct
-    invocation's stamp columns once, and each trace is a row naming its
-    distinct invocation.  ``loops`` is the loop table, ``rows`` the
-    number of shapes, distinct invocations and traces, and ``columns``
-    every :data:`_COLUMNS` column -- the three tables, then the shapes'
-    and the distinct invocations' columns concatenated -- in that order,
-    each at its ``widths`` bytes per item (little-endian),
-    zlib-compressed once and base64-encoded.
+    ``loops`` is the loop table, ``rows`` the number of shapes, distinct
+    invocations and invocations, and ``columns`` every :data:`_COLUMNS`
+    column -- the three tables, then the shapes' and the distinct
+    invocations' columns concatenated -- in that order, each at its
+    ``widths`` bytes per item (little-endian), zlib-compressed once and
+    base64-encoded.
     """
     import numpy as np
 
-    from repro.runtime.sched import group_traces
-
-    if grouping is None:
-        grouping = group_traces(traces)
-    shapes, first, index = grouping
-    samples = [traces[first[members[0]]] for members in shapes]
-    distinct = [traces[i] for i in first]
-    shape_of = np.empty(len(first), dtype=np.int64)
-    for s, members in enumerate(shapes):
-        shape_of[members] = s
-    loops: Dict[LoopId, int] = {}
-    columns: Dict[str, Any] = {
-        "shape_loop": [
-            loops.setdefault(trace.loop_id, len(loops)) for trace in samples
-        ],
-        "shape_iterations": [len(trace.it_start) for trace in samples],
-        "distinct_shape": shape_of,
-        "distinct_cycles": [
-            trace.end_cycles - trace.start_cycles for trace in distinct
-        ],
-        "trace_distinct": index,
-        "trace_start": [trace.start_cycles for trace in traces],
-        "trace_loads": [trace.loads for trace in traces],
+    columns = {
+        name: getattr(recording, name) if name in _TABLES
+        else np.frombuffer(b"".join(getattr(recording, name)), dtype=np.int64)
+        for name in _COLUMNS
     }
-    for names, rows in ((_SHAPE_COLUMNS, samples),
-                        (_DISTINCT_COLUMNS, distinct)):
-        for name in names:
-            columns[name] = np.frombuffer(
-                b"".join(getattr(trace, name) for trace in rows),
-                dtype=np.int64,
-            )
     return {
         "format": TRACE_FORMAT_VERSION,
-        "loops": [list(loop) for loop in loops],
-        "rows": [len(shapes), len(first), len(traces)],
+        "loops": [list(loop) for loop in recording.loops],
+        "rows": [
+            len(recording.shape_loop),
+            len(recording.distinct_shape),
+            len(recording),
+        ],
         **_write_columns(columns),
     }
 
@@ -629,9 +604,9 @@ def _read_columns(payload) -> Dict[str, Any]:
     for name, count in zip(_TABLES, (shapes, shapes, distinct, distinct,
                                      traces, traces, traces)):
         read(name, count)
-    # Every index in range, every shape and distinct invocation used (a
-    # grouping has no empty member list), and no count larger than the
-    # block could hold, so that no sum below overflows.
+    # Every index in range, every shape and distinct invocation used (as
+    # ``Recording.add`` leaves them), and no count larger than the block
+    # could hold, so that no sum below overflows.
     iterations = columns["shape_iterations"]
     if not (
         within("shape_loop", len(loops))
@@ -669,33 +644,27 @@ def _read_columns(payload) -> Dict[str, Any]:
     return columns
 
 
-def unpack_traces(payload) -> Tuple[List[CompactInvocationTrace], tuple]:
-    """The traces :func:`pack_traces` stored, equal to the ones it was
-    given, and their grouping, equal to the one it stored them by: the
-    ``(shapes, first, index)`` of
-    :func:`~repro.runtime.sched.group_traces`, what
-    :func:`~repro.runtime.sched.schedule_many` takes instead of grouping
-    the traces again.
+def unpack_traces(payload) -> Recording:
+    """The recording :func:`pack_traces` stored, equal to the one it was
+    given.
 
-    The traces of a shape share its ``ev_*`` event arrays and the traces
-    of a distinct invocation its ``it_start`` / ``it_end`` / ``ev_at``
-    arrays, so none of them may be mutated.  A payload in any other
-    format, or whose tables and columns disagree -- an index out of
-    range, a shape or distinct invocation nothing uses, event offsets
-    that do not run from 0 without stepping back, columns not exactly
-    as long as the tables make them, an event kind out of range --
-    raises :class:`ValueError` (or :class:`TypeError` /
+    A payload in any other format, or whose tables and columns disagree
+    -- an index out of range, a shape or distinct invocation nothing
+    uses, event offsets that do not run from 0 without stepping back,
+    columns not exactly as long as the tables make them, an event kind
+    out of range -- raises :class:`ValueError` (or :class:`TypeError` /
     :class:`KeyError` where a field is of the wrong type or missing):
     nothing that loads can fail later inside a scheduler.
     """
     import numpy as np
 
     columns = _read_columns(payload)
+    recording = Recording()
+    recording.loops = [tuple(loop) for loop in payload["loops"]]
     iterations = columns["shape_iterations"]
     events = columns["ev_off"][np.cumsum(iterations + 1) - 1]
     of_shape = columns["distinct_shape"]
-    # Each column is dropped as soon as it is cut into the rows' arrays.
-    cut: Dict[str, List[array]] = {}
+    # Each column is dropped as soon as it is cut into its rows' arrays.
     for names, lengths in (
         (_SHAPE_COLUMNS, (iterations + 1, events, events, events)),
         (_DISTINCT_COLUMNS, (iterations[of_shape], iterations[of_shape],
@@ -704,47 +673,13 @@ def unpack_traces(payload) -> Tuple[List[CompactInvocationTrace], tuple]:
         for name, length in zip(names, lengths):
             column = array("q", columns.pop(name).tobytes())
             bounds = [0, *np.cumsum(length).tolist()]
-            cut[name] = [column[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    loops = [tuple(loop) for loop in payload["loops"]]
-    shape_loop = [loops[k] for k in columns["shape_loop"].tolist()]
-    by_shape = list(zip(*(cut[name] for name in _SHAPE_COLUMNS)))
-    by_distinct = list(zip(*(cut[name] for name in _DISTINCT_COLUMNS)))
-    shape_of = of_shape.tolist()
-    cycles = columns["distinct_cycles"].tolist()
-    index = columns["trace_distinct"]
-    traces = []
-    for d, start, loads in zip(
-        index.tolist(),
-        columns["trace_start"].tolist(),
-        columns["trace_loads"].tolist(),
-    ):
-        s = shape_of[d]
-        ev_off, ev_kind, ev_dep, ev_words = by_shape[s]
-        it_start, it_end, ev_at = by_distinct[d]
-        traces.append(
-            CompactInvocationTrace(
-                loop_id=shape_loop[s],
-                start_cycles=start,
-                end_cycles=start + cycles[d],
-                loads=loads,
-                it_start=it_start,
-                it_end=it_end,
-                ev_off=ev_off,
-                ev_kind=ev_kind,
-                ev_dep=ev_dep,
-                ev_at=ev_at,
-                ev_words=ev_words,
-            )
-        )
-
-    # The grouping, in table order: each shape's distinct invocations,
-    # each distinct invocation's first trace.
-    shapes: List[List[int]] = [[] for _ in by_shape]
-    for d, s in enumerate(shape_of):
-        shapes[s].append(d)
-    first = [-1] * len(by_distinct)
-    for i, d in enumerate(index.tolist()):
-        if first[d] < 0:
-            first[d] = i
-    return traces, (shapes, first, index)
+            setattr(recording, name, [
+                column[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+            ])
+    for name in _TABLES:
+        if name.startswith("trace_"):
+            setattr(recording, name, array("q", columns[name].tobytes()))
+        else:
+            setattr(recording, name, columns[name].tolist())
+    recording._programs = [None] * len(recording.shape_loop)
+    return recording

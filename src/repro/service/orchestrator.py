@@ -450,7 +450,7 @@ class Orchestrator:
         ctx.check()
         selection = runner.selection(spec.bench)
         ctx.check()
-        transformed, infos = runner._transform(
+        transformed, infos = runner.transform(
             spec.bench, selection.chosen, runner.machine, HelixOptions()
         )
         result = {

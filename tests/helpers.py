@@ -1,11 +1,13 @@
-"""Shared test utilities: quick CFG and program construction, the
-reference-engine replay the scheduler tests compare against, the
-reference placement of the suite's recordings, and the rule an
-over-budget run of generated code must follow."""
+"""Shared test utilities: quick CFG and program construction,
+recordings of hand-written traces, the reference-engine replay the
+scheduler tests compare against, the reference placement of the suite's
+recordings, and the rule an over-budget run of generated code must
+follow."""
 
 import dataclasses
 import hashlib
 import json
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.loopnest import LoopId
@@ -21,7 +23,46 @@ from repro.runtime.parallel import (
     ParallelRunResult,
 )
 from repro.runtime.sched import ScheduleResult, schedule_invocation_reference
-from repro.runtime.trace import InvocationTrace
+from repro.runtime.trace import (
+    INVOCATION_COLUMNS,
+    KIND_NEXT,
+    KIND_PRODUCE,
+    KIND_SIGNAL,
+    KIND_WAIT,
+    KIND_XFER,
+    InvocationTrace,
+    Recording,
+)
+
+_KIND_CODES = {"w": KIND_WAIT, "s": KIND_SIGNAL, "n": KIND_NEXT,
+               "x": KIND_XFER, "p": KIND_PRODUCE}
+
+
+def recording_of(traces: Sequence[InvocationTrace]) -> Recording:
+    """A :class:`Recording` of per-iteration ``traces``, each entering
+    through :meth:`Recording.add` as a recorded invocation does.  Every
+    ``x`` event carries its iteration's count for the dependence (1 when
+    the iteration has none, the count the reference scheduler reads)."""
+    recording = Recording()
+    for trace in traces:
+        base = trace.start_cycles
+        columns = {name: array("q") for name in INVOCATION_COLUMNS}
+        columns["ev_off"].append(0)
+        for iteration in trace.iterations:
+            columns["it_start"].append(iteration.start_cycles - base)
+            columns["it_end"].append(iteration.end_cycles - base)
+            for kind, dep, at in iteration.events:
+                columns["ev_kind"].append(_KIND_CODES[kind])
+                columns["ev_dep"].append(dep)
+                columns["ev_at"].append(at - base)
+                columns["ev_words"].append(
+                    iteration.words.get(dep, 1) if kind == "x" else 0
+                )
+            columns["ev_off"].append(len(columns["ev_kind"]))
+        recording.add(
+            trace.loop_id, base, trace.end_cycles, trace.loads, columns
+        )
+    return recording
 
 
 def build_cfg(edges: Dict[str, Sequence[str]], entry: str = "A") -> Function:
@@ -149,7 +190,8 @@ def reference_replay(
     reference schedule under ``machine``.  Returns the run result plus
     the per-trace schedule column for field-exact comparison."""
     if legacy_traces is None:
-        legacy_traces = [t.to_invocation_trace() for t in executor.traces]
+        recording = executor.recording
+        legacy_traces = [recording.invocation(i) for i in range(len(recording))]
     info_by_id = {info.loop_id: info for info in executor.infos}
     adjusted = executor.cycles
     loop_stats: Dict[LoopId, LoopRunStats] = {}
@@ -180,7 +222,7 @@ def reference_replay(
         result=result,
         machine=machine,
         loop_stats=loop_stats,
-        traces=list(legacy_traces),
+        traces=recording_of(legacy_traces),
     )
     return run, schedules
 

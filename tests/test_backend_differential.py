@@ -337,21 +337,28 @@ def test_benchmark_hooked_instrumentation_identity(bench):
     assert _hooked_run(module, "superblock") == _hooked_run(module, "tree")
 
 
-def _trace_bytes(trace):
-    """Every stored field of one compact trace, columns as bytes."""
-    return (
-        trace.loop_id,
-        trace.start_cycles,
-        trace.end_cycles,
-        trace.loads,
-        trace.it_start.tobytes(),
-        trace.it_end.tobytes(),
-        trace.ev_off.tobytes(),
-        trace.ev_kind.tobytes(),
-        trace.ev_dep.tobytes(),
-        trace.ev_at.tobytes(),
-        trace.ev_words.tobytes(),
-    )
+def _trace_bytes(recording):
+    """Every stored field of each invocation of ``recording``, columns
+    as bytes."""
+    rows = []
+    for distinct, start, loads in zip(
+        recording.trace_distinct, recording.trace_start, recording.trace_loads
+    ):
+        shape = recording.distinct_shape[distinct]
+        rows.append((
+            recording.loops[recording.shape_loop[shape]],
+            start,
+            start + recording.distinct_cycles[distinct],
+            loads,
+            recording.it_start[distinct].tobytes(),
+            recording.it_end[distinct].tobytes(),
+            recording.ev_off[shape].tobytes(),
+            recording.ev_kind[shape].tobytes(),
+            recording.ev_dep[shape].tobytes(),
+            recording.ev_at[distinct].tobytes(),
+            recording.ev_words[shape].tobytes(),
+        ))
+    return rows
 
 
 _parallelized = {}
@@ -391,7 +398,7 @@ def test_parallel_executor_identity(bench, backend):
     if backend == "fallback":
         compiled = executor("auto", walker.instructions - 1)
         _assert_raises_at_the_end(compiled, walker, walker.load_count)
-        traces = compiled.traces
+        traces = compiled.recording
     else:
         compiled = executor(backend).execute()
         assert tree.result.to_dict() == compiled.result.to_dict()
@@ -400,10 +407,8 @@ def test_parallel_executor_identity(bench, backend):
             k: s.to_dict() for k, s in compiled.loop_stats.items()
         }
         traces = compiled.traces
-    assert tree.traces
-    assert list(map(_trace_bytes, tree.traces)) == list(
-        map(_trace_bytes, traces)
-    )
+    assert len(tree.traces)
+    assert _trace_bytes(tree.traces) == _trace_bytes(traces)
 
 
 def _recording_row(bench, backend):
@@ -415,8 +420,8 @@ def _recording_row(bench, backend):
         transformed, infos, machine, backend=backend
     ).execute()
     digest = hashlib.sha256()
-    for trace in run.traces:
-        digest.update(repr(_trace_bytes(trace)).encode())
+    for row in _trace_bytes(run.traces):
+        digest.update(repr(row).encode())
     packed = json.dumps(pack_traces(run.traces), sort_keys=True)
     return {
         "cycles": run.cycles,

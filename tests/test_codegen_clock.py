@@ -32,6 +32,7 @@ from repro.runtime import (
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.profiler import profile_module
+from repro.runtime.trace import pack_traces
 from tests.helpers import assert_over_budget
 from tests.test_backend_differential import IRREGULAR_CFG
 from tests.test_sched_differential import BASE, SOURCES
@@ -172,7 +173,7 @@ def test_recording_run_reads_the_walkers_clock(name):
             event for event in spy.log
             if event[0][0] != "entry" or event[0][1:] in announced
         ]
-        runs.append((final, log, list(spy.traces)))
+        runs.append((final, log, pack_traces(spy.recording)))
     assert runs[0] == runs[1]
     assert {point[0] for point, *_ in runs[0][1]} >= {"entry", "sync", "call"}
 

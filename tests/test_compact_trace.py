@@ -1,4 +1,5 @@
-"""Unit tests of the compact trace representation and its stored form."""
+"""Unit tests of the recording's tables, their interning and their
+stored form."""
 
 import base64
 import json
@@ -11,25 +12,22 @@ from repro.bench import benchmark_names
 from repro.core import parallelize_module
 from repro.frontend import compile_source
 from repro.runtime.machine import MachineConfig
-from repro.runtime.parallel import ParallelExecutor, schedule_invocation
-from repro.runtime.sched import (
-    group_traces,
-    schedule_invocation_reference,
-    trace_signature,
-)
+from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.sched import schedule_invocation_reference, schedule_many
 from repro.runtime.trace import (
     CTRL_DEP,
+    INVOCATION_COLUMNS,
     KIND_XFER,
     TRACE_FORMAT_VERSION,
-    CompactInvocationTrace,
     InvocationTrace,
     IterationTrace,
+    Recording,
     _read_columns,
     _write_columns,
-    as_compact,
     pack_traces,
     unpack_traces,
 )
+from tests.helpers import recording_of
 
 
 def _tricky_trace() -> InvocationTrace:
@@ -83,27 +81,46 @@ def _zero_iteration_trace() -> InvocationTrace:
     )
 
 
+def _invocations(recording):
+    return [recording.invocation(i) for i in range(len(recording))]
+
+
+def _shifted(trace, shift, loads=None):
+    """``trace`` run ``shift`` cycles later, with ``loads`` loads."""
+    return InvocationTrace(
+        loop_id=trace.loop_id,
+        start_cycles=trace.start_cycles + shift,
+        end_cycles=trace.end_cycles + shift,
+        loads=trace.loads if loads is None else loads,
+        iterations=[
+            IterationTrace(
+                start_cycles=it.start_cycles + shift,
+                end_cycles=it.end_cycles + shift,
+                events=[(k, d, at + shift) for k, d, at in it.events],
+                words=dict(it.words),
+            )
+            for it in trace.iterations
+        ],
+    )
+
+
 class TestPacking:
     def test_pack_is_lossless(self):
         """Lossless for traces whose every ``words`` key has an ``x``
         event in its iteration: only those counts are kept (at the
         ``x`` events), and an ``x`` event without one reads back as 1."""
         for trace in (_tricky_trace(), _zero_iteration_trace()):
-            compact = CompactInvocationTrace.from_trace(trace)
-            assert compact.to_invocation_trace() == trace
-            assert compact.iteration_count == len(trace.iterations)
-            assert compact.event_count == sum(
+            recording = recording_of([trace])
+            assert recording.invocation(0) == trace
+            assert recording.shape_iterations == [len(trace.iterations)]
+            assert len(recording.ev_kind[0]) == sum(
                 len(it.events) for it in trace.iterations
             )
 
-    def test_as_compact_normalizes_both_forms(self):
-        trace = _tricky_trace()
-        compact = as_compact(trace)
-        assert isinstance(compact, CompactInvocationTrace)
-        assert as_compact(compact) is compact
-
     def test_program_precomputes_machine_independent_stats(self):
-        prog = CompactInvocationTrace.from_trace(_tricky_trace()).program
+        recording = recording_of([_tricky_trace()])
+        prog = recording.program(0)
+        assert recording.program(0) is prog  # compiled once
         # Raw waits (duplicates included), deduped signals per iteration.
         assert prog.waits == 4
         assert prog.signals == 3  # {3} in iteration 0, {3, 9} in iteration 1
@@ -115,11 +132,10 @@ class TestPacking:
         assert prog.barrier_events == 8
         assert prog.iterations == 2
         # A program is one per shape: it keeps no stamp or span, and
-        # the walk gathers each trace's op stamps from its ``ev_at``
-        # through ``raw``.
+        # the walk gathers each distinct invocation's op stamps from its
+        # ``ev_at`` through ``raw``.
         assert not hasattr(prog, "at") and not hasattr(prog, "spans")
-        compact = CompactInvocationTrace.from_trace(_tricky_trace())
-        assert [compact.ev_at[j] for j in prog.raw] == [
+        assert [recording.ev_at[0][j] for j in prog.raw] == [
             10, 80, 100, 220, 230, 260, 300, 320, 400,
         ]
         assert prog.active_ops > 0
@@ -138,7 +154,7 @@ class TestPacking:
                 for i in range(3)
             ],
         )
-        prog = CompactInvocationTrace.from_trace(trace).program
+        prog = recording_of([trace]).program(0)
         assert prog.active_ops == 0
         assert prog.waits == 0 and prog.signals == 0
         assert prog.transfer_words == 0
@@ -173,9 +189,10 @@ def _wide_trace() -> InvocationTrace:
     )
 
 
-def _stored(traces):
-    """``traces`` written and read back the way the store does it."""
-    restored, _ = unpack_traces(json.loads(json.dumps(pack_traces(traces))))
+def _stored(recording):
+    """``recording`` written and read back the way the store does it."""
+    restored = unpack_traces(json.loads(json.dumps(pack_traces(recording))))
+    assert pack_traces(restored) == pack_traces(recording)
     return restored
 
 
@@ -189,30 +206,26 @@ def _edited(payload, **changes):
 
 class TestSerialization:
     def test_versioned_roundtrip_through_json(self):
-        traces = [
-            CompactInvocationTrace.from_trace(trace)
-            for trace in (_tricky_trace(), _zero_iteration_trace(),
-                          _wide_trace())
-        ]
-        assert pack_traces(traces)["format"] == TRACE_FORMAT_VERSION == 5
-        restored = _stored(traces)
-        assert restored == traces
-        assert [t.to_invocation_trace() for t in restored] == [
-            _tricky_trace(), _zero_iteration_trace(), _wide_trace()
-        ]
-        for trace in restored:
-            for column in (trace.it_start, trace.ev_at, trace.ev_words):
+        traces = [_tricky_trace(), _zero_iteration_trace(), _wide_trace()]
+        recording = recording_of(traces)
+        assert pack_traces(recording)["format"] == TRACE_FORMAT_VERSION == 5
+        restored = _stored(recording)
+        assert _invocations(restored) == traces
+        for name in ("it_start", "ev_at", "ev_words"):
+            for column in getattr(restored, name):
                 assert column.typecode == "q"
 
     def test_empty_recording(self):
-        payload = pack_traces([])
+        payload = pack_traces(Recording())
         assert payload["rows"] == [0, 0, 0] and payload["loops"] == []
-        traces, (shapes, first, index) = unpack_traces(payload)
-        assert traces == shapes == first == [] and len(index) == 0
+        restored = unpack_traces(payload)
+        assert len(restored) == 0
+        assert restored.loops == restored.shape_loop == []
+        assert restored.distinct_shape == []
 
     def test_every_width_is_used_and_read_back(self):
-        trace = CompactInvocationTrace.from_trace(_wide_trace())
-        payload = pack_traces([trace])
+        recording = recording_of([_wide_trace()])
+        payload = pack_traces(recording)
         widths = payload["widths"]
         assert {name: widths[name] for name in (
             "it_start", "it_end", "ev_off", "ev_kind", "ev_dep", "ev_at",
@@ -222,87 +235,80 @@ class TestSerialization:
             "ev_dep": 2, "ev_at": 8, "ev_words": 1, "trace_start": 1,
             "distinct_cycles": 8,
         }
-        (restored,) = _stored([trace])
-        assert restored == trace
-        assert list(restored.ev_dep) == [300, CTRL_DEP, 300, 300, 4, CTRL_DEP]
-        assert restored.ev_at[-1] == 2**31 + 12  # far + 10, less start_cycles
+        restored = _stored(recording)
+        assert _invocations(restored) == [_wide_trace()]
+        assert list(restored.ev_dep[0]) == [
+            300, CTRL_DEP, 300, 300, 4, CTRL_DEP
+        ]
+        assert restored.ev_at[0][-1] == 2**31 + 12  # far + 10, less start
 
     def test_stamps_are_serialized_as_offsets(self):
-        """Iteration bounds and event stamps are stored relative to the
-        invocation's ``start_cycles``: the same invocation a billion
-        cycles later is the same distinct invocation, stored once, and
-        changes nothing but its trace row's ``trace_start``."""
+        """Iteration bounds and event stamps are offsets from the
+        invocation's start: the same invocation a billion cycles later
+        is the same distinct invocation, stored once, and changes
+        nothing but its row's ``trace_start``."""
         trace = _tricky_trace()
-        compact = CompactInvocationTrace.from_trace(trace)
-        assert list(compact.it_start) == [0, 200]
-        assert list(compact.ev_at[:3]) == [10, 15, 40]
+        recording = recording_of([trace])
+        assert list(recording.it_start[0]) == [0, 200]
+        assert list(recording.ev_at[0][:3]) == [10, 15, 40]
         shift = 10**9
-        later = CompactInvocationTrace.from_trace(
-            InvocationTrace(
-                loop_id=trace.loop_id,
-                start_cycles=trace.start_cycles + shift,
-                end_cycles=trace.end_cycles + shift,
-                loads=trace.loads,
-                iterations=[
-                    IterationTrace(
-                        start_cycles=it.start_cycles + shift,
-                        end_cycles=it.end_cycles + shift,
-                        events=[(k, d, at + shift) for k, d, at in it.events],
-                        words=dict(it.words),
-                    )
-                    for it in trace.iterations
-                ],
-            )
-        )
-        payload = _read_columns(pack_traces([compact]))
-        moved = _read_columns(pack_traces([later]))
+        later = _shifted(trace, shift)
+        payload = _read_columns(pack_traces(recording))
+        moved = _read_columns(pack_traces(recording_of([later])))
         assert [k for k in moved if (moved[k] != payload[k]).any()] == [
             "trace_start"
         ]
         assert moved["trace_start"].tolist() == [100 + shift]
-        both = pack_traces([compact, later])
-        assert both["rows"] == [1, 1, 2]
-        assert _read_columns(both)["trace_start"].tolist() == [100, 100 + shift]
-        assert _stored([compact, later]) == [compact, later]
+        both = recording_of([trace, later])
+        assert pack_traces(both)["rows"] == [1, 1, 2]
+        assert _read_columns(pack_traces(both))["trace_start"].tolist() == [
+            100, 100 + shift
+        ]
+        assert _invocations(_stored(both)) == [trace, later]
 
     def test_loops_are_a_table(self):
-        a = CompactInvocationTrace.from_trace(_tricky_trace())
-        b = CompactInvocationTrace.from_trace(_zero_iteration_trace())
-        payload = pack_traces([a, b, a])
+        a, b = _tricky_trace(), _zero_iteration_trace()
+        recording = recording_of([a, b, a])
+        payload = pack_traces(recording)
         assert payload["loops"] == [["main", "for.header"],
                                     ["main", "while.header"]]
         columns = _read_columns(payload)
         assert columns["shape_loop"].tolist() == [0, 1]
         assert columns["trace_distinct"].tolist() == [0, 1, 0]
-        assert _stored([a, b, a]) == [a, b, a]
+        assert _invocations(_stored(recording)) == [a, b, a]
 
     def test_shapes_and_distinct_invocations_are_stored_once(self):
-        """A shape's event columns and a distinct invocation's stamp
-        columns are stored once and shared by the traces restored from
-        them; the grouping comes back with the traces."""
-        base = CompactInvocationTrace.from_trace(_tricky_trace())
-        moved = CompactInvocationTrace.from_trace(_tricky_trace())
-        moved.start_cycles += 10**6
-        moved.end_cycles += 10**6
-        slower = CompactInvocationTrace.from_trace(_tricky_trace())
-        slower.ev_at[0] += 1
+        """Invocations are interned as they are added: a recorded
+        invocation and its later copy with other loads are one distinct
+        invocation, and a stretched copy is the same shape but another
+        distinct invocation.  Shapes and distinct invocations are
+        numbered in order of first occurrence, stored once, and read
+        back as the same tables."""
+        base = _tricky_trace()
+        moved = _shifted(base, 10**6, loads=base.loads + 4)
+        slower = _tricky_trace()
+        kind, dep, at = slower.iterations[0].events[0]
+        slower.iterations[0].events[0] = (kind, dep, at + 1)
         traces = [base, moved, slower, base]
-        payload = pack_traces(traces)
-        assert payload["rows"] == [1, 2, 4]
-        restored, grouping = unpack_traces(payload)
-        assert restored == traces
-        shapes, first, index = grouping
-        assert (shapes, first, index.tolist()) == ([[0, 1]], [0, 2], [0, 0, 1, 0])
-        expected = group_traces(traces)
-        assert expected[:2] == (shapes, first)
-        assert (expected[2] == index).all()
-        one, two, three, four = restored
-        for name in ("ev_off", "ev_kind", "ev_dep", "ev_words"):
-            assert getattr(one, name) is getattr(three, name)
-        for name in ("it_start", "it_end", "ev_at"):
-            assert getattr(one, name) is getattr(two, name)
-            assert getattr(one, name) is getattr(four, name)
-            assert getattr(one, name) is not getattr(three, name)
+        recording = recording_of(traces)
+        assert recording.shape_loop == [0]
+        assert recording.distinct_shape == [0, 0]
+        assert list(recording.trace_distinct) == [0, 0, 1, 0]
+        assert list(recording.trace_loads) == [9, 13, 9, 9]
+        assert pack_traces(recording)["rows"] == [1, 2, 4]
+        restored = _stored(recording)
+        assert _invocations(restored) == traces
+        for name in ("shape_loop", "distinct_shape", "distinct_cycles"):
+            assert getattr(restored, name) == getattr(recording, name)
+        assert restored.trace_distinct == recording.trace_distinct
+        # A restored recording interns further rows as the original did.
+        again = recording_of([moved])
+        restored.add(
+            moved.loop_id, moved.start_cycles, moved.end_cycles, moved.loads,
+            {name: getattr(again, name)[0] for name in INVOCATION_COLUMNS},
+        )
+        assert list(restored.trace_distinct) == [0, 0, 1, 0, 0]
+        assert len(restored.distinct_shape) == 2
 
     @pytest.mark.parametrize("case,reason", [
         ("shape index out of range", "tables"),
@@ -314,17 +320,18 @@ class TestSerialization:
         ("event kind out of range", "kinds"),
     ])
     def test_malformed_tables_rejected(self, case, reason):
-        base = CompactInvocationTrace.from_trace(_tricky_trace())
-        other = CompactInvocationTrace.from_trace(_wide_trace())
-        payload = pack_traces([base, other, base])
+        recording = recording_of(
+            [_tricky_trace(), _wide_trace(), _tricky_trace()]
+        )
+        payload = pack_traces(recording)
         columns = _read_columns(payload)
         if case == "shape index out of range":
             bad = _edited(payload, distinct_shape=[0, 2])
         elif case == "distinct event count disagrees with its shape":
             # Packing takes the one stamp too many; the block is then
             # longer than the shape's event count makes it.
-            base.ev_at.append(base.ev_at[-1])
-            bad = pack_traces([base, other, base])
+            recording.ev_at[0].append(recording.ev_at[0][-1])
+            bad = pack_traces(recording)
         elif case == "truncated block":
             block = zlib.decompress(base64.b64decode(payload["columns"]))
             bad = dict(
@@ -351,30 +358,29 @@ class TestSerialization:
         absolute stamps under the same field names); neither is read,
         alone or in a list, nor a block claiming an older version."""
         per_trace = {"format": 3, "loop_id": ["main", "for.header"]}
-        payload = pack_traces([CompactInvocationTrace.from_trace(_tricky_trace())])
+        payload = pack_traces(recording_of([_tricky_trace()]))
         for bad in ([per_trace], per_trace, dict(payload, format=3)):
             with pytest.raises(ValueError, match="unsupported recording"):
                 unpack_traces(bad)
 
     def test_formatless_payload_rejected(self):
-        payload = pack_traces([CompactInvocationTrace.from_trace(_tricky_trace())])
+        payload = pack_traces(recording_of([_tricky_trace()]))
         del payload["format"]
         with pytest.raises(ValueError, match="unsupported recording"):
             unpack_traces(payload)
 
     def test_unknown_format_rejected(self):
-        payload = pack_traces([CompactInvocationTrace.from_trace(_tricky_trace())])
+        payload = pack_traces(recording_of([_tricky_trace()]))
         payload["format"] = TRACE_FORMAT_VERSION + 1
         with pytest.raises(ValueError, match="unsupported recording"):
             unpack_traces(payload)
 
     def test_serialized_form_omits_compiled_program(self):
-        compact = CompactInvocationTrace.from_trace(_tricky_trace())
-        compact.program  # force compilation
-        payload = pack_traces([compact])
+        recording = recording_of([_tricky_trace()])
+        recording.program(0)  # force compilation
+        payload = pack_traces(recording)
         assert "program" not in json.dumps(payload)
-        # Equality ignores the lazily cached program.
-        assert _stored([compact]) == [compact]
+        assert _invocations(_stored(recording)) == [_tricky_trace()]
 
 
 class TestWordCounts:
@@ -385,56 +391,62 @@ class TestWordCounts:
         reference scheduler's per-iteration dict."""
         from tests.test_parallel_executor import make_loop_info
 
-        compact = CompactInvocationTrace.from_trace(_tricky_trace())
+        recording = recording_of([_tricky_trace()])
+        ev_off, ev_kind = recording.ev_off[0], recording.ev_kind[0]
         xfers = [
-            j for j in range(compact.ev_off[1], compact.ev_off[2])
-            if compact.ev_kind[j] == KIND_XFER
+            j for j in range(ev_off[1], ev_off[2])
+            if ev_kind[j] == KIND_XFER
         ]
         assert len(xfers) == 2
-        compact.ev_words[xfers[0]] = 3
-        compact.ev_words[xfers[1]] = 7
-        reference = compact.to_invocation_trace()
+        recording.ev_words[0][xfers[0]] = 3
+        recording.ev_words[0][xfers[1]] = 7
+        reference = recording.invocation(0)
         assert reference.iterations[1].words == {5: 7}
-        assert compact.program.transfer_words == 7
+        assert recording.program(0).transfer_words == 7
+        machines = [MachineConfig(cores=2), MachineConfig(cores=4)]
         for counted in (True, False):
             loop = make_loop_info(counted=counted)
-            for machine in (MachineConfig(cores=2), MachineConfig(cores=4)):
-                got = schedule_invocation(compact, loop, machine)
+            columns = schedule_many(
+                recording, {reference.loop_id: loop}, machines
+            )
+            for mi, machine in enumerate(machines):
+                (got,) = columns.column(mi).results()
                 assert got == schedule_invocation_reference(
                     reference, loop, machine
                 )
                 assert got.transfer_words == 7
 
     def test_signature_sees_word_counts_and_not_stamps(self):
-        base = CompactInvocationTrace.from_trace(_tricky_trace())
-        stretched = CompactInvocationTrace.from_trace(_tricky_trace())
-        stretched.ev_at[0] += 1
+        """A shape is keyed on its event columns, word counts included,
+        and never on a stamp: a stretched copy is the same shape, a copy
+        that moves another word count is another."""
+        stretched = _tricky_trace()
         stretched.end_cycles += 50
-        assert trace_signature(base) == trace_signature(stretched)
-        heavier = CompactInvocationTrace.from_trace(_tricky_trace())
-        assert heavier.ev_kind[7] == KIND_XFER  # not forwarded: no transfer
-        heavier.ev_words[7] = 3
-        assert trace_signature(heavier) != trace_signature(base)
+        kind, dep, at = stretched.iterations[0].events[0]
+        stretched.iterations[0].events[0] = (kind, dep, at + 1)
+        heavier = _tricky_trace()
+        assert heavier.iterations[0].events[7][0] == "x"  # not forwarded
+        heavier.iterations[0].words[5] = 3
+        recording = recording_of([_tricky_trace(), stretched, heavier])
+        assert recording.distinct_shape == [0, 0, 1]
+        assert recording.shape_loop == [0, 0]
 
 
 @pytest.mark.parametrize("bench", benchmark_names())
 def test_every_bench_recording_is_read_back_equal(bench, suite_runner):
-    """Traces come back equal, and with them the grouping
-    ``schedule_many`` computes from the same traces when given none
-    (:func:`group_traces` by loop object)."""
-    executor = suite_runner.helix_run(bench).executor
-    traces = executor.traces
-    assert traces
-    restored, (shapes, first, index) = unpack_traces(
-        json.loads(json.dumps(pack_traces(traces)))
-    )
-    assert restored == traces
-    assert [t.to_invocation_trace() for t in restored] == [
-        t.to_invocation_trace() for t in traces
-    ]
-    recomputed = group_traces(traces, map(id, executor._loops()))
-    assert (shapes, first) == recomputed[:2]
-    assert index.tolist() == recomputed[2].tolist()
+    """A bench's recording comes back as the same tables, and its
+    invocations as the same per-iteration traces."""
+    recording = suite_runner.helix_run(bench).executor.recording
+    assert len(recording)
+    restored = _stored(recording)
+    for name in ("loops", "shape_loop", "shape_iterations",
+                 "distinct_shape", "distinct_cycles"):
+        assert getattr(restored, name) == getattr(recording, name)
+    for name in ("trace_distinct", "trace_start", "trace_loads"):
+        assert getattr(restored, name) == getattr(recording, name)
+    for name in INVOCATION_COLUMNS:
+        assert getattr(restored, name) == getattr(recording, name)
+    assert _invocations(restored) == _invocations(recording)
 
 
 class TestExecutorIntegration:
@@ -452,33 +464,30 @@ class TestExecutorIntegration:
         machine = MachineConfig(cores=4)
         transformed, infos = parallelize_module(module, loop_ids, machine)
         result = ParallelExecutor(transformed, infos, machine).execute()
-        assert result.traces
-        for trace in result.traces:
-            assert isinstance(trace, CompactInvocationTrace)
-        assert _stored(result.traces) == result.traces
+        assert isinstance(result.traces, Recording) and len(result.traces)
+        _stored(result.traces)
 
     def test_recording_appends_straight_into_the_columns(self, monkeypatch):
-        """The recording run fills the columns as it goes: nothing is
-        packed when an invocation ends, and what it leaves is exactly
-        what packing the per-iteration form (the reference scheduler's
-        input) would have made."""
+        """The recording run fills scratch columns as it goes, and each
+        invocation enters the recording through :meth:`Recording.add`
+        when it ends: what it leaves is exactly what adding the
+        per-iteration form (the reference scheduler's input) makes."""
         from tests.test_sched_differential import BASE, _prepare
 
         transformed, infos, _executor, _result = _prepare("cohort_mix")
-        packed = []
-        from_trace = CompactInvocationTrace.from_trace.__func__
+        added = []
+        add = Recording.add
 
-        def spy(cls, trace):
-            packed.append(trace)
-            return from_trace(cls, trace)
+        def spy(self, *args):
+            added.append(args)
+            return add(self, *args)
 
-        monkeypatch.setattr(
-            CompactInvocationTrace, "from_trace", classmethod(spy)
-        )
+        monkeypatch.setattr(Recording, "add", spy)
         executor = ParallelExecutor(transformed, infos, BASE)
         executor.run()
-        assert len(executor.traces) > 1 and not packed
-        for trace in executor.traces:
-            assert trace.event_count and any(trace.ev_words)
-            assert as_compact(trace.to_invocation_trace()) == trace
-        assert len(packed) == len(executor.traces)
+        recording = executor.recording
+        assert len(recording) > 1 and len(added) == len(recording)
+        assert any(any(words) for words in recording.ev_words)
+        assert pack_traces(recording_of(_invocations(recording))) == (
+            pack_traces(recording)
+        )

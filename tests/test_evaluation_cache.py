@@ -33,8 +33,9 @@ from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.machine import CostModel, MachineConfig, PrefetchMode
 from repro.ir.parser import parse_module
 from repro.ir.printer import module_to_str
-from repro.runtime.parallel import ParallelExecutor, schedule_invocation
+from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.profiler import ProfileData, profile_module
+from repro.runtime.sched import schedule_many
 from repro.runtime.trace import (
     _read_columns,
     _write_columns,
@@ -149,18 +150,16 @@ class TestTraceSerialization:
     def test_recorded_traces_roundtrip_to_identical_schedules(self):
         executor, result, _, infos, machine = _executed_tiny()
         info_by_id = {info.loop_id: info for info in infos}
-        assert result.traces, "tiny benchmark must record traces"
-        stored, _ = unpack_traces(
+        assert len(result.traces), "tiny benchmark must record invocations"
+        stored = unpack_traces(
             json.loads(json.dumps(pack_traces(result.traces)))
         )
-        assert stored == result.traces
-        for trace, restored in zip(result.traces, stored):
-            for probe in (machine, machine.with_cores(2)):
-                assert schedule_invocation(
-                    restored, info_by_id[trace.loop_id], probe
-                ) == schedule_invocation(
-                    trace, info_by_id[trace.loop_id], probe
-                )
+        assert pack_traces(stored) == pack_traces(result.traces)
+        probes = [machine, machine.with_cores(2)]
+        restored = schedule_many(stored, info_by_id, probes)
+        recorded = schedule_many(result.traces, info_by_id, probes)
+        assert (restored.data == recorded.data).all()
+        assert (restored.per_core == recorded.per_core).all()
 
     def test_restored_executor_replays_identically(self):
         executor, result, transformed, infos, machine = _executed_tiny()
@@ -168,14 +167,12 @@ class TestTraceSerialization:
         # The recording: the run in its own sequential clock.
         recorded = dataclasses.replace(result.result, cycles=executor.cycles)
         assert recorded.cycles != result.cycles
-        traces, grouping = unpack_traces(pack_traces(result.traces))
         clone.restore_run(
             ExecutionResult.from_dict(
                 json.loads(json.dumps(recorded.to_dict()))
             ),
-            traces,
+            unpack_traces(pack_traces(result.traces)),
             load_count=executor.load_count,
-            grouping=grouping,
         )
         # Restoring schedules nothing; the run is timed when read.
         assert not clone._schedules
@@ -713,7 +710,7 @@ class TestRunnerCacheIntegration:
         monkeypatch.setattr(ParallelExecutor, "run", spy)
         runner = EvaluationRunner(MachineConfig(cores=4))
         helix = runner.helix_run(tiny_sync)
-        assert helix.chosen and helix.parallel.traces
+        assert helix.chosen and len(helix.parallel.traces)
         ideal = runner.pipeline(tiny_sync, prefetch=PrefetchMode.IDEAL)
         assert ideal is not helix
         assert module_to_str(ideal.transformed) == module_to_str(
@@ -787,7 +784,7 @@ class TestRunnerCacheIntegration:
         def repacked(mutate):
             """The entry packed again after ``mutate`` edited its traces
             (packing checks nothing, unpacking everything)."""
-            restored, _ = unpack_traces(block)
+            restored = unpack_traces(block)
             mutate(restored)
             return json.dumps(
                 dict(payload, traces=pack_traces(restored))
@@ -800,14 +797,17 @@ class TestRunnerCacheIntegration:
             return traces(**_write_columns(columns))
 
         def unordered(restored):
-            trace = next(t for t in restored if t.iteration_count > 1)
-            trace.ev_off[1] = trace.ev_off[-1] + 1
+            shape = next(
+                s for s, n in enumerate(restored.shape_iterations) if n > 1
+            )
+            ev_off = restored.ev_off[shape]
+            ev_off[1] = ev_off[-1] + 1
 
         def short(restored):
-            restored[0].ev_off[-1] -= 1
+            restored.ev_off[0][-1] -= 1
 
         def stamp_too_many(restored):
-            restored[0].ev_at.append(0)
+            restored.ev_at[0].append(0)
 
         shapes, distinct, count = block["rows"]
         iterations = _read_columns(block)["shape_iterations"]
@@ -1092,12 +1092,11 @@ class TestParallelSuite:
         self, tiny_pair, tmp_path, monkeypatch
     ):
         """On a warm cache ``run_suite`` compiles one trace program per
-        (loop, shape) group, all of them in each bench's one scheduling
-        pass; its accounting loop compiles nothing and never
+        shape of each recording, all of them in each bench's one
+        scheduling pass; its accounting loop compiles nothing and never
         materializes a ``Segment``."""
         import repro.obs.timeline as timeline_mod
         from repro.obs import REGISTRY
-        from repro.runtime.sched import trace_signature
 
         def compiled() -> float:
             return REGISTRY.snapshot()["counters"].get(
@@ -1112,10 +1111,8 @@ class TestParallelSuite:
             before = compiled()
             block = real(executor, machine)
             by_timeline += compiled() - before
-            traces += len(executor.traces)
-            groups += len(
-                {(t.loop_id, trace_signature(t)) for t in executor.traces}
-            )
+            traces += len(executor.recording)
+            groups += len(executor.recording.shape_loop)
             return block
 
         def no_segment(self, *args, **kwargs):
@@ -1185,11 +1182,11 @@ class TestParallelSuite:
     def test_a_warm_suite_groups_nothing(
         self, tiny_cohort, tiny_sync, tmp_path, monkeypatch
     ):
-        """A stored recording brings its grouping: a warm suite's restore
-        and Figure 9 scheduling sign no trace.  A cold suite signs each
-        trace once: the run just recorded is grouped for its stored form
-        and scheduled by the same grouping."""
-        import repro.runtime.sched as sched_mod
+        """A stored recording is read back as its tables: a warm suite's
+        restore and Figure 9 scheduling intern no invocation.  A cold
+        suite interns each invocation once, as it is recorded, and
+        stores and schedules the same tables."""
+        import repro.runtime.trace as trace_mod
 
         benches = [tiny_cohort, tiny_sync]
         suite = dict(
@@ -1199,20 +1196,20 @@ class TestParallelSuite:
             benches=benches,
         )
         signed = []
-        real = sched_mod.trace_signature
+        real = trace_mod._digest
 
-        def counting(trace):
-            signed.append(trace)
-            return real(trace)
+        def counting(columns):
+            signed.append(columns)
+            return real(columns)
 
-        monkeypatch.setattr(sched_mod, "trace_signature", counting)
+        monkeypatch.setattr(trace_mod, "_digest", counting)
         _, cold, runner = run_suite(**suite)
-        traces = [
-            trace
+        invocations = sum(
+            len(runner.helix_run(bench).executor.recording)
             for bench in benches
-            for trace in runner.helix_run(bench).executor.traces
-        ]
-        assert sorted(map(id, signed)) == sorted(map(id, traces))
+        )
+        # One digest of the shape's columns, one of the stamps'.
+        assert invocations and len(signed) == 2 * invocations
         signed.clear()
         _, warm, runner = run_suite(**suite)
         assert warm.stages["execute"]["disk_hits"] == len(benches)

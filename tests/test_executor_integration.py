@@ -50,7 +50,7 @@ class TestMultipleInvocations:
         )
         stats = next(iter(result.loop_stats.values()))
         assert stats.invocations == 25
-        assert len(executor.traces) == 25
+        assert len(executor.recording) == 25
 
     def test_two_parallel_loops_alternate(self):
         source = """

@@ -13,8 +13,10 @@ from repro.runtime.parallel import (
     InvocationTrace,
     IterationTrace,
     ParallelExecutor,
-    schedule_invocation,
 )
+from repro.runtime.sched import schedule_many
+from repro.runtime.trace import pack_traces
+from tests.helpers import recording_of
 
 
 def transform(source, cores=4, prefix="for", options=None):
@@ -124,7 +126,7 @@ class TestSpeedups:
         assert second.result.output == first.result.output
         assert second.result.cycles == first.result.cycles
         assert second.loop_stats == first.loop_stats
-        assert second.traces == first.traces
+        assert pack_traces(second.traces) == pack_traces(first.traces)
 
 
 class TestReplay:
@@ -193,7 +195,7 @@ class TestReplay:
         assert infos  # the loop was parallelized...
         executor = ParallelExecutor(transformed, infos, machine)
         direct = executor.execute()
-        assert executor.traces == []  # ...but never entered
+        assert len(executor.recording) == 0  # ...but never entered
         probe = MachineConfig(cores=2)
         runs = executor.replay_many([probe, machine])
         for run in runs:
@@ -232,6 +234,14 @@ def make_loop_info(counted=False, helper_order=()):
     )
 
 
+def schedule_one(trace, loop, machine):
+    """The schedule of one hand-written invocation under one machine,
+    through the recording and the production scheduler."""
+    recording = recording_of([trace])
+    columns = schedule_many(recording, {trace.loop_id: loop}, [machine])
+    return columns.column(0).results()[0]
+
+
 def iteration(start, events, end):
     trace = IterationTrace(start_cycles=start, end_cycles=end)
     trace.events = events
@@ -251,14 +261,14 @@ class TestScheduleInvocation:
         trace = InvocationTrace(
             loop_id=("f", "L"), start_cycles=100, end_cycles=130
         )
-        result = schedule_invocation(trace, make_loop_info(), self.machine())
+        result = schedule_one(trace, make_loop_info(), self.machine())
         assert result.sequential_cycles == 30
         assert result.parallel_cycles == 30
 
     def test_empty_invocation_never_charged_configuration(self):
         machine = self.machine(cores=6)
         trace = InvocationTrace(loop_id=("f", "L"), start_cycles=0, end_cycles=5)
-        result = schedule_invocation(trace, make_loop_info(), machine)
+        result = schedule_one(trace, make_loop_info(), machine)
         conf = machine.config_cycles_per_thread * (machine.cores - 1)
         assert result.parallel_cycles == 5 < conf
 
@@ -274,7 +284,7 @@ class TestScheduleInvocation:
             iterations=iterations,
         )
         machine = self.machine(cores=4)
-        result = schedule_invocation(trace, make_loop_info(counted=True), machine)
+        result = schedule_one(trace, make_loop_info(counted=True), machine)
         conf = machine.config_cycles_per_thread * 3
         drain = machine.signal_latency + 3
         assert result.parallel_cycles == conf + 200 + drain
@@ -292,7 +302,7 @@ class TestScheduleInvocation:
             iterations=iterations,
         )
         machine = self.machine(cores=4)
-        result = schedule_invocation(trace, make_loop_info(counted=False), machine)
+        result = schedule_one(trace, make_loop_info(counted=False), machine)
         # Each hand-off pays the full signal latency.
         assert result.parallel_cycles >= 3 * machine.signal_latency
 
@@ -305,7 +315,7 @@ class TestScheduleInvocation:
             iterations=[it0, it1],
         )
         machine = self.machine(cores=2)
-        result = schedule_invocation(trace, make_loop_info(counted=True), machine)
+        result = schedule_one(trace, make_loop_info(counted=True), machine)
         # Iteration 1 on core 1 reaches its wait at conf+10 but the
         # signal lands at conf+90; completion = signal + pull latency.
         conf = machine.config_cycles_per_thread
@@ -321,7 +331,7 @@ class TestScheduleInvocation:
             loop_id=("f", "L"), start_cycles=0, end_cycles=100,
             iterations=[it0],
         )
-        result = schedule_invocation(
+        result = schedule_one(
             trace, make_loop_info(counted=True), self.machine()
         )
         assert result.wait_stall_cycles == 0
@@ -339,7 +349,7 @@ class TestScheduleInvocation:
             loop_id=("f", "L"), start_cycles=0, end_cycles=300,
             iterations=[it0, it1, it2],
         )
-        result = schedule_invocation(trace, make_loop_info(counted=True), machine)
+        result = schedule_one(trace, make_loop_info(counted=True), machine)
         assert result.transfer_words == 1
 
     def test_ideal_prefetch_cheapest(self):
@@ -360,7 +370,7 @@ class TestScheduleInvocation:
             )
             machine = MachineConfig(cores=2, prefetch_mode=mode)
             info = make_loop_info(counted=True, helper_order=[0])
-            return schedule_invocation(trace, info, machine).parallel_cycles
+            return schedule_one(trace, info, machine).parallel_cycles
 
         # Ordering: ideal <= helix <= none.
         assert run(PrefetchMode.IDEAL) <= run(PrefetchMode.HELIX)
@@ -410,11 +420,11 @@ class TestHelperPipelining:
             loop_id=("f", "L"), start_cycles=0, end_cycles=4 * body,
             iterations=iterations,
         )
-        helix = schedule_invocation(trace, info, machine)
-        ideal = schedule_invocation(
+        helix = schedule_one(trace, info, machine)
+        ideal = schedule_one(
             trace, info, machine.with_prefetch(PrefetchMode.IDEAL)
         )
-        none = schedule_invocation(
+        none = schedule_one(
             trace, info, machine.with_prefetch(PrefetchMode.NONE)
         )
         assert none.parallel_cycles >= helix.parallel_cycles
@@ -436,6 +446,6 @@ class TestHelperPipelining:
             loop_id=("f", "L"), start_cycles=0, end_cycles=300,
             iterations=iterations,
         )
-        result = schedule_invocation(trace, info, machine)
+        result = schedule_one(trace, info, machine)
         # Single core: everything serial, finishing after all the work.
         assert result.parallel_cycles >= 300

@@ -53,7 +53,7 @@ def _digest(loop_stats):
 def _row(executed, executor):
     return {
         "execute": [executed.cycles, _digest(executed.loop_stats)],
-        "traces": len(executor.traces),
+        "traces": len(executor.recording),
         "grid": [
             [replayed.cycles, _digest(replayed.loop_stats)]
             for replayed in executor.replay_many(MACHINES)
@@ -79,65 +79,51 @@ def runner(suite_runner):
 
 
 def _assert_recorded_in_the_sequential_clock(executor, executed):
-    """Traces tile the recorded clock in order, and the run under the
-    executing machine is the recorded total with every invocation's
+    """Invocations tile the recorded clock in order, and the run under
+    the executing machine is the recorded total with every invocation's
     sequential span swapped for its scheduled length."""
+    recording = executor.recording
+    spans = [
+        recording.distinct_cycles[d] for d in recording.trace_distinct
+    ]
     end = 0
-    for trace in executor.traces:
-        assert end <= trace.start_cycles <= trace.end_cycles
-        end = trace.end_cycles
+    for start, span in zip(recording.trace_start, spans):
+        assert end <= start and span >= 0
+        end = start + span
     assert end <= executor.cycles
     column = executor.schedules()
-    assert [s.sequential_cycles for s in column] == [
-        t.end_cycles - t.start_cycles for t in executor.traces
-    ]
+    assert [s.sequential_cycles for s in column] == spans
     assert executed.cycles == executor.cycles - sum(
         s.sequential_cycles - s.parallel_cycles for s in column
     )
 
 
-def _invocation(trace):
-    """What the model reads of a trace: its loop, event columns and
-    stamps as offsets from the start of the invocation."""
-    return (
-        trace.loop_id,
-        trace.end_cycles - trace.start_cycles,
-        *(
-            bytes(column)
-            for column in (
-                trace.it_start, trace.it_end, trace.ev_off, trace.ev_kind,
-                trace.ev_dep, trace.ev_at, trace.ev_words,
-            )
-        ),
-    )
-
-
 def _assert_field_exact_with_the_reference(executor):
-    """Every trace's column entry under every machine is the reference
-    scheduler's.  The reference runs once per distinct invocation
-    (``executor.grouping``), on its first trace, and every trace is held
-    to its distinct invocation's result.  That is as strong as a call
-    per trace because every trace is its distinct invocation's first
-    trace over again (same loop, event columns and stamp offsets), and
-    the reference gives the same answer on each distinct invocation's
-    last trace too, under one machine of the grid (machines taking
-    turns over the distinct invocations)."""
+    """Every invocation's column entry under every machine is the
+    reference scheduler's.  The reference runs once per distinct
+    invocation, on its first occurrence, and every invocation is held to
+    its distinct invocation's result.  That is as strong as a call per
+    invocation because an invocation reads its distinct invocation's
+    columns and stamp offsets, and the reference gives the same answer
+    on each distinct invocation's last occurrence too, under one machine
+    of the grid (machines taking turns over the distinct
+    invocations)."""
     info_by_id = {info.loop_id: info for info in executor.infos}
-    traces = executor.traces
-    _, first, index = executor.grouping
-    index = index.tolist()
-    last = {distinct: i for i, distinct in enumerate(index)}
-    for trace, distinct in zip(traces, index):
-        assert _invocation(trace) == _invocation(traces[first[distinct]])
-    references = [traces[i].to_invocation_trace() for i in first]
+    recording = executor.recording
+    index = recording.trace_distinct.tolist()
+    first, last = {}, {}
+    for i, distinct in enumerate(index):
+        first.setdefault(distinct, i)
+        last[distinct] = i
+    references = [recording.invocation(first[d]) for d in sorted(first)]
     others = {
-        distinct: traces[i].to_invocation_trace()
+        distinct: recording.invocation(i)
         for distinct, i in last.items()
         if i != first[distinct]
     }
     for turn, machine in enumerate(MACHINES):
         column = executor.schedules(machine)
-        assert len(column) == len(traces)
+        assert len(column) == len(recording)
         expected = [
             schedule_invocation_reference(
                 reference, info_by_id[reference.loop_id], machine
@@ -163,6 +149,17 @@ def test_bench_numbers_equal_the_previous_clocks(bench, runner, table):
 
 
 @pytest.mark.parametrize("bench", benchmark_names())
+def test_a_run_counts_its_recorded_invocations(bench, runner, table):
+    """``len(run.parallel.traces)``, which the benchmark harness counts
+    as ``runtime.traces``, is the number of invocations the bench
+    records, and so is ``len()`` of the executor's recording: the run
+    holds the recording itself."""
+    run = runner.helix_run(bench)
+    assert run.parallel.traces is run.executor.recording
+    assert len(run.parallel.traces) == table["benches"][bench]["traces"]
+
+
+@pytest.mark.parametrize("bench", benchmark_names())
 def test_timeline_block_equals_the_per_trace_walk(
     bench, runner, bench_placement
 ):
@@ -175,8 +172,8 @@ def test_timeline_block_equals_the_per_trace_walk(
     from repro.obs.timeline import timeline_block
 
     executor = runner.helix_run(bench).executor
-    _, first, index = executor.grouping
-    assert len(index) == len(executor.traces) >= len(first)
+    recording = executor.recording
+    assert len(recording) >= len(recording.distinct_shape)
     for cores in (2, 4, 6):
         machine = runner.machine.with_cores(cores)
         block = timeline_block(executor, machine)
@@ -189,9 +186,8 @@ def test_timeline_block_equals_the_per_trace_walk(
 
 def test_a_restored_suite_compiles_one_program_per_shape(runner):
     """Restoring each bench's recording from its stored form and timing
-    it on its machine compiles the first trace of every shape of its
-    ``grouping`` and nothing else: 253 programs for the suite's 4,319
-    traces."""
+    it on its machine compiles the program of every shape and nothing
+    else: 253 programs for the suite's 4,319 invocations."""
     from repro.obs import REGISTRY
     from repro.runtime.interpreter import ExecutionResult
     from repro.runtime.trace import pack_traces, unpack_traces
@@ -204,7 +200,7 @@ def test_a_restored_suite_compiles_one_program_per_shape(runner):
     shapes = traces = 0
     for bench in benchmark_names():
         recorded = runner.helix_run(bench).executor
-        stored, grouping = unpack_traces(pack_traces(recorded.traces))
+        stored = unpack_traces(pack_traces(recorded.recording))
         restored = ParallelExecutor(
             recorded.module, recorded.infos, recorded.machine
         )
@@ -217,13 +213,11 @@ def test_a_restored_suite_compiles_one_program_per_shape(runner):
             ),
             stored,
             recorded.load_count,
-            grouping,
         )
         restored.schedule_columns()
-        assert restored.grouping is grouping
-        groups, _, _ = grouping
-        assert compiled() - before == len(groups), bench
-        shapes += len(groups)
+        assert restored.recording is stored
+        assert compiled() - before == len(stored.shape_loop), bench
+        shapes += len(stored.shape_loop)
         traces += len(stored)
     assert (shapes, traces) == (253, 4319)
 
@@ -248,7 +242,8 @@ def test_zero_iteration_invocation_costs_its_sequential_span():
 
     _, _, executor, _ = _prepare("multi_invocation")
     restored = _restored_with_empty_invocation("multi_invocation")
-    assert restored.traces[-1].iteration_count == 0
+    recording = restored.recording
+    assert recording.invocation(len(recording) - 1).iteration_count == 0
     _assert_field_exact_with_the_reference(restored)
     added = restored.cycles - executor.cycles
     assert added > 0
@@ -277,7 +272,7 @@ def test_a_run_whose_loops_never_execute_is_its_recording():
     assert infos
     executor = ParallelExecutor(transformed, infos, BASE)
     executed = executor.execute()
-    assert executor.traces == []
+    assert len(executor.recording) == 0
     assert executed.cycles == executor.cycles
     assert executed.cycles == run_module(transformed, BASE).cycles
     for replayed in executor.replay_many(MACHINES):

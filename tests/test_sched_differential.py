@@ -22,25 +22,25 @@ from repro.core import parallelize_module
 from repro.frontend import compile_source
 from repro.runtime import run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
-from repro.runtime.parallel import ParallelExecutor, schedule_invocation
+from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.sched import (
     CORE_FIELDS,
     ScheduleColumns,
     _resolve_agendas,
-    group_traces,
     schedule_invocation_reference,
     schedule_many,
-    trace_signature,
 )
 from repro.runtime.trace import (
     CTRL_DEP,
     OP_WAIT_SYNC,
     OP_XFER,
-    CompactInvocationTrace,
     InvocationTrace,
     IterationTrace,
+    Recording,
+    pack_traces,
+    unpack_traces,
 )
-from tests.helpers import reference_replay, sweep_machines
+from tests.helpers import recording_of, reference_replay, sweep_machines
 
 #: Program shapes covering the scheduler's behaviours: counted DOALL
 #: (fast path), cross-iteration data dependences (waits, signals and
@@ -191,17 +191,25 @@ def _prepare(name):
     return cached
 
 
+def _invocations(recording):
+    return [recording.invocation(i) for i in range(len(recording))]
+
+
+def _loops(executor):
+    return {info.loop_id: info for info in executor.infos}
+
+
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_schedules_field_exact_across_machines(name):
     _, infos, executor, result = _prepare(name)
     info_by_id = {info.loop_id: info for info in infos}
-    assert result.traces, f"{name}: expected recorded traces"
-    for machine in MACHINES:
-        for trace in result.traces:
-            info = info_by_id[trace.loop_id]
-            compiled = schedule_invocation(trace, info, machine)
+    assert len(result.traces), f"{name}: expected recorded invocations"
+    columns = schedule_many(result.traces, info_by_id, MACHINES)
+    for mi, machine in enumerate(MACHINES):
+        cells = columns.column(mi).results()
+        for trace, compiled in zip(_invocations(result.traces), cells):
             reference = schedule_invocation_reference(
-                trace.to_invocation_trace(), info, machine
+                trace, info_by_id[trace.loop_id], machine
             )
             assert compiled == reference, (
                 f"{name} under {machine.fingerprint()}: "
@@ -262,28 +270,25 @@ def _retimed(trace, shift=0, stretch=1, loads=None):
     """``trace`` moved ``shift`` cycles along the recorded clock, its
     offsets from the start of the invocation multiplied by ``stretch``:
     the same shape, and with ``stretch`` 1 the same invocation."""
-    original = trace.to_invocation_trace()
-    base = original.start_cycles
+    base = trace.start_cycles
 
     def at(stamp):
         return base + shift + (stamp - base) * stretch
 
-    return CompactInvocationTrace.from_trace(
-        InvocationTrace(
-            loop_id=original.loop_id,
-            start_cycles=at(original.start_cycles),
-            end_cycles=at(original.end_cycles),
-            loads=original.loads if loads is None else loads,
-            iterations=[
-                IterationTrace(
-                    start_cycles=at(it.start_cycles),
-                    end_cycles=at(it.end_cycles),
-                    events=[(k, dep, at(t)) for k, dep, t in it.events],
-                    words=dict(it.words),
-                )
-                for it in original.iterations
-            ],
-        )
+    return InvocationTrace(
+        loop_id=trace.loop_id,
+        start_cycles=at(trace.start_cycles),
+        end_cycles=at(trace.end_cycles),
+        loads=trace.loads if loads is None else loads,
+        iterations=[
+            IterationTrace(
+                start_cycles=at(it.start_cycles),
+                end_cycles=at(it.end_cycles),
+                events=[(k, dep, at(t)) for k, dep, t in it.events],
+                words=dict(it.words),
+            )
+            for it in trace.iterations
+        ],
     )
 
 
@@ -291,36 +296,35 @@ _expected = {}
 
 
 def _differential_case(name):
-    """The trace list every routing schedules, with what the reference
-    says of each trace under each machine of the mixed grid: the
-    recorded traces, a zero-iteration invocation, every recorded
-    invocation once more later in the clock with other loads (the same
-    distinct invocation) and once stretched (the same shape, other
-    stamps)."""
+    """The invocations every routing schedules, their recording and loop
+    infos, and what the reference says of each invocation under each
+    machine of the mixed grid: the recorded invocations, a
+    zero-iteration one, every recorded invocation once more later in the
+    clock with other loads (the same distinct invocation) and once
+    stretched (the same shape, other stamps)."""
     cached = _expected.get(name)
     if cached is None:
         _, infos, executor, _ = _prepare(name)
-        info_by_id = {info.loop_id: info for info in infos}
-        recorded = list(executor.traces)
+        loops = _loops(executor)
+        recorded = _invocations(executor.recording)
         traces = recorded + [
-            CompactInvocationTrace.from_trace(
-                InvocationTrace(
-                    loop_id=recorded[0].loop_id, start_cycles=5, end_cycles=42
-                )
+            InvocationTrace(
+                loop_id=recorded[0].loop_id, start_cycles=5, end_cycles=42
             )
         ]
         traces += [_retimed(t, shift=977, loads=t.loads + 3) for t in recorded]
         traces += [_retimed(t, stretch=3) for t in recorded]
-        loops = [info_by_id[t.loop_id] for t in traces]
         expected = {}
         for machine in MIXED_GRID:
             expected[machine.fingerprint()] = [
                 schedule_invocation_reference(
-                    trace.to_invocation_trace(), info, machine
+                    trace, loops[trace.loop_id], machine
                 )
-                for trace, info in zip(traces, loops)
+                for trace in traces
             ]
-        cached = _expected[name] = (traces, loops, expected)
+        cached = _expected[name] = (
+            traces, recording_of(traces), loops, expected
+        )
     return cached
 
 
@@ -350,10 +354,9 @@ def test_cohort_engine_matches_per_trace_engines(name, routing, monkeypatch):
 
     monkeypatch.setattr(sched_mod, "_schedule_cohort", counting)
 
-    traces, loops, expected = _differential_case(name)
-    grouping = None
+    traces, recording, loops, expected = _differential_case(name)
     for grid in GRIDS:
-        columns = schedule_many(traces, loops, grid, grouping)
+        columns = schedule_many(recording, loops, grid)
         assert len(columns) == len(traces)
         assert columns.data.shape == (
             len(ScheduleColumns.FIELDS), len(grid), len(traces)
@@ -366,20 +369,16 @@ def test_cohort_engine_matches_per_trace_engines(name, routing, monkeypatch):
                 result.parallel_cycles
                 for result in expected[machine.fingerprint()]
             ]
-        # The grouping depends on the traces alone; later grids are
-        # handed it.
-        grouping = group_traces(traces, map(id, loops))
-    shapes, first, index = grouping
     # Each recorded invocation and its later occurrence are one distinct
     # invocation, its stretched copy another of the same shape.
     recorded = (len(traces) - 1) // 3
-    assert len(index) == len(traces) and len(first) <= 2 * recorded + 1
-    assert sum(len(members) for members in shapes) == len(first)
-    assert len(shapes) < len(first)
+    distinct = len(recording.distinct_shape)
+    assert len(recording) == len(traces) and distinct <= 2 * recorded + 1
+    assert len(recording.shape_loop) < distinct
     # Every grid with a machine went through the pack walk, the
     # one-machine grid included.
     assert set(calls) == {len(grid) for grid in GRIDS if grid}
-    assert len(schedule_many([], [], MIXED_GRID)) == 0
+    assert len(schedule_many(Recording(), {}, MIXED_GRID)) == 0
 
 
 @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
@@ -391,8 +390,8 @@ def test_schedule_columns_survive_copy_and_pickle(how):
     import copy
     import pickle
 
-    traces, loops, _ = _differential_case("reduction")
-    columns = schedule_many(traces, loops, MIXED_GRID)
+    _, recording, loops, _ = _differential_case("reduction")
+    columns = schedule_many(recording, loops, MIXED_GRID)
     clone = {
         "copy": copy.copy,
         "deepcopy": copy.deepcopy,
@@ -416,9 +415,9 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     import repro.runtime.sched as sched_mod
 
     transformed, infos, executor, _ = _prepare("reduction")
-    (trace,) = executor.traces
+    (trace,) = _invocations(executor.recording)
     later = _retimed(trace, shift=12345, loads=trace.loads + 40)
-    assert later != trace and later.ev_at == trace.ev_at
+    assert later != trace
     walked = []
     real = sched_mod._schedule_cohort
 
@@ -430,7 +429,7 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     restored = ParallelExecutor(transformed, infos, BASE)
     restored.restore_run(
         dataclasses.replace(executor.run(), cycles=later.end_cycles + 9),
-        [trace, later],
+        recording_of([trace, later]),
         executor.load_count,
     )
     walked.clear()
@@ -439,8 +438,8 @@ def test_a_shifted_invocation_is_scheduled_once_and_counted_per_trace(
     # One distinct invocation on either executor, occurring twice in the
     # second run.
     assert walked == [([1], [1]), ([1], [2])]
-    shapes, first, index = restored.grouping
-    assert (shapes, first, index.tolist()) == ([[0]], [0], [0, 0])
+    assert restored.recording.distinct_shape == [0]
+    assert list(restored.recording.trace_distinct) == [0, 0]
     for machine, single, double in zip(MACHINES, once, twice):
         first_cell, second_cell = restored.schedules(machine)
         assert first_cell == second_cell == executor.schedules(machine)[0]
@@ -499,8 +498,8 @@ def test_a_shape_is_walked_once_per_chunk(max_width, monkeypatch):
     packs = _walked_packs(monkeypatch, sched_mod)
     shapes = 0
     for executor in executors:
-        schedule_many(executor.traces, executor._loops(), MIXED_GRID)
-        shapes += len(executor.grouping[0])
+        schedule_many(executor.recording, _loops(executor), MIXED_GRID)
+        shapes += len(executor.recording.shape_loop)
     walked = 0
     for programs, members, loop, chunks in packs:
         assert set(members) == {1}
@@ -544,7 +543,7 @@ def test_a_loop_is_walked_once_per_chunk(suite_runner, monkeypatch):
 
     executor = suite_runner.helix_run("mcf").executor
     packs = _walked_packs(monkeypatch, sched_mod)
-    schedule_many(executor.traces, executor._loops(), SWEEP_GRID)
+    schedule_many(executor.recording, _loops(executor), SWEEP_GRID)
     widest = max(packs, key=lambda pack: len(pack[0]))
     programs, members, _loop, chunks = widest
     assert len(programs) == 123 and {p.iterations for p in programs} == {91}
@@ -576,12 +575,12 @@ ALL_MODES_GRID = [
 ]
 
 
-def _agendas_split(trace, loop):
-    """Whether the ``MATCHED`` and ``HELIX`` agendas of ``trace``'s shape
-    differ on some of its iterations and agree on others, and prefetch
-    some wait's signal through different entries."""
+def _agendas_split(program, loop):
+    """Whether the ``MATCHED`` and ``HELIX`` agendas of a shape's
+    ``program`` differ on some of its iterations and agree on others,
+    and prefetch some wait's signal through different entries."""
     entries, lengths, positions = _resolve_agendas(
-        trace.program, tuple(loop.helper_order), loop.counted
+        program, tuple(loop.helper_order), loop.counted
     )
     differ = [
         not np.array_equal(mt[:m], hx[:h])
@@ -609,28 +608,29 @@ def test_a_mixed_chunk_matches_the_engines(stretch, monkeypatch):
     import repro.runtime.sched as sched_mod
 
     _, infos, executor, _ = _prepare("branchy")
-    info_by_id = {info.loop_id: info for info in infos}
+    loops = _loops(executor)
     traces = [
         _retimed(
             trace,
             stretch=max(1, stretch // (trace.end_cycles - trace.start_cycles)),
         )
-        for trace in executor.traces
+        for trace in _invocations(executor.recording)
     ]
-    loops = [info_by_id[trace.loop_id] for trace in traces]
-    assert any(map(_agendas_split, traces, loops))
+    recording = recording_of(traces)
+    assert any(
+        _agendas_split(recording.program(shape), loops[recording.loops[k]])
+        for shape, k in enumerate(recording.shape_loop)
+    )
     if stretch > 1:
         assert min(t.end_cycles - t.start_cycles for t in traces) >= 1 << 39
 
     packs = _walked_packs(monkeypatch, sched_mod)
-    columns = schedule_many(traces, loops, ALL_MODES_GRID)
+    columns = schedule_many(recording, loops, ALL_MODES_GRID)
     assert packs and all(pack[3] == 1 for pack in packs)  # one chunk each
     for mi, machine in enumerate(ALL_MODES_GRID):
-        for trace, loop, cell in zip(
-            traces, loops, columns.column(mi).results()
-        ):
+        for trace, cell in zip(traces, columns.column(mi).results()):
             assert cell == schedule_invocation_reference(
-                trace.to_invocation_trace(), loop, machine
+                trace, loops[trace.loop_id], machine
             ), machine.fingerprint()
 
 
@@ -691,27 +691,29 @@ def _mixed_pack(counted, stretch=1, iterations=6):
                 it.words = {5: 3}
                 its.append(it)
             traces.append(
-                CompactInvocationTrace.from_trace(
-                    InvocationTrace(
-                        loop_id=loop.loop_id,
-                        start_cycles=start,
-                        end_cycles=start + iterations * span + 5,
-                        iterations=its,
-                    )
+                InvocationTrace(
+                    loop_id=loop.loop_id,
+                    start_cycles=start,
+                    end_cycles=start + iterations * span + 5,
+                    iterations=its,
                 )
             )
     return loop, traces
 
 
-def _per_shape_walks(traces, loops, grid):
-    """``per_core`` of every shape of ``traces`` walked on its own."""
-    shapes = {}
-    for trace, loop in zip(traces, loops):
-        key = (id(loop), trace_signature(trace))
-        shapes.setdefault(key, ([], loop))[0].append(trace)
+def _per_shape_walks(recording, loops, grid):
+    """``per_core`` of every shape of ``recording`` walked on its own."""
+    shape_of = [recording.distinct_shape[d] for d in recording.trace_distinct]
+    traces = _invocations(recording)
     return sum(
-        schedule_many(members, [loop] * len(members), grid).per_core
-        for members, loop in shapes.values()
+        schedule_many(
+            recording_of(
+                [t for t, of in zip(traces, shape_of) if of == shape]
+            ),
+            loops,
+            grid,
+        ).per_core
+        for shape in range(len(recording.shape_loop))
     )
 
 
@@ -734,32 +736,33 @@ def test_a_mixed_pack_matches_the_engines(stretch, monkeypatch):
     packs = _walked_packs(monkeypatch, sched_mod)
     for counted in (False, True):
         loop, traces = _mixed_pack(counted, stretch)
-        loops = [loop] * len(traces)
-        programs = [trace.program for trace in traces[::2]]
-        assert len({trace_signature(trace) for trace in traces}) == 5
+        loops = {loop.loop_id: loop}
+        recording = recording_of(traces)
+        assert len(recording.shape_loop) == 5
+        programs = [recording.program(shape) for shape in range(5)]
         assert [OP_XFER in prog.op for prog in programs] == [
             variant == "xfer" for variant in PACK_VARIANTS
         ]
         assert sum(programs[3].pre) == 6 and sum(programs[0].pre) == 0
         assert len({prog.op.count(OP_WAIT_SYNC) for prog in programs}) == 2
-        assert _agendas_split(traces[2], loop)
+        assert _agendas_split(programs[1], loop)
         if stretch > 1:
             spans = [t.end_cycles - t.start_cycles for t in traces]
             assert min(spans) >= 1 << 40
 
         del packs[:]
-        columns = schedule_many(traces, loops, ALL_MODES_GRID)
+        columns = schedule_many(recording, loops, ALL_MODES_GRID)
         ((walked, members, _, chunks),) = packs
         assert len(walked) == 5 and members == [2] * 5
         assert chunks == math.ceil(10 * len(ALL_MODES_GRID) / 7)
         for mi, machine in enumerate(ALL_MODES_GRID):
             for trace, cell in zip(traces, columns.column(mi).results()):
                 assert cell == schedule_invocation_reference(
-                    trace.to_invocation_trace(), loop, machine
+                    trace, loop, machine
                 ), machine.fingerprint()
         assert (
             columns.per_core
-            == _per_shape_walks(traces, loops, ALL_MODES_GRID)
+            == _per_shape_walks(recording, loops, ALL_MODES_GRID)
         ).all()
 
 
@@ -771,18 +774,19 @@ def test_mcf_pack_matches_the_engines(suite_runner, monkeypatch):
     import repro.runtime.sched as sched_mod
 
     executor = suite_runner.helix_run("mcf").executor
-    traces, loops = executor.traces, executor._loops()
+    recording, loops = executor.recording, _loops(executor)
     monkeypatch.setattr(sched_mod, "_MAX_WIDTH", 100)
-    columns = schedule_many(traces, loops, ALL_MODES_GRID)
-    references = [trace.to_invocation_trace() for trace in traces]
+    columns = schedule_many(recording, loops, ALL_MODES_GRID)
+    references = _invocations(recording)
     for mi, machine in enumerate(ALL_MODES_GRID):
         cells = columns.column(mi).results()
-        for reference, loop, cell in zip(references, loops, cells):
+        for reference, cell in zip(references, cells):
             assert cell == schedule_invocation_reference(
-                reference, loop, machine
+                reference, loops[reference.loop_id], machine
             ), machine.fingerprint()
     assert (
-        columns.per_core == _per_shape_walks(traces, loops, ALL_MODES_GRID)
+        columns.per_core
+        == _per_shape_walks(recording, loops, ALL_MODES_GRID)
     ).all()
 
 
@@ -817,7 +821,9 @@ def test_fewer_iterations_than_cores_match_the_reference(
     loop, traces = _mixed_pack(False, iterations=4)
     assert {trace.iteration_count for trace in traces} == {4}
     grid = FEW_ITERATIONS_GRID
-    columns = schedule_many(traces, [loop] * len(traces), grid)
+    columns = schedule_many(
+        recording_of(traces), {loop.loop_id: loop}, grid
+    )
     ((_, members, _, chunks),) = packs
     assert chunks == math.ceil(sum(members) * len(grid) / max_width)
     top = max(machine.cores for machine in grid)
@@ -830,7 +836,7 @@ def test_fewer_iterations_than_cores_match_the_reference(
 
         for trace, cell in zip(traces, columns.column(mi).results()):
             assert cell == schedule_invocation_reference(
-                trace.to_invocation_trace(), loop, machine, emit
+                trace, loop, machine, emit
             ), machine.fingerprint()
         assert (columns.per_core[:, mi] == totals).all(), machine.fingerprint()
 
@@ -846,7 +852,6 @@ def test_a_sweep_after_figure9_only_walks(suite_runner, monkeypatch):
     from repro.obs import REGISTRY
     from repro.runtime.interpreter import ExecutionResult
     from repro.runtime.parallel import RecordedRun
-    from repro.runtime.trace import pack_traces, unpack_traces
 
     def compiled():
         return REGISTRY.snapshot()["counters"].get(
@@ -856,16 +861,16 @@ def test_a_sweep_after_figure9_only_walks(suite_runner, monkeypatch):
     laid_out = []
     real = sched_mod._pack
 
-    def counting(shapes, *args):
-        laid_out.append(len(shapes))
-        return real(shapes, *args)
+    def counting(progs, *args):
+        laid_out.append(len(progs))
+        return real(progs, *args)
 
     monkeypatch.setattr(sched_mod, "_pack", counting)
     packs = _walked_packs(monkeypatch, sched_mod)
     runs = []
     for bench in benchmark_names():
         recorded = suite_runner.helix_run(bench).executor
-        stored, grouping = unpack_traces(pack_traces(recorded.traces))
+        stored = unpack_traces(pack_traces(recorded.recording))
         run = RecordedRun(recorded.infos, recorded.machine)
         run.restore_run(
             ExecutionResult(
@@ -875,7 +880,6 @@ def test_a_sweep_after_figure9_only_walks(suite_runner, monkeypatch):
             ),
             stored,
             recorded.load_count,
-            grouping,
         )
         run.replay_many(
             [run.machine.with_cores(c) for c in (2, 4)] + [run.machine]
@@ -892,9 +896,9 @@ def test_a_sweep_after_figure9_only_walks(suite_runner, monkeypatch):
 
 
 def test_a_new_trace_list_is_prepared_again(monkeypatch):
-    """The preparation goes with the trace list: later grids over the
-    same list walk the one the first schedule made, and once
-    ``traces`` is reassigned the next schedule prepares again."""
+    """The preparation goes with the recording: later grids over the
+    same recording walk the one the first schedule made, and once
+    ``recording`` is reassigned the next schedule prepares again."""
     import repro.runtime.parallel as parallel_mod
 
     transformed, infos, _, _ = _prepare("reduction")
@@ -912,7 +916,7 @@ def test_a_new_trace_list_is_prepared_again(monkeypatch):
     before = [run.cycles for run in executor.replay_many(MACHINES[:4])]
     executor.replay_many(MACHINES[4:8])
     assert prepared == [] and executor.preparation is first
-    executor.traces = list(executor.traces)
+    executor.recording = unpack_traces(pack_traces(executor.recording))
     after = [run.cycles for run in executor.replay_many(MACHINES[:4])]
     assert len(prepared) == 1 and prepared[0] is not first
     assert executor.preparation is prepared[0]
@@ -931,25 +935,23 @@ def test_out_of_order_intervals_are_fixed_up_off_the_first_column():
 
     loop = make_loop_info(counted=True)
     traces = [
-        CompactInvocationTrace.from_trace(
-            InvocationTrace(
-                loop_id=loop.loop_id,
-                start_cycles=start,
-                end_cycles=start + 2 * span,
-                iterations=[
-                    iteration(
-                        start + i * span,
-                        [
-                            ("w", 1, start + i * span + 10),
-                            ("w", 2, start + i * span + 10),
-                            ("s", 2, start + i * span + 20),
-                            ("s", 1, start + i * span + gap),
-                        ],
-                        start + (i + 1) * span,
-                    )
-                    for i in range(2)
-                ],
-            )
+        InvocationTrace(
+            loop_id=loop.loop_id,
+            start_cycles=start,
+            end_cycles=start + 2 * span,
+            iterations=[
+                iteration(
+                    start + i * span,
+                    [
+                        ("w", 1, start + i * span + 10),
+                        ("w", 2, start + i * span + 10),
+                        ("s", 2, start + i * span + 20),
+                        ("s", 1, start + i * span + gap),
+                    ],
+                    start + (i + 1) * span,
+                )
+                for i in range(2)
+            ],
         )
         for start, span, gap in ((0, 50, 30), (400, 50, 30), (900, 70, 45))
     ]
@@ -965,14 +967,13 @@ def test_out_of_order_intervals_are_fixed_up_off_the_first_column():
             total_store_ordering=False, barrier_cycles=3,
         ),
     ]
-    columns = schedule_many(traces, [loop] * len(traces), grid)
+    recording = recording_of(traces)
+    columns = schedule_many(recording, {loop.loop_id: loop}, grid)
     # Two distinct invocations, walked together.
-    assert len(group_traces(traces)[1]) == 2
+    assert len(recording.distinct_shape) == 2
     for mi, machine in enumerate(grid):
         assert columns.column(mi).results() == [
-            schedule_invocation_reference(
-                trace.to_invocation_trace(), loop, machine
-            )
+            schedule_invocation_reference(trace, loop, machine)
             for trace in traces
         ]
 
@@ -999,7 +1000,7 @@ def test_scheduling_work_across_run_replay_cycles(monkeypatch):
     monkeypatch.setattr(parallel_mod, "walk_many", counting)
     for _ in range(2):
         executor.execute()
-        count = len(executor.traces)
+        count = len(executor.recording)
         scheduled.clear()
         executor.replay_many(probes)
         assert scheduled == [(count, [p.fingerprint() for p in probes])]
@@ -1011,7 +1012,7 @@ def test_scheduling_work_across_run_replay_cycles(monkeypatch):
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_replay_many_matches_reference_replay(name):
     _, _, executor, _ = _prepare(name)
-    legacy = [t.to_invocation_trace() for t in executor.traces]
+    legacy = _invocations(executor.recording)
     compiled_runs = executor.replay_many(MACHINES)
     for machine, compiled in zip(MACHINES, compiled_runs):
         reference, _schedules = reference_replay(executor, machine, legacy)
@@ -1038,7 +1039,7 @@ def test_baseline_schedule_memoized_across_replays(monkeypatch):
     # column is then memoized like any other.
     baseline = executor._schedules.get(BASE.fingerprint())
     assert baseline is not None
-    assert len(baseline) == len(executor.traces)
+    assert len(baseline) == len(executor.recording)
 
     import repro.runtime.parallel as parallel_mod
 
@@ -1119,12 +1120,12 @@ def test_compiled_engine_matches_reference_engine(name, cores, mode, barrier):
         total_store_ordering=barrier == 0,
         barrier_cycles=barrier or 20,
     )
-    for trace in executor.traces:
-        info = info_by_id[trace.loop_id]
-        assert schedule_invocation(
-            trace, info, machine
-        ) == schedule_invocation_reference(
-            trace.to_invocation_trace(), info, machine
+    cells = schedule_many(executor.recording, info_by_id, [machine])
+    for trace, cell in zip(
+        _invocations(executor.recording), cells.column(0).results()
+    ):
+        assert cell == schedule_invocation_reference(
+            trace, info_by_id[trace.loop_id], machine
         )
 
 
@@ -1155,14 +1156,14 @@ def test_vector_walk_matches_the_engines_on_random_grids(
     walk cut anywhere, every cell equal to the reference's."""
     import repro.runtime.sched as sched_mod
 
-    traces, loops, _ = _differential_case(name)
+    traces, recording, loops, _ = _differential_case(name)
     with mock.patch.object(sched_mod, "_MAX_WIDTH", max_width):
-        columns = schedule_many(traces, loops, grid)
+        columns = schedule_many(recording, loops, grid)
     for mi, machine in enumerate(grid):
         got = columns.column(mi).results()
-        for trace, info, cell in zip(traces, loops, got):
+        for trace, cell in zip(traces, got):
             assert cell == schedule_invocation_reference(
-                trace.to_invocation_trace(), info, machine
+                trace, loops[trace.loop_id], machine
             )
 
 
@@ -1188,9 +1189,9 @@ from tests.test_sched_differential import MACHINES, SOURCES, _prepare
 
 for name in sorted(SOURCES):
     _, infos, executor, result = _prepare(name)
-    traces, grouping = unpack_traces(pack_traces(executor.traces))
+    recording = unpack_traces(pack_traces(executor.recording))
     restored = RecordedRun(infos)
-    restored.restore_run(result.result, traces, executor.load_count, grouping)
+    restored.restore_run(result.result, recording, executor.load_count)
     assert restored.replay_many(MACHINES) and executor.replay_many(MACHINES)
 print('numpy' in sys.modules, 'numpy.ma' in sys.modules)
 """

@@ -29,18 +29,15 @@ from repro.obs.timeline import (
 )
 from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.parallel import ParallelExecutor
-from repro.runtime.sched import schedule_invocation_reference, trace_signature
-from repro.runtime.trace import (
-    CompactInvocationTrace,
-    InvocationTrace,
-    pack_traces,
-    unpack_traces,
-)
+from repro.runtime.sched import schedule_invocation_reference
+from repro.runtime.trace import InvocationTrace, pack_traces, unpack_traces
+from tests.helpers import recording_of
 from tests.test_sched_differential import (
     BASE,
     MACHINES,
     MIXED_GRID,
     SOURCES,
+    _invocations,
     _prepare,
 )
 
@@ -61,7 +58,7 @@ def _reference_segments(trace, loop, machine):
     intervals it placed, as segments in invocation-local time."""
     segments = []
     result = schedule_invocation_reference(
-        trace.to_invocation_trace(),
+        trace,
         loop,
         machine,
         lambda *interval: segments.append(Segment(*interval)),
@@ -75,7 +72,7 @@ def test_invocation_segments_match_schedule_breakdown(name):
     info_by_id = {info.loop_id: info for info in executor.infos}
     for machine in MACHINES:
         schedules = executor.schedules(machine)
-        for trace, sched in zip(executor.traces, schedules):
+        for trace, sched in zip(_invocations(executor.recording), schedules):
             reference, segments = _reference_segments(
                 trace, info_by_id[trace.loop_id], machine
             )
@@ -187,19 +184,18 @@ def _assert_consumers_agree(executor, machine):
 
 
 def _restored_with_empty_invocation(name):
-    """The run of ``name`` as a warm cache restores it -- traces loaded
-    from their serialized form, nothing compiled or scheduled yet --
-    followed by one zero-iteration invocation and a sequential tail."""
+    """The run of ``name`` as a warm cache restores it -- the recording
+    loaded from its serialized form, nothing compiled or scheduled yet
+    -- followed by one zero-iteration invocation and a sequential
+    tail."""
     transformed, infos, executor, result = _prepare(name)
+    recorded = _invocations(executor.recording)
     start = executor.cycles + 3
-    empty = CompactInvocationTrace.from_trace(
-        InvocationTrace(
-            loop_id=executor.traces[0].loop_id,
-            start_cycles=start,
-            end_cycles=start + 37,
-        )
+    empty = InvocationTrace(
+        loop_id=recorded[0].loop_id,
+        start_cycles=start,
+        end_cycles=start + 37,
     )
-    assert empty.iteration_count == 0
     restored = ParallelExecutor(transformed, infos, BASE)
     restored.restore_run(
         ExecutionResult(
@@ -207,7 +203,7 @@ def _restored_with_empty_invocation(name):
             cycles=start + 37 + 5,
             instructions=result.result.instructions,
         ),
-        unpack_traces(pack_traces(executor.traces))[0] + [empty],
+        unpack_traces(pack_traces(recording_of(recorded + [empty]))),
         executor.load_count,
     )
     return restored
@@ -219,24 +215,21 @@ def test_block_equals_segment_totals_on_the_grid(name):
     for machine in MACHINES:
         _assert_consumers_agree(executor, machine)
     if name == "cohort_mix":
-        # The scheduler compiled one program for the whole shape group
-        # and the timeline compiled none.  The members ran alike at
-        # different points of the recorded clock (stamps are offsets
-        # from the start of the invocation), so the scheduler walked one
-        # of them and the block counted it once per occurrence.
-        groups = {}
-        for trace in executor.traces:
-            groups.setdefault(trace_signature(trace), []).append(trace)
-        cohort = max(groups.values(), key=len)
-        assert len({trace.start_cycles for trace in cohort}) == len(cohort) > 1
-        assert len({tuple(trace.ev_at) for trace in cohort}) == 1
-        assert [trace._program is not None for trace in cohort] == (
-            [True] + [False] * (len(cohort) - 1)
-        )
+        # The members of the largest shape ran alike at different points
+        # of the recorded clock (stamps are offsets from the start of
+        # the invocation): one distinct invocation, which the scheduler
+        # walked once and the block counted once per occurrence.
+        recording = executor.recording
+        shape_of = [recording.distinct_shape[d] for d in recording.trace_distinct]
+        cohort = max(set(shape_of), key=shape_of.count)
+        rows = [i for i, shape in enumerate(shape_of) if shape == cohort]
+        starts = {recording.trace_start[i] for i in rows}
+        assert len(starts) == len(rows) > 1
+        assert len({recording.trace_distinct[i] for i in rows}) == 1
 
 
 def test_walk_reads_gaps_off_the_recording_not_off_a_column(monkeypatch):
-    """The timeline takes the sequential gaps from the traces' own
+    """The timeline takes the sequential gaps from the invocations' own
     stamps in the recorded clock and asks for no schedule column, the
     executing machine's included.  The block reads the column of its
     machine, scheduling it once when the memo lacks it and never
@@ -264,7 +257,7 @@ def test_walk_reads_gaps_off_the_recording_not_off_a_column(monkeypatch):
     assert len(scheduled) == 1
     gaps = executor.cycles - sum(
         t.end_cycles - t.start_cycles
-        for t in executor.traces
+        for t in _invocations(executor.recording)
         if t.iteration_count
     )
     assert block["totals"]["sequential"] == gaps
@@ -322,9 +315,8 @@ def test_block_equals_segment_totals_on_every_engine_path(
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_a_restore_compiles_one_program_per_shape(name):
     """Restoring a run compiles and schedules nothing; timing it on its
-    machine compiles the first trace of each shape and hands its program
-    to the others; the report's accounting and the timeline compile
-    nothing more."""
+    machine compiles each shape's program once; the report's accounting
+    and the timeline compile nothing more."""
     from repro.obs import REGISTRY
 
     def compiled():
@@ -335,22 +327,21 @@ def test_a_restore_compiles_one_program_per_shape(name):
     _prepare(name)
     before = compiled()
     executor = _restored_with_empty_invocation(name)
-    assert compiled() == before and executor._grouping is None
-    assert not executor._schedules
+    assert compiled() == before and not executor._schedules
     executor.schedule_columns()
-    shapes, _, _ = executor.grouping
-    assert compiled() - before == len(shapes)
+    shapes = len(executor.recording.shape_loop)
+    assert compiled() - before == shapes
     for machine in (executor.machine, MACHINES[0], MACHINES[-1]):
         timeline_block(executor, machine)
         run_timeline(executor, machine)
-    assert compiled() - before == len(shapes)
+    assert compiled() - before == shapes
 
 
 def test_block_of_a_run_without_traces():
     module = compile_source("void main() { print(7); }")
     executor = ParallelExecutor(module, [], BASE)
     executor.execute()
-    assert executor.traces == []
+    assert len(executor.recording) == 0
     for machine in (BASE, MACHINES[0], MACHINES[-1]):
         block = _assert_consumers_agree(executor, machine)
         expected = dict.fromkeys(CATEGORIES, 0)

@@ -29,6 +29,7 @@ from repro.runtime.profiler import (
     _ProfilingInterpreter,
     profile_module,
 )
+from repro.runtime.trace import pack_traces
 from tests.helpers import assert_over_budget, run_limited
 from tests.test_backend_differential import IRREGULAR_CFG
 from tests.test_sched_differential import BASE, SOURCES, _prepare
@@ -106,7 +107,7 @@ def _executor_report(executor, result):
     return (
         result.result.to_dict(),
         {k: s.to_dict() for k, s in result.loop_stats.items()},
-        list(result.traces),
+        pack_traces(result.traces),
         executor.load_count,
     )
 
@@ -119,7 +120,7 @@ def test_recording_run_calls_the_hook_only_where_it_acts(name):
     assert _executor_report(auto, auto.execute()) == _executor_report(
         tree, tree.execute()
     )
-    assert auto.traces
+    assert len(auto.recording)
     assert auto.calls == _watched_only(auto, tree.calls)
     # A few percent of the boundaries, not a reordering of all of them.
     assert len(auto.calls) < len(tree.calls) / 2
@@ -144,9 +145,10 @@ def test_parallelized_loop_under_an_active_invocation_is_ignored():
     assert auto.calls == _watched_only(auto, tree.calls)
     activations = [c for c in auto.calls if c[0] == "kernel" and c[1] is None]
     assert len(activations) == 8
-    assert [t.loop_id for t in auto.traces] == [
-        by_func["main"].loop_id, by_func["kernel"].loop_id
-    ]
+    recording = auto.recording
+    assert [
+        recording.invocation(i).loop_id for i in range(len(recording))
+    ] == [by_func["main"].loop_id, by_func["kernel"].loop_id]
 
 
 def test_function_with_nothing_watched_has_no_hook_call():
@@ -379,10 +381,10 @@ def _profile_state(interp):
 
 
 def _recording_state(executor):
-    """The traces recorded so far, and their timing."""
+    """The invocations recorded so far, and their timing."""
     return (
         {k: s.to_dict() for k, s in executor.replay(BASE).loop_stats.items()},
-        list(executor.traces),
+        pack_traces(executor.recording),
     )
 
 
