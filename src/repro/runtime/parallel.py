@@ -96,8 +96,8 @@ nothing a run reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from array import array
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.loopnest import LoopId
@@ -336,17 +336,17 @@ class RecordedRun:
             # The 0/1 membership of every invocation in each loop of the
             # loop table (loops in order of first invocation), and what
             # no machine changes.
-            shape = np.array(recording.distinct_shape, dtype=np.int64)[
-                np.array(recording.trace_distinct, dtype=np.int64)
+            shape = np.array(recording.distinct_shape, np.int64)[
+                np.array(recording.trace_distinct, np.int64)
             ]
-            loop = np.array(recording.shape_loop, dtype=np.int64)[shape]
-            member = np.zeros((len(loop), len(recording.loops)), dtype=np.int64)
+            loop = np.array(recording.shape_loop, np.int64)[shape]
+            member = np.zeros((len(loop), len(recording.loops)), np.int64)
             member[np.arange(len(loop)), loop] = 1
             fixed = np.array(
                 [
                     np.ones_like(loop),
-                    np.array(recording.shape_iterations, dtype=np.int64)[shape],
-                    np.array(recording.trace_loads, dtype=np.int64),
+                    np.array(recording.shape_iterations, np.int64)[shape],
+                    np.array(recording.trace_loads, np.int64),
                 ]
             )
             self._by_loop = (member, (fixed @ member).tolist())

@@ -249,9 +249,9 @@ class ScheduleColumns:
     array ``(bucket, machine, core)`` over :data:`CORE_FIELDS`, or
     ``(bucket, core)`` in one machine's column, holding the cycles each
     core spent in each bucket over the whole recording, every
-    invocation counted (distinct invocations once per occurrence).  Summed over the
-    cores it is the sum of the bucket's field; cores past a machine's
-    count read 0.
+    invocation counted (distinct invocations once per occurrence).
+    Summed over the cores it is the sum of the bucket's field; cores
+    past a machine's count read 0.
     """
 
     FIELDS = tuple(ScheduleResult.__dataclass_fields__)
@@ -760,7 +760,7 @@ def _prepare_cohort(
         [sp.T, per_iteration("barriers"), per_iteration("words")]
     )
     if not (counted and progs[0].active_ops == 0):
-        ats = [[recording.ev_at[d] for d in distinct] for _, distinct in shapes]
+        ats = [[recording.ev_at[d] for d in ds] for _, ds in shapes]
         cohort.pack = _pack(progs, ats, it_s, it_e, loop)
     return cohort
 

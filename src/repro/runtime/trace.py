@@ -415,21 +415,17 @@ class Recording:
         loop id, by ``(loop, digest of its columns)`` and by ``(shape,
         length, digest of its columns)``."""
         if self._interned is None:
-            self._interned = (
-                {loop_id: k for k, loop_id in enumerate(self.loops)},
-                {
-                    (loop, _digest(getattr(self, n)[s] for n in _SHAPE_COLUMNS)): s
-                    for s, loop in enumerate(self.shape_loop)
-                },
-                {
-                    (
-                        shape,
-                        self.distinct_cycles[d],
-                        _digest(getattr(self, n)[d] for n in _DISTINCT_COLUMNS),
-                    ): d
-                    for d, shape in enumerate(self.distinct_shape)
-                },
-            )
+            shapes = {}
+            for s, loop in enumerate(self.shape_loop):
+                columns = (getattr(self, n)[s] for n in _SHAPE_COLUMNS)
+                shapes[loop, _digest(columns)] = s
+            distincts = {}
+            for d, shape in enumerate(self.distinct_shape):
+                columns = (getattr(self, n)[d] for n in _DISTINCT_COLUMNS)
+                key = (shape, self.distinct_cycles[d], _digest(columns))
+                distincts[key] = d
+            loops = {loop_id: k for k, loop_id in enumerate(self.loops)}
+            self._interned = (loops, shapes, distincts)
         return self._interned
 
     def program(self, shape: int) -> TraceProgram:
@@ -604,15 +600,16 @@ def _read_columns(payload) -> Dict[str, Any]:
     for name, count in zip(_TABLES, (shapes, shapes, distinct, distinct,
                                      traces, traces, traces)):
         read(name, count)
-    # Every index in range, every shape and distinct invocation used (as
-    # ``Recording.add`` leaves them), and no count larger than the block
-    # could hold, so that no sum below overflows.
+    # Every index in range, every loop, shape and distinct invocation
+    # used (as ``Recording.add`` leaves them), and no count larger than
+    # the block could hold, so that no sum below overflows.
     iterations = columns["shape_iterations"]
     if not (
         within("shape_loop", len(loops))
         and within("shape_iterations", len(block) + 1)
         and within("distinct_shape", shapes)
         and within("trace_distinct", distinct)
+        and np.bincount(columns["shape_loop"], minlength=len(loops)).all()
         and np.bincount(columns["distinct_shape"], minlength=shapes).all()
         and np.bincount(columns["trace_distinct"], minlength=distinct).all()
     ):
@@ -649,8 +646,8 @@ def unpack_traces(payload) -> Recording:
     given.
 
     A payload in any other format, or whose tables and columns disagree
-    -- an index out of range, a shape or distinct invocation nothing
-    uses, event offsets that do not run from 0 without stepping back,
+    -- an index out of range, a loop, shape or distinct invocation
+    nothing uses, event offsets that do not run from 0 without stepping back,
     columns not exactly as long as the tables make them, an event kind
     out of range -- raises :class:`ValueError` (or :class:`TypeError` /
     :class:`KeyError` where a field is of the wrong type or missing):

@@ -191,7 +191,7 @@ def reference_replay(
     the per-trace schedule column for field-exact comparison."""
     if legacy_traces is None:
         recording = executor.recording
-        legacy_traces = [recording.invocation(i) for i in range(len(recording))]
+        legacy_traces = list(map(recording.invocation, range(len(recording))))
     info_by_id = {info.loop_id: info for info in executor.infos}
     adjusted = executor.cycles
     loop_stats: Dict[LoopId, LoopRunStats] = {}

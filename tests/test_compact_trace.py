@@ -316,6 +316,7 @@ class TestSerialization:
         ("truncated block", "disagree"),
         ("unused distinct invocation", "tables"),
         ("loop index out of range", "tables"),
+        ("unused loop", "tables"),
         ("offsets step back", "offsets"),
         ("event kind out of range", "kinds"),
     ])
@@ -342,6 +343,8 @@ class TestSerialization:
             bad = _edited(payload, trace_distinct=[0, 0, 0])
         elif case == "loop index out of range":
             bad = _edited(payload, shape_loop=[0, 2])
+        elif case == "unused loop":
+            bad = dict(payload, loops=payload["loops"] + [["main", "x"]])
         elif case == "offsets step back":
             ev_off = columns["ev_off"].copy()
             ev_off[1], ev_off[2] = ev_off[2], ev_off[1]
@@ -487,7 +490,8 @@ class TestExecutorIntegration:
         executor.run()
         recording = executor.recording
         assert len(recording) > 1 and len(added) == len(recording)
+        # Invocations that ran alike were interned as they ended.
+        assert len(recording.distinct_shape) < len(recording)
         assert any(any(words) for words in recording.ev_words)
-        assert pack_traces(recording_of(_invocations(recording))) == (
-            pack_traces(recording)
-        )
+        rebuilt = recording_of(_invocations(recording))
+        assert pack_traces(rebuilt) == pack_traces(recording)

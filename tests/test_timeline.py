@@ -220,7 +220,9 @@ def test_block_equals_segment_totals_on_the_grid(name):
         # the invocation): one distinct invocation, which the scheduler
         # walked once and the block counted once per occurrence.
         recording = executor.recording
-        shape_of = [recording.distinct_shape[d] for d in recording.trace_distinct]
+        shape_of = [
+            recording.distinct_shape[d] for d in recording.trace_distinct
+        ]
         cohort = max(set(shape_of), key=shape_of.count)
         rows = [i for i, shape in enumerate(shape_of) if shape == cohort]
         starts = {recording.trace_start[i] for i in rows}
