@@ -111,23 +111,20 @@ def run_timeline(
 
     recording = executor.recording
     recorded_end = 0  # end of the previous invocation, recorded clock
-    for i, (distinct, start) in enumerate(
-        zip(recording.trace_distinct, recording.trace_start)
-    ):
-        shape = recording.distinct_shape[distinct]
-        sequential(start - recorded_end)
-        if recording.shape_iterations[shape] == 0:
+    for trace in map(recording.invocation, range(len(recording))):
+        sequential(trace.start_cycles - recorded_end)
+        if trace.iteration_count == 0:
             # The loop body never ran; the invocation is its sequential
             # span on the main core, under every machine.
-            sequential(recording.distinct_cycles[distinct])
+            sequential(trace.end_cycles - trace.start_cycles)
         else:
             cursor += schedule_invocation_reference(
-                recording.invocation(i),
-                info_by_id[recording.loops[recording.shape_loop[shape]]],
+                trace,
+                info_by_id[trace.loop_id],
                 machine,
                 place,
             ).parallel_cycles
-        recorded_end = start + recording.distinct_cycles[distinct]
+        recorded_end = trace.end_cycles
     sequential(executor.cycles - recorded_end)
     return segments
 
