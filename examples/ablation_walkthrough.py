@@ -20,8 +20,9 @@ def run(label, machine, options=None):
         ref, machine, options=options, train_module=train
     )
     assert result.output_matches
-    signals = sum(s.signals for s in result.loop_stats().values())
-    stalls = sum(s.wait_stall_cycles for s in result.loop_stats().values())
+    loops = result.parallel.loop_stats.values()
+    signals = sum(s.signals for s in loops)
+    stalls = sum(s.wait_stall_cycles for s in loops)
     print(
         f"{label:<28} speedup={result.speedup:5.2f}x  "
         f"signals={signals:>7,}  stall cycles={stalls:>10,}"

@@ -45,13 +45,13 @@ def main() -> None:
     print("HELIX quickstart")
     print("=" * 50)
     print(f"machine: {machine.cores} cores, SMT helper threads on")
-    print(f"loops chosen automatically: {result.chosen_loops}")
+    print(f"loops chosen automatically: {result.chosen}")
     print(f"sequential cycles: {result.sequential.cycles:>12,}")
     print(f"parallel cycles:   {result.parallel.cycles:>12,}")
     print(f"speedup:           {result.speedup:>12.2f}x")
     print(f"output identical:  {result.output_matches}")
     print()
-    for loop_id, stats in result.loop_stats().items():
+    for loop_id, stats in result.parallel.loop_stats.items():
         print(
             f"loop {loop_id}: {stats.iterations} iterations, "
             f"{stats.signals} signals, {stats.transfer_words} words "

@@ -30,19 +30,12 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from repro.api import (
-    HelixResult,
-    compile_minic,
-    parallelize,
-    parallelize_and_run,
-)
+from repro.api import compile_minic, parallelize_and_run
 from repro.runtime.machine import MachineConfig
 
 __all__ = [
     "compile_minic",
-    "parallelize",
     "parallelize_and_run",
-    "HelixResult",
     "MachineConfig",
     "__version__",
 ]

@@ -261,31 +261,42 @@ class ArtifactStore:
     # -- keys ----------------------------------------------------------------
 
     def stage_key(
-        self, bench: str, scales: Sequence[str], extra: dict
+        self,
+        bench: str,
+        scales: Sequence[str],
+        extra: dict,
+        source: Callable[[str, str], str] = benchmark_fingerprint,
     ) -> str:
-        """Key of one stage artifact: code version + benchmark sources
+        """Key of one stage artifact: code version + program sources
         at the scales the stage consumed + stage-specific components.
 
         The formula under :meth:`key`, which supplies ``scales`` and
-        ``extra`` per artifact kind.
+        ``extra`` per artifact kind.  ``source`` hashes ``bench`` at one
+        scale: a benchmark's MiniC source by default, or, for a program
+        a runner holds, its printed IR the same way.
         """
         return fingerprint(
             {
                 "code": code_version(),
                 "bench": bench,
-                "sources": {
-                    scale: benchmark_fingerprint(bench, scale)
-                    for scale in scales
-                },
+                "sources": {scale: source(bench, scale) for scale in scales},
                 **extra,
             }
         )
 
-    def key(self, kind: str, bench: str, **inputs: Any) -> str:
+    def key(
+        self,
+        kind: str,
+        bench: str,
+        source: Callable[[str, str], str] = benchmark_fingerprint,
+        **inputs: Any,
+    ) -> str:
         """Key of ``bench``'s artifact of ``kind``, from the stage
         inputs :data:`KEY_INPUTS` declares for that kind."""
         scales, components = KEY_INPUTS[kind](**inputs)
-        return self.stage_key(bench, scales, {"kind": kind, **components})
+        return self.stage_key(
+            bench, scales, {"kind": kind, **components}, source
+        )
 
     # -- disk ----------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from repro.bench.suite import (
     benchmark_names,
     compile_benchmark,
     get_benchmark,
+    source_fingerprint,
 )
 
 __all__ = [
@@ -27,4 +28,5 @@ __all__ = [
     "benchmark_names",
     "get_benchmark",
     "compile_benchmark",
+    "source_fingerprint",
 ]

@@ -198,7 +198,14 @@ def benchmark_fingerprint(name: str, scale: str = "ref") -> str:
     """
     key = (name, scale)
     if key not in _fingerprints:
-        source = get_benchmark(name).source(scale)
-        digest = hashlib.sha256(f"{name}.{scale}\0{source}".encode())
-        _fingerprints[key] = digest.hexdigest()[:24]
+        _fingerprints[key] = source_fingerprint(
+            name, scale, get_benchmark(name).source(scale)
+        )
     return _fingerprints[key]
+
+
+def source_fingerprint(name: str, scale: str, text: str) -> str:
+    """Content hash of program ``name``'s ``text`` at ``scale``: MiniC
+    source for a benchmark, printed IR for a program a runner holds."""
+    digest = hashlib.sha256(f"{name}.{scale}\0{text}".encode())
+    return digest.hexdigest()[:24]

@@ -5,10 +5,11 @@ Commands:
 * ``run FILE.mc``            -- compile and run a MiniC program sequentially.
 * ``parallelize FILE.mc``    -- full HELIX pipeline + simulated speedup.
 * ``compile FILE.mc``        -- profile, select and transform without
-  executing; ``--pass-stats`` prints the analysis manager's per-analysis
+  executing; ``--pass-stats`` prints the runner's per-analysis
   hit/miss/invalidation table.
 * ``ir FILE.mc``             -- dump the compiled IR.
-* ``bench NAME``             -- run one of the 13 suite benchmarks.
+* ``bench NAME``             -- run one of the 13 suite benchmarks, on
+  the artifact store ``REPRO_EVAL_CACHE`` names (if any).
 * ``suite``                  -- Figure 9 over the whole suite; supports
   ``--jobs N`` (at most N worker processes for the benches the cache
   cannot answer; default one per CPU), ``--cache-dir PATH``
@@ -209,7 +210,7 @@ def cmd_parallelize(args) -> int:
     module = _load(args.file)
     machine = MachineConfig(cores=args.cores)
     result = parallelize_and_run(module, machine)
-    print(f"chosen loops:      {result.chosen_loops}")
+    print(f"chosen loops:      {result.chosen}")
     print(f"sequential cycles: {result.sequential.cycles:,}")
     print(f"parallel cycles:   {result.parallel.cycles:,}")
     print(f"speedup:           {result.speedup:.2f}x on {args.cores} cores")
@@ -224,31 +225,41 @@ def cmd_compile(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    from repro.analysis.manager import AnalysisManager
-    from repro.api import parallelize
+    """Selection, then Steps 1-9, on a runner that holds the program
+    (the daemon's ``compile`` op, on a program that is not a bench)."""
+    from repro.core.loopinfo import HelixOptions
     from repro.evaluation.reporting import format_analysis_stats
+    from repro.evaluation.runner import EvaluationRunner
 
     module = _load(args.file)
-    machine = MachineConfig(cores=args.cores)
-    manager = AnalysisManager()
-    result = parallelize(module, machine, manager=manager)
-    print(f"chosen loops:       {result.chosen_loops}")
-    print(f"parallelized loops: {len(result.infos)}")
+    runner = EvaluationRunner(MachineConfig(cores=args.cores))
+    runner.hold(module.name, module)
+    selection = runner.selection(module.name)
+    _, infos = runner.transform(
+        module.name, selection.chosen, runner.machine, HelixOptions()
+    )
+    print(f"chosen loops:       {selection.chosen}")
+    print(f"parallelized loops: {len(infos)}")
     if args.pass_stats:
         print()
-        print(format_analysis_stats(manager.stats.analyses()))
+        print(format_analysis_stats(runner.stats.analyses()))
     return 0
 
 
 def cmd_bench(args) -> int:
-    from repro.bench import compile_benchmark, get_benchmark
+    """One bench's default pipeline, on a runner over the store
+    :func:`~repro.evaluation.runner.default_runner` opens
+    (``REPRO_EVAL_CACHE``): a store a suite filled answers it without
+    compiling or interpreting anything."""
+    from repro.bench import get_benchmark
+    from repro.evaluation.runner import EvaluationRunner, default_runner
 
     spec = get_benchmark(args.name)
     print(f"{spec.name}: {spec.description}")
-    ref = compile_benchmark(args.name, "ref")
-    train = compile_benchmark(args.name, "train")
-    machine = MachineConfig(cores=args.cores)
-    result = parallelize_and_run(ref, machine, train_module=train)
+    runner = EvaluationRunner(
+        MachineConfig(cores=args.cores), cache=default_runner().artifacts
+    )
+    result = runner.helix_run(args.name)
     print(
         f"speedup {result.speedup:.2f}x on {args.cores} cores "
         f"(paper ~{spec.paper_speedup_6}x on 6)"

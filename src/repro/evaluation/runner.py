@@ -1,12 +1,19 @@
-"""Cached benchmark pipelines for the evaluation.
+"""The pipeline driver: cached benchmark pipelines for the evaluation,
+and the one pipeline of every other caller.
 
 Running one benchmark end-to-end means: compile train+ref, profile the
 train build, select loops, transform the ref build, record its run and
-time the recording on the simulated machine.  Several figures share most
-of that work, so the runner memoizes each stage in memory; timing for
-different core counts or prefetch modes is recomputed from recorded
-traces (:meth:`RecordedRun.replay`) without re-interpreting the
-program.  The recording is memoized (and stored) under the hash of the
+time the recording on the simulated machine.  A program that is not a
+bench runs the same stages once a runner holds it under a name
+(:meth:`EvaluationRunner.hold`): that is all
+:func:`repro.api.parallelize_and_run` does, on a runner without a store
+root, and ``repro parallelize`` and ``repro compile`` go through it
+too.
+
+Several figures share most of that work, so the runner memoizes each
+stage in memory; timing for different core counts or prefetch modes is
+recomputed from recorded traces (:meth:`RecordedRun.replay`) without
+re-interpreting the program.  The recording is memoized (and stored) under the hash of the
 IR it ran, so configurations whose selection and transformation end in
 the same module share one recording run and only schedule it apart.
 
@@ -58,7 +65,12 @@ from typing import (
 from repro.analysis.loopnest import LoopId
 from repro.analysis.manager import AnalysisManager
 from repro.artifacts import ArtifactStore, fingerprint, pipeline_fingerprint
-from repro.bench import benchmark_names, compile_benchmark
+from repro.bench import (
+    benchmark_fingerprint,
+    benchmark_names,
+    compile_benchmark,
+    source_fingerprint,
+)
 from repro.core.loopinfo import (
     HelixOptions,
     LoopInfo,
@@ -72,7 +84,7 @@ from repro.core.selection import (
     choose_loops,
     fixed_level_selection,
 )
-from repro.ir import Module
+from repro.ir import Module, module_to_str
 from repro.obs import get_tracer
 from repro.obs.metrics import StageStats
 from repro.runtime.interpreter import ExecutionResult, run_module
@@ -136,7 +148,8 @@ RUN_FIELDS = frozenset(
 
 @dataclass
 class PipelineRun:
-    """A transformed benchmark plus its executed results.
+    """A transformed program (a bench or a held one) plus its executed
+    results: what :func:`repro.api.parallelize_and_run` returns.
 
     ``executor`` holds the recorded run and times it on any machine.
     The selection, the transformed module and its loop infos are built
@@ -216,7 +229,7 @@ class PipelineRun:
 
 
 class EvaluationRunner:
-    """Memoizing driver for all experiments.
+    """Memoizing driver of the pipeline, for benches and held programs.
 
     ``cache`` is the :class:`~repro.artifacts.ArtifactStore` under the
     in-memory memos (shared with other runners), or a directory to open
@@ -249,6 +262,8 @@ class EvaluationRunner:
         #: transformation this runner performs; it counts into ``stats``
         #: under ``analysis:<name>`` keys.
         self.analysis = AnalysisManager(stats=self.stats)
+        #: Programs held under a name (:meth:`hold`): scale -> build.
+        self._held: Dict[str, Dict[str, Module]] = {}
         self._profiles: Dict[str, ProfileData] = {}
         self._profile_digests: Dict[str, str] = {}
         self._sequential: Dict[str, ExecutionResult] = {}
@@ -318,11 +333,46 @@ class EvaluationRunner:
         if self.artifacts.store(kind, key, payload):
             self._artifact(kind, key, "store")
 
+    def _source(self, bench: str, scale: str) -> str:
+        held = self._held.get(bench)
+        if held is None:
+            return benchmark_fingerprint(bench, scale)
+        return source_fingerprint(bench, scale, module_to_str(held[scale]))
+
+    def _key(self, kind: str, bench: str, **inputs: Any) -> str:
+        """:meth:`ArtifactStore.key`, with a held program's sources
+        hashed from its printed IR."""
+        return self.artifacts.key(kind, bench, source=self._source, **inputs)
+
+    # -- programs --------------------------------------------------------------
+
+    def hold(
+        self, name: str, ref: Module, train: Optional[Module] = None
+    ) -> None:
+        """Run a caller's program under ``name``: ``ref`` is its ref
+        build and ``train`` (``ref`` by default) the build it is
+        profiled on.  Every stage takes ``name`` as it takes a bench
+        name; :meth:`module` returns these builds and compiles nothing.
+        Keys hash each build's printed IR the way they hash a bench's
+        MiniC source (:func:`~repro.bench.source_fingerprint`).  The
+        builds stay with this runner, out of the store-wide
+        :attr:`ArtifactStore.modules`, so a program called like a bench
+        never aliases it.  A name holds one program: another module
+        under a held name is a ``ValueError``."""
+        builds = {"ref": ref, "train": train or ref}
+        held = self._held.setdefault(name, builds)
+        if any(held[scale] is not build for scale, build in builds.items()):
+            raise ValueError(f"this runner holds another program {name!r}")
+
     # -- stages ----------------------------------------------------------------
 
     def module(self, bench: str, scale: str) -> Module:
-        """``bench`` compiled from source at ``scale``, once per store
+        """The program :meth:`hold` holds under ``bench``, or else the
+        bench compiled from source at ``scale``, once per store
         (:attr:`ArtifactStore.modules`)."""
+        held = self._held.get(bench)
+        if held is not None:
+            return held[scale]
         key = (bench, scale)
         module = self.artifacts.modules.get(key)
         if module is not None:
@@ -346,7 +396,7 @@ class EvaluationRunner:
             return data
 
         def run() -> Tuple[ProfileData, str]:
-            key = self.artifacts.key("profile", bench, machine=self.machine)
+            key = self._key("profile", bench, machine=self.machine)
             data = self._load("profile", key, ProfileData.from_dict)
             if data is not None:
                 return data, "disk"
@@ -374,7 +424,7 @@ class EvaluationRunner:
             return result
 
         def run() -> Tuple[ExecutionResult, str]:
-            key = self.artifacts.key("sequential", bench, machine=self.machine)
+            key = self._key("sequential", bench, machine=self.machine)
             result = self._load("sequential", key, ExecutionResult.from_dict)
             if result is not None:
                 return result, "disk"
@@ -564,7 +614,7 @@ class EvaluationRunner:
             )
 
         machine = self.machine.with_prefetch(prefetch)
-        plan_key = self.artifacts.key(
+        plan_key = self._key(
             "plan",
             bench,
             machine=self.machine,
@@ -584,7 +634,7 @@ class EvaluationRunner:
             chosen = selection.chosen if selection is not None else loop_ids
             transformation = self.transform(bench, chosen, machine, options)
             transformed, infos = transformation
-            recording_key = self.artifacts.key(
+            recording_key = self._key(
                 "recording",
                 bench,
                 module=transformed,
@@ -659,7 +709,7 @@ class EvaluationRunner:
             return payload
 
         def run() -> Tuple[dict, str]:
-            disk_key = self.artifacts.key(
+            disk_key = self._key(
                 "run",
                 bench,
                 machine=self.machine,

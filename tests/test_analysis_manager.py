@@ -23,7 +23,8 @@ from repro import MachineConfig, compile_minic
 from repro.analysis.cfg import CFGView
 from repro.analysis.loops import find_loops
 from repro.analysis.manager import AnalysisManager
-from repro.api import parallelize, parallelize_and_run
+from repro.core.loopinfo import HelixOptions
+from repro.evaluation.runner import EvaluationRunner
 from repro.ir import BasicBlock, Instruction, Opcode
 from repro.ir.module import clone_module
 from repro.ir.printer import module_to_str
@@ -297,14 +298,18 @@ class TestDifferential:
 
         def run(make_manager):
             module = compile_minic(source, name="diff")
-            manager = make_manager()
-            result = parallelize_and_run(module, machine, manager=manager)
-            return module, manager, result
+            runner = EvaluationRunner(machine)
+            runner.analysis = make_manager(stats=runner.stats)
+            runner.hold(module.name, module)
+            result = runner.pipeline(
+                module.name, prefetch=machine.prefetch_mode
+            )
+            return module, runner.analysis, result
 
         ref_mod, ref_am, legacy = run(UncachedAnalysisManager)
         new_mod, new_am, managed = run(AnalysisManager)
 
-        assert legacy.chosen_loops == managed.chosen_loops
+        assert legacy.chosen == managed.chosen
         assert module_to_str(legacy.transformed) == module_to_str(
             managed.transformed
         )
@@ -319,9 +324,14 @@ class TestDifferential:
         over the whole pipeline: cold once per module (the reference
         module and its transformed clone), plus once per invalidation."""
         module = compile_program()
-        manager = AnalysisManager()
-        result = parallelize(module, MachineConfig(cores=4), manager=manager)
-        assert result.infos, "test program must parallelize a loop"
+        runner = EvaluationRunner(MachineConfig(cores=4))
+        runner.hold(module.name, module)
+        selection = runner.selection(module.name)
+        _, infos = runner.transform(
+            module.name, selection.chosen, runner.machine, HelixOptions()
+        )
+        assert infos, "test program must parallelize a loop"
+        manager = runner.analysis
         for name in ("callgraph", "points_to"):
             counter = tally(manager, name)
             assert counter.computes == counter.invalidations + 2, name
@@ -330,8 +340,6 @@ class TestDifferential:
 
     def test_helix_run_counter_law(self, tiny_bench):
         """Same law over a full helix_run through the EvaluationRunner."""
-        from repro.evaluation.runner import EvaluationRunner
-
         runner = EvaluationRunner(MachineConfig(cores=4))
         run = runner.helix_run(tiny_bench)
         assert run.infos

@@ -52,6 +52,36 @@ def test_bench_command(capsys):
     assert "mcf" in out and "speedup" in out
 
 
+def test_a_second_bench_call_reads_the_store(monkeypatch, tmp_path, capsys):
+    """``repro bench`` asks a runner on the store ``REPRO_EVAL_CACHE``
+    names: a second call prints the first call's text from stored
+    artifacts and computes no stage."""
+    from repro.evaluation import runner as runner_mod
+
+    runners = []
+
+    class Runner(runner_mod.EvaluationRunner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runners.append(self)
+
+    monkeypatch.setenv("REPRO_EVAL_CACHE", str(tmp_path))
+    monkeypatch.setattr(runner_mod, "_default", None)
+    monkeypatch.setattr(runner_mod, "EvaluationRunner", Runner)
+    assert main(["bench", "mcf", "--cores", "2"]) == 0
+    cold = capsys.readouterr().out
+    assert main(["bench", "mcf", "--cores", "2"]) == 0
+    assert capsys.readouterr().out == cold
+    stages = runners[-1].stats.as_dict()
+    for stage in (
+        "compile", "profile", "sequential", "selection", "transform",
+        "execute",
+    ):
+        assert stages.get(stage, {}).get("computes", 0) == 0, stage
+    for stage in ("profile", "sequential", "execute"):
+        assert stages[stage]["disk_hits"] == 1, stage
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])
