@@ -67,7 +67,7 @@ import os
 import tempfile
 import threading
 import weakref
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -128,11 +128,13 @@ def code_version() -> str:
 
 
 def _jsonable(obj: Any) -> Any:
-    """Canonical JSON-compatible form of key components (deterministic)."""
+    """Canonical JSON-compatible form of key components (deterministic).
+    A dataclass reads as the dict of its fields, walked in place rather
+    than deep-copied first (``dataclasses.asdict``)."""
     if isinstance(obj, enum.Enum):
         return obj.value
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(_jsonable(k)): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -159,13 +161,14 @@ def pipeline_fingerprint(
 
     Used both as the in-memory memo key and inside ``plan`` and ``run``
     keys.
-    Covers *all* transformation options (``asdict``, not a curated
-    subset), so a new knob can never silently alias stored entries.
+    Covers *all* transformation options (every dataclass field, not a
+    curated subset), so a new knob can never silently alias stored
+    entries.
     """
     return json.dumps(
         _jsonable(
             {
-                "options": asdict(options),
+                "options": options,
                 "prefetch": prefetch,
                 "signal_cost": signal_cost,
                 "unoptimized_signals": unoptimized_signals,

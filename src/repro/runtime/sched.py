@@ -7,11 +7,13 @@ executor's timing and every machine-grid sweep.  It is two steps.
 are already interned by shape and, within a shape, into *distinct
 invocations* (equal stamp columns: stamps are offsets from the start of
 the invocation).  Each shape's
-:class:`~repro.runtime.trace.TraceProgram` is compiled once: duplicate
-filtering, producer sets, word counts and wait/signal pairing are
-resolved once per shape, never per machine.  The shapes are gathered
-into packs, and each pack's members, occurrences, spans, statistics and
-walk tables are read off once (:func:`_prepare_cohort`).
+:class:`~repro.runtime.trace.TraceProgram` is compiled once, every
+shape of the recording in one array pass: duplicate filtering, producer
+sets, word counts and wait/signal pairing are resolved once per shape,
+never per machine, and the walk reads the program's int64 columns as
+they are.  The shapes are gathered into packs, and each pack's members,
+occurrences, spans, statistics and walk tables are read off once
+(:func:`_prepare_cohort`).
 :func:`walk_many` then schedules each distinct invocation of the
 :class:`Preparation` under a machine grid and fans the result out by
 index.  A caller that times one recording under several grids keeps the
@@ -64,7 +66,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -90,6 +91,7 @@ from repro.runtime.trace import (
     InvocationTrace,
     Recording,
     TraceProgram,
+    _distinct,
 )
 
 if TYPE_CHECKING:
@@ -156,10 +158,12 @@ def _resolve_agendas(
     Machine-independent: done once per shape of a pack (:func:`_agendas`)
     and shared by every helper machine that walks it.  For each
     iteration the deduplicated agenda (``MATCHED``: the iteration's wait
-    deps; ``HELIX``: the loop's static helper order; both led by the
-    control signal on non-counted loops) is reduced to the entries whose
-    dependence the previous iteration actually signalled, each entry
-    being the flat op index of that signal (or :data:`_CTRL_SRC`).
+    deps, the program's flat ``agendas`` column cut by its
+    ``agenda_sizes``; ``HELIX``: the loop's static helper order; both
+    led by the control signal on non-counted loops) is reduced to the
+    entries whose dependence the previous iteration actually signalled,
+    each entry being the flat op index of that signal (or
+    :data:`_CTRL_SRC`).
     Returns ``(entries, lengths, positions)``, flavour ``MATCHED`` first
     on each leading axis: ``entries[f, i, p]`` is the ``p``-th entry of
     iteration ``i`` (-1 from ``lengths[f, i]`` on), and
@@ -169,15 +173,9 @@ def _resolve_agendas(
     """
     import numpy as np
 
-    op = np.frombuffer(prog.op, dtype=np.int64)
-    a1 = np.frombuffer(prog.a1, dtype=np.int64)
+    op, a1, waited = prog.op, prog.a1, prog.agendas
     n = prog.iterations
     it_of_op = np.repeat(np.arange(n), np.diff(prog.off))
-    sizes = np.fromiter(map(len, prog.agendas), dtype=np.int64, count=n)
-    waited = np.fromiter(
-        chain.from_iterable(prog.agendas), dtype=np.int64,
-        count=int(sizes.sum()),
-    )
     helix = np.array(list(dict.fromkeys(helix_order)), dtype=np.int64)
     deps = _distinct(np.concatenate([a1, waited, helix]))
     lead = 0 if counted else 1
@@ -191,7 +189,7 @@ def _resolve_agendas(
 
     # (iteration, dependence) of every agenda entry, MATCHED's in the
     # order of each iteration's waits and HELIX's in the helper order.
-    m_it = np.repeat(np.arange(n), sizes)
+    m_it = np.repeat(np.arange(n), prog.agenda_sizes)
     m_dep = np.searchsorted(deps, waited)
     h_it, h_col = np.divmod(np.arange(n * len(helix)), len(helix))
     h_dep = np.searchsorted(deps, helix)[h_col]
@@ -279,17 +277,6 @@ class ScheduleColumns:
     def results(self) -> List[ScheduleResult]:
         """One machine's column as :class:`ScheduleResult` objects."""
         return [ScheduleResult(*row) for row in self.data.T.tolist()]
-
-
-def _distinct(values):
-    """The distinct entries of an int64 array, ascending.  (``np.unique``
-    imports ``numpy.ma`` on first use, ~10 ms of a warm process.)"""
-    import numpy as np
-
-    ordered = np.sort(values, axis=None)
-    first = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first]
 
 
 @lru_cache(maxsize=256)
@@ -385,14 +372,11 @@ def _pack(progs, ats, it_s, it_e, loop: LoopInfo) -> _Pack:
     src = np.full((zero, count), zero, dtype=np.int64)
     kept = np.zeros(zero, dtype=bool)
     nxt = np.full((n, count), zero, dtype=np.int64)
-    tail = np.column_stack(
-        [np.frombuffer(p.tail, dtype=np.int64) for p in progs]
-    )
+    tail = np.column_stack([p.tail for p in progs])
     slots = []
     lo = 0
     for s, (prog, members) in enumerate(zip(progs, ats)):
-        op = np.frombuffer(prog.op, dtype=np.int64)
-        first = np.frombuffer(prog.off, dtype=np.int64)
+        op, first = prog.op, prog.off
         it_of_op = np.repeat(np.arange(n), sizes[s])
         slot = off[it_of_op] + np.arange(len(op)) - first[it_of_op]
         slots.append(slot)
@@ -403,7 +387,7 @@ def _pack(progs, ats, it_s, it_e, loop: LoopInfo) -> _Pack:
         lo += len(members)
         at = np.array(
             [np.frombuffer(ev_at, dtype=np.int64) for ev_at in members]
-        )[:, np.frombuffer(prog.raw, dtype=np.int64)]
+        )[:, prog.raw]
         ran = sizes[s] > 0
         before = np.empty_like(at)
         before[:, 1:] = at[:, :-1]
@@ -414,12 +398,10 @@ def _pack(progs, ats, it_s, it_e, loop: LoopInfo) -> _Pack:
         et[:, cols] = (it_e[cols] - last).T
 
         barred = (op == OP_WAIT_SYNC) | (op == OP_WAIT) | (op == OP_SIGNAL)
-        bars[slot, s] = np.frombuffer(prog.pre, dtype=np.int64) + barred
-        words[slot, s] = np.where(
-            op == OP_XFER, np.frombuffer(prog.a1, dtype=np.int64), 0
-        )
+        bars[slot, s] = prog.pre + barred
+        words[slot, s] = np.where(op == OP_XFER, prog.a1, 0)
         sync = op == OP_WAIT_SYNC
-        signals = np.frombuffer(prog.src, dtype=np.int64)[sync]
+        signals = prog.src[sync]
         src[slot[sync], s] = slot[signals]
         nexts = op == OP_NEXT
         kept[slot[(op == OP_SIGNAL) | (nexts & (not loop.counted))]] = True
@@ -740,9 +722,7 @@ def _prepare_cohort(
         return np.array(values, dtype=np.int64)[of_shape]
 
     def per_iteration(name: str) -> "np.ndarray":
-        return np.column_stack(
-            [np.frombuffer(getattr(p, name), dtype=np.int64) for p in progs]
-        )
+        return np.column_stack([getattr(p, name) for p in progs])
 
     counted = loop.counted
     it_s, it_e = stacked("it_start"), stacked("it_end")

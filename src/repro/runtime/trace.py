@@ -21,15 +21,20 @@ one distinct invocation, which every scheduler times once.  Word counts
 are aligned with the events, 0 except at ``x`` events, and the count an
 iteration transfers for a dependence is the last one written in it.
 
-A shape's :class:`TraceProgram` (:meth:`Recording.program`) is compiled
-from its columns once, on first use, and resolves everything the
-scheduler can know without a machine: duplicate waits/signals collapse
-to barrier counts, producer marks and non-forwarded consumer marks
-disappear, transferable ``xfer`` events carry their word counts inline,
-waits are split into *can-stall* (predecessor signalled the dependence)
-and *cannot-stall* variants, each can-stall wait points at the signal
-it synchronizes with, and the per-iteration deduped wait agendas for
-``MATCHED`` prefetching are precomputed.  A program holds no stamp:
+A shape's :class:`TraceProgram` (:meth:`Recording.program`) resolves
+everything the scheduler can know without a machine: duplicate
+waits/signals collapse to barrier counts, producer marks and
+non-forwarded consumer marks disappear, transferable ``xfer`` events
+carry their word counts inline, waits are split into *can-stall*
+(predecessor signalled the dependence) and *cannot-stall* variants,
+each can-stall wait points at the signal it synchronizes with, and the
+per-iteration deduped wait agendas for ``MATCHED`` prefetching are
+precomputed.  The first program asked for compiles every shape not yet
+compiled in one array pass over their concatenated columns
+(:func:`_compile`): what is kept of an event is a first occurrence of
+its ``(iteration, dependence)`` key, and what it reads of the previous
+iteration a sorted lookup of the key one iteration back.  A program's
+columns are int64 ndarrays and it holds no stamp:
 :func:`repro.runtime.sched.prepare_many` gathers each distinct
 invocation's op stamps from its ``ev_at`` through the program's ``raw``
 column.
@@ -51,10 +56,13 @@ import hashlib
 import zlib
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.loopnest import LoopId
 from repro.obs.metrics import REGISTRY
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Synthetic dependence id of the control signal (IterationFlag).
 CTRL_DEP = -1
@@ -133,41 +141,45 @@ class TraceProgram:
     field here holds for every invocation of the shape
     (:meth:`Recording.program`).  Schedulers take an invocation's own
     stamps from its distinct invocation's columns: ``ev_at`` through
-    :attr:`raw`, iteration spans from ``it_start`` / ``it_end``.
+    :attr:`raw`, iteration spans from ``it_start`` / ``it_end``.  Every
+    column is an int64 ndarray, a view into its compile batch's arrays;
+    none is written after compilation.
     """
 
     #: Flat compiled event columns (parallel arrays, ``off`` slices them
     #: per iteration).
-    op: array
+    op: "np.ndarray"
     #: Operand: dependence id (waits/signals), word count (xfers).
-    a1: array
+    a1: "np.ndarray"
     #: Synchronization source: for ``OP_WAIT_SYNC`` the flat op index of
     #: the previous iteration's matching ``OP_SIGNAL`` (pack-time
     #: guarantee: present), -1 for every other opcode.  Lets schedulers
     #: read the predecessor's signal time from a per-op timetable column
     #: instead of rebuilding a dependence dict per iteration.
-    src: array
+    src: "np.ndarray"
     #: Index of each kept op's source event in the raw ``ev_*`` columns:
     #: what gathers a trace's own op stamps from its ``ev_at``.
-    raw: array
+    raw: "np.ndarray"
     #: Elided barrier-bearing events (duplicate waits/signals) between
     #: the previous kept event and this one; each costs one barrier on
     #: non-TSO machines.
-    pre: array
+    pre: "np.ndarray"
     #: Per-iteration event slices, length ``iterations + 1``.
-    off: array
+    off: "np.ndarray"
     #: Elided barrier-bearing events after the last kept event of each
     #: iteration.
-    tail: array
+    tail: "np.ndarray"
     #: Per iteration: the raw barrier-bearing events (every recorded
     #: wait and signal, duplicates included) and the words forwarded.
     #: With the trace's spans they fix what the iteration's core spends
     #: computing and forwarding on any machine.
-    barriers: array
-    words: array
-    #: Per-iteration deduped wait agendas (all ``'w'`` deps in first-
-    #: occurrence order) for ``MATCHED`` prefetching.
-    agendas: Tuple[Tuple[int, ...], ...]
+    barriers: "np.ndarray"
+    words: "np.ndarray"
+    #: The deduped wait agendas for ``MATCHED`` prefetching, one flat
+    #: column: each iteration's ``'w'`` deps in first-occurrence order,
+    #: ``agenda_sizes[i]`` of them for iteration ``i``.
+    agendas: "np.ndarray"
+    agenda_sizes: "np.ndarray"
     #: Machine-independent aggregate statistics.
     waits: int
     signals: int
@@ -186,133 +198,188 @@ class TraceProgram:
         return len(self.tail)
 
 
-def _compile(ev_off, kinds, deps, ev_words) -> TraceProgram:
-    """The :class:`TraceProgram` of one shape's columns."""
-    # One registry tick per compilation, outside the event loops.
-    REGISTRY.inc("sched.programs_compiled")
-    op = array("q")
-    a1 = array("q")
-    src = array("q")
-    raw_ix = array("q")
-    pre = array("q")
-    off = array("q", [0])
-    tail = array("q")
-    barriers = array("q")
-    moved = array("q")
-    agendas: List[Tuple[int, ...]] = []
+def _distinct(values):
+    """The distinct entries of an int64 array, ascending.  (``np.unique``
+    imports ``numpy.ma`` on first use, ~10 ms of a warm process.)"""
+    import numpy as np
 
-    waits = signals = next_iters = transfer_total = active = 0
-    raw_signals = 0
-    #: dep -> flat op index of the iteration's kept OP_SIGNAL.
-    prev_sig: Dict[int, int] = {}
-    prev_produced: frozenset = frozenset()
+    ordered = np.sort(values, axis=None)
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
-    for i in range(len(ev_off) - 1):
-        # dep -> the last count the iteration's 'x' events wrote, and
-        # the flat index of the OP_XFER that moves it (the first
-        # forwarded event; its count is filled in below).
-        words: Dict[int, int] = {}
-        transferred: Dict[int, int] = {}
-        waited: set = set()
-        cur_sig: Dict[int, int] = {}
-        produced: set = set()
-        agenda: List[int] = []
-        agenda_seen: set = set()
-        seen_next = False
-        pending = 0
-        barriers_before = waits + raw_signals
 
-        for j in range(ev_off[i], ev_off[i + 1]):
-            kind = kinds[j]
-            dep = deps[j]
-            if kind == KIND_WAIT:
-                waits += 1
-                if dep not in agenda_seen:
-                    agenda_seen.add(dep)
-                    agenda.append(dep)
-                if dep in waited or dep in cur_sig:
-                    pending += 1  # barrier-only duplicate
-                    continue
-                waited.add(dep)
-                source = prev_sig.get(dep, -1) if i > 0 else -1
-                op.append(OP_WAIT_SYNC if source >= 0 else OP_WAIT)
-                a1.append(dep)
-                src.append(source)
-                raw_ix.append(j)
-                pre.append(pending)
-                pending = 0
-                active += 1
-            elif kind == KIND_SIGNAL:
-                raw_signals += 1
-                if dep in cur_sig:
-                    pending += 1  # barrier-only duplicate
-                    continue
-                cur_sig[dep] = len(op)
-                signals += 1
-                op.append(OP_SIGNAL)
-                a1.append(dep)
-                src.append(-1)
-                raw_ix.append(j)
-                pre.append(pending)
-                pending = 0
-                active += 1
-            elif kind == KIND_NEXT:
-                if seen_next:
-                    continue  # only the first next_iter acts
-                seen_next = True
-                next_iters += 1
-                op.append(OP_NEXT)
-                a1.append(0)
-                src.append(-1)
-                raw_ix.append(j)
-                pre.append(pending)
-                pending = 0
-            elif kind == KIND_XFER:
-                words[dep] = ev_words[j]
-                if dep in prev_produced and dep not in transferred:
-                    transferred[dep] = len(op)
-                    op.append(OP_XFER)
-                    a1.append(0)
-                    src.append(-1)
-                    raw_ix.append(j)
-                    pre.append(pending)
-                    pending = 0
-                    active += 1
-                # non-forwarded consumer marks have no effect
-            else:  # KIND_PRODUCE
-                produced.add(dep)
+def _find(table, keys):
+    """Where each of ``keys`` would sit in the ascending ``table``, and
+    whether it is there."""
+    import numpy as np
 
-        forwarded = 0
-        for dep, ix in transferred.items():
-            a1[ix] = words[dep]
-            forwarded += words[dep]
-        transfer_total += forwarded
-        off.append(len(op))
-        tail.append(pending)
-        barriers.append(waits + raw_signals - barriers_before)
-        moved.append(forwarded)
-        agendas.append(tuple(agenda))
-        prev_sig = cur_sig
-        prev_produced = frozenset(produced)
+    if not len(table):
+        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), bool)
+    at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return at, table[at] == keys
 
-    return TraceProgram(
-        op=op,
-        a1=a1,
-        src=src,
-        raw=raw_ix,
-        pre=pre,
-        off=off,
-        tail=tail,
-        barriers=barriers,
-        words=moved,
-        agendas=tuple(agendas),
-        waits=waits,
-        signals=signals,
-        next_iters=next_iters,
-        transfer_words=transfer_total,
-        active_ops=active,
-        barrier_events=waits + raw_signals,
+
+def _first_of_key(keys, among):
+    """The events of ``among`` (a mask) whose key no earlier event of
+    ``among`` has, as a mask; and ``among``'s events ordered by key
+    (stably, so by position within a key) with the flag of each that
+    starts its key's run.  (Sorted by hand: ``np.unique`` imports
+    ``numpy.ma``.)"""
+    import numpy as np
+
+    picked = np.flatnonzero(among)
+    order = picked[np.argsort(keys[picked], kind="stable")]
+    ordered = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first = np.zeros(len(keys), dtype=bool)
+    first[order[starts]] = True
+    return first, order, starts
+
+
+def _compile(ev_off, kinds, deps, ev_words) -> List[TraceProgram]:
+    """The :class:`TraceProgram` of each shape whose columns are given,
+    one list per :data:`_SHAPE_COLUMNS` name, compiled in one pass.
+
+    Every event is placed by its shape's iteration, numbered across the
+    batch, and keyed on ``(iteration, dependence)``: what the scheduler
+    keeps of it is a first occurrence of its key among events of some
+    kinds, and what it reads of the previous iteration a lookup of the
+    key one iteration back, barred on each shape's first iteration.
+    """
+    import numpy as np
+
+    def joined(columns) -> "np.ndarray":
+        return np.frombuffer(b"".join(columns), dtype=np.int64)
+
+    count = len(ev_off)
+    n = np.array([len(o) - 1 for o in ev_off], dtype=np.int64)
+    kind, dep, words = joined(kinds), joined(deps), joined(ev_words)
+    # The batch's iterations, shape by shape: each one's shape, whether
+    # it is its shape's first, and the span of its events.
+    it_first = np.cumsum(n) - n
+    per_it = np.delete(
+        np.diff(joined(ev_off)), (np.cumsum(n + 1) - 1)[:-1]
     )
+    total = len(per_it)
+    shape_of_it = np.repeat(np.arange(count), n)
+    fresh = np.zeros(total, dtype=bool)
+    fresh[it_first[n > 0]] = True
+    ev_lo = np.concatenate([[0], np.cumsum(per_it)])
+    it = np.repeat(np.arange(total), per_it)
+    values = _distinct(dep)
+    back = len(values)  # a key minus this is the previous iteration's
+    key = it * back
+    key += np.searchsorted(values, dep)
+
+    is_wait, is_signal = kind == KIND_WAIT, kind == KIND_SIGNAL
+    barred = is_wait | is_signal
+    # A wait is kept where no wait or signal of its iteration named the
+    # dependence before it, a signal where no signal did, the first
+    # ``next_iter`` of an iteration, and the first ``xfer`` of a
+    # dependence its iteration's predecessor produced.  Every other wait
+    # and signal is a barrier-only duplicate.
+    first_barred, _, _ = _first_of_key(key, barred)
+    kept_wait = first_barred & is_wait
+    kept_signal, _, _ = _first_of_key(key, is_signal)
+    kept_next, _, _ = _first_of_key(it, kind == KIND_NEXT)
+    first_xfer, xfers, x_starts = _first_of_key(key, kind == KIND_XFER)
+    moves = np.flatnonzero(first_xfer & ~fresh[it])
+    _, produced = _find(np.sort(key[kind == KIND_PRODUCE]), key[moves] - back)
+    kept_xfer = np.zeros(len(kind), dtype=bool)
+    kept_xfer[moves[produced]] = True
+    duplicate = barred & ~(kept_wait | kept_signal)
+
+    ops = np.flatnonzero(kept_wait | kept_signal | kept_next | kept_xfer)
+    op_it = it[ops]
+    op_shape = shape_of_it[op_it]
+    per_it_ops = np.bincount(op_it, minlength=total)
+    off = np.concatenate([[0], np.cumsum(per_it_ops)])
+    shape_ops = off[it_first]
+    shape_events = ev_lo[it_first]
+    op = np.array(
+        [OP_WAIT, OP_SIGNAL, OP_NEXT, OP_XFER, -1], dtype=np.int64
+    )[kind[ops]]
+
+    # Operands: a wait's or signal's dependence, the count the last
+    # ``xfer`` of its key wrote for a transfer, 0 for ``next_iter``.
+    a1 = np.where(op == OP_NEXT, 0, dep[ops])
+    x_ends = np.empty_like(x_starts)
+    x_ends[:-1] = x_starts[1:]
+    x_ends[-1:] = True
+    transfers = op == OP_XFER
+    at, _ = _find(key[xfers[x_starts]], key[ops[transfers]])
+    a1[transfers] = words[xfers[x_ends]][at]
+
+    # Sources: a wait synchronizes with its predecessor's kept signal of
+    # the dependence, if there is one (never on a first iteration).
+    signal_ops = np.flatnonzero(op == OP_SIGNAL)
+    by_key = np.argsort(key[ops[signal_ops]], kind="stable")
+    signal_keys = key[ops[signal_ops]][by_key]
+    waits = np.flatnonzero((op == OP_WAIT) & ~fresh[op_it])
+    at, hit = _find(signal_keys, key[ops[waits]] - back)
+    sync = waits[hit]
+    op[sync] = OP_WAIT_SYNC
+    src = np.full(len(ops), -1, dtype=np.int64)
+    src[sync] = signal_ops[by_key[at[hit]]] - shape_ops[op_shape[sync]]
+
+    # Barrier-only duplicates before each kept op since the one before it
+    # (or its iteration's start), and after its iteration's last.
+    elided = np.concatenate([[0], np.cumsum(duplicate)])
+    mark = elided[ops]
+    lead = np.ones(len(ops), dtype=bool)
+    lead[1:] = op_it[1:] != op_it[:-1]
+    since = np.where(lead, elided[ev_lo[:-1]][op_it], np.roll(mark, 1))
+    pre = mark - since
+    ends = np.ones(len(ops), dtype=bool)
+    ends[:-1] = lead[1:]
+    latest = elided[ev_lo[:-1]]
+    latest[op_it[ends]] = mark[ends]
+    tail = elided[ev_lo[1:]] - latest
+
+    barriers = np.bincount(it[barred], minlength=total)
+    moved_so_far = np.concatenate([[0], np.cumsum(np.where(transfers, a1, 0))])
+    moved = moved_so_far[off[1:]] - moved_so_far[off[:-1]]
+    first_waits, _, _ = _first_of_key(key, is_wait)
+    agendas = dep[first_waits]
+    agenda_sizes = np.bincount(it[first_waits], minlength=total)
+    agenda_lo = np.concatenate([[0], np.cumsum(agenda_sizes)])
+
+    def by_shape(per_it) -> List[int]:
+        # Each shape's sum of a per-iteration column.
+        sums = np.concatenate([[0], np.cumsum(per_it)])
+        return (sums[it_first + n] - sums[it_first]).tolist()
+
+    def ops_by_shape(mask) -> List[int]:
+        return np.bincount(op_shape[mask], minlength=count).tolist()
+
+    scalars = zip(
+        by_shape(np.bincount(it[is_wait], minlength=total)),
+        ops_by_shape(op == OP_SIGNAL),
+        ops_by_shape(op == OP_NEXT),
+        by_shape(moved),
+        ops_by_shape(op != OP_NEXT),
+        by_shape(barriers),
+    )
+    raw = ops - shape_events[op_shape]
+    programs = []
+    for lo, hi, o_lo, o_hi, stats in zip(
+        it_first.tolist(), (it_first + n).tolist(),
+        shape_ops.tolist(), off[it_first + n].tolist(), scalars,
+    ):
+        ops_ = slice(o_lo, o_hi)
+        its = slice(lo, hi)
+        programs.append(
+            TraceProgram(
+                op[ops_], a1[ops_], src[ops_], raw[ops_], pre[ops_],
+                off[lo : hi + 1] - o_lo, tail[its], barriers[its],
+                moved[its], agendas[agenda_lo[lo] : agenda_lo[hi]],
+                agenda_sizes[its], *stats,
+            )
+        )
+    REGISTRY.inc("sched.programs_compiled", count)
+    return programs
 
 
 def _digest(columns) -> bytes:
@@ -429,13 +496,20 @@ class Recording:
         return self._interned
 
     def program(self, shape: int) -> TraceProgram:
-        """The :class:`TraceProgram` of ``shape``, compiled from its
-        columns on first use."""
+        """The :class:`TraceProgram` of ``shape``.  The first time a
+        shape not yet compiled is asked for, every shape not yet
+        compiled is compiled, in one batch (:func:`_compile`); no shape
+        is compiled twice."""
         program = self._programs[shape]
         if program is None:
-            program = self._programs[shape] = _compile(
-                *(getattr(self, name)[shape] for name in _SHAPE_COLUMNS)
-            )
+            missing = [s for s, p in enumerate(self._programs) if p is None]
+            compiled = _compile(*(
+                [getattr(self, name)[s] for s in missing]
+                for name in _SHAPE_COLUMNS
+            ))
+            for s, compiled_program in zip(missing, compiled):
+                self._programs[s] = compiled_program
+            program = self._programs[shape]
         return program
 
     def invocation(self, i: int) -> InvocationTrace:

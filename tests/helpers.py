@@ -1,5 +1,6 @@
 """Shared test utilities: quick CFG and program construction,
-recordings of hand-written traces, the reference-engine replay the
+recordings of hand-written traces, the per-event trace compiler the
+batch compilation is checked against, the reference-engine replay the
 scheduler tests compare against, the reference placement of the suite's
 recordings, and the rule an over-budget run of generated code must
 follow."""
@@ -9,6 +10,8 @@ import hashlib
 import json
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.loopnest import LoopId
 from repro.frontend import compile_source
@@ -30,8 +33,15 @@ from repro.runtime.trace import (
     KIND_SIGNAL,
     KIND_WAIT,
     KIND_XFER,
+    OP_NEXT,
+    OP_SIGNAL,
+    OP_WAIT,
+    OP_WAIT_SYNC,
+    OP_XFER,
     InvocationTrace,
     Recording,
+    TraceProgram,
+    _SHAPE_COLUMNS,
 )
 
 _KIND_CODES = {"w": KIND_WAIT, "s": KIND_SIGNAL, "n": KIND_NEXT,
@@ -63,6 +73,162 @@ def recording_of(traces: Sequence[InvocationTrace]) -> Recording:
             trace.loop_id, base, trace.end_cycles, trace.loads, columns
         )
     return recording
+
+
+def compile_reference(ev_off, kinds, deps, ev_words) -> TraceProgram:
+    """The :class:`TraceProgram` of one shape's columns, compiled one
+    event at a time: the oracle of :meth:`Recording.program`'s batch
+    compilation (it ticks no counter)."""
+    op = array("q")
+    a1 = array("q")
+    src = array("q")
+    raw_ix = array("q")
+    pre = array("q")
+    off = array("q", [0])
+    tail = array("q")
+    barriers = array("q")
+    moved = array("q")
+    agendas = array("q")
+    agenda_sizes = array("q")
+
+    waits = signals = next_iters = transfer_total = active = 0
+    raw_signals = 0
+    #: dep -> flat op index of the iteration's kept OP_SIGNAL.
+    prev_sig: Dict[int, int] = {}
+    prev_produced: frozenset = frozenset()
+
+    for i in range(len(ev_off) - 1):
+        # dep -> the last count the iteration's 'x' events wrote, and
+        # the flat index of the OP_XFER that moves it (the first
+        # forwarded event; its count is filled in below).
+        words: Dict[int, int] = {}
+        transferred: Dict[int, int] = {}
+        waited: set = set()
+        cur_sig: Dict[int, int] = {}
+        produced: set = set()
+        agenda: List[int] = []
+        seen_next = False
+        pending = 0
+        barriers_before = waits + raw_signals
+
+        for j in range(ev_off[i], ev_off[i + 1]):
+            kind = kinds[j]
+            dep = deps[j]
+            if kind == KIND_WAIT:
+                waits += 1
+                if dep not in agenda:
+                    agenda.append(dep)
+                if dep in waited or dep in cur_sig:
+                    pending += 1  # barrier-only duplicate
+                    continue
+                waited.add(dep)
+                source = prev_sig.get(dep, -1) if i > 0 else -1
+                op.append(OP_WAIT_SYNC if source >= 0 else OP_WAIT)
+                a1.append(dep)
+                src.append(source)
+                raw_ix.append(j)
+                pre.append(pending)
+                pending = 0
+                active += 1
+            elif kind == KIND_SIGNAL:
+                raw_signals += 1
+                if dep in cur_sig:
+                    pending += 1  # barrier-only duplicate
+                    continue
+                cur_sig[dep] = len(op)
+                signals += 1
+                op.append(OP_SIGNAL)
+                a1.append(dep)
+                src.append(-1)
+                raw_ix.append(j)
+                pre.append(pending)
+                pending = 0
+                active += 1
+            elif kind == KIND_NEXT:
+                if seen_next:
+                    continue  # only the first next_iter acts
+                seen_next = True
+                next_iters += 1
+                op.append(OP_NEXT)
+                a1.append(0)
+                src.append(-1)
+                raw_ix.append(j)
+                pre.append(pending)
+                pending = 0
+            elif kind == KIND_XFER:
+                words[dep] = ev_words[j]
+                if dep in prev_produced and dep not in transferred:
+                    transferred[dep] = len(op)
+                    op.append(OP_XFER)
+                    a1.append(0)
+                    src.append(-1)
+                    raw_ix.append(j)
+                    pre.append(pending)
+                    pending = 0
+                    active += 1
+                # non-forwarded consumer marks have no effect
+            else:  # KIND_PRODUCE
+                produced.add(dep)
+
+        forwarded = 0
+        for dep, ix in transferred.items():
+            a1[ix] = words[dep]
+            forwarded += words[dep]
+        transfer_total += forwarded
+        off.append(len(op))
+        tail.append(pending)
+        barriers.append(waits + raw_signals - barriers_before)
+        moved.append(forwarded)
+        agendas.extend(agenda)
+        agenda_sizes.append(len(agenda))
+        prev_sig = cur_sig
+        prev_produced = frozenset(produced)
+
+    def column(values):
+        return np.array(values, dtype=np.int64)
+
+    return TraceProgram(
+        op=column(op),
+        a1=column(a1),
+        src=column(src),
+        raw=column(raw_ix),
+        pre=column(pre),
+        off=column(off),
+        tail=column(tail),
+        barriers=column(barriers),
+        words=column(moved),
+        agendas=column(agendas),
+        agenda_sizes=column(agenda_sizes),
+        waits=waits,
+        signals=signals,
+        next_iters=next_iters,
+        transfer_words=transfer_total,
+        active_ops=active,
+        barrier_events=waits + raw_signals,
+    )
+
+
+def program_fields(program: TraceProgram) -> Dict[str, object]:
+    """Every field of ``program``, a column as its dtype and values:
+    what two programs compare equal by."""
+    return {
+        f.name: (
+            (str(value.dtype), value.tolist())
+            if isinstance(value, np.ndarray) else value
+        )
+        for f in dataclasses.fields(program)
+        for value in (getattr(program, f.name),)
+    }
+
+
+def reference_programs(recording: Recording) -> List[TraceProgram]:
+    """:func:`compile_reference` of every shape of ``recording``."""
+    return [
+        compile_reference(
+            *(getattr(recording, name)[s] for name in _SHAPE_COLUMNS)
+        )
+        for s in range(len(recording.shape_loop))
+    ]
 
 
 def build_cfg(edges: Dict[str, Sequence[str]], entry: str = "A") -> Function:

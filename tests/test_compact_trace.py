@@ -4,20 +4,29 @@ stored form."""
 import base64
 import json
 import zlib
+from array import array
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, seed, settings
 
 from repro.analysis.loops import find_loops
 from repro.bench import benchmark_names
 from repro.core import parallelize_module
 from repro.frontend import compile_source
+from repro.obs import REGISTRY
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.sched import schedule_invocation_reference, schedule_many
 from repro.runtime.trace import (
     CTRL_DEP,
     INVOCATION_COLUMNS,
+    KIND_NEXT,
+    KIND_PRODUCE,
+    KIND_SIGNAL,
+    KIND_WAIT,
     KIND_XFER,
+    OP_WAIT_SYNC,
     TRACE_FORMAT_VERSION,
     InvocationTrace,
     IterationTrace,
@@ -27,7 +36,7 @@ from repro.runtime.trace import (
     pack_traces,
     unpack_traces,
 )
-from tests.helpers import recording_of
+from tests.helpers import program_fields, recording_of, reference_programs
 
 
 def _tricky_trace() -> InvocationTrace:
@@ -127,7 +136,8 @@ class TestPacking:
         assert prog.next_iters == 2
         assert prog.transfer_words == 2  # dep 5 transferred once, 2 words
         # MATCHED agendas: ordered-unique wait deps of each iteration.
-        assert prog.agendas == ((3,), (3, 7))
+        assert prog.agendas.tolist() == [3, 3, 7]
+        assert prog.agenda_sizes.tolist() == [1, 2]
         # Raw waits and signals, each a barrier on non-TSO machines.
         assert prog.barrier_events == 8
         assert prog.iterations == 2
@@ -386,6 +396,115 @@ class TestSerialization:
         assert _invocations(_stored(recording)) == [_tricky_trace()]
 
 
+def _compiled() -> int:
+    return REGISTRY.snapshot()["counters"].get("sched.programs_compiled", 0)
+
+
+def _add_shapes(recording, shapes) -> None:
+    """Add one invocation of each shape in ``shapes`` to ``recording``,
+    each of a loop of its own.  A shape is a list of iterations, an
+    iteration a list of ``(kind, dep, words)`` events (``words`` read at
+    ``x`` events only)."""
+    for iterations in shapes:
+        columns = {name: array("q") for name in INVOCATION_COLUMNS}
+        columns["ev_off"].append(0)
+        for i, events in enumerate(iterations):
+            columns["it_start"].append(10 * i)
+            columns["it_end"].append(10 * i + 9)
+            for kind, dep, words in events:
+                columns["ev_kind"].append(kind)
+                columns["ev_dep"].append(dep)
+                columns["ev_at"].append(10 * i + 1)
+                columns["ev_words"].append(words if kind == KIND_XFER else 0)
+            columns["ev_off"].append(len(columns["ev_kind"]))
+        loop = ("main", f"loop{len(recording.loops)}")
+        recording.add(loop, 0, 10 * len(iterations), 0, columns)
+
+
+def _assert_batches_match_the_reference(shapes, split):
+    """``shapes[:split]`` recorded and compiled, then the rest recorded
+    and compiled: each batch compiles exactly the shapes not yet
+    compiled, and every program equals the per-event reference's."""
+    recording = Recording()
+    earlier = []
+    for part in (shapes[:split], shapes[split:]):
+        if not part:
+            continue
+        first = len(recording.shape_loop)
+        _add_shapes(recording, part)
+        before = _compiled()
+        recording.program(first)
+        assert _compiled() - before == len(recording.shape_loop) - first
+        assert all(
+            recording.program(s) is program for s, program in enumerate(earlier)
+        )
+        earlier = [recording.program(s) for s in range(len(recording.shape_loop))]
+    for program, reference in zip(earlier, reference_programs(recording)):
+        assert program_fields(program) == program_fields(reference)
+
+
+W, S, N, X, P = KIND_WAIT, KIND_SIGNAL, KIND_NEXT, KIND_XFER, KIND_PRODUCE
+
+#: Shapes that hold every case the batch compiler keys on: repeated
+#: ``next_iter``s, a wait after a signal of its dependence, a duplicate
+#: wait, transfers with and without a producer in the previous
+#: iteration, an empty iteration, a zero-iteration shape, and a shape of
+#: another iteration count whose first iteration waits on and transfers
+#: what the shape before it signalled and produced last.
+EVERY_CASE = [
+    [
+        [(N, CTRL_DEP, 0), (N, CTRL_DEP, 0), (W, 1, 0), (S, 1, 0),
+         (P, 2, 0)],
+        [(S, 3, 0), (W, 3, 0), (X, 2, 4), (X, 2, 6), (X, 5, 1),
+         (W, 1, 0), (N, CTRL_DEP, 0)],
+        [],
+        [(S, 1, 0), (P, 2, 0), (N, CTRL_DEP, 0)],
+    ],
+    [],
+    [
+        [(W, 1, 0), (X, 2, 3), (S, 1, 0), (P, 2, 0)],
+        [(X, 2, 3), (W, 1, 0), (W, 1, 0), (N, CTRL_DEP, 0),
+         (N, CTRL_DEP, 0), (S, 1, 0)],
+    ],
+]
+
+_events = st.tuples(
+    st.sampled_from([W, S, N, X, P]),
+    st.sampled_from([CTRL_DEP, 0, 1, 2]),
+    st.integers(1, 9),
+)
+_shapes = st.lists(
+    st.lists(st.lists(_events, max_size=7), max_size=5),
+    min_size=1, max_size=4,
+)
+
+
+class TestBatchCompilation:
+    @pytest.mark.parametrize("split", [0, 1, 2, 3])
+    def test_every_case_matches_the_reference(self, split):
+        _assert_batches_match_the_reference(EVERY_CASE, split)
+
+    def test_every_case_compiles_as_the_model_reads_it(self):
+        recording = Recording()
+        _add_shapes(recording, EVERY_CASE)
+        first, empty, other = (recording.program(s) for s in range(3))
+        assert empty.iterations == 0 and other.iterations == 2
+        # The first iteration of a shape never sees the shape before it.
+        assert other.op[0] != OP_WAIT_SYNC
+        assert other.transfer_words == 3
+        assert first.next_iters == 3 and first.transfer_words == 6
+        # Only a duplicate wait or signal is elided before a kept op.
+        assert first.pre.tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0]
+        assert other.pre.tolist() == [0, 0, 0, 0, 1, 0]
+
+    @seed(48)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_shapes, st.integers(0, 4))
+    @example(EVERY_CASE, 1)
+    def test_random_shape_tables_match_the_reference(self, shapes, split):
+        _assert_batches_match_the_reference(shapes, split)
+
+
 class TestWordCounts:
     def test_last_count_of_an_iteration_wins(self):
         """Two ``x`` events of one dependence in one iteration carrying
@@ -452,6 +571,22 @@ def test_every_bench_recording_is_read_back_equal(bench, suite_runner):
     assert _invocations(restored) == _invocations(recording)
 
 
+@pytest.mark.parametrize("bench", benchmark_names())
+def test_every_bench_recording_compiles_in_one_batch(bench, suite_runner):
+    """A bench's recording, read back, compiles every shape in the one
+    batch its first program asks for, each equal to the per-event
+    reference: every column, the agendas and the six statistics."""
+    recording = suite_runner.helix_run(bench).executor.recording
+    restored = _stored(recording)
+    before = _compiled()
+    restored.program(0)
+    assert _compiled() - before == len(restored.shape_loop)
+    programs = [restored.program(s) for s in range(len(restored.shape_loop))]
+    assert _compiled() - before == len(programs)
+    for program, reference in zip(programs, reference_programs(restored)):
+        assert program_fields(program) == program_fields(reference)
+
+
 class TestExecutorIntegration:
     def test_executor_records_compact_traces(self):
         source = """
@@ -463,7 +598,7 @@ class TestExecutorIntegration:
         }
         """
         module = compile_source(source)
-        loop_ids = [l.id for l in find_loops(module.functions["main"])]
+        loop_ids = [loop.id for loop in find_loops(module.functions["main"])]
         machine = MachineConfig(cores=4)
         transformed, infos = parallelize_module(module, loop_ids, machine)
         result = ParallelExecutor(transformed, infos, machine).execute()

@@ -744,7 +744,9 @@ def test_a_mixed_pack_matches_the_engines(stretch, monkeypatch):
             variant == "xfer" for variant in PACK_VARIANTS
         ]
         assert sum(programs[3].pre) == 6 and sum(programs[0].pre) == 0
-        assert len({prog.op.count(OP_WAIT_SYNC) for prog in programs}) == 2
+        assert len(
+            {np.count_nonzero(prog.op == OP_WAIT_SYNC) for prog in programs}
+        ) == 2
         assert _agendas_split(programs[1], loop)
         if stretch > 1:
             spans = [t.end_cycles - t.start_cycles for t in traces]
