@@ -9,7 +9,9 @@ Commands:
   hit/miss/invalidation table.
 * ``ir FILE.mc``             -- dump the compiled IR.
 * ``bench NAME``             -- run one of the 13 suite benchmarks, on
-  the artifact store ``REPRO_EVAL_CACHE`` names (if any).
+  the artifact store ``REPRO_EVAL_CACHE`` names (if any);
+  ``--sim-timeline [CORES[:PREFETCH]]`` adds one simulated-time track
+  per core to its ``--trace``.
 * ``suite``                  -- Figure 9 over the whole suite; supports
   ``--jobs N`` (at most N worker processes for the benches the cache
   cannot answer; default one per CPU), ``--cache-dir PATH``
@@ -17,10 +19,6 @@ Commands:
   cache-hit counters, including per-analysis rows) and
   ``--report PATH`` (JSON record with ``analyses``, ``environment``
   and per-core ``timeline`` blocks).
-* ``trace NAME``             -- run one benchmark pipeline under the
-  tracer and export Chrome trace-event JSON (loadable in
-  ui.perfetto.dev or about:tracing); ``--sim-timeline`` adds one
-  simulated-time track per core.
 * ``bench-diff BASE HEAD``   -- regression-diff two recorded suite runs
   from the versioned results store (or raw report files); exits nonzero
   when any speedup drops by more than its tolerance.  Every
@@ -30,19 +28,20 @@ Commands:
   ``bench-diff --list`` shows it.
 * ``serve``                  -- long-running compile/run daemon: a
   JSON-lines protocol over a Unix socket (or ``--host``/``--port``
-  TCP) through which concurrent clients submit compile/run/suite/trace
+  TCP) through which concurrent clients submit compile/run/suite
   jobs and stream back observer events; all jobs share one
   content-addressed artifact store, so repeated requests are served
   warm.  SIGTERM drains gracefully.  ``--trace-dir`` writes a Perfetto
-  trace per traced job, ``--heartbeat`` records periodic liveness in
-  the job log.
+  trace per traced job to a file (otherwise its terminal event carries
+  it), ``--heartbeat`` records periodic liveness in the job log.
 * ``serve-status``           -- one-shot live introspection of a
   running daemon (queue depth by state, in-flight job ages, worker
   liveness, uptime, metrics registry); ``--json`` for the raw payload,
   ``--prom`` for Prometheus text exposition.
 
-``run``, ``compile`` and ``suite`` also accept ``--trace PATH`` to
-record the same span stream while doing their normal job.
+``run``, ``compile``, ``bench`` and ``suite`` also accept ``--trace
+PATH`` to record their span stream as Chrome trace-event JSON (loadable
+in ui.perfetto.dev or about:tracing) while doing their normal job.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from pathlib import Path
 
 from repro import MachineConfig, compile_minic, parallelize_and_run
 from repro.ir import module_to_str
+from repro.obs.metrics import EvaluationObserver
 from repro.runtime import run_module
 
 
@@ -166,9 +166,10 @@ def _write_json_report(path, report, results_dir=None) -> bool:
     return True
 
 
-def _traced(args, fn) -> int:
+def _traced(args, fn, extra_events=()) -> int:
     """Run ``fn`` under a live tracer when ``--trace PATH`` was given,
-    writing the Chrome trace (spans + metrics) on the way out."""
+    writing the Chrome trace (spans + metrics, then ``extra_events`` as
+    ``fn`` left them) on the way out."""
     trace_path = getattr(args, "trace", None)
     if not trace_path:
         return fn()
@@ -180,6 +181,7 @@ def _traced(args, fn) -> int:
         trace_path,
         tracer.finished(),
         registry_snapshot=REGISTRY.snapshot(),
+        extra_events=extra_events,
     )
     print(f"trace written to {trace_path}", file=sys.stderr)
     return code
@@ -247,10 +249,16 @@ def _cmd_compile(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    timeline: list = []
+    return _traced(args, lambda: _cmd_bench(args, timeline), timeline)
+
+
+def _cmd_bench(args, timeline: list) -> int:
     """One bench's default pipeline, on a runner over the store
     :func:`~repro.evaluation.runner.default_runner` opens
     (``REPRO_EVAL_CACHE``): a store a suite filled answers it without
-    compiling or interpreting anything."""
+    compiling or interpreting anything.  With ``--sim-timeline`` the
+    run's simulated per-core timeline goes into ``timeline``."""
     from repro.bench import get_benchmark
     from repro.evaluation.runner import EvaluationRunner, default_runner
 
@@ -264,6 +272,18 @@ def cmd_bench(args) -> int:
         f"speedup {result.speedup:.2f}x on {args.cores} cores "
         f"(paper ~{spec.paper_speedup_6}x on 6)"
     )
+    if args.sim_timeline:
+        from repro.obs.timeline import run_timeline, timeline_events
+
+        # ``--sim-timeline`` alone replays on the executing machine.
+        machine = args.sim_timeline
+        if machine is True:
+            machine = result.executor.machine
+        # Simulated time gets its own trace "process" so Perfetto keeps
+        # its cycle clock apart from the wall-clock spans.
+        timeline += timeline_events(
+            run_timeline(result.executor, machine), machine, pid=0
+        )
     return 0 if result.output_matches else 1
 
 
@@ -410,19 +430,13 @@ def cmd_suite(args) -> int:
     return _traced(args, lambda: _cmd_suite(args))
 
 
-class _SuiteProgress:
-    """Observer printing one line per finished benchmark (``--stats``).
-
-    Implements the :class:`repro.service.jobs.EvaluationObserver`
-    protocol; the suite runner reports each benchmark's row, wherever it
-    ran, as a ``stage="bench"`` completion.
-    """
+class _SuiteProgress(EvaluationObserver):
+    """Observer printing one line per finished benchmark (``--stats``):
+    the suite runner reports each benchmark's row, wherever it ran, as a
+    ``stage="bench"`` completion."""
 
     def __init__(self) -> None:
         self.done = 0
-
-    def job_started(self, job) -> None:  # pragma: no cover - protocol
-        pass
 
     def stage_completed(self, job, bench, stage, outcome, seconds) -> None:
         if stage == "bench":
@@ -430,12 +444,6 @@ class _SuiteProgress:
             print(
                 f"  [{self.done}] {bench}: {seconds:.2f}s", file=sys.stderr
             )
-
-    def artifact_stored(self, job, kind, key, outcome) -> None:
-        pass
-
-    def job_finished(self, job) -> None:  # pragma: no cover - protocol
-        pass
 
 
 def _cmd_suite(args) -> int:
@@ -543,51 +551,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    from repro.evaluation.runner import EvaluationRunner
-    from repro.obs import (
-        REGISTRY,
-        tracing,
-        validate_chrome_trace,
-        write_chrome_trace,
-    )
-
-    with tracing() as tracer:
-        runner = EvaluationRunner()
-        run = runner.helix_run(args.bench)
-
-    extra_events = []
-    if args.sim_timeline:
-        from repro.obs.timeline import run_timeline, timeline_events
-
-        segments = run_timeline(run.executor, machine=args.machine)
-        sim_machine = args.machine or run.executor.machine
-        # Simulated time gets its own trace "process" so Perfetto keeps
-        # its cycle clock apart from the wall-clock spans.
-        extra_events = timeline_events(segments, sim_machine, pid=0)
-
-    payload = write_chrome_trace(
-        args.out,
-        tracer.finished(),
-        registry_snapshot=REGISTRY.snapshot(),
-        extra_events=extra_events,
-    )
-    problems = validate_chrome_trace(payload)
-    if problems:  # pragma: no cover - would be an exporter bug
-        for problem in problems:
-            print(f"error: invalid trace: {problem}", file=sys.stderr)
-        return 1
-    spans = sum(
-        1 for e in payload["traceEvents"] if e.get("ph") == "X"
-    )
-    print(
-        f"{args.bench}: {spans} spans -> {args.out} "
-        f"(speedup {run.speedup:.2f}x, open in ui.perfetto.dev)",
-        file=sys.stderr,
-    )
-    return 0 if run.output_matches else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="HELIX reproduction CLI"
@@ -629,10 +592,24 @@ def main(argv=None) -> int:
     p.add_argument("--trace", default=None, metavar="PATH", help=trace_help)
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("bench", help="run a suite benchmark")
-    p.add_argument("name")
-    p.add_argument("--cores", type=_cores, default=6)
-    p.set_defaults(func=cmd_bench)
+    bench = sub.add_parser("bench", help="run a suite benchmark")
+    bench.add_argument("name")
+    bench.add_argument("--cores", type=_cores, default=6)
+    bench.add_argument(
+        "--trace", default=None, metavar="PATH", help=trace_help
+    )
+    bench.add_argument(
+        "--sim-timeline",
+        type=_parse_machine,
+        nargs="?",
+        const=True,
+        default=None,
+        metavar="CORES[:PREFETCH]",
+        help="add one simulated-time track per core to the trace "
+        "(compute/stall/signal/transfer segments), replayed on this "
+        "machine (e.g. 4 or 8:matched; default: the executing machine)",
+    )
+    bench.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("suite", help="Figure 9 across the whole suite")
     p.add_argument("--cores", type=_cores, default=6)
@@ -769,8 +746,9 @@ def main(argv=None) -> int:
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="write a Perfetto trace file per traced job "
-        "(jobs submitted with \"trace\": true, and all trace ops)",
+        help="write a Perfetto trace file per traced job (submitted "
+        "with \"trace\": true) instead of sending it on the job's "
+        "terminal event",
     )
     p.add_argument(
         "--heartbeat",
@@ -817,35 +795,9 @@ def main(argv=None) -> int:
     )
     p.set_defaults(func=cmd_serve_status)
 
-    p = sub.add_parser(
-        "trace",
-        help="run one benchmark pipeline and export a Perfetto trace",
-    )
-    p.add_argument("bench", help="benchmark name (see `repro suite`)")
-    p.add_argument(
-        "-o",
-        "--out",
-        default="trace.json",
-        metavar="PATH",
-        help="Chrome trace-event JSON output path (default trace.json)",
-    )
-    p.add_argument(
-        "--machine",
-        type=_parse_machine,
-        default=None,
-        metavar="CORES[:PREFETCH]",
-        help="replay machine for the simulated timeline "
-        "(e.g. 4 or 8:matched; default: the executing machine)",
-    )
-    p.add_argument(
-        "--sim-timeline",
-        action="store_true",
-        help="add one simulated-time track per core "
-        "(compute/stall/signal/transfer segments)",
-    )
-    p.set_defaults(func=cmd_trace)
-
     args = parser.parse_args(argv)
+    if getattr(args, "sim_timeline", None) and not args.trace:
+        bench.error("--sim-timeline needs --trace")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -45,9 +45,13 @@ from repro.artifacts import code_version
 from repro.evaluation.figures import Figure9Result, Figure9Row, figure9_row
 from repro.evaluation.runner import EvaluationRunner
 from repro.obs import REGISTRY, get_tracer, tracing
-from repro.obs.metrics import StageStats
+from repro.obs.metrics import (
+    CURRENT_JOB,
+    NULL_OBSERVER,
+    EvaluationObserver,
+    StageStats,
+)
 from repro.runtime.machine import MachineConfig
-from repro.service.jobs import CURRENT_JOB, NULL_OBSERVER, EvaluationObserver
 
 
 def suite_environment() -> Dict[str, object]:

@@ -39,7 +39,7 @@ runner's sinks in order.  The first is :attr:`EvaluationRunner.stats`,
 the per-stage table that ``python -m repro suite --stats`` renders and
 the JSON report embeds; the others are observers (a daemon connection,
 the CLI's progress printer), told which job the request belongs to by
-:data:`~repro.service.jobs.CURRENT_JOB`.
+:data:`~repro.obs.metrics.CURRENT_JOB`.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from repro.core.selection import (
 )
 from repro.ir import Module, module_to_str
 from repro.obs import get_tracer
-from repro.obs.metrics import StageStats
+from repro.obs.metrics import CURRENT_JOB, EvaluationObserver, StageStats
 from repro.runtime.interpreter import ExecutionResult, run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import (
@@ -96,7 +96,6 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.trace import Recording, pack_traces, unpack_traces
 from repro.runtime.profiler import ProfileData, profile_module
-from repro.service.jobs import CURRENT_JOB, EvaluationObserver
 
 #: A recording run: its sequential-clock result, recording and load
 #: count (the arguments of :meth:`RecordedRun.restore_run`).
@@ -314,10 +313,10 @@ class EvaluationRunner:
     ) -> Optional[_T]:
         """The entry of ``kind`` under ``key``, decoded, or ``None`` on a
         miss.  An entry that does not decode (``decode`` raises
-        ``KeyError``, ``TypeError`` or ``ValueError``: fields missing or
-        mistyped, IR that does not parse, traces in another format) is a
-        miss too, in the store's tally as well, so the stage recomputes
-        and overwrites it."""
+        ``KeyError``, ``TypeError`` or ``ValueError``: JSON fields missing
+        or mistyped, traces in another format) is a miss too, in the
+        store's tally as well, so the stage recomputes and overwrites
+        it."""
         payload = self.artifacts.load(kind, key)
         if payload is None:
             return None

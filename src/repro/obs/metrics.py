@@ -31,6 +31,11 @@ summarised with one snapshot:
   :class:`repro.artifacts.ArtifactStore` (the same tally as its
   ``traffic()``).
 
+The same module holds the :class:`EvaluationObserver` protocol that
+stage records and artifact events flow through, with
+:class:`StageStats` as an evaluation runner's first sink, and
+:data:`CURRENT_JOB`, the job those events belong to.
+
 Stdlib-only on purpose: the runtime layer imports this module directly
 (never :mod:`repro.obs`, whose exporter pulls in more machinery), so
 there is no import cycle and no cost beyond a dict lookup + int add.
@@ -40,8 +45,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Tuple, Union
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -250,6 +256,51 @@ def table_delta(
 REGISTRY = Registry()
 
 
+# -- the observer protocol ---------------------------------------------------
+
+
+class EvaluationObserver:
+    """Protocol through which the pipeline and the service report progress.
+
+    Implementations override any subset; the base class is a usable
+    no-op (also exposed as :data:`NULL_OBSERVER`).  ``job`` is
+    :data:`CURRENT_JOB` where the event was emitted: ``None`` outside
+    the service (a bare evaluation runner).
+    """
+
+    def job_started(self, job: Any) -> None:
+        """``job`` entered RUNNING."""
+
+    def stage_completed(
+        self, job: Any, bench: str, stage: str, outcome: str, seconds: float
+    ) -> None:
+        """One pipeline stage request finished; ``outcome`` is
+        ``compute``, ``memory`` or ``disk``.  The parallel suite runner
+        also reports each worker's whole benchmark, as ``stage="bench"``
+        with outcome ``compute``."""
+
+    def artifact_stored(
+        self, job: Any, kind: str, key: str, outcome: str
+    ) -> None:
+        """Artifact-store traffic: ``outcome`` is ``store`` (newly
+        persisted) or ``hit`` (served warm)."""
+
+    def job_finished(self, job: Any) -> None:
+        """``job`` reached a terminal state (done/failed/cancelled)."""
+
+
+NULL_OBSERVER = EvaluationObserver()
+
+
+#: The service job whose handler this thread is running (``None``
+#: outside one).  The orchestrator sets it on whichever thread runs the
+#: handler, and every emitter passes it as the ``job`` of the events it
+#: reports.
+CURRENT_JOB: ContextVar[Optional[Any]] = ContextVar(
+    "current_job", default=None
+)
+
+
 #: Pipeline stages, in execution order (the first rows of
 #: :meth:`StageStats.as_dict`).  ``timeline`` is the suite's
 #: per-benchmark simulated-time accounting
@@ -309,7 +360,7 @@ class StageTally:
         }
 
 
-class StageStats:
+class StageStats(EvaluationObserver):
     """Per-stage counters: a fold over stage records.
 
     An :class:`~repro.evaluation.runner.EvaluationRunner` lists its
@@ -319,7 +370,8 @@ class StageStats:
     :class:`~repro.analysis.manager.AnalysisManager` counts its
     requests straight into ``analysis:<name>`` rows of the table it is
     given (memory hits, computes, invalidations); they are not stage
-    records and have registry names of their own.
+    records and have registry names of their own.  Artifact traffic is
+    the store's own tally, not a stage row, so artifact events pass by.
     """
 
     def __init__(self) -> None:
@@ -352,11 +404,6 @@ class StageStats:
         self, job: Any, bench: str, stage: str, outcome: str, seconds: float
     ) -> None:
         self.record(stage, outcome, seconds)
-
-    def artifact_stored(
-        self, job: Any, kind: str, key: str, outcome: str
-    ) -> None:
-        """Artifact traffic is the store's own tally, not a stage row."""
 
     # -- views ---------------------------------------------------------------
 

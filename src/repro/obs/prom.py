@@ -18,7 +18,7 @@ gauge semantics.
 from __future__ import annotations
 
 import re
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Union
 
 Number = Union[int, float]
 
@@ -97,21 +97,3 @@ def status_gauges(status: Mapping[str, object]) -> Dict[str, Number]:
     if isinstance(accepting, bool):
         gauges["serve.accepting"] = 1 if accepting else 0
     return gauges
-
-
-def parse_exposition(text: str) -> Dict[str, Tuple[str, float]]:
-    """Parse exposition text back to ``name -> (type, value)`` (tests)."""
-    types: Dict[str, str] = {}
-    values: Dict[str, Tuple[str, float]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            types[name] = kind.strip()
-        elif not line.startswith("#"):
-            name, _, value = line.partition(" ")
-            values[name] = (types.get(name, "untyped"), float(value))
-    return values

@@ -19,7 +19,7 @@ machine (scheduling it first if it is missing) and adds thread
 configuration, wind-down collection and the main thread's sequential
 time in closed form.  It places nothing.
 
-:func:`run_timeline` (``repro trace --sim-timeline``) wants every
+:func:`run_timeline` (``repro bench --sim-timeline``) wants every
 interval, and gets them from the reference scheduler,
 :func:`~repro.runtime.sched.schedule_invocation_reference`, which
 reports each interval it places as it walks an invocation; this module

@@ -98,8 +98,8 @@ class NullTracer:
     """Tracing disabled: every operation is a no-op.
 
     Shared singleton (:data:`NULL_TRACER`); instrumentation sites only
-    ever touch ``span``/``instant``/``enabled`` so this class keeps the
-    exact surface of :class:`Tracer` that call sites use.
+    ever touch ``span``/``enabled`` so this class keeps the exact
+    surface of :class:`Tracer` that call sites use.
     """
 
     __slots__ = ()
@@ -108,9 +108,6 @@ class NullTracer:
 
     def span(self, name: str, cat: str = "", **args: ArgValue) -> _NullSpan:
         return _NULL_SPAN
-
-    def instant(self, name: str, cat: str = "", **args: ArgValue) -> None:
-        pass
 
     def finished(self) -> List[SpanEvent]:
         return []
@@ -159,7 +156,7 @@ class _Span:
 
 
 class Tracer:
-    """Recording tracer: spans, instants, and cross-process absorption.
+    """Recording tracer: spans and cross-process absorption.
 
     ``clock`` (seconds, monotonic) and ``pid``/``tid`` are injectable so
     tests can produce byte-stable golden traces; defaults record real
@@ -190,25 +187,10 @@ class Tracer:
         """A context manager timing one named region."""
         return _Span(self, name, cat, args)
 
-    def instant(self, name: str, cat: str = "", **args: ArgValue) -> None:
-        """A zero-duration marker event."""
-        now = self._clock() * 1e6
-        self.events.append(
-            SpanEvent(
-                name=name,
-                cat=cat,
-                start_us=now,
-                dur_us=0.0,
-                pid=self.pid,
-                tid=self._tid(),
-                args=dict(args),
-            )
-        )
-
     # -- access ------------------------------------------------------------
 
     def finished(self) -> List[SpanEvent]:
-        """All recorded events (closed spans and instants), in order."""
+        """All closed spans, in the order they closed."""
         return list(self.events)
 
     def absorb(self, events: Sequence[dict]) -> int:

@@ -65,7 +65,7 @@ the scheduling preparation (:attr:`RecordedRun.preparation`: the
 compiled programs, packs and their walk tables, so every grid after the
 first only walks) and the per-loop index -- is computed at most once,
 lives as long as the run, and is dropped when :attr:`recording` is
-reassigned.  The interval-by-interval timeline of ``repro trace
+reassigned.  The interval-by-interval timeline of ``repro bench
 --sim-timeline`` reads no column: it is the reference scheduler's walk
 of every invocation (:func:`repro.obs.timeline.run_timeline`).
 

@@ -4,17 +4,19 @@ The one-shot CLI rebuilds orchestration per invocation; this package
 restructures it into three explicit layers so the same pipelines can be
 served to many concurrent clients from one warm process:
 
-* **Domain** (:mod:`repro.service.jobs`) -- pure job and event
-  dataclasses: the four job kinds (compile / run / suite / trace), the
+* **Domain** (:mod:`repro.service.jobs`) -- pure job dataclasses: the
+  three job kinds (compile / run / suite) and the
   ``queued -> running -> done/failed/cancelled`` :class:`JobState`
-  machine, and the :class:`EvaluationObserver` protocol through which
-  every layer above reports progress.  No infrastructure imports.
+  machine.  No infrastructure imports.  Every layer reports progress
+  through the :class:`~repro.obs.metrics.EvaluationObserver` protocol,
+  which lives beside the evaluation runner's stage counters.
 * **Application** (:mod:`repro.service.orchestrator`, plus
   :mod:`repro.artifacts`) -- a queue-driven orchestrator executing jobs
   through the existing :class:`~repro.evaluation.runner.EvaluationRunner`
   against a shared content-addressed
   :class:`~repro.artifacts.ArtifactStore`, one worker thread per job,
-  with per-job timeouts and cooperative cancellation.
+  with per-job timeouts and cooperative cancellation.  Any job can be
+  traced: it runs under a recording tracer and keeps its spans.
 * **Infrastructure** (:mod:`repro.service.daemon`,
   :mod:`repro.service.client`, and ``repro serve`` in
   :mod:`repro.cli`) -- an asyncio JSON-lines protocol over a Unix or
@@ -23,21 +25,16 @@ served to many concurrent clients from one warm process:
 
 CLI progress output is *one more observer* -- the suite's ``--stats``
 progress, the daemon's event stream and tests' recording observers all
-implement the same domain protocol.
+implement the same protocol.
 """
 
 from repro.service.jobs import (
-    NULL_OBSERVER,
     CompileJob,
-    EvaluationObserver,
     InvalidTransition,
     Job,
     JobState,
-    NullObserver,
-    RecordingObserver,
     RunJob,
     SuiteJob,
-    TraceJob,
 )
 from repro.service.orchestrator import (
     JobCancelled,
@@ -46,18 +43,13 @@ from repro.service.orchestrator import (
 )
 
 __all__ = [
-    "NULL_OBSERVER",
     "CompileJob",
-    "EvaluationObserver",
     "InvalidTransition",
     "Job",
     "JobCancelled",
     "JobState",
     "JobTimeout",
-    "NullObserver",
     "Orchestrator",
-    "RecordingObserver",
     "RunJob",
     "SuiteJob",
-    "TraceJob",
 ]

@@ -11,7 +11,6 @@ Requests::
     {"op": "compile", "bench": "mcf", "cores": 6, "include_ir": false}
     {"op": "run",     "bench": "mcf", "cores": 6}
     {"op": "suite",   "benches": ["mcf", "vpr"], "cores": 6}
-    {"op": "trace",   "bench": "mcf", "include_trace": false}
     {"op": "cancel",  "job": "j3"}
     {"op": "status"}
     {"op": "ping"}
@@ -20,10 +19,13 @@ Every job runs on the orchestrator worker thread that takes it; unknown
 request keys are ignored.
 
 Any job request may also carry ``"trace": true``: the orchestrator then
-runs that job under a recording tracer, and (when the daemon was
-started with ``--trace-dir``) a schema-valid Perfetto trace file is
-written per job as it finishes, announced by a ``trace_written`` event
-in the job log and a ``trace_path`` on the terminal event.
+runs that job under a recording tracer, and the job's spans come back as
+a schema-valid Perfetto trace with the job's metrics delta in
+``otherData.metrics``.  When the daemon was started with
+``--trace-dir`` the trace is written to a file per job as it finishes,
+announced by a ``trace_written`` event in the job log and a
+``trace_path`` on the terminal event; otherwise the terminal event
+carries the trace itself as ``"trace"``.
 
 Any request may carry a client-chosen ``"id"``, echoed on the
 ``accepted`` event (and every subsequent event of that job also names
@@ -36,7 +38,7 @@ the server-side ``"job"`` id).  Events::
     {"event": "artifact_stored", "job": "j3", "kind": "recording",
      "key": "ab12...", "outcome": "store"}
     {"event": "job_finished",    "job": "j3", "state": "done",
-     "result": {...}, "metrics": {...}}
+     "result": {...}, "metrics": {...}, "trace": {...}}
     {"event": "pong"}
     {"event": "status", "run": ..., "uptime_seconds": ...,
      "queue": {...}, "in_flight": [...], "workers": {...},
@@ -66,20 +68,14 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.obs import REGISTRY, validate_chrome_trace, write_chrome_trace
+from repro.obs import REGISTRY, chrome_trace, validate_chrome_trace
+from repro.obs.metrics import EvaluationObserver
 from repro.obs.tracer import SpanEvent
-from repro.service.jobs import (
-    CompileJob,
-    EvaluationObserver,
-    Job,
-    RunJob,
-    SuiteJob,
-    TraceJob,
-)
+from repro.service.jobs import CompileJob, Job, RunJob, SuiteJob
 from repro.service.orchestrator import Orchestrator
 
 #: Wire schema generation of the event stream.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _OPS = {
     "compile": lambda req: CompileJob(
@@ -93,11 +89,6 @@ _OPS = {
     "suite": lambda req: SuiteJob(
         benches=tuple(req["benches"]) if req.get("benches") else None,
         cores=int(req.get("cores", 6)),
-    ),
-    "trace": lambda req: TraceJob(
-        bench=req["bench"],
-        cores=int(req.get("cores", 6)),
-        include_trace=bool(req.get("include_trace", False)),
     ),
 }
 
@@ -139,6 +130,18 @@ def validate_event(event: Any) -> List[str]:
     return problems
 
 
+def job_trace(job: Job) -> dict:
+    """The Perfetto trace of a traced job: its spans, with its metrics
+    delta in ``otherData.metrics``."""
+    spans = [SpanEvent.from_dict(data) for data in job.spans or ()]
+    return chrome_trace(
+        spans,
+        registry_snapshot=job.metrics,
+        process_names={pid: f"repro job {job.id} ({job.op})"
+                       for pid in {s.pid for s in spans}},
+    )
+
+
 class _TraceWriter(EvaluationObserver):
     """Writes one Perfetto trace file per traced job as it finishes.
 
@@ -152,28 +155,21 @@ class _TraceWriter(EvaluationObserver):
 
     def job_finished(self, job: Optional[Job]) -> None:
         daemon = self._daemon
-        if job is None or not job.spans or daemon.trace_dir is None:
+        if job is None or job.spans is None or daemon.trace_dir is None:
             return
         directory = Path(daemon.trace_dir)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{job.id}.json"
-        spans = [SpanEvent.from_dict(data) for data in job.spans]
-        payload = write_chrome_trace(
-            str(path),
-            spans,
-            registry_snapshot=job.metrics,
-            process_names={daemon_pid: f"repro job {job.id} ({job.op})"
-                           for daemon_pid in {s.pid for s in spans}},
-        )
-        problems = validate_chrome_trace(payload)
+        payload = job_trace(job)
+        path.write_text(json.dumps(payload, indent=1) + "\n")
         job.trace_path = str(path)
         daemon._log_event(
             {
                 "event": "trace_written",
                 "job": job.id,
                 "path": str(path),
-                "spans": len(spans),
-                "problems": problems,
+                "spans": len(job.spans),
+                "problems": validate_chrome_trace(payload),
             }
         )
 
@@ -252,6 +248,8 @@ class _ConnectionObserver(EvaluationObserver):
             event["result"] = job.result
         if job.trace_path is not None:
             event["trace_path"] = job.trace_path
+        elif job.spans is not None:
+            event["trace"] = job_trace(job)
         self._emit(event)
 
 

@@ -1,29 +1,26 @@
-"""Domain layer of the evaluation service: jobs, states, observers.
+"""Domain layer of the evaluation service: jobs and their states.
 
-Everything here is a pure data structure or protocol -- no sockets, no
-threads, no evaluation imports -- so the orchestration above it stays
-testable without infrastructure.  The four job kinds mirror the one-shot
-CLI commands they replace:
+Everything here is a pure data structure -- no sockets, no threads, no
+evaluation imports -- so the orchestration above it stays testable
+without infrastructure.  The three job kinds mirror the one-shot CLI
+commands they replace:
 
 * :class:`CompileJob` -- profile, select and transform one benchmark
   without executing (``repro compile``).
 * :class:`RunJob` -- the full HELIX pipeline of one benchmark
-  (``repro bench`` / ``EvaluationRunner.helix_run``).
+  (``repro bench`` / ``EvaluationRunner.run_result``).
 * :class:`SuiteJob` -- Figure 9 over a benchmark list (``repro suite``).
-* :class:`TraceJob` -- one pipeline under the span tracer
-  (``repro trace``).
 
 A :class:`Job` wraps a spec with identity and lifecycle: the state
 machine is ``queued -> running -> done | failed | cancelled``, and a job
-runs once.
+runs once.  Any job may be traced (``trace: true`` on the wire): it then
+runs under a recording tracer and keeps the spans it recorded.
 
-Progress flows through the :class:`EvaluationObserver` protocol.  The
-CLI's progress printer, the daemon's per-client event stream and tests'
-recording observers are all just observers, and whoever emits an event
-calls each observer of a plain list in turn.  Which job an event belongs
-to is :data:`CURRENT_JOB`, set by the orchestrator on the thread that
-runs the job's handler, so layers that know nothing about jobs (the
-evaluation runner's stage reports) still emit well-attributed events.
+Progress flows through the
+:class:`~repro.obs.metrics.EvaluationObserver` protocol, attributed to
+a job by :data:`~repro.obs.metrics.CURRENT_JOB`; both live beside the
+evaluation runner's stage counters, so the pipeline reports progress
+without importing this package.
 """
 
 from __future__ import annotations
@@ -31,10 +28,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 
 class JobState(str, Enum):
@@ -99,19 +95,6 @@ class SuiteJob:
     op = "suite"
 
 
-@dataclass(frozen=True)
-class TraceJob:
-    """One benchmark pipeline under the span tracer."""
-
-    bench: str
-    cores: int = 6
-    include_trace: bool = False
-
-    op = "trace"
-
-
-JobSpec = Union[CompileJob, RunJob, SuiteJob, TraceJob]
-
 _job_ids = itertools.count(1)
 
 
@@ -133,8 +116,7 @@ class Job:
     #: the orchestrator runs traced jobs under ``tracing()``.
     trace: bool = False
     #: Serialized :class:`~repro.obs.tracer.SpanEvent` dicts recorded
-    #: while the job ran (only when :attr:`trace`, or always for
-    #: trace-op jobs).
+    #: while the job ran (only when :attr:`trace`).
     spans: Optional[List[dict]] = None
     #: Where the daemon wrote this job's Perfetto trace (``--trace-dir``).
     trace_path: Optional[str] = None
@@ -210,153 +192,3 @@ class Job:
         if self.trace_path is not None:
             summary["trace_path"] = self.trace_path
         return summary
-
-
-# -- observer protocol -------------------------------------------------------
-
-
-class EvaluationObserver:
-    """Protocol through which service layers report progress.
-
-    Implementations override any subset; the base class is a usable
-    no-op (also exposed as :class:`NullObserver` /
-    :data:`NULL_OBSERVER`).  ``job`` is :data:`CURRENT_JOB` where the
-    event was emitted: ``None`` outside the service (a bare
-    :class:`EvaluationRunner`).
-    """
-
-    def job_started(self, job: Optional[Job]) -> None:
-        """``job`` entered RUNNING."""
-
-    def stage_completed(
-        self,
-        job: Optional[Job],
-        bench: str,
-        stage: str,
-        outcome: str,
-        seconds: float,
-    ) -> None:
-        """One pipeline stage request finished; ``outcome`` is
-        ``compute``, ``memory`` or ``disk``.  The parallel suite runner
-        also reports each worker's whole benchmark, as ``stage="bench"``
-        with outcome ``compute``."""
-
-    def artifact_stored(
-        self, job: Optional[Job], kind: str, key: str, outcome: str
-    ) -> None:
-        """Artifact-store traffic: ``outcome`` is ``store`` (newly
-        persisted) or ``hit`` (served warm)."""
-
-    def job_finished(self, job: Optional[Job]) -> None:
-        """``job`` reached a terminal state (done/failed/cancelled)."""
-
-
-class NullObserver(EvaluationObserver):
-    """Observer that ignores everything (the default)."""
-
-
-NULL_OBSERVER = NullObserver()
-
-
-#: The job whose handler this thread is running (``None`` outside one).
-#: The orchestrator sets it on whichever thread runs the handler, and
-#: every emitter passes it as the ``job`` of the events it reports.
-CURRENT_JOB: ContextVar[Optional[Job]] = ContextVar("current_job", default=None)
-
-
-@dataclass
-class ObservedEvent:
-    """One recorded observer call (test/debug support)."""
-
-    kind: str
-    job_id: Optional[str]
-    args: Dict[str, Any] = field(default_factory=dict)
-
-
-class RecordingObserver(EvaluationObserver):
-    """Thread-safe observer that records every event, in arrival order.
-
-    Used by the daemon tests and the hypothesis event-ordering test;
-    :meth:`for_job` slices one job's event stream back out.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.events: List[ObservedEvent] = []
-
-    def _record(self, event: str, job: Optional[Job], **args: Any) -> None:
-        record = ObservedEvent(
-            kind=event, job_id=job.id if job is not None else None, args=args
-        )
-        with self._lock:
-            self.events.append(record)
-
-    def job_started(self, job: Optional[Job]) -> None:
-        self._record("job_started", job)
-
-    def stage_completed(
-        self,
-        job: Optional[Job],
-        bench: str,
-        stage: str,
-        outcome: str,
-        seconds: float,
-    ) -> None:
-        self._record(
-            "stage_completed", job,
-            bench=bench, stage=stage, outcome=outcome, seconds=seconds,
-        )
-
-    def artifact_stored(
-        self, job: Optional[Job], kind: str, key: str, outcome: str
-    ) -> None:
-        self._record(
-            "artifact_stored", job, kind=kind, key=key, outcome=outcome
-        )
-
-    def job_finished(self, job: Optional[Job]) -> None:
-        self._record(
-            "job_finished", job,
-            state=job.state.value if job is not None else None,
-        )
-
-    def for_job(self, job_id: str) -> List[ObservedEvent]:
-        with self._lock:
-            return [e for e in self.events if e.job_id == job_id]
-
-    def kinds(self, job_id: str) -> List[str]:
-        return [e.kind for e in self.for_job(job_id)]
-
-
-def check_event_ordering(events: Sequence[ObservedEvent]) -> List[str]:
-    """Validate one job's event stream against the observer contract.
-
-    Returns a list of violations (empty = well-ordered):
-
-    * the stream starts with ``job_started`` and ends with
-      ``job_finished``,
-    * ``job_started`` and ``job_finished`` each appear exactly once,
-    * every stage/artifact event falls between the ``job_started`` and
-      the ``job_finished``.
-    """
-    problems: List[str] = []
-    if not events:
-        return ["empty event stream"]
-    if events[0].kind != "job_started":
-        problems.append(f"first event is {events[0].kind}, not job_started")
-    if events[-1].kind != "job_finished":
-        problems.append(f"last event is {events[-1].kind}, not job_finished")
-    finishes = [e for e in events if e.kind == "job_finished"]
-    if len(finishes) != 1:
-        problems.append(f"{len(finishes)} job_finished events (expected 1)")
-    starts = [e for e in events if e.kind == "job_started"]
-    if len(starts) != 1:
-        problems.append(f"{len(starts)} job_started events (expected 1)")
-    started = False
-    for event in events:
-        if event.kind == "job_started":
-            started = True
-        elif event.kind in ("stage_completed", "artifact_stored"):
-            if not started:
-                problems.append(f"{event.kind} before any job_started")
-    return problems

@@ -37,14 +37,16 @@ Execution discipline:
   and joins them -- KeyboardInterrupt-safe, since only the main thread
   receives the signal.
 
-Progress streams through the domain
-:class:`~repro.service.jobs.EvaluationObserver` protocol, to a list of
+Progress streams through the
+:class:`~repro.obs.metrics.EvaluationObserver` protocol, to a list of
 sinks per job: the orchestrator-wide ones (:attr:`Orchestrator.sinks`),
 then the observer the job was submitted with.  The orchestrator emits
 ``job_started``/``job_finished`` to them, and each of the job's runners
 lists them after its own counters for its stage and artifact events.
-The handler runs with :data:`~repro.service.jobs.CURRENT_JOB` set to
-its job, so those events arrive attributed to it.
+The handler runs with :data:`~repro.obs.metrics.CURRENT_JOB` set to
+its job, so those events arrive attributed to it.  A job submitted with
+``trace=True`` runs under a recording tracer and keeps its spans
+(``Job.spans``).
 """
 
 from __future__ import annotations
@@ -56,18 +58,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.artifacts import ArtifactStore
-from repro.obs import REGISTRY, get_tracer, tracing
+from repro.obs import REGISTRY, Tracer, get_tracer, tracing
+from repro.obs.metrics import CURRENT_JOB, EvaluationObserver
 from repro.runtime.machine import MachineConfig
-from repro.service.jobs import (
-    CURRENT_JOB,
-    CompileJob,
-    EvaluationObserver,
-    Job,
-    JobState,
-    RunJob,
-    SuiteJob,
-    TraceJob,
-)
+from repro.service.jobs import CompileJob, Job, JobState, RunJob, SuiteJob
 
 
 class JobCancelled(Exception):
@@ -151,7 +145,6 @@ class Orchestrator:
             CompileJob: self._handle_compile,
             RunJob: self._handle_run,
             SuiteJob: self._handle_suite,
-            TraceJob: self._handle_trace,
         }
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._jobs: Dict[str, Job] = {}
@@ -409,35 +402,28 @@ class Orchestrator:
         event the handler's runners emit names this job.
 
         A ``trace``-flagged job additionally runs under the ambient
-        recording tracer (serialized by ``_TRACE_LOCK``, like the
-        dedicated trace op).  Trace-op jobs are excluded here -- their
-        handler takes the same non-reentrant lock itself, possibly from
-        a different (disposable) thread, and already attaches its spans.
+        recording tracer (serialized by ``_TRACE_LOCK``) and keeps its
+        spans whether the handler returns or raises.
 
         Late writes from abandoned timeout threads are suppressed: once
         the worker finished the job, the zombie's capture is dropped.
         """
-        traced = job.trace and not isinstance(job.spec, TraceJob)
-        spans: Optional[List[dict]] = None
+        tracer = Tracer() if job.trace else None
         with REGISTRY.isolated() as scope:
             token = CURRENT_JOB.set(job)
             try:
-                if traced:
-                    with _TRACE_LOCK:
-                        with tracing() as tracer:
-                            result = handler(ctx, job.spec)
-                        spans = [
-                            event.as_dict() for event in tracer.finished()
-                        ]
-                else:
-                    result = handler(ctx, job.spec)
+                if tracer is None:
+                    return handler(ctx, job.spec)
+                with _TRACE_LOCK, tracing(tracer):
+                    return handler(ctx, job.spec)
             finally:
                 CURRENT_JOB.reset(token)
                 if not job.finished.is_set():
                     job.metrics = scope.snapshot()
-        if spans is not None and not job.finished.is_set():
-            job.spans = spans
-        return result
+                    if tracer is not None:
+                        job.spans = [
+                            event.as_dict() for event in tracer.finished()
+                        ]
 
     # -- default handlers --------------------------------------------------
 
@@ -492,35 +478,3 @@ class Orchestrator:
             "interrupted": False,
             "rendered": fig9.render(),
         }
-
-    def _handle_trace(self, ctx: JobContext, spec: TraceJob) -> dict:
-        from repro.obs import chrome_trace
-
-        ctx.check()
-        with _TRACE_LOCK:
-            # The job's first runner (cold memos, warm disk) so the
-            # capture has a span for every stage the request enters.
-            # Against a warm disk those are the profile, sequential and
-            # execute reads: the stored plan stands in for selection and
-            # Steps 1-9, so there are no selection or transform spans
-            # (``repro trace``, which runs without a cache, still has
-            # them).
-            with tracing() as tracer:
-                run = ctx.runner(spec.cores).helix_run(spec.bench)
-            events = tracer.finished()
-        # Attach the capture to the job so the daemon's --trace-dir
-        # writer can export a per-job Perfetto file.
-        if not ctx.job.finished.is_set():
-            ctx.job.spans = [event.as_dict() for event in events]
-        result = {
-            "bench": spec.bench,
-            "cores": spec.cores,
-            "spans": len(events),
-            "speedup": run.speedup,
-            "output_matches": run.output_matches,
-        }
-        if spec.include_trace:
-            result["trace"] = chrome_trace(
-                events, registry_snapshot=REGISTRY.snapshot()
-            )
-        return result

@@ -2,14 +2,16 @@
 recordings of hand-written traces, the per-event trace compiler the
 batch compilation is checked against, the reference-engine replay the
 scheduler tests compare against, the reference placement of the suite's
-recordings, and the rule an over-budget run of generated code must
-follow."""
+recordings, the rule an over-budget run of generated code must
+follow, an observer that records a job's events with the contract their
+order keeps, and a parser of Prometheus exposition text."""
 
 import dataclasses
 import hashlib
 import json
+import threading
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from repro.frontend import compile_source
 from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.ir.operands import Const
 from repro.ir.types import Type
+from repro.obs.metrics import EvaluationObserver
 from repro.runtime.interpreter import ExecutionLimitExceeded, ExecutionResult
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import (
@@ -442,3 +445,113 @@ def assert_over_budget(make, limit: int, observe=lambda interp: None) -> None:
     assert clock == before[1], (limit, n)
     if observed != before[2]:
         assert observed == run_limited(make, "tree", n, observe)[2], (limit, n)
+
+
+# -- observer events ---------------------------------------------------------
+
+
+@dataclasses.dataclass
+class ObservedEvent:
+    """One recorded observer call."""
+
+    kind: str
+    job_id: Optional[str]
+    args: Dict[str, Any] = dataclasses.field(default_factory=dict)
+
+
+class RecordingObserver(EvaluationObserver):
+    """Thread-safe observer that records every event, in arrival order;
+    :meth:`for_job` slices one job's event stream back out."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.events: List[ObservedEvent] = []
+
+    def _record(self, event: str, job, **args: Any) -> None:
+        record = ObservedEvent(
+            kind=event, job_id=job.id if job is not None else None, args=args
+        )
+        with self._lock:
+            self.events.append(record)
+
+    def job_started(self, job) -> None:
+        self._record("job_started", job)
+
+    def stage_completed(self, job, bench, stage, outcome, seconds) -> None:
+        self._record(
+            "stage_completed", job,
+            bench=bench, stage=stage, outcome=outcome, seconds=seconds,
+        )
+
+    def artifact_stored(self, job, kind, key, outcome) -> None:
+        self._record(
+            "artifact_stored", job, kind=kind, key=key, outcome=outcome
+        )
+
+    def job_finished(self, job) -> None:
+        self._record(
+            "job_finished", job,
+            state=job.state.value if job is not None else None,
+        )
+
+    def for_job(self, job_id: str) -> List[ObservedEvent]:
+        with self._lock:
+            return [e for e in self.events if e.job_id == job_id]
+
+    def kinds(self, job_id: str) -> List[str]:
+        return [e.kind for e in self.for_job(job_id)]
+
+
+def check_event_ordering(events: Sequence[ObservedEvent]) -> List[str]:
+    """Validate one job's event stream against the observer contract.
+
+    Returns a list of violations (empty = well-ordered):
+
+    * the stream starts with ``job_started`` and ends with
+      ``job_finished``,
+    * ``job_started`` and ``job_finished`` each appear exactly once,
+    * every stage/artifact event falls between the ``job_started`` and
+      the ``job_finished``.
+    """
+    problems: List[str] = []
+    if not events:
+        return ["empty event stream"]
+    if events[0].kind != "job_started":
+        problems.append(f"first event is {events[0].kind}, not job_started")
+    if events[-1].kind != "job_finished":
+        problems.append(f"last event is {events[-1].kind}, not job_finished")
+    finishes = [e for e in events if e.kind == "job_finished"]
+    if len(finishes) != 1:
+        problems.append(f"{len(finishes)} job_finished events (expected 1)")
+    starts = [e for e in events if e.kind == "job_started"]
+    if len(starts) != 1:
+        problems.append(f"{len(starts)} job_started events (expected 1)")
+    started = False
+    for event in events:
+        if event.kind == "job_started":
+            started = True
+        elif event.kind in ("stage_completed", "artifact_stored"):
+            if not started:
+                problems.append(f"{event.kind} before any job_started")
+    return problems
+
+
+# -- Prometheus exposition ---------------------------------------------------
+
+
+def parse_exposition(text: str) -> Dict[str, Tuple[str, float]]:
+    """Parse exposition text back to ``name -> (type, value)``."""
+    types: Dict[str, str] = {}
+    values: Dict[str, Tuple[str, float]] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("# TYPE "):
+            _, _, rest = line.partition("# TYPE ")
+            name, _, kind = rest.partition(" ")
+            types[name] = kind.strip()
+        elif not line.startswith("#"):
+            name, _, value = line.partition(" ")
+            values[name] = (types.get(name, "untyped"), float(value))
+    return values

@@ -194,3 +194,31 @@ def test_import_repro_leaves_the_runner_and_the_daemon_out():
         check=True,
     ).stdout.strip()
     assert loaded == "[]"
+
+
+def test_the_evaluation_runner_leaves_the_service_out():
+    """The runner reports progress through ``repro.obs.metrics``, so a
+    suite process or a pool worker never loads the service layer."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.evaluation.runner; print(sorted("
+            "m for m in sys.modules if m.startswith('repro.service')))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    assert loaded == "[]"

@@ -87,12 +87,25 @@ def test_missing_command_rejected():
         main([])
 
 
+def test_trace_is_an_option_not_a_command(capsys):
+    """A trace is ``--trace PATH`` on the command that does the work;
+    there is no ``trace`` command, and a timeline needs a trace."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "mcf"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'trace'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "mcf", "--sim-timeline"])
+    assert excinfo.value.code == 2
+    assert "--sim-timeline needs --trace" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["4:bogus", "x", "0", "0:matched", ""])
 def test_bad_machine_is_a_usage_error(spec, capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["trace", "mcf", "--machine", spec])
+        main(["bench", "mcf", "--trace", "t.json", "--sim-timeline", spec])
     assert excinfo.value.code == 2
-    assert f"argument --machine: {spec!r}" in capsys.readouterr().err
+    assert f"argument --sim-timeline: {spec!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["suite", "bench", "compile"])
@@ -209,12 +222,13 @@ def test_a_failing_bench_stops_the_suite_with_a_partial_report(
     assert multiprocessing.active_children() == []
 
 
-def test_trace_command_writes_valid_perfetto_json(
+def test_bench_trace_writes_valid_perfetto_json(
     monkeypatch, tmp_path, capsys
 ):
     import json
 
     from repro.bench import suite as bench_suite
+    from repro.evaluation import runner as runner_mod
     from repro.obs import validate_chrome_trace
 
     spec = bench_suite.BenchmarkSpec(
@@ -222,11 +236,14 @@ def test_trace_command_writes_valid_perfetto_json(
         "test",
     )
     monkeypatch.setitem(bench_suite.BENCHMARKS, "tinytrace", spec)
+    # A cold store, so the trace has a span for every stage.
+    monkeypatch.setenv("REPRO_EVAL_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(runner_mod, "_default", None)
 
     out_path = tmp_path / "trace.json"
-    argv = ["trace", "tinytrace", "-o", str(out_path), "--sim-timeline"]
+    argv = ["bench", "tinytrace", "--trace", str(out_path), "--sim-timeline"]
     assert main(argv) == 0
-    assert "ui.perfetto.dev" in capsys.readouterr().err
+    assert f"trace written to {out_path}" in capsys.readouterr().err
     payload = json.loads(out_path.read_text())
     assert validate_chrome_trace(payload) == []
     names = {
@@ -252,6 +269,19 @@ def test_trace_command_writes_valid_perfetto_json(
     }
     assert sim_tids == set(range(6))
     assert payload["otherData"]["metrics"]["counters"]
+
+    # A machine spec replays the recording on that machine instead.
+    argv = ["bench", "tinytrace", "--trace", str(out_path),
+            "--sim-timeline", "8:matched"]
+    assert main(argv) == 0
+    payload = json.loads(out_path.read_text())
+    assert validate_chrome_trace(payload) == []
+    sim_tids = {
+        e["tid"]
+        for e in payload["traceEvents"]
+        if e.get("cat") == "sim" and e["ph"] == "X"
+    }
+    assert sim_tids == set(range(8))
 
 
 def test_run_trace_flag(program_file, tmp_path, capsys):

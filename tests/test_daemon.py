@@ -180,15 +180,33 @@ def test_resubmission_hits_warm_store(daemon, tiny_bench):
         assert sum(row["hits"] for row in counters.values()) > 0
 
 
-def test_compile_and_trace_ops(daemon, tiny_bench):
+def test_compile_and_traced_run_ops(daemon, tiny_bench):
+    from repro.obs import validate_chrome_trace
+
     with ServiceClient(socket_path=daemon.socket_path) as client:
+        # Without --trace-dir a traced job's trace rides on its
+        # terminal event, with the job's metrics delta embedded.  On a
+        # cold store it shows every stage.
+        traced = client.run(
+            {"op": "run", "bench": "mcf", "cores": 6, "trace": True}
+        )
         # The synthetic bench has no profitable loops; compile a real
         # one to see the transform actually fire.
         compiled = client.run({"op": "compile", "bench": "mcf", "cores": 4})
         assert compiled["result"]["parallelized"] >= 1
-        traced = client.run({"op": "trace", "bench": tiny_bench})
-        assert traced["result"]["spans"] > 0
-        assert traced["result"]["output_matches"] is True
+    assert traced["result"]["output_matches"] is True
+    assert "trace_path" not in traced
+    payload = traced["trace"]
+    assert validate_chrome_trace(payload) == []
+    assert payload["otherData"]["metrics"] == traced["metrics"]
+    names = {e["name"] for e in payload["traceEvents"] if e["ph"] == "X"}
+    for required in (
+        "frontend.lower",
+        "stage.compile",
+        "helix.parallelize_module",
+        "exec.parallel",
+    ):
+        assert required in names, required
 
 
 def test_suite_op_streams_bench_progress(daemon, tiny_bench):
@@ -228,6 +246,9 @@ def test_bad_requests_get_errors(daemon):
     with ServiceClient(socket_path=daemon.socket_path) as client:
         with pytest.raises(ServiceError, match="unknown op"):
             client.request({"op": "explode"})
+        # Tracing is ``"trace": true`` on a job, not an op of its own.
+        with pytest.raises(ServiceError, match="unknown op 'trace'"):
+            client.request({"op": "trace", "bench": "mcf"})
         with pytest.raises(ServiceError, match="bad run request"):
             client.request({"op": "run"})
         with pytest.raises(ServiceError, match="unknown benchmark"):
@@ -331,15 +352,23 @@ def test_traced_job_writes_valid_perfetto_file(obs_daemon, tiny_bench):
         spans = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
         assert spans, "trace has no spans"
         assert payload["otherData"]["metrics"] == finished["metrics"]
-        # The dedicated trace op gets a file too.
-        traced = client.run({"op": "trace", "bench": tiny_bench})
-        assert traced.get("trace_path")
-        assert validate_chrome_trace(
-            json.loads(open(traced["trace_path"], encoding="utf-8").read())
-        ) == []
-        # An untraced job does not.
+        assert "trace" not in finished
+        # A repeat is answered by the stored ``run`` artifact, which is
+        # all its trace shows.
+        repeat = client.run(
+            {"op": "run", "bench": tiny_bench, "cores": 4, "trace": True}
+        )
+        assert repeat["trace_path"] != trace_path
+        payload = json.loads(
+            open(repeat["trace_path"], encoding="utf-8").read()
+        )
+        assert validate_chrome_trace(payload) == []
+        assert [
+            e["name"] for e in payload["traceEvents"] if e["ph"] == "X"
+        ] == ["stage.run"]
+        # An untraced job gets no trace at all.
         plain = client.run({"op": "run", "bench": tiny_bench, "cores": 4})
-        assert "trace_path" not in plain
+        assert "trace_path" not in plain and "trace" not in plain
 
 
 def test_job_metrics_are_per_job_deltas(obs_daemon, tiny_bench):

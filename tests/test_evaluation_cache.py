@@ -1459,9 +1459,9 @@ class TestParallelSuite:
         """An interrupt during the second bench leaves a partial report
         that lists the first."""
         from repro.evaluation.parallel_runner import SuiteInterrupted
-        from repro.service.jobs import NullObserver
+        from repro.obs.metrics import EvaluationObserver
 
-        class InterruptSecond(NullObserver):
+        class InterruptSecond(EvaluationObserver):
             def stage_completed(self, job, bench, stage, outcome, seconds):
                 if bench == tiny_pair[1]:
                     raise KeyboardInterrupt
@@ -1489,9 +1489,9 @@ class TestParallelSuite:
         pool down; the rows that completed are in the partial report,
         in suite order, and no worker process is left."""
         from repro.evaluation.parallel_runner import SuiteInterrupted
-        from repro.service.jobs import NullObserver
+        from repro.obs.metrics import EvaluationObserver
 
-        class InterruptOnce(NullObserver):
+        class InterruptOnce(EvaluationObserver):
             fired = False
 
             def stage_completed(self, job, bench, stage, outcome, seconds):

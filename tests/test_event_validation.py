@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service.daemon import PROTOCOL_VERSION, validate_event
-from repro.service.jobs import ObservedEvent, check_event_ordering
+from tests.helpers import ObservedEvent, check_event_ordering
 
-assert PROTOCOL_VERSION == 2
+assert PROTOCOL_VERSION == 3
 
 # -- strategy building blocks ------------------------------------------------
 

@@ -81,15 +81,6 @@ class TestTracer:
             inner.start_us + inner.dur_us <= outer.start_us + outer.dur_us
         )
 
-    def test_instant_has_zero_duration(self):
-        tracer, clock = _tracer()
-        clock.advance(2.0)
-        tracer.instant("mark", cat="m", k=9)
-        [event] = tracer.finished()
-        assert event.dur_us == 0.0
-        assert event.start_us == 2_000_000.0
-        assert event.args == {"k": 9}
-
     def test_event_roundtrips_through_wire_format(self):
         tracer, clock = _tracer()
         with tracer.span("s", cat="c", a=1):

@@ -9,15 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import (
-    CompileJob,
-    JobState,
-    Orchestrator,
-    RecordingObserver,
-    RunJob,
-)
+from repro.obs.metrics import CURRENT_JOB
 from repro.runtime.machine import MachineConfig
-from repro.service.jobs import CURRENT_JOB, check_event_ordering
+from repro.service import CompileJob, JobState, Orchestrator, RunJob
+from tests.helpers import RecordingObserver, check_event_ordering
 
 PROGRAM = """
 int total;
@@ -501,6 +496,24 @@ def test_traced_submit_attaches_spans():
         plain = orch.submit(FakeSpec("p"))
         orch.wait(plain, timeout=10)
         assert plain.spans is None
+    finally:
+        orch.shutdown()
+
+
+def test_a_failed_traced_job_keeps_its_spans():
+    from repro.obs import get_tracer
+
+    def failing(ctx, spec):
+        with get_tracer().span("unit.before_failure"):
+            pass
+        raise RuntimeError("boom")
+
+    orch, _ = make_orchestrator(failing)
+    try:
+        job = orch.submit(FakeSpec("f"), trace=True)
+        orch.wait(job, timeout=10)
+        assert job.state is JobState.FAILED
+        assert [span["name"] for span in job.spans] == ["unit.before_failure"]
     finally:
         orch.shutdown()
 

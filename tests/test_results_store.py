@@ -7,12 +7,7 @@ import os
 
 import pytest
 
-from repro.obs.prom import (
-    parse_exposition,
-    prometheus_text,
-    sanitize_name,
-    status_gauges,
-)
+from repro.obs.prom import prometheus_text, sanitize_name, status_gauges
 from repro.obs.results import (
     ResultsStore,
     RunRecord,
@@ -22,6 +17,7 @@ from repro.obs.results import (
     format_history,
     run_metrics,
 )
+from tests.helpers import parse_exposition
 
 
 def suite_report(**overrides):

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import EvaluationObserver
 from repro.service.jobs import (
     CompileJob,
-    EvaluationObserver,
     InvalidTransition,
     Job,
     JobState,
-    ObservedEvent,
     RunJob,
     SuiteJob,
-    TraceJob,
-    check_event_ordering,
 )
+from tests.helpers import ObservedEvent, check_event_ordering
 
 
 # -- state machine -----------------------------------------------------------
@@ -77,7 +75,6 @@ def test_spec_ops():
     assert CompileJob("mcf").op == "compile"
     assert RunJob("mcf").op == "run"
     assert SuiteJob().op == "suite"
-    assert TraceJob("mcf").op == "trace"
 
 
 # -- observers ---------------------------------------------------------------
