@@ -10,7 +10,7 @@ Run:  python examples/inspect_transformation.py
 
 from repro import MachineConfig, compile_minic
 from repro.analysis.loops import find_loops
-from repro.core import parallelize_module
+from repro.core.parallelizer import parallelize_module
 from repro.ir import Opcode
 
 SOURCE = """

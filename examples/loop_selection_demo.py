@@ -11,7 +11,7 @@ Run:  python examples/loop_selection_demo.py
 
 from repro.bench import compile_benchmark
 from repro.core.selection import SelectionConfig, choose_loops
-from repro.runtime import profile_module
+from repro.runtime.profiler import profile_module
 from repro.runtime.machine import MachineConfig
 
 

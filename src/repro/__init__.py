@@ -30,12 +30,28 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from repro.api import compile_minic, parallelize_and_run
-from repro.runtime.machine import MachineConfig
-
 __all__ = [
     "compile_minic",
     "parallelize_and_run",
     "MachineConfig",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """The quickstart's names, imported on first use (PEP 562): ``import
+    repro`` loads no other module, so a command that never compiles
+    never pays for the frontend, the analyses or Steps 1-9."""
+    if name == "compile_minic":
+        from repro.api import compile_minic
+
+        return compile_minic
+    if name == "parallelize_and_run":
+        from repro.api import parallelize_and_run
+
+        return parallelize_and_run
+    if name == "MachineConfig":
+        from repro.runtime.machine import MachineConfig
+
+        return MachineConfig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,59 +20,7 @@ the paper relies on:
 * :mod:`repro.analysis.manager` -- the versioned analysis manager: every
   analysis above, requested through one memoizing, invalidation-tracked
   service threaded through the whole compile path.
+
+The package imports none of its modules: import each name from the
+module that defines it, so an importer loads only what it uses.
 """
-
-from repro.analysis.cfg import CFGView, postorder, reachable_blocks, reverse_postorder
-from repro.analysis.dominators import DominatorTree, dominators
-from repro.analysis.loops import Loop, LoopForest, find_loops
-from repro.analysis.dataflow import DataflowProblem, solve_dataflow
-from repro.analysis.liveness import LivenessInfo, compute_liveness
-from repro.analysis.callgraph import CallGraph, build_callgraph
-from repro.analysis.pointer import PointsToResult, andersen_pointer_analysis
-from repro.analysis.induction import InductionInfo, analyze_induction
-from repro.analysis.dependence import (
-    DataDependence,
-    DependenceAnalysis,
-    DependenceKind,
-)
-from repro.analysis.loopnest import (
-    DynamicLoopNestGraph,
-    LoopId,
-    StaticLoopNestGraph,
-    build_static_loop_nest_graph,
-)
-from repro.analysis.manager import (
-    Analysis,
-    AnalysisManager,
-)
-
-__all__ = [
-    "CFGView",
-    "postorder",
-    "reverse_postorder",
-    "reachable_blocks",
-    "DominatorTree",
-    "dominators",
-    "Loop",
-    "LoopForest",
-    "find_loops",
-    "DataflowProblem",
-    "solve_dataflow",
-    "LivenessInfo",
-    "compute_liveness",
-    "CallGraph",
-    "build_callgraph",
-    "PointsToResult",
-    "andersen_pointer_analysis",
-    "InductionInfo",
-    "analyze_induction",
-    "DataDependence",
-    "DependenceKind",
-    "DependenceAnalysis",
-    "LoopId",
-    "StaticLoopNestGraph",
-    "DynamicLoopNestGraph",
-    "build_static_loop_nest_graph",
-    "Analysis",
-    "AnalysisManager",
-]

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.loopnest import LoopId
 from repro.core.loopinfo import HelixOptions
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Module
 from repro.runtime.machine import MachineConfig
 

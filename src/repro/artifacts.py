@@ -334,8 +334,10 @@ class ArtifactStore:
             return False
         path = self._path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # Not ``*.json``: a writer killed before ``os.replace`` leaves
+        # this file behind, and it must not read as an entry.
         fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".json"
+            dir=str(path.parent), prefix=".tmp-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as handle:

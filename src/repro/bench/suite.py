@@ -181,7 +181,7 @@ def get_benchmark(name: str) -> BenchmarkSpec:
 
 def compile_benchmark(name: str, scale: str = "ref") -> Module:
     """Compile one benchmark at the given input scale ('train'/'ref')."""
-    from repro.frontend import compile_source
+    from repro.frontend.lower import compile_source
 
     spec = get_benchmark(name)
     return compile_source(spec.source(scale), f"{name}.{scale}")

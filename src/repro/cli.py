@@ -50,13 +50,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro import MachineConfig, compile_minic, parallelize_and_run
 from repro.ir import module_to_str
 from repro.obs.metrics import EvaluationObserver
-from repro.runtime import run_module
+from repro.runtime.machine import MachineConfig
 
 
 def _load(path: str):
+    from repro.api import compile_minic
+
     source = Path(path).read_text()
     return compile_minic(source, name=Path(path).stem)
 
@@ -192,6 +193,8 @@ def cmd_run(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.runtime.interpreter import run_module
+
     module = _load(args.file)
     result = run_module(module)
     for line in result.output:
@@ -209,6 +212,8 @@ def cmd_ir(args) -> int:
 
 
 def cmd_parallelize(args) -> int:
+    from repro.api import parallelize_and_run
+
     module = _load(args.file)
     machine = MachineConfig(cores=args.cores)
     result = parallelize_and_run(module, machine)

@@ -15,28 +15,7 @@
 * :mod:`repro.core.model` -- the speedup model (Equation 1).
 * :mod:`repro.core.selection` -- Section 2.2's loop-selection algorithm
   over the dynamic loop nesting graph.
+
+The package imports none of its modules: import each name from the
+module that defines it, so an importer loads only what it uses.
 """
-
-from repro.core.loopinfo import DepSync, HelixOptions, ParallelizedLoop
-from repro.core.parallelizer import HelixParallelizer, parallelize_module
-from repro.core.model import SpeedupModel, speedup_from_fractions
-from repro.core.selection import (
-    LoopSelection,
-    SelectionConfig,
-    choose_loops,
-    fixed_level_selection,
-)
-
-__all__ = [
-    "HelixOptions",
-    "ParallelizedLoop",
-    "DepSync",
-    "HelixParallelizer",
-    "parallelize_module",
-    "SpeedupModel",
-    "speedup_from_fractions",
-    "choose_loops",
-    "fixed_level_selection",
-    "LoopSelection",
-    "SelectionConfig",
-]

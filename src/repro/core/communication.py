@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.analysis.dependence import DependenceKind
 from repro.analysis.loops import Loop
 from repro.core.loopinfo import DepSync
 from repro.ir import Function, Instruction, Module, Opcode
@@ -61,6 +60,8 @@ def insert_communication(
     syncs: Sequence[DepSync],
 ) -> int:
     """Insert forwarding slots and transfer marks; returns ops added."""
+    from repro.analysis.dependence import DependenceKind
+
     added = 0
     for sync in syncs:
         dep = sync.dep

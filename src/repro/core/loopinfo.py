@@ -14,11 +14,13 @@ the record that timing a recorded run reads, small enough to store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from repro.analysis.dependence import DataDependence
-from repro.analysis.loopnest import LoopId
 from repro.ir import Instruction
+
+if TYPE_CHECKING:
+    from repro.analysis.dependence import DataDependence
+    from repro.analysis.loopnest import LoopId
 
 
 @dataclass

@@ -17,26 +17,7 @@
   Figure 12 (signal-latency misestimation), Figure 13 (nesting-level
   distribution).
 * :mod:`repro.evaluation.reporting` -- ASCII tables and statistics.
+
+The package imports none of its modules: import each name from the
+module that defines it, so an importer loads only what it uses.
 """
-
-from repro.evaluation.runner import (
-    EvaluationRunner,
-    StageStats,
-    default_runner,
-)
-from repro.evaluation.reporting import (
-    format_stage_stats,
-    format_table,
-    geomean,
-)
-from repro.evaluation import figures
-
-__all__ = [
-    "EvaluationRunner",
-    "StageStats",
-    "default_runner",
-    "figures",
-    "format_stage_stats",
-    "format_table",
-    "geomean",
-]

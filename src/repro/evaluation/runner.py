@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -63,7 +64,6 @@ from typing import (
 )
 
 from repro.analysis.loopnest import LoopId
-from repro.analysis.manager import AnalysisManager
 from repro.artifacts import ArtifactStore, fingerprint, pipeline_fingerprint
 from repro.bench import (
     benchmark_fingerprint,
@@ -77,13 +77,6 @@ from repro.core.loopinfo import (
     LoopRecord,
     ParallelizedLoop,
 )
-from repro.core.parallelizer import parallelize_module
-from repro.core.selection import (
-    LoopSelection,
-    SelectionConfig,
-    choose_loops,
-    fixed_level_selection,
-)
 from repro.ir import Module, module_to_str
 from repro.obs import get_tracer
 from repro.obs.metrics import CURRENT_JOB, EvaluationObserver, StageStats
@@ -96,6 +89,10 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.trace import Recording, pack_traces, unpack_traces
 from repro.runtime.profiler import ProfileData, profile_module
+
+if TYPE_CHECKING:
+    from repro.analysis.manager import AnalysisManager
+    from repro.core.selection import LoopSelection
 
 #: A recording run: its sequential-clock result, recording and load
 #: count (the arguments of :meth:`RecordedRun.restore_run`).
@@ -257,10 +254,6 @@ class EvaluationRunner:
         self.sinks: List[Any] = [self.stats]
         if observer is not None:
             self.sinks.append(observer)
-        #: Versioned analysis cache shared by every selection and
-        #: transformation this runner performs; it counts into ``stats``
-        #: under ``analysis:<name>`` keys.
-        self.analysis = AnalysisManager(stats=self.stats)
         #: Programs held under a name (:meth:`hold`): scale -> build.
         self._held: Dict[str, Dict[str, Module]] = {}
         self._profiles: Dict[str, ProfileData] = {}
@@ -270,6 +263,16 @@ class EvaluationRunner:
         self._pipelines: Dict[Tuple, PipelineRun] = {}
         #: Recording runs by ``recording`` artifact key.
         self._recordings: Dict[str, _Recording] = {}
+
+    @cached_property
+    def analysis(self) -> AnalysisManager:
+        """Versioned analysis cache shared by every selection and
+        transformation this runner performs; it counts into ``stats``
+        under ``analysis:<name>`` keys.  Made on first use: a warm
+        pipeline selects and transforms nothing."""
+        from repro.analysis.manager import AnalysisManager
+
+        return AnalysisManager(stats=self.stats)
 
     # -- reporting and cache plumbing ----------------------------------------
 
@@ -456,6 +459,8 @@ class EvaluationRunner:
         if selection is not None:
             self._stage(bench, "selection")
             return selection
+        from repro.core.selection import SelectionConfig, choose_loops
+
         module = self.module(bench, "ref")
         profile = self.profile(bench)
         config = SelectionConfig(
@@ -474,6 +479,8 @@ class EvaluationRunner:
         return selection
 
     def fixed_level(self, bench: str, level: int) -> List[LoopId]:
+        from repro.core.selection import fixed_level_selection
+
         return fixed_level_selection(
             self.module(bench, "ref"),
             self.profile(bench),
@@ -489,6 +496,8 @@ class EvaluationRunner:
         options: HelixOptions,
     ) -> Tuple[Module, List[ParallelizedLoop]]:
         """Steps 1-9 on the ref build's ``loop_ids``."""
+        from repro.core.parallelizer import parallelize_module
+
         module = self.module(bench, "ref")
         return self._stage(
             bench, "transform",

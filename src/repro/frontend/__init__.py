@@ -9,21 +9,9 @@ booleans.
 
 Typical use::
 
-    from repro.frontend import compile_source
+    from repro.frontend.lower import compile_source
     module = compile_source(open("program.mc").read())
+
+The package imports none of its modules: import each name from the
+module that defines it, so an importer loads only what it uses.
 """
-
-from repro.frontend.errors import MiniCError
-from repro.frontend.lexer import Token, TokenKind, tokenize
-from repro.frontend.parser import parse
-from repro.frontend.lower import compile_source, lower_program
-
-__all__ = [
-    "MiniCError",
-    "Token",
-    "TokenKind",
-    "tokenize",
-    "parse",
-    "lower_program",
-    "compile_source",
-]

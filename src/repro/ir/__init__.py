@@ -34,7 +34,6 @@ from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.builder import IRBuilder
-from repro.ir.parser import IRParseError, parse_module
 from repro.ir.printer import function_to_str, instruction_to_str, module_to_str
 from repro.ir.verify import IRVerificationError, verify_function, verify_module
 
@@ -56,8 +55,6 @@ __all__ = [
     "Module",
     "IRBuilder",
     "module_to_str",
-    "parse_module",
-    "IRParseError",
     "function_to_str",
     "instruction_to_str",
     "verify_module",

@@ -10,16 +10,6 @@ helper threads (:mod:`repro.runtime.parallel`).
 """
 
 from repro.runtime.machine import CostModel, MachineConfig, PrefetchMode
-from repro.runtime.interpreter import (
-    ExecutionLimitExceeded,
-    ExecutionResult,
-    Interpreter,
-    RuntimeFault,
-    run_module,
-)
-from repro.runtime.profiler import LoopProfile, ProfileData, profile_module
-from repro.runtime.parallel import ParallelExecutor, ParallelRunResult
-from repro.runtime.trace import InvocationTrace, Recording
 
 __all__ = [
     "MachineConfig",
@@ -30,11 +20,21 @@ __all__ = [
     "RuntimeFault",
     "ExecutionLimitExceeded",
     "run_module",
-    "profile_module",
-    "ProfileData",
-    "LoopProfile",
-    "ParallelExecutor",
-    "ParallelRunResult",
-    "Recording",
-    "InvocationTrace",
 ]
+
+
+def __getattr__(name: str):
+    """The interpreter's names, imported on first use (PEP 562): every
+    command imports :mod:`repro.runtime.machine`, and only the ones that
+    interpret load the interpreter."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.runtime.interpreter import (  # noqa: F401  (read by name)
+        ExecutionLimitExceeded,
+        ExecutionResult,
+        Interpreter,
+        RuntimeFault,
+        run_module,
+    )
+
+    return locals()[name]

@@ -1180,8 +1180,10 @@ def schedule_invocation_reference(
                         occupy(core, "compute", opened, t)
                         occupy(core, "transfer", t, moved)
                         t = opened = moved
-            else:  # 'p' producer marks only feed the next iteration's set.
+            elif kind == "p":  # producer marks only feed the next iteration's set.
                 cur_produced.add(dep)
+            else:
+                raise ValueError(f"unknown trace event kind {kind!r}")
 
         t += iteration.end_cycles - last
         occupy(core, "compute", opened, t)

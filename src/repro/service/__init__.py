@@ -26,30 +26,7 @@ served to many concurrent clients from one warm process:
 CLI progress output is *one more observer* -- the suite's ``--stats``
 progress, the daemon's event stream and tests' recording observers all
 implement the same protocol.
+
+The package imports none of its modules: import each name from the
+module that defines it, so an importer loads only what it uses.
 """
-
-from repro.service.jobs import (
-    CompileJob,
-    InvalidTransition,
-    Job,
-    JobState,
-    RunJob,
-    SuiteJob,
-)
-from repro.service.orchestrator import (
-    JobCancelled,
-    JobTimeout,
-    Orchestrator,
-)
-
-__all__ = [
-    "CompileJob",
-    "InvalidTransition",
-    "Job",
-    "JobCancelled",
-    "JobState",
-    "JobTimeout",
-    "Orchestrator",
-    "RunJob",
-    "SuiteJob",
-]

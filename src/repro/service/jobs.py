@@ -174,21 +174,3 @@ class Job:
             else self.submitted_monotonic
         )
         return max(0.0, end - start)
-
-    def as_dict(self) -> dict:
-        """JSON-stable summary (the daemon's wire form of a job)."""
-        spec: Dict[str, Any] = {}
-        for name in getattr(self.spec, "__dataclass_fields__", {}):
-            value = getattr(self.spec, name)
-            spec[name] = list(value) if isinstance(value, tuple) else value
-        summary = {
-            "id": self.id,
-            "op": self.op,
-            "state": self.state.value,
-            "error": self.error,
-            "spec": spec,
-            "metrics": self.metrics,
-        }
-        if self.trace_path is not None:
-            summary["trace_path"] = self.trace_path
-        return summary

@@ -4,15 +4,7 @@
   HELIX Step 5's segment shrinking).
 * :mod:`repro.transform.normalize` -- loop normalization into the
   prologue/body form of HELIX Step 1.
+
+The package imports none of its modules: import each name from the
+module that defines it, so an importer loads only what it uses.
 """
-
-from repro.transform.inline import InlineError, can_inline, inline_call
-from repro.transform.normalize import NormalizedLoop, normalize_loop
-
-__all__ = [
-    "inline_call",
-    "can_inline",
-    "InlineError",
-    "normalize_loop",
-    "NormalizedLoop",
-]

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.loopnest import LoopId
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import BasicBlock, Function, Instruction, Module, Opcode
 from repro.ir.operands import Const
 from repro.ir.types import Type

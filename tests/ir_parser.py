@@ -1,7 +1,7 @@
 """Parser for the textual IR format emitted by :mod:`repro.ir.printer`.
 
-Round-tripping (``parse_module(module_to_str(m))``) gives tests and tools
-a stable way to author IR directly, without going through MiniC.  The
+Round-tripping (``parse_module(module_to_str(m))``) gives tests a
+stable way to author IR directly, without going through MiniC.  The
 grammar is exactly what the printer produces::
 
     module NAME

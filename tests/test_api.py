@@ -5,7 +5,7 @@ import pytest
 from repro import MachineConfig, compile_minic, parallelize_and_run
 from repro.core.loopinfo import HelixOptions
 from repro.evaluation.runner import EvaluationRunner, PipelineRun
-from repro.runtime import run_module
+from repro.runtime.interpreter import run_module
 from repro.runtime.machine import PrefetchMode
 
 PROGRAM = """
@@ -168,9 +168,9 @@ class TestMachineVariants:
 
 
 def test_import_repro_leaves_the_runner_and_the_daemon_out():
-    """``import repro`` brings in neither the evaluation runner nor the
-    service layer: ``parallelize_and_run`` imports the runner when it
-    is called."""
+    """``import repro`` loads no other module: its quickstart names are
+    imported when first read, and an unknown name is still an
+    ``AttributeError``."""
     import os
     import subprocess
     import sys
@@ -185,15 +185,26 @@ def test_import_repro_leaves_the_runner_and_the_daemon_out():
         [
             sys.executable,
             "-c",
-            "import sys, repro; print(sorted("
-            "{'repro.evaluation.runner', 'repro.service'} & set(sys.modules)))",
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro')))\n"
+            "from repro import compile_minic, parallelize_and_run, MachineConfig\n"
+            "assert compile_minic.__module__ == 'repro.api'\n"
+            "assert parallelize_and_run.__module__ == 'repro.api'\n"
+            "assert MachineConfig.__module__ == 'repro.runtime.machine'\n"
+            "try:\n"
+            "    repro.no_such_name\n"
+            "except AttributeError as error:\n"
+            "    print(error)\n",
         ],
         env=env,
         capture_output=True,
         text=True,
         check=True,
-    ).stdout.strip()
-    assert loaded == "[]"
+    ).stdout.splitlines()
+    assert loaded == [
+        "['repro']",
+        "module 'repro' has no attribute 'no_such_name'",
+    ]
 
 
 def test_the_evaluation_runner_leaves_the_service_out():

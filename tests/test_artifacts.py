@@ -80,6 +80,25 @@ def test_disk_roundtrip_and_counters(tmp_path):
     assert counters == {"hits": 1, "misses": 1, "stores": 1}
 
 
+def test_a_writer_killed_mid_store_leaves_no_entry(tmp_path, monkeypatch):
+    """A process killed between writing its temporary file and renaming
+    it (a worker a broken pool terminates) leaves that file behind; it
+    must not look like an entry (``<kind>/<key>.json``)."""
+    import os
+
+    root = tmp_path / "cache"
+    pid = os.fork()
+    if pid == 0:  # the writer, killed where a terminated worker dies
+        monkeypatch.setattr(os, "replace", lambda *args: os._exit(9))
+        ArtifactStore(root).store("profile", "k", {"v": 1})
+        os._exit(0)
+    _, status = os.waitpid(pid, 0)
+    assert os.WEXITSTATUS(status) == 9
+    assert len(list(root.rglob("*"))) == 2  # the kind directory, the leftover
+    assert list(root.rglob("*.json")) == []
+    assert ArtifactStore(root).load("profile", "k") is None
+
+
 def test_the_registry_mirrors_the_one_tally(tmp_path):
     """Every count the store keeps reaches the metrics registry as
     ``evalcache.<what>.<kind>``, and nothing else does."""

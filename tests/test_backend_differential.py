@@ -36,10 +36,14 @@ from repro.bench import benchmark_names, compile_benchmark
 from repro.core.parallelizer import parallelize_module
 from repro.core.selection import SelectionConfig, choose_loops
 from repro.analysis.loopnest import build_static_loop_nest_graph
-from repro.frontend import compile_source
-from repro.ir.parser import parse_module
+from repro.frontend.lower import compile_source
+from tests.ir_parser import parse_module
 from repro.obs.metrics import REGISTRY, metrics_delta
-from repro.runtime import ExecutionLimitExceeded, Interpreter, run_module
+from repro.runtime.interpreter import (
+    ExecutionLimitExceeded,
+    Interpreter,
+    run_module,
+)
 from repro.runtime.interpreter import DEFAULT_MAX_INSTRUCTIONS
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor

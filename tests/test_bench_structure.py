@@ -12,7 +12,7 @@ from repro.analysis.dependence import DependenceAnalysis, DependenceKind
 from repro.analysis.loops import find_loops
 from repro.bench import compile_benchmark
 from repro.core.selection import SelectionConfig, choose_loops
-from repro.runtime import profile_module
+from repro.runtime.profiler import profile_module
 
 _cache = {}
 
@@ -145,7 +145,7 @@ class TestCrafty:
 class TestVortex:
     def test_inlining_triggered(self):
         """The obj_b dependence crosses touch_object: Step 5 inlines it."""
-        from repro.core import parallelize_module
+        from repro.core.parallelizer import parallelize_module
 
         module, profile, selection = selection_for("vortex")
         scan = [lid for lid in selection.chosen if lid[0] == "main"]

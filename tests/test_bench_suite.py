@@ -13,7 +13,7 @@ from repro.bench import (
     compile_benchmark,
     get_benchmark,
 )
-from repro.runtime import run_module
+from repro.runtime.interpreter import run_module
 
 ALL_NAMES = benchmark_names()
 

@@ -2,9 +2,9 @@
 
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.pointer import andersen_pointer_analysis, loc_key
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Opcode
-from repro.ir.parser import parse_module
+from tests.ir_parser import parse_module
 from repro.ir.types import Type
 from repro.transform.inline import can_inline
 

@@ -21,10 +21,10 @@ from repro.analysis.loops import find_loops
 from repro.bench import compile_benchmark
 from repro.core.parallelizer import parallelize_module
 from repro.core.selection import SelectionConfig, choose_loops
-from repro.frontend import compile_source
-from repro.ir.parser import parse_module
+from repro.frontend.lower import compile_source
+from tests.ir_parser import parse_module
 from repro.obs.metrics import REGISTRY, metrics_delta
-from repro.runtime import (
+from repro.runtime.interpreter import (
     ExecutionLimitExceeded,
     Interpreter,
     RuntimeFault,

@@ -8,9 +8,9 @@ from repro.core.communication import (
     xfer_words,
 )
 from repro.core.segments import insert_synchronization
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Opcode
-from repro.runtime import run_module
+from repro.runtime.interpreter import run_module
 
 
 def prepare(source):

@@ -12,8 +12,8 @@ from hypothesis import example, given, seed, settings
 
 from repro.analysis.loops import find_loops
 from repro.bench import benchmark_names
-from repro.core import parallelize_module
-from repro.frontend import compile_source
+from repro.core.parallelizer import parallelize_module
+from repro.frontend.lower import compile_source
 from repro.obs import REGISTRY
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.service import Orchestrator
+from repro.service.orchestrator import Orchestrator
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import Daemon, validate_event
 

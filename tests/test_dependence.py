@@ -7,7 +7,7 @@ from repro.analysis.dependence import (
 )
 from repro.analysis.induction import analyze_induction
 from repro.analysis.loops import find_loops
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Opcode
 
 

@@ -26,12 +26,12 @@ from repro.core.loopinfo import HelixOptions
 from repro.evaluation.parallel_runner import run_suite
 from repro.evaluation.reporting import format_stage_stats
 from repro.evaluation.runner import EvaluationRunner, StageStats
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.analysis.loops import find_loops
-from repro.core import parallelize_module
+from repro.core.parallelizer import parallelize_module
 from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.machine import CostModel, MachineConfig, PrefetchMode
-from repro.ir.parser import parse_module
+from tests.ir_parser import parse_module
 from repro.ir.printer import module_to_str
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.profiler import ProfileData, profile_module

@@ -124,7 +124,9 @@ class TestValidateEventFuzz:
     ):
         event = dict(WELL_FORMED[kind])
         required = set(event) - {"event"}
-        for field in dropped:
+        # The kind stays: without it no field is required, and an event
+        # without a kind is ``test_missing_or_bad_kind``'s case.
+        for field in dropped - {"event"}:
             event.pop(field, None)
         for key, value in extra.items():
             event.setdefault(key, value)

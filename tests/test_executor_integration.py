@@ -3,9 +3,9 @@
 import pytest
 
 from repro.analysis.loops import find_loops
-from repro.core import parallelize_module
-from repro.frontend import compile_source
-from repro.runtime import run_module
+from repro.core.parallelizer import parallelize_module
+from repro.frontend.lower import compile_source
+from repro.runtime.interpreter import run_module
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
 

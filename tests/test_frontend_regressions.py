@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.frontend import MiniCError, compile_source
-from repro.runtime import run_module
+from repro.frontend.errors import MiniCError
+from repro.frontend.lower import compile_source
+from repro.runtime.interpreter import run_module
 
 
 def run(source):

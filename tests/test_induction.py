@@ -2,7 +2,7 @@
 
 from repro.analysis.induction import analyze_induction
 from repro.analysis.loops import find_loops
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 
 
 def loop_induction(source, header_prefix="for"):
@@ -181,7 +181,7 @@ class TestDerivedIVs:
 class TestReadonlyGlobals:
     def test_readonly_global_load_is_invariant(self):
         from repro.analysis.dependence import DependenceAnalysis
-        from repro.frontend import compile_source
+        from repro.frontend.lower import compile_source
 
         source = """
         int W = 32;
@@ -211,7 +211,7 @@ class TestReadonlyGlobals:
 
     def test_written_global_not_readonly(self):
         from repro.analysis.dependence import DependenceAnalysis
-        from repro.frontend import compile_source
+        from repro.frontend.lower import compile_source
 
         module = compile_source(
             """
@@ -224,7 +224,7 @@ class TestReadonlyGlobals:
 
     def test_pointer_store_disqualifies(self):
         from repro.analysis.dependence import DependenceAnalysis
-        from repro.frontend import compile_source
+        from repro.frontend.lower import compile_source
 
         module = compile_source(
             """
@@ -293,7 +293,7 @@ class TestConditionalCounters:
             DependenceKind,
         )
         from repro.analysis.loops import find_loops
-        from repro.frontend import compile_source
+        from repro.frontend.lower import compile_source
 
         module = compile_source(
             """

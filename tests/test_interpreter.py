@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Function, Instruction, IRBuilder, Module, Opcode
 from repro.ir.operands import Const, VReg
 from repro.ir.types import Type
 from repro.obs.metrics import REGISTRY, metrics_delta
-from repro.runtime import (
+from repro.runtime.interpreter import (
     ExecutionLimitExceeded,
     Interpreter,
     RuntimeFault,

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import module_to_str
-from repro.ir.parser import IRParseError, parse_module
-from repro.runtime import run_module
+from tests.ir_parser import IRParseError, parse_module
+from repro.runtime.interpreter import run_module
 
 
 def roundtrip(source):
@@ -95,7 +95,7 @@ class TestRoundTrip:
     def test_transformed_module_roundtrips(self):
         """Even HELIX output (wait/signal/next_iter/xfer) round-trips."""
         from repro.analysis.loops import find_loops
-        from repro.core import parallelize_module
+        from repro.core.parallelizer import parallelize_module
 
         module = compile_source(
             """

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.frontend import MiniCError, TokenKind, tokenize
+from repro.frontend.errors import MiniCError
+from repro.frontend.lexer import TokenKind, tokenize
 
 
 def kinds(source):

@@ -1,7 +1,7 @@
 """Tests for liveness."""
 
 from repro.analysis.liveness import compute_liveness
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 
 
 def named_uid(func, name):

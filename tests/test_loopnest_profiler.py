@@ -1,8 +1,8 @@
 """Tests for the loop nesting graphs and the profiler."""
 
 from repro.analysis.loopnest import build_static_loop_nest_graph
-from repro.frontend import compile_source
-from repro.runtime import profile_module
+from repro.frontend.lower import compile_source
+from repro.runtime.profiler import profile_module
 
 NESTED = """
 int g;

@@ -2,7 +2,7 @@
 
 from repro.analysis.cfg import CFGView
 from repro.analysis.loops import find_loops
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 
 from tests.helpers import build_cfg
 

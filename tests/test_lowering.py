@@ -7,9 +7,10 @@ frontend pipeline end to end.
 
 import pytest
 
-from repro.frontend import MiniCError, compile_source
+from repro.frontend.errors import MiniCError
+from repro.frontend.lower import compile_source
 from repro.ir import verify_module
-from repro.runtime import run_module
+from repro.runtime.interpreter import run_module
 
 
 def run(source):

@@ -310,7 +310,7 @@ class TestChromeExport:
 
 class TestInstrumentation:
     def test_frontend_and_passes_emit_spans(self):
-        from repro.frontend import compile_source
+        from repro.frontend.lower import compile_source
 
         with tracing() as tracer:
             compile_source("void main() { int i; for (i = 0; i < 3; i++) {} }")
@@ -318,7 +318,7 @@ class TestInstrumentation:
         assert {"frontend.parse", "frontend.lower"} <= names
 
     def test_null_by_default_emits_nothing(self):
-        from repro.frontend import compile_source
+        from repro.frontend.lower import compile_source
 
         assert get_tracer() is NULL_TRACER
         compile_source("void main() {}")  # must not raise or record

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.obs.metrics import CURRENT_JOB
 from repro.runtime.machine import MachineConfig
-from repro.service import CompileJob, JobState, Orchestrator, RunJob
+from repro.service.jobs import CompileJob, JobState, RunJob
+from repro.service.orchestrator import Orchestrator
 from tests.helpers import RecordingObserver, check_event_ordering
 
 PROGRAM = """

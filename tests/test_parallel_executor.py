@@ -3,10 +3,10 @@
 import pytest
 
 from repro.analysis.loops import find_loops
-from repro.core import parallelize_module
+from repro.core.parallelizer import parallelize_module
 from repro.core.loopinfo import ParallelizedLoop
-from repro.frontend import compile_source
-from repro.runtime import run_module
+from repro.frontend.lower import compile_source
+from repro.runtime.interpreter import run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import (
     CTRL_DEP,
@@ -14,7 +14,7 @@ from repro.runtime.parallel import (
     IterationTrace,
     ParallelExecutor,
 )
-from repro.runtime.sched import schedule_many
+from repro.runtime.sched import schedule_invocation_reference, schedule_many
 from repro.runtime.trace import pack_traces
 from tests.helpers import recording_of
 
@@ -375,6 +375,26 @@ class TestScheduleInvocation:
         # Ordering: ideal <= helix <= none.
         assert run(PrefetchMode.IDEAL) <= run(PrefetchMode.HELIX)
         assert run(PrefetchMode.HELIX) <= run(PrefetchMode.NONE)
+
+    def test_reference_rejects_an_unknown_event_kind(self):
+        # Events spelled out ("wait", "signal") are not trace events;
+        # the reference used to time them as producer marks.
+        iterations = [
+            iteration(
+                i * 100,
+                [("wait", 0, i * 100 + 60), ("signal", 0, i * 100 + 70)],
+                (i + 1) * 100,
+            )
+            for i in range(8)
+        ]
+        trace = InvocationTrace(
+            loop_id=("f", "L"), start_cycles=0, end_cycles=800,
+            iterations=iterations,
+        )
+        with pytest.raises(ValueError, match="'wait'"):
+            schedule_invocation_reference(
+                trace, make_loop_info(counted=True), self.machine(cores=4)
+            )
 
 
 class TestMemoryConsistency:

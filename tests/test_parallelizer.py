@@ -3,11 +3,12 @@
 import pytest
 
 from repro.analysis.loops import find_loops
-from repro.core import HelixOptions, parallelize_module
+from repro.core.loopinfo import HelixOptions
+from repro.core.parallelizer import parallelize_module
 from repro.core.parallelizer import ACTIVE_FLAG, HelixError, HelixParallelizer
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Opcode, verify_module
-from repro.runtime import run_module
+from repro.runtime.interpreter import run_module
 
 ACCUMULATOR = """
 int total;

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.frontend import MiniCError, parse
+from repro.frontend.errors import MiniCError
+from repro.frontend.parser import parse
 from repro.frontend import ast_nodes as ast
 
 

@@ -11,8 +11,8 @@ resets or keeps.
 
 import pytest
 
-from repro.frontend import compile_source
-from repro.runtime import (
+from repro.frontend.lower import compile_source
+from repro.runtime.interpreter import (
     ExecutionLimitExceeded,
     Interpreter,
     RuntimeFault,

@@ -1,6 +1,6 @@
 """Tests for the textual IR printer."""
 
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import (
     Instruction,
     Opcode,

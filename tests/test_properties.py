@@ -12,7 +12,7 @@ from repro import MachineConfig, compile_minic, parallelize_and_run
 from repro.analysis.cfg import CFGView
 from repro.analysis.dominators import dominators
 from repro.analysis.loops import find_loops
-from repro.runtime import run_module
+from repro.runtime.interpreter import run_module
 from repro.runtime.interpreter import c_div, c_mod, wrap_int
 
 from tests.helpers import build_cfg
@@ -239,7 +239,8 @@ class TestIRRoundTripProperty:
     @given(loop_programs())
     def test_print_parse_preserves_behaviour(self, source):
         """module_to_str / parse_module round-trips any frontend output."""
-        from repro.ir import module_to_str, parse_module
+        from repro.ir import module_to_str
+        from tests.ir_parser import parse_module
 
         module = compile_minic(source)
         baseline = run_module(module)

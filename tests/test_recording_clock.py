@@ -30,10 +30,10 @@ import pytest
 
 from repro.bench import benchmark_names
 from repro.evaluation.runner import EvaluationRunner
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.analysis.loops import find_loops
-from repro.core import parallelize_module
-from repro.runtime import run_module
+from repro.core.parallelizer import parallelize_module
+from repro.runtime.interpreter import run_module
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.sched import schedule_invocation_reference

@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.loops import find_loops
-from repro.core import parallelize_module
-from repro.frontend import compile_source
-from repro.runtime import run_module
+from repro.core.parallelizer import parallelize_module
+from repro.frontend.lower import compile_source
+from repro.runtime.interpreter import run_module
 from repro.runtime.machine import MachineConfig, PrefetchMode
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.sched import (

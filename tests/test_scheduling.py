@@ -12,9 +12,9 @@ from repro.core.scheduling import (
 )
 from repro.core.segments import insert_synchronization
 from repro.core.signals import optimize_signals
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Opcode
-from repro.runtime import run_module
+from repro.runtime.interpreter import run_module
 from repro.runtime.machine import MachineConfig
 
 

@@ -8,7 +8,7 @@ from repro.core.segments import (
     insert_synchronization,
     segment_span_blocks,
 )
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Opcode
 
 
@@ -138,7 +138,7 @@ class TestInsertion:
 
     def test_functionally_inert(self):
         module, func, loop, deps = prepare(ACCUMULATOR)
-        from repro.runtime import run_module
+        from repro.runtime.interpreter import run_module
 
         module2 = compile_source(ACCUMULATOR)
         baseline = run_module(module2)

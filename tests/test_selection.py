@@ -8,8 +8,8 @@ from repro.core.selection import (
     choose_loops,
     fixed_level_selection,
 )
-from repro.frontend import compile_source
-from repro.runtime import profile_module
+from repro.frontend.lower import compile_source
+from repro.runtime.profiler import profile_module
 from repro.runtime.machine import MachineConfig
 
 
@@ -236,7 +236,7 @@ class TestCoreInsensitivity:
         """Paper, Section 3.5: 'loop selection is insensitive to the
         number of cores'.  The chosen sets at 4 and 6 cores coincide."""
         from repro.bench import compile_benchmark
-        from repro.runtime import profile_module
+        from repro.runtime.profiler import profile_module
 
         for name in ("twolf", "gzip", "mcf"):
             module = compile_benchmark(name, "train")

@@ -62,15 +62,6 @@ def test_job_ids_unique():
     assert len(ids) == 50
 
 
-def test_as_dict_wire_form():
-    job = Job(spec=SuiteJob(benches=("mcf", "vpr"), cores=4))
-    payload = job.as_dict()
-    assert payload["op"] == "suite"
-    assert payload["state"] == "queued"
-    assert payload["spec"] == {"benches": ["mcf", "vpr"], "cores": 4}
-    assert "retries" not in payload
-
-
 def test_spec_ops():
     assert CompileJob("mcf").op == "compile"
     assert RunJob("mcf").op == "run"

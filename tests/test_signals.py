@@ -10,9 +10,9 @@ from repro.core.signals import (
     build_redundance_graph,
     optimize_signals,
 )
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Opcode
-from repro.runtime import run_module
+from repro.runtime.interpreter import run_module
 
 
 def prepare(source):

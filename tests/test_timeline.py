@@ -17,7 +17,7 @@ import re
 
 import pytest
 
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.timeline import (
     CATEGORIES,

@@ -4,15 +4,11 @@ import pytest
 
 from repro.analysis.cfg import CFGView
 from repro.analysis.loops import find_loops
-from repro.frontend import compile_source
+from repro.frontend.lower import compile_source
 from repro.ir import Opcode, verify_module
-from repro.runtime import run_module
-from repro.transform import (
-    InlineError,
-    can_inline,
-    inline_call,
-    normalize_loop,
-)
+from repro.runtime.interpreter import run_module
+from repro.transform.inline import InlineError, can_inline, inline_call
+from repro.transform.normalize import normalize_loop
 
 
 def first_call(func):

@@ -17,10 +17,10 @@ from repro.bench import compile_benchmark
 from repro.core.loopinfo import HelixOptions
 from repro.core.parallelizer import parallelize_module
 from repro.core.selection import SelectionConfig, choose_loops
-from repro.frontend import compile_source
-from repro.ir.parser import parse_module
+from repro.frontend.lower import compile_source
+from tests.ir_parser import parse_module
 from repro.obs.metrics import REGISTRY, metrics_delta
-from repro.runtime import Interpreter
+from repro.runtime.interpreter import Interpreter
 from repro.runtime import profiler as profiler_mod
 from repro.runtime.machine import MachineConfig
 from repro.runtime.parallel import ParallelExecutor
