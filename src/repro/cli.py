@@ -31,9 +31,9 @@ Commands:
   TCP) through which concurrent clients submit compile/run/suite
   jobs and stream back observer events; all jobs share one
   content-addressed artifact store, so repeated requests are served
-  warm.  SIGTERM drains gracefully.  ``--trace-dir`` writes a Perfetto
-  trace per traced job to a file (otherwise its terminal event carries
-  it), ``--heartbeat`` records periodic liveness in the job log.
+  warm.  SIGTERM drains gracefully.  A job submitted with ``"trace":
+  true`` gets its own Perfetto trace on its terminal event;
+  ``--heartbeat`` records periodic liveness in the job log.
 * ``serve-status``           -- one-shot live introspection of a
   running daemon (queue depth by state, in-flight job ages, worker
   liveness, uptime, metrics registry); ``--json`` for the raw payload,
@@ -544,7 +544,6 @@ def cmd_serve(args) -> int:
             port=args.port,
             drain_timeout=args.drain_timeout,
             log_path=args.log,
-            trace_dir=args.trace_dir,
             heartbeat=args.heartbeat,
         )
     except KeyboardInterrupt:  # pragma: no cover - loops without signal
@@ -746,14 +745,6 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="append every job event to this JSON-lines log "
         "(each line stamped with a sequence number and the run id)",
-    )
-    p.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="write a Perfetto trace file per traced job (submitted "
-        "with \"trace\": true) instead of sending it on the job's "
-        "terminal event",
     )
     p.add_argument(
         "--heartbeat",

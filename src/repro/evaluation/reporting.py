@@ -47,12 +47,6 @@ def format_table(
     return "\n".join(parts)
 
 
-def format_series(name: str, mapping: Dict[str, float]) -> str:
-    """One labelled series: ``name: k1=v1 k2=v2 ...``."""
-    body = " ".join(f"{k}={v:.2f}" for k, v in mapping.items())
-    return f"{name}: {body}"
-
-
 def format_stage_stats(stages: Dict[str, Dict[str, Union[int, float]]]) -> str:
     """Observability table for ``--stats``: one row per pipeline stage.
 

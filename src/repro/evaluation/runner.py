@@ -199,10 +199,6 @@ class PipelineRun:
         # The output is the recording's, under every machine.
         return self.sequential.output == self.executor.output
 
-    def speedup_at(self, machine: MachineConfig) -> float:
-        """Speedup under another machine, from recorded traces."""
-        return self.speedups_at([machine])[0]
-
     def speedups_at(self, machines: Sequence[MachineConfig]) -> List[float]:
         """Speedups under several machines in one batched replay.
 

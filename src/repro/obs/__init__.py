@@ -5,9 +5,10 @@ Two complementary primitives, both off by default and free when off:
 * :class:`Tracer` -- nestable wall-clock spans with typed args, recorded
   as flat events and exportable as Chrome trace-event JSON
   (:mod:`repro.obs.export`), loadable in Perfetto / ``about:tracing``.
-  The process-wide tracer is a shared :class:`NullTracer` until
-  :func:`set_tracer` installs a recording one, so instrumentation sites
-  cost one global read plus a no-op context manager when tracing is off.
+  The active tracer is a shared :class:`NullTracer` until
+  :func:`tracing` installs a recording one for the calling context, so
+  instrumentation sites cost one context-variable read plus a no-op
+  context manager when tracing is off.
 * :class:`Registry` -- process-wide named counters and gauges
   (:data:`REGISTRY`).  The pipeline's pre-existing ad-hoc stats (stage
   tallies, per-analysis hit/miss rows, interpreter backend selections,
@@ -35,8 +36,6 @@ from repro.obs.tracer import (
     SpanEvent,
     Tracer,
     get_tracer,
-    set_tracer,
-    traced,
     tracing,
 )
 from repro.obs.export import (
@@ -67,8 +66,6 @@ __all__ = [
     "SpanEvent",
     "Tracer",
     "get_tracer",
-    "set_tracer",
-    "traced",
     "tracing",
     "chrome_trace",
     "validate_chrome_trace",

@@ -256,10 +256,6 @@ class ResultsStore:
             )
         return matches[-1]
 
-    def latest(self, kind: Optional[str] = None) -> Optional[RunRecord]:
-        runs = self.load_runs(kind)
-        return runs[-1] if runs else None
-
 
 def _lazy_code_version() -> str:
     from repro.artifacts import code_version
@@ -513,28 +509,6 @@ def _headline(record: RunRecord) -> Tuple[str, Optional[float]]:
     if geomeans:
         return geomeans[-1]
     return "", None
-
-
-def aggregate(runs: Sequence[RunRecord]) -> Dict[str, Dict[str, float]]:
-    """Per-metric history statistics over ``runs`` (same kind expected).
-
-    Returns ``metric -> {count, min, max, mean, latest}`` for every
-    ratio metric that appears in at least one run.
-    """
-    series: Dict[str, List[float]] = {}
-    for record in runs:
-        for path, value in run_metrics(record.report).items():
-            series.setdefault(path, []).append(value)
-    return {
-        path: {
-            "count": float(len(values)),
-            "min": min(values),
-            "max": max(values),
-            "mean": sum(values) / len(values),
-            "latest": values[-1],
-        }
-        for path, values in sorted(series.items())
-    }
 
 
 def format_history(runs: Sequence[RunRecord]) -> str:

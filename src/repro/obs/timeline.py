@@ -129,16 +129,6 @@ def run_timeline(
     return segments
 
 
-def core_totals(
-    segments: List[Segment], cores: int
-) -> List[Dict[str, int]]:
-    """Per-core cycle totals by category (every category always keyed)."""
-    totals = [dict.fromkeys(CATEGORIES, 0) for _ in range(cores)]
-    for seg in segments:
-        totals[seg.core][seg.category] += seg.end - seg.start
-    return totals
-
-
 def timeline_block(
     executor: RecordedRun,
     machine: Optional[MachineConfig] = None,

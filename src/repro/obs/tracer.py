@@ -17,6 +17,12 @@ the scheduler's hot loop (the pack walk behind ``schedule_many``)
 carries no tracer calls at all -- enforced structurally by
 ``tests/test_obs.py``.
 
+The active tracer belongs to the running context, like
+:data:`~repro.obs.metrics.CURRENT_JOB`: :func:`tracing` installs one
+for the calling thread's context only, and a new thread starts with the
+null tracer.  Two traced daemon jobs on two worker threads therefore
+each record exactly their own spans, and an untraced job records none.
+
 A recording :class:`Tracer` stamps spans with a monotonic clock
 (``time.perf_counter``), the recording process id and thread id, so
 spans merged from several processes (the parallel suite runner) keep
@@ -27,11 +33,11 @@ tid)`` track, which is exactly how the events are recorded.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
@@ -204,58 +210,28 @@ class Tracer:
         return len(events)
 
 
-# -- the process-wide tracer ------------------------------------------------
+# -- the active tracer -----------------------------------------------------
 
-_tracer: Any = NULL_TRACER
+#: The tracer of the running context: the null tracer unless
+#: :func:`tracing` installed a recording one.  A ``ContextVar``, so a
+#: tracer installed in one thread (one daemon job, say) never records
+#: another thread's spans.
+_ACTIVE: ContextVar[Any] = ContextVar("repro_tracer", default=NULL_TRACER)
 
 
 def get_tracer() -> Any:
-    """The process-wide tracer (the null tracer unless one is set)."""
-    return _tracer
-
-
-def set_tracer(tracer: Optional[Tracer]) -> Any:
-    """Install ``tracer`` process-wide; ``None`` restores the null tracer.
-
-    Returns the installed tracer.
-    """
-    global _tracer
-    _tracer = tracer if tracer is not None else NULL_TRACER
-    return _tracer
+    """The active tracer of this context (the null tracer unless one is
+    installed by :func:`tracing`)."""
+    return _ACTIVE.get()
 
 
 @contextmanager
 def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Scope a recording tracer: install on entry, restore on exit."""
-    previous = _tracer
-    installed = set_tracer(tracer or Tracer())
+    """Scope a recording tracer to this context: install on entry,
+    restore the previous one on exit."""
+    installed = tracer or Tracer()
+    token = _ACTIVE.set(installed)
     try:
         yield installed
     finally:
-        set_tracer(previous if previous is not NULL_TRACER else None)
-
-
-def traced(
-    name: Optional[str] = None, cat: str = ""
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Decorator form: span the wrapped call under the current tracer.
-
-    The tracer is resolved per call, so functions decorated at import
-    time still record once tracing is enabled -- and cost only the
-    ``enabled`` check when it is not.
-    """
-
-    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            tracer = _tracer
-            if not tracer.enabled:
-                return fn(*args, **kwargs)
-            with tracer.span(label, cat=cat):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
+        _ACTIVE.reset(token)

@@ -141,13 +141,6 @@ class MachineConfig:
             )
 
     @property
-    def total_threads(self) -> int:
-        """HELIX thread count: one main + N-1 parallel + N helper (2N)."""
-        if self.smt:
-            return 2 * self.cores
-        return self.cores
-
-    @property
     def effective_prefetch_mode(self) -> PrefetchMode:
         """Prefetching requires SMT; without it helpers cannot run."""
         if not self.smt:

@@ -16,7 +16,7 @@ served to many concurrent clients from one warm process:
   against a shared content-addressed
   :class:`~repro.artifacts.ArtifactStore`, one worker thread per job,
   with per-job timeouts and cooperative cancellation.  Any job can be
-  traced: it runs under a recording tracer and keeps its spans.
+  traced: it runs under its own recording tracer and keeps its spans.
 * **Infrastructure** (:mod:`repro.service.daemon`,
   :mod:`repro.service.client`, and ``repro serve`` in
   :mod:`repro.cli`) -- an asyncio JSON-lines protocol over a Unix or

@@ -21,11 +21,8 @@ request keys are ignored.
 Any job request may also carry ``"trace": true``: the orchestrator then
 runs that job under a recording tracer, and the job's spans come back as
 a schema-valid Perfetto trace with the job's metrics delta in
-``otherData.metrics``.  When the daemon was started with
-``--trace-dir`` the trace is written to a file per job as it finishes,
-announced by a ``trace_written`` event in the job log and a
-``trace_path`` on the terminal event; otherwise the terminal event
-carries the trace itself as ``"trace"``.
+``otherData.metrics``, carried on the job's terminal event as
+``"trace"``.
 
 Any request may carry a client-chosen ``"id"``, echoed on the
 ``accepted`` event (and every subsequent event of that job also names
@@ -68,14 +65,14 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.obs import REGISTRY, chrome_trace, validate_chrome_trace
+from repro.obs import REGISTRY, chrome_trace
 from repro.obs.metrics import EvaluationObserver
 from repro.obs.tracer import SpanEvent
 from repro.service.jobs import CompileJob, Job, RunJob, SuiteJob
 from repro.service.orchestrator import Orchestrator
 
 #: Wire schema generation of the event stream.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 _OPS = {
     "compile": lambda req: CompileJob(
@@ -113,7 +110,6 @@ def validate_event(event: Any) -> List[str]:
         "job_finished": ("job", "state"),
         "status": ("run", "uptime_seconds", "queue", "workers", "metrics"),
         "heartbeat": ("uptime_seconds", "queue", "workers"),
-        "trace_written": ("job", "path"),
         "cancelled": ("job",),
         "error": ("message",),
         "pong": (),
@@ -140,38 +136,6 @@ def job_trace(job: Job) -> dict:
         process_names={pid: f"repro job {job.id} ({job.op})"
                        for pid in {s.pid for s in spans}},
     )
-
-
-class _TraceWriter(EvaluationObserver):
-    """Writes one Perfetto trace file per traced job as it finishes.
-
-    The first of the orchestrator's sinks, so ``job.trace_path`` is set
-    before the terminal ``job_finished`` event is serialized to the
-    client by the job's connection observer.
-    """
-
-    def __init__(self, daemon: "Daemon") -> None:
-        self._daemon = daemon
-
-    def job_finished(self, job: Optional[Job]) -> None:
-        daemon = self._daemon
-        if job is None or job.spans is None or daemon.trace_dir is None:
-            return
-        directory = Path(daemon.trace_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{job.id}.json"
-        payload = job_trace(job)
-        path.write_text(json.dumps(payload, indent=1) + "\n")
-        job.trace_path = str(path)
-        daemon._log_event(
-            {
-                "event": "trace_written",
-                "job": job.id,
-                "path": str(path),
-                "spans": len(job.spans),
-                "problems": validate_chrome_trace(payload),
-            }
-        )
 
 
 class _ConnectionObserver(EvaluationObserver):
@@ -246,9 +210,7 @@ class _ConnectionObserver(EvaluationObserver):
         }
         if job.result is not None:
             event["result"] = job.result
-        if job.trace_path is not None:
-            event["trace_path"] = job.trace_path
-        elif job.spans is not None:
+        if job.spans is not None:
             event["trace"] = job_trace(job)
         self._emit(event)
 
@@ -264,7 +226,6 @@ class Daemon:
         port: int = 0,
         drain_timeout: float = 60.0,
         log_path: Optional[str] = None,
-        trace_dir: Optional[str] = None,
         heartbeat: float = 0.0,
     ) -> None:
         if socket_path is None and host is None:
@@ -275,7 +236,6 @@ class Daemon:
         self.port = port
         self.drain_timeout = drain_timeout
         self.log_path = log_path
-        self.trace_dir = trace_dir
         #: Seconds between heartbeat records in the job log (<= 0 off).
         self.heartbeat = heartbeat
         #: This daemon instance's run id: stamped on every log line so
@@ -285,10 +245,6 @@ class Daemon:
         self._started_monotonic = time.monotonic()
         self._log_lock = threading.Lock()
         self._log_seq = 0
-        if trace_dir is not None:
-            # Trace files are written by the first orchestrator-wide
-            # sink so they exist before per-connection terminal events.
-            orchestrator.sinks.insert(0, _TraceWriter(self))
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -329,7 +285,6 @@ class Daemon:
             "run": self.run_id,
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": round(self.uptime_seconds(), 3),
-            "trace_dir": self.trace_dir,
             "metrics": REGISTRY.snapshot(),
             **self.orchestrator.status(),
         }
@@ -541,7 +496,6 @@ def serve_forever(
     port: int = 0,
     drain_timeout: float = 60.0,
     log_path: Optional[str] = None,
-    trace_dir: Optional[str] = None,
     heartbeat: float = 0.0,
     install_signal_handlers: bool = True,
 ) -> Daemon:
@@ -553,7 +507,6 @@ def serve_forever(
         port=port,
         drain_timeout=drain_timeout,
         log_path=log_path,
-        trace_dir=trace_dir,
         heartbeat=heartbeat,
     )
     asyncio.run(daemon.serve(install_signal_handlers=install_signal_handlers))

@@ -14,7 +14,9 @@ commands they replace:
 A :class:`Job` wraps a spec with identity and lifecycle: the state
 machine is ``queued -> running -> done | failed | cancelled``, and a job
 runs once.  Any job may be traced (``trace: true`` on the wire): it then
-runs under a recording tracer and keeps the spans it recorded.
+runs under its own recording tracer and keeps exactly the spans it
+recorded, which the daemon sends back as a Perfetto trace on the job's
+terminal event.
 
 Progress flows through the
 :class:`~repro.obs.metrics.EvaluationObserver` protocol, attributed to
@@ -113,13 +115,11 @@ class Job:
     #: (orchestrator-filled).
     metrics: Optional[dict] = None
     #: Capture spans while this job runs (``trace: true`` on the wire);
-    #: the orchestrator runs traced jobs under ``tracing()``.
+    #: the orchestrator runs traced jobs under their own ``tracing()``.
     trace: bool = False
     #: Serialized :class:`~repro.obs.tracer.SpanEvent` dicts recorded
     #: while the job ran (only when :attr:`trace`).
     spans: Optional[List[dict]] = None
-    #: Where the daemon wrote this job's Perfetto trace (``--trace-dir``).
-    trace_path: Optional[str] = None
     #: Lifecycle timestamps (``time.monotonic``), for in-flight ages.
     submitted_monotonic: float = 0.0
     started_monotonic: Optional[float] = None

@@ -45,8 +45,8 @@ then the observer the job was submitted with.  The orchestrator emits
 lists them after its own counters for its stage and artifact events.
 The handler runs with :data:`~repro.obs.metrics.CURRENT_JOB` set to
 its job, so those events arrive attributed to it.  A job submitted with
-``trace=True`` runs under a recording tracer and keeps its spans
-(``Job.spans``).
+``trace=True`` runs under its own recording tracer, scoped to its
+context the same way, and keeps exactly its own spans (``Job.spans``).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.artifacts import ArtifactStore
-from repro.obs import REGISTRY, Tracer, get_tracer, tracing
+from repro.obs import REGISTRY, Tracer, tracing
 from repro.obs.metrics import CURRENT_JOB, EvaluationObserver
 from repro.runtime.machine import MachineConfig
 from repro.service.jobs import CompileJob, Job, JobState, RunJob, SuiteJob
@@ -70,12 +70,6 @@ class JobCancelled(Exception):
 
 class JobTimeout(Exception):
     """One attempt exceeded its wall-clock budget."""
-
-
-#: The process-wide tracer is ambient, so trace-capturing jobs are
-#: serialized; concurrent non-trace jobs keep running (their spans may
-#: appear in the capture, attributed by their ``job`` span argument).
-_TRACE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -325,8 +319,7 @@ class Orchestrator:
             ctx = JobContext(job=job, sinks=sinks, artifacts=self.artifacts)
             handler = self.handlers[type(job.spec)]
             try:
-                with get_tracer().span(f"job.{job.op}", cat="job", job=job.id):
-                    result = self._attempt(handler, ctx, job)
+                result = self._attempt(handler, ctx, job)
             except JobCancelled:
                 with self._lock:
                     job.transition(JobState.CANCELLED)
@@ -398,12 +391,14 @@ class Orchestrator:
         (and spans, for traced jobs) are recorded in whichever thread
         executes the handler -- the worker itself, or the disposable
         timeout thread -- because the registry scope is thread-local.
-        For the same reason :data:`CURRENT_JOB` is set here, so every
-        event the handler's runners emit names this job.
+        For the same reason :data:`CURRENT_JOB` and the tracer are set
+        here, so every event the handler's runners emit names this job.
 
-        A ``trace``-flagged job additionally runs under the ambient
-        recording tracer (serialized by ``_TRACE_LOCK``) and keeps its
-        spans whether the handler returns or raises.
+        A ``trace``-flagged job additionally runs under its own
+        recording tracer, installed for this thread's context only
+        (:func:`~repro.obs.tracer.tracing`): its spans are exactly its
+        own, however many traced or untraced jobs run beside it, and it
+        keeps them whether the handler returns or raises.
 
         Late writes from abandoned timeout threads are suppressed: once
         the worker finished the job, the zombie's capture is dropped.
@@ -414,7 +409,7 @@ class Orchestrator:
             try:
                 if tracer is None:
                     return handler(ctx, job.spec)
-                with _TRACE_LOCK, tracing(tracer):
+                with tracing(tracer):
                     return handler(ctx, job.spec)
             finally:
                 CURRENT_JOB.reset(token)

@@ -284,12 +284,24 @@ class Placement:
     core_totals: List[Dict[str, int]]
 
 
+def core_totals(segments, cores: int) -> List[Dict[str, int]]:
+    """Each core's cycles per category in a
+    :func:`~repro.obs.timeline.run_timeline` segment list (every
+    category always keyed)."""
+    from repro.obs.timeline import CATEGORIES
+
+    totals = [dict.fromkeys(CATEGORIES, 0) for _ in range(cores)]
+    for seg in segments:
+        totals[seg.core][seg.category] += seg.end - seg.start
+    return totals
+
+
 def bench_placements(runner):
     """``placement(bench, cores)``: the :class:`Placement` of ``bench``'s
     recording under ``runner``'s machine at ``cores`` cores, computed
     once per key.  Only the digest and the totals are kept: the suite's
     segment lists at 2, 4 and 6 cores run to 1.8M segments."""
-    from repro.obs.timeline import core_totals, run_timeline
+    from repro.obs.timeline import run_timeline
 
     memo: Dict[Tuple[str, int], Placement] = {}
 

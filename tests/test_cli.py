@@ -89,7 +89,9 @@ def test_missing_command_rejected():
 
 def test_trace_is_an_option_not_a_command(capsys):
     """A trace is ``--trace PATH`` on the command that does the work;
-    there is no ``trace`` command, and a timeline needs a trace."""
+    there is no ``trace`` command, and a timeline needs a trace.  A
+    daemon job's trace rides on its terminal event, so ``serve`` takes
+    no trace directory."""
     with pytest.raises(SystemExit) as excinfo:
         main(["trace", "mcf"])
     assert excinfo.value.code == 2
@@ -98,6 +100,10 @@ def test_trace_is_an_option_not_a_command(capsys):
         main(["bench", "mcf", "--sim-timeline"])
     assert excinfo.value.code == 2
     assert "--sim-timeline needs --trace" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--trace-dir", "traces"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --trace-dir" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["4:bogus", "x", "0", "0:matched", ""])

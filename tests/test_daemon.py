@@ -184,8 +184,8 @@ def test_compile_and_traced_run_ops(daemon, tiny_bench):
     from repro.obs import validate_chrome_trace
 
     with ServiceClient(socket_path=daemon.socket_path) as client:
-        # Without --trace-dir a traced job's trace rides on its
-        # terminal event, with the job's metrics delta embedded.  On a
+        # A traced job's trace rides on its terminal event, with the
+        # job's metrics delta embedded.  On a
         # cold store it shows every stage.
         traced = client.run(
             {"op": "run", "bench": "mcf", "cores": 6, "trace": True}
@@ -270,8 +270,8 @@ def test_job_log_written(daemon, tiny_bench):
 
 @pytest.fixture()
 def obs_daemon(tmp_path, tiny_bench, slow_gate):
-    """A daemon with the full observability plane on: per-job traces,
-    fast heartbeat, job log."""
+    """A daemon with the full observability plane on: fast heartbeat,
+    job log."""
     socket_path = str(tmp_path / "obs.sock")
     orchestrator = Orchestrator(cache=tmp_path / "cache", workers=2)
     server = Daemon(
@@ -279,7 +279,6 @@ def obs_daemon(tmp_path, tiny_bench, slow_gate):
         socket_path=socket_path,
         drain_timeout=60.0,
         log_path=str(tmp_path / "jobs.jsonl"),
-        trace_dir=str(tmp_path / "traces"),
         heartbeat=0.2,
     )
     thread = threading.Thread(
@@ -338,37 +337,32 @@ def test_status_rpc_schema_and_queue_depth(obs_daemon, tiny_bench, slow_gate):
         assert status["in_flight"] == []
 
 
-def test_traced_job_writes_valid_perfetto_file(obs_daemon, tiny_bench):
+def test_traced_job_carries_a_valid_perfetto_trace(obs_daemon, tiny_bench):
     from repro.obs import validate_chrome_trace
 
     with ServiceClient(socket_path=obs_daemon.socket_path) as client:
         finished = client.run(
             {"op": "run", "bench": tiny_bench, "cores": 4, "trace": True}
         )
-        trace_path = finished.get("trace_path")
-        assert trace_path, "traced job published no trace_path"
-        payload = json.loads(open(trace_path, encoding="utf-8").read())
+        payload = finished.get("trace")
+        assert payload, "traced job carried no trace"
         assert validate_chrome_trace(payload) == []
         spans = [e for e in payload["traceEvents"] if e.get("ph") == "X"]
         assert spans, "trace has no spans"
         assert payload["otherData"]["metrics"] == finished["metrics"]
-        assert "trace" not in finished
         # A repeat is answered by the stored ``run`` artifact, which is
         # all its trace shows.
         repeat = client.run(
             {"op": "run", "bench": tiny_bench, "cores": 4, "trace": True}
         )
-        assert repeat["trace_path"] != trace_path
-        payload = json.loads(
-            open(repeat["trace_path"], encoding="utf-8").read()
-        )
+        payload = repeat["trace"]
         assert validate_chrome_trace(payload) == []
         assert [
             e["name"] for e in payload["traceEvents"] if e["ph"] == "X"
         ] == ["stage.run"]
         # An untraced job gets no trace at all.
         plain = client.run({"op": "run", "bench": tiny_bench, "cores": 4})
-        assert "trace_path" not in plain and "trace" not in plain
+        assert "trace" not in plain
 
 
 def test_job_metrics_are_per_job_deltas(obs_daemon, tiny_bench):
@@ -421,7 +415,6 @@ def test_log_has_seq_run_and_heartbeats(obs_daemon, tiny_bench):
     kinds = [line["event"] for line in lines]
     assert "heartbeat" in kinds
     assert kinds[0] == "heartbeat", "first heartbeat should be immediate"
-    assert "trace_written" not in kinds  # no traced jobs in this test
     for line in lines:
         payload = {
             k: v for k, v in line.items() if k not in ("seq", "run")

@@ -6,7 +6,7 @@ fast; ``benchmarks/`` runs the real thing over all thirteen.
 
 import pytest
 
-from repro.evaluation.reporting import format_series, format_table, geomean
+from repro.evaluation.reporting import format_table, geomean
 from repro.evaluation.runner import EvaluationRunner
 from repro.evaluation import figures
 from repro.runtime.machine import MachineConfig
@@ -33,10 +33,6 @@ class TestReporting:
     def test_format_table_none_cells(self):
         text = format_table(["x"], [[None]])
         assert "-" in text
-
-    def test_format_series(self):
-        text = format_series("s", {"a": 1.0, "b": 2.5})
-        assert text == "s: a=1.00 b=2.50"
 
 
 @pytest.fixture(scope="module")

@@ -475,7 +475,7 @@ class TestRunnerCacheIntegration:
         assert run_warm.output_matches
         # The restored executor replays other machines identically.
         probe = machine.with_cores(2)
-        assert run_warm.speedup_at(probe) == run_cold.speedup_at(probe)
+        assert run_warm.speedups_at([probe]) == run_cold.speedups_at([probe])
 
     def test_warm_run_answers_like_the_cold_one(self, tiny_sync, tmp_path):
         """Everything a figure reads of a run restored from its plan
@@ -730,7 +730,7 @@ class TestRunnerCacheIntegration:
         assert ideal.parallel.loop_stats == alone.parallel.loop_stats
         assert ideal.parallel.cycles < helix.parallel.cycles
         probe = MachineConfig(cores=2)
-        assert ideal.speedup_at(probe) == alone.speedup_at(probe)
+        assert ideal.speedups_at([probe]) == alone.speedups_at([probe])
         # A different module is a different recording.
         runner.pipeline(tiny_sync, loop_ids=[])
         assert len(recorded) == 3

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.service.daemon import PROTOCOL_VERSION, validate_event
 from tests.helpers import ObservedEvent, check_event_ordering
 
-assert PROTOCOL_VERSION == 3
+assert PROTOCOL_VERSION == 4
 
 # -- strategy building blocks ------------------------------------------------
 
@@ -49,7 +49,6 @@ WELL_FORMED = {
         "event": "heartbeat", "uptime_seconds": 1.0, "queue": {},
         "workers": {},
     },
-    "trace_written": {"event": "trace_written", "job": "j1", "path": "t.json"},
     "cancelled": {"event": "cancelled", "job": "j1"},
     "error": {"event": "error", "message": "boom"},
     "pong": {"event": "pong"},
@@ -79,6 +78,11 @@ class TestValidateEventDeterministic:
         assert validate_event({"event": "wat"}) == [
             "unknown event kind 'wat'"
         ]
+        # Protocol 4 dropped it: a traced job's trace rides on its
+        # ``job_finished`` event.
+        assert validate_event(
+            {"event": "trace_written", "job": "j1", "path": "t.json"}
+        ) == ["unknown event kind 'trace_written'"]
 
     def test_each_required_field_reported_when_missing(self):
         for kind, event in WELL_FORMED.items():

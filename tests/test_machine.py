@@ -15,11 +15,6 @@ class TestMachineConfig:
         assert machine.word_transfer_cycles == 110
         assert machine.smt
 
-    def test_total_threads_is_2n_with_smt(self):
-        # One main + N-1 parallel + N helper threads (paper Section 2).
-        assert MachineConfig(cores=6).total_threads == 12
-        assert MachineConfig(cores=4, smt=False).total_threads == 4
-
     def test_invalid_core_count(self):
         with pytest.raises(ValueError):
             MachineConfig(cores=0)

@@ -501,6 +501,69 @@ def test_traced_submit_attaches_spans():
         orch.shutdown()
 
 
+def test_a_traced_job_holds_no_span_of_a_concurrent_untraced_job():
+    """An untraced job on the other worker records a span while a traced
+    job runs: the traced job's trace holds none of it."""
+    from repro.obs import get_tracer
+
+    traced_running = threading.Event()
+    untraced_done = threading.Event()
+
+    def handler(ctx, spec):
+        if spec.tag == "traced":
+            traced_running.set()
+            assert untraced_done.wait(10)
+        else:
+            assert traced_running.wait(10)
+        with get_tracer().span(f"unit.{spec.tag}"):
+            pass
+        if spec.tag == "untraced":
+            untraced_done.set()
+        return {}
+
+    orch, _ = make_orchestrator(handler, workers=2)
+    try:
+        traced = orch.submit(FakeSpec("traced"), trace=True)
+        plain = orch.submit(FakeSpec("untraced"))
+        for job in (traced, plain):
+            orch.wait(job, timeout=20)
+            assert job.state is JobState.DONE, job.error
+        assert [span["name"] for span in traced.spans] == ["unit.traced"]
+        assert plain.spans is None
+    finally:
+        traced_running.set()
+        untraced_done.set()
+        orch.shutdown()
+
+
+def test_two_traced_jobs_run_together_and_keep_their_own_spans():
+    """Two traced jobs overlap (they meet at a barrier) and each trace
+    holds exactly its own job's spans."""
+    from repro.obs import get_tracer
+
+    barrier = threading.Barrier(2, timeout=5)
+
+    def meeting(ctx, spec):
+        with get_tracer().span(f"unit.{spec.tag}"):
+            barrier.wait()
+        return {}
+
+    orch, _ = make_orchestrator(meeting, workers=2)
+    try:
+        jobs = [
+            orch.submit(FakeSpec("a"), trace=True),
+            orch.submit(FakeSpec("b"), trace=True),
+        ]
+        for job in jobs:
+            orch.wait(job, timeout=20)
+            assert job.state is JobState.DONE, job.error
+        for job, tag in zip(jobs, "ab"):
+            assert [span["name"] for span in job.spans] == [f"unit.{tag}"]
+    finally:
+        barrier.abort()
+        orch.shutdown()
+
+
 def test_a_failed_traced_job_keeps_its_spans():
     from repro.obs import get_tracer
 

@@ -11,7 +11,6 @@ from repro.obs.prom import prometheus_text, sanitize_name, status_gauges
 from repro.obs.results import (
     ResultsStore,
     RunRecord,
-    aggregate,
     compute_run_id,
     diff,
     format_history,
@@ -164,7 +163,7 @@ class TestStore:
         assert store.load(first.run_id[:8]).run_id == first.run_id
         assert store.load("latest").run_id == second.run_id
         assert store.load("latest~1").run_id == first.run_id
-        assert store.latest("suite").run_id == second.run_id
+        assert store.load("latest", "suite").run_id == second.run_id
         with pytest.raises(KeyError):
             store.load("zzzz-no-such-run")
         with pytest.raises(KeyError):
@@ -195,11 +194,6 @@ class TestStore:
         table = format_history(runs)
         assert "geomeans.6" in table
         assert runs[0].run_id in table and runs[1].run_id in table
-        stats = aggregate(runs)
-        entry = stats["geomeans.6"]
-        assert entry["count"] == 2
-        assert entry["latest"] == 3.5
-        assert entry["min"] == pytest.approx(2.87)
         assert format_history([]) == "(no recorded runs)"
 
 

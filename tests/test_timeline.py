@@ -22,7 +22,6 @@ from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.timeline import (
     CATEGORIES,
     Segment,
-    core_totals,
     run_timeline,
     timeline_block,
     timeline_events,
@@ -31,7 +30,7 @@ from repro.runtime.interpreter import ExecutionResult
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.sched import schedule_invocation_reference
 from repro.runtime.trace import InvocationTrace, pack_traces, unpack_traces
-from tests.helpers import recording_of
+from tests.helpers import core_totals, recording_of
 from tests.test_sched_differential import (
     BASE,
     MACHINES,
